@@ -318,17 +318,28 @@ func BenchmarkReplyParse(b *testing.B) {
 // produce identical results; only the wall clock differs (expect the
 // parallel variant to approach a core-count speedup on multi-core
 // hardware, as the per-pair traces share no mutable state).
-func BenchmarkSurveySerial(b *testing.B)   { benchSurveyWorkers(b, 1) }
-func BenchmarkSurveyParallel(b *testing.B) { benchSurveyWorkers(b, runtime.GOMAXPROCS(0)) }
+func BenchmarkSurveySerial(b *testing.B) { benchSurveyWorkers(b, survey.AlgoMDALite, 1) }
+func BenchmarkSurveyParallel(b *testing.B) {
+	benchSurveyWorkers(b, survey.AlgoMDALite, runtime.GOMAXPROCS(0))
+}
 
-func benchSurveyWorkers(b *testing.B, workers int) {
+// BenchmarkSurveyMDASerial/Parallel run the same universe under the full
+// MDA — the tracer cmd/survey -level ip and the ip-survey workload of
+// ./bench run — so the bench artifacts carry the per-vertex node-control
+// path (mda.Session bookkeeping dominates it) next to the MDA-Lite one.
+func BenchmarkSurveyMDASerial(b *testing.B) { benchSurveyWorkers(b, survey.AlgoMDA, 1) }
+func BenchmarkSurveyMDAParallel(b *testing.B) {
+	benchSurveyWorkers(b, survey.AlgoMDA, runtime.GOMAXPROCS(0))
+}
+
+func benchSurveyWorkers(b *testing.B, algo survey.Algo, workers int) {
 	b.Helper()
 	u := survey.Generate(survey.GenConfig{Seed: 5, Pairs: 200})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := survey.Run(u, survey.RunConfig{
-			Algo: survey.AlgoMDALite, Retries: 1, Workers: workers,
+			Algo: algo, Retries: 1, Workers: workers,
 			Trace: mda.Config{Seed: 5},
 		})
 		if err != nil {

@@ -18,10 +18,12 @@ import (
 //
 // On top of the dense tables, deterministic flow walks are memoized: for
 // per-flow and per-destination balancing the vertex sequence a flow
-// traverses is a pure function of (flow key, graph generation), and the
-// MDA probes one flow at many TTLs, so each Session caches the full walk
-// and replays it by TTL. The cache is bypassed whenever handling could
-// consume randomness or per-probe mutable state on the walk itself — a
+// traverses is a pure function of (flow key, graph generation), and a
+// flow is probed at more than one TTL (the MDA's node-control mints at
+// two adjacent ones, the MDA-Lite's reused flows at many), so each
+// Session caches the walk as far as it has been asked for and replays it
+// by TTL. The cache is bypassed whenever handling could consume
+// randomness or per-probe mutable state on the walk itself — a
 // per-packet balancer anywhere in the graph, reply loss, or a
 // rate-limited router — so the RNG draw order, and with it every emitted
 // byte, is identical with and without the cache.
@@ -169,28 +171,61 @@ type walkKey struct {
 }
 
 // walkFor returns the memoized vertex sequence the flow traverses over
-// cp, computing and caching it on first use. seq[h] is the vertex at
-// forward distance h; the walk runs to the destination hop or the first
-// dead end. Only valid when cp.memoizable (the walk consumes no RNG).
-func (s *Session) walkFor(cp *compiledPath, pp *packet.ParsedProbe, flowKey uint64) []topo.VertexID {
+// cp, walked at least as far as hop (or to where the walk ends, if that
+// is nearer). seq[h] is the vertex at forward distance h. Only valid when
+// cp.memoizable (the walk consumes no RNG).
+//
+// The walk is extended lazily: most MDA flows are node-control mints
+// probed at one or two TTLs, so walking every new flow to the destination
+// hop did several times the work the trace ever reads. Steps of a
+// deterministic walk do not depend on when they are taken, so the
+// sequence is the same prefix by prefix. A sequence is complete — at the
+// destination hop or at a dead end — exactly when len(seq) == cap(seq):
+// it is created with capacity dstHop+1, and a dead end clips the capacity
+// to the length.
+func (s *Session) walkFor(cp *compiledPath, pp *packet.ParsedProbe, flowKey uint64, hop int) []topo.VertexID {
 	k := walkKey{cp: cp, flow: flowKey}
-	if seq, ok := s.walks[k]; ok {
+	seq, ok := s.walks[k]
+	switch {
+	case !ok:
+		seq = s.newWalk(cp)
+	case hop < len(seq) || len(seq) == cap(seq):
 		return seq
 	}
-	seq := make([]topo.VertexID, 1, cp.dstHop+1)
-	cur := cp.entry
-	seq[0] = cur
-	for hop := 0; hop < cp.dstHop; hop++ {
-		next := s.nextVertex(cp, cur, pp, flowKey)
+	for len(seq) <= hop && len(seq) < cap(seq) {
+		next := s.nextVertex(cp, seq[len(seq)-1], pp, flowKey)
 		if next == topo.None {
-			break // dead end: silent drop (routing hole)
+			seq = seq[:len(seq):len(seq)] // dead end: silent drop (routing hole)
+			break
 		}
-		cur = next
-		seq = append(seq, cur)
+		seq = append(seq, next)
 	}
 	if s.walks == nil {
 		s.walks = make(map[walkKey][]topo.VertexID)
 	}
 	s.walks[k] = seq
+	return seq
+}
+
+// walkSlabChunk is how many vertex IDs one slab allocation holds: a dozen
+// or two walks of a typical path. Sessions live as long as their network,
+// so the unused tail of a session's last chunk is retained with it; the
+// chunk is kept small for that reason.
+const walkSlabChunk = 256
+
+// newWalk starts a walk at cp's entry vertex with room to reach the
+// destination hop, carved from the session's slab so that a trace's
+// hundreds of flows cost a handful of allocations. The capacity is capped,
+// so a walk can never grow into its neighbour.
+func (s *Session) newWalk(cp *compiledPath) []topo.VertexID {
+	n := cp.dstHop + 1
+	if n > walkSlabChunk/4 {
+		return append(make([]topo.VertexID, 0, n), cp.entry)
+	}
+	if len(s.walkSlab) < n {
+		s.walkSlab = make([]topo.VertexID, walkSlabChunk)
+	}
+	seq := append(s.walkSlab[:0:n], cp.entry)
+	s.walkSlab = s.walkSlab[n:]
 	return seq
 }

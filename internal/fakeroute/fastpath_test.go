@@ -192,3 +192,62 @@ func TestSessionReplyBufferReused(t *testing.T) {
 		t.Fatalf("copied first reply parse: %+v err %v, want identity 11", r, err)
 	}
 }
+
+// TestLazyWalkMatchesFreshWalk: memoized walks are extended only as far as
+// the deepest TTL a flow has been probed at, and are carved side by side
+// from a slab. Probing many flows in a scrambled (flow, TTL) order — deep
+// before shallow, shallow before deep, past the destination, into a
+// dead end — must still answer byte for byte what a fresh walk per
+// probe answers, and extending one walk must never disturb its slab
+// neighbours.
+func TestLazyWalkMatchesFreshWalk(t *testing.T) {
+	// Hop 1 holds a dead end: flows balanced onto it go no further, whatever
+	// their TTL (the walk ends short of the destination hop); the others
+	// continue over a 3-wide hop to the destination at hop 5.
+	build := func(alloc *AddrAllocator, dst packet.Addr) *topo.Graph {
+		b := NewPathBuilder(alloc).Spread(2)
+		g, hop1 := b.Graph(), b.Current()
+		var hop2 []topo.VertexID
+		for i := 0; i < 3; i++ {
+			w := g.AddVertex(2, alloc.Next())
+			g.AddEdge(hop1[0], w) // hop1[1] keeps no successor
+			hop2 = append(hop2, w)
+		}
+		join := g.AddVertex(3, alloc.Next())
+		last := g.AddVertex(4, alloc.Next())
+		end := g.AddVertex(5, dst)
+		for _, w := range hop2 {
+			g.AddEdge(w, join)
+		}
+		g.AddEdge(join, last)
+		g.AddEdge(last, end)
+		return g
+	}
+	stream := func(n *Network) []byte {
+		s := n.SessionFor(tSrc, tDst)
+		var buf bytes.Buffer
+		x := uint32(12345)
+		for i := 0; i < 2000; i++ {
+			x = x*1664525 + 1013904223
+			flow, ttl := uint16(x>>8)%48, byte(x>>24)%9 // TTL 0..8: below, inside and past the path
+			pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: flow, TTL: ttl, Checksum: uint16(i + 1)}
+			if raw := s.HandleProbe(pr.Serialize()); raw == nil {
+				buf.WriteString("|drop|")
+			} else {
+				buf.Write(raw)
+			}
+		}
+		return buf.Bytes()
+	}
+	memoNet, _ := BuildScenario(77, tSrc, tDst, build)
+	plainNet, _ := BuildScenario(77, tSrc, tDst, build)
+	plainNet.disableWalkMemo = true
+	want, got := stream(plainNet), stream(memoNet)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("lazily extended walks diverge from fresh walks (%d vs %d bytes)", len(got), len(want))
+	}
+	if memoNet.RepliesSent != plainNet.RepliesSent || memoNet.Dropped != plainNet.Dropped {
+		t.Fatalf("stats diverge: memo %d/%d, fresh %d/%d",
+			memoNet.RepliesSent, memoNet.Dropped, plainNet.RepliesSent, plainNet.Dropped)
+	}
+}

@@ -256,8 +256,10 @@ type Session struct {
 	ifaces  map[*Iface]*ctrView
 	buckets map[*Router]*bucket
 
-	// Memoized flow walks over compiled graph generations (compiled.go).
-	walks map[walkKey][]topo.VertexID
+	// Memoized flow walks over compiled graph generations (compiled.go),
+	// and the unused tail of the chunk new walks are carved from.
+	walks    map[walkKey][]topo.VertexID
+	walkSlab []topo.VertexID
 
 	// Reusable scratch for the zero-allocation probe hot path: the
 	// parsed probe, the quoted-datagram copy, the ICMP body, and the
@@ -405,13 +407,10 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	var cur topo.VertexID
 	var hop int
 	if cp.memoizable && !n.disableWalkMemo && n.LossProb == 0 {
-		seq := s.walkFor(cp, pp, flowKey)
-		hop = int(pp.IP.TTL) - 1
+		hop = min(max(int(pp.IP.TTL)-1, 0), cp.dstHop)
+		seq := s.walkFor(cp, pp, flowKey, hop)
 		if hop > len(seq)-1 {
-			hop = len(seq) - 1
-		}
-		if hop < 0 {
-			hop = 0
+			hop = len(seq) - 1 // dead end short of the TTL
 		}
 		cur = seq[hop]
 	} else {

@@ -207,3 +207,70 @@ func TestRunMDASurvivesRouteChange(t *testing.T) {
 		t.Fatalf("route change broke the trace:\n%s", res.Graph)
 	}
 }
+
+// TestFreshFlowMintsWholeSpace: FreshFlow must hand out every one of the
+// packet.MaxFlowID+1 identifiers exactly once, then report exhaustion —
+// and terminate doing so. A flow the session merely knows about (a prior
+// hint it probed) is not thereby minted.
+func TestFreshFlowMintsWholeSpace(t *testing.T) {
+	s := NewSession(&scriptProber{dst: addrD, at: map[probe.Spec]packet.Addr{{FlowID: 5, TTL: 1}: addrA}}, Config{Seed: 9})
+	s.ProbeHop(0, 5) // interned, not minted
+	seen := make([]bool, packet.MaxFlowID+1)
+	for i := 0; i <= packet.MaxFlowID; i++ {
+		f, ok := s.FreshFlow()
+		if !ok {
+			t.Fatalf("exhausted after %d of %d identifiers", i, packet.MaxFlowID+1)
+		}
+		if int(f) > packet.MaxFlowID || seen[f] {
+			t.Fatalf("mint %d: flow %d out of range or repeated", i, f)
+		}
+		seen[f] = true
+	}
+	if f, ok := s.FreshFlow(); ok {
+		t.Fatalf("minted flow %d from an exhausted space", f)
+	}
+	if v, ok := s.VertexAt(0, 5); !ok || v != s.G.Lookup(addrA) {
+		t.Fatalf("flow 5 lost its landing while the space filled up: (%v, %t)", v, ok)
+	}
+}
+
+// TestSessionUsableAfterFinish: Finish hands the session's flow index back
+// for other sessions to scribble on; a session read (prior capture) or
+// driven further afterwards must rebuild its own and see the same tables.
+func TestSessionUsableAfterFinish(t *testing.T) {
+	net, _ := fakeroute.BuildScenario(57, testSrc, testDst, fakeroute.Fig1UnmeshedDiamond)
+	s := NewSession(probe.NewSimProber(net, testSrc, testDst), Config{Seed: 57})
+	s.RunMDA(0)
+	type landing struct {
+		v topo.VertexID
+		f uint16
+	}
+	var before []landing
+	for v := range s.G.Vertices {
+		for _, f := range s.FlowsOf(topo.VertexID(v)) {
+			before = append(before, landing{topo.VertexID(v), f})
+		}
+	}
+	s.Finish(false)
+
+	// Another trace takes the pooled index and fills it with its own flows.
+	net2, _ := fakeroute.BuildScenario(58, testSrc, testDst, fakeroute.SymmetricDiamond)
+	other := NewSession(probe.NewSimProber(net2, testSrc, testDst), Config{Seed: 58})
+	other.RunMDA(0)
+
+	for _, l := range before {
+		if w, ok := s.VertexAt(s.G.V(l.v).Hop, l.f); !ok || w != l.v {
+			t.Fatalf("after Finish, flow %d of vertex %v resolves to (%v, %t)", l.f, l.v, w, ok)
+		}
+	}
+	v := s.G.Hop(2)[0]
+	if !s.EnsureFlows(v, len(s.FlowsOf(v))+3) {
+		t.Fatal("node control failed on a finished session")
+	}
+	for _, f := range s.FlowsOf(v) {
+		if w, ok := s.VertexAt(2, f); !ok || w != v {
+			t.Fatalf("flow %d maps to (%v, %t), want %v", f, w, ok, v)
+		}
+	}
+	other.Finish(false)
+}

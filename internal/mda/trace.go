@@ -1,7 +1,9 @@
 package mda
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/obs"
@@ -57,9 +59,13 @@ type TracePrior interface {
 	FlowHints(h int, addr packet.Addr) []uint16
 }
 
+// default95 is the table fill selects: computed once and shared, read-only,
+// by every session that does not bring its own.
+var default95 = Default95(128)
+
 func (c *Config) fill() {
 	if c.Stop == nil {
-		c.Stop = Default95(128)
+		c.Stop = default95
 	}
 	if c.MaxTTL == 0 {
 		c.MaxTTL = 32
@@ -101,16 +107,41 @@ const Source topo.VertexID = -2
 // Session holds the incremental state of a multipath trace: the graph
 // discovered so far, which flows are known to reach which vertex, and the
 // flow allocator. It is shared by the MDA and the MDA-Lite.
+//
+// The flow tables are dense and index-addressed; none of them is a hash
+// map. Every flow the session lands somewhere — minted by FreshFlow or
+// handed in by a caller (prior flow hints) — is interned: it receives the
+// next session-local index, in first-use order, and the per-hop tables are
+// rows indexed by that local index. Per-vertex flow lists hold wire
+// identifiers in arrival order, which is the order node control consumes
+// them in, so the tables record exactly what the map-based ones did.
 type Session struct {
 	P   probe.Prober
 	Cfg Config
 	G   *topo.Graph
 	Rng *nprand.Source
 
-	flows    map[topo.VertexID][]uint16
-	flowAt   []map[uint16]topo.VertexID // per hop: flow → vertex
-	noReply  []map[uint16]bool          // per hop: flows that drew no reply
-	usedFlow map[uint16]bool
+	wire     []uint16          // local index → wire flow identifier
+	index    *flowIndex        // wire → local index; nil until needed and after Finish (see idx)
+	minted   []uint64          // bitset over local indices: handed out by FreshFlow
+	nMinted  int               // population count of minted
+	flows    [][]uint16        // vertex → flows known to reach it, arrival order, no repeats
+	flowSlab []uint16          // unused tail of the chunk new flow lists are carved from
+	flowAt   [][]topo.VertexID // hop → local index → vertex; topo.None where unknown
+	noReply  [][]uint16        // hop → flows that drew no reply there, probe order, repeats possible
+
+	// succSeen[w] == succEpoch marks w as counted by the DiscoverSuccessors
+	// call in progress; bumping the epoch empties the set in O(1).
+	succSeen  []uint32
+	succEpoch uint32
+
+	// Per-round scratch, reused by every round of the session: the specs
+	// handed to the prober, the vertices ProbeHopBatch returns (valid until
+	// the next ProbeHopBatch), and the round DiscoverSuccessors assembles.
+	specs  []probe.Spec
+	landed []topo.VertexID
+	round  []uint16
+
 	dstHop   int
 	baseSent uint64
 
@@ -125,31 +156,37 @@ type Session struct {
 	EdgeCompletionTruncs int
 }
 
+// flowIndex is the sparse half of a sparse set whose dense half is
+// Session.wire: index[f] is meaningful only when wire[index[f]] == f. The
+// array therefore needs neither initialisation nor clearing, is valid for
+// every uint16 a caller can pass, and is recycled across sessions as is —
+// a trace never allocates in proportion to the flow-identifier space.
+type flowIndex [1 << 16]uint16
+
+var flowIndexPool = sync.Pool{New: func() any { return new(flowIndex) }}
+
 // NewSession prepares a trace session over p.
 func NewSession(p probe.Prober, cfg Config) *Session {
 	cfg.fill()
-	t, e := p.Sent()
 	return &Session{
 		P:        p,
 		Cfg:      cfg,
 		G:        topo.New(),
 		Rng:      nprand.New(cfg.Seed ^ 0x6d646131),
-		flows:    make(map[topo.VertexID][]uint16),
-		usedFlow: make(map[uint16]bool),
 		dstHop:   -1,
-		baseSent: t + e,
+		baseSent: probe.TotalSent(p),
 	}
 }
 
 // Reset discards all discovery state (graph, flow tables) while keeping
-// the prober and its cumulative packet counts: the MDA-Lite uses it when
-// switching over to the full MDA.
+// the prober and its cumulative packet counts, for a caller that wants to
+// restart discovery on the same session.
 func (s *Session) Reset() {
 	s.G = topo.New()
-	s.flows = make(map[topo.VertexID][]uint16)
-	s.flowAt = nil
-	s.noReply = nil
-	s.usedFlow = make(map[uint16]bool)
+	// Emptying wire invalidates every flowIndex entry at once.
+	s.wire, s.minted, s.nMinted = s.wire[:0], s.minted[:0], 0
+	s.flows, s.flowSlab, s.flowAt, s.noReply = nil, nil, nil, nil
+	s.succSeen = nil
 	s.dstHop = -1
 }
 
@@ -161,18 +198,42 @@ func (s *Session) ProbesSent() uint64 {
 	return probe.TotalSent(s.P) - s.baseSent
 }
 
-func (s *Session) hopTable(h int) map[uint16]topo.VertexID {
-	for len(s.flowAt) <= h {
-		s.flowAt = append(s.flowAt, make(map[uint16]topo.VertexID))
+// idx returns the wire → local index array, taking one from the pool on
+// first use. Finish gives the array back; a session used after Finish
+// (prior capture reads HopLandings, tests look flows up) takes a fresh
+// one and rebuilds it from wire.
+func (s *Session) idx() *flowIndex {
+	if s.index == nil {
+		s.index = flowIndexPool.Get().(*flowIndex)
+		for i, f := range s.wire {
+			s.index[f] = uint16(i)
+		}
 	}
-	return s.flowAt[h]
+	return s.index
 }
 
-func (s *Session) hopNoReply(h int) map[uint16]bool {
-	for len(s.noReply) <= h {
-		s.noReply = append(s.noReply, make(map[uint16]bool))
+// lookup returns flow f's local index, if f has been interned.
+func (s *Session) lookup(f uint16) (int, bool) {
+	i := int(s.idx()[f])
+	return i, i < len(s.wire) && s.wire[i] == f
+}
+
+// intern returns flow f's local index, assigning the next one on first
+// use.
+func (s *Session) intern(f uint16) int {
+	i, ok := s.lookup(f)
+	if !ok {
+		i = len(s.wire)
+		if s.wire == nil {
+			s.wire = make([]uint16, 0, 64)
+		}
+		s.wire = append(s.wire, f)
+		s.index[f] = uint16(i)
+		if i>>6 >= len(s.minted) {
+			s.minted = append(s.minted, 0)
+		}
 	}
-	return s.noReply[h]
+	return i
 }
 
 // VertexAt looks up (without probing) which vertex flow f reached at hop
@@ -181,24 +242,36 @@ func (s *Session) VertexAt(h int, f uint16) (topo.VertexID, bool) {
 	if h < 0 || h >= len(s.flowAt) {
 		return topo.None, false
 	}
-	v, ok := s.flowAt[h][f]
-	return v, ok
+	i, ok := s.lookup(f)
+	if !ok || i >= len(s.flowAt[h]) {
+		return topo.None, false
+	}
+	v := s.flowAt[h][i]
+	return v, v != topo.None
 }
 
-// FlowsOf returns the flows known to reach v (the source sentinel has no
-// stored flows: mint fresh ones instead).
-func (s *Session) FlowsOf(v topo.VertexID) []uint16 { return s.flows[v] }
+// FlowsOf returns the flows known to reach v, in the order they were first
+// seen there (the source sentinel has no stored flows: mint fresh ones
+// instead). The slice is the session's own; callers must not modify it.
+func (s *Session) FlowsOf(v topo.VertexID) []uint16 {
+	if v < 0 || int(v) >= len(s.flows) {
+		return nil
+	}
+	return s.flows[v]
+}
 
-// FreshFlow mints a random, never-used flow identifier. ok is false when
-// the space is exhausted.
+// FreshFlow mints a random flow identifier it has not minted before. ok is
+// false once all packet.MaxFlowID+1 identifiers have been handed out.
 func (s *Session) FreshFlow() (uint16, bool) {
-	if len(s.usedFlow) >= packet.MaxFlowID {
+	if s.nMinted > packet.MaxFlowID {
 		return 0, false
 	}
 	for {
 		f := uint16(s.Rng.Uint64() % uint64(packet.MaxFlowID+1))
-		if !s.usedFlow[f] {
-			s.usedFlow[f] = true
+		i := s.intern(f)
+		if word, bit := &s.minted[i>>6], uint64(1)<<(i&63); *word&bit == 0 {
+			*word |= bit
+			s.nMinted++
 			return f, true
 		}
 	}
@@ -217,20 +290,25 @@ func (s *Session) ProbeHop(h int, f uint16) (topo.VertexID, bool) {
 // ProbeHopBatch sends every flow at hop h as one batch and integrates the
 // replies in spec order, exactly as repeated ProbeHop calls would. The
 // returned vertices are index-aligned with flows (topo.None where no
-// reply arrived). Observation sequence numbers are assigned monotonically
-// within the batch (base count + position), since per-probe totals are
-// not observable once a whole round is in flight.
+// reply arrived); the slice is session scratch, valid until the next
+// ProbeHopBatch call. Observation sequence numbers are assigned
+// monotonically within the batch (base count + position), since per-probe
+// totals are not observable once a whole round is in flight.
 func (s *Session) ProbeHopBatch(h int, flows []uint16) []topo.VertexID {
 	if len(flows) == 0 {
 		return nil
 	}
-	specs := make([]probe.Spec, len(flows))
-	for i, f := range flows {
-		specs[i] = probe.Spec{FlowID: f, TTL: h + 1}
+	if cap(s.specs) < len(flows) {
+		n := max(2*len(flows), 16)
+		s.specs, s.landed = make([]probe.Spec, 0, n), make([]topo.VertexID, 0, n)
+	}
+	s.specs = s.specs[:0]
+	for _, f := range flows {
+		s.specs = append(s.specs, probe.Spec{FlowID: f, TTL: h + 1})
 	}
 	base := probe.TotalSent(s.P)
-	replies := s.P.ProbeBatch(specs)
-	vs := make([]topo.VertexID, len(flows))
+	replies := s.P.ProbeBatch(s.specs)
+	s.landed = s.landed[:0]
 	for i, f := range flows {
 		// Every spec sends at least one packet, so base+i+1 never passes
 		// the post-batch total and stays monotonic across batches.
@@ -239,9 +317,9 @@ func (s *Session) ProbeHopBatch(h int, flows []uint16) []topo.VertexID {
 		if !ok {
 			v = topo.None
 		}
-		vs[i] = v
+		s.landed = append(s.landed, v)
 	}
-	return vs
+	return s.landed
 }
 
 // integrate folds one probe reply (or lack of one, when reply is nil)
@@ -249,7 +327,8 @@ func (s *Session) ProbeHopBatch(h int, flows []uint16) []topo.VertexID {
 // recorded at.
 func (s *Session) integrate(h int, f uint16, reply *packet.Reply, seq uint64) (topo.VertexID, bool) {
 	if reply == nil {
-		s.hopNoReply(h)[f] = true
+		s.noReply = extend(s.noReply, h)
+		s.noReply[h] = append(s.noReply[h], f)
 		return topo.None, false
 	}
 	var v topo.VertexID
@@ -262,54 +341,109 @@ func (s *Session) integrate(h int, f uint16, reply *packet.Reply, seq uint64) (t
 	} else {
 		v = s.G.AddVertex(h, reply.From)
 	}
-	s.hopTable(h)[f] = v
-	s.addFlow(v, f)
+	s.land(h, f, v)
 	if s.Cfg.Obs != nil {
 		s.Cfg.Obs.RecordTrace(reply, f, h+1, h, seq)
 	}
 	return v, true
 }
 
-func (s *Session) addFlow(v topo.VertexID, f uint16) {
-	for _, x := range s.flows[v] {
-		if x == f {
-			return
+// land records that flow f reached v, a vertex of hop h: flowAt[h] now
+// answers v for f, and f joins v's flow list unless it is there already.
+// The row's previous entry decides that without a search in the common
+// cases — a flow is in the list of a hop-h vertex exactly when the row has
+// named that vertex for it at some point — so only a flow that moved
+// between two vertices of one hop (per-packet balancing, a route change)
+// pays for a scan.
+func (s *Session) land(h int, f uint16, v topo.VertexID) {
+	i := s.intern(f)
+	s.flowAt = extend(s.flowAt, h)
+	row := s.flowAt[h]
+	if i >= len(row) {
+		if i >= cap(row) {
+			// Size the row for every flow interned so far and then some:
+			// it is reallocated only when the flow table itself has grown.
+			row = append(make([]topo.VertexID, 0, cap(s.wire)), row...)
 		}
+		n := len(row)
+		row = row[:i+1]
+		for j := n; j <= i; j++ {
+			row[j] = topo.None
+		}
+		s.flowAt[h] = row
+	}
+	prev := row[i]
+	row[i] = v
+	s.flows = extend(s.flows, int(v))
+	if prev == v || (prev != topo.None && slices.Contains(s.flows[v], f)) {
+		return
+	}
+	if s.flows[v] == nil {
+		// Start the list in the slab, with room for the n_1 = 6 flows one
+		// DiscoverSuccessors call needs of a single-successor vertex. The
+		// capacity is capped, so a list that outgrows it moves to the heap
+		// by append's own rules and never runs into its slab neighbour.
+		if len(s.flowSlab) < flowListCap {
+			s.flowSlab = make([]uint16, 32*flowListCap)
+		}
+		s.flows[v] = s.flowSlab[:0:flowListCap]
+		s.flowSlab = s.flowSlab[flowListCap:]
 	}
 	s.flows[v] = append(s.flows[v], f)
 }
 
-// AdoptStarFlows assigns every no-reply flow at hop h to the star vertex
-// star, so node control can operate through silent hops. The flows are
-// adopted in sorted order: they land in the star's flow list, whose
-// order later drives flow selection (flowThrough) and therefore which
-// vertices the next hop discovers first — ranging over the map directly
-// would make the discovered vertex order differ from run to run.
-func (s *Session) AdoptStarFlows(h int, star topo.VertexID) {
-	noReply := s.hopNoReply(h)
-	flows := make([]uint16, 0, len(noReply))
-	for f := range noReply {
-		flows = append(flows, f)
+// flowListCap is the initial capacity of a vertex's flow list.
+const flowListCap = 8
+
+// extend appends zero values to tab until tab[i] exists. A nil table
+// starts at a capacity that fits a typical trace (hops, vertices), so most
+// sessions allocate each table once.
+func extend[T any](tab []T, i int) []T {
+	if tab == nil {
+		tab = make([]T, 0, max(i+1, 32))
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
-	for _, f := range flows {
-		s.hopTable(h)[f] = star
-		s.addFlow(star, f)
+	for len(tab) <= i {
+		var zero T
+		tab = append(tab, zero)
+	}
+	return tab
+}
+
+// AdoptStarFlows assigns every no-reply flow at hop h to star, a star
+// vertex of hop h, so node control can operate through silent hops. The
+// flows are adopted in ascending order: they land in the star's flow
+// list, whose order later drives flow selection (flowThrough) and
+// therefore which vertices the next hop discovers first.
+func (s *Session) AdoptStarFlows(h int, star topo.VertexID) {
+	if h < 0 || h >= len(s.noReply) {
+		return
+	}
+	slices.Sort(s.noReply[h])
+	s.noReply[h] = slices.Compact(s.noReply[h])
+	for _, f := range s.noReply[h] {
+		s.land(h, f, star)
 	}
 }
 
-// flowThrough returns a flow of v not present in used, minting flows via
-// node control when necessary. For the Source sentinel a fresh flow is
-// returned directly (every flow passes the source). The second return is
-// false when no further flow can be obtained.
-func (s *Session) flowThrough(v topo.VertexID, used map[uint16]bool) (uint16, bool) {
+// flowThrough returns the next flow through v for a DiscoverSuccessors
+// call whose cursor into v's flow list is *cur, minting flows via node
+// control once the list is used up. For the Source sentinel a fresh flow
+// is returned directly (every flow passes the source). The second return
+// is false when no further flow can be obtained.
+//
+// The cursor invariant: the flows the call has used are exactly
+// FlowsOf(v)[:*cur]. The list is append-only and duplicate-free, a flow is
+// used the moment it is returned from here, and node control stops at the
+// first fresh flow that lands on v — which land has just appended, so it
+// sits at index *cur. "The first flow of v not used yet" is therefore
+// always the one under the cursor.
+func (s *Session) flowThrough(v topo.VertexID, cur *int) (uint16, bool) {
 	if v == Source {
 		return s.FreshFlow()
 	}
-	for _, f := range s.flows[v] {
-		if !used[f] {
-			return f, true
-		}
+	if fs := s.FlowsOf(v); *cur < len(fs) {
+		*cur++
+		return fs[*cur-1], true
 	}
 	// Node control: probe v's own hop with fresh flows until one lands on
 	// v. The attempt budget is a generous multiple of the hop width so a
@@ -325,8 +459,8 @@ func (s *Session) flowThrough(v topo.VertexID, used map[uint16]bool) (uint16, bo
 		if !ok {
 			return 0, false
 		}
-		w, _ := s.ProbeHop(h, f)
-		if w == v && !used[f] {
+		if w, _ := s.ProbeHop(h, f); w == v {
+			*cur = len(s.FlowsOf(v))
 			return f, true
 		}
 	}
@@ -351,14 +485,14 @@ func (s *Session) EnsureFlows(v topo.VertexID, need int) bool {
 	if budget < 64 {
 		budget = 64
 	}
-	for a := 0; len(s.flows[v]) < need && a < budget; a++ {
+	for a := 0; len(s.FlowsOf(v)) < need && a < budget; a++ {
 		f, ok := s.FreshFlow()
 		if !ok {
 			return false
 		}
 		s.ProbeHop(h, f)
 	}
-	return len(s.flows[v]) >= need
+	return len(s.FlowsOf(v)) >= need
 }
 
 // HopDone reports whether hop h consists solely of the destination,
@@ -383,62 +517,63 @@ func (s *Session) IsDst(v topo.VertexID) bool { return s.isDst(v) }
 // found, the rounds stop at exactly the probe count the serial loop
 // stopped at.
 func (s *Session) DiscoverSuccessors(v topo.VertexID, h int) int {
-	used := make(map[uint16]bool)
-	succ := make(map[topo.VertexID]bool)
-	sent := 0
-	allSilent := true
+	s.succEpoch++ // empties the successor set
+	succ, sent, cur := 0, 0, 0
 
 	note := func(w topo.VertexID) {
-		allSilent = false
-		succ[w] = true
+		s.succSeen = extend(s.succSeen, int(w))
+		if s.succSeen[w] != s.succEpoch {
+			s.succSeen[w] = s.succEpoch
+			succ++
+		}
 		if v != Source {
 			s.G.AddEdge(v, w)
 		}
 	}
 
 	for {
-		target := Stop(s.Cfg.Stop, max(len(succ), 1))
+		target := Stop(s.Cfg.Stop, max(succ, 1))
 		if sent >= target {
 			break
 		}
 		// Assemble one round. Node control inside flowThrough may probe
 		// v's own hop; knowledge a flow already has at hop h is reused
 		// without spending a packet, and can raise the target mid-round.
-		var flows []uint16
+		s.round = s.round[:0]
 		exhausted := false
-		for sent+len(flows) < target {
-			f, ok := s.flowThrough(v, used)
+		for sent+len(s.round) < target {
+			f, ok := s.flowThrough(v, &cur)
 			if !ok {
 				exhausted = true
 				break
 			}
-			used[f] = true
 			if w, known := s.VertexAt(h, f); known {
 				note(w)
-				target = Stop(s.Cfg.Stop, max(len(succ), 1))
+				target = Stop(s.Cfg.Stop, max(succ, 1))
 				continue
 			}
-			flows = append(flows, f)
+			s.round = append(s.round, f)
 		}
-		for _, w := range s.ProbeHopBatch(h, flows) {
+		for _, w := range s.ProbeHopBatch(h, s.round) {
 			if w != topo.None {
 				note(w)
 			}
 		}
-		sent += len(flows)
+		sent += len(s.round)
 		if exhausted {
 			break
 		}
 	}
-	if allSilent && sent > 0 {
+	if succ == 0 && sent > 0 {
+		// Every probe went unanswered: v's successor is a star.
 		star := s.G.AddVertex(h, topo.StarAddr)
 		if v != Source {
 			s.G.AddEdge(v, star)
 		}
 		s.AdoptStarFlows(h, star)
-		succ[star] = true
+		succ = 1
 	}
-	return len(succ)
+	return succ
 }
 
 // Trace runs the full MDA and returns the discovered topology.
@@ -463,20 +598,12 @@ func (s *Session) RunMDA(startHop int) {
 		}
 		// Worklist over hop h-1: node control during this hop's probing
 		// may reveal new hop h-1 vertices that then need processing too.
-		processed := make(map[topo.VertexID]bool)
-		for {
-			var v topo.VertexID = topo.None
-			for _, id := range s.G.Hop(h - 1) {
-				if !processed[id] && !s.isDst(id) {
-					v = id
-					break
-				}
+		// The hop's vertex list only grows at its end, so walking it by
+		// index (re-reading it every step) visits them all, in order.
+		for i := 0; i < len(s.G.Hop(h-1)); i++ {
+			if v := s.G.Hop(h - 1)[i]; !s.isDst(v) {
+				s.DiscoverSuccessors(v, h)
 			}
-			if v == topo.None {
-				break
-			}
-			processed[v] = true
-			s.DiscoverSuccessors(v, h)
 		}
 		if s.hopAllStars(h) {
 			starRun++
@@ -524,8 +651,13 @@ func (s *Session) isDst(v topo.VertexID) bool {
 	return s.G.V(v).Addr == s.P.Dst()
 }
 
-// Finish assembles the Result.
+// Finish assembles the Result and returns the session's flow index to
+// the pool. The session stays usable (see idx).
 func (s *Session) Finish(switched bool) *Result {
+	if s.index != nil {
+		flowIndexPool.Put(s.index)
+		s.index = nil
+	}
 	return &Result{
 		Graph:                   s.G,
 		ReachedDst:              s.dstHop >= 0,
@@ -554,20 +686,16 @@ func (s *Session) HopLandings(h int) []FlowLanding {
 		return nil
 	}
 	out := make([]FlowLanding, 0, len(s.flowAt[h]))
-	for f, v := range s.flowAt[h] {
+	for i, v := range s.flowAt[h] {
+		if v == topo.None {
+			continue
+		}
 		if a := s.G.V(v).Addr; a != topo.StarAddr {
-			out = append(out, FlowLanding{Flow: f, Addr: a})
+			out = append(out, FlowLanding{Flow: s.wire[i], Addr: a})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
+	slices.SortFunc(out, func(a, b FlowLanding) int { return cmp.Compare(a.Flow, b.Flow) })
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TraceSingleFlow traces with one flow identifier only, the way Paris

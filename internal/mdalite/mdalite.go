@@ -375,21 +375,19 @@ func discoverHop(s *mda.Session, h int) {
 		if len(pending) == 0 {
 			return
 		}
-		batch := pending
-		pending = nil
-		vs := s.ProbeHopBatch(h, batch)
-		sent += len(batch)
-		for i, w := range vs {
+		sent += len(pending)
+		for i, w := range s.ProbeHopBatch(h, pending) {
 			if w == topo.None {
 				continue
 			}
 			gotReply = true
 			if h > 0 {
-				if u, known := s.VertexAt(h-1, batch[i]); known {
+				if u, known := s.VertexAt(h-1, pending[i]); known {
 					s.G.AddEdge(u, w)
 				}
 			}
 		}
+		pending = pending[:0]
 	}
 
 	tryFlow := func(f uint16) bool {

@@ -49,7 +49,9 @@ type Prober interface {
 	// ProbeBatch sends one round of traceroute probes and returns the
 	// replies index-aligned with specs (nil where no reply arrived).
 	// Implementations may keep the whole round in flight concurrently;
-	// retries, if any, apply per probe as they do for Probe.
+	// retries, if any, apply per probe as they do for Probe. specs belongs
+	// to the caller, who may reuse it once the call returns:
+	// implementations must not retain it.
 	ProbeBatch(specs []Spec) []*packet.Reply
 
 	// Echo sends a direct (ping-style) probe to addr, returning the parsed
@@ -73,17 +75,19 @@ type Prober interface {
 // deterministic semantics and keeps algorithm code free of timeouts; a
 // batch is therefore answered probe by probe, in spec order.
 //
-// A SimProber is safe for concurrent use: the sent counters are atomic
-// and probe-identity allocation is serialized, with identities held by
-// in-flight probes excluded from reuse (see nextSerial). All probes of
-// one SimProber flow through one fakeroute session, so direct and
-// indirect probes of a trace sample the same simulated counters.
+// A SimProber is safe for concurrent use: the sent counters are atomic,
+// and one mutex serializes everything else — a round trip (allocate a
+// probe identity, serialize, HandleProbe, parse the reply) is a single
+// critical section. All probes of one SimProber flow through one
+// fakeroute session, so direct and indirect probes of a trace sample the
+// same simulated counters.
 //
 // The round trip is allocation-free in steady state: probes serialize
 // into a reusable buffer, the session crafts its reply into session
 // scratch, and parsed replies come from a chunked arena (see replyArena)
-// rather than individual allocations. Returned replies are self-contained
-// and may be retained indefinitely, as before.
+// rather than individual allocations; a batch's reply slice is carved
+// from a chunk the same way. Returned replies and reply slices are
+// self-contained and may be retained indefinitely, as before.
 type SimProber struct {
 	Net       *fakeroute.Network
 	Src, Dst_ packet.Addr
@@ -96,19 +100,18 @@ type SimProber struct {
 	traceSent uint64 // atomic
 	echoSent  uint64 // atomic
 
+	// mu guards everything below. Holding it across the whole exchange is
+	// what lets the scratch buffer and arenas be reused without allocating,
+	// and it costs no parallelism: the simulator session serializes probe
+	// handling per trace anyway, and concurrent traces of distinct pairs
+	// use distinct probers.
 	mu       sync.Mutex
 	sess     *fakeroute.Session
 	serial   uint16
-	inflight map[uint16]struct{}
-
-	// xmu serializes the wire exchange (serialize probe → HandleProbe →
-	// parse reply) so the scratch buffer and arena below can be reused
-	// across probes without allocating. The simulator session already
-	// serializes probe handling per trace, so this costs no parallelism:
-	// concurrent traces of distinct pairs use distinct probers.
-	xmu    sync.Mutex
-	pktBuf []byte
-	arena  replyArena
+	inflight map[uint16]struct{} // identities held across calls (see nextSerial); usually nil
+	pktBuf   []byte
+	arena    replyArena
+	slots    []*packet.Reply // unused tail of the chunk batch reply slices are carved from
 }
 
 // replyArena hands out *packet.Reply values from chunked slabs: one heap
@@ -121,13 +124,18 @@ type replyArena struct {
 	used  int
 }
 
-// replyArenaChunk is the slab size: large enough to amortize allocation
-// to ~0 allocs/probe, small enough that a short trace wastes little.
-const replyArenaChunk = 256
+// replyArenaChunk is the largest slab: large enough to amortize allocation
+// to ~0 allocs/probe. Slabs start at replyArenaFirst and double up to it,
+// so the short trace of a plain path — most pairs of a survey — does not
+// pay for 256 replies it never parses.
+const (
+	replyArenaChunk = 256
+	replyArenaFirst = 16
+)
 
 func (a *replyArena) next() *packet.Reply {
 	if a.used == len(a.chunk) {
-		a.chunk = make([]packet.Reply, replyArenaChunk)
+		a.chunk = make([]packet.Reply, min(max(2*len(a.chunk), replyArenaFirst), replyArenaChunk))
 		a.used = 0
 	}
 	r := &a.chunk[a.used]
@@ -151,43 +159,57 @@ func (p *SimProber) Sent() (uint64, uint64) {
 // Session exposes the prober's per-trace fakeroute session — the right
 // Clock for an AdaptiveProber that must stay deterministic while other
 // traces run in parallel (Network.AdvanceClock is network-wide).
-func (p *SimProber) Session() *fakeroute.Session { return p.session() }
-
-// session returns the per-trace fakeroute session, creating it on first
-// use so zero-constructed SimProbers keep working.
-func (p *SimProber) session() *fakeroute.Session {
+func (p *SimProber) Session() *fakeroute.Session {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.sessionLocked()
+}
+
+// sessionLocked returns the per-trace fakeroute session, creating it on
+// first use so zero-constructed SimProbers keep working.
+func (p *SimProber) sessionLocked() *fakeroute.Session {
 	if p.sess == nil {
 		p.sess = p.Net.SessionFor(p.Src, p.Dst_)
 	}
 	return p.sess
 }
 
-// nextSerial allocates a non-zero probe identity that no in-flight probe
-// of this prober is currently using, and marks it in flight. Without the
-// exclusion, a trace longer than 65535 packets would wrap the serial
-// counter and could hand a live identity to a second probe of the same
-// batch, making their replies indistinguishable. If every identity is in
-// flight at once (pathological), the current serial is reused and reply
-// matching may be ambiguous, exactly as an unguarded wraparound would be.
-func (p *SimProber) nextSerial() uint16 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.inflight == nil {
-		p.inflight = make(map[uint16]struct{})
-	}
+// serialLocked advances to the next non-zero probe identity that no
+// in-flight probe of this prober holds. Without the exclusion, a trace
+// longer than 65535 packets would wrap the serial counter and could hand
+// a live identity to a second probe, making their replies
+// indistinguishable. If every identity is in flight at once
+// (pathological), the current serial is reused and reply matching may be
+// ambiguous, exactly as an unguarded wraparound would be.
+//
+// A synchronous round trip allocates its identity and retires it inside
+// one critical section, so it never needs an inflight entry of its own:
+// the only identities that can be live when it runs are those a caller
+// holds through nextSerial.
+func (p *SimProber) serialLocked() uint16 {
 	for i := 0; i < 1<<16; i++ {
 		p.serial++
 		if p.serial == 0 {
 			p.serial = 1
 		}
 		if _, live := p.inflight[p.serial]; !live {
-			p.inflight[p.serial] = struct{}{}
-			return p.serial
+			break
 		}
 	}
 	return p.serial
+}
+
+// nextSerial allocates a probe identity and holds it in flight until
+// releaseSerial: the form an exchange that spans critical sections needs.
+func (p *SimProber) nextSerial() uint16 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	serial := p.serialLocked()
+	if p.inflight == nil {
+		p.inflight = make(map[uint16]struct{})
+	}
+	p.inflight[serial] = struct{}{}
+	return serial
 }
 
 // releaseSerial returns an identity to the free pool once its probe's
@@ -198,33 +220,47 @@ func (p *SimProber) releaseSerial(serial uint16) {
 	p.mu.Unlock()
 }
 
-// Probe implements Prober.
-func (p *SimProber) Probe(flowID uint16, ttl int) *packet.Reply {
-	return p.probeOne(p.session(), flowID, ttl)
-}
-
 // ProbeBatch implements Prober. The simulator transport is synchronous,
 // so the batch is answered in spec order; the batched contract still
 // holds (replies index-aligned, per-probe retries).
 func (p *SimProber) ProbeBatch(specs []Spec) []*packet.Reply {
-	sess := p.session()
-	replies := make([]*packet.Reply, len(specs))
+	replies := p.replySlots(len(specs))
 	for i, sp := range specs {
-		replies[i] = p.probeOne(sess, sp.FlowID, sp.TTL)
+		replies[i] = p.Probe(sp.FlowID, sp.TTL)
 	}
 	return replies
+}
+
+// replySlotChunk is the slab batch reply slices are carved from. Rounds
+// average two to three probes, so one chunk serves a few dozen batches.
+const replySlotChunk = 64
+
+// replySlots returns a zeroed reply slice of length n that the caller may
+// keep: slices are carved off a chunk and never handed out twice.
+func (p *SimProber) replySlots(n int) []*packet.Reply {
+	if n > replySlotChunk/4 {
+		return make([]*packet.Reply, n)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.slots) < n {
+		p.slots = make([]*packet.Reply, replySlotChunk)
+	}
+	out := p.slots[:n:n]
+	p.slots = p.slots[n:]
+	return out
 }
 
 // exchangeLocked completes one wire round trip whose probe bytes are
 // already serialized into pktBuf: it hands them to the session and
 // parses the session-owned reply bytes into an arena reply before the
-// next exchange can overwrite either buffer. Callers hold xmu across
+// next exchange can overwrite either buffer. Callers hold mu across
 // serialize-into-pktBuf and this call (the packet types are concrete at
 // each call site so serialization stays allocation-free; an interface
 // here would heap-escape the packet struct). Returns nil on drop or
 // unparseable reply.
-func (p *SimProber) exchangeLocked(sess *fakeroute.Session) *packet.Reply {
-	raw := sess.HandleProbe(p.pktBuf)
+func (p *SimProber) exchangeLocked() *packet.Reply {
+	raw := p.sessionLocked().HandleProbe(p.pktBuf)
 	if raw == nil {
 		return nil
 	}
@@ -235,23 +271,22 @@ func (p *SimProber) exchangeLocked(sess *fakeroute.Session) *packet.Reply {
 	return r
 }
 
-func (p *SimProber) probeOne(sess *fakeroute.Session, flowID uint16, ttl int) *packet.Reply {
+// Probe implements Prober.
+func (p *SimProber) Probe(flowID uint16, ttl int) *packet.Reply {
 	if flowID > packet.MaxFlowID {
 		panic("probe: flow ID out of range")
 	}
 	attempts := p.Retries + 1
 	for a := 0; a < attempts; a++ {
-		serial := p.nextSerial()
+		atomic.AddUint64(&p.traceSent, 1)
+		p.mu.Lock()
 		pr := packet.Probe{
 			Src: p.Src, Dst: p.Dst_,
-			FlowID: flowID, TTL: byte(ttl), Checksum: serial,
+			FlowID: flowID, TTL: byte(ttl), Checksum: p.serialLocked(),
 		}
-		atomic.AddUint64(&p.traceSent, 1)
-		p.xmu.Lock()
 		p.pktBuf = pr.AppendTo(p.pktBuf[:0])
-		reply := p.exchangeLocked(sess)
-		p.xmu.Unlock()
-		p.releaseSerial(serial)
+		reply := p.exchangeLocked()
+		p.mu.Unlock()
 		if reply != nil {
 			return reply
 		}
@@ -259,22 +294,17 @@ func (p *SimProber) probeOne(sess *fakeroute.Session, flowID uint16, ttl int) *p
 	return nil
 }
 
-// Echo implements Prober.
-func (p *SimProber) Echo(addr packet.Addr, seq uint16) *packet.Reply {
-	return p.echoOne(p.session(), addr, seq)
-}
-
 // EchoBatch implements Prober.
 func (p *SimProber) EchoBatch(specs []EchoSpec) []*packet.Reply {
-	sess := p.session()
 	replies := make([]*packet.Reply, len(specs))
 	for i, sp := range specs {
-		replies[i] = p.echoOne(sess, sp.Addr, sp.Seq)
+		replies[i] = p.Echo(sp.Addr, sp.Seq)
 	}
 	return replies
 }
 
-func (p *SimProber) echoOne(sess *fakeroute.Session, addr packet.Addr, seq uint16) *packet.Reply {
+// Echo implements Prober.
+func (p *SimProber) Echo(addr packet.Addr, seq uint16) *packet.Reply {
 	attempts := p.Retries + 1
 	for a := 0; a < attempts; a++ {
 		// The probe's IP ID is set to seq so callers can detect routers
@@ -284,10 +314,10 @@ func (p *SimProber) echoOne(sess *fakeroute.Session, addr packet.Addr, seq uint1
 			ID: 0x4d4c, Seq: seq, IPID: seq,
 		}
 		atomic.AddUint64(&p.echoSent, 1)
-		p.xmu.Lock()
+		p.mu.Lock()
 		p.pktBuf = ep.AppendTo(p.pktBuf[:0])
-		reply := p.exchangeLocked(sess)
-		p.xmu.Unlock()
+		reply := p.exchangeLocked()
+		p.mu.Unlock()
 		if reply != nil {
 			return reply
 		}
