@@ -7,27 +7,31 @@ import (
 	"strings"
 	"testing"
 
+	"mmlpt/internal/atlas"
+	"mmlpt/internal/packet"
+	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
 
 func testSnapshot(t *testing.T) string {
 	t.Helper()
-	s := &traceio.AtlasSnapshot{
-		Pairs: []traceio.AtlasPair{{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"}},
-		Nodes: []traceio.AtlasNode{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
-		},
-		Edges:   []traceio.AtlasEdge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
-		Routers: []traceio.AtlasRouter{{Addrs: []string{"10.0.0.2", "10.0.0.3"}}},
-		Diamonds: []traceio.AtlasDiamond{
-			{Div: "10.0.0.1", Conv: "10.0.0.4", Count: 1, Pairs: []int{0}, MaxWidth: 2, MaxLength: 2},
-		},
-	}
+	// One pair's diamond: .1 → {.2, .3} → .4, with .2 and .3 aliased.
+	g := topo.New()
+	v1 := g.AddVertex(1, packet.MustParseAddr("10.0.0.1"))
+	v2 := g.AddVertex(2, packet.MustParseAddr("10.0.0.2"))
+	v3 := g.AddVertex(2, packet.MustParseAddr("10.0.0.3"))
+	v4 := g.AddVertex(3, packet.MustParseAddr("10.0.0.4"))
+	g.AddEdge(v1, v2)
+	g.AddEdge(v1, v3)
+	g.AddEdge(v2, v4)
+	g.AddEdge(v3, v4)
+	a := atlas.New(atlas.Options{})
+	a.AddGraph(0, g)
+	a.AddAliasSet([]packet.Addr{packet.MustParseAddr("10.0.0.2"), packet.MustParseAddr("10.0.0.3")})
+	a.AddDiamond(0, traceio.SurveyDiamond{Div: "10.0.0.1", Conv: "10.0.0.4", MaxWidth: 2, MaxLength: 2})
+	a.AddPair(0, "192.0.2.1", "203.0.113.1")
 	path := filepath.Join(t.TempDir(), "t.atlas")
-	if err := traceio.WriteAtlasFile(path, s); err != nil {
+	if err := a.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -77,15 +81,13 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
-// The satellite fix: querying an absent address exits non-zero with a
-// clear error, for the subcommands and the legacy flags alike.
+// Querying an absent address exits non-zero with a clear error.
 func TestAbsentAddressErrors(t *testing.T) {
 	t.Parallel()
 	path := testSnapshot(t)
 	for _, args := range [][]string{
 		{"addr", "10.9.9.9", path},
 		{"router", "10.9.9.9", path},
-		{"-addr", "10.9.9.9", path},
 	} {
 		code, out, errOut := runCLI(t, args...)
 		if code != 1 {
@@ -104,28 +106,60 @@ func TestAbsentAddressErrors(t *testing.T) {
 	}
 }
 
-func TestLegacyFlagsStillWork(t *testing.T) {
+// The pre-subcommand flag style is gone: a first argument that is not a
+// subcommand — an old flag, or a bare snapshot path — prints usage and
+// exits 2 without touching the file.
+func TestLegacyFlagsAreUsageErrors(t *testing.T) {
 	t.Parallel()
 	path := testSnapshot(t)
-	code, out, errOut := runCLI(t, "-stats", path)
-	if code != 0 || !strings.Contains(out, "4 addresses") {
-		t.Fatalf("-stats: code=%d out=%q", code, out)
+	for _, args := range [][]string{
+		{"-stats", path},
+		{"-routers", path},
+		{"-census", path},
+		{"-addr", "10.0.0.2", path},
+		{path},
+		{"frobnicate", path},
+	} {
+		code, out, errOut := runCLI(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, "usage:") {
+			t.Fatalf("%v: code=%d stdout=%q stderr=%q, want usage on stderr and exit 2", args, code, out, errOut)
+		}
 	}
-	if !strings.Contains(errOut, "deprecated") {
-		t.Fatalf("-stats: no deprecation notice, stderr=%q", errOut)
+}
+
+// verify exits 0 printing the header stats on a good file, and 1 naming
+// what failed on a truncated one.
+func TestVerifySubcommand(t *testing.T) {
+	t.Parallel()
+	path := testSnapshot(t)
+	code, out, errOut := runCLI(t, "verify", path)
+	if code != 0 || !strings.Contains(out, "ok (atlas: 1 pairs, 4 addresses, 4 links, 1 routers, 1 distinct diamonds)") {
+		t.Fatalf("verify: code=%d out=%q stderr=%q", code, out, errOut)
 	}
-	code, out, _ = runCLI(t, "-routers", path)
-	if code != 0 || out != "router[2] 10.0.0.2 10.0.0.3\n" {
-		t.Fatalf("-routers: code=%d out=%q", code, out)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	code, out, _ = runCLI(t, "-addr", "10.0.0.2", path)
-	if code != 0 || out != "10.0.0.2 pair 0 hop 2\n" {
-		t.Fatalf("-addr: code=%d out=%q", code, out)
+	cut := filepath.Join(t.TempDir(), "cut.atlas")
+	if err := os.WriteFile(cut, raw[:len(raw)*2/3], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Bare legacy invocation defaults to stats.
-	code, out, _ = runCLI(t, path)
-	if code != 0 || !strings.Contains(out, "Fig 12") {
-		t.Fatalf("legacy default: code=%d out=%q", code, out)
+	code, out, errOut = runCLI(t, "verify", cut)
+	if code != 1 || out != "" || !strings.Contains(errOut, "atlas verify:") {
+		t.Fatalf("verify truncated: code=%d out=%q stderr=%q", code, out, errOut)
+	}
+	// A file that opens but breaks a cross-section invariant names the
+	// failing check.
+	lying := filepath.Join(t.TempDir(), "lying.atlas")
+	if err := os.WriteFile(lying, bytes.Replace(raw, []byte(`"edges":4`), []byte(`"edges":5`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut = runCLI(t, "verify", lying)
+	if code != 1 || !strings.Contains(errOut, "edge total") {
+		t.Fatalf("verify lying header: code=%d stderr=%q", code, errOut)
+	}
+	if code, _, _ := runCLI(t, "verify"); code != 2 {
+		t.Fatal("verify without snapshot must be a usage error")
 	}
 }
 
@@ -142,12 +176,20 @@ func TestCompactSubcommand(t *testing.T) {
 	}
 	// Merging a snapshot with itself is idempotent for topology; only
 	// census encounter counts sum. Spot-check it round-trips.
-	s, err := traceio.ReadAtlasFile(out)
+	r, err := traceio.OpenAtlasFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Nodes) != 4 || s.Diamonds[0].Count != 2 {
-		t.Fatalf("compacted snapshot: %d nodes, census count %d", len(s.Nodes), s.Diamonds[0].Count)
+	defer r.Close()
+	if err := r.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := r.ReadDiamonds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Header().Nodes != 4 || ds[0].Count != 2 {
+		t.Fatalf("compacted snapshot: %d nodes, census count %d", r.Header().Nodes, ds[0].Count)
 	}
 	if code, _, _ := runCLI(t, "compact", "-o", "", base); code != 2 {
 		t.Fatal("compact without -o must be a usage error")

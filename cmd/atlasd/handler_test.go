@@ -8,28 +8,32 @@ import (
 	"strings"
 	"testing"
 
+	"mmlpt/internal/atlas"
 	"mmlpt/internal/atlas/serve"
+	"mmlpt/internal/packet"
+	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
 
 func testService(t *testing.T) *serve.Service {
 	t.Helper()
-	s := &traceio.AtlasSnapshot{
-		Pairs: []traceio.AtlasPair{{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"}},
-		Nodes: []traceio.AtlasNode{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
-		},
-		Edges:   []traceio.AtlasEdge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
-		Routers: []traceio.AtlasRouter{{Addrs: []string{"10.0.0.2", "10.0.0.3"}}},
-		Diamonds: []traceio.AtlasDiamond{
-			{Div: "10.0.0.1", Conv: "10.0.0.4", Count: 1, Pairs: []int{0}, MaxWidth: 2, MaxLength: 2},
-		},
-	}
+	// One pair's diamond: .1 → {.2, .3} → .4, with .2 and .3 aliased.
+	g := topo.New()
+	v1 := g.AddVertex(1, packet.MustParseAddr("10.0.0.1"))
+	v2 := g.AddVertex(2, packet.MustParseAddr("10.0.0.2"))
+	v3 := g.AddVertex(2, packet.MustParseAddr("10.0.0.3"))
+	v4 := g.AddVertex(3, packet.MustParseAddr("10.0.0.4"))
+	g.AddEdge(v1, v2)
+	g.AddEdge(v1, v3)
+	g.AddEdge(v2, v4)
+	g.AddEdge(v3, v4)
+	a := atlas.New(atlas.Options{})
+	a.AddGraph(0, g)
+	a.AddAliasSet([]packet.Addr{packet.MustParseAddr("10.0.0.2"), packet.MustParseAddr("10.0.0.3")})
+	a.AddDiamond(0, traceio.SurveyDiamond{Div: "10.0.0.1", Conv: "10.0.0.4", MaxWidth: 2, MaxLength: 2})
+	a.AddPair(0, "192.0.2.1", "203.0.113.1")
 	path := filepath.Join(t.TempDir(), "t.atlas")
-	if err := traceio.WriteAtlasFile(path, s); err != nil {
+	if err := a.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := serve.Open(path, serve.Options{})

@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		snapshot = flag.String("snapshot", "", "atlas snapshot to serve (required; v1 or v2)")
+		snapshot = flag.String("snapshot", "", "atlas snapshot to serve (required)")
 		listen   = flag.String("listen", ":8430", "HTTP listen address")
 		cache    = flag.Int("cache", 0, "decoded shards kept resident per generation (0 = default)")
 	)

@@ -8,20 +8,24 @@
 // Graphs from different vantage points are not globally hop-aligned —
 // the same interface sits at hop 6 of one trace and hop 11 of another —
 // so the merged graph cannot be the per-trace hop-indexed topo.Graph.
-// Instead the atlas builds an address-keyed MultiGraph on the shared
-// topo.DAG core: one vertex per interface address, edges wherever any
-// trace observed a link, and hop positions demoted to per-source
-// provenance annotations ((pair, hop) observations).
+// Instead the atlas is keyed by address: one node per interface
+// address, edges wherever any trace observed a link, and hop positions
+// demoted to per-source provenance annotations ((pair, hop)
+// observations).
 //
 // Ingestion is sharded by address for lock-freedom across concurrent
-// writers; every query and snapshot first merges the shards in
-// canonical (ascending address) order, which is what makes the output —
-// snapshot bytes included — independent of worker count, shard count,
-// and ingestion order.
+// writers. There is one way out — WriteTo/Save stream the snapshot
+// file (traceio's atlas format) by merging the shards in canonical
+// (ascending address) order, which is what makes the bytes independent
+// of worker count, shard count and ingestion order — and one merge of
+// files, Compact; both build the same plan (plan.go) and feed the same
+// stream encoder. Queries over a written snapshot go through
+// internal/atlas/serve.
 package atlas
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -58,20 +62,19 @@ type Options struct {
 // Atlas is the sharded cross-trace store. All methods are safe for
 // concurrent use.
 //
-// Locking discipline: every access to a shard's node map takes snapMu
-// read-side plus that shard's mutex — including the lazy provenance
-// sort, which mutates node state on a read path. WriteTo instead takes
-// snapMu write-side for the whole streaming encode: with every writer
-// excluded, its counting pass and its emit pass observe the same state
-// (the byte-determinism contract needs the header totals to match the
-// blocks exactly), and its partition workers can read and lazily sort
-// disjoint nodes with no per-node locking at all.
+// Locking discipline: ingestion takes snapMu read-side plus the mutex
+// of each shard it touches. WriteTo instead takes snapMu write-side for
+// the whole streaming encode: with every writer excluded, its counting
+// pass and its emit pass observe the same state (the byte-determinism
+// contract needs the header totals to match the blocks exactly), and
+// its partition workers can read and lazily sort disjoint nodes with no
+// per-node locking at all.
 type Atlas struct {
 	shards       []*shard
 	mergeWorkers int
 
 	// snapMu is the snapshot gate described above: read-locked by
-	// ingestion and point queries, write-locked by WriteTo.
+	// ingestion, write-locked by WriteTo.
 	snapMu sync.RWMutex
 
 	mu     sync.Mutex
@@ -89,8 +92,8 @@ type nodeState struct {
 	seen []Obs
 	succ map[packet.Addr]struct{}
 	// dirty marks seen as unsorted/undeduped since the last canonical
-	// pass; Provenance and the merge sort lazily instead of re-sorting
-	// an already canonical slice on every query.
+	// pass, so a repeated WriteTo does not re-sort an already canonical
+	// slice.
 	dirty bool
 }
 
@@ -198,21 +201,53 @@ func (a *Atlas) AddAliasSet(addrs []packet.Addr) {
 
 // AddDiamond folds one diamond encounter into the cross-pair census.
 func (a *Atlas) AddDiamond(pair int, d traceio.SurveyDiamond) {
-	k := censusKey{div: d.Div, conv: d.Conv}
+	a.foldCensus(censusKey{div: d.Div, conv: d.Conv}, 1, d.MaxWidth, d.MaxLength, pair)
+}
+
+// foldCensus adds count encounters of diamond k by pairs — one from
+// ingestion, or a snapshot's accumulated entry from Compact — into the
+// census: encounter counts sum, pair sets union, widths and lengths
+// keep their maxima.
+func (a *Atlas) foldCensus(k censusKey, count, maxWidth, maxLength int, pairs ...int) {
 	a.mu.Lock()
 	e, ok := a.census[k]
 	if !ok {
-		e = &censusEntry{pairs: make(map[int]struct{})}
+		e = &censusEntry{pairs: make(map[int]struct{}, len(pairs))}
 		a.census[k] = e
 	}
-	e.count++
-	e.pairs[pair] = struct{}{}
-	if d.MaxWidth > e.maxWidth {
-		e.maxWidth = d.MaxWidth
+	e.count += count
+	for _, p := range pairs {
+		e.pairs[p] = struct{}{}
 	}
-	if d.MaxLength > e.maxLength {
-		e.maxLength = d.MaxLength
+	if maxWidth > e.maxWidth {
+		e.maxWidth = maxWidth
 	}
+	if maxLength > e.maxLength {
+		e.maxLength = maxLength
+	}
+	a.mu.Unlock()
+}
+
+// addRouter merges one router component given as address strings, the
+// form survey records and snapshot files carry.
+func (a *Atlas) addRouter(addrs []string) error {
+	set := make([]packet.Addr, 0, len(addrs))
+	for _, s := range addrs {
+		addr, err := packet.ParseAddr(s)
+		if err != nil {
+			return fmt.Errorf("router address %q: %w", s, err)
+		}
+		set = append(set, addr)
+	}
+	a.AddAliasSet(set)
+	return nil
+}
+
+// AddPair records the identity of one traced pair. A later call for the
+// same index replaces the earlier one.
+func (a *Atlas) AddPair(pair int, src, dst string) {
+	a.mu.Lock()
+	a.pairs[pair] = pairInfo{src: src, dst: dst}
 	a.mu.Unlock()
 }
 
@@ -226,30 +261,15 @@ func (a *Atlas) AddRecord(rec *traceio.SurveyRecord) error {
 	}
 	a.AddGraph(rec.PairIndex, g)
 	for _, r := range rec.Trace.Routers {
-		set := make([]packet.Addr, 0, len(r.Addrs))
-		for _, s := range r.Addrs {
-			addr, err := packet.ParseAddr(s)
-			if err != nil {
-				return fmt.Errorf("atlas: pair %d: router address %q: %w", rec.PairIndex, s, err)
-			}
-			set = append(set, addr)
+		if err := a.addRouter(r.Addrs); err != nil {
+			return fmt.Errorf("atlas: pair %d: %w", rec.PairIndex, err)
 		}
-		a.AddAliasSet(set)
 	}
 	for _, d := range rec.Diamonds {
 		a.AddDiamond(rec.PairIndex, d)
 	}
-	a.mu.Lock()
-	a.pairs[rec.PairIndex] = pairInfo{src: rec.Trace.Src, dst: rec.Trace.Dst}
-	a.mu.Unlock()
+	a.AddPair(rec.PairIndex, rec.Trace.Src, rec.Trace.Dst)
 	return nil
-}
-
-// NumPairs returns how many pairs have been merged via AddRecord.
-func (a *Atlas) NumPairs() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pairs)
 }
 
 // RouterSizes returns the sizes of the aggregated routers (alias
@@ -303,28 +323,24 @@ func (a *Atlas) Census() []traceio.AtlasDiamond {
 	return out
 }
 
-// Provenance returns the (pair, hop) observations of one address,
-// sorted, and whether the address is known at all. The node's slice is
-// sorted and deduped in place on first query and only re-canonicalized
-// after new observations arrive (the dirty flag), so repeated queries
-// of a hot address cost one copy, not a sort.
-func (a *Atlas) Provenance(addr packet.Addr) ([]Obs, bool) {
-	a.snapMu.RLock()
-	defer a.snapMu.RUnlock()
-	s := a.shardOf(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.nodes[addr]
-	if !ok {
-		return nil, false
+// sortedPairs copies the pair section in canonical (index) order.
+func (a *Atlas) sortedPairs() []traceio.AtlasPair {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	idxs := make([]int, 0, len(a.pairs))
+	for i := range a.pairs {
+		idxs = append(idxs, i)
 	}
-	if n.dirty {
-		n.seen = sortedObs(n.seen)
-		n.dirty = false
+	slices.Sort(idxs)
+	var out []traceio.AtlasPair
+	for _, i := range idxs {
+		p := a.pairs[i]
+		out = append(out, traceio.AtlasPair{Pair: i, Src: p.src, Dst: p.dst})
 	}
-	return append([]Obs(nil), n.seen...), true
+	return out
 }
 
+// sortedObs sorts and dedups one node's observations in place.
 func sortedObs(seen []Obs) []Obs {
 	// slices.SortFunc, not sort.Slice: this runs once per node inside
 	// the merge hot path, and the interface-based sort's closure
@@ -344,4 +360,34 @@ func sortedObs(seen []Obs) []Obs {
 		}
 	}
 	return out
+}
+
+// Save persists the atlas snapshot atomically, streaming through
+// WriteTo so the file is never held in memory.
+func (a *Atlas) Save(path string) error {
+	return traceio.WriteFileAtomicStream(path, 0o644, func(w io.Writer) error {
+		_, err := a.WriteTo(w)
+		return err
+	})
+}
+
+// Stats summarizes a snapshot for CLI output.
+type Stats struct {
+	Pairs    int
+	Nodes    int
+	Edges    int
+	Routers  int
+	Diamonds int
+}
+
+// HeaderStats reads the stats off a written snapshot's header, which
+// commits to every section total.
+func HeaderStats(h traceio.AtlasHeader) Stats {
+	return Stats{Pairs: h.Pairs, Nodes: h.Nodes, Edges: h.Edges, Routers: h.Routers, Diamonds: h.Diamonds}
+}
+
+// String renders the stats.
+func (s Stats) String() string {
+	return fmt.Sprintf("atlas: %d pairs, %d addresses, %d links, %d routers, %d distinct diamonds",
+		s.Pairs, s.Nodes, s.Edges, s.Routers, s.Diamonds)
 }

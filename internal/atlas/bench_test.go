@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -22,7 +23,8 @@ func benchGraphs(n int) []*topo.Graph {
 	return gs
 }
 
-// BenchmarkAtlasIngest measures serial merge throughput plus snapshot.
+// BenchmarkAtlasIngest measures serial merge throughput plus one
+// streamed snapshot write.
 func BenchmarkAtlasIngest(b *testing.B) {
 	gs := benchGraphs(256)
 	b.ReportAllocs()
@@ -31,8 +33,8 @@ func BenchmarkAtlasIngest(b *testing.B) {
 		for p, g := range gs {
 			a.AddGraph(p, g)
 		}
-		if s := a.Snapshot(); len(s.Nodes) == 0 {
-			b.Fatal("empty snapshot")
+		if n, err := a.WriteTo(io.Discard); err != nil || n == 0 {
+			b.Fatalf("snapshot: %d bytes, %v", n, err)
 		}
 	}
 	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "graphs/s")

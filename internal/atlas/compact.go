@@ -9,9 +9,10 @@
 // blocks per input regardless of how many addresses the inputs hold.
 //
 // Trust model: successor targets are not validated against the global
-// node set (the old decode-everything path did that implicitly). This
-// matches AtlasReader's point reads, which also trust a file's edges;
-// a well-formed snapshot cannot name a successor it has no node for.
+// node set. This matches AtlasReader's point reads, which also trust a
+// file's edges; a well-formed snapshot cannot name a successor it has
+// no node for, and AtlasReader.Verify (`atlas verify`) checks exactly
+// that for a file of unknown origin.
 package atlas
 
 import (
@@ -19,9 +20,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sort"
 
-	"mmlpt/internal/alias"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/traceio"
 )
@@ -31,8 +30,11 @@ import (
 // atomically in the current encoding. This is how a long-running
 // survey's serving view advances: publish cheap deltas, compact them
 // into the base out of band, Swap the service to the compacted file.
-// The output is byte-identical to replaying every input through
-// MergeSnapshot and saving the result.
+// Merging is additive — provenance and successor sets union, alias sets
+// join the growing router identities, census encounter counts sum and
+// pair sets / max widths union, a later input's pair identity replaces
+// an earlier one's — so compacting disjoint deltas reproduces, byte for
+// byte, the snapshot of one atlas that ingested every record directly.
 func Compact(outPath, basePath string, deltaPaths []string, opt Options) error {
 	return CompactWithProgress(outPath, basePath, deltaPaths, opt, nil)
 }
@@ -75,7 +77,7 @@ func CompactWithProgress(outPath, basePath string, deltaPaths []string, opt Opti
 		return err
 	}
 	progress("plan: %d nodes, %d edges, %d routers, %d shards",
-		plan.nodes, plan.edges, len(plan.routers), plan.parts)
+		plan.nodes, plan.edges, len(plan.routers), plan.parts())
 
 	err = traceio.WriteFileAtomicStream(outPath, 0o644, func(w io.Writer) error {
 		return compactEmit(w, paths, readers, plan, workers, progress)
@@ -230,93 +232,58 @@ func compactMerge(cursors []*compactCursor, fn func(addr packet.Addr, group []*t
 	}
 }
 
-// compactState is everything pass 1 fixes before a byte is written:
-// exact totals, partition fences, and the small sections.
-type compactState struct {
-	nodes, edges, parts int
-	mins                []packet.Addr
-
-	pairs    []traceio.AtlasPair
-	diamonds []traceio.AtlasDiamond
-
-	routers       []traceio.AtlasRouter
-	routersByPart [][]int
-	routerOf      map[packet.Addr]string
-}
-
-func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) (*compactState, error) {
-	st := &compactState{}
-	union := alias.NewUnion()
-
-	// Small sections stream section-by-section: pairs overwrite by
-	// index with later inputs winning, diamond entries sum counts and
-	// union pair sets, router sets union transitively — exactly the
-	// MergeSnapshot semantics.
-	pairs := make(map[int]traceio.AtlasPair)
-	census := make(map[censusKey]*censusEntry)
+// compactPlan is pass 1. The inputs' small sections fold into a
+// node-less atlas through the same methods ingestion uses — pair
+// identities by index with later inputs winning, census entries summed
+// and unioned, router sets unioned transitively — while the k-way merge
+// over the node streams counts merged nodes and edges and records a
+// fence at every partition boundary.
+func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) (*plan, error) {
+	small := New(Options{Shards: 1})
 	for i, r := range readers {
 		for _, p := range r.Pairs() {
-			pairs[p.Pair] = p
+			small.AddPair(p.Pair, p.Src, p.Dst)
 		}
 		ds, err := r.ReadDiamonds()
 		if err != nil {
 			return nil, fmt.Errorf("compact: %s: %w", paths[i], err)
 		}
 		for _, d := range ds {
-			k := censusKey{div: d.Div, conv: d.Conv}
-			e, ok := census[k]
-			if !ok {
-				e = &censusEntry{pairs: make(map[int]struct{}, len(d.Pairs))}
-				census[k] = e
-			}
-			e.count += d.Count
-			for _, p := range d.Pairs {
-				e.pairs[p] = struct{}{}
-			}
-			if d.MaxWidth > e.maxWidth {
-				e.maxWidth = d.MaxWidth
-			}
-			if d.MaxLength > e.maxLength {
-				e.maxLength = d.MaxLength
-			}
+			small.foldCensus(censusKey{div: d.Div, conv: d.Conv}, d.Count, d.MaxWidth, d.MaxLength, d.Pairs...)
 		}
 	}
 
-	// Pass 1 over the node streams: count merged nodes and edges,
-	// record a fence at every partition boundary, and collect the
-	// router sections the shard blocks carry.
+	// Routers live inside the shard blocks, so the cursors hand every
+	// loaded block's router section to the fold as they pass.
 	cursors := make([]*compactCursor, len(readers))
 	for i, r := range readers {
 		path := paths[i]
 		cursors[i] = newCompactCursor(r, path, prefetch, func(sh *traceio.AtlasShard) error {
 			for _, rt := range sh.Routers {
-				set := make([]packet.Addr, len(rt.Addrs))
-				for j, as := range rt.Addrs {
-					addr, err := packet.ParseAddr(as)
-					if err != nil {
-						return fmt.Errorf("compact: %s: router address %q: %w", path, as, err)
-					}
-					set[j] = addr
+				if err := small.addRouter(rt.Addrs); err != nil {
+					return fmt.Errorf("compact: %s: %w", path, err)
 				}
-				union.AddSet(set)
 			}
 			return nil
 		})
 	}
-	target := traceio.AtlasCodec{}.AtlasShardTarget()
-	var canon canonChecker
-	var succ []packet.Addr
+	var (
+		nodes, edges int
+		mins         []packet.Addr
+		canon        canonChecker
+		succ         []packet.Addr
+	)
 	err := compactMerge(cursors, func(addr packet.Addr, group []*traceio.AtlasNodeV2) error {
-		if st.nodes%target == 0 {
-			st.mins = append(st.mins, addr)
+		if nodes%traceio.DefaultAtlasShardNodes == 0 {
+			mins = append(mins, addr)
 		}
-		st.nodes++
+		nodes++
 		if len(group) == 1 && canon.succs(group[0].Succ) {
 			// Single contributor with an already-canonical successor
 			// list: its length is the merged edge count, no
 			// materialization needed. Pass 2 makes the same check, so
 			// the two passes always agree on the total.
-			st.edges += len(group[0].Succ)
+			edges += len(group[0].Succ)
 			return nil
 		}
 		succ = succ[:0]
@@ -329,7 +296,7 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 				succ = append(succ, a)
 			}
 		}
-		st.edges += len(dedupAddrs(succ))
+		edges += len(dedupAddrs(succ))
 		return nil
 	})
 	if err != nil {
@@ -338,59 +305,7 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 		}
 		return nil, err
 	}
-	st.parts = len(st.mins)
-	if st.parts == 0 {
-		st.parts = 1
-		st.mins = make([]packet.Addr, 1)
-	}
-
-	// Freeze the small sections in canonical order.
-	idxs := make([]int, 0, len(pairs))
-	for i := range pairs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		st.pairs = append(st.pairs, pairs[i])
-	}
-	st.diamonds = make([]traceio.AtlasDiamond, 0, len(census))
-	for k, e := range census {
-		ps := make([]int, 0, len(e.pairs))
-		for p := range e.pairs {
-			ps = append(ps, p)
-		}
-		sort.Ints(ps)
-		st.diamonds = append(st.diamonds, traceio.AtlasDiamond{
-			Div: k.div, Conv: k.conv, Count: e.count, Pairs: ps,
-			MaxWidth: e.maxWidth, MaxLength: e.maxLength,
-		})
-	}
-	sort.Slice(st.diamonds, func(i, j int) bool {
-		if st.diamonds[i].Div != st.diamonds[j].Div {
-			return st.diamonds[i].Div < st.diamonds[j].Div
-		}
-		return st.diamonds[i].Conv < st.diamonds[j].Conv
-	})
-
-	groups := union.Groups()
-	st.routers = make([]traceio.AtlasRouter, len(groups))
-	st.routerOf = make(map[packet.Addr]string)
-	st.routersByPart = make([][]int, st.parts)
-	var scratch []byte
-	for i, g := range groups {
-		rt := traceio.AtlasRouter{Addrs: make([]string, len(g))}
-		for j, addr := range g {
-			scratch = addr.AppendText(scratch[:0])
-			rt.Addrs[j] = string(scratch)
-		}
-		st.routers[i] = rt
-		for _, addr := range g {
-			st.routerOf[addr] = rt.Addrs[0]
-		}
-		p := traceio.AtlasShardForAddr(st.mins, g[0])
-		st.routersByPart[p] = append(st.routersByPart[p], i)
-	}
-	return st, nil
+	return newPlan(small, nodes, edges, mins), nil
 }
 
 // dedupAddrs sorts addrs and removes adjacent duplicates in place.
@@ -460,11 +375,8 @@ func (c *canonChecker) seen(seen [][2]int) bool {
 // block, and stream it out — with workers > 1, block JSON rendering is
 // pipelined through a bounded in-flight window so the (serial) merge,
 // the (parallel) marshal and the (serial, ordered) write overlap.
-func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st *compactState, workers int, progress func(format string, args ...any)) error {
-	enc, err := traceio.AtlasCodec{}.NewAtlasStreamEncoder(w, traceio.AtlasStreamSpec{
-		Pairs: st.pairs, Nodes: st.nodes, Edges: st.edges,
-		Routers: len(st.routers), Shards: st.parts, Diamonds: st.diamonds,
-	})
+func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st *plan, workers int, progress func(format string, args ...any)) error {
+	enc, err := traceio.NewAtlasStreamEncoder(w, st.spec())
 	if err != nil {
 		return err
 	}
@@ -476,32 +388,16 @@ func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st
 	}
 
 	part := 0
-	var blk *traceio.AtlasShard
-	startBlock := func(p int) {
-		lo, hi := traceio.AtlasCodec{}.AtlasBlockOf(p, st.nodes)
-		blk = &traceio.AtlasShard{
-			Header: traceio.AtlasShardHeader{Shard: p, Nodes: hi - lo, Routers: len(st.routersByPart[p])},
-		}
-		if hi > lo {
-			blk.Nodes = make([]traceio.AtlasNodeV2, 0, hi-lo)
-		}
-	}
+	blk := st.startBlock(0)
 	finishBlock := func() error {
-		if len(blk.Nodes) > 0 {
-			blk.Header.Min = blk.Nodes[0].Addr
-			blk.Header.Max = blk.Nodes[len(blk.Nodes)-1].Addr
-		}
-		for _, ri := range st.routersByPart[part] {
-			blk.Routers = append(blk.Routers, st.routers[ri])
-		}
+		st.finishBlock(blk)
 		err := sink.emit(blk)
-		progress("wrote shard %d/%d", part+1, st.parts)
+		progress("wrote shard %d/%d", part+1, st.parts())
 		part++
 		blk = nil
 		return err
 	}
 
-	startBlock(0)
 	var canon canonChecker
 	var seen []Obs
 	var succ []packet.Addr
@@ -511,7 +407,7 @@ func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st
 			if err := finishBlock(); err != nil {
 				return err
 			}
-			startBlock(part)
+			blk = st.startBlock(part)
 		}
 		if len(group) == 1 {
 			// Already-canonical single-contributor node: reuse its
@@ -575,9 +471,9 @@ func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st
 		sink.abort()
 		return err
 	}
-	for part < st.parts {
+	for part < st.parts() {
 		if blk == nil {
-			startBlock(part)
+			blk = st.startBlock(part)
 		}
 		if err := finishBlock(); err != nil {
 			return err

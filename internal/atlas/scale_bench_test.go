@@ -14,7 +14,6 @@ import (
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
-	"mmlpt/internal/traceio"
 )
 
 // scaleAtlas builds a generator atlas with at least `addrs` distinct
@@ -47,11 +46,11 @@ func scaleAtlas(tb testing.TB, addrs int) *Atlas {
 	return a
 }
 
-// BenchmarkAtlasSnapshotScale measures the streaming snapshot encode
+// BenchmarkAtlasWriteScale measures the streaming snapshot encode
 // (Atlas.WriteTo) at survey scale, serial vs parallel merge workers.
 // The 10M-address case is skipped under -short: it is a local/perf-lab
-// benchmark, not a CI gate, and never enters BENCH_BASELINE.json.
-func BenchmarkAtlasSnapshotScale(b *testing.B) {
+// benchmark, not a CI smoke.
+func BenchmarkAtlasWriteScale(b *testing.B) {
 	for _, size := range []int{1_000_000, 10_000_000} {
 		if size > 1_000_000 && testing.Short() {
 			continue
@@ -80,11 +79,9 @@ func BenchmarkAtlasSnapshotScale(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactStreaming pits the streaming k-way Compact against
-// the pre-PR full-decode path (decode every input into memory, merge,
-// materialize, encode) over the same delta files. The win the baseline
-// gates is allocation volume: the streaming path's B/op stays bounded
-// by a few shard blocks per input.
+// BenchmarkCompactStreaming measures the streaming k-way Compact over
+// three overlapping 2500-pair delta files: allocation volume and peak
+// heap stay bounded by a few shard blocks per input.
 func BenchmarkCompactStreaming(b *testing.B) {
 	dir := b.TempDir()
 	var deltas []string
@@ -98,40 +95,16 @@ func BenchmarkCompactStreaming(b *testing.B) {
 	}
 	out := filepath.Join(dir, "out.atlas")
 
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		var peak uint64
-		for i := 0; i < b.N; i++ {
-			stop := sampleHeapPeak(&peak)
-			if err := Compact(out, "", deltas, Options{}); err != nil {
-				b.Fatal(err)
-			}
-			stop()
+	b.ReportAllocs()
+	var peak uint64
+	for i := 0; i < b.N; i++ {
+		stop := sampleHeapPeak(&peak)
+		if err := Compact(out, "", deltas, Options{}); err != nil {
+			b.Fatal(err)
 		}
-		reportOutBytes(b, out, peak)
-	})
-	b.Run("fulldecode", func(b *testing.B) {
-		b.ReportAllocs()
-		var peak uint64
-		for i := 0; i < b.N; i++ {
-			stop := sampleHeapPeak(&peak)
-			a := New(Options{})
-			for _, p := range deltas {
-				s, err := traceio.ReadAtlasFile(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := a.MergeSnapshot(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := traceio.WriteAtlasFile(out, a.Snapshot()); err != nil {
-				b.Fatal(err)
-			}
-			stop()
-		}
-		reportOutBytes(b, out, peak)
-	})
+		stop()
+	}
+	reportOutBytes(b, out, peak)
 }
 
 func reportOutBytes(b *testing.B, out string, peak uint64) {

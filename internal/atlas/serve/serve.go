@@ -59,7 +59,7 @@ type Service struct {
 	swaps          atomic.Uint64
 }
 
-// Open starts a service over the snapshot at path (v1 or v2).
+// Open starts a service over the snapshot at path.
 func Open(path string, opt Options) (*Service, error) {
 	if opt.CacheShards <= 0 {
 		opt.CacheShards = DefaultCacheShards
@@ -93,22 +93,6 @@ func (s *Service) Swap(path string) error {
 	return nil
 }
 
-// SwapAtlas publishes a live atlas as the new generation: the atlas
-// streams its canonical snapshot to path (Atlas.WriteTo via Save —
-// byte-identical to the materialized encode, bounded memory, and
-// parallel under Options.MergeWorkers), then the service swaps to the
-// file just written. This is the long-running survey's publish step
-// without an intermediate full AtlasSnapshot in memory.
-func (s *Service) SwapAtlas(a *atlas.Atlas, path string) error {
-	if a == nil {
-		return fmt.Errorf("serve: SwapAtlas: nil atlas")
-	}
-	if err := a.Save(path); err != nil {
-		return err
-	}
-	return s.Swap(path)
-}
-
 // Close retires the current generation. Queries after Close return
 // ErrClosed; in-flight queries finish normally.
 func (s *Service) Close() error {
@@ -139,11 +123,7 @@ func (s *Service) Stats() (atlas.Stats, error) {
 		return atlas.Stats{}, err
 	}
 	defer g.release()
-	h := g.r.Header()
-	return atlas.Stats{
-		Pairs: h.Pairs, Nodes: h.Nodes, Edges: h.Edges,
-		Routers: h.Routers, Diamonds: h.Diamonds,
-	}, nil
+	return atlas.HeaderStats(g.r.Header()), nil
 }
 
 // Path returns the snapshot path backing the current generation.

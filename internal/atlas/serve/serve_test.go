@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,25 +15,31 @@ import (
 	"mmlpt/internal/traceio"
 )
 
-func sampleSnapshot() *traceio.AtlasSnapshot {
-	return &traceio.AtlasSnapshot{
+// fixture is a snapshot's content in file form: nodes in canonical
+// order with successor lists and router representatives filled.
+type fixture struct {
+	Pairs    []traceio.AtlasPair
+	Nodes    []traceio.AtlasNodeV2
+	Routers  []traceio.AtlasRouter
+	Diamonds []traceio.AtlasDiamond
+}
+
+func sampleSnapshot() *fixture {
+	return &fixture{
 		Pairs: []traceio.AtlasPair{
 			{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"},
 			{Pair: 1, Src: "192.0.2.2", Dst: "203.0.113.2"},
 		},
-		Nodes: []traceio.AtlasNode{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}, {1, 3}}},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}},
+		Nodes: []traceio.AtlasNodeV2{
+			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}, Succ: []string{"10.0.0.2", "10.0.0.3"}},
+			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}, {1, 3}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
+			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
 			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
-			{Addr: "10.0.0.5", Seen: [][2]int{{1, 1}}},
-			{Addr: "10.0.0.6", Seen: [][2]int{{1, 2}}},
-			{Addr: "10.0.0.7", Seen: [][2]int{{1, 4}}},
-			{Addr: "10.0.0.8", Seen: [][2]int{{1, 5}}},
-			{Addr: "10.0.0.9", Seen: [][2]int{{1, 6}}},
-		},
-		Edges: []traceio.AtlasEdge{
-			{0, 1}, {0, 2}, {1, 3}, {2, 3}, {4, 5}, {5, 1}, {6, 7}, {7, 8},
+			{Addr: "10.0.0.5", Seen: [][2]int{{1, 1}}, Succ: []string{"10.0.0.6"}},
+			{Addr: "10.0.0.6", Seen: [][2]int{{1, 2}}, Succ: []string{"10.0.0.2"}},
+			{Addr: "10.0.0.7", Seen: [][2]int{{1, 4}}, Succ: []string{"10.0.0.8"}, Router: "10.0.0.7"},
+			{Addr: "10.0.0.8", Seen: [][2]int{{1, 5}}, Succ: []string{"10.0.0.9"}},
+			{Addr: "10.0.0.9", Seen: [][2]int{{1, 6}}, Router: "10.0.0.7"},
 		},
 		Routers: []traceio.AtlasRouter{
 			{Addrs: []string{"10.0.0.2", "10.0.0.3"}},
@@ -44,10 +51,44 @@ func sampleSnapshot() *traceio.AtlasSnapshot {
 	}
 }
 
-func writeSnapshot(t *testing.T, dir, name string, s *traceio.AtlasSnapshot, c traceio.AtlasCodec) string {
+// writeSnapshot cuts the fixture into shard blocks of per nodes — small
+// cuts give a nine-node file several shards to route between — places
+// each router with its representative, and streams the file.
+func writeSnapshot(t *testing.T, dir, name string, s *fixture, per int) string {
 	t.Helper()
+	spec := traceio.AtlasStreamSpec{
+		Pairs: s.Pairs, Nodes: len(s.Nodes), Routers: len(s.Routers),
+		Shards: (len(s.Nodes) + per - 1) / per, Diamonds: s.Diamonds,
+	}
+	blocks := make([]*traceio.AtlasShard, spec.Shards)
+	mins := make([]packet.Addr, spec.Shards)
+	for i := range blocks {
+		nodes := s.Nodes[i*per : min((i+1)*per, len(s.Nodes))]
+		blocks[i] = &traceio.AtlasShard{
+			Header: traceio.AtlasShardHeader{Shard: i, Nodes: len(nodes), Min: nodes[0].Addr, Max: nodes[len(nodes)-1].Addr},
+			Nodes:  nodes,
+		}
+		mins[i] = addr(t, nodes[0].Addr)
+		for _, n := range nodes {
+			spec.Edges += len(n.Succ)
+		}
+	}
+	for _, rt := range s.Routers {
+		blk := blocks[traceio.AtlasShardForAddr(mins, addr(t, rt.Addrs[0]))]
+		blk.Routers = append(blk.Routers, rt)
+		blk.Header.Routers++
+	}
 	var buf bytes.Buffer
-	if err := c.Encode(&buf, s); err != nil {
+	enc, err := traceio.NewAtlasStreamEncoder(&buf, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range blocks {
+		if err := enc.WriteBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name)
@@ -69,7 +110,7 @@ func addr(t *testing.T, s string) packet.Addr {
 func TestServeQueries(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
-	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, traceio.AtlasCodec{ShardNodes: 3})
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 3)
 	svc, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +190,8 @@ func TestServeQueries(t *testing.T) {
 func TestServeDecodeCounter(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
-	// ShardNodes=2 → 5 shards over 9 nodes.
-	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, traceio.AtlasCodec{ShardNodes: 2})
+	// 2 nodes per shard → 5 shards over 9 nodes.
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 2)
 	svc, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -201,31 +242,29 @@ func TestServeDecodeCounter(t *testing.T) {
 	}
 }
 
+// A version 1 file is refused at open with the reader's explicit
+// unsupported-version error; a failed Swap to one keeps the current
+// generation.
 func TestServeV1Snapshot(t *testing.T) {
 	t.Parallel()
-	snap := sampleSnapshot()
-	path := writeSnapshot(t, t.TempDir(), "v1.atlas", snap, traceio.AtlasCodec{Version: traceio.AtlasVersionV1})
-	svc, err := Open(path, Options{})
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "v1.atlas")
+	if err := os.WriteFile(v1, []byte(`{"version":1,"kind":"atlas","nodes":0}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(v1, Options{}); err == nil || !strings.Contains(err.Error(), "version 1 is no longer supported") {
+		t.Fatalf("Open on a v1 file: err = %v", err)
+	}
+	svc, err := Open(writeSnapshot(t, dir, "a.atlas", sampleSnapshot(), 3), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	st, err := svc.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if err := svc.Swap(v1); err == nil {
+		t.Fatal("Swap to a v1 file succeeded")
 	}
-	if st.Nodes != 9 || st.Routers != 2 {
-		t.Fatalf("v1 Stats = %+v", st)
-	}
-	r, err := svc.Router(addr(t, "10.0.0.3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != 2 {
-		t.Fatalf("v1 Router = %v", r)
-	}
-	if _, err := svc.Provenance(addr(t, "10.99.99.99")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("v1 absent err = %v", err)
+	if st, err := svc.Stats(); err != nil || st.Nodes != 9 {
+		t.Fatalf("old generation gone: %+v, %v", st, err)
 	}
 }
 
@@ -233,7 +272,7 @@ func TestServeV1Snapshot(t *testing.T) {
 func TestServeLRUEviction(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
-	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, traceio.AtlasCodec{ShardNodes: 2})
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 2)
 	svc, err := Open(path, Options{CacheShards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -261,10 +300,10 @@ func TestServeSwapConcurrent(t *testing.T) {
 	snapA := sampleSnapshot()
 	snapB := sampleSnapshot()
 	// B differs: one more node at the end and a different census count.
-	snapB.Nodes = append(snapB.Nodes, traceio.AtlasNode{Addr: "10.0.0.10", Seen: [][2]int{{1, 7}}})
+	snapB.Nodes = append(snapB.Nodes, traceio.AtlasNodeV2{Addr: "10.0.0.10", Seen: [][2]int{{1, 7}}})
 	snapB.Diamonds[0].Count = 5
-	pathA := writeSnapshot(t, dir, "a.atlas", snapA, traceio.AtlasCodec{ShardNodes: 2})
-	pathB := writeSnapshot(t, dir, "b.atlas", snapB, traceio.AtlasCodec{ShardNodes: 3})
+	pathA := writeSnapshot(t, dir, "a.atlas", snapA, 2)
+	pathB := writeSnapshot(t, dir, "b.atlas", snapB, 3)
 
 	svc, err := Open(pathA, Options{CacheShards: 2})
 	if err != nil {
@@ -342,7 +381,7 @@ func TestServeSwapConcurrent(t *testing.T) {
 func TestServeSwapFailureKeepsGeneration(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	path := writeSnapshot(t, dir, "a.atlas", sampleSnapshot(), traceio.AtlasCodec{})
+	path := writeSnapshot(t, dir, "a.atlas", sampleSnapshot(), traceio.DefaultAtlasShardNodes)
 	svc, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,10 @@
 // Shard-parallel streaming snapshot encode: the write-path counterpart
-// of the serve layer's indexed reads. Where Snapshot() materializes the
-// whole flat AtlasSnapshot (every address rendered to a string, every
-// edge an index pair) before a single byte is written, WriteTo slices
-// the canonical address order into the same partitions the v2 format
-// fences — contiguous runs of AtlasCodec.AtlasShardTarget() nodes — and
-// has a worker pool merge, sort, dedup and JSON-render each partition
-// into a private block buffer. The coordinator hands finished blocks to
-// the traceio stream encoder in partition order (par.Ordered), so the
+// of the serve layer's indexed reads. WriteTo slices the canonical
+// address order into the partitions the snapshot format fences —
+// contiguous runs of traceio.DefaultAtlasShardNodes nodes — and has a
+// worker pool merge, sort, dedup and JSON-render each partition into a
+// private block buffer. The coordinator hands finished blocks to the
+// traceio stream encoder in partition order (par.Ordered), so the
 // file's bytes are a pure function of atlas content: every worker
 // count, ingestion-shard count and ingestion order produces identical
 // output, and peak memory is a few blocks in flight, never the whole
@@ -22,24 +20,18 @@ import (
 	"mmlpt/internal/traceio"
 )
 
-// WriteTo streams the atlas's canonical v2 snapshot encoding to w,
-// byte-identical to traceio.EncodeAtlas(a.Snapshot()) by contract (and
-// by test). It implements io.WriterTo. The encode holds the snapshot
-// gate exclusively: concurrent ingestion blocks for its duration, which
-// is what lets the counting pass, the emit pass and the lazy in-place
+// WriteTo streams the atlas's canonical snapshot encoding to w. It
+// implements io.WriterTo. The encode holds the snapshot gate
+// exclusively: concurrent ingestion blocks for its duration, which is
+// what lets the counting pass, the emit pass and the lazy in-place
 // provenance sorts observe one consistent state without per-node locks.
 func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 	a.snapMu.Lock()
 	defer a.snapMu.Unlock()
 
-	workers := a.mergeWorkers
-	m := a.mergePlan()
-
+	addrs, m := a.writePlan()
 	cw := &countingWriter{w: w}
-	enc, err := traceio.AtlasCodec{}.NewAtlasStreamEncoder(cw, traceio.AtlasStreamSpec{
-		Pairs: m.pairs, Nodes: len(m.addrs), Edges: m.edges,
-		Routers: len(m.routers), Shards: m.parts, Diamonds: m.diamonds,
-	})
+	enc, err := traceio.NewAtlasStreamEncoder(cw, m.spec())
 	if err != nil {
 		return cw.n, err
 	}
@@ -51,11 +43,8 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 		err   error
 	}
 	var firstErr error
-	par.Ordered(m.parts, workers, func(p int) block {
-		blk, err := a.buildBlock(m, p)
-		if err != nil {
-			return block{err: err}
-		}
+	par.Ordered(m.parts(), a.mergeWorkers, func(p int) block {
+		blk := a.buildBlock(m, addrs, p)
 		raw, edges, err := traceio.AppendAtlasShardBlock(nil, blk)
 		return block{raw: raw, hdr: blk.Header, edges: edges, err: err}
 	}, func(p int, b block) {
@@ -77,131 +66,51 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// mergePlan is everything the streaming encode fixes before the first
-// block: the full canonical address order, the partition fences derived
-// from it, the small sections (pairs, routers, diamonds) and the exact
-// totals the v2 header commits to.
-type mergePlan struct {
-	addrs []packet.Addr // every node address, ascending
-	parts int           // number of v2 shard blocks
-	edges int
-
-	pairs    []traceio.AtlasPair
-	diamonds []traceio.AtlasDiamond
-
-	routers       []traceio.AtlasRouter // canonical order, members rendered
-	routersByPart [][]int               // partition -> indices into routers
-	routerOf      map[packet.Addr]string
-}
-
-// target reports the partition node-count target (the v2 default).
-func (m *mergePlan) target() int { return traceio.AtlasCodec{}.AtlasShardTarget() }
-
-// span returns partition p's [lo, hi) range of the canonical order.
-func (m *mergePlan) span(p int) (lo, hi int) {
-	return traceio.AtlasCodec{}.AtlasBlockOf(p, len(m.addrs))
-}
-
-// mergePlan collects the plan under the exclusive snapshot gate (held
-// by the caller). Address collection reads the ingestion shards without
-// their locks — writers are excluded — and the edge total is counted in
-// parallel without materializing a single successor list.
-func (a *Atlas) mergePlan() *mergePlan {
-	m := &mergePlan{}
-
+// writePlan collects the full canonical address order and the plan
+// under the exclusive snapshot gate (held by the caller). Address
+// collection reads the ingestion shards without their locks — writers
+// are excluded — and the edge total is counted in parallel without
+// materializing a single successor list.
+func (a *Atlas) writePlan() ([]packet.Addr, *plan) {
 	total := 0
 	for _, s := range a.shards {
 		total += len(s.nodes)
 	}
-	m.addrs = make([]packet.Addr, 0, total)
+	addrs := make([]packet.Addr, 0, total)
 	for _, s := range a.shards {
 		for addr := range s.nodes {
-			m.addrs = append(m.addrs, addr)
+			addrs = append(addrs, addr)
 		}
 	}
-	slices.Sort(m.addrs)
+	slices.Sort(addrs)
 
-	target := m.target()
-	m.parts = (len(m.addrs) + target - 1) / target
-	if m.parts == 0 {
-		m.parts = 1
-	}
-
-	// Small sections: Routers and Census already produce canonical
-	// order, and pair copying mirrors Snapshot exactly.
-	m.pairs = a.sortedPairs()
-	m.diamonds = a.Census()
-	groups := a.Routers()
-	m.routers = make([]traceio.AtlasRouter, len(groups))
-	m.routerOf = make(map[packet.Addr]string)
-	reps := make([]packet.Addr, len(groups))
-	var scratch []byte
-	for i, g := range groups {
-		r := traceio.AtlasRouter{Addrs: make([]string, len(g))}
-		for j, addr := range g {
-			scratch = addr.AppendText(scratch[:0])
-			r.Addrs[j] = string(scratch)
-		}
-		m.routers[i] = r
-		reps[i] = g[0]
-		for _, addr := range g {
-			m.routerOf[addr] = r.Addrs[0]
-		}
-	}
-
-	// Partition fences and router placement: a component lives in the
-	// partition owning its representative, exactly the materialized
-	// encoder's rule.
-	mins := make([]packet.Addr, m.parts)
-	for p := 0; p < m.parts; p++ {
-		if lo, hi := m.span(p); hi > lo {
-			mins[p] = m.addrs[lo]
-		}
-	}
-	m.routersByPart = make([][]int, m.parts)
-	for i := range m.routers {
-		p := traceio.AtlasShardForAddr(mins, reps[i])
-		m.routersByPart[p] = append(m.routersByPart[p], i)
+	var mins []packet.Addr
+	for lo := 0; lo < len(addrs); lo += traceio.DefaultAtlasShardNodes {
+		mins = append(mins, addrs[lo])
 	}
 
 	// Count the merged edges per partition — the header needs the exact
 	// total before the first block streams out. Successor targets
-	// without a node of their own are dropped, mirroring Merged().
-	counts := make([]int, m.parts)
-	par.Do(m.parts, a.mergeWorkers, func(p int) {
-		lo, hi := m.span(p)
+	// without a node of their own are dropped, as buildBlock drops them.
+	counts := make([]int, len(mins))
+	par.Do(len(mins), a.mergeWorkers, func(p int) {
+		lo, hi := traceio.AtlasBlockOf(p, len(addrs))
 		n := 0
-		for _, addr := range m.addrs[lo:hi] {
+		for _, addr := range addrs[lo:hi] {
 			st := a.shards[a.shardIndexOf(addr)].nodes[addr]
 			for wa := range st.succ {
-				if _, ok := slices.BinarySearch(m.addrs, wa); ok {
+				if _, ok := slices.BinarySearch(addrs, wa); ok {
 					n++
 				}
 			}
 		}
 		counts[p] = n
 	})
+	edges := 0
 	for _, n := range counts {
-		m.edges += n
+		edges += n
 	}
-	return m
-}
-
-// sortedPairs copies the pair section in canonical (index) order.
-func (a *Atlas) sortedPairs() []traceio.AtlasPair {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	idxs := make([]int, 0, len(a.pairs))
-	for i := range a.pairs {
-		idxs = append(idxs, i)
-	}
-	slices.Sort(idxs)
-	var out []traceio.AtlasPair
-	for _, i := range idxs {
-		p := a.pairs[i]
-		out = append(out, traceio.AtlasPair{Pair: i, Src: p.src, Dst: p.dst})
-	}
-	return out
+	return addrs, newPlan(a, len(addrs), edges, mins)
 }
 
 // buildBlock merges one partition: for each address in the fence range,
@@ -209,21 +118,12 @@ func (a *Atlas) sortedPairs() []traceio.AtlasPair {
 // workers never touch the same node), merge and sort the successor set,
 // and render everything once via AppendText. Called with the snapshot
 // gate held exclusively.
-func (a *Atlas) buildBlock(m *mergePlan, p int) (*traceio.AtlasShard, error) {
-	lo, hi := m.span(p)
-	blk := &traceio.AtlasShard{
-		Header: traceio.AtlasShardHeader{Shard: p, Nodes: hi - lo, Routers: len(m.routersByPart[p])},
-	}
+func (a *Atlas) buildBlock(m *plan, addrs []packet.Addr, p int) *traceio.AtlasShard {
+	blk := m.startBlock(p)
+	lo, hi := traceio.AtlasBlockOf(p, len(addrs))
 	var scratch []byte
-	if hi > lo {
-		scratch = m.addrs[lo].AppendText(scratch[:0])
-		blk.Header.Min = string(scratch)
-		scratch = m.addrs[hi-1].AppendText(scratch[:0])
-		blk.Header.Max = string(scratch)
-		blk.Nodes = make([]traceio.AtlasNodeV2, 0, hi-lo)
-	}
 	var succ []packet.Addr
-	for _, addr := range m.addrs[lo:hi] {
+	for _, addr := range addrs[lo:hi] {
 		st := a.shards[a.shardIndexOf(addr)].nodes[addr]
 		if st.dirty {
 			st.seen = sortedObs(st.seen)
@@ -239,7 +139,7 @@ func (a *Atlas) buildBlock(m *mergePlan, p int) (*traceio.AtlasShard, error) {
 		}
 		succ = succ[:0]
 		for wa := range st.succ {
-			if _, ok := slices.BinarySearch(m.addrs, wa); ok {
+			if _, ok := slices.BinarySearch(addrs, wa); ok {
 				succ = append(succ, wa)
 			}
 		}
@@ -253,10 +153,8 @@ func (a *Atlas) buildBlock(m *mergePlan, p int) (*traceio.AtlasShard, error) {
 		}
 		blk.Nodes = append(blk.Nodes, n)
 	}
-	for _, ri := range m.routersByPart[p] {
-		blk.Routers = append(blk.Routers, m.routers[ri])
-	}
-	return blk, nil
+	m.finishBlock(blk)
+	return blk
 }
 
 // countingWriter tracks bytes written for WriteTo's return value.

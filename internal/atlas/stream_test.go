@@ -17,13 +17,13 @@ import (
 	"mmlpt/internal/traceio"
 )
 
-// genAtlas synthesizes a randomized survey-shaped atlas with the PR 5
-// topology generator: multipath routes of chained diamonds, per-hop
-// alias sets, a census entry and a pair identity per route.
-// Deterministic in (seed, pairs, opt).
-func genAtlas(tb testing.TB, seed uint64, pairs int, opt Options) *Atlas {
+// genInto ingests a randomized survey-shaped sequence into a with the
+// PR 5 topology generator: multipath routes of chained diamonds,
+// per-hop alias sets, a census entry and a pair identity per route.
+// Deterministic in (seed, pairs). Every call allocates addresses from
+// the same base, so sequences of different seeds overlap heavily.
+func genInto(tb testing.TB, a *Atlas, seed uint64, pairs int) {
 	tb.Helper()
-	a := New(opt)
 	rng := nprand.New(seed)
 	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
 	dstAlloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(203, 0, 113, 1))
@@ -57,58 +57,44 @@ func genAtlas(tb testing.TB, seed uint64, pairs int, opt Options) *Atlas {
 		a.AddDiamond(i, traceio.SurveyDiamond{
 			Div: first.String(), Conv: last.String(), MaxWidth: 3, MaxLength: 3,
 		})
-		err := a.MergeSnapshot(&traceio.AtlasSnapshot{
-			Pairs: []traceio.AtlasPair{{Pair: i, Src: "192.0.2.1", Dst: dst.String()}},
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
+		a.AddPair(i, "192.0.2.1", dst.String())
 	}
+}
+
+// genAtlas is one generated sequence in a fresh atlas.
+func genAtlas(tb testing.TB, seed uint64, pairs int, opt Options) *Atlas {
+	tb.Helper()
+	a := New(opt)
+	genInto(tb, a, seed, pairs)
 	return a
 }
 
-func writeTo(tb testing.TB, a *Atlas) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	n, err := a.WriteTo(&buf)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		tb.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	return buf.Bytes()
+func genPin(seed uint64, pairs int) string {
+	return fmt.Sprintf("gen/seed=%d/pairs=%d", seed, pairs)
 }
 
-// The tentpole pin: the streaming encode is byte-identical to the
-// pre-existing materialized path (EncodeAtlas over Snapshot) — for the
-// empty atlas, a handmade atlas, and a generator-survey atlas.
+// The writer pin: WriteTo's bytes are the ones the materialized encode
+// produced at the parent commit — for the empty atlas, a handmade
+// atlas, single-shard generator atlases and two multi-shard ones.
 func TestWriteToMatchesMaterializedEncode(t *testing.T) {
 	t.Parallel()
-	cases := map[string]*Atlas{
-		"empty": New(Options{}),
-		"gen":   genAtlas(t, 11, 40, Options{}),
-	}
+	pinned(t, "empty", writeTo(t, New(Options{})))
 	hand := New(Options{})
 	hand.AddGraph(0, chain(0xa000001, 0, 0xa000003))
 	hand.AddGraph(1, chain(0xa000003, 0xa000001))
 	hand.AddAliasSet([]packet.Addr{0xa000001, 0xa000003})
-	cases["hand"] = hand
-
-	for name, a := range cases {
-		var want bytes.Buffer
-		if err := traceio.EncodeAtlas(&want, a.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		if got := writeTo(t, a); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s: WriteTo differs from EncodeAtlas(Snapshot())", name)
-		}
+	pinned(t, "hand", writeTo(t, hand))
+	for _, c := range []struct {
+		seed  uint64
+		pairs int
+	}{{9, 3}, {11, 40}, {13, 600}, {14, 400}} {
+		pinned(t, genPin(c.seed, c.pairs), writeTo(t, genAtlas(t, c.seed, c.pairs, Options{})))
 	}
 }
 
 // The byte-determinism property: every merge worker count x ingestion
-// shard count produces identical snapshot bytes, across randomized
-// generator topologies.
+// shard count produces identical — and pinned — snapshot bytes, across
+// randomized generator topologies.
 func TestWriteToDeterministicAcrossWorkersAndShards(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []uint64{1, 2, 3} {
@@ -119,6 +105,7 @@ func TestWriteToDeterministicAcrossWorkersAndShards(t *testing.T) {
 				got := writeTo(t, a)
 				if want == nil {
 					want = got
+					pinned(t, genPin(seed, 25), want)
 					continue
 				}
 				if !bytes.Equal(got, want) {
@@ -139,55 +126,48 @@ func saveDelta(tb testing.TB, dir, name string, a *Atlas) string {
 	return path
 }
 
-// The compaction pin: the streaming k-way Compact is byte-identical to
-// the pre-existing path — decode every input, MergeSnapshot it into a
-// fresh atlas, encode materialized. Inputs overlap addresses, routers,
+// The compaction pin: the streaming k-way Compact over saved files is
+// byte-identical to WriteTo of one atlas that ingested the same
+// sequences directly, and both are the bytes the parent commit's
+// decode-everything merge produced. Inputs overlap addresses, routers,
 // census entries and pair indices; tested serial and parallel, with and
-// without a base.
-func TestCompactMatchesMergeSnapshotPath(t *testing.T) {
+// without a base, single- and multi-shard.
+func TestCompactMatchesDirectIngest(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	// Same allocator bases across seeds: the three inputs share many
-	// addresses, so merging actually unions rather than concatenates.
-	inputs := []string{
-		saveDelta(t, dir, "in0.atlas", genAtlas(t, 5, 30, Options{})),
-		saveDelta(t, dir, "in1.atlas", genAtlas(t, 6, 20, Options{})),
-		saveDelta(t, dir, "in2.atlas", genAtlas(t, 7, 10, Options{})),
+	type seq struct {
+		seed  uint64
+		pairs int
 	}
-
-	want := New(Options{})
-	for _, p := range inputs {
-		s, err := traceio.ReadAtlasFile(p)
-		if err != nil {
-			t.Fatal(err)
+	for pin, seqs := range map[string][]seq{
+		"compact/5+6+7": {{5, 30}, {6, 20}, {7, 10}},
+		"compact/13+14": {{13, 600}, {14, 400}},
+	} {
+		dir := t.TempDir()
+		direct := New(Options{})
+		var inputs []string
+		for i, s := range seqs {
+			a := genAtlas(t, s.seed, s.pairs, Options{})
+			in := saveDelta(t, dir, fmt.Sprintf("in%d.atlas", i), a)
+			pinned(t, genPin(s.seed, s.pairs), readFile(t, in))
+			inputs = append(inputs, in)
+			genInto(t, direct, s.seed, s.pairs)
 		}
-		if err := want.MergeSnapshot(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wantBuf bytes.Buffer
-	if err := traceio.EncodeAtlas(&wantBuf, want.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+		want := writeTo(t, direct)
+		pinned(t, pin, want)
 
-	for _, workers := range []int{1, 4} {
-		for _, withBase := range []bool{true, false} {
-			name := fmt.Sprintf("out_w%d_b%v.atlas", workers, withBase)
-			out := filepath.Join(dir, name)
-			base, deltas := "", inputs
-			if withBase {
-				base, deltas = inputs[0], inputs[1:]
-			}
-			err := Compact(out, base, deltas, Options{MergeWorkers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, wantBuf.Bytes()) {
-				t.Fatalf("workers=%d base=%v: compact bytes differ from MergeSnapshot path", workers, withBase)
+		for _, workers := range []int{1, 4} {
+			for _, withBase := range []bool{true, false} {
+				out := filepath.Join(dir, fmt.Sprintf("out_w%d_b%v.atlas", workers, withBase))
+				base, deltas := "", inputs
+				if withBase {
+					base, deltas = inputs[0], inputs[1:]
+				}
+				if err := Compact(out, base, deltas, Options{MergeWorkers: workers}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(readFile(t, out), want) {
+					t.Fatalf("%s workers=%d base=%v: compact bytes differ from direct ingest", pin, workers, withBase)
+				}
 			}
 		}
 	}
@@ -201,15 +181,9 @@ func TestCompactEmptyInput(t *testing.T) {
 	if err := Compact(out, "", []string{in}, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := traceio.EncodeAtlas(&want, New(Options{}).Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
+	got := readFile(t, out)
+	pinned(t, "empty", got)
+	if !bytes.Equal(got, writeTo(t, New(Options{}))) {
 		t.Fatal("compacting an empty input differs from the empty encode")
 	}
 }
@@ -225,7 +199,10 @@ func TestQueriesDuringConcurrentIngest(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		// Bounded: every query below is O(atlas), so an ingester that
+		// outruns a CPU-starved query loop without limit turns the
+		// test quadratic.
+		for i := 0; i < 1<<14; i++ {
 			select {
 			case <-stop:
 				return
@@ -251,82 +228,84 @@ func TestQueriesDuringConcurrentIngest(t *testing.T) {
 				t.Errorf("census out of order at %d", j)
 			}
 		}
-		a.Provenance(packet.Addr(0xa000000 + uint32(i)*8))
 	}
 	close(stop)
 	wg.Wait()
 	// The atlas must still produce a canonical snapshot after the mixed
-	// load: ingest everything again into a fresh atlas and compare.
-	b := New(Options{Shards: 1})
-	if err := b.MergeSnapshot(a.Snapshot()); err != nil {
+	// load: the file verifies and is Compact's fixed point.
+	dir := t.TempDir()
+	saved := saveDelta(t, dir, "a.atlas", a)
+	readBack(t, readFile(t, saved))
+	out := filepath.Join(dir, "b.atlas")
+	if err := Compact(out, saved, nil, Options{Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(writeTo(t, a), writeTo(t, b)) {
+	if !bytes.Equal(readFile(t, saved), readFile(t, out)) {
 		t.Fatal("post-ingest snapshot not canonical")
 	}
 }
 
-// Provenance canonicalizes a node's observations once and then serves
-// copies until new observations arrive.
+// A node's observations are canonicalized (sorted, deduped) by the
+// first write after they arrive and left alone until new ones do.
 func TestProvenanceLazyCanonicalization(t *testing.T) {
 	a := New(Options{})
 	a.AddGraph(3, chain(0xa000001, 0xa000002))
 	a.AddGraph(1, chain(0xa000001, 0xa000002))
 	a.AddGraph(1, chain(0xa000001, 0xa000002)) // duplicate: must dedup
 	addr := packet.Addr(0xa000001)
-
-	want := []Obs{{Pair: 1, Hop: 0}, {Pair: 3, Hop: 0}}
-	got, ok := a.Provenance(addr)
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("Provenance = %v, %v; want %v, true", got, ok, want)
+	st := a.shardOf(addr).nodes[addr]
+	if !st.dirty {
+		t.Fatal("fresh observations did not mark the node dirty")
 	}
-	// Steady state: no re-sort, just the defensive copy.
-	allocs := testing.AllocsPerRun(100, func() { a.Provenance(addr) })
-	if allocs > 2 {
-		t.Errorf("steady-state Provenance allocates %.0f times per call; want <= 2 (copy only)", allocs)
+
+	want := [][2]int{{1, 0}, {3, 0}}
+	if got := readBack(t, writeTo(t, a)).nodes["10.0.0.1"].Seen; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Seen = %v; want %v", got, want)
+	}
+	// Steady state: the write canonicalized in place and cleared the
+	// flag, so the next write has nothing to re-sort.
+	if st.dirty || !reflect.DeepEqual(st.seen, []Obs{{Pair: 1, Hop: 0}, {Pair: 3, Hop: 0}}) {
+		t.Fatalf("after write: dirty=%v seen=%v", st.dirty, st.seen)
 	}
 	// New observations re-dirty the node and are folded back in sorted.
 	a.AddGraph(0, chain(0xa000001))
-	want = append([]Obs{{Pair: 0, Hop: 0}}, want...)
-	if got, _ := a.Provenance(addr); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after new obs: Provenance = %v; want %v", got, want)
+	if !st.dirty {
+		t.Fatal("new observation did not re-dirty the node")
+	}
+	want = append([][2]int{{0, 0}}, want...)
+	if got := readBack(t, writeTo(t, a)).nodes["10.0.0.1"].Seen; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after new obs: Seen = %v; want %v", got, want)
 	}
 }
 
-// FuzzEncodeAtlasStream cross-checks the two encode paths on arbitrary
-// snapshot bytes: whenever the input decodes, rebuilding an atlas from
-// it must stream exactly the bytes the materialized encoder produces.
-func FuzzEncodeAtlasStream(f *testing.F) {
-	var seed bytes.Buffer
-	if err := traceio.EncodeAtlas(&seed, genAtlas(f, 9, 3, Options{}).Snapshot()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	var empty bytes.Buffer
-	if err := traceio.EncodeAtlas(&empty, New(Options{}).Snapshot()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
+// FuzzCompactFixpoint holds Compact to the reader's acceptance: any
+// file AtlasReader.Verify accepts compacts, and compacting the result
+// again is byte-identical — one pass canonicalizes whatever a foreign
+// writer left non-canonical, and canonical files are a fixed point.
+func FuzzCompactFixpoint(f *testing.F) {
+	f.Add(writeTo(f, genAtlas(f, 9, 3, Options{})))
+	f.Add(writeTo(f, New(Options{})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := traceio.DecodeAtlas(bytes.NewReader(data))
-		if err != nil {
+		r, err := traceio.NewAtlasReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil || r.Verify() != nil {
 			t.Skip()
 		}
-		a, err := FromSnapshot(s, Options{MergeWorkers: 2})
-		if err != nil {
-			t.Skip()
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.atlas")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := traceio.EncodeAtlas(&want, a.Snapshot()); err != nil {
-			t.Fatalf("materialized encode: %v", err)
+		once, twice := filepath.Join(dir, "once.atlas"), filepath.Join(dir, "twice.atlas")
+		if err := Compact(once, "", []string{in}, Options{MergeWorkers: 2}); err != nil {
+			t.Fatalf("verified file does not compact: %v", err)
 		}
-		var got bytes.Buffer
-		if _, err := a.WriteTo(&got); err != nil {
-			t.Fatalf("streamed encode: %v", err)
+		readBack(t, readFile(t, once))
+		if err := Compact(twice, once, nil, Options{MergeWorkers: 1}); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatal("streamed and materialized encodes differ")
+		if !bytes.Equal(readFile(t, once), readFile(t, twice)) {
+			t.Fatal("compacting a compacted file changed its bytes")
 		}
 	})
 }

@@ -256,6 +256,45 @@ func TestStaleShipRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedShipRefused: a shipment larger than the unit's ceiling
+// (maxShipRecordBytes per job) is refused with 413 before it is
+// buffered, the unit stays leased to the same runner, and that lease
+// can then ship the real payload.
+func TestOversizedShipRefused(t *testing.T) {
+	t.Parallel()
+	spec := testSpec()
+	golden := singleMachine(t, spec, "")
+	_, srv := newTestCoordinator(t, t.TempDir(), spec, nil)
+
+	cr := claimAs(t, srv.URL, "r")
+	if cr.Status != StatusUnit {
+		t.Fatalf("claim: %+v", cr)
+	}
+	target := fmt.Sprintf("%s/v1/ship?unit=%d&lease=%d&runner=r", srv.URL, cr.Unit.ID, cr.LeaseID)
+	ship := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(target, "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	over := make([]byte, cr.Unit.Count*maxShipRecordBytes+1)
+	if code := ship(over); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ship returned %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+	if other := claimAs(t, srv.URL, "other"); other.Status == StatusUnit && other.Unit.ID == cr.Unit.ID {
+		t.Fatalf("unit %d was handed out again after the refused ship", cr.Unit.ID)
+	}
+	lines := bytes.SplitAfter(golden, []byte("\n"))
+	payload := bytes.Join(lines[cr.Unit.Start:cr.Unit.Start+cr.Unit.Count], nil)
+	if code := ship(payload); code != http.StatusOK {
+		t.Fatalf("real payload under the same lease returned %d, want 200", code)
+	}
+}
+
 // TestCoordinatorResume: a coordinator killed mid-survey restarts with
 // -resume, restores the durably shipped units from the manifest, and
 // the fleet finishes the remainder — outputs byte-identical to an

@@ -251,7 +251,7 @@ func (r *runner) ship(u UnitInfo, leaseID uint64, body []byte) error {
 			return errLeaseLost
 		}
 		last = he
-		if he.status == http.StatusBadRequest {
+		if he.status == http.StatusBadRequest || he.status == http.StatusRequestEntityTooLarge {
 			// Validation failures will not improve with retries.
 			break
 		}

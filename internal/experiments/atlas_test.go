@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmlpt/internal/atlas"
+	"mmlpt/internal/stats"
 	"mmlpt/internal/survey"
 )
 
@@ -27,7 +28,12 @@ func TestAtlasRouterSizeCDFMatchesRouterView(t *testing.T) {
 		t.Fatal("survey produced no router records; the comparison would be vacuous")
 	}
 	_, wantAgg := survey.RouterSizeCDFs(recs)
-	got := AtlasRouterSizeCDF(sink.Atlas)
+	sizes := sink.Atlas.RouterSizes()
+	samples := make([]float64, len(sizes))
+	for i, s := range sizes {
+		samples[i] = float64(s)
+	}
+	got := stats.NewCDF(samples)
 	if got.N() == 0 {
 		t.Fatal("atlas has no routers")
 	}

@@ -8,39 +8,12 @@ import (
 	"mmlpt/internal/stats"
 )
 
-// Aggregated-atlas variant of the Fig 12 router-size CDF: the same
-// transitive-closure aggregation survey.RouterSizeCDFs computes from
-// in-memory RouterView records, but sourced from a cross-trace atlas —
-// so the figure can be regenerated from a snapshot file long after the
-// survey process is gone, and keeps growing as later surveys merge in.
-
-// AtlasRouterSizeCDF returns the aggregated router-size CDF from an
-// atlas. For an atlas fed by one survey run's AtlasSink it equals the
-// aggregated CDF survey.RouterSizeCDFs reports for that run.
-func AtlasRouterSizeCDF(a *atlas.Atlas) *stats.CDF {
-	sizes := a.RouterSizes()
-	samples := make([]float64, len(sizes))
-	for i, s := range sizes {
-		samples[i] = float64(s)
-	}
-	return stats.NewCDF(samples)
-}
-
-// FormatFig12Atlas renders the aggregated router-size CDF of an atlas
-// in the Fig 12 style, alongside the atlas's merged-content stats. One
-// snapshot build serves both.
-func FormatFig12Atlas(a *atlas.Atlas) string {
-	snap := a.Snapshot()
-	sizes := make([]int, len(snap.Routers))
-	for i, r := range snap.Routers {
-		sizes[i] = len(r.Addrs)
-	}
-	return FormatFig12Sizes(atlas.StatsOf(snap), sizes)
-}
-
-// FormatFig12Sizes is the same rendering from already-computed stats
-// and router sizes, so callers holding an indexed snapshot (cmd/atlas
-// through the serve layer) need not rebuild a full in-memory atlas.
+// FormatFig12Sizes renders the aggregated-atlas variant of the Fig 12
+// router-size CDF — the same transitive-closure aggregation
+// survey.RouterSizeCDFs computes from in-memory RouterView records —
+// from a snapshot's stats and router sizes, as cmd/atlas reads them
+// through the serve layer, so the figure can be regenerated from a file
+// long after the survey process is gone.
 func FormatFig12Sizes(st atlas.Stats, sizes []int) string {
 	samples := make([]float64, len(sizes))
 	for i, s := range sizes {

@@ -246,7 +246,7 @@ func EvaluateWithPrior(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []in
 	return rec, nil
 }
 
-// indexSnapshot round-trips an in-memory atlas through the on-disk v2
+// indexSnapshot round-trips an in-memory atlas through the on-disk
 // snapshot format and the serving layer into a prior index, so eval
 // priors are extracted exactly the way cmd/survey -prior extracts them.
 func indexSnapshot(al *atlas.Atlas) (*prior.Index, error) {
@@ -257,7 +257,7 @@ func indexSnapshot(al *atlas.Atlas) (*prior.Index, error) {
 	path := f.Name()
 	f.Close()
 	defer os.Remove(path)
-	if err := traceio.WriteAtlasFile(path, al.Snapshot()); err != nil {
+	if err := al.Save(path); err != nil {
 		return nil, err
 	}
 	svc, err := serve.Open(path, serve.Options{})

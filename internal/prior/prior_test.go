@@ -52,7 +52,7 @@ func twoPairAtlas(t *testing.T) (string, [2][2]packet.Addr, *topo.Graph) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "prior.atlas")
-	if err := traceio.WriteAtlasFile(path, al.Snapshot()); err != nil {
+	if err := al.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return path, pairs, g0

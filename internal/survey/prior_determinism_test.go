@@ -13,7 +13,6 @@ import (
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/prior"
-	"mmlpt/internal/traceio"
 )
 
 // churnRoutes flips the route of every fifth pair to a freshly generated
@@ -119,7 +118,7 @@ func TestSurveyPriorModeByteIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		var snap bytes.Buffer
-		if err := traceio.EncodeAtlas(&snap, ras.Atlas.Snapshot()); err != nil {
+		if _, err := ras.Atlas.WriteTo(&snap); err != nil {
 			t.Fatal(err)
 		}
 		if refJSONL == nil {

@@ -1,12 +1,10 @@
 package topo
 
-// DAG is the adjacency core shared by the hop-indexed per-trace Graph
-// and the address-keyed cross-trace stores built on top of it
-// (internal/atlas): a growable table of anonymous vertex slots with
-// deduplicated, insertion-ordered adjacency lists. A DAG knows nothing
-// about addresses or hops — callers attach their own keying (Graph keys
-// vertices by (address, hop); the atlas's MultiGraph keys them by
-// address alone, with hop positions demoted to per-source annotations).
+// DAG is the adjacency core under the hop-indexed per-trace Graph: a
+// growable table of anonymous vertex slots with deduplicated,
+// insertion-ordered adjacency lists. A DAG knows nothing about
+// addresses or hops — callers attach their own keying (Graph keys
+// vertices by (address, hop)).
 type DAG struct {
 	succ, pred [][]VertexID
 }

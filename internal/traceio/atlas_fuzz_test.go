@@ -2,23 +2,23 @@ package traceio
 
 import (
 	"bytes"
-	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// Robustness: the atlas snapshot decoder parses files from disk that may
+// Robustness: the atlas snapshot reader parses files from disk that may
 // be corrupt, truncated, or hostile. Errors are fine; panics and
 // unbounded allocations are not (mirrors internal/packet/fuzz_test.go).
 
-func decodeNeverPanics(t *testing.T, name string, data []byte) {
+func readerNeverPanics(t *testing.T, name string, data []byte) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("%s: DecodeAtlas panicked on %q: %v", name, data, r)
+			t.Fatalf("%s: atlas reader panicked on %q: %v", name, data, r)
 		}
 	}()
-	_, _ = DecodeAtlas(bytes.NewReader(data))
+	_ = openAndVerify(data)
 }
 
 func TestAtlasDecodeNeverPanicsOnGarbage(t *testing.T) {
@@ -26,11 +26,11 @@ func TestAtlasDecodeNeverPanicsOnGarbage(t *testing.T) {
 	check := func(data []byte) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Logf("DecodeAtlas panicked on %x: %v", data, r)
+				t.Logf("atlas reader panicked on %x: %v", data, r)
 				ok = false
 			}
 		}()
-		_, _ = DecodeAtlas(bytes.NewReader(data))
+		_ = openAndVerify(data)
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
@@ -42,61 +42,88 @@ func TestAtlasDecodeNeverPanicsOnGarbage(t *testing.T) {
 // crash during a non-atomic copy produces exactly this shape.
 func TestAtlasDecodeNeverPanicsOnTruncation(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	if err := EncodeAtlas(&buf, sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := wideFixture().encode(t, 3)
 	for n := 0; n < len(raw); n++ {
-		decodeNeverPanics(t, "truncation", raw[:n])
+		readerNeverPanics(t, "truncation", raw[:n])
+		if err := openAndVerify(raw[:n]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes accepted", n, len(raw))
+		}
 	}
 }
 
 // Flipping any byte of a valid snapshot must not panic; most flips must
-// also fail to decode (corruption detection), though flips inside string
+// also fail to verify (corruption detection), though flips inside string
 // values may legitimately survive.
 func TestAtlasDecodeNeverPanicsOnBitFlips(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	if err := EncodeAtlas(&buf, sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := wideFixture().encode(t, 3)
 	mut := make([]byte, len(raw))
 	for i := 0; i < len(raw); i++ {
 		for _, b := range []byte{0x00, 0xff, raw[i] ^ 0x80, '-', '9'} {
 			copy(mut, raw)
 			mut[i] = b
-			decodeNeverPanics(t, "bitflip", mut)
+			readerNeverPanics(t, "bitflip", mut)
 		}
 	}
 }
 
-// FuzzDecodeAtlas is the native-fuzzing form of the hostile-input tests
-// above, seeded with a valid snapshot, its truncations and hostile
-// headers so the mutator starts near the format's structure. CI's
-// fuzz-smoke job runs it for a short budget on every PR; locally:
+// FuzzAtlasReader is the native-fuzzing form of the hostile-input tests
+// above: open from bytes, Verify, read every shard and the diamonds.
+// Nothing may panic, and whatever Verify accepts must re-stream through
+// the encoder into a file that verifies and re-streams to identical
+// bytes — accepted hostile inputs may not produce blocks the encoder
+// chokes on, and the encoder's output is a fixed point. Seeded with
+// valid snapshots, a truncation at every section boundary, hostile
+// headers (a v1 header among them) and an index whose shard counts
+// disagree with the header, so the mutator starts near the format's
+// structure. CI's fuzz-smoke job runs it for a short budget on every
+// PR; locally:
 //
-//	go test -run='^$' -fuzz=FuzzDecodeAtlas -fuzztime=30s ./internal/traceio
-func FuzzDecodeAtlas(f *testing.F) {
-	var buf bytes.Buffer
-	if err := EncodeAtlas(&buf, sampleSnapshot()); err != nil {
-		f.Fatal(err)
-	}
-	raw := buf.Bytes()
+//	go test -run='^$' -fuzz=FuzzAtlasReader -fuzztime=30s ./internal/traceio
+func FuzzAtlasReader(f *testing.F) {
+	raw := sampleFixture().encode(f, 0)
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
-	f.Add([]byte(`{"version":1,"kind":"atlas","nodes":123456789012}` + "\n"))
+	f.Add([]byte(`{"version":2,"kind":"atlas","nodes":123456789012,"shards":1}` + "\n"))
 	f.Add([]byte(""))
+	f.Add([]byte(`{"version":1,"kind":"atlas","nodes":1}` + "\n" + `{"addr":"10.0.0.1","seen":[[0,1]]}` + "\n"))
+	wide := wideFixture().encode(f, 3)
+	f.Add(wide)
+	for off := 0; off < len(wide); off++ {
+		if wide[off] == '\n' { // every line end is a section or record boundary
+			f.Add(wide[:off+1])
+		}
+	}
+	f.Add([]byte(strings.Replace(string(wide), `"routers":2,"diamonds":1,"shards":3`, `"routers":2,"diamonds":1,"shards":2`, 1)))
+	f.Add([]byte(strings.Replace(string(wide), `"nodes":3,"routers":1,"min":"10.0.0.1"`, `"nodes":2,"routers":1,"min":"10.0.0.1"`, 2)))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeAtlas(bytes.NewReader(data))
+		r, err := NewAtlasReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
-		// Whatever decodes must re-encode without panicking: accepted
-		// hostile inputs may not produce snapshots the encoder chokes on.
-		if err := EncodeAtlas(io.Discard, snap); err != nil {
-			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
+		verr := r.Verify()
+		for i := 0; i < r.NumShards(); i++ {
+			if _, err := r.ReadShard(i); err != nil && verr == nil {
+				t.Fatalf("Verify accepted a file whose shard %d fails to read: %v", i, err)
+			}
+		}
+		if _, err := r.ReadDiamonds(); err != nil && verr == nil {
+			t.Fatalf("Verify accepted a file whose diamonds fail to read: %v", err)
+		}
+		if verr != nil {
+			return
+		}
+		first := restream(t, r)
+		r2, err := NewAtlasReader(bytes.NewReader(first), int64(len(first)))
+		if err != nil {
+			t.Fatalf("re-encoded snapshot fails to open: %v", err)
+		}
+		if err := r2.Verify(); err != nil {
+			t.Fatalf("re-encoded snapshot fails to verify: %v", err)
+		}
+		if !bytes.Equal(first, restream(t, r2)) {
+			t.Fatal("re-encoding is not a byte-stable fixed point")
 		}
 	})
 }
@@ -105,13 +132,16 @@ func FuzzDecodeAtlas(f *testing.F) {
 // lines backing them exist.
 func TestAtlasDecodeHostileHeaderCounts(t *testing.T) {
 	t.Parallel()
-	for _, h := range []string{
-		`{"version":1,"kind":"atlas","nodes":123456789012}`,
-		`{"version":1,"kind":"atlas","edges":2147483647}`,
-		`{"version":1,"kind":"atlas","pairs":999999999,"diamonds":999999999}`,
+	raw := (&atlasFixture{}).encode(t, 0)
+	for _, claim := range []string{
+		`"nodes":123456789012`,
+		`"edges":2147483647`,
+		`"pairs":999999999`,
+		`"diamonds":999999999`,
 	} {
-		if _, err := DecodeAtlas(bytes.NewReader([]byte(h + "\n"))); err == nil {
-			t.Errorf("header %s: decode accepted a file with no section lines", h)
+		in := corrupt(t, raw, claim[:strings.Index(claim, ":")+1]+"0", claim)
+		if err := openAndVerify([]byte(in)); err == nil {
+			t.Errorf("header %s: accepted a file with no section lines", claim)
 		}
 	}
 }

@@ -4,138 +4,103 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"mmlpt/internal/packet"
 )
 
-// AtlasReader is the random-access view of a snapshot file: it opens
-// the file, reads the trailer, index, header and pairs section, and
-// then serves point reads — one shard block, or the diamonds section —
-// without ever decoding the rest. All methods are safe for concurrent
-// use after Open (section reads go through ReadAt).
-//
-// v1 files have no index; Open falls back to a full decode and
-// presents the whole snapshot as a single synthetic shard, so callers
-// get one code path over both formats (old snapshots simply pay the
-// monolithic load they always did).
+// AtlasReader is the random-access view of a snapshot: it reads the
+// trailer, index, header and pairs section at open, and then serves
+// point reads — one shard block, or the diamonds section — without ever
+// decoding the rest. Open validates what routing a query needs (index
+// spans in bounds, fences ascending); ReadShard validates the block it
+// decodes; Verify checks the whole file, including the cross-shard
+// invariants no point read can see. All methods are safe for concurrent
+// use after open (section reads go through ReadAt).
 type AtlasReader struct {
-	f       *os.File
-	size    int64
+	ra     io.ReaderAt
+	closer io.Closer // the file behind ra when OpenAtlasFile opened it
+	size   int64
+
 	header  AtlasHeader
+	headLen int64 // byte length of the header line
+	trailer atlasTrailer
 	index   AtlasIndex
-	mins    []packet.Addr // per-shard min fence (v2)
-	maxs    []packet.Addr // per-shard max fence (v2)
+	mins    []packet.Addr // per-shard min fence
+	maxs    []packet.Addr // per-shard max fence
 	pairs   []AtlasPair
-	v1shard *AtlasShard    // v1 fallback: the whole file as shard 0
-	v1snap  *AtlasSnapshot // v1 fallback: retained for diamonds
 }
 
 // atlasTailProbe bounds the read that locates the trailer line.
 const atlasTailProbe = 4096
 
-// OpenAtlasFile opens a snapshot for random access.
+// OpenAtlasFile opens a snapshot file for random access.
 func OpenAtlasFile(path string) (*AtlasReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := newAtlasReader(f)
+	st, err := f.Stat()
 	if err != nil {
 		f.Close()
+		return nil, err
+	}
+	r, err := NewAtlasReader(f, st.Size())
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r.closer = f
+	return r, nil
+}
+
+// NewAtlasReader opens a snapshot held in any random-access byte source
+// of the given size. Corrupt, truncated or hostile input returns an
+// error; it never panics and never allocates proportionally to
+// unverified header claims.
+func NewAtlasReader(ra io.ReaderAt, size int64) (*AtlasReader, error) {
+	r := &AtlasReader{ra: ra, size: size}
+	headLine, err := r.readLineAt(0)
+	if err != nil {
+		return nil, fmt.Errorf("traceio: atlas header: %v", err)
+	}
+	r.headLen = int64(len(headLine))
+	if r.header, err = decodeAtlasHeader(newLineScanner(bytes.NewReader(headLine))); err != nil {
+		return nil, err
+	}
+	if err := r.open(); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-func newAtlasReader(f *os.File) (*AtlasReader, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	r := &AtlasReader{f: f, size: st.Size()}
-	headLine, err := r.readLineAt(0)
-	if err != nil {
-		return nil, fmt.Errorf("traceio: atlas header: %v", err)
-	}
-	ls := newLineScanner(bytes.NewReader(headLine))
-	h, err := decodeAtlasHeader(ls)
-	if err != nil {
-		return nil, err
-	}
-	r.header = h
-	switch h.Version {
-	case AtlasVersionV1:
-		return r, r.openV1()
-	case AtlasVersion:
-		return r, r.openV2()
-	default:
-		return nil, fmt.Errorf("traceio: atlas version %d, want %d or %d", h.Version, AtlasVersionV1, AtlasVersion)
-	}
-}
-
-// openV1 decodes the whole legacy file into one synthetic shard.
-func (r *AtlasReader) openV1() error {
-	if _, err := r.f.Seek(0, 0); err != nil {
-		return err
-	}
-	s, err := DecodeAtlas(r.f)
-	if err != nil {
-		return err
-	}
-	succ := make([][]string, len(s.Nodes))
-	for _, e := range s.Edges {
-		succ[e[0]] = append(succ[e[0]], s.Nodes[e[1]].Addr)
-	}
-	routerOf := make(map[string]string)
-	for _, rt := range s.Routers {
-		for _, m := range rt.Addrs {
-			routerOf[m] = rt.Addrs[0]
-		}
-	}
-	sh := &AtlasShard{
-		Header: AtlasShardHeader{Nodes: len(s.Nodes), Routers: len(s.Routers)},
-	}
-	if len(s.Nodes) > 0 {
-		sh.Header.Min = s.Nodes[0].Addr
-		sh.Header.Max = s.Nodes[len(s.Nodes)-1].Addr
-	}
-	sh.Nodes = make([]AtlasNodeV2, len(s.Nodes))
-	for i, n := range s.Nodes {
-		sh.Nodes[i] = AtlasNodeV2{Addr: n.Addr, Seen: n.Seen, Succ: succ[i], Router: routerOf[n.Addr]}
-	}
-	sh.Routers = s.Routers
-	r.v1shard = sh
-	r.v1snap = s
-	r.pairs = s.Pairs
-	return nil
-}
-
-// openV2 locates and validates the trailer, index and pairs section.
-func (r *AtlasReader) openV2() error {
+// open locates and validates the trailer, index and pairs section.
+func (r *AtlasReader) open() error {
 	probe := int64(atlasTailProbe)
 	if probe > r.size {
 		probe = r.size
 	}
 	tail := make([]byte, probe)
-	if _, err := r.f.ReadAt(tail, r.size-probe); err != nil {
+	if _, err := r.ra.ReadAt(tail, r.size-probe); err != nil {
 		return fmt.Errorf("traceio: atlas trailer: %v", err)
 	}
 	tail = bytes.TrimRight(tail, "\n")
 	nl := bytes.LastIndexByte(tail, '\n')
 	line := tail[nl+1:] // nl == -1 means the probe is one line
-	var t atlasTrailer
-	if err := json.Unmarshal(line, &t); err != nil {
+	t := &r.trailer
+	if err := json.Unmarshal(line, t); err != nil {
 		return fmt.Errorf("traceio: bad atlas trailer: %v", err)
 	}
 	if t.Kind != atlasTrailerKind || t.Version != AtlasVersion {
 		return fmt.Errorf("traceio: bad atlas trailer (kind %q version %d)", t.Kind, t.Version)
 	}
-	if t.IndexOff <= 0 || t.IndexLen <= 0 || t.IndexLen > maxAtlasLine || t.IndexOff+t.IndexLen > r.size {
+	if t.IndexOff <= 0 || t.IndexLen <= 0 || t.IndexLen > maxAtlasLine || !r.inBounds(t.IndexOff, t.IndexLen) {
 		return fmt.Errorf("traceio: atlas trailer index span [%d,+%d) out of bounds", t.IndexOff, t.IndexLen)
 	}
 	ib := make([]byte, t.IndexLen)
-	if _, err := r.f.ReadAt(ib, t.IndexOff); err != nil {
+	if _, err := r.ra.ReadAt(ib, t.IndexOff); err != nil {
 		return fmt.Errorf("traceio: atlas index: %v", err)
 	}
 	if err := json.Unmarshal(bytes.TrimRight(ib, "\n"), &r.index); err != nil {
@@ -156,7 +121,7 @@ func (r *AtlasReader) openV2() error {
 		if si.Nodes < 0 || si.Routers < 0 {
 			return fmt.Errorf("traceio: atlas index shard %d: negative counts", i)
 		}
-		if si.Off < prevEnd || si.Len <= 0 || si.Off+si.Len > r.size {
+		if si.Off < prevEnd || si.Len <= 0 || !r.inBounds(si.Off, si.Len) {
 			return fmt.Errorf("traceio: atlas index shard %d: span [%d,+%d) out of bounds", i, si.Off, si.Len)
 		}
 		prevEnd = si.Off + si.Len
@@ -177,14 +142,14 @@ func (r *AtlasReader) openV2() error {
 		r.mins[i], r.maxs[i] = lo, hi
 		prevMax, fenced = hi, true
 	}
-	if r.index.PairsOff < 0 || r.index.PairsLen < 0 || r.index.PairsOff+r.index.PairsLen > r.size {
+	if !r.inBounds(r.index.PairsOff, r.index.PairsLen) {
 		return fmt.Errorf("traceio: atlas index pairs span out of bounds")
 	}
-	if r.index.DiamondsOff < 0 || r.index.DiamondsLen < 0 || r.index.DiamondsOff+r.index.DiamondsLen > r.size {
+	if !r.inBounds(r.index.DiamondsOff, r.index.DiamondsLen) {
 		return fmt.Errorf("traceio: atlas index diamonds span out of bounds")
 	}
 	pb := make([]byte, r.index.PairsLen)
-	if _, err := r.f.ReadAt(pb, r.index.PairsOff); err != nil {
+	if _, err := r.ra.ReadAt(pb, r.index.PairsOff); err != nil {
 		return fmt.Errorf("traceio: atlas pairs: %v", err)
 	}
 	pls := newLineScanner(bytes.NewReader(pb))
@@ -199,6 +164,12 @@ func (r *AtlasReader) openV2() error {
 	return nil
 }
 
+// inBounds reports whether [off, off+n) lies inside the file, without
+// the sum overflowing on hostile offsets.
+func (r *AtlasReader) inBounds(off, n int64) bool {
+	return off >= 0 && n >= 0 && off <= r.size && n <= r.size-off
+}
+
 // readLineAt returns the '\n'-terminated line starting at off, growing
 // the probe until a newline appears (bounded by maxAtlasLine).
 func (r *AtlasReader) readLineAt(off int64) ([]byte, error) {
@@ -210,7 +181,7 @@ func (r *AtlasReader) readLineAt(off int64) ([]byte, error) {
 			probe = r.size - off
 		}
 		buf := make([]byte, probe)
-		if _, err := r.f.ReadAt(buf, off); err != nil {
+		if _, err := r.ra.ReadAt(buf, off); err != nil {
 			return nil, err
 		}
 		if i := bytes.IndexByte(buf, '\n'); i >= 0 {
@@ -225,55 +196,29 @@ func (r *AtlasReader) readLineAt(off int64) ([]byte, error) {
 // Header returns the snapshot header (section totals, version).
 func (r *AtlasReader) Header() AtlasHeader { return r.header }
 
-// Version returns the file's format version.
-func (r *AtlasReader) Version() int { return r.header.Version }
-
 // Pairs returns the pair section, decoded at open time (it is small
 // and every provenance answer needs it).
 func (r *AtlasReader) Pairs() []AtlasPair { return r.pairs }
 
 // NumShards returns the number of independently decodable shards.
-func (r *AtlasReader) NumShards() int {
-	if r.v1shard != nil {
-		return 1
-	}
-	return len(r.index.Shards)
-}
+func (r *AtlasReader) NumShards() int { return len(r.index.Shards) }
 
 // ShardFor returns the shard whose address range owns addr. Every
 // address maps to some shard; whether the shard actually holds a node
 // for it is answered by decoding the shard.
 func (r *AtlasReader) ShardFor(addr packet.Addr) int {
-	if r.v1shard != nil {
-		return 0
-	}
-	return shardForAddr(r.mins, addr)
-}
-
-// AtlasShard is one decoded v2 shard block: a contiguous address range
-// of nodes plus the router components whose representative falls in the
-// range.
-type AtlasShard struct {
-	Header  AtlasShardHeader
-	Nodes   []AtlasNodeV2
-	Routers []AtlasRouter
+	return AtlasShardForAddr(r.mins, addr)
 }
 
 // ReadShard decodes shard i from its byte span. Safe for concurrent
 // callers.
 func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
-	if r.v1shard != nil {
-		if i != 0 {
-			return nil, fmt.Errorf("traceio: atlas shard %d out of range (v1 file has 1)", i)
-		}
-		return r.v1shard, nil
-	}
 	if i < 0 || i >= len(r.index.Shards) {
 		return nil, fmt.Errorf("traceio: atlas shard %d out of range (%d shards)", i, len(r.index.Shards))
 	}
 	si := r.index.Shards[i]
 	buf := make([]byte, si.Len)
-	if _, err := r.f.ReadAt(buf, si.Off); err != nil {
+	if _, err := r.ra.ReadAt(buf, si.Off); err != nil {
 		return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
 	}
 	ls := newLineScanner(bytes.NewReader(buf))
@@ -292,7 +237,7 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 	}
 	var prev packet.Addr
 	for j := 0; j < sh.Nodes; j++ {
-		n, addr, err := decodeV2Node(ls, prev, j > 0)
+		n, addr, err := decodeNode(ls, prev, j > 0)
 		if err != nil {
 			return nil, err
 		}
@@ -303,15 +248,8 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 		out.Nodes = append(out.Nodes, n)
 	}
 	for j := 0; j < sh.Routers; j++ {
-		b, err := ls.next()
+		rt, err := decodeRouter(ls)
 		if err != nil {
-			return nil, err
-		}
-		var rt AtlasRouter
-		if err := json.Unmarshal(b, &rt); err != nil {
-			return nil, fmt.Errorf("traceio: atlas shard %d: bad router: %v", i, err)
-		}
-		if err := validateRouter(ls, &rt); err != nil {
 			return nil, err
 		}
 		out.Routers = append(out.Routers, rt)
@@ -325,11 +263,8 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 // ReadDiamonds decodes the diamond census section. Safe for concurrent
 // callers.
 func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
-	if r.v1snap != nil {
-		return r.v1snap.Diamonds, nil
-	}
 	buf := make([]byte, r.index.DiamondsLen)
-	if _, err := r.f.ReadAt(buf, r.index.DiamondsOff); err != nil {
+	if _, err := r.ra.ReadAt(buf, r.index.DiamondsOff); err != nil {
 		return nil, fmt.Errorf("traceio: atlas diamonds: %v", err)
 	}
 	ls := newLineScanner(bytes.NewReader(buf))
@@ -343,12 +278,118 @@ func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
 	return ds, nil
 }
 
-// Close releases the underlying file.
-func (r *AtlasReader) Close() error {
-	if r.f == nil {
+// Verify decodes every section and checks the invariants that span
+// them, which open and the per-shard reads cannot see: the header's
+// shard count is plausible for its node count, the sections tile the
+// file with nothing between them, every block's fences equal both the
+// index's and its first and last node, the blocks hold exactly the
+// header's node, router and edge totals, the diamonds section holds the
+// header's count, and every successor names an address the file has a
+// node for. (That addresses ascend across shard boundaries needs no
+// check of its own: open orders the index's fences and ReadShard keeps
+// every node inside them.) A file that verifies re-streams through
+// AtlasStreamEncoder without error. Each failure names its check.
+// Memory is one decoded shard plus 4 bytes per node and 8 per edge.
+func (r *AtlasReader) Verify() error {
+	fail := func(check, format string, args ...any) error {
+		return fmt.Errorf("traceio: atlas verify: %s: %s", check, fmt.Sprintf(format, args...))
+	}
+	h := r.header
+	if (h.Nodes == 0 && h.Shards != 1) || (h.Nodes > 0 && h.Shards > h.Nodes) {
+		return fail("shard count", "%d shards for %d nodes", h.Shards, h.Nodes)
+	}
+
+	// Layout: header, pairs, shard blocks, diamonds, index, trailer —
+	// contiguous, in that order, ending the file.
+	end := r.headLen
+	section := func(off, n int64, name string, args ...any) error {
+		if off != end {
+			return fail("layout", "%s starts at %d, previous section ends at %d", fmt.Sprintf(name, args...), off, end)
+		}
+		end += n
 		return nil
 	}
-	err := r.f.Close()
-	r.f = nil
+	if err := section(r.index.PairsOff, r.index.PairsLen, "pairs section"); err != nil {
+		return err
+	}
+	for i, si := range r.index.Shards {
+		if err := section(si.Off, si.Len, "shard %d", i); err != nil {
+			return err
+		}
+	}
+	if err := section(r.index.DiamondsOff, r.index.DiamondsLen, "diamonds section"); err != nil {
+		return err
+	}
+	if err := section(r.trailer.IndexOff, r.trailer.IndexLen, "index"); err != nil {
+		return err
+	}
+	tl, err := r.readLineAt(end)
+	if err != nil {
+		return fail("layout", "trailer at %d: %v", end, err)
+	}
+	if end+int64(len(tl)) != r.size {
+		return fail("layout", "%d bytes after the trailer", r.size-end-int64(len(tl)))
+	}
+
+	type link struct{ from, to packet.Addr }
+	var (
+		addrs   []packet.Addr
+		links   []link
+		routers int
+	)
+	for i, si := range r.index.Shards {
+		sh, err := r.ReadShard(i)
+		if err != nil {
+			return fail(fmt.Sprintf("shard %d", i), "%v", err)
+		}
+		if sh.Header.Min != si.Min || sh.Header.Max != si.Max {
+			return fail("fences", "shard %d block fences [%s,%s] disagree with index [%s,%s]",
+				i, sh.Header.Min, sh.Header.Max, si.Min, si.Max)
+		}
+		if n := len(sh.Nodes); n > 0 && (sh.Header.Min != sh.Nodes[0].Addr || sh.Header.Max != sh.Nodes[n-1].Addr) {
+			return fail("fences", "shard %d fences [%s,%s] are not its first and last node [%s,%s]",
+				i, sh.Header.Min, sh.Header.Max, sh.Nodes[0].Addr, sh.Nodes[n-1].Addr)
+		}
+		for j := range sh.Nodes {
+			n := &sh.Nodes[j]
+			addr := packet.MustParseAddr(n.Addr) // ReadShard parsed it
+			addrs = append(addrs, addr)
+			for _, s := range n.Succ {
+				to, err := packet.ParseAddr(s)
+				if err != nil {
+					return fail("successors", "node %s links to %q: %v", n.Addr, s, err)
+				}
+				links = append(links, link{addr, to})
+			}
+		}
+		routers += len(sh.Routers)
+	}
+	if len(addrs) != h.Nodes {
+		return fail("node total", "shards hold %d nodes, header claims %d", len(addrs), h.Nodes)
+	}
+	if routers != h.Routers {
+		return fail("router total", "shards hold %d routers, header claims %d", routers, h.Routers)
+	}
+	if len(links) != h.Edges {
+		return fail("edge total", "nodes hold %d edges, header claims %d", len(links), h.Edges)
+	}
+	for _, l := range links {
+		if _, ok := slices.BinarySearch(addrs, l.to); !ok {
+			return fail("successors", "node %s links to %s, which has no node", l.from, l.to)
+		}
+	}
+	if _, err := r.ReadDiamonds(); err != nil {
+		return fail("diamonds", "%v", err)
+	}
+	return nil
+}
+
+// Close releases the underlying file, if OpenAtlasFile opened one.
+func (r *AtlasReader) Close() error {
+	if r.closer == nil {
+		return nil
+	}
+	err := r.closer.Close()
+	r.closer = nil
 	return err
 }

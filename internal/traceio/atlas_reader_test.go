@@ -1,0 +1,255 @@
+package traceio
+
+import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"mmlpt/internal/packet"
+)
+
+// Block boundaries are the producer's: any cut of the node order is a
+// valid, byte-deterministic file that reads back to the same content
+// and verifies.
+func TestAtlasV2SmallShardsRoundTrip(t *testing.T) {
+	t.Parallel()
+	f := wideFixture()
+	for _, per := range []int{1, 2, 3, 4, 100} {
+		a, b := f.encode(t, per), f.encode(t, per)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("per=%d: encode not deterministic", per)
+		}
+		r := openBytes(t, a)
+		if err := r.Verify(); err != nil {
+			t.Fatalf("per=%d: %v", per, err)
+		}
+		if want := (len(f.Nodes) + per - 1) / per; r.NumShards() != want {
+			t.Fatalf("per=%d: %d shards, want %d", per, r.NumShards(), want)
+		}
+		if dec, _ := readAll(t, r); !sameContent(dec, f) {
+			t.Fatalf("per=%d: decode differs", per)
+		}
+	}
+}
+
+func writeFixtureFile(t *testing.T, f *atlasFixture, per int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.atlas")
+	if err := os.WriteFile(path, f.encode(t, per), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The indexed reader routes each address to the shard whose fences own
+// it and decodes exactly that block.
+func TestAtlasReaderShardRouting(t *testing.T) {
+	t.Parallel()
+	f := wideFixture()
+	r, err := OpenAtlasFile(writeFixtureFile(t, f, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if v := r.Header().Version; v != AtlasVersion {
+		t.Fatalf("Version = %d", v)
+	}
+	if got, want := r.NumShards(), 5; got != want { // ceil(9/2)
+		t.Fatalf("NumShards = %d, want %d", got, want)
+	}
+	if !reflect.DeepEqual(r.Pairs(), f.Pairs) {
+		t.Fatalf("Pairs = %+v", r.Pairs())
+	}
+	// Every node address resolves to a shard that actually contains it.
+	for _, n := range f.Nodes {
+		addr := packet.MustParseAddr(n.Addr)
+		si := r.ShardFor(addr)
+		sh, err := r.ReadShard(si)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, sn := range sh.Nodes {
+			if sn.Addr == n.Addr {
+				found = true
+				if !reflect.DeepEqual(sn.Seen, n.Seen) {
+					t.Fatalf("%s: Seen = %v, want %v", n.Addr, sn.Seen, n.Seen)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("shard %d does not hold %s", si, n.Addr)
+		}
+	}
+	// Routers live with their representative: 10.0.0.2's component in
+	// the shard owning 10.0.0.2, and member 10.0.0.3's node names it.
+	si := r.ShardFor(packet.MustParseAddr("10.0.0.2"))
+	sh, err := r.ReadShard(si)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.Routers) != 1 || sh.Routers[0].Addrs[0] != "10.0.0.2" {
+		t.Fatalf("shard %d routers = %+v", si, sh.Routers)
+	}
+	sh3, err := r.ReadShard(r.ShardFor(packet.MustParseAddr("10.0.0.3")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range sh3.Nodes {
+		if n.Addr == "10.0.0.3" && n.Router != "10.0.0.2" {
+			t.Fatalf("node 10.0.0.3 router = %q, want 10.0.0.2", n.Router)
+		}
+	}
+	// Successor lists carry the edges: node 10.0.0.1 links to .2 and .3.
+	sh1, err := r.ReadShard(r.ShardFor(packet.MustParseAddr("10.0.0.1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sh1.Nodes[0].Succ; !reflect.DeepEqual(got, []string{"10.0.0.2", "10.0.0.3"}) {
+		t.Fatalf("10.0.0.1 succ = %v", got)
+	}
+	ds, err := r.ReadDiamonds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ds, f.Diamonds) {
+		t.Fatalf("diamonds = %+v", ds)
+	}
+	if _, err := r.ReadShard(5); err == nil {
+		t.Fatal("ReadShard past the last shard must error")
+	}
+}
+
+// Canonical-order violations are open or read errors: that validation
+// is what guarantees every accepted block re-encodes (shard fences
+// require ordered, parseable addresses). Order across a shard boundary
+// is the index's fence order plus each block staying inside its fences.
+func TestAtlasDecodeRejectsNonCanonicalNodes(t *testing.T) {
+	t.Parallel()
+	raw := wideFixture().encode(t, 4) // 3 shards: .1-.4, .5-.8, .9
+	for name, in := range map[string]string{
+		"descending":  corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"10.0.0.1"`),
+		"duplicate":   corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"10.0.0.2"`),
+		"unparseable": corrupt(t, raw, `{"addr":"10.0.0.1"`, `{"addr":"not-an-ip"`, `"min":"10.0.0.1"`, `"min":"not-an-ip"`),
+		"descending across shards": corrupt(t, raw, `{"addr":"10.0.0.5"`, `{"addr":"10.0.0.3"`,
+			`"min":"10.0.0.5"`, `"min":"10.0.0.3"`),
+		"node outside its fences": corrupt(t, raw, `{"addr":"10.0.0.6"`, `{"addr":"10.0.0.9"`,
+			`{"addr":"10.0.0.7"`, `{"addr":"10.0.0.10"`, `{"addr":"10.0.0.8"`, `{"addr":"10.0.0.11"`,
+			`{"shard":1,"nodes":4,"routers":1,"min":"10.0.0.5","max":"10.0.0.8"}`,
+			`{"shard":1,"nodes":4,"routers":1,"min":"10.0.0.5","max":"10.0.0.11"}`),
+		"unparseable router rep":    corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["bogus","10.0.0.3"]}`),
+		"unparseable router member": corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["10.0.0.2","bogus"]}`),
+	} {
+		if err := openAndVerify([]byte(in)); err == nil {
+			t.Errorf("%s: accepted non-canonical input", name)
+		}
+	}
+}
+
+// Corrupt structure fails loudly at open or read time.
+func TestAtlasReaderHostileInput(t *testing.T) {
+	t.Parallel()
+	raw := wideFixture().encode(t, 0)
+	write := func(b []byte) string {
+		path := filepath.Join(t.TempDir(), "bad.atlas")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Truncations: any prefix must fail open or fail reads, never panic.
+	for n := 0; n < len(raw); n += 97 {
+		r, err := OpenAtlasFile(write(raw[:n]))
+		if err != nil {
+			continue
+		}
+		for i := 0; i < r.NumShards(); i++ {
+			_, _ = r.ReadShard(i)
+		}
+		_, _ = r.ReadDiamonds()
+		r.Close()
+	}
+	// A trailer pointing outside the file.
+	mangled := bytes.Replace(raw, []byte(`"kind":"atlas-trailer","version":2,"index_off":`), nil, 1)
+	if _, err := OpenAtlasFile(write(mangled)); err == nil {
+		t.Error("open accepted a file with a mangled trailer")
+	}
+	// Garbage where the index should be.
+	idx := bytes.Index(raw, []byte(`{"kind":"atlas-index"`))
+	corrupted := append([]byte(nil), raw...)
+	copy(corrupted[idx:], []byte(`XXXXX`))
+	if _, err := OpenAtlasFile(write(corrupted)); err == nil {
+		t.Error("open accepted a corrupt index")
+	}
+	// Spans whose end overflows int64 must be refused at open, before
+	// any read sizes a buffer from them.
+	for name, edit := range map[string]func(*AtlasIndex){
+		"shard off":    func(ix *AtlasIndex) { ix.Shards[0].Off = math.MaxInt64 },
+		"shard len":    func(ix *AtlasIndex) { ix.Shards[0].Len = math.MaxInt64 },
+		"pairs len":    func(ix *AtlasIndex) { ix.PairsLen = math.MaxInt64 },
+		"diamonds len": func(ix *AtlasIndex) { ix.DiamondsLen = math.MaxInt64 },
+	} {
+		hostile := reindex(t, bodyOf(raw), edit)
+		if _, err := NewAtlasReader(strings.NewReader(hostile), int64(len(hostile))); err == nil {
+			t.Errorf("open accepted an overflowing %s", name)
+		}
+	}
+}
+
+// Verify makes the checks no point read can: one corrupted file per
+// check, each rejected with an error naming it. Every corruption keeps
+// the locator lines consistent with the body (corrupt → reindex), or
+// edits only the index, so open and every other shard's read pass and
+// the failure is Verify's own.
+func TestAtlasV2DecodeRejections(t *testing.T) {
+	t.Parallel()
+	raw := wideFixture().encode(t, 4) // 3 shards: .1-.4, .5-.8, .9
+	r := openBytes(t, raw)
+	if err := r.Verify(); err != nil {
+		t.Fatalf("the uncorrupted file does not verify: %v", err)
+	}
+	body := bodyOf(raw)
+	// One node, but a second, empty shard: more shards than nodes.
+	one := (&atlasFixture{Nodes: wideFixture().Nodes[3:4]}).encode(t, 0)
+	twoShards := reindex(t, strings.Replace(bodyOf(one), `"shards":1`, `"shards":2`, 1)+`{"shard":1,"nodes":0,"routers":0}`+"\n", nil)
+
+	cases := []struct{ name, check, in string }{
+		{"more shards than nodes", "shard count", twoShards},
+		// A blank line after the diamonds that no section owns.
+		{"gap before index", "layout", reindex(t, body+"\n", func(ix *AtlasIndex) { ix.DiamondsLen-- })},
+		{"bytes after trailer", "layout", string(raw) + "\n"},
+		{"block fence beyond last node", "fences", corrupt(t, raw, `"min":"10.0.0.9","max":"10.0.0.9"`, `"min":"10.0.0.9","max":"10.0.0.10"`)},
+		{"index fence disagrees with block", "fences", reindex(t, body, func(ix *AtlasIndex) { ix.Shards[2].Max = "10.0.1.9" })},
+		{"node total", "node total", corrupt(t, raw, `"nodes":9,"edges"`, `"nodes":10,"edges"`)},
+		{"router total", "router total", corrupt(t, raw, `"routers":2,"diamonds"`, `"routers":3,"diamonds"`)},
+		{"edge total", "edge total", corrupt(t, raw, `"edges":8`, `"edges":7`)},
+		{"edge to unknown addr", "successors", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","10.9.9.9"]`)},
+		{"unparseable successor", "successors", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","bogus"]`)},
+		{"diamond count", "diamonds", corrupt(t, raw, `"diamonds":1`, `"diamonds":2`)},
+		{"unreadable shard", "shard 1", corrupt(t, raw, `{"addrs":["10.0.0.7","10.0.0.9"]}`, `{"addrs":["10.0.0.7"]}`)},
+	}
+	seen := map[string]bool{}
+	for _, c := range cases {
+		r, err := NewAtlasReader(strings.NewReader(c.in), int64(len(c.in)))
+		if err != nil {
+			t.Errorf("%s: rejected at open, before Verify could name the check: %v", c.name, err)
+			continue
+		}
+		err = r.Verify()
+		if err == nil {
+			t.Errorf("%s: Verify accepted the corruption", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "atlas verify: "+c.check+":") {
+			t.Errorf("%s: error %q does not name check %q", c.name, err, c.check)
+		}
+		seen[err.Error()] = true
+	}
+	if len(seen) != len(cases) {
+		t.Errorf("%d corruptions produced %d distinct messages", len(cases), len(seen))
+	}
+}

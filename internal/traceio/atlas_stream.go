@@ -9,22 +9,19 @@ import (
 	"mmlpt/internal/packet"
 )
 
-// Streaming v2 encoder: the write-side dual of AtlasReader. Where
-// EncodeV2 takes a fully materialized AtlasSnapshot, the stream encoder
-// takes the header-level totals up front (AtlasStreamSpec) and then
-// accepts the shard blocks one at a time, so a producer holding the
-// atlas in some other shape — the in-memory sharded store, or k-way
-// merge cursors over snapshot files — never builds the flat snapshot at
-// all. Peak memory is one block (or, for a parallel producer, a few
-// blocks in flight), not the whole file.
+// Streaming encoder: the write-side dual of AtlasReader and the only
+// snapshot writer. It takes the header-level totals up front
+// (AtlasStreamSpec) and then accepts the shard blocks one at a time, so
+// a producer holding the atlas in some other shape — the in-memory
+// sharded store, or k-way merge cursors over snapshot files — never
+// builds a flat copy of it. Peak memory is one block (or, for a
+// parallel producer, a few blocks in flight), not the whole file.
 //
-// Byte identity with the materialized path is structural, not aspired:
-// EncodeV2 itself routes through this encoder, and a block's bytes are
-// a pure function of its AtlasShard value (AppendAtlasShardBlock), so
-// any producer that feeds the same blocks gets the same file — whatever
-// worker count produced them.
+// A block's bytes are a pure function of its AtlasShard value
+// (AppendAtlasShardBlock), so any producer that feeds the same blocks
+// gets the same file — whatever worker count produced them.
 
-// AtlasStreamSpec carries everything the v2 header and trailer sections
+// AtlasStreamSpec carries everything the header and trailer sections
 // need before the first shard block: the section totals, the pair
 // section (small, written with the header), and the diamond census
 // (small, written by Finish).
@@ -37,7 +34,7 @@ type AtlasStreamSpec struct {
 	Diamonds []AtlasDiamond
 }
 
-// AtlasStreamEncoder writes a v2 snapshot incrementally: header and
+// AtlasStreamEncoder writes a snapshot incrementally: header and
 // pairs at construction, one fenced shard block per WriteBlock /
 // WriteEncodedBlock call, diamonds + index + trailer at Finish. Blocks
 // must arrive in shard order. The encoder cross-checks every block
@@ -58,15 +55,11 @@ type AtlasStreamEncoder struct {
 	fenced  bool
 }
 
-// NewAtlasStreamEncoder starts a streaming v2 encode: it validates the
+// NewAtlasStreamEncoder starts a streaming encode: it validates the
 // spec, writes the header and the pair section, and returns an encoder
-// ready for the first shard block. The codec's ShardNodes does not bind
-// the encoder — block boundaries are the producer's, via
-// AtlasShardTarget — but Version must be v2 (or 0, the default).
-func (c AtlasCodec) NewAtlasStreamEncoder(w io.Writer, spec AtlasStreamSpec) (*AtlasStreamEncoder, error) {
-	if v := c.Version; v != 0 && v != AtlasVersion {
-		return nil, fmt.Errorf("traceio: atlas version %d cannot stream-encode", v)
-	}
+// ready for the first shard block. Block boundaries are the producer's
+// (AtlasBlockOf for the canonical layout).
+func NewAtlasStreamEncoder(w io.Writer, spec AtlasStreamSpec) (*AtlasStreamEncoder, error) {
 	if spec.Nodes < 0 || spec.Edges < 0 || spec.Routers < 0 {
 		return nil, fmt.Errorf("traceio: atlas stream spec has negative section count")
 	}
@@ -204,7 +197,7 @@ func (e *AtlasStreamEncoder) Finish() error {
 // The block is validated as a unit: header counts must match the
 // slices, node addresses must be parseable and strictly ascending,
 // fences must equal the first and last node address, and routers need
-// two or more members with a parseable representative.
+// two or more members, all parseable.
 func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 	h := sh.Header
 	if h.Nodes != len(sh.Nodes) || h.Routers != len(sh.Routers) {
@@ -242,11 +235,8 @@ func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 	}
 	for i := range sh.Routers {
 		r := &sh.Routers[i]
-		if len(r.Addrs) < 2 {
-			return nil, 0, fmt.Errorf("traceio: atlas shard %d: router with %d addresses", h.Shard, len(r.Addrs))
-		}
-		if _, perr := packet.ParseAddr(r.Addrs[0]); perr != nil {
-			return nil, 0, fmt.Errorf("traceio: atlas shard %d: router representative %q: %v", h.Shard, r.Addrs[0], perr)
+		if verr := validateRouter(r); verr != nil {
+			return nil, 0, fmt.Errorf("traceio: atlas shard %d: %v", h.Shard, verr)
 		}
 		if buf, err = appendJSONLine(buf, r); err != nil {
 			return nil, 0, err
@@ -264,56 +254,4 @@ func appendJSONLine(buf []byte, v any) ([]byte, error) {
 	}
 	buf = append(buf, b...)
 	return append(buf, '\n'), nil
-}
-
-// EncodeAtlasStream writes a v2 snapshot from a block producer: next is
-// called with each shard index in order and returns that shard's block.
-// Convenience over NewAtlasStreamEncoder for serial producers; parallel
-// producers drive the encoder directly with WriteEncodedBlock.
-func EncodeAtlasStream(w io.Writer, spec AtlasStreamSpec, next func(shard int) (*AtlasShard, error)) error {
-	e, err := AtlasCodec{}.NewAtlasStreamEncoder(w, spec)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < spec.Shards; i++ {
-		sh, err := next(i)
-		if err != nil {
-			return err
-		}
-		if err := e.WriteBlock(sh); err != nil {
-			return err
-		}
-	}
-	return e.Finish()
-}
-
-// AtlasShardTarget returns the node count per v2 shard block this codec
-// targets — the partition size a streaming producer must slice the
-// canonical node order into for its output to match a materialized
-// encode with the same codec.
-func (c AtlasCodec) AtlasShardTarget() int { return shardTarget(c.ShardNodes) }
-
-// AtlasShardForAddr returns the shard whose address range owns addr,
-// given the per-shard minimum fences: the last shard whose minimum is
-// <= addr, or 0 when addr precedes every fence. This is the v2 router
-// placement rule — a router component is stored in the shard owning its
-// representative — exported so streaming producers assign routers to
-// blocks exactly as the materialized encoder does.
-func AtlasShardForAddr(mins []packet.Addr, addr packet.Addr) int {
-	return shardForAddr(mins, addr)
-}
-
-// AtlasBlockOf slices the canonical node range of shard i under the
-// codec's target: [lo, hi) into a section of n nodes.
-func (c AtlasCodec) AtlasBlockOf(shard, n int) (lo, hi int) {
-	target := shardTarget(c.ShardNodes)
-	lo = shard * target
-	hi = lo + target
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
 }

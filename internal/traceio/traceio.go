@@ -4,7 +4,10 @@
 // the paper's Fakeroute accepted topology files), and a JSON schema for
 // trace results (one object per trace, suitable for JSONL survey dumps —
 // in the spirit of the "better schema for paris-traceroute" the paper
-// cites for M-Lab).
+// cites for M-Lab). It also owns the cross-trace atlas's snapshot file
+// format (atlas.go): one incremental writer (AtlasStreamEncoder) and
+// one random-access reader (AtlasReader, with Verify for whole-file
+// validation).
 package traceio
 
 import (
