@@ -287,31 +287,6 @@ func BenchmarkAblationFlowReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeSerialize and BenchmarkReplyParse measure the wire codec
-// hot paths.
-func BenchmarkProbeSerialize(b *testing.B) {
-	pr := packet.Probe{Src: benchSrc, Dst: benchDst, FlowID: 7, TTL: 5, Checksum: 99}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = pr.Serialize()
-	}
-}
-
-func BenchmarkReplyParse(b *testing.B) {
-	net, _ := fakeroute.BuildScenario(1, benchSrc, benchDst, fakeroute.SimplestDiamond)
-	pr := packet.Probe{Src: benchSrc, Dst: benchDst, FlowID: 7, TTL: 1, Checksum: 99}
-	raw := net.HandleProbe(pr.Serialize())
-	if raw == nil {
-		b.Fatal("no reply")
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := packet.ParseReply(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSurveySerial and BenchmarkSurveyParallel contrast the
 // worker-pool survey runner at Workers=1 against all cores on one shared
 // universe. The runner aggregates in pair order, so both configurations

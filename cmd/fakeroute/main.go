@@ -16,25 +16,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"mmlpt/internal/experiments"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
-	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
-
-var shapes = map[string]func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph{
-	"simplest":   fakeroute.SimplestDiamond,
-	"fig1":       fakeroute.Fig1UnmeshedDiamond,
-	"fig1meshed": fakeroute.Fig1MeshedDiamond,
-	"maxlen2":    fakeroute.MaxLength2Diamond,
-	"symmetric":  fakeroute.SymmetricDiamond,
-	"asymmetric": fakeroute.AsymmetricDiamond,
-	"meshed48":   fakeroute.MeshedDiamond48,
-}
 
 func main() {
 	var (
@@ -48,42 +36,21 @@ func main() {
 	)
 	flag.Parse()
 
-	var build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph
+	build, ok := fakeroute.Shapes[*shape]
 	if *topoFile != "" {
 		f, err := os.Open(*topoFile)
+		if err == nil {
+			g, perr := traceio.ParseTopology(f)
+			f.Close()
+			build, err = fakeroute.TopologyShape(g), perr
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		loaded, err := traceio.ParseTopology(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		build = func(_ *fakeroute.AddrAllocator, dst packet.Addr) *topo.Graph {
-			last := loaded.Hop(loaded.NumHops() - 1)
-			if len(last) == 1 && loaded.V(last[0]).Addr == dst {
-				return loaded
-			}
-			end := loaded.AddVertex(loaded.NumHops(), dst)
-			for _, u := range loaded.Hop(loaded.NumHops() - 2) {
-				loaded.AddEdge(u, end)
-			}
-			return loaded
-		}
-	} else {
-		var ok bool
-		build, ok = shapes[*shape]
-		if !ok {
-			var names []string
-			for n := range shapes {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			fmt.Fprintf(os.Stderr, "unknown shape %q; available: %v\n", *shape, names)
-			os.Exit(2)
-		}
+	} else if !ok {
+		fmt.Fprintf(os.Stderr, "unknown shape %q; available: %v\n", *shape, fakeroute.ShapeNames())
+		os.Exit(2)
 	}
 	stop := mda.StoppingPoints(*bound, 64)
 

@@ -8,97 +8,65 @@
 //
 // It prints the IP-level multipath topology hop by hop, the diamonds with
 // their survey metrics and, for the multilevel algorithm, the resolved
-// alias sets and the router-level topology.
+// alias sets and the router-level topology. With -runs N it traces N
+// scenarios under derived seeds and reports the spread; resumable batches
+// are cmd/survey's job.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
-	"sort"
 
 	"mmlpt"
 	"mmlpt/internal/alias"
 	"mmlpt/internal/fakeroute"
-	"mmlpt/internal/obs"
-	"mmlpt/internal/packet"
-	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
 
-var shapes = map[string]func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph{
-	"simplest":   fakeroute.SimplestDiamond,
-	"fig1":       fakeroute.Fig1UnmeshedDiamond,
-	"fig1meshed": fakeroute.Fig1MeshedDiamond,
-	"maxlen2":    fakeroute.MaxLength2Diamond,
-	"symmetric":  fakeroute.SymmetricDiamond,
-	"asymmetric": fakeroute.AsymmetricDiamond,
-	"meshed48":   fakeroute.MeshedDiamond48,
-}
-
-func shapeNames() []string {
-	var names []string
-	for n := range shapes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func main() {
-	var (
-		shape    = flag.String("shape", "fig1", fmt.Sprintf("simulated topology %v", shapeNames()))
-		topoFile = flag.String("topology", "", "trace a topology file instead of a named shape")
-		algo     = flag.String("algo", "mda-lite", "algorithm: single, mda, mda-lite, multilevel")
-		phi      = flag.Int("phi", 2, "MDA-Lite meshing-test budget (>=2)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		bound    = flag.Float64("failure-bound", 0.05, "per-vertex failure probability bound")
-		rounds   = flag.Int("rounds", 10, "alias resolution rounds (multilevel)")
-		runs     = flag.Int("runs", 1, "trace the scenario this many times under derived seeds, reporting variance")
-		workers  = flag.Int("workers", 0, "concurrent trace workers for -runs > 1 (0 = GOMAXPROCS; results are identical)")
-		jsonOut  = flag.Bool("json", false, "emit the result as one JSON object")
-		out      = flag.String("out", "", "with -runs > 1: stream one JSON trace record per run to this JSONL file")
-		ckptPath = flag.String("checkpoint", "", "with -runs > 1: write an atomic progress checkpoint to this file")
-		every    = flag.Int("checkpoint-every", 8, "runs between checkpoints")
-		resume   = flag.Bool("resume", false, "resume a killed -runs batch from the checkpoint")
-		progress = flag.Bool("progress", false, "with -runs > 1: report run/probe rates to stderr at the end")
-		verbose  = flag.Bool("v", false, "also print the ground truth")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph
+// run is main with its arguments and output streams injected; it returns
+// the exit code: 2 for usage errors, 1 for runtime errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmlpt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		shape    = fs.String("shape", "fig1", fmt.Sprintf("simulated topology %v", fakeroute.ShapeNames()))
+		topoFile = fs.String("topology", "", "trace a topology file instead of a named shape")
+		algo     = fs.String("algo", "mda-lite", "algorithm: single, mda, mda-lite, multilevel")
+		phi      = fs.Int("phi", 2, "MDA-Lite meshing-test budget (>=2)")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		bound    = fs.Float64("failure-bound", 0.05, "per-vertex failure probability bound")
+		rounds   = fs.Int("rounds", 10, "alias resolution rounds (multilevel)")
+		runs     = fs.Int("runs", 1, "trace the scenario this many times under derived seeds, reporting variance")
+		workers  = fs.Int("workers", 0, "concurrent trace workers for -runs > 1 (0 = GOMAXPROCS; results are identical)")
+		jsonOut  = fs.Bool("json", false, "emit the result as one JSON object")
+		out      = fs.String("out", "", "with -runs > 1: write one JSON trace record per run, in run order, to this JSONL file")
+		verbose  = fs.Bool("v", false, "also print the ground truth")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	build, ok := fakeroute.Shapes[*shape]
 	if *topoFile != "" {
 		f, err := os.Open(*topoFile)
+		if err == nil {
+			g, perr := traceio.ParseTopology(f)
+			f.Close()
+			build, err = fakeroute.TopologyShape(g), perr
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		loaded, err := traceio.ParseTopology(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		build = func(_ *fakeroute.AddrAllocator, dst packet.Addr) *topo.Graph {
-			// Append the destination if the file's last hop is not it.
-			last := loaded.Hop(loaded.NumHops() - 1)
-			if len(last) == 1 && loaded.V(last[0]).Addr == dst {
-				return loaded
-			}
-			end := loaded.AddVertex(loaded.NumHops(), dst)
-			for _, u := range loaded.Hop(loaded.NumHops() - 2) {
-				loaded.AddEdge(u, end)
-			}
-			return loaded
-		}
-	} else {
-		var ok bool
-		build, ok = shapes[*shape]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown shape %q; available: %v\n", *shape, shapeNames())
-			os.Exit(2)
-		}
+	} else if !ok {
+		fmt.Fprintf(stderr, "unknown shape %q; available: %v\n", *shape, fakeroute.ShapeNames())
+		return 2
 	}
 	var algorithm mmlpt.Algorithm
 	switch *algo {
@@ -111,159 +79,47 @@ func main() {
 	case "multilevel":
 		algorithm = mmlpt.AlgoMultilevel
 	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algo)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown algorithm %q\n", *algo)
+		return 2
+	}
+	opts := mmlpt.Options{
+		Algorithm: algorithm, Phi: *phi, Seed: *seed,
+		FailureBound: *bound, Rounds: *rounds, Workers: *workers,
 	}
 
 	src := mmlpt.MustParseAddr("192.0.2.1")
 	dst := mmlpt.MustParseAddr("198.51.100.77")
+	record := func(r *mmlpt.Result) *traceio.JSONTrace {
+		jt := traceio.NewJSONTrace(src, dst, *algo, r.IP)
+		if r.Multilevel != nil {
+			jt.AttachMultilevel(r.Multilevel)
+		}
+		return jt
+	}
 
 	if *runs > 1 {
 		// Repeated tracing under derived seeds: one fresh scenario per
-		// run, traced by a worker pool, each result streamed out the
-		// moment its prefix of runs has completed. With -checkpoint the
-		// batch is resumable: a killed batch re-run with -resume skips
-		// finished runs and appends the remaining records to -out,
-		// byte-identically to an uninterrupted batch.
+		// run, traced by a worker pool; results come back in run order.
 		if *jsonOut {
-			fmt.Fprintln(os.Stderr, "-json emits a single trace record; it cannot be combined with -runs > 1")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-json emits a single trace record; it cannot be combined with -runs > 1")
+			return 2
 		}
-		if *resume && *ckptPath == "" {
-			fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
-			os.Exit(2)
-		}
-		if *every <= 0 {
-			*every = 1
-		}
-		fail := func(err error) {
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-
-		// Fingerprint everything that shapes the batch, so a checkpoint
-		// from a different experiment is refused on resume.
-		h := fnv.New64a()
-		fmt.Fprintf(h, "shape=%s|topo=%s|algo=%s|seed=%d|phi=%d|bound=%g|rounds=%d|runs=%d",
-			*shape, *topoFile, *algo, *seed, *phi, *bound, *rounds, *runs)
-		hash := h.Sum64()
-
-		done := 0
-		var resumeOffset int64
-		if *resume {
-			ck, err := traceio.ReadCheckpoint(*ckptPath)
-			if err == nil {
-				if err := ck.Matches("mmlpt-runs", hash, *runs); err != nil {
-					fail(fmt.Errorf("checkpoint %s: %w", *ckptPath, err))
-				}
-				// The record log and the checkpoint travel together: a
-				// mismatched -out would either truncate the log to zero
-				// (offset unknown to the checkpoint) or silently drop the
-				// already-written head records.
-				if ck.Done > 0 && ck.Offset > 0 && *out == "" {
-					fail(fmt.Errorf("checkpoint %s references a record log; pass the original -out", *ckptPath))
-				}
-				if ck.Done > 0 && ck.Offset == 0 && *out != "" {
-					fail(fmt.Errorf("checkpoint %s was written without -out; resuming with -out would lose the first %d records", *ckptPath, ck.Done))
-				}
-				if ck.Done > 0 && *out != "" {
-					// Prove -out is the checkpoint's own record log before
-					// OpenJSONLAt truncates it.
-					fail(traceio.ValidateJSONLPrefix(*out, ck.Offset, ck.Done))
-				}
-				done, resumeOffset = ck.Done, ck.Offset
-			} else if !os.IsNotExist(err) {
-				fail(err)
-			}
-		}
-		if done >= *runs {
-			fmt.Printf("all %d runs already complete (checkpoint %s)\n", *runs, *ckptPath)
-			return
-		}
-
-		probers := make([]mmlpt.Prober, *runs-done)
-		var truth0 *mmlpt.Graph
+		probers := make([]mmlpt.Prober, *runs)
 		for i := range probers {
-			n, truth := mmlpt.BuildScenario(*seed+uint64(done+i), src, dst, build)
-			if done+i == 0 {
-				truth0 = truth
+			n, truth := mmlpt.BuildScenario(*seed+uint64(i), src, dst, build)
+			if i == 0 && *verbose {
+				fmt.Fprintf(stdout, "ground truth of run 0 (%s; later runs rebuild under seeds %d..%d):\n%s\n",
+					*shape, *seed+1, *seed+uint64(*runs-1), truth)
 			}
 			probers[i] = mmlpt.NewSimProber(n, src, dst)
 		}
-		if *verbose && truth0 != nil {
-			fmt.Printf("ground truth of run 0 (%s; later runs rebuild under seeds %d..%d):\n%s\n",
-				*shape, *seed+1, *seed+uint64(*runs-1), truth0)
-		}
-
-		var jw *traceio.JSONLWriter
-		if *out != "" {
-			var err error
-			if done > 0 {
-				jw, err = traceio.OpenJSONLAt(*out, resumeOffset)
-			} else {
-				jw, err = traceio.CreateJSONL(*out)
-			}
-			fail(err)
-		}
-		prog := obs.NewProgress()
-		prog.Begin(*runs, done)
-		count := done
-		writeCheckpoint := func() error {
-			var off int64
-			if jw != nil {
-				if err := jw.Sync(); err != nil {
-					return err
-				}
-				off = jw.Offset()
-			}
-			ck := &traceio.Checkpoint{
-				Kind: "mmlpt-runs", OptionsHash: hash, Seed: *seed,
-				Total: *runs, Done: count, Offset: off,
-			}
-			return ck.WriteAtomic(*ckptPath)
-		}
-		// A write or checkpoint failure aborts the whole batch on the
-		// spot (fail exits): the last checkpoint is durable, so the user
-		// fixes the disk and re-runs with -resume rather than waiting for
-		// the remaining traces to finish against a dead record log.
-		onTrace := func(i int, r *mmlpt.Result) {
-			fmt.Printf("run %d: probes=%d reached=%v switched=%v\n",
-				i, r.Probes(), r.IP.ReachedDst, r.IP.SwitchedToMDA)
-			prog.PairDone(r.Probes())
-			if jw != nil {
-				jt := traceio.NewJSONTrace(src, dst, *algo, r.IP)
-				if r.Multilevel != nil {
-					jt.AttachMultilevel(r.Multilevel)
-				}
-				fail(jw.Write(jt))
-				prog.RecordEmitted()
-			}
-			count++
-			if *ckptPath != "" && (count-done)%*every == 0 {
-				fail(writeCheckpoint())
-			}
-		}
-
-		results := mmlpt.TraceEach(probers, mmlpt.Options{
-			Algorithm: algorithm, Phi: *phi, Seed: *seed,
-			FailureBound: *bound, Rounds: *rounds, Workers: *workers,
-			FirstIndex: done, OnTrace: onTrace,
-		})
-		if *ckptPath != "" {
-			fail(writeCheckpoint())
-		}
-		if jw != nil {
-			fail(jw.Close())
-		}
-		if *progress {
-			fmt.Fprintln(os.Stderr, prog.Snapshot())
-		}
+		results := mmlpt.TraceEach(probers, opts)
 
 		var total uint64
 		reached, switched := 0, 0
-		for _, r := range results {
+		for i, r := range results {
+			fmt.Fprintf(stdout, "run %d: probes=%d reached=%v switched=%v\n",
+				i, r.Probes(), r.IP.ReachedDst, r.IP.SwitchedToMDA)
 			total += r.Probes()
 			if r.IP.ReachedDst {
 				reached++
@@ -272,56 +128,65 @@ func main() {
 				switched++
 			}
 		}
-		label := "runs"
-		if done > 0 {
-			label = fmt.Sprintf("resumed runs (%d skipped)", done)
+		if *out != "" {
+			if err := writeRecords(*out, results, record); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
 		}
-		fmt.Printf("mean probes %.1f over %d %s, reached %d/%d, switched %d/%d\n",
-			float64(total)/float64(len(results)), len(results), label,
+		fmt.Fprintf(stdout, "mean probes %.1f over %d runs, reached %d/%d, switched %d/%d\n",
+			float64(total)/float64(len(results)), len(results),
 			reached, len(results), switched, len(results))
-		return
+		return 0
 	}
 
 	net, truth := mmlpt.BuildScenario(*seed, src, dst, build)
 	if *verbose {
-		fmt.Printf("ground truth (%s):\n%s\n", *shape, truth)
+		fmt.Fprintf(stdout, "ground truth (%s):\n%s\n", *shape, truth)
 	}
-
-	p := mmlpt.NewSimProber(net, src, dst)
-	res := mmlpt.Trace(p, mmlpt.Options{
-		Algorithm: algorithm, Phi: *phi, Seed: *seed,
-		FailureBound: *bound, Rounds: *rounds,
-	})
+	res := mmlpt.Trace(mmlpt.NewSimProber(net, src, dst), opts)
 
 	if *jsonOut {
-		jt := traceio.NewJSONTrace(src, dst, *algo, res.IP)
-		if res.Multilevel != nil {
-			jt.AttachMultilevel(res.Multilevel)
+		if err := record(res).WriteJSONL(stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		if err := jt.WriteJSONL(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return 0
 	}
 
-	fmt.Printf("mmlpt %s -> %s  algo=%s probes=%d reached=%v switched=%v\n",
+	fmt.Fprintf(stdout, "mmlpt %s -> %s  algo=%s probes=%d reached=%v switched=%v\n",
 		src, dst, *algo, res.Probes(), res.IP.ReachedDst, res.IP.SwitchedToMDA)
-	fmt.Print(res.IP.Graph)
+	fmt.Fprint(stdout, res.IP.Graph)
 
 	for i, d := range res.IP.Graph.Diamonds() {
 		m := d.ComputeMetrics()
-		fmt.Printf("diamond %d: %s..%s len=%d width=%d asym=%d meshed=%v meshed-ratio=%.2f\n",
+		fmt.Fprintf(stdout, "diamond %d: %s..%s len=%d width=%d asym=%d meshed=%v meshed-ratio=%.2f\n",
 			i, d.DivAddr, d.ConvAddr, m.MaxLength, m.MaxWidth,
 			m.MaxWidthAsymmetry, m.Meshed, m.RatioMeshedHops)
 	}
 
 	if res.Multilevel != nil {
-		fmt.Printf("\nalias resolution: %d trace + %d alias probes\n",
+		fmt.Fprintf(stdout, "\nalias resolution: %d trace + %d alias probes\n",
 			res.Multilevel.TraceProbes, res.Multilevel.AliasProbes)
 		for _, s := range alias.RouterSets(res.Multilevel.Sets) {
-			fmt.Printf("router: %v\n", s.Addrs)
+			fmt.Fprintf(stdout, "router: %v\n", s.Addrs)
 		}
-		fmt.Printf("router-level topology:\n%s", res.Multilevel.RouterGraph)
+		fmt.Fprintf(stdout, "router-level topology:\n%s", res.Multilevel.RouterGraph)
 	}
+	return 0
+}
+
+// writeRecords writes one JSON trace record per result, in order.
+func writeRecords(path string, results []*mmlpt.Result, record func(*mmlpt.Result) *traceio.JSONTrace) error {
+	jw, err := traceio.CreateJSONL(path)
+	if err != nil {
+		return err
+	}
+	for _, r := range results {
+		if err := jw.Write(record(r)); err != nil {
+			jw.Close()
+			return err
+		}
+	}
+	return jw.Close()
 }

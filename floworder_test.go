@@ -94,8 +94,8 @@ func orderScenarios() []orderScenario {
 			n.LossProb = 0.15
 		}},
 	}
-	for _, name := range []string{"simplest", "fig1", "fig1meshed", "maxlen2", "symmetric", "asymmetric", "meshed48"} {
-		sc = append(sc, orderScenario{name: name, build: goldenShapes[name]})
+	for _, name := range fakeroute.ShapeNames() {
+		sc = append(sc, orderScenario{name: name, build: fakeroute.Shapes[name]})
 	}
 	return sc
 }

@@ -8,29 +8,21 @@ import (
 
 // Union accumulates alias evidence across traces (Sec 5.2's aggregated
 // router view): Accepted sets from different traces union transitively,
-// so router identities grow as evidence accumulates, while Rejected
-// verdicts are retained as negative evidence. Merging is monotone — a
-// union-find cannot split — so a rejection never undoes a merge; when
-// MBT verdicts disagree across traces (a pair accepted by one trace's
-// evidence and rejected by another's), the pair surfaces from
-// Conflicts() instead of silently losing to whichever trace came last.
+// so router identities grow as evidence accumulates. Merging is monotone
+// — a union-find cannot split.
 //
 // The canonical representative of a component is its smallest address.
 // Because a component's membership depends only on the *set* of unions
-// applied, representatives and Groups() are stable under any insertion
-// order — the property that lets a sharded atlas merge be deterministic
-// for every worker count.
+// applied, representatives and the sorted groups are stable under any
+// insertion order — the property that lets a sharded atlas merge be
+// deterministic for every worker count.
 type Union struct {
-	parent   map[packet.Addr]packet.Addr
-	rejected map[[2]packet.Addr]bool
+	parent map[packet.Addr]packet.Addr
 }
 
 // NewUnion returns an empty evidence accumulator.
 func NewUnion() *Union {
-	return &Union{
-		parent:   make(map[packet.Addr]packet.Addr),
-		rejected: make(map[[2]packet.Addr]bool),
-	}
+	return &Union{parent: make(map[packet.Addr]packet.Addr)}
 }
 
 // Find returns the canonical representative of a's component: the
@@ -61,7 +53,7 @@ func (u *Union) Add(a, b packet.Addr) {
 }
 
 // find is Find plus registration: the address joins the forest even as
-// a singleton, so Groups can enumerate every address ever seen.
+// a singleton, so UnsortedGroups can enumerate every address ever seen.
 func (u *Union) find(a packet.Addr) packet.Addr {
 	if _, ok := u.parent[a]; !ok {
 		u.parent[a] = a
@@ -80,32 +72,11 @@ func (u *Union) AddSet(addrs []packet.Addr) {
 	}
 }
 
-// Reject records negative evidence: some trace's combined verdict ruled
-// a and b to be different routers. The components are not split (and
-// future positive evidence may still merge them); the disagreement is
-// reported by Conflicts.
-func (u *Union) Reject(a, b packet.Addr) {
-	if a > b {
-		a, b = b, a
-	}
-	u.rejected[[2]packet.Addr{a, b}] = true
-}
-
-// Same reports whether a and b currently share a component.
-func (u *Union) Same(a, b packet.Addr) bool { return u.Find(a) == u.Find(b) }
-
-// Groups returns the components holding two or more addresses — the
-// aggregated routers — each sorted ascending, the list sorted by
-// canonical representative (each group's first address).
-func (u *Union) Groups() [][]packet.Addr {
-	return SortGroups(u.UnsortedGroups())
-}
-
-// UnsortedGroups returns the same components as Groups with no ordering
-// guarantee, inside or across groups. It exists for callers that hold a
-// lock around the union: collecting the components is O(n), while the
-// sorting — the expensive part at scale — can then happen outside the
-// critical section via SortGroups.
+// UnsortedGroups returns the components holding two or more addresses —
+// the aggregated routers — with no ordering guarantee, inside or across
+// groups. Collecting them is O(n), so a caller that holds a lock around
+// the union can do the sorting — the expensive part at scale — outside
+// the critical section via SortGroups.
 func (u *Union) UnsortedGroups() [][]packet.Addr {
 	byRoot := make(map[packet.Addr][]packet.Addr)
 	for a := range u.parent {
@@ -123,41 +94,11 @@ func (u *Union) UnsortedGroups() [][]packet.Addr {
 
 // SortGroups sorts components into canonical order in place — each
 // group ascending, the list by each group's first (minimum) address —
-// and returns its argument. SortGroups(u.UnsortedGroups()) equals
-// u.Groups().
+// and returns its argument.
 func SortGroups(groups [][]packet.Addr) [][]packet.Addr {
 	for _, g := range groups {
 		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
 	return groups
-}
-
-// Conflict is a pair with contradictory cross-trace evidence: rejected
-// by at least one trace, yet merged into one component by others.
-type Conflict struct {
-	A, B packet.Addr
-	// Root is the component's canonical representative.
-	Root packet.Addr
-}
-
-// Conflicts returns every rejected pair whose two addresses nonetheless
-// ended up in the same component, sorted by (A, B). The result is
-// computed from the final state, so it is independent of the order in
-// which evidence arrived.
-func (u *Union) Conflicts() []Conflict {
-	var out []Conflict
-	for p := range u.rejected {
-		ra, rb := u.Find(p[0]), u.Find(p[1])
-		if ra == rb {
-			out = append(out, Conflict{A: p[0], B: p[1], Root: ra})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
 }

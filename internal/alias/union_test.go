@@ -15,6 +15,9 @@ func addrs(ns ...uint32) []packet.Addr {
 	return out
 }
 
+// groups is the union's components in canonical order.
+func groups(u *Union) [][]packet.Addr { return SortGroups(u.UnsortedGroups()) }
+
 // Transitivity: sets from different traces that share one address merge
 // into a single router.
 func TestUnionTransitivity(t *testing.T) {
@@ -23,13 +26,13 @@ func TestUnionTransitivity(t *testing.T) {
 	u.AddSet(addrs(10, 11))
 	u.AddSet(addrs(11, 12))
 	u.AddSet(addrs(12, 13))
-	if !u.Same(10, 13) {
+	if u.Find(10) != u.Find(13) {
 		t.Fatal("10 and 13 must be transitively merged")
 	}
-	groups := u.Groups()
+	got := groups(u)
 	want := [][]packet.Addr{addrs(10, 11, 12, 13)}
-	if !reflect.DeepEqual(groups, want) {
-		t.Fatalf("Groups = %v, want %v", groups, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups = %v, want %v", got, want)
 	}
 }
 
@@ -52,8 +55,8 @@ func TestUnionStableRepresentatives(t *testing.T) {
 				t.Fatalf("order %d: Find(%v) = %v, want 5 (the minimum)", i, a, got)
 			}
 		}
-		if got := u.Groups(); !reflect.DeepEqual(got, [][]packet.Addr{addrs(5, 30, 31, 40)}) {
-			t.Fatalf("order %d: Groups = %v", i, got)
+		if got := groups(u); !reflect.DeepEqual(got, [][]packet.Addr{addrs(5, 30, 31, 40)}) {
+			t.Fatalf("order %d: groups = %v", i, got)
 		}
 	}
 }
@@ -65,76 +68,29 @@ func TestUnionGroupsSortedAndMultiOnly(t *testing.T) {
 	u := NewUnion()
 	u.AddSet(addrs(200, 201))
 	u.AddSet(addrs(100, 101, 102))
-	u.Reject(300, 301) // negative-only evidence: no component
-	got := u.Groups()
+	u.AddSet(addrs(300)) // a singleton set is no evidence: no component
+	got := groups(u)
 	want := [][]packet.Addr{addrs(100, 101, 102), addrs(200, 201)}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Groups = %v, want %v", got, want)
+		t.Fatalf("groups = %v, want %v", got, want)
 	}
-	if u.Same(100, 200) {
+	if u.Find(100) == u.Find(200) {
 		t.Fatal("disjoint components merged")
 	}
 }
 
-// Conflict handling: a pair rejected by one trace but merged (directly
-// or transitively) by others is reported, not silently resolved; a
-// rejection alone neither merges nor splits.
-func TestUnionConflicts(t *testing.T) {
-	t.Parallel()
-	u := NewUnion()
-	u.Reject(20, 22)        // trace A: MBT rejects the pair
-	u.AddSet(addrs(20, 21)) // trace B
-	if len(u.Conflicts()) != 0 {
-		t.Fatal("no conflict yet: 20 and 22 are in different components")
-	}
-	u.AddSet(addrs(21, 22)) // trace C closes the triangle
-	got := u.Conflicts()
-	want := []Conflict{{A: 20, B: 22, Root: 20}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Conflicts = %v, want %v", got, want)
-	}
-	if !u.Same(20, 22) {
-		t.Fatal("positive evidence is monotone: the merge must stand")
-	}
-}
-
-// Conflicts are a function of the final state: evidence order (rejection
-// before or after the merges) does not change the report.
-func TestUnionConflictsOrderIndependent(t *testing.T) {
-	t.Parallel()
-	build := func(rejectFirst bool) []Conflict {
-		u := NewUnion()
-		if rejectFirst {
-			u.Reject(51, 53)
-		}
-		u.AddSet(addrs(50, 51))
-		u.AddSet(addrs(50, 52, 53))
-		if !rejectFirst {
-			u.Reject(51, 53)
-		}
-		return u.Conflicts()
-	}
-	before, after := build(true), build(false)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("conflicts differ by evidence order: %v vs %v", before, after)
-	}
-	if len(before) != 1 || before[0].Root != 50 {
-		t.Fatalf("Conflicts = %v, want one conflict rooted at 50", before)
-	}
-}
-
-// UnsortedGroups + SortGroups is exactly Groups — the split exists so
-// callers can sort outside a lock.
+// UnsortedGroups + SortGroups yields the canonical order however the
+// components were built — the split exists so callers can sort outside a
+// lock.
 func TestUnsortedGroupsSortedMatchesGroups(t *testing.T) {
 	u := NewUnion()
 	u.AddSet([]packet.Addr{9, 4, 7})
 	u.AddSet([]packet.Addr{2, 11})
 	u.AddSet([]packet.Addr{4, 2}) // bridges the two components
 	u.AddSet([]packet.Addr{30, 31})
-	u.Add(20, 21)
-	want := u.Groups()
-	got := SortGroups(u.UnsortedGroups())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortGroups(UnsortedGroups()) = %v; Groups() = %v", got, want)
+	u.Add(21, 20)
+	want := [][]packet.Addr{addrs(2, 4, 7, 9, 11), addrs(20, 21), addrs(30, 31)}
+	if got := SortGroups(u.UnsortedGroups()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SortGroups(UnsortedGroups()) = %v, want %v", got, want)
 	}
 }

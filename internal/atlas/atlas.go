@@ -272,17 +272,6 @@ func (a *Atlas) AddRecord(rec *traceio.SurveyRecord) error {
 	return nil
 }
 
-// RouterSizes returns the sizes of the aggregated routers (alias
-// components with two or more interfaces), in canonical group order.
-func (a *Atlas) RouterSizes() []int {
-	groups := a.Routers()
-	out := make([]int, len(groups))
-	for i, g := range groups {
-		out[i] = len(g)
-	}
-	return out
-}
-
 // Routers returns the aggregated router components themselves. Only the
 // O(addresses) component collection happens under the atlas lock; the
 // canonical sort runs outside it, so a large-survey Routers call cannot

@@ -220,17 +220,13 @@ func TestRouterIdentitiesGrow(t *testing.T) {
 	t.Parallel()
 	a := New(Options{})
 	a.AddAliasSet([]packet.Addr{10, 11})
-	if got := a.RouterSizes(); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("RouterSizes = %v", got)
+	if got := a.Routers(); !reflect.DeepEqual(got, [][]packet.Addr{{10, 11}}) {
+		t.Fatalf("Routers = %v", got)
 	}
 	a.AddAliasSet([]packet.Addr{11, 12})
 	a.AddAliasSet([]packet.Addr{20, 21})
-	if got := a.RouterSizes(); !reflect.DeepEqual(got, []int{3, 2}) {
-		t.Fatalf("RouterSizes = %v, want [3 2]", got)
-	}
-	routers := a.Routers()
-	if !reflect.DeepEqual(routers[0], []packet.Addr{10, 11, 12}) {
-		t.Fatalf("Routers[0] = %v", routers[0])
+	if got := a.Routers(); !reflect.DeepEqual(got, [][]packet.Addr{{10, 11, 12}, {20, 21}}) {
+		t.Fatalf("Routers = %v, want [[10 11 12] [20 21]]", got)
 	}
 }
 

@@ -28,18 +28,25 @@ func scaleAtlas(tb testing.TB, addrs int) *Atlas {
 	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
 	dstAlloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(203, 0, 113, 1))
 	spec := fakeroute.GenSpec{Diamonds: 3, WidthMin: 2, WidthMax: 4, LenMin: 2, LenMax: 4}
-	for pair := 0; alloc.Allocated() < addrs; pair++ {
+	for pair, allocated := 0, 0; allocated < addrs; pair++ {
 		dst := dstAlloc.Next()
 		gp := fakeroute.GenerateMultipath(rng.Fork(uint64(pair)), alloc, dst, spec)
 		g := gp.Graph
 		a.AddGraph(pair, g)
-		if pair%7 == 0 { // sprinkle alias sets without dominating the build
-			var set []packet.Addr
-			for vi := range g.Vertices {
-				if v := &g.Vertices[vi]; v.Addr != topo.StarAddr && v.Hop == 2 {
-					set = append(set, v.Addr)
-				}
+		var set []packet.Addr
+		for vi := range g.Vertices {
+			v := &g.Vertices[vi]
+			if v.Addr == topo.StarAddr {
+				continue
 			}
+			if v.Addr != dst {
+				allocated++ // every other responsive vertex took one address from alloc
+			}
+			if v.Hop == 2 {
+				set = append(set, v.Addr)
+			}
+		}
+		if pair%7 == 0 { // sprinkle alias sets without dominating the build
 			a.AddAliasSet(set)
 		}
 	}

@@ -165,29 +165,6 @@ func (s *Service) Provenance(addr packet.Addr) ([]atlas.Obs, error) {
 	return out, nil
 }
 
-// Successors returns the merged next-hop addresses of addr across all
-// traces, decoding only the owning shard.
-func (s *Service) Successors(addr packet.Addr) ([]packet.Addr, error) {
-	g, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer g.release()
-	n, _, err := g.lookup(addr)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]packet.Addr, 0, len(n.Succ))
-	for _, a := range n.Succ {
-		p, err := packet.ParseAddr(a)
-		if err != nil {
-			return nil, fmt.Errorf("serve: corrupt successor %q: %w", a, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // Router returns the router (alias component) owning addr: the full
 // member list when the address aliased with others, or the singleton
 // [addr] when it was observed but never aliased. A cold lookup decodes

@@ -153,14 +153,6 @@ func TestServeQueries(t *testing.T) {
 		t.Fatalf("Router(10.0.0.1) = %v", r)
 	}
 
-	succ, err := svc.Successors(addr(t, "10.0.0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(succ, []packet.Addr{addr(t, "10.0.0.2"), addr(t, "10.0.0.3")}) {
-		t.Fatalf("Successors = %v", succ)
-	}
-
 	ds, err := svc.DiamondCensus()
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@
 // contiguous runs of traceio.DefaultAtlasShardNodes nodes — and has a
 // worker pool merge, sort, dedup and JSON-render each partition into a
 // private block buffer. The coordinator hands finished blocks to the
-// traceio stream encoder in partition order (par.Ordered), so the
+// traceio stream encoder in partition order (par.OrderedErr), so the
 // file's bytes are a pure function of atlas content: every worker
 // count, ingestion-shard count and ingestion order produces identical
 // output, and peak memory is a few blocks in flight, never the whole
@@ -40,25 +40,16 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 		raw   []byte
 		hdr   traceio.AtlasShardHeader
 		edges int
-		err   error
 	}
-	var firstErr error
-	par.Ordered(m.parts(), a.mergeWorkers, func(p int) block {
+	err = par.OrderedErr(m.parts(), a.mergeWorkers, func(p int) (block, error) {
 		blk := a.buildBlock(m, addrs, p)
 		raw, edges, err := traceio.AppendAtlasShardBlock(nil, blk)
-		return block{raw: raw, hdr: blk.Header, edges: edges, err: err}
-	}, func(p int, b block) {
-		if firstErr != nil {
-			return
-		}
-		if b.err != nil {
-			firstErr = b.err
-			return
-		}
-		firstErr = enc.WriteEncodedBlock(b.raw, b.hdr, b.edges)
+		return block{raw: raw, hdr: blk.Header, edges: edges}, err
+	}, func(p int, b block) error {
+		return enc.WriteEncodedBlock(b.raw, b.hdr, b.edges)
 	})
-	if firstErr != nil {
-		return cw.n, firstErr
+	if err != nil {
+		return cw.n, err
 	}
 	if err := enc.Finish(); err != nil {
 		return cw.n, err

@@ -82,23 +82,6 @@ func Trace(p probe.Prober, opt Options) *Result {
 		opt.Trace.Obs = o
 	}
 	ip := mdalite.Trace(p, opt.Trace, opt.Phi)
-	return resolve(p, ip, o, opt)
-}
-
-// TraceMDA runs the multilevel pipeline over a full-MDA trace instead of
-// the MDA-Lite (used for comparison experiments).
-func TraceMDA(p probe.Prober, opt Options) *Result {
-	opt.fill()
-	o := opt.Trace.Obs
-	if o == nil {
-		o = obs.New()
-		opt.Trace.Obs = o
-	}
-	ip := mda.Trace(p, opt.Trace)
-	return resolve(p, ip, o, opt)
-}
-
-func resolve(p probe.Prober, ip *mda.Result, o *obs.Observations, opt Options) *Result {
 	res := &Result{IP: ip, Obs: o, TraceProbes: ip.Probes}
 	groups := CandidateGroups(ip.Graph, p.Dst())
 	r := alias.NewResolver(p, o)
@@ -281,10 +264,6 @@ func ClassifyDiamond(d *topo.Diamond, router *topo.Graph) DiamondEffect {
 		return EffectMultipleSmaller
 	}
 }
-
-// RouterSize is the number of interfaces identified as belonging to one
-// router in this trace (Sec 5.2's "size").
-func RouterSize(s alias.Set) int { return len(s.Addrs) }
 
 // AggregateRouters merges interface sets from multiple traces through
 // transitive closure: two sets sharing at least one address merge

@@ -28,10 +28,10 @@ func TestAtlasRouterSizeCDFMatchesRouterView(t *testing.T) {
 		t.Fatal("survey produced no router records; the comparison would be vacuous")
 	}
 	_, wantAgg := survey.RouterSizeCDFs(recs)
-	sizes := sink.Atlas.RouterSizes()
-	samples := make([]float64, len(sizes))
-	for i, s := range sizes {
-		samples[i] = float64(s)
+	routers := sink.Atlas.Routers()
+	samples := make([]float64, len(routers))
+	for i, r := range routers {
+		samples[i] = float64(len(r))
 	}
 	got := stats.NewCDF(samples)
 	if got.N() == 0 {

@@ -231,15 +231,3 @@ func FormatFig4(r *Fig4Result) string {
 	}
 	return b.String()
 }
-
-// Fig4CDF exposes a named ratio CDF for the bench harness.
-func (r *Fig4Result) Fig4CDF(metric string, v Fig4Variant) *stats.CDF {
-	switch metric {
-	case "vertex":
-		return stats.NewCDF(r.VertexRatios[v])
-	case "edge":
-		return stats.NewCDF(r.EdgeRatios[v])
-	default:
-		return stats.NewCDF(r.PacketRatios[v])
-	}
-}

@@ -39,8 +39,8 @@ func TestFormatFig4(t *testing.T) {
 			t.Fatalf("missing %q", want)
 		}
 	}
-	if c := r.Fig4CDF("vertex", VariantMDA2); c.N() != r.Pairs {
-		t.Fatalf("CDF n=%d, pairs=%d", c.N(), r.Pairs)
+	if n := len(r.VertexRatios[VariantMDA2]); n != r.Pairs {
+		t.Fatalf("vertex ratios n=%d, pairs=%d", n, r.Pairs)
 	}
 }
 

@@ -31,7 +31,7 @@ func probeSequence(s *Session, dst packet.Addr) []byte {
 	for flow := uint16(0); flow < 12; flow++ {
 		for ttl := byte(1); ttl <= 4; ttl++ {
 			pr := packet.Probe{Src: tSrc, Dst: dst, FlowID: flow, TTL: ttl, Checksum: flow + uint16(ttl)<<8}
-			buf.Write(s.HandleProbe(pr.Serialize()))
+			buf.Write(s.HandleProbe(pr.AppendTo(nil)))
 		}
 	}
 	return buf.Bytes()
@@ -86,13 +86,13 @@ func TestSessionSharedByEchoAndTrace(t *testing.T) {
 	ids := make([]uint16, 0, 6)
 	for i := 0; i < 3; i++ {
 		pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: 0, TTL: 1, Checksum: uint16(i + 1)}
-		r, err := packet.ParseReply(s.HandleProbe(pr.Serialize()))
+		r, err := parseReply(s.HandleProbe(pr.AppendTo(nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, r.IPID)
 		ep := packet.EchoProbe{Src: tSrc, Dst: addr, ID: 7, Seq: uint16(i), IPID: uint16(i)}
-		re, err := packet.ParseReply(s.HandleProbe(ep.Serialize()))
+		re, err := parseReply(s.HandleProbe(ep.AppendTo(nil)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,12 +91,6 @@ func GraphFailureProb(g *topo.Graph, nk []int) float64 {
 	return 1 - success
 }
 
-// HopFailureProb returns the probability that hop-by-hop probing (the
-// MDA-Lite on a uniform hop) fails to discover all K vertices of a hop
-// that a random-flow probe reaches uniformly. The process is identical to
-// per-vertex successor discovery, so the same DP applies.
-func HopFailureProb(K int, nk []int) float64 { return VertexFailureProb(K, nk) }
-
 // MeshingMissProb evaluates Eq. (1): the probability that the MDA-Lite's
 // meshing test, generating phi flow identifiers per vertex of the
 // from-hop, fails to detect meshing. degrees lists |σ(v)| (the successor

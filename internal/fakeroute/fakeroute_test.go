@@ -14,13 +14,19 @@ var (
 	tDst = packet.MustParseAddr("198.51.100.77")
 )
 
+// parseReply decodes a reply into a fresh Reply.
+func parseReply(raw []byte) (*packet.Reply, error) {
+	r := new(packet.Reply)
+	return r, packet.ParseReplyInto(r, raw)
+}
+
 func sendProbe(n *Network, flow uint16, ttl byte) *packet.Reply {
 	pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: flow, TTL: ttl, Checksum: 7}
-	raw := n.HandleProbe((&pr).Serialize())
+	raw := n.HandleProbe(pr.AppendTo(nil))
 	if raw == nil {
 		return nil
 	}
-	r, err := packet.ParseReply(raw)
+	r, err := parseReply(raw)
 	if err != nil {
 		return nil
 	}
@@ -32,7 +38,7 @@ func TestTTLSemantics(t *testing.T) {
 	g := path.Graph
 	// TTL 1 must expire at hop 0 (the divergence point).
 	r := sendProbe(net, 0, 1)
-	if r == nil || !r.IsTimeExceeded() {
+	if r == nil || r.Type != packet.ICMPTypeTimeExceeded {
 		t.Fatal("no time exceeded at TTL 1")
 	}
 	if r.From != g.V(g.Hop(0)[0]).Addr {
@@ -132,7 +138,7 @@ func TestWeightedEdges(t *testing.T) {
 func TestStarHopNeverReplies(t *testing.T) {
 	net := NewNetwork(6)
 	alloc := NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
-	g := NewPathBuilder(alloc).Chain(1).Star().Chain(1).End(tDst)
+	g := NewPathBuilder(alloc).Converge(1).Star().Converge(1).End(tDst)
 	net.EnsureIfaces(g, tDst)
 	net.AddPath(tSrc, tDst, g)
 	// The star is at hop 2 (hop0 start, hop1 chain, hop2 star).
@@ -186,16 +192,16 @@ func TestEchoHandling(t *testing.T) {
 	net, path := BuildScenario(9, tSrc, tDst, SimplestDiamond)
 	addr := path.Graph.V(path.Graph.Hop(0)[0]).Addr
 	e := packet.EchoProbe{Src: tSrc, Dst: addr, ID: 1, Seq: 2, IPID: 42}
-	raw := net.HandleProbe(e.Serialize())
+	raw := net.HandleProbe(e.AppendTo(nil))
 	if raw == nil {
 		t.Fatal("no echo reply")
 	}
-	r, err := packet.ParseReply(raw)
+	r, err := parseReply(raw)
 	if err != nil || !r.IsEchoReply() || r.From != addr || r.EchoSeq != 2 {
 		t.Fatalf("echo reply %+v err %v", r, err)
 	}
 	net.RouterOf(addr).RespondsToEcho = false
-	if net.HandleProbe(e.Serialize()) != nil {
+	if net.HandleProbe(e.AppendTo(nil)) != nil {
 		t.Fatal("unresponsive router replied to echo")
 	}
 }
@@ -205,7 +211,7 @@ func TestEchoCopyMode(t *testing.T) {
 	addr := path.Graph.V(path.Graph.Hop(0)[0]).Addr
 	net.RouterOf(addr).IPID = IPIDEchoCopy
 	e := packet.EchoProbe{Src: tSrc, Dst: addr, ID: 1, Seq: 2, IPID: 4242}
-	r, _ := packet.ParseReply(net.HandleProbe(e.Serialize()))
+	r, _ := parseReply(net.HandleProbe(e.AppendTo(nil)))
 	if r.IPID != 4242 {
 		t.Fatalf("echo-copy returned %d, want the probe's 4242", r.IPID)
 	}
@@ -267,7 +273,7 @@ func TestReplyTTLFingerprint(t *testing.T) {
 func TestQuotedProbeSurvives(t *testing.T) {
 	net, _ := BuildScenario(15, tSrc, tDst, SimplestDiamond)
 	pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: 31, TTL: 1, Checksum: 999}
-	r, err := packet.ParseReply(net.HandleProbe((&pr).Serialize()))
+	r, err := parseReply(net.HandleProbe(pr.AppendTo(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +424,7 @@ func TestHandleProbeGarbage(t *testing.T) {
 	}
 	// A probe to an unknown destination is dropped.
 	pr := packet.Probe{Src: tSrc, Dst: packet.MustParseAddr("203.0.113.99"), FlowID: 0, TTL: 3, Checksum: 1}
-	if net.HandleProbe((&pr).Serialize()) != nil {
+	if net.HandleProbe(pr.AppendTo(nil)) != nil {
 		t.Fatal("unknown destination produced a reply")
 	}
 }

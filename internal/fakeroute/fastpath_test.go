@@ -18,7 +18,7 @@ func replyStream(n *Network, dst packet.Addr, echoAddr packet.Addr) []byte {
 	for flow := uint16(0); flow < 24; flow++ {
 		for ttl := byte(1); ttl <= 8; ttl++ {
 			pr := packet.Probe{Src: tSrc, Dst: dst, FlowID: flow, TTL: ttl, Checksum: flow*8 + uint16(ttl)}
-			raw := s.HandleProbe(pr.Serialize())
+			raw := s.HandleProbe(pr.AppendTo(nil))
 			if raw == nil {
 				buf.WriteString("|drop|")
 			} else {
@@ -27,7 +27,7 @@ func replyStream(n *Network, dst packet.Addr, echoAddr packet.Addr) []byte {
 		}
 		if echoAddr != 0 {
 			ep := packet.EchoProbe{Src: tSrc, Dst: echoAddr, ID: 0x4d4c, Seq: flow, IPID: flow}
-			if raw := s.HandleProbe(ep.Serialize()); raw != nil {
+			if raw := s.HandleProbe(ep.AppendTo(nil)); raw != nil {
 				buf.Write(raw)
 			}
 		}
@@ -171,13 +171,13 @@ func TestSessionReplyBufferReused(t *testing.T) {
 	net, _ := BuildScenario(3, tSrc, tDst, SimplestDiamond)
 	s := net.SessionFor(tSrc, tDst)
 	pr1 := packet.Probe{Src: tSrc, Dst: tDst, FlowID: 1, TTL: 1, Checksum: 11}
-	first := s.HandleProbe(pr1.Serialize())
+	first := s.HandleProbe(pr1.AppendTo(nil))
 	if first == nil {
 		t.Fatal("no reply")
 	}
 	saved := append([]byte(nil), first...)
 	pr2 := packet.Probe{Src: tSrc, Dst: tDst, FlowID: 2, TTL: 1, Checksum: 22}
-	second := s.HandleProbe(pr2.Serialize())
+	second := s.HandleProbe(pr2.AppendTo(nil))
 	if second == nil {
 		t.Fatal("no second reply")
 	}
@@ -187,7 +187,7 @@ func TestSessionReplyBufferReused(t *testing.T) {
 		t.Fatal("reply buffer was reallocated between same-size replies")
 	}
 	// A copy taken before the next call still parses as the first reply.
-	r, err := packet.ParseReply(saved)
+	r, err := parseReply(saved)
 	if err != nil || r.ProbeIdentity != 11 {
 		t.Fatalf("copied first reply parse: %+v err %v, want identity 11", r, err)
 	}
@@ -231,7 +231,7 @@ func TestLazyWalkMatchesFreshWalk(t *testing.T) {
 			x = x*1664525 + 1013904223
 			flow, ttl := uint16(x>>8)%48, byte(x>>24)%9 // TTL 0..8: below, inside and past the path
 			pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: flow, TTL: ttl, Checksum: uint16(i + 1)}
-			if raw := s.HandleProbe(pr.Serialize()); raw == nil {
+			if raw := s.HandleProbe(pr.AppendTo(nil)); raw == nil {
 				buf.WriteString("|drop|")
 			} else {
 				buf.Write(raw)

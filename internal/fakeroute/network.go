@@ -93,10 +93,6 @@ type Network struct {
 	// must be byte-identical either way (see TestWalkMemoByteIdentical).
 	disableWalkMemo bool
 
-	// clockBase is advanced by AdvanceClock (atomic); every session adds
-	// it to its own tick counter.
-	clockBase uint64
-
 	sessMu   sync.RWMutex
 	sessions map[PathKey]*Session
 
@@ -116,20 +112,6 @@ func NewNetwork(seed uint64) *Network {
 		sessions: make(map[PathKey]*Session),
 	}
 }
-
-// Clock returns the simulated tick count: one tick per handled probe plus
-// any AdvanceClock ticks.
-func (n *Network) Clock() uint64 {
-	return atomic.LoadUint64(&n.clockBase) + atomic.LoadUint64(&n.ProbesSeen)
-}
-
-// AdvanceClock pushes simulated time forward without traffic: router
-// token buckets refill and background IP ID velocity accrues, in every
-// trace session. It is the network-wide knob (route-change scheduling,
-// single-trace pacing scenarios); advancing it while other traces probe
-// concurrently makes their replies depend on the interleaving, so
-// parallel pacing should use Session.AdvanceClock instead.
-func (n *Network) AdvanceClock(ticks uint64) { atomic.AddUint64(&n.clockBase, ticks) }
 
 // NewRouter allocates a router with sane defaults: shared IP ID counter,
 // modest background velocity, Cisco-like fingerprint, echo-responsive.
@@ -163,7 +145,6 @@ func (n *Network) AddIface(r *Router, addr packet.Addr) *Iface {
 	}
 	ifc := &Iface{Addr: addr, Router: r, ctr: uint16(n.rng.Uint64())}
 	n.ifaces[addr] = ifc
-	r.interfaces = append(r.interfaces, addr)
 	return ifc
 }
 
@@ -220,15 +201,6 @@ func (n *Network) EnsureIfaces(g *topo.Graph, dst packet.Addr) {
 
 // Path returns the registered path for (src, dst), or nil.
 func (n *Network) Path(src, dst packet.Addr) *Path { return n.paths[PathKey{src, dst}] }
-
-// Paths returns all registered paths.
-func (n *Network) Paths() []*Path {
-	out := make([]*Path, 0, len(n.paths))
-	for _, p := range n.paths {
-		out = append(out, p)
-	}
-	return out
-}
 
 // Session holds the per-trace mutable state of the network: a
 // deterministic random stream, a tick counter, and this trace's view of
@@ -337,17 +309,6 @@ func (n *Network) HandleProbe(raw []byte) []byte {
 	return n.SessionFor(src, dst).HandleProbe(raw)
 }
 
-// AdvanceClock pushes this trace's virtual time forward without traffic:
-// the per-trace counterpart of Network.AdvanceClock. Token buckets and
-// IP ID velocity observed by this session accrue the ticks; other
-// sessions are untouched, so pacing one trace stays deterministic while
-// other traces probe in parallel.
-func (s *Session) AdvanceClock(ticks uint64) {
-	s.mu.Lock()
-	s.clock += ticks
-	s.mu.Unlock()
-}
-
 // vertexKey is the stable per-load-balancer hash key. Star vertices have
 // no address, so their hop and path key disambiguate them.
 func vertexKey(p *Path, g *topo.Graph, v topo.VertexID) uint64 {
@@ -372,7 +333,7 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	defer s.mu.Unlock()
 	n := s.net
 	s.clock++
-	now := atomic.LoadUint64(&n.clockBase) + s.clock
+	now := s.clock
 	atomic.AddUint64(&n.ProbesSeen, 1)
 
 	// Echo (direct) probes are dispatched to the target interface.

@@ -12,8 +12,8 @@ import (
 func TestRouteChangeInjection(t *testing.T) {
 	net := NewNetwork(31)
 	alloc := NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
-	before := NewPathBuilder(alloc).Chain(1).End(tDst)
-	after := NewPathBuilder(alloc).Chain(1).End(tDst)
+	before := NewPathBuilder(alloc).Converge(1).End(tDst)
+	after := NewPathBuilder(alloc).Converge(1).End(tDst)
 	net.EnsureIfaces(before, tDst)
 	net.EnsureIfaces(after, tDst)
 	p := net.AddPath(tSrc, tDst, before)
@@ -27,7 +27,9 @@ func TestRouteChangeInjection(t *testing.T) {
 	if r == nil || r.From != oldHop1 {
 		t.Fatalf("pre-switch reply from %v, want %s", r, oldHop1)
 	}
-	net.AdvanceClock(10)
+	for i := 0; i < 10; i++ { // every handled probe is one tick
+		sendProbe(net, 0, 1)
+	}
 	r = sendProbe(net, 0, 2)
 	if r == nil || r.From != newHop1 {
 		t.Fatalf("post-switch reply from %v, want %s", r, newHop1)

@@ -80,12 +80,8 @@ type Router struct {
 
 	// sharedCtr is the router-wide counter's initial phase, fixed at
 	// construction; each trace Session advances its own view of it.
-	sharedCtr  uint16
-	interfaces []packet.Addr
+	sharedCtr uint16
 }
-
-// Interfaces returns the addresses assigned to the router.
-func (r *Router) Interfaces() []packet.Addr { return r.interfaces }
 
 // Iface is one router interface.
 type Iface struct {

@@ -2,6 +2,7 @@ package fakeroute
 
 import (
 	"fmt"
+	"sort"
 
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
@@ -14,12 +15,11 @@ import (
 // AddrAllocator hands out sequential IPv4 addresses from a base.
 type AddrAllocator struct {
 	next uint32
-	base uint32
 }
 
 // NewAddrAllocator starts allocation at base.
 func NewAddrAllocator(base packet.Addr) *AddrAllocator {
-	return &AddrAllocator{next: uint32(base), base: uint32(base)}
+	return &AddrAllocator{next: uint32(base)}
 }
 
 // Next returns a fresh address.
@@ -30,13 +30,6 @@ func (a *AddrAllocator) Next() packet.Addr {
 		panic("fakeroute: address space exhausted")
 	}
 	return addr
-}
-
-// Allocated reports how many addresses have been handed out — the node
-// population of everything generated from this allocator, which is what
-// scale benchmarks size their builds by.
-func (a *AddrAllocator) Allocated() int {
-	return int(a.next - a.base)
 }
 
 // PathBuilder assembles a hop-aligned path graph.
@@ -153,14 +146,6 @@ func (b *PathBuilder) SpreadUneven(counts []int) *PathBuilder {
 	return b
 }
 
-// Chain appends n single-vertex hops (plain routed path).
-func (b *PathBuilder) Chain(n int) *PathBuilder {
-	for i := 0; i < n; i++ {
-		b.Converge(1)
-	}
-	return b
-}
-
 // Star appends a single non-responsive hop.
 func (b *PathBuilder) Star() *PathBuilder {
 	b.hop++
@@ -252,6 +237,46 @@ func MeshedDiamond48(alloc *AddrAllocator, dst packet.Addr) *topo.Graph {
 		Converge(12). // hop 4: width 12
 		Full(4)       // hop 5: width 4, meshed with hop 4
 	return b.Converge(1).End(dst)
+}
+
+// Shapes names the canonical topologies above: the values the
+// command-line tools accept for -shape.
+var Shapes = map[string]func(*AddrAllocator, packet.Addr) *topo.Graph{
+	"simplest":   SimplestDiamond,
+	"fig1":       Fig1UnmeshedDiamond,
+	"fig1meshed": Fig1MeshedDiamond,
+	"maxlen2":    MaxLength2Diamond,
+	"symmetric":  SymmetricDiamond,
+	"asymmetric": AsymmetricDiamond,
+	"meshed48":   MeshedDiamond48,
+}
+
+// ShapeNames returns the keys of Shapes in sorted order.
+func ShapeNames() []string {
+	names := make([]string, 0, len(Shapes))
+	for n := range Shapes {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TopologyShape turns a topology read from a file (the -topology flag)
+// into a builder. The file fixes every address, so the allocator is
+// unused; unless g's last hop is dst alone, dst is appended as a final
+// hop behind every last-hop vertex.
+func TopologyShape(g *topo.Graph) func(*AddrAllocator, packet.Addr) *topo.Graph {
+	return func(_ *AddrAllocator, dst packet.Addr) *topo.Graph {
+		last := g.Hop(g.NumHops() - 1)
+		if len(last) == 1 && g.V(last[0]).Addr == dst {
+			return g
+		}
+		end := g.AddVertex(g.NumHops(), dst)
+		for _, u := range g.Hop(g.NumHops() - 2) {
+			g.AddEdge(u, end)
+		}
+		return g
+	}
 }
 
 // BuildScenario registers a ground-truth graph as the path for

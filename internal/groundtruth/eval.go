@@ -2,7 +2,6 @@ package groundtruth
 
 import (
 	"os"
-	"sync/atomic"
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/atlas/serve"
@@ -51,8 +50,8 @@ type Config struct {
 
 // Run evaluates every (scenario, seed) instance and returns the records
 // in deterministic order. The worker pool is the same order-preserving
-// primitive the survey runner uses (par.Ordered), so output is
-// byte-identical for every worker count.
+// primitive the survey runner uses (par.OrderedErr), so output is
+// byte-identical for every worker count; the first error stops the run.
 func Run(cfg Config) ([]*traceio.EvalRecord, error) {
 	if cfg.Scenarios == nil {
 		cfg.Scenarios = Suite()
@@ -71,51 +70,20 @@ func Run(cfg Config) ([]*traceio.EvalRecord, error) {
 		}
 	}
 	records := make([]*traceio.EvalRecord, 0, len(jobs))
-	type outcome struct {
-		rec *traceio.EvalRecord
-		err error
-	}
-	var (
-		stopped atomic.Bool
-		runErr  error
-	)
-	par.Ordered(len(jobs), cfg.Workers, func(i int) outcome {
-		if stopped.Load() {
-			return outcome{}
-		}
+	err := par.OrderedErr(len(jobs), cfg.Workers, func(i int) (*traceio.EvalRecord, error) {
 		j := jobs[i]
 		if cfg.WithPrior {
-			rec, err := EvaluateWithPrior(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.Stop)
-			if err != nil {
-				stopped.Store(true)
-			}
-			return outcome{rec: rec, err: err}
+			return EvaluateWithPrior(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.Stop)
 		}
-		return outcome{rec: Evaluate(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.Stop)}
-	}, func(i int, o outcome) {
-		if runErr != nil {
-			return
-		}
-		if o.err != nil {
-			runErr = o.err
-			stopped.Store(true)
-			return
-		}
-		if o.rec == nil {
-			return
-		}
-		records = append(records, o.rec)
+		return Evaluate(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.Stop), nil
+	}, func(i int, rec *traceio.EvalRecord) error {
+		records = append(records, rec)
 		if cfg.OnRecord != nil {
-			if err := cfg.OnRecord(o.rec); err != nil {
-				runErr = err
-				stopped.Store(true)
-			}
+			return cfg.OnRecord(rec)
 		}
+		return nil
 	})
-	if runErr != nil {
-		return records, runErr
-	}
-	return records, nil
+	return records, err
 }
 
 // Evaluate scores one (scenario, seed index) instance: the full MDA and

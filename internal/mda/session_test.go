@@ -1,6 +1,7 @@
 package mda
 
 import (
+	"math"
 	"testing"
 
 	"mmlpt/internal/fakeroute"
@@ -10,16 +11,22 @@ import (
 	"mmlpt/internal/topo"
 )
 
+// TestGlobalStoppingPoints: a global failure bound alpha spread over a
+// budget of branch branching vertices is the per-vertex bound
+// eps = 1 - (1-alpha)^(1/branch) (Veitch et al.); the tables must follow.
 func TestGlobalStoppingPoints(t *testing.T) {
+	perVertex := func(alpha float64, branch int) float64 {
+		return 1 - math.Pow(1-alpha, 1/float64(branch))
+	}
 	// With a branch budget of 1 the global bound equals the per-vertex
 	// bound.
-	if got, want := GlobalStoppingPoints(0.05, 1, 4), Default95(4); got[1] != want[1] {
+	if got, want := StoppingPoints(perVertex(0.05, 1), 4), Default95(4); got[1] != want[1] {
 		t.Fatalf("branch=1: %v vs %v", got, want)
 	}
 	// A bigger branch budget means a tighter per-vertex bound and larger
 	// stopping points.
 	loose := Default95(4)
-	tight := GlobalStoppingPoints(0.05, 30, 4)
+	tight := StoppingPoints(perVertex(0.05, 30), 4)
 	for k := 1; k <= 4; k++ {
 		if tight[k] <= loose[k] {
 			t.Fatalf("n_%d: global-30 table %d not above per-vertex %d", k, tight[k], loose[k])
@@ -75,28 +82,6 @@ func TestEnsureFlows(t *testing.T) {
 	}
 }
 
-func TestSessionReset(t *testing.T) {
-	net, _ := fakeroute.BuildScenario(52, testSrc, testDst, fakeroute.SimplestDiamond)
-	p := probe.NewSimProber(net, testSrc, testDst)
-	s := NewSession(p, Config{Seed: 52})
-	s.RunMDA(0)
-	probesBefore := s.ProbesSent()
-	if probesBefore == 0 || s.G.NumVertices() == 0 {
-		t.Fatal("first run empty")
-	}
-	s.Reset()
-	if s.G.NumVertices() != 0 || s.DstHop() != -1 {
-		t.Fatal("reset incomplete")
-	}
-	s.RunMDA(0)
-	if s.ProbesSent() <= probesBefore {
-		t.Fatal("probe accounting lost across reset")
-	}
-	if !s.HopDone(s.DstHop()) {
-		t.Fatal("second run did not finish")
-	}
-}
-
 func TestTraceMaxTTLTermination(t *testing.T) {
 	// A path that never reaches the destination (dead end) must stop at
 	// MaxTTL rather than loop.
@@ -104,7 +89,7 @@ func TestTraceMaxTTLTermination(t *testing.T) {
 	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
 	// The path's final hop is the destination per AddPath's contract, but
 	// with LossProb=1 beyond nothing ever answers.
-	g := fakeroute.NewPathBuilder(alloc).Chain(2).End(testDst)
+	g := fakeroute.NewPathBuilder(alloc).Converge(1).Converge(1).End(testDst)
 	net.EnsureIfaces(g, testDst)
 	net.AddPath(testSrc, testDst, g)
 	net.LossProb = 1
@@ -122,7 +107,7 @@ func TestTraceMaxTTLTermination(t *testing.T) {
 func TestTraceThroughStarHop(t *testing.T) {
 	net := fakeroute.NewNetwork(54)
 	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
-	g := fakeroute.NewPathBuilder(alloc).Chain(1).Star().Chain(1).End(testDst)
+	g := fakeroute.NewPathBuilder(alloc).Converge(1).Star().Converge(1).End(testDst)
 	net.EnsureIfaces(g, testDst)
 	net.AddPath(testSrc, testDst, g)
 	p := probe.NewSimProber(net, testSrc, testDst)

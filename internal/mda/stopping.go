@@ -41,18 +41,6 @@ func StoppingPoints(eps float64, maxK int) []int {
 	return nk
 }
 
-// GlobalStoppingPoints derives the per-vertex failure bound from a global
-// topology-level failure bound alpha under a budget of at most branch
-// branching vertices (the MDA's default branch budget is 30), then builds
-// the table: eps = 1 - (1-alpha)^(1/branch).
-func GlobalStoppingPoints(alpha float64, branch, maxK int) []int {
-	if branch < 1 {
-		branch = 1
-	}
-	eps := 1 - math.Pow(1-alpha, 1/float64(branch))
-	return StoppingPoints(eps, maxK)
-}
-
 // Default95 is the per-vertex 95%-confidence table used by deployed MDA
 // implementations and by the Sec 3 Fakeroute validation (n1 = 6 gives the
 // simplest diamond an exact failure probability of 2⁻⁵ = 0.03125).

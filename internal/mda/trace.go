@@ -178,18 +178,6 @@ func NewSession(p probe.Prober, cfg Config) *Session {
 	}
 }
 
-// Reset discards all discovery state (graph, flow tables) while keeping
-// the prober and its cumulative packet counts, for a caller that wants to
-// restart discovery on the same session.
-func (s *Session) Reset() {
-	s.G = topo.New()
-	// Emptying wire invalidates every flowIndex entry at once.
-	s.wire, s.minted, s.nMinted = s.wire[:0], s.minted[:0], 0
-	s.flows, s.flowSlab, s.flowAt, s.noReply = nil, nil, nil, nil
-	s.succSeen = nil
-	s.dstHop = -1
-}
-
 // DstHop returns the destination's hop index, or -1.
 func (s *Session) DstHop() int { return s.dstHop }
 

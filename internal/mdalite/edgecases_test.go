@@ -102,7 +102,7 @@ func TestSwitchOverReusesState(t *testing.T) {
 	build := func(alloc *fakeroute.AddrAllocator, dst packet.Addr) *topo.Graph {
 		return fakeroute.NewPathBuilder(alloc).
 			Spread(8).Converge(1). // benign diamond
-			Chain(1).
+			Converge(1).
 			Spread(3).Full(3).Converge(1). // meshed diamond
 			End(dst)
 	}
@@ -183,7 +183,7 @@ func TestBackwardMeshingDetection(t *testing.T) {
 func TestLiteHandlesAllStarsGracefully(t *testing.T) {
 	net := fakeroute.NewNetwork(71)
 	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
-	g := fakeroute.NewPathBuilder(alloc).Chain(1).Star().Star().Star().Star().End(testDst)
+	g := fakeroute.NewPathBuilder(alloc).Converge(1).Star().Star().Star().Star().End(testDst)
 	net.EnsureIfaces(g, testDst)
 	net.AddPath(testSrc, testDst, g)
 	p := probe.NewSimProber(net, testSrc, testDst)

@@ -99,13 +99,15 @@ func TestEq1ClosedForm(t *testing.T) {
 
 // TestHopFailureProbMatchesMeasured: the hop-level stopping rule's failure
 // probability (the MDA-Lite's vertex-discovery bound) matches the DP
-// prediction on a width-4 hop.
+// prediction on a width-4 hop. Hop-by-hop probing reaches a uniform hop's
+// K vertices the way per-vertex discovery reaches K successors, so
+// VertexFailureProb is the prediction.
 func TestHopFailureProbMatchesMeasured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
 	nk := mda.Default95(16)
-	predicted := fakeroute.HopFailureProb(4, nk)
+	predicted := fakeroute.VertexFailureProb(4, nk)
 	const runs = 600
 	misses := 0
 	for i := 0; i < runs; i++ {

@@ -2,15 +2,78 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
 
-// Round-trip agreement between the legacy allocating codecs and the
-// append/into codecs added for the zero-allocation hot path. The two
-// families must stay byte-for-byte and field-for-field interchangeable:
-// the simulator runs on the Into/AppendTo forms while tests and tools
-// still use the allocating wrappers.
+// Round-trip agreement between the allocating codecs below and the
+// append/into codecs of the zero-allocation hot path. The allocating forms
+// are test oracles only: the product runs on the Into/AppendTo forms, and
+// the fuzz targets hold the two families byte-for-byte and
+// field-for-field interchangeable.
+
+// EchoLen is the wire length of a serialized echo probe.
+const EchoLen = IPv4HeaderLen + ICMPHeaderLen
+
+// ErrChecksum is VerifyProbe's verdict on a probe whose UDP checksum
+// does not verify.
+var ErrChecksum = errors.New("packet: bad checksum")
+
+// Serialize builds the full IPv4+UDP probe packet.
+func (p *Probe) Serialize() []byte {
+	return p.AppendTo(make([]byte, 0, ProbeLen))
+}
+
+// Serialize builds the full IPv4+ICMP Echo packet.
+func (e *EchoProbe) Serialize() []byte {
+	return e.AppendTo(make([]byte, 0, EchoLen))
+}
+
+// ParseProbe parses raw probe bytes.
+func ParseProbe(raw []byte) (*ParsedProbe, error) {
+	var pp ParsedProbe
+	if err := ParseProbeInto(&pp, raw); err != nil {
+		return nil, err
+	}
+	return &pp, nil
+}
+
+// ParseReply parses raw ICMP reply bytes.
+func ParseReply(raw []byte) (*Reply, error) {
+	r := new(Reply)
+	if err := ParseReplyInto(r, raw); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// VerifyProbe checks that raw is a well-formed probe whose UDP checksum
+// verifies.
+func VerifyProbe(raw []byte) error {
+	var ip IPv4
+	payload, err := ip.DecodeFromBytes(raw)
+	if err != nil {
+		return err
+	}
+	if ip.Protocol != ProtoUDP {
+		return fmt.Errorf("packet: probe protocol %d, want UDP", ip.Protocol)
+	}
+	if len(payload) < UDPHeaderLen {
+		return ErrTruncated
+	}
+	length := binary.BigEndian.Uint16(payload[4:])
+	if int(length) > len(payload) {
+		return ErrTruncated
+	}
+	partial := pseudoHeaderSum(ip.Src, ip.Dst, ProtoUDP, length)
+	if foldChecksum(partial, payload[:length]) != 0 {
+		return ErrChecksum
+	}
+	return nil
+}
 
 // dirtyReply returns a Reply with every field non-zero, so a missing
 // reset in ParseReplyInto shows up as a stale value.

@@ -97,9 +97,6 @@ func (a Addr) String() string {
 	return string(a.AppendText(buf[:0]))
 }
 
-// IsUnspecified reports whether a is 0.0.0.0.
-func (a Addr) IsUnspecified() bool { return a == 0 }
-
 // IP protocol numbers used by the tracer.
 const (
 	ProtoICMP = 1
@@ -122,7 +119,6 @@ var (
 	ErrTruncated  = errors.New("packet: truncated")
 	ErrBadVersion = errors.New("packet: not IPv4")
 	ErrBadHeader  = errors.New("packet: malformed header")
-	ErrChecksum   = errors.New("packet: bad checksum")
 )
 
 // Checksum computes the Internet checksum (RFC 1071) over data.

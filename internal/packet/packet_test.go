@@ -295,7 +295,7 @@ func TestParseReplyTimeExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.IsTimeExceeded() || r.From != MustParseAddr("10.9.9.9") {
+	if r.Type != ICMPTypeTimeExceeded || r.From != MustParseAddr("10.9.9.9") {
 		t.Fatalf("reply %+v", r)
 	}
 	if r.IPID != 0x1111 || r.ReplyTTL != 250 {

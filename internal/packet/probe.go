@@ -49,14 +49,9 @@ const probePayloadLen = 2
 // ProbeLen is the wire length of a serialized traceroute probe.
 const ProbeLen = IPv4HeaderLen + UDPHeaderLen + probePayloadLen
 
-// Serialize builds the full IPv4+UDP probe packet.
-func (p *Probe) Serialize() []byte {
-	return p.AppendTo(make([]byte, 0, ProbeLen))
-}
-
 // AppendTo appends the full IPv4+UDP probe packet to buf and returns the
-// extended slice. It emits exactly the bytes Serialize would, but lets a
-// hot path reuse one buffer across probes instead of allocating per probe.
+// extended slice, so a hot path can reuse one buffer across probes
+// instead of allocating per probe.
 func (p *Probe) AppendTo(buf []byte) []byte {
 	if p.Checksum == 0 {
 		// A UDP checksum of zero means "not computed"; never use it as an
@@ -104,31 +99,6 @@ func pinPayloadWord(src, dst Addr, udp *UDP, target uint16) uint16 {
 	return 0xffff - uint16(sum)
 }
 
-// VerifyProbe checks that raw is a well-formed probe whose UDP checksum
-// verifies; it is used by tests and by the simulator's self-checks.
-func VerifyProbe(raw []byte) error {
-	var ip IPv4
-	payload, err := ip.DecodeFromBytes(raw)
-	if err != nil {
-		return err
-	}
-	if ip.Protocol != ProtoUDP {
-		return fmt.Errorf("packet: probe protocol %d, want UDP", ip.Protocol)
-	}
-	if len(payload) < UDPHeaderLen {
-		return ErrTruncated
-	}
-	length := binary.BigEndian.Uint16(payload[4:])
-	if int(length) > len(payload) {
-		return ErrTruncated
-	}
-	partial := pseudoHeaderSum(ip.Src, ip.Dst, ProtoUDP, length)
-	if foldChecksum(partial, payload[:length]) != 0 {
-		return ErrChecksum
-	}
-	return nil
-}
-
 // ParsedProbe is the view of a probe the simulator (or a router) sees.
 type ParsedProbe struct {
 	IP     IPv4
@@ -136,15 +106,6 @@ type ParsedProbe struct {
 	FlowID uint16
 	// Identity is the probe identity value (the pinned UDP checksum).
 	Identity uint16
-}
-
-// ParseProbe parses raw probe bytes.
-func ParseProbe(raw []byte) (*ParsedProbe, error) {
-	var pp ParsedProbe
-	if err := ParseProbeInto(&pp, raw); err != nil {
-		return nil, err
-	}
-	return &pp, nil
 }
 
 // ParseProbeInto parses raw probe bytes into pp, overwriting every field,
@@ -210,9 +171,6 @@ type Reply struct {
 	EchoID, EchoSeq uint16
 }
 
-// IsTimeExceeded reports whether the reply is an ICMP Time Exceeded.
-func (r *Reply) IsTimeExceeded() bool { return r.Type == ICMPTypeTimeExceeded }
-
 // IsPortUnreachable reports whether the reply indicates the probe reached
 // the destination.
 func (r *Reply) IsPortUnreachable() bool {
@@ -221,15 +179,6 @@ func (r *Reply) IsPortUnreachable() bool {
 
 // IsEchoReply reports whether the reply answers a direct (ping-style) probe.
 func (r *Reply) IsEchoReply() bool { return r.Type == ICMPTypeEchoReply }
-
-// ParseReply parses raw ICMP reply bytes.
-func ParseReply(raw []byte) (*Reply, error) {
-	r := new(Reply)
-	if err := ParseReplyInto(r, raw); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
 
 // ParseReplyInto parses raw ICMP reply bytes into r, overwriting every
 // field, so one Reply can be reused across replies without allocating (the
@@ -290,16 +239,8 @@ type EchoProbe struct {
 	IPID     uint16
 }
 
-// EchoLen is the wire length of a serialized echo probe.
-const EchoLen = IPv4HeaderLen + ICMPHeaderLen
-
-// Serialize builds the full IPv4+ICMP Echo packet.
-func (e *EchoProbe) Serialize() []byte {
-	return e.AppendTo(make([]byte, 0, EchoLen))
-}
-
 // AppendTo appends the full IPv4+ICMP Echo packet to buf and returns the
-// extended slice, emitting exactly the bytes Serialize would.
+// extended slice.
 func (e *EchoProbe) AppendTo(buf []byte) []byte {
 	ip := IPv4{
 		ID:       e.IPID,

@@ -1,7 +1,8 @@
 // Package par provides the concurrency primitives the probing engine
 // needs: an order-preserving indexed worker pool (Do) and its streaming
 // variant (Ordered), which hands each result to a collector in index
-// order the moment its prefix is complete. Callers partition work by
+// order the moment its prefix is complete, with OrderedErr as the form
+// that stops at the first error. Callers partition work by
 // index (one trace per pair, one result slot per prober), so the output
 // of a parallel run is identical to a serial walk by construction.
 //
@@ -13,6 +14,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Do runs fn(i) for every i in [0, n) using the given number of workers.
@@ -102,4 +104,52 @@ func Ordered[T any](n, workers int, work func(i int) T, emit func(i int, v T)) {
 			next++
 		}
 	}
+}
+
+// OrderedErr is Ordered for steps that can fail. The first error in
+// index order, from work(i) or from emit(i, v), stops the run: every
+// index before it is still worked and emitted, no index after it is
+// emitted, indices after it that have not started are skipped instead of
+// worked, and the error is returned. Like Ordered, emit runs on the
+// calling goroutine in index order and needs no synchronization.
+func OrderedErr[T any](n, workers int, work func(i int) (T, error), emit func(i int, v T) error) error {
+	type result struct {
+		v   T
+		err error
+	}
+	// stopAt is the lowest index known to have failed, n while none has.
+	var stopAt atomic.Int64
+	stopAt.Store(int64(n))
+	fail := func(i int) {
+		for cur := stopAt.Load(); int64(i) < cur; cur = stopAt.Load() {
+			if stopAt.CompareAndSwap(cur, int64(i)) {
+				return
+			}
+		}
+	}
+	var first error
+	Ordered(n, workers, func(i int) result {
+		if int64(i) > stopAt.Load() {
+			// Never emitted: the failed index before it ends the run.
+			return result{}
+		}
+		v, err := work(i)
+		if err != nil {
+			fail(i)
+		}
+		return result{v, err}
+	}, func(i int, r result) {
+		if first != nil {
+			return
+		}
+		err := r.err
+		if err == nil {
+			err = emit(i, r.v)
+		}
+		if err != nil {
+			first = err
+			fail(i)
+		}
+	})
+	return first
 }

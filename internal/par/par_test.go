@@ -1,6 +1,7 @@
 package par
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 )
@@ -72,5 +73,49 @@ func TestOrderedZeroAndNegative(t *testing.T) {
 	Ordered(-3, 4, func(i int) int { return i }, func(i, v int) { called = true })
 	if called {
 		t.Fatal("emit called for empty input")
+	}
+}
+
+// TestOrderedErrAborts: the first work or emit error is returned, nothing
+// after the failing index is emitted, and a serial run traces nothing
+// after it either.
+func TestOrderedErrAborts(t *testing.T) {
+	t.Parallel()
+	const n, bad = 50, 17
+	boom := errors.New("boom")
+	for _, failIn := range []string{"work", "emit"} {
+		for _, workers := range []int{1, 2, 8} {
+			var worked atomic.Int32
+			var emitted []int
+			err := OrderedErr(n, workers, func(i int) (int, error) {
+				worked.Add(1)
+				if failIn == "work" && i == bad {
+					return 0, boom
+				}
+				return i, nil
+			}, func(i, v int) error {
+				if v != i {
+					t.Errorf("emit(%d) got %d", i, v)
+				}
+				emitted = append(emitted, i)
+				if failIn == "emit" && i == bad {
+					return boom
+				}
+				return nil
+			})
+			if err != boom {
+				t.Fatalf("%s error, workers=%d: got %v, want %v", failIn, workers, err, boom)
+			}
+			last := bad - 1
+			if failIn == "emit" {
+				last = bad
+			}
+			if len(emitted) != last+1 || emitted[last] != last {
+				t.Fatalf("%s error, workers=%d: emitted %v, want 0..%d", failIn, workers, emitted, last)
+			}
+			if workers == 1 && worked.Load() != bad+1 {
+				t.Fatalf("%s error, serial: worked %d indices, want %d", failIn, worked.Load(), bad+1)
+			}
+		}
 	}
 }

@@ -256,17 +256,6 @@ func (ix *Index) add(pp *PairPrior) {
 	ix.pairs[[2]packet.Addr{pp.Src, pp.Dst}] = pp
 }
 
-// NewIndex returns an index over the given priors (for in-process
-// construction; snapshots go through FromService).
-func NewIndex(pps ...*PairPrior) *Index {
-	ix := &Index{}
-	for _, pp := range pps {
-		pp.normalize()
-		ix.add(pp)
-	}
-	return ix
-}
-
 // FromService extracts every pair's prior from the snapshot behind an
 // open serving handle. Per-hop vertex sets come from the provenance
 // section ((pair, hop) observations); links come from intersecting the

@@ -17,7 +17,7 @@ func TestProbeBatchAlignsWithSpecs(t *testing.T) {
 		t.Fatalf("replies = %d, want %d", len(replies), len(specs))
 	}
 	for i, r := range replies {
-		if r == nil || !r.IsTimeExceeded() {
+		if r == nil || r.Type != packet.ICMPTypeTimeExceeded {
 			t.Fatalf("reply %d: %+v", i, r)
 		}
 	}

@@ -27,7 +27,7 @@ func demuxSession(t *testing.T) *fakeroute.Session {
 func traceReplyRaw(t *testing.T, sess *fakeroute.Session, flowID uint16, ttl int, identity uint16) []byte {
 	t.Helper()
 	pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: flowID, TTL: byte(ttl), Checksum: identity}
-	raw := sess.HandleProbe(pr.Serialize())
+	raw := sess.HandleProbe(pr.AppendTo(nil))
 	if raw == nil {
 		t.Fatalf("no reply for flow %d ttl %d", flowID, ttl)
 	}
@@ -37,7 +37,7 @@ func traceReplyRaw(t *testing.T, sess *fakeroute.Session, flowID uint16, ttl int
 func echoReplyRaw(t *testing.T, sess *fakeroute.Session, dst packet.Addr, id, seq uint16) []byte {
 	t.Helper()
 	ep := packet.EchoProbe{Src: tSrc, Dst: dst, ID: id, Seq: seq, IPID: seq}
-	raw := sess.HandleProbe(ep.Serialize())
+	raw := sess.HandleProbe(ep.AppendTo(nil))
 	if raw == nil {
 		t.Fatalf("no echo reply from %v seq %d", dst, seq)
 	}

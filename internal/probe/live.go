@@ -9,7 +9,7 @@ import (
 )
 
 // LiveProber sends real probes over a batchTransport — in production,
-// Linux raw sockets driven by sendmmsg/recvmmsg (see NewLiveProber in
+// Linux raw sockets driven by sendmmsg/recvmmsg (see NewLiveProberConfig in
 // live_linux.go). It implements the same Prober interface as the
 // simulator-backed prober, so every algorithm in this repository can
 // run unmodified against the live Internet.

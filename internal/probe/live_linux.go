@@ -6,10 +6,10 @@ import (
 	"mmlpt/internal/packet"
 )
 
-// NewLiveProber opens the raw-socket transport (see newRawTransport)
-// with default tunables: 2s reply timeout, 2 retries, 64-packet
-// syscall batches. It requires CAP_NET_RAW (typically root). The caller
-// must Close the prober.
+// NewLiveProberConfig opens the raw-socket transport (see
+// newRawTransport) with the given tunables — the knobs cmd/survey
+// surfaces for live mode. It requires CAP_NET_RAW (typically root). The
+// caller must Close the prober.
 //
 // Reply matching uses the Paris probe identity quoted inside ICMP
 // errors and the echo identifier for direct probes (see Demux). This
@@ -17,12 +17,6 @@ import (
 // over a socketpair in tests; live operation additionally depends on
 // kernel and network policy (rp_filter, firewalls) outside this
 // package's control.
-func NewLiveProber(src, dst packet.Addr) (*LiveProber, error) {
-	return NewLiveProberConfig(src, dst, LiveConfig{Retries: 2})
-}
-
-// NewLiveProberConfig is NewLiveProber with explicit tunables — the
-// batching knobs cmd/survey surfaces for live mode.
 func NewLiveProberConfig(src, dst packet.Addr, cfg LiveConfig) (*LiveProber, error) {
 	cfg.fill()
 	tr, err := newRawTransport(cfg.MaxBatch)

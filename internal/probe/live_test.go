@@ -150,7 +150,7 @@ func TestLiveProbeBatchRoundTrip(t *testing.T) {
 		}
 	}
 	for _, i := range []int{0, 1, 2, 3} {
-		if !replies[i].IsTimeExceeded() {
+		if replies[i].Type != packet.ICMPTypeTimeExceeded {
 			t.Fatalf("probe %d mid-path: type %d, want time exceeded", i, replies[i].Type)
 		}
 	}
@@ -250,7 +250,7 @@ func TestLiveBatchOfOne(t *testing.T) {
 	p := liveOverFake(t, ft, LiveConfig{})
 
 	r := p.Probe(0, 1)
-	if r == nil || !r.IsTimeExceeded() {
+	if r == nil || r.Type != packet.ICMPTypeTimeExceeded {
 		t.Fatalf("Probe(0, 1) = %+v, want time exceeded", r)
 	}
 	hop := r.From

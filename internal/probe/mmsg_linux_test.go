@@ -113,7 +113,7 @@ func TestLiveLoopbackRoundTrip(t *testing.T) {
 			t.Fatalf("probe %d (flow %d ttl %d) unanswered over socketpair",
 				i, specs[i].FlowID, specs[i].TTL)
 		}
-		if !r.IsTimeExceeded() {
+		if r.Type != packet.ICMPTypeTimeExceeded {
 			t.Fatalf("probe %d: type %d, want time exceeded", i, r.Type)
 		}
 		hop = r.From

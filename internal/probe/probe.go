@@ -156,15 +156,6 @@ func (p *SimProber) Sent() (uint64, uint64) {
 	return atomic.LoadUint64(&p.traceSent), atomic.LoadUint64(&p.echoSent)
 }
 
-// Session exposes the prober's per-trace fakeroute session — the right
-// Clock for an AdaptiveProber that must stay deterministic while other
-// traces run in parallel (Network.AdvanceClock is network-wide).
-func (p *SimProber) Session() *fakeroute.Session {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sessionLocked()
-}
-
 // sessionLocked returns the per-trace fakeroute session, creating it on
 // first use so zero-constructed SimProbers keep working.
 func (p *SimProber) sessionLocked() *fakeroute.Session {

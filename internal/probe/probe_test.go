@@ -47,7 +47,7 @@ func TestSimProberProbeAndCount(t *testing.T) {
 	net, _ := fakeroute.BuildScenario(1, tSrc, tDst, fakeroute.SimplestDiamond)
 	p := NewSimProber(net, tSrc, tDst)
 	r := p.Probe(0, 1)
-	if r == nil || !r.IsTimeExceeded() {
+	if r == nil || r.Type != packet.ICMPTypeTimeExceeded {
 		t.Fatalf("probe reply %+v", r)
 	}
 	tr, e := p.Sent()

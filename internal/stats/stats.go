@@ -153,20 +153,6 @@ func (h *Histogram) Portion(x int) float64 {
 	return float64(h.Counts[x]) / float64(h.Total)
 }
 
-// PortionAtLeast returns the fraction of samples >= x.
-func (h *Histogram) PortionAtLeast(x int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	n := 0
-	for v, c := range h.Counts {
-		if v >= x {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.Total)
-}
-
 // Keys returns sorted distinct values.
 func (h *Histogram) Keys() []int {
 	keys := make([]int, 0, len(h.Counts))

@@ -106,9 +106,6 @@ func TestHistogram(t *testing.T) {
 	if h.Portion(2) != 2.0/6 || h.Portion(9) != 0 {
 		t.Fatal("portions wrong")
 	}
-	if h.PortionAtLeast(2) != 5.0/6 {
-		t.Fatalf("at least: %v", h.PortionAtLeast(2))
-	}
 	keys := h.Keys()
 	if len(keys) != 3 || keys[0] != 1 || keys[2] != 3 {
 		t.Fatalf("keys %v", keys)

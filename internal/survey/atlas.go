@@ -10,7 +10,7 @@ import (
 // AtlasSink feeds a streaming survey into a cross-trace atlas: each
 // record's topology, routers and diamond encounters merge into the
 // store the moment the pair completes. Composable with any other sink
-// (Tee, the JSONL record log, aggregates); because the atlas's snapshot
+// (the JSONL record log, aggregates); because the atlas's snapshot
 // is canonical — sharded by address, shards merged in ascending address
 // order — the snapshot a run produces is byte-identical for every
 // worker count and shard count, and a resumed run's replay rebuilds the

@@ -14,8 +14,6 @@
 package survey
 
 import (
-	"fmt"
-
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
@@ -593,10 +591,4 @@ func (u *Universe) embed(g *topo.Graph, frag *topo.Graph, tail topo.VertexID, ho
 	last := frag.NumHops() - 1
 	*hop = base + last + 1
 	return idMap[frag.Hop(last)[0]]
-}
-
-// Describe summarizes the universe for logs.
-func (u *Universe) Describe() string {
-	return fmt.Sprintf("universe: %d pairs, %d templates, %d routers",
-		len(u.Pairs), len(u.Templates), len(u.Net.Routers()))
 }

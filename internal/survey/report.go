@@ -122,17 +122,6 @@ func (r *Result) JointLengthWidth(w Weighting) *stats.Joint {
 	return j
 }
 
-// MeshedCount returns how many diamonds are meshed under the weighting.
-func (r *Result) MeshedCount(w Weighting) (meshed, total int) {
-	ds := r.diamonds(w)
-	for _, d := range ds {
-		if d.Metrics.Meshed {
-			meshed++
-		}
-	}
-	return meshed, len(ds)
-}
-
 // Summary renders the headline survey numbers (the Sec 5.1 prose).
 func (r *Result) Summary() string {
 	var b strings.Builder

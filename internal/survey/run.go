@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sync/atomic"
 
 	"mmlpt/internal/alias"
 	"mmlpt/internal/core"
@@ -323,25 +322,13 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 	}
 
 	res := &Result{Algo: cfg.Algo, Distinct: make(map[topo.DiamondKey]DiamondRecord)}
-	var (
-		stopped atomic.Bool
-		runErr  error
-		emitted int
-	)
-	streaming := len(cfg.Sinks) > 0 || cfg.Checkpoint != ""
-	skipped := TraceOutcome{PairIndex: -1}
-	par.Ordered(total-start, cfg.Workers, func(k int) TraceOutcome {
-		if stopped.Load() {
-			// A sink or checkpoint error already aborted the run; drain
-			// the remaining indices without tracing.
-			return skipped
-		}
+	emitted := 0
+	// A sink or checkpoint error aborts the run: pairs after it are not
+	// traced.
+	err := par.OrderedErr(total-start, cfg.Workers, func(k int) (TraceOutcome, error) {
 		j := jobs[start+k]
-		return traceOne(u, j.idx, j.pair, cfg)
-	}, func(k int, out TraceOutcome) {
-		if runErr != nil || out.PairIndex < 0 {
-			return
-		}
+		return traceOne(u, j.idx, j.pair, cfg), nil
+	}, func(k int, out TraceOutcome) error {
 		res.TotalProbes += out.Probes
 		if len(out.Diamonds) > 0 {
 			res.LBTraces++
@@ -356,16 +343,11 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 		if cfg.Progress != nil {
 			cfg.Progress.PairDone(out.Probes)
 		}
-		if !streaming {
-			return
-		}
 		if len(cfg.Sinks) > 0 {
 			rec := NewRecord(cfg.Algo, out)
 			for _, s := range cfg.Sinks {
 				if err := s.Emit(rec); err != nil {
-					runErr = err
-					stopped.Store(true)
-					return
+					return err
 				}
 			}
 			if cfg.Progress != nil {
@@ -374,14 +356,12 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 		}
 		emitted++
 		if cfg.Checkpoint != "" && emitted%every == 0 {
-			if err := writeCheckpoint(cfg, hash, total, start+emitted, log); err != nil {
-				runErr = err
-				stopped.Store(true)
-			}
+			return writeCheckpoint(cfg, hash, total, start+emitted, log)
 		}
+		return nil
 	})
-	if runErr != nil {
-		return res, runErr
+	if err != nil {
+		return res, err
 	}
 	if cfg.Checkpoint != "" {
 		if err := writeCheckpoint(cfg, hash, total, start+emitted, log); err != nil {

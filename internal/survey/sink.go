@@ -250,42 +250,6 @@ func (s *AggregateSink) Emit(rec *traceio.SurveyRecord) error {
 // Close is a no-op.
 func (s *AggregateSink) Close() error { return nil }
 
-// Tee fans every record out to several sinks as one compound sink.
-type Tee []Sink
-
-// Emit forwards to each sink, stopping at the first error.
-func (t Tee) Emit(rec *traceio.SurveyRecord) error {
-	for _, s := range t {
-		if err := s.Emit(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush forwards to each flushable sink.
-func (t Tee) Flush() error {
-	for _, s := range t {
-		if f, ok := s.(Flusher); ok {
-			if err := f.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Close closes every sink, returning the first error.
-func (t Tee) Close() error {
-	var first error
-	for _, s := range t {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // ReplayJSONL feeds every record of a JSONL file to the sinks in order,
 // returning how many records were replayed. Resume uses it to rebuild
 // non-file sinks (aggregates, memories) to the exact state they had when

@@ -79,8 +79,11 @@ func TestStreamingSinksMatchResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	decoded, err := traceio.ReadSurveyRecords(f)
-	if err != nil {
+	var decoded []*traceio.SurveyRecord
+	if err := traceio.DecodeSurveyRecords(f, func(sr *traceio.SurveyRecord) error {
+		decoded = append(decoded, sr)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(mem.Records, decoded) {

@@ -134,9 +134,6 @@ func (g *Graph) AddEdge(u, w VertexID) {
 // Succ returns the successor vertex IDs of v.
 func (g *Graph) Succ(v VertexID) []VertexID { return g.dag.Succ(v) }
 
-// Pred returns the predecessor vertex IDs of v.
-func (g *Graph) Pred(v VertexID) []VertexID { return g.dag.Pred(v) }
-
 // OutDegree returns the number of successors of v.
 func (g *Graph) OutDegree(v VertexID) int { return g.dag.OutDegree(v) }
 

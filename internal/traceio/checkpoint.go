@@ -35,8 +35,8 @@ const CheckpointVersion = 1
 // Checkpoint records resumable survey progress.
 type Checkpoint struct {
 	Version int `json:"version"`
-	// Kind guards against resuming the wrong tool's checkpoint
-	// ("survey", "mmlpt-runs", ...).
+	// Kind names the writer ("survey", the only one), so a resume
+	// refuses a JSON file that is not a survey checkpoint.
 	Kind string `json:"kind"`
 	// OptionsHash fingerprints every option that affects which items are
 	// traced and what their records contain. A resumed run with a

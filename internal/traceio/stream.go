@@ -56,16 +56,6 @@ func (sr *SurveyRecord) WriteJSONL(w io.Writer) error {
 	return json.NewEncoder(w).Encode(sr)
 }
 
-// ReadSurveyRecords decodes one SurveyRecord per line until EOF.
-func ReadSurveyRecords(r io.Reader) ([]*SurveyRecord, error) {
-	var out []*SurveyRecord
-	err := DecodeSurveyRecords(r, func(sr *SurveyRecord) error {
-		out = append(out, sr)
-		return nil
-	})
-	return out, err
-}
-
 // DecodeSurveyRecords streams records to fn until EOF or the first
 // error. fn errors abort the scan and are returned verbatim.
 func DecodeSurveyRecords(r io.Reader, fn func(*SurveyRecord) error) error {

@@ -2,11 +2,22 @@ package traceio
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// ReadSurveyRecords decodes one SurveyRecord per line until EOF.
+func ReadSurveyRecords(r io.Reader) ([]*SurveyRecord, error) {
+	var out []*SurveyRecord
+	err := DecodeSurveyRecords(r, func(sr *SurveyRecord) error {
+		out = append(out, sr)
+		return nil
+	})
+	return out, err
+}
 
 func sampleRecord(i int) *SurveyRecord {
 	return &SurveyRecord{

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"mmlpt/internal/alias"
@@ -37,42 +36,6 @@ import (
 // Stars are written "*" and are positional: "edge * X" is not supported
 // (edges to and from stars are implied by adjacency when omitted); edges
 // between named vertices are explicit.
-
-// FormatTopology renders a graph in the text format.
-func FormatTopology(g *topo.Graph) string {
-	var b strings.Builder
-	for h := 0; h < g.NumHops(); h++ {
-		fmt.Fprintf(&b, "hop %d:", h)
-		for _, id := range g.Hop(h) {
-			if a := g.V(id).Addr; a == topo.StarAddr {
-				b.WriteString(" *")
-			} else {
-				fmt.Fprintf(&b, " %s", a)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	var edges []string
-	for i := range g.Vertices {
-		u := &g.Vertices[i]
-		if u.Addr == topo.StarAddr {
-			continue
-		}
-		for _, w := range g.Succ(topo.VertexID(i)) {
-			wa := g.V(w).Addr
-			if wa == topo.StarAddr {
-				continue
-			}
-			edges = append(edges, fmt.Sprintf("edge %s %s", u.Addr, wa))
-		}
-	}
-	sort.Strings(edges)
-	for _, e := range edges {
-		b.WriteString(e)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
 
 // ParseTopology reads the text format. Edges between a hop's stars and
 // adjacent hops are auto-connected (full bipartite to the star), matching
@@ -100,6 +63,10 @@ func ParseTopology(r io.Reader) (*topo.Graph, error) {
 			var h int
 			if _, err := fmt.Sscanf(rest[:colon], "%d", &h); err != nil {
 				return nil, fmt.Errorf("traceio: line %d: bad hop index: %v", lineNo, err)
+			}
+			// Hop h is probed at TTL h+1, and a TTL is one byte.
+			if h < 0 || h >= 255 {
+				return nil, fmt.Errorf("traceio: line %d: hop index %d outside [0, 254]", lineNo, h)
 			}
 			for _, tok := range strings.Fields(rest[colon+1:]) {
 				if tok == "*" {
@@ -291,19 +258,4 @@ func (jt *JSONTrace) AttachMultilevel(ml *core.Result) {
 func (jt *JSONTrace) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(jt)
-}
-
-// ReadJSONL decodes one trace record per line until EOF.
-func ReadJSONL(r io.Reader) ([]*JSONTrace, error) {
-	dec := json.NewDecoder(r)
-	var out []*JSONTrace
-	for {
-		var jt JSONTrace
-		if err := dec.Decode(&jt); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		out = append(out, &jt)
-	}
 }

@@ -2,6 +2,10 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 
@@ -16,6 +20,57 @@ var (
 	tSrc = packet.MustParseAddr("192.0.2.1")
 	tDst = packet.MustParseAddr("198.51.100.77")
 )
+
+// FormatTopology renders a graph in the text format.
+func FormatTopology(g *topo.Graph) string {
+	var b strings.Builder
+	for h := 0; h < g.NumHops(); h++ {
+		fmt.Fprintf(&b, "hop %d:", h)
+		for _, id := range g.Hop(h) {
+			if a := g.V(id).Addr; a == topo.StarAddr {
+				b.WriteString(" *")
+			} else {
+				fmt.Fprintf(&b, " %s", a)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	var edges []string
+	for i := range g.Vertices {
+		u := &g.Vertices[i]
+		if u.Addr == topo.StarAddr {
+			continue
+		}
+		for _, w := range g.Succ(topo.VertexID(i)) {
+			wa := g.V(w).Addr
+			if wa == topo.StarAddr {
+				continue
+			}
+			edges = append(edges, fmt.Sprintf("edge %s %s", u.Addr, wa))
+		}
+	}
+	sort.Strings(edges)
+	for _, e := range edges {
+		b.WriteString(e)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// ReadJSONL decodes one trace record per line until EOF.
+func ReadJSONL(r io.Reader) ([]*JSONTrace, error) {
+	dec := json.NewDecoder(r)
+	var out []*JSONTrace
+	for {
+		var jt JSONTrace
+		if err := dec.Decode(&jt); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, err
+		}
+		out = append(out, &jt)
+	}
+}
 
 func TestTopologyTextRoundTrip(t *testing.T) {
 	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
@@ -70,6 +125,9 @@ func TestTopologyParseErrors(t *testing.T) {
 		"nonsense line",
 		"hop 0: 999.0.0.1",
 		"hop 0: 10.0.0.1\nedge 10.0.0.1 10.0.0.9",
+		"hop -1: 10.0.0.1",
+		"hop 2000000000: 10.0.0.1",
+		"hop 255: 10.0.0.1",
 	}
 	for _, c := range cases {
 		if _, err := ParseTopology(strings.NewReader(c)); err == nil {

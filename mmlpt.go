@@ -118,18 +118,6 @@ type Options struct {
 	// derived deterministically, so results are identical for every
 	// worker count.
 	Workers int
-	// OnTrace, when non-nil, is invoked by TraceEach for each result in
-	// index order, on the calling goroutine, the moment its contiguous
-	// prefix of traces has completed — the streaming observer used to
-	// write records or checkpoints incrementally instead of waiting for
-	// the whole batch. The index passed is FirstIndex + the prober's
-	// position.
-	OnTrace func(i int, r *Result)
-	// FirstIndex offsets the per-trace seed derivation: trace i of the
-	// prober slice runs with IndexedSeed(Seed, FirstIndex+i). A run
-	// resumed from a checkpoint sets it to the number of traces already
-	// completed so the remaining traces reuse their original seeds.
-	FirstIndex int
 }
 
 // Result is the outcome of a trace.
@@ -183,25 +171,18 @@ func Trace(p Prober, o Options) *Result {
 
 // TraceEach traces every prober concurrently with o.Workers workers and
 // returns the results in prober order. Trace i runs with seed
-// nprand.IndexedSeed(o.Seed, o.FirstIndex+i) — the same per-index
-// derivation the survey runner uses — so the results are independent of
-// the worker count and identical to calling Trace serially with those
-// seeds. When o.OnTrace is set it observes each result in index order as
-// soon as all earlier traces have completed, while later traces are
-// still in flight. Probers must target distinct (source, destination)
-// pairs or at least be backed by independent state; probers from
-// NewSimProber over any mix of networks and pairs qualify.
+// nprand.IndexedSeed(o.Seed, i) — the same per-index derivation the
+// survey runner uses — so the results are independent of the worker
+// count and identical to calling Trace serially with those seeds.
+// Probers must target distinct (source, destination) pairs or at least
+// be backed by independent state; probers from NewSimProber over any mix
+// of networks and pairs qualify.
 func TraceEach(probers []Prober, o Options) []*Result {
 	results := make([]*Result, len(probers))
-	par.Ordered(len(probers), o.Workers, func(i int) *Result {
+	par.Do(len(probers), o.Workers, func(i int) {
 		oi := o
-		oi.Seed = nprand.IndexedSeed(o.Seed, o.FirstIndex+i)
-		return Trace(probers[i], oi)
-	}, func(i int, r *Result) {
-		results[i] = r
-		if o.OnTrace != nil {
-			o.OnTrace(o.FirstIndex+i, r)
-		}
+		oi.Seed = nprand.IndexedSeed(o.Seed, i)
+		results[i] = Trace(probers[i], oi)
 	})
 	return results
 }

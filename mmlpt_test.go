@@ -7,6 +7,7 @@ package mmlpt
 import (
 	"testing"
 
+	"mmlpt/internal/nprand"
 	"mmlpt/internal/topo"
 )
 
@@ -139,11 +140,11 @@ func TestPublicAPISwitchOver(t *testing.T) {
 	}
 }
 
-// TestPublicAPITraceEachStreams: OnTrace must observe every result in
-// index order while TraceEach runs, and FirstIndex must shift the seed
-// derivation so a resumed tail reproduces the full run's results.
+// TestPublicAPITraceEachStreams: TraceEach at any worker count returns
+// exactly what serial Trace calls return with the per-index seeds
+// nprand.IndexedSeed(Seed, i), in prober order.
 func TestPublicAPITraceEachStreams(t *testing.T) {
-	const runs = 8
+	const runs, seed = 8, 7
 	build := func() []Prober {
 		ps := make([]Prober, runs)
 		for i := range ps {
@@ -152,32 +153,21 @@ func TestPublicAPITraceEachStreams(t *testing.T) {
 		}
 		return ps
 	}
-	var seen []int
-	opts := Options{Seed: 7, Workers: 4, OnTrace: func(i int, r *Result) {
-		if r == nil || !r.IP.ReachedDst {
-			t.Fatalf("trace %d did not reach the destination", i)
-		}
-		seen = append(seen, i)
-	}}
-	full := TraceEach(build(), opts)
-	for i, want := range seen {
-		if want != i {
-			t.Fatalf("OnTrace order %v", seen)
-		}
+	var want []*Result
+	for i, p := range build() {
+		want = append(want, Trace(p, Options{Seed: nprand.IndexedSeed(seed, i)}))
 	}
-	if len(seen) != runs {
-		t.Fatalf("OnTrace saw %d of %d traces", len(seen), runs)
-	}
-
-	// Retrace only the tail with FirstIndex set: probe counts must match
-	// the full run's tail exactly (same derived seeds, fresh networks).
-	const skip = 3
-	tailProbers := build()[skip:]
-	tailOpts := Options{Seed: 7, Workers: 2, FirstIndex: skip}
-	tail := TraceEach(tailProbers, tailOpts)
-	for i, r := range tail {
-		if got, want := r.Probes(), full[skip+i].Probes(); got != want {
-			t.Fatalf("resumed trace %d sent %d probes, full run sent %d", skip+i, got, want)
+	for _, workers := range []int{1, 4} {
+		got := TraceEach(build(), Options{Seed: seed, Workers: workers})
+		if len(got) != runs {
+			t.Fatalf("workers=%d: %d results for %d probers", workers, len(got), runs)
+		}
+		for i := range got {
+			if !got[i].IP.ReachedDst || got[i].Probes() != want[i].Probes() ||
+				!topo.Equal(got[i].IP.Graph, want[i].IP.Graph) {
+				t.Fatalf("workers=%d: trace %d sent %d probes (reached %v), serial Trace sent %d",
+					workers, i, got[i].Probes(), got[i].IP.ReachedDst, want[i].Probes())
+			}
 		}
 	}
 }

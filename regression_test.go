@@ -12,7 +12,6 @@ import (
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
 	"mmlpt/internal/mdalite"
-	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
 )
@@ -51,16 +50,6 @@ var goldenRows = []goldenRow{
 	{"meshed48", 3, 1620, 79, 185, 1765, 79, 185, true},
 }
 
-var goldenShapes = map[string]func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph{
-	"simplest":   fakeroute.SimplestDiamond,
-	"fig1":       fakeroute.Fig1UnmeshedDiamond,
-	"fig1meshed": fakeroute.Fig1MeshedDiamond,
-	"maxlen2":    fakeroute.MaxLength2Diamond,
-	"symmetric":  fakeroute.SymmetricDiamond,
-	"asymmetric": fakeroute.AsymmetricDiamond,
-	"meshed48":   fakeroute.MeshedDiamond48,
-}
-
 func countEdges(g *topo.Graph) int {
 	n := 0
 	for i := range g.Vertices {
@@ -73,7 +62,7 @@ func TestBatchedEngineMatchesSerialGoldens(t *testing.T) {
 	t.Parallel()
 	for _, row := range goldenRows {
 		row := row
-		net, _ := fakeroute.BuildScenario(row.seed, benchSrc, benchDst, goldenShapes[row.shape])
+		net, _ := fakeroute.BuildScenario(row.seed, benchSrc, benchDst, fakeroute.Shapes[row.shape])
 		p := probe.NewSimProber(net, benchSrc, benchDst)
 		p.Retries = 0
 		r := mda.Trace(p, mda.Config{Seed: row.seed})
@@ -82,7 +71,7 @@ func TestBatchedEngineMatchesSerialGoldens(t *testing.T) {
 				row.shape, row.seed, r.Probes, len(r.Graph.Vertices), countEdges(r.Graph),
 				row.mdaProbes, row.mdaV, row.mdaE)
 		}
-		net2, _ := fakeroute.BuildScenario(row.seed, benchSrc, benchDst, goldenShapes[row.shape])
+		net2, _ := fakeroute.BuildScenario(row.seed, benchSrc, benchDst, fakeroute.Shapes[row.shape])
 		p2 := probe.NewSimProber(net2, benchSrc, benchDst)
 		p2.Retries = 0
 		r2 := mdalite.Trace(p2, mda.Config{Seed: row.seed}, 2)
