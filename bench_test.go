@@ -419,8 +419,8 @@ func benchSurveyRetrace(b *testing.B, seeded bool) {
 // hot path of every survey. In steady state it is allocation-free — the
 // probe serializes into prober scratch, the session crafts the reply into
 // session scratch and the parsed reply comes from a chunked arena; see
-// internal/fakeroute's BenchmarkProbeRoundTrip for the session-level
-// breakdown (memoized walk vs fresh walk vs per-packet bypass).
+// internal/fakeroute's BenchmarkProbeRoundTrip for the session level
+// alone, per-flow and per-packet.
 func BenchmarkSimProbeRoundTrip(b *testing.B) {
 	net, _ := fakeroute.BuildScenario(1, benchSrc, benchDst, fakeroute.MeshedDiamond48)
 	p := probe.NewSimProber(net, benchSrc, benchDst)

@@ -173,7 +173,6 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("atlas compact", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output snapshot path (required)")
-	shards := fs.Int("shards", 0, "atlas merge shards (0 = default; output bytes are identical for every value)")
 	workers := fs.Int("workers", 0, "merge workers for the streaming compaction (0 = GOMAXPROCS, 1 = serial; output bytes are identical for every value)")
 	quiet := fs.Bool("q", false, "suppress per-input and per-shard progress on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -190,7 +189,7 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 	if *quiet {
 		progress = nil
 	}
-	opt := atlas.Options{Shards: *shards, MergeWorkers: *workers}
+	opt := atlas.Options{MergeWorkers: *workers}
 	if err := atlas.CompactWithProgress(*out, inputs[0], inputs[1:], opt, progress); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

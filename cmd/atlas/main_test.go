@@ -194,6 +194,15 @@ func TestCompactSubcommand(t *testing.T) {
 	if code, _, _ := runCLI(t, "compact", "-o", "", base); code != 2 {
 		t.Fatal("compact without -o must be a usage error")
 	}
+	// -shards never reached Compact, which streams from files and reads
+	// only the merge worker count; it is gone, so it is a usage error.
+	gone := filepath.Join(t.TempDir(), "gone.atlas")
+	if code, _, errOut := runCLI(t, "compact", "-shards", "4", "-o", gone, base); code != 2 || !strings.Contains(errOut, "-shards") {
+		t.Fatalf("compact -shards: code=%d stderr=%q, want usage error 2", code, errOut)
+	}
+	if _, err := os.Stat(gone); !os.IsNotExist(err) {
+		t.Fatalf("compact -shards wrote %s (stat err %v)", gone, err)
+	}
 	if _, err := os.Stat(out); err != nil {
 		t.Fatal(err)
 	}

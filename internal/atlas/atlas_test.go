@@ -252,6 +252,34 @@ func TestDiamondCensus(t *testing.T) {
 	}
 }
 
+// A record whose hop is out of range — from a hostile runner's shipment
+// or a damaged log — is an ingest error, not a panic, on both the
+// record and the record-log path.
+func TestHostileHopIsAnError(t *testing.T) {
+	t.Parallel()
+	for _, hop := range []int{-1, 1 << 30} {
+		rec := &traceio.SurveyRecord{PairIndex: 3, Trace: traceio.JSONTrace{
+			Src: "192.0.2.1", Dst: "0.0.0.9",
+			Vertices: []traceio.JSONVertex{{Addr: "0.0.0.1", Hop: 0}, {Addr: "0.0.0.9", Hop: hop}},
+			Edges:    []traceio.JSONEdge{{From: 0, To: 1}},
+		}}
+		if err := New(Options{}).AddRecord(rec); err == nil {
+			t.Fatalf("AddRecord accepted hop %d", hop)
+		}
+		path := filepath.Join(t.TempDir(), "units.jsonl")
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Options{}).AddRecordLog(path); err == nil {
+			t.Fatalf("AddRecordLog accepted hop %d", hop)
+		}
+	}
+}
+
 // Save → read back through Compact → save again round-trips
 // byte-stably: a single snapshot is Compact's fixed point, whatever
 // shard and worker counts either side ran with.

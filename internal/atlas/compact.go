@@ -35,6 +35,8 @@ import (
 // pair sets / max widths union, a later input's pair identity replaces
 // an earlier one's — so compacting disjoint deltas reproduces, byte for
 // byte, the snapshot of one atlas that ingested every record directly.
+// Of opt, only MergeWorkers applies: compaction streams from files, so
+// there are no ingestion shards for Shards to size.
 func Compact(outPath, basePath string, deltaPaths []string, opt Options) error {
 	return CompactWithProgress(outPath, basePath, deltaPaths, opt, nil)
 }

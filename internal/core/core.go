@@ -264,53 +264,3 @@ func ClassifyDiamond(d *topo.Diamond, router *topo.Graph) DiamondEffect {
 		return EffectMultipleSmaller
 	}
 }
-
-// AggregateRouters merges interface sets from multiple traces through
-// transitive closure: two sets sharing at least one address merge
-// (Sec 5.2's aggregated router view). Input and output sets are address
-// slices.
-func AggregateRouters(sets [][]packet.Addr) [][]packet.Addr {
-	parent := make(map[packet.Addr]packet.Addr)
-	var find func(a packet.Addr) packet.Addr
-	find = func(a packet.Addr) packet.Addr {
-		p, ok := parent[a]
-		if !ok {
-			parent[a] = a
-			return a
-		}
-		if p == a {
-			return a
-		}
-		root := find(p)
-		parent[a] = root
-		return root
-	}
-	union := func(a, b packet.Addr) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	for _, s := range sets {
-		for _, a := range s[1:] {
-			union(s[0], a)
-		}
-	}
-	groups := make(map[packet.Addr][]packet.Addr)
-	for a := range parent {
-		r := find(a)
-		groups[r] = append(groups[r], a)
-	}
-	out := make([][]packet.Addr, 0, len(groups))
-	var roots []packet.Addr
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, r := range roots {
-		g := groups[r]
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-		out = append(out, g)
-	}
-	return out
-}

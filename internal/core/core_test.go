@@ -117,21 +117,6 @@ func TestClassifyDiamondMultipleSmaller(t *testing.T) {
 	}
 }
 
-func TestAggregateRoutersTransitiveClosure(t *testing.T) {
-	sets := [][]packet.Addr{
-		{a(1), a(2)},
-		{a(2), a(3)},
-		{a(5), a(6)},
-	}
-	agg := AggregateRouters(sets)
-	if len(agg) != 2 {
-		t.Fatalf("aggregated %d groups, want 2: %v", len(agg), agg)
-	}
-	if len(agg[0]) != 3 || len(agg[1]) != 2 {
-		t.Fatalf("group sizes %d/%d, want 3/2", len(agg[0]), len(agg[1]))
-	}
-}
-
 func TestCandidateGroups(t *testing.T) {
 	g := buildDiamondGraph(3)
 	g.AddVertex(1, topo.StarAddr) // stars are excluded

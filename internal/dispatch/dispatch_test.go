@@ -295,6 +295,60 @@ func TestOversizedShipRefused(t *testing.T) {
 	}
 }
 
+// TestPoisonedShipFailsMerge: ship validation checks each record's pair
+// index, not its topology, so a record with a vertex at hop -1 is
+// accepted. The merge must then fail with an error — Done closes, Err
+// is set — instead of panicking in the atlas and taking the
+// coordinator down with it.
+func TestPoisonedShipFailsMerge(t *testing.T) {
+	t.Parallel()
+	spec := testSpec()
+	spec.Pairs = 6
+	golden := singleMachine(t, spec, "")
+	poisoned := bytes.Replace(golden, []byte(`"hop":0`), []byte(`"hop":-1`), 1)
+	if bytes.Equal(poisoned, golden) {
+		t.Fatal("no vertex to poison")
+	}
+	coord, srv := newTestCoordinator(t, t.TempDir(), spec, func(cfg *CoordinatorConfig) {
+		cfg.UnitSize = spec.Pairs
+	})
+
+	cr := claimAs(t, srv.URL, "hostile")
+	if cr.Status != StatusUnit || cr.Unit.Count != spec.Pairs {
+		t.Fatalf("claim: %+v", cr)
+	}
+	target := fmt.Sprintf("%s/v1/ship?unit=%d&lease=%d&runner=hostile", srv.URL, cr.Unit.ID, cr.LeaseID)
+	resp, err := http.Post(target, "application/x-ndjson", bytes.NewReader(poisoned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("poisoned ship returned %d, want 200 (validation checks pair indices only)", resp.StatusCode)
+	}
+
+	select {
+	case <-coord.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("coordinator never finished merging")
+	}
+	if err := coord.Err(); err == nil {
+		t.Fatal("merge of a poisoned unit succeeded")
+	}
+	resp, err = http.Get(srv.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status after failed merge: code %d, err %v", resp.StatusCode, err)
+	}
+	if st.Done {
+		t.Fatalf("status reports done after a failed merge: %+v", st)
+	}
+}
+
 // TestCoordinatorResume: a coordinator killed mid-survey restarts with
 // -resume, restores the durably shipped units from the manifest, and
 // the fleet finishes the remainder — outputs byte-identical to an

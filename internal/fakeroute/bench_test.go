@@ -8,40 +8,51 @@ import (
 
 // BenchmarkProbeRoundTrip measures one full simulated probe round trip at
 // the session level: serialize → HandleProbe (parse, forward, craft
-// reply). The memoized sub-benchmark is the hot path the survey runs on
-// (per-flow balancing, no loss, no rate limiting) and must report
-// 0 allocs/op in steady state; fresh-walk forces the memo off to price
-// the walk itself; perpacket exercises the RNG-drawing bypass path.
+// reply). The probe schedule is shaped like the surveys' traffic: a
+// stream of flows, each probed at one TTL or at two adjacent ones (an
+// MDA node-control mint, then the next hop). perflow is the hot path
+// the surveys run on and must report 0 allocs/op in steady state;
+// perpacket adds the session RNG draw at the first balancer.
 func BenchmarkProbeRoundTrip(b *testing.B) {
-	run := func(b *testing.B, configure func(*Network, *Path)) {
+	type step struct {
+		flow uint16
+		ttl  byte
+	}
+	var sched []step
+	for f := 0; len(sched) < 1<<12; f++ {
+		ttl := byte(1 + f%6)
+		sched = append(sched, step{uint16(f), ttl})
+		if f%3 != 0 {
+			sched = append(sched, step{uint16(f), ttl + 1})
+		}
+	}
+	run := func(b *testing.B, configure func(*Path)) {
 		b.Helper()
 		net, path := BuildScenario(1, tSrc, tDst, MeshedDiamond48)
 		if configure != nil {
-			configure(net, path)
+			configure(path)
 		}
 		s := net.SessionFor(tSrc, tDst)
 		var buf []byte
-		// Warm up: compile tables, size scratch buffers, populate the
-		// walk cache for every flow the loop will replay.
-		for f := 0; f < 256; f++ {
-			pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: uint16(f), TTL: byte(1 + f%6), Checksum: uint16(f + 1)}
+		probe := func(i int) {
+			st := sched[i%len(sched)]
+			pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: st.flow, TTL: st.ttl, Checksum: uint16(i%1000 + 1)}
 			buf = pr.AppendTo(buf[:0])
 			s.HandleProbe(buf)
+		}
+		// Warm up: compile tables, size scratch buffers.
+		for i := range sched {
+			probe(i)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: uint16(i % 256), TTL: byte(1 + i%6), Checksum: uint16(i%1000 + 1)}
-			buf = pr.AppendTo(buf[:0])
-			s.HandleProbe(buf)
+			probe(i)
 		}
 	}
-	b.Run("memoized", func(b *testing.B) { run(b, nil) })
-	b.Run("freshwalk", func(b *testing.B) {
-		run(b, func(n *Network, _ *Path) { n.disableWalkMemo = true })
-	})
+	b.Run("perflow", func(b *testing.B) { run(b, nil) })
 	b.Run("perpacket", func(b *testing.B) {
-		run(b, func(_ *Network, p *Path) { p.LB[p.Graph.Hop(0)[0]] = LBPerPacket })
+		run(b, func(p *Path) { p.LB[p.Graph.Hop(0)[0]] = LBPerPacket })
 	})
 }
 

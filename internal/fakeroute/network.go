@@ -88,11 +88,6 @@ type Network struct {
 	// before probing begins.
 	LossProb float64
 
-	// disableWalkMemo turns off flow-walk memoization, forcing every
-	// probe through the fresh TTL-bounded walk. Test hook only: output
-	// must be byte-identical either way (see TestWalkMemoByteIdentical).
-	disableWalkMemo bool
-
 	sessMu   sync.RWMutex
 	sessions map[PathKey]*Session
 
@@ -228,11 +223,6 @@ type Session struct {
 	ifaces  map[*Iface]*ctrView
 	buckets map[*Router]*bucket
 
-	// Memoized flow walks over compiled graph generations (compiled.go),
-	// and the unused tail of the chunk new walks are carved from.
-	walks    map[walkKey][]topo.VertexID
-	walkSlab []topo.VertexID
-
 	// Reusable scratch for the zero-allocation probe hot path: the
 	// parsed probe, the quoted-datagram copy, the ICMP body, and the
 	// outgoing reply. All are used only under mu; outBuf backs the slice
@@ -360,32 +350,16 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	flowKey := pp.FlowKey()
 
 	// The probe is forwarded until its TTL expires or it reaches the
-	// destination host. hop h is reached after h+1 TTL decrements. When
-	// the walk is a pure function of the flow (cp.memoizable) and loss
-	// cannot consume an RNG draw, replay the memoized walk by TTL;
-	// otherwise walk fresh, drawing randomness exactly where the original
-	// per-probe loop would.
-	var cur topo.VertexID
-	var hop int
-	if cp.memoizable && !n.disableWalkMemo && n.LossProb == 0 {
-		hop = min(max(int(pp.IP.TTL)-1, 0), cp.dstHop)
-		seq := s.walkFor(cp, pp, flowKey, hop)
-		if hop > len(seq)-1 {
-			hop = len(seq) - 1 // dead end short of the TTL
+	// destination host. hop h is reached after h+1 TTL decrements.
+	// Randomness is drawn only where a per-packet balancer dispatches.
+	cur, hop := cp.entry, 0
+	for ttl := int(pp.IP.TTL); ttl > 1 && hop < cp.dstHop; ttl-- {
+		next := s.nextVertex(cp, cur, pp, flowKey)
+		if next == topo.None {
+			break // dead end: silent drop (routing hole)
 		}
-		cur = seq[hop]
-	} else {
-		cur = cp.entry
-		ttl := int(pp.IP.TTL)
-		for ttl > 1 && hop < cp.dstHop {
-			next := s.nextVertex(cp, cur, pp, flowKey)
-			if next == topo.None {
-				break // dead end: silent drop (routing hole)
-			}
-			cur = next
-			hop++
-			ttl--
-		}
+		cur = next
+		hop++
 	}
 	atDst := hop == cp.dstHop
 	if cp.addr[cur] == topo.StarAddr {

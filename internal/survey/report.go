@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"mmlpt/internal/alias"
 	"mmlpt/internal/core"
 	"mmlpt/internal/stats"
 )
@@ -210,8 +211,12 @@ func RouterSizeCDFs(records []RouterRecord) (distinct, aggregated *stats.CDF) {
 			d = append(d, float64(len(s.Addrs)))
 		}
 	}
+	u := alias.NewUnion()
+	for _, s := range AllRouterSets(records) {
+		u.AddSet(s)
+	}
 	var a []float64
-	for _, g := range core.AggregateRouters(AllRouterSets(records)) {
+	for _, g := range u.UnsortedGroups() { // NewCDF sorts: group order is moot
 		a = append(a, float64(len(g)))
 	}
 	return stats.NewCDF(d), stats.NewCDF(a)

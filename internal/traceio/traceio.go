@@ -191,11 +191,16 @@ func EncodeGraph(g *topo.Graph) ([]JSONVertex, []JSONEdge) {
 	return vs, es
 }
 
-// DecodeGraph rebuilds a graph from the vertex and edge lists.
+// DecodeGraph rebuilds a graph from the vertex and edge lists. Records
+// arrive from outside the process (shipped units, replayed logs), so a
+// hop outside [0, 254] is an error, as in ParseTopology.
 func DecodeGraph(vs []JSONVertex, es []JSONEdge) (*topo.Graph, error) {
 	g := topo.New()
 	ids := make([]topo.VertexID, len(vs))
 	for i, v := range vs {
+		if v.Hop < 0 || v.Hop >= 255 {
+			return nil, fmt.Errorf("traceio: vertex %d: hop index %d outside [0, 254]", i, v.Hop)
+		}
 		if v.Addr == "*" {
 			ids[i] = g.AddVertex(v.Hop, topo.StarAddr)
 			continue

@@ -149,6 +149,23 @@ func TestJSONGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeGraphRejectsHopOutOfRange: a record's hop reaches
+// topo.AddVertex from outside the process, so -1 (which panicked there)
+// and a huge hop (which grew the hop list without bound) are errors.
+func TestDecodeGraphRejectsHopOutOfRange(t *testing.T) {
+	for _, hop := range []int{-1, 255, 2000000000} {
+		for _, addr := range []string{"10.0.0.1", "*"} {
+			vs := []JSONVertex{{Addr: "10.0.0.9", Hop: 0}, {Addr: addr, Hop: hop}}
+			if _, err := DecodeGraph(vs, nil); err == nil || !strings.Contains(err.Error(), "outside [0, 254]") {
+				t.Errorf("hop %d addr %s: err = %v, want out-of-range error", hop, addr, err)
+			}
+		}
+	}
+	if _, err := DecodeGraph([]JSONVertex{{Addr: "10.0.0.1", Hop: 254}}, nil); err != nil {
+		t.Fatalf("hop 254: %v", err)
+	}
+}
+
 func TestJSONTraceRecord(t *testing.T) {
 	net, _ := fakeroute.BuildScenario(1, tSrc, tDst, fakeroute.Fig1UnmeshedDiamond)
 	p := probe.NewSimProber(net, tSrc, tDst)
