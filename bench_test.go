@@ -154,39 +154,39 @@ func benchIPSurveyFigure(b *testing.B, extract func(*survey.Result)) {
 // BenchmarkFig12RouterSizes, BenchmarkTable3AliasEffect, BenchmarkFig13 and
 // BenchmarkFig14 regenerate the Sec 5.2 router-level survey artifacts.
 func BenchmarkFig12RouterSizes(b *testing.B) {
-	benchRouterSurvey(b, func(res *survey.Result, recs []survey.RouterRecord) {
+	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
 		_, _ = survey.RouterSizeCDFs(recs)
 	})
 }
 
 func BenchmarkTable3AliasEffect(b *testing.B) {
-	benchRouterSurvey(b, func(res *survey.Result, recs []survey.RouterRecord) {
-		_ = survey.Table3(res, recs)
+	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
+		_ = survey.Table3(recs)
 	})
 }
 
 func BenchmarkFig13WidthBeforeAfter(b *testing.B) {
-	benchRouterSurvey(b, func(res *survey.Result, recs []survey.RouterRecord) {
-		_, _ = survey.WidthBeforeAfter(res, recs)
+	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
+		_, _ = survey.WidthBeforeAfter(recs)
 	})
 }
 
 func BenchmarkFig14JointBeforeAfter(b *testing.B) {
-	benchRouterSurvey(b, func(res *survey.Result, recs []survey.RouterRecord) {
-		_ = survey.JointWidthBeforeAfter(res, recs)
+	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
+		_ = survey.JointWidthBeforeAfter(recs)
 	})
 }
 
-func benchRouterSurvey(b *testing.B, extract func(*survey.Result, []survey.RouterRecord)) {
+func benchRouterSurvey(b *testing.B, extract func([]survey.RouterRecord)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, recs, err := experiments.RouterSurvey(experiments.SurveyConfig{
+		_, recs, err := experiments.RouterSurvey(experiments.SurveyConfig{
 			Pairs: 30, Seed: uint64(i), Rounds: 3,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		extract(res, recs)
+		extract(recs)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 
 	"mmlpt/internal/experiments"
 	"mmlpt/internal/survey"
@@ -40,32 +41,24 @@ func main() {
 		s = 1
 	}
 
-	var ipRes *ipSurveyCache
-	ipSurvey := func() *ipSurveyCache {
-		if ipRes == nil {
-			res, err := experiments.IPSurvey(experiments.SurveyConfig{Pairs: 400 * s, Seed: *seed})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			ipRes = &ipSurveyCache{res}
+	ipSurvey := sync.OnceValue(func() *survey.Result {
+		res, err := experiments.IPSurvey(experiments.SurveyConfig{Pairs: 400 * s, Seed: *seed})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		return ipRes
-	}
-	var routerRes *routerSurveyCache
-	routerSurvey := func() *routerSurveyCache {
-		if routerRes == nil {
-			res, recs, err := experiments.RouterSurvey(experiments.SurveyConfig{
-				Pairs: 120 * s, Seed: *seed, Rounds: 10,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			routerRes = &routerSurveyCache{res: res, recs: recs}
+		return res
+	})
+	routerSurvey := sync.OnceValue(func() []survey.RouterRecord {
+		_, recs, err := experiments.RouterSurvey(experiments.SurveyConfig{
+			Pairs: 120 * s, Seed: *seed, Rounds: 10,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		return routerRes
-	}
+		return recs
+	})
 
 	want := func(f, t int) bool {
 		return *all || (*fig != 0 && *fig == f) || (*table != 0 && *table == t)
@@ -77,7 +70,7 @@ func main() {
 		})))
 	}
 	if want(2, 0) {
-		fmt.Println(experiments.FormatFig2(ipSurvey().res))
+		fmt.Println(experiments.FormatFig2(ipSurvey()))
 	}
 	if want(3, 0) {
 		fmt.Println(experiments.FormatFig3(experiments.Fig3(experiments.Fig3Config{
@@ -107,37 +100,30 @@ func main() {
 		})))
 	}
 	if want(7, 0) {
-		fmt.Println(experiments.FormatFig7(ipSurvey().res))
+		fmt.Println(experiments.FormatFig7(ipSurvey()))
 	}
 	if want(8, 0) {
-		fmt.Println(experiments.FormatFig8(ipSurvey().res))
+		fmt.Println(experiments.FormatFig8(ipSurvey()))
 	}
 	if want(9, 0) {
-		fmt.Println(experiments.FormatFig9(ipSurvey().res))
+		fmt.Println(experiments.FormatFig9(ipSurvey()))
 	}
 	if want(10, 0) {
-		fmt.Println(experiments.FormatFig10(ipSurvey().res))
+		fmt.Println(experiments.FormatFig10(ipSurvey()))
 	}
 	if want(11, 0) {
-		fmt.Println(experiments.FormatFig11(ipSurvey().res))
+		fmt.Println(experiments.FormatFig11(ipSurvey()))
 	}
 	if want(12, 0) {
-		fmt.Println(experiments.FormatFig12(routerSurvey().recs))
+		fmt.Println(experiments.FormatFig12(routerSurvey()))
 	}
 	if want(0, 3) {
-		fmt.Println(experiments.FormatTable3(routerSurvey().res, routerSurvey().recs))
+		fmt.Println(experiments.FormatTable3(routerSurvey()))
 	}
 	if want(13, 0) {
-		fmt.Println(experiments.FormatFig13(routerSurvey().res, routerSurvey().recs))
+		fmt.Println(experiments.FormatFig13(routerSurvey()))
 	}
 	if want(14, 0) {
-		fmt.Println(experiments.FormatFig14(routerSurvey().res, routerSurvey().recs))
+		fmt.Println(experiments.FormatFig14(routerSurvey()))
 	}
-}
-
-type ipSurveyCache struct{ res *survey.Result }
-
-type routerSurveyCache struct {
-	res  *survey.Result
-	recs []survey.RouterRecord
 }

@@ -49,8 +49,8 @@ import (
 	"mmlpt/internal/atlas/serve"
 	"mmlpt/internal/dispatch"
 	"mmlpt/internal/experiments"
-	"mmlpt/internal/obs"
 	"mmlpt/internal/prior"
+	"mmlpt/internal/progress"
 	"mmlpt/internal/survey"
 	"mmlpt/internal/traceio"
 )
@@ -239,7 +239,7 @@ func main() {
 
 	var stopProgress chan struct{}
 	if *prog {
-		cfg.Progress = obs.NewProgress()
+		cfg.Progress = progress.NewSurvey()
 		stopProgress = make(chan struct{})
 		go func() {
 			t := time.NewTicker(2 * time.Second)
@@ -321,14 +321,14 @@ func main() {
 		if *resume {
 			fmt.Fprintln(os.Stderr, "warning: Table 3 on a resumed run covers only the pairs traced in this process")
 		}
-		fmt.Println(experiments.FormatTable3(res, recs))
+		fmt.Println(experiments.FormatTable3(recs))
 		if *figs {
 			if *resume {
 				fmt.Fprintln(os.Stderr, "warning: -figs on a resumed run covers only the pairs traced in this process")
 			}
 			fmt.Println(experiments.FormatFig12(recs))
-			fmt.Println(experiments.FormatFig13(res, recs))
-			fmt.Println(experiments.FormatFig14(res, recs))
+			fmt.Println(experiments.FormatFig13(recs))
+			fmt.Println(experiments.FormatFig14(recs))
 		}
 	}
 }

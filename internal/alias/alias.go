@@ -212,14 +212,15 @@ func (r *Resolver) AddrUsable(a packet.Addr) (bool, UnableCause) {
 	if ao == nil {
 		return false, CauseUnresponsive
 	}
-	return SeriesUsable(r.samples(ao), r.Direct)
+	return SeriesUsable(r.series(ao), r.Direct)
 }
 
-func (r *Resolver) samples(ao *obs.AddrObs) []obs.Sample {
+// series is the address's sample series of the resolver's family.
+func (r *Resolver) series(ao *obs.AddrObs) []obs.Sample {
 	if r.Direct {
-		return ao.DirectSamples()
+		return ao.Direct
 	}
-	return ao.IndirectSamples()
+	return ao.Indirect
 }
 
 // PairVerdict evaluates the pair with all available evidence.
@@ -244,7 +245,7 @@ func (r *Resolver) PairVerdict(a, b packet.Addr) Evidence {
 		}
 	}
 	// Monotonic Bounds Test.
-	sa, sb := r.samples(ao), r.samples(bo)
+	sa, sb := r.series(ao), r.series(bo)
 	uA, _ := SeriesUsable(sa, r.Direct)
 	uB, _ := SeriesUsable(sb, r.Direct)
 	if uA && uB {
@@ -373,20 +374,17 @@ func (r *Resolver) ProbeRound(addrs []packet.Addr) uint64 {
 	before := probe.TotalSent(r.P)
 	for i := 0; i < r.ProbesPerRound; i++ {
 		for _, a := range addrs {
-			ao := r.Obs.Ensure(a)
 			if r.Direct {
-				r.seq++
-				if reply := r.P.Echo(a, r.seq); reply != nil && reply.IsEchoReply() && reply.From == a {
-					r.Obs.RecordEcho(reply, probe.TotalSent(r.P), r.seq)
-				}
+				r.echo(a)
 				continue
 			}
-			if len(ao.Flows) == 0 {
+			ao := r.Obs.Get(a)
+			if ao == nil || len(ao.Flows) == 0 {
 				continue // cannot aim an indirect probe without a flow
 			}
 			fr := ao.Flows[i%len(ao.Flows)]
 			if reply := r.P.Probe(fr.Flow, fr.TTL); reply != nil && reply.From == a {
-				r.Obs.RecordTrace(reply, fr.Flow, fr.TTL, fr.TTL-1, probe.TotalSent(r.P))
+				r.Obs.RecordTrace(reply, fr.Flow, fr.TTL, probe.TotalSent(r.P))
 			}
 		}
 	}
@@ -402,35 +400,54 @@ func (r *Resolver) FingerprintRound(addrs []packet.Addr) uint64 {
 	}
 	before := probe.TotalSent(r.P)
 	for _, a := range addrs {
-		r.seq++
-		if reply := r.P.Echo(a, r.seq); reply != nil && reply.IsEchoReply() && reply.From == a {
-			r.Obs.RecordEcho(reply, probe.TotalSent(r.P), r.seq)
-		}
+		r.echo(a)
 	}
 	return probe.TotalSent(r.P) - before
 }
 
+// echo sends one direct probe to a and records the reply if a itself
+// answered it with an Echo reply.
+func (r *Resolver) echo(a packet.Addr) {
+	r.seq++
+	if reply := r.P.Echo(a, r.seq); reply != nil && reply.IsEchoReply() && reply.From == a {
+		r.Obs.RecordEcho(reply, probe.TotalSent(r.P), r.seq)
+	}
+}
+
 // RoundResult snapshots the refinement after a round.
 type RoundResult struct {
-	Round  int
+	Round int
+	// Sets concatenates the partitions of the candidate groups, in group
+	// order.
 	Sets   []Set
 	Probes uint64 // cumulative probes sent by the resolver
 }
 
-// Resolve runs the full schedule on one candidate group (the addresses of
-// one hop): Round 0 evaluates trace observations only; Round 1 adds the
-// fingerprint probe and the first MBT round; Rounds 2..Rounds add MBT
-// rounds. The returned slice holds Rounds+1 snapshots.
-func (r *Resolver) Resolve(candidates []packet.Addr) []RoundResult {
-	var out []RoundResult
-	var sent uint64
-	out = append(out, RoundResult{Round: 0, Sets: r.Partition(candidates), Probes: 0})
-	for round := 1; round <= r.Rounds; round++ {
-		if round == 1 && !r.Direct {
-			sent += r.FingerprintRound(candidates)
+// Resolve runs the full schedule over the candidate groups (the
+// addresses of each multi-address hop of one trace): Round 0 evaluates
+// trace observations only; Round 1 adds the fingerprint probe and the
+// first MBT round; Rounds 2..Rounds add MBT rounds. Within a round the
+// groups are probed one after the other, and every group is partitioned
+// once the round's probing is done. The returned slice holds Rounds+1
+// snapshots.
+func (r *Resolver) Resolve(groups [][]packet.Addr) []RoundResult {
+	partition := func() []Set {
+		var sets []Set
+		for _, g := range groups {
+			sets = append(sets, r.Partition(g)...)
 		}
-		sent += r.ProbeRound(candidates)
-		out = append(out, RoundResult{Round: round, Sets: r.Partition(candidates), Probes: sent})
+		return sets
+	}
+	out := []RoundResult{{Round: 0, Sets: partition()}}
+	var sent uint64
+	for round := 1; round <= r.Rounds; round++ {
+		for _, g := range groups {
+			if round == 1 && !r.Direct {
+				sent += r.FingerprintRound(g)
+			}
+			sent += r.ProbeRound(g)
+		}
+		out = append(out, RoundResult{Round: round, Sets: partition(), Probes: sent})
 	}
 	return out
 }

@@ -136,7 +136,7 @@ func traceAndResolve(t *testing.T, seed uint64, mode fakeroute.IPIDMode) ([]Roun
 		t.Fatalf("expected 4 addresses at hop 1, got %d", len(mid))
 	}
 	r := NewResolver(p, o)
-	return r.Resolve(mid), routerOf, truth
+	return r.Resolve([][]packet.Addr{mid}), routerOf, truth
 }
 
 func TestResolveSharedCounters(t *testing.T) {

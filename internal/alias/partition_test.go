@@ -28,9 +28,7 @@ func synthObs(groups [][]packet.Addr) *obs.Observations {
 				seq++
 				counters[gi] += 3
 				ao := o.Ensure(a)
-				ao.Samples = append(ao.Samples, obs.Sample{
-					Seq: seq, IPID: counters[gi], Indirect: true,
-				})
+				ao.Indirect = append(ao.Indirect, obs.Sample{Seq: seq, IPID: counters[gi]})
 			}
 		}
 	}

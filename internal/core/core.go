@@ -42,32 +42,19 @@ func (o *Options) fill() {
 	}
 }
 
-// RoundSnapshot captures the alias state after one resolution round,
-// aggregated over every hop of the trace.
-type RoundSnapshot struct {
-	Round int
-	// Sets is the partition of every multi-address hop's addresses.
-	Sets []alias.Set
-	// Probes is the cumulative alias-resolution probe count.
-	Probes uint64
-}
-
 // Result is the outcome of a multilevel trace.
 type Result struct {
 	// IP is the interface-level trace result.
 	IP *mda.Result
 	// Obs holds the collected observations.
 	Obs *obs.Observations
-	// Rounds holds one snapshot per resolution round (Rounds+1 entries).
-	Rounds []RoundSnapshot
+	// Rounds holds one snapshot per resolution round (Rounds+1 entries),
+	// each the partition of every multi-address hop's addresses.
+	Rounds []alias.RoundResult
 	// Sets is the final alias partition (the last round's).
 	Sets []alias.Set
 	// RouterGraph is the IP graph with same-hop aliases collapsed.
 	RouterGraph *topo.Graph
-	// RouterOf maps each address to its router representative (the
-	// lowest address of its alias set; addresses outside any accepted
-	// set represent themselves).
-	RouterOf map[packet.Addr]packet.Addr
 	// TraceProbes and AliasProbes split the packet budget.
 	TraceProbes, AliasProbes uint64
 }
@@ -82,36 +69,27 @@ func Trace(p probe.Prober, opt Options) *Result {
 		opt.Trace.Obs = o
 	}
 	ip := mdalite.Trace(p, opt.Trace, opt.Phi)
-	res := &Result{IP: ip, Obs: o, TraceProbes: ip.Probes}
-	groups := CandidateGroups(ip.Graph, p.Dst())
 	r := alias.NewResolver(p, o)
 	r.Rounds = opt.Rounds
 	r.ProbesPerRound = opt.ProbesPerRound
-
-	snapshot := func(round int, probes uint64) {
-		var sets []alias.Set
-		for _, g := range groups {
-			sets = append(sets, r.Partition(g)...)
-		}
-		res.Rounds = append(res.Rounds, RoundSnapshot{Round: round, Sets: sets, Probes: probes})
+	rounds := r.Resolve(CandidateGroups(ip.Graph, p.Dst()))
+	last := rounds[len(rounds)-1]
+	return &Result{
+		IP: ip, Obs: o, Rounds: rounds, Sets: last.Sets,
+		RouterGraph: routerGraph(ip.Graph, last.Sets),
+		TraceProbes: ip.Probes, AliasProbes: last.Probes,
 	}
+}
 
-	var sent uint64
-	snapshot(0, 0)
-	for round := 1; round <= opt.Rounds; round++ {
-		for _, g := range groups {
-			if round == 1 {
-				sent += r.FingerprintRound(g)
-			}
-			sent += r.ProbeRound(g)
-		}
-		snapshot(round, sent)
+// routerGraph collapses the accepted alias sets of g: each router is
+// labelled by alias.Union's representative, its lowest address — the rule
+// the atlas applies across traces.
+func routerGraph(g *topo.Graph, sets []alias.Set) *topo.Graph {
+	u := alias.NewUnion()
+	for _, s := range alias.RouterSets(sets) {
+		u.AddSet(s.Addrs)
 	}
-	res.AliasProbes = sent
-	res.Sets = res.Rounds[len(res.Rounds)-1].Sets
-	res.RouterOf = RouterRepresentatives(res.Sets)
-	res.RouterGraph = CollapseRouters(ip.Graph, res.RouterOf)
-	return res
+	return CollapseRouters(g, u.Find)
 }
 
 // CandidateGroups returns, per hop with two or more responsive addresses,
@@ -137,32 +115,11 @@ func CandidateGroups(g *topo.Graph, dst packet.Addr) [][]packet.Addr {
 	return out
 }
 
-// RouterRepresentatives maps every address of every accepted multi-address
-// set to the set's lowest address.
-func RouterRepresentatives(sets []alias.Set) map[packet.Addr]packet.Addr {
-	rep := make(map[packet.Addr]packet.Addr)
-	for _, s := range sets {
-		if s.Outcome != alias.Accepted || len(s.Addrs) < 2 {
-			continue
-		}
-		lo := s.Addrs[0]
-		for _, a := range s.Addrs[1:] {
-			if a < lo {
-				lo = a
-			}
-		}
-		for _, a := range s.Addrs {
-			rep[a] = lo
-		}
-	}
-	return rep
-}
-
 // CollapseRouters builds the router-level graph: vertices at the same hop
-// whose addresses share a representative merge into one vertex labelled by
-// the representative. Addresses without a representative map to
-// themselves; stars are preserved.
-func CollapseRouters(g *topo.Graph, rep map[packet.Addr]packet.Addr) *topo.Graph {
+// whose addresses share a representative (rep maps an unaliased address to
+// itself) merge into one vertex labelled by the representative; stars are
+// preserved.
+func CollapseRouters(g *topo.Graph, rep func(packet.Addr) packet.Addr) *topo.Graph {
 	out := topo.New()
 	idMap := make(map[topo.VertexID]topo.VertexID, len(g.Vertices))
 	for h := 0; h < g.NumHops(); h++ {
@@ -173,10 +130,7 @@ func CollapseRouters(g *topo.Graph, rep map[packet.Addr]packet.Addr) *topo.Graph
 				idMap[id] = out.AddVertex(h, topo.StarAddr)
 				continue
 			}
-			r, ok := rep[a]
-			if !ok {
-				r = a
-			}
+			r := rep(a)
 			nv, seen := byRep[r]
 			if !seen {
 				nv = out.AddVertex(h, r)

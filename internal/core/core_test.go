@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mmlpt/internal/alias"
@@ -18,6 +19,16 @@ var (
 
 func a(n int) packet.Addr { return packet.Addr(0x0a000000 + uint32(n)) }
 
+// routers returns the representative rule over the given alias sets, as
+// Trace applies it.
+func routers(sets ...[]packet.Addr) func(packet.Addr) packet.Addr {
+	u := alias.NewUnion()
+	for _, s := range sets {
+		u.AddSet(s)
+	}
+	return u.Find
+}
+
 // buildDiamondGraph makes a 1-w-1 diamond graph (hop0 div, hop1 width w,
 // hop2 conv).
 func buildDiamondGraph(w int) *topo.Graph {
@@ -34,11 +45,7 @@ func buildDiamondGraph(w int) *topo.Graph {
 
 func TestCollapseRoutersMergesSameHop(t *testing.T) {
 	g := buildDiamondGraph(4)
-	rep := map[packet.Addr]packet.Addr{
-		a(10): a(10), a(11): a(10), // router 1
-		a(12): a(12), a(13): a(12), // router 2
-	}
-	r := CollapseRouters(g, rep)
+	r := CollapseRouters(g, routers([]packet.Addr{a(10), a(11)}, []packet.Addr{a(12), a(13)}))
 	if r.Width(1) != 2 {
 		t.Fatalf("collapsed width %d, want 2\n%s", r.Width(1), r)
 	}
@@ -56,7 +63,7 @@ func TestCollapsePreservesStars(t *testing.T) {
 	d := g.AddVertex(0, a(1))
 	s := g.AddVertex(1, topo.StarAddr)
 	g.AddEdge(d, s)
-	r := CollapseRouters(g, nil)
+	r := CollapseRouters(g, routers())
 	if r.Width(1) != 1 || r.V(r.Hop(1)[0]).Addr != topo.StarAddr {
 		t.Fatal("star lost in collapse")
 	}
@@ -65,7 +72,7 @@ func TestCollapsePreservesStars(t *testing.T) {
 func TestClassifyDiamondNoChange(t *testing.T) {
 	g := buildDiamondGraph(4)
 	d := g.Diamonds()[0]
-	router := CollapseRouters(g, nil)
+	router := CollapseRouters(g, routers())
 	if e := ClassifyDiamond(d, router); e != EffectNoChange {
 		t.Fatalf("effect %v", e)
 	}
@@ -74,8 +81,7 @@ func TestClassifyDiamondNoChange(t *testing.T) {
 func TestClassifyDiamondSingleSmaller(t *testing.T) {
 	g := buildDiamondGraph(4)
 	d := g.Diamonds()[0]
-	rep := map[packet.Addr]packet.Addr{a(10): a(10), a(11): a(10)}
-	router := CollapseRouters(g, rep)
+	router := CollapseRouters(g, routers([]packet.Addr{a(10), a(11)}))
 	if e := ClassifyDiamond(d, router); e != EffectSingleSmaller {
 		t.Fatalf("effect %v", e)
 	}
@@ -84,8 +90,7 @@ func TestClassifyDiamondSingleSmaller(t *testing.T) {
 func TestClassifyDiamondOnePath(t *testing.T) {
 	g := buildDiamondGraph(3)
 	d := g.Diamonds()[0]
-	rep := map[packet.Addr]packet.Addr{a(10): a(10), a(11): a(10), a(12): a(10)}
-	router := CollapseRouters(g, rep)
+	router := CollapseRouters(g, routers([]packet.Addr{a(10), a(11), a(12)}))
 	if e := ClassifyDiamond(d, router); e != EffectOnePath {
 		t.Fatalf("effect %v", e)
 	}
@@ -110,8 +115,7 @@ func TestClassifyDiamondMultipleSmaller(t *testing.T) {
 	g.AddEdge(w2, c)
 
 	d := g.Diamonds()[0]
-	rep := map[packet.Addr]packet.Addr{a(20): a(20), a(21): a(20)}
-	router := CollapseRouters(g, rep)
+	router := CollapseRouters(g, routers([]packet.Addr{a(20), a(21)}))
 	if e := ClassifyDiamond(d, router); e != EffectMultipleSmaller {
 		t.Fatalf("effect %v\nrouter:\n%s", e, router)
 	}
@@ -129,21 +133,22 @@ func TestCandidateGroups(t *testing.T) {
 	}
 }
 
-func TestRouterRepresentativesLowestAddr(t *testing.T) {
-	sets := []alias.Set{
-		{Addrs: []packet.Addr{a(9), a(3), a(7)}, Outcome: alias.Accepted},
-		{Addrs: []packet.Addr{a(1)}, Outcome: alias.Accepted},       // singleton: ignored
-		{Addrs: []packet.Addr{a(20), a(21)}, Outcome: alias.Unable}, // unable: ignored
+// TestRouterGraphLabelsLowestAddr: a trace's router graph labels each
+// router with the lowest address of its accepted sets and ignores
+// singleton and unable sets.
+func TestRouterGraphLabelsLowestAddr(t *testing.T) {
+	g := buildDiamondGraph(5)
+	r := routerGraph(g, []alias.Set{
+		{Addrs: []packet.Addr{a(13), a(11), a(12)}, Outcome: alias.Accepted},
+		{Addrs: []packet.Addr{a(10)}, Outcome: alias.Accepted},      // singleton: ignored
+		{Addrs: []packet.Addr{a(14), a(10)}, Outcome: alias.Unable}, // unable: ignored
+	})
+	var got []packet.Addr
+	for _, id := range r.Hop(1) {
+		got = append(got, r.V(id).Addr)
 	}
-	rep := RouterRepresentatives(sets)
-	if rep[a(9)] != a(3) || rep[a(7)] != a(3) || rep[a(3)] != a(3) {
-		t.Fatalf("rep %v", rep)
-	}
-	if _, ok := rep[a(1)]; ok {
-		t.Fatal("singleton got a representative")
-	}
-	if _, ok := rep[a(20)]; ok {
-		t.Fatal("unable set got a representative")
+	if want := []packet.Addr{a(10), a(11), a(14)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("router labels at hop 1 = %v, want %v", got, want)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"mmlpt/internal/atlas"
-	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/progress"
 	"mmlpt/internal/survey"
 	"mmlpt/internal/traceio"
 )
@@ -61,7 +61,7 @@ type CoordinatorConfig struct {
 	// A missing manifest degrades to a fresh survey.
 	Resume bool
 	// Fleet receives progress counters; one is created if nil.
-	Fleet *obs.Fleet
+	Fleet *progress.Fleet
 	// Logf, when non-nil, receives control-plane events (leases granted,
 	// expiries, ships, merge progress).
 	Logf func(format string, args ...any)
@@ -87,7 +87,7 @@ type Coordinator struct {
 	spec   Spec
 	ttl    time.Duration
 	budget *Budget
-	fleet  *obs.Fleet
+	fleet  *progress.Fleet
 	logf   func(string, ...any)
 
 	// jobPairs maps job list position to universe pair index, for
@@ -160,7 +160,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		}
 	}
 	if c.fleet == nil {
-		c.fleet = obs.NewFleet(len(c.units))
+		c.fleet = progress.NewFleet(len(c.units))
 	}
 	if restored, records := c.restoredCounts(); restored > 0 {
 		c.fleet.Restored(restored, records)
@@ -250,7 +250,7 @@ func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Fleet exposes the progress tracker (the configured one, or the one
 // NewCoordinator created).
-func (c *Coordinator) Fleet() *obs.Fleet { return c.fleet }
+func (c *Coordinator) Fleet() *progress.Fleet { return c.fleet }
 
 // Err reports the merge outcome after Done is closed.
 func (c *Coordinator) Err() error {
@@ -587,8 +587,13 @@ func (c *Coordinator) doMerge() error {
 	}
 	c.mu.Unlock()
 
-	// Pass 1: the record log. Shard bytes concatenate in span order;
-	// the tee re-decodes them into the aggregate the summary reports.
+	// One decode per shard: its bytes concatenate into the record log in
+	// span order while every record feeds the aggregate the summary
+	// reports and, when a snapshot is wanted, the atlas.
+	var a *atlas.Atlas
+	if c.cfg.AtlasPath != "" {
+		a = atlas.New(c.cfg.AtlasOptions)
+	}
 	fold := func(w io.Writer) error {
 		for _, path := range shards {
 			f, err := os.Open(path)
@@ -601,6 +606,9 @@ func (c *Coordinator) doMerge() error {
 			}
 			err = traceio.DecodeSurveyRecords(src, func(sr *traceio.SurveyRecord) error {
 				agg.Add(sr)
+				if a != nil {
+					return a.AddRecord(sr)
+				}
 				return nil
 			})
 			f.Close()
@@ -612,9 +620,7 @@ func (c *Coordinator) doMerge() error {
 	}
 	var err error
 	if c.cfg.OutJSONL != "" {
-		err = traceio.WriteFileAtomicStream(c.cfg.OutJSONL, 0o644, func(w io.Writer) error {
-			return fold(w)
-		})
+		err = traceio.WriteFileAtomicStream(c.cfg.OutJSONL, 0o644, fold)
 	} else {
 		err = fold(nil)
 	}
@@ -623,15 +629,8 @@ func (c *Coordinator) doMerge() error {
 	}
 	c.logf("dispatch: merged %d records into %s", agg.Records, c.cfg.OutJSONL)
 
-	// Pass 2: the atlas, through the shard-intake path and the
-	// streaming canonical snapshot encode.
-	if c.cfg.AtlasPath != "" {
-		a := atlas.New(c.cfg.AtlasOptions)
-		for _, path := range shards {
-			if _, err := a.AddRecordLog(path); err != nil {
-				return err
-			}
-		}
+	// The atlas snapshot, through the streaming canonical encode.
+	if a != nil {
 		if err := a.Save(c.cfg.AtlasPath); err != nil {
 			return err
 		}

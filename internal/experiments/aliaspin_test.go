@@ -1,0 +1,143 @@
+package experiments
+
+// Alias-resolution pins, recorded on commit 4d89929 before the IP ID
+// samples were split into per-family series and the round schedule and
+// router representative moved into internal/alias. Each digest covers an
+// output a rewrite of that layer must reproduce bit for bit:
+//
+//   - every round's partition (addresses, outcome, cumulative probes) and
+//     the router graph of a multilevel trace over the load-balanced pairs
+//     of the router-survey bench universe;
+//   - the exact sequence of probes those traces send, traceroute probes as
+//     (flow, TTL) and echoes as (address, sequence number);
+//   - the Fig 5 rows and every Table2Result field at Pairs 10, Seed 1.
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
+	"io"
+	"testing"
+
+	"mmlpt/internal/core"
+	"mmlpt/internal/nprand"
+	"mmlpt/internal/packet"
+	"mmlpt/internal/probe"
+)
+
+// probeLog hashes every probe a tracer sends, in order; a batch adds a
+// length marker ahead of its specs.
+type probeLog struct {
+	probe.Prober
+	w io.Writer
+}
+
+func (l probeLog) Probe(flow uint16, ttl int) *packet.Reply {
+	fmt.Fprintf(l.w, "p %d %d\n", flow, ttl)
+	return l.Prober.Probe(flow, ttl)
+}
+
+func (l probeLog) ProbeBatch(specs []probe.Spec) []*packet.Reply {
+	fmt.Fprintf(l.w, "batch %d\n", len(specs))
+	for _, s := range specs {
+		fmt.Fprintf(l.w, "p %d %d\n", s.FlowID, s.TTL)
+	}
+	return l.Prober.ProbeBatch(specs)
+}
+
+func (l probeLog) Echo(addr packet.Addr, seq uint16) *packet.Reply {
+	fmt.Fprintf(l.w, "e %s %d\n", addr, seq)
+	return l.Prober.Echo(addr, seq)
+}
+
+func (l probeLog) EchoBatch(specs []probe.EchoSpec) []*packet.Reply {
+	fmt.Fprintf(l.w, "echo batch %d\n", len(specs))
+	for _, s := range specs {
+		fmt.Fprintf(l.w, "e %s %d\n", s.Addr, s.Seq)
+	}
+	return l.Prober.EchoBatch(specs)
+}
+
+func sum(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)) }
+
+// TestAliasRoundsPinned traces the load-balanced pairs of the
+// router-survey bench universe (world seed 3, 14 pairs, trace seed 1 as
+// the bench's default -seed) exactly as survey.Run would, and pins every
+// round's partition and the probe sequence.
+func TestAliasRoundsPinned(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("ten alias rounds over the bench universe are slow")
+	}
+	u, rc, err := PlanSurvey("router", SurveyConfig{Pairs: 14, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Trace.Seed = 1
+	parts, probes := sha256.New(), sha256.New()
+	traced := 0
+	for idx, pair := range u.Pairs {
+		if !pair.HasLB {
+			continue
+		}
+		traced++
+		sim := probe.NewSimProber(u.Net, pair.Src, pair.Dst)
+		sim.Retries = rc.Retries
+		fmt.Fprintf(probes, "pair %d\n", idx)
+		tc := rc.Trace
+		tc.Seed = nprand.IndexedSeed(rc.Trace.Seed, idx)
+		res := core.Trace(probeLog{sim, probes}, core.Options{
+			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds, ProbesPerRound: rc.ProbesPerRound,
+		})
+		fmt.Fprintf(parts, "pair %d trace %d alias %d\n", idx, res.TraceProbes, res.AliasProbes)
+		for _, snap := range res.Rounds {
+			fmt.Fprintf(parts, "round %d probes %d\n", snap.Round, snap.Probes)
+			for _, s := range snap.Sets {
+				fmt.Fprintf(parts, "%v %v\n", s.Outcome, s.Addrs)
+			}
+		}
+		fmt.Fprintf(parts, "router graph\n%s", res.RouterGraph)
+	}
+	if traced != 6 {
+		t.Fatalf("traced %d load-balanced pairs, want 6", traced)
+	}
+	const (
+		wantParts  = "f1f058fd0de0aa88f5b3c2bf8079ce4cff28957786710f9e9c68eb228cd05575"
+		wantProbes = "13b44499a389b7b4a130a6b52f8d1d9ed7ba6575ec2be7d262e94fd5d977a632"
+	)
+	if got := sum(parts); got != wantParts {
+		t.Errorf("round partitions digest %s, pinned %s", got, wantParts)
+	}
+	if got := sum(probes); got != wantProbes {
+		t.Errorf("probe sequence digest %s, pinned %s", got, wantProbes)
+	}
+}
+
+// TestFig5Pinned pins every Fig 5 row.
+func TestFig5Pinned(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("ten alias rounds over 10 pairs are slow")
+	}
+	const want = "60fc405ede64ebdbd35c1ee4b9e45dcea257edac7fb479ee91cf8f73b818d166"
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v", Fig5(Fig5Config{Pairs: 10, Seed: 1}))
+	if got := sum(h); got != want {
+		t.Errorf("Fig 5 digest %s, pinned %s", got, want)
+	}
+}
+
+// TestTable2Pinned pins every Table2Result field: the cells, the
+// router counts and both cause maps (fmt prints maps in key order).
+func TestTable2Pinned(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("ten alias rounds over 10 pairs, both families, are slow")
+	}
+	const want = "49c0a0241e36a000e3aa190f99e672cd1c26e766c88c84c7dbbe942b83d42b30"
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v", *Table2(Table2Config{Pairs: 10, Seed: 1}))
+	if got := sum(h); got != want {
+		t.Errorf("Table 2 digest %s, pinned %s", got, want)
+	}
+}

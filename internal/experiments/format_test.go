@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"mmlpt/internal/alias"
 )
 
 // Formatter smoke tests: every paper artifact's renderer must produce the
@@ -104,20 +106,50 @@ func TestFormatSurveyFigures(t *testing.T) {
 
 func TestFormatRouterFigures(t *testing.T) {
 	t.Parallel()
-	res, recs, err := RouterSurvey(SurveyConfig{Pairs: 40, Seed: 3, Rounds: 2})
+	_, recs, err := RouterSurvey(SurveyConfig{Pairs: 40, Seed: 3, Rounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := FormatFig12(recs); !strings.Contains(s, "# Fig 12") {
 		t.Fatal("fig 12 header")
 	}
-	if s := FormatTable3(res, recs); !strings.Contains(s, "no change") {
+	if s := FormatTable3(recs); !strings.Contains(s, "no change") {
 		t.Fatal("table 3 rows")
 	}
-	if s := FormatFig13(res, recs); !strings.Contains(s, "router level") {
+	if s := FormatFig13(recs); !strings.Contains(s, "router level") {
 		t.Fatal("fig 13 sections")
 	}
-	if s := FormatFig14(res, recs); !strings.Contains(s, "# Fig 14") {
+	if s := FormatFig14(recs); !strings.Contains(s, "# Fig 14") {
 		t.Fatal("fig 14 header")
+	}
+}
+
+// TestFormatTable2CauseOrder: the cause lists print in UnableCause order,
+// whatever order the maps iterate in.
+func TestFormatTable2CauseOrder(t *testing.T) {
+	t.Parallel()
+	r := &Table2Result{
+		Sets: 4, IndirectRouters: 3, DirectRouters: 2,
+		UnableCausesIndirect: map[alias.UnableCause]int{
+			alias.CauseTooFew: 1, alias.CauseConstant: 35, alias.CauseNonMonotonic: 2,
+		},
+		UnableCausesDirect: map[alias.UnableCause]int{
+			alias.CauseCopyProbe: 13, alias.CauseUnresponsive: 15, alias.CauseConstant: 4,
+		},
+	}
+	want := `# Table 2: 4 address sets identified as routers (indirect=3, direct=2)
+                  Accept Direct  Reject Direct  Unable Direct
+Accept Indirect           0.000          0.000          0.000
+Reject Indirect           0.000          0.000          0.000
+Unable Indirect           0.000          0.000          0.000
+# paper:            0.365/0.144/0.203 down the Accept-Direct column;
+#                   0.005 Accept-Indirect/Reject-Direct; 0.283 Accept-Indirect/Unable-Direct
+# indirect-unable causes: constant=35 non-monotonic=2 too-few-samples=1
+# direct-unable causes: constant=4 unresponsive=15 copy-probe=13
+`
+	for i := 0; i < 50; i++ {
+		if got := FormatTable2(r); got != want {
+			t.Fatalf("run %d:\n%s\nwant:\n%s", i, got, want)
+		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 
 	"mmlpt/internal/core"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/obs"
 	"mmlpt/internal/prior"
+	"mmlpt/internal/progress"
 	"mmlpt/internal/stats"
 	"mmlpt/internal/survey"
 )
@@ -30,7 +30,7 @@ type SurveyConfig struct {
 	Checkpoint      string
 	CheckpointEvery int
 	Resume          bool
-	Progress        *obs.Progress
+	Progress        *progress.Survey
 }
 
 func (cfg SurveyConfig) runConfig(algo survey.Algo) survey.RunConfig {
@@ -215,8 +215,8 @@ func FormatFig12(records []survey.RouterRecord) string {
 }
 
 // FormatTable3 renders the alias-resolution effect fractions.
-func FormatTable3(res *survey.Result, records []survey.RouterRecord) string {
-	t := survey.Table3(res, records)
+func FormatTable3(records []survey.RouterRecord) string {
+	t := survey.Table3(records)
 	var b strings.Builder
 	b.WriteString("# Table 3: effect of alias resolution on unique diamonds\n")
 	paper := map[core.DiamondEffect]float64{
@@ -235,8 +235,8 @@ func FormatTable3(res *survey.Result, records []survey.RouterRecord) string {
 }
 
 // FormatFig13 renders the before/after width distributions.
-func FormatFig13(res *survey.Result, records []survey.RouterRecord) string {
-	before, after := survey.WidthBeforeAfter(res, records)
+func FormatFig13(records []survey.RouterRecord) string {
+	before, after := survey.WidthBeforeAfter(records)
 	var b strings.Builder
 	b.WriteString("# Fig 13: max width of unique diamonds, IP level vs router level\n")
 	fmt.Fprintf(&b, "## IP level: w48 %.4f w56 %.4f\n", before.Portion(48), before.Portion(56))
@@ -252,8 +252,8 @@ func FormatFig13(res *survey.Result, records []survey.RouterRecord) string {
 }
 
 // FormatFig14 renders the joint before/after width distribution.
-func FormatFig14(res *survey.Result, records []survey.RouterRecord) string {
-	j := survey.JointWidthBeforeAfter(res, records)
+func FormatFig14(records []survey.RouterRecord) string {
+	j := survey.JointWidthBeforeAfter(records)
 	var b strings.Builder
 	b.WriteString("# Fig 14: joint (width before, width after) for changed diamonds\n")
 	fmt.Fprintf(&b, "## total changed: %d\n", j.Total)

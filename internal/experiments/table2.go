@@ -112,7 +112,7 @@ func Table2(cfg Table2Config) *Table2Result {
 		dirRes.Rounds = cfg.Rounds
 		var dirSets []alias.Set
 		for _, g := range groups {
-			rr := dirRes.Resolve(g)
+			rr := dirRes.Resolve([][]packet.Addr{g})
 			dirSets = append(dirSets, rr[len(rr)-1].Sets...)
 		}
 
@@ -193,19 +193,25 @@ func FormatTable2(r *Table2Result) string {
 	}
 	b.WriteString("# paper:            0.365/0.144/0.203 down the Accept-Direct column;\n")
 	b.WriteString("#                   0.005 Accept-Indirect/Reject-Direct; 0.283 Accept-Indirect/Unable-Direct\n")
-	if len(r.UnableCausesIndirect) > 0 {
-		b.WriteString("# indirect-unable causes:")
-		for c, n := range r.UnableCausesIndirect {
-			fmt.Fprintf(&b, " %s=%d", c, n)
-		}
-		b.WriteByte('\n')
-	}
-	if len(r.UnableCausesDirect) > 0 {
-		b.WriteString("# direct-unable causes:")
-		for c, n := range r.UnableCausesDirect {
-			fmt.Fprintf(&b, " %s=%d", c, n)
-		}
-		b.WriteByte('\n')
-	}
+	writeCauses(&b, "indirect", r.UnableCausesIndirect)
+	writeCauses(&b, "direct", r.UnableCausesDirect)
 	return b.String()
+}
+
+// writeCauses renders one cause tally as a comment line, causes in
+// UnableCause order.
+func writeCauses(b *strings.Builder, family string, causes map[alias.UnableCause]int) {
+	if len(causes) == 0 {
+		return
+	}
+	order := make([]alias.UnableCause, 0, len(causes))
+	for c := range causes {
+		order = append(order, c)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	fmt.Fprintf(b, "# %s-unable causes:", family)
+	for _, c := range order {
+		fmt.Fprintf(b, " %s=%d", c, causes[c])
+	}
+	b.WriteByte('\n')
 }

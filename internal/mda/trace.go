@@ -178,9 +178,6 @@ func NewSession(p probe.Prober, cfg Config) *Session {
 	}
 }
 
-// DstHop returns the destination's hop index, or -1.
-func (s *Session) DstHop() int { return s.dstHop }
-
 // ProbesSent returns the probes sent since the session began.
 func (s *Session) ProbesSent() uint64 {
 	return probe.TotalSent(s.P) - s.baseSent
@@ -331,7 +328,7 @@ func (s *Session) integrate(h int, f uint16, reply *packet.Reply, seq uint64) (t
 	}
 	s.land(h, f, v)
 	if s.Cfg.Obs != nil {
-		s.Cfg.Obs.RecordTrace(reply, f, h+1, h, seq)
+		s.Cfg.Obs.RecordTrace(reply, f, h+1, seq)
 	}
 	return v, true
 }

@@ -1,6 +1,7 @@
 // Package obs accumulates the per-address measurement by-products of a
-// route trace: IP ID samples, reply TTLs, MPLS labels, and the (flow ID,
-// TTL) pairs known to elicit a reply from each address.
+// route trace: IP ID samples (one Seq-ordered series per probing family),
+// reply TTLs, MPLS labels, and the (flow ID, TTL) pairs known to elicit a
+// reply from each address.
 //
 // The multilevel tracer's "free" Round 0 alias resolution (Sec 4.1) is
 // built entirely from these observations; later rounds use the recorded
@@ -8,16 +9,10 @@
 //
 // In the layering, obs is a thin recording layer between the probing
 // engine and the alias resolver: it stores what probes revealed and
-// never decides what to probe. The progress and fleet trackers here are
-// equally passive — counters the survey and dispatch layers update for
-// reporting, never for scheduling.
+// never decides what to probe.
 package obs
 
-import (
-	"sort"
-
-	"mmlpt/internal/packet"
-)
+import "mmlpt/internal/packet"
 
 // Sample is one IP ID observation from an address.
 type Sample struct {
@@ -26,9 +21,6 @@ type Sample struct {
 	Seq uint64
 	// IPID is the outer IP identification value of the reply.
 	IPID uint16
-	// Indirect is true for Time Exceeded / Port Unreachable replies
-	// (traceroute-style probing) and false for Echo replies.
-	Indirect bool
 	// SentID is the IP ID the probe carried (direct probes only): MIDAR
 	// detects routers that copy the probe's IP ID into the reply by
 	// comparing the two.
@@ -43,8 +35,11 @@ type FlowRef struct {
 
 // AddrObs is everything observed about one address.
 type AddrObs struct {
-	Addr    packet.Addr
-	Samples []Sample
+	Addr packet.Addr
+	// Indirect holds the samples of Time Exceeded / Port Unreachable
+	// replies (traceroute-style probing), Direct those of Echo replies;
+	// each series is in Seq order.
+	Indirect, Direct []Sample
 	// ReplyTTLExceeded is the set of observed reply TTLs for indirect
 	// probing (normally one value); ReplyTTLEcho likewise for direct.
 	ReplyTTLExceeded []byte
@@ -54,8 +49,6 @@ type AddrObs struct {
 	MPLSLabels []uint32
 	// Flows are the (flow, TTL) pairs that drew replies from this address.
 	Flows []FlowRef
-	// Hops is the set of hop indices at which the address was observed.
-	Hops []int
 }
 
 // Observations is the collection for one trace.
@@ -81,22 +74,12 @@ func (o *Observations) Ensure(addr packet.Addr) *AddrObs {
 	return ao
 }
 
-// Addrs returns all observed addresses in sorted order.
-func (o *Observations) Addrs() []packet.Addr {
-	out := make([]packet.Addr, 0, len(o.byAddr))
-	for a := range o.byAddr {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // RecordTrace stores the by-products of one traceroute reply: the address
-// replied at hop with the given flow/ttl, carrying the given IP ID, reply
-// TTL and MPLS stack. seq is the global probe counter.
-func (o *Observations) RecordTrace(r *packet.Reply, flow uint16, ttl, hop int, seq uint64) {
+// replied to the given flow/ttl, carrying the given IP ID, reply TTL and
+// MPLS stack. seq is the global probe counter.
+func (o *Observations) RecordTrace(r *packet.Reply, flow uint16, ttl int, seq uint64) {
 	ao := o.Ensure(r.From)
-	ao.Samples = append(ao.Samples, Sample{Seq: seq, IPID: r.IPID, Indirect: true})
+	ao.Indirect = appendInOrder(ao.Indirect, Sample{Seq: seq, IPID: r.IPID})
 	ao.addReplyTTL(&ao.ReplyTTLExceeded, r.ReplyTTL)
 	for _, e := range r.MPLS {
 		if e.S {
@@ -104,14 +87,13 @@ func (o *Observations) RecordTrace(r *packet.Reply, flow uint16, ttl, hop int, s
 		}
 	}
 	ao.addFlow(FlowRef{Flow: flow, TTL: ttl})
-	ao.addHop(hop)
 }
 
 // RecordEcho stores the by-products of one direct probe reply. sentID is
 // the IP ID the probe carried.
 func (o *Observations) RecordEcho(r *packet.Reply, seq uint64, sentID uint16) {
 	ao := o.Ensure(r.From)
-	ao.Samples = append(ao.Samples, Sample{Seq: seq, IPID: r.IPID, Indirect: false, SentID: sentID})
+	ao.Direct = appendInOrder(ao.Direct, Sample{Seq: seq, IPID: r.IPID, SentID: sentID})
 	ao.addReplyTTL(&ao.ReplyTTLEcho, r.ReplyTTL)
 }
 
@@ -133,35 +115,18 @@ func (ao *AddrObs) addFlow(fr FlowRef) {
 	ao.Flows = append(ao.Flows, fr)
 }
 
-func (ao *AddrObs) addHop(h int) {
-	for _, x := range ao.Hops {
-		if x == h {
-			return
-		}
+// appendInOrder adds s to a series kept in Seq order. A trace's probe
+// counter only grows, so s normally lands at the end; a sample recorded
+// out of order steps back past every later one.
+func appendInOrder(series []Sample, s Sample) []Sample {
+	i := len(series)
+	for i > 0 && series[i-1].Seq > s.Seq {
+		i--
 	}
-	ao.Hops = append(ao.Hops, h)
-}
-
-// IndirectSamples returns the indirect (Time Exceeded) samples in sequence
-// order.
-func (ao *AddrObs) IndirectSamples() []Sample {
-	return ao.samples(true)
-}
-
-// DirectSamples returns the direct (Echo) samples in sequence order.
-func (ao *AddrObs) DirectSamples() []Sample {
-	return ao.samples(false)
-}
-
-func (ao *AddrObs) samples(indirect bool) []Sample {
-	var out []Sample
-	for _, s := range ao.Samples {
-		if s.Indirect == indirect {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	series = append(series, Sample{})
+	copy(series[i+1:], series[i:])
+	series[i] = s
+	return series
 }
 
 // InferInitialTTL maps an observed reply TTL to the smallest conventional

@@ -14,21 +14,18 @@ func mkReply(from packet.Addr, ipid uint16, ttl byte) *packet.Reply {
 func TestRecordTraceAccumulates(t *testing.T) {
 	o := New()
 	a := packet.MustParseAddr("10.0.0.1")
-	o.RecordTrace(mkReply(a, 100, 253), 5, 3, 2, 1)
-	o.RecordTrace(mkReply(a, 101, 253), 5, 3, 2, 2)
-	o.RecordTrace(mkReply(a, 102, 253), 6, 3, 2, 3)
+	o.RecordTrace(mkReply(a, 100, 253), 5, 3, 1)
+	o.RecordTrace(mkReply(a, 101, 253), 5, 3, 2)
+	o.RecordTrace(mkReply(a, 102, 253), 6, 3, 3)
 	ao := o.Get(a)
 	if ao == nil {
 		t.Fatal("no record")
 	}
-	if len(ao.Samples) != 3 {
-		t.Fatalf("samples %d", len(ao.Samples))
+	if len(ao.Indirect) != 3 {
+		t.Fatalf("samples %d", len(ao.Indirect))
 	}
 	if len(ao.Flows) != 2 { // (5,3) deduplicated, (6,3) new
 		t.Fatalf("flows %v", ao.Flows)
-	}
-	if len(ao.Hops) != 1 || ao.Hops[0] != 2 {
-		t.Fatalf("hops %v", ao.Hops)
 	}
 	if len(ao.ReplyTTLExceeded) != 1 || ao.ReplyTTLExceeded[0] != 253 {
 		t.Fatalf("reply TTLs %v", ao.ReplyTTLExceeded)
@@ -38,10 +35,10 @@ func TestRecordTraceAccumulates(t *testing.T) {
 func TestSamplesSplitByFamily(t *testing.T) {
 	o := New()
 	a := packet.MustParseAddr("10.0.0.2")
-	o.RecordTrace(mkReply(a, 1, 200), 1, 2, 1, 10)
+	o.RecordTrace(mkReply(a, 1, 200), 1, 2, 10)
 	o.RecordEcho(&packet.Reply{From: a, Type: packet.ICMPTypeEchoReply, IPID: 9, ReplyTTL: 60}, 11, 77)
-	ind := o.Get(a).IndirectSamples()
-	dir := o.Get(a).DirectSamples()
+	ind := o.Get(a).Indirect
+	dir := o.Get(a).Direct
 	if len(ind) != 1 || len(dir) != 1 {
 		t.Fatalf("split %d/%d", len(ind), len(dir))
 	}
@@ -56,13 +53,16 @@ func TestSamplesSplitByFamily(t *testing.T) {
 func TestSamplesSortedBySeq(t *testing.T) {
 	o := New()
 	a := packet.MustParseAddr("10.0.0.3")
-	o.RecordTrace(mkReply(a, 3, 200), 1, 2, 1, 30)
-	o.RecordTrace(mkReply(a, 1, 200), 1, 2, 1, 10)
-	o.RecordTrace(mkReply(a, 2, 200), 1, 2, 1, 20)
-	s := o.Get(a).IndirectSamples()
+	for _, seq := range []uint64{30, 10, 40, 20, 5} {
+		o.RecordTrace(mkReply(a, uint16(seq), 200), 1, 2, seq)
+	}
+	s := o.Get(a).Indirect
+	if len(s) != 5 {
+		t.Fatalf("samples %d", len(s))
+	}
 	for i := 1; i < len(s); i++ {
-		if s[i].Seq < s[i-1].Seq {
-			t.Fatal("not sorted by seq")
+		if s[i].Seq < s[i-1].Seq || uint64(s[i].IPID) != s[i].Seq {
+			t.Fatalf("not sorted by seq: %v", s)
 		}
 	}
 }
@@ -130,17 +130,6 @@ func TestConstantLabel(t *testing.T) {
 	ao.MPLSLabels = append(ao.MPLSLabels, 6)
 	if _, ok := ao.ConstantLabel(); ok {
 		t.Fatal("flapping label reported constant")
-	}
-}
-
-func TestAddrsSorted(t *testing.T) {
-	o := New()
-	for _, s := range []string{"10.0.0.9", "10.0.0.1", "10.0.0.5"} {
-		o.Ensure(packet.MustParseAddr(s))
-	}
-	addrs := o.Addrs()
-	if len(addrs) != 3 || addrs[0] != packet.MustParseAddr("10.0.0.1") || addrs[2] != packet.MustParseAddr("10.0.0.9") {
-		t.Fatalf("addrs %v", addrs)
 	}
 }
 

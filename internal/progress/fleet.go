@@ -1,4 +1,4 @@
-package obs
+package progress
 
 import (
 	"fmt"
@@ -9,10 +9,10 @@ import (
 
 // Fleet tracks distributed-survey progress on the coordinator: work
 // units through the lease state machine, records shipped, lease
-// expiries, and a per-runner activity table. Like Progress it is purely
+// expiries, and a per-runner activity table. Like Survey it is purely
 // observational — counters feed the surveyd status line and the
 // /v1/status endpoint, never scheduling decisions — but unlike
-// Progress it is mutex-based: updates are control-plane-rate (one per
+// Survey it is mutex-based: updates are control-plane-rate (one per
 // HTTP call), not probe-rate.
 type Fleet struct {
 	mu      sync.Mutex

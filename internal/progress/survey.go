@@ -1,4 +1,12 @@
-package obs
+// Package progress holds the operational progress counters of the survey
+// pipeline: Survey for a (single-machine or runner) survey run and Fleet
+// for the distributed coordinator's work units and runners.
+//
+// In the layering, progress is a leaf: it imports only the standard
+// library, and the survey and dispatch layers update its counters for
+// reporting (stderr status lines, surveyd's /v1/status), never for
+// scheduling, so tracing and every output byte stay untouched.
+package progress
 
 import (
 	"fmt"
@@ -6,12 +14,12 @@ import (
 	"time"
 )
 
-// Progress is a set of atomic counters a streaming survey run updates as
+// Survey is a set of atomic counters a streaming survey run updates as
 // pairs complete, safe to read concurrently from a reporting goroutine.
 // It observes the run without influencing it: rates are wall-clock
 // derived and never feed back into tracing decisions, so determinism is
 // untouched.
-type Progress struct {
+type Survey struct {
 	total   atomic.Int64
 	done    atomic.Int64
 	skipped atomic.Int64
@@ -21,9 +29,9 @@ type Progress struct {
 	startNanos atomic.Int64
 }
 
-// NewProgress returns a zeroed progress tracker.
-func NewProgress() *Progress {
-	p := &Progress{}
+// NewSurvey returns a zeroed progress tracker.
+func NewSurvey() *Survey {
+	p := &Survey{}
 	p.startNanos.Store(time.Now().UnixNano())
 	return p
 }
@@ -31,7 +39,7 @@ func NewProgress() *Progress {
 // Begin (re)anchors the tracker for a run of total pairs of which
 // skipped were already completed by an earlier, checkpointed run. Rates
 // cover only the pairs this process traces.
-func (p *Progress) Begin(total, skipped int) {
+func (p *Survey) Begin(total, skipped int) {
 	p.total.Store(int64(total))
 	p.skipped.Store(int64(skipped))
 	p.done.Store(int64(skipped))
@@ -41,16 +49,16 @@ func (p *Progress) Begin(total, skipped int) {
 }
 
 // PairDone records one completed pair and the probes it cost.
-func (p *Progress) PairDone(probes uint64) {
+func (p *Survey) PairDone(probes uint64) {
 	p.done.Add(1)
 	p.probes.Add(probes)
 }
 
 // RecordEmitted counts one record handed to the sinks.
-func (p *Progress) RecordEmitted() { p.records.Add(1) }
+func (p *Survey) RecordEmitted() { p.records.Add(1) }
 
-// Snapshot is a consistent-enough point-in-time view for reporting.
-type Snapshot struct {
+// SurveySnapshot is a consistent-enough point-in-time view for reporting.
+type SurveySnapshot struct {
 	Done, Total, Skipped int
 	Probes               uint64
 	Records              int
@@ -61,8 +69,8 @@ type Snapshot struct {
 }
 
 // Snapshot reads the counters.
-func (p *Progress) Snapshot() Snapshot {
-	s := Snapshot{
+func (p *Survey) Snapshot() SurveySnapshot {
+	s := SurveySnapshot{
 		Done:    int(p.done.Load()),
 		Total:   int(p.total.Load()),
 		Skipped: int(p.skipped.Load()),
@@ -78,7 +86,7 @@ func (p *Progress) Snapshot() Snapshot {
 }
 
 // String renders a one-line status suitable for periodic stderr output.
-func (s Snapshot) String() string {
+func (s SurveySnapshot) String() string {
 	pct := 0.0
 	if s.Total > 0 {
 		pct = 100 * float64(s.Done) / float64(s.Total)

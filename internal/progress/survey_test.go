@@ -1,4 +1,4 @@
-package obs
+package progress
 
 import (
 	"strings"
@@ -8,7 +8,7 @@ import (
 
 func TestProgressCountsUnderConcurrency(t *testing.T) {
 	t.Parallel()
-	p := NewProgress()
+	p := NewSurvey()
 	p.Begin(200, 50)
 	var wg sync.WaitGroup
 	for w := 0; w < 10; w++ {
@@ -42,7 +42,7 @@ func TestProgressCountsUnderConcurrency(t *testing.T) {
 
 func TestProgressSnapshotString(t *testing.T) {
 	t.Parallel()
-	p := NewProgress()
+	p := NewSurvey()
 	p.Begin(10, 4)
 	p.PairDone(100)
 	line := p.Snapshot().String()

@@ -56,26 +56,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.sorted[i]
 }
 
-// Points returns up to n evenly spaced (x, P(X<=x)) pairs for plotting.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (i + 1) * len(c.sorted) / n
-		if idx > len(c.sorted) {
-			idx = len(c.sorted)
-		}
-		x := c.sorted[idx-1]
-		out = append(out, [2]float64{x, float64(idx) / float64(len(c.sorted))})
-	}
-	return out
-}
-
 // Min and Max return the extremes.
 func (c *CDF) Min() float64 {
 	if len(c.sorted) == 0 {

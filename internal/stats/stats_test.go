@@ -7,6 +7,27 @@ import (
 	"testing/quick"
 )
 
+// Points returns up to n evenly spaced (x, P(X<=x)) pairs: a plotting
+// helper only this test exercises.
+func (c *CDF) Points(n int) [][2]float64 {
+	if len(c.sorted) == 0 || n <= 0 {
+		return nil
+	}
+	if n > len(c.sorted) {
+		n = len(c.sorted)
+	}
+	out := make([][2]float64, 0, n)
+	for i := 0; i < n; i++ {
+		idx := (i + 1) * len(c.sorted) / n
+		if idx > len(c.sorted) {
+			idx = len(c.sorted)
+		}
+		x := c.sorted[idx-1]
+		out = append(out, [2]float64{x, float64(idx) / float64(len(c.sorted))})
+	}
+	return out
+}
+
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 3})
 	if c.N() != 4 {

@@ -72,6 +72,12 @@ func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(refSnapshot)); got != pinned {
 				t.Errorf("atlas snapshot digest %s, pinned %s", got, pinned)
 			}
+			// Recorded on commit 4d89929, before the alias round schedule
+			// and the router representative moved into internal/alias.
+			const pinnedJSONL = "cdb58c801f8884992574460ac03588285d9d1ee446c5c1b973abcbbd8b1b98f9"
+			if got := fmt.Sprintf("%x", sha256.Sum256(refJSONL)); got != pinnedJSONL {
+				t.Errorf("router-level JSONL digest %s, pinned %s", got, pinnedJSONL)
+			}
 			continue
 		}
 		if !bytes.Equal(gotJSONL, refJSONL) {

@@ -8,6 +8,7 @@ import (
 	"mmlpt/internal/alias"
 	"mmlpt/internal/core"
 	"mmlpt/internal/stats"
+	"mmlpt/internal/topo"
 )
 
 // Weighting selects between the paper's two diamond-counting views.
@@ -158,29 +159,20 @@ func (r *Result) Summary() string {
 
 // Table3 tallies the effect of alias resolution on unique diamonds: the
 // fractions of {no change, single smaller, multiple smaller, one path}.
-// Diamonds are deduplicated by key, as the paper's "unique diamonds".
-func Table3(res *Result, records []RouterRecord) map[core.DiamondEffect]float64 {
-	type keyed struct {
-		effect core.DiamondEffect
-	}
-	seen := make(map[string]keyed)
-	for ri, rec := range records {
-		outcome := res.Outcomes[outcomeIndex(res, rec.PairIndex)]
-		ds := outcome.Graph.Diamonds()
-		for di, d := range ds {
-			if di >= len(rec.Effects) {
-				break
-			}
-			k := fmt.Sprintf("%s|%s", d.DivAddr, d.ConvAddr)
+// Diamonds are deduplicated by key, as the paper's "unique diamonds"; the
+// first record to hold a key decides its effect.
+func Table3(records []RouterRecord) map[core.DiamondEffect]float64 {
+	seen := make(map[topo.DiamondKey]core.DiamondEffect)
+	for _, rec := range records {
+		for i, k := range rec.Keys {
 			if _, ok := seen[k]; !ok {
-				seen[k] = keyed{effect: rec.Effects[di]}
+				seen[k] = rec.Effects[i]
 			}
 		}
-		_ = ri
 	}
 	counts := make(map[core.DiamondEffect]int)
-	for _, v := range seen {
-		counts[v.effect]++
+	for _, e := range seen {
+		counts[e]++
 	}
 	out := make(map[core.DiamondEffect]float64)
 	total := float64(len(seen))
@@ -191,15 +183,6 @@ func Table3(res *Result, records []RouterRecord) map[core.DiamondEffect]float64 
 		out[e] = float64(c) / total
 	}
 	return out
-}
-
-func outcomeIndex(res *Result, pairIndex int) int {
-	for i, o := range res.Outcomes {
-		if o.PairIndex == pairIndex {
-			return i
-		}
-	}
-	return 0
 }
 
 // RouterSizeCDFs returns the Fig 12 CDFs: per-trace distinct router sizes
@@ -224,34 +207,24 @@ func RouterSizeCDFs(records []RouterRecord) (distinct, aggregated *stats.CDF) {
 
 // WidthBeforeAfter returns the Fig 13 histograms (unique diamonds keyed by
 // div/conv): max width at the IP level and at the router level.
-func WidthBeforeAfter(res *Result, records []RouterRecord) (before, after *stats.Histogram) {
-	seenB := make(map[string]int)
-	seenA := make(map[string]int)
+func WidthBeforeAfter(records []RouterRecord) (before, after *stats.Histogram) {
+	seen := make(map[topo.DiamondKey]bool)
+	var bs, as []int
 	for _, rec := range records {
-		outcome := res.Outcomes[outcomeIndex(res, rec.PairIndex)]
-		ds := outcome.Graph.Diamonds()
-		for di, d := range ds {
-			if di >= len(rec.WidthBefore) {
-				break
-			}
-			k := fmt.Sprintf("%s|%s", d.DivAddr, d.ConvAddr)
-			if _, ok := seenB[k]; !ok {
-				seenB[k] = rec.WidthBefore[di]
-				seenA[k] = rec.WidthAfter[di]
+		for i, k := range rec.Keys {
+			if !seen[k] {
+				seen[k] = true
+				bs = append(bs, rec.WidthBefore[i])
+				as = append(as, rec.WidthAfter[i])
 			}
 		}
-	}
-	var bs, as []int
-	for k := range seenB {
-		bs = append(bs, seenB[k])
-		as = append(as, seenA[k])
 	}
 	return stats.NewHistogram(bs), stats.NewHistogram(as)
 }
 
 // JointWidthBeforeAfter returns the Fig 14 joint distribution over
 // diamonds whose width changed.
-func JointWidthBeforeAfter(res *Result, records []RouterRecord) *stats.Joint {
+func JointWidthBeforeAfter(records []RouterRecord) *stats.Joint {
 	j := stats.NewJoint()
 	for _, rec := range records {
 		for i := range rec.WidthBefore {

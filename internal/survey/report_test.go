@@ -1,6 +1,8 @@
 package survey
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,7 +105,7 @@ func TestRouterSurveyEndToEnd(t *testing.T) {
 		t.Fatal("no router records")
 	}
 	// Table 3 fractions must sum to 1 over the observed effects.
-	t3 := Table3(res, recs)
+	t3 := Table3(recs)
 	var sum float64
 	for _, v := range t3 {
 		sum += v
@@ -134,15 +136,24 @@ func TestRouterSurveyEndToEnd(t *testing.T) {
 	if aggregated.N() > 0 && aggregated.Max() < distinct.Max() {
 		t.Fatal("aggregated max below distinct max")
 	}
-	before, after := WidthBeforeAfter(res, recs)
+	before, after := WidthBeforeAfter(recs)
 	if before.Total != after.Total {
 		t.Fatalf("before/after totals differ: %d vs %d", before.Total, after.Total)
 	}
-	j := JointWidthBeforeAfter(res, recs)
+	j := JointWidthBeforeAfter(recs)
 	for _, c := range j.Cells() {
 		if c[1] >= c[0] {
 			t.Fatalf("joint cell has after >= before: %v", c)
 		}
+	}
+	// Table 3, Fig 13 and Fig 14 over this universe, recorded on commit
+	// 4d89929 while they still looked each record's diamonds up in the
+	// survey result (fmt prints maps in key order).
+	const pinned = "fd6c31a5729b3ecd184bea5de13f9d10016e0d31083b64220d81e541d86cb684"
+	h := sha256.New()
+	fmt.Fprintf(h, "%v|%v|%v|%v", t3, *before, *after, *j)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinned {
+		t.Errorf("router view digest %s, pinned %s", got, pinned)
 	}
 }
 

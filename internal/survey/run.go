@@ -11,11 +11,11 @@ import (
 	"mmlpt/internal/mda"
 	"mmlpt/internal/mdalite"
 	"mmlpt/internal/nprand"
-	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/par"
 	"mmlpt/internal/prior"
 	"mmlpt/internal/probe"
+	"mmlpt/internal/progress"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
@@ -150,7 +150,7 @@ type RunConfig struct {
 	Resume bool
 	// Progress, when non-nil, is updated as pairs complete; purely
 	// observational.
-	Progress *obs.Progress
+	Progress *progress.Survey
 }
 
 // DefaultCheckpointEvery is the record interval between checkpoints when
@@ -478,6 +478,9 @@ type RouterRecord struct {
 	PairIndex int
 	// Sets are the accepted multi-address alias sets (routers).
 	Sets []alias.Set
+	// Keys identifies each IP diamond of the trace; Effects, WidthBefore
+	// and WidthAfter are index-aligned with it.
+	Keys []topo.DiamondKey
 	// Effects classifies each IP diamond per Table 3.
 	Effects []core.DiamondEffect
 	// WidthBefore and WidthAfter give, per IP diamond, the max width at
@@ -498,6 +501,7 @@ func RouterView(res *Result) []RouterRecord {
 		rr := RouterRecord{PairIndex: o.PairIndex, Sets: alias.RouterSets(o.ML.Sets)}
 		router := o.ML.RouterGraph
 		for _, d := range o.Graph.Diamonds() {
+			rr.Keys = append(rr.Keys, d.Key())
 			rr.Effects = append(rr.Effects, core.ClassifyDiamond(d, router))
 			rr.WidthBefore = append(rr.WidthBefore, d.MaxWidth())
 			rr.WidthAfter = append(rr.WidthAfter, routerSpanMaxWidth(router, d))

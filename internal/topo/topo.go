@@ -146,21 +146,6 @@ func (g *Graph) NumEdges() int { return g.dag.NumEdges() }
 // NumVertices returns the total number of vertices.
 func (g *Graph) NumVertices() int { return len(g.Vertices) }
 
-// Addrs returns the distinct non-star addresses present in the graph.
-func (g *Graph) Addrs() []packet.Addr {
-	seen := make(map[packet.Addr]bool, len(g.Vertices))
-	var out []packet.Addr
-	for i := range g.Vertices {
-		a := g.Vertices[i].Addr
-		if a != StarAddr && !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // String renders the graph hop by hop, for debugging and CLI output.
 func (g *Graph) String() string {
 	var b strings.Builder

@@ -87,9 +87,10 @@ func firstLine(s string) string {
 // reason. Keep it short: the default for an unreferenced name is to delete
 // it, or to move it into its package's _test.go when only tests use it.
 var deadSurfaceAllowlist = map[string]string{
-	"fakeroute.LBPerFlow": "the zero value of LBMode: every path defaults to it, so no code has to name it, but the other modes are defined against it",
-	"prior.FromGraph":     "test fixture shared by the flow-order pins and mdalite's prior-seed tests; it must call the unexported normalize",
-	"topo.Equal":          "graph-equality oracle shared by the tests of traceio, fakeroute and groundtruth",
+	"fakeroute.Network.RouterOf": "ground-truth interface-to-router oracle that the tests of alias and fakeroute read and configure routers through",
+	"fakeroute.LBPerFlow":        "the zero value of LBMode: every path defaults to it, so no code has to name it, but the other modes are defined against it",
+	"prior.FromGraph":            "test fixture shared by the flow-order pins and mdalite's prior-seed tests; it must call the unexported normalize",
+	"topo.Equal":                 "graph-equality oracle shared by the tests of traceio, fakeroute and groundtruth",
 }
 
 // stdInterfaceMethods are method names that satisfy a standard-library
@@ -109,7 +110,9 @@ var stdInterfaceMethods = map[string]bool{
 // cmd/, examples/, the root package or bench/) outside its own
 // declaration, or be named in deadSurfaceAllowlist. Top-level names match
 // as pkg.Name through the referring file's imports, or bare inside their
-// own package; methods match by selector name, and a method whose name
+// own package; methods match by selector name — only by call selector
+// (x.M(…)) when a struct field in the module shares the name, since
+// reading the field would otherwise count — and a method whose name
 // belongs to a module interface or a standard one is exempt.
 func TestNoDeadExportedSurface(t *testing.T) {
 	t.Parallel()
@@ -156,7 +159,11 @@ type surfaceIndex struct {
 	decls        []surfaceDecl
 	refs         map[surfaceKey][]token.Pos
 	ifaceMethods map[string]bool
+	fields       map[string]bool // struct field names
 }
+
+// callPkg keys the method references that are call selectors.
+const callPkg = "()"
 
 // indexSurface parses every non-test Go file under root (skipping
 // testdata and hidden directories) and records the exported declarations
@@ -166,6 +173,7 @@ func indexSurface(root, module string) (*surfaceIndex, error) {
 		fset:         token.NewFileSet(),
 		refs:         map[surfaceKey][]token.Pos{},
 		ifaceMethods: map[string]bool{},
+		fields:       map[string]bool{},
 	}
 	type srcFile struct {
 		pkg string
@@ -279,6 +287,7 @@ func recvTypeName(x ast.Expr) string {
 // imports maps f's local names for module packages to their import paths.
 func (ix *surfaceIndex) addRefs(f *ast.File, pkg string, imports map[string]string) {
 	ref := func(k surfaceKey, p token.Pos) { ix.refs[k] = append(ix.refs[k], p) }
+	called := map[*ast.SelectorExpr]bool{}
 	var visit func(ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -295,6 +304,16 @@ func (ix *surfaceIndex) addRefs(f *ast.File, pkg string, imports map[string]stri
 					ix.ifaceMethods[name.Name] = true
 				}
 			}
+		case *ast.StructType:
+			for _, f := range n.Fields.List {
+				for _, name := range f.Names {
+					ix.fields[name.Name] = true
+				}
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				called[sel] = true
+			}
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok {
 				if p, ok := imports[x.Name]; ok {
@@ -303,6 +322,9 @@ func (ix *surfaceIndex) addRefs(f *ast.File, pkg string, imports map[string]stri
 				}
 			}
 			ref(surfaceKey{"", n.Sel.Name}, n.Sel.Pos())
+			if called[n] {
+				ref(surfaceKey{callPkg, n.Sel.Name}, n.Sel.Pos())
+			}
 			ast.Inspect(n.X, visit)
 			return false
 		case *ast.Ident:
@@ -315,7 +337,11 @@ func (ix *surfaceIndex) addRefs(f *ast.File, pkg string, imports map[string]stri
 
 // referenced reports whether some reference to d lies outside d itself.
 func (ix *surfaceIndex) referenced(d surfaceDecl) bool {
-	for _, p := range ix.refs[d.key] {
+	k := d.key
+	if k.pkg == "" && ix.fields[k.name] {
+		k.pkg = callPkg
+	}
+	for _, p := range ix.refs[k] {
 		if p < d.pos || p >= d.end {
 			return true
 		}
