@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rounds   = fs.Int("rounds", 10, "alias resolution rounds (multilevel)")
 		runs     = fs.Int("runs", 1, "trace the scenario this many times under derived seeds, reporting variance")
 		workers  = fs.Int("workers", 0, "concurrent trace workers for -runs > 1 (0 = GOMAXPROCS; results are identical)")
-		jsonOut  = fs.Bool("json", false, "emit the result as one JSON object")
+		jsonOut  = fs.Bool("json", false, "emit the result as one JSON trace record")
 		out      = fs.String("out", "", "with -runs > 1: write one JSON trace record per run, in run order, to this JSONL file")
 		verbose  = fs.Bool("v", false, "also print the ground truth")
 	)
@@ -89,14 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	src := mmlpt.MustParseAddr("192.0.2.1")
 	dst := mmlpt.MustParseAddr("198.51.100.77")
-	record := func(r *mmlpt.Result) *traceio.JSONTrace {
-		jt := traceio.NewJSONTrace(src, dst, *algo, r.IP)
-		if r.Multilevel != nil {
-			jt.AttachMultilevel(r.Multilevel)
-		}
-		return jt
-	}
-
 	if *runs > 1 {
 		// Repeated tracing under derived seeds: one fresh scenario per
 		// run, traced by a worker pool; results come back in run order.
@@ -129,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *out != "" {
-			if err := writeRecords(*out, results, record); err != nil {
+			if err := writeRecords(*out, src, dst, *algo, results); err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
@@ -147,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	res := mmlpt.Trace(mmlpt.NewSimProber(net, src, dst), opts)
 
 	if *jsonOut {
-		if err := record(res).WriteJSONL(stdout); err != nil {
+		if err := traceio.NewSurveyRecord(src, dst, *algo, res.IP, res.Multilevel).WriteJSONL(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -176,14 +168,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeRecords writes one JSON trace record per result, in order.
-func writeRecords(path string, results []*mmlpt.Result, record func(*mmlpt.Result) *traceio.JSONTrace) error {
+// writeRecords writes one trace record per run, indexed by run.
+func writeRecords(path string, src, dst mmlpt.Addr, algo string, results []*mmlpt.Result) error {
 	jw, err := traceio.CreateJSONL(path)
 	if err != nil {
 		return err
 	}
-	for _, r := range results {
-		if err := jw.Write(record(r)); err != nil {
+	for i, r := range results {
+		rec := traceio.NewSurveyRecord(src, dst, algo, r.IP, r.Multilevel)
+		rec.PairIndex = i
+		if err := jw.Write(rec); err != nil {
 			jw.Close()
 			return err
 		}

@@ -228,21 +228,6 @@ func (a *Atlas) foldCensus(k censusKey, count, maxWidth, maxLength int, pairs ..
 	a.mu.Unlock()
 }
 
-// addRouter merges one router component given as address strings, the
-// form survey records and snapshot files carry.
-func (a *Atlas) addRouter(addrs []string) error {
-	set := make([]packet.Addr, 0, len(addrs))
-	for _, s := range addrs {
-		addr, err := packet.ParseAddr(s)
-		if err != nil {
-			return fmt.Errorf("router address %q: %w", s, err)
-		}
-		set = append(set, addr)
-	}
-	a.AddAliasSet(set)
-	return nil
-}
-
 // AddPair records the identity of one traced pair. A later call for the
 // same index replaces the earlier one.
 func (a *Atlas) AddPair(pair int, src, dst string) {
@@ -255,20 +240,18 @@ func (a *Atlas) AddPair(pair int, src, dst string) {
 // per-trace routers (alias sets) and the diamond encounters. This is
 // what survey.AtlasSink feeds, live or replayed.
 func (a *Atlas) AddRecord(rec *traceio.SurveyRecord) error {
-	g, err := traceio.DecodeGraph(rec.Trace.Vertices, rec.Trace.Edges)
+	g, err := rec.Graph()
 	if err != nil {
 		return fmt.Errorf("atlas: pair %d: %w", rec.PairIndex, err)
 	}
 	a.AddGraph(rec.PairIndex, g)
-	for _, r := range rec.Trace.Routers {
-		if err := a.addRouter(r.Addrs); err != nil {
-			return fmt.Errorf("atlas: pair %d: %w", rec.PairIndex, err)
-		}
+	for _, r := range rec.Routers {
+		a.AddAliasSet(r)
 	}
 	for _, d := range rec.Diamonds {
 		a.AddDiamond(rec.PairIndex, d)
 	}
-	a.AddPair(rec.PairIndex, rec.Trace.Src, rec.Trace.Dst)
+	a.AddPair(rec.PairIndex, rec.Src, rec.Dst)
 	return nil
 }
 

@@ -252,18 +252,20 @@ func TestDiamondCensus(t *testing.T) {
 	}
 }
 
-// A record whose hop is out of range — from a hostile runner's shipment
-// or a damaged log — is an ingest error, not a panic.
+// A record with more hops than a TTL allows, or with a successor naming
+// no vertex — from a hostile runner's shipment or a damaged log — is an
+// ingest error, not a panic.
 func TestHostileHopIsAnError(t *testing.T) {
 	t.Parallel()
-	for _, hop := range []int{-1, 1 << 30} {
-		rec := &traceio.SurveyRecord{PairIndex: 3, Trace: traceio.JSONTrace{
-			Src: "192.0.2.1", Dst: "0.0.0.9",
-			Vertices: []traceio.JSONVertex{{Addr: "0.0.0.1", Hop: 0}, {Addr: "0.0.0.9", Hop: hop}},
-			Edges:    []traceio.JSONEdge{{From: 0, To: 1}},
-		}}
+	tooDeep := &traceio.SurveyRecord{PairIndex: 3, Succ: [][]int32{}}
+	for h := 0; h < 256; h++ {
+		tooDeep.Hops = append(tooDeep.Hops, []packet.Addr{})
+	}
+	dangling := &traceio.SurveyRecord{PairIndex: 3, Succ: [][]int32{{1}}}
+	dangling.Hops = append(dangling.Hops, []packet.Addr{1})
+	for name, rec := range map[string]*traceio.SurveyRecord{"256 hops": tooDeep, "dangling successor": dangling} {
 		if err := New(Options{}).AddRecord(rec); err == nil {
-			t.Fatalf("AddRecord accepted hop %d", hop)
+			t.Fatalf("AddRecord accepted a record with %s", name)
 		}
 	}
 }

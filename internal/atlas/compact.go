@@ -262,9 +262,15 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 		path := paths[i]
 		cursors[i] = newCompactCursor(r, path, prefetch, func(sh *traceio.AtlasShard) error {
 			for _, rt := range sh.Routers {
-				if err := small.addRouter(rt.Addrs); err != nil {
-					return fmt.Errorf("compact: %s: %w", path, err)
+				set := make([]packet.Addr, len(rt.Addrs))
+				for j, s := range rt.Addrs {
+					a, err := packet.ParseAddr(s)
+					if err != nil {
+						return fmt.Errorf("compact: %s: router address %q: %w", path, s, err)
+					}
+					set[j] = a
 				}
+				small.AddAliasSet(set)
 			}
 			return nil
 		})

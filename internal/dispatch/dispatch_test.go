@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"mmlpt/internal/atlas"
+	"mmlpt/internal/packet"
 	"mmlpt/internal/survey"
+	"mmlpt/internal/traceio"
 )
 
 // testSpec is a survey small enough to fleet-trace in test time but
@@ -245,14 +247,8 @@ func TestStaleShipRejected(t *testing.T) {
 		t.Fatalf("expected reassignment of unit %d, got %+v", ghost.Unit.ID, other)
 	}
 
-	target := fmt.Sprintf("%s/v1/ship?unit=%d&lease=%d&runner=ghost", srv.URL, ghost.Unit.ID, ghost.LeaseID)
-	resp, err := http.Post(target, "application/x-ndjson", bytes.NewReader(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("stale ship returned %d, want %d", resp.StatusCode, http.StatusGone)
+	if code := shipAs(t, srv.URL, "ghost", ghost, nil); code != http.StatusGone {
+		t.Fatalf("stale ship returned %d, want %d", code, http.StatusGone)
 	}
 }
 
@@ -270,72 +266,144 @@ func TestOversizedShipRefused(t *testing.T) {
 	if cr.Status != StatusUnit {
 		t.Fatalf("claim: %+v", cr)
 	}
-	target := fmt.Sprintf("%s/v1/ship?unit=%d&lease=%d&runner=r", srv.URL, cr.Unit.ID, cr.LeaseID)
-	ship := func(body []byte) int {
-		t.Helper()
-		resp, err := http.Post(target, "application/x-ndjson", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
 	over := make([]byte, cr.Unit.Count*maxShipRecordBytes+1)
-	if code := ship(over); code != http.StatusRequestEntityTooLarge {
+	if code := shipAs(t, srv.URL, "r", cr, over); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized ship returned %d, want %d", code, http.StatusRequestEntityTooLarge)
 	}
 	if other := claimAs(t, srv.URL, "other"); other.Status == StatusUnit && other.Unit.ID == cr.Unit.ID {
 		t.Fatalf("unit %d was handed out again after the refused ship", cr.Unit.ID)
 	}
-	lines := bytes.SplitAfter(golden, []byte("\n"))
-	payload := bytes.Join(lines[cr.Unit.Start:cr.Unit.Start+cr.Unit.Count], nil)
-	if code := ship(payload); code != http.StatusOK {
+	if code := shipAs(t, srv.URL, "r", cr, unitPayload(golden, cr.Unit)); code != http.StatusOK {
 		t.Fatalf("real payload under the same lease returned %d, want 200", code)
 	}
 }
 
-// TestPoisonedShipFailsMerge: ship validation checks each record's pair
-// index, not its topology, so a record with a vertex at hop -1 is
-// accepted. The merge must then fail with an error — Done closes, Err
-// is set — instead of panicking in the atlas and taking the
-// coordinator down with it.
-func TestPoisonedShipFailsMerge(t *testing.T) {
-	t.Parallel()
-	spec := testSpec()
-	spec.Pairs = 6
-	golden := singleMachine(t, spec, "")
-	poisoned := bytes.Replace(golden, []byte(`"hop":0`), []byte(`"hop":-1`), 1)
-	if bytes.Equal(poisoned, golden) {
-		t.Fatal("no vertex to poison")
-	}
-	coord, srv := newTestCoordinator(t, t.TempDir(), spec, func(cfg *CoordinatorConfig) {
-		cfg.UnitSize = spec.Pairs
-	})
-
-	cr := claimAs(t, srv.URL, "hostile")
-	if cr.Status != StatusUnit || cr.Unit.Count != spec.Pairs {
-		t.Fatalf("claim: %+v", cr)
-	}
-	target := fmt.Sprintf("%s/v1/ship?unit=%d&lease=%d&runner=hostile", srv.URL, cr.Unit.ID, cr.LeaseID)
-	resp, err := http.Post(target, "application/x-ndjson", bytes.NewReader(poisoned))
+// shipAs posts one shipment under a claimed lease and returns the
+// status code.
+func shipAs(t *testing.T, url, runner string, cr claimResponse, body []byte) int {
+	t.Helper()
+	target := fmt.Sprintf("%s/v1/ship?unit=%d&lease=%d&runner=%s", url, cr.Unit.ID, cr.LeaseID, runner)
+	resp, err := http.Post(target, "application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("poisoned ship returned %d, want 200 (validation checks pair indices only)", resp.StatusCode)
+	return resp.StatusCode
+}
+
+// unitPayload cuts a unit's honest shipment out of a whole-survey log.
+func unitPayload(golden []byte, u *UnitInfo) []byte {
+	lines := bytes.SplitAfter(golden, []byte("\n"))
+	return bytes.Join(lines[u.Start:u.Start+u.Count], nil)
+}
+
+// poisons returns hostile variants of an honest shipment: a malformed
+// address, a successor index naming no vertex, and more hops than a TTL
+// allows, each in the shipment's first record.
+func poisons(t *testing.T, payload []byte) map[string][]byte {
+	t.Helper()
+	first, rest, _ := bytes.Cut(payload, []byte("\n"))
+	reencode := func(mutate func(*traceio.SurveyRecord)) []byte {
+		var rec traceio.SurveyRecord
+		if err := json.Unmarshal(first, &rec); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&rec)
+		var b bytes.Buffer
+		if err := rec.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return append(b.Bytes(), rest...)
+	}
+	out := map[string][]byte{
+		"malformed address": bytes.Replace(payload, []byte(`"hops":[["`), []byte(`"hops":[["999.`), 1),
+		"successor out of range": reencode(func(r *traceio.SurveyRecord) {
+			r.Succ[0] = append(r.Succ[0], int32(len(r.Succ)))
+		}),
+		"256 hops": reencode(func(r *traceio.SurveyRecord) {
+			for len(r.Hops) <= 255 {
+				r.Hops = append(r.Hops, []packet.Addr{})
+			}
+		}),
+	}
+	for name, p := range out {
+		if bytes.Equal(p, payload) {
+			t.Fatalf("poison %q left the shipment unchanged", name)
+		}
+	}
+	return out
+}
+
+// TestPoisonedShipRefused: ship validation decodes every record through
+// the record's structural checks, so a shipment with a malformed
+// address, a dangling successor index or too many hops gets 400 and the
+// lease is untouched — its holder then ships the honest payload, an
+// honest runner finishes the fleet, and the outputs are byte-identical
+// to the single-machine run. A shard damaged on disk after its ship
+// still fails the merge cleanly: Done closes, Err is set, and status
+// does not report done.
+func TestPoisonedShipRefused(t *testing.T) {
+	t.Parallel()
+	spec := testSpec()
+	spec.Pairs = 6
+	golden := t.TempDir()
+	wantJSONL := singleMachine(t, spec, filepath.Join(golden, "golden.atlas"))
+	wantAtlas := readFile(t, filepath.Join(golden, "golden.atlas"))
+	threeUnits := func(cfg *CoordinatorConfig) { cfg.UnitSize = 2 }
+
+	dir := t.TempDir()
+	coord, srv := newTestCoordinator(t, dir, spec, threeUnits)
+	cr := claimAs(t, srv.URL, "hostile")
+	if cr.Status != StatusUnit {
+		t.Fatalf("claim: %+v", cr)
+	}
+	honest := unitPayload(wantJSONL, cr.Unit)
+	for name, poisoned := range poisons(t, honest) {
+		if code := shipAs(t, srv.URL, "hostile", cr, poisoned); code != http.StatusBadRequest {
+			t.Fatalf("%s: poisoned ship returned %d, want %d", name, code, http.StatusBadRequest)
+		}
+	}
+	if code := shipAs(t, srv.URL, "hostile", cr, honest); code != http.StatusOK {
+		t.Fatalf("honest payload under the same lease returned %d, want 200", code)
+	}
+	runRunners(t, srv.URL, 1)
+	waitDone(t, coord)
+	if got := readFile(t, filepath.Join(dir, "merged.jsonl")); !bytes.Equal(got, wantJSONL) {
+		t.Fatalf("merged record log differs after refused poisons (%d vs %d bytes)", len(got), len(wantJSONL))
+	}
+	if got := readFile(t, filepath.Join(dir, "merged.atlas")); !bytes.Equal(got, wantAtlas) {
+		t.Fatalf("merged atlas differs after refused poisons (%d vs %d bytes)", len(got), len(wantAtlas))
 	}
 
+	dir = t.TempDir()
+	coord, srv = newTestCoordinator(t, dir, spec, threeUnits)
+	for i := 0; i < 3; i++ {
+		cr := claimAs(t, srv.URL, "r")
+		if cr.Status != StatusUnit {
+			t.Fatalf("claim %d: %+v", i, cr)
+		}
+		payload := unitPayload(wantJSONL, cr.Unit)
+		if code := shipAs(t, srv.URL, "r", cr, payload); code != http.StatusOK {
+			t.Fatalf("ship %d returned %d", i, code)
+		}
+		if i == 0 {
+			// Damage the first shard on disk once it is durable, before the
+			// last ship triggers the merge.
+			shard := filepath.Join(dir, fmt.Sprintf("unit-%06d.jsonl", cr.Unit.ID))
+			if err := os.WriteFile(shard, poisons(t, payload)["successor out of range"], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	select {
 	case <-coord.Done():
 	case <-time.After(60 * time.Second):
 		t.Fatal("coordinator never finished merging")
 	}
 	if err := coord.Err(); err == nil {
-		t.Fatal("merge of a poisoned unit succeeded")
+		t.Fatal("merge of a damaged shard succeeded")
 	}
-	resp, err = http.Get(srv.URL + "/v1/status")
+	resp, err := http.Get(srv.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,8 +100,9 @@ func Evaluate(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []int) *trace
 		Pairs:     sc.Pairs,
 		FlowBased: sc.FlowBased,
 	}
-	rec.MDA = runAlgo(sc, seed, phi, stop, false)
-	rec.MDALite = runAlgo(sc, seed, phi, stop, true)
+	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mdalite.Trace(p, cfg, phi) }
+	rec.MDA = tracePairs(sc.Build(seed), sc.Retries, "mda", seed, stop, nil, mda.Trace)
+	rec.MDALite = tracePairs(sc.Build(seed), sc.Retries, "mda-lite", seed, stop, nil, lite)
 	if rec.MDA.Probes > 0 {
 		rec.ProbeSavings = 1 - float64(rec.MDALite.Probes)/float64(rec.MDA.Probes)
 	}
@@ -110,44 +111,6 @@ func Evaluate(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []int) *trace
 		rec.RelativeEdgeRecall = rec.MDALite.EdgeRecall / rec.MDA.EdgeRecall
 	}
 	return rec
-}
-
-// runAlgo traces every pair of a fresh instance with one algorithm and
-// aggregates the diff against ground truth.
-func runAlgo(sc Scenario, seed uint64, phi int, stop []int, lite bool) traceio.AlgoEval {
-	inst := sc.Build(seed)
-	var agg topo.DiffStats
-	ev := traceio.AlgoEval{Algo: "mda"}
-	if lite {
-		ev.Algo = "mda-lite"
-	}
-	for i, pair := range inst.Pairs {
-		p := probe.NewSimProber(inst.Net, pair.Src, pair.Dst)
-		p.Retries = sc.Retries
-		cfg := mda.Config{Seed: nprand.IndexedSeed(seed, i), Stop: stop}
-		var res *mda.Result
-		if lite {
-			res = mdalite.Trace(p, cfg, phi)
-		} else {
-			res = mda.Trace(p, cfg)
-		}
-		ev.Probes += probe.TotalSent(p)
-		if res.ReachedDst {
-			ev.Reached++
-		}
-		if res.SwitchedToMDA {
-			ev.Switched++
-		}
-		agg.Add(topo.Diff(res.Graph, pair.Truth))
-	}
-	ev.VertexRecall = agg.VertexRecall()
-	ev.EdgeRecall = agg.EdgeRecall()
-	ev.DiamondRecall = agg.DiamondRecall()
-	ev.VertexPrecision = agg.VertexPrecision()
-	ev.EdgePrecision = agg.EdgePrecision()
-	ev.FalseVertices = agg.FalseVertices
-	ev.FalseEdges = agg.FalseEdges
-	return ev
 }
 
 // retraceSeedSalt separates the re-trace passes' flow-seed stream from
@@ -178,17 +141,8 @@ func EvaluateWithPrior(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []in
 		s := mda.NewSession(p, mda.Config{Seed: nprand.IndexedSeed(seed, i), Stop: stop})
 		res := mdalite.Run(s, phi)
 		sessions[i] = s
-		vs, es := traceio.EncodeGraph(res.Graph)
-		err := al.AddRecord(&traceio.SurveyRecord{
-			PairIndex: i,
-			Trace: traceio.JSONTrace{
-				Src: pair.Src.String(), Dst: pair.Dst.String(),
-				Algorithm: "mda-lite", Vertices: vs, Edges: es,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
+		al.AddGraph(i, res.Graph)
+		al.AddPair(i, pair.Src.String(), pair.Dst.String())
 	}
 	ix, err := indexSnapshot(al)
 	if err != nil {
@@ -200,8 +154,10 @@ func EvaluateWithPrior(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []in
 		}
 	}
 
-	seeded := runRetrace(sc, seed, phi, stop, ix)
-	baseline := runRetrace(sc, seed, phi, stop, nil)
+	retraceSeed := seed ^ retraceSeedSalt
+	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mdalite.Trace(p, cfg, phi) }
+	seeded := tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-prior", retraceSeed, stop, ix, lite)
+	baseline := tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-retrace", retraceSeed, stop, nil, lite)
 	rec.MDALitePrior, rec.MDALiteRetrace = &seeded, &baseline
 	if baseline.Probes > 0 {
 		rec.PriorProbeSavings = 1 - float64(seeded.Probes)/float64(baseline.Probes)
@@ -236,26 +192,21 @@ func indexSnapshot(al *atlas.Atlas) (*prior.Index, error) {
 	return prior.FromService(svc)
 }
 
-// runRetrace traces every pair of a re-trace instance with the MDA-Lite,
-// prior-seeded when ix is non-nil, and aggregates the diff against the
-// re-trace ground truth (churned pairs' truth is their new route).
-func runRetrace(sc Scenario, seed uint64, phi int, stop []int, ix *prior.Index) traceio.AlgoEval {
-	inst := sc.BuildRetrace(seed)
+// tracePairs traces every pair of inst with trace — pair i under flow
+// seed nprand.IndexedSeed(seed, i), seeded from its prior in ix if any —
+// and aggregates the diffs against the instance's ground truth.
+func tracePairs(inst *Instance, retries int, algo string, seed uint64, stop []int, ix *prior.Index,
+	trace func(probe.Prober, mda.Config) *mda.Result) traceio.AlgoEval {
 	var agg topo.DiffStats
-	ev := traceio.AlgoEval{Algo: "mda-lite-retrace"}
-	if ix != nil {
-		ev.Algo = "mda-lite-prior"
-	}
+	ev := traceio.AlgoEval{Algo: algo}
 	for i, pair := range inst.Pairs {
 		p := probe.NewSimProber(inst.Net, pair.Src, pair.Dst)
-		p.Retries = sc.Retries
-		cfg := mda.Config{Seed: nprand.IndexedSeed(seed^retraceSeedSalt, i), Stop: stop}
-		if ix != nil {
-			if pp := ix.Lookup(pair.Src, pair.Dst); pp != nil {
-				cfg.Prior = pp
-			}
+		p.Retries = retries
+		cfg := mda.Config{Seed: nprand.IndexedSeed(seed, i), Stop: stop}
+		if pp := ix.Lookup(pair.Src, pair.Dst); pp != nil {
+			cfg.Prior = pp
 		}
-		res := mdalite.Trace(p, cfg, phi)
+		res := trace(p, cfg)
 		ev.Probes += probe.TotalSent(p)
 		if res.ReachedDst {
 			ev.Reached++

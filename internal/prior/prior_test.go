@@ -9,7 +9,6 @@ import (
 	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
-	"mmlpt/internal/traceio"
 )
 
 // twoPairAtlas builds a snapshot with two address-disjoint pairs: pair 0
@@ -39,17 +38,8 @@ func twoPairAtlas(t *testing.T) (string, [2][2]packet.Addr, *topo.Graph) {
 	}
 	al := atlas.New(atlas.Options{})
 	for i, g := range []*topo.Graph{g0, g1} {
-		vs, es := traceio.EncodeGraph(g)
-		rec := &traceio.SurveyRecord{
-			PairIndex: i,
-			Trace: traceio.JSONTrace{
-				Src: pairs[i][0].String(), Dst: pairs[i][1].String(),
-				Algorithm: "mda-lite", Vertices: vs, Edges: es,
-			},
-		}
-		if err := al.AddRecord(rec); err != nil {
-			t.Fatal(err)
-		}
+		al.AddGraph(i, g)
+		al.AddPair(i, pairs[i][0].String(), pairs[i][1].String())
 	}
 	path := filepath.Join(t.TempDir(), "prior.atlas")
 	if err := al.Save(path); err != nil {

@@ -7,30 +7,29 @@ import (
 	"testing"
 
 	"mmlpt/internal/atlas"
+	"mmlpt/internal/mda"
+	"mmlpt/internal/packet"
+	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
 
 func deltaRecord(i int) *traceio.SurveyRecord {
-	base := 10 + i
-	a := func(last int) string { return fmt.Sprintf("10.0.%d.%d", base, last) }
-	return &traceio.SurveyRecord{
-		PairIndex: i,
-		Trace: traceio.JSONTrace{
-			Src: "192.0.2.1", Dst: fmt.Sprintf("203.0.113.%d", i+1),
-			Algorithm: "mda-lite", Reached: true,
-			Vertices: []traceio.JSONVertex{
-				{Addr: a(1), Hop: 0}, {Addr: a(2), Hop: 1},
-				{Addr: a(3), Hop: 1}, {Addr: a(4), Hop: 2},
-			},
-			Edges: []traceio.JSONEdge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
-			Routers: []traceio.JSONRouter{
-				{Addrs: []string{a(2), a(3)}},
-			},
-		},
-		Diamonds: []traceio.SurveyDiamond{
-			{Div: a(1), Conv: a(4), MaxWidth: 2, MaxLength: 2},
-		},
+	a := func(last byte) packet.Addr { return packet.AddrFrom4(10, 0, byte(10+i), last) }
+	g := topo.New()
+	div, conv := g.AddVertex(0, a(1)), g.AddVertex(2, a(4))
+	for _, mid := range []packet.Addr{a(2), a(3)} {
+		v := g.AddVertex(1, mid)
+		g.AddEdge(div, v)
+		g.AddEdge(v, conv)
 	}
+	rec := traceio.NewSurveyRecord(packet.AddrFrom4(192, 0, 2, 1), packet.AddrFrom4(203, 0, 113, byte(i+1)),
+		"mda-lite", &mda.Result{Graph: g, ReachedDst: true}, nil)
+	rec.PairIndex = i
+	rec.Routers = append(rec.Routers, []packet.Addr{a(2), a(3)})
+	rec.Diamonds = []traceio.SurveyDiamond{
+		{Div: a(1).String(), Conv: a(4).String(), MaxWidth: 2, MaxLength: 2},
+	}
+	return rec
 }
 
 // Delta publishing's contract: compacting the published deltas over an

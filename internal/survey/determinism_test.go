@@ -72,9 +72,16 @@ func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256(refSnapshot)); got != pinned {
 				t.Errorf("atlas snapshot digest %s, pinned %s", got, pinned)
 			}
-			// Recorded on commit 4d89929, before the alias round schedule
-			// and the router representative moved into internal/alias.
-			const pinnedJSONL = "cdb58c801f8884992574460ac03588285d9d1ee446c5c1b973abcbbd8b1b98f9"
+			// The content pin (record_test.go's rendering) was recorded at
+			// commit b6ec1af from the nested record layout of that commit.
+			const pinnedContent = "6df7e6162692c91f779c62bbacea23afaff3902900550af08fc7e325381cb722"
+			if got := contentDigest(t, refJSONL); got != pinnedContent {
+				t.Errorf("router-level record content digest %s, pinned %s", got, pinnedContent)
+			}
+			// Re-recorded once for the flat record layout (hop address
+			// lists, successor indices); pinnedContent vouches that these
+			// bytes mean what the layout before them meant.
+			const pinnedJSONL = "4c87e7fdc2a4d38b8cde19f66f951e9467f992e08e01cd5b11e67f531f47bf31"
 			if got := fmt.Sprintf("%x", sha256.Sum256(refJSONL)); got != pinnedJSONL {
 				t.Errorf("router-level JSONL digest %s, pinned %s", got, pinnedJSONL)
 			}

@@ -161,6 +161,11 @@ const DefaultCheckpointEvery = 64
 // rejected on resume.
 const checkpointKind = "survey"
 
+// recordSchema names traceio.SurveyRecord's layout. Through the options
+// hash it makes checkpoints and fleet specs of another layout mismatch
+// instead of replaying records the decoder would misread as empty.
+const recordSchema = "hops+succ"
+
 // job is one selected pair to trace.
 type job struct {
 	idx  int
@@ -221,10 +226,10 @@ func Fingerprint(u *Universe, cfg RunConfig) uint64 {
 // the checkpoint machinery (the hash's consumer) refuses spans anyway.
 func optionsHash(u *Universe, cfg RunConfig) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "gen=%+v|algo=%d|seed=%d|maxttl=%d|stars=%d|stop=%v|reuse=%t|phi=%d|maxpairs=%d|onlylb=%t|rounds=%d|ppr=%d|retries=%d",
+	fmt.Fprintf(h, "gen=%+v|algo=%d|seed=%d|maxttl=%d|stars=%d|stop=%v|reuse=%t|phi=%d|maxpairs=%d|onlylb=%t|rounds=%d|ppr=%d|retries=%d|record=%s",
 		u.Cfg, cfg.Algo, cfg.Trace.Seed, cfg.Trace.MaxTTL,
 		cfg.Trace.MaxConsecutiveStars, cfg.Trace.Stop, cfg.Trace.DisableFlowReuse,
-		cfg.Phi, cfg.MaxPairs, cfg.OnlyLB, cfg.Rounds, cfg.ProbesPerRound, cfg.Retries)
+		cfg.Phi, cfg.MaxPairs, cfg.OnlyLB, cfg.Rounds, cfg.ProbesPerRound, cfg.Retries, recordSchema)
 	if cfg.Prior != nil {
 		fmt.Fprintf(h, "|prior=%d", cfg.Prior.Fingerprint())
 	}

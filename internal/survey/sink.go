@@ -32,18 +32,10 @@ type Flusher interface {
 // identical JSONL bytes, which is what makes a resumed run's output file
 // byte-identical to an uninterrupted one.
 func NewRecord(algo Algo, out TraceOutcome) *traceio.SurveyRecord {
-	view := &mda.Result{
-		Graph: out.Graph, ReachedDst: out.Reached,
-		SwitchedToMDA: out.Switched, Probes: out.Probes, DstHop: -1,
-	}
-	jt := traceio.NewJSONTrace(out.Pair.Src, out.Pair.Dst, algo.String(), view)
-	if out.ML != nil {
-		jt.AttachMultilevel(out.ML)
-	}
-	rec := &traceio.SurveyRecord{
-		PairIndex: out.PairIndex, HasLB: out.Pair.HasLB, Trace: *jt,
-		PriorHops: out.PriorHops, PriorStale: out.PriorStale,
-	}
+	view := &mda.Result{Graph: out.Graph, ReachedDst: out.Reached, SwitchedToMDA: out.Switched, Probes: out.Probes}
+	rec := traceio.NewSurveyRecord(out.Pair.Src, out.Pair.Dst, algo.String(), view, out.ML)
+	rec.PairIndex, rec.HasLB = out.PairIndex, out.Pair.HasLB
+	rec.PriorHops, rec.PriorStale = out.PriorHops, out.PriorStale
 	for _, d := range out.Diamonds {
 		rec.Diamonds = append(rec.Diamonds, traceio.SurveyDiamond{
 			Div: addrLabel(d.Key.Div), Conv: addrLabel(d.Key.Conv),
@@ -184,20 +176,20 @@ func NewRecordAggregate() *RecordAggregate {
 // Add folds one record in.
 func (a *RecordAggregate) Add(rec *traceio.SurveyRecord) {
 	if a.Algo == "" {
-		a.Algo = rec.Trace.Algorithm
+		a.Algo = rec.Algorithm
 	}
 	a.Records++
-	if rec.Trace.Reached {
+	if rec.Reached {
 		a.Reached++
 	}
-	if rec.Trace.Switched {
+	if rec.Switched {
 		a.Switched++
 	}
 	if len(rec.Diamonds) > 0 {
 		a.LBTraces++
 	}
-	a.TotalProbes += rec.Trace.Probes
-	a.AliasProbes += rec.Trace.AliasProbes
+	a.TotalProbes += rec.Probes
+	a.AliasProbes += rec.AliasProbes
 	for _, d := range rec.Diamonds {
 		a.MeasuredDiamonds++
 		k := d.Div + "|" + d.Conv

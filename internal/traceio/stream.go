@@ -6,17 +6,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"mmlpt/internal/alias"
+	"mmlpt/internal/core"
+	"mmlpt/internal/mda"
+	"mmlpt/internal/packet"
+	"mmlpt/internal/topo"
 )
 
-// Streaming survey records.
+// The trace record.
 //
-// A SurveyRecord is the unit a streaming survey run emits the moment one
-// pair finishes tracing: the archival JSONTrace plus the survey-specific
-// measurements (pair index, per-diamond metrics, Eq. (1) miss
-// probabilities) that the in-memory aggregate is built from. The record
-// is lossless with respect to record-level aggregation: replaying a
-// JSONL file of SurveyRecords rebuilds the same aggregate a live run
-// produces, which is what makes checkpoint/resume exact.
+// SurveyRecord is the one record of one trace that every tool writes
+// and reads (DESIGN.md, "The trace record"; TestRecordLayout pins a
+// line). It carries the survey measurements too, so replaying a record
+// log rebuilds a live run's aggregate — what makes resume exact.
 
 // SurveyDiamond is one diamond encounter with its survey metrics.
 type SurveyDiamond struct {
@@ -34,21 +37,116 @@ type SurveyDiamond struct {
 	MeshMissProbs []float64 `json:"mesh_miss_probs,omitempty"`
 }
 
-// SurveyRecord is the streamed result of tracing one survey pair.
+// SurveyRecord is the record of one trace.
 type SurveyRecord struct {
-	PairIndex int  `json:"pair_index"`
-	HasLB     bool `json:"has_lb"`
-	// Trace is the archival per-trace record (topology, probes, routers).
-	Trace JSONTrace `json:"trace"`
+	// PairIndex is the survey pair (or cmd/mmlpt run) the trace belongs
+	// to; HasLB is the pair's ground-truth load-balancer label, false
+	// where no ground truth exists.
+	PairIndex int    `json:"pair_index"`
+	HasLB     bool   `json:"has_lb"`
+	Src       string `json:"src"`
+	Dst       string `json:"dst"`
+	Algorithm string `json:"algorithm"`
+	Probes    uint64 `json:"probes"`
+	Reached   bool   `json:"reached"`
+	Switched  bool   `json:"switched_to_mda,omitempty"`
+	// Hops lists each hop's addresses in topo.Graph hop order, a star as
+	// topo.StarAddr; Succ lists each vertex's successors by global
+	// hop-major vertex index (an edge may skip hops), in Succ order.
+	Hops addrLists `json:"hops"`
+	Succ [][]int32 `json:"succ"`
+	// Routers are the trace's accepted alias sets (multilevel only).
+	Routers     addrLists `json:"routers,omitempty"`
+	AliasProbes uint64    `json:"alias_probes,omitempty"`
 	// Diamonds carries the survey metrics per diamond encounter, in hop
 	// order, mirroring the in-memory DiamondRecord list.
 	Diamonds []SurveyDiamond `json:"diamonds,omitempty"`
 	// PriorHops counts the hops confirmed from an atlas prior; PriorStale
 	// marks a trace whose prior mismatched the live route and was
-	// abandoned. Both are zero-valued (and omitted) for unseeded runs, so
-	// pre-prior record files re-encode byte-identically.
+	// abandoned. Both are zero-valued (and omitted) for unseeded runs.
 	PriorHops  int  `json:"prior_hops,omitempty"`
 	PriorStale bool `json:"prior_stale,omitempty"`
+}
+
+// NewSurveyRecord builds the record of an IP-level trace, plus its
+// router-level results when ml is non-nil. The caller fills in the
+// survey fields (pair, ground truth, diamonds, prior).
+func NewSurveyRecord(src, dst packet.Addr, algorithm string, res *mda.Result, ml *core.Result) *SurveyRecord {
+	g := res.Graph
+	rec := &SurveyRecord{
+		Src: src.String(), Dst: dst.String(), Algorithm: algorithm,
+		Probes: res.Probes, Reached: res.ReachedDst, Switched: res.SwitchedToMDA,
+		Hops: make(addrLists, g.NumHops()),
+	}
+	var order []topo.VertexID // hop-major
+	index := make([]int32, g.NumVertices())
+	for h := range rec.Hops {
+		rec.Hops[h] = make([]packet.Addr, 0, g.Width(h))
+		for _, id := range g.Hop(h) {
+			index[id] = int32(len(order))
+			order = append(order, id)
+			rec.Hops[h] = append(rec.Hops[h], g.V(id).Addr)
+		}
+	}
+	rec.Succ = make([][]int32, len(order))
+	for k, id := range order {
+		rec.Succ[k] = make([]int32, 0, g.OutDegree(id))
+		for _, w := range g.Succ(id) {
+			rec.Succ[k] = append(rec.Succ[k], index[w])
+		}
+	}
+	if ml != nil {
+		rec.AliasProbes = ml.AliasProbes
+		for _, s := range alias.RouterSets(ml.Sets) {
+			rec.Routers = append(rec.Routers, append([]packet.Addr(nil), s.Addrs...))
+		}
+	}
+	return rec
+}
+
+// Graph rebuilds the trace topology the record holds.
+func (sr *SurveyRecord) Graph() (*topo.Graph, error) {
+	if err := sr.check(); err != nil {
+		return nil, err
+	}
+	g := topo.New()
+	ids := make([]topo.VertexID, 0, len(sr.Succ))
+	for h, hop := range sr.Hops {
+		for _, a := range hop {
+			ids = append(ids, g.AddVertex(h, a))
+		}
+	}
+	for k, succ := range sr.Succ {
+		for _, j := range succ {
+			g.AddEdge(ids[k], ids[j])
+		}
+	}
+	return g, nil
+}
+
+// check is the structural validation DecodeSurveyRecords and Graph
+// share: at most 255 hops, one successor list per vertex, and every
+// successor index naming a vertex. (A malformed address already fails
+// to unmarshal.)
+func (sr *SurveyRecord) check() error {
+	if len(sr.Hops) > 255 { // hop h is probed at TTL h+1, and a TTL is one byte
+		return fmt.Errorf("traceio: %d hops, a TTL allows at most 255", len(sr.Hops))
+	}
+	n := 0
+	for _, hop := range sr.Hops {
+		n += len(hop)
+	}
+	if len(sr.Succ) != n {
+		return fmt.Errorf("traceio: %d successor lists for %d vertices", len(sr.Succ), n)
+	}
+	for k, succ := range sr.Succ {
+		for _, j := range succ {
+			if j < 0 || int(j) >= n {
+				return fmt.Errorf("traceio: vertex %d: successor index %d outside [0, %d)", k, j, n)
+			}
+		}
+	}
+	return nil
 }
 
 // WriteJSONL appends the record as one JSON line.
@@ -57,15 +155,19 @@ func (sr *SurveyRecord) WriteJSONL(w io.Writer) error {
 }
 
 // DecodeSurveyRecords streams records to fn until EOF or the first
-// error. fn errors abort the scan and are returned verbatim.
+// error. A record that fails to unmarshal or fails the structural checks
+// is an error; fn errors abort the scan and are returned verbatim.
 func DecodeSurveyRecords(r io.Reader, fn func(*SurveyRecord) error) error {
 	dec := json.NewDecoder(r)
-	for {
+	for n := 0; ; n++ {
 		sr := new(SurveyRecord)
 		if err := dec.Decode(sr); err == io.EOF {
 			return nil
 		} else if err != nil {
 			return err
+		}
+		if err := sr.check(); err != nil {
+			return fmt.Errorf("record %d (pair %d): %w", n, sr.PairIndex, err)
 		}
 		if err := fn(sr); err != nil {
 			return err
@@ -73,8 +175,56 @@ func DecodeSurveyRecords(r io.Reader, fn func(*SurveyRecord) error) error {
 	}
 }
 
+// addrLists is a JSON array of address lists: dotted quads, "*" for a
+// star. One marshaler per list of lists keeps encoding/json's per-value
+// overhead off each hop.
+type addrLists [][]packet.Addr
+
+func (ls addrLists) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 64*len(ls)), '[')
+	for i, l := range ls {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, a := range l {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			if a == topo.StarAddr {
+				b = append(b, `"*"`...)
+			} else {
+				b = append(a.AppendText(append(b, '"')), '"')
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']'), nil
+}
+
+func (ls *addrLists) UnmarshalJSON(data []byte) error {
+	var sss [][]string
+	if err := json.Unmarshal(data, &sss); err != nil {
+		return err
+	}
+	*ls = make(addrLists, len(sss))
+	for i, ss := range sss {
+		(*ls)[i] = make([]packet.Addr, len(ss))
+		for j, s := range ss {
+			if s != "*" { // a star stays topo.StarAddr, the zero address
+				a, err := packet.ParseAddr(s)
+				if err != nil {
+					return err
+				}
+				(*ls)[i][j] = a
+			}
+		}
+	}
+	return nil
+}
+
 // ValidateJSONLPrefix checks, without modifying the file, that the
-// first off bytes of path decode as exactly want complete JSON values —
+// first off bytes of path decode as exactly want complete records —
 // the consistency check a resume must run BEFORE truncating a record
 // log to a checkpoint's offset. It catches a checkpoint paired with the
 // wrong file (or one written without a record log at all) while the
@@ -92,16 +242,9 @@ func ValidateJSONLPrefix(path string, off int64, want int) error {
 	if st.Size() < off {
 		return fmt.Errorf("traceio: %s is %d bytes, shorter than checkpointed offset %d", path, st.Size(), off)
 	}
-	dec := json.NewDecoder(io.LimitReader(f, off))
 	n := 0
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("traceio: %s: record %d within checkpointed prefix is corrupt: %v", path, n, err)
-		}
-		n++
+	if err := DecodeSurveyRecords(io.LimitReader(f, off), func(*SurveyRecord) error { n++; return nil }); err != nil {
+		return fmt.Errorf("traceio: %s: record %d within checkpointed prefix is corrupt: %v", path, n, err)
 	}
 	if n != want {
 		return fmt.Errorf("traceio: %s holds %d records within the checkpointed prefix, checkpoint says %d", path, n, want)

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"mmlpt/internal/packet"
+	"mmlpt/internal/topo"
 )
 
 // ReadSurveyRecords decodes one SurveyRecord per line until EOF.
@@ -23,12 +26,11 @@ func sampleRecord(i int) *SurveyRecord {
 	return &SurveyRecord{
 		PairIndex: i,
 		HasLB:     i%2 == 0,
-		Trace: JSONTrace{
-			Src: "192.0.2.1", Dst: "203.0.113.9", Algorithm: "mda",
-			Probes: uint64(100 + i), Reached: true,
-			Vertices: []JSONVertex{{Addr: "10.0.0.1", Hop: 0}, {Addr: "*", Hop: 1}},
-			Edges:    []JSONEdge{{From: 0, To: 1}},
-		},
+		Src:       "192.0.2.1", Dst: "203.0.113.9", Algorithm: "mda",
+		Probes: uint64(100 + i), Reached: true,
+		Hops:    [][]packet.Addr{{packet.MustParseAddr("10.0.0.1")}, {topo.StarAddr}},
+		Succ:    [][]int32{{1}, {}},
+		Routers: [][]packet.Addr{{packet.MustParseAddr("10.0.0.1"), packet.MustParseAddr("10.0.0.2")}},
 		Diamonds: []SurveyDiamond{{
 			Div: "10.0.0.1", Conv: "10.0.0.9",
 			MaxLength: 2, MaxWidth: 3, Meshed: true, MeshedRatio: 0.5,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -55,21 +54,6 @@ func FormatTopology(g *topo.Graph) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// ReadJSONL decodes one trace record per line until EOF.
-func ReadJSONL(r io.Reader) ([]*JSONTrace, error) {
-	dec := json.NewDecoder(r)
-	var out []*JSONTrace
-	for {
-		var jt JSONTrace
-		if err := dec.Decode(&jt); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		out = append(out, &jt)
-	}
 }
 
 func TestTopologyTextRoundTrip(t *testing.T) {
@@ -136,66 +120,117 @@ func TestTopologyParseErrors(t *testing.T) {
 	}
 }
 
+// recordLine encodes one record the way every writer does.
+func recordLine(t testing.TB, rec *SurveyRecord) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := rec.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// exampleGraph is the record layout's worked example: a two-wide hop, a
+// star, and the destination.
+func exampleGraph() *topo.Graph {
+	g := topo.New()
+	a := g.AddVertex(0, packet.MustParseAddr("10.0.0.7"))
+	b := g.AddVertex(1, packet.MustParseAddr("10.0.2.233"))
+	c := g.AddVertex(1, packet.MustParseAddr("10.0.2.234"))
+	s := g.AddVertex(2, topo.StarAddr)
+	d := g.AddVertex(3, packet.MustParseAddr("203.0.113.4"))
+	g.AddEdge(a, b)
+	g.AddEdge(a, c)
+	g.AddEdge(b, s)
+	g.AddEdge(c, s)
+	g.AddEdge(s, d)
+	return g
+}
+
+// TestRecordLayout pins the record's JSON line: hop-major address lists
+// with "*" for a star, and successor lists by hop-major vertex index.
+func TestRecordLayout(t *testing.T) {
+	rec := NewSurveyRecord(tSrc, tDst, "mda", &mda.Result{Graph: exampleGraph(), Probes: 42, ReachedDst: true}, nil)
+	want := `{"pair_index":0,"has_lb":false,"src":"192.0.2.1","dst":"198.51.100.77","algorithm":"mda","probes":42,"reached":true,` +
+		`"hops":[["10.0.0.7"],["10.0.2.233","10.0.2.234"],["*"],["203.0.113.4"]],"succ":[[1,2],[3],[3],[4],[]]}` + "\n"
+	if got := string(recordLine(t, rec)); got != want {
+		t.Fatalf("record line\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestJSONGraphRoundTrip: a trace survives the record's JSON line with
+// its scalars, its hops, its per-hop order and its successor order,
+// including an empty hop and an edge between non-adjacent hops.
 func TestJSONGraphRoundTrip(t *testing.T) {
 	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
-	g := fakeroute.MeshedDiamond48(alloc, tDst)
-	vs, es := EncodeGraph(g)
-	back, err := DecodeGraph(vs, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !topo.Equal(g, back) {
-		t.Fatal("JSON graph round trip mismatch")
-	}
-}
-
-// TestDecodeGraphRejectsHopOutOfRange: a record's hop reaches
-// topo.AddVertex from outside the process, so -1 (which panicked there)
-// and a huge hop (which grew the hop list without bound) are errors.
-func TestDecodeGraphRejectsHopOutOfRange(t *testing.T) {
-	for _, hop := range []int{-1, 255, 2000000000} {
-		for _, addr := range []string{"10.0.0.1", "*"} {
-			vs := []JSONVertex{{Addr: "10.0.0.9", Hop: 0}, {Addr: addr, Hop: hop}}
-			if _, err := DecodeGraph(vs, nil); err == nil || !strings.Contains(err.Error(), "outside [0, 254]") {
-				t.Errorf("hop %d addr %s: err = %v, want out-of-range error", hop, addr, err)
-			}
+	skip := exampleGraph()
+	far := skip.AddVertex(5, packet.MustParseAddr("10.9.9.9"))
+	skip.AddEdge(skip.Hop(0)[0], far)
+	net, _ := fakeroute.BuildScenario(1, tSrc, tDst, fakeroute.Fig1UnmeshedDiamond)
+	for name, res := range map[string]*mda.Result{
+		"meshed48": {Graph: fakeroute.MeshedDiamond48(alloc, tDst)},
+		"skip":     {Graph: skip},
+		"fig1":     mda.Trace(probe.NewSimProber(net, tSrc, tDst), mda.Config{Seed: 1}),
+	} {
+		line := recordLine(t, NewSurveyRecord(tSrc, tDst, "mda", res, nil))
+		var back *SurveyRecord
+		if err := DecodeSurveyRecords(bytes.NewReader(line), func(sr *SurveyRecord) error { back = sr; return nil }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if back.Dst != tDst.String() || back.Probes != res.Probes || back.Reached != res.ReachedDst {
+			t.Fatalf("%s: scalars did not survive: %+v", name, back)
+		}
+		g, err := back.Graph()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !topo.Equal(res.Graph, g) {
+			t.Fatalf("%s: graph round trip mismatch", name)
+		}
+		again := recordLine(t, NewSurveyRecord(tSrc, tDst, "mda", &mda.Result{Graph: g, Probes: res.Probes, ReachedDst: res.ReachedDst}, nil))
+		if !bytes.Equal(line, again) {
+			t.Fatalf("%s: re-encoding the decoded graph changed the record:\n%s\n%s", name, line, again)
 		}
 	}
-	if _, err := DecodeGraph([]JSONVertex{{Addr: "10.0.0.1", Hop: 254}}, nil); err != nil {
-		t.Fatalf("hop 254: %v", err)
-	}
 }
 
-func TestJSONTraceRecord(t *testing.T) {
-	net, _ := fakeroute.BuildScenario(1, tSrc, tDst, fakeroute.Fig1UnmeshedDiamond)
-	p := probe.NewSimProber(net, tSrc, tDst)
-	res := mda.Trace(p, mda.Config{Seed: 1})
-	jt := NewJSONTrace(tSrc, tDst, "mda", res)
-	if jt.Probes != res.Probes || !jt.Reached {
-		t.Fatalf("record %+v", jt)
+// TestRecordRejectsMalformed: records arrive from outside the process
+// (shipped units, replayed logs), so a malformed address, more hops than
+// a TTL allows, a successor index naming no vertex, and a successor list
+// count that disagrees with the vertices are all errors — from
+// DecodeSurveyRecords and from Graph alike.
+func TestRecordRejectsMalformed(t *testing.T) {
+	hops := func(n int) string {
+		return `"hops":[` + strings.TrimSuffix(strings.Repeat(`[],`, n), ",") + `],"succ":[]`
 	}
-	if len(jt.Diamonds) != 1 || jt.Diamonds[0].MaxWidth != 4 {
-		t.Fatalf("diamonds %+v", jt.Diamonds)
+	good := `{"pair_index":1,"hops":[["10.0.0.1"],["*"]],"succ":[[1],[]],"routers":[["10.0.0.1","10.0.0.2"]]}`
+	for _, c := range []struct{ name, line, want string }{
+		{"address", strings.Replace(good, `"10.0.0.1"]`, `"10.0.0.300"]`, 1), "octet out of range"},
+		{"hops", `{` + hops(256) + `}`, "at most 255"},
+		{"negative successor", strings.Replace(good, `[[1]`, `[[-1]`, 1), "outside [0, 2)"},
+		{"successor past the end", strings.Replace(good, `[[1]`, `[[2]`, 1), "outside [0, 2)"},
+		{"successor lists", strings.Replace(good, `[[1],[]]`, `[[1]]`, 1), "1 successor lists for 2 vertices"},
+	} {
+		err := DecodeSurveyRecords(strings.NewReader(c.line), func(*SurveyRecord) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decode err = %v, want %q", c.name, err, c.want)
+		}
+		var sr SurveyRecord
+		if json.Unmarshal([]byte(c.line), &sr) != nil {
+			continue // an unparsable address never becomes a record
+		}
+		if _, err := sr.Graph(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Graph err = %v, want %q", c.name, err, c.want)
+		}
 	}
-	var buf bytes.Buffer
-	if err := jt.WriteJSONL(&buf); err != nil {
+	var sr SurveyRecord
+	if err := json.Unmarshal([]byte(`{`+hops(255)+`}`), &sr); err != nil {
 		t.Fatal(err)
 	}
-	if err := jt.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	if _, err := sr.Graph(); err != nil {
+		t.Fatalf("255 hops: %v", err)
 	}
-	records, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 2 || records[0].Dst != tDst.String() {
-		t.Fatalf("read back %d records", len(records))
-	}
-	back, err := DecodeGraph(records[0].Vertices, records[0].Edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !topo.Equal(res.Graph, back) {
-		t.Fatal("trace graph did not survive JSONL")
+	if err := DecodeSurveyRecords(strings.NewReader(good), func(*SurveyRecord) error { return nil }); err != nil {
+		t.Fatalf("well-formed record rejected: %v", err)
 	}
 }
