@@ -166,11 +166,9 @@ func TestJSONGraphRoundTrip(t *testing.T) {
 	skip := exampleGraph()
 	far := skip.AddVertex(5, packet.MustParseAddr("10.9.9.9"))
 	skip.AddEdge(skip.Hop(0)[0], far)
-	net, _ := fakeroute.BuildScenario(1, tSrc, tDst, fakeroute.Fig1UnmeshedDiamond)
 	for name, res := range map[string]*mda.Result{
 		"meshed48": {Graph: fakeroute.MeshedDiamond48(alloc, tDst)},
 		"skip":     {Graph: skip},
-		"fig1":     mda.Trace(probe.NewSimProber(net, tSrc, tDst), mda.Config{Seed: 1}),
 	} {
 		line := recordLine(t, NewSurveyRecord(tSrc, tDst, "mda", res, nil))
 		var back *SurveyRecord
@@ -191,6 +189,39 @@ func TestJSONGraphRoundTrip(t *testing.T) {
 		if !bytes.Equal(line, again) {
 			t.Fatalf("%s: re-encoding the decoded graph changed the record:\n%s\n%s", name, line, again)
 		}
+	}
+}
+
+// TestJSONTraceRecord: a real MDA trace of Fig 1 keeps its scalars, its
+// reached flag and its one 4-wide diamond through a two-record JSONL
+// stream.
+func TestJSONTraceRecord(t *testing.T) {
+	net, _ := fakeroute.BuildScenario(1, tSrc, tDst, fakeroute.Fig1UnmeshedDiamond)
+	res := mda.Trace(probe.NewSimProber(net, tSrc, tDst), mda.Config{Seed: 1})
+	rec := NewSurveyRecord(tSrc, tDst, "mda", res, nil)
+	if rec.Probes != res.Probes || !rec.Reached {
+		t.Fatalf("record %+v", rec)
+	}
+	stream := append(recordLine(t, rec), recordLine(t, rec)...)
+	var records []*SurveyRecord
+	if err := DecodeSurveyRecords(bytes.NewReader(stream), func(sr *SurveyRecord) error {
+		records = append(records, sr)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 || records[0].Dst != tDst.String() {
+		t.Fatalf("read back %d records", len(records))
+	}
+	back, err := records[0].Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !topo.Equal(res.Graph, back) {
+		t.Fatal("trace graph did not survive JSONL")
+	}
+	if ds := back.Diamonds(); len(ds) != 1 || ds[0].MaxWidth() != 4 {
+		t.Fatalf("diamonds %+v", ds)
 	}
 }
 
