@@ -134,20 +134,15 @@ func Monotonic(samples []obs.Sample) bool {
 	return true
 }
 
-// MergeSamples interleaves two series by sequence number.
-func MergeSamples(a, b []obs.Sample) []obs.Sample {
-	out := make([]obs.Sample, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
 // MBTVerdict applies the Monotonic Bounds Test to a pair of usable series:
 // if their interleaved merge stays monotonic the addresses are consistent
 // with sharing one counter (Accepted); a single out-of-sequence identifier
 // rejects the pair. Series that do not interleave (no overlap in time)
 // cannot discriminate and yield Unable.
+//
+// The merge is walked, not built: one cursor per Seq-ordered series, no
+// allocation, stopping at the first violation. Seqs are unique within one
+// Observations (obs.Sample.Seq); a tie would take a's sample first.
 func MBTVerdict(a, b []obs.Sample) Outcome {
 	if len(a) == 0 || len(b) == 0 {
 		return Unable
@@ -157,10 +152,18 @@ func MBTVerdict(a, b []obs.Sample) Outcome {
 	if a[len(a)-1].Seq < b[0].Seq || b[len(b)-1].Seq < a[0].Seq {
 		return Unable
 	}
-	if Monotonic(MergeSamples(a, b)) {
-		return Accepted
+	var s, prev obs.Sample
+	for i, j := 0, 0; i+j < len(a)+len(b); prev = s {
+		if j == len(b) || i < len(a) && a[i].Seq <= b[j].Seq {
+			s, i = a[i], i+1
+		} else {
+			s, j = b[j], j+1
+		}
+		if diff := s.IPID - prev.IPID; i+j > 1 && (diff == 0 || diff >= wrapThreshold) {
+			return Rejected
+		}
 	}
-	return Rejected
+	return Accepted
 }
 
 // Evidence is the full pairwise verdict with its source tests.
@@ -223,33 +226,54 @@ func (r *Resolver) series(ao *obs.AddrObs) []obs.Sample {
 	return ao.Indirect
 }
 
-// PairVerdict evaluates the pair with all available evidence.
-func (r *Resolver) PairVerdict(a, b packet.Addr) Evidence {
+// facts is what a pair verdict reads of one address, gathered once per
+// address per Partition or ClassifySet call.
+type facts struct {
+	ao      *obs.AddrObs // nil when the address was never observed
+	series  []obs.Sample // the resolver's family
+	usable  bool         // SeriesUsable(series)
+	fp      obs.Fingerprint
+	label   uint32 // the constant MPLS label, when labeled
+	labeled bool
+}
+
+// factsOfAll gathers the facts of each address, index-aligned with addrs.
+func (r *Resolver) factsOfAll(addrs []packet.Addr) []facts {
+	fs := make([]facts, len(addrs))
+	for i, a := range addrs {
+		ao := r.Obs.Get(a)
+		if ao == nil {
+			continue
+		}
+		f := &fs[i]
+		f.ao, f.series, f.fp = ao, r.series(ao), ao.FingerprintOf()
+		f.usable, _ = SeriesUsable(f.series, r.Direct)
+		f.label, f.labeled = ao.ConstantLabel()
+	}
+	return fs
+}
+
+// pairEvidence evaluates a pair of addresses with all available evidence.
+func pairEvidence(a, b facts) Evidence {
 	var ev Evidence
-	ao, bo := r.Obs.Get(a), r.Obs.Get(b)
-	if ao == nil || bo == nil {
+	if a.ao == nil || b.ao == nil {
 		return ev
 	}
 	// Network Fingerprinting.
-	if !obs.CompatibleFingerprints(ao.FingerprintOf(), bo.FingerprintOf()) {
+	if !obs.CompatibleFingerprints(a.fp, b.fp) {
 		ev.Fingerprint = Rejected
 	}
 	// MPLS labeling (constant labels only).
-	if la, oka := ao.ConstantLabel(); oka {
-		if lb, okb := bo.ConstantLabel(); okb {
-			if la == lb {
-				ev.MPLS = Accepted
-			} else {
-				ev.MPLS = Rejected
-			}
+	if a.labeled && b.labeled {
+		if a.label == b.label {
+			ev.MPLS = Accepted
+		} else {
+			ev.MPLS = Rejected
 		}
 	}
 	// Monotonic Bounds Test.
-	sa, sb := r.series(ao), r.series(bo)
-	uA, _ := SeriesUsable(sa, r.Direct)
-	uB, _ := SeriesUsable(sb, r.Direct)
-	if uA && uB {
-		ev.MBT = MBTVerdict(sa, sb)
+	if a.usable && b.usable {
+		ev.MBT = MBTVerdict(a.series, b.series)
 	}
 	return ev
 }
@@ -270,28 +294,26 @@ type Set struct {
 func (r *Resolver) Partition(candidates []packet.Addr) []Set {
 	sorted := append([]packet.Addr(nil), candidates...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	fs := r.factsOfAll(sorted)
 
-	var groups [][]packet.Addr
-	verdict := make(map[[2]packet.Addr]Outcome)
-	pv := func(a, b packet.Addr) Outcome {
-		k := [2]packet.Addr{a, b}
-		if a > b {
-			k = [2]packet.Addr{b, a}
+	// Groups list positions in sorted, ascending. verdict holds the outcome
+	// of positions i < j, plus one, at j(j-1)/2+i; zero is not yet tested.
+	var groups [][]int
+	verdict := make([]int8, len(fs)*(len(fs)-1)/2)
+	pv := func(i, j int) Outcome {
+		v := &verdict[j*(j-1)/2+i]
+		if *v == 0 {
+			*v = int8(pairEvidence(fs[i], fs[j]).Combine()) + 1
 		}
-		if v, ok := verdict[k]; ok {
-			return v
-		}
-		v := r.PairVerdict(a, b).Combine()
-		verdict[k] = v
-		return v
+		return Outcome(*v - 1)
 	}
-	for _, a := range sorted {
+	for a := range fs {
 		placed := false
 		for gi, g := range groups {
 			ok := true
 			positive := false
 			for _, m := range g {
-				switch pv(a, m) {
+				switch pv(m, a) {
 				case Rejected:
 					ok = false
 				case Accepted:
@@ -308,15 +330,18 @@ func (r *Resolver) Partition(candidates []packet.Addr) []Set {
 			}
 		}
 		if !placed {
-			groups = append(groups, []packet.Addr{a})
+			groups = append(groups, []int{a})
 		}
 	}
 	out := make([]Set, 0, len(groups))
 	for _, g := range groups {
-		s := Set{Addrs: g, Outcome: Accepted}
+		s := Set{Addrs: make([]packet.Addr, len(g)), Outcome: Accepted}
+		for i, m := range g {
+			s.Addrs[i] = sorted[m]
+		}
 		if len(g) < 2 {
 			s.Outcome = Unable
-			if u, _ := r.AddrUsable(g[0]); u {
+			if fs[g[0]].usable {
 				// A usable singleton is a positively isolated interface.
 				s.Outcome = Accepted
 			}
@@ -344,10 +369,11 @@ func (r *Resolver) ClassifySet(addrs []packet.Addr) Outcome {
 	if len(addrs) < 2 {
 		return Unable
 	}
+	fs := r.factsOfAll(addrs)
 	sawUnable := false
-	for i := 0; i < len(addrs); i++ {
-		for j := i + 1; j < len(addrs); j++ {
-			switch r.PairVerdict(addrs[i], addrs[j]).Combine() {
+	for i := range fs {
+		for j := i + 1; j < len(fs); j++ {
+			switch pairEvidence(fs[i], fs[j]).Combine() {
 			case Rejected:
 				return Rejected
 			case Unable:

@@ -1,11 +1,13 @@
 package alias
 
 import (
+	"sort"
 	"testing"
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
 	"mmlpt/internal/mdalite"
+	"mmlpt/internal/nprand"
 	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
@@ -66,6 +68,222 @@ func TestSeriesUsableCauses(t *testing.T) {
 	good := []obs.Sample{{Seq: 1, IPID: 4}, {Seq: 2, IPID: 6}, {Seq: 3, IPID: 9}}
 	if ok, _ := SeriesUsable(good, false); !ok {
 		t.Error("healthy series must be usable")
+	}
+}
+
+// pairVerdict evaluates one pair the way Partition and ClassifySet do.
+func pairVerdict(r *Resolver, a, b packet.Addr) Evidence {
+	fs := r.factsOfAll([]packet.Addr{a, b})
+	return pairEvidence(fs[0], fs[1])
+}
+
+// mergeSamples interleaves two series by sequence number: the merge that
+// MBTVerdict walks without building it.
+func mergeSamples(a, b []obs.Sample) []obs.Sample {
+	out := make([]obs.Sample, 0, len(a)+len(b))
+	out = append(out, a...)
+	out = append(out, b...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// oracleMBT is the Monotonic Bounds Test over the built, sorted merge.
+func oracleMBT(a, b []obs.Sample) Outcome {
+	if len(a) == 0 || len(b) == 0 {
+		return Unable
+	}
+	if a[len(a)-1].Seq < b[0].Seq || b[len(b)-1].Seq < a[0].Seq {
+		return Unable
+	}
+	if Monotonic(mergeSamples(a, b)) {
+		return Accepted
+	}
+	return Rejected
+}
+
+// series builds a sample series from (Seq, IPID) pairs.
+func series(seqID ...int) []obs.Sample {
+	out := make([]obs.Sample, 0, len(seqID)/2)
+	for i := 0; i < len(seqID); i += 2 {
+		out = append(out, obs.Sample{Seq: uint64(seqID[i]), IPID: uint16(seqID[i+1])})
+	}
+	return out
+}
+
+func TestMBTVerdictCases(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b []obs.Sample
+		want Outcome
+	}{
+		{"interleaved", series(1, 10, 3, 12, 5, 14), series(2, 11, 4, 13), Accepted},
+		{"interleaved/out-of-sequence", series(1, 10, 3, 12, 5, 14), series(2, 11, 4, 15), Rejected},
+		{"nested", series(1, 10, 10, 19), series(4, 13, 5, 14, 6, 15), Accepted},
+		{"nested/out-of-sequence", series(1, 10, 10, 19), series(4, 13, 5, 20, 6, 21), Rejected},
+		{"disjoint", series(1, 10, 2, 11), series(3, 12, 4, 13), Unable},
+		{"wrap", series(1, 0xfffe, 3, 1), series(2, 0xffff, 4, 2), Accepted},
+		{"wrap/out-of-sequence", series(1, 0xfffe, 3, 1), series(2, 2, 4, 3), Rejected},
+		{"equal across series", series(1, 10, 3, 12), series(2, 12, 4, 13), Rejected},
+		{"step 2^15-1", series(1, 0, 3, 0x8000), series(2, 0x7fff), Accepted},
+		{"step 2^15", series(1, 0, 3, 0x8001), series(2, 0x8000), Rejected},
+		{"length 1 inside", series(2, 5), series(1, 4, 3, 6), Accepted},
+		{"length 1 outside", series(2, 5), series(1, 4), Unable},
+		{"empty", nil, series(1, 4, 3, 6), Unable},
+	}
+	for _, c := range cases {
+		for _, got := range []Outcome{MBTVerdict(c.a, c.b), MBTVerdict(c.b, c.a), oracleMBT(c.a, c.b)} {
+			if got != c.want {
+				t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+			}
+		}
+	}
+}
+
+// TestMBTVerdictMatchesSortedMerge checks the two-cursor MBT against the
+// sorted merge it replaced, on seeded random pairs of Seq-ordered series
+// with distinct Seqs. The pairs cover interleaved, nested and disjoint
+// windows, series of one to three samples, IDs wrapping through 0xFFFF,
+// equal IDs across the two series and steps of exactly 2^15-1 and 2^15;
+// the tallies at the end check that every such case occurred.
+func TestMBTVerdictMatchesSortedMerge(t *testing.T) {
+	const (
+		interleaved = iota
+		nested
+		disjoint
+	)
+	rng := nprand.New(31)
+	var byLayout [3][3]int // layout × outcome
+	var short [3]int       // outcomes with a series of at most 3 samples
+	var wrapAccepted, maxStepAccepted, halfStepRejected, equalCrossRejected int
+	for n := 0; n < 20000; n++ {
+		la, lb := 1+rng.Intn(3), 1+rng.Intn(3)
+		if n%2 == 0 {
+			la, lb = 1+rng.Intn(40), 1+rng.Intn(40)
+		}
+		layout := n % 3
+		// inB[k] places the k-th sample of the merged order in b.
+		inB := make([]bool, la+lb)
+		switch layout {
+		case interleaved:
+			for _, k := range rng.Perm(la + lb)[:lb] {
+				inB[k] = true
+			}
+		case nested:
+			// a holds the first and the last sample, b falls inside.
+			if la < 2 {
+				la++
+				inB = append(inB, false)
+			}
+			for _, k := range rng.Perm(la + lb - 2)[:lb] {
+				inB[k+1] = true
+			}
+		case disjoint:
+			for k := la; k < la+lb; k++ {
+				inB[k] = true
+			}
+		}
+
+		var a, b []obs.Sample
+		seq := uint64(1 + rng.Intn(1000))
+		id := uint16(rng.Intn(1 << 16))
+		if rng.Intn(4) == 0 {
+			id = 0xffff - uint16(rng.Intn(8))
+		}
+		var wrapped, maxStep, halfStep, equalCross bool
+		for k := range inB {
+			if k > 0 {
+				seq += uint64(1 + rng.Intn(3))
+				var step uint16
+				switch p := rng.Intn(100); {
+				case p < 84:
+					step = uint16(1 + rng.Intn(64))
+				case p < 87:
+					equalCross = equalCross || inB[k] != inB[k-1]
+				case p < 91:
+					step, maxStep = wrapThreshold-1, true
+				case p < 95:
+					step, halfStep = wrapThreshold, true
+				default:
+					step = uint16(rng.Intn(1 << 16))
+				}
+				wrapped = wrapped || id+step < id
+				id += step
+			}
+			s := obs.Sample{Seq: seq, IPID: id}
+			if inB[k] {
+				b = append(b, s)
+			} else {
+				a = append(a, s)
+			}
+		}
+		if rng.Intn(2) == 0 {
+			a, b = b, a
+		}
+
+		want := oracleMBT(a, b)
+		if got := MBTVerdict(a, b); got != want {
+			t.Fatalf("case %d: MBTVerdict(a, b) = %v, sorted merge %v\na=%v\nb=%v", n, got, want, a, b)
+		}
+		if got := MBTVerdict(b, a); got != want {
+			t.Fatalf("case %d: MBTVerdict(b, a) = %v, sorted merge %v\na=%v\nb=%v", n, got, want, a, b)
+		}
+		if want != Unable && (halfStep || equalCross) && want != Rejected {
+			t.Fatalf("case %d: a step of 0 or 2^15 gave %v\na=%v\nb=%v", n, want, a, b)
+		}
+		byLayout[layout][want]++
+		if min(la, lb) <= 3 {
+			short[want]++
+		}
+		if want == Accepted && wrapped {
+			wrapAccepted++
+		}
+		if want == Accepted && maxStep {
+			maxStepAccepted++
+		}
+		if want == Rejected && halfStep {
+			halfStepRejected++
+		}
+		if want == Rejected && equalCross {
+			equalCrossRejected++
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"interleaved accept", byLayout[interleaved][Accepted]},
+		{"interleaved reject", byLayout[interleaved][Rejected]},
+		{"nested accept", byLayout[nested][Accepted]},
+		{"nested reject", byLayout[nested][Rejected]},
+		{"disjoint unable", byLayout[disjoint][Unable]},
+		{"short accept", short[Accepted]},
+		{"short reject", short[Rejected]},
+		{"short unable", short[Unable]},
+		{"accept across a wrap", wrapAccepted},
+		{"accept with a 2^15-1 step", maxStepAccepted},
+		{"reject on a 2^15 step", halfStepRejected},
+		{"reject on equal IDs across series", equalCrossRejected},
+	} {
+		if c.n == 0 {
+			t.Errorf("no random case covered %s", c.name)
+		}
+	}
+	if byLayout[disjoint][Accepted]+byLayout[disjoint][Rejected] != 0 {
+		t.Errorf("disjoint windows gave a verdict: %v", byLayout[disjoint])
+	}
+}
+
+func TestMBTVerdictAllocatesNothing(t *testing.T) {
+	a, b := make([]obs.Sample, 300), make([]obs.Sample, 300)
+	for i := range a {
+		a[i] = obs.Sample{Seq: uint64(2*i + 1), IPID: uint16(2*i + 1)}
+		b[i] = obs.Sample{Seq: uint64(2*i + 2), IPID: uint16(2*i + 2)}
+	}
+	if v := MBTVerdict(a, b); v != Accepted {
+		t.Fatalf("shared counter gave %v, want accept", v)
+	}
+	if n := testing.AllocsPerRun(100, func() { MBTVerdict(a, b) }); n != 0 {
+		t.Fatalf("MBTVerdict on two 300-sample series allocates %v times, want 0", n)
 	}
 }
 
@@ -216,11 +434,11 @@ func TestFingerprintSplitsDifferentStacks(t *testing.T) {
 	}
 	r := NewResolver(p, o)
 	r.FingerprintRound(mid)
-	ev := r.PairVerdict(mid[0], mid[3]) // router 0 vs router 1
+	ev := pairVerdict(r, mid[0], mid[3]) // router 0 vs router 1
 	if ev.Fingerprint != Rejected {
 		t.Fatalf("different initial TTLs must reject, got %v", ev.Fingerprint)
 	}
-	ev2 := r.PairVerdict(mid[0], mid[1]) // same router
+	ev2 := pairVerdict(r, mid[0], mid[1]) // same router
 	if ev2.Fingerprint == Rejected {
 		t.Fatal("same fingerprints must not reject")
 	}
@@ -239,10 +457,10 @@ func TestMPLSLabelEvidence(t *testing.T) {
 	mdalite.Trace(p, mda.Config{Seed: 47, Obs: o}, 2)
 	r := NewResolver(p, o)
 	a0, a1, a2, a3 := g.V(mid[0]).Addr, g.V(mid[1]).Addr, g.V(mid[2]).Addr, g.V(mid[3]).Addr
-	if ev := r.PairVerdict(a0, a1); ev.MPLS != Accepted {
+	if ev := pairVerdict(r, a0, a1); ev.MPLS != Accepted {
 		t.Fatalf("same constant label must accept, got %v", ev.MPLS)
 	}
-	if ev := r.PairVerdict(a2, a3); ev.MPLS != Rejected {
+	if ev := pairVerdict(r, a2, a3); ev.MPLS != Rejected {
 		t.Fatalf("different labels must reject, got %v", ev.MPLS)
 	}
 }

@@ -98,7 +98,7 @@ func TestPartitionConsistencyProperty(t *testing.T) {
 			}
 			for i := 0; i < len(s.Addrs); i++ {
 				for j := i + 1; j < len(s.Addrs); j++ {
-					if r.PairVerdict(s.Addrs[i], s.Addrs[j]).Combine() == Rejected {
+					if pairVerdict(r, s.Addrs[i], s.Addrs[j]).Combine() == Rejected {
 						return false
 					}
 				}
@@ -132,6 +132,40 @@ func TestPartitionDeterministic(t *testing.T) {
 	for k := range p1 {
 		if !p2[k] {
 			t.Fatalf("pair %v missing under reordering", k)
+		}
+	}
+}
+
+// TestPartitionAllocationsLinearInWidth pins Partition's cost on a
+// 48-wide candidate group, where 1 128 pairs are tested either way: one
+// router with a shared counter (every pair accepted) and 48 routers with
+// their own counters (every address rejected by each earlier one). Each
+// address's evidence is read once and each pair verdict is an
+// allocation-free merge, so the count stays linear in the width.
+func TestPartitionAllocationsLinearInWidth(t *testing.T) {
+	const k = 48
+	one := make([]packet.Addr, k)
+	singles := make([][]packet.Addr, k)
+	for i := range one {
+		one[i] = a(i + 1)
+		singles[i] = one[i : i+1]
+	}
+	for _, c := range []struct {
+		name    string
+		groups  [][]packet.Addr
+		routers int
+	}{
+		{"one router", [][]packet.Addr{one}, 1},
+		{"48 routers", singles, k},
+	} {
+		r := &Resolver{Obs: synthObs(c.groups)}
+		if sets := r.Partition(one); len(sets) != c.routers {
+			t.Fatalf("%s: %d sets, want %d", c.name, len(sets), c.routers)
+		}
+		n := testing.AllocsPerRun(20, func() { r.Partition(one) })
+		t.Logf("%s: %v allocations", c.name, n)
+		if limit := float64(4*k + 16); n > limit {
+			t.Errorf("%s: Partition of %d candidates allocates %v times, want at most %v", c.name, k, n, limit)
 		}
 	}
 }

@@ -19,8 +19,10 @@ import (
 	"io"
 	"testing"
 
+	"mmlpt/internal/alias"
 	"mmlpt/internal/core"
 	"mmlpt/internal/nprand"
+	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 )
@@ -111,6 +113,93 @@ func TestAliasRoundsPinned(t *testing.T) {
 	if got := sum(probes); got != wantProbes {
 		t.Errorf("probe sequence digest %s, pinned %s", got, wantProbes)
 	}
+}
+
+// TestObservationSeqsUnique checks the invariant alias.MBTVerdict's merge
+// relies on: no two samples of one Observations share a Seq, across all
+// addresses and both families. It traces the load-balanced pairs of the
+// router-survey bench universe as TestAliasRoundsPinned does, and runs
+// Table 2's direct resolver over the first of them. Every reply an
+// Observations records comes from a vertex of the trace's graph (for the
+// direct resolver, from a candidate), so walking those addresses visits
+// every sample.
+func TestObservationSeqsUnique(t *testing.T) {
+	t.Parallel()
+	u, rc, err := PlanSurvey("router", SurveyConfig{Pairs: 14, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Trace.Seed = 1
+	direct := false
+	for idx, pair := range u.Pairs {
+		if !pair.HasLB {
+			continue
+		}
+		sim := probe.NewSimProber(u.Net, pair.Src, pair.Dst)
+		sim.Retries = rc.Retries
+		tc := rc.Trace
+		tc.Seed = nprand.IndexedSeed(rc.Trace.Seed, idx)
+		res := core.Trace(sim, core.Options{
+			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds, ProbesPerRound: rc.ProbesPerRound,
+		})
+		var addrs []packet.Addr
+		for _, v := range res.IP.Graph.Vertices {
+			addrs = append(addrs, v.Addr)
+		}
+		ind, dir := checkSeqsUnique(t, fmt.Sprintf("pair %d", idx), res.Obs, addrs)
+		if ind == 0 || dir == 0 {
+			t.Errorf("pair %d: %d indirect and %d direct samples, want both families", idx, ind, dir)
+		}
+		if direct {
+			continue
+		}
+		// Table 2's MIDAR-style resolver, one Resolve per candidate group.
+		direct = true
+		groups := core.CandidateGroups(res.IP.Graph, pair.Dst)
+		dp := probe.NewSimProber(u.Net, pair.Src, pair.Dst)
+		dp.Retries = 1
+		dirRes := alias.NewResolver(dp, obs.New())
+		dirRes.Direct = true
+		dirRes.Rounds = rc.Rounds
+		var cands []packet.Addr
+		for _, g := range groups {
+			dirRes.Resolve([][]packet.Addr{g})
+			cands = append(cands, g...)
+		}
+		if _, dir := checkSeqsUnique(t, fmt.Sprintf("pair %d direct", idx), dirRes.Obs, cands); dir == 0 {
+			t.Errorf("pair %d: the direct resolver recorded no samples", idx)
+		}
+	}
+	if !direct {
+		t.Fatal("no load-balanced pair")
+	}
+}
+
+// checkSeqsUnique reports every Seq that two samples of o share, walking
+// the observations of addrs (duplicates visited once), and returns the
+// number of indirect and direct samples seen.
+func checkSeqsUnique(t *testing.T, name string, o *obs.Observations, addrs []packet.Addr) (indirect, direct int) {
+	t.Helper()
+	owner := make(map[uint64]packet.Addr)
+	visited := make(map[packet.Addr]bool)
+	for _, a := range addrs {
+		ao := o.Get(a)
+		if ao == nil || visited[a] {
+			continue
+		}
+		visited[a] = true
+		for _, family := range [][]obs.Sample{ao.Indirect, ao.Direct} {
+			for _, s := range family {
+				if prev, ok := owner[s.Seq]; ok {
+					t.Errorf("%s: Seq %d sampled from both %s and %s", name, s.Seq, prev, a)
+				}
+				owner[s.Seq] = a
+			}
+		}
+		indirect += len(ao.Indirect)
+		direct += len(ao.Direct)
+	}
+	return indirect, direct
 }
 
 // TestFig5Pinned pins every Fig 5 row.

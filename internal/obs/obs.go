@@ -18,6 +18,10 @@ import "mmlpt/internal/packet"
 type Sample struct {
 	// Seq is the global probe sequence number at which the sample was
 	// taken: the simulated timestamp the Monotonic Bounds Test orders by.
+	// No two samples of one Observations share a Seq, across addresses
+	// and families: one prober feeds it and each recorded reply is stamped
+	// with a distinct count of that prober's sends. The MBT's merge of two
+	// series relies on it.
 	Seq uint64
 	// IPID is the outer IP identification value of the reply.
 	IPID uint16
