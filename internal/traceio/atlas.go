@@ -2,9 +2,9 @@ package traceio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"mmlpt/internal/packet"
@@ -198,42 +198,80 @@ func AtlasBlockOf(shard, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// lineScanner yields non-empty lines with position tracking.
+// lineScanner yields the non-empty lines of one in-memory section,
+// numbering them as it goes. It splits the way bufio.ScanLines does (a
+// trailing '\r' is dropped, the last line needs no '\n') and has
+// bufio.Scanner's limit (a line of maxAtlasLine bytes or more is
+// bufio.ErrTooLong), so positions and errors read as a bufio.Scanner
+// over the section would report them. Lines are sub-slices of the
+// section, never copies.
 type lineScanner struct {
-	sc   *bufio.Scanner
-	line int
+	buf   []byte
+	off   int // first unread byte
+	start int // offset of the line next returned last
+	line  int
 }
 
-func newLineScanner(r io.Reader) *lineScanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxAtlasLine)
-	return &lineScanner{sc: sc}
+func newLineScanner(buf []byte) *lineScanner {
+	return &lineScanner{buf: buf}
+}
+
+// scan consumes the next line, empty or not, and returns its bounds; ok
+// is false at the end of the section.
+func (ls *lineScanner) scan() (start, end int, ok bool, err error) {
+	if ls.off >= len(ls.buf) {
+		return 0, 0, false, nil
+	}
+	start = ls.off
+	n := bytes.IndexByte(ls.buf[start:], '\n')
+	next := start + n + 1
+	if n < 0 {
+		n = len(ls.buf) - start
+		next = len(ls.buf)
+	}
+	if n >= maxAtlasLine {
+		ls.off = len(ls.buf) // like bufio.Scanner, stop for good
+		return 0, 0, false, bufio.ErrTooLong
+	}
+	end = start + n
+	if end > start && ls.buf[end-1] == '\r' {
+		end--
+	}
+	ls.off = next
+	return start, end, true, nil
 }
 
 func (ls *lineScanner) next() ([]byte, error) {
-	for ls.sc.Scan() {
+	for {
+		start, end, ok, err := ls.scan()
+		if err != nil {
+			return nil, fmt.Errorf("traceio: atlas line %d: %v", ls.line+1, err)
+		}
+		if !ok {
+			return nil, fmt.Errorf("traceio: atlas truncated after line %d", ls.line)
+		}
 		ls.line++
-		if len(ls.sc.Bytes()) > 0 {
-			return ls.sc.Bytes(), nil
+		if end > start {
+			ls.start = start
+			return ls.buf[start:end], nil
 		}
 	}
-	if err := ls.sc.Err(); err != nil {
-		return nil, fmt.Errorf("traceio: atlas line %d: %v", ls.line+1, err)
-	}
-	return nil, fmt.Errorf("traceio: atlas truncated after line %d", ls.line)
 }
 
 // finish errors if any non-empty line remains.
 func (ls *lineScanner) finish() error {
-	for ls.sc.Scan() {
-		if len(ls.sc.Bytes()) > 0 {
+	for {
+		start, end, ok, err := ls.scan()
+		if err != nil {
+			return fmt.Errorf("traceio: atlas after line %d: %v", ls.line, err)
+		}
+		if !ok {
+			return nil
+		}
+		if end > start {
 			return fmt.Errorf("traceio: atlas has trailing data after line %d", ls.line)
 		}
 	}
-	if err := ls.sc.Err(); err != nil {
-		return fmt.Errorf("traceio: atlas after line %d: %v", ls.line, err)
-	}
-	return nil
 }
 
 func decodeAtlasHeader(ls *lineScanner) (AtlasHeader, error) {
@@ -331,51 +369,61 @@ func decodeShardHeader(ls *lineScanner, want int) (AtlasShardHeader, error) {
 	return sh, nil
 }
 
+// line returns the line ls.next just returned as a substring of d.text.
+func (d *lineDecoder) line(ls *lineScanner, b []byte) string {
+	return d.text[ls.start : ls.start+len(b)]
+}
+
 // decodeNode parses and validates one node line: parseable address,
 // strictly ascending over the previous node, non-negative provenance.
 // These are canonical-order facts every real snapshot satisfies, and
 // validating them at decode time is what guarantees any accepted block
 // re-encodes cleanly (shard fences need ordered, parseable addresses).
-func decodeNode(ls *lineScanner, prev packet.Addr, havePrev bool) (AtlasNodeV2, packet.Addr, error) {
-	var n AtlasNodeV2
+// A canonical line is parsed by hand; any other goes to encoding/json.
+// The node is decoded into *n, which must be zero.
+func (d *lineDecoder) decodeNode(ls *lineScanner, n *AtlasNodeV2, prev packet.Addr, havePrev bool) (packet.Addr, error) {
 	b, err := ls.next()
 	if err != nil {
-		return n, 0, err
+		return 0, err
 	}
-	if err := json.Unmarshal(b, &n); err != nil {
-		return n, 0, fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
+	if !d.node(d.line(ls, b), n) {
+		if err := json.Unmarshal(b, n); err != nil {
+			return 0, fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
+		}
 	}
 	addr, err := packet.ParseAddr(n.Addr)
 	if err != nil {
-		return n, 0, fmt.Errorf("traceio: atlas line %d: node address %q: %v", ls.line, n.Addr, err)
+		return 0, fmt.Errorf("traceio: atlas line %d: node address %q: %v", ls.line, n.Addr, err)
 	}
 	if havePrev && addr <= prev {
-		return n, 0, fmt.Errorf("traceio: atlas line %d: node %s out of canonical order", ls.line, n.Addr)
+		return 0, fmt.Errorf("traceio: atlas line %d: node %s out of canonical order", ls.line, n.Addr)
 	}
 	for _, o := range n.Seen {
 		if o[0] < 0 || o[1] < 0 {
-			return n, 0, fmt.Errorf("traceio: atlas line %d: negative provenance", ls.line)
+			return 0, fmt.Errorf("traceio: atlas line %d: negative provenance", ls.line)
 		}
 	}
-	return n, addr, nil
+	return addr, nil
 }
 
-// decodeRouter parses and validates one router line: at least two
-// members, every one a parseable address (shard assignment keys on the
-// first, the representative; Compact unions on all of them).
-func decodeRouter(ls *lineScanner) (AtlasRouter, error) {
-	var rt AtlasRouter
+// decodeRouter parses and validates one router line into *rt, which
+// must be zero: at least two members, every one a parseable address
+// (shard assignment keys on the first, the representative; Compact
+// unions on all of them).
+func (d *lineDecoder) decodeRouter(ls *lineScanner, rt *AtlasRouter) error {
 	b, err := ls.next()
 	if err != nil {
-		return rt, err
+		return err
 	}
-	if err := json.Unmarshal(b, &rt); err != nil {
-		return rt, fmt.Errorf("traceio: atlas line %d: bad router: %v", ls.line, err)
+	if !d.router(d.line(ls, b), rt) {
+		if err := json.Unmarshal(b, rt); err != nil {
+			return fmt.Errorf("traceio: atlas line %d: bad router: %v", ls.line, err)
+		}
 	}
-	if err := validateRouter(&rt); err != nil {
-		return rt, fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
+	if err := validateRouter(rt); err != nil {
+		return fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
 	}
-	return rt, nil
+	return nil
 }
 
 // validateRouter is the router invariant both the reader and the stream

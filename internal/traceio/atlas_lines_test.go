@@ -1,0 +1,188 @@
+package traceio
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"mmlpt/internal/packet"
+)
+
+// checkLineDecoders holds the hand parsers to encoding/json on one
+// line: whatever they accept, json.Unmarshal must decode to the same
+// value, nil and empty lists included.
+func checkLineDecoders(t *testing.T, line []byte) {
+	t.Helper()
+	d := newLineDecoder("", 0)
+	var got AtlasNodeV2
+	if d.node(string(line), &got) {
+		var want AtlasNodeV2
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("hand decoder accepted node line %q that encoding/json rejects: %v", line, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("node line %q: hand decoder %#v, encoding/json %#v", line, got, want)
+		}
+	}
+	var gotRouter AtlasRouter
+	if d.router(string(line), &gotRouter) {
+		var want AtlasRouter
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("hand decoder accepted router line %q that encoding/json rejects: %v", line, err)
+		}
+		if !reflect.DeepEqual(gotRouter, want) {
+			t.Fatalf("router line %q: hand decoder %#v, encoding/json %#v", line, gotRouter, want)
+		}
+	}
+}
+
+// checkLineEncoder holds a hand encoder to json.Marshal plus '\n', runs
+// its output through the decoder check, and, when every string is plain
+// and every integer short, requires the hand decoder to take its own
+// encoder's line rather than fall back.
+func checkLineEncoder(t *testing.T, v any, got []byte, canonical bool) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("%#v: hand encoder %q, json.Marshal %q", v, got, want)
+	}
+	line := got[:len(got)-1]
+	checkLineDecoders(t, line)
+	if !canonical {
+		return
+	}
+	d := newLineDecoder("", 0)
+	nodeOK := d.node(string(line), new(AtlasNodeV2))
+	routerOK := d.router(string(line), new(AtlasRouter))
+	if !nodeOK && !routerOK {
+		t.Fatalf("hand decoder refused its own encoder's line %q", line)
+	}
+}
+
+func shortInt(v int) bool {
+	return len(strings.TrimPrefix(strconv.Itoa(v), "-")) <= maxIntDigits
+}
+
+// FuzzAtlasLines is the oracle for the hand-written node and router
+// line codecs. For arbitrary line bytes, whatever the hand parsers
+// accept decodes to exactly what encoding/json gives. For arbitrary
+// strings and integers, the hand encoders write exactly json.Marshal's
+// bytes, and the hand parsers take those bytes back whenever they need
+// no escapes. CI's fuzz-smoke job runs it for a short budget; locally:
+//
+//	go test -run='^$' -fuzz=FuzzAtlasLines -fuzztime=30s ./internal/traceio
+func FuzzAtlasLines(f *testing.F) {
+	for _, raw := range [][]byte{sampleFixture().encode(f, 0), wideFixture().encode(f, 3)} {
+		for _, line := range bytes.Split(raw, []byte("\n")) {
+			f.Add(line, "10.0.0.1", "10.0.0.2", 0, 1)
+		}
+	}
+	for _, line := range []string{
+		`{"addr":"10.0.0.1","seen":[],"succ":[]}`,
+		`{"addr":"10.0.0.1","seen":null,"succ":null,"router":""}`,
+		`{"addr": "10.0.0.1","seen":[[0,1]],"succ":null}`,
+		`{"seen":[[0,1]],"addr":"10.0.0.1","succ":null}`,
+		`{"ADDR":"10.0.0.1","seen":[[0,1]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[0,1,2]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[-0,01]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[1e2,1.0]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[9223372036854775807,-9223372036854775808]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[99999999999999999999,0]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":null,"succ":["a\"b"]}`,
+		`{"addr":"10.0.0.1","seen":null,"succ":null,"router":"10.0.0.1","router":"10.0.0.2"}`,
+		`{"addr":"10.0.0.1","seen":null,"succ":null} `,
+		`{"addrs":null}`,
+		`{"addrs":[]}`,
+		`{"addrs":["10.0.0.1",]}`,
+		"{\"addrs\":[\"\xff\"]}",
+	} {
+		f.Add([]byte(line), "a<b>&c", " \\\"", -1, math.MinInt)
+	}
+	f.Add([]byte(""), "\xff\xfe", "\x00\x1f\x7f", math.MaxInt, -1000000000000000000)
+
+	f.Fuzz(func(t *testing.T, line []byte, a, b string, p, h int) {
+		checkLineDecoders(t, line)
+		canonical := plainJSONString(a) && plainJSONString(b) && shortInt(p) && shortInt(h)
+		for _, n := range []AtlasNodeV2{
+			{Addr: a, Seen: [][2]int{{p, h}, {h, p}}, Succ: []string{a, b}, Router: b},
+			{Addr: b, Seen: [][2]int{}, Succ: []string{}},
+			{Addr: a},
+		} {
+			checkLineEncoder(t, &n, appendNodeLine(nil, &n), canonical)
+		}
+		for _, rt := range []AtlasRouter{{Addrs: []string{a, b}}, {Addrs: []string{}}, {}} {
+			checkLineEncoder(t, &rt, appendRouterLine(nil, &rt), canonical)
+		}
+	})
+}
+
+// fullBlockFixture is one full 4096-node shard block shaped like a
+// survey's: one or two observations per node, one or two successors,
+// and a router for every eighth pair of nodes.
+func fullBlockFixture() *atlasFixture {
+	f := &atlasFixture{name: "full-block", Pairs: []AtlasPair{{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"}}}
+	addr := func(i int) string { return packet.AddrFrom4(10, byte(i>>8), byte(i), 1).String() }
+	for i := 0; i < DefaultAtlasShardNodes; i++ {
+		n := AtlasNodeV2{Addr: addr(i), Seen: [][2]int{{i % 50, 1 + i%7}}}
+		if i%3 == 0 {
+			n.Seen = append(n.Seen, [2]int{50 + i%50, 2 + i%7})
+		}
+		for j := i + 1; j < DefaultAtlasShardNodes && j <= i+1+i%2; j++ {
+			n.Succ = append(n.Succ, addr(j))
+		}
+		if k := i &^ 1; k%16 == 0 {
+			n.Router = addr(k)
+		}
+		f.Nodes = append(f.Nodes, n)
+	}
+	for k := 0; k+1 < DefaultAtlasShardNodes; k += 16 {
+		f.Routers = append(f.Routers, AtlasRouter{Addrs: []string{addr(k), addr(k + 1)}})
+	}
+	return f
+}
+
+// Allocation pins for the shard codecs. Decoding a full block costs a
+// handful of allocations for the whole block (its buffer, its string,
+// the slabs' chunks, the node and router slices), not one per value;
+// encoding costs only the output buffer's growth. A return to
+// reflection — about 15 allocations per node to decode, one or more per
+// line to encode — fails these.
+func TestAtlasShardCodecAllocsPerNode(t *testing.T) {
+	f := fullBlockFixture()
+	raw := f.encode(t, 0)
+	r := openBytes(t, raw)
+	if err := r.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	blk := f.blocks(0)[0]
+	const nodes = DefaultAtlasShardNodes
+	decode := testing.AllocsPerRun(20, func() {
+		if _, err := r.ReadShard(0); err != nil {
+			t.Fatal(err)
+		}
+	}) / nodes
+	encode := testing.AllocsPerRun(20, func() {
+		if _, _, err := AppendAtlasShardBlock(nil, blk); err != nil {
+			t.Fatal(err)
+		}
+	}) / nodes
+	t.Logf("ReadShard %.4f allocs/node, AppendAtlasShardBlock %.4f allocs/node", decode, encode)
+	for _, c := range []struct {
+		name       string
+		got, bound float64
+	}{
+		{"ReadShard", decode, 0.01},
+		{"AppendAtlasShardBlock", encode, 0.01},
+	} {
+		if c.got > c.bound {
+			t.Errorf("%s: %.4f allocs/node on a full block, pinned at most %v", c.name, c.got, c.bound)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,7 +68,7 @@ func NewAtlasReader(ra io.ReaderAt, size int64) (*AtlasReader, error) {
 		return nil, fmt.Errorf("traceio: atlas header: %v", err)
 	}
 	r.headLen = int64(len(headLine))
-	if r.header, err = decodeAtlasHeader(newLineScanner(bytes.NewReader(headLine))); err != nil {
+	if r.header, err = decodeAtlasHeader(newLineScanner(headLine)); err != nil {
 		return nil, err
 	}
 	if err := r.open(); err != nil {
@@ -152,7 +153,7 @@ func (r *AtlasReader) open() error {
 	if _, err := r.ra.ReadAt(pb, r.index.PairsOff); err != nil {
 		return fmt.Errorf("traceio: atlas pairs: %v", err)
 	}
-	pls := newLineScanner(bytes.NewReader(pb))
+	pls := newLineScanner(pb)
 	pairs, err := decodePairs(pls, r.header.Pairs)
 	if err != nil {
 		return err
@@ -221,7 +222,7 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 	if _, err := r.ra.ReadAt(buf, si.Off); err != nil {
 		return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
 	}
-	ls := newLineScanner(bytes.NewReader(buf))
+	ls := newLineScanner(buf)
 	sh, err := decodeShardHeader(ls, i)
 	if err != nil {
 		return nil, err
@@ -235,9 +236,14 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 		Nodes:   make([]AtlasNodeV2, 0, cappedPrealloc(sh.Nodes)),
 		Routers: make([]AtlasRouter, 0, cappedPrealloc(sh.Routers)),
 	}
+	// One string for the whole block: every decoded string is a
+	// substring of it.
+	d := newLineDecoder(string(buf), sh.Nodes)
 	var prev packet.Addr
 	for j := 0; j < sh.Nodes; j++ {
-		n, addr, err := decodeNode(ls, prev, j > 0)
+		out.Nodes = append(out.Nodes, AtlasNodeV2{})
+		n := &out.Nodes[j]
+		addr, err := d.decodeNode(ls, n, prev, j > 0)
 		if err != nil {
 			return nil, err
 		}
@@ -245,14 +251,12 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 			return nil, fmt.Errorf("traceio: atlas shard %d: node %s outside fences", i, n.Addr)
 		}
 		prev = addr
-		out.Nodes = append(out.Nodes, n)
 	}
 	for j := 0; j < sh.Routers; j++ {
-		rt, err := decodeRouter(ls)
-		if err != nil {
+		out.Routers = append(out.Routers, AtlasRouter{})
+		if err := d.decodeRouter(ls, &out.Routers[j]); err != nil {
 			return nil, err
 		}
-		out.Routers = append(out.Routers, rt)
 	}
 	if err := ls.finish(); err != nil {
 		return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
@@ -267,7 +271,7 @@ func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
 	if _, err := r.ra.ReadAt(buf, r.index.DiamondsOff); err != nil {
 		return nil, fmt.Errorf("traceio: atlas diamonds: %v", err)
 	}
-	ls := newLineScanner(bytes.NewReader(buf))
+	ls := newLineScanner(buf)
 	ds, err := decodeDiamonds(ls, r.header.Diamonds)
 	if err != nil {
 		return nil, err
@@ -284,12 +288,17 @@ func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
 // file with nothing between them, every block's fences equal both the
 // index's and its first and last node, the blocks hold exactly the
 // header's node, router and edge totals, the diamonds section holds the
-// header's count, and every successor names an address the file has a
-// node for. (That addresses ascend across shard boundaries needs no
+// header's count, every successor names an address the file has a
+// node for, and the routers are what a router query needs: members
+// strictly ascending (so the first is the representative), each line
+// in the shard AtlasShardForAddr gives for its representative, and
+// node "router" fields and router lines agreeing both ways (compared as
+// addresses). (That addresses ascend across shard boundaries needs no
 // check of its own: open orders the index's fences and ReadShard keeps
 // every node inside them.) A file that verifies re-streams through
 // AtlasStreamEncoder without error. Each failure names its check.
-// Memory is one decoded shard plus 4 bytes per node and 8 per edge.
+// Memory is one decoded shard plus 4 bytes per node, 8 per edge and 8
+// per router member or router-naming node.
 func (r *AtlasReader) Verify() error {
 	fail := func(check, format string, args ...any) error {
 		return fmt.Errorf("traceio: atlas verify: %s: %s", check, fmt.Sprintf(format, args...))
@@ -331,10 +340,14 @@ func (r *AtlasReader) Verify() error {
 		return fail("layout", "%d bytes after the trailer", r.size-end-int64(len(tl)))
 	}
 
+	// A link is an edge (from → to), or a router membership (node or
+	// member → representative).
 	type link struct{ from, to packet.Addr }
 	var (
 		addrs   []packet.Addr
 		links   []link
+		claims  []link // node → the representative its "router" names
+		members []link // router member → the line's first address
 		routers int
 	)
 	for i, si := range r.index.Shards {
@@ -361,6 +374,29 @@ func (r *AtlasReader) Verify() error {
 				}
 				links = append(links, link{addr, to})
 			}
+			if n.Router != "" {
+				rep, err := packet.ParseAddr(n.Router)
+				if err != nil {
+					return fail("router links", "node %s names router %q: %v", n.Addr, n.Router, err)
+				}
+				claims = append(claims, link{addr, rep})
+			}
+		}
+		for _, rt := range sh.Routers {
+			rep := packet.MustParseAddr(rt.Addrs[0]) // ReadShard parsed every member
+			if home := r.ShardFor(rep); home != i {
+				return fail("router placement", "router %s is in shard %d, its representative's shard is %d", rt.Addrs[0], i, home)
+			}
+			prev := rep
+			members = append(members, link{rep, rep})
+			for _, m := range rt.Addrs[1:] {
+				a := packet.MustParseAddr(m)
+				if a <= prev {
+					return fail("router order", "router %s lists %s after %s", rt.Addrs[0], m, prev)
+				}
+				prev = a
+				members = append(members, link{a, rep})
+			}
 		}
 		routers += len(sh.Routers)
 	}
@@ -376,6 +412,29 @@ func (r *AtlasReader) Verify() error {
 	for _, l := range links {
 		if _, ok := slices.BinarySearch(addrs, l.to); !ok {
 			return fail("successors", "node %s links to %s, which has no node", l.from, l.to)
+		}
+	}
+	// Router fields and router lines agree both ways: a node names the
+	// line that lists it, and a line's member that is a node names that
+	// line. Claims ascend with the nodes; members need a sort.
+	byLink := func(a, b link) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.to, b.to)
+	}
+	slices.SortFunc(members, byLink)
+	for _, c := range claims {
+		if _, ok := slices.BinarySearchFunc(members, c, byLink); !ok {
+			return fail("router links", "node %s names router %s, which does not list it", c.from, c.to)
+		}
+	}
+	for _, m := range members {
+		if _, ok := slices.BinarySearch(addrs, m.from); !ok {
+			continue // a member no trace reached is not a node
+		}
+		if j, ok := slices.BinarySearchFunc(claims, m.from, func(c link, a packet.Addr) int { return cmp.Compare(c.from, a) }); !ok || claims[j].to != m.to {
+			return fail("router links", "router %s lists node %s, which does not name it", m.to, m.from)
 		}
 	}
 	if _, err := r.ReadDiamonds(); err != nil {

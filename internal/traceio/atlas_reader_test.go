@@ -231,6 +231,16 @@ func TestAtlasV2DecodeRejections(t *testing.T) {
 		{"unparseable successor", "successors", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","bogus"]`)},
 		{"diamond count", "diamonds", corrupt(t, raw, `"diamonds":1`, `"diamonds":2`)},
 		{"unreadable shard", "shard 1", corrupt(t, raw, `{"addrs":["10.0.0.7","10.0.0.9"]}`, `{"addrs":["10.0.0.7"]}`)},
+		// The router checks: each corruption leaves a file a router
+		// query cannot answer.
+		{"router members descending", "router order", corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["10.0.0.3","10.0.0.2"]}`)},
+		{"router outside its representative's shard", "router placement", corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["10.0.0.5","10.0.0.6"]}`)},
+		{"node names a router with no line", "router links", corrupt(t, raw,
+			`{"addr":"10.0.0.3","seen":[[0,2]],"succ":["10.0.0.4"],"router":"10.0.0.2"}`,
+			`{"addr":"10.0.0.3","seen":[[0,2]],"succ":["10.0.0.4"],"router":"10.0.0.1"}`)},
+		{"router member names no router", "router links", corrupt(t, raw,
+			`{"addr":"10.0.0.7","seen":[[1,4]],"succ":["10.0.0.8"],"router":"10.0.0.7"}`,
+			`{"addr":"10.0.0.7","seen":[[1,4]],"succ":["10.0.0.8"]}`)},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {

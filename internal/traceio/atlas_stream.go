@@ -229,18 +229,14 @@ func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 		}
 		prev = addr
 		edges += len(n.Succ)
-		if buf, err = appendJSONLine(buf, n); err != nil {
-			return nil, 0, err
-		}
+		buf = appendNodeLine(buf, n)
 	}
 	for i := range sh.Routers {
 		r := &sh.Routers[i]
 		if verr := validateRouter(r); verr != nil {
 			return nil, 0, fmt.Errorf("traceio: atlas shard %d: %v", h.Shard, verr)
 		}
-		if buf, err = appendJSONLine(buf, r); err != nil {
-			return nil, 0, err
-		}
+		buf = appendRouterLine(buf, r)
 	}
 	return buf, edges, nil
 }
