@@ -104,28 +104,28 @@ func BenchmarkTable2DirectIndirect(b *testing.B) {
 // BenchmarkFig7WidthAsymmetry through BenchmarkFig11Joint regenerate the
 // Sec 5.1 IP-level survey figures.
 func BenchmarkFig7WidthAsymmetry(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.Result) {
+	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
 		_ = r.WidthAsymmetryDist(survey.Measured)
 		_ = r.WidthAsymmetryDist(survey.Distinct)
 	})
 }
 
 func BenchmarkFig8MaxProbDiff(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.Result) {
+	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
 		_ = r.MaxProbDiffCDF(survey.Measured)
 		_ = r.MaxProbDiffCDF(survey.Distinct)
 	})
 }
 
 func BenchmarkFig9MeshedRatio(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.Result) {
+	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
 		_ = r.MeshedRatioCDF(survey.Measured)
 		_ = r.MeshedRatioCDF(survey.Distinct)
 	})
 }
 
 func BenchmarkFig10LengthWidth(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.Result) {
+	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
 		_ = r.LengthDist(survey.Measured)
 		_ = r.WidthDist(survey.Measured)
 		_ = r.LengthDist(survey.Distinct)
@@ -134,13 +134,13 @@ func BenchmarkFig10LengthWidth(b *testing.B) {
 }
 
 func BenchmarkFig11Joint(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.Result) {
+	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
 		_ = r.JointLengthWidth(survey.Measured)
 		_ = r.JointLengthWidth(survey.Distinct)
 	})
 }
 
-func benchIPSurveyFigure(b *testing.B, extract func(*survey.Result)) {
+func benchIPSurveyFigure(b *testing.B, extract func(*survey.RecordAggregate)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.IPSurvey(experiments.SurveyConfig{Pairs: 150, Seed: uint64(i)})
@@ -154,39 +154,39 @@ func benchIPSurveyFigure(b *testing.B, extract func(*survey.Result)) {
 // BenchmarkFig12RouterSizes, BenchmarkTable3AliasEffect, BenchmarkFig13 and
 // BenchmarkFig14 regenerate the Sec 5.2 router-level survey artifacts.
 func BenchmarkFig12RouterSizes(b *testing.B) {
-	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
-		_, _ = survey.RouterSizeCDFs(recs)
+	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
+		_, _ = agg.RouterSizeCDFs()
 	})
 }
 
 func BenchmarkTable3AliasEffect(b *testing.B) {
-	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
-		_ = survey.Table3(recs)
+	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
+		_ = agg.Table3()
 	})
 }
 
 func BenchmarkFig13WidthBeforeAfter(b *testing.B) {
-	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
-		_, _ = survey.WidthBeforeAfter(recs)
+	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
+		_, _ = agg.WidthBeforeAfter()
 	})
 }
 
 func BenchmarkFig14JointBeforeAfter(b *testing.B) {
-	benchRouterSurvey(b, func(recs []survey.RouterRecord) {
-		_ = survey.JointWidthBeforeAfter(recs)
+	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
+		_ = agg.JointWidthBeforeAfter()
 	})
 }
 
-func benchRouterSurvey(b *testing.B, extract func([]survey.RouterRecord)) {
+func benchRouterSurvey(b *testing.B, extract func(*survey.RecordAggregate)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		_, recs, err := experiments.RouterSurvey(experiments.SurveyConfig{
+		agg, err := experiments.RouterSurvey(experiments.SurveyConfig{
 			Pairs: 30, Seed: uint64(i), Rounds: 3,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		extract(recs)
+		extract(agg)
 	}
 }
 

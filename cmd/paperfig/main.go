@@ -36,94 +36,34 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	s := *scale
-	if s < 1 {
-		s = 1
-	}
+	s := max(*scale, 1)
 
-	ipSurvey := sync.OnceValue(func() *survey.Result {
-		res, err := experiments.IPSurvey(experiments.SurveyConfig{Pairs: 400 * s, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	// The Sec 5 artifacts share one survey per level, run on first use.
+	surveys := map[string]func() *survey.RecordAggregate{
+		"ip": sync.OnceValue(func() *survey.RecordAggregate {
+			return mustSurvey(experiments.IPSurvey(experiments.SurveyConfig{Pairs: 400 * s, Seed: *seed}))
+		}),
+		"router": sync.OnceValue(func() *survey.RecordAggregate {
+			return mustSurvey(experiments.RouterSurvey(experiments.SurveyConfig{Pairs: 120 * s, Seed: *seed, Rounds: 10}))
+		}),
+	}
+	for _, a := range experiments.Artifacts {
+		// -all adds the Sec 3 validation, which has no number.
+		if !*all && (*fig == 0 || *fig != a.Fig) && (*table == 0 || *table != a.Table) {
+			continue
 		}
-		return res
-	})
-	routerSurvey := sync.OnceValue(func() []survey.RouterRecord {
-		_, recs, err := experiments.RouterSurvey(experiments.SurveyConfig{
-			Pairs: 120 * s, Seed: *seed, Rounds: 10,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if a.Level != "" {
+			fmt.Println(a.Format(surveys[a.Level]()))
+		} else {
+			fmt.Println(a.Run(s, *seed))
 		}
-		return recs
-	})
+	}
+}
 
-	want := func(f, t int) bool {
-		return *all || (*fig != 0 && *fig == f) || (*table != 0 && *table == t)
+func mustSurvey(agg *survey.RecordAggregate, err error) *survey.RecordAggregate {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-
-	if want(1, 0) {
-		fmt.Println(experiments.FormatFig1(experiments.Fig1(experiments.Fig1Config{
-			Runs: 30 * s, Seed: *seed,
-		})))
-	}
-	if want(2, 0) {
-		fmt.Println(experiments.FormatFig2(ipSurvey()))
-	}
-	if want(3, 0) {
-		fmt.Println(experiments.FormatFig3(experiments.Fig3(experiments.Fig3Config{
-			Runs: 30, Seed: *seed,
-		})))
-	}
-	if want(4, 1) {
-		r := experiments.Fig4(experiments.Fig4Config{Pairs: 200 * s, Seed: *seed})
-		fmt.Println(experiments.FormatFig4(r))
-		any2, s402 := r.SavingsShare(experiments.VariantLitePhi2)
-		fmt.Printf("# MDA-Lite phi=2: packet savings on %.0f%% of pairs; >=40%% savings on %.0f%% (paper: 89%% and 30%%)\n\n",
-			100*any2, 100*s402)
-	}
-	if want(0, 0) && *all { // Sec 3 validation is part of -all
-		fmt.Println(experiments.FormatSec3(experiments.Sec3Validation(experiments.Sec3Config{
-			Samples: 10 * s, RunsPerSample: 200 * s, Seed: *seed,
-		})))
-	}
-	if want(5, 0) {
-		fmt.Println(experiments.FormatFig5(experiments.Fig5(experiments.Fig5Config{
-			Pairs: 60 * s, Seed: *seed,
-		})))
-	}
-	if want(0, 2) {
-		fmt.Println(experiments.FormatTable2(experiments.Table2(experiments.Table2Config{
-			Pairs: 40 * s, Seed: *seed,
-		})))
-	}
-	if want(7, 0) {
-		fmt.Println(experiments.FormatFig7(ipSurvey()))
-	}
-	if want(8, 0) {
-		fmt.Println(experiments.FormatFig8(ipSurvey()))
-	}
-	if want(9, 0) {
-		fmt.Println(experiments.FormatFig9(ipSurvey()))
-	}
-	if want(10, 0) {
-		fmt.Println(experiments.FormatFig10(ipSurvey()))
-	}
-	if want(11, 0) {
-		fmt.Println(experiments.FormatFig11(ipSurvey()))
-	}
-	if want(12, 0) {
-		fmt.Println(experiments.FormatFig12(routerSurvey()))
-	}
-	if want(0, 3) {
-		fmt.Println(experiments.FormatTable3(routerSurvey()))
-	}
-	if want(13, 0) {
-		fmt.Println(experiments.FormatFig13(routerSurvey()))
-	}
-	if want(14, 0) {
-		fmt.Println(experiments.FormatFig14(routerSurvey()))
-	}
+	return agg
 }

@@ -56,15 +56,15 @@ func runLive(o liveOptions) error {
 			reached++
 		}
 		perSyscall := float64(res.Probes) / float64(syscalls)
-		fmt.Printf("%s: %s, %d hops, %d probes, %d syscalls (%.1f probes/syscall)\n",
+		fmt.Fprintf(o.Out, "%s: %s, %d hops, %d probes, %d syscalls (%.1f probes/syscall)\n",
 			dst, status, res.Graph.NumHops(), res.Probes, syscalls, perSyscall)
 		if o.Figs {
-			fmt.Print(res.Graph.String())
+			fmt.Fprint(o.Out, res.Graph.String())
 		}
 		totalProbes += res.Probes
 		totalSyscalls += syscalls
 	}
-	fmt.Printf("live: %d/%d destinations reached, %d probes, %d syscalls (%.1f probes/syscall)\n",
+	fmt.Fprintf(o.Out, "live: %d/%d destinations reached, %d probes, %d syscalls (%.1f probes/syscall)\n",
 		reached, len(dests), totalProbes, totalSyscalls,
 		float64(totalProbes)/float64(totalSyscalls))
 	return nil

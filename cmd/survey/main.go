@@ -40,6 +40,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -56,38 +57,48 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and output streams injected; it returns
+// the exit code: 2 for usage errors, 1 for runtime errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("survey", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		level        = flag.String("level", "ip", "survey level: ip or router")
-		pairs        = flag.Int("pairs", 1000, "number of source-destination pairs")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		phi          = flag.Int("phi", 2, "MDA-Lite meshing budget")
-		rounds       = flag.Int("rounds", 10, "alias rounds (router level)")
-		workers      = flag.Int("workers", 0, "concurrent trace workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		figs         = flag.Bool("figs", false, "also print full figure series")
-		out          = flag.String("out", "", "stream per-trace survey records to this JSONL file as pairs complete")
-		atlasOut     = flag.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
-		atlasShards  = flag.Int("atlas-shards", 0, "atlas ingestion shards (0 = default; snapshot bytes are identical for every value)")
-		atlasWorkers = flag.Int("atlas-workers", 0, "atlas merge workers for snapshot writes (0 = GOMAXPROCS, 1 = serial; snapshot bytes are identical for every value)")
-		atlasEvery   = flag.Int("atlas-publish-every", 0, "with -atlas: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
-		priorPath    = flag.String("prior", "", "seed traces from this atlas snapshot: pairs the atlas has seen probe only to their confirmation budget (ip level, switches the tracer to MDA-Lite)")
-		ckpt         = flag.String("checkpoint", "", "write an atomic progress checkpoint to this file")
-		every        = flag.Int("checkpoint-every", survey.DefaultCheckpointEvery, "records between checkpoints")
-		resume       = flag.Bool("resume", false, "resume from the checkpoint, skipping completed pairs")
-		prog         = flag.Bool("progress", false, "report pair/probe rates to stderr while running")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		level        = fs.String("level", "ip", "survey level: ip or router")
+		pairs        = fs.Int("pairs", 1000, "number of source-destination pairs")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		phi          = fs.Int("phi", 2, "MDA-Lite meshing budget")
+		rounds       = fs.Int("rounds", 10, "alias rounds (router level)")
+		workers      = fs.Int("workers", 0, "concurrent trace workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		figs         = fs.Bool("figs", false, "also print full figure series")
+		out          = fs.String("out", "", "stream per-trace survey records to this JSONL file as pairs complete")
+		atlasOut     = fs.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
+		atlasShards  = fs.Int("atlas-shards", 0, "atlas ingestion shards (0 = default; snapshot bytes are identical for every value)")
+		atlasWorkers = fs.Int("atlas-workers", 0, "atlas merge workers for snapshot writes (0 = GOMAXPROCS, 1 = serial; snapshot bytes are identical for every value)")
+		atlasEvery   = fs.Int("atlas-publish-every", 0, "with -atlas: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
+		priorPath    = fs.String("prior", "", "seed traces from this atlas snapshot: pairs the atlas has seen probe only to their confirmation budget (ip level, switches the tracer to MDA-Lite)")
+		ckpt         = fs.String("checkpoint", "", "write an atomic progress checkpoint to this file")
+		every        = fs.Int("checkpoint-every", survey.DefaultCheckpointEvery, "records between checkpoints")
+		resume       = fs.Bool("resume", false, "resume from the checkpoint, skipping completed pairs")
+		prog         = fs.Bool("progress", false, "report pair/probe rates to stderr while running")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memProfile   = fs.String("memprofile", "", "write a heap profile to this file at exit")
 
-		join     = flag.String("join", "", "coordinator URL: run as a fleet runner, claiming work units from a surveyd instead of running a survey locally")
-		runnerID = flag.String("runner-id", "", "runner name in leases and fleet status (with -join; default host:pid)")
-		maxUnits = flag.Int("max-units", 0, "with -join: exit after shipping this many units (0 = until the survey is done)")
+		join     = fs.String("join", "", "coordinator URL: run as a fleet runner, claiming work units from a surveyd instead of running a survey locally")
+		runnerID = fs.String("runner-id", "", "runner name in leases and fleet status (with -join; default host:pid)")
+		maxUnits = fs.Int("max-units", 0, "with -join: exit after shipping this many units (0 = until the survey is done)")
 
-		liveDests   = flag.String("live-dests", "", "comma-separated destination IPs: trace live over raw sockets (Linux, CAP_NET_RAW) instead of the simulator")
-		liveSrc     = flag.String("live-src", "", "source IP stamped into live probes (required with -live-dests)")
-		liveBatch   = flag.Int("live-batch", 64, "live mode: max packets per sendmmsg/recvmmsg call")
-		liveTimeout = flag.Duration("live-timeout", 2*time.Second, "live mode: per-wave reply timeout")
-		liveRetries = flag.Int("live-retries", 2, "live mode: re-sends per unanswered probe")
+		liveDests   = fs.String("live-dests", "", "comma-separated destination IPs: trace live over raw sockets (Linux, CAP_NET_RAW) instead of the simulator")
+		liveSrc     = fs.String("live-src", "", "source IP stamped into live probes (required with -live-dests)")
+		liveBatch   = fs.Int("live-batch", 64, "live mode: max packets per sendmmsg/recvmmsg call")
+		liveTimeout = fs.Duration("live-timeout", 2*time.Second, "live mode: per-wave reply timeout")
+		liveRetries = fs.Int("live-retries", 2, "live mode: re-sends per unanswered probe")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *join != "" {
 		// Fleet-runner mode: the survey plan (level, pairs, seed, ...)
@@ -106,230 +117,206 @@ func main() {
 			Workers:     *workers,
 			MaxUnits:    *maxUnits,
 			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
+				fmt.Fprintf(stderr, format+"\n", args...)
 			},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *liveDests != "" {
 		if *liveSrc == "" {
-			fmt.Fprintln(os.Stderr, "-live-dests requires -live-src")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-live-dests requires -live-src")
+			return 2
 		}
 		err := runLive(liveOptions{
-			Src: *liveSrc, Dests: *liveDests,
+			Out: stdout, Src: *liveSrc, Dests: *liveDests,
 			Phi: *phi, Seed: *seed,
 			Batch: *liveBatch, Timeout: *liveTimeout, Retries: *liveRetries,
 			Figs: *figs,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	// Usage validation happens before profiling starts, so usage-error
-	// exits never leave a truncated CPU profile behind.
-	outPath := *out
-	if *resume && *ckpt == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
-		os.Exit(2)
-	}
-	if *resume && outPath == "" {
+	// exits never leave an empty CPU profile behind.
+	usage := ""
+	switch {
+	case *resume && *ckpt == "":
+		usage = "-resume requires -checkpoint"
+	case *resume && *out == "":
 		// Without the record log there is nothing to replay: the summary
-		// would silently cover only the resumed tail.
-		fmt.Fprintln(os.Stderr, "-resume requires -out (the JSONL record log is what resume replays)")
-		os.Exit(2)
+		// and figures would silently cover only the resumed tail.
+		usage = "-resume requires -out (the JSONL record log is what resume replays)"
+	case *level != "ip" && *level != "router":
+		usage = fmt.Sprintf("unknown level %q (ip or router)", *level)
+	case *priorPath != "" && *level != "ip":
+		usage = "-prior applies to the ip-level survey only"
+	case *atlasEvery > 0 && *atlasOut == "":
+		usage = "-atlas-publish-every requires -atlas"
 	}
-	switch *level {
-	case "ip", "router":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown level %q (ip or router)\n", *level)
-		os.Exit(2)
-	}
-	if *priorPath != "" && *level != "ip" {
-		fmt.Fprintln(os.Stderr, "-prior applies to the ip-level survey only")
-		os.Exit(2)
+	if usage != "" {
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
 
-	// flushProfiles finalizes any active profiles. It is deferred for the
-	// normal return path and called by fail() before os.Exit, so a run
-	// that errors after the survey still leaves usable profiles behind.
-	var cpuFile *os.File
-	profilesDone := false
-	flushProfiles := func() {
-		if profilesDone {
-			return
-		}
-		profilesDone = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the steady-state heap before sampling
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}
+	// Profiles are finalized by defers, so every exit from here on —
+	// errors included — leaves them usable. The heap profile is written
+	// last, after the CPU profile stops.
+	if *memProfile != "" {
+		defer writeHeapProfile(*memProfile, stderr)
 	}
-	defer flushProfiles()
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		cpuFile = f
+		defer pprof.StopCPUProfile()
 	}
 
-	cfg := experiments.SurveyConfig{
-		Pairs: *pairs, Seed: *seed, Phi: *phi, Rounds: *rounds, Workers: *workers,
-		Checkpoint: *ckpt, CheckpointEvery: *every, Resume: *resume,
-	}
-	if *priorPath != "" {
-		svc, err := serve.Open(*priorPath, serve.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "opening prior snapshot: %v\n", err)
-			os.Exit(1)
+	err := func() error {
+		cfg := experiments.SurveyConfig{
+			Pairs: *pairs, Seed: *seed, Phi: *phi, Rounds: *rounds, Workers: *workers,
+			Checkpoint: *ckpt, CheckpointEvery: *every, Resume: *resume,
 		}
-		ix, err := prior.FromService(svc)
-		svc.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "indexing prior snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "prior: %d pairs indexed from %s\n", ix.Len(), *priorPath)
-		cfg.Prior = ix
-	}
-	var jsonlSink *survey.JSONLSink
-	var agg *survey.AggregateSink
-	if outPath != "" {
-		jsonlSink = survey.NewJSONLSink(outPath)
-		agg = survey.NewAggregateSink()
-		cfg.Sinks = []survey.Sink{jsonlSink, agg}
-	}
-	var atlasSink *survey.AtlasSink
-	if *atlasOut != "" {
-		atlasSink = survey.NewAtlasSink(atlas.Options{Shards: *atlasShards, MergeWorkers: *atlasWorkers})
-		if *atlasEvery > 0 {
-			atlasSink.PublishDeltas(*atlasOut, *atlasEvery)
-		}
-		cfg.Sinks = append(cfg.Sinks, atlasSink)
-	} else if *atlasEvery > 0 {
-		fmt.Fprintln(os.Stderr, "-atlas-publish-every requires -atlas")
-		os.Exit(2)
-	}
-
-	var stopProgress chan struct{}
-	if *prog {
-		cfg.Progress = progress.NewSurvey()
-		stopProgress = make(chan struct{})
-		go func() {
-			t := time.NewTicker(2 * time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					fmt.Fprintln(os.Stderr, cfg.Progress.Snapshot())
-				case <-stopProgress:
-					return
-				}
+		if *priorPath != "" {
+			svc, err := serve.Open(*priorPath, serve.Options{})
+			if err != nil {
+				return fmt.Errorf("opening prior snapshot: %w", err)
 			}
-		}()
-	}
+			ix, err := prior.FromService(svc)
+			svc.Close()
+			if err != nil {
+				return fmt.Errorf("indexing prior snapshot: %w", err)
+			}
+			fmt.Fprintf(stderr, "prior: %d pairs indexed from %s\n", ix.Len(), *priorPath)
+			cfg.Prior = ix
+		}
+		var jsonlSink *survey.JSONLSink
+		if *out != "" {
+			jsonlSink = survey.NewJSONLSink(*out)
+			cfg.Sinks = append(cfg.Sinks, jsonlSink)
+		}
+		var atlasSink *survey.AtlasSink
+		if *atlasOut != "" {
+			atlasSink = survey.NewAtlasSink(atlas.Options{Shards: *atlasShards, MergeWorkers: *atlasWorkers})
+			if *atlasEvery > 0 {
+				atlasSink.PublishDeltas(*atlasOut, *atlasEvery)
+			}
+			cfg.Sinks = append(cfg.Sinks, atlasSink)
+		}
 
-	fail := func(err error) {
-		if err == nil {
-			return
+		stopProgress := func() {}
+		if *prog {
+			cfg.Progress = progress.NewSurvey()
+			done, exited := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(exited)
+				t := time.NewTicker(2 * time.Second)
+				defer t.Stop()
+				for {
+					select {
+					case <-t.C:
+						fmt.Fprintln(stderr, cfg.Progress.Snapshot())
+					case <-done:
+						return
+					}
+				}
+			}()
+			stopProgress = func() {
+				close(done)
+				<-exited
+				fmt.Fprintln(stderr, cfg.Progress.Snapshot())
+			}
 		}
-		fmt.Fprintln(os.Stderr, err)
-		flushProfiles() // os.Exit skips defers; keep partial-run profiles usable
-		os.Exit(1)
-	}
-	finish := func(res *survey.Result) {
-		if stopProgress != nil {
-			close(stopProgress)
-			fmt.Fprintln(os.Stderr, cfg.Progress.Snapshot())
+		trace := experiments.IPSurvey
+		if *level == "router" {
+			trace = experiments.RouterSurvey
 		}
+		agg, err := trace(cfg)
+		stopProgress()
+		if err != nil {
+			return err
+		}
+
 		if jsonlSink != nil {
-			fail(jsonlSink.Close())
-			fmt.Printf("wrote %d trace records to %s (%d bytes)\n",
-				agg.Agg.Records, outPath, jsonlSink.Offset())
+			if err := jsonlSink.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %d trace records to %s (%d bytes)\n", agg.Records, *out, jsonlSink.Offset())
 		}
 		if atlasSink != nil {
-			fail(atlasSink.Close()) // flush a final partial delta, if publishing
+			if err := atlasSink.Close(); err != nil { // flush a final partial delta, if publishing
+				return err
+			}
+			if err := atlasSink.Atlas.Save(*atlasOut); err != nil {
+				return err
+			}
 			// The header of the file just written already carries the
 			// stat totals.
-			fail(atlasSink.Atlas.Save(*atlasOut))
 			r, err := traceio.OpenAtlasFile(*atlasOut)
-			fail(err)
+			if err != nil {
+				return err
+			}
 			st := atlas.HeaderStats(r.Header())
-			fail(r.Close())
-			fmt.Printf("wrote atlas snapshot to %s (%s)\n", *atlasOut, st)
+			if err := r.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote atlas snapshot to %s (%s)\n", *atlasOut, st)
 			if n := len(atlasSink.Published()); n > 0 {
-				fmt.Printf("published %d atlas deltas alongside %s\n", n, *atlasOut)
+				fmt.Fprintf(stdout, "published %d atlas deltas alongside %s\n", n, *atlasOut)
 			}
 		}
-		if *resume && agg != nil {
-			// The in-memory result covers only the pairs this process
-			// traced; the record aggregate, replayed from the JSONL log,
-			// covers the whole survey.
-			fmt.Printf("resumed: traced %d remaining pairs\n", len(res.Outcomes))
-			fmt.Print(agg.Agg.Summary())
-		} else {
-			fmt.Print(res.Summary())
-		}
-	}
 
-	switch *level {
-	case "ip":
-		res, err := experiments.IPSurvey(cfg)
-		fail(err)
-		finish(res)
-		if *figs {
-			if *resume {
-				fmt.Fprintln(os.Stderr, "warning: -figs on a resumed run covers only the pairs traced in this process")
+		// The aggregate covers the whole survey, a resumed one included:
+		// its tables always print, its figures with -figs.
+		fmt.Fprint(stdout, agg.Summary())
+		for _, a := range experiments.Artifacts {
+			if a.Level == *level && a.Table != 0 {
+				fmt.Fprintln(stdout, a.Format(agg))
 			}
-			fmt.Println(experiments.FormatFig2(res))
-			fmt.Println(experiments.FormatFig7(res))
-			fmt.Println(experiments.FormatFig8(res))
-			fmt.Println(experiments.FormatFig9(res))
-			fmt.Println(experiments.FormatFig10(res))
-			fmt.Println(experiments.FormatFig11(res))
 		}
-	case "router":
-		res, recs, err := experiments.RouterSurvey(cfg)
-		fail(err)
-		finish(res)
-		if *resume {
-			fmt.Fprintln(os.Stderr, "warning: Table 3 on a resumed run covers only the pairs traced in this process")
-		}
-		fmt.Println(experiments.FormatTable3(recs))
 		if *figs {
-			if *resume {
-				fmt.Fprintln(os.Stderr, "warning: -figs on a resumed run covers only the pairs traced in this process")
+			for _, a := range experiments.Artifacts {
+				if a.Level == *level && a.Fig != 0 {
+					fmt.Fprintln(stdout, a.Format(agg))
+				}
 			}
-			fmt.Println(experiments.FormatFig12(recs))
-			fmt.Println(experiments.FormatFig13(recs))
-			fmt.Println(experiments.FormatFig14(recs))
 		}
+		return nil
+	}()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
+}
+
+// writeHeapProfile writes a heap profile to path after a GC, which
+// materializes the steady-state heap before sampling.
+func writeHeapProfile(path string, stderr io.Writer) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fmt.Fprintln(stderr, err)
 	}
 }
 
@@ -337,6 +324,7 @@ func main() {
 // runner: runLive in live_linux.go traces each destination over raw
 // sockets; other platforms reject live mode (live_other.go).
 type liveOptions struct {
+	Out        io.Writer
 	Src, Dests string
 	Phi        int
 	Seed       uint64

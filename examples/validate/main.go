@@ -30,12 +30,12 @@ func main() {
 
 	// Measure. The paper used 50 samples of 1000 runs (10 minutes on a
 	// 2018 laptop); 10×300 keeps the example snappy.
-	res := experiments.Sec3Validation(experiments.Sec3Config{
+	v := experiments.Sec3Validation(experiments.Sec3Config{
 		Samples: 10, RunsPerSample: 300, Seed: 11,
 	})
 	fmt.Printf("measured over %d×%d runs: %.5f ± %.5f (95%% CI)\n",
-		res.Samples, res.Runs, res.Measured, res.CI)
-	if res.Measured-res.CI <= predicted && predicted <= res.Measured+res.CI {
+		v.Samples, v.Runs, v.Measured, v.CI)
+	if v.Measured-v.CI <= predicted && predicted <= v.Measured+v.CI {
 		fmt.Println("the implementation respects its failure bound ✓")
 	} else {
 		fmt.Println("WARNING: measured failure rate outside the confidence interval")

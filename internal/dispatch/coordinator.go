@@ -605,7 +605,9 @@ func (c *Coordinator) doMerge() error {
 				src = io.TeeReader(f, w)
 			}
 			err = traceio.DecodeSurveyRecords(src, func(sr *traceio.SurveyRecord) error {
-				agg.Add(sr)
+				if err := agg.Add(sr); err != nil {
+					return err
+				}
 				if a != nil {
 					return a.AddRecord(sr)
 				}

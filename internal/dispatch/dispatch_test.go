@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,6 +157,34 @@ func TestFleetByteIdentical(t *testing.T) {
 				t.Fatalf("status after done: %+v", st)
 			}
 		})
+	}
+}
+
+// TestFleetSummaryMatchesSingleMachine: the summary a 3-runner fleet's
+// coordinator prints is the text a single-machine run's aggregate sink
+// renders for the same spec — both are the one record fold.
+func TestFleetSummaryMatchesSingleMachine(t *testing.T) {
+	t.Parallel()
+	spec := testSpec()
+	u, rc, err := spec.plan(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := survey.NewAggregateSink()
+	rc.Sinks = []survey.Sink{agg}
+	if _, err := survey.Run(u, rc); err != nil {
+		t.Fatal(err)
+	}
+	want := agg.Agg.Summary()
+	if !strings.Contains(want, "measured: len2") {
+		t.Fatalf("single-machine summary has no diamond percentages; the comparison would be weak:\n%s", want)
+	}
+
+	coord, srv := newTestCoordinator(t, t.TempDir(), spec, nil)
+	runRunners(t, srv.URL, 3)
+	waitDone(t, coord)
+	if got := coord.Summary(); got != want {
+		t.Fatalf("fleet summary:\n%s\nsingle-machine summary:\n%s", got, want)
 	}
 }
 

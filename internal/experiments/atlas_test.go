@@ -10,24 +10,24 @@ import (
 )
 
 // Acceptance: the aggregated router-size CDF computed from the atlas an
-// AtlasSink built during the run equals the one survey.RouterSizeCDFs
-// derives from the in-memory RouterView records — the atlas is a
-// faithful cross-trace aggregation, not a parallel approximation.
-func TestAtlasRouterSizeCDFMatchesRouterView(t *testing.T) {
+// AtlasSink built during the run equals the one the survey's record
+// aggregate derives — the atlas is a faithful cross-trace aggregation,
+// not a parallel approximation.
+func TestAtlasRouterSizeCDFMatchesAggregate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("router survey is slow; skipped with -short")
 	}
 	t.Parallel()
 	sink := survey.NewAtlasSink(atlas.Options{Shards: 8})
 	cfg := SurveyConfig{Pairs: 40, Seed: 11, Rounds: 2, Sinks: []survey.Sink{sink}}
-	res, recs, err := RouterSurvey(cfg)
+	agg, err := RouterSurvey(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Outcomes) == 0 || len(recs) == 0 {
-		t.Fatal("survey produced no router records; the comparison would be vacuous")
+	if agg.Records == 0 {
+		t.Fatal("survey produced no records; the comparison would be vacuous")
 	}
-	_, wantAgg := survey.RouterSizeCDFs(recs)
+	_, wantAgg := agg.RouterSizeCDFs()
 	routers := sink.Atlas.Routers()
 	samples := make([]float64, len(routers))
 	for i, r := range routers {
@@ -38,6 +38,6 @@ func TestAtlasRouterSizeCDFMatchesRouterView(t *testing.T) {
 		t.Fatal("atlas has no routers")
 	}
 	if !reflect.DeepEqual(got, wantAgg) {
-		t.Fatalf("atlas aggregated CDF differs from RouterView's: n=%d vs n=%d", got.N(), wantAgg.N())
+		t.Fatalf("atlas aggregated CDF differs from the record aggregate's: n=%d vs n=%d", got.N(), wantAgg.N())
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // FormatFig12Sizes renders the aggregated-atlas variant of the Fig 12
 // router-size CDF — the same transitive-closure aggregation
-// survey.RouterSizeCDFs computes from in-memory RouterView records —
+// RecordAggregate.RouterSizeCDFs computes from the survey's records —
 // from a snapshot's stats and router sizes, as cmd/atlas reads them
 // through the serve layer, so the figure can be regenerated from a file
 // long after the survey process is gone.

@@ -173,18 +173,18 @@ func TestIPSurveySmallShapes(t *testing.T) {
 	// Population fractions are popularity-weighted and need a few hundred
 	// distinct diamonds before they stabilize; 600 pairs keeps the bands
 	// meaningful without slowing the suite.
-	res, err := IPSurvey(SurveyConfig{Pairs: 600, Seed: 33})
+	agg, err := IPSurvey(SurveyConfig{Pairs: 600, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Measured) == 0 {
+	if len(agg.Measured) == 0 {
 		t.Fatal("no diamonds")
 	}
-	h := res.WidthAsymmetryDist(survey.Measured)
+	h := agg.WidthAsymmetryDist(survey.Measured)
 	if p0 := h.Portion(0); p0 < 0.70 {
 		t.Errorf("zero-asymmetry portion %.2f, calibration target ~0.89", p0)
 	}
-	lh := res.LengthDist(survey.Measured)
+	lh := agg.LengthDist(survey.Measured)
 	if p2 := lh.Portion(2); p2 < 0.30 || p2 > 0.70 {
 		t.Errorf("len-2 portion %.2f, calibration target ~0.48", p2)
 	}

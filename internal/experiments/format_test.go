@@ -79,7 +79,7 @@ func TestFormatTable2(t *testing.T) {
 
 func TestFormatSurveyFigures(t *testing.T) {
 	t.Parallel()
-	res, err := IPSurvey(SurveyConfig{Pairs: 120, Seed: 2})
+	agg, err := IPSurvey(SurveyConfig{Pairs: 120, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestFormatSurveyFigures(t *testing.T) {
 		out  string
 		want string
 	}{
-		{FormatFig2(res), "# Fig 2"},
-		{FormatFig7(res), "# Fig 7"},
-		{FormatFig8(res), "# Fig 8"},
-		{FormatFig9(res), "# Fig 9"},
-		{FormatFig10(res), "# Fig 10"},
-		{FormatFig11(res), "# Fig 11"},
+		{FormatFig2(agg), "# Fig 2"},
+		{FormatFig7(agg), "# Fig 7"},
+		{FormatFig8(agg), "# Fig 8"},
+		{FormatFig9(agg), "# Fig 9"},
+		{FormatFig10(agg), "# Fig 10"},
+		{FormatFig11(agg), "# Fig 11"},
 	}
 	for _, c := range checks {
 		if !strings.Contains(c.out, c.want) {
@@ -106,20 +106,20 @@ func TestFormatSurveyFigures(t *testing.T) {
 
 func TestFormatRouterFigures(t *testing.T) {
 	t.Parallel()
-	_, recs, err := RouterSurvey(SurveyConfig{Pairs: 40, Seed: 3, Rounds: 2})
+	agg, err := RouterSurvey(SurveyConfig{Pairs: 40, Seed: 3, Rounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := FormatFig12(recs); !strings.Contains(s, "# Fig 12") {
+	if s := FormatFig12(agg); !strings.Contains(s, "# Fig 12") {
 		t.Fatal("fig 12 header")
 	}
-	if s := FormatTable3(recs); !strings.Contains(s, "no change") {
+	if s := FormatTable3(agg); !strings.Contains(s, "no change") {
 		t.Fatal("table 3 rows")
 	}
-	if s := FormatFig13(recs); !strings.Contains(s, "router level") {
+	if s := FormatFig13(agg); !strings.Contains(s, "router level") {
 		t.Fatal("fig 13 sections")
 	}
-	if s := FormatFig14(recs); !strings.Contains(s, "# Fig 14") {
+	if s := FormatFig14(agg); !strings.Contains(s, "# Fig 14") {
 		t.Fatal("fig 14 header")
 	}
 }

@@ -20,7 +20,7 @@ func TestSurveyArtifactsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, router, err := RouterSurvey(SurveyConfig{Pairs: 120, Seed: 1, Rounds: 10})
+	router, err := RouterSurvey(SurveyConfig{Pairs: 120, Seed: 1, Rounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,38 +81,40 @@ func PlanSurvey(level string, cfg SurveyConfig) (*survey.Universe, survey.RunCon
 }
 
 // IPSurvey runs the Sec 5.1 IP-level survey with the MDA (as the paper
-// did) and returns the result for figure extraction. With a prior index
-// it runs the MDA-Lite instead — the tracer that consumes priors — so a
-// re-survey seeded from an earlier atlas spends its confirmation budget
-// rather than the full stopping-rule cost.
-func IPSurvey(cfg SurveyConfig) (*survey.Result, error) {
-	u, rc, err := PlanSurvey("ip", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return survey.Run(u, rc)
+// did) and returns its record aggregate for figure extraction. With a
+// prior index it runs the MDA-Lite instead — the tracer that consumes
+// priors — so a re-survey seeded from an earlier atlas spends its
+// confirmation budget rather than the full stopping-rule cost.
+func IPSurvey(cfg SurveyConfig) (*survey.RecordAggregate, error) {
+	return runSurvey("ip", cfg)
 }
 
 // RouterSurvey runs the Sec 5.2 router-level survey with the multilevel
-// tracer over the load-balanced pairs.
-func RouterSurvey(cfg SurveyConfig) (*survey.Result, []survey.RouterRecord, error) {
-	u, rc, err := PlanSurvey("router", cfg)
+// tracer over the load-balanced pairs and returns its record aggregate.
+func RouterSurvey(cfg SurveyConfig) (*survey.RecordAggregate, error) {
+	return runSurvey("router", cfg)
+}
+
+// runSurvey runs a survey level with an aggregate sink after cfg's sinks.
+// On a resumed run the aggregate is rebuilt from the record log first,
+// so it covers the whole survey, not only the pairs traced here.
+func runSurvey(level string, cfg SurveyConfig) (*survey.RecordAggregate, error) {
+	u, rc, err := PlanSurvey(level, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := survey.Run(u, rc)
-	if err != nil {
-		return res, nil, err
-	}
-	return res, survey.RouterView(res), nil
+	agg := survey.NewAggregateSink()
+	rc.Sinks = append(append([]survey.Sink(nil), cfg.Sinks...), agg)
+	_, err = survey.Run(u, rc)
+	return agg.Agg, err
 }
 
 // FormatFig2 renders the missing-meshing probability CDFs.
-func FormatFig2(res *survey.Result) string {
+func FormatFig2(agg *survey.RecordAggregate) string {
 	var b strings.Builder
 	b.WriteString("# Fig 2: probability of failing to detect meshing (phi=2), per meshed hop pair\n")
 	for _, w := range []survey.Weighting{survey.Measured, survey.Distinct} {
-		cdf := res.MeshMissCDF(w)
+		cdf := agg.MeshMissCDF(w)
 		fmt.Fprintf(&b, "## %s: n=%d, P(miss<=0.1)=%.2f, P(miss<=0.25)=%.2f (paper: ~0.70 and ~0.95)\n",
 			w, cdf.N(), cdf.At(0.1), cdf.At(0.25))
 		b.WriteString(stats.FormatCDF(cdf, w.String()))
@@ -121,11 +123,11 @@ func FormatFig2(res *survey.Result) string {
 }
 
 // FormatFig7 renders the width-asymmetry distributions.
-func FormatFig7(res *survey.Result) string {
+func FormatFig7(agg *survey.RecordAggregate) string {
 	var b strings.Builder
 	b.WriteString("# Fig 7: max width asymmetry distribution (portion of diamonds)\n")
 	for _, w := range []survey.Weighting{survey.Measured, survey.Distinct} {
-		h := res.WidthAsymmetryDist(w)
+		h := agg.WidthAsymmetryDist(w)
 		fmt.Fprintf(&b, "## %s: zero-asymmetry portion %.3f (paper: ~0.89)\n", w, h.Portion(0))
 		for _, k := range h.Keys() {
 			fmt.Fprintf(&b, "%d %.6f\n", k, h.Portion(k))
@@ -135,11 +137,11 @@ func FormatFig7(res *survey.Result) string {
 }
 
 // FormatFig8 renders the max probability difference CDFs.
-func FormatFig8(res *survey.Result) string {
+func FormatFig8(agg *survey.RecordAggregate) string {
 	var b strings.Builder
 	b.WriteString("# Fig 8: max probability difference, asymmetric unmeshed diamonds\n")
 	for _, w := range []survey.Weighting{survey.Measured, survey.Distinct} {
-		cdf := res.MaxProbDiffCDF(w)
+		cdf := agg.MaxProbDiffCDF(w)
 		fmt.Fprintf(&b, "## %s: n=%d, P(diff<=0.25)=%.2f, P(diff<=0.5)=%.2f (paper: 0.90/0.58 and ~0.99)\n",
 			w, cdf.N(), cdf.At(0.25), cdf.At(0.5))
 		b.WriteString(stats.FormatCDF(cdf, w.String()))
@@ -148,11 +150,11 @@ func FormatFig8(res *survey.Result) string {
 }
 
 // FormatFig9 renders the ratio-of-meshed-hops CDFs.
-func FormatFig9(res *survey.Result) string {
+func FormatFig9(agg *survey.RecordAggregate) string {
 	var b strings.Builder
 	b.WriteString("# Fig 9: ratio of meshed hops over meshed diamonds\n")
 	for _, w := range []survey.Weighting{survey.Measured, survey.Distinct} {
-		cdf := res.MeshedRatioCDF(w)
+		cdf := agg.MeshedRatioCDF(w)
 		fmt.Fprintf(&b, "## %s: n=%d, P(ratio<=0.4)=%.2f (paper: >0.80)\n", w, cdf.N(), cdf.At(0.4))
 		b.WriteString(stats.FormatCDF(cdf, w.String()))
 	}
@@ -160,16 +162,16 @@ func FormatFig9(res *survey.Result) string {
 }
 
 // FormatFig10 renders the max length and max width distributions.
-func FormatFig10(res *survey.Result) string {
+func FormatFig10(agg *survey.RecordAggregate) string {
 	var b strings.Builder
 	b.WriteString("# Fig 10: max length and max width distributions\n")
 	for _, w := range []survey.Weighting{survey.Measured, survey.Distinct} {
-		lh := res.LengthDist(w)
+		lh := agg.LengthDist(w)
 		fmt.Fprintf(&b, "## %s length: len2 portion %.3f (paper: ~0.48)\n", w, lh.Portion(2))
 		for _, k := range lh.Keys() {
 			fmt.Fprintf(&b, "len %d %.6f\n", k, lh.Portion(k))
 		}
-		wh := res.WidthDist(w)
+		wh := agg.WidthDist(w)
 		fmt.Fprintf(&b, "## %s width: w48 %.4f w56 %.4f max %d\n",
 			w, wh.Portion(48), wh.Portion(56), maxKey(wh))
 		for _, k := range wh.Keys() {
@@ -188,11 +190,11 @@ func maxKey(h *stats.Histogram) int {
 }
 
 // FormatFig11 renders the joint length×width distribution.
-func FormatFig11(res *survey.Result) string {
+func FormatFig11(agg *survey.RecordAggregate) string {
 	var b strings.Builder
 	b.WriteString("# Fig 11: joint (max length, max width) counts\n")
 	for _, w := range []survey.Weighting{survey.Measured, survey.Distinct} {
-		j := res.JointLengthWidth(w)
+		j := agg.JointLengthWidth(w)
 		fmt.Fprintf(&b, "## %s (total %d)\n", w, j.Total)
 		for _, c := range j.Cells() {
 			fmt.Fprintf(&b, "%d %d %d\n", c[0], c[1], c[2])
@@ -202,8 +204,8 @@ func FormatFig11(res *survey.Result) string {
 }
 
 // FormatFig12 renders the router-size CDFs.
-func FormatFig12(records []survey.RouterRecord) string {
-	distinct, aggregated := survey.RouterSizeCDFs(records)
+func FormatFig12(agg *survey.RecordAggregate) string {
+	distinct, aggregated := agg.RouterSizeCDFs()
 	var b strings.Builder
 	b.WriteString("# Fig 12: router size (interfaces per router)\n")
 	fmt.Fprintf(&b, "## distinct: n=%d, P(size=2)=%.2f, P(size<=10)=%.2f (paper: 0.68 and 0.97)\n",
@@ -215,8 +217,8 @@ func FormatFig12(records []survey.RouterRecord) string {
 }
 
 // FormatTable3 renders the alias-resolution effect fractions.
-func FormatTable3(records []survey.RouterRecord) string {
-	t := survey.Table3(records)
+func FormatTable3(agg *survey.RecordAggregate) string {
+	t := agg.Table3()
 	var b strings.Builder
 	b.WriteString("# Table 3: effect of alias resolution on unique diamonds\n")
 	paper := map[core.DiamondEffect]float64{
@@ -235,8 +237,8 @@ func FormatTable3(records []survey.RouterRecord) string {
 }
 
 // FormatFig13 renders the before/after width distributions.
-func FormatFig13(records []survey.RouterRecord) string {
-	before, after := survey.WidthBeforeAfter(records)
+func FormatFig13(agg *survey.RecordAggregate) string {
+	before, after := agg.WidthBeforeAfter()
 	var b strings.Builder
 	b.WriteString("# Fig 13: max width of unique diamonds, IP level vs router level\n")
 	fmt.Fprintf(&b, "## IP level: w48 %.4f w56 %.4f\n", before.Portion(48), before.Portion(56))
@@ -252,8 +254,8 @@ func FormatFig13(records []survey.RouterRecord) string {
 }
 
 // FormatFig14 renders the joint before/after width distribution.
-func FormatFig14(records []survey.RouterRecord) string {
-	j := survey.JointWidthBeforeAfter(records)
+func FormatFig14(agg *survey.RecordAggregate) string {
+	j := agg.JointWidthBeforeAfter()
 	var b strings.Builder
 	b.WriteString("# Fig 14: joint (width before, width after) for changed diamonds\n")
 	fmt.Fprintf(&b, "## total changed: %d\n", j.Total)

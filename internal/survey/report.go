@@ -7,9 +7,105 @@ import (
 
 	"mmlpt/internal/alias"
 	"mmlpt/internal/core"
+	"mmlpt/internal/packet"
 	"mmlpt/internal/stats"
 	"mmlpt/internal/topo"
+	"mmlpt/internal/traceio"
 )
+
+// RecordAggregate is the survey's result: the one fold over its record
+// stream that every figure, table and summary reads. Every number it
+// holds is derived from the records alone, so replaying a JSONL log
+// rebuilds it exactly — which is why a resumed run, a fleet's merged
+// output and an uninterrupted run print the same text.
+type RecordAggregate struct {
+	Records int
+	Reached int
+	// LBTraces counts records with at least one diamond.
+	LBTraces    int
+	TotalProbes uint64
+	AliasProbes uint64
+	// Measured lists every diamond encounter in record order; Distinct
+	// keeps the first encounter per "div|conv" key.
+	Measured []traceio.SurveyDiamond
+	Distinct map[string]traceio.SurveyDiamond
+	// routers holds the router-level view of each multilevel record, in
+	// record order.
+	routers []routerView
+}
+
+// routerView is the router-level view of one multilevel trace (Sec 5.2).
+type routerView struct {
+	// sets are the trace's routers: its accepted multi-address alias sets.
+	sets [][]packet.Addr
+	// keys identifies each IP diamond of the trace; effects (Table 3) and
+	// the max widths at the IP and at the router level (Figs 13/14) are
+	// index-aligned with it.
+	keys                    []topo.DiamondKey
+	effects                 []core.DiamondEffect
+	widthBefore, widthAfter []int
+}
+
+// NewRecordAggregate returns an empty aggregate.
+func NewRecordAggregate() *RecordAggregate {
+	return &RecordAggregate{Distinct: make(map[string]traceio.SurveyDiamond)}
+}
+
+// Add folds one record in. A multilevel record's router view is derived
+// from its graph and alias sets by the rule core.Trace builds its router
+// graph with: the sets union through alias.Union and the graph collapses
+// onto the representatives.
+func (a *RecordAggregate) Add(rec *traceio.SurveyRecord) error {
+	a.Records++
+	if rec.Reached {
+		a.Reached++
+	}
+	if len(rec.Diamonds) > 0 {
+		a.LBTraces++
+	}
+	a.TotalProbes += rec.Probes
+	a.AliasProbes += rec.AliasProbes
+	for _, d := range rec.Diamonds {
+		a.Measured = append(a.Measured, d)
+		k := d.Div + "|" + d.Conv
+		if _, ok := a.Distinct[k]; !ok {
+			a.Distinct[k] = d
+		}
+	}
+	if rec.Algorithm != AlgoMultilevel.String() {
+		return nil
+	}
+	g, err := rec.Graph()
+	if err != nil {
+		return fmt.Errorf("survey: pair %d: %w", rec.PairIndex, err)
+	}
+	u := alias.NewUnion()
+	for _, s := range rec.Routers {
+		u.AddSet(s)
+	}
+	router := core.CollapseRouters(g, u.Find)
+	rv := routerView{sets: rec.Routers}
+	for _, d := range g.Diamonds() {
+		rv.keys = append(rv.keys, d.Key())
+		rv.effects = append(rv.effects, core.ClassifyDiamond(d, router))
+		rv.widthBefore = append(rv.widthBefore, d.MaxWidth())
+		rv.widthAfter = append(rv.widthAfter, routerSpanMaxWidth(router, d))
+	}
+	a.routers = append(a.routers, rv)
+	return nil
+}
+
+// routerSpanMaxWidth is the max hop width of the router graph within the
+// IP diamond's hop span.
+func routerSpanMaxWidth(router *topo.Graph, d *topo.Diamond) int {
+	w := 1
+	for h := d.DivHop; h <= d.ConvHop; h++ {
+		if n := router.Width(h); n > w {
+			w = n
+		}
+	}
+	return w
+}
 
 // Weighting selects between the paper's two diamond-counting views.
 type Weighting int
@@ -30,43 +126,41 @@ func (w Weighting) String() string {
 	return "measured"
 }
 
-// diamonds returns the record list under the chosen weighting.
-func (r *Result) diamonds(w Weighting) []DiamondRecord {
+// diamonds returns the diamond list under the chosen weighting; the
+// distinct list is sorted by key.
+func (a *RecordAggregate) diamonds(w Weighting) []traceio.SurveyDiamond {
 	if w == Measured {
-		return r.Measured
+		return a.Measured
 	}
-	out := make([]DiamondRecord, 0, len(r.Distinct))
-	keys := make([]string, 0, len(r.Distinct))
-	byKey := make(map[string]DiamondRecord, len(r.Distinct))
-	for k, d := range r.Distinct {
-		s := fmt.Sprintf("%s|%s", k.Div, k.Conv)
-		keys = append(keys, s)
-		byKey[s] = d
+	keys := make([]string, 0, len(a.Distinct))
+	for k := range a.Distinct {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, byKey[k])
+	out := make([]traceio.SurveyDiamond, len(keys))
+	for i, k := range keys {
+		out[i] = a.Distinct[k]
 	}
 	return out
 }
 
 // WidthAsymmetryDist returns the Fig 7 distribution: portion of diamonds
 // per max-width-asymmetry value.
-func (r *Result) WidthAsymmetryDist(w Weighting) *stats.Histogram {
-	ds := r.diamonds(w)
+func (a *RecordAggregate) WidthAsymmetryDist(w Weighting) *stats.Histogram {
+	ds := a.diamonds(w)
 	xs := make([]int, 0, len(ds))
 	for _, d := range ds {
-		xs = append(xs, d.Metrics.MaxWidthAsymmetry)
+		xs = append(xs, d.Asymmetry)
 	}
 	return stats.NewHistogram(xs)
 }
 
 // MaxProbDiffCDF returns the Fig 8 CDF: maximum reach-probability
 // difference over asymmetric, unmeshed diamonds (non-zero values only).
-func (r *Result) MaxProbDiffCDF(w Weighting) *stats.CDF {
+func (a *RecordAggregate) MaxProbDiffCDF(w Weighting) *stats.CDF {
 	var xs []float64
-	for _, d := range r.diamonds(w) {
-		if d.Metrics.MaxWidthAsymmetry > 0 && !d.Metrics.Meshed && d.MaxProbDiff > 0 {
+	for _, d := range a.diamonds(w) {
+		if d.Asymmetry > 0 && !d.Meshed && d.MaxProbDiff > 0 {
 			xs = append(xs, d.MaxProbDiff)
 		}
 	}
@@ -75,11 +169,11 @@ func (r *Result) MaxProbDiffCDF(w Weighting) *stats.CDF {
 
 // MeshedRatioCDF returns the Fig 9 CDF: ratio of meshed hops over meshed
 // diamonds.
-func (r *Result) MeshedRatioCDF(w Weighting) *stats.CDF {
+func (a *RecordAggregate) MeshedRatioCDF(w Weighting) *stats.CDF {
 	var xs []float64
-	for _, d := range r.diamonds(w) {
-		if d.Metrics.Meshed {
-			xs = append(xs, d.Metrics.RatioMeshedHops)
+	for _, d := range a.diamonds(w) {
+		if d.Meshed {
+			xs = append(xs, d.MeshedRatio)
 		}
 	}
 	return stats.NewCDF(xs)
@@ -87,65 +181,67 @@ func (r *Result) MeshedRatioCDF(w Weighting) *stats.CDF {
 
 // MeshMissCDF returns the Fig 2 CDF: the Eq. (1) probability of the
 // MDA-Lite failing to detect meshing, one sample per meshed hop pair.
-func (r *Result) MeshMissCDF(w Weighting) *stats.CDF {
+func (a *RecordAggregate) MeshMissCDF(w Weighting) *stats.CDF {
 	var xs []float64
-	for _, d := range r.diamonds(w) {
+	for _, d := range a.diamonds(w) {
 		xs = append(xs, d.MeshMissProbs...)
 	}
 	return stats.NewCDF(xs)
 }
 
 // LengthDist returns the Fig 10 (top) max-length distribution.
-func (r *Result) LengthDist(w Weighting) *stats.Histogram {
-	ds := r.diamonds(w)
+func (a *RecordAggregate) LengthDist(w Weighting) *stats.Histogram {
+	ds := a.diamonds(w)
 	xs := make([]int, 0, len(ds))
 	for _, d := range ds {
-		xs = append(xs, d.Metrics.MaxLength)
+		xs = append(xs, d.MaxLength)
 	}
 	return stats.NewHistogram(xs)
 }
 
 // WidthDist returns the Fig 10 (bottom) max-width distribution.
-func (r *Result) WidthDist(w Weighting) *stats.Histogram {
-	ds := r.diamonds(w)
+func (a *RecordAggregate) WidthDist(w Weighting) *stats.Histogram {
+	ds := a.diamonds(w)
 	xs := make([]int, 0, len(ds))
 	for _, d := range ds {
-		xs = append(xs, d.Metrics.MaxWidth)
+		xs = append(xs, d.MaxWidth)
 	}
 	return stats.NewHistogram(xs)
 }
 
 // JointLengthWidth returns the Fig 11 joint distribution.
-func (r *Result) JointLengthWidth(w Weighting) *stats.Joint {
+func (a *RecordAggregate) JointLengthWidth(w Weighting) *stats.Joint {
 	j := stats.NewJoint()
-	for _, d := range r.diamonds(w) {
-		j.Add(d.Metrics.MaxLength, d.Metrics.MaxWidth)
+	for _, d := range a.diamonds(w) {
+		j.Add(d.MaxLength, d.MaxWidth)
 	}
 	return j
 }
 
-// Summary renders the headline survey numbers (the Sec 5.1 prose).
-func (r *Result) Summary() string {
+// Summary renders the headline survey numbers: the trace and diamond
+// counts, the Sec 5.1 percentages under both weightings, and the probe
+// budget.
+func (a *RecordAggregate) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "traces: %d, with diamonds: %d\n", len(r.Outcomes), r.LBTraces)
-	fmt.Fprintf(&b, "diamonds: %d measured, %d distinct\n", len(r.Measured), len(r.Distinct))
+	fmt.Fprintf(&b, "traces: %d, with diamonds: %d, reached: %d\n", a.Records, a.LBTraces, a.Reached)
+	fmt.Fprintf(&b, "diamonds: %d measured, %d distinct\n", len(a.Measured), len(a.Distinct))
 	for _, w := range []Weighting{Measured, Distinct} {
-		ds := r.diamonds(w)
+		ds := a.diamonds(w)
 		if len(ds) == 0 {
 			continue
 		}
 		var len2, simplest, zeroAsym, meshed int
 		for _, d := range ds {
-			if d.Metrics.MaxLength == 2 {
+			if d.MaxLength == 2 {
 				len2++
 			}
-			if d.Metrics.MaxLength == 2 && d.Metrics.MaxWidth == 2 {
+			if d.MaxLength == 2 && d.MaxWidth == 2 {
 				simplest++
 			}
-			if d.Metrics.MaxWidthAsymmetry == 0 {
+			if d.Asymmetry == 0 {
 				zeroAsym++
 			}
-			if d.Metrics.Meshed {
+			if d.Meshed {
 				meshed++
 			}
 		}
@@ -154,6 +250,7 @@ func (r *Result) Summary() string {
 			w, 100*float64(len2)/n, 100*float64(simplest)/n,
 			100*float64(zeroAsym)/n, 100*float64(meshed)/n)
 	}
+	fmt.Fprintf(&b, "probes: %d trace + %d alias\n", a.TotalProbes, a.AliasProbes)
 	return b.String()
 }
 
@@ -161,12 +258,12 @@ func (r *Result) Summary() string {
 // fractions of {no change, single smaller, multiple smaller, one path}.
 // Diamonds are deduplicated by key, as the paper's "unique diamonds"; the
 // first record to hold a key decides its effect.
-func Table3(records []RouterRecord) map[core.DiamondEffect]float64 {
+func (a *RecordAggregate) Table3() map[core.DiamondEffect]float64 {
 	seen := make(map[topo.DiamondKey]core.DiamondEffect)
-	for _, rec := range records {
-		for i, k := range rec.Keys {
+	for _, rv := range a.routers {
+		for i, k := range rv.keys {
 			if _, ok := seen[k]; !ok {
-				seen[k] = rec.Effects[i]
+				seen[k] = rv.effects[i]
 			}
 		}
 	}
@@ -187,35 +284,33 @@ func Table3(records []RouterRecord) map[core.DiamondEffect]float64 {
 
 // RouterSizeCDFs returns the Fig 12 CDFs: per-trace distinct router sizes
 // and transitively aggregated router sizes.
-func RouterSizeCDFs(records []RouterRecord) (distinct, aggregated *stats.CDF) {
+func (a *RecordAggregate) RouterSizeCDFs() (distinct, aggregated *stats.CDF) {
 	var d []float64
-	for _, r := range records {
-		for _, s := range r.Sets {
-			d = append(d, float64(len(s.Addrs)))
+	u := alias.NewUnion()
+	for _, rv := range a.routers {
+		for _, s := range rv.sets {
+			d = append(d, float64(len(s)))
+			u.AddSet(s)
 		}
 	}
-	u := alias.NewUnion()
-	for _, s := range AllRouterSets(records) {
-		u.AddSet(s)
-	}
-	var a []float64
+	var agg []float64
 	for _, g := range u.UnsortedGroups() { // NewCDF sorts: group order is moot
-		a = append(a, float64(len(g)))
+		agg = append(agg, float64(len(g)))
 	}
-	return stats.NewCDF(d), stats.NewCDF(a)
+	return stats.NewCDF(d), stats.NewCDF(agg)
 }
 
 // WidthBeforeAfter returns the Fig 13 histograms (unique diamonds keyed by
 // div/conv): max width at the IP level and at the router level.
-func WidthBeforeAfter(records []RouterRecord) (before, after *stats.Histogram) {
+func (a *RecordAggregate) WidthBeforeAfter() (before, after *stats.Histogram) {
 	seen := make(map[topo.DiamondKey]bool)
 	var bs, as []int
-	for _, rec := range records {
-		for i, k := range rec.Keys {
+	for _, rv := range a.routers {
+		for i, k := range rv.keys {
 			if !seen[k] {
 				seen[k] = true
-				bs = append(bs, rec.WidthBefore[i])
-				as = append(as, rec.WidthAfter[i])
+				bs = append(bs, rv.widthBefore[i])
+				as = append(as, rv.widthAfter[i])
 			}
 		}
 	}
@@ -224,12 +319,12 @@ func WidthBeforeAfter(records []RouterRecord) (before, after *stats.Histogram) {
 
 // JointWidthBeforeAfter returns the Fig 14 joint distribution over
 // diamonds whose width changed.
-func JointWidthBeforeAfter(records []RouterRecord) *stats.Joint {
+func (a *RecordAggregate) JointWidthBeforeAfter() *stats.Joint {
 	j := stats.NewJoint()
-	for _, rec := range records {
-		for i := range rec.WidthBefore {
-			if rec.WidthAfter[i] != rec.WidthBefore[i] {
-				j.Add(rec.WidthBefore[i], rec.WidthAfter[i])
+	for _, rv := range a.routers {
+		for i := range rv.widthBefore {
+			if rv.widthAfter[i] != rv.widthBefore[i] {
+				j.Add(rv.widthBefore[i], rv.widthAfter[i])
 			}
 		}
 	}

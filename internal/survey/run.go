@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"os"
 
-	"mmlpt/internal/alias"
 	"mmlpt/internal/core"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
@@ -46,18 +45,6 @@ func (a Algo) String() string {
 	}
 }
 
-// DiamondRecord captures one measured diamond and its survey metrics.
-type DiamondRecord struct {
-	Key         topo.DiamondKey
-	PairIndex   int
-	Metrics     topo.Metrics
-	MaxProbDiff float64
-	// MeshMissProbs holds, for each meshed hop pair of the diamond, the
-	// Eq. (1) probability that the MDA-Lite with the surveyed phi misses
-	// the meshing (Fig 2's sample values).
-	MeshMissProbs []float64
-}
-
 // TraceOutcome is the result of tracing one pair.
 type TraceOutcome struct {
 	PairIndex int
@@ -66,7 +53,8 @@ type TraceOutcome struct {
 	Reached   bool
 	Switched  bool
 	Graph     *topo.Graph
-	Diamonds  []DiamondRecord
+	// Diamonds carries the survey metrics of each diamond, in hop order.
+	Diamonds []traceio.SurveyDiamond
 	// PriorHops counts hops confirmed from an atlas prior; PriorStale
 	// marks a trace whose prior mismatched the live route.
 	PriorHops  int
@@ -75,17 +63,13 @@ type TraceOutcome struct {
 	ML *core.Result
 }
 
-// Result aggregates a survey run.
+// Result holds the outcomes this call of Run traced. The survey's figures,
+// tables and summary are not read from it but from a RecordAggregate fed
+// by the record stream, which a resumed run rebuilds by replay.
 type Result struct {
 	Algo     Algo
 	Outcomes []TraceOutcome
-	// Measured lists every diamond encounter; Distinct keeps the first
-	// encounter per (divergence, convergence) key.
-	Measured []DiamondRecord
-	Distinct map[topo.DiamondKey]DiamondRecord
-	// LBTraces counts traces that found at least one diamond.
-	LBTraces int
-	// TotalProbes across all traces.
+	// TotalProbes across the outcomes.
 	TotalProbes uint64
 }
 
@@ -244,7 +228,8 @@ func optionsHash(u *Universe, cfg RunConfig) uint64 {
 // the process incrementally. With checkpointing enabled the run can be
 // killed and resumed (cfg.Resume); the returned Result then covers only
 // the pairs this call traced, while sinks (rebuilt by replaying the
-// record log) cover the whole survey.
+// record log) cover the whole survey — which is why every survey output
+// is a fold over records (RecordAggregate).
 func Run(u *Universe, cfg RunConfig) (*Result, error) {
 	if cfg.Phi == 0 {
 		cfg.Phi = mdalite.DefaultPhi
@@ -326,7 +311,7 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 		every = DefaultCheckpointEvery
 	}
 
-	res := &Result{Algo: cfg.Algo, Distinct: make(map[topo.DiamondKey]DiamondRecord)}
+	res := &Result{Algo: cfg.Algo}
 	emitted := 0
 	// A sink or checkpoint error aborts the run: pairs after it are not
 	// traced.
@@ -335,15 +320,6 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 		return traceOne(u, j.idx, j.pair, cfg), nil
 	}, func(k int, out TraceOutcome) error {
 		res.TotalProbes += out.Probes
-		if len(out.Diamonds) > 0 {
-			res.LBTraces++
-		}
-		for _, d := range out.Diamonds {
-			res.Measured = append(res.Measured, d)
-			if _, ok := res.Distinct[d.Key]; !ok {
-				res.Distinct[d.Key] = d
-			}
-		}
 		res.Outcomes = append(res.Outcomes, out)
 		if cfg.Progress != nil {
 			cfg.Progress.PairDone(out.Probes)
@@ -441,24 +417,33 @@ func traceOne(u *Universe, idx int, pair Pair, cfg RunConfig) TraceOutcome {
 		PriorHops: r.PriorHopsConfirmed, PriorStale: r.PriorAbandoned,
 	}
 	for _, d := range r.Graph.Diamonds() {
-		out.Diamonds = append(out.Diamonds, recordDiamond(d, idx, cfg.Phi))
+		out.Diamonds = append(out.Diamonds, surveyDiamond(d, cfg.Phi))
 	}
 	return out
 }
 
-// recordDiamond evaluates the survey metrics for one diamond.
-func recordDiamond(d *topo.Diamond, pairIdx, phi int) DiamondRecord {
-	rec := DiamondRecord{
-		Key:         d.Key(),
-		PairIndex:   pairIdx,
-		Metrics:     d.ComputeMetrics(),
+// surveyDiamond evaluates the survey metrics for one diamond.
+func surveyDiamond(d *topo.Diamond, phi int) traceio.SurveyDiamond {
+	m := d.ComputeMetrics()
+	sd := traceio.SurveyDiamond{
+		Div: addrLabel(d.DivAddr), Conv: addrLabel(d.ConvAddr),
+		MaxLength: m.MaxLength, MaxWidth: m.MaxWidth,
+		Asymmetry: m.MaxWidthAsymmetry, Meshed: m.Meshed,
+		MeshedRatio: m.RatioMeshedHops, Uniform: m.Uniform,
 		MaxProbDiff: d.MaxProbabilityDifference(),
 	}
 	g := d.Graph()
 	for _, h := range d.MeshedHopPairs() {
-		rec.MeshMissProbs = append(rec.MeshMissProbs, meshMissProb(g, h, phi))
+		sd.MeshMissProbs = append(sd.MeshMissProbs, meshMissProb(g, h, phi))
 	}
-	return rec
+	return sd
+}
+
+func addrLabel(a packet.Addr) string {
+	if a == topo.StarAddr {
+		return "*"
+	}
+	return a.String()
 }
 
 // meshMissProb computes Eq. (1) for the meshed hop pair (h, h+1), tracing
@@ -476,69 +461,4 @@ func meshMissProb(g *topo.Graph, h, phi int) float64 {
 		}
 	}
 	return fakeroute.MeshingMissProb(degrees, phi)
-}
-
-// RouterRecord captures the router-level view of one trace (Sec 5.2).
-type RouterRecord struct {
-	PairIndex int
-	// Sets are the accepted multi-address alias sets (routers).
-	Sets []alias.Set
-	// Keys identifies each IP diamond of the trace; Effects, WidthBefore
-	// and WidthAfter are index-aligned with it.
-	Keys []topo.DiamondKey
-	// Effects classifies each IP diamond per Table 3.
-	Effects []core.DiamondEffect
-	// WidthBefore and WidthAfter give, per IP diamond, the max width at
-	// the IP level and at the router level (Figs 13/14).
-	WidthBefore, WidthAfter []int
-	// RouterDiamonds holds max widths of diamonds in the router graph.
-	RouterDiamonds []int
-}
-
-// RouterView extracts the router-level records from a multilevel survey
-// result.
-func RouterView(res *Result) []RouterRecord {
-	var out []RouterRecord
-	for _, o := range res.Outcomes {
-		if o.ML == nil {
-			continue
-		}
-		rr := RouterRecord{PairIndex: o.PairIndex, Sets: alias.RouterSets(o.ML.Sets)}
-		router := o.ML.RouterGraph
-		for _, d := range o.Graph.Diamonds() {
-			rr.Keys = append(rr.Keys, d.Key())
-			rr.Effects = append(rr.Effects, core.ClassifyDiamond(d, router))
-			rr.WidthBefore = append(rr.WidthBefore, d.MaxWidth())
-			rr.WidthAfter = append(rr.WidthAfter, routerSpanMaxWidth(router, d))
-		}
-		for _, rd := range router.Diamonds() {
-			rr.RouterDiamonds = append(rr.RouterDiamonds, rd.MaxWidth())
-		}
-		out = append(out, rr)
-	}
-	return out
-}
-
-// routerSpanMaxWidth is the max hop width of the router graph within the
-// IP diamond's hop span.
-func routerSpanMaxWidth(router *topo.Graph, d *topo.Diamond) int {
-	w := 1
-	for h := d.DivHop; h <= d.ConvHop; h++ {
-		if n := router.Width(h); n > w {
-			w = n
-		}
-	}
-	return w
-}
-
-// AllRouterSets collects every per-trace accepted set's addresses, for
-// transitive-closure aggregation (Fig 12 right).
-func AllRouterSets(records []RouterRecord) [][]packet.Addr {
-	var out [][]packet.Addr
-	for _, r := range records {
-		for _, s := range r.Sets {
-			out = append(out, s.Addrs)
-		}
-	}
-	return out
 }

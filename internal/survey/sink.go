@@ -3,11 +3,8 @@ package survey
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"mmlpt/internal/mda"
-	"mmlpt/internal/packet"
-	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
 
@@ -36,24 +33,8 @@ func NewRecord(algo Algo, out TraceOutcome) *traceio.SurveyRecord {
 	rec := traceio.NewSurveyRecord(out.Pair.Src, out.Pair.Dst, algo.String(), view, out.ML)
 	rec.PairIndex, rec.HasLB = out.PairIndex, out.Pair.HasLB
 	rec.PriorHops, rec.PriorStale = out.PriorHops, out.PriorStale
-	for _, d := range out.Diamonds {
-		rec.Diamonds = append(rec.Diamonds, traceio.SurveyDiamond{
-			Div: addrLabel(d.Key.Div), Conv: addrLabel(d.Key.Conv),
-			MaxLength: d.Metrics.MaxLength, MaxWidth: d.Metrics.MaxWidth,
-			Asymmetry: d.Metrics.MaxWidthAsymmetry, Meshed: d.Metrics.Meshed,
-			MeshedRatio: d.Metrics.RatioMeshedHops, Uniform: d.Metrics.Uniform,
-			MaxProbDiff:   d.MaxProbDiff,
-			MeshMissProbs: append([]float64(nil), d.MeshMissProbs...),
-		})
-	}
+	rec.Diamonds = out.Diamonds
 	return rec
-}
-
-func addrLabel(a packet.Addr) string {
-	if a == topo.StarAddr {
-		return "*"
-	}
-	return a.String()
 }
 
 // JSONLSink streams records to a JSONL file through traceio.JSONLWriter.
@@ -149,80 +130,6 @@ func (s *MemorySink) Emit(rec *traceio.SurveyRecord) error {
 // Close is a no-op.
 func (s *MemorySink) Close() error { return nil }
 
-// RecordAggregate is the record-level counterpart of Result: every
-// number it holds is derived from the streamed records alone, so it can
-// be rebuilt exactly by replaying a JSONL file — the property resume
-// uses to restore aggregate state after a kill.
-type RecordAggregate struct {
-	Algo     string
-	Records  int
-	Reached  int
-	Switched int
-	// LBTraces counts records with at least one diamond.
-	LBTraces         int
-	TotalProbes      uint64
-	AliasProbes      uint64
-	MeasuredDiamonds int
-	// Distinct keeps the first encounter per "div|conv" key, mirroring
-	// Result.Distinct.
-	Distinct map[string]traceio.SurveyDiamond
-}
-
-// NewRecordAggregate returns an empty aggregate.
-func NewRecordAggregate() *RecordAggregate {
-	return &RecordAggregate{Distinct: make(map[string]traceio.SurveyDiamond)}
-}
-
-// Add folds one record in.
-func (a *RecordAggregate) Add(rec *traceio.SurveyRecord) {
-	if a.Algo == "" {
-		a.Algo = rec.Algorithm
-	}
-	a.Records++
-	if rec.Reached {
-		a.Reached++
-	}
-	if rec.Switched {
-		a.Switched++
-	}
-	if len(rec.Diamonds) > 0 {
-		a.LBTraces++
-	}
-	a.TotalProbes += rec.Probes
-	a.AliasProbes += rec.AliasProbes
-	for _, d := range rec.Diamonds {
-		a.MeasuredDiamonds++
-		k := d.Div + "|" + d.Conv
-		if _, ok := a.Distinct[k]; !ok {
-			a.Distinct[k] = d
-		}
-	}
-}
-
-// Summary renders the aggregate in the style of Result.Summary.
-func (a *RecordAggregate) Summary() string {
-	var meshed, len2 int
-	keys := make([]string, 0, len(a.Distinct))
-	for k := range a.Distinct {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		d := a.Distinct[k]
-		if d.Meshed {
-			meshed++
-		}
-		if d.MaxLength == 2 {
-			len2++
-		}
-	}
-	return fmt.Sprintf(
-		"traces: %d, with diamonds: %d, reached: %d\ndiamonds: %d measured, %d distinct (len2 %d, meshed %d)\nprobes: %d trace + %d alias\n",
-		a.Records, a.LBTraces, a.Reached,
-		a.MeasuredDiamonds, len(a.Distinct), len2, meshed,
-		a.TotalProbes, a.AliasProbes)
-}
-
 // AggregateSink folds records into a RecordAggregate as they stream by.
 type AggregateSink struct {
 	Agg *RecordAggregate
@@ -235,8 +142,7 @@ func NewAggregateSink() *AggregateSink {
 
 // Emit folds the record in.
 func (s *AggregateSink) Emit(rec *traceio.SurveyRecord) error {
-	s.Agg.Add(rec)
-	return nil
+	return s.Agg.Add(rec)
 }
 
 // Close is a no-op.

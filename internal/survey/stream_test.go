@@ -33,8 +33,8 @@ func (k *killSink) Emit(*traceio.SurveyRecord) error {
 func (k *killSink) Close() error { return nil }
 
 // TestStreamingSinksMatchResult: the streamed records must agree with
-// the in-memory aggregate — same order, same counts — and survive a
-// JSONL round trip losslessly.
+// the traced outcomes — same order, same counts, the aggregate folding
+// exactly what was traced — and survive a JSONL round trip losslessly.
 func TestStreamingSinksMatchResult(t *testing.T) {
 	t.Parallel()
 	u := Generate(GenConfig{Seed: 21, Pairs: 50})
@@ -64,14 +64,20 @@ func TestStreamingSinksMatchResult(t *testing.T) {
 	if agg.Agg.TotalProbes != res.TotalProbes {
 		t.Fatalf("aggregate probes %d, result %d", agg.Agg.TotalProbes, res.TotalProbes)
 	}
-	if agg.Agg.LBTraces != res.LBTraces {
-		t.Fatalf("aggregate LB traces %d, result %d", agg.Agg.LBTraces, res.LBTraces)
+	lb, measured := 0, 0
+	distinct := map[string]bool{}
+	for _, o := range res.Outcomes {
+		if len(o.Diamonds) > 0 {
+			lb++
+		}
+		measured += len(o.Diamonds)
+		for _, d := range o.Diamonds {
+			distinct[d.Div+"|"+d.Conv] = true
+		}
 	}
-	if agg.Agg.MeasuredDiamonds != len(res.Measured) {
-		t.Fatalf("aggregate measured %d, result %d", agg.Agg.MeasuredDiamonds, len(res.Measured))
-	}
-	if len(agg.Agg.Distinct) != len(res.Distinct) {
-		t.Fatalf("aggregate distinct %d, result %d", len(agg.Agg.Distinct), len(res.Distinct))
+	if agg.Agg.LBTraces != lb || len(agg.Agg.Measured) != measured || len(agg.Agg.Distinct) != len(distinct) {
+		t.Fatalf("aggregate LB traces/measured/distinct %d/%d/%d, outcomes %d/%d/%d",
+			agg.Agg.LBTraces, len(agg.Agg.Measured), len(agg.Agg.Distinct), lb, measured, len(distinct))
 	}
 
 	f, err := os.Open(jsonl.Path())

@@ -51,11 +51,7 @@ func maxFragWidth(g *topo.Graph) int {
 
 func TestRunMDALiteSurveySmall(t *testing.T) {
 	t.Parallel()
-	u := smallUniverse(t, 120, 11)
-	res, err := Run(u, RunConfig{Algo: AlgoMDALite, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg, res := aggregate(t, smallUniverse(t, 120, 11), RunConfig{Algo: AlgoMDALite, Retries: 1})
 	if len(res.Outcomes) != 120 {
 		t.Fatalf("outcomes = %d", len(res.Outcomes))
 	}
@@ -68,10 +64,10 @@ func TestRunMDALiteSurveySmall(t *testing.T) {
 	if float64(reached) < 0.95*float64(len(res.Outcomes)) {
 		t.Fatalf("only %d/%d traces reached the destination", reached, len(res.Outcomes))
 	}
-	if len(res.Measured) == 0 || len(res.Distinct) == 0 {
+	if len(agg.Measured) == 0 || len(agg.Distinct) == 0 {
 		t.Fatal("no diamonds surveyed")
 	}
-	if len(res.Measured) < len(res.Distinct) {
+	if len(agg.Measured) < len(agg.Distinct) {
 		t.Fatal("measured count below distinct count")
 	}
 }
@@ -81,12 +77,8 @@ func TestDistinctReuseAcrossPairs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400-pair universe is slow")
 	}
-	u := smallUniverse(t, 400, 13)
-	res, err := Run(u, RunConfig{Algo: AlgoMDALite, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(len(res.Measured)) / float64(len(res.Distinct))
+	agg, _ := aggregate(t, smallUniverse(t, 400, 13), RunConfig{Algo: AlgoMDALite, Retries: 1})
+	ratio := float64(len(agg.Measured)) / float64(len(agg.Distinct))
 	if ratio < 1.5 {
 		t.Fatalf("measured/distinct reuse ratio %.2f too low for a shared-core internet", ratio)
 	}

@@ -293,7 +293,9 @@ func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
 // strictly ascending (so the first is the representative), each line
 // in the shard AtlasShardForAddr gives for its representative, and
 // node "router" fields and router lines agreeing both ways (compared as
-// addresses). (That addresses ascend across shard boundaries needs no
+// addresses), and every node, successor, router field and router member
+// written as its address's canonical text, the key serve looks it up by.
+// (That addresses ascend across shard boundaries needs no
 // check of its own: open orders the index's fences and ReadShard keeps
 // every node inside them.) A file that verifies re-streams through
 // AtlasStreamEncoder without error. Each failure names its check.
@@ -349,7 +351,13 @@ func (r *AtlasReader) Verify() error {
 		claims  []link // node → the representative its "router" names
 		members []link // router member → the line's first address
 		routers int
+		scratch []byte
 	)
+	// canonical reports whether s is a's canonical text.
+	canonical := func(a packet.Addr, s string) bool {
+		scratch = a.AppendText(scratch[:0])
+		return string(scratch) == s
+	}
 	for i, si := range r.index.Shards {
 		sh, err := r.ReadShard(i)
 		if err != nil {
@@ -366,11 +374,17 @@ func (r *AtlasReader) Verify() error {
 		for j := range sh.Nodes {
 			n := &sh.Nodes[j]
 			addr := packet.MustParseAddr(n.Addr) // ReadShard parsed it
+			if !canonical(addr, n.Addr) {
+				return fail("address text", "node %q is not written as %s", n.Addr, addr)
+			}
 			addrs = append(addrs, addr)
 			for _, s := range n.Succ {
 				to, err := packet.ParseAddr(s)
 				if err != nil {
 					return fail("successors", "node %s links to %q: %v", n.Addr, s, err)
+				}
+				if !canonical(to, s) {
+					return fail("address text", "node %s links to %q, not written as %s", n.Addr, s, to)
 				}
 				links = append(links, link{addr, to})
 			}
@@ -379,11 +393,19 @@ func (r *AtlasReader) Verify() error {
 				if err != nil {
 					return fail("router links", "node %s names router %q: %v", n.Addr, n.Router, err)
 				}
+				if !canonical(rep, n.Router) {
+					return fail("address text", "node %s names router %q, not written as %s", n.Addr, n.Router, rep)
+				}
 				claims = append(claims, link{addr, rep})
 			}
 		}
 		for _, rt := range sh.Routers {
 			rep := packet.MustParseAddr(rt.Addrs[0]) // ReadShard parsed every member
+			for _, m := range rt.Addrs {
+				if a := packet.MustParseAddr(m); !canonical(a, m) {
+					return fail("address text", "router %s lists %q, not written as %s", rt.Addrs[0], m, a)
+				}
+			}
 			if home := r.ShardFor(rep); home != i {
 				return fail("router placement", "router %s is in shard %d, its representative's shard is %d", rt.Addrs[0], i, home)
 			}

@@ -229,6 +229,9 @@ func TestAtlasV2DecodeRejections(t *testing.T) {
 		{"edge total", "edge total", corrupt(t, raw, `"edges":8`, `"edges":7`)},
 		{"edge to unknown addr", "successors", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","10.9.9.9"]`)},
 		{"unparseable successor", "successors", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","bogus"]`)},
+		// serve finds a node by its address's canonical text.
+		{"node address not canonical", "address text", corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"010.0.0.3"`)},
+		{"successor address not canonical", "address text", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","10.0.00.3"]`)},
 		{"diamond count", "diamonds", corrupt(t, raw, `"diamonds":1`, `"diamonds":2`)},
 		{"unreadable shard", "shard 1", corrupt(t, raw, `{"addrs":["10.0.0.7","10.0.0.9"]}`, `{"addrs":["10.0.0.7"]}`)},
 		// The router checks: each corruption leaves a file a router

@@ -59,7 +59,7 @@ type SurveyRecord struct {
 	Routers     addrLists `json:"routers,omitempty"`
 	AliasProbes uint64    `json:"alias_probes,omitempty"`
 	// Diamonds carries the survey metrics per diamond encounter, in hop
-	// order, mirroring the in-memory DiamondRecord list.
+	// order: what the survey's figures are folded from.
 	Diamonds []SurveyDiamond `json:"diamonds,omitempty"`
 	// PriorHops counts the hops confirmed from an atlas prior; PriorStale
 	// marks a trace whose prior mismatched the live route and was
