@@ -29,6 +29,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"time"
@@ -38,42 +40,63 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, coordinates the
+// survey and returns the exit code — 2 for a usage error, 1 for a
+// runtime one. A usage error, or a -listen address it cannot bind,
+// leaves no file behind.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("surveyd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		level        = flag.String("level", "ip", "survey level: ip or router")
-		pairs        = flag.Int("pairs", 1000, "number of source-destination pairs")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		phi          = flag.Int("phi", 2, "MDA-Lite meshing budget")
-		rounds       = flag.Int("rounds", 10, "alias rounds (router level)")
-		dir          = flag.String("dir", "", "work directory for shards and the manifest (required)")
-		out          = flag.String("out", "", "write the merged survey record log (JSONL) here")
-		atlasOut     = flag.String("atlas", "", "write the merged atlas snapshot here")
-		atlasShards  = flag.Int("atlas-shards", 0, "atlas ingestion shards (0 = default; snapshot bytes are identical for every value)")
-		atlasWorkers = flag.Int("atlas-workers", 0, "atlas merge workers (0 = GOMAXPROCS; snapshot bytes are identical for every value)")
-		unitSize     = flag.Int("unit-size", dispatch.DefaultUnitSize, "survey pairs per work unit")
-		leaseTTL     = flag.Duration("lease-ttl", dispatch.DefaultLeaseTTL, "lease duration; runners heartbeat at a third of this")
-		budgetRate   = flag.Float64("budget-rate", 0, "fleet-wide probe ceiling per destination /24 prefix, probes/second (0 = unmetered)")
-		budgetBurst  = flag.Float64("budget-burst", 0, "probe budget burst depth (0 = same as -budget-rate)")
-		listen       = flag.String("listen", ":8460", "HTTP listen address")
-		resume       = flag.Bool("resume", false, "restore shipped units from the manifest in -dir")
-		prog         = flag.Bool("progress", false, "report fleet progress to stderr while running")
-		linger       = flag.Duration("linger", 2*time.Second, "serve this long after the merge so polling runners hear done")
+		level        = fs.String("level", "ip", "survey level: ip or router")
+		pairs        = fs.Int("pairs", 1000, "number of source-destination pairs")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		phi          = fs.Int("phi", 2, "MDA-Lite meshing budget")
+		rounds       = fs.Int("rounds", 10, "alias rounds (router level)")
+		dir          = fs.String("dir", "", "work directory for shards and the manifest (required)")
+		out          = fs.String("out", "", "write the merged survey record log (JSONL) here")
+		atlasOut     = fs.String("atlas", "", "write the merged atlas snapshot here")
+		atlasShards  = fs.Int("atlas-shards", 0, "atlas ingestion shards (0 = default; snapshot bytes are identical for every value)")
+		atlasWorkers = fs.Int("atlas-workers", 0, "atlas merge workers (0 = GOMAXPROCS; snapshot bytes are identical for every value)")
+		unitSize     = fs.Int("unit-size", dispatch.DefaultUnitSize, "survey pairs per work unit")
+		leaseTTL     = fs.Duration("lease-ttl", dispatch.DefaultLeaseTTL, "lease duration; runners heartbeat at a third of this")
+		budgetRate   = fs.Float64("budget-rate", 0, "fleet-wide probe ceiling per destination /24 prefix, probes/second (0 = unmetered)")
+		budgetBurst  = fs.Float64("budget-burst", 0, "probe budget burst depth (0 = same as -budget-rate)")
+		listen       = fs.String("listen", ":8460", "HTTP listen address (port 0 picks a free port; the bound address is printed)")
+		resume       = fs.Bool("resume", false, "restore shipped units from the manifest in -dir")
+		prog         = fs.Bool("progress", false, "report fleet progress to stderr while running")
+		linger       = fs.Duration("linger", 2*time.Second, "serve this long after the merge so polling runners hear done")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "usage: surveyd -dir work/ [-level ip] [-pairs N] [-out merged.jsonl] [-atlas merged.atlas] [-listen :8460]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: surveyd -dir work/ [-level ip] [-pairs N] [-out merged.jsonl] [-atlas merged.atlas] [-listen :8460]")
+		return 2
 	}
 	switch *level {
 	case "ip", "router":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown level %q (ip or router)\n", *level)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown level %q (ip or router)\n", *level)
+		return 2
 	}
 	if *out == "" && *atlasOut == "" {
-		fmt.Fprintln(os.Stderr, "surveyd needs at least one of -out or -atlas: a survey with no merged output is wasted probing")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "surveyd needs at least one of -out or -atlas: a survey with no merged output is wasted probing")
+		return 2
 	}
+
+	// Bind before the coordinator touches -dir: a busy address fails
+	// here, with nothing written.
+	l, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintf(stderr, "surveyd: %v\n", err)
+		return 1
+	}
+	defer l.Close()
 
 	coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
 		Spec: dispatch.Spec{
@@ -86,22 +109,22 @@ func main() {
 		LeaseTTL:     *leaseTTL,
 		Resume:       *resume,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	fleet := coord.Fleet()
 
 	srv := &http.Server{
-		Addr:              *listen,
 		Handler:           coord.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	defer srv.Close()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe() }()
+	go func() { serveErr <- srv.Serve(l) }()
 
 	if *prog {
 		go func() {
@@ -110,7 +133,7 @@ func main() {
 			for {
 				select {
 				case <-t.C:
-					fmt.Fprintln(os.Stderr, fleet.Snapshot())
+					fmt.Fprintln(stderr, fleet.Snapshot())
 				case <-coord.Done():
 					return
 				}
@@ -119,29 +142,29 @@ func main() {
 	}
 
 	st := coord.Status()
-	fmt.Fprintf(os.Stderr, "surveyd: coordinating %d units (%d pairs, level %s) on %s\n",
-		st.Units, *pairs, *level, *listen)
+	fmt.Fprintf(stderr, "surveyd: coordinating %d units (%d pairs, level %s) on %s\n",
+		st.Units, *pairs, *level, l.Addr())
 
 	select {
 	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "surveyd: serve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "surveyd: serve: %v\n", err)
+		return 1
 	case <-coord.Done():
 	}
 	if err := coord.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "surveyd: merge: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "surveyd: merge: %v\n", err)
+		return 1
 	}
-	fmt.Fprintln(os.Stderr, fleet.Snapshot())
+	fmt.Fprintln(stderr, fleet.Snapshot())
 	if *out != "" {
-		fmt.Printf("wrote merged record log to %s\n", *out)
+		fmt.Fprintf(stdout, "wrote merged record log to %s\n", *out)
 	}
 	if *atlasOut != "" {
-		fmt.Printf("wrote merged atlas snapshot to %s\n", *atlasOut)
+		fmt.Fprintf(stdout, "wrote merged atlas snapshot to %s\n", *atlasOut)
 	}
-	fmt.Print(coord.Summary())
+	fmt.Fprint(stdout, coord.Summary())
 	// Keep answering /v1/claim with "done" briefly so runners exit
 	// cleanly rather than erroring on a vanished coordinator.
 	time.Sleep(*linger)
-	_ = srv.Close()
+	return 0
 }

@@ -1,10 +1,17 @@
 package dispatch
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mmlpt/internal/packet"
+	"mmlpt/internal/probe"
 )
 
 // TestBudgetSlidingWindowCeiling simulates a 3-runner fleet hammering
@@ -119,5 +126,51 @@ func TestBudgetBurstFloor(t *testing.T) {
 	prefix := Prefix24(packet.Addr(0x0a000001))
 	if g, _ := b.Take(prefix, 1); g != 1 {
 		t.Fatalf("burst floor: granted %d, want 1", g)
+	}
+}
+
+// echoStub answers echo batches with no replies; nothing else is called.
+type echoStub struct{ probe.Prober }
+
+func (echoStub) EchoBatch(specs []probe.EchoSpec) []*packet.Reply {
+	return make([]*packet.Reply, len(specs))
+}
+
+// TestEchoBatchChargesInOrder: a metered echo batch asks the budget for
+// each /24 it touches once, in order of the prefix's first probe, for
+// all of that prefix's probes — the same requests in the same order on
+// every run.
+func TestEchoBatchChargesInOrder(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	var got []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req budgetRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		got = append(got, fmt.Sprintf("%s:%d", req.Prefix, req.Want))
+		mu.Unlock()
+		writeJSON(w, http.StatusOK, budgetResponse{Granted: req.Want})
+	}))
+	defer srv.Close()
+
+	var specs []probe.EchoSpec
+	for _, a := range []string{"10.0.3.1", "10.0.1.1", "10.0.3.2", "10.0.2.1", "10.0.1.9"} {
+		specs = append(specs, probe.EchoSpec{Addr: packet.MustParseAddr(a)})
+	}
+	for i := 0; i < 70; i++ {
+		specs = append(specs, probe.EchoSpec{Addr: packet.MustParseAddr("10.0.2.7")})
+	}
+	want := "10.0.3.0:64 10.0.1.0:64 10.0.2.0:71" // at least one 64-token chunk
+	for run := 0; run < 20; run++ {
+		got = nil
+		r := &runner{cfg: RunnerConfig{ID: "r"}, base: srv.URL, client: srv.Client(), logf: t.Logf}
+		m := &meteredProber{Prober: echoStub{}, budget: &budgetClient{r: r, avail: make(map[packet.Addr]int)}}
+		m.EchoBatch(specs)
+		if s := strings.Join(got, " "); s != want {
+			t.Fatalf("run %d: budget requests %q, want %q", run, s, want)
+		}
 	}
 }

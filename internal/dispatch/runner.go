@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -424,13 +425,26 @@ func (m *meteredProber) Echo(addr packet.Addr, seq uint16) *packet.Reply {
 	return m.Prober.Echo(addr, seq)
 }
 
+// EchoBatch charges each /24 the batch touches once, for all its probes,
+// in order of the prefix's first probe: the budget requests a batch makes
+// are the same, in the same order, on every run.
 func (m *meteredProber) EchoBatch(specs []probe.EchoSpec) []*packet.Reply {
-	perPrefix := make(map[packet.Addr]int)
-	for _, sp := range specs {
-		perPrefix[Prefix24(sp.Addr)]++
+	type charge struct {
+		prefix packet.Addr
+		n      int
 	}
-	for prefix, n := range perPrefix {
-		m.budget.acquire(prefix, n)
+	var charges []charge
+	for _, sp := range specs {
+		prefix := Prefix24(sp.Addr)
+		i := slices.IndexFunc(charges, func(c charge) bool { return c.prefix == prefix })
+		if i < 0 {
+			i = len(charges)
+			charges = append(charges, charge{prefix: prefix})
+		}
+		charges[i].n++
+	}
+	for _, c := range charges {
+		m.budget.acquire(c.prefix, c.n)
 	}
 	return m.Prober.EchoBatch(specs)
 }

@@ -103,13 +103,10 @@ func appendRouterLine(buf []byte, rt *AtlasRouter) []byte {
 	return append(buf, "}\n"...)
 }
 
-// maxIntDigits bounds the integers the parser reads itself, so the
-// value cannot overflow an int; longer ones go to encoding/json.
-const maxIntDigits = strconv.IntSize*3/10 - 1
-
-// lineParser reads one line in exactly the form the encoders above
-// write. The first deviation clears ok; once clear, every method is a
-// no-op.
+// lineParser reads one line in exactly the form the encoders write: the
+// atlas node and router lines above and the record lines of
+// record_lines.go. The first deviation clears ok; once clear, every
+// method is a no-op.
 type lineParser struct {
 	s  string
 	i  int
@@ -168,31 +165,111 @@ func (p *lineParser) str() string {
 	return v
 }
 
-// num reads an integer as json.Marshal writes one: an optional minus,
-// no leading zero, no "-0", at most maxIntDigits digits.
-func (p *lineParser) num() int {
+// require clears ok unless cond holds.
+func (p *lineParser) require(cond bool) {
+	if !cond {
+		p.ok = false
+	}
+}
+
+// boolean reads true or false.
+func (p *lineParser) boolean() bool {
+	if p.skip("true") {
+		return true
+	}
+	p.lit("false")
+	return false
+}
+
+// intToken consumes an integer token as json.Marshal writes one — a
+// minus where signed, then digits with no leading zero, and no "-0" —
+// and returns it.
+func (p *lineParser) intToken(signed bool) string {
+	if !p.ok {
+		return ""
+	}
+	j := p.i
+	if signed && j < len(p.s) && p.s[j] == '-' {
+		j++
+	}
+	k := j
+	for k < len(p.s) && p.s[k] >= '0' && p.s[k] <= '9' {
+		k++
+	}
+	if k == j || (p.s[j] == '0' && (k-j > 1 || j > p.i)) {
+		p.ok = false
+		return ""
+	}
+	tok := p.s[p.i:k]
+	p.i = k
+	return tok
+}
+
+// integer reads a canonical integer that fits in a signed integer of
+// the given bit size.
+func (p *lineParser) integer(bits int) int64 {
+	tok := p.intToken(true)
+	if !p.ok {
+		return 0
+	}
+	v, err := strconv.ParseInt(tok, 10, bits)
+	if err != nil {
+		p.ok = false
+	}
+	return v
+}
+
+// num reads a canonical int.
+func (p *lineParser) num() int { return int(p.integer(strconv.IntSize)) }
+
+// unsigned reads a canonical uint64.
+func (p *lineParser) unsigned() uint64 {
+	tok := p.intToken(false)
+	if !p.ok {
+		return 0
+	}
+	v, err := strconv.ParseUint(tok, 10, 64)
+	if err != nil {
+		p.ok = false
+	}
+	return v
+}
+
+// float reads a float64 as json.Marshal writes one: a number token that
+// appendJSONFloat renders back to itself, so "1.50", "1E2" or a value
+// out of range are refused.
+func (p *lineParser) float() float64 {
 	if !p.ok {
 		return 0
 	}
 	j := p.i
-	neg := j < len(p.s) && p.s[j] == '-'
-	if neg {
+	for j < len(p.s) && strings.IndexByte("0123456789.-+e", p.s[j]) >= 0 {
 		j++
 	}
-	k, v := j, 0
-	for k < len(p.s) && k-j < maxIntDigits && p.s[k] >= '0' && p.s[k] <= '9' {
-		v = v*10 + int(p.s[k]-'0')
-		k++
-	}
-	if k == j || (p.s[j] == '0' && (k-j > 1 || neg)) || (k < len(p.s) && p.s[k] >= '0' && p.s[k] <= '9') {
+	tok := p.s[p.i:j]
+	v, err := strconv.ParseFloat(tok, 64)
+	var buf [32]byte
+	if err != nil || string(appendJSONFloat(buf[:0], v)) != tok {
 		p.ok = false
 		return 0
 	}
-	p.i = k
-	if neg {
-		return -v
-	}
+	p.i = j
 	return v
+}
+
+// array reads a JSON array (not null), calling elem once per element.
+func (p *lineParser) array(elem func()) {
+	p.char('[')
+	if p.skipChar(']') {
+		return
+	}
+	for p.ok {
+		elem()
+		if !p.skipChar(',') {
+			break
+		}
+	}
+	p.char(']')
 }
 
 // pairs reads null or an array of [p,h] pairs into *dst and reports
@@ -202,22 +279,14 @@ func (p *lineParser) pairs(dst *[][2]int) (null bool) {
 	if p.skip("null") {
 		return true
 	}
-	p.char('[')
-	if p.skipChar(']') {
-		return false
-	}
-	for p.ok {
+	p.array(func() {
 		p.char('[')
 		a := p.num()
 		p.char(',')
 		b := p.num()
 		p.char(']')
 		*dst = append(*dst, [2]int{a, b})
-		if !p.skipChar(',') {
-			break
-		}
-	}
-	p.char(']')
+	})
 	return false
 }
 
@@ -228,17 +297,7 @@ func (p *lineParser) strs(dst *[]string) (null bool) {
 	if p.skip("null") {
 		return true
 	}
-	p.char('[')
-	if p.skipChar(']') {
-		return false
-	}
-	for p.ok {
-		*dst = append(*dst, p.str())
-		if !p.skipChar(',') {
-			break
-		}
-	}
-	p.char(']')
+	p.array(func() { *dst = append(*dst, p.str()) })
 	return false
 }
 

@@ -2,10 +2,12 @@ package traceio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"mmlpt/internal/alias"
 	"mmlpt/internal/core"
@@ -149,30 +151,81 @@ func (sr *SurveyRecord) check() error {
 	return nil
 }
 
-// WriteJSONL appends the record as one JSON line.
+// lineBufs recycles WriteJSONL's line buffers.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteJSONL appends the record as one JSON line, in one Write: the
+// bytes json.NewEncoder(w).Encode(sr) writes.
 func (sr *SurveyRecord) WriteJSONL(w io.Writer) error {
-	return json.NewEncoder(w).Encode(sr)
+	bp := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(bp)
+	line, err := appendRecordLine((*bp)[:0], sr)
+	*bp = line
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(line)
+	return err
 }
 
 // DecodeSurveyRecords streams records to fn until EOF or the first
 // error. A record that fails to unmarshal or fails the structural checks
 // is an error; fn errors abort the scan and are returned verbatim.
+//
+// Lines in the record encoder's own form are parsed by hand. From the
+// first line that is not, the rest of the stream goes to encoding/json,
+// so what is accepted, what it decodes to and every error are
+// encoding/json's.
 func DecodeSurveyRecords(r io.Reader, fn func(*SurveyRecord) error) error {
-	dec := json.NewDecoder(r)
+	br := bufio.NewReaderSize(r, 64<<10)
+	var d recordParser
+	var long []byte // a line longer than br's buffer, gathered
 	for n := 0; ; n++ {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		sr := new(SurveyRecord)
+		if err != nil || !d.parse(string(line[:len(line)-1]), sr) {
+			if len(line) == 0 && err == io.EOF {
+				return nil
+			}
+			return decodeJSONRecords(io.MultiReader(bytes.NewReader(line), br), n, fn)
+		}
+		if err := sr.emit(n, fn); err != nil {
+			return err
+		}
+	}
+}
+
+// decodeJSONRecords is DecodeSurveyRecords through encoding/json, for
+// a stream whose first record is record n.
+func decodeJSONRecords(r io.Reader, n int, fn func(*SurveyRecord) error) error {
+	dec := json.NewDecoder(r)
+	for ; ; n++ {
 		sr := new(SurveyRecord)
 		if err := dec.Decode(sr); err == io.EOF {
 			return nil
 		} else if err != nil {
 			return err
 		}
-		if err := sr.check(); err != nil {
-			return fmt.Errorf("record %d (pair %d): %w", n, sr.PairIndex, err)
-		}
-		if err := fn(sr); err != nil {
+		if err := sr.emit(n, fn); err != nil {
 			return err
 		}
 	}
+}
+
+// emit runs the structural checks on decoded record n, then fn.
+func (sr *SurveyRecord) emit(n int, fn func(*SurveyRecord) error) error {
+	if err := sr.check(); err != nil {
+		return fmt.Errorf("record %d (pair %d): %w", n, sr.PairIndex, err)
+	}
+	return fn(sr)
 }
 
 // addrLists is a JSON array of address lists: dotted quads, "*" for a
@@ -181,7 +234,12 @@ func DecodeSurveyRecords(r io.Reader, fn func(*SurveyRecord) error) error {
 type addrLists [][]packet.Addr
 
 func (ls addrLists) MarshalJSON() ([]byte, error) {
-	b := append(make([]byte, 0, 64*len(ls)), '[')
+	return ls.append(make([]byte, 0, 64*len(ls))), nil
+}
+
+// append appends the lists' JSON array.
+func (ls addrLists) append(b []byte) []byte {
+	b = append(b, '[')
 	for i, l := range ls {
 		if i > 0 {
 			b = append(b, ',')
@@ -199,7 +257,7 @@ func (ls addrLists) MarshalJSON() ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	return append(b, ']'), nil
+	return append(b, ']')
 }
 
 func (ls *addrLists) UnmarshalJSON(data []byte) error {
