@@ -209,13 +209,17 @@ func (p *lineParser) intToken(signed bool) string {
 // the given bit size.
 func (p *lineParser) integer(bits int) int64 {
 	tok := p.intToken(true)
-	if !p.ok {
-		return 0
+	digits := strings.TrimPrefix(tok, "-")
+	if len(digits) > 18 { // may not fit an int64: let strconv judge
+		v, err := strconv.ParseInt(tok, 10, bits)
+		p.require(err == nil)
+		return v
 	}
-	v, err := strconv.ParseInt(tok, 10, bits)
-	if err != nil {
-		p.ok = false
+	v := int64(decimal(digits))
+	if len(digits) < len(tok) {
+		v = -v
 	}
+	p.require(bits == 64 || (v >= -1<<(bits-1) && v < 1<<(bits-1)))
 	return v
 }
 
@@ -225,12 +229,19 @@ func (p *lineParser) num() int { return int(p.integer(strconv.IntSize)) }
 // unsigned reads a canonical uint64.
 func (p *lineParser) unsigned() uint64 {
 	tok := p.intToken(false)
-	if !p.ok {
-		return 0
+	if len(tok) > 19 { // may not fit a uint64: let strconv judge
+		v, err := strconv.ParseUint(tok, 10, 64)
+		p.require(err == nil)
+		return v
 	}
-	v, err := strconv.ParseUint(tok, 10, 64)
-	if err != nil {
-		p.ok = false
+	return decimal(tok)
+}
+
+// decimal returns the value of a string of at most 19 decimal digits.
+func decimal(digits string) uint64 {
+	var v uint64
+	for i := 0; i < len(digits); i++ {
+		v = v*10 + uint64(digits[i]-'0')
 	}
 	return v
 }

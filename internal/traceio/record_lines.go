@@ -174,18 +174,32 @@ func (d *SurveyDiamond) append(buf []byte) []byte {
 }
 
 // addr reads a quoted address as the record encoder writes one: "*" for
-// a star, otherwise a dotted quad that renders back to itself, so
-// "010.0.0.1" and "0.0.0.0" (which renders as "*") are refused.
+// a star, otherwise a dotted quad of four decimal octets without leading
+// zeros. So "010.0.0.1", "1.2.3" and "0.0.0.0" (which renders as "*")
+// are refused.
 func (p *lineParser) addr() packet.Addr {
-	s := p.str()
-	if !p.ok || s == "*" {
+	if p.skip(`"*"`) || !p.ok {
 		return topo.StarAddr
 	}
-	a, err := packet.ParseAddr(s)
-	var buf [15]byte
-	if err != nil || a == topo.StarAddr || string(a.AppendText(buf[:0])) != s {
-		p.ok = false
+	s, i := p.s, p.i
+	var a packet.Addr
+	ok := i < len(s) && s[i] == '"'
+	for k := 0; k < 4 && ok; k++ {
+		i++ // past the quote or the dot
+		start, o := i, packet.Addr(0)
+		for i < len(s) && i-start < 3 && s[i] >= '0' && s[i] <= '9' {
+			o = o*10 + packet.Addr(s[i]-'0')
+			i++
+		}
+		ok = i > start && o <= 255 && (s[start] != '0' || i == start+1) &&
+			(k == 3 || i < len(s) && s[i] == '.')
+		a = a<<8 | o
 	}
+	if !ok || i >= len(s) || s[i] != '"' || a == topo.StarAddr {
+		p.ok = false
+		return topo.StarAddr
+	}
+	p.i = i + 1
 	return a
 }
 

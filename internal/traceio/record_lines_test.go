@@ -108,6 +108,10 @@ func FuzzRecordLines(f *testing.F) {
 	} {
 		f.Add(line, "10.0.0.1", int64(7), math.Float64bits(0.5), math.Float64bits(1.0/3))
 	}
+	for _, a := range []string{"1.2.3", "1.2.3.4.5", "256.0.0.1", "1.2.3.04", "1.2.3.4 ", "1..3.4", "255.255.255.255", "0.0.0.1", "*1"} {
+		line := bytes.Replace(r0, []byte(`"10.0.0.1"]`), []byte(`"`+a+`"]`), 1)
+		f.Add(line, "*", int64(-1), uint64(0), uint64(1))
+	}
 	for _, x := range []float64{5e-324, math.Copysign(0, -1), 1e-7, 1e-6, 1e21, 1e20, 123456789, math.MaxFloat64, math.NaN(), math.Inf(-1)} {
 		f.Add([]byte(nil), "a<b>&c\"\\", int64(math.MinInt64), math.Float64bits(x), math.Float64bits(-x))
 	}
