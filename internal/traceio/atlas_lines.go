@@ -183,40 +183,40 @@ func (p *lineParser) boolean() bool {
 
 // intToken consumes an integer token as json.Marshal writes one — a
 // minus where signed, then digits with no leading zero, and no "-0" —
-// and returns it.
-func (p *lineParser) intToken(signed bool) string {
+// and returns it with the value of its digits, exact for up to 19.
+func (p *lineParser) intToken(signed bool) (tok string, mag uint64) {
 	if !p.ok {
-		return ""
+		return "", 0
 	}
 	j := p.i
 	if signed && j < len(p.s) && p.s[j] == '-' {
 		j++
 	}
 	k := j
-	for k < len(p.s) && p.s[k] >= '0' && p.s[k] <= '9' {
-		k++
+	for ; k < len(p.s) && p.s[k] >= '0' && p.s[k] <= '9'; k++ {
+		mag = mag*10 + uint64(p.s[k]-'0')
 	}
 	if k == j || (p.s[j] == '0' && (k-j > 1 || j > p.i)) {
 		p.ok = false
-		return ""
+		return "", 0
 	}
-	tok := p.s[p.i:k]
+	tok = p.s[p.i:k]
 	p.i = k
-	return tok
+	return tok, mag
 }
 
 // integer reads a canonical integer that fits in a signed integer of
 // the given bit size.
 func (p *lineParser) integer(bits int) int64 {
-	tok := p.intToken(true)
-	digits := strings.TrimPrefix(tok, "-")
-	if len(digits) > 18 { // may not fit an int64: let strconv judge
+	tok, mag := p.intToken(true)
+	neg := tok != "" && tok[0] == '-'
+	if len(tok) > 18 { // may not fit an int64: let strconv judge
 		v, err := strconv.ParseInt(tok, 10, bits)
 		p.require(err == nil)
 		return v
 	}
-	v := int64(decimal(digits))
-	if len(digits) < len(tok) {
+	v := int64(mag)
+	if neg {
 		v = -v
 	}
 	p.require(bits == 64 || (v >= -1<<(bits-1) && v < 1<<(bits-1)))
@@ -228,22 +228,13 @@ func (p *lineParser) num() int { return int(p.integer(strconv.IntSize)) }
 
 // unsigned reads a canonical uint64.
 func (p *lineParser) unsigned() uint64 {
-	tok := p.intToken(false)
+	tok, mag := p.intToken(false)
 	if len(tok) > 19 { // may not fit a uint64: let strconv judge
 		v, err := strconv.ParseUint(tok, 10, 64)
 		p.require(err == nil)
 		return v
 	}
-	return decimal(tok)
-}
-
-// decimal returns the value of a string of at most 19 decimal digits.
-func decimal(digits string) uint64 {
-	var v uint64
-	for i := 0; i < len(digits); i++ {
-		v = v*10 + uint64(digits[i]-'0')
-	}
-	return v
+	return mag
 }
 
 // float reads a float64 as json.Marshal writes one: a number token that

@@ -2,7 +2,6 @@ package traceio_test
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"mmlpt/internal/experiments"
@@ -51,22 +50,14 @@ func TestRecordCodecAllocs(t *testing.T) {
 			}
 		}
 	}) / n
-	write := testing.AllocsPerRun(10, func() {
-		for _, rec := range recs {
-			if err := rec.WriteJSONL(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}) / n
-	t.Logf("%d records, %d B: decode %.2f allocs/record, appendRecordLine %.2f, WriteJSONL %.2f",
-		len(recs), jsonl.Len(), decode, encode, write)
+	t.Logf("%d records, %d B: decode %.2f allocs/record, appendRecordLine %.2f",
+		len(recs), jsonl.Len(), decode, encode)
 	for _, c := range []struct {
 		name       string
 		got, bound float64
 	}{
 		{"DecodeSurveyRecords", decode, 8},
 		{"appendRecordLine", encode, 0},
-		{"WriteJSONL", write, 0.05},
 	} {
 		if c.got > c.bound {
 			t.Errorf("%s: %.2f allocs/record, pinned at most %v", c.name, c.got, c.bound)
