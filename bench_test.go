@@ -1,10 +1,10 @@
 package mmlpt
 
-// The benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation (run with `go test -bench=. -benchmem`), plus
-// ablation benches for the design choices DESIGN.md calls out. Benchmark
-// scale is reduced relative to the paper (the full scale is available via
-// cmd/paperfig -scale); the shape assertions live in the test suites.
+// Micro-benchmarks (run with `go test -bench=. -benchmem`): ablation
+// benches for the design choices DESIGN.md calls out, the survey engine
+// and the simulated probe round trip. The paper's tables and figures are
+// regenerated by cmd/paperfig and pinned by the test suites; end-to-end
+// performance is `go run ./bench`.
 
 import (
 	"path/filepath"
@@ -13,7 +13,6 @@ import (
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/atlas/serve"
-	"mmlpt/internal/experiments"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
 	"mmlpt/internal/mdalite"
@@ -27,168 +26,6 @@ var (
 	benchSrc = packet.MustParseAddr("192.0.2.1")
 	benchDst = packet.MustParseAddr("198.51.100.77")
 )
-
-// BenchmarkFig1DiamondCost regenerates the Sec 2.1/2.3.1 worked example:
-// MDA vs MDA-Lite probe counts on the Fig 1 diamonds.
-func BenchmarkFig1DiamondCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig1(experiments.Fig1Config{Runs: 5, Seed: uint64(i)})
-	}
-}
-
-// BenchmarkFig2MeshingDetection regenerates the Fig 2 CDFs: Eq. (1)
-// missing-meshing probabilities over the survey's meshed hop pairs.
-func BenchmarkFig2MeshingDetection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.IPSurvey(experiments.SurveyConfig{Pairs: 150, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res.MeshMissCDF(survey.Measured)
-		_ = res.MeshMissCDF(survey.Distinct)
-	}
-}
-
-// BenchmarkFig3SimTopologies regenerates the Fig 3 discovery curves on the
-// four Sec 2.4.1 topologies.
-func BenchmarkFig3SimTopologies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig3(experiments.Fig3Config{Runs: 5, Seed: uint64(i)})
-	}
-}
-
-// BenchmarkFig4Comparative regenerates the Fig 4 ratio CDFs (five tool
-// variants over diamond-bearing pairs).
-func BenchmarkFig4Comparative(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig4(experiments.Fig4Config{Pairs: 30, Seed: uint64(i)})
-	}
-}
-
-// BenchmarkTable1Aggregate regenerates the Table 1 aggregated-topology
-// ratios (same pipeline as Fig 4; kept separate so the table has its own
-// bench target).
-func BenchmarkTable1Aggregate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4(experiments.Fig4Config{Pairs: 30, Seed: uint64(i) + 1000})
-		_ = r.Table1
-	}
-}
-
-// BenchmarkSec3FailureValidation regenerates the Fakeroute statistical
-// validation of the MDA failure bound on the simplest diamond.
-func BenchmarkSec3FailureValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Sec3Validation(experiments.Sec3Config{
-			Samples: 5, RunsPerSample: 100, Seed: uint64(i),
-		})
-	}
-}
-
-// BenchmarkFig5AliasRounds regenerates the round-by-round alias
-// resolution precision/recall/probe-ratio evaluation.
-func BenchmarkFig5AliasRounds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig5(experiments.Fig5Config{Pairs: 10, Rounds: 4, Seed: uint64(i)})
-	}
-}
-
-// BenchmarkTable2DirectIndirect regenerates the indirect-vs-direct alias
-// outcome matrix.
-func BenchmarkTable2DirectIndirect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table2(experiments.Table2Config{Pairs: 10, Rounds: 3, Seed: uint64(i)})
-	}
-}
-
-// BenchmarkFig7WidthAsymmetry through BenchmarkFig11Joint regenerate the
-// Sec 5.1 IP-level survey figures.
-func BenchmarkFig7WidthAsymmetry(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
-		_ = r.WidthAsymmetryDist(survey.Measured)
-		_ = r.WidthAsymmetryDist(survey.Distinct)
-	})
-}
-
-func BenchmarkFig8MaxProbDiff(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
-		_ = r.MaxProbDiffCDF(survey.Measured)
-		_ = r.MaxProbDiffCDF(survey.Distinct)
-	})
-}
-
-func BenchmarkFig9MeshedRatio(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
-		_ = r.MeshedRatioCDF(survey.Measured)
-		_ = r.MeshedRatioCDF(survey.Distinct)
-	})
-}
-
-func BenchmarkFig10LengthWidth(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
-		_ = r.LengthDist(survey.Measured)
-		_ = r.WidthDist(survey.Measured)
-		_ = r.LengthDist(survey.Distinct)
-		_ = r.WidthDist(survey.Distinct)
-	})
-}
-
-func BenchmarkFig11Joint(b *testing.B) {
-	benchIPSurveyFigure(b, func(r *survey.RecordAggregate) {
-		_ = r.JointLengthWidth(survey.Measured)
-		_ = r.JointLengthWidth(survey.Distinct)
-	})
-}
-
-func benchIPSurveyFigure(b *testing.B, extract func(*survey.RecordAggregate)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.IPSurvey(experiments.SurveyConfig{Pairs: 150, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		extract(res)
-	}
-}
-
-// BenchmarkFig12RouterSizes, BenchmarkTable3AliasEffect, BenchmarkFig13 and
-// BenchmarkFig14 regenerate the Sec 5.2 router-level survey artifacts.
-func BenchmarkFig12RouterSizes(b *testing.B) {
-	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
-		_, _ = agg.RouterSizeCDFs()
-	})
-}
-
-func BenchmarkTable3AliasEffect(b *testing.B) {
-	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
-		_ = agg.Table3()
-	})
-}
-
-func BenchmarkFig13WidthBeforeAfter(b *testing.B) {
-	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
-		_, _ = agg.WidthBeforeAfter()
-	})
-}
-
-func BenchmarkFig14JointBeforeAfter(b *testing.B) {
-	benchRouterSurvey(b, func(agg *survey.RecordAggregate) {
-		_ = agg.JointWidthBeforeAfter()
-	})
-}
-
-func benchRouterSurvey(b *testing.B, extract func(*survey.RecordAggregate)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		agg, err := experiments.RouterSurvey(experiments.SurveyConfig{
-			Pairs: 30, Seed: uint64(i), Rounds: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		extract(agg)
-	}
-}
 
 // ---- Ablation benches (DESIGN.md "design choices") ----
 

@@ -65,17 +65,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("survey", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	specOf := dispatch.SpecFlags(fs)
 	var (
-		level        = fs.String("level", "ip", "survey level: ip or router")
-		pairs        = fs.Int("pairs", 1000, "number of source-destination pairs")
-		seed         = fs.Uint64("seed", 1, "random seed")
-		phi          = fs.Int("phi", 2, "MDA-Lite meshing budget")
-		rounds       = fs.Int("rounds", 10, "alias rounds (router level)")
 		workers      = fs.Int("workers", 0, "concurrent trace workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		figs         = fs.Bool("figs", false, "also print full figure series")
 		out          = fs.String("out", "", "stream per-trace survey records to this JSONL file as pairs complete")
 		atlasOut     = fs.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
-		atlasShards  = fs.Int("atlas-shards", 0, "atlas ingestion shards (0 = default; snapshot bytes are identical for every value)")
 		atlasWorkers = fs.Int("atlas-workers", 0, "atlas merge workers for snapshot writes (0 = GOMAXPROCS, 1 = serial; snapshot bytes are identical for every value)")
 		atlasEvery   = fs.Int("atlas-publish-every", 0, "with -atlas: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
 		priorPath    = fs.String("prior", "", "seed traces from this atlas snapshot: pairs the atlas has seen probe only to their confirmation budget (ip level, switches the tracer to MDA-Lite)")
@@ -97,6 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		liveRetries = fs.Int("live-retries", 2, "live mode: re-sends per unanswered probe")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	spec, err := specOf()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -134,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		err := runLive(liveOptions{
 			Out: stdout, Src: *liveSrc, Dests: *liveDests,
-			Phi: *phi, Seed: *seed,
+			Phi: spec.Phi, Seed: spec.Seed,
 			Batch: *liveBatch, Timeout: *liveTimeout, Retries: *liveRetries,
 			Figs: *figs,
 		})
@@ -155,9 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Without the record log there is nothing to replay: the summary
 		// and figures would silently cover only the resumed tail.
 		usage = "-resume requires -out (the JSONL record log is what resume replays)"
-	case *level != "ip" && *level != "router":
-		usage = fmt.Sprintf("unknown level %q (ip or router)", *level)
-	case *priorPath != "" && *level != "ip":
+	case *priorPath != "" && spec.Level != "ip":
 		usage = "-prior applies to the ip-level survey only"
 	case *atlasEvery > 0 && *atlasOut == "":
 		usage = "-atlas-publish-every requires -atlas"
@@ -187,9 +185,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	err := func() error {
+	err = func() error {
 		cfg := experiments.SurveyConfig{
-			Pairs: *pairs, Seed: *seed, Phi: *phi, Rounds: *rounds, Workers: *workers,
+			Pairs: spec.Pairs, Seed: spec.Seed, Phi: spec.Phi, Rounds: spec.Rounds, Workers: *workers,
 			Checkpoint: *ckpt, CheckpointEvery: *every, Resume: *resume,
 		}
 		if *priorPath != "" {
@@ -212,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		var atlasSink *survey.AtlasSink
 		if *atlasOut != "" {
-			atlasSink = survey.NewAtlasSink(atlas.Options{Shards: *atlasShards, MergeWorkers: *atlasWorkers})
+			atlasSink = survey.NewAtlasSink(atlas.Options{MergeWorkers: *atlasWorkers})
 			if *atlasEvery > 0 {
 				atlasSink.PublishDeltas(*atlasOut, *atlasEvery)
 			}
@@ -243,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		trace := experiments.IPSurvey
-		if *level == "router" {
+		if spec.Level == "router" {
 			trace = experiments.RouterSurvey
 		}
 		agg, err := trace(cfg)
@@ -285,13 +283,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// its tables always print, its figures with -figs.
 		fmt.Fprint(stdout, agg.Summary())
 		for _, a := range experiments.Artifacts {
-			if a.Level == *level && a.Table != 0 {
+			if a.Level == spec.Level && a.Table != 0 {
 				fmt.Fprintln(stdout, a.Format(agg))
 			}
 		}
 		if *figs {
 			for _, a := range experiments.Artifacts {
-				if a.Level == *level && a.Fig != 0 {
+				if a.Level == spec.Level && a.Fig != 0 {
 					fmt.Fprintln(stdout, a.Format(agg))
 				}
 			}

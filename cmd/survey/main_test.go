@@ -94,6 +94,10 @@ func TestUsageErrors(t *testing.T) {
 		{"prior at router level", []string{"-level", "router", "-prior", "p.atlas"}},
 		{"publish without atlas", []string{"-atlas-publish-every", "5"}},
 		{"unknown level", []string{"-level", "as", "-out", "o.jsonl", "-atlas", "a.atlas"}},
+		{"negative pairs", []string{"-pairs", "-1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
+		{"negative rounds", []string{"-level", "router", "-rounds", "-1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
+		{"phi below the minimum", []string{"-phi", "1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
+		{"atlas shards", []string{"-atlas-shards", "4", "-out", "o.jsonl", "-atlas", "a.atlas"}},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

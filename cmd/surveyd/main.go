@@ -50,16 +50,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("surveyd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	specOf := dispatch.SpecFlags(fs)
 	var (
-		level        = fs.String("level", "ip", "survey level: ip or router")
-		pairs        = fs.Int("pairs", 1000, "number of source-destination pairs")
-		seed         = fs.Uint64("seed", 1, "random seed")
-		phi          = fs.Int("phi", 2, "MDA-Lite meshing budget")
-		rounds       = fs.Int("rounds", 10, "alias rounds (router level)")
 		dir          = fs.String("dir", "", "work directory for shards and the manifest (required)")
 		out          = fs.String("out", "", "write the merged survey record log (JSONL) here")
 		atlasOut     = fs.String("atlas", "", "write the merged atlas snapshot here")
-		atlasShards  = fs.Int("atlas-shards", 0, "atlas ingestion shards (0 = default; snapshot bytes are identical for every value)")
 		atlasWorkers = fs.Int("atlas-workers", 0, "atlas merge workers (0 = GOMAXPROCS; snapshot bytes are identical for every value)")
 		unitSize     = fs.Int("unit-size", dispatch.DefaultUnitSize, "survey pairs per work unit")
 		leaseTTL     = fs.Duration("lease-ttl", dispatch.DefaultLeaseTTL, "lease duration; runners heartbeat at a third of this")
@@ -78,10 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: surveyd -dir work/ [-level ip] [-pairs N] [-out merged.jsonl] [-atlas merged.atlas] [-listen :8460]")
 		return 2
 	}
-	switch *level {
-	case "ip", "router":
-	default:
-		fmt.Fprintf(stderr, "unknown level %q (ip or router)\n", *level)
+	spec, err := specOf()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if *out == "" && *atlasOut == "" {
@@ -98,13 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer l.Close()
 
+	spec.BudgetRate, spec.BudgetBurst = *budgetRate, *budgetBurst
 	coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
-		Spec: dispatch.Spec{
-			Level: *level, Pairs: *pairs, Seed: *seed, Phi: *phi, Rounds: *rounds,
-			BudgetRate: *budgetRate, BudgetBurst: *budgetBurst,
-		},
-		Dir: *dir, OutJSONL: *out, AtlasPath: *atlasOut,
-		AtlasOptions: atlas.Options{Shards: *atlasShards, MergeWorkers: *atlasWorkers},
+		Spec: spec,
+		Dir:  *dir, OutJSONL: *out, AtlasPath: *atlasOut,
+		AtlasOptions: atlas.Options{MergeWorkers: *atlasWorkers},
 		UnitSize:     *unitSize,
 		LeaseTTL:     *leaseTTL,
 		Resume:       *resume,
@@ -143,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	st := coord.Status()
 	fmt.Fprintf(stderr, "surveyd: coordinating %d units (%d pairs, level %s) on %s\n",
-		st.Units, *pairs, *level, l.Addr())
+		st.Units, spec.Pairs, spec.Level, l.Addr())
 
 	select {
 	case err := <-serveErr:

@@ -54,6 +54,10 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown level", []string{"-dir", "work", "-level", "as", "-out", "o.jsonl"}, 2},
 		{"no output", []string{"-dir", "work"}, 2},
 		{"unknown flag", []string{"-dir", "work", "-out", "o.jsonl", "-shards", "3"}, 2},
+		{"negative pairs", []string{"-dir", "work", "-out", "o.jsonl", "-pairs", "-1"}, 2},
+		{"negative rounds", []string{"-dir", "work", "-out", "o.jsonl", "-level", "router", "-rounds", "-1"}, 2},
+		{"phi below the minimum", []string{"-dir", "work", "-out", "o.jsonl", "-phi", "1"}, 2},
+		{"atlas shards", []string{"-dir", "work", "-out", "o.jsonl", "-atlas", "a.atlas", "-atlas-shards", "4"}, 2},
 		{"busy listen", []string{"-dir", "work", "-out", "o.jsonl", "-atlas", "a.atlas", "-listen", busy.Addr().String()}, 1},
 	} {
 		c := c

@@ -1,5 +1,5 @@
-// Package atlas is the cross-trace topology store: a concurrent,
-// sharded accumulator that merges per-pair IP-level graphs, alias
+// Package atlas is the cross-trace topology store: a concurrent
+// accumulator that merges per-pair IP-level graphs, alias
 // evidence and diamond encounters into one queryable multilevel view of
 // the whole surveyed internet (the aggregation the paper's Sec 5
 // surveys perform implicitly when they report router sizes and diamond
@@ -13,13 +13,12 @@
 // demoted to per-source provenance annotations ((pair, hop)
 // observations).
 //
-// Ingestion is sharded by address for lock-freedom across concurrent
-// writers. There is one way out — WriteTo/Save stream the snapshot
-// file (traceio's atlas format) by merging the shards in canonical
-// (ascending address) order, which is what makes the bytes independent
-// of worker count, shard count and ingestion order — and one merge of
-// files, Compact; both build the same plan (plan.go) and feed the same
-// stream encoder. Queries over a written snapshot go through
+// Ingestion fills one address-keyed node map behind one lock. There is
+// one way out — WriteTo/Save stream the snapshot file (traceio's atlas
+// format) in canonical (ascending address) order, which is what makes
+// the bytes independent of worker count and ingestion order — and one
+// merge of files, Compact; both build the same plan (plan.go) and feed
+// the same stream encoder. Queries over a written snapshot go through
 // internal/atlas/serve.
 package atlas
 
@@ -43,49 +42,35 @@ type Obs struct {
 	Hop  int
 }
 
-// DefaultShards is the shard count when Options.Shards is zero.
-const DefaultShards = 16
-
 // Options configures an Atlas.
 type Options struct {
-	// Shards is the number of address-hash ingestion shards. Shard
-	// count affects only lock contention, never output: snapshots are
-	// identical for every value.
-	Shards int
 	// MergeWorkers is the worker count for the canonical merge behind
 	// WriteTo, Save and streaming Compact (0 = GOMAXPROCS, 1 = serial).
-	// Like Shards it affects only speed: snapshot bytes are identical
-	// for every value.
+	// It affects only speed: snapshot bytes are identical for every
+	// value.
 	MergeWorkers int
 }
 
-// Atlas is the sharded cross-trace store. All methods are safe for
-// concurrent use.
+// Atlas is the cross-trace store. All methods are safe for concurrent
+// use.
 //
-// Locking discipline: ingestion takes snapMu read-side plus the mutex
-// of each shard it touches. WriteTo instead takes snapMu write-side for
-// the whole streaming encode: with every writer excluded, its counting
-// pass and its emit pass observe the same state (the byte-determinism
-// contract needs the header totals to match the blocks exactly), and
-// its partition workers can read and lazily sort disjoint nodes with no
-// per-node locking at all.
+// Locking discipline: snapMu, the snapshot gate, guards the node map.
+// Ingestion takes it once per graph. WriteTo takes it for the whole
+// streaming encode: with every writer excluded, its plan and its blocks
+// observe the same state (the byte-determinism contract needs the
+// header totals to match the blocks exactly), and its partition workers
+// can read and lazily sort disjoint nodes with no per-node locking at
+// all. mu guards the small sections: routers, census and pairs.
 type Atlas struct {
-	shards       []*shard
 	mergeWorkers int
 
-	// snapMu is the snapshot gate described above: read-locked by
-	// ingestion, write-locked by WriteTo.
-	snapMu sync.RWMutex
+	snapMu sync.Mutex
+	nodes  map[packet.Addr]*nodeState
 
 	mu     sync.Mutex
 	union  *alias.Union
 	census map[censusKey]*censusEntry
 	pairs  map[int]pairInfo
-}
-
-type shard struct {
-	mu    sync.Mutex
-	nodes map[packet.Addr]*nodeState
 }
 
 type nodeState struct {
@@ -110,80 +95,45 @@ type pairInfo struct{ src, dst string }
 
 // New returns an empty atlas.
 func New(opt Options) *Atlas {
-	n := opt.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	a := &Atlas{
-		shards:       make([]*shard, n),
+	return &Atlas{
 		mergeWorkers: opt.MergeWorkers,
+		nodes:        make(map[packet.Addr]*nodeState),
 		union:        alias.NewUnion(),
 		census:       make(map[censusKey]*censusEntry),
 		pairs:        make(map[int]pairInfo),
 	}
-	for i := range a.shards {
-		a.shards[i] = &shard{nodes: make(map[packet.Addr]*nodeState)}
-	}
-	return a
-}
-
-func (a *Atlas) shardIndexOf(addr packet.Addr) int {
-	// Addresses are dense allocations; a multiplicative hash spreads
-	// them evenly over any shard count.
-	h := uint32(addr) * 0x9e3779b1
-	return int(h % uint32(len(a.shards)))
-}
-
-func (a *Atlas) shardOf(addr packet.Addr) *shard {
-	return a.shards[a.shardIndexOf(addr)]
-}
-
-func (a *Atlas) node(s *shard, addr packet.Addr) *nodeState {
-	n, ok := s.nodes[addr]
-	if !ok {
-		n = &nodeState{}
-		s.nodes[addr] = n
-	}
-	return n
 }
 
 // AddGraph merges one pair's IP-level trace graph: every responsive
 // vertex contributes a (pair, hop) observation, every edge between
 // responsive vertices a link. Star (non-responsive) vertices have no
-// address and are skipped.
+// address and are skipped. A successor is always a responsive vertex of
+// g, which this same call gives a node, so once the gate is released
+// every successor in the atlas is a node of its own.
 func (a *Atlas) AddGraph(pair int, g *topo.Graph) {
-	a.snapMu.RLock()
-	defer a.snapMu.RUnlock()
+	a.snapMu.Lock()
+	defer a.snapMu.Unlock()
 	for i := range g.Vertices {
 		v := &g.Vertices[i]
 		if v.Addr == topo.StarAddr {
 			continue
 		}
-		s := a.shardOf(v.Addr)
-		s.mu.Lock()
-		n := a.node(s, v.Addr)
+		n, ok := a.nodes[v.Addr]
+		if !ok {
+			n = &nodeState{}
+			a.nodes[v.Addr] = n
+		}
 		n.seen = append(n.seen, Obs{Pair: pair, Hop: v.Hop})
 		n.dirty = true
-		s.mu.Unlock()
-	}
-	for i := range g.Vertices {
-		u := &g.Vertices[i]
-		if u.Addr == topo.StarAddr {
-			continue
-		}
 		for _, w := range g.Succ(topo.VertexID(i)) {
 			wa := g.V(w).Addr
 			if wa == topo.StarAddr {
 				continue
 			}
-			s := a.shardOf(u.Addr)
-			s.mu.Lock()
-			n := a.node(s, u.Addr)
 			if n.succ == nil {
 				n.succ = make(map[packet.Addr]struct{})
 			}
 			n.succ[wa] = struct{}{}
-			s.mu.Unlock()
 		}
 	}
 }

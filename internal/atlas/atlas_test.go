@@ -117,7 +117,7 @@ func readBack(tb testing.TB, raw []byte) written {
 // gets one node with per-source annotations, not two hop-keyed copies.
 func TestMergeIsAddressKeyed(t *testing.T) {
 	t.Parallel()
-	a := New(Options{Shards: 4})
+	a := New(Options{})
 	a.AddGraph(0, chain(10, 20, 30))
 	a.AddGraph(1, chain(40, 41, 20, 31)) // 20 at hop 2 here, hop 1 in pair 0
 	w := readBack(t, writeTo(t, a))
@@ -153,7 +153,7 @@ func TestStarsAreSkipped(t *testing.T) {
 	}
 }
 
-// Snapshot bytes must not depend on shard count or ingestion order.
+// Snapshot bytes must not depend on ingestion order.
 func TestSnapshotCanonicalAcrossShardsAndOrder(t *testing.T) {
 	t.Parallel()
 	graphs := []*topo.Graph{
@@ -161,8 +161,8 @@ func TestSnapshotCanonicalAcrossShardsAndOrder(t *testing.T) {
 		chain(40, 20, 31),
 		chain(50, 51, 52, 30),
 	}
-	build := func(shards int, order []int) *Atlas {
-		a := New(Options{Shards: shards})
+	build := func(order []int) *Atlas {
+		a := New(Options{})
 		for _, i := range order {
 			a.AddGraph(i, graphs[i])
 		}
@@ -170,13 +170,11 @@ func TestSnapshotCanonicalAcrossShardsAndOrder(t *testing.T) {
 		a.AddDiamond(1, traceio.SurveyDiamond{Div: "0.0.0.40", Conv: "0.0.0.31", MaxWidth: 2, MaxLength: 2})
 		return a
 	}
-	ref := writeTo(t, build(1, []int{0, 1, 2}))
+	ref := writeTo(t, build([]int{0, 1, 2}))
 	pinned(t, "canonical", ref)
-	for _, shards := range []int{2, 7, 64} {
-		for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
-			if got := writeTo(t, build(shards, order)); !bytes.Equal(got, ref) {
-				t.Fatalf("snapshot differs at shards=%d order=%v", shards, order)
-			}
+	for _, order := range [][]int{{2, 0, 1}, {1, 2, 0}, {2, 1, 0}} {
+		if got := writeTo(t, build(order)); !bytes.Equal(got, ref) {
+			t.Fatalf("snapshot differs at order=%v", order)
 		}
 	}
 }
@@ -193,11 +191,11 @@ func TestConcurrentIngestDeterministic(t *testing.T) {
 		}
 		return gs
 	}
-	serial := New(Options{Shards: 4})
+	serial := New(Options{})
 	for i, g := range mk() {
 		serial.AddGraph(i, g)
 	}
-	conc := New(Options{Shards: 4})
+	conc := New(Options{})
 	var wg sync.WaitGroup
 	for i, g := range mk() {
 		wg.Add(1)
@@ -272,10 +270,10 @@ func TestHostileHopIsAnError(t *testing.T) {
 
 // Save → read back through Compact → save again round-trips
 // byte-stably: a single snapshot is Compact's fixed point, whatever
-// shard and worker counts either side ran with.
+// worker counts either side ran with.
 func TestSaveLoadByteStable(t *testing.T) {
 	t.Parallel()
-	a := New(Options{Shards: 3})
+	a := New(Options{MergeWorkers: 1})
 	a.AddGraph(0, chain(10, 20, 30))
 	a.AddGraph(2, chain(40, 20, 31))
 	a.AddAliasSet([]packet.Addr{20, 31})
@@ -289,7 +287,7 @@ func TestSaveLoadByteStable(t *testing.T) {
 	}
 
 	out := filepath.Join(dir, "b.atlas")
-	if err := Compact(out, saved, nil, Options{Shards: 11, MergeWorkers: 2}); err != nil {
+	if err := Compact(out, saved, nil, Options{MergeWorkers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if second := readFile(t, out); !bytes.Equal(first, second) {

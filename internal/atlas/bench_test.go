@@ -1,9 +1,7 @@
 package atlas
 
 import (
-	"fmt"
 	"io"
-	"sync"
 	"testing"
 
 	"mmlpt/internal/topo"
@@ -38,34 +36,4 @@ func BenchmarkAtlasIngest(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "graphs/s")
-}
-
-// BenchmarkAtlasIngestParallel measures contended sharded ingestion.
-func BenchmarkAtlasIngestParallel(b *testing.B) {
-	gs := benchGraphs(256)
-	for _, workers := range []int{4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a := New(Options{})
-				var wg sync.WaitGroup
-				per := (len(gs) + workers - 1) / workers
-				for w := 0; w < workers; w++ {
-					lo := w * per
-					hi := lo + per
-					if hi > len(gs) {
-						hi = len(gs)
-					}
-					wg.Add(1)
-					go func(lo, hi int) {
-						defer wg.Done()
-						for p := lo; p < hi; p++ {
-							a.AddGraph(p, gs[p])
-						}
-					}(lo, hi)
-				}
-				wg.Wait()
-			}
-		})
-	}
 }

@@ -35,8 +35,6 @@ import (
 // pair sets / max widths union, a later input's pair identity replaces
 // an earlier one's — so compacting disjoint deltas reproduces, byte for
 // byte, the snapshot of one atlas that ingested every record directly.
-// Of opt, only MergeWorkers applies: compaction streams from files, so
-// there are no ingestion shards for Shards to size.
 func Compact(outPath, basePath string, deltaPaths []string, opt Options) error {
 	return CompactWithProgress(outPath, basePath, deltaPaths, opt, nil)
 }
@@ -241,7 +239,7 @@ func compactMerge(cursors []*compactCursor, fn func(addr packet.Addr, group []*t
 // over the node streams counts merged nodes and edges and records a
 // fence at every partition boundary.
 func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) (*plan, error) {
-	small := New(Options{Shards: 1})
+	small := New(Options{})
 	for i, r := range readers {
 		for _, p := range r.Pairs() {
 			small.AddPair(p.Pair, p.Src, p.Dst)

@@ -6,9 +6,8 @@
 // private block buffer. The coordinator hands finished blocks to the
 // traceio stream encoder in partition order (par.OrderedErr), so the
 // file's bytes are a pure function of atlas content: every worker
-// count, ingestion-shard count and ingestion order produces identical
-// output, and peak memory is a few blocks in flight, never the whole
-// snapshot.
+// count and ingestion order produces identical output, and peak memory
+// is a few blocks in flight, never the whole snapshot.
 package atlas
 
 import (
@@ -21,10 +20,10 @@ import (
 )
 
 // WriteTo streams the atlas's canonical snapshot encoding to w. It
-// implements io.WriterTo. The encode holds the snapshot gate
-// exclusively: concurrent ingestion blocks for its duration, which is
-// what lets the counting pass, the emit pass and the lazy in-place
-// provenance sorts observe one consistent state without per-node locks.
+// implements io.WriterTo. The encode holds the snapshot gate:
+// concurrent ingestion blocks for its duration, which is what lets the
+// plan, the blocks and the lazy in-place provenance sorts observe one
+// consistent state without per-node locks.
 func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 	a.snapMu.Lock()
 	defer a.snapMu.Unlock()
@@ -58,48 +57,20 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 }
 
 // writePlan collects the full canonical address order and the plan
-// under the exclusive snapshot gate (held by the caller). Address
-// collection reads the ingestion shards without their locks — writers
-// are excluded — and the edge total is counted in parallel without
-// materializing a single successor list.
+// under the snapshot gate (held by the caller). Every successor is a
+// node (AddGraph), so the edge total is the sum of the successor sets.
 func (a *Atlas) writePlan() ([]packet.Addr, *plan) {
-	total := 0
-	for _, s := range a.shards {
-		total += len(s.nodes)
-	}
-	addrs := make([]packet.Addr, 0, total)
-	for _, s := range a.shards {
-		for addr := range s.nodes {
-			addrs = append(addrs, addr)
-		}
+	addrs := make([]packet.Addr, 0, len(a.nodes))
+	edges := 0
+	for addr, st := range a.nodes {
+		addrs = append(addrs, addr)
+		edges += len(st.succ)
 	}
 	slices.Sort(addrs)
 
 	var mins []packet.Addr
 	for lo := 0; lo < len(addrs); lo += traceio.DefaultAtlasShardNodes {
 		mins = append(mins, addrs[lo])
-	}
-
-	// Count the merged edges per partition — the header needs the exact
-	// total before the first block streams out. Successor targets
-	// without a node of their own are dropped, as buildBlock drops them.
-	counts := make([]int, len(mins))
-	par.Do(len(mins), a.mergeWorkers, func(p int) {
-		lo, hi := traceio.AtlasBlockOf(p, len(addrs))
-		n := 0
-		for _, addr := range addrs[lo:hi] {
-			st := a.shards[a.shardIndexOf(addr)].nodes[addr]
-			for wa := range st.succ {
-				if _, ok := slices.BinarySearch(addrs, wa); ok {
-					n++
-				}
-			}
-		}
-		counts[p] = n
-	})
-	edges := 0
-	for _, n := range counts {
-		edges += n
 	}
 	return addrs, newPlan(a, len(addrs), edges, mins)
 }
@@ -108,14 +79,14 @@ func (a *Atlas) writePlan() ([]packet.Addr, *plan) {
 // canonicalize provenance in place (the partitions are disjoint, so
 // workers never touch the same node), merge and sort the successor set,
 // and render everything once via AppendText. Called with the snapshot
-// gate held exclusively.
+// gate held.
 func (a *Atlas) buildBlock(m *plan, addrs []packet.Addr, p int) *traceio.AtlasShard {
 	blk := m.startBlock(p)
 	lo, hi := traceio.AtlasBlockOf(p, len(addrs))
 	var scratch []byte
 	var succ []packet.Addr
 	for _, addr := range addrs[lo:hi] {
-		st := a.shards[a.shardIndexOf(addr)].nodes[addr]
+		st := a.nodes[addr]
 		if st.dirty {
 			st.seen = sortedObs(st.seen)
 			st.dirty = false
@@ -130,9 +101,7 @@ func (a *Atlas) buildBlock(m *plan, addrs []packet.Addr, p int) *traceio.AtlasSh
 		}
 		succ = succ[:0]
 		for wa := range st.succ {
-			if _, ok := slices.BinarySearch(addrs, wa); ok {
-				succ = append(succ, wa)
-			}
+			succ = append(succ, wa)
 		}
 		if len(succ) > 0 {
 			slices.Sort(succ)

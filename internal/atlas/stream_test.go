@@ -92,26 +92,69 @@ func TestWriteToMatchesMaterializedEncode(t *testing.T) {
 	}
 }
 
-// The byte-determinism property: every merge worker count x ingestion
-// shard count produces identical — and pinned — snapshot bytes, across
-// randomized generator topologies.
+// The byte-determinism property: every merge worker count produces
+// identical — and pinned — snapshot bytes, across randomized generator
+// topologies.
 func TestWriteToDeterministicAcrossWorkersAndShards(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []uint64{1, 2, 3} {
 		var want []byte
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			for _, shards := range []int{1, 16, 64} {
-				a := genAtlas(t, seed, 25, Options{Shards: shards, MergeWorkers: workers})
-				got := writeTo(t, a)
-				if want == nil {
-					want = got
-					pinned(t, genPin(seed, 25), want)
-					continue
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("seed %d: bytes differ at workers=%d shards=%d", seed, workers, shards)
+			got := writeTo(t, genAtlas(t, seed, 25, Options{MergeWorkers: workers}))
+			if want == nil {
+				want = got
+				pinned(t, genPin(seed, 25), want)
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: bytes differ at workers=%d", seed, workers)
+			}
+		}
+	}
+}
+
+// Every successor the atlas holds is a node of its own, so the header's
+// edge total is exactly the sum of the successor sets: the invariant that
+// lets WriteTo emit each successor set whole, with no lookup of its
+// targets. Generator routes with unresponsive hops put star vertices
+// next to responsive ones, the edges AddGraph must drop.
+func TestEverySuccessorIsANode(t *testing.T) {
+	t.Parallel()
+	spec := fakeroute.GenSpec{
+		Diamonds: 2, WidthMin: 2, WidthMax: 4, LenMin: 2, LenMax: 4,
+		MeshProb: 0.3, StarProb: 0.3, ChainMin: 1, ChainMax: 3,
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		a := New(Options{})
+		rng := nprand.New(seed)
+		alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
+		dstAlloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(203, 0, 113, 1))
+		starEdges := 0
+		for i := 0; i < 200; i++ {
+			g := fakeroute.GenerateMultipath(rng.Fork(uint64(i)), alloc, dstAlloc.Next(), spec).Graph
+			for u := range g.Vertices {
+				for _, w := range g.Succ(topo.VertexID(u)) {
+					if g.Vertices[u].Addr == topo.StarAddr || g.V(w).Addr == topo.StarAddr {
+						starEdges++
+					}
 				}
 			}
+			a.AddGraph(i, g)
+		}
+		if starEdges == 0 {
+			t.Fatalf("seed %d: no edge touches a star hop", seed)
+		}
+		edges := 0
+		for addr, st := range a.nodes {
+			for wa := range st.succ {
+				if _, ok := a.nodes[wa]; !ok {
+					t.Fatalf("seed %d: %v has successor %v, which is not a node", seed, addr, wa)
+				}
+			}
+			edges += len(st.succ)
+		}
+		if h := readBack(t, writeTo(t, a)).header; h.Edges != edges {
+			t.Fatalf("seed %d: header edges %d, successor sets hold %d", seed, h.Edges, edges)
 		}
 	}
 }
@@ -193,7 +236,7 @@ func TestCompactEmptyInput(t *testing.T) {
 // canonical order.
 func TestQueriesDuringConcurrentIngest(t *testing.T) {
 	t.Parallel()
-	a := New(Options{Shards: 4})
+	a := New(Options{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -237,7 +280,7 @@ func TestQueriesDuringConcurrentIngest(t *testing.T) {
 	saved := saveDelta(t, dir, "a.atlas", a)
 	readBack(t, readFile(t, saved))
 	out := filepath.Join(dir, "b.atlas")
-	if err := Compact(out, saved, nil, Options{Shards: 1}); err != nil {
+	if err := Compact(out, saved, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readFile(t, saved), readFile(t, out)) {
@@ -253,7 +296,7 @@ func TestProvenanceLazyCanonicalization(t *testing.T) {
 	a.AddGraph(1, chain(0xa000001, 0xa000002))
 	a.AddGraph(1, chain(0xa000001, 0xa000002)) // duplicate: must dedup
 	addr := packet.Addr(0xa000001)
-	st := a.shardOf(addr).nodes[addr]
+	st := a.nodes[addr]
 	if !st.dirty {
 		t.Fatal("fresh observations did not mark the node dirty")
 	}

@@ -40,11 +40,13 @@ package dispatch
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 
 	"mmlpt/internal/experiments"
+	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/survey"
 )
@@ -74,6 +76,36 @@ type Spec struct {
 	// the cadence one machine would have kept toward any network.
 	BudgetRate  float64 `json:"budget_rate,omitempty"`
 	BudgetBurst float64 `json:"budget_burst,omitempty"`
+}
+
+// SpecFlags declares the survey-spec flags -level, -pairs, -seed, -phi
+// and -rounds on fs: the one declaration cmd/survey and cmd/surveyd
+// share, so a fleet's spec and a single-machine run cannot drift. The
+// returned function, called once fs is parsed, yields the spec or the
+// usage error for a value that would silently change what is measured:
+// an unknown level, a negative -pairs or -rounds (0 keeps meaning the
+// level's default), or a -phi other than 0 (the default) below
+// mdalite.DefaultPhi.
+func SpecFlags(fs *flag.FlagSet) func() (Spec, error) {
+	var s Spec
+	fs.StringVar(&s.Level, "level", "ip", "survey level: ip or router")
+	fs.IntVar(&s.Pairs, "pairs", 1000, "number of source-destination pairs (0 = the level's default)")
+	fs.Uint64Var(&s.Seed, "seed", 1, "random seed")
+	fs.IntVar(&s.Phi, "phi", mdalite.DefaultPhi, fmt.Sprintf("MDA-Lite meshing budget, at least %d (0 = default)", mdalite.DefaultPhi))
+	fs.IntVar(&s.Rounds, "rounds", 10, "alias rounds, router level (0 = default)")
+	return func() (Spec, error) {
+		switch {
+		case s.Level != "ip" && s.Level != "router":
+			return s, fmt.Errorf("unknown level %q (ip or router)", s.Level)
+		case s.Pairs < 0:
+			return s, fmt.Errorf("-pairs %d: want 0 (the level's default) or more", s.Pairs)
+		case s.Rounds < 0:
+			return s, fmt.Errorf("-rounds %d: want 0 (the default) or more", s.Rounds)
+		case s.Phi != 0 && s.Phi < mdalite.DefaultPhi:
+			return s, fmt.Errorf("-phi %d: want 0 (the default) or at least %d", s.Phi, mdalite.DefaultPhi)
+		}
+		return s, nil
+	}
 }
 
 // plan derives the survey plan for the spec. Workers is the tracing

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +24,43 @@ import (
 // large enough to cut into several work units.
 func testSpec() Spec {
 	return Spec{Level: "ip", Pairs: 24, Seed: 7, Phi: 2}
+}
+
+// TestSpecFlags: the shared spec flags take 0 as "default" and the
+// boundary values, and refuse anything that would change what is
+// measured without saying so.
+func TestSpecFlags(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		args []string
+		want Spec
+		err  string
+	}{
+		{nil, Spec{Level: "ip", Pairs: 1000, Seed: 1, Phi: 2, Rounds: 10}, ""},
+		{[]string{"-level", "router", "-pairs", "0", "-rounds", "0", "-phi", "0", "-seed", "9"},
+			Spec{Level: "router", Seed: 9}, ""},
+		{[]string{"-phi", "4", "-rounds", "1"}, Spec{Level: "ip", Pairs: 1000, Seed: 1, Phi: 4, Rounds: 1}, ""},
+		{[]string{"-level", "as"}, Spec{}, `unknown level "as"`},
+		{[]string{"-pairs", "-1"}, Spec{}, "-pairs -1"},
+		{[]string{"-rounds", "-1"}, Spec{}, "-rounds -1"},
+		{[]string{"-phi", "1"}, Spec{}, "-phi 1"},
+		{[]string{"-phi", "-2"}, Spec{}, "-phi -2"},
+	} {
+		fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+		specOf := SpecFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		got, err := specOf()
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%q: %v", c.args, err)
+		case c.err == "" && got != c.want:
+			t.Errorf("%q: spec %+v, want %+v", c.args, got, c.want)
+		case c.err != "" && (err == nil || !strings.HasPrefix(err.Error(), c.err)):
+			t.Errorf("%q: error %v, want one starting %q", c.args, err, c.err)
+		}
+	}
 }
 
 // singleMachine runs the spec's survey in-process the way cmd/survey

@@ -18,7 +18,7 @@ func TestAtlasRouterSizeCDFMatchesAggregate(t *testing.T) {
 		t.Skip("router survey is slow; skipped with -short")
 	}
 	t.Parallel()
-	sink := survey.NewAtlasSink(atlas.Options{Shards: 8})
+	sink := survey.NewAtlasSink(atlas.Options{})
 	cfg := SurveyConfig{Pairs: 40, Seed: 11, Rounds: 2, Sinks: []survey.Sink{sink}}
 	agg, err := RouterSurvey(cfg)
 	if err != nil {

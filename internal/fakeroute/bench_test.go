@@ -55,17 +55,3 @@ func BenchmarkProbeRoundTrip(b *testing.B) {
 		run(b, func(p *Path) { p.LB[p.Graph.Hop(0)[0]] = LBPerPacket })
 	})
 }
-
-// BenchmarkEchoRoundTrip measures a direct echo probe round trip.
-func BenchmarkEchoRoundTrip(b *testing.B) {
-	net, path := BuildScenario(2, tSrc, tDst, SimplestDiamond)
-	addr := path.Graph.V(path.Graph.Hop(0)[0]).Addr
-	s := net.SessionFor(tSrc, tDst)
-	var buf []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ep := packet.EchoProbe{Src: tSrc, Dst: addr, ID: 7, Seq: uint16(i), IPID: uint16(i)}
-		buf = ep.AppendTo(buf[:0])
-		s.HandleProbe(buf)
-	}
-}

@@ -11,10 +11,10 @@ import (
 // record's topology, routers and diamond encounters merge into the
 // store the moment the pair completes. Composable with any other sink
 // (the JSONL record log, aggregates); because the atlas's snapshot
-// is canonical — sharded by address, shards merged in ascending address
+// is canonical — nodes keyed by address, written in ascending address
 // order — the snapshot a run produces is byte-identical for every
-// worker count and shard count, and a resumed run's replay rebuilds the
-// exact atlas an uninterrupted run would have produced.
+// worker count, and a resumed run's replay rebuilds the exact atlas an
+// uninterrupted run would have produced.
 //
 // With PublishDeltas the sink additionally writes periodic incremental
 // snapshots — each covering only the records since the previous publish
@@ -32,7 +32,7 @@ type AtlasSink struct {
 	published    []string
 }
 
-// NewAtlasSink returns a sink feeding a fresh atlas with opt shards.
+// NewAtlasSink returns a sink feeding a fresh atlas built with opt.
 func NewAtlasSink(opt atlas.Options) *AtlasSink {
 	return &AtlasSink{Atlas: atlas.New(opt), opt: opt}
 }

@@ -13,41 +13,31 @@ import (
 )
 
 // Determinism guard: a survey's streamed JSONL record log AND its atlas
-// snapshot must be byte-identical across worker counts and atlas shard
-// counts. This is the regression net for future map-iteration leaks of
-// the AdoptStarFlows kind (PR 2): any nondeterminism in discovery
-// order, record encoding, or the sharded atlas merge shows up here as a
-// byte diff.
+// snapshot must be byte-identical across worker counts. This is the
+// regression net for future map-iteration leaks of the AdoptStarFlows
+// kind (PR 2): any nondeterminism in discovery order, record encoding,
+// or the atlas's canonical merge shows up here as a byte diff.
 func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multilevel survey sweep is slow; skipped with -short")
 	}
 	t.Parallel()
 
-	type variant struct {
-		workers, shards int
-	}
-	variants := []variant{
-		{workers: 1, shards: 1},
-		{workers: 8, shards: 1},
-		{workers: 8, shards: 13},
-		{workers: 3, shards: 64},
-	}
 	var refJSONL, refSnapshot []byte
-	for _, v := range variants {
+	for _, workers := range []int{1, 8, 3} {
 		u := Generate(GenConfig{Seed: 7, Pairs: 30})
 		path := filepath.Join(t.TempDir(), "records.jsonl")
 		jsonl := NewJSONLSink(path)
-		as := NewAtlasSink(atlas.Options{Shards: v.shards})
+		as := NewAtlasSink(atlas.Options{})
 		cfg := RunConfig{
 			Algo: AlgoMultilevel, OnlyLB: true, Retries: 1,
 			Rounds: 2, ProbesPerRound: 10,
 			Trace:   mda.Config{Seed: 7},
-			Workers: v.workers,
+			Workers: workers,
 			Sinks:   []Sink{jsonl, as},
 		}
 		if _, err := Run(u, cfg); err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", v.workers, v.shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if err := jsonl.Close(); err != nil {
 			t.Fatal(err)
@@ -88,10 +78,10 @@ func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(gotJSONL, refJSONL) {
-			t.Errorf("workers=%d shards=%d: JSONL differs from workers=1 reference", v.workers, v.shards)
+			t.Errorf("workers=%d: JSONL differs from workers=1 reference", workers)
 		}
 		if !bytes.Equal(snap.Bytes(), refSnapshot) {
-			t.Errorf("workers=%d shards=%d: atlas snapshot differs from workers=1 reference", v.workers, v.shards)
+			t.Errorf("workers=%d: atlas snapshot differs from workers=1 reference", workers)
 		}
 	}
 

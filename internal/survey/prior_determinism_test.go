@@ -99,7 +99,7 @@ func TestSurveyPriorModeByteIdenticalAcrossWorkers(t *testing.T) {
 		churnRoutes(t, ru)
 		path := filepath.Join(t.TempDir(), "records.jsonl")
 		jsonl := NewJSONLSink(path)
-		ras := NewAtlasSink(atlas.Options{Shards: 7})
+		ras := NewAtlasSink(atlas.Options{})
 		res, err = Run(ru, RunConfig{
 			Algo: AlgoMDALite, Retries: 1,
 			Trace:   mda.Config{Seed: 21},
