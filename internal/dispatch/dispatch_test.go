@@ -16,6 +16,7 @@ import (
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/probe"
 	"mmlpt/internal/survey"
 	"mmlpt/internal/traceio"
 )
@@ -66,11 +67,14 @@ func TestSpecFlags(t *testing.T) {
 // singleMachine runs the spec's survey in-process the way cmd/survey
 // would, returning the record-log bytes and (when atlasPath is
 // non-empty) writing the atlas snapshot.
-func singleMachine(t *testing.T, spec Spec, atlasPath string) []byte {
+func singleMachine(t *testing.T, spec Spec, atlasPath string, mods ...func(*survey.RunConfig)) []byte {
 	t.Helper()
 	u, rc, err := spec.plan(2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, mod := range mods {
+		mod(&rc)
 	}
 	var buf bytes.Buffer
 	rc.Sinks = []survey.Sink{bufSink{&buf}}
@@ -125,9 +129,9 @@ func newTestCoordinator(t *testing.T, dir string, spec Spec, mod func(*Coordinat
 	return coord, srv
 }
 
-// runRunners starts n runners against the coordinator and waits for all
-// of them to exit cleanly.
-func runRunners(t *testing.T, url string, n int) {
+// runRunners starts n runners against the coordinator, each configured
+// further by mods, and waits for all of them to exit cleanly.
+func runRunners(t *testing.T, url string, n int, mods ...func(*RunnerConfig)) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -135,13 +139,17 @@ func runRunners(t *testing.T, url string, n int) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = RunRunner(RunnerConfig{
+			cfg := RunnerConfig{
 				Coordinator: url,
 				ID:          fmt.Sprintf("runner-%d", i),
 				Workers:     2,
 				Poll:        10 * time.Millisecond,
 				Logf:        t.Logf,
-			})
+			}
+			for _, mod := range mods {
+				mod(&cfg)
+			}
+			errs[i] = RunRunner(cfg)
 		}(i)
 	}
 	wg.Wait()
@@ -530,30 +538,129 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
-// TestFleetWithBudgetByteIdentical: probe budgeting shapes timing only
-// — a metered fleet's outputs stay byte-identical to an unmetered
-// single-machine run.
-func TestFleetWithBudgetByteIdentical(t *testing.T) {
-	t.Parallel()
+// virtualClock is a test clock that moves only when a runner waits on
+// it: each sleep advances it by its duration and returns at once.
+type virtualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *virtualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *virtualClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// traceCharges counts, per destination /24, the trace probes a metered
+// runner charges the budget for: one per Probe and len(specs) per
+// ProbeBatch. Retries inside the prober ride the same charge, so this is
+// what the budget meters, not what a record's probe count reports.
+type traceCharges struct {
+	mu sync.Mutex
+	n  map[packet.Addr]int
+}
+
+func (c *traceCharges) add(prefix packet.Addr, n int) {
+	c.mu.Lock()
+	c.n[prefix] += n
+	c.mu.Unlock()
+}
+
+// chargeCounter is an unmetered prober that tallies its trace probes'
+// charges as meteredProber would levy them.
+type chargeCounter struct {
+	probe.Prober
+	prefix  packet.Addr
+	charges *traceCharges
+}
+
+func (p chargeCounter) Probe(flowID uint16, ttl int) *packet.Reply {
+	p.charges.add(p.prefix, 1)
+	return p.Prober.Probe(flowID, ttl)
+}
+
+func (p chargeCounter) ProbeBatch(specs []probe.Spec) []*packet.Reply {
+	p.charges.add(p.prefix, len(specs))
+	return p.Prober.ProbeBatch(specs)
+}
+
+// meteredFleet runs the first pairs of the test survey on a 2-runner
+// fleet metered at rate probes/s per /24 (burst 50), with the budget and
+// the runners' waits on clock when it is non-nil and on the real clock
+// otherwise. It fails unless the merged record log is byte-identical to
+// an unmetered single-machine run, and returns the trace probes that run
+// charged per /24.
+func meteredFleet(t *testing.T, pairs int, rate float64, clock *virtualClock) map[packet.Addr]int {
+	t.Helper()
 	spec := testSpec()
-	spec.Pairs = 8
-	golden := t.TempDir()
-	wantJSONL := singleMachine(t, spec, filepath.Join(golden, "golden.atlas"))
+	spec.Pairs = pairs
+	charges := &traceCharges{n: map[packet.Addr]int{}}
+	wantJSONL := singleMachine(t, spec, "", func(rc *survey.RunConfig) {
+		rc.WrapProber = func(pair survey.Pair, p probe.Prober) probe.Prober {
+			return chargeCounter{Prober: p, prefix: Prefix24(pair.Dst), charges: charges}
+		}
+	})
 
 	fleetSpec := spec
-	fleetSpec.BudgetRate = 500 // tight enough to exercise waits, loose enough for test time
+	fleetSpec.BudgetRate = rate
 	fleetSpec.BudgetBurst = 50
 	dir := t.TempDir()
 	coord, srv := newTestCoordinator(t, dir, fleetSpec, func(cfg *CoordinatorConfig) {
 		cfg.UnitSize = 3
 		cfg.AtlasPath = ""
 	})
-	runRunners(t, srv.URL, 2)
+	var virtual []func(*RunnerConfig)
+	if clock != nil {
+		coord.budget.now = clock.Now
+		virtual = append(virtual, func(cfg *RunnerConfig) { cfg.sleep = clock.Sleep })
+	}
+	runRunners(t, srv.URL, 2, virtual...)
 	waitDone(t, coord)
 
 	if got := readFile(t, filepath.Join(dir, "merged.jsonl")); !bytes.Equal(got, wantJSONL) {
 		t.Fatalf("metered fleet record log differs from unmetered single-machine run (%d vs %d bytes)", len(got), len(wantJSONL))
 	}
+	return charges.n
+}
+
+// TestFleetWithBudgetByteIdentical: probe budgeting shapes timing only
+// — a metered fleet's outputs stay byte-identical to an unmetered
+// single-machine run. The budget runs on a virtual clock that moves only
+// while runners wait, so a budget tight enough to stall every runner
+// costs no wall time.
+func TestFleetWithBudgetByteIdentical(t *testing.T) {
+	t.Parallel()
+	const rate, burst = 500, 50
+	start := time.Unix(1000, 0)
+	clock := &virtualClock{now: start}
+	charged := meteredFleet(t, 8, rate, clock)
+
+	// A prefix's bucket grants at most burst + rate × elapsed tokens, and
+	// only waits move the clock, so it must have moved at least (probes −
+	// burst) / rate for every prefix: proof that short grants and waits
+	// happened. The bound allows one token for the bucket's float
+	// arithmetic; this run meets the exact bound.
+	elapsed := clock.Now().Sub(start)
+	for prefix, n := range charged {
+		if need := time.Duration(n-burst-1) * time.Second / rate; elapsed < need {
+			t.Errorf("prefix %s: %d probes at %d/s after a burst of %d in %v, want at least %v",
+				prefix, n, rate, burst, elapsed, need)
+		}
+	}
+}
+
+// TestFleetWithBudgetRealClock: the same metering on the real clock,
+// with real sleeps. Two pairs charge ~2 000 probes to one /24, so at
+// 10 000 probes/s the waits total ~0.2 s.
+func TestFleetWithBudgetRealClock(t *testing.T) {
+	t.Parallel()
+	meteredFleet(t, 2, 10000, nil)
 }
 
 // TestRunnerRejectsForeignSpec: a runner whose binary derives a

@@ -37,6 +37,10 @@ type RunnerConfig struct {
 	MaxUnits int
 	// Logf, when non-nil, receives runner events.
 	Logf func(format string, args ...any)
+
+	// sleep waits out the budget's wait hints (default time.Sleep); a
+	// test drives it from the same virtual clock as the budget.
+	sleep func(time.Duration)
 }
 
 // errLeaseLost marks a unit whose lease expired under us (coordinator
@@ -90,6 +94,9 @@ func RunRunner(cfg RunnerConfig) error {
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 500 * time.Millisecond
+	}
+	if cfg.sleep == nil {
+		cfg.sleep = time.Sleep
 	}
 	r := &runner{
 		cfg:    cfg,
@@ -374,7 +381,7 @@ func (b *budgetClient) acquire(prefix packet.Addr, n int) {
 				b.r.logf("runner %s: budget endpoint unreachable (%v); proceeding unmetered", b.r.cfg.ID, err)
 				return
 			}
-			time.Sleep(200 * time.Millisecond)
+			b.r.cfg.sleep(200 * time.Millisecond)
 			continue
 		}
 		failures = 0
@@ -391,7 +398,7 @@ func (b *budgetClient) acquire(prefix packet.Addr, n int) {
 		if wait > 2*time.Second {
 			wait = 2 * time.Second
 		}
-		time.Sleep(wait)
+		b.r.cfg.sleep(wait)
 	}
 }
 

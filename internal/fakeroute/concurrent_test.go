@@ -68,10 +68,6 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 			t.Fatalf("pair %d: concurrent replies diverge from serial run", i)
 		}
 	}
-	if serialNet.ProbesSeen != concNet.ProbesSeen || serialNet.RepliesSent != concNet.RepliesSent {
-		t.Fatalf("stats diverge: serial %d/%d, concurrent %d/%d",
-			serialNet.ProbesSeen, serialNet.RepliesSent, concNet.ProbesSeen, concNet.RepliesSent)
-	}
 }
 
 // TestSessionSharedByEchoAndTrace: direct and indirect probes routed

@@ -90,11 +90,6 @@ type Network struct {
 
 	sessMu   sync.RWMutex
 	sessions map[PathKey]*Session
-
-	// Stats, updated atomically across all sessions.
-	ProbesSeen  uint64
-	RepliesSent uint64
-	Dropped     uint64
 }
 
 // NewNetwork creates an empty simulated network with the given seed.
@@ -222,14 +217,17 @@ type Session struct {
 	routers map[*Router]*ctrView
 	ifaces  map[*Iface]*ctrView
 	buckets map[*Router]*bucket
+	// path is the session's own ground-truth path, resolved on its first
+	// probe; probes of any other pair look theirs up in the network.
+	path *Path
 
 	// Reusable scratch for the zero-allocation probe hot path: the
-	// parsed probe, the quoted-datagram copy, the ICMP body, and the
-	// outgoing reply. All are used only under mu; outBuf backs the slice
-	// HandleProbe returns.
+	// parsed probe, the quoted-datagram copy, the MPLS extension, and
+	// the outgoing reply. All are used only under mu; outBuf backs the
+	// slice HandleProbe returns.
 	pp       packet.ParsedProbe
 	quoteBuf []byte
-	bodyBuf  []byte
+	extBuf   []byte
 	outBuf   []byte
 }
 
@@ -290,8 +288,6 @@ func (n *Network) SessionFor(src, dst packet.Addr) *Session {
 // session would materialize a spurious (0.0.0.0, 0.0.0.0) session.
 func (n *Network) HandleProbe(raw []byte) []byte {
 	if len(raw) < packet.IPv4HeaderLen {
-		atomic.AddUint64(&n.ProbesSeen, 1)
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	src := packet.Addr(uint32(raw[12])<<24 | uint32(raw[13])<<16 | uint32(raw[14])<<8 | uint32(raw[15]))
@@ -324,7 +320,6 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	n := s.net
 	s.clock++
 	now := s.clock
-	atomic.AddUint64(&n.ProbesSeen, 1)
 
 	// Echo (direct) probes are dispatched to the target interface.
 	var outerProto byte
@@ -336,13 +331,11 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	}
 
 	if err := packet.ParseProbeInto(&s.pp, raw); err != nil {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	pp := &s.pp
-	p := n.paths[PathKey{Src: pp.IP.Src, Dst: pp.IP.Dst}]
+	p := s.pathFor(PathKey{Src: pp.IP.Src, Dst: pp.IP.Dst})
 	if p == nil {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	g := p.activeGraph(now)
@@ -363,23 +356,16 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	}
 	atDst := hop == cp.dstHop
 	if cp.addr[cur] == topo.StarAddr {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil // star: the hop never answers
 	}
 	if n.LossProb > 0 && s.rng.Float64() < n.LossProb {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	if atDst {
 		return s.craftPortUnreachable(pp, cp.addr[cur], hop, now)
 	}
 	ifc := cp.iface[cur]
-	if ifc == nil {
-		atomic.AddUint64(&n.Dropped, 1)
-		return nil
-	}
-	if !s.allowReply(ifc.Router, now) {
-		atomic.AddUint64(&n.Dropped, 1)
+	if ifc == nil || !s.allowReply(ifc.Router, now) {
 		return nil
 	}
 	return s.craftTimeExceeded(pp, ifc, hop, raw, now)
@@ -392,7 +378,7 @@ func (s *Session) craftTimeExceeded(pp *packet.ParsedProbe, ifc *Iface, hop int,
 	// The router quotes the probe datagram as received: the full IP
 	// header plus payload (our probes are small, so the quote is whole).
 	// probeRaw is referenced directly — ICMP.SerializeTo copies the
-	// payload into the body buffer, and the caller's probe bytes stay
+	// payload into the reply buffer, and the caller's probe bytes stay
 	// untouched for the whole call.
 	icmp := packet.ICMP{
 		Type:    packet.ICMPTypeTimeExceeded,
@@ -400,9 +386,9 @@ func (s *Session) craftTimeExceeded(pp *packet.ParsedProbe, ifc *Iface, hop int,
 		Payload: probeRaw,
 	}
 	if label := ifc.effectiveLabel(now); label != 0 {
-		icmp.Extensions = packet.EncodeMPLSExtension([]packet.MPLSLabelStackEntry{
-			{Label: label, S: true, TTL: 1},
-		})
+		s.extBuf = packet.AppendMPLSExtension(s.extBuf[:0],
+			packet.MPLSLabelStackEntry{Label: label, S: true, TTL: 1})
+		icmp.Extensions = s.extBuf
 	}
 	replyTTL := int(r.InitialTTLExceeded) - (hop + 1)
 	if replyTTL < 1 {
@@ -451,15 +437,28 @@ func (s *Session) craftPortUnreachable(pp *packet.ParsedProbe, dst packet.Addr, 
 }
 
 // emitReply serializes outer IP + ICMP body into the session's scratch
-// reply buffer and returns it. The result aliases s.outBuf: valid until
-// the session's next HandleProbe.
+// reply buffer and returns it: the ICMP message is appended behind a
+// reserved IPv4 header, which is then written in place, so each reply
+// byte is written once. The result aliases s.outBuf: valid until the
+// session's next HandleProbe.
 func (s *Session) emitReply(ip *packet.IPv4, icmp *packet.ICMP) []byte {
-	s.bodyBuf = icmp.SerializeTo(s.bodyBuf[:0])
-	out := ip.SerializeTo(s.outBuf[:0], len(s.bodyBuf))
-	out = append(out, s.bodyBuf...)
+	out := append(s.outBuf[:0], make([]byte, packet.IPv4HeaderLen)...)
+	out = icmp.SerializeTo(out)
+	ip.SerializeTo(out[:0], len(out)-packet.IPv4HeaderLen)
 	s.outBuf = out
-	atomic.AddUint64(&s.net.RepliesSent, 1)
 	return out
+}
+
+// pathFor returns the ground-truth path for key, resolving the session's
+// own pair once instead of on every probe.
+func (s *Session) pathFor(key PathKey) *Path {
+	if key != s.key {
+		return s.net.paths[key]
+	}
+	if s.path == nil {
+		s.path = s.net.paths[key]
+	}
+	return s.path
 }
 
 // handleEcho answers a direct ICMP Echo probe.
@@ -468,30 +467,21 @@ func (s *Session) handleEcho(raw []byte, now uint64) []byte {
 	var outer packet.IPv4
 	body, err := outer.DecodeFromBytes(raw)
 	if err != nil {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	var echo packet.ICMP
 	if err := echo.DecodeFromBytes(body); err != nil || echo.Type != packet.ICMPTypeEcho {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	ifc := n.ifaces[outer.Dst]
 	if ifc == nil {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	r := ifc.Router
-	if !r.RespondsToEcho {
-		atomic.AddUint64(&n.Dropped, 1)
-		return nil
-	}
-	if !s.allowReply(r, now) {
-		atomic.AddUint64(&n.Dropped, 1)
+	if !r.RespondsToEcho || !s.allowReply(r, now) {
 		return nil
 	}
 	if n.LossProb > 0 && s.rng.Float64() < n.LossProb {
-		atomic.AddUint64(&n.Dropped, 1)
 		return nil
 	}
 	reply := packet.ICMP{Type: packet.ICMPTypeEchoReply, ID: echo.ID, Seq: echo.Seq, Payload: echo.Payload}

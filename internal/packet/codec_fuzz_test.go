@@ -145,7 +145,7 @@ func FuzzParseReply(f *testing.F) {
 	}
 	icmp := ICMP{
 		Type: ICMPTypeTimeExceeded, Payload: pr.Serialize(),
-		Extensions: EncodeMPLSExtension([]MPLSLabelStackEntry{{Label: 9, S: true, TTL: 1}}),
+		Extensions: AppendMPLSExtension(nil, MPLSLabelStackEntry{Label: 9, S: true, TTL: 1}),
 	}
 	body := icmp.SerializeTo(nil)
 	ip := IPv4{ID: 1, TTL: 64, Protocol: ProtoICMP,
@@ -220,4 +220,52 @@ func TestParseIntoReusesWithoutLeak(t *testing.T) {
 		t.Fatalf("echo fields wrong: %+v", r)
 	}
 	_ = probeRaw
+}
+
+// checksumRFC1071 is RFC 1071's reference loop, one 16-bit word per
+// step, started from a partial sum: the oracle foldChecksum's word-wise
+// sum is held to. The accumulator is 64 bits wide so no input a fuzzer
+// can produce overflows it.
+func checksumRFC1071(partial uint32, data []byte) uint16 {
+	sum := uint64(partial)
+	for i := 0; i+1 < len(data); i += 2 {
+		sum += uint64(binary.BigEndian.Uint16(data[i:]))
+	}
+	if len(data)%2 == 1 {
+		sum += uint64(data[len(data)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// FuzzChecksum holds Checksum and foldChecksum, which add eight bytes per
+// step, to the 16-bit reference loop. The seeds cover every tail length
+// around one load, an odd MTU-sized buffer, all-0xff buffers (a carry on
+// every add) and all-zero ones, whose checksum is 0xffff and never 0.
+func FuzzChecksum(f *testing.F) {
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 1499} {
+		mixed := make([]byte, n)
+		for i := range mixed {
+			mixed[i] = byte(i*37 + 11)
+		}
+		f.Add(mixed, uint32(0))
+		f.Add(fill(n, 0xff), uint32(0))
+		f.Add(fill(n, 0xff), uint32(0xffffffff))
+		f.Add(fill(n, 0), uint32(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, partial uint32) {
+		if got, want := foldChecksum(partial, data), checksumRFC1071(partial, data); got != want {
+			t.Fatalf("foldChecksum(%#x, % x) = %#04x, reference %#04x", partial, data, got, want)
+		}
+		got := Checksum(data)
+		if want := checksumRFC1071(0, data); got != want {
+			t.Fatalf("Checksum(% x) = %#04x, reference %#04x", data, got, want)
+		}
+		if bytes.Count(data, []byte{0}) == len(data) && got != 0xffff {
+			t.Fatalf("Checksum of %d zero bytes = %#04x, want 0xffff", len(data), got)
+		}
+	})
 }

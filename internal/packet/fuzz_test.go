@@ -61,7 +61,7 @@ func TestDecodersNeverPanicOnTruncatedValid(t *testing.T) {
 	}
 	icmp := ICMP{
 		Type: ICMPTypeTimeExceeded, Payload: (&quoted).Serialize(),
-		Extensions: EncodeMPLSExtension([]MPLSLabelStackEntry{{Label: 9, S: true, TTL: 1}}),
+		Extensions: AppendMPLSExtension(nil, MPLSLabelStackEntry{Label: 9, S: true, TTL: 1}),
 	}
 	body := icmp.SerializeTo(nil)
 	ip := IPv4{ID: 1, TTL: 64, Protocol: ProtoICMP,

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Addr is an IPv4 address in host-comparable form. The zero value is the
@@ -122,19 +123,7 @@ var (
 )
 
 // Checksum computes the Internet checksum (RFC 1071) over data.
-func Checksum(data []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i:]))
-	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
+func Checksum(data []byte) uint16 { return foldChecksum(0, data) }
 
 // pseudoHeaderSum computes the partial checksum of the IPv4 pseudo-header
 // used by UDP.
@@ -150,19 +139,40 @@ func pseudoHeaderSum(src, dst Addr, proto byte, length uint16) uint32 {
 }
 
 // foldChecksum folds a partial 32-bit sum plus data bytes into a final
-// Internet checksum.
+// Internet checksum. It adds data eight bytes per step: a big-endian
+// 64-bit load is four 16-bit words weighted by powers of 2^16, and
+// 2^16 ≡ 1 mod 0xffff, so the end-around-carry sum of the loads folds to
+// the same ones' complement sum as RFC 1071's word-by-word loop. The
+// tail's words go into one more load, an odd last byte as the high half
+// of its word, as RFC 1071 pads it.
 func foldChecksum(partial uint32, data []byte) uint16 {
-	sum := partial
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i:]))
+	sum, carry := uint64(partial), uint64(0)
+	for len(data) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), 0)
+		sum += carry
+		data = data[8:]
 	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
+	var tail uint64
+	if len(data) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(data)) << 32
+		data = data[4:]
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
+	if len(data) >= 2 {
+		tail |= uint64(binary.BigEndian.Uint16(data)) << 16
+		data = data[2:]
 	}
-	return ^uint16(sum)
+	if len(data) == 1 {
+		tail |= uint64(data[0]) << 8
+	}
+	sum, carry = bits.Add64(sum, tail, 0)
+	sum += carry
+	// Fold 64 → 32 bits with end-around carry, then 32 → 16 twice: the
+	// first 16-bit fold leaves at most 0x1fffe, the second at most 0xffff.
+	s, c := bits.Add32(uint32(sum), uint32(sum>>32), 0)
+	s += c
+	s = s&0xffff + s>>16
+	s = s&0xffff + s>>16
+	return ^uint16(s)
 }
 
 // IPv4 is an IPv4 header (without options; IHL is fixed at 5 words, which
@@ -325,9 +335,9 @@ func (m *ICMP) SerializeTo(b []byte) []byte {
 	start := len(b)
 	var word2 [4]byte
 	isError := m.Type == ICMPTypeTimeExceeded || m.Type == ICMPTypeDestUnreachable
-	quoted := m.Payload
-	if isError && len(m.Extensions) > 0 {
-		padded := len(quoted)
+	withExt := isError && len(m.Extensions) > 0
+	padded := len(m.Payload)
+	if withExt {
 		if padded < rfc4884MinQuoted {
 			padded = rfc4884MinQuoted
 		}
@@ -335,17 +345,16 @@ func (m *ICMP) SerializeTo(b []byte) []byte {
 		padded = (padded + 3) &^ 3
 		word2[1] = byte(padded / 4) // RFC 4884 length field
 		m.origDatagramWords = word2[1]
-		q := make([]byte, padded)
-		copy(q, quoted)
-		quoted = q
 	} else if !isError {
 		binary.BigEndian.PutUint16(word2[0:], m.ID)
 		binary.BigEndian.PutUint16(word2[2:], m.Seq)
 	}
 	b = append(b, m.Type, m.Code, 0, 0)
 	b = append(b, word2[:]...)
-	b = append(b, quoted...)
-	if isError && len(m.Extensions) > 0 {
+	b = append(b, m.Payload...)
+	if withExt {
+		var zeros [rfc4884MinQuoted]byte // the padding never exceeds the minimum
+		b = append(b, zeros[:padded-len(m.Payload)]...)
 		b = append(b, m.Extensions...)
 	}
 	ck := Checksum(b[start:])
@@ -396,34 +405,30 @@ type MPLSLabelStackEntry struct {
 	TTL   byte
 }
 
-// mplsExtensionHeader builds the RFC 4884 extension header plus one MPLS
-// label stack object (class 1, c-type 1) containing the given entries.
-func mplsExtensionHeader(entries []MPLSLabelStackEntry) []byte {
+// AppendMPLSExtension appends the raw RFC 4884 extension structure for
+// the label stack to b — the extension header plus one MPLS label stack
+// object (class 1, c-type 1) — and returns the extended slice, suitable
+// for ICMP.Extensions. An empty stack appends nothing. It allocates
+// nothing when b has capacity.
+func AppendMPLSExtension(b []byte, entries ...MPLSLabelStackEntry) []byte {
+	if len(entries) == 0 {
+		return b
+	}
+	start := len(b)
 	objLen := 4 + 4*len(entries)
-	buf := make([]byte, 0, 4+objLen)
 	// Extension header: version 2, reserved, checksum (computed below).
-	buf = append(buf, 0x20, 0, 0, 0)
+	b = append(b, 0x20, 0, 0, 0)
 	// Object header: length, class-num 1 (MPLS), c-type 1 (incoming stack).
-	buf = append(buf, byte(objLen>>8), byte(objLen), 1, 1)
+	b = append(b, byte(objLen>>8), byte(objLen), 1, 1)
 	for _, e := range entries {
 		w := e.Label<<12 | uint32(e.TC)<<9 | uint32(e.TTL)
 		if e.S {
 			w |= 1 << 8
 		}
-		buf = append(buf, byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
+		b = append(b, byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
 	}
-	ck := Checksum(buf)
-	binary.BigEndian.PutUint16(buf[2:], ck)
-	return buf
-}
-
-// EncodeMPLSExtension returns the raw extension bytes for the label stack,
-// suitable for assigning to ICMP.Extensions.
-func EncodeMPLSExtension(entries []MPLSLabelStackEntry) []byte {
-	if len(entries) == 0 {
-		return nil
-	}
-	return mplsExtensionHeader(entries)
+	binary.BigEndian.PutUint16(b[start+2:], Checksum(b[start:]))
+	return b
 }
 
 // DecodeMPLSExtension extracts MPLS label stack entries from a raw RFC 4884

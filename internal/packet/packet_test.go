@@ -224,7 +224,7 @@ func TestICMPTimeExceededWithMPLS(t *testing.T) {
 	m := ICMP{
 		Type: ICMPTypeTimeExceeded, Code: ICMPCodeTTLExceeded,
 		Payload:    quoted,
-		Extensions: EncodeMPLSExtension(entries),
+		Extensions: AppendMPLSExtension(nil, entries...),
 	}
 	buf := m.SerializeTo(nil)
 	var g ICMP
@@ -252,7 +252,7 @@ func TestICMPTimeExceededWithMPLS(t *testing.T) {
 func (p Probe) serializeForTest() []byte { return (&p).Serialize() }
 
 func TestMPLSExtensionEmptyAndMalformed(t *testing.T) {
-	if e := EncodeMPLSExtension(nil); e != nil {
+	if e := AppendMPLSExtension(nil); e != nil {
 		t.Fatal("empty encode must be nil")
 	}
 	if got, err := DecodeMPLSExtension(nil); err != nil || got != nil {
@@ -269,8 +269,11 @@ func TestMPLSExtensionEmptyAndMalformed(t *testing.T) {
 func TestMPLSExtensionPropertyRoundTrip(t *testing.T) {
 	f := func(label uint32, tc, ttl uint8, s bool) bool {
 		in := []MPLSLabelStackEntry{{Label: label & 0xfffff, TC: tc & 7, S: s, TTL: ttl}}
-		out, err := DecodeMPLSExtension(EncodeMPLSExtension(in))
-		return err == nil && len(out) == 1 && out[0] == in[0]
+		// Appended behind other bytes, the structure still checksums
+		// over itself alone.
+		ext := AppendMPLSExtension([]byte{0xee}, in...)[1:]
+		out, err := DecodeMPLSExtension(ext)
+		return err == nil && Checksum(ext) == 0 && len(out) == 1 && out[0] == in[0]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
