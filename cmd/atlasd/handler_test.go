@@ -17,6 +17,17 @@ import (
 
 func testService(t *testing.T) *serve.Service {
 	t.Helper()
+	svc, err := serve.Open(testSnapshot(t), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	return svc
+}
+
+// testSnapshot writes the test atlas and returns its path.
+func testSnapshot(t *testing.T) string {
+	t.Helper()
 	// One pair's diamond: .1 → {.2, .3} → .4, with .2 and .3 aliased.
 	g := topo.New()
 	v1 := g.AddVertex(1, packet.MustParseAddr("10.0.0.1"))
@@ -36,12 +47,7 @@ func testService(t *testing.T) *serve.Service {
 	if err := a.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := serve.Open(path, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc.Close() })
-	return svc
+	return path
 }
 
 func get(t *testing.T, h http.Handler, path string) (int, string) {

@@ -23,6 +23,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -33,26 +35,46 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run is the command behind main: it parses args, serves until SIGINT
+// or SIGTERM and returns the exit code — 2 for a usage error, reported
+// before the snapshot is opened; 1 for a runtime one, such as a
+// snapshot that does not open or a -listen address it cannot bind.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("atlasd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		snapshot = flag.String("snapshot", "", "atlas snapshot to serve (required)")
-		listen   = flag.String("listen", ":8430", "HTTP listen address")
-		cache    = flag.Int("cache", 0, "decoded shards kept resident per generation (0 = default)")
+		snapshot = fs.String("snapshot", "", "atlas snapshot to serve (required)")
+		listen   = fs.String("listen", ":8430", "HTTP listen address (port 0 picks a free port; the bound address is printed)")
+		cache    = fs.Int("cache", 0, "decoded shards kept resident per generation (0 = default)")
 	)
-	flag.Parse()
-	if *snapshot == "" {
-		fmt.Fprintln(os.Stderr, "usage: atlasd -snapshot internet.atlas [-listen :8430] [-cache N]")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *snapshot == "" || *cache < 0 || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "usage: atlasd -snapshot internet.atlas [-listen :8430] [-cache N]")
+		return 2
 	}
 
 	svc, err := serve.Open(*snapshot, serve.Options{CacheShards: *cache})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer svc.Close()
-
+	st, err := svc.Stats()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	l, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintf(stderr, "atlasd: %v\n", err)
+		return 1
+	}
 	srv := &http.Server{
-		Addr:              *listen,
 		Handler:           newMux(svc),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -62,11 +84,11 @@ func main() {
 	go func() {
 		for range hup {
 			if err := svc.Swap(*snapshot); err != nil {
-				fmt.Fprintf(os.Stderr, "atlasd: swap failed, keeping current generation: %v\n", err)
+				fmt.Fprintf(stderr, "atlasd: swap failed, keeping current generation: %v\n", err)
 				continue
 			}
 			st, _ := svc.Stats()
-			fmt.Fprintf(os.Stderr, "atlasd: swapped in %s (%d nodes, %d routers)\n", *snapshot, st.Nodes, st.Routers)
+			fmt.Fprintf(stderr, "atlasd: swapped in %s (%d nodes, %d routers)\n", *snapshot, st.Nodes, st.Routers)
 		}
 	}()
 
@@ -81,16 +103,12 @@ func main() {
 		_ = srv.Shutdown(ctx)
 	}()
 
-	st, err := svc.Stats()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "atlasd: serving %s (%d nodes, %d routers, %d diamonds) on %s\n",
-		*snapshot, st.Nodes, st.Routers, st.Diamonds, *listen)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	fmt.Fprintf(stderr, "atlasd: serving %s (%d nodes, %d routers, %d diamonds) on %s\n",
+		*snapshot, st.Nodes, st.Routers, st.Diamonds, l.Addr())
+	if err := srv.Serve(l); err != http.ErrServerClosed {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	<-done
+	return 0
 }

@@ -88,7 +88,7 @@ func writeTo(tb testing.TB, a *Atlas) []byte {
 // written is a snapshot read back: header plus nodes by address.
 type written struct {
 	header traceio.AtlasHeader
-	nodes  map[string]traceio.AtlasNodeV2
+	nodes  map[packet.Addr]traceio.AtlasNodeV2
 }
 
 func readBack(tb testing.TB, raw []byte) written {
@@ -100,7 +100,7 @@ func readBack(tb testing.TB, raw []byte) written {
 	if err := r.Verify(); err != nil {
 		tb.Fatal(err)
 	}
-	w := written{header: r.Header(), nodes: make(map[string]traceio.AtlasNodeV2)}
+	w := written{header: r.Header(), nodes: make(map[packet.Addr]traceio.AtlasNodeV2)}
 	for i := 0; i < r.NumShards(); i++ {
 		sh, err := r.ReadShard(i)
 		if err != nil {
@@ -124,21 +124,21 @@ func TestMergeIsAddressKeyed(t *testing.T) {
 	if w.header.Nodes != 6 || len(w.nodes) != 6 {
 		t.Fatalf("nodes = %d (%d read), want 6", w.header.Nodes, len(w.nodes))
 	}
-	n, ok := w.nodes["0.0.0.20"]
+	n, ok := w.nodes[20]
 	if !ok {
 		t.Fatal("address 20 missing")
 	}
 	if want := [][2]int{{0, 1}, {1, 2}}; !reflect.DeepEqual(n.Seen, want) {
 		t.Fatalf("Seen(20) = %v, want %v", n.Seen, want)
 	}
-	if _, ok := w.nodes["0.0.0.99"]; ok {
+	if _, ok := w.nodes[99]; ok {
 		t.Fatal("unknown address must be absent")
 	}
 	// Edges from both traces, deduplicated by (from, to) address.
 	if w.header.Edges != 5 {
 		t.Fatalf("edges = %d, want 5", w.header.Edges)
 	}
-	if want := []string{"0.0.0.30", "0.0.0.31"}; !reflect.DeepEqual(n.Succ, want) {
+	if want := []packet.Addr{30, 31}; !reflect.DeepEqual(n.Succ, want) {
 		t.Fatalf("Succ(20) = %v, want %v", n.Succ, want)
 	}
 }

@@ -98,7 +98,6 @@ type compactCursor struct {
 	ahead chan prefetched
 	nodes []traceio.AtlasNodeV2
 	pos   int
-	addr  packet.Addr
 	done  bool
 	// onShard, when set, observes every loaded shard (pass 1 collects
 	// router sections this way, since routers live inside blocks).
@@ -158,25 +157,19 @@ func (c *compactCursor) load() error {
 			continue
 		}
 		c.nodes, c.pos = sh.Nodes, 0
-		return c.parse()
+		return nil
 	}
 	c.done = true
 	return nil
 }
 
-func (c *compactCursor) parse() error {
-	addr, err := packet.ParseAddr(c.nodes[c.pos].Addr)
-	if err != nil {
-		return fmt.Errorf("compact: %s: node %q: %w", c.path, c.nodes[c.pos].Addr, err)
-	}
-	c.addr = addr
-	return nil
-}
+// head returns the node the cursor is on; the cursor must not be done.
+func (c *compactCursor) head() *traceio.AtlasNodeV2 { return &c.nodes[c.pos] }
 
 func (c *compactCursor) advance() error {
 	c.pos++
 	if c.pos < len(c.nodes) {
-		return c.parse()
+		return nil
 	}
 	c.nodes = nil
 	return c.load()
@@ -206,8 +199,8 @@ func compactMerge(cursors []*compactCursor, fn func(addr packet.Addr, group []*t
 		var min packet.Addr
 		live := false
 		for _, c := range cursors {
-			if !c.done && (!live || c.addr < min) {
-				min, live = c.addr, true
+			if !c.done && (!live || c.head().Addr < min) {
+				min, live = c.head().Addr, true
 			}
 		}
 		if !live {
@@ -215,15 +208,15 @@ func compactMerge(cursors []*compactCursor, fn func(addr packet.Addr, group []*t
 		}
 		group = group[:0]
 		for _, c := range cursors {
-			if !c.done && c.addr == min {
-				group = append(group, &c.nodes[c.pos])
+			if !c.done && c.head().Addr == min {
+				group = append(group, c.head())
 			}
 		}
 		if err := fn(min, group); err != nil {
 			return err
 		}
 		for _, c := range cursors {
-			if !c.done && c.addr == min {
+			if !c.done && c.head().Addr == min {
 				if err := c.advance(); err != nil {
 					return err
 				}
@@ -257,18 +250,9 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 	// loaded block's router section to the fold as they pass.
 	cursors := make([]*compactCursor, len(readers))
 	for i, r := range readers {
-		path := paths[i]
-		cursors[i] = newCompactCursor(r, path, prefetch, func(sh *traceio.AtlasShard) error {
+		cursors[i] = newCompactCursor(r, paths[i], prefetch, func(sh *traceio.AtlasShard) error {
 			for _, rt := range sh.Routers {
-				set := make([]packet.Addr, len(rt.Addrs))
-				for j, s := range rt.Addrs {
-					a, err := packet.ParseAddr(s)
-					if err != nil {
-						return fmt.Errorf("compact: %s: router address %q: %w", path, s, err)
-					}
-					set[j] = a
-				}
-				small.AddAliasSet(set)
+				small.AddAliasSet(rt.Addrs)
 			}
 			return nil
 		})
@@ -276,7 +260,6 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 	var (
 		nodes, edges int
 		mins         []packet.Addr
-		canon        canonChecker
 		succ         []packet.Addr
 	)
 	err := compactMerge(cursors, func(addr packet.Addr, group []*traceio.AtlasNodeV2) error {
@@ -284,23 +267,17 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 			mins = append(mins, addr)
 		}
 		nodes++
-		if len(group) == 1 && canon.succs(group[0].Succ) {
+		if len(group) == 1 && ascending(group[0].Succ) {
 			// Single contributor with an already-canonical successor
-			// list: its length is the merged edge count, no
-			// materialization needed. Pass 2 makes the same check, so
-			// the two passes always agree on the total.
+			// list: its length is the merged edge count, no merge
+			// needed. Pass 2 makes the same check, so the two passes
+			// always agree on the total.
 			edges += len(group[0].Succ)
 			return nil
 		}
 		succ = succ[:0]
 		for _, n := range group {
-			for _, s := range n.Succ {
-				a, err := packet.ParseAddr(s)
-				if err != nil {
-					return fmt.Errorf("compact: successor %q: %w", s, err)
-				}
-				succ = append(succ, a)
-			}
+			succ = append(succ, n.Succ...)
 		}
 		edges += len(dedupAddrs(succ))
 		return nil
@@ -326,48 +303,24 @@ func dedupAddrs(addrs []packet.Addr) []packet.Addr {
 	return out
 }
 
-// canonChecker verifies, allocation-free, that a decoded node already
-// is in the merged canonical form — the overwhelmingly common case when
-// deltas are disjoint and inputs are our own encoder's output. Nodes
-// that pass skip the parse/sort/re-render machinery entirely; nodes
-// that fail (non-canonical strings like "010.0.0.1", unsorted lists,
-// duplicates) fall back to the general path, so the output bytes never
-// depend on which route a node took.
-type canonChecker struct {
-	scratch []byte
-}
-
-// addr parses s and reports whether s is its value's canonical render.
-func (c *canonChecker) addr(s string) (packet.Addr, bool, error) {
-	a, err := packet.ParseAddr(s)
-	if err != nil {
-		return 0, false, err
-	}
-	c.scratch = a.AppendText(c.scratch[:0])
-	return a, string(c.scratch) == s, nil
-}
-
-// succs reports whether a successor list is canonical: every string the
-// canonical render of its value, values strictly ascending. Parse
-// errors surface as !ok; the general path re-parses and reports them.
-func (c *canonChecker) succs(succ []string) bool {
-	var prev packet.Addr
-	for i, s := range succ {
-		a, ok, err := c.addr(s)
-		if err != nil || !ok {
+// ascending reports whether a successor list strictly ascends: sorted
+// and deduplicated, hence already in merged canonical form — the
+// overwhelmingly common case when deltas are disjoint and inputs are
+// our own encoder's output. A node whose lists fail this (or
+// seenAscending) takes the general merge path, so the output bytes
+// never depend on which route a node took.
+func ascending(addrs []packet.Addr) bool {
+	for i := 1; i < len(addrs); i++ {
+		if addrs[i] <= addrs[i-1] {
 			return false
 		}
-		if i > 0 && a <= prev {
-			return false
-		}
-		prev = a
 	}
 	return true
 }
 
-// seen reports whether an observation list is canonical: strictly
-// ascending (pair, hop), hence deduped.
-func (c *canonChecker) seen(seen [][2]int) bool {
+// seenAscending reports whether an observation list strictly ascends by
+// (pair, hop), hence is sorted and deduplicated.
+func seenAscending(seen [][2]int) bool {
 	for i := 1; i < len(seen); i++ {
 		a, b := seen[i-1], seen[i]
 		if a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
@@ -404,10 +357,8 @@ func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st
 		return err
 	}
 
-	var canon canonChecker
 	var seen []Obs
 	var succ []packet.Addr
-	var scratch []byte
 	err = compactMerge(cursors, func(addr packet.Addr, group []*traceio.AtlasNodeV2) error {
 		if len(blk.Nodes) == blk.Header.Nodes {
 			if err := finishBlock(); err != nil {
@@ -415,40 +366,28 @@ func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st
 			}
 			blk = st.startBlock(part)
 		}
-		if len(group) == 1 {
+		// Only the router assignment is always recomputed: it reflects
+		// the merged union, not any one input.
+		n := traceio.AtlasNodeV2{Addr: addr, Router: st.routerOf[addr]}
+		if in := group[0]; len(group) == 1 && seenAscending(in.Seen) && ascending(in.Succ) {
 			// Already-canonical single-contributor node: reuse its
-			// strings and slices as-is (the decoded shard is dropped
-			// right after, so nothing aliases them). Only the router
-			// assignment is recomputed — it reflects the merged union,
-			// not any one input.
-			in := group[0]
-			if a, ok, err := canon.addr(in.Addr); err == nil && ok && a == addr &&
-				canon.seen(in.Seen) && canon.succs(in.Succ) {
-				n := traceio.AtlasNodeV2{Addr: in.Addr, Router: st.routerOf[addr]}
-				if len(in.Seen) > 0 {
-					n.Seen = in.Seen
-				}
-				if len(in.Succ) > 0 {
-					n.Succ = in.Succ
-				}
-				blk.Nodes = append(blk.Nodes, n)
-				return nil
+			// slices as-is (the decoded shard is dropped right after,
+			// so nothing aliases them).
+			if len(in.Seen) > 0 {
+				n.Seen = in.Seen
 			}
+			if len(in.Succ) > 0 {
+				n.Succ = in.Succ
+			}
+			blk.Nodes = append(blk.Nodes, n)
+			return nil
 		}
-		scratch = addr.AppendText(scratch[:0])
-		n := traceio.AtlasNodeV2{Addr: string(scratch), Router: st.routerOf[addr]}
 		seen, succ = seen[:0], succ[:0]
 		for _, in := range group {
 			for _, o := range in.Seen {
 				seen = append(seen, Obs{Pair: o[0], Hop: o[1]})
 			}
-			for _, s := range in.Succ {
-				a, err := packet.ParseAddr(s)
-				if err != nil {
-					return fmt.Errorf("compact: successor %q: %w", s, err)
-				}
-				succ = append(succ, a)
-			}
+			succ = append(succ, in.Succ...)
 		}
 		if len(seen) > 0 {
 			canon := sortedObs(seen)
@@ -459,13 +398,7 @@ func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st
 			seen = seen[:0]
 		}
 		if u := dedupAddrs(succ); len(u) > 0 {
-			// Re-render rather than reuse the input strings: parsing and
-			// re-rendering is what canonicalizes the bytes.
-			n.Succ = make([]string, len(u))
-			for i, a := range u {
-				scratch = a.AppendText(scratch[:0])
-				n.Succ[i] = string(scratch)
-			}
+			n.Succ = slices.Clone(u)
 		}
 		blk.Nodes = append(blk.Nodes, n)
 		return nil

@@ -20,9 +20,9 @@ type plan struct {
 	pairs    []traceio.AtlasPair
 	diamonds []traceio.AtlasDiamond
 
-	routers       []traceio.AtlasRouter // canonical order, members rendered
+	routers       []traceio.AtlasRouter // canonical order
 	routersByPart [][]int               // partition -> indices into routers
-	routerOf      map[packet.Addr]string
+	routerOf      map[packet.Addr]packet.Addr
 }
 
 // newPlan freezes src's small sections in canonical order and places
@@ -41,18 +41,12 @@ func newPlan(src *Atlas, nodes, edges int, mins []packet.Addr) *plan {
 	}
 	groups := src.Routers()
 	p.routers = make([]traceio.AtlasRouter, len(groups))
-	p.routerOf = make(map[packet.Addr]string)
+	p.routerOf = make(map[packet.Addr]packet.Addr)
 	p.routersByPart = make([][]int, len(mins))
-	var scratch []byte
 	for i, g := range groups {
-		r := traceio.AtlasRouter{Addrs: make([]string, len(g))}
-		for j, addr := range g {
-			scratch = addr.AppendText(scratch[:0])
-			r.Addrs[j] = string(scratch)
-		}
-		p.routers[i] = r
+		p.routers[i] = traceio.AtlasRouter{Addrs: g}
 		for _, addr := range g {
-			p.routerOf[addr] = r.Addrs[0]
+			p.routerOf[addr] = g[0]
 		}
 		part := traceio.AtlasShardForAddr(mins, g[0])
 		p.routersByPart[part] = append(p.routersByPart[part], i)

@@ -9,8 +9,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -154,7 +156,7 @@ func (s *Service) Provenance(addr packet.Addr) ([]atlas.Obs, error) {
 		return nil, err
 	}
 	defer g.release()
-	n, _, err := g.lookup(addr)
+	n, err := g.lookup(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -176,34 +178,24 @@ func (s *Service) Router(addr packet.Addr) ([]packet.Addr, error) {
 		return nil, err
 	}
 	defer g.release()
-	n, _, err := g.lookup(addr)
+	n, err := g.lookup(addr)
 	if err != nil {
 		return nil, err
 	}
-	if n.Router == "" {
+	if n.Router == 0 {
 		return []packet.Addr{addr}, nil
 	}
-	rep, err := packet.ParseAddr(n.Router)
-	if err != nil {
-		return nil, fmt.Errorf("serve: corrupt router rep %q: %w", n.Router, err)
-	}
-	v, err := g.shard(g.r.ShardFor(rep))
+	sh, err := g.shard(g.r.ShardFor(n.Router))
 	if err != nil {
 		return nil, err
 	}
-	members, ok := v.routers[n.Router]
+	j, ok := slices.BinarySearchFunc(sh.Routers, n.Router, func(rt traceio.AtlasRouter, rep packet.Addr) int {
+		return cmp.Compare(rt.Addrs[0], rep)
+	})
 	if !ok {
 		return nil, fmt.Errorf("serve: router %s missing from its shard", n.Router)
 	}
-	out := make([]packet.Addr, len(members))
-	for i, m := range members {
-		p, err := packet.ParseAddr(m)
-		if err != nil {
-			return nil, fmt.Errorf("serve: corrupt router member %q: %w", m, err)
-		}
-		out[i] = p
-	}
-	return out, nil
+	return slices.Clone(sh.Routers[j].Addrs), nil
 }
 
 // Routers returns every multi-interface router component, in canonical
@@ -217,20 +209,12 @@ func (s *Service) Routers() ([][]packet.Addr, error) {
 	defer g.release()
 	var out [][]packet.Addr
 	for i := 0; i < g.r.NumShards(); i++ {
-		v, err := g.shard(i)
+		sh, err := g.shard(i)
 		if err != nil {
 			return nil, err
 		}
-		for _, members := range v.routerList {
-			set := make([]packet.Addr, len(members))
-			for j, m := range members {
-				p, err := packet.ParseAddr(m)
-				if err != nil {
-					return nil, fmt.Errorf("serve: corrupt router member %q: %w", m, err)
-				}
-				set[j] = p
-			}
-			out = append(out, set)
+		for _, rt := range sh.Routers {
+			out = append(out, slices.Clone(rt.Addrs))
 		}
 	}
 	return out, nil
@@ -248,12 +232,12 @@ func (s *Service) ForEachNode(fn func(*traceio.AtlasNodeV2) error) error {
 	}
 	defer g.release()
 	for i := 0; i < g.r.NumShards(); i++ {
-		v, err := g.shard(i)
+		sh, err := g.shard(i)
 		if err != nil {
 			return err
 		}
-		for _, n := range v.nodeList {
-			if err := fn(n); err != nil {
+		for j := range sh.Nodes {
+			if err := fn(&sh.Nodes[j]); err != nil {
 				return err
 			}
 		}
@@ -294,7 +278,7 @@ func (s *Service) acquire() (*generation, error) {
 }
 
 // generation is one immutable published snapshot: the indexed reader,
-// an LRU of decoded shard views, and a refcount that defers the reader
+// an LRU of decoded shards, and a refcount that defers the reader
 // close until the last in-flight query releases it after retirement.
 type generation struct {
 	svc  *Service
@@ -319,17 +303,9 @@ type generation struct {
 // shard trigger exactly one disk read.
 type shardSlot struct {
 	ready chan struct{}
-	view  *shardView
+	shard *traceio.AtlasShard
 	err   error
 	tick  uint64
-}
-
-// shardView is one decoded shard indexed for point lookups.
-type shardView struct {
-	nodes      map[string]*traceio.AtlasNodeV2
-	nodeList   []*traceio.AtlasNodeV2 // snapshot order, for bulk iteration
-	routers    map[string][]string    // representative → member addrs
-	routerList [][]string             // snapshot order, for bulk listing
 }
 
 func (s *Service) newGeneration(path string) (*generation, error) {
@@ -356,21 +332,24 @@ func (g *generation) release() {
 	}
 }
 
-// lookup finds addr's node record, decoding only its owning shard.
-func (g *generation) lookup(addr packet.Addr) (*traceio.AtlasNodeV2, *shardView, error) {
-	v, err := g.shard(g.r.ShardFor(addr))
+// lookup finds addr's node record, decoding only its owning shard. A
+// decoded shard's nodes ascend by address, so a binary search finds it.
+func (g *generation) lookup(addr packet.Addr) (*traceio.AtlasNodeV2, error) {
+	sh, err := g.shard(g.r.ShardFor(addr))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n, ok := v.nodes[addr.String()]
+	j, ok := slices.BinarySearchFunc(sh.Nodes, addr, func(n traceio.AtlasNodeV2, a packet.Addr) int {
+		return cmp.Compare(n.Addr, a)
+	})
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, addr)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, addr)
 	}
-	return n, v, nil
+	return &sh.Nodes[j], nil
 }
 
-// shard returns shard i's decoded view, loading it through the LRU.
-func (g *generation) shard(i int) (*shardView, error) {
+// shard returns shard i decoded, loading it through the LRU.
+func (g *generation) shard(i int) (*traceio.AtlasShard, error) {
 	g.mu.Lock()
 	if slot, ok := g.cache[i]; ok {
 		g.tick++
@@ -380,7 +359,7 @@ func (g *generation) shard(i int) (*shardView, error) {
 		if slot.err == nil {
 			g.svc.cacheHits.Add(1)
 		}
-		return slot.view, slot.err
+		return slot.shard, slot.err
 	}
 	slot := &shardSlot{ready: make(chan struct{})}
 	g.tick++
@@ -401,22 +380,9 @@ func (g *generation) shard(i int) (*shardView, error) {
 		return nil, err
 	}
 	g.svc.shardDecodes.Add(1)
-	v := &shardView{
-		nodes:    make(map[string]*traceio.AtlasNodeV2, len(sh.Nodes)),
-		nodeList: make([]*traceio.AtlasNodeV2, len(sh.Nodes)),
-		routers:  make(map[string][]string, len(sh.Routers)),
-	}
-	for j := range sh.Nodes {
-		v.nodes[sh.Nodes[j].Addr] = &sh.Nodes[j]
-		v.nodeList[j] = &sh.Nodes[j]
-	}
-	for _, r := range sh.Routers {
-		v.routers[r.Addrs[0]] = r.Addrs
-		v.routerList = append(v.routerList, r.Addrs)
-	}
-	slot.view = v
+	slot.shard = sh
 	close(slot.ready)
-	return v, nil
+	return sh, nil
 }
 
 // evictLocked drops least-recently-used completed slots beyond the

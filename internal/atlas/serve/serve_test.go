@@ -31,19 +31,19 @@ func sampleSnapshot() *fixture {
 			{Pair: 1, Src: "192.0.2.2", Dst: "203.0.113.2"},
 		},
 		Nodes: []traceio.AtlasNodeV2{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}, Succ: []string{"10.0.0.2", "10.0.0.3"}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}, {1, 3}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
-			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
-			{Addr: "10.0.0.5", Seen: [][2]int{{1, 1}}, Succ: []string{"10.0.0.6"}},
-			{Addr: "10.0.0.6", Seen: [][2]int{{1, 2}}, Succ: []string{"10.0.0.2"}},
-			{Addr: "10.0.0.7", Seen: [][2]int{{1, 4}}, Succ: []string{"10.0.0.8"}, Router: "10.0.0.7"},
-			{Addr: "10.0.0.8", Seen: [][2]int{{1, 5}}, Succ: []string{"10.0.0.9"}},
-			{Addr: "10.0.0.9", Seen: [][2]int{{1, 6}}, Router: "10.0.0.7"},
+			{Addr: ip("10.0.0.1"), Seen: [][2]int{{0, 1}}, Succ: ips("10.0.0.2", "10.0.0.3")},
+			{Addr: ip("10.0.0.2"), Seen: [][2]int{{0, 2}, {1, 3}}, Succ: ips("10.0.0.4"), Router: ip("10.0.0.2")},
+			{Addr: ip("10.0.0.3"), Seen: [][2]int{{0, 2}}, Succ: ips("10.0.0.4"), Router: ip("10.0.0.2")},
+			{Addr: ip("10.0.0.4"), Seen: [][2]int{{0, 3}}},
+			{Addr: ip("10.0.0.5"), Seen: [][2]int{{1, 1}}, Succ: ips("10.0.0.6")},
+			{Addr: ip("10.0.0.6"), Seen: [][2]int{{1, 2}}, Succ: ips("10.0.0.2")},
+			{Addr: ip("10.0.0.7"), Seen: [][2]int{{1, 4}}, Succ: ips("10.0.0.8"), Router: ip("10.0.0.7")},
+			{Addr: ip("10.0.0.8"), Seen: [][2]int{{1, 5}}, Succ: ips("10.0.0.9")},
+			{Addr: ip("10.0.0.9"), Seen: [][2]int{{1, 6}}, Router: ip("10.0.0.7")},
 		},
 		Routers: []traceio.AtlasRouter{
-			{Addrs: []string{"10.0.0.2", "10.0.0.3"}},
-			{Addrs: []string{"10.0.0.7", "10.0.0.9"}},
+			{Addrs: ips("10.0.0.2", "10.0.0.3")},
+			{Addrs: ips("10.0.0.7", "10.0.0.9")},
 		},
 		Diamonds: []traceio.AtlasDiamond{
 			{Div: "10.0.0.1", Conv: "10.0.0.4", Count: 2, Pairs: []int{0}, MaxWidth: 2, MaxLength: 2},
@@ -68,13 +68,13 @@ func writeSnapshot(t *testing.T, dir, name string, s *fixture, per int) string {
 			Header: traceio.AtlasShardHeader{Shard: i, Nodes: len(nodes), Min: nodes[0].Addr, Max: nodes[len(nodes)-1].Addr},
 			Nodes:  nodes,
 		}
-		mins[i] = addr(t, nodes[0].Addr)
+		mins[i] = nodes[0].Addr
 		for _, n := range nodes {
 			spec.Edges += len(n.Succ)
 		}
 	}
 	for _, rt := range s.Routers {
-		blk := blocks[traceio.AtlasShardForAddr(mins, addr(t, rt.Addrs[0]))]
+		blk := blocks[traceio.AtlasShardForAddr(mins, rt.Addrs[0])]
 		blk.Routers = append(blk.Routers, rt)
 		blk.Header.Routers++
 	}
@@ -98,13 +98,22 @@ func writeSnapshot(t *testing.T, dir, name string, s *fixture, per int) string {
 	return path
 }
 
-func addr(t *testing.T, s string) packet.Addr {
-	t.Helper()
-	a, err := packet.ParseAddr(s)
-	if err != nil {
-		t.Fatal(err)
+// ip reads an address's canonical text, short for the fixtures; ips
+// reads a list.
+func ip(s string) packet.Addr {
+	var a packet.Addr
+	if err := a.UnmarshalText([]byte(s)); err != nil {
+		panic(err)
 	}
 	return a
+}
+
+func ips(ss ...string) []packet.Addr {
+	out := make([]packet.Addr, len(ss))
+	for i, s := range ss {
+		out[i] = ip(s)
+	}
+	return out
 }
 
 func TestServeQueries(t *testing.T) {
@@ -126,7 +135,7 @@ func TestServeQueries(t *testing.T) {
 		t.Fatalf("Stats = %+v, want %+v", st, want)
 	}
 
-	obs, err := svc.Provenance(addr(t, "10.0.0.2"))
+	obs, err := svc.Provenance(ip("10.0.0.2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,21 +144,21 @@ func TestServeQueries(t *testing.T) {
 	}
 
 	// Aliased member: full component, queried by rep and by non-rep.
-	for _, q := range []string{"10.0.0.2", "10.0.0.3"} {
-		r, err := svc.Router(addr(t, q))
+	for _, q := range ips("10.0.0.2", "10.0.0.3") {
+		r, err := svc.Router(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r, []packet.Addr{addr(t, "10.0.0.2"), addr(t, "10.0.0.3")}) {
+		if !reflect.DeepEqual(r, []packet.Addr{ip("10.0.0.2"), ip("10.0.0.3")}) {
 			t.Fatalf("Router(%s) = %v", q, r)
 		}
 	}
 	// Unaliased address: singleton.
-	r, err := svc.Router(addr(t, "10.0.0.1"))
+	r, err := svc.Router(ip("10.0.0.1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r, []packet.Addr{addr(t, "10.0.0.1")}) {
+	if !reflect.DeepEqual(r, []packet.Addr{ip("10.0.0.1")}) {
 		t.Fatalf("Router(10.0.0.1) = %v", r)
 	}
 
@@ -165,20 +174,50 @@ func TestServeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 2 || all[0][0] != addr(t, "10.0.0.2") || all[1][0] != addr(t, "10.0.0.7") {
+	if len(all) != 2 || all[0][0] != ip("10.0.0.2") || all[1][0] != ip("10.0.0.7") {
 		t.Fatalf("Routers = %v", all)
 	}
 
-	if _, err := svc.Provenance(addr(t, "10.99.99.99")); !errors.Is(err, ErrNotFound) {
+	if _, err := svc.Provenance(ip("10.99.99.99")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("absent Provenance err = %v, want ErrNotFound", err)
 	}
-	if _, err := svc.Router(addr(t, "10.99.99.99")); !errors.Is(err, ErrNotFound) {
+	if _, err := svc.Router(ip("10.99.99.99")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("absent Router err = %v, want ErrNotFound", err)
 	}
 }
 
 // The acceptance criterion: a cold point query decodes only the owning
 // shard — never the whole file.
+// A hot point query, its shard already decoded, allocates only the
+// slice it returns: a decoded shard is searched by address value, so no
+// lookup key is formatted and no view is built beside the shard.
+func TestHotPointQueriesAllocateOnlyTheirAnswer(t *testing.T) {
+	snap := sampleSnapshot()
+	svc, err := Open(writeSnapshot(t, t.TempDir(), "a.atlas", snap, 3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, n := range snap.Nodes {
+		if _, err := svc.Router(n.Addr); err != nil { // warm the shards
+			t.Fatal(err)
+		}
+		router := testing.AllocsPerRun(50, func() {
+			if _, err := svc.Router(n.Addr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		prov := testing.AllocsPerRun(50, func() {
+			if _, err := svc.Provenance(n.Addr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if router > 1 || prov > 1 {
+			t.Errorf("%s: Router %.1f, Provenance %.1f allocs per hot query, pinned at most 1 each", n.Addr, router, prov)
+		}
+	}
+}
+
 func TestServeDecodeCounter(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
@@ -201,7 +240,7 @@ func TestServeDecodeCounter(t *testing.T) {
 	}
 
 	// Cold provenance: exactly the owning shard.
-	if _, err := svc.Provenance(addr(t, "10.0.0.5")); err != nil {
+	if _, err := svc.Provenance(ip("10.0.0.5")); err != nil {
 		t.Fatal(err)
 	}
 	if n := svc.Metrics().ShardDecodes; n != 1 {
@@ -210,7 +249,7 @@ func TestServeDecodeCounter(t *testing.T) {
 
 	// Cold router lookup where the queried address is the
 	// representative: still exactly one shard.
-	if _, err := svc.Router(addr(t, "10.0.0.7")); err != nil {
+	if _, err := svc.Router(ip("10.0.0.7")); err != nil {
 		t.Fatal(err)
 	}
 	after := svc.Metrics().ShardDecodes
@@ -219,7 +258,7 @@ func TestServeDecodeCounter(t *testing.T) {
 	}
 
 	// Warm repeat: zero new decodes, counted as cache hits.
-	if _, err := svc.Router(addr(t, "10.0.0.7")); err != nil {
+	if _, err := svc.Router(ip("10.0.0.7")); err != nil {
 		t.Fatal(err)
 	}
 	m := svc.Metrics()
@@ -272,7 +311,7 @@ func TestServeLRUEviction(t *testing.T) {
 	defer svc.Close()
 	for pass := 0; pass < 2; pass++ {
 		for _, n := range snap.Nodes {
-			if _, err := svc.Provenance(addr(t, n.Addr)); err != nil {
+			if _, err := svc.Provenance(n.Addr); err != nil {
 				t.Fatalf("pass %d, %s: %v", pass, n.Addr, err)
 			}
 		}
@@ -292,7 +331,7 @@ func TestServeSwapConcurrent(t *testing.T) {
 	snapA := sampleSnapshot()
 	snapB := sampleSnapshot()
 	// B differs: one more node at the end and a different census count.
-	snapB.Nodes = append(snapB.Nodes, traceio.AtlasNodeV2{Addr: "10.0.0.10", Seen: [][2]int{{1, 7}}})
+	snapB.Nodes = append(snapB.Nodes, traceio.AtlasNodeV2{Addr: ip("10.0.0.10"), Seen: [][2]int{{1, 7}}})
 	snapB.Diamonds[0].Count = 5
 	pathA := writeSnapshot(t, dir, "a.atlas", snapA, 2)
 	pathB := writeSnapshot(t, dir, "b.atlas", snapB, 3)
@@ -310,7 +349,7 @@ func TestServeSwapConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			a2 := addr(t, "10.0.0.2")
+			a2 := ip("10.0.0.2")
 			for j := 0; j < iters; j++ {
 				st, err := svc.Stats()
 				if err != nil {

@@ -77,39 +77,30 @@ func (a *Atlas) writePlan() ([]packet.Addr, *plan) {
 
 // buildBlock merges one partition: for each address in the fence range,
 // canonicalize provenance in place (the partitions are disjoint, so
-// workers never touch the same node), merge and sort the successor set,
-// and render everything once via AppendText. Called with the snapshot
-// gate held.
+// workers never touch the same node) and sort the successor set. Called
+// with the snapshot gate held.
 func (a *Atlas) buildBlock(m *plan, addrs []packet.Addr, p int) *traceio.AtlasShard {
 	blk := m.startBlock(p)
 	lo, hi := traceio.AtlasBlockOf(p, len(addrs))
-	var scratch []byte
-	var succ []packet.Addr
 	for _, addr := range addrs[lo:hi] {
 		st := a.nodes[addr]
 		if st.dirty {
 			st.seen = sortedObs(st.seen)
 			st.dirty = false
 		}
-		scratch = addr.AppendText(scratch[:0])
-		n := traceio.AtlasNodeV2{Addr: string(scratch), Router: m.routerOf[addr]}
+		n := traceio.AtlasNodeV2{Addr: addr, Router: m.routerOf[addr]}
 		if len(st.seen) > 0 {
 			n.Seen = make([][2]int, len(st.seen))
 			for i, o := range st.seen {
 				n.Seen[i] = [2]int{o.Pair, o.Hop}
 			}
 		}
-		succ = succ[:0]
-		for wa := range st.succ {
-			succ = append(succ, wa)
-		}
-		if len(succ) > 0 {
-			slices.Sort(succ)
-			n.Succ = make([]string, len(succ))
-			for i, wa := range succ {
-				scratch = wa.AppendText(scratch[:0])
-				n.Succ[i] = string(scratch)
+		if len(st.succ) > 0 {
+			n.Succ = make([]packet.Addr, 0, len(st.succ))
+			for wa := range st.succ {
+				n.Succ = append(n.Succ, wa)
 			}
+			slices.Sort(n.Succ)
 		}
 		blk.Nodes = append(blk.Nodes, n)
 	}

@@ -302,7 +302,7 @@ func TestProvenanceLazyCanonicalization(t *testing.T) {
 	}
 
 	want := [][2]int{{1, 0}, {3, 0}}
-	if got := readBack(t, writeTo(t, a)).nodes["10.0.0.1"].Seen; !reflect.DeepEqual(got, want) {
+	if got := readBack(t, writeTo(t, a)).nodes[addr].Seen; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Seen = %v; want %v", got, want)
 	}
 	// Steady state: the write canonicalized in place and cleared the
@@ -316,7 +316,7 @@ func TestProvenanceLazyCanonicalization(t *testing.T) {
 		t.Fatal("new observation did not re-dirty the node")
 	}
 	want = append([][2]int{{0, 0}}, want...)
-	if got := readBack(t, writeTo(t, a)).nodes["10.0.0.1"].Seen; !reflect.DeepEqual(got, want) {
+	if got := readBack(t, writeTo(t, a)).nodes[addr].Seen; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after new obs: Seen = %v; want %v", got, want)
 	}
 }

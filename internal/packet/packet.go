@@ -98,6 +98,38 @@ func (a Addr) String() string {
 	return string(a.AppendText(buf[:0]))
 }
 
+// MarshalText renders a's canonical text, the dotted quad AppendText
+// writes, so encoding/json writes an Addr as that quoted string.
+func (a Addr) MarshalText() ([]byte, error) {
+	return a.AppendText(make([]byte, 0, 15)), nil
+}
+
+// UnmarshalText parses a's canonical text and nothing else: four
+// decimal octets of at most 255, without leading zeros. Unlike the
+// lenient ParseAddr it refuses "010.0.0.1" or "10.0.00.1", so an
+// address decoded from a file renders back to the bytes it was read
+// from.
+func (a *Addr) UnmarshalText(b []byte) error {
+	var v Addr
+	i, ok := -1, true
+	for k := 0; k < 4 && ok; k++ {
+		i++ // past the dot, or onto the first byte
+		start, o := i, Addr(0)
+		for i < len(b) && i-start < 3 && b[i] >= '0' && b[i] <= '9' {
+			o = o*10 + Addr(b[i]-'0')
+			i++
+		}
+		ok = i > start && o <= 255 && (b[start] != '0' || i == start+1) &&
+			(k == 3 || i < len(b) && b[i] == '.')
+		v = v<<8 | o
+	}
+	if !ok || i != len(b) {
+		return fmt.Errorf("packet: %q is not a canonical dotted quad", string(b))
+	}
+	*a = v
+	return nil
+}
+
 // IP protocol numbers used by the tracer.
 const (
 	ProtoICMP = 1

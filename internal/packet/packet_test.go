@@ -28,6 +28,33 @@ func TestParseAddrRejectsMalformed(t *testing.T) {
 	}
 }
 
+// The text codec reads exactly what it writes: every address's
+// canonical text, and no other spelling of it.
+func TestAddrTextCodec(t *testing.T) {
+	f := func(v uint32) bool {
+		text, err := Addr(v).MarshalText()
+		var back Addr
+		return err == nil && string(text) == Addr(v).String() &&
+			back.UnmarshalText(text) == nil && back == Addr(v)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"0.0.0.0", "10.0.0.1", "255.255.255.255", "1.20.100.200"} {
+		var a Addr
+		if err := a.UnmarshalText([]byte(s)); err != nil || a.String() != s {
+			t.Errorf("UnmarshalText(%q) = %s, %v", s, a, err)
+		}
+	}
+	for _, s := range []string{"", "010.0.0.1", "10.0.00.1", "10.0.0.01", "1.2.3", "1.2.3.4.5",
+		"256.1.1.1", "1..2.3", "1.2.3.", ".1.2.3", " 1.2.3.4", "1.2.3.4 ", "1.2.3.1000", "a.b.c.d"} {
+		a := Addr(7)
+		if err := a.UnmarshalText([]byte(s)); err == nil || a != 7 {
+			t.Errorf("UnmarshalText(%q) = %s, %v; want an error and the value untouched", s, a, err)
+		}
+	}
+}
+
 func TestAddrAppendText(t *testing.T) {
 	f := func(v uint32) bool {
 		a := Addr(v)

@@ -284,23 +284,15 @@ func FromService(svc *serve.Service) (*Index, error) {
 
 	// One pass over the node section gathers both the hop placements and
 	// the global successor sets.
-	succ := make(map[packet.Addr][]packet.Addr)
+	succSet := make(map[[2]packet.Addr]bool)
 	err = svc.ForEachNode(func(n *traceio.AtlasNodeV2) error {
-		addr, err := packet.ParseAddr(n.Addr)
-		if err != nil {
-			return err
-		}
 		for _, obs := range n.Seen {
 			if pp := byIndex[obs[0]]; pp != nil {
-				pp.AddHopAddr(obs[1], addr)
+				pp.AddHopAddr(obs[1], n.Addr)
 			}
 		}
-		for _, sa := range n.Succ {
-			w, err := packet.ParseAddr(sa)
-			if err != nil {
-				return err
-			}
-			succ[addr] = append(succ[addr], w)
+		for _, w := range n.Succ {
+			succSet[[2]packet.Addr{n.Addr, w}] = true
 		}
 		return nil
 	})
@@ -308,12 +300,6 @@ func FromService(svc *serve.Service) (*Index, error) {
 		return nil, err
 	}
 
-	succSet := make(map[[2]packet.Addr]bool)
-	for u, ws := range succ {
-		for _, w := range ws {
-			succSet[[2]packet.Addr{u, w}] = true
-		}
-	}
 	for _, pp := range byIndex {
 		pp.normalize()
 		for h := 0; h+1 < len(pp.hops); h++ {

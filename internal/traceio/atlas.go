@@ -95,7 +95,7 @@ type AtlasPair struct {
 
 // AtlasRouter is one aggregated alias component, addresses sorted.
 type AtlasRouter struct {
-	Addrs []string `json:"addrs"`
+	Addrs []packet.Addr `json:"addrs"`
 }
 
 // AtlasDiamond is one distinct diamond's census entry across all pairs.
@@ -111,24 +111,26 @@ type AtlasDiamond struct {
 	MaxLength int `json:"max_length"`
 }
 
-// AtlasShardHeader is the first line of one shard block.
+// AtlasShardHeader is the first line of one shard block. An empty
+// block has no fences: 0.0.0.0 (topo.StarAddr) is never an atlas
+// address.
 type AtlasShardHeader struct {
-	Shard   int    `json:"shard"`
-	Nodes   int    `json:"nodes"`
-	Routers int    `json:"routers"`
-	Min     string `json:"min,omitempty"`
-	Max     string `json:"max,omitempty"`
+	Shard   int         `json:"shard"`
+	Nodes   int         `json:"nodes"`
+	Routers int         `json:"routers"`
+	Min     packet.Addr `json:"min,omitempty"`
+	Max     packet.Addr `json:"max,omitempty"`
 }
 
 // AtlasNodeV2 is one node line: the address with its provenance (Seen
 // lists the (pair index, hop) observations, sorted), its outgoing links
 // (by destination address) and the representative of the router
-// component containing it, when any.
+// component containing it, when any (zero when none).
 type AtlasNodeV2 struct {
-	Addr   string   `json:"addr"`
-	Seen   [][2]int `json:"seen"`
-	Succ   []string `json:"succ"`
-	Router string   `json:"router,omitempty"`
+	Addr   packet.Addr   `json:"addr"`
+	Seen   [][2]int      `json:"seen"`
+	Succ   []packet.Addr `json:"succ"`
+	Router packet.Addr   `json:"router,omitempty"`
 }
 
 // AtlasShard is one decoded shard block: a contiguous address range of
@@ -143,12 +145,12 @@ type AtlasShard struct {
 // AtlasShardInfo locates one shard block in the file and repeats its
 // fences so a reader can route a query without touching the block.
 type AtlasShardInfo struct {
-	Off     int64  `json:"off"`
-	Len     int64  `json:"len"`
-	Nodes   int    `json:"nodes"`
-	Routers int    `json:"routers"`
-	Min     string `json:"min,omitempty"`
-	Max     string `json:"max,omitempty"`
+	Off     int64       `json:"off"`
+	Len     int64       `json:"len"`
+	Nodes   int         `json:"nodes"`
+	Routers int         `json:"routers"`
+	Min     packet.Addr `json:"min,omitempty"`
+	Max     packet.Addr `json:"max,omitempty"`
 }
 
 // AtlasIndex is the index line: absolute byte spans for every
@@ -374,43 +376,38 @@ func (d *lineDecoder) line(ls *lineScanner, b []byte) string {
 	return d.text[ls.start : ls.start+len(b)]
 }
 
-// decodeNode parses and validates one node line: parseable address,
-// strictly ascending over the previous node, non-negative provenance.
-// These are canonical-order facts every real snapshot satisfies, and
-// validating them at decode time is what guarantees any accepted block
-// re-encodes cleanly (shard fences need ordered, parseable addresses).
-// A canonical line is parsed by hand; any other goes to encoding/json.
-// The node is decoded into *n, which must be zero.
-func (d *lineDecoder) decodeNode(ls *lineScanner, n *AtlasNodeV2, prev packet.Addr, havePrev bool) (packet.Addr, error) {
+// decodeNode parses and validates one node line: address strictly
+// ascending over prev (0 before a block's first node, so 0.0.0.0 is
+// never a node), non-negative provenance. These are canonical-order
+// facts every real snapshot satisfies, and validating them at decode
+// time is what guarantees any accepted block re-encodes cleanly (shard
+// fences need ordered addresses). A canonical line is parsed by hand;
+// any other goes to encoding/json, which refuses an address not in its
+// canonical text. The node is decoded into *n, which must be zero.
+func (d *lineDecoder) decodeNode(ls *lineScanner, n *AtlasNodeV2, prev packet.Addr) error {
 	b, err := ls.next()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if !d.node(d.line(ls, b), n) {
 		if err := json.Unmarshal(b, n); err != nil {
-			return 0, fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
+			return fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
 		}
 	}
-	addr, err := packet.ParseAddr(n.Addr)
-	if err != nil {
-		return 0, fmt.Errorf("traceio: atlas line %d: node address %q: %v", ls.line, n.Addr, err)
-	}
-	if havePrev && addr <= prev {
-		return 0, fmt.Errorf("traceio: atlas line %d: node %s out of canonical order", ls.line, n.Addr)
+	if n.Addr <= prev {
+		return fmt.Errorf("traceio: atlas line %d: node %s out of canonical order", ls.line, n.Addr)
 	}
 	for _, o := range n.Seen {
 		if o[0] < 0 || o[1] < 0 {
-			return 0, fmt.Errorf("traceio: atlas line %d: negative provenance", ls.line)
+			return fmt.Errorf("traceio: atlas line %d: negative provenance", ls.line)
 		}
 	}
-	return addr, nil
+	return nil
 }
 
 // decodeRouter parses and validates one router line into *rt, which
-// must be zero: at least two members, every one a parseable address
-// (shard assignment keys on the first, the representative; Compact
-// unions on all of them).
-func (d *lineDecoder) decodeRouter(ls *lineScanner, rt *AtlasRouter) error {
+// must be zero (validateRouter says what a router line must be).
+func (d *lineDecoder) decodeRouter(ls *lineScanner, rt *AtlasRouter, prev packet.Addr) error {
 	b, err := ls.next()
 	if err != nil {
 		return err
@@ -420,22 +417,22 @@ func (d *lineDecoder) decodeRouter(ls *lineScanner, rt *AtlasRouter) error {
 			return fmt.Errorf("traceio: atlas line %d: bad router: %v", ls.line, err)
 		}
 	}
-	if err := validateRouter(rt); err != nil {
+	if err := validateRouter(rt, prev); err != nil {
 		return fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
 	}
 	return nil
 }
 
 // validateRouter is the router invariant both the reader and the stream
-// encoder enforce.
-func validateRouter(rt *AtlasRouter) error {
+// encoder enforce: at least two members, and a representative (the
+// first) above prev, the previous line's, so a block's router lines
+// ascend and serve can binary-search them.
+func validateRouter(rt *AtlasRouter, prev packet.Addr) error {
 	if len(rt.Addrs) < 2 {
 		return fmt.Errorf("router with %d addresses", len(rt.Addrs))
 	}
-	for _, m := range rt.Addrs {
-		if _, err := packet.ParseAddr(m); err != nil {
-			return fmt.Errorf("router member %q: %v", m, err)
-		}
+	if rt.Addrs[0] <= prev {
+		return fmt.Errorf("router %s out of canonical order", rt.Addrs[0])
 	}
 	return nil
 }

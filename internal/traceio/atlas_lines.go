@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+
+	"mmlpt/internal/packet"
 )
 
 // Hand-written codecs for the two line kinds that make up nearly all of
@@ -48,18 +50,24 @@ func appendJSONString(buf []byte, s string) []byte {
 	return append(buf, '"')
 }
 
-// appendJSONStrings appends ss as json.Marshal renders a []string: null
+// appendAddr appends a as json.Marshal renders a packet.Addr: its
+// canonical text, quoted.
+func appendAddr(buf []byte, a packet.Addr) []byte {
+	return append(a.AppendText(append(buf, '"')), '"')
+}
+
+// appendAddrs appends as as json.Marshal renders a []packet.Addr: null
 // for nil, [] for empty.
-func appendJSONStrings(buf []byte, ss []string) []byte {
-	if ss == nil {
+func appendAddrs(buf []byte, as []packet.Addr) []byte {
+	if as == nil {
 		return append(buf, "null"...)
 	}
 	buf = append(buf, '[')
-	for i, s := range ss {
+	for i, a := range as {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONString(buf, s)
+		buf = appendAddr(buf, a)
 	}
 	return append(buf, ']')
 }
@@ -68,7 +76,7 @@ func appendJSONStrings(buf []byte, ss []string) []byte {
 // json.Marshal(n) plus '\n'.
 func appendNodeLine(buf []byte, n *AtlasNodeV2) []byte {
 	buf = append(buf, `{"addr":`...)
-	buf = appendJSONString(buf, n.Addr)
+	buf = appendAddr(buf, n.Addr)
 	buf = append(buf, `,"seen":`...)
 	if n.Seen == nil {
 		buf = append(buf, "null"...)
@@ -87,10 +95,10 @@ func appendNodeLine(buf []byte, n *AtlasNodeV2) []byte {
 		buf = append(buf, ']')
 	}
 	buf = append(buf, `,"succ":`...)
-	buf = appendJSONStrings(buf, n.Succ)
-	if n.Router != "" {
+	buf = appendAddrs(buf, n.Succ)
+	if n.Router != 0 {
 		buf = append(buf, `,"router":`...)
-		buf = appendJSONString(buf, n.Router)
+		buf = appendAddr(buf, n.Router)
 	}
 	return append(buf, "}\n"...)
 }
@@ -99,7 +107,7 @@ func appendNodeLine(buf []byte, n *AtlasNodeV2) []byte {
 // json.Marshal(rt) plus '\n'.
 func appendRouterLine(buf []byte, rt *AtlasRouter) []byte {
 	buf = append(buf, `{"addrs":`...)
-	buf = appendJSONStrings(buf, rt.Addrs)
+	buf = appendAddrs(buf, rt.Addrs)
 	return append(buf, "}\n"...)
 }
 
@@ -163,6 +171,15 @@ func (p *lineParser) str() string {
 	v := p.s[p.i+1 : j]
 	p.i = j + 1
 	return v
+}
+
+// addr reads a quoted address in its canonical text, the one form
+// packet.Addr's UnmarshalText accepts.
+func (p *lineParser) addr() packet.Addr {
+	var a packet.Addr
+	s := p.str()
+	p.require(p.ok && a.UnmarshalText([]byte(s)) == nil)
+	return a
 }
 
 // require clears ok unless cond holds.
@@ -292,14 +309,14 @@ func (p *lineParser) pairs(dst *[][2]int) (null bool) {
 	return false
 }
 
-// strs reads null or an array of strings into *dst and reports whether
-// it read null.
-func (p *lineParser) strs(dst *[]string) (null bool) {
+// addrs reads null or an array of addresses into *dst and reports
+// whether it read null.
+func (p *lineParser) addrs(dst *[]packet.Addr) (null bool) {
 	*dst = (*dst)[:0]
 	if p.skip("null") {
 		return true
 	}
-	p.array(func() { *dst = append(*dst, p.str()) })
+	p.array(func() { *dst = append(*dst, p.addr()) })
 	return false
 }
 
@@ -327,21 +344,20 @@ func (s *slab[T]) copy(v []T) []T {
 }
 
 // lineDecoder decodes the node and router lines of one shard block.
-// Values it parses share memory: strings are substrings of the block's
-// text, lists come from its slabs.
+// The lists it parses share memory: they come from its slabs.
 type lineDecoder struct {
 	text    string // the block, which the line scanner's offsets index
 	seen    slab[[2]int]
-	strs    slab[string]
+	addrs   slab[packet.Addr]
 	seenTmp [][2]int
-	strTmp  []string
+	addrTmp []packet.Addr
 }
 
 // newLineDecoder decodes a block of n nodes held in text, sizing the
 // slabs' chunks for it.
 func newLineDecoder(text string, n int) *lineDecoder {
 	chunk := max(cappedPrealloc(n), 16)
-	return &lineDecoder{text: text, seen: slab[[2]int]{chunk: chunk}, strs: slab[string]{chunk: chunk}}
+	return &lineDecoder{text: text, seen: slab[[2]int]{chunk: chunk}, addrs: slab[packet.Addr]{chunk: chunk}}
 }
 
 // node parses a canonical node line into *n, which must be zero; it
@@ -349,13 +365,14 @@ func newLineDecoder(text string, n int) *lineDecoder {
 func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 	p := lineParser{s: s, ok: true}
 	p.lit(`{"addr":`)
-	n.Addr = p.str()
+	n.Addr = p.addr()
 	p.lit(`,"seen":`)
 	seenNull := p.pairs(&d.seenTmp)
 	p.lit(`,"succ":`)
-	succNull := p.strs(&d.strTmp)
+	succNull := p.addrs(&d.addrTmp)
 	if p.skip(`,"router":`) {
-		n.Router = p.str()
+		n.Router = p.addr()
+		p.require(n.Router != 0) // the encoder omits a zero router
 	}
 	p.char('}')
 	if !p.ok || p.i != len(s) {
@@ -366,7 +383,7 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 		n.Seen = d.seen.copy(d.seenTmp)
 	}
 	if !succNull {
-		n.Succ = d.strs.copy(d.strTmp)
+		n.Succ = d.addrs.copy(d.addrTmp)
 	}
 	return true
 }
@@ -376,13 +393,13 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 func (d *lineDecoder) router(s string, rt *AtlasRouter) bool {
 	p := lineParser{s: s, ok: true}
 	p.lit(`{"addrs":`)
-	null := p.strs(&d.strTmp)
+	null := p.addrs(&d.addrTmp)
 	p.char('}')
 	if !p.ok || p.i != len(s) {
 		return false
 	}
 	if !null {
-		rt.Addrs = d.strs.copy(d.strTmp)
+		rt.Addrs = d.addrs.copy(d.addrTmp)
 	}
 	return true
 }

@@ -39,10 +39,9 @@ func checkLineDecoders(t *testing.T, line []byte) {
 }
 
 // checkLineEncoder holds a hand encoder to json.Marshal plus '\n', runs
-// its output through the decoder check, and, when every string is plain,
-// requires the hand decoder to take its own
-// encoder's line rather than fall back.
-func checkLineEncoder(t *testing.T, v any, got []byte, canonical bool) {
+// its output through the decoder check, and requires the hand decoder
+// to take its own encoder's line rather than fall back.
+func checkLineEncoder(t *testing.T, v any, got []byte) {
 	t.Helper()
 	want, err := json.Marshal(v)
 	if err != nil {
@@ -53,9 +52,6 @@ func checkLineEncoder(t *testing.T, v any, got []byte, canonical bool) {
 	}
 	line := got[:len(got)-1]
 	checkLineDecoders(t, line)
-	if !canonical {
-		return
-	}
 	d := newLineDecoder("", 0)
 	nodeOK := d.node(string(line), new(AtlasNodeV2))
 	routerOK := d.router(string(line), new(AtlasRouter))
@@ -66,21 +62,26 @@ func checkLineEncoder(t *testing.T, v any, got []byte, canonical bool) {
 
 // FuzzAtlasLines is the oracle for the hand-written node and router
 // line codecs. For arbitrary line bytes, whatever the hand parsers
-// accept decodes to exactly what encoding/json gives. For arbitrary
-// strings and integers, the hand encoders write exactly json.Marshal's
-// bytes, and the hand parsers take those bytes back whenever the
-// strings need no escapes. CI's fuzz-smoke job runs it for a short budget; locally:
+// accept decodes to exactly what encoding/json gives, addresses through
+// packet.Addr's UnmarshalText. For arbitrary addresses (as uint32s) and
+// integers, the hand encoders write exactly json.Marshal's bytes, and
+// the hand parsers take those bytes back. CI's fuzz-smoke job runs it
+// for a short budget; locally:
 //
 //	go test -run='^$' -fuzz=FuzzAtlasLines -fuzztime=30s ./internal/traceio
 func FuzzAtlasLines(f *testing.F) {
 	for _, raw := range [][]byte{sampleFixture().encode(f, 0), wideFixture().encode(f, 3)} {
 		for _, line := range bytes.Split(raw, []byte("\n")) {
-			f.Add(line, "10.0.0.1", "10.0.0.2", 0, 1)
+			f.Add(line, uint32(ip("10.0.0.1")), uint32(ip("10.0.0.2")), 0, 1)
 		}
 	}
 	for _, line := range []string{
 		`{"addr":"10.0.0.1","seen":[],"succ":[]}`,
 		`{"addr":"10.0.0.1","seen":null,"succ":null,"router":""}`,
+		`{"addr":"10.0.0.1","seen":null,"succ":null,"router":"0.0.0.0"}`,
+		`{"addr":"010.0.0.1","seen":null,"succ":null}`,
+		`{"addr":"10.0.0.1","seen":null,"succ":["10.0.00.3"]}`,
+		`{"addr":"10.0.0.256","seen":null,"succ":null}`,
 		`{"addr": "10.0.0.1","seen":[[0,1]],"succ":null}`,
 		`{"seen":[[0,1]],"addr":"10.0.0.1","succ":null}`,
 		`{"ADDR":"10.0.0.1","seen":[[0,1]],"succ":null}`,
@@ -97,22 +98,22 @@ func FuzzAtlasLines(f *testing.F) {
 		`{"addrs":["10.0.0.1",]}`,
 		"{\"addrs\":[\"\xff\"]}",
 	} {
-		f.Add([]byte(line), "a<b>&c", " \\\"", -1, math.MinInt)
+		f.Add([]byte(line), uint32(0), uint32(math.MaxUint32), -1, math.MinInt)
 	}
-	f.Add([]byte(""), "\xff\xfe", "\x00\x1f\x7f", math.MaxInt, -1000000000000000000)
+	f.Add([]byte(""), uint32(1), uint32(255), math.MaxInt, -1000000000000000000)
 
-	f.Fuzz(func(t *testing.T, line []byte, a, b string, p, h int) {
+	f.Fuzz(func(t *testing.T, line []byte, a32, b32 uint32, p, h int) {
 		checkLineDecoders(t, line)
-		canonical := plainJSONString(a) && plainJSONString(b)
+		a, b := packet.Addr(a32), packet.Addr(b32)
 		for _, n := range []AtlasNodeV2{
-			{Addr: a, Seen: [][2]int{{p, h}, {h, p}}, Succ: []string{a, b}, Router: b},
-			{Addr: b, Seen: [][2]int{}, Succ: []string{}},
+			{Addr: a, Seen: [][2]int{{p, h}, {h, p}}, Succ: []packet.Addr{a, b}, Router: b},
+			{Addr: b, Seen: [][2]int{}, Succ: []packet.Addr{}},
 			{Addr: a},
 		} {
-			checkLineEncoder(t, &n, appendNodeLine(nil, &n), canonical)
+			checkLineEncoder(t, &n, appendNodeLine(nil, &n))
 		}
-		for _, rt := range []AtlasRouter{{Addrs: []string{a, b}}, {Addrs: []string{}}, {}} {
-			checkLineEncoder(t, &rt, appendRouterLine(nil, &rt), canonical)
+		for _, rt := range []AtlasRouter{{Addrs: []packet.Addr{a, b}}, {Addrs: []packet.Addr{}}, {}} {
+			checkLineEncoder(t, &rt, appendRouterLine(nil, &rt))
 		}
 	})
 }
@@ -122,7 +123,7 @@ func FuzzAtlasLines(f *testing.F) {
 // and a router for every eighth pair of nodes.
 func fullBlockFixture() *atlasFixture {
 	f := &atlasFixture{name: "full-block", Pairs: []AtlasPair{{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"}}}
-	addr := func(i int) string { return packet.AddrFrom4(10, byte(i>>8), byte(i), 1).String() }
+	addr := func(i int) packet.Addr { return packet.AddrFrom4(10, byte(i>>8), byte(i), 1) }
 	for i := 0; i < DefaultAtlasShardNodes; i++ {
 		n := AtlasNodeV2{Addr: addr(i), Seen: [][2]int{{i % 50, 1 + i%7}}}
 		if i%3 == 0 {
@@ -137,7 +138,7 @@ func fullBlockFixture() *atlasFixture {
 		f.Nodes = append(f.Nodes, n)
 	}
 	for k := 0; k+1 < DefaultAtlasShardNodes; k += 16 {
-		f.Routers = append(f.Routers, AtlasRouter{Addrs: []string{addr(k), addr(k + 1)}})
+		f.Routers = append(f.Routers, AtlasRouter{Addrs: []packet.Addr{addr(k), addr(k + 1)}})
 	}
 	return f
 }

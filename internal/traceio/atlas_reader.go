@@ -30,7 +30,6 @@ type AtlasReader struct {
 	trailer atlasTrailer
 	index   AtlasIndex
 	mins    []packet.Addr // per-shard min fence
-	maxs    []packet.Addr // per-shard max fence
 	pairs   []AtlasPair
 }
 
@@ -114,10 +113,8 @@ func (r *AtlasReader) open() error {
 		return fmt.Errorf("traceio: atlas index lists %d shards, header claims %d", len(r.index.Shards), r.header.Shards)
 	}
 	r.mins = make([]packet.Addr, len(r.index.Shards))
-	r.maxs = make([]packet.Addr, len(r.index.Shards))
 	prevEnd := int64(0)
-	var prevMax packet.Addr
-	fenced := false
+	var prevMax packet.Addr // 0.0.0.0 is never a fence
 	for i, si := range r.index.Shards {
 		if si.Nodes < 0 || si.Routers < 0 {
 			return fmt.Errorf("traceio: atlas index shard %d: negative counts", i)
@@ -129,19 +126,11 @@ func (r *AtlasReader) open() error {
 		if si.Nodes == 0 {
 			continue
 		}
-		lo, err := packet.ParseAddr(si.Min)
-		if err != nil {
-			return fmt.Errorf("traceio: atlas index shard %d min fence: %v", i, err)
-		}
-		hi, err := packet.ParseAddr(si.Max)
-		if err != nil {
-			return fmt.Errorf("traceio: atlas index shard %d max fence: %v", i, err)
-		}
-		if hi < lo || (fenced && lo <= prevMax) {
+		if si.Min <= prevMax || si.Max < si.Min {
 			return fmt.Errorf("traceio: atlas index shard %d fences out of order", i)
 		}
-		r.mins[i], r.maxs[i] = lo, hi
-		prevMax, fenced = hi, true
+		r.mins[i] = si.Min
+		prevMax = si.Max
 	}
 	if !r.inBounds(r.index.PairsOff, r.index.PairsLen) {
 		return fmt.Errorf("traceio: atlas index pairs span out of bounds")
@@ -236,27 +225,29 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 		Nodes:   make([]AtlasNodeV2, 0, cappedPrealloc(sh.Nodes)),
 		Routers: make([]AtlasRouter, 0, cappedPrealloc(sh.Routers)),
 	}
-	// One string for the whole block: every decoded string is a
-	// substring of it.
+	// One string for the whole block, which the parser reads each line
+	// of as a substring.
 	d := newLineDecoder(string(buf), sh.Nodes)
 	var prev packet.Addr
 	for j := 0; j < sh.Nodes; j++ {
 		out.Nodes = append(out.Nodes, AtlasNodeV2{})
 		n := &out.Nodes[j]
-		addr, err := d.decodeNode(ls, n, prev, j > 0)
-		if err != nil {
+		if err := d.decodeNode(ls, n, prev); err != nil {
 			return nil, err
 		}
-		if addr < r.mins[i] || addr > r.maxs[i] {
+		if n.Addr < si.Min || n.Addr > si.Max {
 			return nil, fmt.Errorf("traceio: atlas shard %d: node %s outside fences", i, n.Addr)
 		}
-		prev = addr
+		prev = n.Addr
 	}
+	prev = 0
 	for j := 0; j < sh.Routers; j++ {
 		out.Routers = append(out.Routers, AtlasRouter{})
-		if err := d.decodeRouter(ls, &out.Routers[j]); err != nil {
+		rt := &out.Routers[j]
+		if err := d.decodeRouter(ls, rt, prev); err != nil {
 			return nil, err
 		}
+		prev = rt.Addrs[0]
 	}
 	if err := ls.finish(); err != nil {
 		return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
@@ -292,12 +283,14 @@ func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
 // node for, and the routers are what a router query needs: members
 // strictly ascending (so the first is the representative), each line
 // in the shard AtlasShardForAddr gives for its representative, and
-// node "router" fields and router lines agreeing both ways (compared as
-// addresses), and every node, successor, router field and router member
-// written as its address's canonical text, the key serve looks it up by.
-// (That addresses ascend across shard boundaries needs no
-// check of its own: open orders the index's fences and ReadShard keeps
-// every node inside them.) A file that verifies re-streams through
+// node "router" fields and router lines agreeing both ways; and the
+// census is what Atlas.Census writes: entries strictly ascending by
+// (div, conv), each entry's pairs strictly ascending, and at least one
+// pair and no more pairs than encounters. (Every address was written
+// as its canonical text: the decoder refuses any other. That addresses
+// ascend across shard boundaries needs no check of its own: open
+// orders the index's fences and ReadShard keeps every node inside
+// them.) A file that verifies re-streams through
 // AtlasStreamEncoder without error. Each failure names its check.
 // Memory is one decoded shard plus 4 bytes per node, 8 per edge and 8
 // per router member or router-naming node.
@@ -351,13 +344,7 @@ func (r *AtlasReader) Verify() error {
 		claims  []link // node → the representative its "router" names
 		members []link // router member → the line's first address
 		routers int
-		scratch []byte
 	)
-	// canonical reports whether s is a's canonical text.
-	canonical := func(a packet.Addr, s string) bool {
-		scratch = a.AppendText(scratch[:0])
-		return string(scratch) == s
-	}
 	for i, si := range r.index.Shards {
 		sh, err := r.ReadShard(i)
 		if err != nil {
@@ -373,48 +360,24 @@ func (r *AtlasReader) Verify() error {
 		}
 		for j := range sh.Nodes {
 			n := &sh.Nodes[j]
-			addr := packet.MustParseAddr(n.Addr) // ReadShard parsed it
-			if !canonical(addr, n.Addr) {
-				return fail("address text", "node %q is not written as %s", n.Addr, addr)
+			addrs = append(addrs, n.Addr)
+			for _, to := range n.Succ {
+				links = append(links, link{n.Addr, to})
 			}
-			addrs = append(addrs, addr)
-			for _, s := range n.Succ {
-				to, err := packet.ParseAddr(s)
-				if err != nil {
-					return fail("successors", "node %s links to %q: %v", n.Addr, s, err)
-				}
-				if !canonical(to, s) {
-					return fail("address text", "node %s links to %q, not written as %s", n.Addr, s, to)
-				}
-				links = append(links, link{addr, to})
-			}
-			if n.Router != "" {
-				rep, err := packet.ParseAddr(n.Router)
-				if err != nil {
-					return fail("router links", "node %s names router %q: %v", n.Addr, n.Router, err)
-				}
-				if !canonical(rep, n.Router) {
-					return fail("address text", "node %s names router %q, not written as %s", n.Addr, n.Router, rep)
-				}
-				claims = append(claims, link{addr, rep})
+			if n.Router != 0 {
+				claims = append(claims, link{n.Addr, n.Router})
 			}
 		}
 		for _, rt := range sh.Routers {
-			rep := packet.MustParseAddr(rt.Addrs[0]) // ReadShard parsed every member
-			for _, m := range rt.Addrs {
-				if a := packet.MustParseAddr(m); !canonical(a, m) {
-					return fail("address text", "router %s lists %q, not written as %s", rt.Addrs[0], m, a)
-				}
-			}
+			rep := rt.Addrs[0]
 			if home := r.ShardFor(rep); home != i {
-				return fail("router placement", "router %s is in shard %d, its representative's shard is %d", rt.Addrs[0], i, home)
+				return fail("router placement", "router %s is in shard %d, its representative's shard is %d", rep, i, home)
 			}
 			prev := rep
 			members = append(members, link{rep, rep})
-			for _, m := range rt.Addrs[1:] {
-				a := packet.MustParseAddr(m)
+			for _, a := range rt.Addrs[1:] {
 				if a <= prev {
-					return fail("router order", "router %s lists %s after %s", rt.Addrs[0], m, prev)
+					return fail("router order", "router %s lists %s after %s", rep, a, prev)
 				}
 				prev = a
 				members = append(members, link{a, rep})
@@ -459,8 +422,22 @@ func (r *AtlasReader) Verify() error {
 			return fail("router links", "router %s lists node %s, which does not name it", m.to, m.from)
 		}
 	}
-	if _, err := r.ReadDiamonds(); err != nil {
+	ds, err := r.ReadDiamonds()
+	if err != nil {
 		return fail("diamonds", "%v", err)
+	}
+	for i, d := range ds {
+		if i > 0 && (ds[i-1].Div > d.Div || ds[i-1].Div == d.Div && ds[i-1].Conv >= d.Conv) {
+			return fail("census", "diamond (%s, %s) after (%s, %s)", d.Div, d.Conv, ds[i-1].Div, ds[i-1].Conv)
+		}
+		if len(d.Pairs) == 0 || d.Count < len(d.Pairs) {
+			return fail("census", "diamond (%s, %s) counts %d encounters by %d pairs", d.Div, d.Conv, d.Count, len(d.Pairs))
+		}
+		for j := 1; j < len(d.Pairs); j++ {
+			if d.Pairs[j] <= d.Pairs[j-1] {
+				return fail("census", "diamond (%s, %s) lists pair %d after %d", d.Div, d.Conv, d.Pairs[j], d.Pairs[j-1])
+			}
+		}
 	}
 	return nil
 }

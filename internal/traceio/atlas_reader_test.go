@@ -66,8 +66,7 @@ func TestAtlasReaderShardRouting(t *testing.T) {
 	}
 	// Every node address resolves to a shard that actually contains it.
 	for _, n := range f.Nodes {
-		addr := packet.MustParseAddr(n.Addr)
-		si := r.ShardFor(addr)
+		si := r.ShardFor(n.Addr)
 		sh, err := r.ReadShard(si)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +91,7 @@ func TestAtlasReaderShardRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sh.Routers) != 1 || sh.Routers[0].Addrs[0] != "10.0.0.2" {
+	if len(sh.Routers) != 1 || sh.Routers[0].Addrs[0] != ip("10.0.0.2") {
 		t.Fatalf("shard %d routers = %+v", si, sh.Routers)
 	}
 	sh3, err := r.ReadShard(r.ShardFor(packet.MustParseAddr("10.0.0.3")))
@@ -100,8 +99,8 @@ func TestAtlasReaderShardRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range sh3.Nodes {
-		if n.Addr == "10.0.0.3" && n.Router != "10.0.0.2" {
-			t.Fatalf("node 10.0.0.3 router = %q, want 10.0.0.2", n.Router)
+		if n.Addr == ip("10.0.0.3") && n.Router != ip("10.0.0.2") {
+			t.Fatalf("node 10.0.0.3 router = %s, want 10.0.0.2", n.Router)
 		}
 	}
 	// Successor lists carry the edges: node 10.0.0.1 links to .2 and .3.
@@ -109,7 +108,7 @@ func TestAtlasReaderShardRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sh1.Nodes[0].Succ; !reflect.DeepEqual(got, []string{"10.0.0.2", "10.0.0.3"}) {
+	if got := sh1.Nodes[0].Succ; !reflect.DeepEqual(got, ips("10.0.0.2", "10.0.0.3")) {
 		t.Fatalf("10.0.0.1 succ = %v", got)
 	}
 	ds, err := r.ReadDiamonds()
@@ -126,26 +125,46 @@ func TestAtlasReaderShardRouting(t *testing.T) {
 
 // Canonical-order violations are open or read errors: that validation
 // is what guarantees every accepted block re-encodes (shard fences
-// require ordered, parseable addresses). Order across a shard boundary
-// is the index's fence order plus each block staying inside its fences.
+// require ordered addresses). Order across a shard boundary is the
+// index's fence order plus each block staying inside its fences. So is
+// an address in any text but its canonical one, wherever it stands.
 func TestAtlasDecodeRejectsNonCanonicalNodes(t *testing.T) {
 	t.Parallel()
 	raw := wideFixture().encode(t, 4) // 3 shards: .1-.4, .5-.8, .9
-	for name, in := range map[string]string{
-		"descending":  corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"10.0.0.1"`),
-		"duplicate":   corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"10.0.0.2"`),
-		"unparseable": corrupt(t, raw, `{"addr":"10.0.0.1"`, `{"addr":"not-an-ip"`, `"min":"10.0.0.1"`, `"min":"not-an-ip"`),
-		"descending across shards": corrupt(t, raw, `{"addr":"10.0.0.5"`, `{"addr":"10.0.0.3"`,
-			`"min":"10.0.0.5"`, `"min":"10.0.0.3"`),
-		"node outside its fences": corrupt(t, raw, `{"addr":"10.0.0.6"`, `{"addr":"10.0.0.9"`,
+	lastMin := bytes.LastIndex(raw, []byte(`"min":"10.0.0.5"`))
+	// want is a fragment of the error: the check that fired, and for
+	// address text that it was refused as such, with the line it is on.
+	const notCanonical = "is not a canonical dotted quad"
+	for _, c := range []struct{ name, in, want string }{
+		{"descending", corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"10.0.0.1"`), "line 4: node 10.0.0.1 out of canonical order"},
+		{"duplicate", corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"10.0.0.2"`), "line 4: node 10.0.0.2 out of canonical order"},
+		{"zero node address", corrupt(t, raw, `{"addr":"10.0.0.1"`, `{"addr":"0.0.0.0"`), "line 2: node 0.0.0.0 out of canonical order"},
+		{"descending across shards", corrupt(t, raw, `{"addr":"10.0.0.5"`, `{"addr":"10.0.0.3"`,
+			`"min":"10.0.0.5"`, `"min":"10.0.0.3"`), "index shard 1 fences out of order"},
+		{"node outside its fences", corrupt(t, raw, `{"addr":"10.0.0.6"`, `{"addr":"10.0.0.9"`,
 			`{"addr":"10.0.0.7"`, `{"addr":"10.0.0.10"`, `{"addr":"10.0.0.8"`, `{"addr":"10.0.0.11"`,
 			`{"shard":1,"nodes":4,"routers":1,"min":"10.0.0.5","max":"10.0.0.8"}`,
-			`{"shard":1,"nodes":4,"routers":1,"min":"10.0.0.5","max":"10.0.0.11"}`),
-		"unparseable router rep":    corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["bogus","10.0.0.3"]}`),
-		"unparseable router member": corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["10.0.0.2","bogus"]}`),
+			`{"shard":1,"nodes":4,"routers":1,"min":"10.0.0.5","max":"10.0.0.11"}`), "fences out of order"},
+		{"routers out of order", corrupt(t, wideFixture().encode(t, 0),
+			`{"addrs":["10.0.0.2","10.0.0.3"]}`+"\n"+`{"addrs":["10.0.0.7","10.0.0.9"]}`,
+			`{"addrs":["10.0.0.7","10.0.0.9"]}`+"\n"+`{"addrs":["10.0.0.2","10.0.0.3"]}`), "line 12: router 10.0.0.2 out of canonical order"},
+		{"unparseable node", corrupt(t, raw, `{"addr":"10.0.0.1"`, `{"addr":"not-an-ip"`), "line 2: bad node: packet: \"not-an-ip\" " + notCanonical},
+		{"unparseable successor", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","bogus"]`), "line 2: bad node: packet: \"bogus\" " + notCanonical},
+		{"unparseable router rep", corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["bogus","10.0.0.3"]}`), "line 6: bad router: packet: \"bogus\" " + notCanonical},
+		{"unparseable router member", corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["10.0.0.2","bogus"]}`), "line 6: bad router: packet: \"bogus\" " + notCanonical},
+		{"node address not canonical", corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"010.0.0.3"`), "line 4: bad node: packet: \"010.0.0.3\" " + notCanonical},
+		{"successor not canonical", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","10.0.00.3"]`), "line 2: bad node: packet: \"10.0.00.3\" " + notCanonical},
+		{"router field not canonical", corrupt(t, raw, `"succ":["10.0.0.4"],"router":"10.0.0.2"}`, `"succ":["10.0.0.4"],"router":"10.0.0.02"}`), "line 3: bad node: packet: \"10.0.0.02\" " + notCanonical},
+		{"router member not canonical", corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["10.0.0.2","10.00.0.3"]}`), "line 6: bad router: packet: \"10.00.0.3\" " + notCanonical},
+		// Same-length edits, so every offset still holds: the block's
+		// fence, then the index's.
+		{"block fence not canonical", strings.Replace(string(raw), `"min":"10.0.0.5"`, `"min":"1.00.0.5"`, 1), "line 1: bad shard header: packet: \"1.00.0.5\" " + notCanonical},
+		{"index fence not canonical", string(raw[:lastMin]) + `"min":"1.00.0.5"` + string(raw[lastMin+len(`"min":"10.0.0.5"`):]), "bad atlas index: packet: \"1.00.0.5\" " + notCanonical},
 	} {
-		if err := openAndVerify([]byte(in)); err == nil {
-			t.Errorf("%s: accepted non-canonical input", name)
+		if err := openAndVerify([]byte(c.in)); err == nil {
+			t.Errorf("%s: accepted non-canonical input", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
 		}
 	}
 }
@@ -223,16 +242,20 @@ func TestAtlasV2DecodeRejections(t *testing.T) {
 		{"gap before index", "layout", reindex(t, body+"\n", func(ix *AtlasIndex) { ix.DiamondsLen-- })},
 		{"bytes after trailer", "layout", string(raw) + "\n"},
 		{"block fence beyond last node", "fences", corrupt(t, raw, `"min":"10.0.0.9","max":"10.0.0.9"`, `"min":"10.0.0.9","max":"10.0.0.10"`)},
-		{"index fence disagrees with block", "fences", reindex(t, body, func(ix *AtlasIndex) { ix.Shards[2].Max = "10.0.1.9" })},
+		{"index fence disagrees with block", "fences", reindex(t, body, func(ix *AtlasIndex) { ix.Shards[2].Max = ip("10.0.1.9") })},
 		{"node total", "node total", corrupt(t, raw, `"nodes":9,"edges"`, `"nodes":10,"edges"`)},
 		{"router total", "router total", corrupt(t, raw, `"routers":2,"diamonds"`, `"routers":3,"diamonds"`)},
 		{"edge total", "edge total", corrupt(t, raw, `"edges":8`, `"edges":7`)},
 		{"edge to unknown addr", "successors", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","10.9.9.9"]`)},
-		{"unparseable successor", "successors", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","bogus"]`)},
-		// serve finds a node by its address's canonical text.
-		{"node address not canonical", "address text", corrupt(t, raw, `{"addr":"10.0.0.3"`, `{"addr":"010.0.0.3"`)},
-		{"successor address not canonical", "address text", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","10.0.00.3"]`)},
 		{"diamond count", "diamonds", corrupt(t, raw, `"diamonds":1`, `"diamonds":2`)},
+		// The census checks: each corruption leaves a census that
+		// /v1/census would list or count wrong.
+		{"census entry twice", "census", corrupt(t, raw, `"diamonds":1`, `"diamonds":2`, `{"div":"10.0.0.1","conv":"10.0.0.4","count":2,"pairs":[0],"max_width":2,"max_length":2}`, `{"div":"10.0.0.1","conv":"10.0.0.4","count":2,"pairs":[0],"max_width":2,"max_length":2}`+"\n"+`{"div":"10.0.0.1","conv":"10.0.0.4","count":2,"pairs":[0],"max_width":2,"max_length":2}`)},
+		{"census entries descending", "census", corrupt(t, raw, `"diamonds":1`, `"diamonds":2`,
+			`{"div":"10.0.0.1","conv":"10.0.0.4","count":2,"pairs":[0],"max_width":2,"max_length":2}`, `{"div":"10.0.0.1","conv":"10.0.0.4","count":2,"pairs":[0],"max_width":2,"max_length":2}`+"\n"+`{"div":"10.0.0.0","conv":"10.0.0.4","count":1,"pairs":[1],"max_width":2,"max_length":2}`)},
+		{"census pairs not ascending", "census", corrupt(t, raw, `"count":2,"pairs":[0]`, `"count":3,"pairs":[1,0,0]`)},
+		{"census entry without pairs", "census", corrupt(t, raw, `"count":2,"pairs":[0]`, `"count":0,"pairs":[]`)},
+		{"census pairs beyond count", "census", corrupt(t, raw, `"count":2,"pairs":[0]`, `"count":1,"pairs":[0,1]`)},
 		{"unreadable shard", "shard 1", corrupt(t, raw, `{"addrs":["10.0.0.7","10.0.0.9"]}`, `{"addrs":["10.0.0.7"]}`)},
 		// The router checks: each corruption leaves a file a router
 		// query cannot answer.

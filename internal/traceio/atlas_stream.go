@@ -51,8 +51,7 @@ type AtlasStreamEncoder struct {
 	nodes   int
 	edges   int
 	routers int
-	prevMax packet.Addr
-	fenced  bool
+	prevMax packet.Addr // 0.0.0.0 is never a fence
 }
 
 // NewAtlasStreamEncoder starts a streaming encode: it validates the
@@ -120,18 +119,10 @@ func (e *AtlasStreamEncoder) WriteEncodedBlock(raw []byte, hdr AtlasShardHeader,
 		return fmt.Errorf("traceio: atlas stream: shard %d beyond spec's %d", hdr.Shard, e.spec.Shards)
 	}
 	if hdr.Nodes > 0 {
-		min, err := packet.ParseAddr(hdr.Min)
-		if err != nil {
-			return fmt.Errorf("traceio: atlas stream: shard %d min fence %q: %v", hdr.Shard, hdr.Min, err)
-		}
-		if e.fenced && min <= e.prevMax {
+		if hdr.Min <= e.prevMax || hdr.Max < hdr.Min {
 			return fmt.Errorf("traceio: atlas stream: shard %d fences out of order", hdr.Shard)
 		}
-		max, err := packet.ParseAddr(hdr.Max)
-		if err != nil {
-			return fmt.Errorf("traceio: atlas stream: shard %d max fence %q: %v", hdr.Shard, hdr.Max, err)
-		}
-		e.prevMax, e.fenced = max, true
+		e.prevMax = hdr.Max
 	}
 	off := e.cw.n
 	if _, err := e.cw.Write(raw); err != nil {
@@ -195,9 +186,9 @@ func (e *AtlasStreamEncoder) Finish() error {
 // byte-deterministic file.
 //
 // The block is validated as a unit: header counts must match the
-// slices, node addresses must be parseable and strictly ascending,
-// fences must equal the first and last node address, and routers need
-// two or more members, all parseable.
+// slices, node addresses must ascend strictly from above 0.0.0.0,
+// fences must equal the first and last node address, and router lines
+// need two or more members and representatives ascending.
 func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 	h := sh.Header
 	if h.Nodes != len(sh.Nodes) || h.Routers != len(sh.Routers) {
@@ -205,7 +196,7 @@ func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 			h.Shard, h.Nodes, h.Routers, len(sh.Nodes), len(sh.Routers))
 	}
 	if len(sh.Nodes) == 0 {
-		if h.Min != "" || h.Max != "" {
+		if h.Min != 0 || h.Max != 0 {
 			return nil, 0, fmt.Errorf("traceio: atlas shard %d: fences on an empty shard", h.Shard)
 		}
 	} else if h.Min != sh.Nodes[0].Addr || h.Max != sh.Nodes[len(sh.Nodes)-1].Addr {
@@ -220,22 +211,20 @@ func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 	var prev packet.Addr
 	for i := range sh.Nodes {
 		n := &sh.Nodes[i]
-		addr, perr := packet.ParseAddr(n.Addr)
-		if perr != nil {
-			return nil, 0, fmt.Errorf("traceio: atlas shard %d: node address %q: %v", h.Shard, n.Addr, perr)
-		}
-		if i > 0 && addr <= prev {
+		if n.Addr <= prev {
 			return nil, 0, fmt.Errorf("traceio: atlas shard %d: node %s out of canonical order", h.Shard, n.Addr)
 		}
-		prev = addr
+		prev = n.Addr
 		edges += len(n.Succ)
 		buf = appendNodeLine(buf, n)
 	}
+	prev = 0
 	for i := range sh.Routers {
 		r := &sh.Routers[i]
-		if verr := validateRouter(r); verr != nil {
+		if verr := validateRouter(r, prev); verr != nil {
 			return nil, 0, fmt.Errorf("traceio: atlas shard %d: %v", h.Shard, verr)
 		}
+		prev = r.Addrs[0]
 		buf = appendRouterLine(buf, r)
 	}
 	return buf, edges, nil

@@ -57,12 +57,12 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 	t.Parallel()
 	block := func(shard int, min, max string, nodes ...AtlasNodeV2) *AtlasShard {
 		return &AtlasShard{
-			Header: AtlasShardHeader{Shard: shard, Nodes: len(nodes), Min: min, Max: max},
+			Header: AtlasShardHeader{Shard: shard, Nodes: len(nodes), Min: ip(min), Max: ip(max)},
 			Nodes:  nodes,
 		}
 	}
-	n1 := AtlasNodeV2{Addr: "10.0.0.1"}
-	n2 := AtlasNodeV2{Addr: "10.0.0.2"}
+	n1 := AtlasNodeV2{Addr: ip("10.0.0.1")}
+	n2 := AtlasNodeV2{Addr: ip("10.0.0.2")}
 
 	t.Run("node total mismatch", func(t *testing.T) {
 		enc, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 1})

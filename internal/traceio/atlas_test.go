@@ -34,6 +34,17 @@ var atlasPins = map[string]string{
 	"empty/per=0":  "19101404d2ab931754886eb4f0c9cfb53990a59e2a579b2eb90e70da22e76076",
 }
 
+// ip is packet.MustParseAddr, short for the fixtures; ips parses a list.
+func ip(s string) packet.Addr { return packet.MustParseAddr(s) }
+
+func ips(ss ...string) []packet.Addr {
+	out := make([]packet.Addr, len(ss))
+	for i, s := range ss {
+		out[i] = ip(s)
+	}
+	return out
+}
+
 // atlasFixture is a snapshot's content in file form: nodes in canonical
 // order with their successor lists and router representatives filled.
 type atlasFixture struct {
@@ -52,12 +63,12 @@ func sampleFixture() *atlasFixture {
 			{Pair: 3, Src: "192.0.2.2", Dst: "203.0.113.4"},
 		},
 		Nodes: []AtlasNodeV2{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}, {3, 2}}, Succ: []string{"10.0.0.2", "10.0.0.3"}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}}, Router: "10.0.0.2"},
-			{Addr: "10.0.0.3", Seen: [][2]int{{3, 3}}, Router: "10.0.0.2"},
+			{Addr: ip("10.0.0.1"), Seen: [][2]int{{0, 1}, {3, 2}}, Succ: ips("10.0.0.2", "10.0.0.3")},
+			{Addr: ip("10.0.0.2"), Seen: [][2]int{{0, 2}}, Router: ip("10.0.0.2")},
+			{Addr: ip("10.0.0.3"), Seen: [][2]int{{3, 3}}, Router: ip("10.0.0.2")},
 		},
 		Routers: []AtlasRouter{
-			{Addrs: []string{"10.0.0.2", "10.0.0.3"}},
+			{Addrs: ips("10.0.0.2", "10.0.0.3")},
 		},
 		Diamonds: []AtlasDiamond{
 			{Div: "10.0.0.1", Conv: "10.0.0.9", Count: 3, Pairs: []int{0, 3}, MaxWidth: 4, MaxLength: 2},
@@ -75,19 +86,19 @@ func wideFixture() *atlasFixture {
 			{Pair: 1, Src: "192.0.2.2", Dst: "203.0.113.2"},
 		},
 		Nodes: []AtlasNodeV2{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}, Succ: []string{"10.0.0.2", "10.0.0.3"}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}, {1, 3}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
-			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
-			{Addr: "10.0.0.5", Seen: [][2]int{{1, 1}}, Succ: []string{"10.0.0.6"}},
-			{Addr: "10.0.0.6", Seen: [][2]int{{1, 2}}, Succ: []string{"10.0.0.2"}},
-			{Addr: "10.0.0.7", Seen: [][2]int{{1, 4}}, Succ: []string{"10.0.0.8"}, Router: "10.0.0.7"},
-			{Addr: "10.0.0.8", Seen: [][2]int{{1, 5}}, Succ: []string{"10.0.0.9"}},
-			{Addr: "10.0.0.9", Seen: [][2]int{{1, 6}}, Router: "10.0.0.7"},
+			{Addr: ip("10.0.0.1"), Seen: [][2]int{{0, 1}}, Succ: ips("10.0.0.2", "10.0.0.3")},
+			{Addr: ip("10.0.0.2"), Seen: [][2]int{{0, 2}, {1, 3}}, Succ: ips("10.0.0.4"), Router: ip("10.0.0.2")},
+			{Addr: ip("10.0.0.3"), Seen: [][2]int{{0, 2}}, Succ: ips("10.0.0.4"), Router: ip("10.0.0.2")},
+			{Addr: ip("10.0.0.4"), Seen: [][2]int{{0, 3}}},
+			{Addr: ip("10.0.0.5"), Seen: [][2]int{{1, 1}}, Succ: ips("10.0.0.6")},
+			{Addr: ip("10.0.0.6"), Seen: [][2]int{{1, 2}}, Succ: ips("10.0.0.2")},
+			{Addr: ip("10.0.0.7"), Seen: [][2]int{{1, 4}}, Succ: ips("10.0.0.8"), Router: ip("10.0.0.7")},
+			{Addr: ip("10.0.0.8"), Seen: [][2]int{{1, 5}}, Succ: ips("10.0.0.9")},
+			{Addr: ip("10.0.0.9"), Seen: [][2]int{{1, 6}}, Router: ip("10.0.0.7")},
 		},
 		Routers: []AtlasRouter{
-			{Addrs: []string{"10.0.0.2", "10.0.0.3"}},
-			{Addrs: []string{"10.0.0.7", "10.0.0.9"}},
+			{Addrs: ips("10.0.0.2", "10.0.0.3")},
+			{Addrs: ips("10.0.0.7", "10.0.0.9")},
 		},
 		Diamonds: []AtlasDiamond{
 			{Div: "10.0.0.1", Conv: "10.0.0.4", Count: 2, Pairs: []int{0}, MaxWidth: 2, MaxLength: 2},
@@ -109,12 +120,12 @@ func (f *atlasFixture) blocks(per int) []*AtlasShard {
 		blk := &AtlasShard{Header: AtlasShardHeader{Shard: len(out), Nodes: hi - lo}, Nodes: f.Nodes[lo:hi]}
 		if hi > lo {
 			blk.Header.Min, blk.Header.Max = f.Nodes[lo].Addr, f.Nodes[hi-1].Addr
-			mins = append(mins, packet.MustParseAddr(blk.Header.Min))
+			mins = append(mins, blk.Header.Min)
 		}
 		out = append(out, blk)
 	}
 	for _, rt := range f.Routers {
-		blk := out[AtlasShardForAddr(mins, packet.MustParseAddr(rt.Addrs[0]))]
+		blk := out[AtlasShardForAddr(mins, rt.Addrs[0])]
 		blk.Routers = append(blk.Routers, rt)
 		blk.Header.Routers++
 	}

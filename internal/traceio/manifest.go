@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // Fleet manifest format.
@@ -101,9 +102,12 @@ func (m *FleetManifest) Matches(optionsHash uint64, total, unitSize int) error {
 }
 
 // ReadFleetManifest loads and validates a manifest file. A missing file
-// surfaces as an error satisfying os.IsNotExist. Validation checks the
-// structural invariant the merge depends on: the units partition
-// [0, Total) contiguously in ID order.
+// surfaces as an error satisfying os.IsNotExist. Validation checks what
+// a coordinator can have written and a resume depends on: a
+// non-negative Total and a positive UnitSize, units that partition
+// [0, Total) contiguously in ID order, and a shipped or merged unit
+// naming a shard inside the manifest's directory (filepath.IsLocal)
+// that holds exactly its Count records.
 func ReadFleetManifest(path string) (*FleetManifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -119,13 +123,20 @@ func ReadFleetManifest(path string) (*FleetManifest, error) {
 	if m.Kind != fleetKind {
 		return nil, fmt.Errorf("traceio: %s is a %q file, not a fleet manifest", path, m.Kind)
 	}
-	next := 0
+	if m.Total < 0 || m.UnitSize <= 0 {
+		return nil, fmt.Errorf("traceio: fleet manifest %s: total %d, unit size %d", path, m.Total, m.UnitSize)
+	}
+	next := 0 // never above Total, so Total-next cannot overflow
 	for i, u := range m.Units {
-		if u.ID != i || u.Start != next || u.Count <= 0 {
+		if u.ID != i || u.Start != next || u.Count <= 0 || u.Count > m.Total-next {
 			return nil, fmt.Errorf("traceio: fleet manifest %s: unit %d does not partition the job list (start=%d count=%d, want start=%d)", path, u.ID, u.Start, u.Count, next)
 		}
 		switch u.State {
-		case UnitUnclaimed, UnitLeased, UnitShipped, UnitMerged:
+		case UnitUnclaimed, UnitLeased:
+		case UnitShipped, UnitMerged:
+			if !filepath.IsLocal(u.Shard) || u.Records != u.Count {
+				return nil, fmt.Errorf("traceio: fleet manifest %s: %s unit %d names shard %q of %d records, want a local file of %d", path, u.State, u.ID, u.Shard, u.Records, u.Count)
+			}
 		default:
 			return nil, fmt.Errorf("traceio: fleet manifest %s: unit %d has unknown state %q", path, u.ID, u.State)
 		}

@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +17,22 @@ func testManifest() *FleetManifest {
 			{ID: 0, Start: 0, Count: 5, State: UnitShipped, Runner: "r1", Shard: "unit-000000.jsonl", Records: 5, Attempts: 1},
 			{ID: 1, Start: 5, Count: 5, State: UnitLeased, Runner: "r2", Attempts: 2},
 			{ID: 2, Start: 10, Count: 2, State: UnitUnclaimed},
+		},
+	}
+}
+
+// hostileManifest is a manifest no coordinator writes: a negative total
+// and unit size, spans whose sum overflows back onto that total, a
+// shipped shard outside the fleet directory and a merged unit with no
+// shard.
+func hostileManifest() *FleetManifest {
+	return &FleetManifest{
+		Version: FleetManifestVersion, Kind: fleetKind,
+		Total: -math.MaxInt64, UnitSize: -4,
+		Units: []FleetUnit{
+			{ID: 0, Start: 0, Count: math.MaxInt64, State: UnitUnclaimed},
+			{ID: 1, Start: math.MaxInt64, Count: 1, State: UnitShipped, Shard: "../../x", Records: 1},
+			{ID: 2, Start: math.MinInt64, Count: 1, State: UnitMerged},
 		},
 	}
 }
@@ -91,6 +108,24 @@ func TestFleetManifestValidation(t *testing.T) {
 		{"short coverage", func(m *FleetManifest) { m.Total = 99 }},
 		{"bad version", func(m *FleetManifest) { m.Version = 42 }},
 		{"bad kind", func(m *FleetManifest) { m.Kind = "checkpoint" }},
+		// The first two sum to their total only through int overflow.
+		{"negative total", func(m *FleetManifest) { *m = *hostileManifest() }},
+		{"unit past total", func(m *FleetManifest) {
+			m.Units = []FleetUnit{
+				{ID: 0, Start: 0, Count: math.MaxInt64, State: UnitUnclaimed},
+				{ID: 1, Start: math.MaxInt64, Count: math.MaxInt64, State: UnitUnclaimed},
+				{ID: 2, Start: -2, Count: 14, State: UnitUnclaimed}, // wraps back to 12
+			}
+		}},
+		{"zero unit size", func(m *FleetManifest) { m.UnitSize = 0 }},
+		{"shard outside the directory", func(m *FleetManifest) { m.Units[0].Shard = "../../x" }},
+		{"absolute shard", func(m *FleetManifest) { m.Units[0].Shard = "/etc/passwd" }},
+		{"shipped unit without shard", func(m *FleetManifest) { m.Units[0].Shard = "" }},
+		{"merged unit without shard", func(m *FleetManifest) {
+			m.Units[0].State = UnitMerged
+			m.Units[0].Shard = ""
+		}},
+		{"shipped records short of count", func(m *FleetManifest) { m.Units[0].Records = 4 }},
 	} {
 		path := write(tc.mut)
 		if _, err := ReadFleetManifest(path); err == nil {

@@ -173,33 +173,15 @@ func (d *SurveyDiamond) append(buf []byte) []byte {
 	return append(buf, '}')
 }
 
-// addr reads a quoted address as the record encoder writes one: "*" for
-// a star, otherwise a dotted quad of four decimal octets without leading
-// zeros. So "010.0.0.1", "1.2.3" and "0.0.0.0" (which renders as "*")
-// are refused.
-func (p *lineParser) addr() packet.Addr {
-	if p.skip(`"*"`) || !p.ok {
+// starAddr reads a quoted address as the record encoder writes one:
+// "*" for a star, otherwise a non-zero address's canonical text. So
+// "010.0.0.1", "1.2.3" and "0.0.0.0" (which renders as "*") are refused.
+func (p *lineParser) starAddr() packet.Addr {
+	if p.skip(`"*"`) {
 		return topo.StarAddr
 	}
-	s, i := p.s, p.i
-	var a packet.Addr
-	ok := i < len(s) && s[i] == '"'
-	for k := 0; k < 4 && ok; k++ {
-		i++ // past the quote or the dot
-		start, o := i, packet.Addr(0)
-		for i < len(s) && i-start < 3 && s[i] >= '0' && s[i] <= '9' {
-			o = o*10 + packet.Addr(s[i]-'0')
-			i++
-		}
-		ok = i > start && o <= 255 && (s[start] != '0' || i == start+1) &&
-			(k == 3 || i < len(s) && s[i] == '.')
-		a = a<<8 | o
-	}
-	if !ok || i >= len(s) || s[i] != '"' || a == topo.StarAddr {
-		p.ok = false
-		return topo.StarAddr
-	}
-	p.i = i + 1
+	a := p.addr()
+	p.require(a != topo.StarAddr)
 	return a
 }
 
@@ -231,7 +213,7 @@ func (d *recordParser) addrLists() int {
 	p := &d.p
 	n := len(d.addrEnds)
 	p.array(func() {
-		p.array(func() { d.addrs = append(d.addrs, p.addr()) })
+		p.array(func() { d.addrs = append(d.addrs, p.starAddr()) })
 		d.addrEnds = append(d.addrEnds, len(d.addrs))
 	})
 	return len(d.addrEnds) - n

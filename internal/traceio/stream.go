@@ -252,7 +252,7 @@ func (ls addrLists) append(b []byte) []byte {
 			if a == topo.StarAddr {
 				b = append(b, `"*"`...)
 			} else {
-				b = append(a.AppendText(append(b, '"')), '"')
+				b = appendAddr(b, a)
 			}
 		}
 		b = append(b, ']')

@@ -100,6 +100,7 @@ var deadSurfaceAllowlist = map[string]string{
 var stdInterfaceMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalText": true, "UnmarshalText": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
 }
