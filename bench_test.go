@@ -15,7 +15,6 @@ import (
 	"mmlpt/internal/atlas/serve"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/prior"
 	"mmlpt/internal/probe"
@@ -40,7 +39,7 @@ func BenchmarkAblationPhi(b *testing.B) {
 				net, _ := fakeroute.BuildScenario(uint64(i), benchSrc, benchDst, fakeroute.SymmetricDiamond)
 				p := probe.NewSimProber(net, benchSrc, benchDst)
 				p.Retries = 0
-				res := mdalite.Trace(p, mda.Config{Seed: uint64(i)}, phi)
+				res := mda.TraceLite(p, mda.Config{Seed: uint64(i)}, phi)
 				probes += res.Probes
 			}
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/trace")
@@ -80,7 +79,7 @@ func BenchmarkAblationNodeControl(b *testing.B) {
 			return mda.Trace(p, mda.Config{Seed: seed})
 		},
 		"mdalite": func(p probe.Prober, seed uint64) *mda.Result {
-			return mdalite.Trace(p, mda.Config{Seed: seed}, 2)
+			return mda.TraceLite(p, mda.Config{Seed: seed}, 2)
 		},
 	}
 	for name, run := range algos {
@@ -116,7 +115,7 @@ func BenchmarkAblationFlowReuse(b *testing.B) {
 				net, _ := fakeroute.BuildScenario(uint64(i), benchSrc, benchDst, fakeroute.SymmetricDiamond)
 				p := probe.NewSimProber(net, benchSrc, benchDst)
 				p.Retries = 0
-				res := mdalite.Trace(p, mda.Config{Seed: uint64(i), DisableFlowReuse: disable}, 2)
+				res := mda.TraceLite(p, mda.Config{Seed: uint64(i), DisableFlowReuse: disable}, 2)
 				probes += res.Probes
 			}
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/trace")

@@ -28,40 +28,59 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"mmlpt/internal/experiments"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/groundtruth"
+	"mmlpt/internal/mda"
 	"mmlpt/internal/traceio"
 )
 
 func main() {
-	var (
-		scenarios = flag.String("scenarios", "all", "comma-separated scenario names; a trailing * matches a prefix")
-		seeds     = flag.Int("seeds", 3, "seed sweep width per scenario")
-		seed      = flag.Uint64("seed", 1, "base seed")
-		phi       = flag.Int("phi", 0, "MDA-Lite meshing budget (0 = default)")
-		workers   = flag.Int("workers", 0, "concurrent instances (0 = GOMAXPROCS; records are identical for every value)")
-		out       = flag.String("out", "", "stream eval records to this JSONL file")
-		golden    = flag.String("golden", "", "compare the run against this golden JSONL, exit 1 on drift")
-		tolRecall = flag.Float64("tol-recall", groundtruth.DefaultRecallTolerance, "absolute drift tolerance on recall/precision/savings metrics (0 = exact)")
-		tolProbes = flag.Float64("tol-probes", groundtruth.DefaultProbesTolerance, "relative drift tolerance on probe counts, either direction (0 = exact)")
-		tracer    = flag.String("tracer", "", "additional tracer column: 'mdalite-prior' scores the atlas-prior-seeded re-trace against an unseeded re-trace baseline")
-		list      = flag.Bool("list", false, "list scenarios with descriptions and LB mixes, then exit")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	withPrior := false
-	switch *tracer {
-	case "":
-	case "mdalite-prior":
-		withPrior = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown tracer %q (supported: mdalite-prior)\n", *tracer)
-		os.Exit(2)
+// run is main with its arguments and output streams injected; it returns
+// the exit code: 2 for usage errors, 1 for runtime errors and golden
+// drift.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		scenarios = fs.String("scenarios", "all", "comma-separated scenario names; a trailing * matches a prefix")
+		seeds     = fs.Int("seeds", 3, "seed sweep width per scenario, at least 1")
+		seed      = fs.Uint64("seed", 1, "base seed")
+		phi       = fs.Int("phi", 0, fmt.Sprintf("MDA-Lite meshing budget, at least %d (0 = default)", mda.DefaultPhi))
+		workers   = fs.Int("workers", 0, "concurrent instances (0 = GOMAXPROCS; records are identical for every value)")
+		out       = fs.String("out", "", "stream eval records to this JSONL file")
+		golden    = fs.String("golden", "", "compare the run against this golden JSONL, exit 1 on drift")
+		tolRecall = fs.Float64("tol-recall", groundtruth.DefaultRecallTolerance, "absolute drift tolerance on recall/precision/savings metrics (0 = exact)")
+		tolProbes = fs.Float64("tol-probes", groundtruth.DefaultProbesTolerance, "relative drift tolerance on probe counts, either direction (0 = exact)")
+		tracer    = fs.String("tracer", "", "additional tracer column: 'mdalite-prior' scores the atlas-prior-seeded re-trace against an unseeded re-trace baseline")
+		list      = fs.Bool("list", false, "list scenarios with descriptions and LB mixes, then exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	usage := ""
+	switch {
+	case fs.NArg() > 0:
+		usage = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
+	case *tracer != "" && *tracer != "mdalite-prior":
+		usage = fmt.Sprintf("unknown tracer %q (supported: mdalite-prior)", *tracer)
+	case *seeds < 1:
+		usage = fmt.Sprintf("-seeds %d: want at least 1", *seeds)
+	case *phi != 0 && *phi < mda.DefaultPhi:
+		usage = fmt.Sprintf("-phi %d: want 0 (the default) or at least %d", *phi, mda.DefaultPhi)
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	withPrior := *tracer == "mdalite-prior"
 
 	suite := groundtruth.Suite()
 	if *list {
@@ -70,14 +89,14 @@ func main() {
 			if pairs == 0 {
 				pairs = 2
 			}
-			fmt.Printf("%-16s pairs=%d lb=%-28s %s\n", sc.Name, pairs, lbMix(sc.Gen.LB), sc.Description)
+			fmt.Fprintf(stdout, "%-16s pairs=%d lb=%-28s %s\n", sc.Name, pairs, lbMix(sc.Gen.LB), sc.Description)
 		}
-		return
+		return 0
 	}
 	selected, err := groundtruth.Select(suite, *scenarios)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	cfg := groundtruth.Config{
@@ -92,49 +111,50 @@ func main() {
 	if *out != "" {
 		jw, err = traceio.CreateJSONL(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		cfg.OnRecord = func(rec *traceio.EvalRecord) error { return jw.Write(rec) }
 	}
 
 	records, err := groundtruth.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if jw != nil {
 		if err := jw.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("wrote %d eval records to %s (%d bytes)\n", len(records), *out, jw.Offset())
+		fmt.Fprintf(stdout, "wrote %d eval records to %s (%d bytes)\n", len(records), *out, jw.Offset())
 	}
 
-	fmt.Print(experiments.FormatAccuracyCostTable(experiments.AccuracyCostTable(records)))
+	fmt.Fprint(stdout, experiments.FormatAccuracyCostTable(experiments.AccuracyCostTable(records)))
 	if withPrior {
-		fmt.Print(experiments.FormatPriorRetraceTable(experiments.PriorRetraceTable(records)))
+		fmt.Fprint(stdout, experiments.FormatPriorRetraceTable(experiments.PriorRetraceTable(records)))
 	}
 
 	if *golden != "" {
 		goldenRecs, err := groundtruth.LoadGolden(*golden, selected)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		tol := groundtruth.Tolerances{Recall: *tolRecall, Probes: *tolProbes}
 		drifts := groundtruth.CompareGolden(records, goldenRecs, tol)
 		if len(drifts) > 0 {
-			fmt.Fprintf(os.Stderr, "golden compare FAILED against %s: %d drift(s)\n", *golden, len(drifts))
+			fmt.Fprintf(stderr, "golden compare FAILED against %s: %d drift(s)\n", *golden, len(drifts))
 			for _, d := range drifts {
-				fmt.Fprintln(os.Stderr, d)
+				fmt.Fprintln(stderr, d)
 			}
-			fmt.Fprintln(os.Stderr, "if this change is deliberate, regenerate with: go run ./cmd/eval -out", *golden)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "if this change is deliberate, regenerate with: go run ./cmd/eval -out", *golden)
+			return 1
 		}
-		fmt.Printf("golden compare OK against %s (%d records, tol recall %.3g / probes %.3g)\n",
+		fmt.Fprintf(stdout, "golden compare OK against %s (%d records, tol recall %.3g / probes %.3g)\n",
 			*golden, len(goldenRecs), tol.Recall, tol.Probes)
 	}
+	return 0
 }
 
 // lbMix renders a scenario's load-balancer mode mix for -list.

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mmlpt/internal/experiments"
@@ -25,16 +26,34 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and output streams injected; it returns
+// the exit code: 2 for usage errors, 1 for runtime errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fakeroute", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		shape    = flag.String("shape", "simplest", "topology to validate against")
-		topoFile = flag.String("topology", "", "validate against a topology file instead of a named shape")
-		samples  = flag.Int("samples", 50, "number of sample means")
-		runs     = flag.Int("runs", 1000, "runs per sample")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		bound    = flag.Float64("failure-bound", 0.05, "per-vertex failure bound for the stopping points")
-		predict  = flag.Bool("predict-only", false, "print the exact prediction and exit")
+		shape    = fs.String("shape", "simplest", "topology to validate against")
+		topoFile = fs.String("topology", "", "validate against a topology file instead of a named shape")
+		samples  = fs.Int("samples", 50, "number of sample means")
+		runs     = fs.Int("runs", 1000, "runs per sample")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		bound    = fs.Float64("failure-bound", 0.05, "per-vertex failure bound for the stopping points, in (0,1)")
+		predict  = fs.Bool("predict-only", false, "print the exact prediction and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "unexpected argument %q\n", fs.Arg(0))
+		return 2
+	case !(*bound > 0 && *bound < 1):
+		fmt.Fprintf(stderr, "-failure-bound %g: want a value in (0,1)\n", *bound)
+		return 2
+	}
 
 	build, ok := fakeroute.Shapes[*shape]
 	if *topoFile != "" {
@@ -45,12 +64,12 @@ func main() {
 			build, err = fakeroute.TopologyShape(g), perr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	} else if !ok {
-		fmt.Fprintf(os.Stderr, "unknown shape %q; available: %v\n", *shape, fakeroute.ShapeNames())
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown shape %q; available: %v\n", *shape, fakeroute.ShapeNames())
+		return 2
 	}
 	stop := mda.StoppingPoints(*bound, 64)
 
@@ -58,14 +77,15 @@ func main() {
 		src := packet.MustParseAddr("192.0.2.1")
 		dst := packet.MustParseAddr("198.51.100.77")
 		_, path := fakeroute.BuildScenario(*seed, src, dst, build)
-		fmt.Printf("topology %s (%s): predicted MDA failure probability %.6f\n",
+		fmt.Fprintf(stdout, "topology %s (%s): predicted MDA failure probability %.6f\n",
 			*shape, fakeroute.DescribeGraph(path.Graph), fakeroute.GraphFailureProb(path.Graph, stop))
-		return
+		return 0
 	}
 
 	res := experiments.Sec3Validation(experiments.Sec3Config{
 		Samples: *samples, RunsPerSample: *runs, Seed: *seed,
 		Build: build, Stop: stop,
 	})
-	fmt.Print(experiments.FormatSec3(res))
+	fmt.Fprint(stdout, experiments.FormatSec3(res))
+	return 0
 }

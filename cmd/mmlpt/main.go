@@ -22,6 +22,7 @@ import (
 	"mmlpt"
 	"mmlpt/internal/alias"
 	"mmlpt/internal/fakeroute"
+	"mmlpt/internal/mda"
 	"mmlpt/internal/traceio"
 )
 
@@ -38,9 +39,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shape    = fs.String("shape", "fig1", fmt.Sprintf("simulated topology %v", fakeroute.ShapeNames()))
 		topoFile = fs.String("topology", "", "trace a topology file instead of a named shape")
 		algo     = fs.String("algo", "mda-lite", "algorithm: single, mda, mda-lite, multilevel")
-		phi      = fs.Int("phi", 2, "MDA-Lite meshing-test budget (>=2)")
+		phi      = fs.Int("phi", mda.DefaultPhi, fmt.Sprintf("MDA-Lite meshing-test budget, at least %d (0 = default)", mda.DefaultPhi))
 		seed     = fs.Uint64("seed", 1, "random seed")
-		bound    = fs.Float64("failure-bound", 0.05, "per-vertex failure probability bound")
+		bound    = fs.Float64("failure-bound", 0.05, "per-vertex failure probability bound, in (0,1) (0 = default)")
 		rounds   = fs.Int("rounds", 10, "alias resolution rounds (multilevel)")
 		runs     = fs.Int("runs", 1, "trace the scenario this many times under derived seeds, reporting variance")
 		workers  = fs.Int("workers", 0, "concurrent trace workers for -runs > 1 (0 = GOMAXPROCS; results are identical)")
@@ -49,6 +50,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose  = fs.Bool("v", false, "also print the ground truth")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := ""
+	switch {
+	case fs.NArg() > 0:
+		usage = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
+	case !(*bound >= 0 && *bound < 1):
+		usage = fmt.Sprintf("-failure-bound %g: want 0 (the default) or a value in (0,1)", *bound)
+	case *phi != 0 && *phi < mda.DefaultPhi:
+		usage = fmt.Sprintf("-phi %d: want 0 (the default) or at least %d", *phi, mda.DefaultPhi)
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, usage)
 		return 2
 	}
 

@@ -137,3 +137,40 @@ func TestDeletedFlagsAreUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestUsageErrors: a value that would trace something other than what
+// was asked for is refused with exit 2 before any tracing, and -out
+// creates no file.
+func TestUsageErrors(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"failure bound above one", []string{"-failure-bound", "1.5"}},
+		{"failure bound of one", []string{"-failure-bound", "1"}},
+		{"negative failure bound", []string{"-failure-bound", "-0.1"}},
+		{"phi below the minimum", []string{"-phi", "1"}},
+		{"negative phi", []string{"-phi", "-5"}},
+		{"positional argument", []string{"-shape", "fig1", "extra"}},
+		{"unknown shape", []string{"-shape", "nosuch"}},
+		{"unknown algorithm", []string{"-algo", "nosuch"}},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			args := append([]string{"-runs", "2", "-out", filepath.Join(dir, "o.jsonl")}, c.args...)
+			code, stdout, stderr := runCLI(t, args...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2 (stdout %q, stderr %q)", code, stdout, stderr)
+			}
+			if stderr == "" {
+				t.Error("no usage message")
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Errorf("a usage error left %s behind", ents[0].Name())
+			}
+		})
+	}
+}

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -24,27 +25,55 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and output streams injected; it returns
+// the exit code: 2 for usage errors, 1 for runtime errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperfig", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig   = flag.Int("fig", 0, "figure number to regenerate (1-5, 7-14)")
-		table = flag.Int("table", 0, "table number to regenerate (1-3)")
-		all   = flag.Bool("all", false, "regenerate everything")
-		scale = flag.Int("scale", 1, "workload multiplier")
-		seed  = flag.Uint64("seed", 1, "random seed")
+		fig   = fs.Int("fig", 0, "figure number to regenerate (1-5, 7-14)")
+		table = fs.Int("table", 0, "table number to regenerate (1-3)")
+		all   = fs.Bool("all", false, "regenerate everything")
+		scale = fs.Int("scale", 1, "workload multiplier, at least 1")
+		seed  = fs.Uint64("seed", 1, "random seed")
 	)
-	flag.Parse()
-	if !*all && *fig == 0 && *table == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	s := max(*scale, 1)
+	figs, tables := map[int]bool{}, map[int]bool{}
+	for _, a := range experiments.Artifacts {
+		figs[a.Fig], tables[a.Table] = true, true
+	}
+	usage := ""
+	switch {
+	case fs.NArg() > 0:
+		usage = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
+	case !*all && *fig == 0 && *table == 0:
+		fs.Usage()
+		return 2
+	case *fig != 0 && !figs[*fig]:
+		usage = fmt.Sprintf("-fig %d: the paper's evaluation has no such figure", *fig)
+	case *table != 0 && !tables[*table]:
+		usage = fmt.Sprintf("-table %d: the paper's evaluation has no such table", *table)
+	case *scale < 1:
+		usage = fmt.Sprintf("-scale %d: want at least 1", *scale)
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	s := *scale
 
 	// The Sec 5 artifacts share one survey per level, run on first use.
-	surveys := map[string]func() *survey.RecordAggregate{
-		"ip": sync.OnceValue(func() *survey.RecordAggregate {
-			return mustSurvey(experiments.IPSurvey(experiments.SurveyConfig{Pairs: 400 * s, Seed: *seed}))
+	surveys := map[string]func() (*survey.RecordAggregate, error){
+		"ip": sync.OnceValues(func() (*survey.RecordAggregate, error) {
+			return experiments.IPSurvey(experiments.SurveyConfig{Pairs: 400 * s, Seed: *seed})
 		}),
-		"router": sync.OnceValue(func() *survey.RecordAggregate {
-			return mustSurvey(experiments.RouterSurvey(experiments.SurveyConfig{Pairs: 120 * s, Seed: *seed, Rounds: 10}))
+		"router": sync.OnceValues(func() (*survey.RecordAggregate, error) {
+			return experiments.RouterSurvey(experiments.SurveyConfig{Pairs: 120 * s, Seed: *seed, Rounds: 10})
 		}),
 	}
 	for _, a := range experiments.Artifacts {
@@ -52,18 +81,16 @@ func main() {
 		if !*all && (*fig == 0 || *fig != a.Fig) && (*table == 0 || *table != a.Table) {
 			continue
 		}
-		if a.Level != "" {
-			fmt.Println(a.Format(surveys[a.Level]()))
-		} else {
-			fmt.Println(a.Run(s, *seed))
+		if a.Level == "" {
+			fmt.Fprintln(stdout, a.Run(s, *seed))
+			continue
 		}
+		agg, err := surveys[a.Level]()
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintln(stdout, a.Format(agg))
 	}
-}
-
-func mustSurvey(agg *survey.RecordAggregate, err error) *survey.RecordAggregate {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return agg
+	return 0
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 )
@@ -46,7 +45,7 @@ func runLive(o liveOptions) error {
 		if err != nil {
 			return err
 		}
-		res := mdalite.Trace(p, mda.Config{Seed: o.Seed + uint64(i)}, o.Phi)
+		res := mda.TraceLite(p, mda.Config{Seed: o.Seed + uint64(i)}, o.Phi)
 		syscalls := p.Syscalls()
 		p.Close()
 

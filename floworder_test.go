@@ -17,7 +17,6 @@ import (
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/prior"
 	"mmlpt/internal/probe"
@@ -127,7 +126,7 @@ func flowOrderDigests(sc orderScenario, seed uint64) map[string]string {
 	sim.Retries = 0
 	o = newOrderProber(sim)
 	s := mda.NewSession(o, mda.Config{Seed: seed})
-	first := mdalite.Run(s, 2)
+	first := s.RunLite(2)
 	out[key("lite")] = o.digest()
 
 	pp := prior.FromGraph(benchSrc, benchDst, first.Graph)
@@ -135,7 +134,7 @@ func flowOrderDigests(sc orderScenario, seed uint64) map[string]string {
 	sim = probe.NewSimProber(net, benchSrc, benchDst)
 	sim.Retries = 0
 	o = newOrderProber(sim)
-	mdalite.Trace(o, mda.Config{Seed: seed + 100, Prior: pp}, 2)
+	mda.TraceLite(o, mda.Config{Seed: seed + 100, Prior: pp}, 2)
 	out[key("prior")] = o.digest()
 	return out
 }

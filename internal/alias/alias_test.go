@@ -6,7 +6,6 @@ import (
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
@@ -340,7 +339,7 @@ func traceAndResolve(t *testing.T, seed uint64, mode fakeroute.IPIDMode) ([]Roun
 	net, truth, routerOf := buildAliasedDiamond(seed, mode)
 	p := probe.NewSimProber(net, testSrc, testDst)
 	o := obs.New()
-	res := mdalite.Trace(p, mda.Config{Seed: seed, Obs: o}, 2)
+	res := mda.TraceLite(p, mda.Config{Seed: seed, Obs: o}, 2)
 	if !res.ReachedDst {
 		t.Fatal("trace did not reach destination")
 	}
@@ -427,7 +426,7 @@ func TestFingerprintSplitsDifferentStacks(t *testing.T) {
 	net.Routers()[1].InitialTTLEcho = 64
 	p := probe.NewSimProber(net, testSrc, testDst)
 	o := obs.New()
-	mdalite.Trace(p, mda.Config{Seed: 46, Obs: o}, 2)
+	mda.TraceLite(p, mda.Config{Seed: 46, Obs: o}, 2)
 	var mid []packet.Addr
 	for _, id := range g.Hop(1) {
 		mid = append(mid, g.V(id).Addr)
@@ -454,7 +453,7 @@ func TestMPLSLabelEvidence(t *testing.T) {
 	net.Iface(g.V(mid[3]).Addr).MPLSLabel = 300
 	p := probe.NewSimProber(net, testSrc, testDst)
 	o := obs.New()
-	mdalite.Trace(p, mda.Config{Seed: 47, Obs: o}, 2)
+	mda.TraceLite(p, mda.Config{Seed: 47, Obs: o}, 2)
 	r := NewResolver(p, o)
 	a0, a1, a2, a3 := g.V(mid[0]).Addr, g.V(mid[1]).Addr, g.V(mid[2]).Addr, g.V(mid[3]).Addr
 	if ev := pairVerdict(r, a0, a1); ev.MPLS != Accepted {
@@ -472,7 +471,7 @@ func TestDirectResolverUnresponsive(t *testing.T) {
 	}
 	p := probe.NewSimProber(net, testSrc, testDst)
 	o := obs.New()
-	mdalite.Trace(p, mda.Config{Seed: 48, Obs: o}, 2)
+	mda.TraceLite(p, mda.Config{Seed: 48, Obs: o}, 2)
 	var mid []packet.Addr
 	for _, id := range g.Hop(1) {
 		mid = append(mid, g.V(id).Addr)

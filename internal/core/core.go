@@ -9,7 +9,6 @@ import (
 
 	"mmlpt/internal/alias"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
@@ -31,9 +30,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Phi < mdalite.DefaultPhi {
-		o.Phi = mdalite.DefaultPhi
-	}
 	if o.Rounds == 0 {
 		o.Rounds = 10
 	}
@@ -68,7 +64,7 @@ func Trace(p probe.Prober, opt Options) *Result {
 		o = obs.New()
 		opt.Trace.Obs = o
 	}
-	ip := mdalite.Trace(p, opt.Trace, opt.Phi)
+	ip := mda.TraceLite(p, opt.Trace, opt.Phi)
 	r := alias.NewResolver(p, o)
 	r.Rounds = opt.Rounds
 	r.ProbesPerRound = opt.ProbesPerRound

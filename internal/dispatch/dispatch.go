@@ -46,7 +46,7 @@ import (
 	"net/http"
 
 	"mmlpt/internal/experiments"
-	"mmlpt/internal/mdalite"
+	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/survey"
 )
@@ -85,13 +85,13 @@ type Spec struct {
 // usage error for a value that would silently change what is measured:
 // an unknown level, a negative -pairs or -rounds (0 keeps meaning the
 // level's default), or a -phi other than 0 (the default) below
-// mdalite.DefaultPhi.
+// mda.DefaultPhi.
 func SpecFlags(fs *flag.FlagSet) func() (Spec, error) {
 	var s Spec
 	fs.StringVar(&s.Level, "level", "ip", "survey level: ip or router")
 	fs.IntVar(&s.Pairs, "pairs", 1000, "number of source-destination pairs (0 = the level's default)")
 	fs.Uint64Var(&s.Seed, "seed", 1, "random seed")
-	fs.IntVar(&s.Phi, "phi", mdalite.DefaultPhi, fmt.Sprintf("MDA-Lite meshing budget, at least %d (0 = default)", mdalite.DefaultPhi))
+	fs.IntVar(&s.Phi, "phi", mda.DefaultPhi, fmt.Sprintf("MDA-Lite meshing budget, at least %d (0 = default)", mda.DefaultPhi))
 	fs.IntVar(&s.Rounds, "rounds", 10, "alias rounds, router level (0 = default)")
 	return func() (Spec, error) {
 		switch {
@@ -101,8 +101,8 @@ func SpecFlags(fs *flag.FlagSet) func() (Spec, error) {
 			return s, fmt.Errorf("-pairs %d: want 0 (the level's default) or more", s.Pairs)
 		case s.Rounds < 0:
 			return s, fmt.Errorf("-rounds %d: want 0 (the default) or more", s.Rounds)
-		case s.Phi != 0 && s.Phi < mdalite.DefaultPhi:
-			return s, fmt.Errorf("-phi %d: want 0 (the default) or at least %d", s.Phi, mdalite.DefaultPhi)
+		case s.Phi != 0 && s.Phi < mda.DefaultPhi:
+			return s, fmt.Errorf("-phi %d: want 0 (the default) or at least %d", s.Phi, mda.DefaultPhi)
 		}
 		return s, nil
 	}

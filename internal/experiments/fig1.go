@@ -10,7 +10,6 @@ import (
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/stats"
@@ -78,7 +77,7 @@ func Fig1(cfg Fig1Config) []Fig1Row {
 				// The MDA-Lite's analytic floor covers discovery of the
 				// diamond itself; the meshing test and a potential
 				// switch-over add to it.
-				res = mdalite.Trace(p, mda.Config{Seed: seed, Stop: nk}, 2)
+				res = mda.TraceLite(p, mda.Config{Seed: seed, Stop: nk}, 2)
 			}
 			vf, ef := topo.SubgraphCoverage(res.Graph, path.Graph)
 			probes = append(probes, float64(res.Probes))

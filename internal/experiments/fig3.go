@@ -7,7 +7,6 @@ import (
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/stats"
@@ -69,24 +68,20 @@ func traceProgress(seed uint64, build func(*fakeroute.AddrAllocator, packet.Addr
 	rec := &probe.Recorder{Prober: sim}
 	s := mda.NewSession(rec, mda.Config{Seed: seed})
 	rec.OnProbe = func(sent uint64, _ *packet.Reply) {
-		vf, ef := topo.SubgraphCoverage(s.G, path.Graph)
+		vf, ef := topo.SubgraphCoverage(s.Graph(), path.Graph)
 		curve = append(curve, [3]float64{float64(sent), vf, ef})
 	}
 	var res *mda.Result
 	if lite {
-		res = mdalite.Run(s, phi)
-		// A switch-over resets s.G mid-run; the recorder closure reads the
-		// session's live graph, so the curve reflects the reset too. The
-		// final coverage is what matters for the asserted shape.
+		res = s.RunLite(phi)
 	} else {
-		s.RunMDA(0)
-		res = s.Finish(false)
+		res = s.RunMDA()
 	}
 	// The per-probe callback fires before its round's replies are folded
 	// into the graph (with batched rounds, up to a whole n_k round can be
 	// in flight), so close the curve with a terminal point reflecting the
 	// completed trace.
-	vf, ef := topo.SubgraphCoverage(s.G, path.Graph)
+	vf, ef := topo.SubgraphCoverage(s.Graph(), path.Graph)
 	curve = append(curve, [3]float64{float64(res.Probes), vf, ef})
 	return curve, res.Probes, res.SwitchedToMDA
 }
@@ -99,7 +94,7 @@ func Fig3(cfg Fig3Config) []Fig3Curve {
 		cfg.Runs = 30
 	}
 	if cfg.Phi == 0 {
-		cfg.Phi = mdalite.DefaultPhi
+		cfg.Phi = mda.DefaultPhi
 	}
 	grid := make([]float64, 0, 20)
 	for x := 0.05; x <= 1.0001; x += 0.05 {

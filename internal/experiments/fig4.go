@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/stats"
 	"mmlpt/internal/survey"
@@ -127,9 +126,9 @@ func Fig4(cfg Fig4Config) *Fig4Result {
 		case VariantMDA2:
 			r = mda.Trace(p, cfgT)
 		case VariantLitePhi2:
-			r = mdalite.Trace(p, cfgT, 2)
+			r = mda.TraceLite(p, cfgT, 2)
 		case VariantLitePhi4:
-			r = mdalite.Trace(p, cfgT, 4)
+			r = mda.TraceLite(p, cfgT, 4)
 		case VariantSingleFlow:
 			r = mda.TraceSingleFlow(p, cfgT)
 		}

@@ -6,7 +6,6 @@ import (
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/atlas/serve"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/par"
 	"mmlpt/internal/prior"
@@ -100,7 +99,7 @@ func Evaluate(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []int) *trace
 		Pairs:     sc.Pairs,
 		FlowBased: sc.FlowBased,
 	}
-	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mdalite.Trace(p, cfg, phi) }
+	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mda.TraceLite(p, cfg, phi) }
 	rec.MDA = tracePairs(sc.Build(seed), sc.Retries, "mda", seed, stop, nil, mda.Trace)
 	rec.MDALite = tracePairs(sc.Build(seed), sc.Retries, "mda-lite", seed, stop, nil, lite)
 	if rec.MDA.Probes > 0 {
@@ -139,7 +138,7 @@ func EvaluateWithPrior(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []in
 		p := probe.NewSimProber(inst.Net, pair.Src, pair.Dst)
 		p.Retries = sc.Retries
 		s := mda.NewSession(p, mda.Config{Seed: nprand.IndexedSeed(seed, i), Stop: stop})
-		res := mdalite.Run(s, phi)
+		res := s.RunLite(phi)
 		sessions[i] = s
 		al.AddGraph(i, res.Graph)
 		al.AddPair(i, pair.Src.String(), pair.Dst.String())
@@ -155,7 +154,7 @@ func EvaluateWithPrior(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []in
 	}
 
 	retraceSeed := seed ^ retraceSeedSalt
-	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mdalite.Trace(p, cfg, phi) }
+	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mda.TraceLite(p, cfg, phi) }
 	seeded := tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-prior", retraceSeed, stop, ix, lite)
 	baseline := tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-retrace", retraceSeed, stop, nil, lite)
 	rec.MDALitePrior, rec.MDALiteRetrace = &seeded, &baseline

@@ -1,62 +1,38 @@
-// Package mdalite implements the MDA-Lite (Sec 2.3): a reduced-overhead
-// alternative to the Multipath Detection Algorithm that proceeds hop by
-// hop rather than vertex by vertex, reserving node control for two
-// narrowly scoped tests:
-//
-//   - the meshing test, which spends ϕ flow identifiers per vertex to
-//     look for links that would invalidate hop-level probing, failing
-//     with the probability of Eq. (1); and
-//   - the width-asymmetry (non-uniformity) test, a free, purely
-//     topological check.
-//
-// When either test fires, the session switches over to the full MDA,
-// keeping the cumulative packet count.
-//
-// With Config.Prior set, the trace runs in prior-seeded mode: each hop
-// the prior covers is probed only to the confirmation budget (enough
-// flows to corroborate the expected vertex set under the MDA stopping
-// rule), edge completion and the meshing test are short-circuited for
-// pairs the prior pins, and any mismatch — a vertex the prior does not
-// expect, or an expected vertex missing after the budget — abandons the
-// prior and falls back to full discovery from the enclosing divergence
-// hop, keeping the cumulative packet count so recall is never worse
-// than an unseeded trace.
-package mdalite
+package mda
 
 import (
-	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
 )
 
-// DefaultPhi is the minimum (and default) meshing-test budget.
+// DefaultPhi is the minimum (and default) meshing-test budget; RunLite
+// raises a smaller φ to it.
 const DefaultPhi = 2
 
-// Trace runs the MDA-Lite over p and returns the discovered topology.
-func Trace(p probe.Prober, cfg mda.Config, phi int) *mda.Result {
-	s := mda.NewSession(p, cfg)
-	return Run(s, phi)
+// TraceLite runs the MDA-Lite over p and returns the discovered topology.
+func TraceLite(p probe.Prober, cfg Config, phi int) *Result {
+	return NewSession(p, cfg).RunLite(phi)
 }
 
-// Run executes the MDA-Lite on a prepared session. On a meshing or
+// RunLite executes the MDA-Lite on a fresh session. On a meshing or
 // asymmetry detection it switches over to the full MDA from the affected
 // diamond onward, keeping the discovery state accumulated so far (the
 // vertices, edges and flow knowledge are all flow-confirmed, so nothing
 // needs re-probing; node control fills in what hop-level probing could
 // not guarantee). The result carries SwitchedToMDA.
-func Run(s *mda.Session, phi int) *mda.Result {
+func (s *Session) RunLite(phi int) *Result {
 	if phi < DefaultPhi {
 		phi = DefaultPhi
 	}
-	if switchHop, switched := runLite(s, phi); switched {
-		s.RunMDA(switchHop)
-		return s.Finish(true)
+	if switchHop, switched := s.liteHops(phi); switched {
+		s.runMDA(switchHop)
+		return s.finish(true)
 	}
-	return s.Finish(false)
+	return s.finish(false)
 }
 
-// runLite performs hop-by-hop discovery. On detecting meshing or
+// liteHops performs hop-by-hop discovery. On detecting meshing or
 // non-uniformity it returns the hop the full MDA should resume from (the
 // hop after the enclosing diamond's divergence point) and true.
 //
@@ -64,8 +40,8 @@ func Run(s *mda.Session, phi int) *mda.Result {
 // confirmation rather than discovery, and pairs it pins skip the probing
 // steps; a confirmation mismatch abandons the prior for the rest of the
 // trace and re-discovers from the enclosing divergence hop.
-func runLite(s *mda.Session, phi int) (int, bool) {
-	prior := s.Cfg.Prior
+func (s *Session) liteHops(phi int) (int, bool) {
+	prior := s.cfg.Prior
 	var confirmed []bool // per hop: settled by prior confirmation
 
 	isConfirmed := func(h int) bool { return h >= 0 && h < len(confirmed) && confirmed[h] }
@@ -83,24 +59,24 @@ func runLite(s *mda.Session, phi int) (int, bool) {
 	// prior and the detectors run over the adopted graph for free.
 	pairChecks := func(i int) (int, bool) {
 		if isConfirmed(i) && isConfirmed(i+1) {
-			adoptPriorEdges(s, i, s.Cfg.Prior)
+			s.adoptPriorEdges(i, s.cfg.Prior)
 			// With the pair's links adopted, meshing shows directly in
 			// the graph under the Sec 2.2 three-case definition — the
 			// free form of the meshing test, no phi probes spent.
-			if s.G.Width(i) >= 2 && s.G.Width(i+1) >= 2 && s.G.PairMeshed(i) {
-				return divergenceHop(s, i) + 1, true
+			if s.g.Width(i) >= 2 && s.g.Width(i+1) >= 2 && s.g.PairMeshed(i) {
+				return s.divergenceHop(i) + 1, true
 			}
 		} else {
-			completeEdges(s, i)
-			if s.G.Width(i) >= 2 && s.G.Width(i+1) >= 2 {
-				if meshed := meshingTest(s, i, phi); meshed {
-					return divergenceHop(s, i) + 1, true
+			s.completeEdges(i)
+			if s.g.Width(i) >= 2 && s.g.Width(i+1) >= 2 {
+				if meshed := s.meshingTest(i, phi); meshed {
+					return s.divergenceHop(i) + 1, true
 				}
 			}
 		}
 		// Non-uniformity: width asymmetry over the completed pair.
-		if pairAsymmetric(s.G, i) {
-			return divergenceHop(s, i) + 1, true
+		if pairAsymmetric(s.g, i) {
+			return s.divergenceHop(i) + 1, true
 		}
 		return 0, false
 	}
@@ -113,16 +89,16 @@ func runLite(s *mda.Session, phi int) (int, bool) {
 	// so the fallback trace is never cheaper, and never less complete,
 	// than an unseeded one from this hop range.
 	fallBack := func(h int) (int, bool) {
-		s.PriorAbandoned = true
+		s.priorAbandoned = true
 		prior = nil
-		d := divergenceHop(s, h)
+		d := s.divergenceHop(h)
 		start := d + 1
 		if h == 0 {
 			start = 0
 		}
 		for j := start; j <= h; j++ {
 			setConfirmed(j, false)
-			discoverHop(s, j)
+			s.discoverHop(j)
 		}
 		for j := d; j <= h-2; j++ {
 			if sw, switched := pairChecks(j); switched {
@@ -138,15 +114,15 @@ func runLite(s *mda.Session, phi int) (int, bool) {
 	handleHop := func(h int) (int, bool) {
 		if prior != nil {
 			if want, ok := prior.HopAddrs(h); ok && len(want) > 0 {
-				if confirmHop(s, h, want, prior) {
+				if s.confirmHop(h, want, prior) {
 					setConfirmed(h, true)
-					s.PriorConfirmedHops++
+					s.priorConfirmedHops++
 					return 0, false
 				}
 				return fallBack(h)
 			}
 		}
-		discoverHop(s, h)
+		s.discoverHop(h)
 		return 0, false
 	}
 
@@ -154,8 +130,8 @@ func runLite(s *mda.Session, phi int) (int, bool) {
 		return sw, true
 	}
 	starRun := 0
-	for h := 1; h <= s.Cfg.MaxTTL; h++ {
-		if s.HopDone(h - 1) {
+	for h := 1; h <= s.cfg.MaxTTL; h++ {
+		if s.hopDone(h - 1) {
 			return 0, false
 		}
 		if sw, switched := handleHop(h); switched {
@@ -164,9 +140,9 @@ func runLite(s *mda.Session, phi int) (int, bool) {
 		if sw, switched := pairChecks(h - 1); switched {
 			return sw, true
 		}
-		if allStars(s, h) {
+		if s.hopAllStars(h) {
 			starRun++
-			if starRun >= s.Cfg.MaxConsecutiveStars {
+			if starRun >= s.cfg.MaxConsecutiveStars {
 				return 0, false
 			}
 		} else {
@@ -186,12 +162,12 @@ func runLite(s *mda.Session, phi int) (int, bool) {
 // from an address the prior does not expect (new vertex) or an expected
 // address still unseen at budget exhaustion (missing vertex), both of
 // which the caller treats as a route change.
-func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior) bool {
+func (s *Session) confirmHop(h int, want []packet.Addr, prior TracePrior) bool {
 	wantSet := make(map[packet.Addr]bool, len(want))
 	for _, a := range want {
 		wantSet[a] = true
 	}
-	budget := mda.ConfirmBudget(s.Cfg.Stop, len(want))
+	budget := confirmBudget(s.cfg.Stop, len(want))
 	seen := make(map[packet.Addr]bool, len(want))
 	tried := make(map[uint16]bool)
 	sent := 0
@@ -199,7 +175,7 @@ func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior)
 	stop := false
 
 	note := func(v topo.VertexID) {
-		a := s.G.V(v).Addr
+		a := s.g.V(v).Addr
 		if a == topo.StarAddr {
 			return
 		}
@@ -221,7 +197,7 @@ func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior)
 			return
 		}
 		tried[f] = true
-		if v, known := s.VertexAt(h, f); known {
+		if v, known := s.vertexAt(h, f); known {
 			note(v) // knowledge already present; no packet needed
 			return
 		}
@@ -230,13 +206,13 @@ func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior)
 			return
 		}
 		sent++
-		v, ok := s.ProbeHop(h, f)
+		v, ok := s.probeHop(h, f)
 		if !ok {
 			return
 		}
 		if h > 0 {
-			if u, known := s.VertexAt(h-1, f); known {
-				s.G.AddEdge(u, v)
+			if u, known := s.vertexAt(h-1, f); known {
+				s.g.AddEdge(u, v)
 			}
 		}
 		note(v)
@@ -267,17 +243,17 @@ func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior)
 			break
 		}
 	}
-	if h > 0 && !s.Cfg.DisableFlowReuse {
+	if h > 0 && !s.cfg.DisableFlowReuse {
 		// Pass 1: one flow per previous-hop vertex, seeding one edge per
 		// known predecessor, as in discovery.
-		for _, u := range s.G.Hop(h - 1) {
+		for _, u := range s.g.Hop(h - 1) {
 			if stop {
 				break
 			}
-			if s.IsDst(u) {
+			if s.isDst(u) {
 				continue
 			}
-			for _, f := range s.FlowsOf(u) {
+			for _, f := range s.flowsOf(u) {
 				if !tried[f] {
 					try(f)
 					break
@@ -285,14 +261,14 @@ func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior)
 			}
 		}
 		// Pass 2: remaining previously used flows.
-		for _, u := range s.G.Hop(h - 1) {
+		for _, u := range s.g.Hop(h - 1) {
 			if stop {
 				break
 			}
-			if s.IsDst(u) {
+			if s.isDst(u) {
 				continue
 			}
-			for _, f := range s.FlowsOf(u) {
+			for _, f := range s.flowsOf(u) {
 				if stop {
 					break
 				}
@@ -302,7 +278,7 @@ func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior)
 	}
 	// Pass 3: fresh flows.
 	for !stop && sent < budget {
-		f, ok := s.FreshFlow()
+		f, ok := s.freshFlow()
 		if !ok {
 			break
 		}
@@ -315,19 +291,19 @@ func confirmHop(s *mda.Session, h int, want []packet.Addr, prior mda.TracePrior)
 // whose endpoints the prior has confirmed: every link the earlier trace
 // recorded between the corroborated vertex sets is adopted without
 // spending a probe. Star vertices keep only their inferred edges.
-func adoptPriorEdges(s *mda.Session, i int, prior mda.TracePrior) {
-	for _, u := range s.G.Hop(i) {
-		ua := s.G.V(u).Addr
+func (s *Session) adoptPriorEdges(i int, prior TracePrior) {
+	for _, u := range s.g.Hop(i) {
+		ua := s.g.V(u).Addr
 		if ua == topo.StarAddr {
 			continue
 		}
-		for _, w := range s.G.Hop(i + 1) {
-			wa := s.G.V(w).Addr
+		for _, w := range s.g.Hop(i + 1) {
+			wa := s.g.V(w).Addr
 			if wa == topo.StarAddr {
 				continue
 			}
 			if prior.HasEdge(ua, wa) {
-				s.G.AddEdge(u, w)
+				s.g.AddEdge(u, w)
 			}
 		}
 	}
@@ -335,9 +311,9 @@ func adoptPriorEdges(s *mda.Session, i int, prior mda.TracePrior) {
 
 // divergenceHop walks back from hop h to the enclosing diamond's
 // divergence point: the nearest single-vertex hop at or before h.
-func divergenceHop(s *mda.Session, h int) int {
+func (s *Session) divergenceHop(h int) int {
 	for d := h; d > 0; d-- {
-		if s.G.Width(d) == 1 {
+		if s.g.Width(d) == 1 {
 			return d
 		}
 	}
@@ -361,12 +337,12 @@ func divergenceHop(s *mda.Session, h int) int {
 // n_k only grows as vertices are found — the rounds therefore send
 // exactly the flows, in exactly the order, the serial loop sent, replies
 // or no replies.
-func discoverHop(s *mda.Session, h int) {
+func (s *Session) discoverHop(h int) {
 	sent := 0
 	gotReply := false
 	var pending []uint16
 
-	stop := func() int { return mda.Stop(s.Cfg.Stop, maxInt(s.G.Width(h), 1)) }
+	stop := func() int { return stopPoint(s.cfg.Stop, max(s.g.Width(h), 1)) }
 
 	// flush sends the accumulated round as one batch and integrates the
 	// replies, seeding one edge per flow whose previous-hop landing is
@@ -376,14 +352,14 @@ func discoverHop(s *mda.Session, h int) {
 			return
 		}
 		sent += len(pending)
-		for i, w := range s.ProbeHopBatch(h, pending) {
+		for i, w := range s.probeHopBatch(h, pending) {
 			if w == topo.None {
 				continue
 			}
 			gotReply = true
 			if h > 0 {
-				if u, known := s.VertexAt(h-1, pending[i]); known {
-					s.G.AddEdge(u, w)
+				if u, known := s.vertexAt(h-1, pending[i]); known {
+					s.g.AddEdge(u, w)
 				}
 			}
 		}
@@ -391,7 +367,7 @@ func discoverHop(s *mda.Session, h int) {
 	}
 
 	tryFlow := func(f uint16) bool {
-		if _, known := s.VertexAt(h, f); known {
+		if _, known := s.vertexAt(h, f); known {
 			return false // no packet needed; knowledge already present
 		}
 		pending = append(pending, f)
@@ -401,16 +377,16 @@ func discoverHop(s *mda.Session, h int) {
 		return true
 	}
 
-	if h > 0 && !s.Cfg.DisableFlowReuse {
+	if h > 0 && !s.cfg.DisableFlowReuse {
 		// Pass 1: one flow per previous-hop vertex.
-		for _, u := range s.G.Hop(h - 1) {
+		for _, u := range s.g.Hop(h - 1) {
 			if sent >= stop() {
 				break
 			}
-			if s.IsDst(u) {
+			if s.isDst(u) {
 				continue
 			}
-			for _, f := range s.FlowsOf(u) {
+			for _, f := range s.flowsOf(u) {
 				if tryFlow(f) {
 					break
 				}
@@ -421,11 +397,11 @@ func discoverHop(s *mda.Session, h int) {
 		// 1 is skipped here when it drew a reply (its landing is known)
 		// and re-probed when it did not, as in the serial loop; the pass
 		// boundary flush above makes that distinction observable.
-		for _, u := range s.G.Hop(h - 1) {
-			if s.IsDst(u) {
+		for _, u := range s.g.Hop(h - 1) {
+			if s.isDst(u) {
 				continue
 			}
-			for _, f := range s.FlowsOf(u) {
+			for _, f := range s.flowsOf(u) {
 				if sent+len(pending) >= stop() {
 					break
 				}
@@ -436,7 +412,7 @@ func discoverHop(s *mda.Session, h int) {
 	}
 	// Pass 3: fresh flows.
 	for sent+len(pending) < stop() {
-		f, ok := s.FreshFlow()
+		f, ok := s.freshFlow()
 		if !ok {
 			break
 		}
@@ -444,12 +420,12 @@ func discoverHop(s *mda.Session, h int) {
 	}
 	flush()
 	if !gotReply && sent > 0 {
-		star := s.G.AddVertex(h, topo.StarAddr)
-		s.AdoptStarFlows(h, star)
+		star := s.g.AddVertex(h, topo.StarAddr)
+		s.adoptStarFlows(h, star)
 		if h > 0 {
-			for _, u := range s.G.Hop(h - 1) {
-				if !s.IsDst(u) {
-					s.G.AddEdge(u, star)
+			for _, u := range s.g.Hop(h - 1) {
+				if !s.isDst(u) {
+					s.g.AddEdge(u, star)
 				}
 			}
 		}
@@ -469,24 +445,24 @@ const maxEdgeCompletionIters = 4
 // at hop i, backward probes from predecessor-less vertices at hop i+1.
 // Probing can (rarely) surface a vertex the stopping rule missed, so the
 // step loops until stable.
-func completeEdges(s *mda.Session, i int) {
+func (s *Session) completeEdges(i int) {
 	for iter := 0; iter < maxEdgeCompletionIters; iter++ {
 		changed := false
-		wi, wj := s.G.Width(i), s.G.Width(i+1)
+		wi, wj := s.g.Width(i), s.g.Width(i+1)
 		if wj <= wi {
 			// Forward tracing for hop i vertices lacking successors.
-			for _, u := range s.G.Hop(i) {
-				if s.G.OutDegree(u) > 0 || s.IsDst(u) || s.G.V(u).Addr == topo.StarAddr {
+			for _, u := range s.g.Hop(i) {
+				if s.g.OutDegree(u) > 0 || s.isDst(u) || s.g.V(u).Addr == topo.StarAddr {
 					continue
 				}
-				for _, f := range s.FlowsOf(u) {
-					if w, known := s.VertexAt(i+1, f); known {
-						s.G.AddEdge(u, w)
+				for _, f := range s.flowsOf(u) {
+					if w, known := s.vertexAt(i+1, f); known {
+						s.g.AddEdge(u, w)
 						changed = true
 						break
 					}
-					if w, ok := s.ProbeHop(i+1, f); ok {
-						s.G.AddEdge(u, w)
+					if w, ok := s.probeHop(i+1, f); ok {
+						s.g.AddEdge(u, w)
 						changed = true
 						break
 					}
@@ -495,18 +471,18 @@ func completeEdges(s *mda.Session, i int) {
 		}
 		if wj >= wi {
 			// Backward tracing for hop i+1 vertices lacking predecessors.
-			for _, w := range s.G.Hop(i + 1) {
-				if s.G.InDegree(w) > 0 || s.G.V(w).Addr == topo.StarAddr {
+			for _, w := range s.g.Hop(i + 1) {
+				if s.g.InDegree(w) > 0 || s.g.V(w).Addr == topo.StarAddr {
 					continue
 				}
-				for _, f := range s.FlowsOf(w) {
-					if u, known := s.VertexAt(i, f); known {
-						s.G.AddEdge(u, w)
+				for _, f := range s.flowsOf(w) {
+					if u, known := s.vertexAt(i, f); known {
+						s.g.AddEdge(u, w)
 						changed = true
 						break
 					}
-					if u, ok := s.ProbeHop(i, f); ok {
-						s.G.AddEdge(u, w)
+					if u, ok := s.probeHop(i, f); ok {
+						s.g.AddEdge(u, w)
 						changed = true
 						break
 					}
@@ -519,53 +495,53 @@ func completeEdges(s *mda.Session, i int) {
 	}
 	// Falling out of the loop means the final iteration still made
 	// progress: the pair was truncated, not stabilized.
-	s.EdgeCompletionTruncs++
+	s.edgeCompletionTruncs++
 }
 
 // meshingTest applies the Sec 2.3.2 test to hop pair (i, i+1), tracing
 // from the hop with the greater number of vertices toward the other with
 // ϕ flow identifiers per vertex. It reports whether meshing was detected.
-func meshingTest(s *mda.Session, i, phi int) bool {
-	wi, wj := s.G.Width(i), s.G.Width(i+1)
+func (s *Session) meshingTest(i, phi int) bool {
+	wi, wj := s.g.Width(i), s.g.Width(i+1)
 	forward := wi >= wj // trace from the wider hop; ties go forward
 	fromHop, toHop := i, i+1
 	if !forward {
 		fromHop, toHop = i+1, i
 	}
-	for _, v := range s.G.Hop(fromHop) {
-		if s.IsDst(v) || s.G.V(v).Addr == topo.StarAddr {
+	for _, v := range s.g.Hop(fromHop) {
+		if s.isDst(v) || s.g.V(v).Addr == topo.StarAddr {
 			continue
 		}
-		s.EnsureFlows(v, phi)
-		flows := s.FlowsOf(v)
+		s.ensureFlows(v, phi)
+		flows := s.flowsOf(v)
 		if len(flows) > phi {
 			flows = flows[:phi]
 		}
 		for _, f := range flows {
-			w, ok := s.VertexAt(toHop, f)
+			w, ok := s.vertexAt(toHop, f)
 			if !ok {
-				w, ok = s.ProbeHop(toHop, f)
+				w, ok = s.probeHop(toHop, f)
 			}
 			if ok {
 				// A cached landing carries the same evidence as a fresh
 				// probe: record the edge either way.
 				if forward {
-					s.G.AddEdge(v, w)
+					s.g.AddEdge(v, w)
 				} else {
-					s.G.AddEdge(w, v)
+					s.g.AddEdge(w, v)
 				}
 			}
 		}
 	}
 	if forward {
-		for _, v := range s.G.Hop(i) {
-			if s.G.OutDegree(v) >= 2 {
+		for _, v := range s.g.Hop(i) {
+			if s.g.OutDegree(v) >= 2 {
 				return true
 			}
 		}
 	} else {
-		for _, v := range s.G.Hop(i + 1) {
-			if s.G.InDegree(v) >= 2 {
+		for _, v := range s.g.Hop(i + 1) {
+			if s.g.InDegree(v) >= 2 {
 				return true
 			}
 		}
@@ -603,24 +579,4 @@ func degreesDiffer(g *topo.Graph, h int, pred bool) bool {
 		}
 	}
 	return false
-}
-
-func allStars(s *mda.Session, h int) bool {
-	vs := s.G.Hop(h)
-	if len(vs) == 0 {
-		return false
-	}
-	for _, v := range vs {
-		if s.G.V(v).Addr != topo.StarAddr {
-			return false
-		}
-	}
-	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,10 +1,9 @@
-package mdalite
+package mda
 
 import (
 	"testing"
 
 	"mmlpt/internal/fakeroute"
-	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
@@ -45,7 +44,7 @@ func TestEdgeCompletionCases(t *testing.T) {
 		for seed := uint64(0); seed < runs; seed++ {
 			net, path := fakeroute.BuildScenario(seed, testSrc, testDst, c.build)
 			p := probe.NewSimProber(net, testSrc, testDst)
-			res := Trace(p, mda.Config{Seed: seed}, 2)
+			res := TraceLite(p, Config{Seed: seed}, 2)
 			if res.SwitchedToMDA {
 				// Not an error: when the hop-level stopping rule misses a
 				// vertex (a few percent per run), the downstream edges
@@ -83,7 +82,7 @@ func TestLiteNeverInventsTopology(t *testing.T) {
 		for bi, build := range builds {
 			net, path := fakeroute.BuildScenario(seed, testSrc, testDst, build)
 			p := probe.NewSimProber(net, testSrc, testDst)
-			res := Trace(p, mda.Config{Seed: seed}, 2)
+			res := TraceLite(p, Config{Seed: seed}, 2)
 			v, e := topo.SubgraphCoverage(path.Graph, res.Graph)
 			if v != 1 || e != 1 {
 				t.Fatalf("seed %d build %d: invented topology\ntruth:\n%s\ngot:\n%s",
@@ -112,7 +111,7 @@ func TestSwitchOverReusesState(t *testing.T) {
 		netL, _ := fakeroute.BuildScenario(seed, testSrc, testDst, build)
 		pL := probe.NewSimProber(netL, testSrc, testDst)
 		pL.Retries = 0
-		resL := Trace(pL, mda.Config{Seed: seed}, 2)
+		resL := TraceLite(pL, Config{Seed: seed}, 2)
 		if resL.SwitchedToMDA {
 			switched++
 		}
@@ -121,7 +120,7 @@ func TestSwitchOverReusesState(t *testing.T) {
 		netM, _ := fakeroute.BuildScenario(seed, testSrc, testDst, build)
 		pM := probe.NewSimProber(netM, testSrc, testDst)
 		pM.Retries = 0
-		resM := mda.Trace(pM, mda.Config{Seed: seed + 999})
+		resM := Trace(pM, Config{Seed: seed + 999})
 		mdaTotal += resM.Probes
 	}
 	if switched < runs-1 {
@@ -165,7 +164,7 @@ func TestBackwardMeshingDetection(t *testing.T) {
 	for seed := uint64(0); seed < runs; seed++ {
 		net, _ := fakeroute.BuildScenario(seed, testSrc, testDst, build)
 		p := probe.NewSimProber(net, testSrc, testDst)
-		res := Trace(p, mda.Config{Seed: seed}, 2)
+		res := TraceLite(p, Config{Seed: seed}, 2)
 		if res.SwitchedToMDA {
 			detected++
 		}
@@ -188,7 +187,7 @@ func TestLiteHandlesAllStarsGracefully(t *testing.T) {
 	net.AddPath(testSrc, testDst, g)
 	p := probe.NewSimProber(net, testSrc, testDst)
 	p.Retries = 0
-	res := Trace(p, mda.Config{Seed: 71, MaxConsecutiveStars: 3}, 2)
+	res := TraceLite(p, Config{Seed: 71, MaxConsecutiveStars: 3}, 2)
 	if res.ReachedDst {
 		t.Fatal("reached destination through an all-star path?")
 	}

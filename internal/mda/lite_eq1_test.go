@@ -1,11 +1,10 @@
-package mdalite
+package mda
 
 import (
 	"math"
 	"testing"
 
 	"mmlpt/internal/fakeroute"
-	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
@@ -33,7 +32,7 @@ func measureMeshDetection(t *testing.T, phi, runs int, seedBase uint64) float64 
 		net, _ := fakeroute.BuildScenario(seed, testSrc, testDst, sparseMeshDiamond)
 		p := probe.NewSimProber(net, testSrc, testDst)
 		p.Retries = 0
-		res := Trace(p, mda.Config{Seed: seed}, phi)
+		res := TraceLite(p, Config{Seed: seed}, phi)
 		if res.SwitchedToMDA {
 			detected++
 		}
@@ -106,7 +105,7 @@ func TestHopFailureProbMatchesMeasured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	nk := mda.Default95(16)
+	nk := Default95(16)
 	predicted := fakeroute.VertexFailureProb(4, nk)
 	const runs = 600
 	misses := 0
@@ -115,7 +114,7 @@ func TestHopFailureProbMatchesMeasured(t *testing.T) {
 		net, path := fakeroute.BuildScenario(seed, testSrc, testDst, fakeroute.Fig1UnmeshedDiamond)
 		p := probe.NewSimProber(net, testSrc, testDst)
 		p.Retries = 0
-		res := Trace(p, mda.Config{Seed: seed}, 2)
+		res := TraceLite(p, Config{Seed: seed}, 2)
 		// Count hop-1 vertex discovery failures (width 4 in truth).
 		if res.Graph.Width(1) < path.Graph.Width(1) {
 			misses++

@@ -1,10 +1,9 @@
-package mdalite
+package mda
 
 import (
 	"testing"
 
 	"mmlpt/internal/fakeroute"
-	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
@@ -42,7 +41,7 @@ func TestCompleteEdgesStableBeforeCapNotTruncated(t *testing.T) {
 	} {
 		net, _ := fakeroute.BuildScenario(41, testSrc, testDst, build)
 		p := probe.NewSimProber(net, testSrc, testDst)
-		res := Trace(p, mda.Config{Seed: 41}, 2)
+		res := TraceLite(p, Config{Seed: 41}, 2)
 		if res.EdgeCompletionTruncated != 0 {
 			t.Fatalf("stable topology reported %d edge-completion truncations", res.EdgeCompletionTruncated)
 		}

@@ -1,14 +1,12 @@
 // Prior-seeded trace tests live in an external test package: the prior
-// package reaches traceio (whose core dependency imports mdalite), so an
-// in-package import would cycle.
-package mdalite_test
+// package imports mda, so an in-package import would cycle.
+package mda_test
 
 import (
 	"testing"
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/prior"
 	"mmlpt/internal/probe"
@@ -25,7 +23,7 @@ var (
 func tracedSession(net *fakeroute.Network, seed uint64) (*mda.Result, *mda.Session) {
 	p := probe.NewSimProber(net, seedSrc, seedDst)
 	s := mda.NewSession(p, mda.Config{Seed: seed})
-	return mdalite.Run(s, 2), s
+	return s.RunLite(2), s
 }
 
 func TestPriorSeededRetraceSavesProbes(t *testing.T) {
@@ -39,7 +37,7 @@ func TestPriorSeededRetraceSavesProbes(t *testing.T) {
 	pp.CaptureLandings(s1)
 
 	p2 := probe.NewSimProber(net, seedSrc, seedDst)
-	res := mdalite.Trace(p2, mda.Config{Seed: 12, Prior: pp}, 2)
+	res := mda.TraceLite(p2, mda.Config{Seed: 12, Prior: pp}, 2)
 	if !res.ReachedDst {
 		t.Fatal("prior-seeded re-trace did not reach the destination")
 	}
@@ -73,7 +71,7 @@ func TestPriorMismatchFallsBackToFullDiscovery(t *testing.T) {
 	pp := prior.FromGraph(seedSrc, seedDst, first.Graph)
 	newNet, newPath := fakeroute.BuildScenario(22, seedSrc, seedDst, fakeroute.SymmetricDiamond)
 	p := probe.NewSimProber(newNet, seedSrc, seedDst)
-	res := mdalite.Trace(p, mda.Config{Seed: 23, Prior: pp}, 2)
+	res := mda.TraceLite(p, mda.Config{Seed: 23, Prior: pp}, 2)
 	if !res.PriorAbandoned {
 		t.Fatal("route change not detected: prior never abandoned")
 	}
@@ -92,14 +90,14 @@ func TestPriorMeshedPairStillSwitches(t *testing.T) {
 	// meshing probes, and recall stays at the unseeded level.
 	net, path := fakeroute.BuildScenario(31, seedSrc, seedDst, fakeroute.Fig1MeshedDiamond)
 	p1 := probe.NewSimProber(net, seedSrc, seedDst)
-	first := mdalite.Trace(p1, mda.Config{Seed: 31, Stop: mda.VeitchTable1(64)}, 2)
+	first := mda.TraceLite(p1, mda.Config{Seed: 31, Stop: mda.VeitchTable1(64)}, 2)
 	if !first.SwitchedToMDA {
 		t.Skip("meshing not detected in the unseeded pass (stochastic miss)")
 	}
 
 	pp := prior.FromGraph(seedSrc, seedDst, first.Graph)
 	p2 := probe.NewSimProber(net, seedSrc, seedDst)
-	res := mdalite.Trace(p2, mda.Config{Seed: 32, Stop: mda.VeitchTable1(64), Prior: pp}, 2)
+	res := mda.TraceLite(p2, mda.Config{Seed: 32, Stop: mda.VeitchTable1(64), Prior: pp}, 2)
 	if !res.SwitchedToMDA {
 		t.Fatal("prior-seeded trace failed to switch to MDA on a meshed pair")
 	}

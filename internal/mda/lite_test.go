@@ -1,25 +1,19 @@
-package mdalite
+package mda
 
 import (
 	"testing"
 
 	"mmlpt/internal/fakeroute"
-	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
 )
 
-var (
-	testSrc = packet.MustParseAddr("192.0.2.1")
-	testDst = packet.MustParseAddr("198.51.100.77")
-)
-
-func liteTrace(t *testing.T, seed uint64, phi int, build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph) (*mda.Result, *topo.Graph) {
+func liteTrace(t *testing.T, seed uint64, phi int, build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph) (*Result, *topo.Graph) {
 	t.Helper()
 	net, path := fakeroute.BuildScenario(seed, testSrc, testDst, build)
 	p := probe.NewSimProber(net, testSrc, testDst)
-	res := Trace(p, mda.Config{Seed: seed}, phi)
+	res := TraceLite(p, Config{Seed: seed}, phi)
 	return res, path.Graph
 }
 
@@ -68,7 +62,7 @@ func TestLiteMeshedDiamondSwitches(t *testing.T) {
 	// probability (≈4·2⁻⁹) cannot flake the full-coverage assertion.
 	net, path := fakeroute.BuildScenario(4, testSrc, testDst, fakeroute.Fig1MeshedDiamond)
 	p := probe.NewSimProber(net, testSrc, testDst)
-	res := Trace(p, mda.Config{Seed: 4, Stop: mda.VeitchTable1(64)}, 2)
+	res := TraceLite(p, Config{Seed: 4, Stop: VeitchTable1(64)}, 2)
 	truth := path.Graph
 	if !res.SwitchedToMDA {
 		t.Fatal("meshing not detected on Fig 1 meshed diamond")
@@ -113,14 +107,14 @@ func TestLiteCheaperThanMDAOnUniformDiamonds(t *testing.T) {
 			netL, _ := fakeroute.BuildScenario(seed, testSrc, testDst, build)
 			pL := probe.NewSimProber(netL, testSrc, testDst)
 			pL.Retries = 0
-			resL := Trace(pL, mda.Config{Seed: seed}, 2)
+			resL := TraceLite(pL, Config{Seed: seed}, 2)
 			if resL.SwitchedToMDA {
 				t.Fatalf("seed %d: unexpected switch", seed)
 			}
 			netM, _ := fakeroute.BuildScenario(seed, testSrc, testDst, build)
 			pM := probe.NewSimProber(netM, testSrc, testDst)
 			pM.Retries = 0
-			resM := mda.Trace(pM, mda.Config{Seed: seed + 1000})
+			resM := Trace(pM, Config{Seed: seed + 1000})
 			liteTotal += resL.Probes
 			mdaTotal += resM.Probes
 		}
@@ -141,11 +135,11 @@ func TestLitePhi4CostsMoreThanPhi2(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		net2, _ := fakeroute.BuildScenario(seed, testSrc, testDst, fakeroute.SymmetricDiamond)
 		pr2 := probe.NewSimProber(net2, testSrc, testDst)
-		Trace(pr2, mda.Config{Seed: seed}, 2)
+		TraceLite(pr2, Config{Seed: seed}, 2)
 		p2 += probe.TotalSent(pr2)
 		net4, _ := fakeroute.BuildScenario(seed, testSrc, testDst, fakeroute.SymmetricDiamond)
 		pr4 := probe.NewSimProber(net4, testSrc, testDst)
-		Trace(pr4, mda.Config{Seed: seed}, 4)
+		TraceLite(pr4, Config{Seed: seed}, 4)
 		p4 += probe.TotalSent(pr4)
 	}
 	if p4 <= p2 {

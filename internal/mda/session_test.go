@@ -62,21 +62,21 @@ func TestEnsureFlows(t *testing.T) {
 	net, _ := fakeroute.BuildScenario(51, testSrc, testDst, fakeroute.Fig1UnmeshedDiamond)
 	p := probe.NewSimProber(net, testSrc, testDst)
 	s := NewSession(p, Config{Seed: 51})
-	s.DiscoverSuccessors(Source, 0)
-	s.DiscoverSuccessors(s.G.Hop(0)[0], 1)
-	if s.G.Width(1) != 4 {
-		t.Fatalf("hop 1 width %d", s.G.Width(1))
+	s.discoverSuccessors(source, 0)
+	s.discoverSuccessors(s.g.Hop(0)[0], 1)
+	if s.g.Width(1) != 4 {
+		t.Fatalf("hop 1 width %d", s.g.Width(1))
 	}
-	v := s.G.Hop(1)[0]
-	if !s.EnsureFlows(v, 9) {
-		t.Fatal("EnsureFlows failed")
+	v := s.g.Hop(1)[0]
+	if !s.ensureFlows(v, 9) {
+		t.Fatal("ensureFlows failed")
 	}
-	if len(s.FlowsOf(v)) < 9 {
-		t.Fatalf("flows %d, want >= 9", len(s.FlowsOf(v)))
+	if len(s.flowsOf(v)) < 9 {
+		t.Fatalf("flows %d, want >= 9", len(s.flowsOf(v)))
 	}
 	// All minted flows must actually map to v at hop 1.
-	for _, f := range s.FlowsOf(v) {
-		if w, ok := s.VertexAt(1, f); !ok || w != v {
+	for _, f := range s.flowsOf(v) {
+		if w, ok := s.vertexAt(1, f); !ok || w != v {
 			t.Fatalf("flow %d maps to %v, want %v", f, w, v)
 		}
 	}
@@ -191,16 +191,16 @@ func TestRunMDASurvivesRouteChange(t *testing.T) {
 	}
 }
 
-// TestFreshFlowMintsWholeSpace: FreshFlow must hand out every one of the
+// TestFreshFlowMintsWholeSpace: freshFlow must hand out every one of the
 // packet.MaxFlowID+1 identifiers exactly once, then report exhaustion —
 // and terminate doing so. A flow the session merely knows about (a prior
 // hint it probed) is not thereby minted.
 func TestFreshFlowMintsWholeSpace(t *testing.T) {
 	s := NewSession(&scriptProber{dst: addrD, at: map[probe.Spec]packet.Addr{{FlowID: 5, TTL: 1}: addrA}}, Config{Seed: 9})
-	s.ProbeHop(0, 5) // interned, not minted
+	s.probeHop(0, 5) // interned, not minted
 	seen := make([]bool, packet.MaxFlowID+1)
 	for i := 0; i <= packet.MaxFlowID; i++ {
-		f, ok := s.FreshFlow()
+		f, ok := s.freshFlow()
 		if !ok {
 			t.Fatalf("exhausted after %d of %d identifiers", i, packet.MaxFlowID+1)
 		}
@@ -209,51 +209,51 @@ func TestFreshFlowMintsWholeSpace(t *testing.T) {
 		}
 		seen[f] = true
 	}
-	if f, ok := s.FreshFlow(); ok {
+	if f, ok := s.freshFlow(); ok {
 		t.Fatalf("minted flow %d from an exhausted space", f)
 	}
-	if v, ok := s.VertexAt(0, 5); !ok || v != s.G.Lookup(addrA) {
+	if v, ok := s.vertexAt(0, 5); !ok || v != s.g.Lookup(addrA) {
 		t.Fatalf("flow 5 lost its landing while the space filled up: (%v, %t)", v, ok)
 	}
 }
 
-// TestSessionUsableAfterFinish: Finish hands the session's flow index back
+// TestSessionUsableAfterFinish: finish hands the session's flow index back
 // for other sessions to scribble on; a session read (prior capture) or
 // driven further afterwards must rebuild its own and see the same tables.
 func TestSessionUsableAfterFinish(t *testing.T) {
 	net, _ := fakeroute.BuildScenario(57, testSrc, testDst, fakeroute.Fig1UnmeshedDiamond)
 	s := NewSession(probe.NewSimProber(net, testSrc, testDst), Config{Seed: 57})
-	s.RunMDA(0)
+	s.runMDA(0)
 	type landing struct {
 		v topo.VertexID
 		f uint16
 	}
 	var before []landing
-	for v := range s.G.Vertices {
-		for _, f := range s.FlowsOf(topo.VertexID(v)) {
+	for v := range s.g.Vertices {
+		for _, f := range s.flowsOf(topo.VertexID(v)) {
 			before = append(before, landing{topo.VertexID(v), f})
 		}
 	}
-	s.Finish(false)
+	s.finish(false)
 
 	// Another trace takes the pooled index and fills it with its own flows.
 	net2, _ := fakeroute.BuildScenario(58, testSrc, testDst, fakeroute.SymmetricDiamond)
 	other := NewSession(probe.NewSimProber(net2, testSrc, testDst), Config{Seed: 58})
-	other.RunMDA(0)
+	other.runMDA(0)
 
 	for _, l := range before {
-		if w, ok := s.VertexAt(s.G.V(l.v).Hop, l.f); !ok || w != l.v {
-			t.Fatalf("after Finish, flow %d of vertex %v resolves to (%v, %t)", l.f, l.v, w, ok)
+		if w, ok := s.vertexAt(s.g.V(l.v).Hop, l.f); !ok || w != l.v {
+			t.Fatalf("after finish, flow %d of vertex %v resolves to (%v, %t)", l.f, l.v, w, ok)
 		}
 	}
-	v := s.G.Hop(2)[0]
-	if !s.EnsureFlows(v, len(s.FlowsOf(v))+3) {
+	v := s.g.Hop(2)[0]
+	if !s.ensureFlows(v, len(s.flowsOf(v))+3) {
 		t.Fatal("node control failed on a finished session")
 	}
-	for _, f := range s.FlowsOf(v) {
-		if w, ok := s.VertexAt(2, f); !ok || w != v {
+	for _, f := range s.flowsOf(v) {
+		if w, ok := s.vertexAt(2, f); !ok || w != v {
 			t.Fatalf("flow %d maps to (%v, %t), want %v", f, w, ok, v)
 		}
 	}
-	other.Finish(false)
+	other.finish(false)
 }

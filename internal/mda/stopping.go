@@ -1,8 +1,41 @@
-// Package mda implements the Multipath Detection Algorithm of Veitch,
-// Augustin, Teixeira and Friedman (Infocom 2009), as recalled in Sec 2.1
-// of the paper: per-vertex successor discovery under a family of stopping
-// points n_k, with node control ensuring probes to the next hop transit a
-// chosen vertex.
+// Package mda holds one multipath trace session and three drivers over
+// it. The Session keeps the trace state: the graph discovered so far,
+// which flows are known to reach which vertex, and the flow allocator.
+// The drivers decide what to probe next:
+//
+//   - the Multipath Detection Algorithm of Veitch, Augustin, Teixeira
+//     and Friedman (Infocom 2009), as recalled in Sec 2.1 of the paper
+//     (Trace, Session.RunMDA): per-vertex successor discovery under a
+//     family of stopping points n_k, with node control ensuring probes
+//     to the next hop transit a chosen vertex;
+//   - the MDA-Lite (TraceLite, Session.RunLite), below;
+//   - single-flow tracing (TraceSingleFlow), one flow per TTL.
+//
+// The MDA-Lite (Sec 2.3) is a reduced-overhead alternative to the MDA
+// that proceeds hop by hop rather than vertex by vertex, reserving node
+// control for two narrowly scoped tests:
+//
+//   - the meshing test, which spends ϕ flow identifiers per vertex to
+//     look for links that would invalidate hop-level probing, failing
+//     with the probability of Eq. (1); and
+//   - the width-asymmetry (non-uniformity) test, a free, purely
+//     topological check.
+//
+// When either test fires, the session switches over to the full MDA,
+// keeping the cumulative packet count.
+//
+// With Config.Prior set, the trace runs in prior-seeded mode: each hop
+// the prior covers is probed only to the confirmation budget (enough
+// flows to corroborate the expected vertex set under the MDA stopping
+// rule), edge completion and the meshing test are short-circuited for
+// pairs the prior pins, and any mismatch — a vertex the prior does not
+// expect, or an expected vertex missing after the budget — abandons the
+// prior and falls back to full discovery from the enclosing divergence
+// hop, keeping the cumulative packet count so recall is never worse
+// than an unseeded trace.
+//
+// The package sits above probe, topo and obs and below core, survey and
+// the experiments, which pick a driver per trace.
 package mda
 
 import (
@@ -50,7 +83,7 @@ func Default95(maxK int) []int { return StoppingPoints(0.05, maxK) }
 // Veitch et al.'s Table 1: n1 = 9, n2 = 17, n3 = 25, n4 = 33.
 func VeitchTable1(maxK int) []int { return StoppingPoints(1.0/256, maxK) }
 
-// ConfirmBudget returns the probe budget for confirming a hop whose
+// confirmBudget returns the probe budget for confirming a hop whose
 // prior expects k vertices. It is the stopping point n_k itself: under
 // the MDA hypothesis test, n_k probes over a width-k hop bound the
 // probability of an unseen (k+1)-th successor, so a confirmation pass
@@ -58,11 +91,11 @@ func VeitchTable1(maxK int) []int { return StoppingPoints(1.0/256, maxK) }
 // the evidence the discovery pass would have needed to stop — and a
 // pass that exhausts n_k probes without covering the expected set has
 // statistically significant evidence the route changed.
-func ConfirmBudget(nk []int, k int) int { return Stop(nk, k) }
+func confirmBudget(nk []int, k int) int { return stopPoint(nk, k) }
 
 // Stop returns n_k from the table, extending past the end by the final
 // increment so very wide hops still terminate.
-func Stop(nk []int, k int) int {
+func stopPoint(nk []int, k int) int {
 	if k < 0 {
 		k = 0
 	}

@@ -69,19 +69,19 @@ func scriptedSession() *Session {
 	// Hop 0 in a deliberately unsorted flow order; hop 1 by batch, with the
 	// two silent flows in the middle; flow 12 also reaches the destination.
 	for _, f := range []uint16{40000, 7, 300, 12} {
-		s.ProbeHop(0, f)
+		s.probeHop(0, f)
 	}
-	s.ProbeHopBatch(1, []uint16{40000, 7, 12, 300, 5, 65000})
-	s.ProbeHop(2, 12)
+	s.probeHopBatch(1, []uint16{40000, 7, 12, 300, 5, 65000})
+	s.probeHop(2, 12)
 	return s
 }
 
 func TestSessionTablesVertexAt(t *testing.T) {
 	s := scriptedSession()
-	a, b, c := s.G.Lookup(addrA), s.G.Lookup(addrB), s.G.Lookup(addrC)
-	d := s.G.Lookup(addrD)
+	a, b, c := s.g.Lookup(addrA), s.g.Lookup(addrB), s.g.Lookup(addrC)
+	d := s.g.Lookup(addrD)
 	if a == topo.None || b == topo.None || c == topo.None || d == topo.None {
-		t.Fatalf("vertices missing:\n%s", s.G)
+		t.Fatalf("vertices missing:\n%s", s.g)
 	}
 	cases := []struct {
 		name string
@@ -104,19 +104,19 @@ func TestSessionTablesVertexAt(t *testing.T) {
 		{"hop beyond the tables", 9, 12, topo.None, false},
 	}
 	for _, tc := range cases {
-		v, ok := s.VertexAt(tc.hop, tc.flow)
+		v, ok := s.vertexAt(tc.hop, tc.flow)
 		if ok != tc.ok || (ok && v != tc.want) {
-			t.Errorf("%s: VertexAt(%d, %d) = (%v, %t), want (%v, %t)", tc.name, tc.hop, tc.flow, v, ok, tc.want, tc.ok)
+			t.Errorf("%s: vertexAt(%d, %d) = (%v, %t), want (%v, %t)", tc.name, tc.hop, tc.flow, v, ok, tc.want, tc.ok)
 		}
 	}
 }
 
 func TestSessionTablesFlowsOf(t *testing.T) {
 	s := scriptedSession()
-	a, b, c := s.G.Lookup(addrA), s.G.Lookup(addrB), s.G.Lookup(addrC)
+	a, b, c := s.g.Lookup(addrA), s.g.Lookup(addrB), s.g.Lookup(addrC)
 	// Arrival order, not flow order; no duplicates on re-probing.
-	s.ProbeHop(0, 300)
-	s.ProbeHop(1, 5)
+	s.probeHop(0, 300)
+	s.probeHop(1, 5)
 	cases := []struct {
 		name string
 		v    topo.VertexID
@@ -125,57 +125,57 @@ func TestSessionTablesFlowsOf(t *testing.T) {
 		{"A: arrival order", a, []uint16{40000, 7, 300, 12}},
 		{"B", b, []uint16{40000, 5}},
 		{"C", c, []uint16{12, 65000}},
-		{"destination", s.G.Lookup(addrD), []uint16{12}},
+		{"destination", s.g.Lookup(addrD), []uint16{12}},
 	}
 	for _, tc := range cases {
-		if got := s.FlowsOf(tc.v); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: FlowsOf = %v, want %v", tc.name, got, tc.want)
+		if got := s.flowsOf(tc.v); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: flowsOf = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	if got := s.FlowsOf(Source); len(got) != 0 {
-		t.Errorf("FlowsOf(Source) = %v, want none", got)
+	if got := s.flowsOf(source); len(got) != 0 {
+		t.Errorf("flowsOf(source) = %v, want none", got)
 	}
 
 	// Adopting the silent flows: sorted by flow identifier, once each even
-	// when adopted twice, and from then on VertexAt resolves them.
-	star := s.G.AddVertex(1, topo.StarAddr)
-	s.AdoptStarFlows(1, star)
-	s.AdoptStarFlows(1, star)
-	if got, want := s.FlowsOf(star), []uint16{7, 300}; !reflect.DeepEqual(got, want) {
-		t.Errorf("FlowsOf(star) = %v, want %v", got, want)
+	// when adopted twice, and from then on vertexAt resolves them.
+	star := s.g.AddVertex(1, topo.StarAddr)
+	s.adoptStarFlows(1, star)
+	s.adoptStarFlows(1, star)
+	if got, want := s.flowsOf(star), []uint16{7, 300}; !reflect.DeepEqual(got, want) {
+		t.Errorf("flowsOf(star) = %v, want %v", got, want)
 	}
-	if v, ok := s.VertexAt(1, 300); !ok || v != star {
-		t.Errorf("VertexAt(1, 300) after adoption = (%v, %t), want the star", v, ok)
+	if v, ok := s.vertexAt(1, 300); !ok || v != star {
+		t.Errorf("vertexAt(1, 300) after adoption = (%v, %t), want the star", v, ok)
 	}
 }
 
 // TestSessionTablesFlowSeenAtTwoVertices: under per-packet balancing one
 // flow can answer from two vertices of the same hop. It then belongs to
-// both flow lists, once each, while VertexAt reports the latest landing.
+// both flow lists, once each, while vertexAt reports the latest landing.
 func TestSessionTablesFlowSeenAtTwoVertices(t *testing.T) {
 	p := &scriptProber{dst: addrD, at: map[probe.Spec]packet.Addr{{FlowID: 9, TTL: 2}: addrB}}
 	s := NewSession(p, Config{Seed: 1})
-	s.ProbeHop(1, 9)
+	s.probeHop(1, 9)
 	p.at[probe.Spec{FlowID: 9, TTL: 2}] = addrC
-	s.ProbeHop(1, 9)
+	s.probeHop(1, 9)
 	p.at[probe.Spec{FlowID: 9, TTL: 2}] = addrB
-	s.ProbeHop(1, 9)
-	b, c := s.G.Lookup(addrB), s.G.Lookup(addrC)
-	if got := s.FlowsOf(b); !reflect.DeepEqual(got, []uint16{9}) {
-		t.Errorf("FlowsOf(B) = %v, want [9]", got)
+	s.probeHop(1, 9)
+	b, c := s.g.Lookup(addrB), s.g.Lookup(addrC)
+	if got := s.flowsOf(b); !reflect.DeepEqual(got, []uint16{9}) {
+		t.Errorf("flowsOf(B) = %v, want [9]", got)
 	}
-	if got := s.FlowsOf(c); !reflect.DeepEqual(got, []uint16{9}) {
-		t.Errorf("FlowsOf(C) = %v, want [9]", got)
+	if got := s.flowsOf(c); !reflect.DeepEqual(got, []uint16{9}) {
+		t.Errorf("flowsOf(C) = %v, want [9]", got)
 	}
-	if v, ok := s.VertexAt(1, 9); !ok || v != b {
-		t.Errorf("VertexAt(1, 9) = (%v, %t), want B (the latest landing)", v, ok)
+	if v, ok := s.vertexAt(1, 9); !ok || v != b {
+		t.Errorf("vertexAt(1, 9) = (%v, %t), want B (the latest landing)", v, ok)
 	}
 }
 
 func TestSessionTablesHopLandings(t *testing.T) {
 	s := scriptedSession()
-	star := s.G.AddVertex(1, topo.StarAddr)
-	s.AdoptStarFlows(1, star)
+	star := s.g.AddVertex(1, topo.StarAddr)
+	s.adoptStarFlows(1, star)
 	cases := []struct {
 		name string
 		hop  int

@@ -100,44 +100,46 @@ type Result struct {
 	Obs *obs.Observations
 }
 
-// Source is the sentinel vertex ID standing for the trace source: every
+// source is the sentinel vertex ID standing for the trace source: every
 // flow passes through it.
-const Source topo.VertexID = -2
+const source topo.VertexID = -2
 
 // Session holds the incremental state of a multipath trace: the graph
 // discovered so far, which flows are known to reach which vertex, and the
-// flow allocator. It is shared by the MDA and the MDA-Lite.
+// flow allocator. The MDA, MDA-Lite and single-flow drivers all run on
+// it; NewSession hands one out so a caller can read HopLandings or the
+// live Graph after (or while) RunMDA or RunLite runs.
 //
 // The flow tables are dense and index-addressed; none of them is a hash
-// map. Every flow the session lands somewhere — minted by FreshFlow or
+// map. Every flow the session lands somewhere — minted by freshFlow or
 // handed in by a caller (prior flow hints) — is interned: it receives the
 // next session-local index, in first-use order, and the per-hop tables are
 // rows indexed by that local index. Per-vertex flow lists hold wire
 // identifiers in arrival order, which is the order node control consumes
 // them in, so the tables record exactly what the map-based ones did.
 type Session struct {
-	P   probe.Prober
-	Cfg Config
-	G   *topo.Graph
-	Rng *nprand.Source
+	p   probe.Prober
+	cfg Config
+	g   *topo.Graph
+	rng *nprand.Source
 
 	wire     []uint16          // local index → wire flow identifier
-	index    *flowIndex        // wire → local index; nil until needed and after Finish (see idx)
-	minted   []uint64          // bitset over local indices: handed out by FreshFlow
+	index    *flowIndex        // wire → local index; nil until needed and after finish (see idx)
+	minted   []uint64          // bitset over local indices: handed out by freshFlow
 	nMinted  int               // population count of minted
 	flows    [][]uint16        // vertex → flows known to reach it, arrival order, no repeats
 	flowSlab []uint16          // unused tail of the chunk new flow lists are carved from
 	flowAt   [][]topo.VertexID // hop → local index → vertex; topo.None where unknown
 	noReply  [][]uint16        // hop → flows that drew no reply there, probe order, repeats possible
 
-	// succSeen[w] == succEpoch marks w as counted by the DiscoverSuccessors
+	// succSeen[w] == succEpoch marks w as counted by the discoverSuccessors
 	// call in progress; bumping the epoch empties the set in O(1).
 	succSeen  []uint32
 	succEpoch uint32
 
 	// Per-round scratch, reused by every round of the session: the specs
-	// handed to the prober, the vertices ProbeHopBatch returns (valid until
-	// the next ProbeHopBatch), and the round DiscoverSuccessors assembles.
+	// handed to the prober, the vertices probeHopBatch returns (valid until
+	// the next probeHopBatch), and the round discoverSuccessors assembles.
 	specs  []probe.Spec
 	landed []topo.VertexID
 	round  []uint16
@@ -145,15 +147,14 @@ type Session struct {
 	dstHop   int
 	baseSent uint64
 
-	// PriorConfirmedHops counts hops the MDA-Lite settled by prior
-	// confirmation alone; PriorAbandoned records a mismatch-triggered
-	// fallback. Both are maintained by the mdalite package and copied
-	// into the Result by Finish.
-	PriorConfirmedHops int
-	PriorAbandoned     bool
-	// EdgeCompletionTruncs counts edge-completion iteration-cap hits
-	// (maintained by the mdalite package).
-	EdgeCompletionTruncs int
+	// priorConfirmedHops counts hops the MDA-Lite settled by prior
+	// confirmation alone; priorAbandoned records a mismatch-triggered
+	// fallback; edgeCompletionTruncs counts edge-completion iteration-cap
+	// hits. The MDA-Lite driver maintains them and finish copies them into
+	// the Result.
+	priorConfirmedHops   int
+	priorAbandoned       bool
+	edgeCompletionTruncs int
 }
 
 // flowIndex is the sparse half of a sparse set whose dense half is
@@ -169,22 +170,26 @@ var flowIndexPool = sync.Pool{New: func() any { return new(flowIndex) }}
 func NewSession(p probe.Prober, cfg Config) *Session {
 	cfg.fill()
 	return &Session{
-		P:        p,
-		Cfg:      cfg,
-		G:        topo.New(),
-		Rng:      nprand.New(cfg.Seed ^ 0x6d646131),
+		p:        p,
+		cfg:      cfg,
+		g:        topo.New(),
+		rng:      nprand.New(cfg.Seed ^ 0x6d646131),
 		dstHop:   -1,
 		baseSent: probe.TotalSent(p),
 	}
 }
 
-// ProbesSent returns the probes sent since the session began.
-func (s *Session) ProbesSent() uint64 {
-	return probe.TotalSent(s.P) - s.baseSent
+// probesSent returns the probes sent since the session began.
+func (s *Session) probesSent() uint64 {
+	return probe.TotalSent(s.p) - s.baseSent
 }
 
+// Graph returns the session's live graph: the topology discovered so
+// far, which a driver keeps extending until it returns.
+func (s *Session) Graph() *topo.Graph { return s.g }
+
 // idx returns the wire → local index array, taking one from the pool on
-// first use. Finish gives the array back; a session used after Finish
+// first use. finish gives the array back; a session used after finish
 // (prior capture reads HopLandings, tests look flows up) takes a fresh
 // one and rebuilds it from wire.
 func (s *Session) idx() *flowIndex {
@@ -221,9 +226,9 @@ func (s *Session) intern(f uint16) int {
 	return i
 }
 
-// VertexAt looks up (without probing) which vertex flow f reached at hop
+// vertexAt looks up (without probing) which vertex flow f reached at hop
 // h, if known.
-func (s *Session) VertexAt(h int, f uint16) (topo.VertexID, bool) {
+func (s *Session) vertexAt(h int, f uint16) (topo.VertexID, bool) {
 	if h < 0 || h >= len(s.flowAt) {
 		return topo.None, false
 	}
@@ -235,24 +240,24 @@ func (s *Session) VertexAt(h int, f uint16) (topo.VertexID, bool) {
 	return v, v != topo.None
 }
 
-// FlowsOf returns the flows known to reach v, in the order they were first
+// flowsOf returns the flows known to reach v, in the order they were first
 // seen there (the source sentinel has no stored flows: mint fresh ones
 // instead). The slice is the session's own; callers must not modify it.
-func (s *Session) FlowsOf(v topo.VertexID) []uint16 {
+func (s *Session) flowsOf(v topo.VertexID) []uint16 {
 	if v < 0 || int(v) >= len(s.flows) {
 		return nil
 	}
 	return s.flows[v]
 }
 
-// FreshFlow mints a random flow identifier it has not minted before. ok is
+// freshFlow mints a random flow identifier it has not minted before. ok is
 // false once all packet.MaxFlowID+1 identifiers have been handed out.
-func (s *Session) FreshFlow() (uint16, bool) {
+func (s *Session) freshFlow() (uint16, bool) {
 	if s.nMinted > packet.MaxFlowID {
 		return 0, false
 	}
 	for {
-		f := uint16(s.Rng.Uint64() % uint64(packet.MaxFlowID+1))
+		f := uint16(s.rng.Uint64() % uint64(packet.MaxFlowID+1))
 		i := s.intern(f)
 		if word, bit := &s.minted[i>>6], uint64(1)<<(i&63); *word&bit == 0 {
 			*word |= bit
@@ -262,24 +267,24 @@ func (s *Session) FreshFlow() (uint16, bool) {
 	}
 }
 
-// ProbeHop sends flow f with a TTL expiring at hop h and integrates the
+// probeHop sends flow f with a TTL expiring at hop h and integrates the
 // reply into the session state. It returns the vertex that answered
 // (possibly the destination's vertex), or (None, false) on no reply.
-// Every call sends a packet; use VertexAt to avoid redundant sends.
-func (s *Session) ProbeHop(h int, f uint16) (topo.VertexID, bool) {
-	reply := s.P.Probe(f, h+1)
-	t, e := s.P.Sent()
+// Every call sends a packet; use vertexAt to avoid redundant sends.
+func (s *Session) probeHop(h int, f uint16) (topo.VertexID, bool) {
+	reply := s.p.Probe(f, h+1)
+	t, e := s.p.Sent()
 	return s.integrate(h, f, reply, t+e)
 }
 
-// ProbeHopBatch sends every flow at hop h as one batch and integrates the
-// replies in spec order, exactly as repeated ProbeHop calls would. The
+// probeHopBatch sends every flow at hop h as one batch and integrates the
+// replies in spec order, exactly as repeated probeHop calls would. The
 // returned vertices are index-aligned with flows (topo.None where no
 // reply arrived); the slice is session scratch, valid until the next
-// ProbeHopBatch call. Observation sequence numbers are assigned
+// probeHopBatch call. Observation sequence numbers are assigned
 // monotonically within the batch (base count + position), since per-probe
 // totals are not observable once a whole round is in flight.
-func (s *Session) ProbeHopBatch(h int, flows []uint16) []topo.VertexID {
+func (s *Session) probeHopBatch(h int, flows []uint16) []topo.VertexID {
 	if len(flows) == 0 {
 		return nil
 	}
@@ -291,8 +296,8 @@ func (s *Session) ProbeHopBatch(h int, flows []uint16) []topo.VertexID {
 	for _, f := range flows {
 		s.specs = append(s.specs, probe.Spec{FlowID: f, TTL: h + 1})
 	}
-	base := probe.TotalSent(s.P)
-	replies := s.P.ProbeBatch(s.specs)
+	base := probe.TotalSent(s.p)
+	replies := s.p.ProbeBatch(s.specs)
 	s.landed = s.landed[:0]
 	for i, f := range flows {
 		// Every spec sends at least one packet, so base+i+1 never passes
@@ -317,18 +322,18 @@ func (s *Session) integrate(h int, f uint16, reply *packet.Reply, seq uint64) (t
 		return topo.None, false
 	}
 	var v topo.VertexID
-	if reply.IsPortUnreachable() && reply.From == s.P.Dst() {
+	if reply.IsPortUnreachable() && reply.From == s.p.Dst() {
 		if s.dstHop < 0 || h < s.dstHop {
 			s.dstHop = h
 		}
-		v = s.G.AddVertex(s.dstHop, reply.From)
+		v = s.g.AddVertex(s.dstHop, reply.From)
 		h = s.dstHop
 	} else {
-		v = s.G.AddVertex(h, reply.From)
+		v = s.g.AddVertex(h, reply.From)
 	}
 	s.land(h, f, v)
-	if s.Cfg.Obs != nil {
-		s.Cfg.Obs.RecordTrace(reply, f, h+1, seq)
+	if s.cfg.Obs != nil {
+		s.cfg.Obs.RecordTrace(reply, f, h+1, seq)
 	}
 	return v, true
 }
@@ -365,7 +370,7 @@ func (s *Session) land(h int, f uint16, v topo.VertexID) {
 	}
 	if s.flows[v] == nil {
 		// Start the list in the slab, with room for the n_1 = 6 flows one
-		// DiscoverSuccessors call needs of a single-successor vertex. The
+		// discoverSuccessors call needs of a single-successor vertex. The
 		// capacity is capped, so a list that outgrows it moves to the heap
 		// by append's own rules and never runs into its slab neighbour.
 		if len(s.flowSlab) < flowListCap {
@@ -394,12 +399,12 @@ func extend[T any](tab []T, i int) []T {
 	return tab
 }
 
-// AdoptStarFlows assigns every no-reply flow at hop h to star, a star
+// adoptStarFlows assigns every no-reply flow at hop h to star, a star
 // vertex of hop h, so node control can operate through silent hops. The
 // flows are adopted in ascending order: they land in the star's flow
 // list, whose order later drives flow selection (flowThrough) and
 // therefore which vertices the next hop discovers first.
-func (s *Session) AdoptStarFlows(h int, star topo.VertexID) {
+func (s *Session) adoptStarFlows(h int, star topo.VertexID) {
 	if h < 0 || h >= len(s.noReply) {
 		return
 	}
@@ -410,85 +415,67 @@ func (s *Session) AdoptStarFlows(h int, star topo.VertexID) {
 	}
 }
 
-// flowThrough returns the next flow through v for a DiscoverSuccessors
+// flowThrough returns the next flow through v for a discoverSuccessors
 // call whose cursor into v's flow list is *cur, minting flows via node
-// control once the list is used up. For the Source sentinel a fresh flow
+// control once the list is used up. For the source sentinel a fresh flow
 // is returned directly (every flow passes the source). The second return
 // is false when no further flow can be obtained.
 //
 // The cursor invariant: the flows the call has used are exactly
-// FlowsOf(v)[:*cur]. The list is append-only and duplicate-free, a flow is
+// flowsOf(v)[:*cur]. The list is append-only and duplicate-free, a flow is
 // used the moment it is returned from here, and node control stops at the
 // first fresh flow that lands on v — which land has just appended, so it
 // sits at index *cur. "The first flow of v not used yet" is therefore
 // always the one under the cursor.
 func (s *Session) flowThrough(v topo.VertexID, cur *int) (uint16, bool) {
-	if v == Source {
-		return s.FreshFlow()
+	if v == source {
+		return s.freshFlow()
 	}
-	if fs := s.FlowsOf(v); *cur < len(fs) {
+	if fs := s.flowsOf(v); *cur < len(fs) {
 		*cur++
 		return fs[*cur-1], true
 	}
 	// Node control: probe v's own hop with fresh flows until one lands on
 	// v. The attempt budget is a generous multiple of the hop width so a
 	// pathologically unlucky coupon-collector run terminates.
-	h := s.G.V(v).Hop
-	width := s.G.Width(h)
-	if width < 1 {
-		width = 1
-	}
-	budget := 8*width + 64
+	h := s.g.V(v).Hop
+	budget := 8*max(s.g.Width(h), 1) + 64
 	for a := 0; a < budget; a++ {
-		f, ok := s.FreshFlow()
+		f, ok := s.freshFlow()
 		if !ok {
 			return 0, false
 		}
-		if w, _ := s.ProbeHop(h, f); w == v {
-			*cur = len(s.FlowsOf(v))
+		if w, _ := s.probeHop(h, f); w == v {
+			*cur = len(s.flowsOf(v))
 			return f, true
 		}
 	}
 	return 0, false
 }
 
-// EnsureFlows tops up v's known flows to at least need distinct flow
+// ensureFlows tops up v's known flows to at least need distinct flow
 // identifiers, minting new ones through node control (probing v's own hop
 // with fresh flows until enough land on v). It reports whether the target
 // was met. This is the "limited application of node control" the
 // MDA-Lite's meshing test requires (Sec 2.3.2).
-func (s *Session) EnsureFlows(v topo.VertexID, need int) bool {
-	if v == Source {
+func (s *Session) ensureFlows(v topo.VertexID, need int) bool {
+	if v == source {
 		return true
 	}
-	h := s.G.V(v).Hop
-	width := s.G.Width(h)
-	if width < 1 {
-		width = 1
-	}
-	budget := 8 * width * need
-	if budget < 64 {
-		budget = 64
-	}
-	for a := 0; len(s.FlowsOf(v)) < need && a < budget; a++ {
-		f, ok := s.FreshFlow()
+	h := s.g.V(v).Hop
+	budget := max(8*max(s.g.Width(h), 1)*need, 64)
+	for a := 0; len(s.flowsOf(v)) < need && a < budget; a++ {
+		f, ok := s.freshFlow()
 		if !ok {
 			return false
 		}
-		s.ProbeHop(h, f)
+		s.probeHop(h, f)
 	}
-	return len(s.FlowsOf(v)) >= need
+	return len(s.flowsOf(v)) >= need
 }
 
-// HopDone reports whether hop h consists solely of the destination,
-// meaning the trace is complete.
-func (s *Session) HopDone(h int) bool { return s.hopDone(h) }
-
-// IsDst reports whether v is the destination vertex.
-func (s *Session) IsDst(v topo.VertexID) bool { return s.isDst(v) }
-
-// DiscoverSuccessors runs the MDA's per-vertex discovery: find the
-// successors of v (at hop h-1; Source discovers hop 0) by probing hop h
+// discoverSuccessors runs the MDA's per-vertex discovery: find the
+// successors of v (at hop h-1; source discovers hop 0) by probing hop h
 // with flows through v, under the stopping rule. It returns the number of
 // distinct successors found.
 //
@@ -501,7 +488,7 @@ func (s *Session) IsDst(v topo.VertexID) bool { return s.isDst(v) }
 // re-evaluated between rounds; because n_k only grows as successors are
 // found, the rounds stop at exactly the probe count the serial loop
 // stopped at.
-func (s *Session) DiscoverSuccessors(v topo.VertexID, h int) int {
+func (s *Session) discoverSuccessors(v topo.VertexID, h int) int {
 	s.succEpoch++ // empties the successor set
 	succ, sent, cur := 0, 0, 0
 
@@ -511,13 +498,13 @@ func (s *Session) DiscoverSuccessors(v topo.VertexID, h int) int {
 			s.succSeen[w] = s.succEpoch
 			succ++
 		}
-		if v != Source {
-			s.G.AddEdge(v, w)
+		if v != source {
+			s.g.AddEdge(v, w)
 		}
 	}
 
 	for {
-		target := Stop(s.Cfg.Stop, max(succ, 1))
+		target := stopPoint(s.cfg.Stop, max(succ, 1))
 		if sent >= target {
 			break
 		}
@@ -532,14 +519,14 @@ func (s *Session) DiscoverSuccessors(v topo.VertexID, h int) int {
 				exhausted = true
 				break
 			}
-			if w, known := s.VertexAt(h, f); known {
+			if w, known := s.vertexAt(h, f); known {
 				note(w)
-				target = Stop(s.Cfg.Stop, max(succ, 1))
+				target = stopPoint(s.cfg.Stop, max(succ, 1))
 				continue
 			}
 			s.round = append(s.round, f)
 		}
-		for _, w := range s.ProbeHopBatch(h, s.round) {
+		for _, w := range s.probeHopBatch(h, s.round) {
 			if w != topo.None {
 				note(w)
 			}
@@ -551,11 +538,11 @@ func (s *Session) DiscoverSuccessors(v topo.VertexID, h int) int {
 	}
 	if succ == 0 && sent > 0 {
 		// Every probe went unanswered: v's successor is a star.
-		star := s.G.AddVertex(h, topo.StarAddr)
-		if v != Source {
-			s.G.AddEdge(v, star)
+		star := s.g.AddVertex(h, topo.StarAddr)
+		if v != source {
+			s.g.AddEdge(v, star)
 		}
-		s.AdoptStarFlows(h, star)
+		s.adoptStarFlows(h, star)
 		succ = 1
 	}
 	return succ
@@ -563,21 +550,26 @@ func (s *Session) DiscoverSuccessors(v topo.VertexID, h int) int {
 
 // Trace runs the full MDA and returns the discovered topology.
 func Trace(p probe.Prober, cfg Config) *Result {
-	s := NewSession(p, cfg)
-	s.RunMDA(0)
-	return s.Finish(false)
+	return NewSession(p, cfg).RunMDA()
 }
 
-// RunMDA executes the MDA from hop startHop onward. When startHop is 0 the
+// RunMDA runs the full MDA on a fresh session and returns its result.
+func (s *Session) RunMDA() *Result {
+	s.runMDA(0)
+	return s.finish(false)
+}
+
+// runMDA executes the MDA from hop startHop onward. When startHop is 0 the
 // source's successors are discovered first; otherwise hop startHop-1's
-// vertices must already exist in the session graph.
-func (s *Session) RunMDA(startHop int) {
+// vertices must already exist in the session graph: the MDA-Lite's
+// switch-over resumes here on the graph and flows it has gathered.
+func (s *Session) runMDA(startHop int) {
 	if startHop == 0 {
-		s.DiscoverSuccessors(Source, 0)
+		s.discoverSuccessors(source, 0)
 		startHop = 1
 	}
 	starRun := 0
-	for h := startHop; h <= s.Cfg.MaxTTL; h++ {
+	for h := startHop; h <= s.cfg.MaxTTL; h++ {
 		if s.hopDone(h - 1) {
 			return
 		}
@@ -585,14 +577,14 @@ func (s *Session) RunMDA(startHop int) {
 		// may reveal new hop h-1 vertices that then need processing too.
 		// The hop's vertex list only grows at its end, so walking it by
 		// index (re-reading it every step) visits them all, in order.
-		for i := 0; i < len(s.G.Hop(h-1)); i++ {
-			if v := s.G.Hop(h - 1)[i]; !s.isDst(v) {
-				s.DiscoverSuccessors(v, h)
+		for i := 0; i < len(s.g.Hop(h-1)); i++ {
+			if v := s.g.Hop(h - 1)[i]; !s.isDst(v) {
+				s.discoverSuccessors(v, h)
 			}
 		}
 		if s.hopAllStars(h) {
 			starRun++
-			if starRun >= s.Cfg.MaxConsecutiveStars {
+			if starRun >= s.cfg.MaxConsecutiveStars {
 				return
 			}
 		} else {
@@ -607,7 +599,7 @@ func (s *Session) hopDone(h int) bool {
 	if s.dstHop >= 0 && h >= s.dstHop {
 		return true
 	}
-	vs := s.G.Hop(h)
+	vs := s.g.Hop(h)
 	if len(vs) == 0 {
 		return h > 0 // nothing to extend
 	}
@@ -620,12 +612,12 @@ func (s *Session) hopDone(h int) bool {
 }
 
 func (s *Session) hopAllStars(h int) bool {
-	vs := s.G.Hop(h)
+	vs := s.g.Hop(h)
 	if len(vs) == 0 {
 		return false
 	}
 	for _, v := range vs {
-		if s.G.V(v).Addr != topo.StarAddr {
+		if s.g.V(v).Addr != topo.StarAddr {
 			return false
 		}
 	}
@@ -633,26 +625,26 @@ func (s *Session) hopAllStars(h int) bool {
 }
 
 func (s *Session) isDst(v topo.VertexID) bool {
-	return s.G.V(v).Addr == s.P.Dst()
+	return s.g.V(v).Addr == s.p.Dst()
 }
 
-// Finish assembles the Result and returns the session's flow index to
+// finish assembles the Result and returns the session's flow index to
 // the pool. The session stays usable (see idx).
-func (s *Session) Finish(switched bool) *Result {
+func (s *Session) finish(switched bool) *Result {
 	if s.index != nil {
 		flowIndexPool.Put(s.index)
 		s.index = nil
 	}
 	return &Result{
-		Graph:                   s.G,
+		Graph:                   s.g,
 		ReachedDst:              s.dstHop >= 0,
 		DstHop:                  s.dstHop,
-		Probes:                  s.ProbesSent(),
+		Probes:                  s.probesSent(),
 		SwitchedToMDA:           switched,
-		EdgeCompletionTruncated: s.EdgeCompletionTruncs,
-		PriorHopsConfirmed:      s.PriorConfirmedHops,
-		PriorAbandoned:          s.PriorAbandoned,
-		Obs:                     s.Cfg.Obs,
+		EdgeCompletionTruncated: s.edgeCompletionTruncs,
+		PriorHopsConfirmed:      s.priorConfirmedHops,
+		PriorAbandoned:          s.priorAbandoned,
+		Obs:                     s.cfg.Obs,
 	}
 }
 
@@ -675,7 +667,7 @@ func (s *Session) HopLandings(h int) []FlowLanding {
 		if v == topo.None {
 			continue
 		}
-		if a := s.G.V(v).Addr; a != topo.StarAddr {
+		if a := s.g.V(v).Addr; a != topo.StarAddr {
 			out = append(out, FlowLanding{Flow: s.wire[i], Addr: a})
 		}
 	}
@@ -688,29 +680,29 @@ func (s *Session) HopLandings(h int) []FlowLanding {
 // prober's retries), no multipath discovery.
 func TraceSingleFlow(p probe.Prober, cfg Config) *Result {
 	s := NewSession(p, cfg)
-	f, _ := s.FreshFlow()
+	f, _ := s.freshFlow()
 	starRun := 0
-	for h := 0; h <= s.Cfg.MaxTTL; h++ {
-		v, ok := s.ProbeHop(h, f)
+	for h := 0; h <= s.cfg.MaxTTL; h++ {
+		v, ok := s.probeHop(h, f)
 		if !ok {
-			star := s.G.AddVertex(h, topo.StarAddr)
-			if h > 0 && len(s.G.Hop(h-1)) > 0 {
-				s.G.AddEdge(s.G.Hop(h - 1)[0], star)
+			star := s.g.AddVertex(h, topo.StarAddr)
+			if h > 0 && len(s.g.Hop(h-1)) > 0 {
+				s.g.AddEdge(s.g.Hop(h - 1)[0], star)
 			}
-			s.AdoptStarFlows(h, star)
+			s.adoptStarFlows(h, star)
 			starRun++
-			if starRun >= s.Cfg.MaxConsecutiveStars {
+			if starRun >= s.cfg.MaxConsecutiveStars {
 				break
 			}
 			continue
 		}
 		starRun = 0
-		if h > 0 && len(s.G.Hop(h-1)) > 0 {
-			s.G.AddEdge(s.G.Hop(h - 1)[0], v)
+		if h > 0 && len(s.g.Hop(h-1)) > 0 {
+			s.g.AddEdge(s.g.Hop(h - 1)[0], v)
 		}
 		if s.isDst(v) {
 			break
 		}
 	}
-	return s.Finish(false)
+	return s.finish(false)
 }

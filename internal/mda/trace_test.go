@@ -41,12 +41,12 @@ func TestStoppingPointsVeitchTable1(t *testing.T) {
 
 func TestStopExtendsTable(t *testing.T) {
 	nk := Default95(4)
-	if got := Stop(nk, 4); got != nk[4] {
+	if got := stopPoint(nk, 4); got != nk[4] {
 		t.Fatalf("Stop in range = %d, want %d", got, nk[4])
 	}
 	inc := nk[4] - nk[3]
-	if got := Stop(nk, 6); got != nk[4]+2*inc {
-		t.Fatalf("Stop(6) = %d, want %d", got, nk[4]+2*inc)
+	if got := stopPoint(nk, 6); got != nk[4]+2*inc {
+		t.Fatalf("stopPoint(6) = %d, want %d", got, nk[4]+2*inc)
 	}
 }
 

@@ -150,93 +150,6 @@ func TestRecorderConcurrentBatches(t *testing.T) {
 	}
 }
 
-// batchSpy records the batch sizes forwarded to the underlying prober,
-// to distinguish whole-batch forwarding from per-probe degradation.
-type batchSpy struct {
-	Prober
-	probeBatches []int
-	echoBatches  []int
-}
-
-func (s *batchSpy) ProbeBatch(specs []Spec) []*packet.Reply {
-	s.probeBatches = append(s.probeBatches, len(specs))
-	return s.Prober.ProbeBatch(specs)
-}
-
-func (s *batchSpy) EchoBatch(specs []EchoSpec) []*packet.Reply {
-	s.echoBatches = append(s.echoBatches, len(specs))
-	return s.Prober.EchoBatch(specs)
-}
-
-// TestRecorderOnBatch: with OnBatch set, batches must flow whole to the
-// underlying prober (preserving a live transport's wave overlap) and be
-// reported once per batch; without it, the per-probe path still applies.
-func TestRecorderOnBatch(t *testing.T) {
-	net, path := fakeroute.BuildScenario(26, tSrc, tDst, fakeroute.SimplestDiamond)
-	addr := path.Graph.V(path.Graph.Hop(0)[0]).Addr
-	sim := NewSimProber(net, tSrc, tDst)
-	sim.Retries = 0
-	spy := &batchSpy{Prober: sim}
-
-	var batchCalls, probeCalls int
-	var lastTotal uint64
-	var lastLen int
-	rec := &Recorder{
-		Prober: spy,
-		OnBatch: func(sent uint64, replies []*packet.Reply) {
-			batchCalls++
-			lastTotal = sent
-			lastLen = len(replies)
-		},
-		OnProbe: func(sent uint64, _ *packet.Reply) { probeCalls++ },
-	}
-
-	specs := []Spec{{FlowID: 0, TTL: 1}, {FlowID: 1, TTL: 1}, {FlowID: 2, TTL: 2}}
-	for i, r := range rec.ProbeBatch(specs) {
-		if r == nil {
-			t.Fatalf("reply %d lost on deterministic topology", i)
-		}
-	}
-	if len(spy.probeBatches) != 1 || spy.probeBatches[0] != 3 {
-		t.Fatalf("underlying batches = %v, want one batch of 3", spy.probeBatches)
-	}
-	if batchCalls != 1 || lastTotal != 3 || lastLen != 3 {
-		t.Fatalf("OnBatch: %d calls, total %d, len %d; want 1, 3, 3", batchCalls, lastTotal, lastLen)
-	}
-	if probeCalls != 3 {
-		t.Fatalf("OnProbe alongside OnBatch: %d calls, want 3 (one per reply)", probeCalls)
-	}
-
-	// Echo batches forward whole too.
-	rec.EchoBatch([]EchoSpec{{Addr: addr, Seq: 1}, {Addr: addr, Seq: 2}})
-	if len(spy.echoBatches) != 1 || spy.echoBatches[0] != 2 {
-		t.Fatalf("underlying echo batches = %v, want one batch of 2", spy.echoBatches)
-	}
-	if batchCalls != 2 || lastLen != 2 {
-		t.Fatalf("OnBatch after echo: %d calls, len %d; want 2, 2", batchCalls, lastLen)
-	}
-
-	// Single-probe calls report as batches of one.
-	if r := rec.Probe(0, 1); r == nil {
-		t.Fatal("single probe lost")
-	}
-	if batchCalls != 3 || lastLen != 1 {
-		t.Fatalf("OnBatch after single probe: %d calls, len %d; want 3, 1", batchCalls, lastLen)
-	}
-
-	// Without OnBatch the per-probe fallback drives single probes only.
-	spy2 := &batchSpy{Prober: sim}
-	perProbe := 0
-	rec2 := &Recorder{Prober: spy2, OnProbe: func(uint64, *packet.Reply) { perProbe++ }}
-	rec2.ProbeBatch(specs)
-	if len(spy2.probeBatches) != 0 {
-		t.Fatalf("per-probe fallback forwarded batches: %v", spy2.probeBatches)
-	}
-	if perProbe != 3 {
-		t.Fatalf("per-probe fallback: %d callbacks, want 3", perProbe)
-	}
-}
-
 // TestTotalSentConcurrentReaders: TotalSent must be safe to read while
 // batches are in flight and settle on the exact total.
 func TestTotalSentConcurrentReaders(t *testing.T) {

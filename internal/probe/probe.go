@@ -14,6 +14,10 @@
 // against this interface, so the same MDA / MDA-Lite / alias-resolution
 // code runs over Fakeroute (validated, deterministic) and over a live
 // raw-socket transport where one is available.
+//
+// A Recorder wraps any Prober and reports every probe with its cumulative
+// sent count (the Fig 3 discovery curves); it splits batches into single
+// probes to do so.
 package probe
 
 import (
@@ -319,26 +323,14 @@ func (p *SimProber) Echo(addr packet.Addr, seq uint16) *packet.Reply {
 // Recorder wraps a Prober and notifies a callback as probes complete,
 // with cumulative sent counts: the hook the discovery-progress curves
 // (Fig 3) are built on. Callbacks are serialized, so a Recorder may be
-// shared by concurrent probers.
-//
-// With only OnProbe set, batches are forwarded probe by probe so the
-// callback sees every probe with its own cumulative count — per-probe
-// granularity at the cost of serializing the batch. Setting OnBatch
-// keeps whole batches flowing to the underlying prober (preserving a
-// live transport's wave overlap) and reports once per completed batch;
-// single-probe calls then report as batches of one.
+// shared by concurrent probers. Batches are forwarded probe by probe so
+// the callback sees every probe with its own cumulative count —
+// per-probe granularity at the cost of serializing the batch.
 type Recorder struct {
 	Prober
 	// OnProbe is called after each traceroute or echo probe completes,
 	// with the total packets sent so far and the reply (nil if none).
-	// When OnBatch is also set, OnProbe is invoked per reply after the
-	// batch completes, so every reply carries the batch-final count.
 	OnProbe func(totalSent uint64, reply *packet.Reply)
-	// OnBatch, when set, is called once per completed batch with the
-	// total packets sent so far and the batch's index-aligned replies
-	// (nil entries where no reply arrived). The slice is only valid for
-	// the duration of the call.
-	OnBatch func(totalSent uint64, replies []*packet.Reply)
 
 	mu sync.Mutex
 }
@@ -350,15 +342,8 @@ func (r *Recorder) Probe(flowID uint16, ttl int) *packet.Reply {
 	return reply
 }
 
-// ProbeBatch implements Prober. With OnBatch set the batch is forwarded
-// whole; otherwise it degrades to probe-by-probe so OnProbe sees every
-// probe with its own cumulative count.
+// ProbeBatch implements Prober, probe by probe.
 func (r *Recorder) ProbeBatch(specs []Spec) []*packet.Reply {
-	if r.OnBatch != nil {
-		replies := r.Prober.ProbeBatch(specs)
-		r.recordBatch(replies)
-		return replies
-	}
 	replies := make([]*packet.Reply, len(specs))
 	for i, sp := range specs {
 		replies[i] = r.Probe(sp.FlowID, sp.TTL)
@@ -373,14 +358,8 @@ func (r *Recorder) Echo(addr packet.Addr, seq uint16) *packet.Reply {
 	return reply
 }
 
-// EchoBatch implements Prober, forwarding whole batches when OnBatch is
-// set and probe by probe otherwise.
+// EchoBatch implements Prober, probe by probe.
 func (r *Recorder) EchoBatch(specs []EchoSpec) []*packet.Reply {
-	if r.OnBatch != nil {
-		replies := r.Prober.EchoBatch(specs)
-		r.recordBatch(replies)
-		return replies
-	}
 	replies := make([]*packet.Reply, len(specs))
 	for i, sp := range specs {
 		replies[i] = r.Echo(sp.Addr, sp.Seq)
@@ -389,36 +368,13 @@ func (r *Recorder) EchoBatch(specs []EchoSpec) []*packet.Reply {
 }
 
 func (r *Recorder) record(reply *packet.Reply) {
-	if r.OnProbe == nil && r.OnBatch == nil {
+	if r.OnProbe == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t, e := r.Prober.Sent()
-	if r.OnBatch != nil {
-		one := [1]*packet.Reply{reply}
-		r.OnBatch(t+e, one[:])
-	}
-	if r.OnProbe != nil {
-		r.OnProbe(t+e, reply)
-	}
-}
-
-func (r *Recorder) recordBatch(replies []*packet.Reply) {
-	if r.OnProbe == nil && r.OnBatch == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, e := r.Prober.Sent()
-	if r.OnBatch != nil {
-		r.OnBatch(t+e, replies)
-	}
-	if r.OnProbe != nil {
-		for _, reply := range replies {
-			r.OnProbe(t+e, reply)
-		}
-	}
+	r.OnProbe(t+e, reply)
 }
 
 // TotalSent sums trace and echo probes for a Prober.

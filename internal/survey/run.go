@@ -8,7 +8,6 @@ import (
 	"mmlpt/internal/core"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/par"
@@ -232,7 +231,7 @@ func optionsHash(u *Universe, cfg RunConfig) uint64 {
 // is a fold over records (RecordAggregate).
 func Run(u *Universe, cfg RunConfig) (*Result, error) {
 	if cfg.Phi == 0 {
-		cfg.Phi = mdalite.DefaultPhi
+		cfg.Phi = mda.DefaultPhi
 	}
 	jobs := selectJobs(u, cfg)
 	if cfg.SpanStart != 0 || cfg.SpanCount != 0 {
@@ -399,7 +398,7 @@ func traceOne(u *Universe, idx int, pair Pair, cfg RunConfig) TraceOutcome {
 				tc.Prior = pp
 			}
 		}
-		r = mdalite.Trace(p, tc, cfg.Phi)
+		r = mda.TraceLite(p, tc, cfg.Phi)
 	case AlgoSingleFlow:
 		r = mda.TraceSingleFlow(p, tc)
 	case AlgoMultilevel:

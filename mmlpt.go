@@ -31,7 +31,6 @@ import (
 	"mmlpt/internal/core"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
@@ -149,10 +148,6 @@ func (o Options) traceConfig() mda.Config {
 // Trace runs the selected algorithm toward the prober's destination.
 func Trace(p Prober, o Options) *Result {
 	cfg := o.traceConfig()
-	phi := o.Phi
-	if phi < mdalite.DefaultPhi {
-		phi = mdalite.DefaultPhi
-	}
 	switch o.Algorithm {
 	case AlgoMDA:
 		return &Result{IP: mda.Trace(p, cfg)}
@@ -160,12 +155,12 @@ func Trace(p Prober, o Options) *Result {
 		return &Result{IP: mda.TraceSingleFlow(p, cfg)}
 	case AlgoMultilevel:
 		ml := core.Trace(p, core.Options{
-			Trace: cfg, Phi: phi,
+			Trace: cfg, Phi: o.Phi,
 			Rounds: o.Rounds, ProbesPerRound: o.ProbesPerRound,
 		})
 		return &Result{IP: ml.IP, Multilevel: ml}
 	default:
-		return &Result{IP: mdalite.Trace(p, cfg, phi)}
+		return &Result{IP: mda.TraceLite(p, cfg, o.Phi)}
 	}
 }
 

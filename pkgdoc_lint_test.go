@@ -1,9 +1,10 @@
-// Package-doc and dead-surface lint: every package under internal/ (and
-// cmd/) must carry a substantive package-level doc comment, because the
-// layering of this codebase is documented in godoc, not in a separate
-// architecture file that would drift; and every exported name under
-// internal/ must have a non-test user. Run via `go test .` — CI's lint
-// job includes it.
+// Package-doc, dead-surface and layering lint: every package under
+// internal/ (and cmd/) must carry a substantive package-level doc
+// comment, because the layering of this codebase is documented in godoc,
+// not in a separate architecture file that would drift; every exported
+// name under internal/ must have a non-test user; and every internal
+// import must point down DESIGN.md's rank table. Run via `go test .` —
+// CI's lint job includes it.
 package mmlpt
 
 import (
@@ -11,7 +12,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,7 +93,7 @@ func firstLine(s string) string {
 var deadSurfaceAllowlist = map[string]string{
 	"fakeroute.Network.RouterOf": "ground-truth interface-to-router oracle that the tests of alias and fakeroute read and configure routers through",
 	"fakeroute.LBPerFlow":        "the zero value of LBMode: every path defaults to it, so no code has to name it, but the other modes are defined against it",
-	"prior.FromGraph":            "test fixture shared by the flow-order pins and mdalite's prior-seed tests; it must call the unexported normalize",
+	"prior.FromGraph":            "test fixture shared by the flow-order pins and the MDA-Lite's prior-seed tests; it must call the unexported normalize",
 	"topo.Equal":                 "graph-equality oracle shared by the tests of traceio, fakeroute and groundtruth",
 }
 
@@ -348,4 +352,90 @@ func (ix *surfaceIndex) referenced(d surfaceDecl) bool {
 		}
 	}
 	return false
+}
+
+// onlyImports narrows a package's internal imports below what its rank
+// allows: the tracer runs over any probe.Prober, so it must not reach the
+// simulator (fakeroute, rank 2) directly.
+var onlyImports = map[string][]string{
+	"mda": {"nprand", "obs", "packet", "probe", "topo"},
+}
+
+// rankRow matches one row of DESIGN.md's import-rank table.
+var rankRow = regexp.MustCompile("^\\| (\\d+) \\| (`[a-z/]+`(?:, `[a-z/]+`)*) \\|$")
+
+// TestImportLayering: every internal import of a non-test file under
+// internal/ goes to a package of strictly lower rank in DESIGN.md's
+// Layering table, every package under internal/ has a rank, and every
+// ranked package exists.
+func TestImportLayering(t *testing.T) {
+	t.Parallel()
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank := map[string]int{}
+	for _, line := range strings.Split(string(design), "\n") {
+		m := rankRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		r, _ := strconv.Atoi(m[1])
+		for _, name := range strings.Split(m[2], ", ") {
+			rank[strings.Trim(name, "`")] = r
+		}
+	}
+	if len(rank) == 0 {
+		t.Fatal("DESIGN.md has no import-rank table")
+	}
+	const prefix = "mmlpt/internal/"
+	seen := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(strings.TrimPrefix(filepath.Dir(path), "internal"+string(filepath.Separator)))
+		seen[pkg] = true
+		r, ok := rank[pkg]
+		if !ok {
+			t.Errorf("internal/%s has no rank in DESIGN.md's Layering table; place it above everything it imports", pkg)
+			return nil
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			dep, internal := strings.CutPrefix(p, prefix)
+			if !internal {
+				continue
+			}
+			if only, ok := onlyImports[pkg]; ok && !slices.Contains(only, dep) {
+				t.Errorf("%s imports %s; %s may import only %v", path, p, pkg, only)
+			}
+			if dr, ok := rank[dep]; ok && dr >= r {
+				t.Errorf("%s (rank %d) imports %s (rank %d): imports must go to a strictly lower rank", path, r, p, dr)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg := range rank {
+		if !seen[pkg] {
+			t.Errorf("DESIGN.md ranks %s, which has no non-test Go file under internal/", pkg)
+		}
+	}
 }

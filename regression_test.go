@@ -2,16 +2,15 @@ package mmlpt
 
 // Golden regression pins for the batched probing engine. The probe
 // counts and graph sizes below were captured from the probe-at-a-time
-// implementation; the batched per-round loops in internal/mda and
-// internal/mdalite must reproduce them exactly — batching restructures
-// when probes are sent, never which probes are sent.
+// implementation; the batched per-round loops of the MDA and MDA-Lite
+// drivers in internal/mda must reproduce them exactly — batching
+// restructures when probes are sent, never which probes are sent.
 
 import (
 	"testing"
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/mdalite"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
 )
@@ -74,7 +73,7 @@ func TestBatchedEngineMatchesSerialGoldens(t *testing.T) {
 		net2, _ := fakeroute.BuildScenario(row.seed, benchSrc, benchDst, fakeroute.Shapes[row.shape])
 		p2 := probe.NewSimProber(net2, benchSrc, benchDst)
 		p2.Retries = 0
-		r2 := mdalite.Trace(p2, mda.Config{Seed: row.seed}, 2)
+		r2 := mda.TraceLite(p2, mda.Config{Seed: row.seed}, 2)
 		if r2.Probes != row.liteProbes || len(r2.Graph.Vertices) != row.liteV ||
 			countEdges(r2.Graph) != row.liteE || r2.SwitchedToMDA != row.switched {
 			t.Errorf("%s seed=%d MDA-Lite: probes=%d v=%d e=%d switched=%v, want %d/%d/%d/%v",
