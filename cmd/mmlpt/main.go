@@ -23,6 +23,7 @@ import (
 	"mmlpt/internal/alias"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
+	"mmlpt/internal/survey"
 	"mmlpt/internal/traceio"
 )
 
@@ -153,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	res := mmlpt.Trace(mmlpt.NewSimProber(net, src, dst), opts)
 
 	if *jsonOut {
-		if err := traceio.NewSurveyRecord(src, dst, *algo, res.IP, res.Multilevel).WriteJSONL(stdout); err != nil {
+		if err := record(src, dst, *algo, res).WriteJSONL(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -182,6 +183,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// record builds the trace record of one result.
+func record(src, dst mmlpt.Addr, algo string, r *mmlpt.Result) *traceio.SurveyRecord {
+	return survey.TraceRecord(src, dst, algo, r.IP.Graph, r.IP.Probes, r.IP.ReachedDst, r.IP.SwitchedToMDA, r.Multilevel)
+}
+
 // writeRecords writes one trace record per run, indexed by run.
 func writeRecords(path string, src, dst mmlpt.Addr, algo string, results []*mmlpt.Result) error {
 	jw, err := traceio.CreateJSONL(path)
@@ -189,7 +195,7 @@ func writeRecords(path string, src, dst mmlpt.Addr, algo string, results []*mmlp
 		return err
 	}
 	for i, r := range results {
-		rec := traceio.NewSurveyRecord(src, dst, algo, r.IP, r.Multilevel)
+		rec := record(src, dst, algo, r)
 		rec.PairIndex = i
 		if err := jw.Write(rec); err != nil {
 			jw.Close()

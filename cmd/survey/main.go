@@ -99,6 +99,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	// A negative count would silently mean what 0 does.
+	usage := ""
+	switch {
+	case *every < 0:
+		usage = fmt.Sprintf("-checkpoint-every %d: want 0 (the default, %d) or more", *every, survey.DefaultCheckpointEvery)
+	case *atlasEvery < 0:
+		usage = fmt.Sprintf("-atlas-publish-every %d: want 0 (never) or more", *atlasEvery)
+	case *maxUnits < 0:
+		usage = fmt.Sprintf("-max-units %d: want 0 (no limit) or more", *maxUnits)
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
 
 	if *join != "" {
 		// Fleet-runner mode: the survey plan (level, pairs, seed, ...)
@@ -147,7 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Usage validation happens before profiling starts, so usage-error
 	// exits never leave an empty CPU profile behind.
-	usage := ""
 	switch {
 	case *resume && *ckpt == "":
 		usage = "-resume requires -checkpoint"

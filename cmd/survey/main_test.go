@@ -98,6 +98,9 @@ func TestUsageErrors(t *testing.T) {
 		{"negative rounds", []string{"-level", "router", "-rounds", "-1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
 		{"phi below the minimum", []string{"-phi", "1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
 		{"atlas shards", []string{"-atlas-shards", "4", "-out", "o.jsonl", "-atlas", "a.atlas"}},
+		{"negative checkpoint interval", []string{"-out", "o.jsonl", "-checkpoint", "c.ckpt", "-checkpoint-every", "-5"}},
+		{"negative publish interval", []string{"-atlas", "a.atlas", "-atlas-publish-every", "-2"}},
+		{"negative max units", []string{"-join", "http://localhost:1", "-max-units", "-1"}},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

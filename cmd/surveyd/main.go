@@ -82,6 +82,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "surveyd needs at least one of -out or -atlas: a survey with no merged output is wasted probing")
 		return 2
 	}
+	// A negative value would silently mean what 0 does.
+	usage := ""
+	switch {
+	case *unitSize < 0:
+		usage = fmt.Sprintf("-unit-size %d: want 0 (the default, %d) or more", *unitSize, dispatch.DefaultUnitSize)
+	case *leaseTTL < 0:
+		usage = fmt.Sprintf("-lease-ttl %v: want 0 (the default, %v) or more", *leaseTTL, dispatch.DefaultLeaseTTL)
+	case *budgetRate < 0:
+		usage = fmt.Sprintf("-budget-rate %g: want 0 (unmetered) or more", *budgetRate)
+	case *budgetBurst < 0:
+		usage = fmt.Sprintf("-budget-burst %g: want 0 (the -budget-rate) or more", *budgetBurst)
+	case *linger < 0:
+		usage = fmt.Sprintf("-linger %v: want 0 (exit at once) or more", *linger)
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
 
 	// Bind before the coordinator touches -dir: a busy address fails
 	// here, with nothing written.
@@ -108,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fleet := coord.Fleet()
 
 	srv := &http.Server{
 		Handler:           coord.Handler(),
@@ -125,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for {
 				select {
 				case <-t.C:
-					fmt.Fprintln(stderr, fleet.Snapshot())
+					fmt.Fprintln(stderr, coord.Status())
 				case <-coord.Done():
 					return
 				}
@@ -147,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "surveyd: merge: %v\n", err)
 		return 1
 	}
-	fmt.Fprintln(stderr, fleet.Snapshot())
+	fmt.Fprintln(stderr, coord.Status())
 	if *out != "" {
 		fmt.Fprintf(stdout, "wrote merged record log to %s\n", *out)
 	}

@@ -58,6 +58,11 @@ func TestUsageErrors(t *testing.T) {
 		{"negative rounds", []string{"-dir", "work", "-out", "o.jsonl", "-level", "router", "-rounds", "-1"}, 2},
 		{"phi below the minimum", []string{"-dir", "work", "-out", "o.jsonl", "-phi", "1"}, 2},
 		{"atlas shards", []string{"-dir", "work", "-out", "o.jsonl", "-atlas", "a.atlas", "-atlas-shards", "4"}, 2},
+		{"negative unit size", []string{"-dir", "work", "-out", "o.jsonl", "-unit-size", "-3"}, 2},
+		{"negative lease ttl", []string{"-dir", "work", "-out", "o.jsonl", "-lease-ttl", "-1s"}, 2},
+		{"negative budget rate", []string{"-dir", "work", "-out", "o.jsonl", "-budget-rate", "-5"}, 2},
+		{"negative budget burst", []string{"-dir", "work", "-out", "o.jsonl", "-budget-burst", "-1"}, 2},
+		{"negative linger", []string{"-dir", "work", "-out", "o.jsonl", "-linger", "-1s"}, 2},
 		{"busy listen", []string{"-dir", "work", "-out", "o.jsonl", "-atlas", "a.atlas", "-listen", busy.Addr().String()}, 1},
 	} {
 		c := c

@@ -8,13 +8,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/packet"
-	"mmlpt/internal/progress"
 	"mmlpt/internal/survey"
 	"mmlpt/internal/traceio"
 )
@@ -60,23 +61,18 @@ type CoordinatorConfig struct {
 	// restarted coordinator re-traces only what never durably shipped.
 	// A missing manifest degrades to a fresh survey.
 	Resume bool
-	// Fleet receives progress counters; one is created if nil.
-	Fleet *progress.Fleet
 	// Logf, when non-nil, receives control-plane events (leases granted,
 	// expiries, ships, merge progress).
 	Logf func(format string, args ...any)
 }
 
-// unit is one work unit moving through the lease state machine.
+// unit is one work unit moving through the lease state machine: its
+// manifest row (Shard is a file name within cfg.Dir, once shipped) plus
+// the lease fields the manifest never stores.
 type unit struct {
-	id, start, count int
-	state            string
-	runner           string
-	leaseID          uint64
-	expires          time.Time
-	shard            string // file name within cfg.Dir, once shipped
-	records          int
-	attempts         int
+	traceio.FleetUnit
+	leaseID uint64
+	expires time.Time
 }
 
 // Coordinator shards a survey into work units and serves the fleet
@@ -87,16 +83,19 @@ type Coordinator struct {
 	spec   Spec
 	ttl    time.Duration
 	budget *Budget
-	fleet  *progress.Fleet
 	logf   func(string, ...any)
 
 	// jobPairs maps job list position to universe pair index, for
 	// validating shipped records against their span.
 	jobPairs []int
 
+	// The unit rows are the one record of progress: Status derives every
+	// count from them. lastSeen and expired hold the two facts the rows
+	// cannot: when each runner last called, and how many leases expired.
 	mu        sync.Mutex
 	units     []*unit
-	shipped   int
+	lastSeen  map[string]time.Time
+	expired   int
 	merging   bool
 	mergedAgg *survey.RecordAggregate
 	err       error
@@ -131,8 +130,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg: cfg, spec: spec, ttl: cfg.LeaseTTL,
 		jobPairs: survey.JobPairs(u, rc),
-		fleet:    cfg.Fleet,
 		logf:     cfg.Logf,
+		lastSeen: make(map[string]time.Time),
 		done:     make(chan struct{}),
 	}
 	if c.logf == nil {
@@ -150,27 +149,20 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if start+count > total {
 			count = total - start
 		}
-		c.units = append(c.units, &unit{
-			id: len(c.units), start: start, count: count, state: traceio.UnitUnclaimed,
-		})
+		c.units = append(c.units, &unit{FleetUnit: traceio.FleetUnit{
+			ID: len(c.units), Start: start, Count: count, State: traceio.UnitUnclaimed,
+		}})
 	}
 	if cfg.Resume {
 		if err := c.restore(); err != nil {
 			return nil, err
 		}
 	}
-	if c.fleet == nil {
-		c.fleet = progress.NewFleet(len(c.units))
-	}
-	if restored, records := c.restoredCounts(); restored > 0 {
-		c.fleet.Restored(restored, records)
-		c.logf("dispatch: resumed %d shipped units (%d records) from %s", restored, records, filepath.Join(cfg.Dir, manifestName))
-	}
 	if err := c.persistManifest(); err != nil {
 		return nil, err
 	}
 	// A resumed survey may already be fully shipped: merge immediately.
-	if c.shipped == len(c.units) {
+	if c.durable() == len(c.units) {
 		c.merging = true
 		go c.merge()
 	}
@@ -181,7 +173,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // durably on disk as shipped. Leased units demote to unclaimed: their
 // leases died with the previous coordinator process.
 func (c *Coordinator) restore() error {
-	m, err := traceio.ReadFleetManifest(filepath.Join(c.cfg.Dir, manifestName))
+	path := filepath.Join(c.cfg.Dir, manifestName)
+	m, err := traceio.ReadFleetManifest(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -194,37 +187,45 @@ func (c *Coordinator) restore() error {
 	if len(m.Units) != len(c.units) {
 		return fmt.Errorf("dispatch: manifest lists %d units, this plan shards into %d", len(m.Units), len(c.units))
 	}
+	restored, records := 0, 0
 	for i, mu := range m.Units {
 		u := c.units[i]
-		u.attempts = mu.Attempts
+		if mu.Start != u.Start || mu.Count != u.Count {
+			return fmt.Errorf("dispatch: manifest unit %d spans jobs [%d,%d), this plan cuts [%d,%d)",
+				i, mu.Start, mu.Start+mu.Count, u.Start, u.Start+u.Count)
+		}
+		u.Attempts = mu.Attempts
 		if mu.State != traceio.UnitShipped && mu.State != traceio.UnitMerged {
 			continue
 		}
-		path := filepath.Join(c.cfg.Dir, mu.Shard)
-		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		if fi, err := os.Stat(filepath.Join(c.cfg.Dir, mu.Shard)); err != nil || fi.Size() == 0 {
 			c.logf("dispatch: unit %d was shipped but shard %s is gone; re-tracing", i, mu.Shard)
 			continue
 		}
 		// Merged demotes to shipped: the merge re-runs over all shards
 		// and rewrites its outputs atomically, so repeating it is safe
 		// and simpler than proving the previous outputs complete.
-		u.state = traceio.UnitShipped
-		u.runner = mu.Runner
-		u.shard = mu.Shard
-		u.records = mu.Records
-		c.shipped++
+		u.FleetUnit = mu
+		u.State = traceio.UnitShipped
+		restored++
+		records += mu.Records
+	}
+	if restored > 0 {
+		c.logf("dispatch: resumed %d shipped units (%d records) from %s", restored, records, path)
 	}
 	return nil
 }
 
-func (c *Coordinator) restoredCounts() (units, records int) {
+// durable counts the units whose shards are on disk: the shipped and
+// merged rows. Callers hold c.mu.
+func (c *Coordinator) durable() int {
+	n := 0
 	for _, u := range c.units {
-		if u.state == traceio.UnitShipped {
-			units++
-			records += u.records
+		if u.State == traceio.UnitShipped || u.State == traceio.UnitMerged {
+			n++
 		}
 	}
-	return units, records
+	return n
 }
 
 // persistManifest writes the manifest atomically. Callers must hold no
@@ -236,10 +237,7 @@ func (c *Coordinator) persistManifest() error {
 		Total: len(c.jobPairs), UnitSize: c.cfg.UnitSize,
 	}
 	for _, u := range c.units {
-		m.Units = append(m.Units, traceio.FleetUnit{
-			ID: u.id, Start: u.start, Count: u.count, State: u.state,
-			Runner: u.runner, Shard: u.shard, Records: u.records, Attempts: u.attempts,
-		})
+		m.Units = append(m.Units, u.FleetUnit)
 	}
 	return m.WriteAtomic(filepath.Join(c.cfg.Dir, manifestName))
 }
@@ -247,10 +245,6 @@ func (c *Coordinator) persistManifest() error {
 // Done is closed once the final merge has finished (successfully or
 // not); Err then reports the outcome.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
-
-// Fleet exposes the progress tracker (the configured one, or the one
-// NewCoordinator created).
-func (c *Coordinator) Fleet() *progress.Fleet { return c.fleet }
 
 // Err reports the merge outcome after Done is closed.
 func (c *Coordinator) Err() error {
@@ -270,39 +264,49 @@ func (c *Coordinator) Summary() string {
 }
 
 // Status reports unit and runner state for /v1/status and the progress
-// line.
+// line, derived from the unit rows. A runner's row lists every runner
+// this process has heard from; its Units and Records are the shipped or
+// merged rows naming it, restored ones included.
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
-	var st Status
-	st.Units = len(c.units)
-	for _, u := range c.units {
-		switch u.state {
-		case traceio.UnitUnclaimed:
-			st.Unclaimed++
-		case traceio.UnitLeased:
-			st.Leased++
-		case traceio.UnitShipped:
-			st.Shipped++
-			st.Records += u.records
-		case traceio.UnitMerged:
-			st.Merged++
-			st.Records += u.records
+	defer c.mu.Unlock()
+	now := time.Now()
+	st := Status{Units: len(c.units), ExpiredLeases: c.expired}
+	runners := make(map[string]*StatusRunner, len(c.lastSeen))
+	for id, seen := range c.lastSeen {
+		runners[id] = &StatusRunner{
+			ID:       id,
+			IdleMS:   now.Sub(seen).Milliseconds(),
+			LastSeen: seen.UTC().Format(time.RFC3339),
 		}
 	}
+	for _, u := range c.units {
+		switch u.State {
+		case traceio.UnitUnclaimed:
+			st.Unclaimed++
+			continue
+		case traceio.UnitLeased:
+			st.Leased++
+			continue
+		case traceio.UnitShipped:
+			st.Shipped++
+		case traceio.UnitMerged:
+			st.Merged++
+		}
+		st.Records += u.Records
+		if r := runners[u.Runner]; r != nil {
+			r.Units++
+			r.Records += u.Records
+		}
+	}
+	for _, r := range runners {
+		st.Runners = append(st.Runners, *r)
+	}
+	slices.SortFunc(st.Runners, func(a, b StatusRunner) int { return strings.Compare(a.ID, b.ID) })
 	select {
 	case <-c.done:
 		st.Done = c.err == nil
 	default:
-	}
-	c.mu.Unlock()
-	fs := c.fleet.Snapshot()
-	st.ExpiredLeases = fs.ExpiredLeases
-	for _, r := range fs.Runners {
-		st.Runners = append(st.Runners, StatusRunner{
-			ID: r.ID, Units: r.Units, Records: r.Records,
-			IdleMS:   time.Since(r.LastSeen).Milliseconds(),
-			LastSeen: r.LastSeen.UTC().Format(time.RFC3339),
-		})
 	}
 	return st
 }
@@ -311,14 +315,24 @@ func (c *Coordinator) Status() Status {
 // Callers hold c.mu.
 func (c *Coordinator) expireLeases(now time.Time) {
 	for _, u := range c.units {
-		if u.state == traceio.UnitLeased && now.After(u.expires) {
-			c.logf("dispatch: lease %d on unit %d (runner %s) expired; unit back to unclaimed", u.leaseID, u.id, u.runner)
-			u.state = traceio.UnitUnclaimed
-			u.runner = ""
+		if u.State == traceio.UnitLeased && now.After(u.expires) {
+			c.logf("dispatch: lease %d on unit %d (runner %s) expired; unit back to unclaimed", u.leaseID, u.ID, u.Runner)
+			u.State = traceio.UnitUnclaimed
+			u.Runner = ""
 			u.leaseID = 0
-			c.fleet.LeaseExpired()
+			c.expired++
 		}
 	}
+}
+
+// tick reads the clock once for a lock section: it expires overdue
+// leases, stamps runner as seen, and returns the time it read. Callers
+// hold c.mu.
+func (c *Coordinator) tick(runner string) time.Time {
+	now := time.Now()
+	c.expireLeases(now)
+	c.lastSeen[runner] = now
+	return now
 }
 
 // Handler routes the fleet protocol. All state transitions happen in
@@ -353,34 +367,32 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.expireLeases(time.Now())
-		if c.shipped == len(c.units) {
+		now := c.tick(req.Runner)
+		if c.durable() == len(c.units) {
 			writeJSON(w, http.StatusOK, claimResponse{Status: StatusDone})
 			return
 		}
 		for _, u := range c.units {
-			if u.state != traceio.UnitUnclaimed {
+			if u.State != traceio.UnitUnclaimed {
 				continue
 			}
 			c.nextLease++
-			u.state = traceio.UnitLeased
-			u.runner = req.Runner
+			u.State = traceio.UnitLeased
+			u.Runner = req.Runner
 			u.leaseID = c.nextLease
-			u.expires = time.Now().Add(c.ttl)
-			u.attempts++
-			c.fleet.Leased(req.Runner)
+			u.expires = now.Add(c.ttl)
+			u.Attempts++
 			c.logf("dispatch: unit %d [%d,%d) leased to %s (lease %d, attempt %d)",
-				u.id, u.start, u.start+u.count, req.Runner, u.leaseID, u.attempts)
+				u.ID, u.Start, u.Start+u.Count, req.Runner, u.leaseID, u.Attempts)
 			spec := c.spec
 			writeJSON(w, http.StatusOK, claimResponse{
 				Status:  StatusUnit,
-				Unit:    &UnitInfo{ID: u.id, Start: u.start, Count: u.count},
+				Unit:    &UnitInfo{ID: u.ID, Start: u.Start, Count: u.Count},
 				LeaseID: u.leaseID, TTLMillis: c.ttl.Milliseconds(),
 				Spec: &spec,
 			})
 			return
 		}
-		c.fleet.Seen(req.Runner)
 		writeJSON(w, http.StatusOK, claimResponse{Status: StatusWait})
 	}))
 
@@ -392,14 +404,13 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.expireLeases(time.Now())
+		now := c.tick(req.Runner)
 		u := c.unitByID(req.Unit)
-		if u == nil || u.state != traceio.UnitLeased || u.leaseID != req.LeaseID || u.runner != req.Runner {
+		if u == nil || u.State != traceio.UnitLeased || u.leaseID != req.LeaseID || u.Runner != req.Runner {
 			writeErr(w, http.StatusGone, "lease %d on unit %d is no longer held", req.LeaseID, req.Unit)
 			return
 		}
-		u.expires = time.Now().Add(c.ttl)
-		c.fleet.Seen(req.Runner)
+		u.expires = now.Add(c.ttl)
 		writeJSON(w, http.StatusOK, renewResponse{TTLMillis: c.ttl.Milliseconds()})
 	}))
 
@@ -419,7 +430,9 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		granted, wait := c.budget.Take(Prefix24(prefix), req.Want)
-		c.fleet.Seen(req.Runner)
+		c.mu.Lock()
+		c.lastSeen[req.Runner] = time.Now()
+		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, budgetResponse{Granted: granted, WaitMillis: wait.Milliseconds()})
 	}))
 
@@ -462,19 +475,19 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 	// Reject stale leases before touching the body: a late shipment from
 	// a presumed-dead runner gets its 410 without any validation work.
 	c.mu.Lock()
-	c.expireLeases(time.Now())
+	c.tick(runner)
 	u := c.unitByID(id)
 	if u == nil {
 		c.mu.Unlock()
 		writeErr(w, http.StatusBadRequest, "no unit %d", id)
 		return
 	}
-	if u.state != traceio.UnitLeased || u.leaseID != leaseID || u.runner != runner {
+	if u.State != traceio.UnitLeased || u.leaseID != leaseID || u.Runner != runner {
 		c.mu.Unlock()
 		writeErr(w, http.StatusGone, "lease %d on unit %d is no longer held", leaseID, id)
 		return
 	}
-	start, count := u.start, u.count
+	start, count := u.Start, u.Count
 	c.mu.Unlock()
 
 	limit := int64(count) * maxShipRecordBytes
@@ -516,8 +529,8 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLeases(time.Now())
-	if u.state != traceio.UnitLeased || u.leaseID != leaseID || u.runner != runner {
+	c.tick(runner)
+	if u.State != traceio.UnitLeased || u.leaseID != leaseID || u.Runner != runner {
 		// The lease expired (and was possibly reassigned) or the unit
 		// already shipped. Only the current leaseholder's bytes are
 		// accepted — ownership stays unambiguous, and determinism makes
@@ -530,26 +543,24 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "persisting shard: %v", err)
 		return
 	}
-	u.state = traceio.UnitShipped
-	u.shard = shard
-	u.records = n
+	leased := *u
+	u.State = traceio.UnitShipped
+	u.Shard = shard
+	u.Records = n
 	u.leaseID = 0
-	c.shipped++
-	c.fleet.Shipped(runner, n)
 	if err := c.persistManifest(); err != nil {
 		// The shard is durable but the manifest is not; fail the ship so
-		// the runner retries (the rewrite is idempotent).
-		u.state = traceio.UnitLeased // undo; lease re-validated on retry
-		u.leaseID = leaseID
-		u.records = 0
-		c.shipped--
+		// the runner retries (the rewrite is idempotent). Restoring the
+		// leased row undoes the ship; the lease is re-validated on retry.
+		*u = leased
 		writeErr(w, http.StatusInternalServerError, "persisting manifest: %v", err)
 		return
 	}
+	durable := c.durable()
 	c.logf("dispatch: unit %d shipped by %s (%d records); %d/%d units durable",
-		id, runner, n, c.shipped, len(c.units))
+		id, runner, n, durable, len(c.units))
 	writeJSON(w, http.StatusOK, shipResponse{Status: "ok", Records: n})
-	if c.shipped == len(c.units) && !c.merging {
+	if durable == len(c.units) && !c.merging {
 		c.merging = true
 		go c.merge()
 	}
@@ -566,8 +577,7 @@ func (c *Coordinator) merge() {
 	c.err = err
 	if err == nil {
 		for _, u := range c.units {
-			u.state = traceio.UnitMerged
-			c.fleet.UnitMerged()
+			u.State = traceio.UnitMerged
 		}
 		err = c.persistManifest()
 		if c.err == nil {
@@ -583,7 +593,7 @@ func (c *Coordinator) doMerge() error {
 	shards := make([]string, len(c.units))
 	c.mu.Lock()
 	for i, u := range c.units {
-		shards[i] = filepath.Join(c.cfg.Dir, u.shard)
+		shards[i] = filepath.Join(c.cfg.Dir, u.Shard)
 	}
 	c.mu.Unlock()
 

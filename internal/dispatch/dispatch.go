@@ -209,6 +209,18 @@ type Status struct {
 	Runners       []StatusRunner `json:"runners,omitempty"`
 }
 
+// String renders the one-line progress report surveyd prints: units
+// shipped (merged ones included) out of all units, the leased and merged
+// counts, records, runners seen and, when any, leases expired.
+func (s Status) String() string {
+	line := fmt.Sprintf("%d/%d units shipped (%d leased, %d merged), %d records, %d runners",
+		s.Shipped+s.Merged, s.Units, s.Leased, s.Merged, s.Records, len(s.Runners))
+	if s.ExpiredLeases > 0 {
+		line += fmt.Sprintf(", %d leases expired", s.ExpiredLeases)
+	}
+	return line
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,7 +203,100 @@ func TestFleetByteIdentical(t *testing.T) {
 			if !st.Done || st.Merged != st.Units {
 				t.Fatalf("status after done: %+v", st)
 			}
+			if runners > 1 {
+				checkRunnerRows(t, st)
+			}
 		})
+	}
+}
+
+// checkRunnerRows: a finished fleet's runner rows are sorted by ID,
+// credit every merged unit and record exactly once, and were seen no
+// later than now.
+func checkRunnerRows(t *testing.T, st Status) {
+	t.Helper()
+	units, records := 0, 0
+	for i, r := range st.Runners {
+		if i > 0 && st.Runners[i-1].ID >= r.ID {
+			t.Errorf("runner rows not sorted by ID: %q before %q", st.Runners[i-1].ID, r.ID)
+		}
+		if r.IdleMS < 0 {
+			t.Errorf("runner %s idle %d ms", r.ID, r.IdleMS)
+		}
+		units += r.Units
+		records += r.Records
+	}
+	if units != st.Merged || records != st.Records {
+		t.Errorf("runner rows credit %d units and %d records, status has %d merged units and %d records (%+v)",
+			units, records, st.Merged, st.Records, st.Runners)
+	}
+}
+
+// TestStatusString: the one-line progress report counts merged units as
+// shipped and names expired leases only when there are any.
+func TestStatusString(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		st   Status
+		want string
+	}{
+		{Status{Units: 5, Unclaimed: 1, Leased: 2, Shipped: 2, Records: 10, Runners: make([]StatusRunner, 2)},
+			"2/5 units shipped (2 leased, 0 merged), 10 records, 2 runners"},
+		{Status{Units: 24, Merged: 24, Records: 600, ExpiredLeases: 3, Done: true, Runners: make([]StatusRunner, 1)},
+			"24/24 units shipped (0 leased, 24 merged), 600 records, 1 runners, 3 leases expired"},
+	} {
+		if got := c.st.String(); got != c.want {
+			t.Errorf("%+v: %q, want %q", c.st, got, c.want)
+		}
+	}
+}
+
+// TestRetriedShipCountsOnce: a ship whose manifest persist fails answers
+// 500 and is undone; the runner's retry ships the unit again, and the
+// status report counts that unit and its records once.
+func TestRetriedShipCountsOnce(t *testing.T) {
+	t.Parallel()
+	spec := testSpec()
+	spec.Pairs = 8
+	dir := t.TempDir()
+	coord, _ := newTestCoordinator(t, dir, spec, func(cfg *CoordinatorConfig) { cfg.UnitSize = 64 })
+	manifest := filepath.Join(dir, manifestName)
+	h := coord.Handler()
+	var failed atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/ship" || failed.Swap(true) {
+			h.ServeHTTP(w, r)
+			return
+		}
+		// A non-empty directory where the manifest goes makes the rename
+		// that persists it fail.
+		if err := os.Remove(manifest); err != nil {
+			t.Error(err)
+		}
+		if err := os.MkdirAll(filepath.Join(manifest, "blocker"), 0o755); err != nil {
+			t.Error(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if err := os.RemoveAll(manifest); err != nil {
+			t.Error(err)
+		}
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("ship with an unwritable manifest returned %d, want 500", rec.Code)
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+	runRunners(t, srv.URL, 1)
+	waitDone(t, coord)
+
+	st := coord.Status()
+	if len(st.Runners) != 1 || st.Runners[0].Units != 1 || st.Runners[0].Records != st.Records {
+		t.Errorf("runner rows %+v, want one with 1 unit and %d records", st.Runners, st.Records)
+	}
+	if got, want := st.String(), "1/1 units shipped (0 leased, 1 merged), 8 records, 1 runners"; got != want {
+		t.Errorf("status line %q, want %q", got, want)
 	}
 }
 
@@ -294,7 +388,7 @@ func TestDeadRunnerReassignment(t *testing.T) {
 		t.Fatalf("expected at least one expired lease, status %+v", st)
 	}
 	coord.mu.Lock()
-	attempts := coord.units[ghost.Unit.ID].attempts
+	attempts := coord.units[ghost.Unit.ID].Attempts
 	coord.mu.Unlock()
 	if attempts < 2 {
 		t.Fatalf("abandoned unit %d has %d lease attempts, want >= 2", ghost.Unit.ID, attempts)
@@ -535,6 +629,30 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	if got := readFile(t, filepath.Join(dir, "merged.atlas")); !bytes.Equal(got, wantAtlas) {
 		t.Fatalf("merged atlas differs after coordinator resume (%d vs %d bytes)", len(got), len(wantAtlas))
+	}
+}
+
+// TestResumeRefusesForeignSpans: a manifest that passes validation but
+// cuts the job list into other spans than the plan does is refused,
+// because a resumed row would otherwise carry a shard of another span.
+func TestResumeRefusesForeignSpans(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	newTestCoordinator(t, dir, testSpec(), nil)
+	path := filepath.Join(dir, manifestName)
+	m, err := traceio.ReadFleetManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Units[0].Count--
+	m.Units[1].Start--
+	m.Units[1].Count++
+	if err := m.WriteAtomic(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewCoordinator(CoordinatorConfig{Spec: testSpec(), Dir: dir, UnitSize: 5, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "this plan cuts [0,5)") {
+		t.Fatalf("resume from a manifest of other spans: %v", err)
 	}
 }
 

@@ -1,11 +1,10 @@
-// Package progress holds the operational progress counters of the survey
-// pipeline: Survey for a (single-machine or runner) survey run and Fleet
-// for the distributed coordinator's work units and runners.
+// Package progress holds the operational progress counters of a
+// (single-machine or fleet-runner) survey run: Survey.
 //
 // In the layering, progress is a leaf: it imports only the standard
-// library, and the survey and dispatch layers update its counters for
-// reporting (stderr status lines, surveyd's /v1/status), never for
-// scheduling, so tracing and every output byte stay untouched.
+// library, and the survey layer updates its counters for reporting
+// (stderr status lines), never for scheduling, so tracing and every
+// output byte stay untouched.
 package progress
 
 import (

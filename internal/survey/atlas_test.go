@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mmlpt/internal/atlas"
-	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
@@ -22,8 +21,8 @@ func deltaRecord(i int) *traceio.SurveyRecord {
 		g.AddEdge(div, v)
 		g.AddEdge(v, conv)
 	}
-	rec := traceio.NewSurveyRecord(packet.AddrFrom4(192, 0, 2, 1), packet.AddrFrom4(203, 0, 113, byte(i+1)),
-		"mda-lite", &mda.Result{Graph: g, ReachedDst: true}, nil)
+	rec := traceio.NewSurveyRecord(packet.AddrFrom4(192, 0, 2, 1), packet.AddrFrom4(203, 0, 113, byte(i+1)), "mda-lite", g)
+	rec.Reached = true
 	rec.PairIndex = i
 	rec.Routers = append(rec.Routers, []packet.Addr{a(2), a(3)})
 	rec.Diamonds = []traceio.SurveyDiamond{

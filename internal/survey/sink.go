@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"os"
 
-	"mmlpt/internal/mda"
+	"mmlpt/internal/alias"
+	"mmlpt/internal/core"
+	"mmlpt/internal/packet"
+	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
 
@@ -29,11 +32,26 @@ type Flusher interface {
 // identical JSONL bytes, which is what makes a resumed run's output file
 // byte-identical to an uninterrupted one.
 func NewRecord(algo Algo, out TraceOutcome) *traceio.SurveyRecord {
-	view := &mda.Result{Graph: out.Graph, ReachedDst: out.Reached, SwitchedToMDA: out.Switched, Probes: out.Probes}
-	rec := traceio.NewSurveyRecord(out.Pair.Src, out.Pair.Dst, algo.String(), view, out.ML)
+	rec := TraceRecord(out.Pair.Src, out.Pair.Dst, algo.String(), out.Graph, out.Probes, out.Reached, out.Switched, out.ML)
 	rec.PairIndex, rec.HasLB = out.PairIndex, out.Pair.HasLB
 	rec.PriorHops, rec.PriorStale = out.PriorHops, out.PriorStale
 	rec.Diamonds = out.Diamonds
+	return rec
+}
+
+// TraceRecord builds the record of one trace: its topology g, the
+// tracer's probe count and reached and switched flags, and the
+// router-level results when ml is non-nil. The caller fills in the
+// survey fields (pair, ground truth, diamonds, prior).
+func TraceRecord(src, dst packet.Addr, algorithm string, g *topo.Graph, probes uint64, reached, switched bool, ml *core.Result) *traceio.SurveyRecord {
+	rec := traceio.NewSurveyRecord(src, dst, algorithm, g)
+	rec.Probes, rec.Reached, rec.Switched = probes, reached, switched
+	if ml != nil {
+		rec.AliasProbes = ml.AliasProbes
+		for _, s := range alias.RouterSets(ml.Sets) {
+			rec.Routers = append(rec.Routers, append([]packet.Addr(nil), s.Addrs...))
+		}
+	}
 	return rec
 }
 

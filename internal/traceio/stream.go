@@ -9,9 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"mmlpt/internal/alias"
-	"mmlpt/internal/core"
-	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
 )
@@ -70,14 +67,12 @@ type SurveyRecord struct {
 	PriorStale bool `json:"prior_stale,omitempty"`
 }
 
-// NewSurveyRecord builds the record of an IP-level trace, plus its
-// router-level results when ml is non-nil. The caller fills in the
-// survey fields (pair, ground truth, diamonds, prior).
-func NewSurveyRecord(src, dst packet.Addr, algorithm string, res *mda.Result, ml *core.Result) *SurveyRecord {
-	g := res.Graph
+// NewSurveyRecord builds the record of a trace's topology g, the
+// inverse of Graph. The caller fills in the tracer's counters, router
+// sets and the survey fields (pair, ground truth, diamonds, prior).
+func NewSurveyRecord(src, dst packet.Addr, algorithm string, g *topo.Graph) *SurveyRecord {
 	rec := &SurveyRecord{
 		Src: src.String(), Dst: dst.String(), Algorithm: algorithm,
-		Probes: res.Probes, Reached: res.ReachedDst, Switched: res.SwitchedToMDA,
 		Hops: make(addrLists, g.NumHops()),
 	}
 	var order []topo.VertexID // hop-major
@@ -95,12 +90,6 @@ func NewSurveyRecord(src, dst packet.Addr, algorithm string, res *mda.Result, ml
 		rec.Succ[k] = make([]int32, 0, g.OutDegree(id))
 		for _, w := range g.Succ(id) {
 			rec.Succ[k] = append(rec.Succ[k], index[w])
-		}
-	}
-	if ml != nil {
-		rec.AliasProbes = ml.AliasProbes
-		for _, s := range alias.RouterSets(ml.Sets) {
-			rec.Routers = append(rec.Routers, append([]packet.Addr(nil), s.Addrs...))
 		}
 	}
 	return rec

@@ -150,7 +150,8 @@ func exampleGraph() *topo.Graph {
 // TestRecordLayout pins the record's JSON line: hop-major address lists
 // with "*" for a star, and successor lists by hop-major vertex index.
 func TestRecordLayout(t *testing.T) {
-	rec := NewSurveyRecord(tSrc, tDst, "mda", &mda.Result{Graph: exampleGraph(), Probes: 42, ReachedDst: true}, nil)
+	rec := NewSurveyRecord(tSrc, tDst, "mda", exampleGraph())
+	rec.Probes, rec.Reached = 42, true
 	want := `{"pair_index":0,"has_lb":false,"src":"192.0.2.1","dst":"198.51.100.77","algorithm":"mda","probes":42,"reached":true,` +
 		`"hops":[["10.0.0.7"],["10.0.2.233","10.0.2.234"],["*"],["203.0.113.4"]],"succ":[[1,2],[3],[3],[4],[]]}` + "\n"
 	if got := string(recordLine(t, rec)); got != want {
@@ -166,27 +167,30 @@ func TestJSONGraphRoundTrip(t *testing.T) {
 	skip := exampleGraph()
 	far := skip.AddVertex(5, packet.MustParseAddr("10.9.9.9"))
 	skip.AddEdge(skip.Hop(0)[0], far)
-	for name, res := range map[string]*mda.Result{
-		"meshed48": {Graph: fakeroute.MeshedDiamond48(alloc, tDst)},
-		"skip":     {Graph: skip},
+	for name, want := range map[string]*topo.Graph{
+		"meshed48": fakeroute.MeshedDiamond48(alloc, tDst),
+		"skip":     skip,
 	} {
-		line := recordLine(t, NewSurveyRecord(tSrc, tDst, "mda", res, nil))
+		rec := NewSurveyRecord(tSrc, tDst, "mda", want)
+		rec.Probes, rec.Reached = 42, true
+		line := recordLine(t, rec)
 		var back *SurveyRecord
 		if err := DecodeSurveyRecords(bytes.NewReader(line), func(sr *SurveyRecord) error { back = sr; return nil }); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if back.Dst != tDst.String() || back.Probes != res.Probes || back.Reached != res.ReachedDst {
+		if back.Dst != tDst.String() || back.Probes != rec.Probes || back.Reached != rec.Reached {
 			t.Fatalf("%s: scalars did not survive: %+v", name, back)
 		}
 		g, err := back.Graph()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !topo.Equal(res.Graph, g) {
+		if !topo.Equal(want, g) {
 			t.Fatalf("%s: graph round trip mismatch", name)
 		}
-		again := recordLine(t, NewSurveyRecord(tSrc, tDst, "mda", &mda.Result{Graph: g, Probes: res.Probes, ReachedDst: res.ReachedDst}, nil))
-		if !bytes.Equal(line, again) {
+		rec = NewSurveyRecord(tSrc, tDst, "mda", g)
+		rec.Probes, rec.Reached = back.Probes, back.Reached
+		if again := recordLine(t, rec); !bytes.Equal(line, again) {
 			t.Fatalf("%s: re-encoding the decoded graph changed the record:\n%s\n%s", name, line, again)
 		}
 	}
@@ -198,8 +202,9 @@ func TestJSONGraphRoundTrip(t *testing.T) {
 func TestJSONTraceRecord(t *testing.T) {
 	net, _ := fakeroute.BuildScenario(1, tSrc, tDst, fakeroute.Fig1UnmeshedDiamond)
 	res := mda.Trace(probe.NewSimProber(net, tSrc, tDst), mda.Config{Seed: 1})
-	rec := NewSurveyRecord(tSrc, tDst, "mda", res, nil)
-	if rec.Probes != res.Probes || !rec.Reached {
+	rec := NewSurveyRecord(tSrc, tDst, "mda", res.Graph)
+	rec.Probes, rec.Reached = res.Probes, res.ReachedDst
+	if !rec.Reached {
 		t.Fatalf("record %+v", rec)
 	}
 	stream := append(recordLine(t, rec), recordLine(t, rec)...)
