@@ -174,7 +174,6 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output snapshot path (required)")
 	workers := fs.Int("workers", 0, "merge workers for the streaming compaction (0 = GOMAXPROCS, 1 = serial; output bytes are identical for every value)")
-	quiet := fs.Bool("q", false, "suppress per-input and per-shard progress on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -185,9 +184,6 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 	inputs := fs.Args()
 	progress := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "compact: "+format+"\n", args...)
-	}
-	if *quiet {
-		progress = nil
 	}
 	opt := atlas.Options{MergeWorkers: *workers}
 	if err := atlas.CompactWithProgress(*out, inputs[0], inputs[1:], opt, progress); err != nil {

@@ -208,6 +208,34 @@ func TestCompactSubcommand(t *testing.T) {
 	}
 }
 
+// compact writes the same bytes for every -workers value, and reports
+// its progress on stderr.
+func TestCompactWorkers(t *testing.T) {
+	t.Parallel()
+	base := testSnapshot(t)
+	dir := t.TempDir()
+	var want []byte
+	for _, w := range []string{"1", "3"} {
+		out := filepath.Join(dir, "w"+w+".atlas")
+		code, _, errOut := runCLI(t, "compact", "-workers", w, "-o", out, base, base)
+		if code != 0 {
+			t.Fatalf("compact -workers %s: code=%d stderr=%q", w, code, errOut)
+		}
+		if !strings.HasPrefix(errOut, "compact: ") {
+			t.Errorf("compact -workers %s: stderr %q, want progress lines", w, errOut)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("compact -workers %s wrote %d bytes that differ from -workers 1's %d", w, len(got), len(want))
+		}
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	t.Parallel()
 	if code, _, _ := runCLI(t); code != 2 {

@@ -54,11 +54,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds     = fs.Int("seeds", 3, "seed sweep width per scenario, at least 1")
 		seed      = fs.Uint64("seed", 1, "base seed")
 		phi       = fs.Int("phi", 0, fmt.Sprintf("MDA-Lite meshing budget, at least %d (0 = default)", mda.DefaultPhi))
-		workers   = fs.Int("workers", 0, "concurrent instances (0 = GOMAXPROCS; records are identical for every value)")
 		out       = fs.String("out", "", "stream eval records to this JSONL file")
 		golden    = fs.String("golden", "", "compare the run against this golden JSONL, exit 1 on drift")
-		tolRecall = fs.Float64("tol-recall", groundtruth.DefaultRecallTolerance, "absolute drift tolerance on recall/precision/savings metrics (0 = exact)")
-		tolProbes = fs.Float64("tol-probes", groundtruth.DefaultProbesTolerance, "relative drift tolerance on probe counts, either direction (0 = exact)")
 		tracer    = fs.String("tracer", "", "additional tracer column: 'mdalite-prior' scores the atlas-prior-seeded re-trace against an unseeded re-trace baseline")
 		list      = fs.Bool("list", false, "list scenarios with descriptions and LB mixes, then exit")
 	)
@@ -104,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seeds:     *seeds,
 		BaseSeed:  *seed,
 		Phi:       *phi,
-		Workers:   *workers,
 		WithPrior: withPrior,
 	}
 	var jw *traceio.JSONLWriter
@@ -141,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		tol := groundtruth.Tolerances{Recall: *tolRecall, Probes: *tolProbes}
+		tol := groundtruth.Tolerances{Recall: groundtruth.DefaultRecallTolerance, Probes: groundtruth.DefaultProbesTolerance}
 		drifts := groundtruth.CompareGolden(records, goldenRecs, tol)
 		if len(drifts) > 0 {
 			fmt.Fprintf(stderr, "golden compare FAILED against %s: %d drift(s)\n", *golden, len(drifts))

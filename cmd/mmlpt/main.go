@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"mmlpt"
 	"mmlpt/internal/alias"
@@ -31,19 +32,32 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// algorithms maps each survey.Algo to its tracer: -algo takes the
+// survey.Algo names, so a record's algorithm field reads the same
+// whichever command wrote it.
+var algorithms = [...]mmlpt.Algorithm{
+	survey.AlgoMDA:        mmlpt.AlgoMDA,
+	survey.AlgoMDALite:    mmlpt.AlgoMDALite,
+	survey.AlgoSingleFlow: mmlpt.AlgoSingleFlow,
+	survey.AlgoMultilevel: mmlpt.AlgoMultilevel,
+}
+
 // run is main with its arguments and output streams injected; it returns
 // the exit code: 2 for usage errors, 1 for runtime errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mmlpt", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	algoNames := make([]string, len(algorithms))
+	for a := range algorithms {
+		algoNames[a] = survey.Algo(a).String()
+	}
 	var (
 		shape    = fs.String("shape", "fig1", fmt.Sprintf("simulated topology %v", fakeroute.ShapeNames()))
 		topoFile = fs.String("topology", "", "trace a topology file instead of a named shape")
-		algo     = fs.String("algo", "mda-lite", "algorithm: single, mda, mda-lite, multilevel")
+		algo     = fs.String("algo", "mda-lite", fmt.Sprintf("algorithm %v", algoNames))
 		phi      = fs.Int("phi", mda.DefaultPhi, fmt.Sprintf("MDA-Lite meshing-test budget, at least %d (0 = default)", mda.DefaultPhi))
 		seed     = fs.Uint64("seed", 1, "random seed")
 		bound    = fs.Float64("failure-bound", 0.05, "per-vertex failure probability bound, in (0,1) (0 = default)")
-		rounds   = fs.Int("rounds", 10, "alias resolution rounds (multilevel)")
 		runs     = fs.Int("runs", 1, "trace the scenario this many times under derived seeds, reporting variance")
 		workers  = fs.Int("workers", 0, "concurrent trace workers for -runs > 1 (0 = GOMAXPROCS; results are identical)")
 		jsonOut  = fs.Bool("json", false, "emit the result as one JSON trace record")
@@ -83,23 +97,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown shape %q; available: %v\n", *shape, fakeroute.ShapeNames())
 		return 2
 	}
-	var algorithm mmlpt.Algorithm
-	switch *algo {
-	case "single":
-		algorithm = mmlpt.AlgoSingleFlow
-	case "mda":
-		algorithm = mmlpt.AlgoMDA
-	case "mda-lite":
-		algorithm = mmlpt.AlgoMDALite
-	case "multilevel":
-		algorithm = mmlpt.AlgoMultilevel
-	default:
-		fmt.Fprintf(stderr, "unknown algorithm %q\n", *algo)
+	i := slices.Index(algoNames, *algo)
+	if i < 0 {
+		fmt.Fprintf(stderr, "unknown algorithm %q; available: %v\n", *algo, algoNames)
 		return 2
 	}
 	opts := mmlpt.Options{
-		Algorithm: algorithm, Phi: *phi, Seed: *seed,
-		FailureBound: *bound, Rounds: *rounds, Workers: *workers,
+		Algorithm: algorithms[i], Phi: *phi, Seed: *seed,
+		FailureBound: *bound, Workers: *workers,
 	}
 
 	src := mmlpt.MustParseAddr("192.0.2.1")

@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"mmlpt"
+	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/survey"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
@@ -172,5 +176,85 @@ func TestUsageErrors(t *testing.T) {
 				t.Errorf("a usage error left %s behind", ents[0].Name())
 			}
 		})
+	}
+}
+
+// TestAlgoNamesAreRecordNames: -algo takes the names a survey record's
+// algorithm field carries, and the -json record of a -seed run is the
+// record of the library trace under that seed.
+func TestAlgoNamesAreRecordNames(t *testing.T) {
+	t.Parallel()
+	src, dst := mmlpt.MustParseAddr("192.0.2.1"), mmlpt.MustParseAddr("198.51.100.77")
+	var names []string
+	for a, algo := range algorithms {
+		name := survey.Algo(a).String()
+		names = append(names, name)
+		code, stdout, stderr := runCLI(t, "-shape", "fig1", "-algo", name, "-seed", "7", "-json")
+		if code != 0 {
+			t.Fatalf("-algo %s: exit %d: %s", name, code, stderr)
+		}
+		var got *traceio.SurveyRecord
+		err := traceio.DecodeSurveyRecords(strings.NewReader(stdout), func(r *traceio.SurveyRecord) error {
+			got = r
+			return nil
+		})
+		if err != nil || got == nil {
+			t.Fatalf("-algo %s: no record in %q: %v", name, stdout, err)
+		}
+		if got.Algorithm != name {
+			t.Errorf("-algo %s writes algorithm %q", name, got.Algorithm)
+		}
+
+		net, _ := mmlpt.BuildScenario(7, src, dst, fakeroute.Shapes["fig1"])
+		var want bytes.Buffer
+		if err := record(src, dst, name, mmlpt.Trace(mmlpt.NewSimProber(net, src, dst), mmlpt.Options{Algorithm: algo, Seed: 7})).WriteJSONL(&want); err != nil {
+			t.Fatal(err)
+		}
+		if stdout != want.String() {
+			t.Errorf("-algo %s -seed 7 -json:\n%s\nlibrary trace under seed 7:\n%s", name, stdout, want.String())
+		}
+	}
+	if want := []string{"mda", "mda-lite", "single-flow", "multilevel"}; !slices.Equal(names, want) {
+		t.Errorf("-algo names %v, want %v", names, want)
+	}
+	code, _, stderr := runCLI(t, "-algo", "single")
+	if code != 2 || !strings.Contains(stderr, "single-flow") {
+		t.Errorf("-algo single: exit %d, stderr %q; want exit 2 listing the valid names", code, stderr)
+	}
+}
+
+// TestVerbosePrintsGroundTruth: -v prints the simulated topology ahead
+// of the trace.
+func TestVerbosePrintsGroundTruth(t *testing.T) {
+	t.Parallel()
+	code, stdout, stderr := runCLI(t, "-shape", "fig1", "-v")
+	if code != 0 || !strings.HasPrefix(stdout, "ground truth (fig1):\n") || !strings.Contains(stdout, "algo=mda-lite") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want the ground truth, then the trace", code, stdout, stderr)
+	}
+	_, plain, _ := runCLI(t, "-shape", "fig1")
+	if !strings.HasSuffix(stdout, plain) {
+		t.Errorf("-v changes the trace output:\n%s\nwithout -v:\n%s", stdout, plain)
+	}
+}
+
+// TestTopologyFile: -topology traces the graph a topology file
+// describes, and a file that does not exist is a runtime error.
+func TestTopologyFile(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "diamond.topo")
+	topology := "hop 0: 10.9.0.1\nhop 1: 10.9.0.2 10.9.0.3\nhop 2: 10.9.0.4\n" +
+		"edge 10.9.0.1 10.9.0.2\nedge 10.9.0.1 10.9.0.3\nedge 10.9.0.2 10.9.0.4\nedge 10.9.0.3 10.9.0.4\n"
+	if err := os.WriteFile(path, []byte(topology), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runCLI(t, "-topology", path, "-algo", "mda")
+	if code != 0 || !strings.Contains(stdout, "reached=true") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want a trace that reaches the destination", code, stdout, stderr)
+	}
+	if !strings.Contains(stdout, "diamond 0: 10.9.0.1..10.9.0.4 len=2 width=2") {
+		t.Errorf("the trace misses the file's diamond:\n%s", stdout)
+	}
+	if code, _, stderr := runCLI(t, "-topology", filepath.Join(t.TempDir(), "missing.topo")); code != 1 || stderr == "" {
+		t.Errorf("missing topology file: exit %d, stderr %q; want exit 1", code, stderr)
 	}
 }

@@ -7,10 +7,11 @@
 //	paperfig -all                 # everything at the default scale
 //	paperfig -fig 4 -scale 5      # Fig 4 at 5x the default workload
 //	paperfig -table 2
+//	paperfig -sec3 -scale 5       # the Sec 3 Fakeroute validation, 50×1000 runs
 //
-// Scale 1 is sized to finish in seconds; the paper's own scale (10,000
-// measurement pairs, 50×1000 validation runs) is roughly -scale 50 for
-// the measurement experiments.
+// Scale 1 is sized to finish in seconds; the paper's own scale is
+// -scale 5 for the Sec 3 validation (50×1000 runs) and roughly -scale 50
+// for the measurement experiments (10,000 pairs).
 package main
 
 import (
@@ -36,6 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		fig   = fs.Int("fig", 0, "figure number to regenerate (1-5, 7-14)")
 		table = fs.Int("table", 0, "table number to regenerate (1-3)")
+		sec3  = fs.Bool("sec3", false, "run the Sec 3 Fakeroute validation (-scale 5 is the paper's 50x1000 runs)")
 		all   = fs.Bool("all", false, "regenerate everything")
 		scale = fs.Int("scale", 1, "workload multiplier, at least 1")
 		seed  = fs.Uint64("seed", 1, "random seed")
@@ -51,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case fs.NArg() > 0:
 		usage = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
-	case !*all && *fig == 0 && *table == 0:
+	case !*all && !*sec3 && *fig == 0 && *table == 0:
 		fs.Usage()
 		return 2
 	case *fig != 0 && !figs[*fig]:
@@ -77,8 +79,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}),
 	}
 	for _, a := range experiments.Artifacts {
-		// -all adds the Sec 3 validation, which has no number.
-		if !*all && (*fig == 0 || *fig != a.Fig) && (*table == 0 || *table != a.Table) {
+		// The Sec 3 validation is the one artifact with no number.
+		selected := *all || (*fig != 0 && *fig == a.Fig) || (*table != 0 && *table == a.Table) ||
+			(*sec3 && a.Fig == 0 && a.Table == 0)
+		if !selected {
 			continue
 		}
 		if a.Level == "" {

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"mmlpt/internal/experiments"
 )
 
 // TestUsageErrors: a figure or table the evaluation does not list, a
@@ -34,5 +37,22 @@ func TestUsageErrors(t *testing.T) {
 				t.Errorf("stdout %q, stderr %q; want only a usage message", stdout.String(), stderr.String())
 			}
 		})
+	}
+}
+
+// TestSec3: -sec3 runs the Sec 3 Fakeroute validation alone, 10×200
+// runs per scale step under -seed, against the exact 0.03125 prediction.
+func TestSec3(t *testing.T) {
+	t.Parallel()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-sec3", "-seed", "2"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	want := experiments.FormatSec3(experiments.Sec3Validation(experiments.Sec3Config{Samples: 10, RunsPerSample: 200, Seed: 2})) + "\n"
+	if stdout.String() != want {
+		t.Errorf("-sec3 -seed 2 printed\n%s\nwant\n%s", stdout.String(), want)
+	}
+	if !strings.HasPrefix(want, "# Sec 3 Fakeroute validation (10 samples x 200 runs)\npredicted_failure 0.03125\n") {
+		t.Errorf("the validation no longer runs the simplest diamond at scale 1:\n%s", want)
 	}
 }

@@ -39,9 +39,7 @@ func runLive(o liveOptions) error {
 	var totalProbes, totalSyscalls uint64
 	reached := 0
 	for i, dst := range dests {
-		p, err := probe.NewLiveProberConfig(src, dst, probe.LiveConfig{
-			Timeout: o.Timeout, Retries: o.Retries, MaxBatch: o.Batch,
-		})
+		p, err := probe.NewLiveProber(src, dst)
 		if err != nil {
 			return err
 		}

@@ -67,29 +67,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	specOf := dispatch.SpecFlags(fs)
 	var (
-		workers      = fs.Int("workers", 0, "concurrent trace workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		figs         = fs.Bool("figs", false, "also print full figure series")
-		out          = fs.String("out", "", "stream per-trace survey records to this JSONL file as pairs complete")
-		atlasOut     = fs.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
-		atlasWorkers = fs.Int("atlas-workers", 0, "atlas merge workers for snapshot writes (0 = GOMAXPROCS, 1 = serial; snapshot bytes are identical for every value)")
-		atlasEvery   = fs.Int("atlas-publish-every", 0, "with -atlas: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
-		priorPath    = fs.String("prior", "", "seed traces from this atlas snapshot: pairs the atlas has seen probe only to their confirmation budget (ip level, switches the tracer to MDA-Lite)")
-		ckpt         = fs.String("checkpoint", "", "write an atomic progress checkpoint to this file")
-		every        = fs.Int("checkpoint-every", survey.DefaultCheckpointEvery, "records between checkpoints")
-		resume       = fs.Bool("resume", false, "resume from the checkpoint, skipping completed pairs")
-		prog         = fs.Bool("progress", false, "report pair/probe rates to stderr while running")
-		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile   = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		workers    = fs.Int("workers", 0, "concurrent trace workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		figs       = fs.Bool("figs", false, "also print full figure series")
+		out        = fs.String("out", "", "stream per-trace survey records to this JSONL file as pairs complete")
+		atlasOut   = fs.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
+		atlasEvery = fs.Int("atlas-publish-every", 0, "with -atlas: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
+		priorPath  = fs.String("prior", "", "seed traces from this atlas snapshot: pairs the atlas has seen probe only to their confirmation budget (ip level, switches the tracer to MDA-Lite)")
+		ckpt       = fs.String("checkpoint", "", "write an atomic progress checkpoint to this file")
+		every      = fs.Int("checkpoint-every", survey.DefaultCheckpointEvery, "records between checkpoints")
+		resume     = fs.Bool("resume", false, "resume from the checkpoint, skipping completed pairs")
+		prog       = fs.Bool("progress", false, "report pair/probe rates to stderr while running")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 
 		join     = fs.String("join", "", "coordinator URL: run as a fleet runner, claiming work units from a surveyd instead of running a survey locally")
 		runnerID = fs.String("runner-id", "", "runner name in leases and fleet status (with -join; default host:pid)")
 		maxUnits = fs.Int("max-units", 0, "with -join: exit after shipping this many units (0 = until the survey is done)")
 
-		liveDests   = fs.String("live-dests", "", "comma-separated destination IPs: trace live over raw sockets (Linux, CAP_NET_RAW) instead of the simulator")
-		liveSrc     = fs.String("live-src", "", "source IP stamped into live probes (required with -live-dests)")
-		liveBatch   = fs.Int("live-batch", 64, "live mode: max packets per sendmmsg/recvmmsg call")
-		liveTimeout = fs.Duration("live-timeout", 2*time.Second, "live mode: per-wave reply timeout")
-		liveRetries = fs.Int("live-retries", 2, "live mode: re-sends per unanswered probe")
+		liveDests = fs.String("live-dests", "", "comma-separated destination IPs: trace live over raw sockets (Linux, CAP_NET_RAW) instead of the simulator")
+		liveSrc   = fs.String("live-src", "", "source IP stamped into live probes (required with -live-dests)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -99,7 +95,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	// A negative count would silently mean what 0 does.
+	// A negative count would silently mean what 0 does, and a mode flag
+	// outside its mode would silently do nothing.
 	usage := ""
 	switch {
 	case *every < 0:
@@ -108,6 +105,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage = fmt.Sprintf("-atlas-publish-every %d: want 0 (never) or more", *atlasEvery)
 	case *maxUnits < 0:
 		usage = fmt.Sprintf("-max-units %d: want 0 (no limit) or more", *maxUnits)
+	case *join == "" && *runnerID != "":
+		usage = "-runner-id requires -join"
+	case *join == "" && *maxUnits != 0:
+		usage = "-max-units requires -join"
+	case *liveDests != "" && *liveSrc == "":
+		usage = "-live-dests requires -live-src"
+	case *liveSrc != "" && *liveDests == "":
+		usage = "-live-src requires -live-dests"
 	}
 	if usage != "" {
 		fmt.Fprintln(stderr, usage)
@@ -142,15 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *liveDests != "" {
-		if *liveSrc == "" {
-			fmt.Fprintln(stderr, "-live-dests requires -live-src")
-			return 2
-		}
 		err := runLive(liveOptions{
 			Out: stdout, Src: *liveSrc, Dests: *liveDests,
-			Phi: spec.Phi, Seed: spec.Seed,
-			Batch: *liveBatch, Timeout: *liveTimeout, Retries: *liveRetries,
-			Figs: *figs,
+			Phi: spec.Phi, Seed: spec.Seed, Figs: *figs,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -223,7 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		var atlasSink *survey.AtlasSink
 		if *atlasOut != "" {
-			atlasSink = survey.NewAtlasSink(atlas.Options{MergeWorkers: *atlasWorkers})
+			atlasSink = survey.NewAtlasSink(atlas.Options{})
 			if *atlasEvery > 0 {
 				atlasSink.PublishDeltas(*atlasOut, *atlasEvery)
 			}
@@ -339,8 +338,5 @@ type liveOptions struct {
 	Src, Dests string
 	Phi        int
 	Seed       uint64
-	Batch      int
-	Retries    int
-	Timeout    time.Duration
 	Figs       bool
 }

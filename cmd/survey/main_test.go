@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mmlpt/internal/dispatch"
 	"mmlpt/internal/traceio"
 )
 
@@ -101,6 +103,10 @@ func TestUsageErrors(t *testing.T) {
 		{"negative checkpoint interval", []string{"-out", "o.jsonl", "-checkpoint", "c.ckpt", "-checkpoint-every", "-5"}},
 		{"negative publish interval", []string{"-atlas", "a.atlas", "-atlas-publish-every", "-2"}},
 		{"negative max units", []string{"-join", "http://localhost:1", "-max-units", "-1"}},
+		{"runner id without join", []string{"-runner-id", "x", "-out", "o.jsonl"}},
+		{"max units without join", []string{"-max-units", "3", "-out", "o.jsonl"}},
+		{"live dests without live src", []string{"-live-dests", "198.51.100.1"}},
+		{"live src without live dests", []string{"-live-src", "192.0.2.10", "-out", "o.jsonl"}},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -125,6 +131,49 @@ func TestUsageErrors(t *testing.T) {
 				t.Errorf("a usage error left %s behind", ents[0].Name())
 			}
 		})
+	}
+}
+
+// TestJoinRunsNamedRunner: -join makes the process a fleet runner that
+// claims under its -runner-id, and -max-units stops it after that many
+// units although the survey has more.
+func TestJoinRunsNamedRunner(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
+		Spec: dispatch.Spec{Level: "ip", Pairs: 10, Seed: 3},
+		Dir:  dir, OutJSONL: filepath.Join(dir, "merged.jsonl"), UnitSize: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	code, stdout, stderr := runCLI(t, "-join", srv.URL, "-runner-id", "named", "-max-units", "1", "-workers", "1")
+	if code != 0 {
+		t.Fatalf("exit %d (stdout %q, stderr %q)", code, stdout, stderr)
+	}
+	st := coord.Status()
+	if st.Shipped+st.Merged != 1 || st.Done {
+		t.Errorf("after one unit: %s", st)
+	}
+	if len(st.Runners) != 1 || st.Runners[0].ID != "named" || st.Runners[0].Units != 1 {
+		t.Errorf("runners %+v, want one runner \"named\" with 1 unit", st.Runners)
+	}
+}
+
+// TestLiveAddressErrors: a malformed -live-src or -live-dests address
+// is a runtime error, exit 1, reported before any socket opens.
+func TestLiveAddressErrors(t *testing.T) {
+	t.Parallel()
+	for _, args := range [][]string{
+		{"-live-src", "192.0.2", "-live-dests", "198.51.100.1"},
+		{"-live-src", "192.0.2.10", "-live-dests", "198.51.100.1,bogus"},
+	} {
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 1 || stdout != "" || stderr == "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and only an error", args, code, stdout, stderr)
+		}
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"os"
 	"time"
 
-	"mmlpt/internal/atlas"
 	"mmlpt/internal/dispatch"
 )
 
@@ -52,18 +51,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	specOf := dispatch.SpecFlags(fs)
 	var (
-		dir          = fs.String("dir", "", "work directory for shards and the manifest (required)")
-		out          = fs.String("out", "", "write the merged survey record log (JSONL) here")
-		atlasOut     = fs.String("atlas", "", "write the merged atlas snapshot here")
-		atlasWorkers = fs.Int("atlas-workers", 0, "atlas merge workers (0 = GOMAXPROCS; snapshot bytes are identical for every value)")
-		unitSize     = fs.Int("unit-size", dispatch.DefaultUnitSize, "survey pairs per work unit")
-		leaseTTL     = fs.Duration("lease-ttl", dispatch.DefaultLeaseTTL, "lease duration; runners heartbeat at a third of this")
-		budgetRate   = fs.Float64("budget-rate", 0, "fleet-wide probe ceiling per destination /24 prefix, probes/second (0 = unmetered)")
-		budgetBurst  = fs.Float64("budget-burst", 0, "probe budget burst depth (0 = same as -budget-rate)")
-		listen       = fs.String("listen", ":8460", "HTTP listen address (port 0 picks a free port; the bound address is printed)")
-		resume       = fs.Bool("resume", false, "restore shipped units from the manifest in -dir")
-		prog         = fs.Bool("progress", false, "report fleet progress to stderr while running")
-		linger       = fs.Duration("linger", 2*time.Second, "serve this long after the merge so polling runners hear done")
+		dir         = fs.String("dir", "", "work directory for shards and the manifest (required)")
+		out         = fs.String("out", "", "write the merged survey record log (JSONL) here")
+		atlasOut    = fs.String("atlas", "", "write the merged atlas snapshot here")
+		unitSize    = fs.Int("unit-size", dispatch.DefaultUnitSize, "survey pairs per work unit")
+		leaseTTL    = fs.Duration("lease-ttl", dispatch.DefaultLeaseTTL, "lease duration; runners heartbeat at a third of this")
+		budgetRate  = fs.Float64("budget-rate", 0, "fleet-wide probe ceiling per destination /24 prefix, probes/second (0 = unmetered)")
+		budgetBurst = fs.Float64("budget-burst", 0, "probe budget burst depth (0 = same as -budget-rate)")
+		listen      = fs.String("listen", ":8460", "HTTP listen address (port 0 picks a free port; the bound address is printed)")
+		resume      = fs.Bool("resume", false, "restore shipped units from the manifest in -dir")
+		prog        = fs.Bool("progress", false, "report fleet progress to stderr while running")
+		linger      = fs.Duration("linger", 2*time.Second, "serve this long after the merge so polling runners hear done")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -114,10 +112,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
 		Spec: spec,
 		Dir:  *dir, OutJSONL: *out, AtlasPath: *atlasOut,
-		AtlasOptions: atlas.Options{MergeWorkers: *atlasWorkers},
-		UnitSize:     *unitSize,
-		LeaseTTL:     *leaseTTL,
-		Resume:       *resume,
+		UnitSize: *unitSize,
+		LeaseTTL: *leaseTTL,
+		Resume:   *resume,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		},

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -90,20 +91,23 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestFleetOverAnyPort: surveyd on port 0 prints the address it bound,
-// and two runners joining there leave a merged record log and atlas
-// byte-identical to a single-machine run of the same survey.
+// TestFleetOverAnyPort: surveyd on port 0 prints the address it bound
+// and, with -progress, a status line every tick; two runners joining
+// there leave a merged record log and atlas byte-identical to a
+// single-machine run of the same survey. -resume over the finished work
+// directory merges again without a runner, and refuses other options.
 func TestFleetOverAnyPort(t *testing.T) {
 	const pairs, seed = 30, 9
 	dir := t.TempDir()
 	out, snap := filepath.Join(dir, "fleet.jsonl"), filepath.Join(dir, "fleet.atlas")
+	args := func(seed int) []string {
+		return []string{"-level", "ip", "-pairs", fmt.Sprint(pairs), "-seed", fmt.Sprint(seed),
+			"-dir", filepath.Join(dir, "work"), "-out", out, "-atlas", snap,
+			"-unit-size", "5", "-listen", "127.0.0.1:0", "-linger", "200ms"}
+	}
 	var stdout, stderr lockedBuffer
 	code := make(chan int, 1)
-	go func() {
-		code <- run([]string{"-level", "ip", "-pairs", fmt.Sprint(pairs), "-seed", fmt.Sprint(seed),
-			"-dir", filepath.Join(dir, "work"), "-out", out, "-atlas", snap,
-			"-unit-size", "5", "-listen", "127.0.0.1:0", "-linger", "200ms"}, &stdout, &stderr)
-	}()
+	go func() { code <- run(append(args(seed), "-progress"), &stdout, &stderr) }()
 
 	bound := regexp.MustCompile(`coordinating \d+ units .* on (127\.0\.0\.1:\d+)\n`)
 	var addr string
@@ -116,6 +120,12 @@ func TestFleetOverAnyPort(t *testing.T) {
 	}
 	if strings.HasSuffix(addr, ":0") {
 		t.Fatalf("surveyd printed the requested port, not the bound one: %s", addr)
+	}
+	// Before any runner joins, only -progress prints a status line.
+	for deadline := time.Now().Add(30 * time.Second); !strings.Contains(stderr.String(), "0/6 units shipped"); time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("surveyd -progress printed no status line:\n%s", stderr.String())
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -180,4 +190,28 @@ func TestFleetOverAnyPort(t *testing.T) {
 			t.Errorf("%s differs from the single-machine %s (%d vs %d bytes)", f[0], f[1], len(got), len(want))
 		}
 	}
+
+	// surveyd logs from the merge goroutine too.
+	var resumed lockedBuffer
+	if c := run(append(args(seed), "-resume"), io.Discard, &resumed); c != 0 || !strings.Contains(resumed.String(), "resumed 6 shipped units") {
+		t.Fatalf("-resume over the finished fleet: exit %d:\n%s", c, resumed.String())
+	}
+	for _, f := range [][2]string{{out, wantOut}, {snap, wantSnap}} {
+		if got, want := readFile(t, f[0]), readFile(t, f[1]); !bytes.Equal(got, want) {
+			t.Errorf("after -resume, %s differs from the single-machine %s", f[0], f[1])
+		}
+	}
+	var refused lockedBuffer
+	if c := run(append(args(seed+1), "-resume"), io.Discard, &refused); c != 1 || !strings.Contains(refused.String(), "different options") {
+		t.Errorf("-resume under another -seed: exit %d, stderr %q; want exit 1 naming the options mismatch", c, refused.String())
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

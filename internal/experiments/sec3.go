@@ -5,7 +5,6 @@ import (
 
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/stats"
 	"mmlpt/internal/topo"
@@ -17,10 +16,6 @@ type Sec3Config struct {
 	// the runs per sample (paper: 1000).
 	Samples, RunsPerSample int
 	Seed                   uint64
-	// Build selects the topology (default: the simplest diamond).
-	Build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph
-	// Stop selects the stopping points (default: the 95% table).
-	Stop []int
 }
 
 // Sec3Result is the validation outcome.
@@ -33,9 +28,9 @@ type Sec3Result struct {
 }
 
 // Sec3Validation reproduces the Sec 3 experiment: the MDA is run
-// repeatedly over a simulated topology and its measured failure rate is
-// checked against the exact prediction (0.03125 for the simplest diamond
-// under the 95% table, which the paper measured as 0.03206 ± 0.00156).
+// repeatedly over the simplest diamond under the 95% stopping points,
+// and its measured failure rate is checked against the exact prediction
+// (0.03125, which the paper measured as 0.03206 ± 0.00156).
 func Sec3Validation(cfg Sec3Config) Sec3Result {
 	if cfg.Samples == 0 {
 		cfg.Samples = 50
@@ -43,17 +38,11 @@ func Sec3Validation(cfg Sec3Config) Sec3Result {
 	if cfg.RunsPerSample == 0 {
 		cfg.RunsPerSample = 1000
 	}
-	if cfg.Build == nil {
-		cfg.Build = fakeroute.SimplestDiamond
-	}
-	if cfg.Stop == nil {
-		cfg.Stop = mda.Default95(64)
-	}
+	stop := mda.Default95(64)
 
 	// The prediction needs the ground-truth graph only.
-	net0, path0 := fakeroute.BuildScenario(cfg.Seed, expSrc, expDst, cfg.Build)
-	_ = net0
-	predicted := fakeroute.GraphFailureProb(path0.Graph, cfg.Stop)
+	_, path0 := fakeroute.BuildScenario(cfg.Seed, expSrc, expDst, fakeroute.SimplestDiamond)
+	predicted := fakeroute.GraphFailureProb(path0.Graph, stop)
 
 	seed := cfg.Seed
 	sampleMeans := make([]float64, 0, cfg.Samples)
@@ -61,10 +50,10 @@ func Sec3Validation(cfg Sec3Config) Sec3Result {
 		failures := 0
 		for r := 0; r < cfg.RunsPerSample; r++ {
 			seed += 0x9e3779b9
-			net, path := fakeroute.BuildScenario(seed, expSrc, expDst, cfg.Build)
+			net, path := fakeroute.BuildScenario(seed, expSrc, expDst, fakeroute.SimplestDiamond)
 			p := probe.NewSimProber(net, expSrc, expDst)
 			p.Retries = 0
-			res := mda.Trace(p, mda.Config{Seed: seed, Stop: cfg.Stop})
+			res := mda.Trace(p, mda.Config{Seed: seed, Stop: stop})
 			vf, ef := topo.SubgraphCoverage(res.Graph, path.Graph)
 			if vf < 1 || ef < 1 {
 				failures++

@@ -1,7 +1,6 @@
 package fakeroute
 
 import (
-	"fmt"
 	"sort"
 
 	"mmlpt/internal/packet"
@@ -288,16 +287,4 @@ func BuildScenario(seed uint64, src, dst packet.Addr, build func(*AddrAllocator,
 	g := build(alloc, dst)
 	n.EnsureIfaces(g, dst)
 	return n, n.AddPath(src, dst, g)
-}
-
-// DescribeGraph summarizes a graph's hop widths, for logs and tests.
-func DescribeGraph(g *topo.Graph) string {
-	s := ""
-	for h := 0; h < g.NumHops(); h++ {
-		if h > 0 {
-			s += "-"
-		}
-		s += fmt.Sprintf("%d", g.Width(h))
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package mda
 
 import (
+	"fmt"
 	"testing"
 
 	"mmlpt/internal/fakeroute"
@@ -13,6 +14,19 @@ var (
 	testSrc = packet.MustParseAddr("192.0.2.1")
 	testDst = packet.MustParseAddr("198.51.100.77")
 )
+
+// describeWidths summarizes a graph's hop widths, "1-4-2-1", for
+// failure messages.
+func describeWidths(g *topo.Graph) string {
+	s := ""
+	for h := 0; h < g.NumHops(); h++ {
+		if h > 0 {
+			s += "-"
+		}
+		s += fmt.Sprintf("%d", g.Width(h))
+	}
+	return s
+}
 
 func traceShape(t *testing.T, seed uint64, build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph) (*Result, *topo.Graph, *probe.SimProber) {
 	t.Helper()
@@ -69,7 +83,7 @@ func TestMDAFig1Unmeshed(t *testing.T) {
 		t.Fatalf("coverage v=%.2f e=%.2f\ntruth:\n%s\ngot:\n%s", v, e, truth, res.Graph)
 	}
 	if res.Graph.Width(1) != 4 || res.Graph.Width(2) != 2 {
-		t.Fatalf("widths: %s", fakeroute.DescribeGraph(res.Graph))
+		t.Fatalf("widths: %s", describeWidths(res.Graph))
 	}
 }
 
@@ -85,7 +99,7 @@ func TestMDAWideDiamond(t *testing.T) {
 	res, truth, _ := traceShape(t, 4, fakeroute.MaxLength2Diamond)
 	v, e := topo.SubgraphCoverage(res.Graph, truth)
 	if v != 1 || e != 1 {
-		t.Fatalf("coverage v=%.2f e=%.2f (widths %s)", v, e, fakeroute.DescribeGraph(res.Graph))
+		t.Fatalf("coverage v=%.2f e=%.2f (widths %s)", v, e, describeWidths(res.Graph))
 	}
 }
 

@@ -46,43 +46,6 @@ func TestEchoBatchAlignsWithSpecs(t *testing.T) {
 	}
 }
 
-// TestSerialAllocationSkipsInflight: the identity allocator must never
-// hand out a serial currently held by an in-flight probe, even across a
-// wraparound of the 16-bit space.
-func TestSerialAllocationSkipsInflight(t *testing.T) {
-	net, _ := fakeroute.BuildScenario(23, tSrc, tDst, fakeroute.SimplestDiamond)
-	p := NewSimProber(net, tSrc, tDst)
-	held := map[uint16]struct{}{}
-	for i := 0; i < 3; i++ {
-		s := p.nextSerial()
-		if _, dup := held[s]; dup {
-			t.Fatalf("duplicate serial %d", s)
-		}
-		held[s] = struct{}{}
-	}
-	// Force a wraparound: the next allocations must walk past 0 and the
-	// three held identities without reusing any of them.
-	p.mu.Lock()
-	p.serial = 65534
-	p.mu.Unlock()
-	for i := 0; i < 6; i++ {
-		s := p.nextSerial()
-		if s == 0 {
-			t.Fatal("zero serial allocated")
-		}
-		if _, dup := held[s]; dup {
-			t.Fatalf("in-flight serial %d reused after wraparound", s)
-		}
-		held[s] = struct{}{}
-	}
-	for s := range held {
-		p.releaseSerial(s)
-	}
-	if got := p.nextSerial(); got == 0 {
-		t.Fatal("zero serial after release")
-	}
-}
-
 // TestRecorderConcurrentBatches: a Recorder shared by concurrent batched
 // probing must lose no callbacks, report monotonically non-decreasing
 // cumulative counts, and agree with TotalSent at the end. Run with -race

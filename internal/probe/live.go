@@ -9,7 +9,7 @@ import (
 )
 
 // LiveProber sends real probes over a batchTransport — in production,
-// Linux raw sockets driven by sendmmsg/recvmmsg (see NewLiveProberConfig in
+// Linux raw sockets driven by sendmmsg/recvmmsg (see NewLiveProber in
 // live_linux.go). It implements the same Prober interface as the
 // simulator-backed prober, so every algorithm in this repository can
 // run unmodified against the live Internet.
@@ -28,11 +28,8 @@ import (
 // traced pair, as the survey runner does.
 type LiveProber struct {
 	Src, Dst_ packet.Addr
-	// Timeout bounds the wait for each wave's replies (default 2s).
-	Timeout time.Duration
-	// Retries re-sends unanswered probes on timeout.
-	Retries int
 
+	cfg    liveConfig
 	tr     batchTransport
 	serial uint16
 
@@ -58,37 +55,30 @@ type LiveProber struct {
 	single  [1]int
 }
 
-// LiveConfig carries the live prober's tunables.
-type LiveConfig struct {
-	// Timeout bounds the wait for each wave's replies (0 = 2s).
+// The live prober's settings (NewLiveProber): at most liveMaxBatch
+// packets per sendmmsg/recvmmsg call, larger waves split across calls;
+// a liveTimeout wait for each wave's replies; liveRetries re-sends of
+// each unanswered probe.
+const (
+	liveMaxBatch = 64
+	liveTimeout  = 2 * time.Second
+	liveRetries  = 2
+)
+
+// liveConfig carries the settings a prober runs with; tests set their
+// own over a fake transport or a socketpair.
+type liveConfig struct {
+	// Timeout bounds the wait for each wave's replies.
 	Timeout time.Duration
 	// Retries re-sends unanswered probes up to this many times; the
 	// final retry sends one probe at a time (see ProbeBatch). Zero
 	// means a single attempt.
 	Retries int
-	// MaxBatch caps how many packets one sendmmsg/recvmmsg call
-	// carries (0 = 64). Larger waves are split into MaxBatch-sized
-	// syscalls.
-	MaxBatch int
-}
-
-func (c *LiveConfig) fill() {
-	if c.Timeout == 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 }
 
 // newLiveProber assembles a prober over an open transport.
-func newLiveProber(src, dst packet.Addr, tr batchTransport, cfg LiveConfig) *LiveProber {
-	cfg.fill()
-	p := &LiveProber{
-		Src: src, Dst_: dst,
-		Timeout: cfg.Timeout, Retries: cfg.Retries,
-		tr: tr,
-	}
+func newLiveProber(src, dst packet.Addr, tr batchTransport, cfg liveConfig) *LiveProber {
+	p := &LiveProber{Src: src, Dst_: dst, cfg: cfg, tr: tr}
 	p.deliver = func(pkt []byte) {
 		if packet.ParseReplyInto(&p.scratch, pkt) != nil {
 			return
@@ -133,13 +123,6 @@ func (p *LiveProber) nextSerial() uint16 {
 		}
 	}
 	return p.serial
-}
-
-func (p *LiveProber) timeout() time.Duration {
-	if p.Timeout <= 0 {
-		return 2 * time.Second
-	}
-	return p.Timeout
 }
 
 // Probe implements Prober as a batch of one.
@@ -203,7 +186,7 @@ func (p *LiveProber) runRounds(n int, singletonFinal bool, replies []*packet.Rep
 	for i := 0; i < n; i++ {
 		pending = append(pending, i)
 	}
-	attempts := p.Retries + 1
+	attempts := p.cfg.Retries + 1
 	for a := 0; a < attempts && len(pending) > 0; a++ {
 		// Only an actual retry degrades to singletons: with Retries == 0
 		// the one attempt goes out as a full batched wave.
@@ -233,7 +216,7 @@ func (p *LiveProber) runWave(wave []int, replies []*packet.Reply, send func(wave
 		return
 	}
 	p.curReplies = replies
-	deadline := time.Now().Add(p.timeout())
+	deadline := time.Now().Add(p.cfg.Timeout)
 	for p.demux.Outstanding() > 0 && time.Now().Before(deadline) {
 		if err := p.tr.RecvSome(deadline, p.deliver); err != nil {
 			return

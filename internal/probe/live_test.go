@@ -76,7 +76,7 @@ func (f *fakeTransport) RecvSome(deadline time.Time, deliver func(pkt []byte)) e
 func (f *fakeTransport) Syscalls() uint64 { return f.syscalls }
 func (f *fakeTransport) Close() error     { return nil }
 
-func liveOverFake(t *testing.T, ft *fakeTransport, cfg LiveConfig) *LiveProber {
+func liveOverFake(t *testing.T, ft *fakeTransport, cfg liveConfig) *LiveProber {
 	t.Helper()
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 50 * time.Millisecond
@@ -89,7 +89,7 @@ func TestLiveSentExcludesFailedSends(t *testing.T) {
 	ft := newFakeTransport(sess.HandleProbe)
 	ft.accept = 2
 	ft.failWith = errors.New("no buffer space")
-	p := liveOverFake(t, ft, LiveConfig{})
+	p := liveOverFake(t, ft, liveConfig{})
 
 	specs := []Spec{{0, 1}, {1, 1}, {2, 2}, {3, 2}}
 	replies := p.ProbeBatch(specs)
@@ -115,7 +115,7 @@ func TestLiveEchoSentExcludesFailedSends(t *testing.T) {
 	hop := hopAddr(t, sess, 2)
 	ft := newFakeTransport(sess.HandleProbe)
 	ft.accept = 1
-	p := liveOverFake(t, ft, LiveConfig{})
+	p := liveOverFake(t, ft, liveConfig{})
 
 	replies := p.EchoBatch([]EchoSpec{{hop, 1}, {hop, 2}, {hop, 3}})
 	trace, echo := p.Sent()
@@ -130,7 +130,7 @@ func TestLiveEchoSentExcludesFailedSends(t *testing.T) {
 func TestLiveProbeBatchRoundTrip(t *testing.T) {
 	sess := demuxSession(t)
 	ft := newFakeTransport(sess.HandleProbe)
-	p := liveOverFake(t, ft, LiveConfig{})
+	p := liveOverFake(t, ft, liveConfig{})
 
 	// SimplestDiamond: divergent hops at TTL 1, convergence at TTL 2; a
 	// high TTL overshoots the destination and draws port unreachable.
@@ -164,7 +164,7 @@ func TestLiveEchoBatchRoundTrip(t *testing.T) {
 	hop1 := hopAddr(t, sess, 1)
 	hop2 := hopAddr(t, sess, 2)
 	ft := newFakeTransport(sess.HandleProbe)
-	p := liveOverFake(t, ft, LiveConfig{})
+	p := liveOverFake(t, ft, liveConfig{})
 
 	// Includes a duplicated (addr, seq) pair: both specs must resolve.
 	specs := []EchoSpec{{hop1, 1}, {hop2, 2}, {hop2, 2}, {hop1, 7}}
@@ -194,7 +194,7 @@ func TestLiveRetryResends(t *testing.T) {
 		}
 		return sess.HandleProbe(pkt)
 	}
-	p := liveOverFake(t, newFakeTransport(respond), LiveConfig{Retries: 1})
+	p := liveOverFake(t, newFakeTransport(respond), liveConfig{Retries: 1})
 
 	replies := p.ProbeBatch([]Spec{{0, 1}, {1, 2}})
 	for i, r := range replies {
@@ -225,7 +225,7 @@ func TestLiveIdentitylessSingletonRetry(t *testing.T) {
 		}
 		return out
 	}
-	p := liveOverFake(t, newFakeTransport(respond), LiveConfig{Retries: 1})
+	p := liveOverFake(t, newFakeTransport(respond), liveConfig{Retries: 1})
 
 	replies := p.ProbeBatch([]Spec{{0, 1}, {1, 1}, {0, 2}})
 	for i, r := range replies {
@@ -247,7 +247,7 @@ func TestLiveIdentitylessSingletonRetry(t *testing.T) {
 func TestLiveBatchOfOne(t *testing.T) {
 	sess := demuxSession(t)
 	ft := newFakeTransport(sess.HandleProbe)
-	p := liveOverFake(t, ft, LiveConfig{})
+	p := liveOverFake(t, ft, liveConfig{})
 
 	r := p.Probe(0, 1)
 	if r == nil || r.Type != packet.ICMPTypeTimeExceeded {

@@ -77,7 +77,7 @@ func (r *fakerouteResponder) close() {
 
 // socketpairProber wires a LiveProber to a fakeroute-backed responder
 // over a socketpair. Callers must call the returned stop function.
-func socketpairProber(t testing.TB, seed uint64, maxBatch int, cfg LiveConfig) (*LiveProber, *fakeroute.Session, func()) {
+func socketpairProber(t testing.TB, seed uint64, maxBatch int, cfg liveConfig) (*LiveProber, *fakeroute.Session, func()) {
 	t.Helper()
 	net, _ := fakeroute.BuildScenario(seed, tSrc, tDst, fakeroute.SimplestDiamond)
 	sess := net.SessionFor(tSrc, tDst)
@@ -102,7 +102,7 @@ func roundSpecs(n int) []Spec {
 }
 
 func TestLiveLoopbackRoundTrip(t *testing.T) {
-	p, _, stop := socketpairProber(t, 31, 64, LiveConfig{Retries: 2, Timeout: 2 * time.Second})
+	p, _, stop := socketpairProber(t, 31, 64, liveConfig{Retries: 2, Timeout: 2 * time.Second})
 	defer stop()
 
 	specs := roundSpecs(16)
@@ -135,7 +135,7 @@ func TestLiveLoopbackRoundTrip(t *testing.T) {
 // disables the mmsg vectors and every send/receive goes through the
 // sendto/recvfrom fallback, which must behave identically.
 func TestLiveFallbackTransport(t *testing.T) {
-	p, _, stop := socketpairProber(t, 32, 1, LiveConfig{Retries: 2, Timeout: 2 * time.Second})
+	p, _, stop := socketpairProber(t, 32, 1, liveConfig{Retries: 2, Timeout: 2 * time.Second})
 	defer stop()
 
 	replies := p.ProbeBatch(roundSpecs(8))
@@ -153,7 +153,7 @@ func TestLiveFallbackTransport(t *testing.T) {
 func TestLiveSyscallBudget(t *testing.T) {
 	const probes = 16
 	minRound := func(maxBatch int) uint64 {
-		p, _, stop := socketpairProber(t, 33, maxBatch, LiveConfig{Retries: 0, Timeout: 2 * time.Second})
+		p, _, stop := socketpairProber(t, 33, maxBatch, liveConfig{Retries: 0, Timeout: 2 * time.Second})
 		defer stop()
 		specs := roundSpecs(probes)
 		p.ProbeBatch(specs) // warm-up: grow arenas, fault pages
@@ -186,7 +186,7 @@ func TestLiveSyscallBudget(t *testing.T) {
 // constant few allocations (the replies slice and the amortized reply
 // arena), independent of the probe count.
 func TestLiveHotPathAllocs(t *testing.T) {
-	p, _, stop := socketpairProber(t, 34, 64, LiveConfig{Retries: 0, Timeout: 2 * time.Second})
+	p, _, stop := socketpairProber(t, 34, 64, liveConfig{Retries: 0, Timeout: 2 * time.Second})
 	defer stop()
 
 	specs := roundSpecs(16)
@@ -221,7 +221,7 @@ func BenchmarkLiveLoopbackRound(b *testing.B) {
 		{"perpacket", 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			p, _, stop := socketpairProber(b, 35, bc.maxBatch, LiveConfig{Retries: 0, Timeout: 2 * time.Second})
+			p, _, stop := socketpairProber(b, 35, bc.maxBatch, liveConfig{Retries: 0, Timeout: 2 * time.Second})
 			defer stop()
 			specs := roundSpecs(16)
 			// syscalls/round is the steady-state floor: the minimum over

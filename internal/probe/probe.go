@@ -109,13 +109,12 @@ type SimProber struct {
 	// and it costs no parallelism: the simulator session serializes probe
 	// handling per trace anyway, and concurrent traces of distinct pairs
 	// use distinct probers.
-	mu       sync.Mutex
-	sess     *fakeroute.Session
-	serial   uint16
-	inflight map[uint16]struct{} // identities held across calls (see nextSerial); usually nil
-	pktBuf   []byte
-	arena    replyArena
-	slots    []*packet.Reply // unused tail of the chunk batch reply slices are carved from
+	mu     sync.Mutex
+	sess   *fakeroute.Session
+	serial uint16
+	pktBuf []byte
+	arena  replyArena
+	slots  []*packet.Reply // unused tail of the chunk batch reply slices are carved from
 }
 
 // replyArena hands out *packet.Reply values from chunked slabs: one heap
@@ -169,50 +168,16 @@ func (p *SimProber) sessionLocked() *fakeroute.Session {
 	return p.sess
 }
 
-// serialLocked advances to the next non-zero probe identity that no
-// in-flight probe of this prober holds. Without the exclusion, a trace
-// longer than 65535 packets would wrap the serial counter and could hand
-// a live identity to a second probe, making their replies
-// indistinguishable. If every identity is in flight at once
-// (pathological), the current serial is reused and reply matching may be
-// ambiguous, exactly as an unguarded wraparound would be.
-//
-// A synchronous round trip allocates its identity and retires it inside
-// one critical section, so it never needs an inflight entry of its own:
-// the only identities that can be live when it runs are those a caller
-// holds through nextSerial.
+// serialLocked advances to the next non-zero probe identity. A
+// synchronous round trip allocates its identity and retires it inside
+// one critical section, so no other identity is live when it runs and a
+// wrap of the 16-bit counter cannot hand out one twice.
 func (p *SimProber) serialLocked() uint16 {
-	for i := 0; i < 1<<16; i++ {
-		p.serial++
-		if p.serial == 0 {
-			p.serial = 1
-		}
-		if _, live := p.inflight[p.serial]; !live {
-			break
-		}
+	p.serial++
+	if p.serial == 0 {
+		p.serial = 1
 	}
 	return p.serial
-}
-
-// nextSerial allocates a probe identity and holds it in flight until
-// releaseSerial: the form an exchange that spans critical sections needs.
-func (p *SimProber) nextSerial() uint16 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	serial := p.serialLocked()
-	if p.inflight == nil {
-		p.inflight = make(map[uint16]struct{})
-	}
-	p.inflight[serial] = struct{}{}
-	return serial
-}
-
-// releaseSerial returns an identity to the free pool once its probe's
-// reply (or lack of one) has been observed.
-func (p *SimProber) releaseSerial(serial uint16) {
-	p.mu.Lock()
-	delete(p.inflight, serial)
-	p.mu.Unlock()
 }
 
 // ProbeBatch implements Prober. The simulator transport is synchronous,

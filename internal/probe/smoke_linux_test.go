@@ -5,7 +5,6 @@ package probe
 import (
 	"os"
 	"testing"
-	"time"
 
 	"mmlpt/internal/packet"
 )
@@ -24,9 +23,7 @@ func liveSmokeProber(t *testing.T) *LiveProber {
 		t.Skip("live loopback smoke disabled; set MMLPT_LIVE_SMOKE=1 to run")
 	}
 	lo := packet.MustParseAddr("127.0.0.1")
-	p, err := NewLiveProberConfig(lo, lo, LiveConfig{
-		Timeout: time.Second, Retries: 1, MaxBatch: 16,
-	})
+	p, err := NewLiveProber(lo, lo)
 	if err != nil {
 		// Enabled but unprivileged: skip rather than fail, as the CI
 		// netns step does when it cannot elevate.

@@ -1,7 +1,7 @@
 // Package traceio owns every file format: a line-based text format for
-// ground-truth topologies (consumed by cmd/mmlpt and cmd/fakeroute, so
-// users can validate against their own topologies, as the paper's
-// Fakeroute accepted topology files), the one trace record every tool
+// ground-truth topologies (consumed by cmd/mmlpt -topology, so users
+// can trace their own topologies, as the paper's Fakeroute accepted
+// topology files), the one trace record every tool
 // writes as JSON lines and every other layer holds typed (SurveyRecord,
 // in the spirit of the "better schema for paris-traceroute" the paper
 // cites for M-Lab), and the cross-trace atlas's snapshot file format

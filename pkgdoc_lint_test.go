@@ -1,10 +1,11 @@
-// Package-doc, dead-surface and layering lint: every package under
+// Package-doc, dead-surface, layering and flag lint: every package under
 // internal/ (and cmd/) must carry a substantive package-level doc
 // comment, because the layering of this codebase is documented in godoc,
 // not in a separate architecture file that would drift; every exported
-// name under internal/ must have a non-test user; and every internal
-// import must point down DESIGN.md's rank table. Run via `go test .` —
-// CI's lint job includes it.
+// name under internal/ must have a non-test user; every internal import
+// must point down DESIGN.md's rank table; and every command-line flag
+// must be set by a test of its command. Run via `go test .` — CI's lint
+// job includes it.
 package mmlpt
 
 import (
@@ -436,6 +437,108 @@ func TestImportLayering(t *testing.T) {
 	for pkg := range rank {
 		if !seen[pkg] {
 			t.Errorf("DESIGN.md ranks %s, which has no non-test Go file under internal/", pkg)
+		}
+	}
+}
+
+// flagNameArg gives, for each flag.FlagSet method that declares a flag,
+// the index of its name argument.
+var flagNameArg = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "Float64": 0,
+	"String": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1,
+	"Float64Var": 1, "StringVar": 1, "DurationVar": 1, "Var": 1, "TextVar": 1,
+}
+
+// declaredFlags returns the names of the flags that calls inside n
+// declare, in source order.
+func declaredFlags(n ast.Node) []string {
+	var names []string
+	ast.Inspect(n, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		i, ok := flagNameArg[sel.Sel.Name]
+		if !ok || len(call.Args) <= i {
+			return true
+		}
+		if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, _ := strconv.Unquote(lit.Value)
+			names = append(names, name)
+		}
+		return true
+	})
+	return names
+}
+
+// TestEveryFlagIsTested: every flag a command declares, on its own
+// FlagSet or through dispatch.SpecFlags, appears as the string literal
+// "-name" in that command's _test.go files, so no flag stays that no
+// test sets.
+func TestEveryFlagIsTested(t *testing.T) {
+	t.Parallel()
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	var specFlags []string
+	for _, d := range parse(filepath.Join("internal", "dispatch", "dispatch.go")).Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "SpecFlags" {
+			specFlags = declaredFlags(fn)
+		}
+	}
+	if len(specFlags) == 0 {
+		t.Fatal("dispatch.SpecFlags declares no flag this test recognizes")
+	}
+	bins, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bin := range bins {
+		paths, err := filepath.Glob(filepath.Join("cmd", bin.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flags []string
+		literals := map[string]bool{}
+		for _, path := range paths {
+			f := parse(path)
+			if !strings.HasSuffix(path, "_test.go") {
+				flags = append(flags, declaredFlags(f)...)
+				ast.Inspect(f, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "SpecFlags" {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "dispatch" {
+							flags = append(flags, specFlags...)
+						}
+					}
+					return true
+				})
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					s, _ := strconv.Unquote(lit.Value)
+					literals[s] = true
+				}
+				return true
+			})
+		}
+		if len(flags) == 0 {
+			t.Errorf("cmd/%s declares no flag this test recognizes", bin.Name())
+		}
+		for _, name := range flags {
+			if !literals["-"+name] {
+				t.Errorf("cmd/%s declares -%s, but no test of cmd/%s sets it: test it or delete it", bin.Name(), name, bin.Name())
+			}
 		}
 	}
 }
