@@ -98,31 +98,6 @@ func BenchmarkAblationNodeControl(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFlowReuse contrasts the MDA-Lite's reuse of
-// previous-hop flow identifiers against minting fresh flows at every hop:
-// reuse seeds edges for free, fresh flows push that work onto the
-// deterministic edge-completion step.
-func BenchmarkAblationFlowReuse(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "reuse"
-		if disable {
-			name = "fresh"
-		}
-		disable := disable
-		b.Run(name, func(b *testing.B) {
-			var probes uint64
-			for i := 0; i < b.N; i++ {
-				net, _ := fakeroute.BuildScenario(uint64(i), benchSrc, benchDst, fakeroute.SymmetricDiamond)
-				p := probe.NewSimProber(net, benchSrc, benchDst)
-				p.Retries = 0
-				res := mda.TraceLite(p, mda.Config{Seed: uint64(i), DisableFlowReuse: disable}, 2)
-				probes += res.Probes
-			}
-			b.ReportMetric(float64(probes)/float64(b.N), "probes/trace")
-		})
-	}
-}
-
 // BenchmarkSurveySerial and BenchmarkSurveyParallel contrast the
 // worker-pool survey runner at Workers=1 against all cores on one shared
 // universe. The runner aggregates in pair order, so both configurations

@@ -25,14 +25,17 @@
 //
 // With -live-dests the surveys above are bypassed and each listed
 // destination is traced for real over Linux raw sockets (CAP_NET_RAW
-// required), using the batched sendmmsg/recvmmsg wire path:
+// required), using the batched sendmmsg/recvmmsg wire path; only
+// -live-src, -phi, -seed and -figs apply:
 //
 //	survey -live-src 192.0.2.10 -live-dests 198.51.100.1,198.51.100.2
 //
 // With -join the process becomes a fleet runner instead: it claims
 // leased work units from a cmd/surveyd coordinator, traces each unit's
 // span of the survey, and ships the records back. The survey plan comes
-// from the coordinator, so only concurrency flags apply locally:
+// from the coordinator, so only -runner-id, -max-units and -workers
+// apply locally; any other flag set beside -join or -live-dests is a
+// usage error:
 //
 //	survey -join http://coordinator:8460 -runner-id runner-1
 package main
@@ -44,6 +47,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"mmlpt/internal/atlas"
@@ -73,8 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		atlasOut   = fs.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
 		atlasEvery = fs.Int("atlas-publish-every", 0, "with -atlas: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
 		priorPath  = fs.String("prior", "", "seed traces from this atlas snapshot: pairs the atlas has seen probe only to their confirmation budget (ip level, switches the tracer to MDA-Lite)")
-		ckpt       = fs.String("checkpoint", "", "write an atomic progress checkpoint to this file")
-		every      = fs.Int("checkpoint-every", survey.DefaultCheckpointEvery, "records between checkpoints")
+		ckpt       = fs.String("checkpoint", "", "with -out: write an atomic progress checkpoint to this file")
+		every      = fs.Int("checkpoint-every", survey.DefaultCheckpointEvery, "with -checkpoint: records between checkpoints")
 		resume     = fs.Bool("resume", false, "resume from the checkpoint, skipping completed pairs")
 		prog       = fs.Bool("progress", false, "report pair/probe rates to stderr while running")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -95,8 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	// A negative count would silently mean what 0 does, and a mode flag
-	// outside its mode would silently do nothing.
+	// A negative count would silently mean what 0 does, and a flag its
+	// mode does not read would silently do nothing.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	usage := ""
 	switch {
 	case *every < 0:
@@ -113,6 +120,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage = "-live-dests requires -live-src"
 	case *liveSrc != "" && *liveDests == "":
 		usage = "-live-src requires -live-dests"
+	case *join != "":
+		usage = unreadFlags(set, "join", "runner-id", "max-units", "workers")
+	case *liveDests != "":
+		usage = unreadFlags(set, "live-dests", "live-src", "phi", "seed", "figs")
 	}
 	if usage != "" {
 		fmt.Fprintln(stderr, usage)
@@ -167,6 +178,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Without the record log there is nothing to replay: the summary
 		// and figures would silently cover only the resumed tail.
 		usage = "-resume requires -out (the JSONL record log is what resume replays)"
+	case set["checkpoint-every"] && *ckpt == "":
+		usage = "-checkpoint-every requires -checkpoint"
+	case *ckpt != "" && *out == "":
+		// The checkpoint records an offset into the record log; without
+		// one no -resume could use it.
+		usage = "-checkpoint requires -out (the checkpoint records how much of the JSONL record log is durable)"
 	case *priorPath != "" && spec.Level != "ip":
 		usage = "-prior applies to the ip-level survey only"
 	case *atlasEvery > 0 && *atlasOut == "":
@@ -198,10 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	err = func() error {
-		cfg := experiments.SurveyConfig{
-			Pairs: spec.Pairs, Seed: spec.Seed, Phi: spec.Phi, Rounds: spec.Rounds, Workers: *workers,
-			Checkpoint: *ckpt, CheckpointEvery: *every, Resume: *resume,
-		}
+		plan := experiments.SurveyConfig{Pairs: spec.Pairs, Seed: spec.Seed, Phi: spec.Phi, Rounds: spec.Rounds}
 		if *priorPath != "" {
 			svc, err := serve.Open(*priorPath, serve.Options{})
 			if err != nil {
@@ -213,12 +227,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fmt.Errorf("indexing prior snapshot: %w", err)
 			}
 			fmt.Fprintf(stderr, "prior: %d pairs indexed from %s\n", ix.Len(), *priorPath)
-			cfg.Prior = ix
+			plan.Prior = ix
 		}
+		u, rc, err := experiments.PlanSurvey(spec.Level, plan)
+		if err != nil {
+			return err
+		}
+		rc.Workers, rc.Checkpoint, rc.CheckpointEvery, rc.Resume = *workers, *ckpt, *every, *resume
 		var jsonlSink *survey.JSONLSink
 		if *out != "" {
 			jsonlSink = survey.NewJSONLSink(*out)
-			cfg.Sinks = append(cfg.Sinks, jsonlSink)
+			rc.Sinks = append(rc.Sinks, jsonlSink)
 		}
 		var atlasSink *survey.AtlasSink
 		if *atlasOut != "" {
@@ -226,12 +245,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *atlasEvery > 0 {
 				atlasSink.PublishDeltas(*atlasOut, *atlasEvery)
 			}
-			cfg.Sinks = append(cfg.Sinks, atlasSink)
+			rc.Sinks = append(rc.Sinks, atlasSink)
 		}
+		// The aggregate folds every record; on a resumed run the record
+		// log's replay rebuilds it first, so it covers the whole survey.
+		aggSink := survey.NewAggregateSink()
+		rc.Sinks = append(rc.Sinks, aggSink)
 
 		stopProgress := func() {}
 		if *prog {
-			cfg.Progress = progress.NewSurvey()
+			rc.Progress = progress.NewSurvey()
 			done, exited := make(chan struct{}), make(chan struct{})
 			go func() {
 				defer close(exited)
@@ -240,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				for {
 					select {
 					case <-t.C:
-						fmt.Fprintln(stderr, cfg.Progress.Snapshot())
+						fmt.Fprintln(stderr, rc.Progress.Snapshot())
 					case <-done:
 						return
 					}
@@ -249,18 +272,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			stopProgress = func() {
 				close(done)
 				<-exited
-				fmt.Fprintln(stderr, cfg.Progress.Snapshot())
+				fmt.Fprintln(stderr, rc.Progress.Snapshot())
 			}
 		}
-		trace := experiments.IPSurvey
-		if spec.Level == "router" {
-			trace = experiments.RouterSurvey
-		}
-		agg, err := trace(cfg)
+		_, err = survey.Run(u, rc)
 		stopProgress()
 		if err != nil {
 			return err
 		}
+		agg := aggSink.Agg
 
 		if jsonlSink != nil {
 			if err := jsonlSink.Close(); err != nil {
@@ -313,6 +333,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// unreadFlags returns the usage error for the flags set that a mode does
+// not read, or "" when there are none. reads names the mode's own flag
+// first, then the others it reads.
+func unreadFlags(set map[string]bool, reads ...string) string {
+	var extra []string
+	for name := range set {
+		if !slices.Contains(reads, name) {
+			extra = append(extra, "-"+name)
+		}
+	}
+	if len(extra) == 0 {
+		return ""
+	}
+	slices.Sort(extra)
+	return fmt.Sprintf("%s: not read with -%s, which reads only -%s", strings.Join(extra, " "), reads[0], strings.Join(reads, " -"))
 }
 
 // writeHeapProfile writes a heap profile to path after a GC, which

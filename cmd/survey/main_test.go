@@ -85,28 +85,37 @@ func TestResumeReprintsEverything(t *testing.T) {
 }
 
 // TestUsageErrors: every usage error exits 2 before anything is
-// created — no record log, checkpoint, atlas or profile.
+// created — no record log, checkpoint, atlas or profile — and, where the
+// row names one, says so. Every row also sets -pairs, -cpuprofile and
+// -memprofile, so a mode refusing flags it does not read lists them too.
 func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		args []string
+		want string // in stderr, when not empty
 	}{
-		{"resume without checkpoint", []string{"-resume", "-out", "o.jsonl"}},
-		{"resume without out", []string{"-resume", "-checkpoint", "c.ckpt"}},
-		{"prior at router level", []string{"-level", "router", "-prior", "p.atlas"}},
-		{"publish without atlas", []string{"-atlas-publish-every", "5"}},
-		{"unknown level", []string{"-level", "as", "-out", "o.jsonl", "-atlas", "a.atlas"}},
-		{"negative pairs", []string{"-pairs", "-1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
-		{"negative rounds", []string{"-level", "router", "-rounds", "-1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
-		{"phi below the minimum", []string{"-phi", "1", "-out", "o.jsonl", "-atlas", "a.atlas"}},
-		{"atlas shards", []string{"-atlas-shards", "4", "-out", "o.jsonl", "-atlas", "a.atlas"}},
-		{"negative checkpoint interval", []string{"-out", "o.jsonl", "-checkpoint", "c.ckpt", "-checkpoint-every", "-5"}},
-		{"negative publish interval", []string{"-atlas", "a.atlas", "-atlas-publish-every", "-2"}},
-		{"negative max units", []string{"-join", "http://localhost:1", "-max-units", "-1"}},
-		{"runner id without join", []string{"-runner-id", "x", "-out", "o.jsonl"}},
-		{"max units without join", []string{"-max-units", "3", "-out", "o.jsonl"}},
-		{"live dests without live src", []string{"-live-dests", "198.51.100.1"}},
-		{"live src without live dests", []string{"-live-src", "192.0.2.10", "-out", "o.jsonl"}},
+		{"resume without checkpoint", []string{"-resume", "-out", "o.jsonl"}, ""},
+		{"resume without out", []string{"-resume", "-checkpoint", "c.ckpt"}, ""},
+		{"prior at router level", []string{"-level", "router", "-prior", "p.atlas"}, ""},
+		{"publish without atlas", []string{"-atlas-publish-every", "5"}, ""},
+		{"unknown level", []string{"-level", "as", "-out", "o.jsonl", "-atlas", "a.atlas"}, ""},
+		{"negative pairs", []string{"-pairs", "-1", "-out", "o.jsonl", "-atlas", "a.atlas"}, ""},
+		{"negative rounds", []string{"-level", "router", "-rounds", "-1", "-out", "o.jsonl", "-atlas", "a.atlas"}, ""},
+		{"phi below the minimum", []string{"-phi", "1", "-out", "o.jsonl", "-atlas", "a.atlas"}, ""},
+		{"atlas shards", []string{"-atlas-shards", "4", "-out", "o.jsonl", "-atlas", "a.atlas"}, ""},
+		{"negative checkpoint interval", []string{"-out", "o.jsonl", "-checkpoint", "c.ckpt", "-checkpoint-every", "-5"}, ""},
+		{"negative publish interval", []string{"-atlas", "a.atlas", "-atlas-publish-every", "-2"}, ""},
+		{"negative max units", []string{"-join", "http://localhost:1", "-max-units", "-1"}, ""},
+		{"runner id without join", []string{"-runner-id", "x", "-out", "o.jsonl"}, ""},
+		{"max units without join", []string{"-max-units", "3", "-out", "o.jsonl"}, ""},
+		{"live dests without live src", []string{"-live-dests", "198.51.100.1"}, ""},
+		{"live src without live dests", []string{"-live-src", "192.0.2.10", "-out", "o.jsonl"}, ""},
+		{"join with survey flags", []string{"-join", "http://127.0.0.1:1", "-out", "j.jsonl", "-figs"},
+			"-cpuprofile -figs -memprofile -out -pairs: not read with -join, which reads only -join -runner-id -max-units -workers"},
+		{"live with survey flags", []string{"-live-src", "192.0.2.10", "-live-dests", "198.51.100.1", "-atlas", "a.atlas", "-workers", "2"},
+			"-atlas -cpuprofile -memprofile -pairs -workers: not read with -live-dests, which reads only -live-dests -live-src -phi -seed -figs"},
+		{"checkpoint interval without checkpoint", []string{"-checkpoint-every", "3"}, "-checkpoint-every requires -checkpoint"},
+		{"checkpoint without out", []string{"-checkpoint", "c.ckpt"}, "-checkpoint requires -out"},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -124,8 +133,8 @@ func TestUsageErrors(t *testing.T) {
 			if code != 2 {
 				t.Fatalf("exit %d, want 2 (stdout %q, stderr %q)", code, stdout, stderr)
 			}
-			if stderr == "" {
-				t.Error("no usage message")
+			if stderr == "" || !strings.Contains(stderr, c.want) {
+				t.Errorf("usage message %q, want one containing %q", stderr, c.want)
 			}
 			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 				t.Errorf("a usage error left %s behind", ents[0].Name())

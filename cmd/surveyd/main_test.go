@@ -159,13 +159,13 @@ func TestFleetOverAnyPort(t *testing.T) {
 	}
 
 	// The same survey on one machine, as cmd/survey runs it.
-	u, rc, err := experiments.PlanSurvey("ip", experiments.SurveyConfig{Pairs: pairs, Seed: seed, Phi: 2, Rounds: 10, Workers: 2})
+	u, rc, err := experiments.PlanSurvey("ip", experiments.SurveyConfig{Pairs: pairs, Seed: seed, Phi: 2, Rounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantOut, wantSnap := filepath.Join(dir, "single.jsonl"), filepath.Join(dir, "single.atlas")
 	jsonl, asink := survey.NewJSONLSink(wantOut), survey.NewAtlasSink(atlas.Options{})
-	rc.Sinks = []survey.Sink{jsonl, asink}
+	rc.Workers, rc.Sinks = 2, []survey.Sink{jsonl, asink}
 	if _, err := survey.Run(u, rc); err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	u, rc, err := cfg.Spec.plan(0)
+	u, rc, err := cfg.Spec.plan()
 	if err != nil {
 		return nil, err
 	}

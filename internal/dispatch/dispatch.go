@@ -108,12 +108,10 @@ func SpecFlags(fs *flag.FlagSet) func() (Spec, error) {
 	}
 }
 
-// plan derives the survey plan for the spec. Workers is the tracing
-// concurrency of whichever process is asking; it never affects output
-// bytes.
-func (s Spec) plan(workers int) (*survey.Universe, survey.RunConfig, error) {
+// plan derives the survey plan for the spec.
+func (s Spec) plan() (*survey.Universe, survey.RunConfig, error) {
 	return experiments.PlanSurvey(s.Level, experiments.SurveyConfig{
-		Pairs: s.Pairs, Seed: s.Seed, Phi: s.Phi, Rounds: s.Rounds, Workers: workers,
+		Pairs: s.Pairs, Seed: s.Seed, Phi: s.Phi, Rounds: s.Rounds,
 	})
 }
 

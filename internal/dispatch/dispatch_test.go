@@ -70,7 +70,7 @@ func TestSpecFlags(t *testing.T) {
 // non-empty) writing the atlas snapshot.
 func singleMachine(t *testing.T, spec Spec, atlasPath string, mods ...func(*survey.RunConfig)) []byte {
 	t.Helper()
-	u, rc, err := spec.plan(2)
+	u, rc, err := spec.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestRetriedShipCountsOnce(t *testing.T) {
 func TestFleetSummaryMatchesSingleMachine(t *testing.T) {
 	t.Parallel()
 	spec := testSpec()
-	u, rc, err := spec.plan(2)
+	u, rc, err := spec.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,7 +787,7 @@ func TestFleetWithBudgetRealClock(t *testing.T) {
 func TestRunnerRejectsForeignSpec(t *testing.T) {
 	t.Parallel()
 	spec := testSpec()
-	u, rc, err := spec.plan(0)
+	u, rc, err := spec.plan()
 	if err != nil {
 		t.Fatal(err)
 	}

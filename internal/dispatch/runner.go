@@ -159,7 +159,7 @@ func (r *runner) adoptSpec(spec *Spec) error {
 		}
 		return nil
 	}
-	u, rc, err := spec.plan(r.cfg.Workers)
+	u, rc, err := spec.plan()
 	if err != nil {
 		return fmt.Errorf("dispatch: deriving plan: %w", err)
 	}

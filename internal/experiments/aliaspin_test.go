@@ -89,7 +89,7 @@ func TestAliasRoundsPinned(t *testing.T) {
 		tc := rc.Trace
 		tc.Seed = nprand.IndexedSeed(rc.Trace.Seed, idx)
 		res := core.Trace(probeLog{sim, probes}, core.Options{
-			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds, ProbesPerRound: rc.ProbesPerRound,
+			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds,
 		})
 		fmt.Fprintf(parts, "pair %d trace %d alias %d\n", idx, res.TraceProbes, res.AliasProbes)
 		for _, snap := range res.Rounds {
@@ -140,7 +140,7 @@ func TestObservationSeqsUnique(t *testing.T) {
 		tc := rc.Trace
 		tc.Seed = nprand.IndexedSeed(rc.Trace.Seed, idx)
 		res := core.Trace(sim, core.Options{
-			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds, ProbesPerRound: rc.ProbesPerRound,
+			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds,
 		})
 		var addrs []packet.Addr
 		for _, v := range res.IP.Graph.Vertices {

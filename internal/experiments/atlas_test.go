@@ -18,12 +18,16 @@ func TestAtlasRouterSizeCDFMatchesAggregate(t *testing.T) {
 		t.Skip("router survey is slow; skipped with -short")
 	}
 	t.Parallel()
-	sink := survey.NewAtlasSink(atlas.Options{})
-	cfg := SurveyConfig{Pairs: 40, Seed: 11, Rounds: 2, Sinks: []survey.Sink{sink}}
-	agg, err := RouterSurvey(cfg)
+	u, rc, err := PlanSurvey("router", SurveyConfig{Pairs: 40, Seed: 11, Rounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink, aggSink := survey.NewAtlasSink(atlas.Options{}), survey.NewAggregateSink()
+	rc.Sinks = []survey.Sink{sink, aggSink}
+	if _, err := survey.Run(u, rc); err != nil {
+		t.Fatal(err)
+	}
+	agg := aggSink.Agg
 	if agg.Records == 0 {
 		t.Fatal("survey produced no records; the comparison would be vacuous")
 	}

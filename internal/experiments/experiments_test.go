@@ -122,7 +122,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multilevel rounds over 25 pairs are slow")
 	}
-	rows := Fig5(Fig5Config{Pairs: 25, Rounds: 5, Seed: 77})
+	rows := Fig5(Fig5Config{Pairs: 25, Seed: 77, rounds: 5})
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -146,7 +146,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multilevel rounds over 30 pairs are slow")
 	}
-	r := Table2(Table2Config{Pairs: 30, Rounds: 4, Seed: 15})
+	r := Table2(Table2Config{Pairs: 30, Seed: 15, rounds: 4})
 	if r.Sets == 0 {
 		t.Fatal("no router sets in the union")
 	}

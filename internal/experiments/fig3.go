@@ -17,7 +17,6 @@ import (
 type Fig3Config struct {
 	Runs int // paper: 30
 	Seed uint64
-	Phi  int
 }
 
 // Fig3Point is one averaged point of a discovery curve.
@@ -93,9 +92,6 @@ func Fig3(cfg Fig3Config) []Fig3Curve {
 	if cfg.Runs == 0 {
 		cfg.Runs = 30
 	}
-	if cfg.Phi == 0 {
-		cfg.Phi = mda.DefaultPhi
-	}
 	grid := make([]float64, 0, 20)
 	for x := 0.05; x <= 1.0001; x += 0.05 {
 		grid = append(grid, x)
@@ -112,8 +108,8 @@ func Fig3(cfg Fig3Config) []Fig3Curve {
 		runsLite := make([]run, cfg.Runs)
 		for i := 0; i < cfg.Runs; i++ {
 			seed := cfg.Seed + uint64(i)*104729
-			cM, tM, _ := traceProgress(seed, topoSpec.Build, false, cfg.Phi)
-			cL, tL, sw := traceProgress(seed+1, topoSpec.Build, true, cfg.Phi)
+			cM, tM, _ := traceProgress(seed, topoSpec.Build, false, mda.DefaultPhi)
+			cL, tL, sw := traceProgress(seed+1, topoSpec.Build, true, mda.DefaultPhi)
 			runsMDA[i] = run{curve: cM, total: tM, mdaTotal: tM}
 			runsLite[i] = run{curve: cL, total: tL, mdaTotal: tM, switched: sw}
 		}

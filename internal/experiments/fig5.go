@@ -15,8 +15,8 @@ import (
 // Fig5Config scales the alias-resolution round evaluation.
 type Fig5Config struct {
 	Pairs  int
-	Rounds int // paper: 10
 	Seed   uint64
+	rounds int // 0 = the paper's 10; in-package tests shrink it for speed
 }
 
 // Fig5Row is the aggregate state after one round.
@@ -40,8 +40,8 @@ func Fig5(cfg Fig5Config) []Fig5Row {
 	if cfg.Pairs == 0 {
 		cfg.Pairs = 100
 	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 10
+	if cfg.rounds == 0 {
+		cfg.rounds = 10
 	}
 	u := survey.Generate(survey.GenConfig{Seed: cfg.Seed ^ 0xf195, Pairs: cfg.Pairs * 2})
 
@@ -49,7 +49,7 @@ func Fig5(cfg Fig5Config) []Fig5Row {
 		pred  map[[2]packet.Addr]bool
 		probe uint64
 	}
-	rounds := make([]perRound, cfg.Rounds+1)
+	rounds := make([]perRound, cfg.rounds+1)
 	for i := range rounds {
 		rounds[i].pred = make(map[[2]packet.Addr]bool)
 	}
@@ -70,7 +70,7 @@ func Fig5(cfg Fig5Config) []Fig5Row {
 		p.Retries = 1
 		res := core.Trace(p, core.Options{
 			Trace:  mda.Config{Seed: cfg.Seed + uint64(i)*31},
-			Rounds: cfg.Rounds,
+			Rounds: cfg.rounds,
 		})
 		traceProbes += res.TraceProbes
 		for r, snap := range res.Rounds {
@@ -97,8 +97,8 @@ func Fig5(cfg Fig5Config) []Fig5Row {
 		}
 	}
 
-	out := make([]Fig5Row, 0, cfg.Rounds+1)
-	for r := 0; r <= cfg.Rounds; r++ {
+	out := make([]Fig5Row, 0, cfg.rounds+1)
+	for r := 0; r <= cfg.rounds; r++ {
 		p, rec := alias.PrecisionRecall(rounds[r].pred, ref)
 		tp, tr := alias.PrecisionRecall(rounds[r].pred, truth)
 		ratio := 1.0

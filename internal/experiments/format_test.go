@@ -58,7 +58,7 @@ func TestFormatSec3(t *testing.T) {
 
 func TestFormatFig5(t *testing.T) {
 	t.Parallel()
-	s := FormatFig5(Fig5(Fig5Config{Pairs: 5, Rounds: 2, Seed: 1}))
+	s := FormatFig5(Fig5(Fig5Config{Pairs: 5, Seed: 1, rounds: 2}))
 	if !strings.Contains(s, "# Fig 5") || !strings.Contains(s, "probe_ratio") {
 		t.Fatalf("output:\n%s", s)
 	}
@@ -69,7 +69,7 @@ func TestFormatFig5(t *testing.T) {
 
 func TestFormatTable2(t *testing.T) {
 	t.Parallel()
-	s := FormatTable2(Table2(Table2Config{Pairs: 8, Rounds: 2, Seed: 1}))
+	s := FormatTable2(Table2(Table2Config{Pairs: 8, Seed: 1, rounds: 2}))
 	for _, want := range []string{"# Table 2", "Accept Indirect", "Unable Direct"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q:\n%s", want, s)

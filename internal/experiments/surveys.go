@@ -7,46 +7,34 @@ import (
 	"mmlpt/internal/core"
 	"mmlpt/internal/mda"
 	"mmlpt/internal/prior"
-	"mmlpt/internal/progress"
 	"mmlpt/internal/stats"
 	"mmlpt/internal/survey"
 )
 
-// SurveyConfig scales the Sec 5 surveys.
+// SurveyConfig is the plan of a Sec 5 survey: the inputs that decide
+// which pairs are traced and what their records contain. How a run
+// executes — workers, sinks, checkpoints, progress — is set by the caller
+// on the survey.RunConfig PlanSurvey returns.
 type SurveyConfig struct {
 	Pairs  int
 	Seed   uint64
 	Phi    int
 	Rounds int // alias rounds for the router-level survey
-	// Workers is the trace concurrency (0 = GOMAXPROCS, 1 = serial).
-	// Results are identical for every worker count.
-	Workers int
 	// Prior seeds the IP-level survey from an atlas-derived index and
 	// switches it to the MDA-Lite (the prior-consuming tracer).
 	Prior *prior.Index
-	// Sinks, Checkpoint, CheckpointEvery, Resume and Progress thread the
-	// streaming pipeline through to survey.Run; all optional.
-	Sinks           []survey.Sink
-	Checkpoint      string
-	CheckpointEvery int
-	Resume          bool
-	Progress        *progress.Survey
 }
 
 func (cfg SurveyConfig) runConfig(algo survey.Algo) survey.RunConfig {
 	return survey.RunConfig{
-		Algo: algo, Phi: cfg.Phi, Retries: 1,
-		Workers: cfg.Workers, Prior: cfg.Prior,
+		Algo: algo, Phi: cfg.Phi, Retries: 1, Prior: cfg.Prior,
 		Trace: mda.Config{Seed: cfg.Seed},
-		Sinks: cfg.Sinks, Checkpoint: cfg.Checkpoint,
-		CheckpointEvery: cfg.CheckpointEvery, Resume: cfg.Resume,
-		Progress: cfg.Progress,
 	}
 }
 
 // PlanSurvey derives the universe and run configuration the named
 // survey level ("ip" or "router") traces under cfg. It is the single
-// source of truth shared by the single-machine entry points (IPSurvey,
+// source of truth shared by the single-machine runs (cmd/survey, IPSurvey,
 // RouterSurvey) and the distributed control plane (internal/dispatch):
 // a fleet coordinator and its runners both call it with the same spec,
 // so every machine derives exactly the jobs — and emits exactly the
@@ -95,16 +83,14 @@ func RouterSurvey(cfg SurveyConfig) (*survey.RecordAggregate, error) {
 	return runSurvey("router", cfg)
 }
 
-// runSurvey runs a survey level with an aggregate sink after cfg's sinks.
-// On a resumed run the aggregate is rebuilt from the record log first,
-// so it covers the whole survey, not only the pairs traced here.
+// runSurvey runs a survey level into a record aggregate.
 func runSurvey(level string, cfg SurveyConfig) (*survey.RecordAggregate, error) {
 	u, rc, err := PlanSurvey(level, cfg)
 	if err != nil {
 		return nil, err
 	}
 	agg := survey.NewAggregateSink()
-	rc.Sinks = append(append([]survey.Sink(nil), cfg.Sinks...), agg)
+	rc.Sinks = []survey.Sink{agg}
 	_, err = survey.Run(u, rc)
 	return agg.Agg, err
 }

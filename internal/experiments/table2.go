@@ -17,8 +17,8 @@ import (
 // Table2Config scales the indirect-vs-direct comparison.
 type Table2Config struct {
 	Pairs  int
-	Rounds int
 	Seed   uint64
+	rounds int // 0 = 10; in-package tests shrink it for speed
 }
 
 // Table2Result holds the 3×3 outcome matrix (portions of the union of
@@ -56,8 +56,8 @@ func Table2(cfg Table2Config) *Table2Result {
 	if cfg.Pairs == 0 {
 		cfg.Pairs = 100
 	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 10
+	if cfg.rounds == 0 {
+		cfg.rounds = 10
 	}
 	u := survey.Generate(survey.GenConfig{Seed: cfg.Seed ^ 0x7ab2e2, Pairs: cfg.Pairs * 2})
 	res := &Table2Result{
@@ -99,7 +99,7 @@ func Table2(cfg Table2Config) *Table2Result {
 		p.Retries = 1
 		ml := core.Trace(p, core.Options{
 			Trace:  mda.Config{Seed: cfg.Seed + uint64(i)*53},
-			Rounds: cfg.Rounds,
+			Rounds: cfg.rounds,
 		})
 		indRes := alias.NewResolver(p, ml.Obs)
 
@@ -109,7 +109,7 @@ func Table2(cfg Table2Config) *Table2Result {
 		dp.Retries = 1
 		dirRes := alias.NewResolver(dp, obs.New())
 		dirRes.Direct = true
-		dirRes.Rounds = cfg.Rounds
+		dirRes.Rounds = cfg.rounds
 		var dirSets []alias.Set
 		for _, g := range groups {
 			rr := dirRes.Resolve([][]packet.Addr{g})

@@ -24,27 +24,23 @@ type Config struct {
 	BaseSeed uint64
 	// Phi is the MDA-Lite meshing budget (0 selects the default).
 	Phi int
-	// Stop overrides the MDA stopping-point table (nil selects the
-	// default 95%-confidence table). The knob exists for ablations — and
-	// for the nerf test proving the golden compare catches a weakened
-	// stopping rule.
-	Stop []int
 	// WithPrior adds the atlas-prior re-trace columns to every record: an
 	// unseeded MDA-Lite pass builds an atlas snapshot, priors are
 	// extracted from it through the serving layer, and a prior-seeded
 	// re-trace is scored against an unseeded re-trace baseline over the
 	// same (possibly churned) network.
 	WithPrior bool
-	// Workers is how many (scenario, seed) instances are evaluated
-	// concurrently (0 = GOMAXPROCS, 1 = serial). Instances are fully
-	// independent — each builds its own networks — so records are
-	// identical for every worker count.
-	Workers int
 	// OnRecord, when non-nil, receives each record in deterministic
 	// (scenario-major, then seed) order the moment its prefix of the
 	// sweep has completed, the streaming hook cmd/eval writes JSONL
 	// from. An error aborts the run.
 	OnRecord func(*traceio.EvalRecord) error
+	// Test seams: workers is the instance concurrency (0 = GOMAXPROCS;
+	// records are identical for every count), and stop overrides the
+	// default 95%-confidence stopping-point table for the nerf test
+	// proving the golden compare catches a weakened stopping rule.
+	workers int
+	stop    []int
 }
 
 // Run evaluates every (scenario, seed) instance and returns the records
@@ -69,12 +65,12 @@ func Run(cfg Config) ([]*traceio.EvalRecord, error) {
 		}
 	}
 	records := make([]*traceio.EvalRecord, 0, len(jobs))
-	err := par.OrderedErr(len(jobs), cfg.Workers, func(i int) (*traceio.EvalRecord, error) {
+	err := par.OrderedErr(len(jobs), cfg.workers, func(i int) (*traceio.EvalRecord, error) {
 		j := jobs[i]
 		if cfg.WithPrior {
-			return EvaluateWithPrior(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.Stop)
+			return EvaluateWithPrior(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.stop)
 		}
-		return Evaluate(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.Stop), nil
+		return Evaluate(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.stop), nil
 	}, func(i int, rec *traceio.EvalRecord) error {
 		records = append(records, rec)
 		if cfg.OnRecord != nil {

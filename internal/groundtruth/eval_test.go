@@ -60,7 +60,7 @@ func TestEvalByteIdenticalAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			var buf bytes.Buffer
 			recs, err := Run(Config{
-				Scenarios: testScenarios(), Seeds: 3, BaseSeed: 11, Workers: workers,
+				Scenarios: testScenarios(), Seeds: 3, BaseSeed: 11, workers: workers,
 				WithPrior: withPrior,
 				OnRecord:  func(r *traceio.EvalRecord) error { return r.WriteJSONL(&buf) },
 			})
@@ -100,7 +100,7 @@ func TestGoldenCompareCatchesNerf(t *testing.T) {
 	}
 
 	// Nerf: eps 0.05 → 0.5, i.e. a 50%-confidence stopping table.
-	nerfed, err := Run(Config{Scenarios: scs, Seeds: 2, BaseSeed: 5, Stop: mda.StoppingPoints(0.5, 128)})
+	nerfed, err := Run(Config{Scenarios: scs, Seeds: 2, BaseSeed: 5, stop: mda.StoppingPoints(0.5, 128)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
@@ -134,5 +135,29 @@ func TestTraceAllocationBudget(t *testing.T) {
 	t.Logf("allocs per 48-wide trace: %.0f", allocs)
 	if allocs > budget {
 		t.Fatalf("mda.Trace over a 48-wide hop: %.0f allocs, budget %d", allocs, budget)
+	}
+}
+
+// BenchmarkAblationFlowReuse contrasts the MDA-Lite's reuse of
+// previous-hop flow identifiers against minting fresh flows at every hop:
+// reuse seeds edges for free, fresh flows push that work onto the
+// deterministic edge-completion step.
+func BenchmarkAblationFlowReuse(b *testing.B) {
+	for _, disable := range []bool{false, true} {
+		name := "reuse"
+		if disable {
+			name = "fresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			var probes uint64
+			for i := 0; i < b.N; i++ {
+				net, _ := fakeroute.BuildScenario(uint64(i), testSrc, testDst, fakeroute.SymmetricDiamond)
+				p := probe.NewSimProber(net, testSrc, testDst)
+				p.Retries = 0
+				res := TraceLite(p, Config{Seed: uint64(i), disableFlowReuse: disable}, 2)
+				probes += res.Probes
+			}
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/trace")
+		})
 	}
 }

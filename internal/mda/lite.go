@@ -142,7 +142,7 @@ func (s *Session) liteHops(phi int) (int, bool) {
 		}
 		if s.hopAllStars(h) {
 			starRun++
-			if starRun >= s.cfg.MaxConsecutiveStars {
+			if starRun >= maxConsecutiveStars {
 				return 0, false
 			}
 		} else {
@@ -243,7 +243,7 @@ func (s *Session) confirmHop(h int, want []packet.Addr, prior TracePrior) bool {
 			break
 		}
 	}
-	if h > 0 && !s.cfg.DisableFlowReuse {
+	if h > 0 && !s.cfg.disableFlowReuse {
 		// Pass 1: one flow per previous-hop vertex, seeding one edge per
 		// known predecessor, as in discovery.
 		for _, u := range s.g.Hop(h - 1) {
@@ -377,7 +377,7 @@ func (s *Session) discoverHop(h int) {
 		return true
 	}
 
-	if h > 0 && !s.cfg.DisableFlowReuse {
+	if h > 0 && !s.cfg.disableFlowReuse {
 		// Pass 1: one flow per previous-hop vertex.
 		for _, u := range s.g.Hop(h - 1) {
 			if sent >= stop() {

@@ -187,7 +187,7 @@ func TestLiteHandlesAllStarsGracefully(t *testing.T) {
 	net.AddPath(testSrc, testDst, g)
 	p := probe.NewSimProber(net, testSrc, testDst)
 	p.Retries = 0
-	res := TraceLite(p, Config{Seed: 71, MaxConsecutiveStars: 3}, 2)
+	res := TraceLite(p, Config{Seed: 71}, 2)
 	if res.ReachedDst {
 		t.Fatal("reached destination through an all-star path?")
 	}

@@ -19,25 +19,24 @@ type Config struct {
 	Stop []int
 	// MaxTTL bounds the trace depth. Zero selects 32.
 	MaxTTL int
-	// MaxConsecutiveStars aborts the trace after this many all-silent
-	// hops. Zero selects 3.
-	MaxConsecutiveStars int
 	// Seed drives the random flow-identifier choice. Traces with equal
 	// seeds over a deterministic network are identical.
 	Seed uint64
 	// Obs, when non-nil, accumulates alias-resolution observations.
 	Obs *obs.Observations
-	// DisableFlowReuse makes the MDA-Lite start every hop with fresh
-	// flow identifiers instead of reusing the previous hop's (an ablation
-	// switch: reuse is where the hop-by-hop edge knowledge comes from,
-	// so disabling it shifts work onto the edge-completion step).
-	DisableFlowReuse bool
 	// Prior, when non-nil, supplies the expected topology from an earlier
 	// trace of the same (src, dst) pair. The MDA-Lite then probes each
 	// covered hop only to the confirmation budget and falls back to full
 	// discovery from the enclosing divergence hop on any mismatch.
 	Prior TracePrior
+	// disableFlowReuse, BenchmarkAblationFlowReuse's seam, makes the
+	// MDA-Lite mint fresh flows at every hop instead of reusing the
+	// previous hop's, shifting work onto the edge-completion step.
+	disableFlowReuse bool
 }
+
+// maxConsecutiveStars aborts a trace after this many all-silent hops.
+const maxConsecutiveStars = 3
 
 // TracePrior is the expected topology of one (src, dst) pair, extracted
 // from a cross-trace atlas. Implementations must be read-only during the
@@ -69,9 +68,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxTTL == 0 {
 		c.MaxTTL = 32
-	}
-	if c.MaxConsecutiveStars == 0 {
-		c.MaxConsecutiveStars = 3
 	}
 }
 
@@ -584,7 +580,7 @@ func (s *Session) runMDA(startHop int) {
 		}
 		if s.hopAllStars(h) {
 			starRun++
-			if starRun >= s.cfg.MaxConsecutiveStars {
+			if starRun >= maxConsecutiveStars {
 				return
 			}
 		} else {
@@ -691,7 +687,7 @@ func TraceSingleFlow(p probe.Prober, cfg Config) *Result {
 			}
 			s.adoptStarFlows(h, star)
 			starRun++
-			if starRun >= s.cfg.MaxConsecutiveStars {
+			if starRun >= maxConsecutiveStars {
 				break
 			}
 			continue

@@ -31,7 +31,7 @@ func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 		as := NewAtlasSink(atlas.Options{})
 		cfg := RunConfig{
 			Algo: AlgoMultilevel, OnlyLB: true, Retries: 1,
-			Rounds: 2, ProbesPerRound: 10,
+			Rounds: 2, probesPerRound: 10,
 			Trace:   mda.Config{Seed: 7},
 			Workers: workers,
 			Sinks:   []Sink{jsonl, as},

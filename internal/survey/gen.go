@@ -20,52 +20,40 @@ import (
 	"mmlpt/internal/topo"
 )
 
-// GenConfig controls the synthetic Internet.
+// GenConfig controls the synthetic Internet; its shape is calibrated by
+// the constants below.
 type GenConfig struct {
 	Seed uint64
 	// Pairs is the number of (source, destination) measurements.
 	Pairs int
-	// Sources is the number of vantage points (paper: 35).
-	Sources int
-	// DistinctDiamonds sizes the template library (0: Pairs/5, min 24).
-	DistinctDiamonds int
-	// LBFraction is the portion of paths crossing at least one load
-	// balancer (paper: 155,030/294,832 ≈ 0.526).
-	LBFraction float64
-	// MeanDiamondsPerLBPath is the mean diamond count on LB paths
-	// (paper: 220,193/155,030 ≈ 1.42).
-	MeanDiamondsPerLBPath float64
-	// StarHopProb is the probability a chain hop is non-responsive.
-	StarHopProb float64
-	// AliasHopProb is the probability a multi-vertex diamond hop has its
-	// interfaces grouped onto multi-interface routers.
-	AliasHopProb float64
+	// starHopProb overrides the constant (0 keeps it): a test's seam.
+	starHopProb float64
 }
+
+// The generator's calibration to the paper's Sec 5 population: properties
+// of the reproduction, not choices a caller makes.
+const (
+	// sources is the number of vantage points (paper: 35).
+	sources = 5
+	// lbFraction is the portion of paths crossing at least one load
+	// balancer (paper: 155,030/294,832 ≈ 0.526).
+	lbFraction = 0.526
+	// meanDiamondsPerLBPath is the mean diamond count on LB paths
+	// (paper: 220,193/155,030 ≈ 1.42).
+	meanDiamondsPerLBPath = 1.42
+	// starHopProb is the probability a chain hop is non-responsive.
+	starHopProb = 0.01
+	// aliasHopProb is the probability a multi-vertex diamond hop has its
+	// interfaces grouped onto multi-interface routers.
+	aliasHopProb = 0.40
+)
 
 func (c *GenConfig) fill() {
 	if c.Pairs == 0 {
 		c.Pairs = 1000
 	}
-	if c.Sources == 0 {
-		c.Sources = 5
-	}
-	if c.DistinctDiamonds == 0 {
-		c.DistinctDiamonds = c.Pairs / 5
-		if c.DistinctDiamonds < 24 {
-			c.DistinctDiamonds = 24
-		}
-	}
-	if c.LBFraction == 0 {
-		c.LBFraction = 0.526
-	}
-	if c.MeanDiamondsPerLBPath == 0 {
-		c.MeanDiamondsPerLBPath = 1.42
-	}
-	if c.StarHopProb == 0 {
-		c.StarHopProb = 0.01
-	}
-	if c.AliasHopProb == 0 {
-		c.AliasHopProb = 0.40
+	if c.starHopProb == 0 {
+		c.starHopProb = starHopProb
 	}
 }
 
@@ -136,7 +124,7 @@ func Generate(cfg GenConfig) *Universe {
 }
 
 func (u *Universe) buildTemplates(rng *nprand.Source, alloc *fakeroute.AddrAllocator) {
-	n := u.Cfg.DistinctDiamonds
+	n := max(u.Cfg.Pairs/5, 24) // distinct diamonds in the library
 	// The two giant shared cores come first with elevated popularity
 	// (they are encountered from many ingress points, producing the
 	// measured-width peaks at 48 and 56, but remain a few percent of
@@ -345,7 +333,7 @@ func (u *Universe) giant56(alloc *fakeroute.AddrAllocator) *topo.Graph {
 
 // registerFragment assigns routers and interfaces for a fragment's
 // vertices: multi-vertex hops are alias-grouped with probability
-// AliasHopProb; everything else gets one router per interface. A fraction
+// aliasHopProb; everything else gets one router per interface. A fraction
 // of wide hops sit in MPLS tunnels, with per-router constant labels (some
 // flapping, which disqualifies the label for alias resolution).
 func (u *Universe) registerFragment(g *topo.Graph) {
@@ -357,9 +345,9 @@ func (u *Universe) registerFragment(g *topo.Graph) {
 		// A width-2 hop can only collapse to a single router (Table 3's
 		// "one path"), never shrink; grouping probability is therefore
 		// width-dependent so the Table 3 mix matches the measured one.
-		pAlias := u.Cfg.AliasHopProb
+		pAlias := aliasHopProb
 		if len(ids) == 2 {
-			pAlias = u.Cfg.AliasHopProb * 0.5
+			pAlias = aliasHopProb * 0.5
 		}
 		if len(ids) >= 2 && rng.Float64() < pAlias {
 			// Router sizes: mostly 2, tail to 8 (Fig 12: 68% size 2, 97%
@@ -487,10 +475,10 @@ func (u *Universe) buildPaths(rng *nprand.Source, alloc *fakeroute.AddrAllocator
 		weights[i] = t.Weight
 	}
 	for i := 0; i < u.Cfg.Pairs; i++ {
-		srcIdx := i % u.Cfg.Sources
+		srcIdx := i % sources
 		src := packet.Addr(uint32(srcBase) + uint32(srcIdx))
 		dst := dstAlloc.Next()
-		hasLB := rng.Float64() < u.Cfg.LBFraction
+		hasLB := rng.Float64() < lbFraction
 		g := u.buildPathGraph(rng, alloc, weights, srcIdx, dst, hasLB)
 		u.Net.AddPath(src, dst, g)
 		u.Pairs = append(u.Pairs, Pair{Src: src, Dst: dst, HasLB: hasLB})
@@ -525,7 +513,7 @@ func (u *Universe) buildPathGraph(rng *nprand.Source, alloc *fakeroute.AddrAlloc
 	appendChain := func(n int) {
 		for i := 0; i < n; i++ {
 			var v topo.VertexID
-			if rng.Float64() < u.Cfg.StarHopProb {
+			if rng.Float64() < u.Cfg.starHopProb {
 				v = g.AddVertex(hop, topo.StarAddr)
 			} else {
 				v = g.AddVertex(hop, u.chainAddr(rng, alloc, srcIdx, hop))
@@ -545,8 +533,12 @@ func (u *Universe) buildPathGraph(rng *nprand.Source, alloc *fakeroute.AddrAlloc
 	// as the paper's measured aggregate was.
 	appendChain(1 + rng.Intn(2))
 	if hasLB {
+		// The continuation probability is a float64 division at run
+		// time: the constant expression, evaluated exactly, rounds the
+		// other way in its last bit.
+		mean := meanDiamondsPerLBPath
 		count := 1
-		for rng.Float64() < (u.Cfg.MeanDiamondsPerLBPath-1)/u.Cfg.MeanDiamondsPerLBPath && count < 4 {
+		for rng.Float64() < (mean-1)/mean && count < 4 {
 			count++
 		}
 		used := map[int]bool{}

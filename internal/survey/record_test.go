@@ -107,7 +107,7 @@ func contentDigest(t *testing.T, jsonl []byte) string {
 // are both exercised.
 func TestIPRecordContentPinned(t *testing.T) {
 	t.Parallel()
-	gen := GenConfig{Seed: 4, Pairs: 40, StarHopProb: 0.05}
+	gen := GenConfig{Seed: 4, Pairs: 40, starHopProb: 0.05}
 	var first bytes.Buffer
 	as := NewAtlasSink(atlas.Options{})
 	if _, err := Run(Generate(gen), RunConfig{

@@ -79,12 +79,10 @@ type RunConfig struct {
 	Trace mda.Config
 	// Phi is the MDA-Lite meshing budget.
 	Phi int
-	// MaxPairs truncates the pair list (0 = all).
-	MaxPairs int
 	// OnlyLB restricts to pairs whose ground truth has a load balancer.
 	OnlyLB bool
-	// Multilevel rounds/probes (multilevel runs only).
-	Rounds, ProbesPerRound int
+	// Rounds is the alias-resolution round count (multilevel runs only).
+	Rounds int
 	// Retries per probe (0 = prober default).
 	Retries int
 	// Prior seeds MDA-Lite traces from an atlas-derived index: each pair
@@ -134,6 +132,8 @@ type RunConfig struct {
 	// Progress, when non-nil, is updated as pairs complete; purely
 	// observational.
 	Progress *progress.Survey
+	// probesPerRound overrides core's alias probes per round: a test seam.
+	probesPerRound int
 }
 
 // DefaultCheckpointEvery is the record interval between checkpoints when
@@ -163,9 +163,6 @@ func selectJobs(u *Universe, cfg RunConfig) []job {
 	for i, pair := range u.Pairs {
 		if cfg.OnlyLB && !pair.HasLB {
 			continue
-		}
-		if cfg.MaxPairs > 0 && len(jobs) >= cfg.MaxPairs {
-			break
 		}
 		jobs = append(jobs, job{idx: i, pair: pair})
 	}
@@ -209,10 +206,9 @@ func Fingerprint(u *Universe, cfg RunConfig) uint64 {
 // the checkpoint machinery (the hash's consumer) refuses spans anyway.
 func optionsHash(u *Universe, cfg RunConfig) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "gen=%+v|algo=%d|seed=%d|maxttl=%d|stars=%d|stop=%v|reuse=%t|phi=%d|maxpairs=%d|onlylb=%t|rounds=%d|ppr=%d|retries=%d|record=%s",
-		u.Cfg, cfg.Algo, cfg.Trace.Seed, cfg.Trace.MaxTTL,
-		cfg.Trace.MaxConsecutiveStars, cfg.Trace.Stop, cfg.Trace.DisableFlowReuse,
-		cfg.Phi, cfg.MaxPairs, cfg.OnlyLB, cfg.Rounds, cfg.ProbesPerRound, cfg.Retries, recordSchema)
+	fmt.Fprintf(h, "gen=%+v|algo=%d|seed=%d|maxttl=%d|stop=%v|phi=%d|onlylb=%t|rounds=%d|ppr=%d|retries=%d|record=%s",
+		u.Cfg, cfg.Algo, cfg.Trace.Seed, cfg.Trace.MaxTTL, cfg.Trace.Stop,
+		cfg.Phi, cfg.OnlyLB, cfg.Rounds, cfg.probesPerRound, cfg.Retries, recordSchema)
 	if cfg.Prior != nil {
 		fmt.Fprintf(h, "|prior=%d", cfg.Prior.Fingerprint())
 	}
@@ -404,7 +400,7 @@ func traceOne(u *Universe, idx int, pair Pair, cfg RunConfig) TraceOutcome {
 	case AlgoMultilevel:
 		ml = core.Trace(p, core.Options{
 			Trace: tc, Phi: cfg.Phi,
-			Rounds: cfg.Rounds, ProbesPerRound: cfg.ProbesPerRound,
+			Rounds: cfg.Rounds, ProbesPerRound: cfg.probesPerRound,
 		})
 		r = ml.IP
 	}

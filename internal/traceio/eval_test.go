@@ -2,6 +2,8 @@ package traceio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,4 +54,47 @@ func TestDecodeEvalRecordsRejectsGarbage(t *testing.T) {
 	if _, err := ReadEvalRecords(strings.NewReader("{\"scenario\":\"x\"}\nnot json\n")); err == nil {
 		t.Fatal("garbage line decoded without error")
 	}
+}
+
+// encodeEvalRecords renders records the way cmd/eval -out writes them.
+func encodeEvalRecords(t *testing.T, recs []*EvalRecord) []byte {
+	var b bytes.Buffer
+	for _, r := range recs {
+		if err := r.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// FuzzEvalRecords holds the eval record decoder, which cmd/eval -golden
+// runs over a file, to its failure behaviour: DecodeEvalRecords never
+// panics, and any stream it accepts re-encodes to a byte fixed point
+// (encode ∘ decode ∘ encode = encode). Seeded with the first two lines
+// of the committed golden. CI's fuzz-smoke job runs it for a short
+// budget; locally:
+//
+//	go test -run='^$' -fuzz='^FuzzEvalRecords$' -fuzztime=30s ./internal/traceio
+func FuzzEvalRecords(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "eval_golden.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfterN(golden, []byte("\n"), 3)
+	f.Add(bytes.Join(lines[:2], nil))
+	f.Add([]byte(`{"scenario":"x","mda":{"probes":-1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadEvalRecords(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		once := encodeEvalRecords(t, recs)
+		again, err := ReadEvalRecords(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("re-decoding an accepted stream: %v\n%s", err, once)
+		}
+		if twice := encodeEvalRecords(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\nthen\n%s", once, twice)
+		}
+	})
 }

@@ -19,12 +19,12 @@ func TestRecordCodecAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traces 200 pairs")
 	}
-	u, rc, err := experiments.PlanSurvey("ip", experiments.SurveyConfig{Pairs: 200, Seed: 1, Workers: 2})
+	u, rc, err := experiments.PlanSurvey("ip", experiments.SurveyConfig{Pairs: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := &survey.MemorySink{}
-	rc.Sinks = []survey.Sink{mem}
+	rc.Workers, rc.Sinks = 2, []survey.Sink{mem}
 	if _, err := survey.Run(u, rc); err != nil {
 		t.Fatal(err)
 	}

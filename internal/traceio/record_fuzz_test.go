@@ -18,7 +18,7 @@ func realRecord(f *testing.F, algo survey.Algo) []byte {
 	f.Helper()
 	mem := &survey.MemorySink{}
 	_, err := survey.Run(survey.Generate(survey.GenConfig{Seed: 7, Pairs: 30}), survey.RunConfig{
-		Algo: algo, OnlyLB: true, MaxPairs: 3, Retries: 1, Rounds: 2, ProbesPerRound: 10,
+		Algo: algo, OnlyLB: true, SpanCount: 3, Retries: 1, Rounds: 2,
 		Trace: mda.Config{Seed: 7}, Sinks: []survey.Sink{mem},
 	})
 	if err != nil {

@@ -3,9 +3,9 @@
 // comment, because the layering of this codebase is documented in godoc,
 // not in a separate architecture file that would drift; every exported
 // name under internal/ must have a non-test user; every internal import
-// must point down DESIGN.md's rank table; and every command-line flag
-// must be set by a test of its command. Run via `go test .` — CI's lint
-// job includes it.
+// must point down DESIGN.md's rank table; every command-line flag must
+// be set by a test of its command; and every option field must be set by
+// some non-test code. Run via `go test .` — CI's lint job includes it.
 package mmlpt
 
 import (
@@ -162,10 +162,19 @@ type surfaceDecl struct {
 
 type surfaceIndex struct {
 	fset         *token.FileSet
+	files        []surfaceFile
 	decls        []surfaceDecl
 	refs         map[surfaceKey][]token.Pos
 	ifaceMethods map[string]bool
 	fields       map[string]bool // struct field names
+}
+
+// surfaceFile is one parsed non-test file: its package's import path and
+// the import paths of the module packages it imports, by local name.
+type surfaceFile struct {
+	pkg     string
+	f       *ast.File
+	imports map[string]string
 }
 
 // callPkg keys the method references that are call selectors.
@@ -181,11 +190,6 @@ func indexSurface(root, module string) (*surfaceIndex, error) {
 		ifaceMethods: map[string]bool{},
 		fields:       map[string]bool{},
 	}
-	type srcFile struct {
-		pkg string
-		f   *ast.File
-	}
-	var files []srcFile
 	pkgName := map[string]string{} // import path -> package name
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -213,27 +217,28 @@ func indexSurface(root, module string) (*surfaceIndex, error) {
 			pkg += "/" + filepath.ToSlash(rel)
 		}
 		pkgName[pkg] = f.Name.Name
-		files = append(files, srcFile{pkg, f})
+		ix.files = append(ix.files, surfaceFile{pkg: pkg, f: f})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, sf := range files {
+	for i := range ix.files {
+		sf := &ix.files[i]
 		if strings.HasPrefix(sf.pkg, module+"/internal/") {
 			ix.addDecls(sf.f, sf.pkg)
 		}
-		imports := map[string]string{}
+		sf.imports = map[string]string{}
 		for _, imp := range sf.f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			if name, ok := pkgName[p]; ok {
 				if imp.Name != nil {
 					name = imp.Name.Name
 				}
-				imports[name] = p
+				sf.imports[name] = p
 			}
 		}
-		ix.addRefs(sf.f, sf.pkg, imports)
+		ix.addRefs(sf.f, sf.pkg, sf.imports)
 	}
 	return ix, nil
 }
@@ -539,6 +544,126 @@ func TestEveryFlagIsTested(t *testing.T) {
 			if !literals["-"+name] {
 				t.Errorf("cmd/%s declares -%s, but no test of cmd/%s sets it: test it or delete it", bin.Name(), name, bin.Name())
 			}
+		}
+	}
+}
+
+// optionAllowlist names the option fields TestEveryOptionIsSet finds no
+// writer for that stay anyway, each with the reason.
+var optionAllowlist = map[string]string{
+	"mmlpt.Options.MaxTTL":         "public library API",
+	"mmlpt.Options.Rounds":         "public library API",
+	"mmlpt.Options.ProbesPerRound": "public library API",
+}
+
+// optionField names one field of an option struct by its package's
+// import path, its type and its own name.
+type optionField struct{ pkg, typ, name string }
+
+// TestEveryOptionIsSet: every exported field of an exported struct type
+// named *Config or *Options, declared in a non-test file outside bench/,
+// has a writer in a non-test file of the module, bench/ included: a key
+// F: in a composite literal of that type, or a selector write x.F = …,
+// &x.F or x.F++ in a file that imports the declaring package. Writes
+// inside the declaring package do not count, since that is where
+// defaults are filled. A field nobody sets becomes a constant or an
+// unexported test seam, or sits in optionAllowlist with its reason.
+// Without types, a selector write matches by field name: it counts for
+// every field of that name in every package its file imports. So a dead
+// field escapes when it shares its name with a live field written by an
+// importer of its package: an experiments.SurveyConfig.Workers would,
+// behind cmd/survey's writes of survey.RunConfig.Workers. *Spec types
+// are data and wire types, out of scope.
+func TestEveryOptionIsSet(t *testing.T) {
+	t.Parallel()
+	ix, err := indexSurface(".", "mmlpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []optionField
+	where := map[optionField]token.Pos{}
+	literal := map[optionField]bool{}
+	writerImports := map[string]map[string]bool{} // field name -> packages its writers import
+	selectorWrite := func(x ast.Expr, sf surfaceFile) {
+		if sel, ok := x.(*ast.SelectorExpr); ok {
+			if writerImports[sel.Sel.Name] == nil {
+				writerImports[sel.Sel.Name] = map[string]bool{}
+			}
+			for _, p := range sf.imports {
+				writerImports[sel.Sel.Name][p] = true
+			}
+		}
+	}
+	for _, sf := range ix.files {
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				name := n.Name.Name
+				if !ok || !n.Name.IsExported() || sf.pkg == "mmlpt/bench" ||
+					!strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							f := optionField{sf.pkg, name, id.Name}
+							fields = append(fields, f)
+							where[f] = id.Pos()
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				var pkg, typ string
+				switch lt := n.Type.(type) {
+				case *ast.Ident:
+					pkg, typ = sf.pkg, lt.Name
+				case *ast.SelectorExpr:
+					if x, ok := lt.X.(*ast.Ident); ok {
+						pkg, typ = sf.imports[x.Name], lt.Sel.Name
+					}
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok && typ != "" {
+							literal[optionField{pkg, typ, key.Name}] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					selectorWrite(l, sf)
+				}
+			case *ast.IncDecStmt:
+				selectorWrite(n.X, sf)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					selectorWrite(n.X, sf)
+				}
+			}
+			return true
+		})
+	}
+	if len(fields) == 0 {
+		t.Fatal("no option struct found; the guard would be vacuous")
+	}
+	declared := map[string]bool{}
+	for _, f := range fields {
+		display := f.pkg[strings.LastIndexByte(f.pkg, '/')+1:] + "." + f.typ + "." + f.name
+		declared[display] = true
+		set := literal[f] || writerImports[f.name][f.pkg]
+		_, allowed := optionAllowlist[display]
+		switch {
+		case set && allowed:
+			t.Errorf("%s has a writer now; drop it from optionAllowlist", display)
+		case !set && !allowed:
+			t.Errorf("%s (%s) is an option no non-test code sets: make it a constant or an unexported test seam, or allowlist it with a reason",
+				display, ix.fset.Position(where[f]))
+		}
+	}
+	for name := range optionAllowlist {
+		if !declared[name] {
+			t.Errorf("optionAllowlist names %s, which is not an option field", name)
 		}
 	}
 }
