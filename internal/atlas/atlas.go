@@ -13,13 +13,13 @@
 // demoted to per-source provenance annotations ((pair, hop)
 // observations).
 //
-// Ingestion fills one address-keyed node map behind one lock. There is
-// one way out — WriteTo/Save stream the snapshot file (traceio's atlas
-// format) in canonical (ascending address) order, which is what makes
-// the bytes independent of worker count and ingestion order — and one
-// merge of files, Compact; both build the same plan (plan.go) and feed
-// the same stream encoder. Queries over a written snapshot go through
-// internal/atlas/serve.
+// Ingestion fills one dense node table, indexed by address, behind one
+// lock. There is one way out — WriteTo/Save stream the snapshot file
+// (traceio's atlas format) in canonical (ascending address) order,
+// which is what makes the bytes independent of worker count and
+// ingestion order — and one merge of files, Compact; both build the
+// same plan (plan.go) and feed the same stream encoder. Queries over a
+// written snapshot go through internal/atlas/serve.
 package atlas
 
 import (
@@ -54,18 +54,21 @@ type Options struct {
 // Atlas is the cross-trace store. All methods are safe for concurrent
 // use.
 //
-// Locking discipline: snapMu, the snapshot gate, guards the node map.
-// Ingestion takes it once per graph. WriteTo takes it for the whole
-// streaming encode: with every writer excluded, its plan and its blocks
-// observe the same state (the byte-determinism contract needs the
-// header totals to match the blocks exactly), and its partition workers
-// can read and lazily sort disjoint nodes with no per-node locking at
-// all. mu guards the small sections: routers, census and pairs.
+// Locking discipline: snapMu, the snapshot gate, guards the node table.
+// Ingestion takes it once per graph or record. WriteTo takes it for the
+// whole streaming encode: with every writer excluded, its plan and its
+// blocks observe the same state (the byte-determinism contract needs
+// the header totals to match the blocks exactly), and its partition
+// workers can read and lazily sort disjoint nodes with no per-node
+// locking at all. mu guards the small sections: routers, census and
+// pairs.
 type Atlas struct {
 	mergeWorkers int
 
 	snapMu sync.Mutex
-	nodes  map[packet.Addr]*nodeState
+	index  map[packet.Addr]int32 // address -> position in nodes
+	nodes  []nodeState
+	flat   []packet.Addr // AddRecord's hop-major vertex addresses, reused
 
 	mu     sync.Mutex
 	union  *alias.Union
@@ -73,13 +76,27 @@ type Atlas struct {
 	pairs  map[int]pairInfo
 }
 
+// nodeState is one row of the dense node table.
 type nodeState struct {
-	seen []Obs
-	succ map[packet.Addr]struct{}
+	addr packet.Addr
 	// dirty marks seen as unsorted/undeduped since the last canonical
 	// pass, so a repeated WriteTo does not re-sort an already canonical
-	// slice.
+	// slice. (Next to addr, it packs a row into 56 bytes.)
 	dirty bool
+	seen  []Obs
+	succ  []packet.Addr // distinct successors, ascending
+}
+
+// addSucc adds w to the node's successors unless it is already there,
+// keeping them sorted: a binary search, not a scan, because a trunk
+// node's out-degree grows with the survey (1 734 at 100 000 ip pairs).
+func (n *nodeState) addSucc(w packet.Addr) {
+	if w == topo.StarAddr {
+		return
+	}
+	if i, found := slices.BinarySearch(n.succ, w); !found {
+		n.succ = slices.Insert(n.succ, i, w)
+	}
 }
 
 type censusKey struct{ div, conv string }
@@ -97,11 +114,28 @@ type pairInfo struct{ src, dst string }
 func New(opt Options) *Atlas {
 	return &Atlas{
 		mergeWorkers: opt.MergeWorkers,
-		nodes:        make(map[packet.Addr]*nodeState),
+		index:        make(map[packet.Addr]int32),
 		union:        alias.NewUnion(),
 		census:       make(map[censusKey]*censusEntry),
 		pairs:        make(map[int]pairInfo),
 	}
+}
+
+// observe is the per-vertex ingest step both AddGraph and AddRecord
+// run, with snapMu held: it records that pair saw addr at hop and
+// returns addr's node, added on first sight, for the caller to give the
+// vertex's successors. The pointer is good until the next observe.
+func (a *Atlas) observe(pair, hop int, addr packet.Addr) *nodeState {
+	i, ok := a.index[addr]
+	if !ok {
+		i = int32(len(a.nodes))
+		a.index[addr] = i
+		a.nodes = append(a.nodes, nodeState{addr: addr})
+	}
+	n := &a.nodes[i]
+	n.seen = append(n.seen, Obs{Pair: pair, Hop: hop})
+	n.dirty = true
+	return n
 }
 
 // AddGraph merges one pair's IP-level trace graph: every responsive
@@ -118,22 +152,9 @@ func (a *Atlas) AddGraph(pair int, g *topo.Graph) {
 		if v.Addr == topo.StarAddr {
 			continue
 		}
-		n, ok := a.nodes[v.Addr]
-		if !ok {
-			n = &nodeState{}
-			a.nodes[v.Addr] = n
-		}
-		n.seen = append(n.seen, Obs{Pair: pair, Hop: v.Hop})
-		n.dirty = true
+		n := a.observe(pair, v.Hop, v.Addr)
 		for _, w := range g.Succ(topo.VertexID(i)) {
-			wa := g.V(w).Addr
-			if wa == topo.StarAddr {
-				continue
-			}
-			if n.succ == nil {
-				n.succ = make(map[packet.Addr]struct{})
-			}
-			n.succ[wa] = struct{}{}
+			n.addSucc(g.V(w).Addr)
 		}
 	}
 }
@@ -188,13 +209,33 @@ func (a *Atlas) AddPair(pair int, src, dst string) {
 
 // AddRecord merges one streamed survey record: the trace topology, the
 // per-trace routers (alias sets) and the diamond encounters. This is
-// what survey.AtlasSink feeds, live or replayed.
+// what survey.AtlasSink feeds, live or replayed. The topology goes in
+// as the record holds it, hop-major vertices with successor indices,
+// exactly as AddGraph(rec.PairIndex, rec.Graph()) would merge it. A
+// record that fails its structural check is an error and changes
+// nothing.
 func (a *Atlas) AddRecord(rec *traceio.SurveyRecord) error {
-	g, err := rec.Graph()
-	if err != nil {
+	if err := rec.Check(); err != nil {
 		return fmt.Errorf("atlas: pair %d: %w", rec.PairIndex, err)
 	}
-	a.AddGraph(rec.PairIndex, g)
+	a.snapMu.Lock()
+	a.flat = a.flat[:0]
+	for _, hop := range rec.Hops {
+		a.flat = append(a.flat, hop...)
+	}
+	k := 0
+	for h, hop := range rec.Hops {
+		for _, addr := range hop {
+			if addr != topo.StarAddr {
+				n := a.observe(rec.PairIndex, h, addr)
+				for _, j := range rec.Succ[k] {
+					n.addSucc(a.flat[j])
+				}
+			}
+			k++
+		}
+	}
+	a.snapMu.Unlock()
 	for _, r := range rec.Routers {
 		a.AddAliasSet(r)
 	}

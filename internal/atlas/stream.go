@@ -11,6 +11,7 @@
 package atlas
 
 import (
+	"cmp"
 	"io"
 	"slices"
 
@@ -28,7 +29,7 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 	a.snapMu.Lock()
 	defer a.snapMu.Unlock()
 
-	addrs, m := a.writePlan()
+	order, m := a.writePlan()
 	cw := &countingWriter{w: w}
 	enc, err := traceio.NewAtlasStreamEncoder(cw, m.spec())
 	if err != nil {
@@ -41,7 +42,7 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 		edges int
 	}
 	err = par.OrderedErr(m.parts(), a.mergeWorkers, func(p int) (block, error) {
-		blk := a.buildBlock(m, addrs, p)
+		blk := a.buildBlock(m, order, p)
 		raw, edges, err := traceio.AppendAtlasShardBlock(nil, blk)
 		return block{raw: raw, hdr: blk.Header, edges: edges}, err
 	}, func(p int, b block) error {
@@ -56,51 +57,47 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// writePlan collects the full canonical address order and the plan
-// under the snapshot gate (held by the caller). Every successor is a
-// node (AddGraph), so the edge total is the sum of the successor sets.
-func (a *Atlas) writePlan() ([]packet.Addr, *plan) {
-	addrs := make([]packet.Addr, 0, len(a.nodes))
+// writePlan sorts the node table's indices by address once, giving the
+// canonical node order, and builds the plan, under the snapshot gate
+// (held by the caller). Both ways in, AddGraph and AddRecord, give
+// successors only to responsive vertices that observe has made nodes,
+// so the edge total is the sum of the successor sets.
+func (a *Atlas) writePlan() ([]int32, *plan) {
+	order := make([]int32, len(a.nodes))
 	edges := 0
-	for addr, st := range a.nodes {
-		addrs = append(addrs, addr)
-		edges += len(st.succ)
+	for i := range a.nodes {
+		order[i] = int32(i)
+		edges += len(a.nodes[i].succ)
 	}
-	slices.Sort(addrs)
-
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(a.nodes[x].addr, a.nodes[y].addr) })
 	var mins []packet.Addr
-	for lo := 0; lo < len(addrs); lo += traceio.DefaultAtlasShardNodes {
-		mins = append(mins, addrs[lo])
+	for lo := 0; lo < len(order); lo += traceio.DefaultAtlasShardNodes {
+		mins = append(mins, a.nodes[order[lo]].addr)
 	}
-	return addrs, newPlan(a, len(addrs), edges, mins)
+	return order, newPlan(a, len(order), edges, mins)
 }
 
-// buildBlock merges one partition: for each address in the fence range,
+// buildBlock merges one partition: for each node in the fence range,
 // canonicalize provenance in place (the partitions are disjoint, so
-// workers never touch the same node) and sort the successor set. Called
-// with the snapshot gate held.
-func (a *Atlas) buildBlock(m *plan, addrs []packet.Addr, p int) *traceio.AtlasShard {
+// workers never touch the same node). Called with the snapshot gate
+// held.
+func (a *Atlas) buildBlock(m *plan, order []int32, p int) *traceio.AtlasShard {
 	blk := m.startBlock(p)
-	lo, hi := traceio.AtlasBlockOf(p, len(addrs))
-	for _, addr := range addrs[lo:hi] {
-		st := a.nodes[addr]
+	lo, hi := traceio.AtlasBlockOf(p, len(order))
+	for _, i := range order[lo:hi] {
+		st := &a.nodes[i]
 		if st.dirty {
 			st.seen = sortedObs(st.seen)
 			st.dirty = false
 		}
-		n := traceio.AtlasNodeV2{Addr: addr, Router: m.routerOf[addr]}
+		// succ is kept sorted, and the block is encoded before the gate
+		// opens, so the encoder reads it in place.
+		n := traceio.AtlasNodeV2{Addr: st.addr, Router: m.routerOf[st.addr], Succ: st.succ}
 		if len(st.seen) > 0 {
 			n.Seen = make([][2]int, len(st.seen))
-			for i, o := range st.seen {
-				n.Seen[i] = [2]int{o.Pair, o.Hop}
+			for j, o := range st.seen {
+				n.Seen[j] = [2]int{o.Pair, o.Hop}
 			}
-		}
-		if len(st.succ) > 0 {
-			n.Succ = make([]packet.Addr, 0, len(st.succ))
-			for wa := range st.succ {
-				n.Succ = append(n.Succ, wa)
-			}
-			slices.Sort(n.Succ)
 		}
 		blk.Nodes = append(blk.Nodes, n)
 	}

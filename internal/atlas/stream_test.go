@@ -145,10 +145,10 @@ func TestEverySuccessorIsANode(t *testing.T) {
 			t.Fatalf("seed %d: no edge touches a star hop", seed)
 		}
 		edges := 0
-		for addr, st := range a.nodes {
-			for wa := range st.succ {
-				if _, ok := a.nodes[wa]; !ok {
-					t.Fatalf("seed %d: %v has successor %v, which is not a node", seed, addr, wa)
+		for _, st := range a.nodes {
+			for _, wa := range st.succ {
+				if _, ok := a.index[wa]; !ok {
+					t.Fatalf("seed %d: %v has successor %v, which is not a node", seed, st.addr, wa)
 				}
 			}
 			edges += len(st.succ)
@@ -296,7 +296,7 @@ func TestProvenanceLazyCanonicalization(t *testing.T) {
 	a.AddGraph(1, chain(0xa000001, 0xa000002))
 	a.AddGraph(1, chain(0xa000001, 0xa000002)) // duplicate: must dedup
 	addr := packet.Addr(0xa000001)
-	st := a.nodes[addr]
+	st := &a.nodes[a.index[addr]]
 	if !st.dirty {
 		t.Fatal("fresh observations did not mark the node dirty")
 	}

@@ -307,47 +307,69 @@ func cappedPrealloc(n int) int {
 	return n
 }
 
-// decodePairs reads n pair lines.
+// decodePairs reads the n pair lines of the section ls scans, indices
+// strictly ascending (validatePair): a repeated index would give one
+// pair two identities, and a reader that folds them keeps the last.
 func decodePairs(ls *lineScanner, n int) ([]AtlasPair, error) {
+	d := newLineDecoder(string(ls.buf), 0)
 	out := make([]AtlasPair, 0, cappedPrealloc(n))
+	prev := -1
 	for i := 0; i < n; i++ {
 		b, err := ls.next()
 		if err != nil {
 			return nil, err
 		}
 		var p AtlasPair
-		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, fmt.Errorf("traceio: atlas line %d: bad pair: %v", ls.line, err)
+		if !d.pair(d.line(ls, b), &p) {
+			if err := json.Unmarshal(b, &p); err != nil {
+				return nil, fmt.Errorf("traceio: atlas line %d: bad pair: %v", ls.line, err)
+			}
 		}
-		if p.Pair < 0 {
-			return nil, fmt.Errorf("traceio: atlas line %d: negative pair index", ls.line)
+		if err := validatePair(p.Pair, prev); err != nil {
+			return nil, fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
 		}
+		prev = p.Pair
 		out = append(out, p)
 	}
 	return out, nil
 }
 
-// decodeDiamonds reads n diamond lines.
+// validatePair is the pair-order rule both the reader and the stream
+// encoder enforce: an index above prev, the previous line's (-1 before
+// the first, so no index is negative), as Atlas.sortedPairs writes
+// them. A delta snapshot holds only its own new pairs, so its first
+// index may be above 0.
+func validatePair(pair, prev int) error {
+	if pair <= prev {
+		return fmt.Errorf("pair %d out of canonical order", pair)
+	}
+	return nil
+}
+
+// decodeDiamonds reads the n diamond lines of the section ls scans.
 func decodeDiamonds(ls *lineScanner, n int) ([]AtlasDiamond, error) {
+	d := newLineDecoder(string(ls.buf), n)
 	out := make([]AtlasDiamond, 0, cappedPrealloc(n))
 	for i := 0; i < n; i++ {
 		b, err := ls.next()
 		if err != nil {
 			return nil, err
 		}
-		var d AtlasDiamond
-		if err := json.Unmarshal(b, &d); err != nil {
-			return nil, fmt.Errorf("traceio: atlas line %d: bad diamond: %v", ls.line, err)
+		var dm AtlasDiamond
+		if !d.diamond(d.line(ls, b), &dm) {
+			if err := json.Unmarshal(b, &dm); err != nil {
+				return nil, fmt.Errorf("traceio: atlas line %d: bad diamond: %v", ls.line, err)
+			}
 		}
-		if d.Count < 0 {
+		if dm.Count < 0 {
 			return nil, fmt.Errorf("traceio: atlas line %d: negative diamond count", ls.line)
 		}
-		for _, p := range d.Pairs {
+		for _, p := range dm.Pairs {
 			if p < 0 {
 				return nil, fmt.Errorf("traceio: atlas line %d: negative diamond pair", ls.line)
 			}
 		}
-		out = append(out, d)
+		out = append(out, dm)
 	}
 	return out, nil
 }

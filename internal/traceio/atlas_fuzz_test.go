@@ -74,8 +74,8 @@ func TestAtlasDecodeNeverPanicsOnBitFlips(t *testing.T) {
 // bytes — accepted hostile inputs may not produce blocks the encoder
 // chokes on, and the encoder's output is a fixed point. Seeded with
 // valid snapshots, a truncation at every section boundary, hostile
-// headers (a v1 header among them) and an index whose shard counts
-// disagree with the header, so the mutator starts near the format's
+// headers (a v1 header among them), a repeated pair index and an index
+// whose shard counts disagree with the header, so the mutator starts near the format's
 // structure. CI's fuzz-smoke job runs it for a short budget on every
 // PR; locally:
 //
@@ -94,6 +94,7 @@ func FuzzAtlasReader(f *testing.F) {
 			f.Add(wide[:off+1])
 		}
 	}
+	f.Add([]byte(repeatedPairs(f)))
 	f.Add([]byte(strings.Replace(string(wide), `"routers":2,"diamonds":1,"shards":3`, `"routers":2,"diamonds":1,"shards":2`, 1)))
 	f.Add([]byte(strings.Replace(string(wide), `"nodes":3,"routers":1,"min":"10.0.0.1"`, `"nodes":2,"routers":1,"min":"10.0.0.1"`, 2)))
 

@@ -8,14 +8,18 @@ import (
 	"mmlpt/internal/packet"
 )
 
-// Hand-written codecs for the two line kinds that make up nearly all of
-// a snapshot: node lines {"addr":…,"seen":[[p,h],…],"succ":[…],"router":…}
-// and router lines {"addrs":[…]}. The encoders write exactly the bytes
-// json.Marshal writes (plus the '\n'); the parsers accept exactly the
-// bytes the encoders write and report anything else as not canonical,
-// so the caller hands that line to encoding/json and the reflection
-// decoder stays the one authority on what a line means. FuzzAtlasLines
-// holds both halves to encoding/json.
+// Hand-written codecs for the snapshot's repeated line kinds. Node
+// lines {"addr":…,"seen":[[p,h],…],"succ":[…],"router":…} and router
+// lines {"addrs":[…]}, nearly all of a snapshot, are encoded and parsed
+// by hand; pair lines {"pair":i,"src":…,"dst":…} and diamond lines
+// {"div":…,"conv":…,"count":c,"pairs":[…],"max_width":w,"max_length":l},
+// which a reader decodes whole at open, are parsed by hand and written
+// by encoding/json. The encoders write exactly the bytes json.Marshal
+// writes (plus the '\n'); the parsers accept exactly json.Marshal's
+// bytes and report anything else as not canonical, so the caller hands
+// that line to encoding/json and the reflection decoder stays the one
+// authority on what a line means. FuzzAtlasLines holds both halves to
+// encoding/json.
 
 // plainJSON[c] reports whether json.Marshal writes byte c of a string
 // as itself: printable ASCII other than the quote, the backslash and
@@ -111,10 +115,9 @@ func appendRouterLine(buf []byte, rt *AtlasRouter) []byte {
 	return append(buf, "}\n"...)
 }
 
-// lineParser reads one line in exactly the form the encoders write: the
-// atlas node and router lines above and the record lines of
-// record_lines.go. The first deviation clears ok; once clear, every
-// method is a no-op.
+// lineParser reads one line in exactly the form json.Marshal writes:
+// the atlas lines above and the record lines of record_lines.go. The first
+// deviation clears ok; once clear, every method is a no-op.
 type lineParser struct {
 	s  string
 	i  int
@@ -291,33 +294,25 @@ func (p *lineParser) array(elem func()) {
 	p.char(']')
 }
 
-// pairs reads null or an array of [p,h] pairs into *dst and reports
-// whether it read null.
-func (p *lineParser) pairs(dst *[][2]int) (null bool) {
+// list reads null or an array into *dst, one elem call per element,
+// and reports whether it read null.
+func list[T any](p *lineParser, dst *[]T, elem func() T) (null bool) {
 	*dst = (*dst)[:0]
 	if p.skip("null") {
 		return true
 	}
-	p.array(func() {
-		p.char('[')
-		a := p.num()
-		p.char(',')
-		b := p.num()
-		p.char(']')
-		*dst = append(*dst, [2]int{a, b})
-	})
+	p.array(func() { *dst = append(*dst, elem()) })
 	return false
 }
 
-// addrs reads null or an array of addresses into *dst and reports
-// whether it read null.
-func (p *lineParser) addrs(dst *[]packet.Addr) (null bool) {
-	*dst = (*dst)[:0]
-	if p.skip("null") {
-		return true
-	}
-	p.array(func() { *dst = append(*dst, p.addr()) })
-	return false
+// obs reads one [p,h] provenance pair.
+func (p *lineParser) obs() [2]int {
+	p.char('[')
+	a := p.num()
+	p.char(',')
+	b := p.num()
+	p.char(']')
+	return [2]int{a, b}
 }
 
 // slab hands out sub-slices of shared backing arrays, so a block's
@@ -343,17 +338,19 @@ func (s *slab[T]) copy(v []T) []T {
 	return s.buf[i:len(s.buf):len(s.buf)]
 }
 
-// lineDecoder decodes the node and router lines of one shard block.
-// The lists it parses share memory: they come from its slabs.
+// lineDecoder decodes the lines of one section: a shard block, the
+// pairs or the diamonds. The lists it parses share memory: they come
+// from its slabs. The strings it parses are substrings of text.
 type lineDecoder struct {
-	text    string // the block, which the line scanner's offsets index
+	text    string // the section, which the line scanner's offsets index
 	seen    slab[[2]int]
 	addrs   slab[packet.Addr]
 	seenTmp [][2]int
 	addrTmp []packet.Addr
+	intTmp  []int
 }
 
-// newLineDecoder decodes a block of n nodes held in text, sizing the
+// newLineDecoder decodes a section of n lines held in text, sizing the
 // slabs' chunks for it.
 func newLineDecoder(text string, n int) *lineDecoder {
 	chunk := max(cappedPrealloc(n), 16)
@@ -367,9 +364,9 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 	p.lit(`{"addr":`)
 	n.Addr = p.addr()
 	p.lit(`,"seen":`)
-	seenNull := p.pairs(&d.seenTmp)
+	seenNull := list(&p, &d.seenTmp, p.obs)
 	p.lit(`,"succ":`)
-	succNull := p.addrs(&d.addrTmp)
+	succNull := list(&p, &d.addrTmp, p.addr)
 	if p.skip(`,"router":`) {
 		n.Router = p.addr()
 		p.require(n.Router != 0) // the encoder omits a zero router
@@ -393,13 +390,58 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 func (d *lineDecoder) router(s string, rt *AtlasRouter) bool {
 	p := lineParser{s: s, ok: true}
 	p.lit(`{"addrs":`)
-	null := p.addrs(&d.addrTmp)
+	null := list(&p, &d.addrTmp, p.addr)
 	p.char('}')
 	if !p.ok || p.i != len(s) {
 		return false
 	}
 	if !null {
 		rt.Addrs = d.addrs.copy(d.addrTmp)
+	}
+	return true
+}
+
+// pair parses a canonical pair line into *pr, which must be zero; it
+// reports false, leaving *pr zero, for any other line.
+func (d *lineDecoder) pair(s string, pr *AtlasPair) bool {
+	p := lineParser{s: s, ok: true}
+	p.lit(`{"pair":`)
+	n := p.num()
+	p.lit(`,"src":`)
+	src := p.str()
+	p.lit(`,"dst":`)
+	dst := p.str()
+	p.char('}')
+	if !p.ok || p.i != len(s) {
+		return false
+	}
+	*pr = AtlasPair{Pair: n, Src: src, Dst: dst}
+	return true
+}
+
+// diamond parses a canonical diamond line into *dm, which must be zero;
+// it reports false, leaving *dm zero, for any other line.
+func (d *lineDecoder) diamond(s string, dm *AtlasDiamond) bool {
+	p := lineParser{s: s, ok: true}
+	p.lit(`{"div":`)
+	div := p.str()
+	p.lit(`,"conv":`)
+	conv := p.str()
+	p.lit(`,"count":`)
+	count := p.num()
+	p.lit(`,"pairs":`)
+	null := list(&p, &d.intTmp, p.num)
+	p.lit(`,"max_width":`)
+	width := p.num()
+	p.lit(`,"max_length":`)
+	length := p.num()
+	p.char('}')
+	if !p.ok || p.i != len(s) {
+		return false
+	}
+	*dm = AtlasDiamond{Div: div, Conv: conv, Count: count, MaxWidth: width, MaxLength: length}
+	if !null {
+		dm.Pairs = append([]int{}, d.intTmp...) // "[]" is empty, not nil
 	}
 	return true
 }

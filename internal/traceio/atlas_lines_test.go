@@ -10,62 +10,68 @@ import (
 	"mmlpt/internal/packet"
 )
 
-// checkLineDecoders holds the hand parsers to encoding/json on one
-// line: whatever they accept, json.Unmarshal must decode to the same
-// value, nil and empty lists included.
-func checkLineDecoders(t *testing.T, line []byte) {
+// handDecoded runs one hand parser over line and, when it accepts,
+// requires json.Unmarshal to decode the line to the same value, nil
+// and empty lists included. It reports whether the parser accepted.
+func handDecoded[T any](t *testing.T, line []byte, parse func(string, *T) bool) bool {
 	t.Helper()
-	d := newLineDecoder("", 0)
-	var got AtlasNodeV2
-	if d.node(string(line), &got) {
-		var want AtlasNodeV2
-		if err := json.Unmarshal(line, &want); err != nil {
-			t.Fatalf("hand decoder accepted node line %q that encoding/json rejects: %v", line, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("node line %q: hand decoder %#v, encoding/json %#v", line, got, want)
-		}
+	var got T
+	if !parse(string(line), &got) {
+		return false
 	}
-	var gotRouter AtlasRouter
-	if d.router(string(line), &gotRouter) {
-		var want AtlasRouter
-		if err := json.Unmarshal(line, &want); err != nil {
-			t.Fatalf("hand decoder accepted router line %q that encoding/json rejects: %v", line, err)
-		}
-		if !reflect.DeepEqual(gotRouter, want) {
-			t.Fatalf("router line %q: hand decoder %#v, encoding/json %#v", line, gotRouter, want)
-		}
+	var want T
+	if err := json.Unmarshal(line, &want); err != nil {
+		t.Fatalf("hand decoder accepted %T line %q that encoding/json rejects: %v", got, line, err)
 	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T line %q: hand decoder %#v, encoding/json %#v", got, line, got, want)
+	}
+	return true
 }
 
-// checkLineEncoder holds a hand encoder to json.Marshal plus '\n', runs
-// its output through the decoder check, and requires the hand decoder
-// to take its own encoder's line rather than fall back.
-func checkLineEncoder(t *testing.T, v any, got []byte) {
+// checkLineDecoders holds the hand parsers of all four line kinds to
+// encoding/json on one line and reports whether any of them took it.
+func checkLineDecoders(t *testing.T, line []byte) bool {
 	t.Helper()
-	want, err := json.Marshal(v)
+	d := newLineDecoder("", 0)
+	node := handDecoded(t, line, d.node)
+	router := handDecoded(t, line, d.router)
+	pair := handDecoded(t, line, d.pair)
+	diamond := handDecoded(t, line, d.diamond)
+	return node || router || pair || diamond
+}
+
+// checkLineTaken runs json.Marshal's line for v through the decoder
+// check, requires a hand decoder to take it rather than fall back, and
+// returns it.
+func checkLineTaken(t *testing.T, v any) []byte {
+	t.Helper()
+	line, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want = append(want, '\n'); !bytes.Equal(got, want) {
-		t.Fatalf("%#v: hand encoder %q, json.Marshal %q", v, got, want)
+	if !checkLineDecoders(t, line) {
+		t.Fatalf("%#v: hand decoders refused json.Marshal's line %q", v, line)
 	}
-	line := got[:len(got)-1]
-	checkLineDecoders(t, line)
-	d := newLineDecoder("", 0)
-	nodeOK := d.node(string(line), new(AtlasNodeV2))
-	routerOK := d.router(string(line), new(AtlasRouter))
-	if !nodeOK && !routerOK {
-		t.Fatalf("hand decoder refused its own encoder's line %q", line)
+	return line
+}
+
+// checkLineEncoder holds a hand encoder to json.Marshal plus '\n', the
+// line checkLineTaken checked.
+func checkLineEncoder(t *testing.T, v any, got []byte) {
+	t.Helper()
+	if want := checkLineTaken(t, v); !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("%#v: hand encoder %q, json.Marshal %q", v, got, want)
 	}
 }
 
-// FuzzAtlasLines is the oracle for the hand-written node and router
-// line codecs. For arbitrary line bytes, whatever the hand parsers
-// accept decodes to exactly what encoding/json gives, addresses through
-// packet.Addr's UnmarshalText. For arbitrary addresses (as uint32s) and
-// integers, the hand encoders write exactly json.Marshal's bytes, and
-// the hand parsers take those bytes back. CI's fuzz-smoke job runs it
+// FuzzAtlasLines is the oracle for the hand-written line codecs. For
+// arbitrary line bytes, whatever the node, router, pair and diamond
+// parsers accept decodes to exactly what encoding/json gives,
+// addresses through packet.Addr's UnmarshalText. For arbitrary
+// addresses (as uint32s) and integers, the node and router encoders
+// write exactly json.Marshal's bytes, and the hand parsers take
+// json.Marshal's line of every kind back. CI's fuzz-smoke job runs it
 // for a short budget; locally:
 //
 //	go test -run='^$' -fuzz=FuzzAtlasLines -fuzztime=30s ./internal/traceio
@@ -97,6 +103,18 @@ func FuzzAtlasLines(f *testing.F) {
 		`{"addrs":[]}`,
 		`{"addrs":["10.0.0.1",]}`,
 		"{\"addrs\":[\"\xff\"]}",
+		`{"pair":0,"src":"","dst":""}`,
+		`{"pair":-0,"src":"a","dst":"b"}`,
+		`{"pair":1,"src":"a\"b","dst":"c"}`,
+		`{"pair":1,"src":"a<b","dst":"\u003c"}`,
+		`{"pair":1,"dst":"b","src":"a"}`,
+		`{"pair":1,"src":"a","dst":"b","dst":"c"}`,
+		`{"pair":1e0,"src":"a","dst":"b"}`,
+		`{"div":"a","conv":"b","count":1,"pairs":null,"max_width":0,"max_length":0}`,
+		`{"div":"a","conv":"b","count":1,"pairs":[],"max_width":0,"max_length":0}`,
+		`{"div":"a","conv":"b","count":1,"pairs":[1,-2,03],"max_width":0,"max_length":0}`,
+		`{"div":"a","conv":"b","count":-1,"pairs":[9223372036854775808],"max_width":1,"max_length":2}`,
+		`{"div":"a","conv":"b","count":1,"pairs":[1],"max_width":2}`,
 	} {
 		f.Add([]byte(line), uint32(0), uint32(math.MaxUint32), -1, math.MinInt)
 	}
@@ -114,6 +132,16 @@ func FuzzAtlasLines(f *testing.F) {
 		}
 		for _, rt := range []AtlasRouter{{Addrs: []packet.Addr{a, b}}, {Addrs: []packet.Addr{}}, {}} {
 			checkLineEncoder(t, &rt, appendRouterLine(nil, &rt))
+		}
+		for _, pr := range []AtlasPair{{Pair: p, Src: a.String(), Dst: b.String()}, {Pair: h}} {
+			checkLineTaken(t, &pr)
+		}
+		for _, dm := range []AtlasDiamond{
+			{Div: a.String(), Conv: b.String(), Count: p, Pairs: []int{p, h}, MaxWidth: h, MaxLength: p},
+			{Div: a.String(), Pairs: []int{}},
+			{},
+		} {
+			checkLineTaken(t, &dm)
 		}
 	})
 }

@@ -287,10 +287,11 @@ func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
 // census is what Atlas.Census writes: entries strictly ascending by
 // (div, conv), each entry's pairs strictly ascending, and at least one
 // pair and no more pairs than encounters. (Every address was written
-// as its canonical text: the decoder refuses any other. That addresses
-// ascend across shard boundaries needs no check of its own: open
-// orders the index's fences and ReadShard keeps every node inside
-// them.) A file that verifies re-streams through
+// as its canonical text: the decoder refuses any other. Pair indices
+// ascend strictly, as Atlas writes them: open refuses the file
+// otherwise. That addresses ascend across shard boundaries needs no
+// check of its own: open orders the index's fences and ReadShard keeps
+// every node inside them.) A file that verifies re-streams through
 // AtlasStreamEncoder without error. Each failure names its check.
 // Memory is one decoded shard plus 4 bytes per node, 8 per edge and 8
 // per router member or router-naming node.

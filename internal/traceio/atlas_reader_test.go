@@ -148,6 +148,8 @@ func TestAtlasDecodeRejectsNonCanonicalNodes(t *testing.T) {
 		{"routers out of order", corrupt(t, wideFixture().encode(t, 0),
 			`{"addrs":["10.0.0.2","10.0.0.3"]}`+"\n"+`{"addrs":["10.0.0.7","10.0.0.9"]}`,
 			`{"addrs":["10.0.0.7","10.0.0.9"]}`+"\n"+`{"addrs":["10.0.0.2","10.0.0.3"]}`), "line 12: router 10.0.0.2 out of canonical order"},
+		{"pairs repeated", repeatedPairs(t), "line 2: pair 5 out of canonical order"},
+		{"pairs descending", corrupt(t, raw, `{"pair":0,`, `{"pair":7,`), "line 2: pair 1 out of canonical order"},
 		{"unparseable node", corrupt(t, raw, `{"addr":"10.0.0.1"`, `{"addr":"not-an-ip"`), "line 2: bad node: packet: \"not-an-ip\" " + notCanonical},
 		{"unparseable successor", corrupt(t, raw, `"succ":["10.0.0.2","10.0.0.3"]`, `"succ":["10.0.0.2","bogus"]`), "line 2: bad node: packet: \"bogus\" " + notCanonical},
 		{"unparseable router rep", corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["bogus","10.0.0.3"]}`), "line 6: bad router: packet: \"bogus\" " + notCanonical},

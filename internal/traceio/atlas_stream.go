@@ -71,6 +71,13 @@ func NewAtlasStreamEncoder(w io.Writer, spec AtlasStreamSpec) (*AtlasStreamEncod
 	if spec.Nodes > 0 && spec.Shards > spec.Nodes {
 		return nil, fmt.Errorf("traceio: atlas stream spec: %d shards for %d nodes", spec.Shards, spec.Nodes)
 	}
+	prev := -1
+	for _, p := range spec.Pairs {
+		if err := validatePair(p.Pair, prev); err != nil {
+			return nil, fmt.Errorf("traceio: atlas stream spec: %v", err)
+		}
+		prev = p.Pair
+	}
 	e := &AtlasStreamEncoder{bw: bufio.NewWriter(w), spec: spec}
 	e.cw = &countingWriter{w: e.bw}
 	e.enc = json.NewEncoder(e.cw)

@@ -132,6 +132,17 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 			t.Fatal("spec with 0 shards: err = nil")
 		}
 	})
+	t.Run("pairs not strictly ascending", func(t *testing.T) {
+		for _, idxs := range [][]int{{5, 5, 2}, {0, 3, 1}, {-1}} {
+			spec := AtlasStreamSpec{Shards: 1}
+			for _, i := range idxs {
+				spec.Pairs = append(spec.Pairs, AtlasPair{Pair: i, Src: "192.0.2.1", Dst: "203.0.113.1"})
+			}
+			if _, err := NewAtlasStreamEncoder(&bytes.Buffer{}, spec); err == nil {
+				t.Errorf("pairs %v: err = nil", idxs)
+			}
+		}
+	})
 	t.Run("multiple shards for empty snapshot", func(t *testing.T) {
 		if _, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Shards: 2}); err == nil {
 			t.Fatal("2 shards for 0 nodes: err = nil")

@@ -380,6 +380,16 @@ func corrupt(tb testing.TB, raw []byte, oldnew ...string) string {
 	return reindex(tb, strings.NewReplacer(oldnew...).Replace(body), nil)
 }
 
+// repeatedPairs is the sample snapshot with pairs 5, 5 and 2 in place
+// of its two pair lines: a file the reader opened and Verify accepted
+// before pair order was a decode-time check.
+func repeatedPairs(tb testing.TB) string {
+	tb.Helper()
+	return corrupt(tb, sampleFixture().encode(tb, 0), `"pairs":2`, `"pairs":3`,
+		`{"pair":0,"src":"192.0.2.1","dst":"203.0.113.1"}`+"\n"+`{"pair":3,`,
+		`{"pair":5,"src":"192.0.2.1","dst":"203.0.113.1"}`+"\n"+`{"pair":5,"src":"192.0.2.9","dst":"203.0.113.9"}`+"\n"+`{"pair":2,`)
+}
+
 // openAndVerify runs the full acceptance path over raw bytes: open,
 // Verify, every shard, the diamonds.
 func openAndVerify(raw []byte) error {

@@ -8,7 +8,9 @@ import (
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/mda"
+	"mmlpt/internal/packet"
 	"mmlpt/internal/survey"
+	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
 
@@ -37,15 +39,41 @@ func realRecord(f *testing.F, algo survey.Algo) []byte {
 	return nil
 }
 
+// snapshot is the atlas's snapshot bytes, or the error writing them.
+func snapshot(a *atlas.Atlas) ([]byte, error) {
+	var b bytes.Buffer
+	_, err := a.WriteTo(&b)
+	return b.Bytes(), err
+}
+
+// viaGraph ingests rec through the graph it rebuilds: AddGraph, then
+// the alias sets, diamonds and identity AddRecord would add.
+func viaGraph(rec *traceio.SurveyRecord) *atlas.Atlas {
+	a := atlas.New(atlas.Options{})
+	g, _ := rec.Graph() // the caller's decode ran the same check
+	a.AddGraph(rec.PairIndex, g)
+	for _, r := range rec.Routers {
+		a.AddAliasSet(r)
+	}
+	for _, d := range rec.Diamonds {
+		a.AddDiamond(rec.PairIndex, d)
+	}
+	a.AddPair(rec.PairIndex, rec.Src, rec.Dst)
+	return a
+}
+
 // FuzzSurveyRecord holds the record decoder to its failure behaviour:
 // decoding never panics; a record that decodes re-encodes to a byte
-// fixed point; and Graph and atlas ingest of any record the JSON layer
-// accepts, checked or not, return an error or succeed without
-// panicking. Seeded with a real record of each level, the three
+// fixed point, and ingests into the same snapshot through AddRecord as
+// through AddGraph of its rebuilt graph; and Graph and atlas ingest of
+// any record the JSON layer accepts, checked or not, return an error or
+// succeed without panicking. Seeded with a real record of each level, the three
 // poisons a hostile fleet runner can ship (a malformed address, a
 // successor index naming no vertex, too many hops), a negative
-// successor index and 300 empty hops. CI's fuzz-smoke job runs it for a
-// short budget on every PR; locally:
+// successor index and 300 empty hops, then with valid records of
+// shapes the survey never produces, where the two ingest paths could
+// part. CI's fuzz-smoke job runs it for a short budget on every PR;
+// locally:
 //
 //	go test -run='^$' -fuzz=FuzzSurveyRecord -fuzztime=30s ./internal/traceio
 func FuzzSurveyRecord(f *testing.F) {
@@ -58,14 +86,41 @@ func FuzzSurveyRecord(f *testing.F) {
 	f.Add([]byte(`{"hops":[["10.0.0.1"]],"succ":[[-1]]}`))
 	f.Add([]byte(`{"hops":[` + strings.TrimSuffix(strings.Repeat(`[],`, 300), ",") + `],"succ":[]}`))
 
+	const star = topo.StarAddr
+	a, b, c := packet.Addr(0x0a000001), packet.Addr(0x0a000002), packet.Addr(0x0a000003)
+	for _, shape := range []struct {
+		hops [][]packet.Addr
+		succ [][]int32
+	}{
+		{[][]packet.Addr{{a}, {b, b}, {c}}, [][]int32{{1, 2}, {3}, {3}, {}}},       // one address twice at a hop
+		{[][]packet.Addr{{a}, {b}, {a}}, [][]int32{{1}, {2}, {}}},                  // one address at two hops
+		{[][]packet.Addr{{a}, {b}, {c}}, [][]int32{{1, 2}, {2}, {}}},               // an edge skipping a hop
+		{[][]packet.Addr{{a}, {star}, {c}}, [][]int32{{1}, {2}, {}}},               // edges into and out of a star
+		{[][]packet.Addr{{a}, {star, star}, {c}}, [][]int32{{1, 2}, {3}, {3}, {}}}, // a hop of only stars
+		{[][]packet.Addr{}, [][]int32{}},                                           // zero hops
+	} {
+		rec := traceio.SurveyRecord{PairIndex: 4, Src: "192.0.2.1", Dst: "203.0.113.1", Hops: shape.hops, Succ: shape.succ}
+		var line bytes.Buffer
+		if err := rec.WriteJSONL(&line); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line.Bytes())
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var first bytes.Buffer
 		_ = traceio.DecodeSurveyRecords(bytes.NewReader(data), func(rec *traceio.SurveyRecord) error {
 			if _, err := rec.Graph(); err != nil {
 				t.Fatalf("a decoded record fails Graph: %v", err)
 			}
-			if err := atlas.New(atlas.Options{}).AddRecord(rec); err != nil {
+			direct := atlas.New(atlas.Options{})
+			if err := direct.AddRecord(rec); err != nil {
 				t.Fatalf("a decoded record fails atlas ingest: %v", err)
+			}
+			got, gotErr := snapshot(direct)
+			want, wantErr := snapshot(viaGraph(rec))
+			if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
+				t.Fatalf("AddRecord and AddGraph disagree:\n%s (%v)\n%s (%v)", got, gotErr, want, wantErr)
 			}
 			return rec.WriteJSONL(&first)
 		})

@@ -97,7 +97,7 @@ func NewSurveyRecord(src, dst packet.Addr, algorithm string, g *topo.Graph) *Sur
 
 // Graph rebuilds the trace topology the record holds.
 func (sr *SurveyRecord) Graph() (*topo.Graph, error) {
-	if err := sr.check(); err != nil {
+	if err := sr.Check(); err != nil {
 		return nil, err
 	}
 	g := topo.New()
@@ -115,11 +115,11 @@ func (sr *SurveyRecord) Graph() (*topo.Graph, error) {
 	return g, nil
 }
 
-// check is the structural validation DecodeSurveyRecords and Graph
-// share: at most 255 hops, one successor list per vertex, and every
-// successor index naming a vertex. (A malformed address already fails
-// to unmarshal.)
-func (sr *SurveyRecord) check() error {
+// Check is the structural validation DecodeSurveyRecords, Graph and
+// atlas ingest share: at most 255 hops, one successor list per vertex,
+// and every successor index naming a vertex. (A malformed address
+// already fails to unmarshal.)
+func (sr *SurveyRecord) Check() error {
 	if len(sr.Hops) > 255 { // hop h is probed at TTL h+1, and a TTL is one byte
 		return fmt.Errorf("traceio: %d hops, a TTL allows at most 255", len(sr.Hops))
 	}
@@ -211,7 +211,7 @@ func decodeJSONRecords(r io.Reader, n int, fn func(*SurveyRecord) error) error {
 
 // emit runs the structural checks on decoded record n, then fn.
 func (sr *SurveyRecord) emit(n int, fn func(*SurveyRecord) error) error {
-	if err := sr.check(); err != nil {
+	if err := sr.Check(); err != nil {
 		return fmt.Errorf("record %d (pair %d): %w", n, sr.PairIndex, err)
 	}
 	return fn(sr)
