@@ -79,7 +79,7 @@ func runQuery(cmd string, args []string, stdout, stderr io.Writer) int {
 	var q packet.Addr
 	if wantAddr {
 		var err error
-		if q, err = packet.ParseAddr(args[0]); err != nil {
+		if q, err = packet.ParseCanonicalAddr(args[0]); err != nil {
 			fmt.Fprintf(stderr, "atlas %s: %v\n", cmd, err)
 			return 2
 		}

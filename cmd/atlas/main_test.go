@@ -100,9 +100,17 @@ func TestAbsentAddressErrors(t *testing.T) {
 			t.Fatalf("%v: stderr = %q", args, errOut)
 		}
 	}
-	// Malformed address: usage error, not a query miss.
-	if code, _, _ := runCLI(t, "addr", "bogus", path); code != 2 {
-		t.Fatalf("malformed addr code = %d, want 2", code)
+	// Malformed address, or one not in its canonical text: usage
+	// error, not a query miss (nor an answer for 10.0.0.2).
+	for _, args := range [][]string{
+		{"addr", "bogus", path},
+		{"addr", "010.0.0.2", path},
+		{"router", "0000000010.0.0.2", path},
+		{"addr", "1.2.3.04", path},
+	} {
+		if code, out, _ := runCLI(t, args...); code != 2 || out != "" {
+			t.Fatalf("%v: code = %d, stdout %q, want 2 and nothing", args, code, out)
+		}
 	}
 }
 

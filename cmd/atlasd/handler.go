@@ -140,7 +140,9 @@ func newMux(svc *serve.Service) http.Handler {
 			writeErr(w, http.StatusBadRequest, "expected "+prefix+"{addr}")
 			return 0, false
 		}
-		addr, err := packet.ParseAddr(raw)
+		// Only an address's canonical text: the lenient ParseAddr would
+		// answer "010.0.0.1" as 10.0.0.1, where inet_aton reads 8.0.0.1.
+		addr, err := packet.ParseCanonicalAddr(raw)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err.Error())
 			return 0, false

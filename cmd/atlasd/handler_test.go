@@ -146,10 +146,14 @@ func TestHandlerErrorPaths(t *testing.T) {
 		}
 	}
 
-	// 400: malformed addresses.
+	// 400: malformed addresses, and addresses not in their canonical
+	// text (inet_aton reads 010 as 8, so no answer for 10.0.0.2 is right).
 	for _, path := range []string{
 		"/v1/router/bogus", "/v1/addr/bogus", "/v1/router/", "/v1/addr/",
 		"/v1/addr/10.0.0.2/extra",
+		"/v1/addr/010.0.0.2", "/v1/addr/0000000010.0.0.2", "/v1/addr/10.0.0.02",
+		"/v1/router/010.0.0.2", "/v1/router/0000000010.0.0.2", "/v1/router/10.0.0.02",
+		"/v1/addr/010.0.0.1", "/v1/addr/0000000010.0.0.1", "/v1/addr/1.2.3.04",
 	} {
 		code, body := get(t, h, path)
 		if code != http.StatusBadRequest {

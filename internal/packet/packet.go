@@ -60,6 +60,21 @@ func ParseAddr(s string) (Addr, error) {
 	return AddrFrom4(byte(parts[0]), byte(parts[1]), byte(parts[2]), byte(parts[3])), nil
 }
 
+// ParseCanonicalAddr parses an address's canonical text and nothing
+// else, for input a user typed. What ParseAddr refuses it refuses with
+// ParseAddr's error; a spelling ParseAddr takes but AppendText never
+// writes, such as "010.0.0.1" (whose 010 inet_aton reads as 8), it
+// refuses as not canonical.
+func ParseCanonicalAddr(s string) (Addr, error) {
+	if a, n := ScanAddr(s); n > 0 && n == len(s) {
+		return a, nil
+	}
+	if _, err := ParseAddr(s); err != nil {
+		return 0, err
+	}
+	return 0, errNotCanonical(s)
+}
+
 // MustParseAddr is ParseAddr that panics on error, for use in tests and
 // static tables.
 func MustParseAddr(s string) Addr {
@@ -108,26 +123,61 @@ func (a Addr) MarshalText() ([]byte, error) {
 // decimal octets of at most 255, without leading zeros. Unlike the
 // lenient ParseAddr it refuses "010.0.0.1" or "10.0.00.1", so an
 // address decoded from a file renders back to the bytes it was read
-// from.
+// from. A refused b leaves *a untouched.
 func (a *Addr) UnmarshalText(b []byte) error {
-	var v Addr
-	i, ok := -1, true
-	for k := 0; k < 4 && ok; k++ {
-		i++ // past the dot, or onto the first byte
-		start, o := i, Addr(0)
-		for i < len(b) && i-start < 3 && b[i] >= '0' && b[i] <= '9' {
-			o = o*10 + Addr(b[i]-'0')
-			i++
-		}
-		ok = i > start && o <= 255 && (b[start] != '0' || i == start+1) &&
-			(k == 3 || i < len(b) && b[i] == '.')
-		v = v<<8 | o
-	}
-	if !ok || i != len(b) {
-		return fmt.Errorf("packet: %q is not a canonical dotted quad", string(b))
+	v, n := ScanAddr(b)
+	if n == 0 || n != len(b) {
+		return errNotCanonical(string(b))
 	}
 	*a = v
 	return nil
+}
+
+func errNotCanonical(s string) error {
+	return fmt.Errorf("packet: %q is not a canonical dotted quad", s)
+}
+
+// ScanAddr reads an address's canonical text, the bytes AppendText
+// writes, at the start of s in one pass: four dot-separated decimal
+// octets of at most 255, without leading zeros. It returns the address
+// and the number of bytes read, or n == 0 when s does not start with a
+// canonical address. Each octet's digit run is read whole, up to three
+// digits, so what follows the address is the caller's to check:
+// UnmarshalText requires the end of its input, a line parser the
+// closing quote. The octet is read unrolled, digit by digit, rather
+// than by a loop: its length varies from address to address, and the
+// loop's exit was the routine's main cost.
+func ScanAddr[T string | []byte](s T) (a Addr, n int) {
+	i := 0
+	for k := 0; ; k++ {
+		if i >= len(s) || s[i]-'0' > 9 {
+			return 0, 0
+		}
+		o := Addr(s[i] - '0')
+		i++
+		if i < len(s) && s[i]-'0' <= 9 {
+			if o == 0 { // a leading zero
+				return 0, 0
+			}
+			o = o*10 + Addr(s[i]-'0')
+			i++
+			if i < len(s) && s[i]-'0' <= 9 {
+				o = o*10 + Addr(s[i]-'0')
+				i++
+				if o > 255 {
+					return 0, 0
+				}
+			}
+		}
+		a = a<<8 | o
+		if k == 3 {
+			return a, i
+		}
+		if i >= len(s) || s[i] != '.' {
+			return 0, 0
+		}
+		i++
+	}
 }
 
 // IP protocol numbers used by the tracer.

@@ -2,10 +2,10 @@ package traceio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"mmlpt/internal/packet"
 )
@@ -205,16 +205,16 @@ func AtlasBlockOf(shard, n int) (lo, hi int) {
 // trailing '\r' is dropped, the last line needs no '\n') and has
 // bufio.Scanner's limit (a line of maxAtlasLine bytes or more is
 // bufio.ErrTooLong), so positions and errors read as a bufio.Scanner
-// over the section would report them. Lines are sub-slices of the
-// section, never copies.
+// over the section would report them. Lines are substrings of the
+// section, never copies, so whatever a hand parser keeps of a line
+// shares the section's one allocation.
 type lineScanner struct {
-	buf   []byte
-	off   int // first unread byte
-	start int // offset of the line next returned last
-	line  int
+	buf  string
+	off  int // first unread byte
+	line int
 }
 
-func newLineScanner(buf []byte) *lineScanner {
+func newLineScanner(buf string) *lineScanner {
 	return &lineScanner{buf: buf}
 }
 
@@ -225,7 +225,7 @@ func (ls *lineScanner) scan() (start, end int, ok bool, err error) {
 		return 0, 0, false, nil
 	}
 	start = ls.off
-	n := bytes.IndexByte(ls.buf[start:], '\n')
+	n := strings.IndexByte(ls.buf[start:], '\n')
 	next := start + n + 1
 	if n < 0 {
 		n = len(ls.buf) - start
@@ -243,18 +243,17 @@ func (ls *lineScanner) scan() (start, end int, ok bool, err error) {
 	return start, end, true, nil
 }
 
-func (ls *lineScanner) next() ([]byte, error) {
+func (ls *lineScanner) next() (string, error) {
 	for {
 		start, end, ok, err := ls.scan()
 		if err != nil {
-			return nil, fmt.Errorf("traceio: atlas line %d: %v", ls.line+1, err)
+			return "", fmt.Errorf("traceio: atlas line %d: %v", ls.line+1, err)
 		}
 		if !ok {
-			return nil, fmt.Errorf("traceio: atlas truncated after line %d", ls.line)
+			return "", fmt.Errorf("traceio: atlas truncated after line %d", ls.line)
 		}
 		ls.line++
 		if end > start {
-			ls.start = start
 			return ls.buf[start:end], nil
 		}
 	}
@@ -282,7 +281,7 @@ func decodeAtlasHeader(ls *lineScanner) (AtlasHeader, error) {
 	if err != nil {
 		return h, err
 	}
-	if err := json.Unmarshal(hb, &h); err != nil {
+	if err := json.Unmarshal([]byte(hb), &h); err != nil {
 		return h, fmt.Errorf("traceio: bad atlas header: %v", err)
 	}
 	if h.Kind != atlasKind {
@@ -311,7 +310,7 @@ func cappedPrealloc(n int) int {
 // strictly ascending (validatePair): a repeated index would give one
 // pair two identities, and a reader that folds them keeps the last.
 func decodePairs(ls *lineScanner, n int) ([]AtlasPair, error) {
-	d := newLineDecoder(string(ls.buf), 0)
+	d := newLineDecoder(0)
 	out := make([]AtlasPair, 0, cappedPrealloc(n))
 	prev := -1
 	for i := 0; i < n; i++ {
@@ -320,8 +319,8 @@ func decodePairs(ls *lineScanner, n int) ([]AtlasPair, error) {
 			return nil, err
 		}
 		var p AtlasPair
-		if !d.pair(d.line(ls, b), &p) {
-			if err := json.Unmarshal(b, &p); err != nil {
+		if !d.pair(b, &p) {
+			if err := json.Unmarshal([]byte(b), &p); err != nil {
 				return nil, fmt.Errorf("traceio: atlas line %d: bad pair: %v", ls.line, err)
 			}
 		}
@@ -348,7 +347,7 @@ func validatePair(pair, prev int) error {
 
 // decodeDiamonds reads the n diamond lines of the section ls scans.
 func decodeDiamonds(ls *lineScanner, n int) ([]AtlasDiamond, error) {
-	d := newLineDecoder(string(ls.buf), n)
+	d := newLineDecoder(n)
 	out := make([]AtlasDiamond, 0, cappedPrealloc(n))
 	for i := 0; i < n; i++ {
 		b, err := ls.next()
@@ -356,8 +355,8 @@ func decodeDiamonds(ls *lineScanner, n int) ([]AtlasDiamond, error) {
 			return nil, err
 		}
 		var dm AtlasDiamond
-		if !d.diamond(d.line(ls, b), &dm) {
-			if err := json.Unmarshal(b, &dm); err != nil {
+		if !d.diamond(b, &dm) {
+			if err := json.Unmarshal([]byte(b), &dm); err != nil {
 				return nil, fmt.Errorf("traceio: atlas line %d: bad diamond: %v", ls.line, err)
 			}
 		}
@@ -381,7 +380,7 @@ func decodeShardHeader(ls *lineScanner, want int) (AtlasShardHeader, error) {
 	if err != nil {
 		return sh, err
 	}
-	if err := json.Unmarshal(b, &sh); err != nil {
+	if err := json.Unmarshal([]byte(b), &sh); err != nil {
 		return sh, fmt.Errorf("traceio: atlas line %d: bad shard header: %v", ls.line, err)
 	}
 	if sh.Shard != want {
@@ -391,11 +390,6 @@ func decodeShardHeader(ls *lineScanner, want int) (AtlasShardHeader, error) {
 		return sh, fmt.Errorf("traceio: atlas line %d: negative shard section count", ls.line)
 	}
 	return sh, nil
-}
-
-// line returns the line ls.next just returned as a substring of d.text.
-func (d *lineDecoder) line(ls *lineScanner, b []byte) string {
-	return d.text[ls.start : ls.start+len(b)]
 }
 
 // decodeNode parses and validates one node line: address strictly
@@ -411,8 +405,8 @@ func (d *lineDecoder) decodeNode(ls *lineScanner, n *AtlasNodeV2, prev packet.Ad
 	if err != nil {
 		return err
 	}
-	if !d.node(d.line(ls, b), n) {
-		if err := json.Unmarshal(b, n); err != nil {
+	if !d.node(b, n) {
+		if err := json.Unmarshal([]byte(b), n); err != nil {
 			return fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
 		}
 	}
@@ -434,8 +428,8 @@ func (d *lineDecoder) decodeRouter(ls *lineScanner, rt *AtlasRouter, prev packet
 	if err != nil {
 		return err
 	}
-	if !d.router(d.line(ls, b), rt) {
-		if err := json.Unmarshal(b, rt); err != nil {
+	if !d.router(b, rt) {
+		if err := json.Unmarshal([]byte(b), rt); err != nil {
 			return fmt.Errorf("traceio: atlas line %d: bad router: %v", ls.line, err)
 		}
 	}

@@ -177,11 +177,21 @@ func (p *lineParser) str() string {
 }
 
 // addr reads a quoted address in its canonical text, the one form
-// packet.Addr's UnmarshalText accepts.
+// packet.Addr's UnmarshalText accepts, in one pass over the line:
+// packet.ScanAddr reads the address where it stands, and the closing
+// quote must follow it.
 func (p *lineParser) addr() packet.Addr {
-	var a packet.Addr
-	s := p.str()
-	p.require(p.ok && a.UnmarshalText([]byte(s)) == nil)
+	if !p.ok || p.i >= len(p.s) || p.s[p.i] != '"' {
+		p.ok = false
+		return 0
+	}
+	a, n := packet.ScanAddr(p.s[p.i+1:])
+	end := p.i + 1 + n
+	if n == 0 || end >= len(p.s) || p.s[end] != '"' {
+		p.ok = false
+		return 0
+	}
+	p.i = end + 1
 	return a
 }
 
@@ -246,6 +256,22 @@ func (p *lineParser) integer(bits int) int64 {
 // num reads a canonical int.
 func (p *lineParser) num() int { return int(p.integer(strconv.IntSize)) }
 
+// small reads a canonical int, taking the common case — a non-negative
+// run of at most 9 digits, which fits any int or int32 — in one loop,
+// and handing anything else (a sign, a leading zero, a longer run) to
+// integer, which decides it.
+func (p *lineParser) small(bits int) int64 {
+	v, j := int64(0), p.i
+	for ; p.ok && j < len(p.s) && j-p.i < 10 && p.s[j]-'0' <= 9; j++ {
+		v = v*10 + int64(p.s[j]-'0')
+	}
+	if n := j - p.i; n == 0 || n == 10 || (n > 1 && p.s[p.i] == '0') {
+		return p.integer(bits)
+	}
+	p.i = j
+	return v
+}
+
 // unsigned reads a canonical uint64.
 func (p *lineParser) unsigned() uint64 {
 	tok, mag := p.intToken(false)
@@ -279,40 +305,36 @@ func (p *lineParser) float() float64 {
 	return v
 }
 
-// array reads a JSON array (not null), calling elem once per element.
-func (p *lineParser) array(elem func()) {
+// open reads the '[' that opens an array and reports whether an
+// element follows; next, after each element, reads the ',' before
+// another (true) or the closing ']' (false). Together they drive an
+// array as a plain loop, the element read inline:
+//
+//	for more := p.open(); more; more = p.next() { … }
+//
+// Both report false once ok is clear, so the loop ends at the first
+// deviation.
+func (p *lineParser) open() bool {
 	p.char('[')
-	if p.skipChar(']') {
-		return
-	}
-	for p.ok {
-		elem()
-		if !p.skipChar(',') {
-			break
-		}
-	}
-	p.char(']')
+	return p.ok && !p.skipChar(']')
 }
 
-// list reads null or an array into *dst, one elem call per element,
-// and reports whether it read null.
-func list[T any](p *lineParser, dst *[]T, elem func() T) (null bool) {
-	*dst = (*dst)[:0]
-	if p.skip("null") {
+func (p *lineParser) next() bool {
+	if p.skipChar(',') {
 		return true
 	}
-	p.array(func() { *dst = append(*dst, elem()) })
+	p.char(']')
 	return false
 }
 
 // obs reads one [p,h] provenance pair.
 func (p *lineParser) obs() [2]int {
 	p.char('[')
-	a := p.num()
+	a := p.small(strconv.IntSize)
 	p.char(',')
-	b := p.num()
+	b := p.small(strconv.IntSize)
 	p.char(']')
-	return [2]int{a, b}
+	return [2]int{int(a), int(b)}
 }
 
 // slab hands out sub-slices of shared backing arrays, so a block's
@@ -340,9 +362,9 @@ func (s *slab[T]) copy(v []T) []T {
 
 // lineDecoder decodes the lines of one section: a shard block, the
 // pairs or the diamonds. The lists it parses share memory: they come
-// from its slabs. The strings it parses are substrings of text.
+// from its slabs. The strings it parses are substrings of the lines
+// it is handed, which are substrings of the section.
 type lineDecoder struct {
-	text    string // the section, which the line scanner's offsets index
 	seen    slab[[2]int]
 	addrs   slab[packet.Addr]
 	seenTmp [][2]int
@@ -350,11 +372,22 @@ type lineDecoder struct {
 	intTmp  []int
 }
 
-// newLineDecoder decodes a section of n lines held in text, sizing the
-// slabs' chunks for it.
-func newLineDecoder(text string, n int) *lineDecoder {
+// newLineDecoder decodes a section of n lines, sizing the slabs'
+// chunks for it.
+func newLineDecoder(n int) *lineDecoder {
 	chunk := max(cappedPrealloc(n), 16)
-	return &lineDecoder{text: text, seen: slab[[2]int]{chunk: chunk}, addrs: slab[packet.Addr]{chunk: chunk}}
+	return &lineDecoder{seen: slab[[2]int]{chunk: chunk}, addrs: slab[packet.Addr]{chunk: chunk}}
+}
+
+// addrList reads null or an array of addresses into d.addrTmp and
+// reports whether it read null.
+func (d *lineDecoder) addrList(p *lineParser) (null bool) {
+	d.addrTmp = d.addrTmp[:0]
+	null = p.skip("null")
+	for more := !null && p.open(); more; more = p.next() {
+		d.addrTmp = append(d.addrTmp, p.addr())
+	}
+	return null
 }
 
 // node parses a canonical node line into *n, which must be zero; it
@@ -364,9 +397,13 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 	p.lit(`{"addr":`)
 	n.Addr = p.addr()
 	p.lit(`,"seen":`)
-	seenNull := list(&p, &d.seenTmp, p.obs)
+	d.seenTmp = d.seenTmp[:0]
+	seenNull := p.skip("null")
+	for more := !seenNull && p.open(); more; more = p.next() {
+		d.seenTmp = append(d.seenTmp, p.obs())
+	}
 	p.lit(`,"succ":`)
-	succNull := list(&p, &d.addrTmp, p.addr)
+	succNull := d.addrList(&p)
 	if p.skip(`,"router":`) {
 		n.Router = p.addr()
 		p.require(n.Router != 0) // the encoder omits a zero router
@@ -390,7 +427,7 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 func (d *lineDecoder) router(s string, rt *AtlasRouter) bool {
 	p := lineParser{s: s, ok: true}
 	p.lit(`{"addrs":`)
-	null := list(&p, &d.addrTmp, p.addr)
+	null := d.addrList(&p)
 	p.char('}')
 	if !p.ok || p.i != len(s) {
 		return false
@@ -430,7 +467,11 @@ func (d *lineDecoder) diamond(s string, dm *AtlasDiamond) bool {
 	p.lit(`,"count":`)
 	count := p.num()
 	p.lit(`,"pairs":`)
-	null := list(&p, &d.intTmp, p.num)
+	d.intTmp = d.intTmp[:0]
+	null := p.skip("null")
+	for more := !null && p.open(); more; more = p.next() {
+		d.intTmp = append(d.intTmp, p.num())
+	}
 	p.lit(`,"max_width":`)
 	width := p.num()
 	p.lit(`,"max_length":`)

@@ -33,7 +33,7 @@ func handDecoded[T any](t *testing.T, line []byte, parse func(string, *T) bool) 
 // encoding/json on one line and reports whether any of them took it.
 func checkLineDecoders(t *testing.T, line []byte) bool {
 	t.Helper()
-	d := newLineDecoder("", 0)
+	d := newLineDecoder(0)
 	node := handDecoded(t, line, d.node)
 	router := handDecoded(t, line, d.router)
 	pair := handDecoded(t, line, d.pair)
@@ -65,6 +65,15 @@ func checkLineEncoder(t *testing.T, v any, got []byte) {
 	}
 }
 
+// addrSpellings are the address seeds of the line fuzzers, the same
+// spellings FuzzAddrText starts from: canonical edges, and the near
+// misses a fused scanner could let through (an octet out of range, a
+// leading zero, a missing or extra octet, a sign, trailing bytes).
+var addrSpellings = []string{
+	"0.0.0.0", "255.255.255.255", "256.0.0.1", "01.2.3.4", "1.2.3",
+	"1.2.3.4.5", "1.2.3.", "1..2.3", "-1.2.3.4", "1.2.3.4 ",
+}
+
 // FuzzAtlasLines is the oracle for the hand-written line codecs. For
 // arbitrary line bytes, whatever the node, router, pair and diamond
 // parsers accept decodes to exactly what encoding/json gives,
@@ -93,6 +102,11 @@ func FuzzAtlasLines(f *testing.F) {
 		`{"ADDR":"10.0.0.1","seen":[[0,1]],"succ":null}`,
 		`{"addr":"10.0.0.1","seen":[[0,1,2]],"succ":null}`,
 		`{"addr":"10.0.0.1","seen":[[-0,01]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[01,1]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[0,012]],"succ":null}`,
+		`{"addr":"10.0.0.1","seen":[[1234567890,123456789]],"succ":null}`,
+		`{"addr":"10.0.0.1x,"seen":null,"succ":null}`,
+		`{"addrs":["10.0.0.1x,"10.0.0.2"]}`,
 		`{"addr":"10.0.0.1","seen":[[1e2,1.0]],"succ":null}`,
 		`{"addr":"10.0.0.1","seen":[[9223372036854775807,-9223372036854775808]],"succ":null}`,
 		`{"addr":"10.0.0.1","seen":[[99999999999999999999,0]],"succ":null}`,
@@ -117,6 +131,17 @@ func FuzzAtlasLines(f *testing.F) {
 		`{"div":"a","conv":"b","count":1,"pairs":[1],"max_width":2}`,
 	} {
 		f.Add([]byte(line), uint32(0), uint32(math.MaxUint32), -1, math.MinInt)
+	}
+	for _, a := range addrSpellings {
+		q := `"` + a + `"`
+		for _, line := range []string{
+			`{"addr":` + q + `,"seen":[[0,1]],"succ":null}`,
+			`{"addr":"10.0.0.1","seen":null,"succ":["10.0.0.2",` + q + `]}`,
+			`{"addr":"10.0.0.1","seen":null,"succ":null,"router":` + q + `}`,
+			`{"addrs":["10.0.0.1",` + q + `]}`,
+		} {
+			f.Add([]byte(line), uint32(0), uint32(1), 0, 0)
+		}
 	}
 	f.Add([]byte(""), uint32(1), uint32(255), math.MaxInt, -1000000000000000000)
 
@@ -172,8 +197,9 @@ func fullBlockFixture() *atlasFixture {
 }
 
 // Allocation pins for the shard codecs. Decoding a full block costs a
-// handful of allocations for the whole block (its buffer, its string,
-// the slabs' chunks, the node and router slices), not one per value;
+// handful of allocations for the whole block (its text, the read's
+// staging chunk, the slabs' chunks, the node and router slices), not
+// one per value;
 // encoding costs only the output buffer's growth. A return to
 // reflection — about 15 allocations per node to decode, one or more per
 // line to encode — fails these.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 
 	"mmlpt/internal/packet"
 )
@@ -67,7 +68,7 @@ func NewAtlasReader(ra io.ReaderAt, size int64) (*AtlasReader, error) {
 		return nil, fmt.Errorf("traceio: atlas header: %v", err)
 	}
 	r.headLen = int64(len(headLine))
-	if r.header, err = decodeAtlasHeader(newLineScanner(headLine)); err != nil {
+	if r.header, err = decodeAtlasHeader(newLineScanner(string(headLine))); err != nil {
 		return nil, err
 	}
 	if err := r.open(); err != nil {
@@ -138,8 +139,8 @@ func (r *AtlasReader) open() error {
 	if !r.inBounds(r.index.DiamondsOff, r.index.DiamondsLen) {
 		return fmt.Errorf("traceio: atlas index diamonds span out of bounds")
 	}
-	pb := make([]byte, r.index.PairsLen)
-	if _, err := r.ra.ReadAt(pb, r.index.PairsOff); err != nil {
+	pb, err := r.readSpan(r.index.PairsOff, r.index.PairsLen)
+	if err != nil {
 		return fmt.Errorf("traceio: atlas pairs: %v", err)
 	}
 	pls := newLineScanner(pb)
@@ -159,6 +160,30 @@ func (r *AtlasReader) open() error {
 func (r *AtlasReader) inBounds(off, n int64) bool {
 	return off >= 0 && n >= 0 && off <= r.size && n <= r.size-off
 }
+
+// readSpan returns the n bytes at off as a string that holds them
+// once: they pass through a small reusable chunk into a builder sized
+// for them up front, and the builder's buffer is the string, where
+// reading into a []byte and converting would allocate and copy the
+// span twice.
+func (r *AtlasReader) readSpan(off, n int64) (string, error) {
+	var sb strings.Builder
+	sb.Grow(int(n))
+	chunk := make([]byte, min(n, spanChunk))
+	for n > 0 {
+		c := chunk[:min(n, int64(len(chunk)))]
+		if _, err := r.ra.ReadAt(c, off); err != nil {
+			return "", err
+		}
+		sb.Write(c)
+		off += int64(len(c))
+		n -= int64(len(c))
+	}
+	return sb.String(), nil
+}
+
+// spanChunk bounds readSpan's staging buffer.
+const spanChunk = 64 << 10
 
 // readLineAt returns the '\n'-terminated line starting at off, growing
 // the probe until a newline appears (bounded by maxAtlasLine).
@@ -207,8 +232,8 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 		return nil, fmt.Errorf("traceio: atlas shard %d out of range (%d shards)", i, len(r.index.Shards))
 	}
 	si := r.index.Shards[i]
-	buf := make([]byte, si.Len)
-	if _, err := r.ra.ReadAt(buf, si.Off); err != nil {
+	buf, err := r.readSpan(si.Off, si.Len)
+	if err != nil {
 		return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
 	}
 	ls := newLineScanner(buf)
@@ -225,9 +250,7 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 		Nodes:   make([]AtlasNodeV2, 0, cappedPrealloc(sh.Nodes)),
 		Routers: make([]AtlasRouter, 0, cappedPrealloc(sh.Routers)),
 	}
-	// One string for the whole block, which the parser reads each line
-	// of as a substring.
-	d := newLineDecoder(string(buf), sh.Nodes)
+	d := newLineDecoder(sh.Nodes)
 	var prev packet.Addr
 	for j := 0; j < sh.Nodes; j++ {
 		out.Nodes = append(out.Nodes, AtlasNodeV2{})
@@ -258,8 +281,8 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 // ReadDiamonds decodes the diamond census section. Safe for concurrent
 // callers.
 func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
-	buf := make([]byte, r.index.DiamondsLen)
-	if _, err := r.ra.ReadAt(buf, r.index.DiamondsOff); err != nil {
+	buf, err := r.readSpan(r.index.DiamondsOff, r.index.DiamondsLen)
+	if err != nil {
 		return nil, fmt.Errorf("traceio: atlas diamonds: %v", err)
 	}
 	ls := newLineScanner(buf)

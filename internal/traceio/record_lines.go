@@ -212,10 +212,12 @@ type recordParser struct {
 func (d *recordParser) addrLists() int {
 	p := &d.p
 	n := len(d.addrEnds)
-	p.array(func() {
-		p.array(func() { d.addrs = append(d.addrs, p.starAddr()) })
+	for more := p.open(); more; more = p.next() {
+		for more := p.open(); more; more = p.next() {
+			d.addrs = append(d.addrs, p.starAddr())
+		}
 		d.addrEnds = append(d.addrEnds, len(d.addrs))
-	})
+	}
 	return len(d.addrEnds) - n
 }
 
@@ -244,7 +246,9 @@ func (d *recordParser) diamond() {
 	end := -1
 	if p.skip(`,"mesh_miss_probs":`) {
 		start := len(d.probs)
-		p.array(func() { d.probs = append(d.probs, p.float()) })
+		for more := p.open(); more; more = p.next() {
+			d.probs = append(d.probs, p.float())
+		}
 		end = len(d.probs)
 		p.require(end > start) // omitempty: never []
 	}
@@ -281,15 +285,15 @@ func (d *recordParser) parse(s string, sr *SurveyRecord) bool {
 	hops := d.addrLists()
 	p.lit(`,"succ":`)
 	succNull := p.skip("null")
-	if !succNull {
-		p.array(func() {
-			if p.skip("null") {
-				d.succEnds = append(d.succEnds, -1)
-				return
-			}
-			p.array(func() { d.succ = append(d.succ, int32(p.integer(32))) })
-			d.succEnds = append(d.succEnds, len(d.succ))
-		})
+	for more := !succNull && p.open(); more; more = p.next() {
+		if p.skip("null") {
+			d.succEnds = append(d.succEnds, -1)
+			continue
+		}
+		for more := p.open(); more; more = p.next() {
+			d.succ = append(d.succ, int32(p.small(32)))
+		}
+		d.succEnds = append(d.succEnds, len(d.succ))
 	}
 	// The omitempty fields: absent, or present with a value that is not
 	// the zero one.
@@ -303,7 +307,9 @@ func (d *recordParser) parse(s string, sr *SurveyRecord) bool {
 	}
 	diamonds := p.skip(`,"diamonds":`)
 	if diamonds {
-		p.array(d.diamond)
+		for more := p.open(); more; more = p.next() {
+			d.diamond()
+		}
 		p.require(len(d.diamonds) > 0)
 	}
 	if p.skip(`,"prior_hops":`) {

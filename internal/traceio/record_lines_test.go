@@ -104,11 +104,14 @@ func FuzzRecordLines(f *testing.F) {
 		[]byte(`{"pair_index":-0,"has_lb":false,"src":"","dst":"","algorithm":"","probes":0,"reached":false,"hops":[],"succ":[]}`),
 		[]byte(`{"pair_index":1,"has_lb":true,"src":"a","dst":"b","algorithm":"mda","probes":1,"reached":true,"switched_to_mda":false,"hops":[["*","0.0.0.0"]],"succ":[null,[]],"routers":[],"alias_probes":0,"diamonds":[],"prior_hops":0,"prior_stale":false}`),
 		[]byte(`{"pair_index":1,"has_lb":true,"src":"a","dst":"b","algorithm":"mda","probes":18446744073709551616,"reached":true,"hops":[["010.0.0.1"]],"succ":[[2147483648]]}`),
+		[]byte(`{"pair_index":1,"has_lb":true,"src":"a","dst":"b","algorithm":"mda","probes":1,"reached":true,"hops":[["10.0.0.1x,"10.0.0.2"]],"succ":[[01],[999999999,1000000000]]}`),
+		[]byte(`{"pair_index":1,"has_lb":true,"src":"a","dst":"b","algorithm":"mda","probes":1,"reached":true,"hops":[["10.0.0.1"]],"succ":[[01]]}`),
+		[]byte(`{"pair_index":1,"has_lb":true,"src":"a","dst":"b","algorithm":"mda","probes":1,"reached":true,"hops":[["10.0.0.1"]],"succ":[[2147483648]]}`),
 		[]byte(`{"pair_index":1,"has_lb":true,"src":"a\u0041","dst":"b","algorithm":"mda","probes":1,"reached":true,"hops":[],"succ":[],"diamonds":[{"div":"","conv":"","max_length":0,"max_width":0,"max_width_asymmetry":0,"meshed":false,"ratio_meshed_hops":1.50,"uniform":false,"max_prob_diff":1E2,"mesh_miss_probs":[]}]}`),
 	} {
 		f.Add(line, "10.0.0.1", int64(7), math.Float64bits(0.5), math.Float64bits(1.0/3))
 	}
-	for _, a := range []string{"1.2.3", "1.2.3.4.5", "256.0.0.1", "1.2.3.04", "1.2.3.4 ", "1..3.4", "255.255.255.255", "0.0.0.1", "*1"} {
+	for _, a := range append([]string{"1.2.3.04", "1..3.4", "0.0.0.1", "*1"}, addrSpellings...) {
 		line := bytes.Replace(r0, []byte(`"10.0.0.1"]`), []byte(`"`+a+`"]`), 1)
 		f.Add(line, "*", int64(-1), uint64(0), uint64(1))
 	}
