@@ -140,9 +140,9 @@ func benchSurveyWorkers(b *testing.B, algo survey.Algo, workers int) {
 
 // BenchmarkSurveyStreaming measures the streaming pipeline against the
 // in-memory baseline above: the same 200-pair survey with every record
-// encoded, written to a JSONL sink and folded into a record aggregate,
-// with periodic checkpoints. The delta over BenchmarkSurveyParallel is
-// the cost of incremental archival.
+// encoded, written to a JSONL sink and folded into a record aggregate.
+// The delta over BenchmarkSurveyParallel is the cost of incremental
+// archival.
 func BenchmarkSurveyStreaming(b *testing.B) {
 	u := survey.Generate(survey.GenConfig{Seed: 5, Pairs: 200})
 	dir := b.TempDir()
@@ -152,10 +152,9 @@ func BenchmarkSurveyStreaming(b *testing.B) {
 		jsonl := survey.NewJSONLSink(filepath.Join(dir, "records.jsonl"))
 		res, err := survey.Run(u, survey.RunConfig{
 			Algo: survey.AlgoMDALite, Retries: 1,
-			Workers:    runtime.GOMAXPROCS(0),
-			Trace:      mda.Config{Seed: 5},
-			Sinks:      []survey.Sink{jsonl, survey.NewAggregateSink()},
-			Checkpoint: filepath.Join(dir, "records.ckpt"),
+			Workers: runtime.GOMAXPROCS(0),
+			Trace:   mda.Config{Seed: 5},
+			Sinks:   []survey.Sink{jsonl, survey.NewAggregateSink()},
 		})
 		if err != nil {
 			b.Fatal(err)

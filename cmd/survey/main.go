@@ -3,25 +3,29 @@
 // router-level survey (alias resolution effects, Figs 12-14 and Table 3).
 //
 // Results stream: with -out each pair's record is appended to a JSONL
-// file the moment its trace completes, and with -checkpoint the run
-// writes an atomic progress file so it can be killed at any point and
-// re-run with -resume to continue where it left off, producing output
+// file the moment its trace completes. With -checkpoint DIR the run
+// keeps its progress the way cmd/surveyd keeps a fleet's: DIR holds a
+// manifest and one shard of records per unit of 64 jobs, each written
+// the moment the unit is traced, and -out and -atlas are merged from the
+// shards at the end. Such a run can be killed at any point and re-run
+// with -resume to continue from its last durable unit, producing output
 // byte-identical to an uninterrupted run.
 //
 // With -atlas every trace is additionally merged into a cross-trace
 // topology atlas (internal/atlas) whose snapshot is written atomically
 // at the end of the run; cmd/atlas and cmd/atlasd answer queries over
-// such snapshots. Adding -atlas-publish-every N also publishes an
-// incremental delta snapshot (<atlas>.dNNNNNN) every N records, so a
-// serving process can advance mid-run via `atlas compact` + SIGHUP.
+// such snapshots. Adding -atlas-publish-every N (not with -checkpoint)
+// also publishes an incremental delta snapshot (<atlas>.dNNNNNN) every N
+// records, so a serving process can advance mid-run via `atlas compact`
+// + SIGHUP.
 //
 // Usage:
 //
 //	survey -level ip -pairs 2000 -out results.jsonl -progress
 //	survey -level router -pairs 500 -rounds 10
 //	survey -level router -pairs 500 -atlas internet.atlas
-//	survey -level ip -pairs 100000 -out r.jsonl -checkpoint r.ckpt
-//	survey -level ip -pairs 100000 -out r.jsonl -checkpoint r.ckpt -resume
+//	survey -level ip -pairs 100000 -out r.jsonl -checkpoint r.work
+//	survey -level ip -pairs 100000 -out r.jsonl -checkpoint r.work -resume
 //
 // With -live-dests the surveys above are bypassed and each listed
 // destination is traced for real over Linux raw sockets (CAP_NET_RAW
@@ -76,11 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		figs       = fs.Bool("figs", false, "also print full figure series")
 		out        = fs.String("out", "", "stream per-trace survey records to this JSONL file as pairs complete")
 		atlasOut   = fs.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
-		atlasEvery = fs.Int("atlas-publish-every", 0, "with -atlas: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
+		atlasEvery = fs.Int("atlas-publish-every", 0, "with -atlas, not -checkpoint: also publish an incremental delta snapshot (<atlas>.dNNNNNN) every N records, for live serving via atlas compact + atlasd")
 		priorPath  = fs.String("prior", "", "seed traces from this atlas snapshot: pairs the atlas has seen probe only to their confirmation budget (ip level, switches the tracer to MDA-Lite)")
-		ckpt       = fs.String("checkpoint", "", "with -out: write an atomic progress checkpoint to this file")
-		every      = fs.Int("checkpoint-every", survey.DefaultCheckpointEvery, "with -checkpoint: records between checkpoints")
-		resume     = fs.Bool("resume", false, "resume from the checkpoint, skipping completed pairs")
+		ckpt       = fs.String("checkpoint", "", fmt.Sprintf("keep durable progress in this directory: a manifest plus one record shard per %d jobs, merged into -out and -atlas at the end", dispatch.DefaultUnitSize))
+		resume     = fs.Bool("resume", false, "with -checkpoint: keep the units the directory holds durable and trace only the rest")
 		prog       = fs.Bool("progress", false, "report pair/probe rates to stderr while running")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -106,8 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	usage := ""
 	switch {
-	case *every < 0:
-		usage = fmt.Sprintf("-checkpoint-every %d: want 0 (the default, %d) or more", *every, survey.DefaultCheckpointEvery)
 	case *atlasEvery < 0:
 		usage = fmt.Sprintf("-atlas-publish-every %d: want 0 (never) or more", *atlasEvery)
 	case *maxUnits < 0:
@@ -174,20 +175,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *resume && *ckpt == "":
 		usage = "-resume requires -checkpoint"
-	case *resume && *out == "":
-		// Without the record log there is nothing to replay: the summary
-		// and figures would silently cover only the resumed tail.
-		usage = "-resume requires -out (the JSONL record log is what resume replays)"
-	case set["checkpoint-every"] && *ckpt == "":
-		usage = "-checkpoint-every requires -checkpoint"
-	case *ckpt != "" && *out == "":
-		// The checkpoint records an offset into the record log; without
-		// one no -resume could use it.
-		usage = "-checkpoint requires -out (the checkpoint records how much of the JSONL record log is durable)"
 	case *priorPath != "" && spec.Level != "ip":
 		usage = "-prior applies to the ip-level survey only"
 	case *atlasEvery > 0 && *atlasOut == "":
 		usage = "-atlas-publish-every requires -atlas"
+	case *atlasEvery > 0 && *ckpt != "":
+		// A checkpointed run builds its atlas from the shards once every
+		// unit is durable, so there is no atlas mid-run to publish from.
+		usage = "-atlas-publish-every does not apply with -checkpoint: the atlas is built from the shards at the end"
+	case *ckpt != "" && isFile(*ckpt):
+		usage = fmt.Sprintf("-checkpoint %s is a file, perhaps an older survey's checkpoint, which cannot be resumed; "+
+			"-checkpoint now names a directory holding manifest.json and one unit-NNNNNN.jsonl shard per %d jobs",
+			*ckpt, dispatch.DefaultUnitSize)
 	}
 	if usage != "" {
 		fmt.Fprintln(stderr, usage)
@@ -233,24 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		rc.Workers, rc.Checkpoint, rc.CheckpointEvery, rc.Resume = *workers, *ckpt, *every, *resume
-		var jsonlSink *survey.JSONLSink
-		if *out != "" {
-			jsonlSink = survey.NewJSONLSink(*out)
-			rc.Sinks = append(rc.Sinks, jsonlSink)
-		}
-		var atlasSink *survey.AtlasSink
-		if *atlasOut != "" {
-			atlasSink = survey.NewAtlasSink(atlas.Options{})
-			if *atlasEvery > 0 {
-				atlasSink.PublishDeltas(*atlasOut, *atlasEvery)
-			}
-			rc.Sinks = append(rc.Sinks, atlasSink)
-		}
-		// The aggregate folds every record; on a resumed run the record
-		// log's replay rebuilds it first, so it covers the whole survey.
-		aggSink := survey.NewAggregateSink()
-		rc.Sinks = append(rc.Sinks, aggSink)
+		rc.Workers = *workers
 
 		stopProgress := func() {}
 		if *prog {
@@ -275,26 +257,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, rc.Progress.Snapshot())
 			}
 		}
-		_, err = survey.Run(u, rc)
+		var agg *survey.RecordAggregate
+		published := 0
+		if *ckpt != "" {
+			agg, err = dispatch.RunLocal(u, rc, dispatch.CoordinatorConfig{
+				Dir: *ckpt, OutJSONL: *out, AtlasPath: *atlasOut, Resume: *resume,
+				Logf: func(format string, args ...any) {
+					fmt.Fprintf(stderr, format+"\n", args...)
+				},
+			})
+		} else {
+			agg, published, err = runSinks(u, rc, *out, *atlasOut, *atlasEvery)
+		}
 		stopProgress()
 		if err != nil {
 			return err
 		}
-		agg := aggSink.Agg
 
-		if jsonlSink != nil {
-			if err := jsonlSink.Close(); err != nil {
+		if *out != "" {
+			fi, err := os.Stat(*out)
+			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote %d trace records to %s (%d bytes)\n", agg.Records, *out, jsonlSink.Offset())
+			fmt.Fprintf(stdout, "wrote %d trace records to %s (%d bytes)\n", agg.Records, *out, fi.Size())
 		}
-		if atlasSink != nil {
-			if err := atlasSink.Close(); err != nil { // flush a final partial delta, if publishing
-				return err
-			}
-			if err := atlasSink.Atlas.Save(*atlasOut); err != nil {
-				return err
-			}
+		if *atlasOut != "" {
 			// The header of the file just written already carries the
 			// stat totals.
 			r, err := traceio.OpenAtlasFile(*atlasOut)
@@ -306,8 +293,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			fmt.Fprintf(stdout, "wrote atlas snapshot to %s (%s)\n", *atlasOut, st)
-			if n := len(atlasSink.Published()); n > 0 {
-				fmt.Fprintf(stdout, "published %d atlas deltas alongside %s\n", n, *atlasOut)
+			if published > 0 {
+				fmt.Fprintf(stdout, "published %d atlas deltas alongside %s\n", published, *atlasOut)
 			}
 		}
 
@@ -333,6 +320,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// runSinks runs the survey with its outputs fed record by record: the
+// record log at out and the atlas at atlasOut (each when non-empty; the
+// atlas publishing a delta every atlasEvery records when positive). It
+// returns the aggregate of every record and the count of deltas
+// published.
+func runSinks(u *survey.Universe, rc survey.RunConfig, out, atlasOut string, atlasEvery int) (*survey.RecordAggregate, int, error) {
+	var jsonlSink *survey.JSONLSink
+	if out != "" {
+		jsonlSink = survey.NewJSONLSink(out)
+		rc.Sinks = append(rc.Sinks, jsonlSink)
+	}
+	var atlasSink *survey.AtlasSink
+	if atlasOut != "" {
+		atlasSink = survey.NewAtlasSink(atlas.Options{})
+		if atlasEvery > 0 {
+			atlasSink.PublishDeltas(atlasOut, atlasEvery)
+		}
+		rc.Sinks = append(rc.Sinks, atlasSink)
+	}
+	aggSink := survey.NewAggregateSink()
+	rc.Sinks = append(rc.Sinks, aggSink)
+	if _, err := survey.Run(u, rc); err != nil {
+		return nil, 0, err
+	}
+	if jsonlSink != nil {
+		if err := jsonlSink.Close(); err != nil {
+			return nil, 0, err
+		}
+	}
+	if atlasSink == nil {
+		return aggSink.Agg, 0, nil
+	}
+	if err := atlasSink.Close(); err != nil { // flush a final partial delta, if publishing
+		return nil, 0, err
+	}
+	return aggSink.Agg, len(atlasSink.Published()), atlasSink.Atlas.Save(atlasOut)
+}
+
+// isFile reports whether path names an existing file that is not a
+// directory.
+func isFile(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && !fi.IsDir()
 }
 
 // unreadFlags returns the usage error for the flags set that a mode does

@@ -1,6 +1,6 @@
 // Command surveyd coordinates a distributed survey: it shards the
 // deterministic (src,dst) pair space into leased work units, hands them
-// to runner processes (`survey -join`) over HTTP, checkpoints shipped
+// to runner processes (`survey -join`) over HTTP, persists shipped
 // shards durably, reassigns units whose runners die, meters the fleet's
 // probe rate per destination /24 prefix, and — once every unit has
 // shipped — merges the shards into a record log and atlas snapshot

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -28,9 +26,6 @@ const DefaultUnitSize = 64
 // DefaultLeaseTTL is the lease duration when CoordinatorConfig.LeaseTTL
 // is zero. Runners heartbeat at a third of the TTL.
 const DefaultLeaseTTL = 30 * time.Second
-
-// manifestName is the manifest file inside the coordinator work dir.
-const manifestName = "manifest.json"
 
 // CoordinatorConfig configures a survey coordinator.
 type CoordinatorConfig struct {
@@ -67,8 +62,8 @@ type CoordinatorConfig struct {
 }
 
 // unit is one work unit moving through the lease state machine: its
-// manifest row (Shard is a file name within cfg.Dir, once shipped) plus
-// the lease fields the manifest never stores.
+// manifest row (Shard is a file name within the work dir, once shipped)
+// plus the lease fields the manifest never stores.
 type unit struct {
 	traceio.FleetUnit
 	leaseID uint64
@@ -85,15 +80,12 @@ type Coordinator struct {
 	budget *Budget
 	logf   func(string, ...any)
 
-	// jobPairs maps job list position to universe pair index, for
-	// validating shipped records against their span.
-	jobPairs []int
-
-	// The unit rows are the one record of progress: Status derives every
-	// count from them. lastSeen and expired hold the two facts the rows
-	// cannot: when each runner last called, and how many leases expired.
+	// The store's unit rows are the one record of progress: Status
+	// derives every count from them. lastSeen and expired hold the two
+	// facts the rows cannot: when each runner last called, and how many
+	// leases expired.
 	mu        sync.Mutex
-	units     []*unit
+	st        *store
 	lastSeen  map[string]time.Time
 	expired   int
 	merging   bool
@@ -118,18 +110,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := survey.JobCount(u, rc)
-	if total == 0 {
+	if survey.JobCount(u, rc) == 0 {
 		return nil, fmt.Errorf("dispatch: survey selects no jobs")
 	}
-	spec := cfg.Spec
-	spec.OptionsHash = survey.Fingerprint(u, rc)
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
-	}
 	c := &Coordinator{
-		cfg: cfg, spec: spec, ttl: cfg.LeaseTTL,
-		jobPairs: survey.JobPairs(u, rc),
+		cfg: cfg, spec: cfg.Spec, ttl: cfg.LeaseTTL,
 		logf:     cfg.Logf,
 		lastSeen: make(map[string]time.Time),
 		done:     make(chan struct{}),
@@ -137,109 +122,23 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
 	}
-	if spec.BudgetRate > 0 {
-		burst := spec.BudgetBurst
-		if burst == 0 {
-			burst = spec.BudgetRate
-		}
-		c.budget = NewBudget(spec.BudgetRate, burst)
-	}
-	for start := 0; start < total; start += cfg.UnitSize {
-		count := cfg.UnitSize
-		if start+count > total {
-			count = total - start
-		}
-		c.units = append(c.units, &unit{FleetUnit: traceio.FleetUnit{
-			ID: len(c.units), Start: start, Count: count, State: traceio.UnitUnclaimed,
-		}})
-	}
-	if cfg.Resume {
-		if err := c.restore(); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.persistManifest(); err != nil {
+	if c.st, err = openStore(cfg.Dir, u, rc, cfg.UnitSize, cfg.Resume, c.logf); err != nil {
 		return nil, err
 	}
+	c.spec.OptionsHash = c.st.hash
+	if c.spec.BudgetRate > 0 {
+		burst := c.spec.BudgetBurst
+		if burst == 0 {
+			burst = c.spec.BudgetRate
+		}
+		c.budget = NewBudget(c.spec.BudgetRate, burst)
+	}
 	// A resumed survey may already be fully shipped: merge immediately.
-	if c.durable() == len(c.units) {
+	if c.st.durable() == len(c.st.units) {
 		c.merging = true
 		go c.merge()
 	}
 	return c, nil
-}
-
-// restore loads the manifest and marks units whose shard files are
-// durably on disk as shipped. Leased units demote to unclaimed: their
-// leases died with the previous coordinator process.
-func (c *Coordinator) restore() error {
-	path := filepath.Join(c.cfg.Dir, manifestName)
-	m, err := traceio.ReadFleetManifest(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if err := m.Matches(c.spec.OptionsHash, len(c.jobPairs), c.cfg.UnitSize); err != nil {
-		return err
-	}
-	if len(m.Units) != len(c.units) {
-		return fmt.Errorf("dispatch: manifest lists %d units, this plan shards into %d", len(m.Units), len(c.units))
-	}
-	restored, records := 0, 0
-	for i, mu := range m.Units {
-		u := c.units[i]
-		if mu.Start != u.Start || mu.Count != u.Count {
-			return fmt.Errorf("dispatch: manifest unit %d spans jobs [%d,%d), this plan cuts [%d,%d)",
-				i, mu.Start, mu.Start+mu.Count, u.Start, u.Start+u.Count)
-		}
-		u.Attempts = mu.Attempts
-		if mu.State != traceio.UnitShipped && mu.State != traceio.UnitMerged {
-			continue
-		}
-		if fi, err := os.Stat(filepath.Join(c.cfg.Dir, mu.Shard)); err != nil || fi.Size() == 0 {
-			c.logf("dispatch: unit %d was shipped but shard %s is gone; re-tracing", i, mu.Shard)
-			continue
-		}
-		// Merged demotes to shipped: the merge re-runs over all shards
-		// and rewrites its outputs atomically, so repeating it is safe
-		// and simpler than proving the previous outputs complete.
-		u.FleetUnit = mu
-		u.State = traceio.UnitShipped
-		restored++
-		records += mu.Records
-	}
-	if restored > 0 {
-		c.logf("dispatch: resumed %d shipped units (%d records) from %s", restored, records, path)
-	}
-	return nil
-}
-
-// durable counts the units whose shards are on disk: the shipped and
-// merged rows. Callers hold c.mu.
-func (c *Coordinator) durable() int {
-	n := 0
-	for _, u := range c.units {
-		if u.State == traceio.UnitShipped || u.State == traceio.UnitMerged {
-			n++
-		}
-	}
-	return n
-}
-
-// persistManifest writes the manifest atomically. Callers must hold no
-// lock or c.mu consistently; it reads unit state, so call it with c.mu
-// held once the coordinator is serving.
-func (c *Coordinator) persistManifest() error {
-	m := &traceio.FleetManifest{
-		OptionsHash: c.spec.OptionsHash, Seed: c.spec.Seed,
-		Total: len(c.jobPairs), UnitSize: c.cfg.UnitSize,
-	}
-	for _, u := range c.units {
-		m.Units = append(m.Units, u.FleetUnit)
-	}
-	return m.WriteAtomic(filepath.Join(c.cfg.Dir, manifestName))
 }
 
 // Done is closed once the final merge has finished (successfully or
@@ -271,7 +170,7 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	st := Status{Units: len(c.units), ExpiredLeases: c.expired}
+	st := Status{Units: len(c.st.units), ExpiredLeases: c.expired}
 	runners := make(map[string]*StatusRunner, len(c.lastSeen))
 	for id, seen := range c.lastSeen {
 		runners[id] = &StatusRunner{
@@ -280,7 +179,7 @@ func (c *Coordinator) Status() Status {
 			LastSeen: seen.UTC().Format(time.RFC3339),
 		}
 	}
-	for _, u := range c.units {
+	for _, u := range c.st.units {
 		switch u.State {
 		case traceio.UnitUnclaimed:
 			st.Unclaimed++
@@ -314,7 +213,7 @@ func (c *Coordinator) Status() Status {
 // expireLeases returns expired leased units to the unclaimed pool.
 // Callers hold c.mu.
 func (c *Coordinator) expireLeases(now time.Time) {
-	for _, u := range c.units {
+	for _, u := range c.st.units {
 		if u.State == traceio.UnitLeased && now.After(u.expires) {
 			c.logf("dispatch: lease %d on unit %d (runner %s) expired; unit back to unclaimed", u.leaseID, u.ID, u.Runner)
 			u.State = traceio.UnitUnclaimed
@@ -368,11 +267,11 @@ func (c *Coordinator) Handler() http.Handler {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		now := c.tick(req.Runner)
-		if c.durable() == len(c.units) {
+		if c.st.durable() == len(c.st.units) {
 			writeJSON(w, http.StatusOK, claimResponse{Status: StatusDone})
 			return
 		}
-		for _, u := range c.units {
+		for _, u := range c.st.units {
 			if u.State != traceio.UnitUnclaimed {
 				continue
 			}
@@ -448,10 +347,10 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 func (c *Coordinator) unitByID(id int) *unit {
-	if id < 0 || id >= len(c.units) {
+	if id < 0 || id >= len(c.st.units) {
 		return nil
 	}
-	return c.units[id]
+	return c.st.units[id]
 }
 
 // maxShipRecordBytes is the per-record ceiling on a shipment: a unit's
@@ -505,25 +404,9 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Validate the shipment against its span outside the lock: exactly
-	// one record per job, in job order, each carrying the pair index the
-	// span's position demands.
-	n := 0
-	verr := traceio.DecodeSurveyRecords(bytes.NewReader(body), func(sr *traceio.SurveyRecord) error {
-		if n >= count {
-			return fmt.Errorf("more than %d records", count)
-		}
-		if want := c.jobPairs[start+n]; sr.PairIndex != want {
-			return fmt.Errorf("record %d is pair %d, span expects pair %d", n, sr.PairIndex, want)
-		}
-		n++
-		return nil
-	})
-	if verr == nil && n != count {
-		verr = fmt.Errorf("%d records, span holds %d jobs", n, count)
-	}
-	if verr != nil {
-		writeErr(w, http.StatusBadRequest, "unit %d shipment invalid: %v", id, verr)
+	// Check the shipment against its span outside the lock.
+	if err := c.st.checkShard(start, count, bytes.NewReader(body)); err != nil {
+		writeErr(w, http.StatusBadRequest, "unit %d shipment invalid: %v", id, err)
 		return
 	}
 
@@ -538,118 +421,39 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, "lease %d on unit %d is no longer held", leaseID, id)
 		return
 	}
-	shard := fmt.Sprintf("unit-%06d.jsonl", id)
-	if err := traceio.WriteFileAtomic(filepath.Join(c.cfg.Dir, shard), body, 0o644); err != nil {
-		writeErr(w, http.StatusInternalServerError, "persisting shard: %v", err)
+	if err := c.st.storeShard(u, body); err != nil {
+		// A failed store leaves the leased row as it was, so the runner's
+		// retry ships again (the rewrite is idempotent) under a lease
+		// re-validated then.
+		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	leased := *u
-	u.State = traceio.UnitShipped
-	u.Shard = shard
-	u.Records = n
-	u.leaseID = 0
-	if err := c.persistManifest(); err != nil {
-		// The shard is durable but the manifest is not; fail the ship so
-		// the runner retries (the rewrite is idempotent). Restoring the
-		// leased row undoes the ship; the lease is re-validated on retry.
-		*u = leased
-		writeErr(w, http.StatusInternalServerError, "persisting manifest: %v", err)
-		return
-	}
-	durable := c.durable()
+	durable := c.st.durable()
 	c.logf("dispatch: unit %d shipped by %s (%d records); %d/%d units durable",
-		id, runner, n, durable, len(c.units))
-	writeJSON(w, http.StatusOK, shipResponse{Status: "ok", Records: n})
-	if durable == len(c.units) && !c.merging {
+		id, runner, count, durable, len(c.st.units))
+	writeJSON(w, http.StatusOK, shipResponse{Status: "ok", Records: count})
+	if durable == len(c.st.units) && !c.merging {
 		c.merging = true
 		go c.merge()
 	}
 }
 
-// merge folds every shipped shard, in unit (= span = pair) order, into
-// the final outputs: the concatenated record log (byte-identical to a
-// single-machine -out file) and the atlas snapshot written through the
-// streaming canonical merge (byte-identical to a single-machine -atlas
-// snapshot). It runs once, after the last ship.
+// merge folds every shipped shard into the final outputs (store.merge)
+// and marks every unit merged. It runs once, after the last ship.
 func (c *Coordinator) merge() {
-	err := c.doMerge()
-	c.mu.Lock()
-	c.err = err
+	agg, err := c.st.merge(c.cfg.OutJSONL, c.cfg.AtlasPath, c.cfg.AtlasOptions)
 	if err == nil {
-		for _, u := range c.units {
-			u.State = traceio.UnitMerged
+		c.logf("dispatch: merged %d records into %s", agg.Records, c.cfg.OutJSONL)
+		if c.cfg.AtlasPath != "" {
+			c.logf("dispatch: atlas snapshot written to %s", c.cfg.AtlasPath)
 		}
-		err = c.persistManifest()
-		if c.err == nil {
-			c.err = err
-		}
-	}
-	c.mu.Unlock()
-	close(c.done)
-}
-
-func (c *Coordinator) doMerge() error {
-	agg := survey.NewRecordAggregate()
-	shards := make([]string, len(c.units))
-	c.mu.Lock()
-	for i, u := range c.units {
-		shards[i] = filepath.Join(c.cfg.Dir, u.Shard)
-	}
-	c.mu.Unlock()
-
-	// One decode per shard: its bytes concatenate into the record log in
-	// span order while every record feeds the aggregate the summary
-	// reports and, when a snapshot is wanted, the atlas.
-	var a *atlas.Atlas
-	if c.cfg.AtlasPath != "" {
-		a = atlas.New(c.cfg.AtlasOptions)
-	}
-	fold := func(w io.Writer) error {
-		for _, path := range shards {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			var src io.Reader = f
-			if w != nil {
-				src = io.TeeReader(f, w)
-			}
-			err = traceio.DecodeSurveyRecords(src, func(sr *traceio.SurveyRecord) error {
-				if err := agg.Add(sr); err != nil {
-					return err
-				}
-				if a != nil {
-					return a.AddRecord(sr)
-				}
-				return nil
-			})
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("merging %s: %w", path, err)
-			}
-		}
-		return nil
-	}
-	var err error
-	if c.cfg.OutJSONL != "" {
-		err = traceio.WriteFileAtomicStream(c.cfg.OutJSONL, 0o644, fold)
-	} else {
-		err = fold(nil)
-	}
-	if err != nil {
-		return err
-	}
-	c.logf("dispatch: merged %d records into %s", agg.Records, c.cfg.OutJSONL)
-
-	// The atlas snapshot, through the streaming canonical encode.
-	if a != nil {
-		if err := a.Save(c.cfg.AtlasPath); err != nil {
-			return err
-		}
-		c.logf("dispatch: atlas snapshot written to %s", c.cfg.AtlasPath)
 	}
 	c.mu.Lock()
 	c.mergedAgg = agg
+	if err == nil {
+		err = c.st.markMerged()
+	}
+	c.err = err
 	c.mu.Unlock()
-	return nil
+	close(c.done)
 }

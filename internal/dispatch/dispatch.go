@@ -8,10 +8,12 @@
 // unit is a span-scoped survey.Run), internal/experiments (coordinator
 // and runners derive the identical survey plan from one Spec via
 // PlanSurvey), internal/traceio (shard files and the manifest persist
-// through the same atomic-write primitives as checkpoints) and
-// internal/atlas (shipped shards fold into one atlas whose snapshot is
-// written through the streaming canonical merge). cmd/surveyd hosts the
-// Coordinator; cmd/survey -join hosts the Runner.
+// through its atomic-write primitives) and internal/atlas (shipped
+// shards fold into one atlas whose snapshot is written through the
+// streaming canonical merge). cmd/surveyd hosts the Coordinator;
+// cmd/survey -join hosts the Runner, and cmd/survey -checkpoint calls
+// RunLocal, which keeps a single-machine survey's progress in the same
+// manifest and shards a coordinator keeps.
 //
 // The correctness contract is byte determinism: because the job list,
 // per-pair seeds and record encoding are deterministic, every work unit

@@ -388,7 +388,7 @@ func TestDeadRunnerReassignment(t *testing.T) {
 		t.Fatalf("expected at least one expired lease, status %+v", st)
 	}
 	coord.mu.Lock()
-	attempts := coord.units[ghost.Unit.ID].Attempts
+	attempts := coord.st.units[ghost.Unit.ID].Attempts
 	coord.mu.Unlock()
 	if attempts < 2 {
 		t.Fatalf("abandoned unit %d has %d lease attempts, want >= 2", ghost.Unit.ID, attempts)
@@ -629,6 +629,50 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	if got := readFile(t, filepath.Join(dir, "merged.atlas")); !bytes.Equal(got, wantAtlas) {
 		t.Fatalf("merged atlas differs after coordinator resume (%d vs %d bytes)", len(got), len(wantAtlas))
+	}
+}
+
+// TestResumeRetracesCorruptShard: a restarted coordinator checks every
+// shard its manifest names as it checks a shipment. A shard overwritten
+// with junk is not restored: its unit is traced again, and the merge
+// yields the single-machine bytes instead of failing on the junk.
+func TestResumeRetracesCorruptShard(t *testing.T) {
+	t.Parallel()
+	spec := testSpec()
+	golden := t.TempDir()
+	wantJSONL := singleMachine(t, spec, filepath.Join(golden, "golden.atlas"))
+	wantAtlas := readFile(t, filepath.Join(golden, "golden.atlas"))
+
+	dir := t.TempDir()
+	coordA, srvA := newTestCoordinator(t, dir, spec, nil)
+	err := RunRunner(RunnerConfig{
+		Coordinator: srvA.URL, ID: "runner-a", Workers: 2,
+		Poll: 10 * time.Millisecond, MaxUnits: 2, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := coordA.Status(); st.Shipped != 2 {
+		t.Fatalf("phase 1 shipped %d units, want 2", st.Shipped)
+	}
+	srvA.Close()
+	if err := os.WriteFile(filepath.Join(dir, "unit-000000.jsonl"), []byte("not a record\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	coordB, srvB := newTestCoordinator(t, dir, spec, func(cfg *CoordinatorConfig) {
+		cfg.Resume = true
+	})
+	if st := coordB.Status(); st.Shipped != 1 || st.Unclaimed != st.Units-1 {
+		t.Fatalf("resume over a corrupt shard: %s, want only the intact unit restored", st)
+	}
+	runRunners(t, srvB.URL, 2)
+	waitDone(t, coordB)
+	if got := readFile(t, filepath.Join(dir, "merged.jsonl")); !bytes.Equal(got, wantJSONL) {
+		t.Fatalf("merged record log differs after re-tracing the corrupt unit (%d vs %d bytes)", len(got), len(wantJSONL))
+	}
+	if got := readFile(t, filepath.Join(dir, "merged.atlas")); !bytes.Equal(got, wantAtlas) {
+		t.Fatalf("merged atlas differs after re-tracing the corrupt unit (%d vs %d bytes)", len(got), len(wantAtlas))
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // SurveyConfig is the plan of a Sec 5 survey: the inputs that decide
 // which pairs are traced and what their records contain. How a run
-// executes — workers, sinks, checkpoints, progress — is set by the caller
+// executes — workers, sinks, spans, progress — is set by the caller
 // on the survey.RunConfig PlanSurvey returns.
 type SurveyConfig struct {
 	Pairs  int

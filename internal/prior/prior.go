@@ -202,7 +202,7 @@ func (ix *Index) Len() int {
 
 // Fingerprint returns a deterministic digest of the index's full content
 // (pairs, hop sets, edges, hints). Survey option hashes include it so a
-// checkpointed run refuses to resume under a different prior.
+// resumed survey refuses a manifest written under a different prior.
 func (ix *Index) Fingerprint() uint64 {
 	if ix == nil {
 		return 0

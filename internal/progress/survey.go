@@ -21,7 +21,6 @@ import (
 type Survey struct {
 	total   atomic.Int64
 	done    atomic.Int64
-	skipped atomic.Int64
 	probes  atomic.Uint64
 	records atomic.Int64
 	// startNanos anchors the rate computation at Begin time.
@@ -35,13 +34,11 @@ func NewSurvey() *Survey {
 	return p
 }
 
-// Begin (re)anchors the tracker for a run of total pairs of which
-// skipped were already completed by an earlier, checkpointed run. Rates
-// cover only the pairs this process traces.
-func (p *Survey) Begin(total, skipped int) {
+// Begin (re)anchors the tracker for a run of total pairs: the pairs this
+// process traces, so a resumed survey counts only what it has left.
+func (p *Survey) Begin(total int) {
 	p.total.Store(int64(total))
-	p.skipped.Store(int64(skipped))
-	p.done.Store(int64(skipped))
+	p.done.Store(0)
 	p.probes.Store(0)
 	p.records.Store(0)
 	p.startNanos.Store(time.Now().UnixNano())
@@ -58,12 +55,12 @@ func (p *Survey) RecordEmitted() { p.records.Add(1) }
 
 // SurveySnapshot is a consistent-enough point-in-time view for reporting.
 type SurveySnapshot struct {
-	Done, Total, Skipped int
-	Probes               uint64
-	Records              int
-	Elapsed              time.Duration
+	Done, Total int
+	Probes      uint64
+	Records     int
+	Elapsed     time.Duration
 	// PairsPerSec and ProbesPerSec are rates over the pairs this process
-	// traced (checkpoint-skipped pairs excluded).
+	// traced.
 	PairsPerSec, ProbesPerSec float64
 }
 
@@ -72,13 +69,12 @@ func (p *Survey) Snapshot() SurveySnapshot {
 	s := SurveySnapshot{
 		Done:    int(p.done.Load()),
 		Total:   int(p.total.Load()),
-		Skipped: int(p.skipped.Load()),
 		Probes:  p.probes.Load(),
 		Records: int(p.records.Load()),
 		Elapsed: time.Duration(time.Now().UnixNano() - p.startNanos.Load()),
 	}
 	if secs := s.Elapsed.Seconds(); secs > 0 {
-		s.PairsPerSec = float64(s.Done-s.Skipped) / secs
+		s.PairsPerSec = float64(s.Done) / secs
 		s.ProbesPerSec = float64(s.Probes) / secs
 	}
 	return s
@@ -90,10 +86,6 @@ func (s SurveySnapshot) String() string {
 	if s.Total > 0 {
 		pct = 100 * float64(s.Done) / float64(s.Total)
 	}
-	line := fmt.Sprintf("%d/%d pairs (%.1f%%), %d probes, %.1f pairs/s, %.0f probes/s",
+	return fmt.Sprintf("%d/%d pairs (%.1f%%), %d probes, %.1f pairs/s, %.0f probes/s",
 		s.Done, s.Total, pct, s.Probes, s.PairsPerSec, s.ProbesPerSec)
-	if s.Skipped > 0 {
-		line += fmt.Sprintf(" (%d resumed from checkpoint)", s.Skipped)
-	}
-	return line
 }

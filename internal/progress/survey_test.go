@@ -9,7 +9,7 @@ import (
 func TestProgressCountsUnderConcurrency(t *testing.T) {
 	t.Parallel()
 	p := NewSurvey()
-	p.Begin(200, 50)
+	p.Begin(200)
 	var wg sync.WaitGroup
 	for w := 0; w < 10; w++ {
 		wg.Add(1)
@@ -23,11 +23,8 @@ func TestProgressCountsUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	s := p.Snapshot()
-	if s.Done != 50+150 {
-		t.Fatalf("done = %d, want 200", s.Done)
-	}
-	if s.Total != 200 || s.Skipped != 50 {
-		t.Fatalf("total/skipped = %d/%d", s.Total, s.Skipped)
+	if s.Done != 150 || s.Total != 200 {
+		t.Fatalf("done/total = %d/%d, want 150/200", s.Done, s.Total)
 	}
 	if s.Probes != 150*7 {
 		t.Fatalf("probes = %d", s.Probes)
@@ -43,13 +40,10 @@ func TestProgressCountsUnderConcurrency(t *testing.T) {
 func TestProgressSnapshotString(t *testing.T) {
 	t.Parallel()
 	p := NewSurvey()
-	p.Begin(10, 4)
+	p.Begin(10)
 	p.PairDone(100)
 	line := p.Snapshot().String()
-	if !strings.Contains(line, "5/10 pairs") {
+	if !strings.Contains(line, "1/10 pairs (10.0%), 100 probes") {
 		t.Fatalf("unexpected status line %q", line)
-	}
-	if !strings.Contains(line, "resumed from checkpoint") {
-		t.Fatalf("status line %q does not mention resumed pairs", line)
 	}
 }

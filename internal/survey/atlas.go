@@ -13,8 +13,8 @@ import (
 // (the JSONL record log, aggregates); because the atlas's snapshot
 // is canonical — nodes keyed by address, written in ascending address
 // order — the snapshot a run produces is byte-identical for every
-// worker count, and a resumed run's replay rebuilds the exact atlas an
-// uninterrupted run would have produced.
+// worker count, and an atlas folded from a resumed run's shards is the
+// exact atlas an uninterrupted run would have produced.
 //
 // With PublishDeltas the sink additionally writes periodic incremental
 // snapshots — each covering only the records since the previous publish

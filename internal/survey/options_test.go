@@ -11,9 +11,9 @@ import (
 
 // TestFingerprintCoversEveryInput: changing any one input that decides
 // which pairs a run traces or what their records hold changes the
-// options hash, so a checkpoint or fleet manifest of another experiment
-// is refused; changing only how the run executes leaves it alone, so the
-// same experiment resumes under other workers, sinks or spans.
+// options hash, so a fleet manifest of another experiment is refused;
+// changing only how the run executes leaves it alone, so the same
+// experiment resumes under other workers, sinks or spans.
 func TestFingerprintCoversEveryInput(t *testing.T) {
 	t.Parallel()
 	baseGen := GenConfig{Seed: 3, Pairs: 12}
@@ -46,7 +46,6 @@ func TestFingerprintCoversEveryInput(t *testing.T) {
 			r.WrapProber = func(_ Pair, p probe.Prober) probe.Prober { return p }
 		}, false},
 		{"progress", nil, func(r *RunConfig) { r.Progress = progress.NewSurvey() }, false},
-		{"checkpointing", nil, func(r *RunConfig) { r.Checkpoint, r.CheckpointEvery, r.Resume = "c.ckpt", 3, true }, false},
 	} {
 		gen, run := baseGen, baseRun
 		if c.gen != nil {

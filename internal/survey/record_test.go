@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -159,51 +158,5 @@ func TestIPRecordContentPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != c.want {
 			t.Errorf("%s: record content digest %s, pinned %s", c.name, got, c.want)
 		}
-	}
-}
-
-// parentFingerprint is Fingerprint(Generate(GenConfig{Seed: 3, Pairs:
-// 12}), RunConfig{Algo: AlgoMDALite, Retries: 1, Trace: mda.Config{Seed:
-// 3}}) at commit b6ec1af, the last commit writing the nested record
-// layout.
-const parentFingerprint = 0x8ecdec2d03fa8740
-
-// TestRecordSchemaRefusesOlderLogs: the record layout is part of the
-// options hash, so a checkpoint written for a log of the older layout —
-// whose records this decoder would read as empty ones — is refused, and
-// the log is left as it was.
-func TestRecordSchemaRefusesOlderLogs(t *testing.T) {
-	t.Parallel()
-	u := Generate(GenConfig{Seed: 3, Pairs: 12})
-	cfg := RunConfig{Algo: AlgoMDALite, Retries: 1, Trace: mda.Config{Seed: 3}}
-	if Fingerprint(u, cfg) == parentFingerprint {
-		t.Fatal("the options hash does not change with the record layout")
-	}
-
-	dir := t.TempDir()
-	logPath, ckPath := filepath.Join(dir, "old.jsonl"), filepath.Join(dir, "old.ckpt")
-	old := []byte(`{"pair_index":0,"has_lb":false,"trace":{"src":"192.0.2.1","dst":"203.0.113.9","algorithm":"mda-lite",` +
-		`"probes":40,"reached":true,"vertices":[{"addr":"10.0.0.1","hop":0}],"edges":[]}}` + "\n")
-	if err := os.WriteFile(logPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck := &traceio.Checkpoint{
-		Kind: checkpointKind, OptionsHash: parentFingerprint, Seed: 3,
-		Total: JobCount(u, cfg), Done: 1, Offset: int64(len(old)),
-	}
-	if err := ck.WriteAtomic(ckPath); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Checkpoint, cfg.Resume = ckPath, true
-	cfg.Sinks = []Sink{NewJSONLSink(logPath), NewAggregateSink()}
-	if _, err := Run(u, cfg); err == nil || !strings.Contains(err.Error(), "different options") {
-		t.Fatalf("resume onto an older-layout log: err = %v, want an options mismatch", err)
-	}
-	after, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, old) {
-		t.Fatal("the refused resume modified the older-layout log")
 	}
 }

@@ -3,7 +3,6 @@ package survey
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 
 	"mmlpt/internal/core"
 	"mmlpt/internal/fakeroute"
@@ -64,7 +63,7 @@ type TraceOutcome struct {
 
 // Result holds the outcomes this call of Run traced. The survey's figures,
 // tables and summary are not read from it but from a RecordAggregate fed
-// by the record stream, which a resumed run rebuilds by replay.
+// by the record stream, which a resumed run rebuilds from its shards.
 type Result struct {
 	Algo     Algo
 	Outcomes []TraceOutcome
@@ -88,8 +87,8 @@ type RunConfig struct {
 	// Prior seeds MDA-Lite traces from an atlas-derived index: each pair
 	// with an indexed prior probes only to its confirmation budget and
 	// falls back to full discovery on mismatch. Nil traces unseeded. The
-	// index's fingerprint is part of the options hash, so a checkpointed
-	// run refuses to resume under a different prior.
+	// index's fingerprint is part of the options hash, so a resumed
+	// survey refuses a manifest written under a different prior.
 	Prior *prior.Index
 	// Workers is how many pairs are traced concurrently. Zero selects
 	// GOMAXPROCS; one forces a serial walk. Per-pair seeds and per-trace
@@ -99,13 +98,13 @@ type RunConfig struct {
 
 	// SpanStart/SpanCount restrict the run to the contiguous slice
 	// [SpanStart, SpanStart+SpanCount) of the deterministic selected-job
-	// list — the same list a checkpoint's Done count indexes. SpanCount
-	// zero with SpanStart zero traces everything. The distributed control
-	// plane (internal/dispatch) traces one such span per work-unit claim;
-	// records keep their global pair indices and derived seeds, so unit
-	// outputs concatenated in span order are byte-identical to the record
-	// stream of a whole-survey run. A span cannot be combined with
-	// Checkpoint or Resume: work units are retried whole, not resumed.
+	// list — the same list a fleet manifest's units partition. SpanCount
+	// zero traces from SpanStart to the end. The distributed control
+	// plane (internal/dispatch) traces one such span per work-unit claim,
+	// and a resumed single-machine survey the span after its last durable
+	// unit; records keep their global pair indices and derived seeds, so
+	// unit outputs concatenated in span order are byte-identical to the
+	// record stream of a whole-survey run.
 	SpanStart, SpanCount int
 
 	// WrapProber, when non-nil, wraps each pair's prober before tracing.
@@ -119,16 +118,6 @@ type RunConfig struct {
 	// contiguous prefix of traces has completed. Nil keeps the survey a
 	// pure in-memory aggregation.
 	Sinks []Sink
-	// Checkpoint names a progress file written atomically every
-	// CheckpointEvery records (default 64), making the run resumable
-	// after a kill. Empty disables checkpointing.
-	Checkpoint      string
-	CheckpointEvery int
-	// Resume loads the checkpoint, truncates the first JSONLSink among
-	// Sinks back to the durable offset, replays its records into the
-	// remaining sinks, and traces only the pairs not yet completed. A
-	// missing checkpoint file degrades to a fresh run.
-	Resume bool
 	// Progress, when non-nil, is updated as pairs complete; purely
 	// observational.
 	Progress *progress.Survey
@@ -136,17 +125,9 @@ type RunConfig struct {
 	probesPerRound int
 }
 
-// DefaultCheckpointEvery is the record interval between checkpoints when
-// RunConfig.CheckpointEvery is zero.
-const DefaultCheckpointEvery = 64
-
-// checkpointKind tags survey checkpoints so other tools' files are
-// rejected on resume.
-const checkpointKind = "survey"
-
 // recordSchema names traceio.SurveyRecord's layout. Through the options
-// hash it makes checkpoints and fleet specs of another layout mismatch
-// instead of replaying records the decoder would misread as empty.
+// hash it makes manifests and fleet specs of another layout mismatch
+// instead of merging records the decoder would misread as empty.
 const recordSchema = "hops+succ"
 
 // job is one selected pair to trace.
@@ -157,7 +138,7 @@ type job struct {
 
 // selectJobs picks the pairs a run will trace, exactly as the serial
 // walk always has. The selection is deterministic, which is what lets a
-// checkpoint identify the completed set by a single count.
+// manifest identify each unit's jobs by a span of positions.
 func selectJobs(u *Universe, cfg RunConfig) []job {
 	var jobs []job
 	for i, pair := range u.Pairs {
@@ -171,7 +152,7 @@ func selectJobs(u *Universe, cfg RunConfig) []job {
 
 // JobCount reports how many pairs Run would trace under cfg before any
 // span restriction: the total the distributed coordinator shards into
-// work units, and the Total a checkpoint validates against.
+// work units, and the Total a manifest validates against.
 func JobCount(u *Universe, cfg RunConfig) int {
 	return len(selectJobs(u, cfg))
 }
@@ -191,7 +172,7 @@ func JobPairs(u *Universe, cfg RunConfig) []int {
 
 // Fingerprint exposes the options hash: the fingerprint of every input
 // that determines which pairs a run traces and what their records
-// contain. Checkpoints embed it to refuse resuming a different
+// contain. Manifests embed it to refuse resuming a different
 // experiment; the distributed control plane embeds it in work-unit
 // claims so a runner refuses a coordinator whose survey plan differs
 // from what the runner's own binary derives (version skew).
@@ -202,8 +183,7 @@ func Fingerprint(u *Universe, cfg RunConfig) uint64 {
 // optionsHash fingerprints every input that determines which pairs are
 // traced and what their records contain. Worker count is deliberately
 // excluded: results are identical for every worker count. Span bounds
-// are excluded too: a span traces a slice of the same experiment, and
-// the checkpoint machinery (the hash's consumer) refuses spans anyway.
+// are excluded too: a span traces a slice of the same experiment.
 func optionsHash(u *Universe, cfg RunConfig) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "gen=%+v|algo=%d|seed=%d|maxttl=%d|stop=%v|phi=%d|onlylb=%t|rounds=%d|ppr=%d|retries=%d|record=%s",
@@ -215,25 +195,18 @@ func optionsHash(u *Universe, cfg RunConfig) uint64 {
 	return h.Sum64()
 }
 
-// Run traces every pair of the universe and collects the survey records.
-// Pairs are traced by a pool of cfg.Workers workers; each outcome is
-// aggregated — and streamed to cfg.Sinks — in pair order the moment its
-// contiguous prefix of traces has completed, so the result is
-// byte-identical to a serial walk while a large survey's records leave
-// the process incrementally. With checkpointing enabled the run can be
-// killed and resumed (cfg.Resume); the returned Result then covers only
-// the pairs this call traced, while sinks (rebuilt by replaying the
-// record log) cover the whole survey — which is why every survey output
-// is a fold over records (RecordAggregate).
+// Run traces every pair of the universe (or of the span) and collects
+// the survey records. Pairs are traced by a pool of cfg.Workers workers;
+// each outcome is aggregated — and streamed to cfg.Sinks — in pair order
+// the moment its contiguous prefix of traces has completed, so the result
+// is byte-identical to a serial walk while a large survey's records leave
+// the process incrementally.
 func Run(u *Universe, cfg RunConfig) (*Result, error) {
 	if cfg.Phi == 0 {
 		cfg.Phi = mda.DefaultPhi
 	}
 	jobs := selectJobs(u, cfg)
 	if cfg.SpanStart != 0 || cfg.SpanCount != 0 {
-		if cfg.Checkpoint != "" || cfg.Resume {
-			return nil, fmt.Errorf("survey: a span cannot be checkpointed or resumed; work units are retried whole")
-		}
 		end := cfg.SpanStart + cfg.SpanCount
 		if cfg.SpanCount == 0 {
 			end = len(jobs)
@@ -243,76 +216,14 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 		}
 		jobs = jobs[cfg.SpanStart:end]
 	}
-	total := len(jobs)
-	hash := optionsHash(u, cfg)
-
-	// The first JSONL sink is the record log: the durable stream the
-	// checkpoint's byte offset refers to and resume replays from.
-	var log *JSONLSink
-	var others []Sink
-	for _, s := range cfg.Sinks {
-		if j, ok := s.(*JSONLSink); ok && log == nil {
-			log = j
-			continue
-		}
-		others = append(others, s)
-	}
-
-	start := 0
-	if cfg.Checkpoint != "" && cfg.Resume {
-		ck, err := traceio.ReadCheckpoint(cfg.Checkpoint)
-		switch {
-		case err == nil:
-			if err := ck.Matches(checkpointKind, hash, total); err != nil {
-				return nil, fmt.Errorf("survey: %s: %w", cfg.Checkpoint, err)
-			}
-			start = ck.Done
-			if start > 0 {
-				if log == nil && len(cfg.Sinks) > 0 {
-					return nil, fmt.Errorf("survey: resuming with sinks requires a JSONLSink record log")
-				}
-				if log != nil {
-					// Prove the log matches the checkpoint BEFORE
-					// truncating: a wrong -out path, or a checkpoint from
-					// a run without a record log (offset 0), must not
-					// destroy the file it points at.
-					if err := traceio.ValidateJSONLPrefix(log.Path(), ck.Offset, start); err != nil {
-						return nil, fmt.Errorf("survey: cannot resume onto %s: %w", log.Path(), err)
-					}
-					if err := log.resumeAt(ck.Offset); err != nil {
-						return nil, err
-					}
-					n, err := ReplayJSONL(log.Path(), others...)
-					if err != nil {
-						return nil, fmt.Errorf("survey: replaying %s: %w", log.Path(), err)
-					}
-					if n != start {
-						return nil, fmt.Errorf("survey: record log %s holds %d records, checkpoint says %d", log.Path(), n, start)
-					}
-				}
-			}
-		case os.IsNotExist(err):
-			// No checkpoint yet: a fresh run that will create one.
-		default:
-			return nil, err
-		}
-	}
 	if cfg.Progress != nil {
-		cfg.Progress.Begin(total, start)
-	}
-
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = DefaultCheckpointEvery
+		cfg.Progress.Begin(len(jobs))
 	}
 
 	res := &Result{Algo: cfg.Algo}
-	emitted := 0
-	// A sink or checkpoint error aborts the run: pairs after it are not
-	// traced.
-	err := par.OrderedErr(total-start, cfg.Workers, func(k int) (TraceOutcome, error) {
-		j := jobs[start+k]
-		return traceOne(u, j.idx, j.pair, cfg), nil
+	// A sink error aborts the run: pairs after it are not traced.
+	err := par.OrderedErr(len(jobs), cfg.Workers, func(k int) (TraceOutcome, error) {
+		return traceOne(u, jobs[k].idx, jobs[k].pair, cfg), nil
 	}, func(k int, out TraceOutcome) error {
 		res.TotalProbes += out.Probes
 		res.Outcomes = append(res.Outcomes, out)
@@ -330,43 +241,9 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 				cfg.Progress.RecordEmitted()
 			}
 		}
-		emitted++
-		if cfg.Checkpoint != "" && emitted%every == 0 {
-			return writeCheckpoint(cfg, hash, total, start+emitted, log)
-		}
 		return nil
 	})
-	if err != nil {
-		return res, err
-	}
-	if cfg.Checkpoint != "" {
-		if err := writeCheckpoint(cfg, hash, total, start+emitted, log); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
-}
-
-// writeCheckpoint makes the sinks durable, then atomically replaces the
-// checkpoint file. Ordering matters: the record log must be fsynced
-// before a checkpoint names its offset, so the offset never points past
-// durable bytes.
-func writeCheckpoint(cfg RunConfig, hash uint64, total, done int, log *JSONLSink) error {
-	for _, s := range cfg.Sinks {
-		if f, ok := s.(Flusher); ok {
-			if err := f.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	ck := &traceio.Checkpoint{
-		Kind: checkpointKind, OptionsHash: hash, Seed: cfg.Trace.Seed,
-		Total: total, Done: done,
-	}
-	if log != nil {
-		ck.Offset = log.Offset()
-	}
-	return ck.WriteAtomic(cfg.Checkpoint)
+	return res, err
 }
 
 func traceOne(u *Universe, idx int, pair Pair, cfg RunConfig) TraceOutcome {

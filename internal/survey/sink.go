@@ -1,7 +1,6 @@
 package survey
 
 import (
-	"fmt"
 	"os"
 
 	"mmlpt/internal/alias"
@@ -20,17 +19,10 @@ type Sink interface {
 	Close() error
 }
 
-// Flusher is implemented by sinks that buffer: Run flushes all of them
-// before writing a checkpoint, so the checkpoint never points past
-// durable data.
-type Flusher interface {
-	Flush() error
-}
-
 // NewRecord converts one trace outcome into its streamed record. The
 // record is byte-stable: encoding, decoding and re-encoding it yields
-// identical JSONL bytes, which is what makes a resumed run's output file
-// byte-identical to an uninterrupted one.
+// identical JSONL bytes, which is what makes a merged or resumed run's
+// output file byte-identical to an uninterrupted one.
 func NewRecord(algo Algo, out TraceOutcome) *traceio.SurveyRecord {
 	rec := TraceRecord(out.Pair.Src, out.Pair.Dst, algo.String(), out.Graph, out.Probes, out.Reached, out.Switched, out.ML)
 	rec.PairIndex, rec.HasLB = out.PairIndex, out.Pair.HasLB
@@ -56,8 +48,7 @@ func TraceRecord(src, dst packet.Addr, algorithm string, g *topo.Graph, probes u
 }
 
 // JSONLSink streams records to a JSONL file through traceio.JSONLWriter.
-// The file is created lazily on first use; Run rewires it to truncate
-// and append when resuming from a checkpoint.
+// The file is created lazily on first use.
 type JSONLSink struct {
 	path string
 	jw   *traceio.JSONLWriter
@@ -67,23 +58,6 @@ type JSONLSink struct {
 // first use.
 func NewJSONLSink(path string) *JSONLSink {
 	return &JSONLSink{path: path}
-}
-
-// Path returns the output file.
-func (s *JSONLSink) Path() string { return s.path }
-
-// resumeAt truncates the file to the checkpointed durable offset and
-// positions the writer there. It must run before the first Emit.
-func (s *JSONLSink) resumeAt(off int64) error {
-	if s.jw != nil {
-		return fmt.Errorf("survey: JSONL sink %s already open, cannot resume", s.path)
-	}
-	jw, err := traceio.OpenJSONLAt(s.path, off)
-	if err != nil {
-		return err
-	}
-	s.jw = jw
-	return nil
 }
 
 func (s *JSONLSink) open() error {
@@ -106,29 +80,11 @@ func (s *JSONLSink) Emit(rec *traceio.SurveyRecord) error {
 	return s.jw.Write(rec)
 }
 
-// Offset returns the bytes written so far (durable only after Flush).
-func (s *JSONLSink) Offset() int64 {
-	if s.jw == nil {
-		return 0
-	}
-	return s.jw.Offset()
-}
-
-// Flush fsyncs the file. A sink that never emitted has never touched
-// the disk, and Flush keeps it that way — so closing or flushing a sink
-// after a refused resume cannot truncate the record log the refusal
-// protected. (A zero-record run therefore creates no file.)
-func (s *JSONLSink) Flush() error {
-	if s.jw == nil {
-		return nil
-	}
-	return s.jw.Sync()
-}
-
-// Close flushes and closes the file; a no-op if nothing was emitted.
+// Close flushes and closes the file, creating it empty if nothing was
+// emitted.
 func (s *JSONLSink) Close() error {
-	if s.jw == nil {
-		return nil
+	if err := s.open(); err != nil {
+		return err
 	}
 	return s.jw.Close()
 }
@@ -167,9 +123,8 @@ func (s *AggregateSink) Emit(rec *traceio.SurveyRecord) error {
 func (s *AggregateSink) Close() error { return nil }
 
 // ReplayJSONL feeds every record of a JSONL file to the sinks in order,
-// returning how many records were replayed. Resume uses it to rebuild
-// non-file sinks (aggregates, memories) to the exact state they had when
-// the checkpoint was written.
+// returning how many records were replayed: a record log rebuilds
+// non-file sinks (aggregates, memories) to the state a live run left.
 func ReplayJSONL(path string, sinks ...Sink) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -9,14 +9,15 @@ import (
 
 // Fleet manifest format.
 //
-// A fleet manifest is the distributed counterpart of a Checkpoint: the
-// coordinator's durable record of how a survey's job list was sharded
-// into work units and how far each unit has progressed through the
-// lease state machine (unclaimed → leased → shipped → merged). It is
-// replaced atomically (WriteFileAtomic) on every durable transition —
-// a unit's shard file landing on disk, the final merge completing — so
-// a coordinator killed at any point restarts from exactly the set of
-// units whose outputs are already durable. Lease state is deliberately
+// A fleet manifest is a survey's one durable record of progress, kept by
+// a fleet coordinator and by a single-machine survey -checkpoint alike:
+// how the survey's job list was sharded into work units and how far
+// each unit has progressed through the lease state machine (unclaimed
+// → leased → shipped → merged). It is replaced atomically
+// (WriteFileAtomic) on every durable transition — a unit's shard file
+// landing on disk, the final merge completing — so a survey killed at
+// any point restarts from exactly the set of units whose outputs are
+// already durable. Lease state is deliberately
 // ephemeral: a restarted coordinator demotes leased units to unclaimed
 // and lets the runners re-claim them, because an in-flight lease names
 // work that produced no durable bytes yet.
@@ -61,8 +62,7 @@ type FleetManifest struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	// OptionsHash is the survey options fingerprint (survey.Fingerprint):
-	// a resumed coordinator refuses a manifest from a different
-	// experiment, exactly as Checkpoint.Matches does.
+	// a resumed survey refuses a manifest from a different experiment.
 	OptionsHash uint64 `json:"options_hash"`
 	// Seed is the survey's base seed, kept readable for humans.
 	Seed uint64 `json:"seed"`

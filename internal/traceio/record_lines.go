@@ -9,9 +9,9 @@ import (
 	"mmlpt/internal/topo"
 )
 
-// A hand-written codec for record lines, the form every record log,
-// shipped unit and replayed checkpoint holds. appendRecordLine writes
-// exactly the bytes json.NewEncoder(w).Encode writes; recordParser
+// A hand-written codec for record lines, the form every record log and
+// unit shard holds. appendRecordLine writes exactly the bytes
+// json.NewEncoder(w).Encode writes; recordParser
 // accepts exactly the bytes appendRecordLine writes and refuses any
 // other line, which DecodeSurveyRecords then hands to encoding/json with
 // the rest of its stream — so the reflection decoder stays the one

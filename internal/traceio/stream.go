@@ -17,8 +17,8 @@ import (
 //
 // SurveyRecord is the one record of one trace that every tool writes
 // and reads (DESIGN.md, "The trace record"; TestRecordLayout pins a
-// line). It carries the survey measurements too, so replaying a record
-// log rebuilds a live run's aggregate — what makes resume exact.
+// line). It carries the survey measurements too, so folding a record log
+// (a fleet's shards, a resumed survey's) rebuilds a live run's aggregate.
 
 // SurveyDiamond is one diamond encounter with its survey metrics.
 type SurveyDiamond struct {
@@ -270,45 +270,12 @@ func (ls *addrLists) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ValidateJSONLPrefix checks, without modifying the file, that the
-// first off bytes of path decode as exactly want complete records —
-// the consistency check a resume must run BEFORE truncating a record
-// log to a checkpoint's offset. It catches a checkpoint paired with the
-// wrong file (or one written without a record log at all) while the
-// file is still intact.
-func ValidateJSONLPrefix(path string, off int64, want int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if st.Size() < off {
-		return fmt.Errorf("traceio: %s is %d bytes, shorter than checkpointed offset %d", path, st.Size(), off)
-	}
-	n := 0
-	if err := DecodeSurveyRecords(io.LimitReader(f, off), func(*SurveyRecord) error { n++; return nil }); err != nil {
-		return fmt.Errorf("traceio: %s: record %d within checkpointed prefix is corrupt: %v", path, n, err)
-	}
-	if n != want {
-		return fmt.Errorf("traceio: %s holds %d records within the checkpointed prefix, checkpoint says %d", path, n, want)
-	}
-	return nil
-}
-
-// JSONLWriter appends JSONL records to a file while tracking the durable
-// byte offset, so a checkpoint can later name a prefix of the file that
-// is known to be fsynced and complete. The write path is buffered;
-// Sync flushes the buffer and fsyncs, and must be called before the
-// offset is persisted anywhere.
+// JSONLWriter appends JSONL records to a buffered file and counts the
+// bytes written.
 type JSONLWriter struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
-	off  int64
+	f   *os.File
+	w   *bufio.Writer
+	off int64
 }
 
 // CreateJSONL creates (or truncates) path for streaming writes.
@@ -317,43 +284,10 @@ func CreateJSONL(path string) (*JSONLWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &JSONLWriter{path: path, f: f, w: bufio.NewWriter(f)}, nil
+	return &JSONLWriter{f: f, w: bufio.NewWriter(f)}, nil
 }
 
-// OpenJSONLAt opens path for appending after truncating it to off, the
-// durable offset recorded by the last checkpoint. Records written after
-// the checkpoint but before the crash (possibly torn) are discarded;
-// the resumed run re-emits them byte-identically.
-func OpenJSONLAt(path string, off int64) (*JSONLWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size() < off {
-		f.Close()
-		return nil, fmt.Errorf("traceio: %s is %d bytes, shorter than checkpointed offset %d", path, st.Size(), off)
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &JSONLWriter{path: path, f: f, w: bufio.NewWriter(f), off: off}, nil
-}
-
-// Path returns the file being written.
-func (jw *JSONLWriter) Path() string { return jw.path }
-
-// Offset returns the number of bytes written so far (buffered included).
-// Only call it durable after Sync.
+// Offset returns the number of bytes written so far.
 func (jw *JSONLWriter) Offset() int64 { return jw.off }
 
 // Write appends one record as a JSON line.
@@ -366,23 +300,16 @@ func (jw *JSONLWriter) Write(rec interface{ WriteJSONL(io.Writer) error }) error
 	return nil
 }
 
-// Sync flushes buffered records and fsyncs the file, making Offset
-// durable.
-func (jw *JSONLWriter) Sync() error {
-	if err := jw.w.Flush(); err != nil {
-		return err
-	}
-	return jw.f.Sync()
-}
-
-// Close syncs and closes the file.
+// Close flushes buffered records, fsyncs and closes the file.
 func (jw *JSONLWriter) Close() error {
-	syncErr := jw.Sync()
-	closeErr := jw.f.Close()
-	if syncErr != nil {
-		return syncErr
+	err := jw.w.Flush()
+	if err == nil {
+		err = jw.f.Sync()
 	}
-	return closeErr
+	if cerr := jw.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 type countingWriter struct {

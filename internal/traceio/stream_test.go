@@ -152,25 +152,16 @@ func TestDecodeSurveyRecordsStreamForms(t *testing.T) {
 	}
 }
 
-func TestJSONLWriterOffsetAndResume(t *testing.T) {
+// TestJSONLWriterOffset: the writer's byte count is the length of the
+// file it closes, and the file decodes to the records written, in order.
+func TestJSONLWriterOffset(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "records.jsonl")
 	jw, err := CreateJSONL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := jw.Write(sampleRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	durable := jw.Offset()
-	// Two more records beyond the "checkpoint", then a torn partial line:
-	// everything past durable must be discarded on resume.
-	for i := 3; i < 5; i++ {
+	for i := 0; i < 5; i++ {
 		if err := jw.Write(sampleRecord(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -178,157 +169,24 @@ func TestJSONLWriterOffsetAndResume(t *testing.T) {
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"pair_index": 99, "tr`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	jw2, err := OpenJSONLAt(path, durable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jw2.Offset() != durable {
-		t.Fatalf("resumed offset %d, want %d", jw2.Offset(), durable)
-	}
-	for i := 3; i < 5; i++ {
-		if err := jw2.Write(sampleRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if jw.Offset() != int64(len(data)) {
+		t.Fatalf("offset %d, file holds %d bytes", jw.Offset(), len(data))
+	}
 	recs, err := ReadSurveyRecords(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("resumed log does not decode cleanly: %v", err)
+		t.Fatalf("log does not decode cleanly: %v", err)
 	}
 	if len(recs) != 5 {
-		t.Fatalf("resumed log has %d records, want 5", len(recs))
+		t.Fatalf("log has %d records, want 5", len(recs))
 	}
 	for i, sr := range recs {
 		if sr.PairIndex != i {
 			t.Fatalf("record %d has pair index %d", i, sr.PairIndex)
 		}
-	}
-}
-
-// TestValidateJSONLPrefix: the pre-truncation consistency check must
-// accept the durable prefix and reject wrong counts, torn prefixes and
-// short files — all without modifying the file.
-func TestValidateJSONLPrefix(t *testing.T) {
-	t.Parallel()
-	path := filepath.Join(t.TempDir(), "records.jsonl")
-	jw, err := CreateJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := jw.Write(sampleRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	off := jw.Offset()
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := ValidateJSONLPrefix(path, off, 3); err != nil {
-		t.Fatalf("valid prefix rejected: %v", err)
-	}
-	if err := ValidateJSONLPrefix(path, off, 5); err == nil {
-		t.Fatal("wrong record count accepted")
-	}
-	if err := ValidateJSONLPrefix(path, off-2, 3); err == nil {
-		t.Fatal("torn prefix accepted")
-	}
-	if err := ValidateJSONLPrefix(path, off+100, 3); err == nil {
-		t.Fatal("offset beyond file size accepted")
-	}
-	// The empty-log-with-claimed-records case (checkpoint written
-	// without a record log, resumed onto a fresh -out path).
-	if err := ValidateJSONLPrefix(path, 0, 3); err == nil {
-		t.Fatal("zero-offset prefix with claimed records accepted")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("validation modified the file")
-	}
-}
-
-func TestOpenJSONLAtRejectsShortFile(t *testing.T) {
-	t.Parallel()
-	path := filepath.Join(t.TempDir(), "records.jsonl")
-	if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenJSONLAt(path, 1000); err == nil {
-		t.Fatal("expected error for offset beyond file size")
-	}
-}
-
-func TestCheckpointRoundTripAndValidation(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "survey.ckpt")
-	ck := &Checkpoint{
-		Kind: "survey", OptionsHash: 0xdeadbeef, Seed: 42,
-		Total: 1000, Done: 250, Offset: 123456,
-	}
-	if err := ck.WriteAtomic(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ck, got) {
-		t.Fatalf("checkpoint round trip: want %+v, got %+v", ck, got)
-	}
-	// No temp files may survive the atomic write.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries after atomic write, want 1", len(entries))
-	}
-
-	if _, err := ReadCheckpoint(filepath.Join(dir, "missing.ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("missing checkpoint: got %v, want not-exist", err)
-	}
-	if err := os.WriteFile(path, []byte(`{"version":1,"done":9,"total":3}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(path); err == nil {
-		t.Fatal("inconsistent checkpoint (done > total) accepted")
-	}
-	if err := os.WriteFile(path, []byte(`{"version":99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(path); err == nil {
-		t.Fatal("future-version checkpoint accepted")
-	}
-	if err := os.WriteFile(path, []byte(`{"version":1,`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(path); err == nil {
-		t.Fatal("truncated checkpoint accepted")
 	}
 }
 
