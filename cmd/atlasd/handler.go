@@ -1,16 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
 
 	"mmlpt/internal/atlas/serve"
+	"mmlpt/internal/httpx"
 	"mmlpt/internal/packet"
 )
 
-// The wire types. Field order is fixed and the encoder appends a
+// The wire types. httpx.WriteJSON keeps their field order and appends a
 // newline, so responses are stable bytes for the CI golden diff.
 
 type statsResponse struct {
@@ -49,28 +49,14 @@ type censusResponse struct {
 	Diamonds []censusEntry `json:"diamonds"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
-}
-
 // queryErr maps a serve-layer error onto a status: absent address 404,
 // closed/corrupt snapshot 500.
 func queryErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, serve.ErrNotFound) {
-		writeErr(w, http.StatusNotFound, err.Error())
+		httpx.Errorf(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeErr(w, http.StatusInternalServerError, err.Error())
+	httpx.Errorf(w, http.StatusInternalServerError, "%v", err)
 }
 
 // newMux routes the v1 API over one serve.Service. Address-typed routes
@@ -78,47 +64,29 @@ func queryErr(w http.ResponseWriter, err error) {
 // /v1/router/{addr} and /v1/addr/{addr} answer 400 for a malformed
 // address and 404 for a well-formed one the atlas never saw.
 func newMux(svc *serve.Service) http.Handler {
-	mux := http.NewServeMux()
+	mux := httpx.NewMux()
 
-	get := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				writeErr(w, http.StatusMethodNotAllowed, "method not allowed")
-				return
-			}
-			h(w, r)
-		}
-	}
-
-	mux.HandleFunc("/healthz", get(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/healthz", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		if _, err := svc.Stats(); err != nil {
-			writeErr(w, http.StatusServiceUnavailable, err.Error())
+			httpx.Errorf(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		httpx.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}))
 
-	mux.HandleFunc("/v1/stats", get(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/stats" {
-			writeErr(w, http.StatusNotFound, "no such route")
-			return
-		}
+	mux.HandleFunc("/v1/stats", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		st, err := svc.Stats()
 		if err != nil {
 			queryErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, statsResponse{
+		httpx.WriteJSON(w, http.StatusOK, statsResponse{
 			Pairs: st.Pairs, Nodes: st.Nodes, Edges: st.Edges,
 			Routers: st.Routers, Diamonds: st.Diamonds,
 		})
 	}))
 
-	mux.HandleFunc("/v1/census", get(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/census" {
-			writeErr(w, http.StatusNotFound, "no such route")
-			return
-		}
+	mux.HandleFunc("/v1/census", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		ds, err := svc.DiamondCensus()
 		if err != nil {
 			queryErr(w, err)
@@ -131,26 +99,26 @@ func newMux(svc *serve.Service) http.Handler {
 				MaxWidth: d.MaxWidth, MaxLength: d.MaxLength,
 			}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	}))
 
 	pathAddr := func(w http.ResponseWriter, r *http.Request, prefix string) (packet.Addr, bool) {
 		raw := strings.TrimPrefix(r.URL.Path, prefix)
 		if raw == "" || strings.Contains(raw, "/") {
-			writeErr(w, http.StatusBadRequest, "expected "+prefix+"{addr}")
+			httpx.Errorf(w, http.StatusBadRequest, "expected %s{addr}", prefix)
 			return 0, false
 		}
 		// Only an address's canonical text: the lenient ParseAddr would
 		// answer "010.0.0.1" as 10.0.0.1, where inet_aton reads 8.0.0.1.
 		addr, err := packet.ParseCanonicalAddr(raw)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+			httpx.Errorf(w, http.StatusBadRequest, "%v", err)
 			return 0, false
 		}
 		return addr, true
 	}
 
-	mux.HandleFunc("/v1/router/", get(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/router/", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		addr, ok := pathAddr(w, r, "/v1/router/")
 		if !ok {
 			return
@@ -164,10 +132,10 @@ func newMux(svc *serve.Service) http.Handler {
 		for i, m := range members {
 			resp.Router[i] = m.String()
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	}))
 
-	mux.HandleFunc("/v1/addr/", get(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/addr/", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		addr, ok := pathAddr(w, r, "/v1/addr/")
 		if !ok {
 			return
@@ -181,12 +149,8 @@ func newMux(svc *serve.Service) http.Handler {
 		for i, o := range obs {
 			resp.Seen[i] = obsResponse{Pair: o.Pair, Hop: o.Hop}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	}))
-
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusNotFound, "no such route")
-	})
 
 	return mux
 }

@@ -10,6 +10,7 @@ import (
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/atlas/serve"
+	"mmlpt/internal/httpx"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
@@ -140,7 +141,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 		if code != http.StatusNotFound {
 			t.Errorf("GET %s: %d %q, want 404", path, code, body)
 		}
-		var e errorResponse
+		var e httpx.ErrorBody
 		if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
 			t.Errorf("GET %s: non-JSON error body %q", path, body)
 		}

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"mmlpt/internal/atlas/serve"
+	"mmlpt/internal/httpx"
 )
 
 func main() {
@@ -74,10 +75,7 @@ func run(args []string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "atlasd: %v\n", err)
 		return 1
 	}
-	srv := &http.Server{
-		Handler:           newMux(svc),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := httpx.NewServer(newMux(svc))
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)

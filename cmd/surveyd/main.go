@@ -31,11 +31,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
 	"mmlpt/internal/dispatch"
+	"mmlpt/internal/httpx"
 )
 
 func main() {
@@ -124,10 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	srv := &http.Server{
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := httpx.NewServer(coord.Handler())
 	defer srv.Close()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mmlpt/internal/httpx"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 )
@@ -152,7 +153,7 @@ func TestEchoBatchChargesInOrder(t *testing.T) {
 		mu.Lock()
 		got = append(got, fmt.Sprintf("%s:%d", req.Prefix, req.Want))
 		mu.Unlock()
-		writeJSON(w, http.StatusOK, budgetResponse{Granted: req.Want})
+		httpx.WriteJSON(w, http.StatusOK, budgetResponse{Granted: req.Want})
 	}))
 	defer srv.Close()
 

@@ -2,9 +2,7 @@ package dispatch
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"mmlpt/internal/atlas"
+	"mmlpt/internal/httpx"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/survey"
 	"mmlpt/internal/traceio"
@@ -238,37 +237,27 @@ func (c *Coordinator) tick(runner string) time.Time {
 // these handlers under one mutex; lease expiry is evaluated lazily at
 // the top of each mutating call, so no background timer is needed.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := httpx.NewMux()
 
-	method := func(m string, h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != m {
-				writeErr(w, http.StatusMethodNotAllowed, "method not allowed")
-				return
-			}
-			h(w, r)
-		}
-	}
-
-	mux.HandleFunc("/healthz", method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	mux.HandleFunc("/healthz", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	}))
 
-	mux.HandleFunc("/v1/status", method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
+	mux.HandleFunc("/v1/status", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		httpx.WriteJSON(w, http.StatusOK, c.Status())
 	}))
 
-	mux.HandleFunc("/v1/claim", method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/claim", httpx.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var req claimRequest
-		if err := decodeJSON(r, &req); err != nil || req.Runner == "" {
-			writeErr(w, http.StatusBadRequest, "claim needs a runner id")
+		if err := httpx.DecodeJSON(w, r, &req); err != nil || req.Runner == "" {
+			httpx.BadRequest(w, err, "claim needs a runner id")
 			return
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		now := c.tick(req.Runner)
 		if c.st.durable() == len(c.st.units) {
-			writeJSON(w, http.StatusOK, claimResponse{Status: StatusDone})
+			httpx.WriteJSON(w, http.StatusOK, claimResponse{Status: StatusDone})
 			return
 		}
 		for _, u := range c.st.units {
@@ -284,7 +273,7 @@ func (c *Coordinator) Handler() http.Handler {
 			c.logf("dispatch: unit %d [%d,%d) leased to %s (lease %d, attempt %d)",
 				u.ID, u.Start, u.Start+u.Count, req.Runner, u.leaseID, u.Attempts)
 			spec := c.spec
-			writeJSON(w, http.StatusOK, claimResponse{
+			httpx.WriteJSON(w, http.StatusOK, claimResponse{
 				Status:  StatusUnit,
 				Unit:    &UnitInfo{ID: u.ID, Start: u.Start, Count: u.Count},
 				LeaseID: u.leaseID, TTLMillis: c.ttl.Milliseconds(),
@@ -292,13 +281,13 @@ func (c *Coordinator) Handler() http.Handler {
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, claimResponse{Status: StatusWait})
+		httpx.WriteJSON(w, http.StatusOK, claimResponse{Status: StatusWait})
 	}))
 
-	mux.HandleFunc("/v1/renew", method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/renew", httpx.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var req renewRequest
-		if err := decodeJSON(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, "malformed renew request")
+		if err := httpx.DecodeJSON(w, r, &req); err != nil || req.Runner == "" {
+			httpx.BadRequest(w, err, "malformed renew request")
 			return
 		}
 		c.mu.Lock()
@@ -306,42 +295,36 @@ func (c *Coordinator) Handler() http.Handler {
 		now := c.tick(req.Runner)
 		u := c.unitByID(req.Unit)
 		if u == nil || u.State != traceio.UnitLeased || u.leaseID != req.LeaseID || u.Runner != req.Runner {
-			writeErr(w, http.StatusGone, "lease %d on unit %d is no longer held", req.LeaseID, req.Unit)
+			httpx.Errorf(w, http.StatusGone, "lease %d on unit %d is no longer held", req.LeaseID, req.Unit)
 			return
 		}
 		u.expires = now.Add(c.ttl)
-		writeJSON(w, http.StatusOK, renewResponse{TTLMillis: c.ttl.Milliseconds()})
+		httpx.WriteJSON(w, http.StatusOK, renewResponse{TTLMillis: c.ttl.Milliseconds()})
 	}))
 
-	mux.HandleFunc("/v1/budget", method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/budget", httpx.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var req budgetRequest
-		if err := decodeJSON(r, &req); err != nil || req.Want <= 0 {
-			writeErr(w, http.StatusBadRequest, "malformed budget request")
+		if err := httpx.DecodeJSON(w, r, &req); err != nil || req.Runner == "" || req.Want <= 0 {
+			httpx.BadRequest(w, err, "malformed budget request")
 			return
 		}
 		if c.budget == nil {
-			writeJSON(w, http.StatusOK, budgetResponse{Granted: req.Want})
+			httpx.WriteJSON(w, http.StatusOK, budgetResponse{Granted: req.Want})
 			return
 		}
 		prefix, err := packet.ParseAddr(req.Prefix)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad prefix: %v", err)
+			httpx.Errorf(w, http.StatusBadRequest, "bad prefix: %v", err)
 			return
 		}
 		granted, wait := c.budget.Take(Prefix24(prefix), req.Want)
 		c.mu.Lock()
 		c.lastSeen[req.Runner] = time.Now()
 		c.mu.Unlock()
-		writeJSON(w, http.StatusOK, budgetResponse{Granted: granted, WaitMillis: wait.Milliseconds()})
+		httpx.WriteJSON(w, http.StatusOK, budgetResponse{Granted: granted, WaitMillis: wait.Milliseconds()})
 	}))
 
-	mux.HandleFunc("/v1/ship", method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
-		c.handleShip(w, r)
-	}))
-
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusNotFound, "no such route")
-	})
+	mux.HandleFunc("/v1/ship", httpx.Method(http.MethodPost, c.handleShip))
 
 	return mux
 }
@@ -368,7 +351,7 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 	leaseID, err2 := strconv.ParseUint(q.Get("lease"), 10, 64)
 	runner := q.Get("runner")
 	if err1 != nil || err2 != nil || runner == "" {
-		writeErr(w, http.StatusBadRequest, "ship needs unit, lease and runner query parameters")
+		httpx.Errorf(w, http.StatusBadRequest, "ship needs unit, lease and runner query parameters")
 		return
 	}
 	// Reject stale leases before touching the body: a late shipment from
@@ -378,35 +361,34 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 	u := c.unitByID(id)
 	if u == nil {
 		c.mu.Unlock()
-		writeErr(w, http.StatusBadRequest, "no unit %d", id)
+		httpx.Errorf(w, http.StatusBadRequest, "no unit %d", id)
 		return
 	}
 	if u.State != traceio.UnitLeased || u.leaseID != leaseID || u.Runner != runner {
 		c.mu.Unlock()
-		writeErr(w, http.StatusGone, "lease %d on unit %d is no longer held", leaseID, id)
+		httpx.Errorf(w, http.StatusGone, "lease %d on unit %d is no longer held", leaseID, id)
 		return
 	}
 	start, count := u.Start, u.Count
 	c.mu.Unlock()
 
 	limit := int64(count) * maxShipRecordBytes
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := httpx.ReadBody(w, r, limit)
+	if httpx.TooLarge(err) {
+		// The lease is untouched: its holder can still ship the real
+		// payload.
+		httpx.Errorf(w, http.StatusRequestEntityTooLarge, "unit %d shipment exceeds %d bytes (%d jobs x %d)",
+			id, limit, count, maxShipRecordBytes)
+		return
+	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			// The lease is untouched: its holder can still ship the real
-			// payload.
-			writeErr(w, http.StatusRequestEntityTooLarge, "unit %d shipment exceeds %d bytes (%d jobs x %d)",
-				id, limit, count, maxShipRecordBytes)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "reading shipment: %v", err)
+		httpx.Errorf(w, http.StatusBadRequest, "reading shipment: %v", err)
 		return
 	}
 
 	// Check the shipment against its span outside the lock.
 	if err := c.st.checkShard(start, count, bytes.NewReader(body)); err != nil {
-		writeErr(w, http.StatusBadRequest, "unit %d shipment invalid: %v", id, err)
+		httpx.Errorf(w, http.StatusBadRequest, "unit %d shipment invalid: %v", id, err)
 		return
 	}
 
@@ -418,20 +400,20 @@ func (c *Coordinator) handleShip(w http.ResponseWriter, r *http.Request) {
 		// already shipped. Only the current leaseholder's bytes are
 		// accepted — ownership stays unambiguous, and determinism makes
 		// the re-trace produce identical bytes anyway.
-		writeErr(w, http.StatusGone, "lease %d on unit %d is no longer held", leaseID, id)
+		httpx.Errorf(w, http.StatusGone, "lease %d on unit %d is no longer held", leaseID, id)
 		return
 	}
 	if err := c.st.storeShard(u, body); err != nil {
 		// A failed store leaves the leased row as it was, so the runner's
 		// retry ships again (the rewrite is idempotent) under a lease
 		// re-validated then.
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		httpx.Errorf(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	durable := c.st.durable()
 	c.logf("dispatch: unit %d shipped by %s (%d records); %d/%d units durable",
 		id, runner, count, durable, len(c.st.units))
-	writeJSON(w, http.StatusOK, shipResponse{Status: "ok", Records: count})
+	httpx.WriteJSON(w, http.StatusOK, shipResponse{Status: "ok", Records: count})
 	if durable == len(c.st.units) && !c.merging {
 		c.merging = true
 		go c.merge()

@@ -40,12 +40,8 @@
 package dispatch
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 
 	"mmlpt/internal/experiments"
 	"mmlpt/internal/mda"
@@ -183,10 +179,6 @@ type shipResponse struct {
 	Records int    `json:"records,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // StatusRunner is one runner's row of a status report.
 type StatusRunner struct {
 	ID       string `json:"id"`
@@ -219,25 +211,4 @@ func (s Status) String() string {
 		line += fmt.Sprintf(", %d leases expired", s.ExpiredLeases)
 	}
 	return line
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeJSON reads a small JSON request body.
-func decodeJSON(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mmlpt/internal/atlas"
+	"mmlpt/internal/httpx"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/survey"
@@ -392,6 +393,33 @@ func TestDeadRunnerReassignment(t *testing.T) {
 	coord.mu.Unlock()
 	if attempts < 2 {
 		t.Fatalf("abandoned unit %d has %d lease attempts, want >= 2", ghost.Unit.ID, attempts)
+	}
+}
+
+// TestNamelessRequestRefused: renew and budget requests without a
+// runner id are refused with 400 before they touch any state, as a
+// claim is, so no nameless runner shows up in the status report.
+func TestNamelessRequestRefused(t *testing.T) {
+	t.Parallel()
+	coord, srv := newTestCoordinator(t, t.TempDir(), testSpec(), func(cfg *CoordinatorConfig) {
+		cfg.Spec.BudgetRate = 1000
+	})
+	for path, body := range map[string]string{
+		"/v1/claim":  `{}`,
+		"/v1/renew":  `{"unit":0,"lease_id":1}`,
+		"/v1/budget": `{"prefix":"203.0.113.0","want":1}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: %d, want 400", path, body, resp.StatusCode)
+		}
+	}
+	if st := coord.Status(); len(st.Runners) != 0 {
+		t.Fatalf("runners %+v, want none", st.Runners)
 	}
 }
 
@@ -837,12 +865,12 @@ func TestRunnerRejectsForeignSpec(t *testing.T) {
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/claim" {
-			writeErr(w, http.StatusNotFound, "no")
+			httpx.Errorf(w, http.StatusNotFound, "no")
 			return
 		}
 		bad := spec
 		bad.OptionsHash = survey.Fingerprint(u, rc) + 1 // corrupted/diverged coordinator
-		writeJSON(w, http.StatusOK, claimResponse{
+		httpx.WriteJSON(w, http.StatusOK, claimResponse{
 			Status:  StatusUnit,
 			Unit:    &UnitInfo{ID: 0, Start: 0, Count: 5},
 			LeaseID: 1, TTLMillis: 60000, Spec: &bad,

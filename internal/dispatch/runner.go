@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"slices"
@@ -14,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mmlpt/internal/httpx"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/survey"
@@ -54,16 +54,6 @@ type bufSink struct{ buf *bytes.Buffer }
 
 func (s bufSink) Emit(rec *traceio.SurveyRecord) error { return rec.WriteJSONL(s.buf) }
 func (s bufSink) Close() error                         { return nil }
-
-// httpError is a non-200 coordinator response.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string {
-	return fmt.Sprintf("coordinator returned %d: %s", e.status, e.msg)
-}
 
 // runner is the client side of the fleet protocol.
 type runner struct {
@@ -110,7 +100,9 @@ func RunRunner(cfg RunnerConfig) error {
 	shipped := 0
 	for {
 		var resp claimResponse
-		if err := r.postJSONRetry("/v1/claim", claimRequest{Runner: cfg.ID}, &resp); err != nil {
+		if err := httpx.Retry(5, func(int) bool { return true }, func() error {
+			return r.postJSON("/v1/claim", claimRequest{Runner: cfg.ID}, &resp)
+		}); err != nil {
 			return fmt.Errorf("dispatch: claiming work: %w", err)
 		}
 		switch resp.Status {
@@ -198,10 +190,9 @@ func (r *runner) traceUnit(u UnitInfo, leaseID uint64, ttl time.Duration) error 
 			case <-stop:
 				return
 			case <-t.C:
-				var resp renewResponse
-				err := r.postJSON("/v1/renew", renewRequest{Runner: r.cfg.ID, Unit: u.ID, LeaseID: leaseID}, &resp)
-				var he *httpError
-				if errors.As(err, &he) && he.status == http.StatusGone {
+				err := r.postJSON("/v1/renew", renewRequest{Runner: r.cfg.ID, Unit: u.ID, LeaseID: leaseID}, nil)
+				var se *httpx.StatusError
+				if errors.As(err, &se) && se.Code == http.StatusGone {
 					lost.Store(true)
 					return
 				}
@@ -238,96 +229,38 @@ func (r *runner) traceUnit(u UnitInfo, leaseID uint64, ttl time.Duration) error 
 // while (or just before) shipping — the unit was reassigned and the
 // re-trace will produce identical bytes, so the runner just moves on.
 func (r *runner) ship(u UnitInfo, leaseID uint64, body []byte) error {
-	target := fmt.Sprintf("%s/v1/ship?unit=%d&lease=%d&runner=%s",
-		r.base, u.ID, leaseID, url.QueryEscape(r.cfg.ID))
-	var last error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * 200 * time.Millisecond)
-		}
-		resp, err := r.client.Post(target, "application/x-ndjson", bytes.NewReader(body))
-		if err != nil {
-			last = err
-			continue
-		}
-		he := drainError(resp)
-		if he == nil {
-			r.logf("runner %s: shipped unit %d (%d bytes)", r.cfg.ID, u.ID, len(body))
-			return nil
-		}
-		if he.status == http.StatusGone {
-			return errLeaseLost
-		}
-		last = he
-		if he.status == http.StatusBadRequest || he.status == http.StatusRequestEntityTooLarge {
-			// Validation failures will not improve with retries.
-			break
-		}
+	path := fmt.Sprintf("/v1/ship?unit=%d&lease=%d&runner=%s", u.ID, leaseID, url.QueryEscape(r.cfg.ID))
+	err := httpx.Retry(4, func(code int) bool {
+		// A lost lease and a refused payload will not improve with
+		// retries; a failed store might.
+		return code == http.StatusGone || code == http.StatusBadRequest || code == http.StatusRequestEntityTooLarge
+	}, func() error { return r.post(path, "application/x-ndjson", body, nil) })
+	var se *httpx.StatusError
+	if errors.As(err, &se) && se.Code == http.StatusGone {
+		return errLeaseLost
 	}
-	return fmt.Errorf("dispatch: shipping unit %d: %w", u.ID, last)
-}
-
-// postJSON POSTs a JSON request and decodes a 200 response into out.
-// Non-200 responses come back as *httpError.
-func (r *runner) postJSON(path string, req, out any) error {
-	body, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return fmt.Errorf("dispatch: shipping unit %d: %w", u.ID, err)
 	}
-	resp, err := r.client.Post(r.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	if he := drainErrorKeep(resp, out); he != nil {
-		return he
-	}
+	r.logf("runner %s: shipped unit %d (%d bytes)", r.cfg.ID, u.ID, len(body))
 	return nil
 }
 
-// postJSONRetry wraps postJSON with backoff for transient transport
-// errors (coordinator restarting, socket hiccups). HTTP-level errors
-// are returned immediately — they will not improve with retries.
-func (r *runner) postJSONRetry(path string, req, out any) error {
-	var last error
-	for attempt := 0; attempt < 5; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * 200 * time.Millisecond)
-		}
-		err := r.postJSON(path, req, out)
-		var he *httpError
-		if err == nil || errors.As(err, &he) {
-			return err
-		}
-		last = err
-	}
-	return last
+// postJSON POSTs req as JSON; see post. The request types hold only
+// strings and numbers, so marshalling cannot fail.
+func (r *runner) postJSON(path string, req, out any) error {
+	body, _ := json.Marshal(req)
+	return r.post(path, "application/json", body, out)
 }
 
-// drainError consumes a response and returns nil on 200, *httpError
-// otherwise.
-func drainError(resp *http.Response) *httpError {
-	return drainErrorKeep(resp, nil)
-}
-
-// drainErrorKeep decodes a 200 body into out (when non-nil); non-200
-// bodies decode into the error message.
-func drainErrorKeep(resp *http.Response, out any) *httpError {
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode == http.StatusOK {
-		if out != nil {
-			if err := json.Unmarshal(body, out); err != nil {
-				return &httpError{status: resp.StatusCode, msg: fmt.Sprintf("malformed response: %v", err)}
-			}
-		}
-		return nil
+// post POSTs body to the coordinator and decodes a 200 response into
+// out; any other response comes back as *httpx.StatusError.
+func (r *runner) post(path, contentType string, body []byte, out any) error {
+	resp, err := r.client.Post(r.base+path, contentType, bytes.NewReader(body))
+	if err != nil {
+		return err
 	}
-	var er errorResponse
-	_ = json.Unmarshal(body, &er)
-	if er.Error == "" {
-		er.Error = strings.TrimSpace(string(body))
-	}
-	return &httpError{status: resp.StatusCode, msg: er.Error}
+	return httpx.ReadResponse(resp, out)
 }
 
 // budgetChunk is the minimum token request: claiming tokens in chunks

@@ -44,11 +44,14 @@ type Vertex struct {
 	Router RouterID
 }
 
-// Graph is a multipath route topology: a hop-indexed view over the
-// shared DAG adjacency core, keying vertices by (address, hop).
+// Graph is a multipath route topology whose vertices are keyed by
+// (address, hop). Successor lists are deduplicated and keep the order
+// edges were first recorded in, which keeps construction deterministic
+// for a deterministic caller.
 type Graph struct {
 	Vertices []Vertex
-	dag      DAG
+	succ     [][]VertexID
+	indeg    []int
 	hops     [][]VertexID
 	byAddr   map[packet.Addr]VertexID
 }
@@ -108,8 +111,10 @@ func (g *Graph) AddVertex(h int, addr packet.Addr) VertexID {
 			}
 		}
 	}
-	id := g.dag.AddVertex()
+	id := VertexID(len(g.Vertices))
 	g.Vertices = append(g.Vertices, Vertex{Addr: addr, Hop: h, Router: NoRouter})
+	g.succ = append(g.succ, nil)
+	g.indeg = append(g.indeg, 0)
 	for len(g.hops) <= h {
 		g.hops = append(g.hops, nil)
 	}
@@ -128,20 +133,34 @@ func (g *Graph) AddEdge(u, w VertexID) {
 	if u == None || w == None {
 		return
 	}
-	g.dag.AddEdge(u, w)
+	for _, s := range g.succ[u] {
+		if s == w {
+			return
+		}
+	}
+	g.succ[u] = append(g.succ[u], w)
+	g.indeg[w]++
 }
 
-// Succ returns the successor vertex IDs of v.
-func (g *Graph) Succ(v VertexID) []VertexID { return g.dag.Succ(v) }
+// Succ returns the successor vertex IDs of v, in the order their edges
+// were first recorded. The slice is owned by the graph; callers must not
+// modify it.
+func (g *Graph) Succ(v VertexID) []VertexID { return g.succ[v] }
 
 // OutDegree returns the number of successors of v.
-func (g *Graph) OutDegree(v VertexID) int { return g.dag.OutDegree(v) }
+func (g *Graph) OutDegree(v VertexID) int { return len(g.succ[v]) }
 
 // InDegree returns the number of predecessors of v.
-func (g *Graph) InDegree(v VertexID) int { return g.dag.InDegree(v) }
+func (g *Graph) InDegree(v VertexID) int { return g.indeg[v] }
 
 // NumEdges returns the total number of edges.
-func (g *Graph) NumEdges() int { return g.dag.NumEdges() }
+func (g *Graph) NumEdges() int {
+	n := 0
+	for _, s := range g.succ {
+		n += len(s)
+	}
+	return n
+}
 
 // NumVertices returns the total number of vertices.
 func (g *Graph) NumVertices() int { return len(g.Vertices) }
@@ -158,7 +177,7 @@ func (g *Graph) String() string {
 			} else {
 				fmt.Fprintf(&b, " %s", v.Addr)
 			}
-			if n := g.dag.OutDegree(id); n > 0 {
+			if n := g.OutDegree(id); n > 0 {
 				fmt.Fprintf(&b, "->%d", n)
 			}
 		}
@@ -255,7 +274,7 @@ func (g *Graph) pairWidthAsymmetry(h int) int {
 	maxSuccDiff := func() int {
 		lo, hi := 1<<30, 0
 		for _, v := range g.hops[h] {
-			n := g.dag.OutDegree(v)
+			n := g.OutDegree(v)
 			if n < lo {
 				lo = n
 			}
@@ -271,7 +290,7 @@ func (g *Graph) pairWidthAsymmetry(h int) int {
 	maxPredDiff := func() int {
 		lo, hi := 1<<30, 0
 		for _, v := range g.hops[h+1] {
-			n := g.dag.InDegree(v)
+			n := g.InDegree(v)
 			if n < lo {
 				lo = n
 			}
@@ -319,7 +338,7 @@ func (g *Graph) PairMeshed(h int) bool {
 	}
 	outDeg2 := func() bool {
 		for _, v := range g.hops[h] {
-			if g.dag.OutDegree(v) >= 2 {
+			if g.OutDegree(v) >= 2 {
 				return true
 			}
 		}
@@ -327,7 +346,7 @@ func (g *Graph) PairMeshed(h int) bool {
 	}
 	inDeg2 := func() bool {
 		for _, v := range g.hops[h+1] {
-			if g.dag.InDegree(v) >= 2 {
+			if g.InDegree(v) >= 2 {
 				return true
 			}
 		}
@@ -383,7 +402,7 @@ func (d *Diamond) ReachProbabilities() map[VertexID]float64 {
 	for h := d.DivHop; h < d.ConvHop; h++ {
 		for _, u := range d.g.hops[h] {
 			pu := p[u]
-			succ := d.g.dag.Succ(u)
+			succ := d.g.Succ(u)
 			if pu == 0 || len(succ) == 0 {
 				continue
 			}
@@ -480,7 +499,7 @@ func edgeSet(g *Graph) string {
 	var edges []string
 	for i := range g.Vertices {
 		u := &g.Vertices[i]
-		for _, w := range g.dag.Succ(VertexID(i)) {
+		for _, w := range g.Succ(VertexID(i)) {
 			edges = append(edges, fmt.Sprintf("%d/%s>%s", u.Hop, u.Addr, g.Vertices[w].Addr))
 		}
 	}

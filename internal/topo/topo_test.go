@@ -337,6 +337,60 @@ func TestAddVertexDedupsPerHop(t *testing.T) {
 	}
 }
 
+// TestDAGCore pins the Graph's adjacency core: edges are directional and
+// deduplicated, successor lists keep insertion order, and degrees follow
+// the distinct edges.
+func TestDAGCore(t *testing.T) {
+	t.Parallel()
+	g := New()
+	u := g.AddVertex(0, a(100))
+	w1 := g.AddVertex(1, a(101))
+	w2 := g.AddVertex(1, a(102))
+	x := g.AddVertex(2, a(103))
+	g.AddEdge(u, w2)
+	g.AddEdge(u, w1)
+	g.AddEdge(w1, x)
+	g.AddEdge(w2, x)
+	g.AddEdge(u, w2) // duplicate, ignored
+	g.AddEdge(u, None)
+	if g.NumVertices() != 4 || g.NumEdges() != 4 {
+		t.Fatalf("NumVertices = %d, NumEdges = %d, want 4 and 4", g.NumVertices(), g.NumEdges())
+	}
+	if got := g.Succ(u); len(got) != 2 || got[0] != w2 || got[1] != w1 {
+		t.Fatalf("Succ(u) = %v, want [w2 w1] in insertion order", got)
+	}
+	if len(g.Succ(x)) != 0 {
+		t.Fatalf("Succ(x) = %v, want none: edges are directional", g.Succ(x))
+	}
+	if g.OutDegree(u) != 2 || g.InDegree(u) != 0 || g.InDegree(w2) != 1 || g.InDegree(x) != 2 {
+		t.Fatalf("degrees: out(u)=%d in(u)=%d in(w2)=%d in(x)=%d",
+			g.OutDegree(u), g.InDegree(u), g.InDegree(w2), g.InDegree(x))
+	}
+}
+
+// TestGraphDelegatesToDAG pins that the adjacency tables grow in step
+// with the vertex table: every vertex, whatever hop it is added at, has a
+// successor list and an in-degree, and a duplicate edge changes neither.
+func TestGraphDelegatesToDAG(t *testing.T) {
+	t.Parallel()
+	g := New()
+	u := g.AddVertex(0, a(100))
+	w1 := g.AddVertex(1, a(101))
+	w2 := g.AddVertex(1, a(102))
+	g.AddVertex(3, StarAddr)
+	g.AddEdge(u, w1)
+	g.AddEdge(u, w2)
+	g.AddEdge(u, w1) // duplicate, ignored
+	if g.NumEdges() != 2 || g.OutDegree(u) != 2 || g.InDegree(w1) != 1 {
+		t.Fatalf("graph adjacency wrong: edges=%d out=%d in=%d",
+			g.NumEdges(), g.OutDegree(u), g.InDegree(w1))
+	}
+	if len(g.succ) != len(g.Vertices) || len(g.indeg) != len(g.Vertices) || g.NumVertices() != 4 {
+		t.Fatalf("vertex and adjacency tables out of sync: %d vertices, %d succ, %d indeg",
+			len(g.Vertices), len(g.succ), len(g.indeg))
+	}
+}
+
 func TestDiamondKeyDistinguishesStars(t *testing.T) {
 	g := buildFig6Left()
 	d := g.Diamonds()[0]

@@ -1,11 +1,12 @@
-// Package-doc, dead-surface, layering and flag lint: every package under
-// internal/ (and cmd/) must carry a substantive package-level doc
+// Package-doc, dead-surface, layering, flag and HTTP lint: every package
+// under internal/ (and cmd/) must carry a substantive package-level doc
 // comment, because the layering of this codebase is documented in godoc,
 // not in a separate architecture file that would drift; every exported
 // name under internal/ must have a non-test user; every internal import
 // must point down DESIGN.md's rank table; every command-line flag must
-// be set by a test of its command; and every option field must be set by
-// some non-test code. Run via `go test .` — CI's lint job includes it.
+// be set by a test of its command; every option field must be set by
+// some non-test code; and only internal/httpx writes HTTP responses'
+// status and error body. Run via `go test .` — CI's lint job includes it.
 package mmlpt
 
 import (
@@ -15,6 +16,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -665,5 +667,44 @@ func TestEveryOptionIsSet(t *testing.T) {
 		if !declared[name] {
 			t.Errorf("optionAllowlist names %s, which is not an option field", name)
 		}
+	}
+}
+
+// TestOneHTTPConvention: the JSON-over-HTTP convention lives in
+// internal/httpx alone. No other non-test file outside bench/ calls
+// WriteHeader or declares a field tagged `json:"error"`, so no handler
+// can answer with a status or an error body of its own.
+func TestOneHTTPConvention(t *testing.T) {
+	t.Parallel()
+	ix, err := indexSurface(".", "mmlpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, sf := range ix.files {
+		if sf.pkg == "mmlpt/internal/httpx" || sf.pkg == "mmlpt/bench" {
+			continue
+		}
+		checked++
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "WriteHeader" {
+					t.Errorf("%s calls WriteHeader: answer through httpx.WriteJSON or httpx.Errorf", ix.fset.Position(n.Pos()))
+				}
+			case *ast.Field:
+				if n.Tag == nil {
+					return true
+				}
+				tag, _ := strconv.Unquote(n.Tag.Value)
+				if name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ","); name == "error" {
+					t.Errorf("%s declares a json \"error\" field: use httpx.ErrorBody", ix.fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no file checked; the guard would be vacuous")
 	}
 }
