@@ -1,7 +1,8 @@
 // Command atlasd serves atlas queries over HTTP: the topology service
 // view of a cross-trace snapshot written by cmd/survey -atlas. It opens
-// the snapshot through internal/atlas/serve — indexed (v2) snapshots
-// are decoded shard-by-shard on demand, never whole — and answers:
+// the snapshot through internal/atlas/serve — a shard is decoded and
+// validated whole the first time a query touches it, and after that
+// each query reads the one line it needs — and answers:
 //
 //	GET /healthz            service liveness
 //	GET /v1/stats           merged-content counts
@@ -49,17 +50,16 @@ func run(args []string, stderr io.Writer) int {
 	var (
 		snapshot = fs.String("snapshot", "", "atlas snapshot to serve (required)")
 		listen   = fs.String("listen", ":8430", "HTTP listen address (port 0 picks a free port; the bound address is printed)")
-		cache    = fs.Int("cache", 0, "decoded shards kept resident per generation (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *snapshot == "" || *cache < 0 || fs.NArg() > 0 {
-		fmt.Fprintln(stderr, "usage: atlasd -snapshot internet.atlas [-listen :8430] [-cache N]")
+	if *snapshot == "" || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "usage: atlasd -snapshot internet.atlas [-listen :8430]")
 		return 2
 	}
 
-	svc, err := serve.Open(*snapshot, serve.Options{CacheShards: *cache})
+	svc, err := serve.Open(*snapshot, serve.Options{})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -19,7 +19,7 @@ func TestUsageErrors(t *testing.T) {
 		args []string
 	}{
 		{"no snapshot", []string{"-listen", "127.0.0.1:0"}},
-		{"negative cache", []string{"-snapshot", missing, "-cache", "-3", "-listen", "127.0.0.1:0"}},
+		{"removed -cache", []string{"-snapshot", missing, "-cache", "4", "-listen", "127.0.0.1:0"}},
 		{"unknown flag", []string{"-snapshot", missing, "-shards", "3"}},
 		{"positional argument", []string{"-snapshot", missing, "-listen", "127.0.0.1:0", "extra"}},
 	} {

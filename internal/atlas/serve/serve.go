@@ -1,15 +1,15 @@
 // Package serve is the unified atlas query layer: one API over an
 // immutable snapshot generation, shared by the atlas CLI, the atlasd
-// HTTP service, and future atlas-prior probing. A generation wraps an
-// indexed snapshot (traceio.AtlasReader) with lazy per-shard decoding
-// behind an LRU, so point queries — Router, Provenance — touch only the
-// shard(s) that own the queried address instead of decoding the file.
-// Swap atomically publishes a new generation while in-flight queries
-// drain on the old one; readers never block writers and vice versa.
+// HTTP service, and atlas-prior probing. A generation wraps an indexed
+// snapshot (traceio.AtlasReader) and builds a line index of each shard
+// the first time a point query — Router, Provenance — touches it: that
+// first touch decodes and validates the whole block once, and every
+// point query after it reads the one line it needs. Swap atomically
+// publishes a new generation while in-flight queries drain on the old
+// one; readers never block writers and vice versa.
 package serve
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -28,45 +28,39 @@ var ErrNotFound = errors.New("address not in atlas")
 // ErrClosed reports queries against a closed service.
 var ErrClosed = errors.New("atlas service closed")
 
-// DefaultCacheShards is the per-generation decoded-shard budget when
-// Options.CacheShards is zero.
-const DefaultCacheShards = 8
-
 // Options configures a Service.
 type Options struct {
-	// CacheShards bounds how many decoded shards a generation keeps
-	// resident. Least-recently-used shards are evicted beyond it.
+	// CacheShards is ignored: a generation indexes every shard a point
+	// query touches, with nothing to bound. It is kept only because the
+	// repository benchmark still sets it (ROADMAP 17f).
 	CacheShards int
 }
 
 // Metrics is a snapshot of the service's cumulative counters.
 type Metrics struct {
-	ShardDecodes   uint64 // shards decoded from disk (cache misses)
-	CacheHits      uint64 // queries served from resident shards
-	CacheEvictions uint64 // decoded shards dropped by the LRU
+	ShardDecodes uint64 // validating block decodes that built a shard's line index
+	CacheHits    uint64 // point-query shard lookups answered from an indexed shard
+	// CacheEvictions is always 0: nothing is evicted. It is kept only
+	// because the repository benchmark still reads it (ROADMAP 17f).
+	CacheEvictions uint64
 	Swaps          uint64 // generations published after the first
 }
 
 // Service answers atlas queries from the current snapshot generation.
 // All methods are safe for concurrent use.
 type Service struct {
-	opt Options
 	gen atomic.Pointer[generation]
 
 	swapMu sync.Mutex // serializes Swap and Close
 
-	shardDecodes   atomic.Uint64
-	cacheHits      atomic.Uint64
-	cacheEvictions atomic.Uint64
-	swaps          atomic.Uint64
+	shardDecodes atomic.Uint64
+	cacheHits    atomic.Uint64
+	swaps        atomic.Uint64
 }
 
 // Open starts a service over the snapshot at path.
-func Open(path string, opt Options) (*Service, error) {
-	if opt.CacheShards <= 0 {
-		opt.CacheShards = DefaultCacheShards
-	}
-	s := &Service{opt: opt}
+func Open(path string, _ Options) (*Service, error) {
+	s := &Service{}
 	g, err := s.newGeneration(path)
 	if err != nil {
 		return nil, err
@@ -110,10 +104,9 @@ func (s *Service) Close() error {
 // Metrics returns the cumulative counters.
 func (s *Service) Metrics() Metrics {
 	return Metrics{
-		ShardDecodes:   s.shardDecodes.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		CacheEvictions: s.cacheEvictions.Load(),
-		Swaps:          s.swaps.Load(),
+		ShardDecodes: s.shardDecodes.Load(),
+		CacheHits:    s.cacheHits.Load(),
+		Swaps:        s.swaps.Load(),
 	}
 }
 
@@ -149,58 +142,61 @@ func (s *Service) Pairs() ([]traceio.AtlasPair, error) {
 }
 
 // Provenance returns the sorted (pair, hop) observations of addr,
-// decoding only the owning shard. ErrNotFound if the address is absent.
+// reading only its node line from the owning shard. ErrNotFound if the
+// address is absent.
 func (s *Service) Provenance(addr packet.Addr) ([]atlas.Obs, error) {
 	g, err := s.acquire()
 	if err != nil {
 		return nil, err
 	}
 	defer g.release()
-	n, err := g.lookup(addr)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]atlas.Obs, len(n.Seen))
-	for i, o := range n.Seen {
-		out[i] = atlas.Obs{Pair: o[0], Hop: o[1]}
-	}
-	return out, nil
+	var out []atlas.Obs
+	err = g.node(addr, func(n *traceio.AtlasNodeV2) {
+		out = make([]atlas.Obs, len(n.Seen))
+		for i, o := range n.Seen {
+			out[i] = atlas.Obs{Pair: o[0], Hop: o[1]}
+		}
+	})
+	return out, err
 }
 
 // Router returns the router (alias component) owning addr: the full
 // member list when the address aliased with others, or the singleton
-// [addr] when it was observed but never aliased. A cold lookup decodes
-// the owning shard, plus the representative's shard when the component
-// straddles two. ErrNotFound if the address is absent entirely.
+// [addr] when it was observed but never aliased. It reads addr's node
+// line and then the representative's router line, whose shard is a
+// second one when the component straddles two. ErrNotFound if the
+// address is absent entirely.
 func (s *Service) Router(addr packet.Addr) ([]packet.Addr, error) {
 	g, err := s.acquire()
 	if err != nil {
 		return nil, err
 	}
 	defer g.release()
-	n, err := g.lookup(addr)
-	if err != nil {
+	var rep packet.Addr
+	if err := g.node(addr, func(n *traceio.AtlasNodeV2) { rep = n.Router }); err != nil {
 		return nil, err
 	}
-	if n.Router == 0 {
+	if rep == 0 {
 		return []packet.Addr{addr}, nil
 	}
-	sh, err := g.shard(g.r.ShardFor(n.Router))
+	ix, err := g.index(g.r.ShardFor(rep))
 	if err != nil {
 		return nil, err
 	}
-	j, ok := slices.BinarySearchFunc(sh.Routers, n.Router, func(rt traceio.AtlasRouter, rep packet.Addr) int {
-		return cmp.Compare(rt.Addrs[0], rep)
-	})
-	if !ok {
-		return nil, fmt.Errorf("serve: router %s missing from its shard", n.Router)
+	var out []packet.Addr
+	found, err := ix.Router(rep, func(rt *traceio.AtlasRouter) { out = slices.Clone(rt.Addrs) })
+	if err != nil {
+		return nil, err
 	}
-	return slices.Clone(sh.Routers[j].Addrs), nil
+	if !found {
+		return nil, fmt.Errorf("serve: router %s missing from its shard", rep)
+	}
+	return out, nil
 }
 
 // Routers returns every multi-interface router component, in canonical
-// snapshot order. This decodes all shards (it is the CLI bulk listing,
-// not a point query).
+// snapshot order. This decodes every shard whole (it is the CLI bulk
+// listing, not a point query).
 func (s *Service) Routers() ([][]packet.Addr, error) {
 	g, err := s.acquire()
 	if err != nil {
@@ -209,7 +205,7 @@ func (s *Service) Routers() ([][]packet.Addr, error) {
 	defer g.release()
 	var out [][]packet.Addr
 	for i := 0; i < g.r.NumShards(); i++ {
-		sh, err := g.shard(i)
+		sh, err := g.r.ReadShard(i)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +218,7 @@ func (s *Service) Routers() ([][]packet.Addr, error) {
 
 // ForEachNode calls fn for every node record in the snapshot, in
 // canonical snapshot order (shard by shard, each shard's node order).
-// Like Routers, this is a bulk operation that decodes all shards; prior
+// Like Routers, this is a bulk operation that decodes every shard; prior
 // extraction uses it to rebuild per-pair topology from the provenance
 // and successor sections. Iteration stops at the first error fn returns.
 func (s *Service) ForEachNode(fn func(*traceio.AtlasNodeV2) error) error {
@@ -232,7 +228,7 @@ func (s *Service) ForEachNode(fn func(*traceio.AtlasNodeV2) error) error {
 	}
 	defer g.release()
 	for i := 0; i < g.r.NumShards(); i++ {
-		sh, err := g.shard(i)
+		sh, err := g.r.ReadShard(i)
 		if err != nil {
 			return err
 		}
@@ -278,8 +274,9 @@ func (s *Service) acquire() (*generation, error) {
 }
 
 // generation is one immutable published snapshot: the indexed reader,
-// an LRU of decoded shards, and a refcount that defers the reader
-// close until the last in-flight query releases it after retirement.
+// the line index of each shard a point query has touched, and a
+// refcount that defers the reader close until the last in-flight query
+// releases it after retirement. The line indexes die with it.
 type generation struct {
 	svc  *Service
 	r    *traceio.AtlasReader
@@ -289,23 +286,20 @@ type generation struct {
 	retired atomic.Bool
 	closer  sync.Once
 
-	mu    sync.Mutex
-	cache map[int]*shardSlot
-	tick  uint64
+	shards []atomic.Pointer[indexSlot] // by shard number
 
 	diamondsOnce sync.Once
 	diamonds     []traceio.AtlasDiamond
 	diamondsErr  error
 }
 
-// shardSlot is a cache entry; ready closes when the decode (by whoever
-// installed the slot) finishes, so concurrent readers of the same cold
-// shard trigger exactly one disk read.
-type shardSlot struct {
-	ready chan struct{}
-	shard *traceio.AtlasShard
-	err   error
-	tick  uint64
+// indexSlot is one shard's line index, built once: concurrent first
+// touches wait in once for one validating decode. A failed decode is
+// not kept — its slot is unpublished, so the next query decodes again.
+type indexSlot struct {
+	once sync.Once
+	ix   *traceio.AtlasShardIndex
+	err  error
 }
 
 func (s *Service) newGeneration(path string) (*generation, error) {
@@ -315,7 +309,7 @@ func (s *Service) newGeneration(path string) (*generation, error) {
 	}
 	return &generation{
 		svc: s, r: r, path: path,
-		cache: make(map[int]*shardSlot),
+		shards: make([]atomic.Pointer[indexSlot], r.NumShards()),
 	}, nil
 }
 
@@ -332,81 +326,42 @@ func (g *generation) release() {
 	}
 }
 
-// lookup finds addr's node record, decoding only its owning shard. A
-// decoded shard's nodes ascend by address, so a binary search finds it.
-func (g *generation) lookup(addr packet.Addr) (*traceio.AtlasNodeV2, error) {
-	sh, err := g.shard(g.r.ShardFor(addr))
+// node reads addr's node line from its owning shard and calls fn with
+// it (see traceio.AtlasShardIndex.Node); ErrNotFound if there is none.
+func (g *generation) node(addr packet.Addr, fn func(*traceio.AtlasNodeV2)) error {
+	ix, err := g.index(g.r.ShardFor(addr))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	j, ok := slices.BinarySearchFunc(sh.Nodes, addr, func(n traceio.AtlasNodeV2, a packet.Addr) int {
-		return cmp.Compare(n.Addr, a)
-	})
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, addr)
+	found, err := ix.Node(addr, fn)
+	if err != nil {
+		return err
 	}
-	return &sh.Nodes[j], nil
+	if !found {
+		return fmt.Errorf("%w: %s", ErrNotFound, addr)
+	}
+	return nil
 }
 
-// shard returns shard i decoded, loading it through the LRU.
-func (g *generation) shard(i int) (*traceio.AtlasShard, error) {
-	g.mu.Lock()
-	if slot, ok := g.cache[i]; ok {
-		g.tick++
-		slot.tick = g.tick
-		g.mu.Unlock()
-		<-slot.ready
-		if slot.err == nil {
-			g.svc.cacheHits.Add(1)
-		}
-		return slot.shard, slot.err
+// index returns shard i's line index, building it on the first touch.
+func (g *generation) index(i int) (*traceio.AtlasShardIndex, error) {
+	slot := g.shards[i].Load()
+	for slot == nil {
+		g.shards[i].CompareAndSwap(nil, new(indexSlot))
+		slot = g.shards[i].Load()
 	}
-	slot := &shardSlot{ready: make(chan struct{})}
-	g.tick++
-	slot.tick = g.tick
-	g.cache[i] = slot
-	g.evictLocked(i)
-	g.mu.Unlock()
-
-	sh, err := g.r.ReadShard(i)
-	if err != nil {
-		slot.err = err
-		close(slot.ready)
-		g.mu.Lock()
-		if g.cache[i] == slot {
-			delete(g.cache, i) // don't cache failures
-		}
-		g.mu.Unlock()
-		return nil, err
-	}
-	g.svc.shardDecodes.Add(1)
-	slot.shard = sh
-	close(slot.ready)
-	return sh, nil
-}
-
-// evictLocked drops least-recently-used completed slots beyond the
-// budget. The slot at keep (the one being installed) is never evicted.
-func (g *generation) evictLocked(keep int) {
-	for len(g.cache) > g.svc.opt.CacheShards {
-		victim, oldest := -1, uint64(0)
-		for i, slot := range g.cache {
-			if i == keep {
-				continue
-			}
-			select {
-			case <-slot.ready:
-			default:
-				continue // still decoding; its loader will publish it
-			}
-			if victim == -1 || slot.tick < oldest {
-				victim, oldest = i, slot.tick
-			}
-		}
-		if victim == -1 {
+	built := false
+	slot.once.Do(func() {
+		built = true
+		slot.ix, slot.err = g.r.IndexShard(i)
+		if slot.err != nil {
+			g.shards[i].CompareAndSwap(slot, nil)
 			return
 		}
-		delete(g.cache, victim)
-		g.svc.cacheEvictions.Add(1)
+		g.svc.shardDecodes.Add(1)
+	})
+	if slot.err == nil && !built {
+		g.svc.cacheHits.Add(1)
 	}
+	return slot.ix, slot.err
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,7 +55,7 @@ func sampleSnapshot() *fixture {
 // writeSnapshot cuts the fixture into shard blocks of per nodes — small
 // cuts give a nine-node file several shards to route between — places
 // each router with its representative, and streams the file.
-func writeSnapshot(t *testing.T, dir, name string, s *fixture, per int) string {
+func writeSnapshot(t testing.TB, dir, name string, s *fixture, per int) string {
 	t.Helper()
 	spec := traceio.AtlasStreamSpec{
 		Pairs: s.Pairs, Nodes: len(s.Nodes), Routers: len(s.Routers),
@@ -299,25 +300,136 @@ func TestServeV1Snapshot(t *testing.T) {
 	}
 }
 
-// A tiny cache still answers everything correctly, it just evicts.
-func TestServeLRUEviction(t *testing.T) {
+// Two passes over every node of a five-shard file answer every query
+// correctly, and each shard is decoded exactly once: the first touch
+// builds its line index, every later query reads one line, and nothing
+// is evicted.
+func TestServeIndexesEachShardOnce(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
 	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 2)
-	svc, err := Open(path, Options{CacheShards: 1})
+	svc, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	routerOf := map[packet.Addr][]packet.Addr{}
+	for _, rt := range snap.Routers {
+		for _, a := range rt.Addrs {
+			routerOf[a] = rt.Addrs
+		}
+	}
 	for pass := 0; pass < 2; pass++ {
 		for _, n := range snap.Nodes {
-			if _, err := svc.Provenance(n.Addr); err != nil {
+			obs, err := svc.Provenance(n.Addr)
+			if err != nil {
 				t.Fatalf("pass %d, %s: %v", pass, n.Addr, err)
+			}
+			want := make([]atlas.Obs, len(n.Seen))
+			for i, o := range n.Seen {
+				want[i] = atlas.Obs{Pair: o[0], Hop: o[1]}
+			}
+			if !reflect.DeepEqual(obs, want) {
+				t.Fatalf("pass %d: Provenance(%s) = %v, want %v", pass, n.Addr, obs, want)
+			}
+			r, err := svc.Router(n.Addr)
+			if err != nil {
+				t.Fatalf("pass %d, %s: %v", pass, n.Addr, err)
+			}
+			wantR := routerOf[n.Addr]
+			if wantR == nil {
+				wantR = []packet.Addr{n.Addr}
+			}
+			if !reflect.DeepEqual(r, wantR) {
+				t.Fatalf("pass %d: Router(%s) = %v, want %v", pass, n.Addr, r, wantR)
 			}
 		}
 	}
-	if m := svc.Metrics(); m.CacheEvictions == 0 {
-		t.Fatalf("CacheShards=1 over 5 shards recorded no evictions: %+v", m)
+	if m := svc.Metrics(); m.ShardDecodes != 5 || m.CacheEvictions != 0 {
+		t.Fatalf("two passes over 5 shards: %+v, want 5 decodes and no evictions", m)
+	}
+}
+
+// A bad line anywhere in a shard fails every point query into that
+// shard, not only queries for the bad line's own address: the first
+// touch validates the whole block. Shard 1 of a three-node cut holds
+// 10.0.0.4, .5 and .6; .5's and .6's lines, equal in length, are
+// swapped, so the block is out of canonical order while .4's line and
+// every offset stay intact. Concurrent first touches all see the
+// reader's error, the failure is not kept (a repeat reads the shard
+// again, and once the file is repaired in place the query succeeds),
+// and the other shards answer throughout.
+func TestServeBadLineFailsItsShard(t *testing.T) {
+	t.Parallel()
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", sampleSnapshot(), 3)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l5 := `{"addr":"10.0.0.5","seen":[[1,1]],"succ":["10.0.0.6"]}`
+	l6 := `{"addr":"10.0.0.6","seen":[[1,2]],"succ":["10.0.0.2"]}`
+	if len(l5) != len(l6) || !bytes.Contains(good, []byte(l5+"\n"+l6+"\n")) {
+		t.Fatal("fixture lines changed; pick two equal-length adjacent node lines")
+	}
+	bad := bytes.Replace(good, []byte(l5+"\n"+l6+"\n"), []byte(l6+"\n"+l5+"\n"), 1)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := traceio.OpenAtlasFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := r.ReadShard(1)
+	r.Close()
+	if want == nil {
+		t.Fatal("ReadShard accepted the swapped block")
+	}
+
+	svc, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	q := ip("10.0.0.4")
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: err = %v, want the reader's %q", what, err, want)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = svc.Provenance(q)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		check(fmt.Sprintf("concurrent Provenance %d", i), err)
+	}
+	if n := svc.Metrics().ShardDecodes; n != 0 {
+		t.Fatalf("failed first touches counted %d decodes, want 0", n)
+	}
+	_, err = svc.Provenance(q)
+	check("repeat Provenance", err)
+	_, err = svc.Router(q)
+	check("Router", err)
+	for _, a := range ips("10.0.0.1", "10.0.0.7", "10.0.0.9") {
+		if _, err := svc.Provenance(a); err != nil {
+			t.Errorf("Provenance(%s) in a good shard: %v", a, err)
+		}
+		if _, err := svc.Router(a); err != nil {
+			t.Errorf("Router(%s) in a good shard: %v", a, err)
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if obs, err := svc.Provenance(q); err != nil || !reflect.DeepEqual(obs, []atlas.Obs{{Pair: 0, Hop: 3}}) {
+		t.Fatalf("Provenance after repair = %v, %v: the failure was kept", obs, err)
 	}
 }
 

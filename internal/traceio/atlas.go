@@ -3,6 +3,7 @@ package traceio
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -38,8 +39,9 @@ import (
 // the shard its representative falls in. The trailer is the last line
 // of the file and locates the index; the index locates every shard plus
 // the pairs and diamonds sections by absolute byte offset, so a reader
-// (AtlasReader) answers a point query by decoding one shard, never the
-// whole file.
+// (AtlasReader) answers a point query from one shard, never the whole
+// file: by decoding it, or by reading one line through its line index
+// (AtlasShardIndex).
 //
 // Every section is emitted in canonical order (pairs by index, nodes by
 // ascending address, successors ascending, routers by first address,
@@ -212,6 +214,7 @@ type lineScanner struct {
 	buf  string
 	off  int // first unread byte
 	line int
+	last int // offset of the last line next returned
 }
 
 func newLineScanner(buf string) *lineScanner {
@@ -254,6 +257,7 @@ func (ls *lineScanner) next() (string, error) {
 		}
 		ls.line++
 		if end > start {
+			ls.last = start
 			return ls.buf[start:end], nil
 		}
 	}
@@ -394,28 +398,39 @@ func decodeShardHeader(ls *lineScanner, want int) (AtlasShardHeader, error) {
 
 // decodeNode parses and validates one node line: address strictly
 // ascending over prev (0 before a block's first node, so 0.0.0.0 is
-// never a node), non-negative provenance. These are canonical-order
+// never a node), and what nodeLine checks. These are canonical-order
 // facts every real snapshot satisfies, and validating them at decode
 // time is what guarantees any accepted block re-encodes cleanly (shard
-// fences need ordered addresses). A canonical line is parsed by hand;
-// any other goes to encoding/json, which refuses an address not in its
-// canonical text. The node is decoded into *n, which must be zero.
+// fences need ordered addresses). The node is decoded into *n, which
+// must be zero.
 func (d *lineDecoder) decodeNode(ls *lineScanner, n *AtlasNodeV2, prev packet.Addr) error {
 	b, err := ls.next()
 	if err != nil {
 		return err
 	}
-	if !d.node(b, n) {
-		if err := json.Unmarshal([]byte(b), n); err != nil {
-			return fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
-		}
+	if err := nodeLine(d, b, n); err != nil {
+		return fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
 	}
 	if n.Addr <= prev {
 		return fmt.Errorf("traceio: atlas line %d: node %s out of canonical order", ls.line, n.Addr)
 	}
+	return nil
+}
+
+// nodeLine decodes one node line into *n, which must be zero, and
+// checks what a line can say of itself: non-negative provenance. A
+// canonical line is parsed by hand; any other goes to encoding/json,
+// which refuses an address not in its canonical text. A block decode
+// and a point read both take a node line through here.
+func nodeLine[S string | []byte](d *lineDecoder, b S, n *AtlasNodeV2) error {
+	if !parseNode(d, b, n) {
+		if err := json.Unmarshal([]byte(b), n); err != nil {
+			return fmt.Errorf("bad node: %v", err)
+		}
+	}
 	for _, o := range n.Seen {
 		if o[0] < 0 || o[1] < 0 {
-			return fmt.Errorf("traceio: atlas line %d: negative provenance", ls.line)
+			return errors.New("negative provenance")
 		}
 	}
 	return nil
@@ -428,15 +443,22 @@ func (d *lineDecoder) decodeRouter(ls *lineScanner, rt *AtlasRouter, prev packet
 	if err != nil {
 		return err
 	}
-	if !d.router(b, rt) {
-		if err := json.Unmarshal([]byte(b), rt); err != nil {
-			return fmt.Errorf("traceio: atlas line %d: bad router: %v", ls.line, err)
-		}
-	}
-	if err := validateRouter(rt, prev); err != nil {
+	if err := routerLine(d, b, rt, prev); err != nil {
 		return fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
 	}
 	return nil
+}
+
+// routerLine decodes one router line into *rt, which must be zero, by
+// hand or through encoding/json as nodeLine does, and validates it
+// against prev, the previous line's representative.
+func routerLine[S string | []byte](d *lineDecoder, b S, rt *AtlasRouter, prev packet.Addr) error {
+	if !parseRouter(d, b, rt) {
+		if err := json.Unmarshal([]byte(b), rt); err != nil {
+			return fmt.Errorf("bad router: %v", err)
+		}
+	}
+	return validateRouter(rt, prev)
 }
 
 // validateRouter is the router invariant both the reader and the stream

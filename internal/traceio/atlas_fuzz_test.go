@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,11 +73,15 @@ func TestAtlasDecodeNeverPanicsOnBitFlips(t *testing.T) {
 // Nothing may panic, and whatever Verify accepts must re-stream through
 // the encoder into a file that verifies and re-streams to identical
 // bytes — accepted hostile inputs may not produce blocks the encoder
-// chokes on, and the encoder's output is a fixed point. Seeded with
-// valid snapshots, a truncation at every section boundary, hostile
-// headers (a v1 header among them), a repeated pair index and an index
-// whose shard counts disagree with the header, so the mutator starts near the format's
-// structure. CI's fuzz-smoke job runs it for a short budget on every
+// chokes on, and the encoder's output is a fixed point. It is also the
+// differential for point reads: indexing a shard fails exactly when
+// ReadShard fails, and when it succeeds every node's and router's point
+// read equals ReadShard's decode. Seeded with valid snapshots (the wide
+// one also with CRLF line ends and with blank lines between node
+// lines), a truncation at every section boundary, hostile headers (a
+// v1 header among them), a repeated pair index and an index whose shard
+// counts disagree with the header, so the mutator starts near the
+// format's structure. CI's fuzz-smoke job runs it for a short budget on every
 // PR; locally:
 //
 //	go test -run='^$' -fuzz=FuzzAtlasReader -fuzztime=30s ./internal/traceio
@@ -97,6 +102,9 @@ func FuzzAtlasReader(f *testing.F) {
 	f.Add([]byte(repeatedPairs(f)))
 	f.Add([]byte(strings.Replace(string(wide), `"routers":2,"diamonds":1,"shards":3`, `"routers":2,"diamonds":1,"shards":2`, 1)))
 	f.Add([]byte(strings.Replace(string(wide), `"nodes":3,"routers":1,"min":"10.0.0.1"`, `"nodes":2,"routers":1,"min":"10.0.0.1"`, 2)))
+	for _, v := range lineEndVariants(f, wide) {
+		f.Add(v)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewAtlasReader(bytes.NewReader(data), int64(len(data)))
@@ -105,8 +113,16 @@ func FuzzAtlasReader(f *testing.F) {
 		}
 		verr := r.Verify()
 		for i := 0; i < r.NumShards(); i++ {
-			if _, err := r.ReadShard(i); err != nil && verr == nil {
+			sh, err := r.ReadShard(i)
+			if err != nil && verr == nil {
 				t.Fatalf("Verify accepted a file whose shard %d fails to read: %v", i, err)
+			}
+			ix, ierr := r.IndexShard(i)
+			if (err == nil) != (ierr == nil) {
+				t.Fatalf("shard %d: ReadShard err %v, IndexShard err %v", i, err, ierr)
+			}
+			if err == nil {
+				checkPointReads(t, ix, sh)
 			}
 		}
 		if _, err := r.ReadDiamonds(); err != nil && verr == nil {
@@ -134,12 +150,18 @@ func FuzzAtlasReader(f *testing.F) {
 func TestAtlasDecodeHostileHeaderCounts(t *testing.T) {
 	t.Parallel()
 	raw := (&atlasFixture{}).encode(t, 0)
-	for _, claim := range []string{
-		`"nodes":123456789012`,
+	claims := []string{
+		`"nodes":2147483647`,
 		`"edges":2147483647`,
 		`"pairs":999999999`,
 		`"diamonds":999999999`,
-	} {
+	}
+	if strconv.IntSize == 64 {
+		// Past a 32-bit int, where even the shard header this fixture
+		// rebuilds its index from cannot be decoded.
+		claims = append(claims, `"nodes":123456789012`)
+	}
+	for _, claim := range claims {
 		in := corrupt(t, raw, claim[:strings.Index(claim, ":")+1]+"0", claim)
 		if err := openAndVerify([]byte(in)); err == nil {
 			t.Errorf("header %s: accepted a file with no section lines", claim)

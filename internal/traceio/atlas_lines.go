@@ -117,16 +117,18 @@ func appendRouterLine(buf []byte, rt *AtlasRouter) []byte {
 
 // lineParser reads one line in exactly the form json.Marshal writes:
 // the atlas lines above and the record lines of record_lines.go. The first
-// deviation clears ok; once clear, every method is a no-op.
-type lineParser struct {
-	s  string
+// deviation clears ok; once clear, every method is a no-op. The line is
+// read where it stands, a substring of a section or a buffer a point
+// read filled, as packet.ScanAddr reads an address.
+type lineParser[S string | []byte] struct {
+	s  S
 	i  int
 	ok bool
 }
 
 // skip consumes lit if the input continues with it.
-func (p *lineParser) skip(lit string) bool {
-	if p.ok && strings.HasPrefix(p.s[p.i:], lit) {
+func (p *lineParser[S]) skip(lit string) bool {
+	if p.ok && len(p.s)-p.i >= len(lit) && string(p.s[p.i:p.i+len(lit)]) == lit {
 		p.i += len(lit)
 		return true
 	}
@@ -134,14 +136,14 @@ func (p *lineParser) skip(lit string) bool {
 }
 
 // lit consumes lit or clears ok.
-func (p *lineParser) lit(lit string) {
+func (p *lineParser[S]) lit(lit string) {
 	if !p.skip(lit) {
 		p.ok = false
 	}
 }
 
 // skipChar consumes c if the input continues with it.
-func (p *lineParser) skipChar(c byte) bool {
+func (p *lineParser[S]) skipChar(c byte) bool {
 	if p.ok && p.i < len(p.s) && p.s[p.i] == c {
 		p.i++
 		return true
@@ -150,7 +152,7 @@ func (p *lineParser) skipChar(c byte) bool {
 }
 
 // char consumes c or clears ok.
-func (p *lineParser) char(c byte) {
+func (p *lineParser[S]) char(c byte) {
 	if !p.skipChar(c) {
 		p.ok = false
 	}
@@ -158,10 +160,11 @@ func (p *lineParser) char(c byte) {
 
 // str reads a quoted string of plain bytes and returns it as a
 // substring of the line: no copy, no escapes to undo.
-func (p *lineParser) str() string {
+func (p *lineParser[S]) str() S {
+	var none S
 	if !p.ok || p.i >= len(p.s) || p.s[p.i] != '"' {
 		p.ok = false
-		return ""
+		return none
 	}
 	j := p.i + 1
 	for j < len(p.s) && plainJSON[p.s[j]] {
@@ -169,7 +172,7 @@ func (p *lineParser) str() string {
 	}
 	if j == len(p.s) || p.s[j] != '"' {
 		p.ok = false
-		return ""
+		return none
 	}
 	v := p.s[p.i+1 : j]
 	p.i = j + 1
@@ -180,7 +183,7 @@ func (p *lineParser) str() string {
 // packet.Addr's UnmarshalText accepts, in one pass over the line:
 // packet.ScanAddr reads the address where it stands, and the closing
 // quote must follow it.
-func (p *lineParser) addr() packet.Addr {
+func (p *lineParser[S]) addr() packet.Addr {
 	if !p.ok || p.i >= len(p.s) || p.s[p.i] != '"' {
 		p.ok = false
 		return 0
@@ -196,14 +199,14 @@ func (p *lineParser) addr() packet.Addr {
 }
 
 // require clears ok unless cond holds.
-func (p *lineParser) require(cond bool) {
+func (p *lineParser[S]) require(cond bool) {
 	if !cond {
 		p.ok = false
 	}
 }
 
 // boolean reads true or false.
-func (p *lineParser) boolean() bool {
+func (p *lineParser[S]) boolean() bool {
 	if p.skip("true") {
 		return true
 	}
@@ -214,9 +217,9 @@ func (p *lineParser) boolean() bool {
 // intToken consumes an integer token as json.Marshal writes one — a
 // minus where signed, then digits with no leading zero, and no "-0" —
 // and returns it with the value of its digits, exact for up to 19.
-func (p *lineParser) intToken(signed bool) (tok string, mag uint64) {
+func (p *lineParser[S]) intToken(signed bool) (tok S, mag uint64) {
 	if !p.ok {
-		return "", 0
+		return tok, 0
 	}
 	j := p.i
 	if signed && j < len(p.s) && p.s[j] == '-' {
@@ -228,7 +231,7 @@ func (p *lineParser) intToken(signed bool) (tok string, mag uint64) {
 	}
 	if k == j || (p.s[j] == '0' && (k-j > 1 || j > p.i)) {
 		p.ok = false
-		return "", 0
+		return tok, 0
 	}
 	tok = p.s[p.i:k]
 	p.i = k
@@ -237,11 +240,11 @@ func (p *lineParser) intToken(signed bool) (tok string, mag uint64) {
 
 // integer reads a canonical integer that fits in a signed integer of
 // the given bit size.
-func (p *lineParser) integer(bits int) int64 {
+func (p *lineParser[S]) integer(bits int) int64 {
 	tok, mag := p.intToken(true)
-	neg := tok != "" && tok[0] == '-'
+	neg := len(tok) > 0 && tok[0] == '-'
 	if len(tok) > 18 { // may not fit an int64: let strconv judge
-		v, err := strconv.ParseInt(tok, 10, bits)
+		v, err := strconv.ParseInt(string(tok), 10, bits)
 		p.require(err == nil)
 		return v
 	}
@@ -254,13 +257,13 @@ func (p *lineParser) integer(bits int) int64 {
 }
 
 // num reads a canonical int.
-func (p *lineParser) num() int { return int(p.integer(strconv.IntSize)) }
+func (p *lineParser[S]) num() int { return int(p.integer(strconv.IntSize)) }
 
 // small reads a canonical int, taking the common case — a non-negative
 // run of at most 9 digits, which fits any int or int32 — in one loop,
 // and handing anything else (a sign, a leading zero, a longer run) to
 // integer, which decides it.
-func (p *lineParser) small(bits int) int64 {
+func (p *lineParser[S]) small(bits int) int64 {
 	v, j := int64(0), p.i
 	for ; p.ok && j < len(p.s) && j-p.i < 10 && p.s[j]-'0' <= 9; j++ {
 		v = v*10 + int64(p.s[j]-'0')
@@ -273,10 +276,10 @@ func (p *lineParser) small(bits int) int64 {
 }
 
 // unsigned reads a canonical uint64.
-func (p *lineParser) unsigned() uint64 {
+func (p *lineParser[S]) unsigned() uint64 {
 	tok, mag := p.intToken(false)
 	if len(tok) > 19 { // may not fit a uint64: let strconv judge
-		v, err := strconv.ParseUint(tok, 10, 64)
+		v, err := strconv.ParseUint(string(tok), 10, 64)
 		p.require(err == nil)
 		return v
 	}
@@ -286,7 +289,7 @@ func (p *lineParser) unsigned() uint64 {
 // float reads a float64 as json.Marshal writes one: a number token that
 // appendJSONFloat renders back to itself, so "1.50", "1E2" or a value
 // out of range are refused.
-func (p *lineParser) float() float64 {
+func (p *lineParser[S]) float() float64 {
 	if !p.ok {
 		return 0
 	}
@@ -294,7 +297,7 @@ func (p *lineParser) float() float64 {
 	for j < len(p.s) && strings.IndexByte("0123456789.-+e", p.s[j]) >= 0 {
 		j++
 	}
-	tok := p.s[p.i:j]
+	tok := string(p.s[p.i:j])
 	v, err := strconv.ParseFloat(tok, 64)
 	var buf [32]byte
 	if err != nil || string(appendJSONFloat(buf[:0], v)) != tok {
@@ -314,21 +317,36 @@ func (p *lineParser) float() float64 {
 //
 // Both report false once ok is clear, so the loop ends at the first
 // deviation.
-func (p *lineParser) open() bool {
-	p.char('[')
-	return p.ok && !p.skipChar(']')
+func (p *lineParser[S]) open() bool {
+	if !p.ok || p.i >= len(p.s) || p.s[p.i] != '[' {
+		p.ok = false
+		return false
+	}
+	p.i++
+	if p.i < len(p.s) && p.s[p.i] == ']' {
+		p.i++
+		return false
+	}
+	return true
 }
 
-func (p *lineParser) next() bool {
-	if p.skipChar(',') {
-		return true
+func (p *lineParser[S]) next() bool {
+	if p.ok && p.i < len(p.s) {
+		switch p.s[p.i] {
+		case ',':
+			p.i++
+			return true
+		case ']':
+			p.i++
+			return false
+		}
 	}
-	p.char(']')
+	p.ok = false
 	return false
 }
 
 // obs reads one [p,h] provenance pair.
-func (p *lineParser) obs() [2]int {
+func (p *lineParser[S]) obs() [2]int {
 	p.char('[')
 	a := p.small(strconv.IntSize)
 	p.char(',')
@@ -381,7 +399,7 @@ func newLineDecoder(n int) *lineDecoder {
 
 // addrList reads null or an array of addresses into d.addrTmp and
 // reports whether it read null.
-func (d *lineDecoder) addrList(p *lineParser) (null bool) {
+func addrList[S string | []byte](d *lineDecoder, p *lineParser[S]) (null bool) {
 	d.addrTmp = d.addrTmp[:0]
 	null = p.skip("null")
 	for more := !null && p.open(); more; more = p.next() {
@@ -390,10 +408,10 @@ func (d *lineDecoder) addrList(p *lineParser) (null bool) {
 	return null
 }
 
-// node parses a canonical node line into *n, which must be zero; it
-// reports false, leaving *n zero, for any other line.
-func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
-	p := lineParser{s: s, ok: true}
+// parseNode parses a canonical node line into *n, which must be zero;
+// it reports false, leaving *n zero, for any other line.
+func parseNode[S string | []byte](d *lineDecoder, s S, n *AtlasNodeV2) bool {
+	p := lineParser[S]{s: s, ok: true}
 	p.lit(`{"addr":`)
 	n.Addr = p.addr()
 	p.lit(`,"seen":`)
@@ -403,7 +421,7 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 		d.seenTmp = append(d.seenTmp, p.obs())
 	}
 	p.lit(`,"succ":`)
-	succNull := d.addrList(&p)
+	succNull := addrList(d, &p)
 	if p.skip(`,"router":`) {
 		n.Router = p.addr()
 		p.require(n.Router != 0) // the encoder omits a zero router
@@ -422,12 +440,12 @@ func (d *lineDecoder) node(s string, n *AtlasNodeV2) bool {
 	return true
 }
 
-// router parses a canonical router line into *rt, which must be zero;
-// it reports false, leaving *rt zero, for any other line.
-func (d *lineDecoder) router(s string, rt *AtlasRouter) bool {
-	p := lineParser{s: s, ok: true}
+// parseRouter parses a canonical router line into *rt, which must be
+// zero; it reports false, leaving *rt zero, for any other line.
+func parseRouter[S string | []byte](d *lineDecoder, s S, rt *AtlasRouter) bool {
+	p := lineParser[S]{s: s, ok: true}
 	p.lit(`{"addrs":`)
-	null := d.addrList(&p)
+	null := addrList(d, &p)
 	p.char('}')
 	if !p.ok || p.i != len(s) {
 		return false
@@ -441,7 +459,7 @@ func (d *lineDecoder) router(s string, rt *AtlasRouter) bool {
 // pair parses a canonical pair line into *pr, which must be zero; it
 // reports false, leaving *pr zero, for any other line.
 func (d *lineDecoder) pair(s string, pr *AtlasPair) bool {
-	p := lineParser{s: s, ok: true}
+	p := lineParser[string]{s: s, ok: true}
 	p.lit(`{"pair":`)
 	n := p.num()
 	p.lit(`,"src":`)
@@ -459,7 +477,7 @@ func (d *lineDecoder) pair(s string, pr *AtlasPair) bool {
 // diamond parses a canonical diamond line into *dm, which must be zero;
 // it reports false, leaving *dm zero, for any other line.
 func (d *lineDecoder) diamond(s string, dm *AtlasDiamond) bool {
-	p := lineParser{s: s, ok: true}
+	p := lineParser[string]{s: s, ok: true}
 	p.lit(`{"div":`)
 	div := p.str()
 	p.lit(`,"conv":`)

@@ -34,10 +34,16 @@ func handDecoded[T any](t *testing.T, line []byte, parse func(string, *T) bool) 
 func checkLineDecoders(t *testing.T, line []byte) bool {
 	t.Helper()
 	d := newLineDecoder(0)
-	node := handDecoded(t, line, d.node)
-	router := handDecoded(t, line, d.router)
+	node := handDecoded(t, line, func(s string, n *AtlasNodeV2) bool { return parseNode(d, s, n) })
+	router := handDecoded(t, line, func(s string, rt *AtlasRouter) bool { return parseRouter(d, s, rt) })
 	pair := handDecoded(t, line, d.pair)
 	diamond := handDecoded(t, line, d.diamond)
+	// The []byte instantiations, which parse a point read's buffer, take
+	// the same lines to the same values.
+	if handDecoded(t, line, func(s string, n *AtlasNodeV2) bool { return parseNode(d, []byte(s), n) }) != node ||
+		handDecoded(t, line, func(s string, rt *AtlasRouter) bool { return parseRouter(d, []byte(s), rt) }) != router {
+		t.Fatalf("line %q: the string and []byte parsers disagree on taking it", line)
+	}
 	return node || router || pair || diamond
 }
 
@@ -143,7 +149,7 @@ func FuzzAtlasLines(f *testing.F) {
 			f.Add([]byte(line), uint32(0), uint32(1), 0, 0)
 		}
 	}
-	f.Add([]byte(""), uint32(1), uint32(255), math.MaxInt, -1000000000000000000)
+	f.Add([]byte(""), uint32(1), uint32(255), math.MaxInt, math.MinInt)
 
 	f.Fuzz(func(t *testing.T, line []byte, a32, b32 uint32, p, h int) {
 		checkLineDecoders(t, line)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -32,6 +33,8 @@ type AtlasReader struct {
 	index   AtlasIndex
 	mins    []packet.Addr // per-shard min fence
 	pairs   []AtlasPair
+
+	scratch scratchPool // point reads' line buffers and decoders
 }
 
 // atlasTailProbe bounds the read that locates the trailer line.
@@ -220,7 +223,7 @@ func (r *AtlasReader) NumShards() int { return len(r.index.Shards) }
 
 // ShardFor returns the shard whose address range owns addr. Every
 // address maps to some shard; whether the shard actually holds a node
-// for it is answered by decoding the shard.
+// for it is answered by the shard's decode or its line index.
 func (r *AtlasReader) ShardFor(addr packet.Addr) int {
 	return AtlasShardForAddr(r.mins, addr)
 }
@@ -228,21 +231,33 @@ func (r *AtlasReader) ShardFor(addr packet.Addr) int {
 // ReadShard decodes shard i from its byte span. Safe for concurrent
 // callers.
 func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
+	sh, _, err := r.readShard(i, false)
+	return sh, err
+}
+
+// readShard decodes and validates shard i and, when index is set, also
+// returns the block's line index: each node line's address and each
+// router line's representative, with the line's offset in the block.
+// ReadShard and IndexShard share this one validating loop.
+func (r *AtlasReader) readShard(i int, index bool) (*AtlasShard, *AtlasShardIndex, error) {
 	if i < 0 || i >= len(r.index.Shards) {
-		return nil, fmt.Errorf("traceio: atlas shard %d out of range (%d shards)", i, len(r.index.Shards))
+		return nil, nil, fmt.Errorf("traceio: atlas shard %d out of range (%d shards)", i, len(r.index.Shards))
 	}
 	si := r.index.Shards[i]
+	if index && si.Len > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("traceio: atlas shard %d: block of %d bytes is too long to index", i, si.Len)
+	}
 	buf, err := r.readSpan(si.Off, si.Len)
 	if err != nil {
-		return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
+		return nil, nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
 	}
 	ls := newLineScanner(buf)
 	sh, err := decodeShardHeader(ls, i)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if sh.Nodes != si.Nodes || sh.Routers != si.Routers {
-		return nil, fmt.Errorf("traceio: atlas shard %d: block counts (%d,%d) disagree with index (%d,%d)",
+		return nil, nil, fmt.Errorf("traceio: atlas shard %d: block counts (%d,%d) disagree with index (%d,%d)",
 			i, sh.Nodes, sh.Routers, si.Nodes, si.Routers)
 	}
 	out := &AtlasShard{
@@ -250,16 +265,27 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 		Nodes:   make([]AtlasNodeV2, 0, cappedPrealloc(sh.Nodes)),
 		Routers: make([]AtlasRouter, 0, cappedPrealloc(sh.Routers)),
 	}
+	var ix *AtlasShardIndex
+	if index {
+		ix = &AtlasShardIndex{
+			r: r, shard: i, off: si.Off, end: uint32(si.Len),
+			nodes:   make([]lineRef, 0, cappedPrealloc(sh.Nodes)),
+			routers: make([]lineRef, 0, cappedPrealloc(sh.Routers)),
+		}
+	}
 	d := newLineDecoder(sh.Nodes)
 	var prev packet.Addr
 	for j := 0; j < sh.Nodes; j++ {
 		out.Nodes = append(out.Nodes, AtlasNodeV2{})
 		n := &out.Nodes[j]
 		if err := d.decodeNode(ls, n, prev); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if n.Addr < si.Min || n.Addr > si.Max {
-			return nil, fmt.Errorf("traceio: atlas shard %d: node %s outside fences", i, n.Addr)
+			return nil, nil, fmt.Errorf("traceio: atlas shard %d: node %s outside fences", i, n.Addr)
+		}
+		if ix != nil {
+			ix.nodes = append(ix.nodes, lineRef{n.Addr, uint32(ls.last)})
 		}
 		prev = n.Addr
 	}
@@ -268,14 +294,17 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 		out.Routers = append(out.Routers, AtlasRouter{})
 		rt := &out.Routers[j]
 		if err := d.decodeRouter(ls, rt, prev); err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		if ix != nil {
+			ix.routers = append(ix.routers, lineRef{rt.Addrs[0], uint32(ls.last)})
 		}
 		prev = rt.Addrs[0]
 	}
 	if err := ls.finish(); err != nil {
-		return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
+		return nil, nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
 	}
-	return out, nil
+	return out, ix, nil
 }
 
 // ReadDiamonds decodes the diamond census section. Safe for concurrent

@@ -28,11 +28,11 @@ func testManifest() *FleetManifest {
 func hostileManifest() *FleetManifest {
 	return &FleetManifest{
 		Version: FleetManifestVersion, Kind: fleetKind,
-		Total: -math.MaxInt64, UnitSize: -4,
+		Total: -math.MaxInt, UnitSize: -4,
 		Units: []FleetUnit{
-			{ID: 0, Start: 0, Count: math.MaxInt64, State: UnitUnclaimed},
-			{ID: 1, Start: math.MaxInt64, Count: 1, State: UnitShipped, Shard: "../../x", Records: 1},
-			{ID: 2, Start: math.MinInt64, Count: 1, State: UnitMerged},
+			{ID: 0, Start: 0, Count: math.MaxInt, State: UnitUnclaimed},
+			{ID: 1, Start: math.MaxInt, Count: 1, State: UnitShipped, Shard: "../../x", Records: 1},
+			{ID: 2, Start: math.MinInt, Count: 1, State: UnitMerged},
 		},
 	}
 }
@@ -112,8 +112,8 @@ func TestFleetManifestValidation(t *testing.T) {
 		{"negative total", func(m *FleetManifest) { *m = *hostileManifest() }},
 		{"unit past total", func(m *FleetManifest) {
 			m.Units = []FleetUnit{
-				{ID: 0, Start: 0, Count: math.MaxInt64, State: UnitUnclaimed},
-				{ID: 1, Start: math.MaxInt64, Count: math.MaxInt64, State: UnitUnclaimed},
+				{ID: 0, Start: 0, Count: math.MaxInt, State: UnitUnclaimed},
+				{ID: 1, Start: math.MaxInt, Count: math.MaxInt, State: UnitUnclaimed},
 				{ID: 2, Start: -2, Count: 14, State: UnitUnclaimed}, // wraps back to 12
 			}
 		}},

@@ -176,7 +176,7 @@ func (d *SurveyDiamond) append(buf []byte) []byte {
 // starAddr reads a quoted address as the record encoder writes one:
 // "*" for a star, otherwise a non-zero address's canonical text. So
 // "010.0.0.1", "1.2.3" and "0.0.0.0" (which renders as "*") are refused.
-func (p *lineParser) starAddr() packet.Addr {
+func (p *lineParser[S]) starAddr() packet.Addr {
 	if p.skip(`"*"`) {
 		return topo.StarAddr
 	}
@@ -191,7 +191,7 @@ func (p *lineParser) starAddr() packet.Addr {
 // number of hops. Its strings are substrings of the line, so they share
 // the line's one allocation.
 type recordParser struct {
-	p lineParser
+	p lineParser[string]
 	// addrs holds the line's addresses, hops' then routers'; addrEnds
 	// where each list of them ends.
 	addrs    []packet.Addr
@@ -262,7 +262,7 @@ func (d *recordParser) diamond() {
 // and *sr is then to be discarded.
 func (d *recordParser) parse(s string, sr *SurveyRecord) bool {
 	p := &d.p
-	*p = lineParser{s: s, ok: true}
+	*p = lineParser[string]{s: s, ok: true}
 	d.addrs, d.addrEnds, d.succ, d.succEnds = d.addrs[:0], d.addrEnds[:0], d.succ[:0], d.succEnds[:0]
 	d.diamonds, d.probs, d.probEnds = d.diamonds[:0], d.probs[:0], d.probEnds[:0]
 
