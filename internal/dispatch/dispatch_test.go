@@ -3,8 +3,10 @@ package dispatch
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -393,6 +395,69 @@ func TestDeadRunnerReassignment(t *testing.T) {
 	coord.mu.Unlock()
 	if attempts < 2 {
 		t.Fatalf("abandoned unit %d has %d lease attempts, want >= 2", ghost.Unit.ID, attempts)
+	}
+}
+
+// TestReclaimedRouterUnitRetracesByteIdentical: a runner that traces a
+// unit, loses the lease at ship time and then traces the same unit again
+// on its one universe (a reclaim) ships the single-machine bytes both
+// times. Router-level records hold alias sets read off IP-ID series, so
+// simulator state that outlived a pair's first trace would shift the
+// second. The lease is lost by shipping under a lease id the coordinator
+// never issued, and the TTL is long enough that no heartbeat fires, so
+// both traces always reach the ship. At seed 9 unit 0 holds a pair
+// whose alias sets a carried-over session does shift (at seed 7 none
+// of the first 25 pairs' records moves).
+func TestReclaimedRouterUnitRetracesByteIdentical(t *testing.T) {
+	t.Parallel()
+	spec := Spec{Level: "router", Pairs: 40, Seed: 9, Phi: 2, Rounds: 10}
+	golden := singleMachine(t, spec, "")
+	coord, _ := newTestCoordinator(t, t.TempDir(), spec, func(cfg *CoordinatorConfig) {
+		cfg.UnitSize = 16
+		cfg.LeaseTTL = time.Minute
+	})
+	h := coord.Handler()
+	var mu sync.Mutex
+	var shipped [][]byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/ship" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			shipped = append(shipped, body)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	cr := claimAs(t, srv.URL, "r")
+	if cr.Status != StatusUnit {
+		t.Fatalf("claim: %+v", cr)
+	}
+	r := &runner{cfg: RunnerConfig{ID: "r", Workers: 1}, base: srv.URL, client: srv.Client(), logf: t.Logf}
+	if err := r.adoptSpec(cr.Spec); err != nil {
+		t.Fatal(err)
+	}
+	ttl := time.Duration(cr.TTLMillis) * time.Millisecond
+	if err := r.traceUnit(*cr.Unit, cr.LeaseID+1, ttl); !errors.Is(err, errLeaseLost) {
+		t.Fatalf("trace under a foreign lease returned %v, want the lease lost", err)
+	}
+	if err := r.traceUnit(*cr.Unit, cr.LeaseID, ttl); err != nil {
+		t.Fatalf("re-trace under the held lease: %v", err)
+	}
+
+	want := unitPayload(golden, cr.Unit)
+	if len(shipped) != 2 {
+		t.Fatalf("%d shipments, want 2", len(shipped))
+	}
+	for i, got := range shipped {
+		if !bytes.Equal(got, want) {
+			t.Errorf("trace %d of unit %d shipped %d bytes that differ from the single-machine span's %d", i+1, cr.Unit.ID, len(got), len(want))
+		}
 	}
 }
 

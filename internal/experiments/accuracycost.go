@@ -93,8 +93,9 @@ func FormatAccuracyCostTable(rows []AccuracyCostRow) string {
 		name := r.Scenario
 		if r.FlowBased {
 			flowRel += r.RelEdgeRecall
-			flowSavingsNum += r.LiteProbes * float64(r.Seeds)
-			flowSavingsDen += r.MDAProbes * float64(r.Seeds)
+			// float64(…) forbids FMA fusion: same table on every GOARCH.
+			flowSavingsNum += float64(r.LiteProbes * float64(r.Seeds))
+			flowSavingsDen += float64(r.MDAProbes * float64(r.Seeds))
 			flowRows++
 		}
 		fmt.Fprintf(&b, "%-16s %6d  %10.1f %10.1f %7.1f%%  %8.3f %8.3f %8.3f  %8d\n",
@@ -185,8 +186,9 @@ func FormatPriorRetraceTable(rows []PriorRetraceRow) string {
 	var relSum, num, den float64
 	for _, r := range rows {
 		relSum += r.RelEdgeRecall
-		num += r.PriorProbes * float64(r.Seeds)
-		den += r.RetraceProbes * float64(r.Seeds)
+		// float64(…) forbids FMA fusion: same table on every GOARCH.
+		num += float64(r.PriorProbes * float64(r.Seeds))
+		den += float64(r.RetraceProbes * float64(r.Seeds))
 		fmt.Fprintf(&b, "%-16s %6d  %12.1f %11.1f %7.1f%%  %8.3f %10d %6d\n",
 			r.Scenario, r.Seeds, r.RetraceProbes, r.PriorProbes, 100*r.Savings,
 			r.RelEdgeRecall, r.PriorHops, r.StalePairs)

@@ -7,18 +7,19 @@ import (
 )
 
 // The probe hot path. Each Path+graph generation (the main Graph, and the
-// Alt graph once a routing change swaps it in) is compiled once, lazily at
-// first probe, into dense per-vertex tables indexed by topo.VertexID. The
-// forwarding loop then runs without map lookups: LB mode, dispatch
-// weights (with their total presummed), the per-balancer hash key and the
-// replying interface are all direct slice loads. Compilation happens
-// after construction is complete (the Network contract: construction must
-// finish before probing begins), so it observes every LB/WeightedEdges
-// assignment made on the Path after AddPath returned.
+// Alt graph once a routing change swaps it in) is compiled lazily, at the
+// first probe that walks it, into dense per-vertex tables indexed by
+// topo.VertexID. The forwarding loop then runs without map lookups: LB
+// mode, dispatch weights (with their total presummed), the per-balancer
+// hash key and the replying interface are all direct slice loads.
+// Compilation happens after construction is complete (the Network
+// contract: construction must finish before probing begins), so it
+// observes every LB/WeightedEdges assignment made on the Path after
+// AddPath returned. The views belong to the pair's Session and end with
+// it, so a surveyed pair keeps nothing but its Path.
 
 // compiledPath is the dense forwarding view of one Path over one graph
-// generation. It is immutable once built, so sessions share it without
-// locking.
+// generation. It is immutable once built.
 type compiledPath struct {
 	g      *topo.Graph
 	entry  topo.VertexID
@@ -33,24 +34,23 @@ type compiledPath struct {
 	iface   []*Iface // replying interface; nil for stars and the destination
 }
 
-// compiledFor returns the compiled view of g for p, building it on first
-// use. g must be p.Graph or p.Alt.
-func (n *Network) compiledFor(p *Path, g *topo.Graph) *compiledPath {
-	slot := &p.compiledMain
+// compiledFor returns the compiled view of g, which must be p.Graph or
+// p.Alt. The session's own path keeps its views until the session ends;
+// a probe of another pair (a raw packet whose addresses are not the
+// session's key, which no product caller sends) compiles its view
+// without caching. The caller holds s.mu.
+func (s *Session) compiledFor(p *Path, g *topo.Graph) *compiledPath {
+	if p != s.path {
+		return s.net.compilePath(p, g)
+	}
+	slot := &s.compiledMain
 	if g != p.Graph {
-		slot = &p.compiledAlt
+		slot = &s.compiledAlt
 	}
-	if cp := slot.Load(); cp != nil && cp.g == g {
-		return cp
+	if *slot == nil {
+		*slot = s.net.compilePath(p, g)
 	}
-	p.compileMu.Lock()
-	defer p.compileMu.Unlock()
-	if cp := slot.Load(); cp != nil && cp.g == g {
-		return cp
-	}
-	cp := n.compilePath(p, g)
-	slot.Store(cp)
-	return cp
+	return *slot
 }
 
 // compilePath builds the dense tables for one graph generation.

@@ -3,7 +3,6 @@ package fakeroute
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
@@ -33,7 +32,10 @@ type PathKey struct {
 
 // Path is the ground-truth topology for one (source, destination) pair.
 // Hop 0 of the graph holds the single first-hop vertex; the last hop holds
-// a vertex whose address is the destination.
+// a vertex whose address is the destination. A Path is configuration
+// only, immutable once probing begins: the dense forwarding view probes
+// walk is compiled from it by the pair's Session (see compiled.go) and
+// ends with that session.
 type Path struct {
 	Key   PathKey
 	Graph *topo.Graph
@@ -49,14 +51,6 @@ type Path struct {
 	// (1). The alternate graph's interfaces must be registered.
 	Alt   *topo.Graph
 	AltAt uint64
-
-	// Lazily-built dense forwarding tables, one per graph generation
-	// (see compiled.go). Compilation happens at first probe, after all
-	// LB/WeightedEdges/Alt configuration is done (the construction-
-	// before-probing contract).
-	compileMu    sync.Mutex
-	compiledMain atomic.Pointer[compiledPath]
-	compiledAlt  atomic.Pointer[compiledPath]
 }
 
 // activeGraph returns the topology in force at tick now.
@@ -220,6 +214,9 @@ type Session struct {
 	// path is the session's own ground-truth path, resolved on its first
 	// probe; probes of any other pair look theirs up in the network.
 	path *Path
+	// compiledMain and compiledAlt are path's dense forwarding views
+	// over Graph and Alt, compiled on first use (see compiled.go).
+	compiledMain, compiledAlt *compiledPath
 
 	// Reusable scratch for the zero-allocation probe hot path: the
 	// parsed probe, the quoted-datagram copy, the MPLS extension, and
@@ -244,9 +241,11 @@ type bucket struct {
 }
 
 // SessionFor returns the per-trace session for (src, dst), creating it on
-// first use. Repeated calls return the same session, so repeated traces
-// of one pair see counters and clocks carry over, as they would against a
-// real network.
+// first use. Repeated calls return the same session until EndSession
+// drops it, so repeated traces of one pair see counters and clocks carry
+// over, as they would against a real network; the figure experiments,
+// the ground-truth re-traces and the library API rely on that. A survey
+// ends each pair's session with its trace instead.
 func (n *Network) SessionFor(src, dst packet.Addr) *Session {
 	key := PathKey{Src: src, Dst: dst}
 	n.sessMu.RLock()
@@ -270,6 +269,16 @@ func (n *Network) SessionFor(src, dst packet.Addr) *Session {
 	}
 	n.sessions[key] = s
 	return s
+}
+
+// EndSession drops the session of (src, dst): its counters, clock,
+// randomness, scratch and compiled forwarding views. The pair's next
+// probe starts exactly as on a freshly built network. A Session value
+// obtained before the call keeps working but is no longer the pair's.
+func (n *Network) EndSession(src, dst packet.Addr) {
+	n.sessMu.Lock()
+	delete(n.sessions, PathKey{Src: src, Dst: dst})
+	n.sessMu.Unlock()
 }
 
 // HandleProbe accepts one serialized probe packet and dispatches it to
@@ -338,8 +347,7 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	if p == nil {
 		return nil
 	}
-	g := p.activeGraph(now)
-	cp := n.compiledFor(p, g)
+	cp := s.compiledFor(p, p.activeGraph(now))
 	flowKey := pp.FlowKey()
 
 	// The probe is forwarded until its TTL expires or it reaches the

@@ -184,7 +184,7 @@ func (s *Session) allowReply(r *Router, now uint64) bool {
 	}
 	rate := float64(r.RateLimit) / float64(period)
 	if now > b.tick {
-		b.tokens += rate * float64(now-b.tick)
+		b.tokens += float64(rate * float64(now-b.tick)) // no FMA fusion: same stars on every GOARCH
 		if cap := float64(r.RateLimit); b.tokens > cap {
 			b.tokens = cap
 		}

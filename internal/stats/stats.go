@@ -93,7 +93,7 @@ func StdDev(samples []float64) float64 {
 	var ss float64
 	for _, x := range samples {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d) // no FMA fusion: same bits on every GOARCH
 	}
 	return math.Sqrt(ss / float64(len(samples)-1))
 }

@@ -281,6 +281,10 @@ func traceOne(u *Universe, idx int, pair Pair, cfg RunConfig) TraceOutcome {
 		})
 		r = ml.IP
 	}
+	// The pair is traced once: its simulator state ends with the trace,
+	// so a re-trace of the pair (a re-leased fleet unit) starts as on a
+	// fresh universe.
+	u.Net.EndSession(pair.Src, pair.Dst)
 	out := TraceOutcome{
 		PairIndex: idx, Pair: pair,
 		Probes:  probe.TotalSent(p),
