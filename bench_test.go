@@ -228,9 +228,9 @@ func benchSurveyRetrace(b *testing.B, seeded bool) {
 // the prober and simulator (serialize, route, craft reply, parse): the
 // hot path of every survey. In steady state it is allocation-free — the
 // probe serializes into prober scratch, the session crafts the reply into
-// session scratch and the parsed reply comes from a chunked arena; see
-// internal/fakeroute's BenchmarkProbeRoundTrip for the session level
-// alone, per-flow and per-packet.
+// session scratch and the reply is parsed into storage the prober reuses
+// on its next call; see internal/fakeroute's BenchmarkProbeRoundTrip for
+// the session level alone, per-flow and per-packet.
 func BenchmarkSimProbeRoundTrip(b *testing.B) {
 	net, _ := fakeroute.BuildScenario(1, benchSrc, benchDst, fakeroute.MeshedDiamond48)
 	p := probe.NewSimProber(net, benchSrc, benchDst)

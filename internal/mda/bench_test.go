@@ -125,16 +125,23 @@ func TestMDAWideHopCostIsLinear(t *testing.T) {
 
 // TestTraceAllocationBudget pins the allocations of one MDA trace over a
 // fixed 48-wide hop (1241 probes in some 150 rounds, through a prober that
-// allocates nothing). What remains is the graph, the result and the
-// session's tables growing by doubling — 226 when this was written, against
-// 619 with three slices per round and a map or two per vertex.
+// allocates nothing). What remains is the graph, the result, the session
+// and its per-round scratch: the flow tables come back from the pool a
+// previous trace handed them to. 112 when the tables were pooled, against
+// 172 with the tables growing by doubling in every trace and 619 with
+// three slices per round and a map or two per vertex. Under -race the
+// pool drops tables at random, so the bound there stays the one that held
+// before the tables were pooled.
 func TestTraceAllocationBudget(t *testing.T) {
-	const budget = 280
+	budget := 125.0
+	if raceEnabled {
+		budget = 280
+	}
 	p := newWideHopProber(48)
 	allocs := testing.AllocsPerRun(10, func() { traceWideHop(t, p, 3) })
 	t.Logf("allocs per 48-wide trace: %.0f", allocs)
 	if allocs > budget {
-		t.Fatalf("mda.Trace over a 48-wide hop: %.0f allocs, budget %d", allocs, budget)
+		t.Fatalf("mda.Trace over a 48-wide hop: %.0f allocs, budget %.0f", allocs, budget)
 	}
 }
 

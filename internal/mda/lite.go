@@ -12,7 +12,9 @@ const DefaultPhi = 2
 
 // TraceLite runs the MDA-Lite over p and returns the discovered topology.
 func TraceLite(p probe.Prober, cfg Config, phi int) *Result {
-	return NewSession(p, cfg).RunLite(phi)
+	s := NewSession(p, cfg)
+	defer s.release()
+	return s.RunLite(phi)
 }
 
 // RunLite executes the MDA-Lite on a fresh session. On a meshing or

@@ -104,7 +104,8 @@ const source topo.VertexID = -2
 // discovered so far, which flows are known to reach which vertex, and the
 // flow allocator. The MDA, MDA-Lite and single-flow drivers all run on
 // it; NewSession hands one out so a caller can read HopLandings or the
-// live Graph after (or while) RunMDA or RunLite runs.
+// live Graph after (or while) RunMDA or RunLite runs. Such a session keeps
+// its tables; the Trace entry points recycle theirs (see tables).
 //
 // The flow tables are dense and index-addressed; none of them is a hash
 // map. Every flow the session lands somewhere — minted by freshFlow or
@@ -119,19 +120,9 @@ type Session struct {
 	g   *topo.Graph
 	rng *nprand.Source
 
-	wire     []uint16          // local index → wire flow identifier
-	index    *flowIndex        // wire → local index; nil until needed and after finish (see idx)
-	minted   []uint64          // bitset over local indices: handed out by freshFlow
-	nMinted  int               // population count of minted
-	flows    [][]uint16        // vertex → flows known to reach it, arrival order, no repeats
-	flowSlab []uint16          // unused tail of the chunk new flow lists are carved from
-	flowAt   [][]topo.VertexID // hop → local index → vertex; topo.None where unknown
-	noReply  [][]uint16        // hop → flows that drew no reply there, probe order, repeats possible
-
-	// succSeen[w] == succEpoch marks w as counted by the discoverSuccessors
-	// call in progress; bumping the epoch empties the set in O(1).
-	succSeen  []uint32
-	succEpoch uint32
+	*tables
+	index   *flowIndex // wire → local index; nil until needed and after finish (see idx)
+	nMinted int        // population count of minted
 
 	// Per-round scratch, reused by every round of the session: the specs
 	// handed to the prober, the vertices probeHopBatch returns (valid until
@@ -153,6 +144,55 @@ type Session struct {
 	edgeCompletionTruncs int
 }
 
+// tables are a session's flow tables. Trace, TraceLite and
+// TraceSingleFlow hand theirs back to tablesPool when they return, since
+// nothing can reach their session afterwards, and the next session reuses
+// their storage. A reused table carries nothing over: release truncates
+// the tables to length 0, rows empties each row as it is revealed again,
+// and the successor set's stale stamps all predate its epoch.
+type tables struct {
+	wire     []uint16          // local index → wire flow identifier
+	minted   []uint64          // bitset over local indices: handed out by freshFlow
+	flows    [][]uint16        // vertex → flows known to reach it, arrival order, no repeats
+	flowSlab []uint16          // unused tail of the chunk new flow lists are carved from
+	flowAt   [][]topo.VertexID // hop → local index → vertex; topo.None where unknown
+	noReply  [][]uint16        // hop → flows that drew no reply there, probe order, repeats possible
+
+	// succSeen[w] == succEpoch marks w as counted by the discoverSuccessors
+	// call in progress; bumping the epoch empties the set in O(1).
+	succSeen  []uint32
+	succEpoch uint32
+}
+
+var tablesPool = sync.Pool{New: func() any { return new(tables) }}
+
+// release hands the session's tables back to tablesPool; the session is
+// unusable afterwards.
+func (s *Session) release() {
+	t := s.tables
+	s.tables = nil
+	t.wire, t.minted, t.flows, t.flowAt, t.noReply = t.wire[:0], t.minted[:0], t.flows[:0], t.flowAt[:0], t.noReply[:0]
+	tablesPool.Put(t)
+}
+
+// rows extends tab until tab[i] exists. A row a previous session left in
+// the table's capacity comes back empty, keeping its storage; a nil table
+// starts at a capacity that fits a typical trace (hops, vertices).
+func rows[T any](tab [][]T, i int) [][]T {
+	if tab == nil {
+		tab = make([][]T, 0, max(i+1, 32))
+	}
+	for len(tab) <= i {
+		if n := len(tab); n < cap(tab) {
+			tab = tab[:n+1]
+			tab[n] = tab[n][:0]
+		} else {
+			tab = append(tab, nil)
+		}
+	}
+	return tab
+}
+
 // flowIndex is the sparse half of a sparse set whose dense half is
 // Session.wire: index[f] is meaningful only when wire[index[f]] == f. The
 // array therefore needs neither initialisation nor clearing, is valid for
@@ -169,6 +209,7 @@ func NewSession(p probe.Prober, cfg Config) *Session {
 		p:        p,
 		cfg:      cfg,
 		g:        topo.New(),
+		tables:   tablesPool.Get().(*tables),
 		rng:      nprand.New(cfg.Seed ^ 0x6d646131),
 		dstHop:   -1,
 		baseSent: probe.TotalSent(p),
@@ -313,7 +354,7 @@ func (s *Session) probeHopBatch(h int, flows []uint16) []topo.VertexID {
 // recorded at.
 func (s *Session) integrate(h int, f uint16, reply *packet.Reply, seq uint64) (topo.VertexID, bool) {
 	if reply == nil {
-		s.noReply = extend(s.noReply, h)
+		s.noReply = rows(s.noReply, h)
 		s.noReply[h] = append(s.noReply[h], f)
 		return topo.None, false
 	}
@@ -343,7 +384,7 @@ func (s *Session) integrate(h int, f uint16, reply *packet.Reply, seq uint64) (t
 // pays for a scan.
 func (s *Session) land(h int, f uint16, v topo.VertexID) {
 	i := s.intern(f)
-	s.flowAt = extend(s.flowAt, h)
+	s.flowAt = rows(s.flowAt, h)
 	row := s.flowAt[h]
 	if i >= len(row) {
 		if i >= cap(row) {
@@ -360,11 +401,11 @@ func (s *Session) land(h int, f uint16, v topo.VertexID) {
 	}
 	prev := row[i]
 	row[i] = v
-	s.flows = extend(s.flows, int(v))
+	s.flows = rows(s.flows, int(v))
 	if prev == v || (prev != topo.None && slices.Contains(s.flows[v], f)) {
 		return
 	}
-	if s.flows[v] == nil {
+	if cap(s.flows[v]) == 0 {
 		// Start the list in the slab, with room for the n_1 = 6 flows one
 		// discoverSuccessors call needs of a single-successor vertex. The
 		// capacity is capped, so a list that outgrows it moves to the heap
@@ -380,20 +421,6 @@ func (s *Session) land(h int, f uint16, v topo.VertexID) {
 
 // flowListCap is the initial capacity of a vertex's flow list.
 const flowListCap = 8
-
-// extend appends zero values to tab until tab[i] exists. A nil table
-// starts at a capacity that fits a typical trace (hops, vertices), so most
-// sessions allocate each table once.
-func extend[T any](tab []T, i int) []T {
-	if tab == nil {
-		tab = make([]T, 0, max(i+1, 32))
-	}
-	for len(tab) <= i {
-		var zero T
-		tab = append(tab, zero)
-	}
-	return tab
-}
 
 // adoptStarFlows assigns every no-reply flow at hop h to star, a star
 // vertex of hop h, so node control can operate through silent hops. The
@@ -486,10 +513,16 @@ func (s *Session) ensureFlows(v topo.VertexID, need int) bool {
 // stopped at.
 func (s *Session) discoverSuccessors(v topo.VertexID, h int) int {
 	s.succEpoch++ // empties the successor set
+	if s.succEpoch == 0 {
+		clear(s.succSeen) // the epoch wrapped: old stamps could match again
+		s.succEpoch = 1
+	}
 	succ, sent, cur := 0, 0, 0
 
 	note := func(w topo.VertexID) {
-		s.succSeen = extend(s.succSeen, int(w))
+		for int(w) >= len(s.succSeen) {
+			s.succSeen = append(s.succSeen, 0)
+		}
 		if s.succSeen[w] != s.succEpoch {
 			s.succSeen[w] = s.succEpoch
 			succ++
@@ -546,7 +579,9 @@ func (s *Session) discoverSuccessors(v topo.VertexID, h int) int {
 
 // Trace runs the full MDA and returns the discovered topology.
 func Trace(p probe.Prober, cfg Config) *Result {
-	return NewSession(p, cfg).RunMDA()
+	s := NewSession(p, cfg)
+	defer s.release()
+	return s.RunMDA()
 }
 
 // RunMDA runs the full MDA on a fresh session and returns its result.
@@ -676,6 +711,7 @@ func (s *Session) HopLandings(h int) []FlowLanding {
 // prober's retries), no multipath discovery.
 func TraceSingleFlow(p probe.Prober, cfg Config) *Result {
 	s := NewSession(p, cfg)
+	defer s.release()
 	f, _ := s.freshFlow()
 	starRun := 0
 	for h := 0; h <= s.cfg.MaxTTL; h++ {

@@ -25,9 +25,10 @@ func TestProbeBatchAlignsWithSpecs(t *testing.T) {
 	if tr, _ := p.Sent(); tr != 3 {
 		t.Fatalf("sent %d, want 3", tr)
 	}
+	first := *replies[0] // the next call may reuse the batch's storage
 	single := p.Probe(0, 1)
-	if single == nil || single.From != replies[0].From {
-		t.Fatalf("single probe diverged from batch: %+v vs %+v", single, replies[0])
+	if single == nil || single.From != first.From {
+		t.Fatalf("single probe diverged from batch: %+v vs %+v", single, first)
 	}
 }
 

@@ -15,6 +15,12 @@
 // code runs over Fakeroute (validated, deterministic) and over a live
 // raw-socket transport where one is available.
 //
+// Replies are borrowed, not owned: a returned reply, and the slice a
+// batch returns, are valid until the next call on the same prober, which
+// may reuse their storage. A caller that keeps a reply longer copies it.
+// One goroutine drives a prober at a time; Sent alone may be read
+// concurrently.
+//
 // A Recorder wraps any Prober and reports every probe with its cumulative
 // sent count (the Fig 3 discovery curves); it splits batches into single
 // probes to do so.
@@ -42,7 +48,9 @@ type EchoSpec struct {
 	Seq  uint16
 }
 
-// Prober sends probes toward one destination.
+// Prober sends probes toward one destination. A returned reply, and the
+// slice a batch returns, are valid until the next call on the prober (see
+// the package doc); one goroutine drives a prober at a time.
 type Prober interface {
 	// Probe sends a Paris traceroute probe with the given flow identifier
 	// and TTL toward the prober's destination. It returns the parsed
@@ -77,21 +85,16 @@ type Prober interface {
 // SimProber drives a fakeroute.Network. It is synchronous: a probe's reply
 // (if any) is returned immediately, which matches the simulator's
 // deterministic semantics and keeps algorithm code free of timeouts; a
-// batch is therefore answered probe by probe, in spec order.
-//
-// A SimProber is safe for concurrent use: the sent counters are atomic,
-// and one mutex serializes everything else — a round trip (allocate a
-// probe identity, serialize, HandleProbe, parse the reply) is a single
-// critical section. All probes of one SimProber flow through one
-// fakeroute session, so direct and indirect probes of a trace sample the
-// same simulated counters.
+// batch is therefore answered probe by probe, in spec order. All probes of
+// one SimProber flow through one fakeroute session, so direct and
+// indirect probes of a trace sample the same simulated counters.
 //
 // The round trip is allocation-free in steady state: probes serialize
 // into a reusable buffer, the session crafts its reply into session
-// scratch, and parsed replies come from a chunked arena (see replyArena)
-// rather than individual allocations; a batch's reply slice is carved
-// from a chunk the same way. Returned replies and reply slices are
-// self-contained and may be retained indefinitely, as before.
+// scratch, and replies are parsed into storage the prober owns and reuses
+// on every call, under the Prober contract (valid until the next call).
+// One goroutine drives a SimProber at a time; only Sent may be read
+// concurrently.
 type SimProber struct {
 	Net       *fakeroute.Network
 	Src, Dst_ packet.Addr
@@ -104,46 +107,11 @@ type SimProber struct {
 	traceSent uint64 // atomic
 	echoSent  uint64 // atomic
 
-	// mu guards everything below. Holding it across the whole exchange is
-	// what lets the scratch buffer and arenas be reused without allocating,
-	// and it costs no parallelism: the simulator session serializes probe
-	// handling per trace anyway, and concurrent traces of distinct pairs
-	// use distinct probers.
-	mu     sync.Mutex
-	sess   *fakeroute.Session
-	serial uint16
-	pktBuf []byte
-	arena  replyArena
-	slots  []*packet.Reply // unused tail of the chunk batch reply slices are carved from
-}
-
-// replyArena hands out *packet.Reply values from chunked slabs: one heap
-// allocation per replyArenaChunk replies instead of one per reply.
-// Handed-out replies are never recycled — a chunk stays reachable as long
-// as any of its replies is — so callers may retain them indefinitely,
-// exactly as with individually allocated replies.
-type replyArena struct {
-	chunk []packet.Reply
-	used  int
-}
-
-// replyArenaChunk is the largest slab: large enough to amortize allocation
-// to ~0 allocs/probe. Slabs start at replyArenaFirst and double up to it,
-// so the short trace of a plain path — most pairs of a survey — does not
-// pay for 256 replies it never parses.
-const (
-	replyArenaChunk = 256
-	replyArenaFirst = 16
-)
-
-func (a *replyArena) next() *packet.Reply {
-	if a.used == len(a.chunk) {
-		a.chunk = make([]packet.Reply, min(max(2*len(a.chunk), replyArenaFirst), replyArenaChunk))
-		a.used = 0
-	}
-	r := &a.chunk[a.used]
-	a.used++
-	return r
+	sess    *fakeroute.Session
+	serial  uint16
+	pktBuf  []byte
+	replies []packet.Reply  // reply storage: slot i holds a batch's reply i
+	out     []*packet.Reply // the slice ProbeBatch and EchoBatch return
 }
 
 // NewSimProber returns a prober tracing src→dst over n.
@@ -159,20 +127,39 @@ func (p *SimProber) Sent() (uint64, uint64) {
 	return atomic.LoadUint64(&p.traceSent), atomic.LoadUint64(&p.echoSent)
 }
 
-// sessionLocked returns the per-trace fakeroute session, creating it on
-// first use so zero-constructed SimProbers keep working.
-func (p *SimProber) sessionLocked() *fakeroute.Session {
+// slots returns the reply slice for an n-probe call, grown to fit and
+// reused by every later call.
+func (p *SimProber) slots(n int) []*packet.Reply {
+	if len(p.replies) < n {
+		p.replies = make([]packet.Reply, max(n, 16))
+		p.out = make([]*packet.Reply, len(p.replies))
+	}
+	return p.out[:n]
+}
+
+// exchange completes one wire round trip whose probe bytes are already
+// serialized into pktBuf: it hands them to the session (created on first
+// use, so zero-constructed SimProbers keep working) and parses the
+// session-owned reply bytes into r. Returns nil on drop or unparseable
+// reply. Callers serialize into pktBuf themselves, so each packet type
+// stays concrete at its call site and serialization allocation-free (an
+// interface here would heap-escape the packet struct).
+func (p *SimProber) exchange(r *packet.Reply) *packet.Reply {
 	if p.sess == nil {
 		p.sess = p.Net.SessionFor(p.Src, p.Dst_)
 	}
-	return p.sess
+	raw := p.sess.HandleProbe(p.pktBuf)
+	if raw == nil || packet.ParseReplyInto(r, raw) != nil {
+		return nil
+	}
+	return r
 }
 
-// serialLocked advances to the next non-zero probe identity. A
-// synchronous round trip allocates its identity and retires it inside
-// one critical section, so no other identity is live when it runs and a
-// wrap of the 16-bit counter cannot hand out one twice.
-func (p *SimProber) serialLocked() uint16 {
+// nextSerial advances to the next non-zero probe identity. A synchronous
+// round trip retires its identity before the next one is allocated, so no
+// other identity is live and a wrap of the 16-bit counter cannot hand out
+// one twice.
+func (p *SimProber) nextSerial() uint16 {
 	p.serial++
 	if p.serial == 0 {
 		p.serial = 1
@@ -180,93 +167,61 @@ func (p *SimProber) serialLocked() uint16 {
 	return p.serial
 }
 
+// Probe implements Prober.
+func (p *SimProber) Probe(flowID uint16, ttl int) *packet.Reply {
+	p.slots(1)
+	return p.probeInto(&p.replies[0], flowID, ttl)
+}
+
 // ProbeBatch implements Prober. The simulator transport is synchronous,
 // so the batch is answered in spec order; the batched contract still
 // holds (replies index-aligned, per-probe retries).
 func (p *SimProber) ProbeBatch(specs []Spec) []*packet.Reply {
-	replies := p.replySlots(len(specs))
+	out := p.slots(len(specs))
 	for i, sp := range specs {
-		replies[i] = p.Probe(sp.FlowID, sp.TTL)
+		out[i] = p.probeInto(&p.replies[i], sp.FlowID, sp.TTL)
 	}
-	return replies
-}
-
-// replySlotChunk is the slab batch reply slices are carved from. Rounds
-// average two to three probes, so one chunk serves a few dozen batches.
-const replySlotChunk = 64
-
-// replySlots returns a zeroed reply slice of length n that the caller may
-// keep: slices are carved off a chunk and never handed out twice.
-func (p *SimProber) replySlots(n int) []*packet.Reply {
-	if n > replySlotChunk/4 {
-		return make([]*packet.Reply, n)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.slots) < n {
-		p.slots = make([]*packet.Reply, replySlotChunk)
-	}
-	out := p.slots[:n:n]
-	p.slots = p.slots[n:]
 	return out
 }
 
-// exchangeLocked completes one wire round trip whose probe bytes are
-// already serialized into pktBuf: it hands them to the session and
-// parses the session-owned reply bytes into an arena reply before the
-// next exchange can overwrite either buffer. Callers hold mu across
-// serialize-into-pktBuf and this call (the packet types are concrete at
-// each call site so serialization stays allocation-free; an interface
-// here would heap-escape the packet struct). Returns nil on drop or
-// unparseable reply.
-func (p *SimProber) exchangeLocked() *packet.Reply {
-	raw := p.sessionLocked().HandleProbe(p.pktBuf)
-	if raw == nil {
-		return nil
-	}
-	r := p.arena.next()
-	if packet.ParseReplyInto(r, raw) != nil {
-		return nil
-	}
-	return r
-}
-
-// Probe implements Prober.
-func (p *SimProber) Probe(flowID uint16, ttl int) *packet.Reply {
+// probeInto sends one traceroute probe, with retries, parsing its reply
+// into r.
+func (p *SimProber) probeInto(r *packet.Reply, flowID uint16, ttl int) *packet.Reply {
 	if flowID > packet.MaxFlowID {
 		panic("probe: flow ID out of range")
 	}
-	attempts := p.Retries + 1
-	for a := 0; a < attempts; a++ {
+	for a := 0; a <= p.Retries; a++ {
 		atomic.AddUint64(&p.traceSent, 1)
-		p.mu.Lock()
 		pr := packet.Probe{
 			Src: p.Src, Dst: p.Dst_,
-			FlowID: flowID, TTL: byte(ttl), Checksum: p.serialLocked(),
+			FlowID: flowID, TTL: byte(ttl), Checksum: p.nextSerial(),
 		}
 		p.pktBuf = pr.AppendTo(p.pktBuf[:0])
-		reply := p.exchangeLocked()
-		p.mu.Unlock()
-		if reply != nil {
+		if reply := p.exchange(r); reply != nil {
 			return reply
 		}
 	}
 	return nil
 }
 
-// EchoBatch implements Prober.
-func (p *SimProber) EchoBatch(specs []EchoSpec) []*packet.Reply {
-	replies := make([]*packet.Reply, len(specs))
-	for i, sp := range specs {
-		replies[i] = p.Echo(sp.Addr, sp.Seq)
-	}
-	return replies
-}
-
 // Echo implements Prober.
 func (p *SimProber) Echo(addr packet.Addr, seq uint16) *packet.Reply {
-	attempts := p.Retries + 1
-	for a := 0; a < attempts; a++ {
+	p.slots(1)
+	return p.echoInto(&p.replies[0], addr, seq)
+}
+
+// EchoBatch implements Prober.
+func (p *SimProber) EchoBatch(specs []EchoSpec) []*packet.Reply {
+	out := p.slots(len(specs))
+	for i, sp := range specs {
+		out[i] = p.echoInto(&p.replies[i], sp.Addr, sp.Seq)
+	}
+	return out
+}
+
+// echoInto sends one direct probe, with retries, parsing its reply into r.
+func (p *SimProber) echoInto(r *packet.Reply, addr packet.Addr, seq uint16) *packet.Reply {
+	for a := 0; a <= p.Retries; a++ {
 		// The probe's IP ID is set to seq so callers can detect routers
 		// that copy the probe ID into the reply (a MIDAR "unable" cause).
 		ep := packet.EchoProbe{
@@ -274,11 +229,8 @@ func (p *SimProber) Echo(addr packet.Addr, seq uint16) *packet.Reply {
 			ID: 0x4d4c, Seq: seq, IPID: seq,
 		}
 		atomic.AddUint64(&p.echoSent, 1)
-		p.mu.Lock()
 		p.pktBuf = ep.AppendTo(p.pktBuf[:0])
-		reply := p.exchangeLocked()
-		p.mu.Unlock()
-		if reply != nil {
+		if reply := p.exchange(r); reply != nil {
 			return reply
 		}
 	}
@@ -287,10 +239,12 @@ func (p *SimProber) Echo(addr packet.Addr, seq uint16) *packet.Reply {
 
 // Recorder wraps a Prober and notifies a callback as probes complete,
 // with cumulative sent counts: the hook the discovery-progress curves
-// (Fig 3) are built on. Callbacks are serialized, so a Recorder may be
-// shared by concurrent probers. Batches are forwarded probe by probe so
-// the callback sees every probe with its own cumulative count —
-// per-probe granularity at the cost of serializing the batch.
+// (Fig 3) are built on. Batches are forwarded probe by probe so the
+// callback sees every probe with its own cumulative count — per-probe
+// granularity at the cost of serializing the batch. A Recorder may be
+// shared by concurrent callers: it holds its mutex across each inner call
+// and its callback, and hands out its own copy of every reply, so its
+// replies stay valid after later probes.
 type Recorder struct {
 	Prober
 	// OnProbe is called after each traceroute or echo probe completes,
@@ -302,9 +256,9 @@ type Recorder struct {
 
 // Probe implements Prober.
 func (r *Recorder) Probe(flowID uint16, ttl int) *packet.Reply {
-	reply := r.Prober.Probe(flowID, ttl)
-	r.record(reply)
-	return reply
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.record(r.Prober.Probe(flowID, ttl))
 }
 
 // ProbeBatch implements Prober, probe by probe.
@@ -318,9 +272,9 @@ func (r *Recorder) ProbeBatch(specs []Spec) []*packet.Reply {
 
 // Echo implements Prober.
 func (r *Recorder) Echo(addr packet.Addr, seq uint16) *packet.Reply {
-	reply := r.Prober.Echo(addr, seq)
-	r.record(reply)
-	return reply
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.record(r.Prober.Echo(addr, seq))
 }
 
 // EchoBatch implements Prober, probe by probe.
@@ -332,14 +286,18 @@ func (r *Recorder) EchoBatch(specs []EchoSpec) []*packet.Reply {
 	return replies
 }
 
-func (r *Recorder) record(reply *packet.Reply) {
-	if r.OnProbe == nil {
-		return
+// record copies reply out of the inner prober's storage, which its next
+// call reuses, and reports the copy. Callers hold mu.
+func (r *Recorder) record(reply *packet.Reply) *packet.Reply {
+	if reply != nil {
+		c := *reply
+		reply = &c
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, e := r.Prober.Sent()
-	r.OnProbe(t+e, reply)
+	if r.OnProbe != nil {
+		t, e := r.Prober.Sent()
+		r.OnProbe(t+e, reply)
+	}
+	return reply
 }
 
 // TotalSent sums trace and echo probes for a Prober.

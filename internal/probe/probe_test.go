@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"slices"
 	"testing"
 
 	"mmlpt/internal/fakeroute"
@@ -12,33 +13,70 @@ var (
 	tDst = packet.MustParseAddr("198.51.100.77")
 )
 
-// TestRepliesRetainedAcrossArenaChunks: replies come from a chunked
-// arena but are never recycled — a caller may hold every reply of a long
-// trace and each must keep its own values, across multiple chunk
-// boundaries (3×replyArenaChunk probes).
-func TestRepliesRetainedAcrossArenaChunks(t *testing.T) {
+// TestReplyValidUntilNextCall pins the Prober contract's reply lifetime
+// on SimProber: a reply keeps its fields until the prober's next call,
+// and the replies of one batch are pairwise distinct within the call.
+func TestReplyValidUntilNextCall(t *testing.T) {
 	net, _ := fakeroute.BuildScenario(40, tSrc, tDst, fakeroute.SimplestDiamond)
 	p := NewSimProber(net, tSrc, tDst)
 	p.Retries = 0
-	const n = 3 * replyArenaChunk
-	replies := make([]*packet.Reply, 0, n)
-	froms := make([]packet.Addr, 0, n)
-	ipids := make([]uint16, 0, n)
-	for i := 0; i < n; i++ {
+	other := NewSimProber(net, tSrc, tDst) // another prober's calls leave p's replies alone
+	for i := 0; i < 64; i++ {
 		r := p.Probe(uint16(i%8), 1+i%3)
 		if r == nil {
 			t.Fatalf("probe %d: no reply", i)
 		}
-		replies = append(replies, r)
-		froms = append(froms, r.From)
-		ipids = append(ipids, r.IPID)
-	}
-	for i, r := range replies {
-		if r.From != froms[i] || r.IPID != ipids[i] {
-			t.Fatalf("reply %d mutated after later probes: %+v", i, r)
+		from, ipid, flow := r.From, r.IPID, r.ProbeFlowID
+		other.ProbeBatch([]Spec{{FlowID: 9, TTL: 1}, {FlowID: 10, TTL: 2}})
+		if r.From != from || r.IPID != ipid || r.ProbeFlowID != flow || flow != uint16(i%8) {
+			t.Fatalf("probe %d: reply changed before p's next call: %+v", i, r)
 		}
-		if i > 0 && r == replies[i-1] {
-			t.Fatalf("replies %d and %d share a struct", i-1, i)
+	}
+	specs := make([]Spec, 40)
+	for i := range specs {
+		specs[i] = Spec{FlowID: uint16(i), TTL: 1 + i%3}
+	}
+	replies := p.ProbeBatch(specs)
+	for i, r := range replies {
+		if r == nil || r.ProbeFlowID != specs[i].FlowID {
+			t.Fatalf("batch reply %d: %+v, want the reply to flow %d", i, r, specs[i].FlowID)
+		}
+		if slices.Contains(replies[:i], r) {
+			t.Fatalf("batch replies share a struct at %d", i)
+		}
+	}
+	a, b := replies[0].From, replies[1].From
+	echoes := p.EchoBatch([]EchoSpec{{Addr: a, Seq: 1}, {Addr: b, Seq: 2}})
+	if echoes[0] == echoes[1] || echoes[0].EchoSeq != 1 || echoes[1].EchoSeq != 2 {
+		t.Fatalf("echo batch replies %+v, %+v", echoes[0], echoes[1])
+	}
+}
+
+// TestSimProberSteadyStateAllocatesNothing: once its reply storage has
+// grown, a SimProber's single probes, echoes and batches of up to 16
+// specs allocate nothing.
+func TestSimProberSteadyStateAllocatesNothing(t *testing.T) {
+	net, path := fakeroute.BuildScenario(41, tSrc, tDst, fakeroute.SimplestDiamond)
+	addr := path.Graph.V(path.Graph.Hop(0)[0]).Addr
+	p := NewSimProber(net, tSrc, tDst)
+	specs := make([]Spec, 16)
+	echoes := make([]EchoSpec, 16)
+	for i := range specs {
+		specs[i] = Spec{FlowID: uint16(i), TTL: 1 + i%3}
+		echoes[i] = EchoSpec{Addr: addr, Seq: uint16(i)}
+	}
+	flow := uint16(0)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Probe", func() { flow++; p.Probe(flow%1000, 2) }},
+		{"Echo", func() { flow++; p.Echo(addr, flow) }},
+		{"ProbeBatch", func() { p.ProbeBatch(specs) }},
+		{"EchoBatch", func() { p.EchoBatch(echoes) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, allocs)
 		}
 	}
 }
@@ -112,6 +150,40 @@ func TestRecorderCallback(t *testing.T) {
 	for i := 1; i < len(calls); i++ {
 		if calls[i] <= calls[i-1] {
 			t.Fatal("sent counter not increasing across callbacks")
+		}
+	}
+}
+
+// TestRecorderRepliesOutliveLaterProbes: a Recorder splits a batch into
+// single probes of a prober that reuses its reply storage, so it copies
+// each reply; the batch's replies are distinct and stay intact after
+// later probes.
+func TestRecorderRepliesOutliveLaterProbes(t *testing.T) {
+	net, _ := fakeroute.BuildScenario(5, tSrc, tDst, fakeroute.SimplestDiamond)
+	sim := NewSimProber(net, tSrc, tDst)
+	sim.Retries = 0
+	rec := &Recorder{Prober: sim}
+	specs := []Spec{{FlowID: 0, TTL: 1}, {FlowID: 1, TTL: 2}, {FlowID: 2, TTL: 2}, {FlowID: 3, TTL: 3}}
+	replies := rec.ProbeBatch(specs)
+	snap := make([]packet.Reply, len(replies))
+	for i, r := range replies {
+		if r == nil {
+			t.Fatalf("reply %d: none", i)
+		}
+		for _, q := range replies[:i] {
+			if q == r {
+				t.Fatalf("replies share a struct at %d", i)
+			}
+		}
+		snap[i] = *r
+	}
+	for i := 0; i < 8; i++ {
+		rec.Probe(uint16(100+i), 1+i%3)
+		sim.Probe(uint16(200+i), 1+i%3)
+	}
+	for i, r := range replies {
+		if r.From != snap[i].From || r.IPID != snap[i].IPID || r.ProbeFlowID != specs[i].FlowID {
+			t.Fatalf("reply %d changed after later probes: %+v, was %+v", i, r, snap[i])
 		}
 	}
 }

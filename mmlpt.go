@@ -60,6 +60,9 @@ type DiamondMetrics = topo.Metrics
 
 // Prober sends probes toward one destination; implementations exist for
 // the Fakeroute simulator (NewSimProber) and can be added for raw sockets.
+// A returned reply, and the slice a batch returns, are valid until the
+// next call on the same prober, which may reuse their storage: copy a
+// reply to keep it. One goroutine drives a prober at a time.
 type Prober = probe.Prober
 
 // Network is a Fakeroute simulated network.

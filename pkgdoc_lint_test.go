@@ -5,8 +5,9 @@
 // name under internal/ must have a non-test user; every internal import
 // must point down DESIGN.md's rank table; every command-line flag must
 // be set by a test of its command; every option field must be set by
-// some non-test code; and only internal/httpx writes HTTP responses'
-// status and error body. Run via `go test .` — CI's lint job includes it.
+// some non-test code; only internal/httpx writes HTTP responses' status
+// and error body; and no product float fuses into an FMA on arm64. Run
+// via `go test .` — CI's lint job includes it.
 package mmlpt
 
 import (
@@ -15,6 +16,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -706,5 +708,81 @@ func TestOneHTTPConvention(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no file checked; the guard would be vacuous")
+	}
+}
+
+// fusionSite names a fused multiply-add by its file and the source text
+// of its line.
+type fusionSite struct{ file, line, reason string }
+
+// fusionAllowlist holds the fused multiply-adds that may stay, each with
+// the reason no output byte can depend on the fusion.
+var fusionAllowlist = []fusionSite{
+	{"internal/survey/gen.go", "w := 4 / (1 + rank/8)",
+		"rank/8 is an exact ×0.125, so the product rounds to itself and the fused sum is the unfused one"},
+	{"internal/survey/gen.go", "r.Velocity = 0.05 + rng.Float64()*0.5",
+		"×0.5 is exact, so the product rounds to itself and the fused sum is the unfused one"},
+	{"internal/dispatch/budget.go", "bk.tokens = math.Min(b.burst, bk.tokens+dt*b.rate)",
+		"wall-clock pacing of the fleet's probe budget: it decides when a runner probes, never what a record holds"},
+}
+
+// fmaLine matches a fused multiply-add in the compiler's -S listing and
+// captures its source position.
+var fmaLine = regexp.MustCompile(`\((\S+\.go):(\d+)\)\s+(FN?M(?:ADD|SUB)[DS])\s`)
+
+// TestNoFusedMultiplyAdd: the Go spec lets a compiler fuse x*y + z into
+// one FMA instruction with a single rounding, and on arm64 it does, so a
+// float computed on a deterministic path could differ in its last bit
+// between an amd64 and an arm64 runner. An explicit float64(…) around
+// the product forbids the fusion. This lint compiles the facade and
+// internal/ for arm64 — every computation lives there; cmd/ only parses
+// flags and prints, and linking its binaries would cost seconds — and
+// fails on any fused instruction fusionAllowlist does not name. cmd/go
+// replays cached compiler output, so a warm run takes about a second.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	t.Parallel()
+	cmd := exec.Command("go", "build", "-gcflags=-S", ".", "./internal/...")
+	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build for arm64: %v\n%s", err, out)
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "STEXT") {
+		t.Fatal("the build printed no assembly; the lint would be vacuous")
+	}
+	used := make([]bool, len(fusionAllowlist))
+	for _, m := range fmaLine.FindAllStringSubmatch(string(out), -1) {
+		file, err := filepath.Rel(root, m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		file = filepath.ToSlash(file)
+		n, _ := strconv.Atoi(m[2])
+		src, err := os.ReadFile(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(src), "\n")
+		text := ""
+		if n >= 1 && n <= len(lines) {
+			text = strings.TrimSpace(lines[n-1])
+		}
+		i := slices.IndexFunc(fusionAllowlist, func(a fusionSite) bool {
+			return a.file == file && strings.Contains(text, a.line)
+		})
+		if i < 0 {
+			t.Errorf("%s:%d compiles to %s on arm64: wrap the product in float64(…) or allowlist it with a reason\n\t%s", file, n, m[3], text)
+			continue
+		}
+		used[i] = true
+	}
+	for i, a := range fusionAllowlist {
+		if !used[i] {
+			t.Errorf("fusionAllowlist names %s: %q, which no longer fuses: drop it", a.file, a.line)
+		}
 	}
 }
