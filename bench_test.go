@@ -32,7 +32,6 @@ var (
 // a diamond with adjacent multi-vertex hops.
 func BenchmarkAblationPhi(b *testing.B) {
 	for _, phi := range []int{2, 4} {
-		phi := phi
 		b.Run(map[int]string{2: "phi2", 4: "phi4"}[phi], func(b *testing.B) {
 			var probes uint64
 			for i := 0; i < b.N; i++ {
@@ -55,7 +54,6 @@ func BenchmarkAblationStoppingPoints(b *testing.B) {
 		"veitchT1": mda.VeitchTable1(64),
 	}
 	for name, nk := range tables {
-		nk := nk
 		b.Run(name, func(b *testing.B) {
 			var probes uint64
 			for i := 0; i < b.N; i++ {
@@ -83,7 +81,6 @@ func BenchmarkAblationNodeControl(b *testing.B) {
 		},
 	}
 	for name, run := range algos {
-		run := run
 		b.Run(name, func(b *testing.B) {
 			var probes uint64
 			for i := 0; i < b.N; i++ {

@@ -60,7 +60,7 @@ func queryErr(w http.ResponseWriter, err error) {
 }
 
 // newMux routes the v1 API over one serve.Service. Address-typed routes
-// parse the path suffix themselves (Go 1.21 ServeMux has no patterns):
+// parse the path suffix themselves, on subtree patterns:
 // /v1/router/{addr} and /v1/addr/{addr} answer 400 for a malformed
 // address and 404 for a well-formed one the atlas never saw.
 func newMux(svc *serve.Service) http.Handler {

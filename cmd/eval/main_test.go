@@ -34,7 +34,6 @@ func TestUsageErrors(t *testing.T) {
 		{"positional argument", []string{"extra"}},
 		{"positional argument after list", []string{"-list", "extra"}},
 	} {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()

@@ -160,7 +160,6 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown shape", []string{"-shape", "nosuch"}},
 		{"unknown algorithm", []string{"-algo", "nosuch"}},
 	} {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()

@@ -26,7 +26,6 @@ func TestUsageErrors(t *testing.T) {
 		{"positional argument", []string{"-fig", "2", "extra"}},
 		{"unknown flag", []string{"-figure", "2"}},
 	} {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			var stdout, stderr bytes.Buffer

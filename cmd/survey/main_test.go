@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -32,7 +34,6 @@ func TestResumeReprintsEverything(t *testing.T) {
 		{"ip", []string{"-pairs", "150"}},
 		{"router", []string{"-pairs", "200", "-rounds", "2"}},
 	} {
-		c := c
 		t.Run(c.level, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
@@ -134,6 +135,37 @@ func TestCheckpointMatchesPlainRun(t *testing.T) {
 	}
 }
 
+// TestPriorResurveyPinned pins the bytes of an atlas-prior re-survey:
+// an IP-level survey writes an atlas, and a -prior re-survey seeded from
+// it writes a record log and an atlas whose SHA-256 digests were
+// recorded before the prior index was rebuilt over dense node ids. The
+// index feeds every prior_hops field and every confirmation probe, so
+// any change in what it holds moves these bytes.
+func TestPriorResurveyPinned(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	first := filepath.Join(dir, "first.atlas")
+	if code, _, stderr := runCLI(t, "-level", "ip", "-pairs", "300", "-seed", "1", "-atlas", first); code != 0 {
+		t.Fatalf("first pass exited %d: %s", code, stderr)
+	}
+	out, snap := filepath.Join(dir, "re.jsonl"), filepath.Join(dir, "re.atlas")
+	code, _, stderr := runCLI(t, "-level", "ip", "-pairs", "300", "-seed", "1", "-prior", first, "-out", out, "-atlas", snap)
+	if code != 0 {
+		t.Fatalf("re-survey exited %d: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "prior: 300 pairs indexed") {
+		t.Fatalf("re-survey stderr does not report the index: %s", stderr)
+	}
+	for _, c := range []struct{ path, want string }{
+		{out, "25a006c457061f2583362b84d05e2a68fc58d39202e2f96c19c62659541a9e88"},
+		{snap, "28647e1ecc8c6f9a356b38c1e967511f780e99e9d290b544f01bb2b17387727d"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(readFile(t, c.path))); got != c.want {
+			t.Errorf("%s: sha256 %s, pinned %s", filepath.Base(c.path), got, c.want)
+		}
+	}
+}
+
 // TestOldCheckpointRefused: -checkpoint naming a file, as an older
 // survey's checkpoint did, is a usage error that names the new form and
 // leaves the file as it was.
@@ -187,7 +219,6 @@ func TestUsageErrors(t *testing.T) {
 		{"publish with checkpoint", []string{"-checkpoint", "c.work", "-atlas", "a.atlas", "-atlas-publish-every", "3"},
 			"-atlas-publish-every does not apply with -checkpoint"},
 	} {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()

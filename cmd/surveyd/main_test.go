@@ -66,7 +66,6 @@ func TestUsageErrors(t *testing.T) {
 		{"negative linger", []string{"-dir", "work", "-out", "o.jsonl", "-linger", "-1s"}, 2},
 		{"busy listen", []string{"-dir", "work", "-out", "o.jsonl", "-atlas", "a.atlas", "-listen", busy.Addr().String()}, 1},
 	} {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()

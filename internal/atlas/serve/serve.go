@@ -12,12 +12,14 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/par"
 	"mmlpt/internal/traceio"
 )
 
@@ -217,29 +219,71 @@ func (s *Service) Routers() ([][]packet.Addr, error) {
 }
 
 // ForEachNode calls fn for every node record in the snapshot, in
-// canonical snapshot order (shard by shard, each shard's node order).
-// Like Routers, this is a bulk operation that decodes every shard; prior
-// extraction uses it to rebuild per-pair topology from the provenance
-// and successor sections. Iteration stops at the first error fn returns.
+// canonical snapshot order (shard by shard, each shard's node order), on
+// the caller's goroutine. Like Routers, this is a bulk operation that
+// decodes every shard; prior extraction uses it to rebuild per-pair
+// topology from the provenance and successor sections. The decodes run
+// ahead of fn on GOMAXPROCS workers, but shard i starts decoding only
+// once fn has seen shard i-workers-1 whole, so at most workers+1 decoded
+// shards are alive at once. Iteration stops at the first error, fn's or
+// a decode's; the generation stays pinned until the scan returns.
 func (s *Service) ForEachNode(fn func(*traceio.AtlasNodeV2) error) error {
 	g, err := s.acquire()
 	if err != nil {
 		return err
 	}
 	defer g.release()
-	for i := 0; i < g.r.NumShards(); i++ {
-		sh, err := g.r.ReadShard(i)
-		if err != nil {
-			return err
+	workers := runtime.GOMAXPROCS(0)
+	var (
+		mu      sync.Mutex
+		ahead   = sync.NewCond(&mu)
+		scanned int  // shards fn has seen whole
+		stopped bool // a decode or fn failed: waiting decodes give up
+	)
+	stop := func() {
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+		ahead.Broadcast()
+	}
+	return par.OrderedErr(g.r.NumShards(), workers, func(i int) (*traceio.AtlasShard, error) {
+		mu.Lock()
+		for i > scanned+workers && !stopped {
+			ahead.Wait()
 		}
+		gaveUp := stopped
+		mu.Unlock()
+		if gaveUp {
+			return nil, errScanStopped
+		}
+		sh, err := readShard(g.r, i)
+		if err != nil {
+			stop()
+		}
+		return sh, err
+	}, func(i int, sh *traceio.AtlasShard) error {
 		for j := range sh.Nodes {
 			if err := fn(&sh.Nodes[j]); err != nil {
+				stop()
 				return err
 			}
 		}
-	}
-	return nil
+		mu.Lock()
+		scanned = i + 1
+		mu.Unlock()
+		ahead.Broadcast()
+		return nil
+	})
 }
+
+// errScanStopped is what a ForEachNode decode returns when it gives up
+// because an earlier shard failed; par.OrderedErr reports the earlier
+// error instead.
+var errScanStopped = errors.New("serve: scan stopped")
+
+// readShard is ForEachNode's shard decode, a variable so tests can watch
+// how far the decodes run ahead of the scan.
+var readShard = (*traceio.AtlasReader).ReadShard
 
 // DiamondCensus returns the cross-pair diamond census, decoded lazily
 // once per generation from the diamonds section alone.

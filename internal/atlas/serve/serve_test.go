@@ -7,9 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/packet"
@@ -535,5 +538,105 @@ func TestServeSwapFailureKeepsGeneration(t *testing.T) {
 	}
 	if st, err := svc.Stats(); err != nil || st.Nodes != 9 {
 		t.Fatalf("old generation gone: %+v, %v", st, err)
+	}
+}
+
+// TestForEachNodeOrderAndResidency: the scan hands fn every node in
+// canonical order while the decodes run ahead on their pool, and no more
+// than GOMAXPROCS+1 decoded shards are alive at any node fn sees — fn is
+// slow here, so unbounded decodes would run to the end of the file.
+func TestForEachNodeOrderAndResidency(t *testing.T) {
+	snap := sampleSnapshot()
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 1) // one node per shard
+	svc, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var started atomic.Int64
+	defer func(orig func(*traceio.AtlasReader, int) (*traceio.AtlasShard, error)) { readShard = orig }(readShard)
+	readShard = func(r *traceio.AtlasReader, i int) (*traceio.AtlasShard, error) {
+		started.Add(1)
+		return r.ReadShard(i)
+	}
+	bound := int64(runtime.GOMAXPROCS(0) + 1)
+	var got []packet.Addr
+	err = svc.ForEachNode(func(n *traceio.AtlasNodeV2) error {
+		// Shards 0..len(got)-1 are scanned; this node's shard is alive.
+		if live := started.Load() - int64(len(got)); live > bound {
+			t.Errorf("at node %d: %d decoded shards alive, bound %d", len(got), live, bound)
+		}
+		got = append(got, n.Addr)
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []packet.Addr
+	for _, n := range snap.Nodes {
+		want = append(want, n.Addr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ForEachNode order %v, want %v", got, want)
+	}
+}
+
+// TestForEachNodeStopsAtFirstError: an error from fn, or from a shard's
+// decode, ends the scan with that error, after fn has seen exactly the
+// nodes before it.
+func TestForEachNodeStopsAtFirstError(t *testing.T) {
+	t.Parallel()
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", sampleSnapshot(), 1)
+	svc, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopAt := errors.New("stop here")
+	seen := 0
+	err = svc.ForEachNode(func(*traceio.AtlasNodeV2) error {
+		if seen++; seen == 4 {
+			return stopAt
+		}
+		return nil
+	})
+	svc.Close()
+	if err != stopAt || seen != 4 {
+		t.Fatalf("fn error: ForEachNode returned %v after %d nodes, want %v after 4", err, seen, stopAt)
+	}
+
+	// Swap two node lines of shard 1 (nodes 4..6) so its decode fails.
+	path = writeSnapshot(t, t.TempDir(), "b.atlas", sampleSnapshot(), 3)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l5 := `{"addr":"10.0.0.5","seen":[[1,1]],"succ":["10.0.0.6"]}`
+	l6 := `{"addr":"10.0.0.6","seen":[[1,2]],"succ":["10.0.0.2"]}`
+	bad := bytes.Replace(good, []byte(l5+"\n"+l6+"\n"), []byte(l6+"\n"+l5+"\n"), 1)
+	if bytes.Equal(bad, good) {
+		t.Fatal("fixture lines changed; pick two adjacent node lines of shard 1")
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := traceio.OpenAtlasFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := r.ReadShard(1)
+	r.Close()
+	if want == nil {
+		t.Fatal("ReadShard accepted the swapped block")
+	}
+	svc, err = Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	seen = 0
+	err = svc.ForEachNode(func(*traceio.AtlasNodeV2) error { seen++; return nil })
+	if err == nil || err.Error() != want.Error() || seen != 3 {
+		t.Fatalf("bad shard 1: ForEachNode returned %v after %d nodes, want %q after 3", err, seen, want)
 	}
 }

@@ -188,7 +188,6 @@ func TestFleetByteIdentical(t *testing.T) {
 	wantAtlas := readFile(t, filepath.Join(golden, "golden.atlas"))
 
 	for _, runners := range []int{1, 3} {
-		runners := runners
 		t.Run(fmt.Sprintf("runners=%d", runners), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()

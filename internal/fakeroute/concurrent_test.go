@@ -54,7 +54,6 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 	got := make([][]byte, pairs)
 	var wg sync.WaitGroup
 	for i, dst := range dsts2 {
-		i, dst := i, dst
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -180,7 +180,6 @@ func TestWalkMemoByteIdentical(t *testing.T) {
 	var cases []streamCase
 	for _, sh := range shapes {
 		for _, cfg := range configs {
-			sh, cfg := sh, cfg
 			cases = append(cases, streamCase{sh.name + "/" + cfg.name, func() *replyLog {
 				n, p := BuildScenario(99, tSrc, tDst, sh.build)
 				cfg.configure(n, p)

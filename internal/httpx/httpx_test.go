@@ -146,7 +146,6 @@ func TestRetry(t *testing.T) {
 		{"retried status", []error{gone, nil}, func(int) bool { return false }, 2, nil},
 		{"out of attempts", []error{transport, transport, transport}, nil, 3, transport},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			calls := 0

@@ -145,6 +145,68 @@ func TestTraceAllocationBudget(t *testing.T) {
 	}
 }
 
+// testPrior is a TracePrior over given hop sets and links, without flow
+// hints.
+type testPrior struct {
+	hops  [][]packet.Addr
+	edges map[[2]packet.Addr]bool
+}
+
+func (pr testPrior) NumHops() int { return len(pr.hops) }
+func (pr testPrior) HopAddrs(h int) ([]packet.Addr, bool) {
+	if h < 0 || h >= len(pr.hops) || len(pr.hops[h]) == 0 {
+		return nil, false
+	}
+	return pr.hops[h], true
+}
+func (pr testPrior) HasEdge(u, w packet.Addr) bool              { return pr.edges[[2]packet.Addr{u, w}] }
+func (pr testPrior) FlowHints(h int, addr packet.Addr) []uint16 { return nil }
+
+// newWidePrior expects exactly what a wideHopProber answers: its hop-0
+// vertex, the width vertices of hop 1 and the destination, linked.
+func newWidePrior(p *wideHopProber) testPrior {
+	pr := testPrior{edges: make(map[[2]packet.Addr]bool)}
+	pr.hops = [][]packet.Addr{{p.replies[0].From}, nil, {testDst}}
+	for _, r := range p.replies[1 : p.width+1] {
+		pr.hops[1] = append(pr.hops[1], r.From)
+		pr.edges[[2]packet.Addr{p.replies[0].From, r.From}] = true
+		pr.edges[[2]packet.Addr{r.From, testDst}] = true
+	}
+	return pr
+}
+
+// traceWideHopSeeded runs one MDA-Lite trace over p's wide hop, seeded
+// with a prior that expects it, and checks every hop was confirmed.
+func traceWideHopSeeded(tb testing.TB, p *wideHopProber, pr testPrior, seed uint64) *Result {
+	res := TraceLite(p, Config{Seed: seed, Prior: pr}, DefaultPhi)
+	if !res.ReachedDst || res.PriorAbandoned || res.PriorHopsConfirmed != 3 || res.Graph.Width(1) != p.width {
+		tb.Fatalf("seed %d: reached=%t abandoned=%t confirmed %d hops, hop 1 width %d",
+			seed, res.ReachedDst, res.PriorAbandoned, res.PriorHopsConfirmed, res.Graph.Width(1))
+	}
+	return res
+}
+
+// TestPriorConfirmationAllocationBudget pins the allocations of one
+// prior-seeded MDA-Lite trace over the 48-wide hop, all three hops
+// settled by confirmation (hop 1's takes some 200 probes). Confirmation
+// keeps its expected-address flags and its tried-flow set in the
+// session's pooled tables, so it allocates nothing per hop, and what
+// remains is the graph, the result, the session and its round scratch:
+// 101, against 118 when each confirmed hop built three maps.
+func TestPriorConfirmationAllocationBudget(t *testing.T) {
+	budget := 110.0
+	if raceEnabled {
+		budget = 280
+	}
+	p := newWideHopProber(48)
+	pr := newWidePrior(p)
+	allocs := testing.AllocsPerRun(10, func() { traceWideHopSeeded(t, p, pr, 3) })
+	t.Logf("allocs per prior-seeded 48-wide trace: %.0f", allocs)
+	if allocs > budget {
+		t.Fatalf("prior-seeded mda.TraceLite over a 48-wide hop: %.0f allocs, budget %.0f", allocs, budget)
+	}
+}
+
 // BenchmarkAblationFlowReuse contrasts the MDA-Lite's reuse of
 // previous-hop flow identifiers against minting fresh flows at every hop:
 // reuse seeds edges for free, fresh flows push that work onto the

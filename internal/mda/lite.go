@@ -1,6 +1,8 @@
 package mda
 
 import (
+	"slices"
+
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 	"mmlpt/internal/topo"
@@ -165,14 +167,18 @@ func (s *Session) liteHops(phi int) (int, bool) {
 // address still unseen at budget exhaustion (missing vertex), both of
 // which the caller treats as a route change.
 func (s *Session) confirmHop(h int, want []packet.Addr, prior TracePrior) bool {
-	wantSet := make(map[packet.Addr]bool, len(want))
-	for _, a := range want {
-		wantSet[a] = true
-	}
 	budget := confirmBudget(s.cfg.Stop, len(want))
-	seen := make(map[packet.Addr]bool, len(want))
-	tried := make(map[uint16]bool)
-	sent := 0
+	// seen[i] marks want[i]; want is sorted (the TracePrior contract), so
+	// an address's position is a binary search, and a repeated address
+	// shares one count across its positions.
+	s.wantSeen = slices.Grow(s.wantSeen[:0], len(want))[:len(want)]
+	clear(s.wantSeen)
+	seen := s.wantSeen
+	if s.tried == nil {
+		s.tried = new(flowSet)
+	}
+	tried := s.tried
+	nSeen, sent := 0, 0
 	mismatch := false
 	stop := false
 
@@ -181,24 +187,29 @@ func (s *Session) confirmHop(h int, want []packet.Addr, prior TracePrior) bool {
 		if a == topo.StarAddr {
 			return
 		}
-		if !wantSet[a] {
+		i, found := slices.BinarySearch(want, a)
+		if !found {
 			mismatch = true
 			stop = true
 			return
 		}
-		if !seen[a] {
-			seen[a] = true
-			if len(seen) == len(want) {
+		if !seen[i] {
+			for k := i; k < len(want) && want[k] == a; k++ {
+				seen[k] = true
+			}
+			nSeen++
+			if nSeen == len(want) {
 				stop = true
 			}
 		}
 	}
 
 	try := func(f uint16) {
-		if stop || tried[f] {
+		if stop || tried.has(f) {
 			return
 		}
-		tried[f] = true
+		tried.add(f)
+		s.triedList = append(s.triedList, f)
 		if v, known := s.vertexAt(h, f); known {
 			note(v) // knowledge already present; no packet needed
 			return
@@ -229,11 +240,11 @@ func (s *Session) confirmHop(h int, want []packet.Addr, prior TracePrior) bool {
 	// sufficient on an unchanged route.
 	for round := 0; !stop; round++ {
 		tookOne := false
-		for _, a := range want {
+		for i, a := range want {
 			if stop {
 				break
 			}
-			if seen[a] {
+			if seen[i] {
 				continue
 			}
 			if fs := prior.FlowHints(h, a); round < len(fs) {
@@ -256,7 +267,7 @@ func (s *Session) confirmHop(h int, want []packet.Addr, prior TracePrior) bool {
 				continue
 			}
 			for _, f := range s.flowsOf(u) {
-				if !tried[f] {
+				if !tried.has(f) {
 					try(f)
 					break
 				}
@@ -286,7 +297,11 @@ func (s *Session) confirmHop(h int, want []packet.Addr, prior TracePrior) bool {
 		}
 		try(f)
 	}
-	return !mismatch && len(seen) == len(want)
+	for _, f := range s.triedList {
+		tried[f>>6] = 0
+	}
+	s.triedList = s.triedList[:0]
+	return !mismatch && nSeen == len(want)
 }
 
 // adoptPriorEdges short-circuits edge completion for a hop pair both of

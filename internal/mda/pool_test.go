@@ -5,6 +5,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mmlpt/internal/fakeroute"
@@ -40,29 +41,64 @@ func shortLossyPath(alloc *fakeroute.AddrAllocator, dst packet.Addr) *topo.Graph
 	return fakeroute.NewPathBuilder(alloc).Spread(2).Star().Spread(2).Converge(1).End(dst)
 }
 
-// shortPathOutcome traces shortLossyPath on a freshly built network and
-// renders what the trace produced: its graph, probe count and probe order.
-func shortPathOutcome(trace func(probe.Prober) *Result) string {
+// shortPathProber probes shortLossyPath on a freshly built network.
+func shortPathProber() probe.Prober {
 	net, _ := fakeroute.BuildScenario(5, testSrc, testDst, shortLossyPath)
 	net.LossProb = 0.1
-	o := &orderProber{Prober: probe.NewSimProber(net, testSrc, testDst), h: fnv.New64a()}
-	res := trace(o)
-	return fmt.Sprintf("%sprobes %d reached %t order %016x", res.Graph, res.Probes, res.ReachedDst, o.h.Sum64())
+	return probe.NewSimProber(net, testSrc, testDst)
 }
 
-// TestPooledTablesCarryNothing: a trace run on the tables a 48-wide trace
-// handed back to the pool gives what it gives on new tables, once two
-// collections have drained the pool — graph, probe count and probe order
-// alike, for the MDA and the MDA-Lite.
+// shortPathOutcome traces shortLossyPath on a freshly built network and
+// renders what the trace produced: its graph, probe count, confirmed
+// hops and probe order.
+func shortPathOutcome(trace func(probe.Prober) *Result) string {
+	o := &orderProber{Prober: shortPathProber(), h: fnv.New64a()}
+	res := trace(o)
+	return fmt.Sprintf("%sprobes %d reached %t confirmed %d order %016x",
+		res.Graph, res.Probes, res.ReachedDst, res.PriorHopsConfirmed, o.h.Sum64())
+}
+
+// newGraphPrior expects what g holds: each hop's non-star addresses,
+// sorted, and g's links.
+func newGraphPrior(g *topo.Graph) testPrior {
+	pr := testPrior{edges: make(map[[2]packet.Addr]bool)}
+	for h := 0; h < g.NumHops(); h++ {
+		var addrs []packet.Addr
+		for _, v := range g.Hop(h) {
+			if a := g.V(v).Addr; a != topo.StarAddr {
+				addrs = append(addrs, a)
+			}
+			for _, w := range g.Succ(v) {
+				pr.edges[[2]packet.Addr{g.V(v).Addr, g.V(w).Addr}] = true
+			}
+		}
+		slices.Sort(addrs)
+		pr.hops = append(pr.hops, addrs)
+	}
+	return pr
+}
+
+// TestPooledTablesCarryNothing: a trace run on the tables 48-wide traces,
+// unseeded and prior-seeded, handed back to the pool gives what it gives
+// on new tables, once two collections have drained the pool — graph,
+// probe count, confirmed hops and probe order alike, for the MDA, the
+// MDA-Lite and the MDA-Lite seeded from an earlier trace's graph.
 func TestPooledTablesCarryNothing(t *testing.T) {
+	first := TraceLite(shortPathProber(), Config{Seed: 12}, DefaultPhi)
+	prior := newGraphPrior(first.Graph)
 	for _, c := range []struct {
 		name  string
 		trace func(probe.Prober) *Result
 	}{
 		{"mda", func(p probe.Prober) *Result { return Trace(p, Config{Seed: 11}) }},
 		{"mda-lite", func(p probe.Prober) *Result { return TraceLite(p, Config{Seed: 11}, DefaultPhi) }},
+		{"mda-lite-prior", func(p probe.Prober) *Result { return TraceLite(p, Config{Seed: 11, Prior: prior}, DefaultPhi) }},
 	} {
-		traceWideHop(t, newWideHopProber(48), 3)
+		wide := newWideHopProber(48)
+		traceWideHop(t, wide, 3)
+		// Seed 11 mints the flows the checked traces mint first, so a
+		// tried-flow set the pool kept would skip them.
+		traceWideHopSeeded(t, wide, newWidePrior(wide), 11)
 		reused := shortPathOutcome(c.trace)
 		runtime.GC()
 		runtime.GC()

@@ -149,7 +149,8 @@ type Session struct {
 // nothing can reach their session afterwards, and the next session reuses
 // their storage. A reused table carries nothing over: release truncates
 // the tables to length 0, rows empties each row as it is revealed again,
-// and the successor set's stale stamps all predate its epoch.
+// the successor set's stale stamps all predate its epoch, and confirmHop
+// empties its scratch before it returns.
 type tables struct {
 	wire     []uint16          // local index → wire flow identifier
 	minted   []uint64          // bitset over local indices: handed out by freshFlow
@@ -162,7 +163,22 @@ type tables struct {
 	// call in progress; bumping the epoch empties the set in O(1).
 	succSeen  []uint32
 	succEpoch uint32
+
+	// confirmHop's scratch. wantSeen[i] marks the prior's i-th expected
+	// address as seen; each call clears it. tried holds the flows tried at
+	// the hop, triedList names them, and both are emptied before the call
+	// returns, the set word by word from the list. The set is allocated
+	// by the first confirmation on these tables.
+	wantSeen  []bool
+	tried     *flowSet
+	triedList []uint16
 }
+
+// flowSet is a bitset over every wire flow identifier.
+type flowSet [1 << 16 / 64]uint64
+
+func (fs *flowSet) has(f uint16) bool { return fs[f>>6]&(1<<(f&63)) != 0 }
+func (fs *flowSet) add(f uint16)      { fs[f>>6] |= 1 << (f & 63) }
 
 var tablesPool = sync.Pool{New: func() any { return new(tables) }}
 

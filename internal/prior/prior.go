@@ -18,12 +18,15 @@
 package prior
 
 import (
+	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"mmlpt/internal/atlas/serve"
 	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/par"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
@@ -37,11 +40,16 @@ type PairPrior struct {
 	// hops[h] is the sorted expected vertex set at hop h; nil marks a hop
 	// the earlier trace did not cover (e.g. it saw only stars there).
 	hops [][]packet.Addr
-	// edges holds the recorded links between adjacent covered hops.
-	edges map[[2]packet.Addr]bool
-	// hints maps (hop, addr) to the flows previously seen landing there.
+	// edges holds the recorded links between adjacent covered hops, each
+	// u→w as edgeKey(u, w), ascending and without repeats.
+	edges []uint64
+	// hints maps (hop, addr) to the flows previously seen landing there;
+	// nil until the first AddLanding.
 	hints map[hintKey][]uint16
 }
+
+// edgeKey packs the link u→w into one sortable word.
+func edgeKey(u, w packet.Addr) uint64 { return uint64(u)<<32 | uint64(w) }
 
 type hintKey struct {
 	hop  int
@@ -50,11 +58,7 @@ type hintKey struct {
 
 // New returns an empty prior for the pair, covering no hops.
 func New(src, dst packet.Addr) *PairPrior {
-	return &PairPrior{
-		Src: src, Dst: dst,
-		edges: make(map[[2]packet.Addr]bool),
-		hints: make(map[hintKey][]uint16),
-	}
+	return &PairPrior{Src: src, Dst: dst}
 }
 
 // AddHopAddr records addr as expected at hop h. Stars are ignored: a
@@ -79,7 +83,10 @@ func (pp *PairPrior) AddEdge(u, w packet.Addr) {
 	if u == topo.StarAddr || w == topo.StarAddr {
 		return
 	}
-	pp.edges[[2]packet.Addr{u, w}] = true
+	k := edgeKey(u, w)
+	if i, found := slices.BinarySearch(pp.edges, k); !found {
+		pp.edges = slices.Insert(pp.edges, i, k)
+	}
 }
 
 // AddLanding records that flow f was observed to land on addr at hop h.
@@ -89,6 +96,9 @@ func (pp *PairPrior) AddEdge(u, w packet.Addr) {
 func (pp *PairPrior) AddLanding(h int, f uint16, addr packet.Addr) {
 	if addr == topo.StarAddr || h < 0 {
 		return
+	}
+	if pp.hints == nil {
+		pp.hints = make(map[hintKey][]uint16)
 	}
 	k := hintKey{hop: h, addr: addr}
 	for _, x := range pp.hints[k] {
@@ -125,7 +135,8 @@ func (pp *PairPrior) HopAddrs(h int) ([]packet.Addr, bool) {
 
 // HasEdge reports whether the prior recorded a link u→w.
 func (pp *PairPrior) HasEdge(u, w packet.Addr) bool {
-	return pp.edges[[2]packet.Addr{u, w}]
+	_, found := slices.BinarySearch(pp.edges, edgeKey(u, w))
+	return found
 }
 
 // FlowHints returns the flows previously observed to land on addr at hop
@@ -261,56 +272,187 @@ func (ix *Index) add(pp *PairPrior) {
 // section ((pair, hop) observations); links come from intersecting the
 // merged successor lists with adjacent hop sets. The returned index
 // holds no reference to svc.
+//
+// The build is dense and hash-free. The node scan runs in ascending
+// address order, so a node's position in it is its id, and ids order a
+// hop set as addresses do. The scan keeps every node's address and
+// successor list by id, and every (pair, hop, id) observation; two
+// stable counting sorts group those by pair and hop. Then, one pair per
+// task, each hop-h node's successor list is merge-joined against the
+// sorted hop-(h+1) set. The cost is O(nodes + observations + Σ|succ|),
+// not one hash probe per (u, w) of two adjacent hop sets.
 func FromService(svc *serve.Service) (*Index, error) {
 	atlasPairs, err := svc.Pairs()
 	if err != nil {
 		return nil, err
 	}
-	byIndex := make(map[int]*PairPrior, len(atlasPairs))
+	b := &indexBuilder{
+		pairs:  make([]int, len(atlasPairs)),
+		priors: make([]PairPrior, len(atlasPairs)),
+		succAt: []int32{0},
+	}
 	ix := &Index{}
-	for _, ap := range atlasPairs {
-		src, err := packet.ParseAddr(ap.Src)
-		if err != nil {
-			return nil, err
+	for i, ap := range atlasPairs {
+		pp := &b.priors[i]
+		if err := pp.Src.UnmarshalText([]byte(ap.Src)); err != nil {
+			return nil, fmt.Errorf("prior: pair %d src: %w", ap.Pair, err)
 		}
-		dst, err := packet.ParseAddr(ap.Dst)
-		if err != nil {
-			return nil, err
+		if err := pp.Dst.UnmarshalText([]byte(ap.Dst)); err != nil {
+			return nil, fmt.Errorf("prior: pair %d dst: %w", ap.Pair, err)
 		}
-		pp := New(src, dst)
-		byIndex[ap.Pair] = pp
+		b.pairs[i] = ap.Pair
 		ix.add(pp)
 	}
-
-	// One pass over the node section gathers both the hop placements and
-	// the global successor sets.
-	succSet := make(map[[2]packet.Addr]bool)
-	err = svc.ForEachNode(func(n *traceio.AtlasNodeV2) error {
-		for _, obs := range n.Seen {
-			if pp := byIndex[obs[0]]; pp != nil {
-				pp.AddHopAddr(obs[1], n.Addr)
-			}
-		}
-		for _, w := range n.Succ {
-			succSet[[2]packet.Addr{n.Addr, w}] = true
-		}
-		return nil
-	})
-	if err != nil {
+	if err := svc.ForEachNode(b.node); err != nil {
 		return nil, err
 	}
+	b.groupBySlot()
+	par.Do(len(b.priors), 0, b.pair)
+	return ix, nil
+}
 
-	for _, pp := range byIndex {
-		pp.normalize()
-		for h := 0; h+1 < len(pp.hops); h++ {
-			for _, u := range pp.hops[h] {
-				for _, w := range pp.hops[h+1] {
-					if succSet[[2]packet.Addr{u, w}] {
-						pp.AddEdge(u, w)
-					}
-				}
+// indexBuilder is FromService's state: the pair section, what the node
+// scan keeps of each node by id, and every pair's observations.
+type indexBuilder struct {
+	pairs  []int       // slot → pair index, strictly ascending (the reader refuses any other order)
+	priors []PairPrior // slot → the pair's prior
+
+	addrs  []packet.Addr // id → address
+	succ   []packet.Addr // every node's successor list, each ascending, concatenated
+	succAt []int32       // id → where its list starts in succ; one entry past the last id
+
+	// obs holds every observation, in scan order and then, after
+	// groupBySlot, slot by slot: slot s owns obs[at[s]:at[s+1]], and the
+	// same span of hopAddrs.
+	obs      []pairObs
+	lastHop  int // the largest hop in obs
+	at       []int
+	hopAddrs []packet.Addr
+}
+
+// pairObs is one observation: node id at hop of the pair in slot.
+type pairObs struct {
+	hop  int
+	id   int32
+	slot int32
+}
+
+// node takes in the next node of the scan.
+func (b *indexBuilder) node(n *traceio.AtlasNodeV2) error {
+	id := int32(len(b.addrs))
+	b.addrs = append(b.addrs, n.Addr)
+	start := len(b.succ)
+	b.succ = append(b.succ, n.Succ...)
+	if s := b.succ[start:]; !slices.IsSorted(s) {
+		// The reader accepts a list in any order; the join needs order.
+		slices.Sort(s)
+	}
+	b.succAt = append(b.succAt, int32(len(b.succ)))
+	if n.Addr == topo.StarAddr {
+		return nil
+	}
+	for _, o := range n.Seen {
+		slot, ok := slices.BinarySearch(b.pairs, o[0])
+		if !ok || o[1] < 0 {
+			continue
+		}
+		if o[1] > maxTraceHop {
+			return fmt.Errorf("prior: node %s: hop %d of pair %d is past the last TTL", n.Addr, o[1], o[0])
+		}
+		b.obs = append(b.obs, pairObs{hop: o[1], id: id, slot: int32(slot)})
+		b.lastHop = max(b.lastHop, o[1])
+	}
+	return nil
+}
+
+// maxTraceHop is the last hop a trace can observe: hop h is probed with
+// TTL h+1, and a TTL is one byte. FromService sizes tables by the hops
+// a snapshot names, so it refuses any hop past this one.
+const maxTraceHop = 254
+
+// groupBySlot orders the observations by slot, then hop, then id, with
+// two stable counting sorts (by hop, then by slot) over the scan order,
+// which is id order. It sizes hopAddrs to match.
+func (b *indexBuilder) groupBySlot() {
+	byHop, _ := countingSort(b.obs, b.lastHop+1, func(o pairObs) int { return o.hop })
+	b.obs, b.at = countingSort(byHop, len(b.pairs), func(o pairObs) int { return int(o.slot) })
+	b.hopAddrs = make([]packet.Addr, len(b.obs))
+}
+
+// countingSort returns in stably sorted by key, each key in [0, n), and
+// where each key's run starts (n+1 entries, the last len(in)).
+func countingSort(in []pairObs, n int, key func(pairObs) int) ([]pairObs, []int) {
+	at := make([]int, n+1)
+	for _, o := range in {
+		at[key(o)+1]++
+	}
+	for k := 1; k <= n; k++ {
+		at[k] += at[k-1]
+	}
+	out := make([]pairObs, len(in))
+	next := slices.Clone(at[:n])
+	for _, o := range in {
+		out[next[key(o)]] = o
+		next[key(o)]++
+	}
+	return out, at
+}
+
+// pair builds slot's hop sets and links from its observations. It
+// writes only that pair's prior and its own spans of obs and hopAddrs,
+// so pairs build in parallel.
+func (b *indexBuilder) pair(slot int) {
+	// In (hop, id) order, each hop set comes out sorted (ids ascend with
+	// addresses), and a repeated observation sits next to its twin.
+	obs := slices.Compact(b.obs[b.at[slot]:b.at[slot+1]])
+	if len(obs) == 0 {
+		return
+	}
+	addrs := b.hopAddrs[b.at[slot]:][:len(obs)]
+	pp := &b.priors[slot]
+	pp.hops = make([][]packet.Addr, obs[len(obs)-1].hop+1)
+	// A pair has about as many links as observations.
+	edges := make([]uint64, 0, len(obs))
+	for prev, start := 0, 0; start < len(obs); {
+		end := start + 1
+		for end < len(obs) && obs[end].hop == obs[start].hop {
+			end++
+		}
+		for k := start; k < end; k++ {
+			addrs[k] = b.addrs[obs[k].id]
+		}
+		next := addrs[start:end:end]
+		pp.hops[obs[start].hop] = next
+		if obs[prev].hop == obs[start].hop-1 {
+			for _, u := range obs[prev:start] {
+				edges = joinEdges(edges, b.addrs[u.id], b.succ[b.succAt[u.id]:b.succAt[u.id+1]], next)
 			}
 		}
+		prev, start = start, end
 	}
-	return ix, nil
+	// Each hop pair's links come out ascending; an address at several
+	// hops of the pair can put them out of order, or repeat one.
+	if !slices.IsSorted(edges) {
+		slices.Sort(edges)
+	}
+	pp.edges = slices.Compact(edges)
+}
+
+// joinEdges appends the key of every link u→w with w in both succ (u's
+// ascending successor list, repeats allowed) and next (a strictly
+// ascending hop set).
+func joinEdges(edges []uint64, u packet.Addr, succ, next []packet.Addr) []uint64 {
+	for i, j := 0, 0; i < len(succ) && j < len(next); {
+		switch {
+		case succ[i] < next[j]:
+			i++
+		case succ[i] > next[j]:
+			j++
+		default:
+			edges = append(edges, edgeKey(u, next[j]))
+			i++
+			j++
+		}
+	}
+	return edges
 }

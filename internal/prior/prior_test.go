@@ -9,6 +9,7 @@ import (
 	"mmlpt/internal/mda"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
+	"mmlpt/internal/traceio"
 )
 
 // twoPairAtlas builds a snapshot with two address-disjoint pairs: pair 0
@@ -149,3 +150,63 @@ func TestFlowHintCaptureOrderIndependent(t *testing.T) {
 		t.Fatal("hints for an unrecorded hop must be nil")
 	}
 }
+
+// fromServiceOracle is FromService as it stood before the dense index:
+// per-hop sets deduplicated by a linear scan and sorted afterwards, one
+// global map of every successor link in the atlas, and every (u, w) of
+// two adjacent hop sets tested against that map. The differential tests
+// hold FromService to it.
+func fromServiceOracle(svc *serve.Service) (*Index, error) {
+	atlasPairs, err := svc.Pairs()
+	if err != nil {
+		return nil, err
+	}
+	byIndex := make(map[int]*PairPrior, len(atlasPairs))
+	ix := &Index{}
+	for _, ap := range atlasPairs {
+		src, err := packet.ParseAddr(ap.Src)
+		if err != nil {
+			return nil, err
+		}
+		dst, err := packet.ParseAddr(ap.Dst)
+		if err != nil {
+			return nil, err
+		}
+		pp := New(src, dst)
+		byIndex[ap.Pair] = pp
+		ix.add(pp)
+	}
+	succSet := make(map[[2]packet.Addr]bool)
+	err = svc.ForEachNode(func(n *traceio.AtlasNodeV2) error {
+		for _, obs := range n.Seen {
+			if pp := byIndex[obs[0]]; pp != nil {
+				pp.AddHopAddr(obs[1], n.Addr)
+			}
+		}
+		for _, w := range n.Succ {
+			succSet[[2]packet.Addr{n.Addr, w}] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, pp := range byIndex {
+		pp.normalize()
+		for h := 0; h+1 < len(pp.hops); h++ {
+			for _, u := range pp.hops[h] {
+				for _, w := range pp.hops[h+1] {
+					if succSet[[2]packet.Addr{u, w}] {
+						pp.AddEdge(u, w)
+					}
+				}
+			}
+		}
+	}
+	return ix, nil
+}
+
+// OracleFromService hands the oracle to the external differential tests,
+// which build their atlases through internal/survey (an importer of this
+// package).
+var OracleFromService = fromServiceOracle

@@ -77,7 +77,6 @@ func TestRecorderConcurrentBatches(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -45,7 +45,6 @@ func spanBytes(t *testing.T, u *survey.Universe, rc survey.RunConfig, count int)
 // counters, so a session surviving the first trace would shift them.
 func TestRetraceOnOneUniverseEqualsFresh(t *testing.T) {
 	for _, level := range []string{"ip", "router"} {
-		level := level
 		t.Run(level, func(t *testing.T) {
 			t.Parallel()
 			cfg := experiments.SurveyConfig{Pairs: 200, Seed: 3}

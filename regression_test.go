@@ -60,7 +60,6 @@ func countEdges(g *topo.Graph) int {
 func TestBatchedEngineMatchesSerialGoldens(t *testing.T) {
 	t.Parallel()
 	for _, row := range goldenRows {
-		row := row
 		net, _ := fakeroute.BuildScenario(row.seed, benchSrc, benchDst, fakeroute.Shapes[row.shape])
 		p := probe.NewSimProber(net, benchSrc, benchDst)
 		p.Retries = 0
