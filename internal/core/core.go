@@ -117,7 +117,7 @@ func CandidateGroups(g *topo.Graph, dst packet.Addr) [][]packet.Addr {
 // preserved.
 func CollapseRouters(g *topo.Graph, rep func(packet.Addr) packet.Addr) *topo.Graph {
 	out := topo.New()
-	idMap := make(map[topo.VertexID]topo.VertexID, len(g.Vertices))
+	idMap := make([]topo.VertexID, len(g.Vertices))
 	for h := 0; h < g.NumHops(); h++ {
 		byRep := make(map[packet.Addr]topo.VertexID)
 		for _, id := range g.Hop(h) {

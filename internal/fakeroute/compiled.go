@@ -26,6 +26,7 @@ type compiledPath struct {
 	dstHop int
 
 	// Per-vertex tables, indexed by topo.VertexID.
+	single  []topo.VertexID // the successor of a vertex with exactly one; topo.None otherwise
 	mode    []LBMode
 	weights [][]float64 // successor dispatch weights; nil = uniform
 	wtotal  []float64   // presummed weights (same summation order as the old per-probe loop)
@@ -60,6 +61,7 @@ func (n *Network) compilePath(p *Path, g *topo.Graph) *compiledPath {
 		g:       g,
 		entry:   g.Hop(0)[0],
 		dstHop:  g.NumHops() - 1,
+		single:  make([]topo.VertexID, nv),
 		mode:    make([]LBMode, nv),
 		weights: make([][]float64, nv),
 		wtotal:  make([]float64, nv),
@@ -69,6 +71,10 @@ func (n *Network) compilePath(p *Path, g *topo.Graph) *compiledPath {
 	}
 	for i := 0; i < nv; i++ {
 		v := topo.VertexID(i)
+		cp.single[v] = topo.None
+		if succ := g.Succ(v); len(succ) == 1 {
+			cp.single[v] = succ[0]
+		}
 		cp.mode[v] = p.LB[v]
 		cp.addr[v] = g.V(v).Addr
 		cp.key[v] = vertexKey(p, g, v)
@@ -90,14 +96,17 @@ func (n *Network) compilePath(p *Path, g *topo.Graph) *compiledPath {
 // original map-based walker did: one s.rng draw per multi-successor
 // per-packet balancer, none otherwise, and the weighted dispatch keeps
 // the exact subtractive scan (the same float operations in the same
-// order) so boundary flows pick the same successor.
+// order) so boundary flows pick the same successor. Most hops of a
+// walk leave a single-successor vertex; its successor is one load from
+// cp.single, where the graph's successor span would take two dependent
+// loads and an address computation.
 func (s *Session) nextVertex(cp *compiledPath, v topo.VertexID, pp *packet.ParsedProbe, flowKey uint64) topo.VertexID {
+	if w := cp.single[v]; w != topo.None {
+		return w
+	}
 	succ := cp.g.Succ(v)
-	switch len(succ) {
-	case 0:
+	if len(succ) == 0 {
 		return topo.None
-	case 1:
-		return succ[0]
 	}
 	mode := cp.mode[v]
 	var idx int

@@ -75,8 +75,16 @@ func traceWideHop(tb testing.TB, p *wideHopProber, seed uint64) *Result {
 	return res
 }
 
+// wideHopSeeds is the number of fixed seeds the wide-hop timings cycle
+// through. Each of them finds the whole hop at every width; an arbitrary
+// seed may not, since the MDA's stopping rule bounds a miss at 5 % per
+// vertex, not at zero (seed 1684 misses one vertex at width 16).
+const wideHopSeeds = 8
+
 // BenchmarkMDAWideHop reports the session's cost per probe as the hop
 // widens. Linear-time bookkeeping keeps ns/probe flat across widths.
+// Iteration i traces seed i mod wideHopSeeds, so every b.N does the same
+// work and the width check holds at any -benchtime.
 func BenchmarkMDAWideHop(b *testing.B) {
 	for _, width := range []int{16, 48, 96} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
@@ -84,7 +92,7 @@ func BenchmarkMDAWideHop(b *testing.B) {
 			b.ReportAllocs()
 			var probes uint64
 			for i := 0; i < b.N; i++ {
-				probes += traceWideHop(b, p, uint64(i)).Probes
+				probes += traceWideHop(b, p, uint64(i%wideHopSeeds)).Probes
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/trace")
@@ -100,7 +108,7 @@ func wideHopNsPerProbe(t *testing.T, width int) float64 {
 	for rep := 0; rep < 5; rep++ {
 		var probes uint64
 		start := time.Now()
-		for seed := uint64(0); seed < 8; seed++ {
+		for seed := uint64(0); seed < wideHopSeeds; seed++ {
 			probes += traceWideHop(t, p, seed).Probes
 		}
 		if ns := float64(time.Since(start).Nanoseconds()) / float64(probes); rep == 0 || ns < best {
@@ -127,13 +135,14 @@ func TestMDAWideHopCostIsLinear(t *testing.T) {
 // fixed 48-wide hop (1241 probes in some 150 rounds, through a prober that
 // allocates nothing). What remains is the graph, the result, the session
 // and its per-round scratch: the flow tables come back from the pool a
-// previous trace handed them to. 112 when the tables were pooled, against
-// 172 with the tables growing by doubling in every trace and 619 with
+// previous trace handed them to. 57 since the graph is a few flat slices,
+// against 112 with a successor slice per vertex and an address map, 172
+// with the flow tables growing by doubling in every trace and 619 with
 // three slices per round and a map or two per vertex. Under -race the
 // pool drops tables at random, so the bound there stays the one that held
 // before the tables were pooled.
 func TestTraceAllocationBudget(t *testing.T) {
-	budget := 125.0
+	budget := 62.0
 	if raceEnabled {
 		budget = 280
 	}
@@ -192,9 +201,11 @@ func traceWideHopSeeded(tb testing.TB, p *wideHopProber, pr testPrior, seed uint
 // keeps its expected-address flags and its tried-flow set in the
 // session's pooled tables, so it allocates nothing per hop, and what
 // remains is the graph, the result, the session and its round scratch:
-// 101, against 118 when each confirmed hop built three maps.
+// 46 since the graph is a few flat slices, against 101 with a successor
+// slice per vertex and an address map and 118 when each confirmed hop
+// built three maps.
 func TestPriorConfirmationAllocationBudget(t *testing.T) {
-	budget := 110.0
+	budget := 50.0
 	if raceEnabled {
 		budget = 280
 	}

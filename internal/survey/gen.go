@@ -565,7 +565,7 @@ func (u *Universe) buildPathGraph(rng *nprand.Source, alloc *fakeroute.AddrAlloc
 // next hop after tail (with an edge from tail); the fragment's final
 // vertex is returned as the new tail.
 func (u *Universe) embed(g *topo.Graph, frag *topo.Graph, tail topo.VertexID, hop *int) topo.VertexID {
-	idMap := make(map[topo.VertexID]topo.VertexID, len(frag.Vertices))
+	idMap := make([]topo.VertexID, len(frag.Vertices))
 	base := *hop
 	for h := 0; h < frag.NumHops(); h++ {
 		for _, id := range frag.Hop(h) {

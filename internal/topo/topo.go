@@ -15,6 +15,8 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,10 +39,11 @@ const NoRouter RouterID = -1
 // Stars never equal a real interface address.
 const StarAddr packet.Addr = 0
 
-// Vertex is one IP interface observed (or simulated) at a hop.
+// Vertex is one IP interface observed (or simulated) at a hop. The
+// fields are ordered so that a Vertex packs into 16 bytes.
 type Vertex struct {
-	Addr   packet.Addr
 	Hop    int
+	Addr   packet.Addr
 	Router RouterID
 }
 
@@ -48,41 +51,94 @@ type Vertex struct {
 // (address, hop). Successor lists are deduplicated and keep the order
 // edges were first recorded in, which keeps construction deterministic
 // for a deterministic caller.
+//
+// A Graph is a few flat slices: no map, and no allocation per vertex or
+// per edge. Each vertex's successor list is a span of one graph-owned
+// slab, and so is each hop's vertex list, beside a parallel column of
+// the hop's addresses that AddVertex scans to deduplicate. Only a graph
+// with a hop of wideHop or more vertices keeps a hash index as well.
+// Every slice grows by append's doubling, so building a graph of V
+// vertices allocates O(log V) times.
 type Graph struct {
 	Vertices []Vertex
-	succ     [][]VertexID
-	indeg    []int
-	hops     [][]VertexID
-	byAddr   map[packet.Addr]VertexID
+	adj      []adjacency   // vertex → successor span, in-degree
+	succ     []VertexID    // successor lists
+	hops     []span        // hop → its span of hopIDs and hopAddrs
+	hopIDs   []VertexID    // hop lists
+	hopAddrs []packet.Addr // hopAddrs[i] is Vertices[hopIDs[i]].Addr
+
+	// wide indexes the non-star vertices by (address, hop) once a hop
+	// holds wideHop vertices: an open-addressing table of VertexID+1, 0
+	// for an empty slot, at most a quarter full. nil until then.
+	wide []VertexID
 }
 
-// New returns an empty Graph.
-func New() *Graph {
-	return &Graph{byAddr: make(map[packet.Addr]VertexID)}
+// span locates one list in a slab: slab[off:off+n], with room to grow to
+// off+cap.
+type span struct{ off, n, cap int32 }
+
+// of returns the list s locates in slab. Its capacity ends with the list,
+// so a caller's append copies instead of writing into a neighbour.
+func of[T any](slab []T, s span) []T {
+	return slab[s.off : s.off+s.n : s.off+s.n]
 }
+
+// push appends x to the list s locates in slab and returns the slab. A
+// full list grows in place when it ends the slab, and otherwise moves to
+// the slab's tail at twice its capacity; the room it leaves behind is
+// not reused. The decision reads only s and len(slab), so two slabs of
+// equal length pushed with the same span stay parallel.
+func push[T any](slab []T, s *span, x T) []T {
+	if s.n == s.cap {
+		c := max(2*s.cap, 1)
+		if int(s.off+s.cap) == len(slab) {
+			slab = slices.Grow(slab, int(c-s.cap))[:s.off+c]
+		} else {
+			off := int32(len(slab))
+			slab = append(slices.Grow(slab, int(c)), slab[s.off:s.off+s.n]...)[:off+c]
+			s.off = off
+		}
+		s.cap = c
+	}
+	slab[s.off+s.n] = x
+	s.n++
+	return slab
+}
+
+// adjacency is a vertex's successor span and in-degree.
+type adjacency struct {
+	succ  span
+	indeg int32
+}
+
+// New returns an empty Graph. The zero Graph is ready to use too.
+func New() *Graph { return &Graph{} }
 
 // NumHops returns the number of hops (TTL levels) present.
 func (g *Graph) NumHops() int { return len(g.hops) }
 
-// Hop returns the vertex IDs at hop h, or nil if h is out of range.
+// Hop returns the vertex IDs at hop h, or nil if h is out of range or
+// empty. The slice is owned by the graph; callers must not modify it.
 func (g *Graph) Hop(h int) []VertexID {
-	if h < 0 || h >= len(g.hops) {
+	if h < 0 || h >= len(g.hops) || g.hops[h].n == 0 {
 		return nil
 	}
-	return g.hops[h]
+	return of(g.hopIDs, g.hops[h])
 }
 
 // Width returns the number of vertices at hop h.
 func (g *Graph) Width(h int) int { return len(g.Hop(h)) }
 
-// Lookup returns the vertex with the given address, or None. Stars are not
-// indexed by address.
+// Lookup returns the first-added vertex with the given address, or None.
+// Stars have no address to look up. It scans the vertex table.
 func (g *Graph) Lookup(addr packet.Addr) VertexID {
 	if addr == StarAddr {
 		return None
 	}
-	if id, ok := g.byAddr[addr]; ok {
-		return id
+	for i := range g.Vertices {
+		if g.Vertices[i].Addr == addr {
+			return VertexID(i)
+		}
 	}
 	return None
 }
@@ -101,30 +157,70 @@ func (g *Graph) AddVertex(h int, addr packet.Addr) VertexID {
 	if h < 0 {
 		panic("topo: negative hop")
 	}
+	for len(g.hops) <= h {
+		g.hops = append(g.hops, span{})
+	}
+	s := g.hops[h]
 	if addr != StarAddr {
-		if id, ok := g.byAddr[addr]; ok && g.Vertices[id].Hop == h {
-			return id
-		}
-		for _, id := range g.Hop(h) {
-			if g.Vertices[id].Addr == addr {
+		if g.wide != nil {
+			if _, id := g.find(h, addr); id != None {
 				return id
 			}
+		} else if i := slices.Index(of(g.hopAddrs, s), addr); i >= 0 {
+			return g.hopIDs[int(s.off)+i]
 		}
 	}
 	id := VertexID(len(g.Vertices))
-	g.Vertices = append(g.Vertices, Vertex{Addr: addr, Hop: h, Router: NoRouter})
-	g.succ = append(g.succ, nil)
-	g.indeg = append(g.indeg, 0)
-	for len(g.hops) <= h {
-		g.hops = append(g.hops, nil)
-	}
-	g.hops[h] = append(g.hops[h], id)
-	if addr != StarAddr {
-		if _, ok := g.byAddr[addr]; !ok {
-			g.byAddr[addr] = id
-		}
+	g.Vertices = append(g.Vertices, Vertex{Hop: h, Addr: addr, Router: NoRouter})
+	g.adj = append(g.adj, adjacency{})
+	g.hopIDs = push(g.hopIDs, &g.hops[h], id)
+	g.hopAddrs = push(g.hopAddrs, &s, addr)
+	if addr != StarAddr && (g.wide != nil || s.n >= wideHop) {
+		g.indexWide(id)
 	}
 	return id
+}
+
+// wideHop is the hop width from which AddVertex stops scanning hops for a
+// duplicate and looks it up in the graph's wide index instead. The scan
+// reads the hop's address column at about a cycle per vertex, which beats
+// a hash lookup on the hops a survey sees and loses to it on a hop of
+// dozens of load-balanced interfaces.
+const wideHop = 16
+
+// find returns the wide index's slot for (h, addr) and the vertex there,
+// or the empty slot that ends its probe sequence and None.
+func (g *Graph) find(h int, addr packet.Addr) (int, VertexID) {
+	mask := len(g.wide) - 1
+	k := (uint64(addr)<<8 | uint64(h&0xff)) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the top bits mix best
+	for i := int(k >> (64 - bits.Len(uint(mask)))); ; i = (i + 1) & mask {
+		e := g.wide[i]
+		if e == 0 {
+			return i, None
+		}
+		if v := &g.Vertices[e-1]; v.Addr == addr && v.Hop == h {
+			return i, e - 1
+		}
+	}
+}
+
+// indexWide enters id, a new non-star vertex, into the wide index,
+// building the index over every non-star vertex when there is none yet
+// or when it is a quarter full. At that load a hop's run of consecutive
+// addresses almost never shares a slot, so a lookup reads one slot.
+func (g *Graph) indexWide(id VertexID) {
+	if 4*len(g.Vertices) <= len(g.wide) {
+		i, _ := g.find(g.Vertices[id].Hop, g.Vertices[id].Addr)
+		g.wide[i] = id + 1
+		return
+	}
+	g.wide = make([]VertexID, 1<<bits.Len(uint(4*len(g.Vertices))))
+	for v := range g.Vertices {
+		if x := &g.Vertices[v]; x.Addr != StarAddr {
+			i, _ := g.find(x.Hop, x.Addr)
+			g.wide[i] = VertexID(v) + 1
+		}
+	}
 }
 
 // AddEdge records a link from u (at hop h) to w (at hop h+1). Duplicate
@@ -133,31 +229,32 @@ func (g *Graph) AddEdge(u, w VertexID) {
 	if u == None || w == None {
 		return
 	}
-	for _, s := range g.succ[u] {
+	a := &g.adj[u]
+	for _, s := range of(g.succ, a.succ) {
 		if s == w {
 			return
 		}
 	}
-	g.succ[u] = append(g.succ[u], w)
-	g.indeg[w]++
+	g.succ = push(g.succ, &a.succ, w)
+	g.adj[w].indeg++
 }
 
 // Succ returns the successor vertex IDs of v, in the order their edges
 // were first recorded. The slice is owned by the graph; callers must not
 // modify it.
-func (g *Graph) Succ(v VertexID) []VertexID { return g.succ[v] }
+func (g *Graph) Succ(v VertexID) []VertexID { return of(g.succ, g.adj[v].succ) }
 
 // OutDegree returns the number of successors of v.
-func (g *Graph) OutDegree(v VertexID) int { return len(g.succ[v]) }
+func (g *Graph) OutDegree(v VertexID) int { return int(g.adj[v].succ.n) }
 
 // InDegree returns the number of predecessors of v.
-func (g *Graph) InDegree(v VertexID) int { return g.indeg[v] }
+func (g *Graph) InDegree(v VertexID) int { return int(g.adj[v].indeg) }
 
 // NumEdges returns the total number of edges.
 func (g *Graph) NumEdges() int {
 	n := 0
-	for _, s := range g.succ {
-		n += len(s)
+	for i := range g.adj {
+		n += int(g.adj[i].succ.n)
 	}
 	return n
 }
@@ -170,7 +267,7 @@ func (g *Graph) String() string {
 	var b strings.Builder
 	for h := 0; h < len(g.hops); h++ {
 		fmt.Fprintf(&b, "hop %2d:", h)
-		for _, id := range g.hops[h] {
+		for _, id := range g.Hop(h) {
 			v := &g.Vertices[id]
 			if v.Addr == StarAddr {
 				b.WriteString(" *")
@@ -219,18 +316,18 @@ func (g *Graph) Diamonds() []*Diamond {
 	var out []*Diamond
 	h := 0
 	for h < len(g.hops) {
-		if len(g.hops[h]) != 1 {
+		if g.Width(h) != 1 {
 			h++
 			continue
 		}
 		// h is a candidate divergence point; find the next single-vertex
 		// hop after at least one multi-vertex hop.
 		j := h + 1
-		for j < len(g.hops) && len(g.hops[j]) > 1 {
+		for j < len(g.hops) && g.Width(j) > 1 {
 			j++
 		}
-		if j < len(g.hops) && j > h+1 && len(g.hops[j]) == 1 {
-			div, conv := g.hops[h][0], g.hops[j][0]
+		if j < len(g.hops) && j > h+1 && g.Width(j) == 1 {
+			div, conv := g.Hop(h)[0], g.Hop(j)[0]
 			out = append(out, &Diamond{
 				g: g, DivHop: h, ConvHop: j,
 				Div: div, Conv: conv,
@@ -273,7 +370,7 @@ func (g *Graph) pairWidthAsymmetry(h int) int {
 	wi, wj := g.Width(h), g.Width(h+1)
 	maxSuccDiff := func() int {
 		lo, hi := 1<<30, 0
-		for _, v := range g.hops[h] {
+		for _, v := range g.Hop(h) {
 			n := g.OutDegree(v)
 			if n < lo {
 				lo = n
@@ -289,7 +386,7 @@ func (g *Graph) pairWidthAsymmetry(h int) int {
 	}
 	maxPredDiff := func() int {
 		lo, hi := 1<<30, 0
-		for _, v := range g.hops[h+1] {
+		for _, v := range g.Hop(h + 1) {
 			n := g.InDegree(v)
 			if n < lo {
 				lo = n
@@ -337,7 +434,7 @@ func (g *Graph) PairMeshed(h int) bool {
 		return false
 	}
 	outDeg2 := func() bool {
-		for _, v := range g.hops[h] {
+		for _, v := range g.Hop(h) {
 			if g.OutDegree(v) >= 2 {
 				return true
 			}
@@ -345,7 +442,7 @@ func (g *Graph) PairMeshed(h int) bool {
 		return false
 	}
 	inDeg2 := func() bool {
-		for _, v := range g.hops[h+1] {
+		for _, v := range g.Hop(h + 1) {
 			if g.InDegree(v) >= 2 {
 				return true
 			}
@@ -395,12 +492,13 @@ func (d *Diamond) Uniform() bool { return d.MaxWidthAsymmetry() == 0 }
 // load-balances uniformly at random across its successors, the probability
 // that a probe with a random flow identifier reaches each vertex. The
 // divergence vertex gets probability 1; probabilities propagate down hop by
-// hop. Vertices outside [DivHop, ConvHop] get 0.
-func (d *Diamond) ReachProbabilities() map[VertexID]float64 {
-	p := make(map[VertexID]float64)
+// hop. The result is indexed by VertexID; vertices outside
+// [DivHop, ConvHop] get 0.
+func (d *Diamond) ReachProbabilities() []float64 {
+	p := make([]float64, len(d.g.Vertices))
 	p[d.Div] = 1
 	for h := d.DivHop; h < d.ConvHop; h++ {
-		for _, u := range d.g.hops[h] {
+		for _, u := range d.g.Hop(h) {
 			pu := p[u]
 			succ := d.g.Succ(u)
 			if pu == 0 || len(succ) == 0 {
@@ -423,7 +521,7 @@ func (d *Diamond) MaxProbabilityDifference() float64 {
 	maxDiff := 0.0
 	for h := d.DivHop + 1; h < d.ConvHop; h++ {
 		lo, hi := 2.0, -1.0
-		for _, v := range d.g.hops[h] {
+		for _, v := range d.g.Hop(h) {
 			pv := probs[v]
 			if pv < lo {
 				lo = pv
@@ -469,7 +567,7 @@ func Equal(a, b *Graph) bool {
 		return false
 	}
 	for h := 0; h < a.NumHops(); h++ {
-		if !sameAddrSet(a, a.hops[h], b, b.hops[h]) {
+		if !sameAddrSet(a, a.Hop(h), b, b.Hop(h)) {
 			return false
 		}
 	}

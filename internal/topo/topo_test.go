@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mmlpt/internal/packet"
 )
@@ -385,9 +388,9 @@ func TestGraphDelegatesToDAG(t *testing.T) {
 		t.Fatalf("graph adjacency wrong: edges=%d out=%d in=%d",
 			g.NumEdges(), g.OutDegree(u), g.InDegree(w1))
 	}
-	if len(g.succ) != len(g.Vertices) || len(g.indeg) != len(g.Vertices) || g.NumVertices() != 4 {
-		t.Fatalf("vertex and adjacency tables out of sync: %d vertices, %d succ, %d indeg",
-			len(g.Vertices), len(g.succ), len(g.indeg))
+	if len(g.adj) != len(g.Vertices) || g.NumVertices() != 4 {
+		t.Fatalf("vertex and adjacency tables out of sync: %d vertices, %d adjacency rows",
+			len(g.Vertices), len(g.adj))
 	}
 }
 
@@ -431,5 +434,179 @@ func TestDiamondsMultipleInOneTrace(t *testing.T) {
 	}
 	if ds[0].MaxWidth() != 2 || ds[1].MaxWidth() != 3 {
 		t.Fatalf("widths %d %d", ds[0].MaxWidth(), ds[1].MaxWidth())
+	}
+}
+
+// TestLookupFirstAdded pins Lookup's rule for an address present at two
+// hops: it answers the vertex added first, whatever its hop, and None
+// for a star or an absent address.
+func TestLookupFirstAdded(t *testing.T) {
+	t.Parallel()
+	g := New()
+	g.AddVertex(0, a(1))
+	late := g.AddVertex(3, a(7))
+	early := g.AddVertex(1, a(7))
+	star := g.AddVertex(2, StarAddr)
+	if late == early {
+		t.Fatal("one address at two hops made one vertex")
+	}
+	if got := g.Lookup(a(7)); got != late {
+		t.Fatalf("Lookup = %d, want %d, the first-added vertex (hop 3), not %d (hop 1)", got, late, early)
+	}
+	if g.AddVertex(1, a(7)) != early || g.AddVertex(3, a(7)) != late {
+		t.Fatal("re-adding an (address, hop) made a new vertex")
+	}
+	if got := g.Lookup(StarAddr); got != None || star == None {
+		t.Fatalf("Lookup(StarAddr) = %d, want None", got)
+	}
+	if got := g.Lookup(a(9)); got != None {
+		t.Fatalf("Lookup(absent) = %d, want None", got)
+	}
+}
+
+// TestVertexPacks pins Vertex's field order: 16 bytes where int is 64
+// bits wide, against 24 with the address first.
+func TestVertexPacks(t *testing.T) {
+	if size := unsafe.Sizeof(Vertex{}); strconv.IntSize == 64 && size != 16 {
+		t.Fatalf("Vertex is %d bytes, want 16", size)
+	}
+}
+
+// TestSuccessorSlabLists pins the successor slab's contract: every list
+// keeps its edges in insertion order while lists around it grow and move,
+// an append to a returned list copies instead of writing into the next
+// one, and a list returned earlier still reads what it held then.
+func TestSuccessorSlabLists(t *testing.T) {
+	t.Parallel()
+	g := New()
+	const n = 5
+	var us, ws []VertexID
+	for i := 0; i < n; i++ {
+		us = append(us, g.AddVertex(0, a(i+1)))
+	}
+	for j := 0; j < 2*n; j++ {
+		ws = append(ws, g.AddVertex(1, a(100+j)))
+	}
+	// Interleave: round r gives every u its r-th successor, so each list
+	// fills past its capacity while others sit behind it in the slab.
+	early := g.Succ(us[0])
+	for r := 0; r < 2*n; r++ {
+		for i, u := range us {
+			g.AddEdge(u, ws[(i+r)%(2*n)])
+		}
+		if r == 0 {
+			early = g.Succ(us[0])
+		}
+	}
+	for _, u := range us {
+		if grown := append(g.Succ(u), None); len(grown) != 2*n+1 {
+			t.Fatalf("append to Succ(%d): len %d", u, len(grown))
+		}
+	}
+	for i, u := range us {
+		got := g.Succ(u)
+		if len(got) != 2*n || cap(got) != len(got) {
+			t.Fatalf("Succ(u%d): len %d cap %d, want %d and %d", i, len(got), cap(got), 2*n, 2*n)
+		}
+		for r, w := range got {
+			if w != ws[(i+r)%(2*n)] {
+				t.Fatalf("Succ(u%d)[%d] = %d, want %d: a list was written through another", i, r, w, ws[(i+r)%(2*n)])
+			}
+		}
+	}
+	if len(early) != 1 || early[0] != ws[0] {
+		t.Fatalf("a list returned before later edges now reads %v", early)
+	}
+	for _, w := range ws {
+		if g.InDegree(w) != n {
+			t.Fatalf("InDegree(%d) = %d, want %d", w, g.InDegree(w), n)
+		}
+	}
+	if g.NumEdges() != 2*n*n {
+		t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), 2*n*n)
+	}
+}
+
+// TestWideHopDedupe pins AddVertex's deduplication on both sides of
+// wideHop: a hop scanned by its address column and a hop looked up in
+// the wide index answer the same vertex for a repeated (address, hop),
+// keep stars distinct, and tell one address at two hops apart.
+func TestWideHopDedupe(t *testing.T) {
+	t.Parallel()
+	for _, width := range []int{wideHop - 1, wideHop, 3 * wideHop} {
+		g := New()
+		g.AddVertex(0, a(1))
+		var ids []VertexID
+		for i := 0; i < width; i++ {
+			ids = append(ids, g.AddVertex(1, a(100+i)))
+			g.AddVertex(1, StarAddr)
+		}
+		for i := 0; i < width; i++ {
+			if again := g.AddVertex(1, a(100+i)); again != ids[i] {
+				t.Fatalf("width %d: re-adding vertex %d made %d", width, ids[i], again)
+			}
+		}
+		other := g.AddVertex(2, a(100))
+		if other == ids[0] || g.AddVertex(2, a(100)) != other || g.Lookup(a(100)) != ids[0] {
+			t.Fatalf("width %d: one address at two hops not kept apart", width)
+		}
+		if g.Width(1) != 2*width || g.NumVertices() != 2*width+2 {
+			t.Fatalf("width %d: hop 1 holds %d vertices, graph %d; want %d and %d",
+				width, g.Width(1), g.NumVertices(), 2*width, 2*width+2)
+		}
+	}
+}
+
+// buildWideHop builds one diamond: a divergence vertex, width vertices at
+// hop 1 and a convergence vertex, with all 2·width edges.
+func buildWideHop(width int) *Graph {
+	g := New()
+	div := g.AddVertex(0, a(1))
+	conv := g.AddVertex(2, a(2))
+	for i := 0; i < width; i++ {
+		v := g.AddVertex(1, a(100+i))
+		g.AddEdge(div, v)
+		g.AddEdge(v, conv)
+	}
+	return g
+}
+
+// TestWideHopBuildAllocations pins the cost of building a graph in
+// allocations: O(hops + log V), not O(V). With a successor slice per
+// vertex and an address map, a 96-wide hop and its edges took 151
+// allocations, 254 at width 192 and 453 at width 384; the slabs read 48,
+// 54 and 60 (73 and 82 for the first two under -race).
+func TestWideHopBuildAllocations(t *testing.T) {
+	budget, perDoubling := 60.0, 8.0
+	if raceEnabled {
+		budget, perDoubling = 90, 12
+	}
+	var prev float64
+	for _, width := range []int{96, 192, 384} {
+		allocs := testing.AllocsPerRun(20, func() { buildWideHop(width) })
+		t.Logf("width %d: %.0f allocs", width, allocs)
+		if width == 96 && allocs > budget {
+			t.Fatalf("a 96-wide hop took %.0f allocs to build, budget %.0f", allocs, budget)
+		}
+		if width > 96 && allocs > prev+perDoubling {
+			t.Fatalf("doubling the hop to width %d took %.0f allocs, %.0f more than at half the width: the count grows with V",
+				width, allocs, allocs-prev)
+		}
+		prev = allocs
+	}
+}
+
+// BenchmarkAddVertexHit times AddVertex on an (address, hop) already
+// present: the tracer's call for every reply from a known interface.
+func BenchmarkAddVertexHit(b *testing.B) {
+	for _, width := range []int{4, 16, 96} {
+		g := buildWideHop(width)
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			x := uint32(1)
+			for i := 0; i < b.N; i++ {
+				x = x*1664525 + 1013904223
+				g.AddVertex(1, a(100+int(x>>8)%width))
+			}
+		})
 	}
 }

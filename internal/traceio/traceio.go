@@ -35,9 +35,13 @@ import (
 
 // ParseTopology reads the text format. Edges between a hop's stars and
 // adjacent hops are auto-connected (full bipartite to the star), matching
-// how a tracer experiences a silent hop.
+// how a tracer experiences a silent hop. An edge's address names the
+// first vertex added with it, as Graph.Lookup would answer.
 func ParseTopology(r io.Reader) (*topo.Graph, error) {
 	g := topo.New()
+	// first indexes each address's first-added vertex, so that edges
+	// resolve in constant time; Graph.Lookup scans the vertex table.
+	first := make(map[packet.Addr]topo.VertexID)
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	type edge struct{ from, to packet.Addr }
@@ -73,7 +77,10 @@ func ParseTopology(r io.Reader) (*topo.Graph, error) {
 				if err != nil {
 					return nil, fmt.Errorf("traceio: line %d: %v", lineNo, err)
 				}
-				g.AddVertex(h, a)
+				v := g.AddVertex(h, a)
+				if _, ok := first[a]; !ok {
+					first[a] = v
+				}
 			}
 		case fields[0] == "edge" && len(fields) == 3:
 			from, err := packet.ParseAddr(fields[1])
@@ -93,9 +100,9 @@ func ParseTopology(r io.Reader) (*topo.Graph, error) {
 		return nil, err
 	}
 	for _, e := range edges {
-		u := g.Lookup(e.from)
-		w := g.Lookup(e.to)
-		if u == topo.None || w == topo.None {
+		u, okU := first[e.from]
+		w, okW := first[e.to]
+		if !okU || !okW {
 			return nil, fmt.Errorf("traceio: edge %s>%s references unknown vertex", e.from, e.to)
 		}
 		if g.V(w).Hop != g.V(u).Hop+1 {
