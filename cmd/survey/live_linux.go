@@ -4,10 +4,8 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"mmlpt/internal/mda"
-	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
 )
 
@@ -16,30 +14,10 @@ import (
 // whole-run totals, including the probes-per-syscall ratio the batching
 // exists to maximize.
 func runLive(o liveOptions) error {
-	src, err := packet.ParseAddr(o.Src)
-	if err != nil {
-		return fmt.Errorf("-live-src: %w", err)
-	}
-	var dests []packet.Addr
-	for _, s := range strings.Split(o.Dests, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		d, err := packet.ParseAddr(s)
-		if err != nil {
-			return fmt.Errorf("-live-dests: %w", err)
-		}
-		dests = append(dests, d)
-	}
-	if len(dests) == 0 {
-		return fmt.Errorf("-live-dests: no destinations")
-	}
-
 	var totalProbes, totalSyscalls uint64
 	reached := 0
-	for i, dst := range dests {
-		p, err := probe.NewLiveProber(src, dst)
+	for i, dst := range o.Dests {
+		p, err := probe.NewLiveProber(o.Src, dst)
 		if err != nil {
 			return err
 		}
@@ -62,7 +40,7 @@ func runLive(o liveOptions) error {
 		totalSyscalls += syscalls
 	}
 	fmt.Fprintf(o.Out, "live: %d/%d destinations reached, %d probes, %d syscalls (%.1f probes/syscall)\n",
-		reached, len(dests), totalProbes, totalSyscalls,
+		reached, len(o.Dests), totalProbes, totalSyscalls,
 		float64(totalProbes)/float64(totalSyscalls))
 	return nil
 }

@@ -59,6 +59,7 @@ import (
 	"mmlpt/internal/atlas/serve"
 	"mmlpt/internal/dispatch"
 	"mmlpt/internal/experiments"
+	"mmlpt/internal/packet"
 	"mmlpt/internal/prior"
 	"mmlpt/internal/progress"
 	"mmlpt/internal/survey"
@@ -107,6 +108,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// mode does not read would silently do nothing.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var live liveOptions
+	var liveErr error
+	if *liveDests != "" && *liveSrc != "" {
+		live.Src, live.Dests, liveErr = parseLiveAddrs(*liveSrc, *liveDests)
+	}
 	usage := ""
 	switch {
 	case *atlasEvery < 0:
@@ -121,6 +127,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage = "-live-dests requires -live-src"
 	case *liveSrc != "" && *liveDests == "":
 		usage = "-live-src requires -live-dests"
+	case liveErr != nil:
+		usage = liveErr.Error()
 	case *join != "":
 		usage = unreadFlags(set, "join", "runner-id", "max-units", "workers")
 	case *liveDests != "":
@@ -159,11 +167,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *liveDests != "" {
-		err := runLive(liveOptions{
-			Out: stdout, Src: *liveSrc, Dests: *liveDests,
-			Phi: spec.Phi, Seed: spec.Seed, Figs: *figs,
-		})
-		if err != nil {
+		live.Out, live.Phi, live.Seed, live.Figs = stdout, spec.Phi, spec.Seed, *figs
+		if err := runLive(live); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -403,9 +408,36 @@ func writeHeapProfile(path string, stderr io.Writer) {
 // runner: runLive in live_linux.go traces each destination over raw
 // sockets; other platforms reject live mode (live_other.go).
 type liveOptions struct {
-	Out        io.Writer
-	Src, Dests string
-	Phi        int
-	Seed       uint64
-	Figs       bool
+	Out   io.Writer
+	Src   packet.Addr
+	Dests []packet.Addr
+	Phi   int
+	Seed  uint64
+	Figs  bool
+}
+
+// parseLiveAddrs parses -live-src and the comma-separated -live-dests,
+// on every platform, each address in its canonical text only: the
+// lenient packet.ParseAddr would put probes for "010.0.0.1" on the wire
+// to 10.0.0.1, where inet_aton tools mean 8.0.0.1.
+func parseLiveAddrs(src, dests string) (packet.Addr, []packet.Addr, error) {
+	s, err := packet.ParseCanonicalAddr(src)
+	if err != nil {
+		return 0, nil, fmt.Errorf("-live-src: %w", err)
+	}
+	var ds []packet.Addr
+	for _, d := range strings.Split(dests, ",") {
+		if d = strings.TrimSpace(d); d == "" {
+			continue
+		}
+		a, err := packet.ParseCanonicalAddr(d)
+		if err != nil {
+			return 0, nil, fmt.Errorf("-live-dests: %w", err)
+		}
+		ds = append(ds, a)
+	}
+	if len(ds) == 0 {
+		return 0, nil, fmt.Errorf("-live-dests: no destinations")
+	}
+	return s, ds, nil
 }

@@ -312,7 +312,9 @@ func (c *Coordinator) Handler() http.Handler {
 			httpx.WriteJSON(w, http.StatusOK, budgetResponse{Granted: req.Want})
 			return
 		}
-		prefix, err := packet.ParseAddr(req.Prefix)
+		// Only an address's canonical text: the lenient ParseAddr would
+		// charge "010.0.0.0" to 10.0.0.0/24, which inet_aton reads as 8.0.0.0.
+		prefix, err := packet.ParseCanonicalAddr(req.Prefix)
 		if err != nil {
 			httpx.Errorf(w, http.StatusBadRequest, "bad prefix: %v", err)
 			return

@@ -487,6 +487,38 @@ func TestNamelessRequestRefused(t *testing.T) {
 	}
 }
 
+// TestBudgetRefusesNonCanonicalPrefix: the budget takes a prefix only
+// in its canonical text, as atlasd takes an address, so "010.0.0.0"
+// (8.0.0.0 to inet_aton) is a 400 charged to no prefix, while
+// "10.0.0.0" is granted.
+func TestBudgetRefusesNonCanonicalPrefix(t *testing.T) {
+	t.Parallel()
+	coord, srv := newTestCoordinator(t, t.TempDir(), testSpec(), func(cfg *CoordinatorConfig) {
+		cfg.Spec.BudgetRate = 1000
+	})
+	for _, c := range []struct {
+		runner, prefix string
+		code           int
+	}{
+		{"lenient", "010.0.0.0", http.StatusBadRequest},
+		{"lenient", "10.0.0.00", http.StatusBadRequest},
+		{"canonical", "10.0.0.0", http.StatusOK},
+	} {
+		body := fmt.Sprintf(`{"runner":%q,"prefix":%q,"want":1}`, c.runner, c.prefix)
+		resp, err := http.Post(srv.URL+"/v1/budget", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Errorf("prefix %q: %d, want %d", c.prefix, resp.StatusCode, c.code)
+		}
+	}
+	if st := coord.Status(); len(st.Runners) != 1 || st.Runners[0].ID != "canonical" {
+		t.Fatalf("runners %+v, want only the canonical one", st.Runners)
+	}
+}
+
 // TestStaleShipRejected: a shipment under an expired (reassigned) lease
 // must be refused with 410 Gone, keeping unit ownership unambiguous.
 func TestStaleShipRejected(t *testing.T) {
@@ -560,7 +592,11 @@ func unitPayload(golden []byte, u *UnitInfo) []byte {
 
 // poisons returns hostile variants of an honest shipment: a malformed
 // address, a successor index naming no vertex, and more hops than a TTL
-// allows, each in the shipment's first record.
+// allows, each in the shipment's first record; and the honest records
+// in forms encoding/json reads but no runner writes, which a merge that
+// tees shard bytes into the record log must never see: CRLF line ends,
+// an unknown field, a hop address with a leading zero (which inet_aton
+// reads as octal), a pretty-printed record and no final newline.
 func poisons(t *testing.T, payload []byte) map[string][]byte {
 	t.Helper()
 	first, rest, _ := bytes.Cut(payload, []byte("\n"))
@@ -586,6 +622,11 @@ func poisons(t *testing.T, payload []byte) map[string][]byte {
 				r.Hops = append(r.Hops, []packet.Addr{})
 			}
 		}),
+		"CRLF line ends":   bytes.ReplaceAll(payload, []byte("\n"), []byte("\r\n")),
+		"unknown field":    bytes.Replace(payload, []byte(`,"probes":`), []byte(`,"note":"x","probes":`), 1),
+		"leading-zero hop": bytes.Replace(payload, []byte(`"hops":[["`), []byte(`"hops":[["0`), 1),
+		"pretty-printed":   append(append(indent(t, first), '\n'), rest...),
+		"no final newline": bytes.TrimSuffix(payload, []byte("\n")),
 	}
 	for name, p := range out {
 		if bytes.Equal(p, payload) {
@@ -595,12 +636,23 @@ func poisons(t *testing.T, payload []byte) map[string][]byte {
 	return out
 }
 
+// indent is the record line pretty-printed, as json.Indent lays it out.
+func indent(t *testing.T, line []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Indent(&b, line, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // TestPoisonedShipRefused: ship validation decodes every record through
-// the record's structural checks, so a shipment with a malformed
-// address, a dangling successor index or too many hops gets 400 and the
-// lease is untouched — its holder then ships the honest payload, an
-// honest runner finishes the fleet, and the outputs are byte-identical
-// to the single-machine run. A shard damaged on disk after its ship
+// the one record line grammar and the record's structural checks, so a
+// shipment with a malformed address, a dangling successor index or too
+// many hops, or with honest records in a form no runner writes, gets
+// 400 and the lease is untouched — its holder then ships the honest
+// payload, an honest runner finishes the fleet, and the outputs are
+// byte-identical to the single-machine run. A shard damaged on disk after its ship
 // still fails the merge cleanly: Done closes, Err is set, and status
 // does not report done.
 func TestPoisonedShipRefused(t *testing.T) {
@@ -726,8 +778,9 @@ func TestCoordinatorResume(t *testing.T) {
 
 // TestResumeRetracesCorruptShard: a restarted coordinator checks every
 // shard its manifest names as it checks a shipment. A shard overwritten
-// with junk is not restored: its unit is traced again, and the merge
-// yields the single-machine bytes instead of failing on the junk.
+// with junk, or rewritten with CRLF line ends, is not restored: its unit
+// is traced again, and the merge yields the single-machine bytes instead
+// of failing on the junk or teeing the CRLF bytes into the record log.
 func TestResumeRetracesCorruptShard(t *testing.T) {
 	t.Parallel()
 	spec := testSpec()
@@ -739,16 +792,20 @@ func TestResumeRetracesCorruptShard(t *testing.T) {
 	coordA, srvA := newTestCoordinator(t, dir, spec, nil)
 	err := RunRunner(RunnerConfig{
 		Coordinator: srvA.URL, ID: "runner-a", Workers: 2,
-		Poll: 10 * time.Millisecond, MaxUnits: 2, Logf: t.Logf,
+		Poll: 10 * time.Millisecond, MaxUnits: 3, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := coordA.Status(); st.Shipped != 2 {
-		t.Fatalf("phase 1 shipped %d units, want 2", st.Shipped)
+	if st := coordA.Status(); st.Shipped != 3 {
+		t.Fatalf("phase 1 shipped %d units, want 3", st.Shipped)
 	}
 	srvA.Close()
 	if err := os.WriteFile(filepath.Join(dir, "unit-000000.jsonl"), []byte("not a record\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crlf := filepath.Join(dir, "unit-000001.jsonl")
+	if err := os.WriteFile(crlf, bytes.ReplaceAll(readFile(t, crlf), []byte("\n"), []byte("\r\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -756,7 +813,7 @@ func TestResumeRetracesCorruptShard(t *testing.T) {
 		cfg.Resume = true
 	})
 	if st := coordB.Status(); st.Shipped != 1 || st.Unclaimed != st.Units-1 {
-		t.Fatalf("resume over a corrupt shard: %s, want only the intact unit restored", st)
+		t.Fatalf("resume over a corrupt and a CRLF shard: %s, want only the intact unit restored", st)
 	}
 	runRunners(t, srvB.URL, 2)
 	waitDone(t, coordB)

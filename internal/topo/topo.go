@@ -29,22 +29,15 @@ type VertexID int32
 // None marks the absence of a vertex.
 const None VertexID = -1
 
-// RouterID identifies a router a vertex belongs to; NoRouter if unknown.
-type RouterID int32
-
-// NoRouter marks a vertex with no known router assignment.
-const NoRouter RouterID = -1
-
 // StarAddr is the pseudo-address used for a non-responsive ("star") vertex.
 // Stars never equal a real interface address.
 const StarAddr packet.Addr = 0
 
-// Vertex is one IP interface observed (or simulated) at a hop. The
-// fields are ordered so that a Vertex packs into 16 bytes.
+// Vertex is one IP interface observed (or simulated) at a hop: 16 bytes
+// where int is 64 bits wide, 4 of them padding.
 type Vertex struct {
-	Hop    int
-	Addr   packet.Addr
-	Router RouterID
+	Hop  int
+	Addr packet.Addr
 }
 
 // Graph is a multipath route topology whose vertices are keyed by
@@ -171,7 +164,7 @@ func (g *Graph) AddVertex(h int, addr packet.Addr) VertexID {
 		}
 	}
 	id := VertexID(len(g.Vertices))
-	g.Vertices = append(g.Vertices, Vertex{Hop: h, Addr: addr, Router: NoRouter})
+	g.Vertices = append(g.Vertices, Vertex{Hop: h, Addr: addr})
 	g.adj = append(g.adj, adjacency{})
 	g.hopIDs = push(g.hopIDs, &g.hops[h], id)
 	g.hopAddrs = push(g.hopAddrs, &s, addr)

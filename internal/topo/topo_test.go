@@ -464,8 +464,7 @@ func TestLookupFirstAdded(t *testing.T) {
 	}
 }
 
-// TestVertexPacks pins Vertex's field order: 16 bytes where int is 64
-// bits wide, against 24 with the address first.
+// TestVertexPacks pins Vertex at 16 bytes where int is 64 bits wide.
 func TestVertexPacks(t *testing.T) {
 	if size := unsafe.Sizeof(Vertex{}); strconv.IntSize == 64 && size != 16 {
 		t.Fatalf("Vertex is %d bytes, want 16", size)

@@ -17,7 +17,9 @@ import (
 // the address-keyed multilevel graph with per-pair hop provenance, the
 // aggregated alias components (routers), and the cross-pair diamond
 // census. The file is line-oriented JSON, sectioned and indexed (every
-// line one JSON value, '\n'-terminated):
+// line one JSON value, '\n'-terminated; pair, node, router and diamond
+// lines are read only in the one form their encoders write, see
+// atlas_lines.go):
 //
 //	header    {"version":2,"kind":"atlas","pairs":P,"nodes":N,"edges":E,"routers":R,"diamonds":D,"shards":S}
 //	P pair lines    {"pair":i,"src":"A","dst":"B"}
@@ -202,14 +204,14 @@ func AtlasBlockOf(shard, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// lineScanner yields the non-empty lines of one in-memory section,
-// numbering them as it goes. It splits the way bufio.ScanLines does (a
-// trailing '\r' is dropped, the last line needs no '\n') and has
-// bufio.Scanner's limit (a line of maxAtlasLine bytes or more is
-// bufio.ErrTooLong), so positions and errors read as a bufio.Scanner
-// over the section would report them. Lines are substrings of the
-// section, never copies, so whatever a hand parser keeps of a line
-// shares the section's one allocation.
+// lineScanner yields the lines of one in-memory section, numbering
+// them as it goes. Every line ends in '\n' and holds at least one byte
+// before it: a blank line, or a last line with no '\n', is an error, and
+// so is a line of maxAtlasLine bytes or more (bufio.ErrTooLong). Nothing
+// is trimmed: a '\r' before the '\n' stays on the line, for its parser
+// to refuse. Lines are substrings of the section, never copies, so
+// whatever a hand parser keeps of a line shares the section's one
+// allocation.
 type lineScanner struct {
 	buf  string
 	off  int // first unread byte
@@ -221,62 +223,34 @@ func newLineScanner(buf string) *lineScanner {
 	return &lineScanner{buf: buf}
 }
 
-// scan consumes the next line, empty or not, and returns its bounds; ok
-// is false at the end of the section.
-func (ls *lineScanner) scan() (start, end int, ok bool, err error) {
-	if ls.off >= len(ls.buf) {
-		return 0, 0, false, nil
-	}
-	start = ls.off
-	n := strings.IndexByte(ls.buf[start:], '\n')
-	next := start + n + 1
-	if n < 0 {
-		n = len(ls.buf) - start
-		next = len(ls.buf)
-	}
-	if n >= maxAtlasLine {
-		ls.off = len(ls.buf) // like bufio.Scanner, stop for good
-		return 0, 0, false, bufio.ErrTooLong
-	}
-	end = start + n
-	if end > start && ls.buf[end-1] == '\r' {
-		end--
-	}
-	ls.off = next
-	return start, end, true, nil
-}
-
+// next returns the next line, without its '\n'.
 func (ls *lineScanner) next() (string, error) {
-	for {
-		start, end, ok, err := ls.scan()
-		if err != nil {
-			return "", fmt.Errorf("traceio: atlas line %d: %v", ls.line+1, err)
-		}
-		if !ok {
-			return "", fmt.Errorf("traceio: atlas truncated after line %d", ls.line)
-		}
-		ls.line++
-		if end > start {
-			ls.last = start
-			return ls.buf[start:end], nil
-		}
+	if ls.off >= len(ls.buf) {
+		return "", fmt.Errorf("traceio: atlas truncated after line %d", ls.line)
 	}
+	ls.line++
+	rest := ls.buf[ls.off:]
+	n := strings.IndexByte(rest, '\n')
+	switch {
+	case n >= maxAtlasLine || (n < 0 && len(rest) >= maxAtlasLine):
+		ls.off = len(ls.buf) // like bufio.Scanner, stop for good
+		return "", fmt.Errorf("traceio: atlas line %d: %v", ls.line, bufio.ErrTooLong)
+	case n < 0:
+		return "", fmt.Errorf("traceio: atlas line %d: no final newline", ls.line)
+	case n == 0:
+		return "", fmt.Errorf("traceio: atlas line %d: blank line", ls.line)
+	}
+	ls.last = ls.off
+	ls.off += n + 1
+	return rest[:n], nil
 }
 
-// finish errors if any non-empty line remains.
+// finish errors if any byte remains.
 func (ls *lineScanner) finish() error {
-	for {
-		start, end, ok, err := ls.scan()
-		if err != nil {
-			return fmt.Errorf("traceio: atlas after line %d: %v", ls.line, err)
-		}
-		if !ok {
-			return nil
-		}
-		if end > start {
-			return fmt.Errorf("traceio: atlas has trailing data after line %d", ls.line)
-		}
+	if ls.off < len(ls.buf) {
+		return fmt.Errorf("traceio: atlas has trailing data after line %d", ls.line)
 	}
+	return nil
 }
 
 func decodeAtlasHeader(ls *lineScanner) (AtlasHeader, error) {
@@ -323,10 +297,8 @@ func decodePairs(ls *lineScanner, n int) ([]AtlasPair, error) {
 			return nil, err
 		}
 		var p AtlasPair
-		if !d.pair(b, &p) {
-			if err := json.Unmarshal([]byte(b), &p); err != nil {
-				return nil, fmt.Errorf("traceio: atlas line %d: bad pair: %v", ls.line, err)
-			}
+		if err := d.pair(b, &p); err != nil {
+			return nil, fmt.Errorf("traceio: atlas line %d: bad pair: %v", ls.line, err)
 		}
 		if err := validatePair(p.Pair, prev); err != nil {
 			return nil, fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
@@ -359,10 +331,8 @@ func decodeDiamonds(ls *lineScanner, n int) ([]AtlasDiamond, error) {
 			return nil, err
 		}
 		var dm AtlasDiamond
-		if !d.diamond(b, &dm) {
-			if err := json.Unmarshal([]byte(b), &dm); err != nil {
-				return nil, fmt.Errorf("traceio: atlas line %d: bad diamond: %v", ls.line, err)
-			}
+		if err := d.diamond(b, &dm); err != nil {
+			return nil, fmt.Errorf("traceio: atlas line %d: bad diamond: %v", ls.line, err)
 		}
 		if dm.Count < 0 {
 			return nil, fmt.Errorf("traceio: atlas line %d: negative diamond count", ls.line)
@@ -418,15 +388,12 @@ func (d *lineDecoder) decodeNode(ls *lineScanner, n *AtlasNodeV2, prev packet.Ad
 }
 
 // nodeLine decodes one node line into *n, which must be zero, and
-// checks what a line can say of itself: non-negative provenance. A
-// canonical line is parsed by hand; any other goes to encoding/json,
-// which refuses an address not in its canonical text. A block decode
-// and a point read both take a node line through here.
+// checks what a line can say of itself: non-negative provenance. Only a
+// canonical line decodes (parseNode). A block decode and a point read
+// both take a node line through here.
 func nodeLine[S string | []byte](d *lineDecoder, b S, n *AtlasNodeV2) error {
-	if !parseNode(d, b, n) {
-		if err := json.Unmarshal([]byte(b), n); err != nil {
-			return fmt.Errorf("bad node: %v", err)
-		}
+	if err := parseNode(d, b, n); err != nil {
+		return fmt.Errorf("bad node: %v", err)
 	}
 	for _, o := range n.Seen {
 		if o[0] < 0 || o[1] < 0 {
@@ -449,14 +416,12 @@ func (d *lineDecoder) decodeRouter(ls *lineScanner, rt *AtlasRouter, prev packet
 	return nil
 }
 
-// routerLine decodes one router line into *rt, which must be zero, by
-// hand or through encoding/json as nodeLine does, and validates it
-// against prev, the previous line's representative.
+// routerLine decodes one router line into *rt, which must be zero, as
+// nodeLine does, and validates it against prev, the previous line's
+// representative.
 func routerLine[S string | []byte](d *lineDecoder, b S, rt *AtlasRouter, prev packet.Addr) error {
-	if !parseRouter(d, b, rt) {
-		if err := json.Unmarshal([]byte(b), rt); err != nil {
-			return fmt.Errorf("bad router: %v", err)
-		}
+	if err := parseRouter(d, b, rt); err != nil {
+		return fmt.Errorf("bad router: %v", err)
 	}
 	return validateRouter(rt, prev)
 }

@@ -125,11 +125,9 @@ func (x *AtlasShardIndex) Router(rep packet.Addr, fn func(*AtlasRouter)) (bool, 
 }
 
 // readLine reads the line starting at block offset off into sc's
-// buffer and returns it as lineScanner would: up to its '\n', a
-// trailing '\r' dropped. end is where the next line starts (or the
-// block ends), so the read may carry the blank lines the scanner
-// skipped; it stops at maxAtlasLine, longer than any line the
-// validating decode accepted.
+// buffer and returns it as lineScanner would: up to its '\n'. end is
+// where the next line starts (or the block ends); the read stops at
+// maxAtlasLine, longer than any line the validating decode accepted.
 func (x *AtlasShardIndex) readLine(sc *pointScratch, off, end uint32) ([]byte, error) {
 	n := int(min(end-off, maxAtlasLine))
 	if cap(sc.buf) < n {
@@ -141,9 +139,6 @@ func (x *AtlasShardIndex) readLine(sc *pointScratch, off, end uint32) ([]byte, e
 	}
 	if i := bytes.IndexByte(b, '\n'); i >= 0 {
 		b = b[:i]
-	}
-	if len(b) > 0 && b[len(b)-1] == '\r' {
-		b = b[:len(b)-1]
 	}
 	return b, nil
 }
@@ -162,8 +157,8 @@ type pointScratch struct {
 }
 
 // maxPooledLine bounds the buffer a point read hands back for reuse, so
-// one long line, or a run of blank lines after one, does not stay
-// resident; maxPooledScratch bounds how many are kept.
+// one long line does not stay resident; maxPooledScratch bounds how
+// many are kept.
 const (
 	maxPooledLine    = 4 << 10
 	maxPooledScratch = 64

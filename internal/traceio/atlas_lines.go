@@ -2,24 +2,30 @@ package traceio
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 
 	"mmlpt/internal/packet"
 )
 
-// Hand-written codecs for the snapshot's repeated line kinds. Node
-// lines {"addr":…,"seen":[[p,h],…],"succ":[…],"router":…} and router
-// lines {"addrs":[…]}, nearly all of a snapshot, are encoded and parsed
-// by hand; pair lines {"pair":i,"src":…,"dst":…} and diamond lines
-// {"div":…,"conv":…,"count":c,"pairs":[…],"max_width":w,"max_length":l},
-// which a reader decodes whole at open, are parsed by hand and written
-// by encoding/json. The encoders write exactly the bytes json.Marshal
-// writes (plus the '\n'); the parsers accept exactly json.Marshal's
-// bytes and report anything else as not canonical, so the caller hands
-// that line to encoding/json and the reflection decoder stays the one
-// authority on what a line means. FuzzAtlasLines holds both halves to
-// encoding/json.
+// Codecs for the snapshot's repeated line kinds: node lines
+// {"addr":…,"seen":[[p,h],…],"succ":[…],"router":…}, router lines
+// {"addrs":[…]}, pair lines {"pair":i,"src":…,"dst":…} and diamond
+// lines {"div":…,"conv":…,"count":c,"pairs":[…],"max_width":w,"max_length":l}.
+// Each kind has one form, json.Marshal's bytes plus '\n', and one
+// grammar: a hand parser accepts a line exactly when the line's encoder
+// writes it back from the decoded value. Any other line (whitespace,
+// another key order, an unknown field, a string with an escape or a
+// non-ASCII byte, an address or a number spelled otherwise) is refused.
+// The error says why: encoding/json's message where encoding/json
+// refuses the line too, else the byte where the line left the canonical
+// form; encoding/json only words a refusal, it accepts no line. Node
+// and router lines are written by hand, pair and diamond lines by
+// encoding/json after NewAtlasStreamEncoder has refused a string that
+// is not plain, the one value the parsers would refuse. FuzzAtlasLines
+// holds both halves to each other and to json.Marshal.
 
 // plainJSON[c] reports whether json.Marshal writes byte c of a string
 // as itself: printable ASCII other than the quote, the backslash and
@@ -31,27 +37,36 @@ var plainJSON = func() (t [256]bool) {
 	return t
 }()
 
-// plainJSONString reports whether every byte of s is plain.
-func plainJSONString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !plainJSON[s[i]] {
-			return false
+// checkPlain refuses any of ss that is not plain: a line holds a string
+// only as its bytes between quotes, with no escape to write or undo.
+func checkPlain(ss ...string) error {
+	for _, s := range ss {
+		for i := 0; i < len(s); i++ {
+			if !plainJSON[s[i]] {
+				return fmt.Errorf("traceio: string %q has a byte no line holds unescaped", s)
+			}
 		}
 	}
-	return true
+	return nil
 }
 
-// appendJSONString appends s as json.Marshal renders it: verbatim
-// between quotes when every byte is plain, through json.Marshal when
-// any byte needs an escape (or is not ASCII).
-func appendJSONString(buf []byte, s string) []byte {
-	if !plainJSONString(s) {
-		b, _ := json.Marshal(s) // a string always marshals
-		return append(buf, b...)
-	}
+// appendString appends plain string s between quotes, as json.Marshal
+// renders it.
+func appendString(buf []byte, s string) []byte {
 	buf = append(buf, '"')
 	buf = append(buf, s...)
 	return append(buf, '"')
+}
+
+// refused words why a parser refused line: encoding/json's error where
+// encoding/json refuses the line too, decoding it as a T, else why. The
+// value decoded is thrown away: encoding/json words refusals, it
+// accepts no line.
+func refused[T any, S string | []byte](line S, why string) error {
+	if err := json.Unmarshal([]byte(line), new(T)); err != nil {
+		return err
+	}
+	return errors.New(why)
 }
 
 // appendAddr appends a as json.Marshal renders a packet.Addr: its
@@ -117,13 +132,23 @@ func appendRouterLine(buf []byte, rt *AtlasRouter) []byte {
 
 // lineParser reads one line in exactly the form json.Marshal writes:
 // the atlas lines above and the record lines of record_lines.go. The first
-// deviation clears ok; once clear, every method is a no-op. The line is
-// read where it stands, a substring of a section or a buffer a point
-// read filled, as packet.ScanAddr reads an address.
+// deviation clears ok and leaves i where it was found; once clear, every
+// method is a no-op. The line is read where it stands, a substring of a
+// section or a buffer a point read filled, as packet.ScanAddr reads an
+// address.
 type lineParser[S string | []byte] struct {
 	s  S
 	i  int
 	ok bool
+}
+
+// done reports whether the whole line parsed; when not, why says where
+// it left the canonical form.
+func (p *lineParser[S]) done() (ok bool, why string) {
+	if p.ok && p.i == len(p.s) {
+		return true, ""
+	}
+	return false, fmt.Sprintf("not canonical at byte %d", p.i)
 }
 
 // skip consumes lit if the input continues with it.
@@ -409,8 +434,8 @@ func addrList[S string | []byte](d *lineDecoder, p *lineParser[S]) (null bool) {
 }
 
 // parseNode parses a canonical node line into *n, which must be zero;
-// it reports false, leaving *n zero, for any other line.
-func parseNode[S string | []byte](d *lineDecoder, s S, n *AtlasNodeV2) bool {
+// it refuses any other line, leaving *n zero.
+func parseNode[S string | []byte](d *lineDecoder, s S, n *AtlasNodeV2) error {
 	p := lineParser[S]{s: s, ok: true}
 	p.lit(`{"addr":`)
 	n.Addr = p.addr()
@@ -427,9 +452,9 @@ func parseNode[S string | []byte](d *lineDecoder, s S, n *AtlasNodeV2) bool {
 		p.require(n.Router != 0) // the encoder omits a zero router
 	}
 	p.char('}')
-	if !p.ok || p.i != len(s) {
+	if ok, why := p.done(); !ok {
 		*n = AtlasNodeV2{}
-		return false
+		return refused[AtlasNodeV2](s, why)
 	}
 	if !seenNull {
 		n.Seen = d.seen.copy(d.seenTmp)
@@ -437,28 +462,28 @@ func parseNode[S string | []byte](d *lineDecoder, s S, n *AtlasNodeV2) bool {
 	if !succNull {
 		n.Succ = d.addrs.copy(d.addrTmp)
 	}
-	return true
+	return nil
 }
 
 // parseRouter parses a canonical router line into *rt, which must be
-// zero; it reports false, leaving *rt zero, for any other line.
-func parseRouter[S string | []byte](d *lineDecoder, s S, rt *AtlasRouter) bool {
+// zero; it refuses any other line, leaving *rt zero.
+func parseRouter[S string | []byte](d *lineDecoder, s S, rt *AtlasRouter) error {
 	p := lineParser[S]{s: s, ok: true}
 	p.lit(`{"addrs":`)
 	null := addrList(d, &p)
 	p.char('}')
-	if !p.ok || p.i != len(s) {
-		return false
+	if ok, why := p.done(); !ok {
+		return refused[AtlasRouter](s, why)
 	}
 	if !null {
 		rt.Addrs = d.addrs.copy(d.addrTmp)
 	}
-	return true
+	return nil
 }
 
 // pair parses a canonical pair line into *pr, which must be zero; it
-// reports false, leaving *pr zero, for any other line.
-func (d *lineDecoder) pair(s string, pr *AtlasPair) bool {
+// refuses any other line, leaving *pr zero.
+func (d *lineDecoder) pair(s string, pr *AtlasPair) error {
 	p := lineParser[string]{s: s, ok: true}
 	p.lit(`{"pair":`)
 	n := p.num()
@@ -467,16 +492,16 @@ func (d *lineDecoder) pair(s string, pr *AtlasPair) bool {
 	p.lit(`,"dst":`)
 	dst := p.str()
 	p.char('}')
-	if !p.ok || p.i != len(s) {
-		return false
+	if ok, why := p.done(); !ok {
+		return refused[AtlasPair](s, why)
 	}
 	*pr = AtlasPair{Pair: n, Src: src, Dst: dst}
-	return true
+	return nil
 }
 
 // diamond parses a canonical diamond line into *dm, which must be zero;
-// it reports false, leaving *dm zero, for any other line.
-func (d *lineDecoder) diamond(s string, dm *AtlasDiamond) bool {
+// it refuses any other line, leaving *dm zero.
+func (d *lineDecoder) diamond(s string, dm *AtlasDiamond) error {
 	p := lineParser[string]{s: s, ok: true}
 	p.lit(`{"div":`)
 	div := p.str()
@@ -495,12 +520,12 @@ func (d *lineDecoder) diamond(s string, dm *AtlasDiamond) bool {
 	p.lit(`,"max_length":`)
 	length := p.num()
 	p.char('}')
-	if !p.ok || p.i != len(s) {
-		return false
+	if ok, why := p.done(); !ok {
+		return refused[AtlasDiamond](s, why)
 	}
 	*dm = AtlasDiamond{Div: div, Conv: conv, Count: count, MaxWidth: width, MaxLength: length}
 	if !null {
 		dm.Pairs = append([]int{}, d.intTmp...) // "[]" is empty, not nil
 	}
-	return true
+	return nil
 }

@@ -3,21 +3,27 @@ package traceio
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mmlpt/internal/packet"
 )
 
 // handDecoded runs one hand parser over line and, when it accepts,
-// requires json.Unmarshal to decode the line to the same value, nil
-// and empty lists included. It reports whether the parser accepted.
-func handDecoded[T any](t *testing.T, line []byte, parse func(string, *T) bool) bool {
+// requires encode to write the line back from the decoded value and
+// json.Unmarshal to decode the line to the same value, nil and empty
+// lists included. It reports whether the parser accepted.
+func handDecoded[T any](t *testing.T, line []byte, parse func(string, *T) error, encode func(*T) []byte) bool {
 	t.Helper()
 	var got T
-	if !parse(string(line), &got) {
+	if parse(string(line), &got) != nil {
 		return false
+	}
+	if back := encode(&got); !bytes.Equal(back, append(slices.Clip(line), '\n')) {
+		t.Fatalf("%T line %q accepted, but it re-encodes to %q", got, line, back)
 	}
 	var want T
 	if err := json.Unmarshal(line, &want); err != nil {
@@ -29,19 +35,32 @@ func handDecoded[T any](t *testing.T, line []byte, parse func(string, *T) bool) 
 	return true
 }
 
+// marshalLine is json.Marshal's line for v, the encoder of pair and
+// diamond lines.
+func marshalLine[T any](v *T) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return append(b, '\n')
+}
+
 // checkLineDecoders holds the hand parsers of all four line kinds to
-// encoding/json on one line and reports whether any of them took it.
+// their encoders and to encoding/json on one line and reports whether
+// any of them took it.
 func checkLineDecoders(t *testing.T, line []byte) bool {
 	t.Helper()
 	d := newLineDecoder(0)
-	node := handDecoded(t, line, func(s string, n *AtlasNodeV2) bool { return parseNode(d, s, n) })
-	router := handDecoded(t, line, func(s string, rt *AtlasRouter) bool { return parseRouter(d, s, rt) })
-	pair := handDecoded(t, line, d.pair)
-	diamond := handDecoded(t, line, d.diamond)
+	nodeLine := func(n *AtlasNodeV2) []byte { return appendNodeLine(nil, n) }
+	routerLine := func(rt *AtlasRouter) []byte { return appendRouterLine(nil, rt) }
+	node := handDecoded(t, line, func(s string, n *AtlasNodeV2) error { return parseNode(d, s, n) }, nodeLine)
+	router := handDecoded(t, line, func(s string, rt *AtlasRouter) error { return parseRouter(d, s, rt) }, routerLine)
+	pair := handDecoded(t, line, d.pair, marshalLine[AtlasPair])
+	diamond := handDecoded(t, line, d.diamond, marshalLine[AtlasDiamond])
 	// The []byte instantiations, which parse a point read's buffer, take
 	// the same lines to the same values.
-	if handDecoded(t, line, func(s string, n *AtlasNodeV2) bool { return parseNode(d, []byte(s), n) }) != node ||
-		handDecoded(t, line, func(s string, rt *AtlasRouter) bool { return parseRouter(d, []byte(s), rt) }) != router {
+	if handDecoded(t, line, func(s string, n *AtlasNodeV2) error { return parseNode(d, []byte(s), n) }, nodeLine) != node ||
+		handDecoded(t, line, func(s string, rt *AtlasRouter) error { return parseRouter(d, []byte(s), rt) }, routerLine) != router {
 		t.Fatalf("line %q: the string and []byte parsers disagree on taking it", line)
 	}
 	return node || router || pair || diamond
@@ -80,21 +99,60 @@ var addrSpellings = []string{
 	"1.2.3.4.5", "1.2.3.", "1..2.3", "-1.2.3.4", "1.2.3.4 ",
 }
 
-// FuzzAtlasLines is the oracle for the hand-written line codecs. For
-// arbitrary line bytes, whatever the node, router, pair and diamond
-// parsers accept decodes to exactly what encoding/json gives,
-// addresses through packet.Addr's UnmarshalText. For arbitrary
-// addresses (as uint32s) and integers, the node and router encoders
-// write exactly json.Marshal's bytes, and the hand parsers take
-// json.Marshal's line of every kind back. CI's fuzz-smoke job runs it
-// for a short budget; locally:
+// mustRefuseLines are line forms that encoding/json reads but no
+// encoder writes, one of each kind: CRLF, a blank line, a pretty-printed
+// value, an unknown field, a leading zero in an address and in a number.
+func mustRefuseLines(tb testing.TB) []string {
+	node := `{"addr":"10.0.0.1","seen":[[0,1]],"succ":["10.0.0.2"]}`
+	pretty, err := json.MarshalIndent(AtlasNodeV2{Addr: ip("10.0.0.1"), Seen: [][2]int{{0, 1}}}, "", "  ")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []string{
+		node + "\r",
+		"",
+		string(pretty),
+		`{"addr":"10.0.0.1","seen":[[0,1]],"succ":["10.0.0.2"],"extra":1}`,
+		`{"addr":"010.0.0.1","seen":[[0,1]],"succ":["10.0.0.2"]}`,
+		`{"addr":"10.0.0.1","seen":[[0,01]],"succ":["10.0.0.2"]}`,
+		`{"addrs":["10.0.0.1","10.0.0.2"]}` + "\r",
+		`{"addrs":["10.0.0.1","10.0.0.2"],"extra":null}`,
+		`{"addrs":["10.0.0.1","010.0.0.2"]}`,
+		`{"pair":0,"src":"a","dst":"b"}` + "\r",
+		`{"pair":0,"src":"a","dst":"b","extra":""}`,
+		`{"pair":00,"src":"a","dst":"b"}`,
+		`{"div":"a","conv":"b","count":1,"pairs":[0],"max_width":2,"max_length":1}` + "\r",
+		`{"div":"a","conv":"b","count":1,"pairs":[0],"max_width":2,"max_length":1,"extra":[]}`,
+		`{"div":"a","conv":"b","count":01,"pairs":[0],"max_width":2,"max_length":1}`,
+	}
+}
+
+// FuzzAtlasLines is the oracle for the line codecs. For arbitrary line
+// bytes, whatever the node, router, pair and diamond parsers accept
+// re-encodes to exactly those bytes and decodes to exactly what
+// encoding/json gives; everything else is refused (the must-refuse
+// seeds are checked before fuzzing). For arbitrary addresses (as
+// uint32s) and integers, the node and router encoders write exactly
+// json.Marshal's bytes, and the hand parsers take json.Marshal's line
+// of every kind back. For an arbitrary string, NewAtlasStreamEncoder
+// refuses a pair or diamond holding it exactly when the parser refuses
+// json.Marshal's line for it. CI's fuzz-smoke job runs it for a short
+// budget; locally:
 //
 //	go test -run='^$' -fuzz=FuzzAtlasLines -fuzztime=30s ./internal/traceio
 func FuzzAtlasLines(f *testing.F) {
 	for _, raw := range [][]byte{sampleFixture().encode(f, 0), wideFixture().encode(f, 3)} {
 		for _, line := range bytes.Split(raw, []byte("\n")) {
-			f.Add(line, uint32(ip("10.0.0.1")), uint32(ip("10.0.0.2")), 0, 1)
+			f.Add(line, "10.0.0.1", uint32(ip("10.0.0.1")), uint32(ip("10.0.0.2")), 0, 1)
 		}
+	}
+	d := newLineDecoder(0)
+	for _, line := range mustRefuseLines(f) {
+		if parseNode(d, line, new(AtlasNodeV2)) == nil || parseRouter(d, line, new(AtlasRouter)) == nil ||
+			d.pair(line, new(AtlasPair)) == nil || d.diamond(line, new(AtlasDiamond)) == nil {
+			f.Fatalf("line %q accepted", line)
+		}
+		f.Add([]byte(line), "a\r", uint32(1), uint32(2), 0, 1)
 	}
 	for _, line := range []string{
 		`{"addr":"10.0.0.1","seen":[],"succ":[]}`,
@@ -136,7 +194,7 @@ func FuzzAtlasLines(f *testing.F) {
 		`{"div":"a","conv":"b","count":-1,"pairs":[9223372036854775808],"max_width":1,"max_length":2}`,
 		`{"div":"a","conv":"b","count":1,"pairs":[1],"max_width":2}`,
 	} {
-		f.Add([]byte(line), uint32(0), uint32(math.MaxUint32), -1, math.MinInt)
+		f.Add([]byte(line), "a", uint32(0), uint32(math.MaxUint32), -1, math.MinInt)
 	}
 	for _, a := range addrSpellings {
 		q := `"` + a + `"`
@@ -146,12 +204,12 @@ func FuzzAtlasLines(f *testing.F) {
 			`{"addr":"10.0.0.1","seen":null,"succ":null,"router":` + q + `}`,
 			`{"addrs":["10.0.0.1",` + q + `]}`,
 		} {
-			f.Add([]byte(line), uint32(0), uint32(1), 0, 0)
+			f.Add([]byte(line), a, uint32(0), uint32(1), 0, 0)
 		}
 	}
-	f.Add([]byte(""), uint32(1), uint32(255), math.MaxInt, math.MinInt)
+	f.Add([]byte(""), "a<b>&c\"\\\xff\u00e9", uint32(1), uint32(255), math.MaxInt, math.MinInt)
 
-	f.Fuzz(func(t *testing.T, line []byte, a32, b32 uint32, p, h int) {
+	f.Fuzz(func(t *testing.T, line []byte, s string, a32, b32 uint32, p, h int) {
 		checkLineDecoders(t, line)
 		a, b := packet.Addr(a32), packet.Addr(b32)
 		for _, n := range []AtlasNodeV2{
@@ -173,6 +231,19 @@ func FuzzAtlasLines(f *testing.F) {
 			{},
 		} {
 			checkLineTaken(t, &dm)
+		}
+		pr, dm := AtlasPair{Src: s, Dst: b.String()}, AtlasDiamond{Div: a.String(), Conv: s, Count: 1, Pairs: []int{0}}
+		for _, c := range []struct {
+			line []byte
+			spec AtlasStreamSpec
+		}{
+			{marshalLine(&pr), AtlasStreamSpec{Pairs: []AtlasPair{pr}, Shards: 1}},
+			{marshalLine(&dm), AtlasStreamSpec{Diamonds: []AtlasDiamond{dm}, Shards: 1}},
+		} {
+			taken := checkLineDecoders(t, bytes.TrimSuffix(c.line, []byte("\n")))
+			if _, err := NewAtlasStreamEncoder(io.Discard, c.spec); (err == nil) != taken {
+				t.Fatalf("string %q: the parser takes its line: %v; the stream encoder's error: %v", s, taken, err)
+			}
 		}
 	})
 }

@@ -162,6 +162,19 @@ func TestAtlasDecodeRejectsNonCanonicalNodes(t *testing.T) {
 		// fence, then the index's.
 		{"block fence not canonical", strings.Replace(string(raw), `"min":"10.0.0.5"`, `"min":"1.00.0.5"`, 1), "line 1: bad shard header: packet: \"1.00.0.5\" " + notCanonical},
 		{"index fence not canonical", string(raw[:lastMin]) + `"min":"1.00.0.5"` + string(raw[lastMin+len(`"min":"10.0.0.5"`):]), "bad atlas index: packet: \"1.00.0.5\" " + notCanonical},
+		// Line forms encoding/json reads but no encoder writes, each in
+		// a file whose offsets are rebuilt around it.
+		{"CRLF", string(lineEndVariants(t, raw)["crlf"]), "line 1: bad pair: not canonical at byte 48"},
+		{"blank line", string(lineEndVariants(t, raw)["blank"]), "shard 0: traceio: atlas line 2: blank line"},
+		{"pretty-printed node", corrupt(t, raw, `{"addr":"10.0.0.4","seen":[[0,3]],"succ":null}`, "{\n  \"addr\": \"10.0.0.4\",\n  \"seen\": [[0,3]],\n  \"succ\": null\n}"),
+			"line 5: bad node: unexpected end of JSON input"},
+		{"node with an unknown field", corrupt(t, raw, `{"addr":"10.0.0.4","seen"`, `{"addr":"10.0.0.4","extra":1,"seen"`), "line 5: bad node: not canonical at byte 18"},
+		{"node with a space", corrupt(t, raw, `{"addr":"10.0.0.4","seen"`, `{"addr": "10.0.0.4","seen"`), "line 5: bad node: not canonical at byte 8"},
+		{"provenance with a leading zero", corrupt(t, raw, `"seen":[[0,3]]`, `"seen":[[0,03]]`), "line 5: bad node: invalid character '3' after array element"},
+		{"router with an unknown field", corrupt(t, raw, `{"addrs":["10.0.0.2","10.0.0.3"]}`, `{"addrs":["10.0.0.2","10.0.0.3"],"extra":1}`), "line 6: bad router: not canonical at byte 32"},
+		{"pair with an unknown field", corrupt(t, raw, `{"pair":0,`, `{"extra":0,"pair":0,`), "line 1: bad pair: not canonical at byte 0"},
+		{"pair with a leading zero", corrupt(t, raw, `{"pair":1,`, `{"pair":01,`), "line 2: bad pair: invalid character '1' after object key:value pair"},
+		{"diamond with an escape", corrupt(t, raw, `{"div":"10.0.0.1"`, `{"div":"10.0.0.\u0031"`), "bad diamond: not canonical at byte 7"},
 	} {
 		if err := openAndVerify([]byte(c.in)); err == nil {
 			t.Errorf("%s: accepted non-canonical input", c.name)

@@ -55,9 +55,10 @@ type AtlasStreamEncoder struct {
 }
 
 // NewAtlasStreamEncoder starts a streaming encode: it validates the
-// spec, writes the header and the pair section, and returns an encoder
-// ready for the first shard block. Block boundaries are the producer's
-// (AtlasBlockOf for the canonical layout).
+// spec (counts, pair order, and pair and diamond strings a line can
+// hold, see checkPlain), writes the header and the pair section, and
+// returns an encoder ready for the first shard block. Block boundaries
+// are the producer's (AtlasBlockOf for the canonical layout).
 func NewAtlasStreamEncoder(w io.Writer, spec AtlasStreamSpec) (*AtlasStreamEncoder, error) {
 	if spec.Nodes < 0 || spec.Edges < 0 || spec.Routers < 0 {
 		return nil, fmt.Errorf("traceio: atlas stream spec has negative section count")
@@ -76,7 +77,15 @@ func NewAtlasStreamEncoder(w io.Writer, spec AtlasStreamSpec) (*AtlasStreamEncod
 		if err := validatePair(p.Pair, prev); err != nil {
 			return nil, fmt.Errorf("traceio: atlas stream spec: %v", err)
 		}
+		if err := checkPlain(p.Src, p.Dst); err != nil {
+			return nil, fmt.Errorf("traceio: atlas stream spec: pair %d: %v", p.Pair, err)
+		}
 		prev = p.Pair
+	}
+	for _, d := range spec.Diamonds {
+		if err := checkPlain(d.Div, d.Conv); err != nil {
+			return nil, fmt.Errorf("traceio: atlas stream spec: diamond: %v", err)
+		}
 	}
 	e := &AtlasStreamEncoder{bw: bufio.NewWriter(w), spec: spec}
 	e.cw = &countingWriter{w: e.bw}

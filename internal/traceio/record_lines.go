@@ -1,7 +1,7 @@
 package traceio
 
 import (
-	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 
@@ -10,13 +10,12 @@ import (
 )
 
 // A hand-written codec for record lines, the form every record log and
-// unit shard holds. appendRecordLine writes exactly the bytes
-// json.NewEncoder(w).Encode writes; recordParser
-// accepts exactly the bytes appendRecordLine writes and refuses any
-// other line, which DecodeSurveyRecords then hands to encoding/json with
-// the rest of its stream — so the reflection decoder stays the one
-// authority on what a line means. FuzzRecordLines holds both halves to
-// encoding/json.
+// unit shard holds: one line per record, the bytes
+// json.NewEncoder(w).Encode writes for it, under the rule of the atlas
+// line codecs (atlas_lines.go). recordParser accepts a line exactly when
+// appendRecordLine writes it back from the decoded record, and
+// appendRecordLine refuses a record no line holds. FuzzRecordLines holds
+// both halves to each other and to json.Marshal.
 
 // appendJSONFloat appends a finite f as encoding/json renders a float64:
 // the shortest 'f' form, or 'e' with a two-digit negative exponent
@@ -34,46 +33,54 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 	return buf
 }
 
-// finite reports whether every float of the record is finite, which is
-// when encoding/json marshals it without error.
-func (sr *SurveyRecord) finite() bool {
+// checkLine refuses a record no line holds: a string that is not plain,
+// or a float that is not finite (encoding/json has no form for NaN or an
+// infinity).
+func (sr *SurveyRecord) checkLine() error {
+	if err := checkPlain(sr.Src, sr.Dst, sr.Algorithm); err != nil {
+		return err
+	}
 	for i := range sr.Diamonds {
 		d := &sr.Diamonds[i]
-		if !isFinite(d.MeshedRatio) || !isFinite(d.MaxProbDiff) {
-			return false
+		if err := checkPlain(d.Div, d.Conv); err != nil {
+			return err
 		}
-		for _, f := range d.MeshMissProbs {
-			if !isFinite(f) {
-				return false
-			}
+		if err := checkFinite(d.MeshedRatio, d.MaxProbDiff); err != nil {
+			return err
+		}
+		if err := checkFinite(d.MeshMissProbs...); err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
 }
 
-func isFinite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+func checkFinite(fs ...float64) error {
+	for _, f := range fs {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return fmt.Errorf("traceio: float %v has no JSON form", f)
+		}
+	}
+	return nil
+}
 
 // appendRecordLine appends sr's record line, byte-identical to
-// json.NewEncoder(w).Encode(sr). A record with a non-finite float goes
-// through encoding/json whole, so its error is encoding/json's too.
+// json.NewEncoder(w).Encode(sr), or refuses a record no line holds
+// (checkLine).
 func appendRecordLine(buf []byte, sr *SurveyRecord) ([]byte, error) {
-	if !sr.finite() {
-		b, err := json.Marshal(sr)
-		if err != nil {
-			return buf, err
-		}
-		return append(append(buf, b...), '\n'), nil
+	if err := sr.checkLine(); err != nil {
+		return buf, err
 	}
 	buf = append(buf, `{"pair_index":`...)
 	buf = strconv.AppendInt(buf, int64(sr.PairIndex), 10)
 	buf = append(buf, `,"has_lb":`...)
 	buf = strconv.AppendBool(buf, sr.HasLB)
 	buf = append(buf, `,"src":`...)
-	buf = appendJSONString(buf, sr.Src)
+	buf = appendString(buf, sr.Src)
 	buf = append(buf, `,"dst":`...)
-	buf = appendJSONString(buf, sr.Dst)
+	buf = appendString(buf, sr.Dst)
 	buf = append(buf, `,"algorithm":`...)
-	buf = appendJSONString(buf, sr.Algorithm)
+	buf = appendString(buf, sr.Algorithm)
 	buf = append(buf, `,"probes":`...)
 	buf = strconv.AppendUint(buf, sr.Probes, 10)
 	buf = append(buf, `,"reached":`...)
@@ -140,12 +147,13 @@ func appendSuccLists(buf []byte, succ [][]int32) []byte {
 	return append(buf, ']')
 }
 
-// append appends the diamond's JSON object; its floats must be finite.
+// append appends the diamond's JSON object; its strings must be plain
+// and its floats finite.
 func (d *SurveyDiamond) append(buf []byte) []byte {
 	buf = append(buf, `{"div":`...)
-	buf = appendJSONString(buf, d.Div)
+	buf = appendString(buf, d.Div)
 	buf = append(buf, `,"conv":`...)
-	buf = appendJSONString(buf, d.Conv)
+	buf = appendString(buf, d.Conv)
 	buf = append(buf, `,"max_length":`...)
 	buf = strconv.AppendInt(buf, int64(d.MaxLength), 10)
 	buf = append(buf, `,"max_width":`...)
@@ -258,9 +266,9 @@ func (d *recordParser) diamond() {
 }
 
 // parse parses a record line (without its '\n') into *sr, which must be
-// zero. It reports false for any line appendRecordLine would not write,
-// and *sr is then to be discarded.
-func (d *recordParser) parse(s string, sr *SurveyRecord) bool {
+// zero. It refuses any line appendRecordLine would not write, and *sr
+// is then to be discarded.
+func (d *recordParser) parse(s string, sr *SurveyRecord) error {
 	p := &d.p
 	*p = lineParser[string]{s: s, ok: true}
 	d.addrs, d.addrEnds, d.succ, d.succEnds = d.addrs[:0], d.addrEnds[:0], d.succ[:0], d.succEnds[:0]
@@ -318,14 +326,13 @@ func (d *recordParser) parse(s string, sr *SurveyRecord) bool {
 	}
 	sr.PriorStale = p.skip(`,"prior_stale":true`)
 	p.char('}')
-	if !p.ok || p.i != len(s) {
-		return false
+	if ok, why := p.done(); !ok {
+		return refused[SurveyRecord](s, why)
 	}
 
 	// The record's own copies, nil and empty as encoding/json decodes
-	// them: hop and router lists are never nil (addrLists' unmarshaler
-	// makes them), the rest are nil only where the line says null or
-	// omits the field.
+	// them: hop and router lists are never nil, the rest are nil only
+	// where the line says null or omits the field.
 	lists := make([][]packet.Addr, len(d.addrEnds))
 	addrs := append(make([]packet.Addr, 0, len(d.addrs)), d.addrs...)
 	start := 0
@@ -359,5 +366,5 @@ func (d *recordParser) parse(s string, sr *SurveyRecord) bool {
 			}
 		}
 	}
-	return true
+	return nil
 }

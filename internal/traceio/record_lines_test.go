@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,15 +13,20 @@ import (
 	"mmlpt/internal/topo"
 )
 
-// checkRecordDecoder holds the hand parser to encoding/json on one line:
-// whatever it accepts, json.Unmarshal must decode to the same value, nil
-// and empty lists included. It reports whether the parser accepted.
+// checkRecordDecoder holds the hand parser to its encoder and to
+// encoding/json on one line (without its '\n'): whatever it accepts
+// must re-encode to exactly the line, and json.Unmarshal must decode the
+// line to the same value, nil and empty lists included. It reports
+// whether the parser accepted.
 func checkRecordDecoder(t *testing.T, line []byte) bool {
 	t.Helper()
 	var d recordParser
 	var got SurveyRecord
-	if !d.parse(string(line), &got) {
+	if d.parse(string(line), &got) != nil {
 		return false
+	}
+	if back, err := appendRecordLine(nil, &got); err != nil || !bytes.Equal(back, append(slices.Clip(line), '\n')) {
+		t.Fatalf("record line %q accepted, but it re-encodes to %q (error %v)", line, back, err)
 	}
 	var want SurveyRecord
 	if err := json.Unmarshal(line, &want); err != nil {
@@ -32,60 +38,90 @@ func checkRecordDecoder(t *testing.T, line []byte) bool {
 	return true
 }
 
-// checkRecordStream holds DecodeSurveyRecords to encoding/json's stream
-// decoder on arbitrary bytes: the same records, then the same error.
+// checkRecordStream holds DecodeSurveyRecords to the one grammar on
+// arbitrary bytes: the records it hands over re-encode to a prefix of
+// data, all of it when it reports no error; when it does report one,
+// the line after that prefix is the one it refused: it has no '\n',
+// or the parser refuses it, or its record fails Check.
 func checkRecordStream(t *testing.T, data []byte) {
 	t.Helper()
-	collect := func(decode func(func(*SurveyRecord) error) error) ([]*SurveyRecord, string) {
-		var recs []*SurveyRecord
-		err := decode(func(sr *SurveyRecord) error { recs = append(recs, sr); return nil })
-		if err != nil {
-			return recs, err.Error()
-		}
-		return recs, ""
+	var back []byte
+	err := DecodeSurveyRecords(bytes.NewReader(data), func(sr *SurveyRecord) error {
+		var err error
+		back, err = appendRecordLine(back, sr)
+		return err
+	})
+	rest, ok := bytes.CutPrefix(data, back)
+	if !ok {
+		t.Fatalf("stream %q: records re-encode to %q, not a prefix", data, back)
 	}
-	got, gotErr := collect(func(fn func(*SurveyRecord) error) error {
-		return DecodeSurveyRecords(bytes.NewReader(data), fn)
-	})
-	want, wantErr := collect(func(fn func(*SurveyRecord) error) error {
-		return decodeJSONRecords(bytes.NewReader(data), 0, fn)
-	})
-	if !reflect.DeepEqual(got, want) || gotErr != wantErr {
-		t.Fatalf("stream %q: DecodeSurveyRecords gives %d records, error %q; encoding/json %d, %q",
-			data, len(got), gotErr, len(want), wantErr)
+	if err == nil {
+		if len(rest) > 0 {
+			t.Fatalf("stream %q: no error, but %q was not handed over", data, rest)
+		}
+		return
+	}
+	line, _, complete := bytes.Cut(rest, []byte("\n"))
+	var sr SurveyRecord
+	if len(rest) == 0 || complete && new(recordParser).parse(string(line), &sr) == nil && sr.Check() == nil {
+		t.Fatalf("stream %q: error %v, but the next line %q is a good record", data, err, line)
 	}
 }
 
-// checkRecordEncoder holds appendRecordLine to json.Marshal plus '\n',
-// error included, and requires the hand parser to take back its own
-// encoder's line whenever every string is plain.
-func checkRecordEncoder(t *testing.T, sr *SurveyRecord, plain bool) {
+// checkRecordEncoder holds appendRecordLine to json.Marshal plus '\n'
+// and to the parser: it refuses a record exactly when the parser
+// refuses json.Marshal's line (or json.Marshal has none), and the
+// parser takes back every line it writes.
+func checkRecordEncoder(t *testing.T, sr *SurveyRecord) {
 	t.Helper()
 	got, gotErr := appendRecordLine(nil, sr)
 	want, wantErr := json.Marshal(sr)
-	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("%#v: hand encoder error %v, json.Marshal error %v", sr, gotErr, wantErr)
+	taken := wantErr == nil && new(recordParser).parse(string(want), new(SurveyRecord)) == nil
+	if (gotErr == nil) != taken {
+		t.Fatalf("%#v: hand encoder error %v, json.Marshal error %v, parser takes json.Marshal's line: %v", sr, gotErr, wantErr, taken)
 	}
-	if wantErr != nil {
+	if gotErr != nil {
 		return
 	}
 	if want = append(want, '\n'); !bytes.Equal(got, want) {
 		t.Fatalf("hand encoder %q, json.Marshal %q", got, want)
 	}
-	if !checkRecordDecoder(t, got[:len(got)-1]) && plain {
+	if !checkRecordDecoder(t, got[:len(got)-1]) {
 		t.Fatalf("hand parser refused its own encoder's line %q", got)
+	}
+}
+
+// mustRefuseRecords are record streams that encoding/json reads but
+// WriteJSONL never writes: CRLF line ends, a blank line, a pretty-printed
+// record, an unknown field, a leading zero in an address and in a
+// number, and a last line with no '\n'.
+func mustRefuseRecords(tb testing.TB, canonical []byte) [][]byte {
+	pretty, err := json.MarshalIndent(sampleRecord(0), "", "  ")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{
+		bytes.ReplaceAll(canonical, []byte("\n"), []byte("\r\n")),
+		append([]byte("\n"), canonical...),
+		append(pretty, '\n'),
+		bytes.Replace(canonical, []byte(`{"pair_index"`), []byte(`{"extra":1,"pair_index"`), 1),
+		bytes.Replace(canonical, []byte(`"10.0.0.1"]`), []byte(`"010.0.0.1"]`), 1),
+		bytes.Replace(canonical, []byte(`"probes":100`), []byte(`"probes":0100`), 1),
+		bytes.TrimSuffix(canonical, []byte("\n")),
 	}
 }
 
 // FuzzRecordLines is the oracle for the hand-written record line codec.
 // For arbitrary bytes, whatever the hand parser accepts as a line
-// decodes to exactly what json.Unmarshal gives, and DecodeSurveyRecords
-// hands over exactly the records and the error encoding/json's stream
-// decoder does. For records built from arbitrary strings, integers and
-// float bits, appendRecordLine writes exactly json.Marshal's bytes (or
-// its error), and the parser takes those bytes back whenever the
-// strings need no escapes. CI's fuzz-smoke job runs it for a short
-// budget; locally:
+// re-encodes to exactly that line and decodes to exactly what
+// json.Unmarshal gives, and DecodeSurveyRecords hands over only records
+// that re-encode to the bytes they were read from, refusing everything
+// else (the must-refuse seeds are checked before fuzzing). For records
+// built from arbitrary strings, integers and float bits,
+// appendRecordLine writes exactly json.Marshal's bytes, refuses exactly
+// the records whose json.Marshal line the parser refuses, and the
+// parser takes back every line it writes. CI's fuzz-smoke job runs it
+// for a short budget; locally:
 //
 //	go test -run='^$' -fuzz='^FuzzRecordLines$' -fuzztime=30s ./internal/traceio
 func FuzzRecordLines(f *testing.F) {
@@ -97,6 +133,12 @@ func FuzzRecordLines(f *testing.F) {
 		return b
 	}
 	r0, r1 := canonical(sampleRecord(0)), canonical(sampleRecord(1))
+	for _, data := range mustRefuseRecords(f, r0) {
+		if err := DecodeSurveyRecords(bytes.NewReader(data), func(*SurveyRecord) error { return nil }); err == nil {
+			f.Fatalf("stream %q accepted", data)
+		}
+		f.Add(data, "a\r", int64(1), uint64(0), uint64(1))
+	}
 	for _, line := range [][]byte{
 		r0, append(r0, r1...), bytes.TrimSuffix(r1, []byte("\n")),
 		bytes.ReplaceAll(r0, []byte("\n"), []byte("\r\n")),
@@ -126,7 +168,6 @@ func FuzzRecordLines(f *testing.F) {
 		}
 		checkRecordStream(t, data)
 
-		plain := plainJSONString(s)
 		x, y := math.Float64frombits(bits1), math.Float64frombits(bits2)
 		addr := packet.Addr(uint32(n))
 		full := &SurveyRecord{
@@ -148,7 +189,7 @@ func FuzzRecordLines(f *testing.F) {
 			{Src: s, Hops: addrLists{}, Succ: [][]int32{}, Routers: addrLists{}, Diamonds: []SurveyDiamond{}},
 			{PairIndex: int(n)},
 		} {
-			checkRecordEncoder(t, sr, plain)
+			checkRecordEncoder(t, sr)
 		}
 	})
 }

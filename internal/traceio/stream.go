@@ -2,8 +2,8 @@ package traceio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -117,8 +117,8 @@ func (sr *SurveyRecord) Graph() (*topo.Graph, error) {
 
 // Check is the structural validation DecodeSurveyRecords, Graph and
 // atlas ingest share: at most 255 hops, one successor list per vertex,
-// and every successor index naming a vertex. (A malformed address
-// already fails to unmarshal.)
+// and every successor index naming a vertex. (An address not in its
+// canonical text is already refused by the line decoder.)
 func (sr *SurveyRecord) Check() error {
 	if len(sr.Hops) > 255 { // hop h is probed at TTL h+1, and a TTL is one byte
 		return fmt.Errorf("traceio: %d hops, a TTL allows at most 255", len(sr.Hops))
@@ -158,13 +158,12 @@ func (sr *SurveyRecord) WriteJSONL(w io.Writer) error {
 }
 
 // DecodeSurveyRecords streams records to fn until EOF or the first
-// error. A record that fails to unmarshal or fails the structural checks
-// is an error; fn errors abort the scan and are returned verbatim.
-//
-// Lines in the record encoder's own form are parsed by hand. From the
-// first line that is not, the rest of the stream goes to encoding/json,
-// so what is accepted, what it decodes to and every error are
-// encoding/json's.
+// error. A record is one '\n'-terminated line in the form WriteJSONL
+// writes, so every record fn gets re-encodes to the bytes it was read
+// from. Any other line (blank, CRLF, pretty-printed, an unknown field,
+// a spelling WriteJSONL never writes, no final '\n') is an error naming
+// the record and why it was refused, as is a record failing Check. fn
+// errors abort the scan and are returned verbatim.
 func DecodeSurveyRecords(r io.Reader, fn func(*SurveyRecord) error) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var d recordParser
@@ -179,42 +178,27 @@ func DecodeSurveyRecords(r io.Reader, fn func(*SurveyRecord) error) error {
 			}
 			line = long
 		}
-		sr := new(SurveyRecord)
-		if err != nil || !d.parse(string(line[:len(line)-1]), sr) {
-			if len(line) == 0 && err == io.EOF {
-				return nil
-			}
-			return decodeJSONRecords(io.MultiReader(bytes.NewReader(line), br), n, fn)
-		}
-		if err := sr.emit(n, fn); err != nil {
-			return err
-		}
-	}
-}
-
-// decodeJSONRecords is DecodeSurveyRecords through encoding/json, for
-// a stream whose first record is record n.
-func decodeJSONRecords(r io.Reader, n int, fn func(*SurveyRecord) error) error {
-	dec := json.NewDecoder(r)
-	for ; ; n++ {
-		sr := new(SurveyRecord)
-		if err := dec.Decode(sr); err == io.EOF {
+		switch {
+		case err == io.EOF && len(line) == 0:
 			return nil
-		} else if err != nil {
+		case err == io.EOF:
+			return fmt.Errorf("traceio: record %d: %v", n, refused[SurveyRecord](line, "no final newline"))
+		case err != nil:
 			return err
+		case len(line) == 1:
+			return fmt.Errorf("traceio: record %d: blank line", n)
 		}
-		if err := sr.emit(n, fn); err != nil {
+		sr := new(SurveyRecord)
+		if err := d.parse(string(line[:len(line)-1]), sr); err != nil {
+			return fmt.Errorf("traceio: record %d: %v", n, err)
+		}
+		if err := sr.Check(); err != nil {
+			return fmt.Errorf("record %d (pair %d): %w", n, sr.PairIndex, err)
+		}
+		if err := fn(sr); err != nil {
 			return err
 		}
 	}
-}
-
-// emit runs the structural checks on decoded record n, then fn.
-func (sr *SurveyRecord) emit(n int, fn func(*SurveyRecord) error) error {
-	if err := sr.Check(); err != nil {
-		return fmt.Errorf("record %d (pair %d): %w", n, sr.PairIndex, err)
-	}
-	return fn(sr)
 }
 
 // addrLists is a JSON array of address lists: dotted quads, "*" for a
@@ -249,6 +233,9 @@ func (ls addrLists) append(b []byte) []byte {
 	return append(b, ']')
 }
 
+// UnmarshalJSON reads the lists as a record line holds them, for
+// DecodeSurveyRecords to word why it refused a line: "*" for a star,
+// any other address in its canonical text and never 0.0.0.0.
 func (ls *addrLists) UnmarshalJSON(data []byte) error {
 	var sss [][]string
 	if err := json.Unmarshal(data, &sss); err != nil {
@@ -258,13 +245,17 @@ func (ls *addrLists) UnmarshalJSON(data []byte) error {
 	for i, ss := range sss {
 		(*ls)[i] = make([]packet.Addr, len(ss))
 		for j, s := range ss {
-			if s != "*" { // a star stays topo.StarAddr, the zero address
-				a, err := packet.ParseAddr(s)
-				if err != nil {
-					return err
-				}
-				(*ls)[i][j] = a
+			if s == "*" { // a star stays topo.StarAddr, the zero address
+				continue
 			}
+			a, err := packet.ParseCanonicalAddr(s)
+			if err == nil && a == topo.StarAddr {
+				err = errors.New(`a star is written "*", not 0.0.0.0`)
+			}
+			if err != nil {
+				return err
+			}
+			(*ls)[i][j] = a
 		}
 	}
 	return nil

@@ -77,10 +77,14 @@ func TestSurveyRecordRoundTrip(t *testing.T) {
 }
 
 // TestDecodeSurveyRecordsStreamForms pins what DecodeSurveyRecords makes
-// of streams that are not one canonical record per '\n'-terminated line:
-// for each, the SHA-256 of the records it hands over, re-encoded, and
-// the exact error. These are encoding/json's answers; a faster decoder
-// must give the same ones for every input.
+// of a stream: canonical lines, one record per '\n'-terminated line, are
+// the records they hold (the SHA-256 of the records handed over,
+// re-encoded); any other form is refused at its first line, after the
+// records before it, with an error naming the record and the cause.
+// encoding/json reads most of the refused forms; they are refused
+// because a fleet merge tees shard bytes into its record log, so a form
+// no writer emits would make the merged log differ from the
+// single-machine run's.
 func TestDecodeSurveyRecordsStreamForms(t *testing.T) {
 	t.Parallel()
 	line := func(rec *SurveyRecord) string {
@@ -101,53 +105,63 @@ func TestDecodeSurveyRecordsStreamForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name, in, sum, err string
+		name, in string
+		records  int
+		sum, err string
 	}{
-		{"canonical", r0 + l1 + r2,
+		{"canonical", r0 + l1 + r2, 3,
 			"f887d7fdc83b4814a93dc033d60ffb85a61ee3f55a205f596cd0dc1eff239a2a", ""},
-		{"pretty-printed", string(pretty) + "\n" + l1,
-			"44cc63c79d9649440d85963869e76bbb6fc09de4eae662415b7ca894ca0e8522", ""},
-		{"two records on one line", strings.TrimSuffix(r0, "\n") + l1 + r2,
-			"f887d7fdc83b4814a93dc033d60ffb85a61ee3f55a205f596cd0dc1eff239a2a", ""},
-		{"CRLF", strings.ReplaceAll(r0+l1+r2, "\n", "\r\n"),
-			"f887d7fdc83b4814a93dc033d60ffb85a61ee3f55a205f596cd0dc1eff239a2a", ""},
-		{"blank lines", "\n" + r0 + "\n\n" + l1 + "\n",
-			"44cc63c79d9649440d85963869e76bbb6fc09de4eae662415b7ca894ca0e8522", ""},
-		{"no final newline", r0 + strings.TrimSuffix(l1, "\n"),
-			"44cc63c79d9649440d85963869e76bbb6fc09de4eae662415b7ca894ca0e8522", ""},
-		{"leading-zero address mid-stream", r0 + strings.Replace(l1, `"10.0.0.1"]`, `"010.0.0.1"]`, 1) + r2,
-			"f887d7fdc83b4814a93dc033d60ffb85a61ee3f55a205f596cd0dc1eff239a2a", ""},
-		{"truncated last line", r0 + l1[:len(l1)/2],
-			"ebfbf40d50fffd4a3de26b180ee99896a4efecb0e492cc558daf99a1481ee302", "unexpected EOF"},
-		{"unknown field", r0 + strings.Replace(l1, `{"pair_index"`, `{"bogus":[1,{"x":null}],"pair_index"`, 1) + r2,
-			"f887d7fdc83b4814a93dc033d60ffb85a61ee3f55a205f596cd0dc1eff239a2a", ""},
-		{"succ null, no vertices", r0 + line(empty) + r2,
+		{"succ null, no vertices", r0 + line(empty) + r2, 3,
 			"2e1fbc97bc51b60427fb10ebd3d44a5acdb0c47419d989576241a716f7cdd30e", ""},
-		{"succ null, two vertices", r0 + strings.Replace(l1, `"succ":[[1],[]]`, `"succ":null`, 1) + r2,
-			"ebfbf40d50fffd4a3de26b180ee99896a4efecb0e492cc558daf99a1481ee302", "record 1 (pair 1): traceio: 0 successor lists for 2 vertices"},
-		{"zero address as a star", strings.Replace(r0, `"hops":[["10.0.0.1"],["*"]]`, `"hops":[["*","0.0.0.0"]]`, 1) + r2,
-			"acc38d0e40c65d1b51d3cea5d61a24131941fafbabf0b75c1197e8fae1dcbdb6", ""},
-		{"numbering survives the switch", r0 + "\n" + l1 + strings.Replace(r2, `"succ":[[1],[]]`, `"succ":[[2],[]]`, 1),
-			"44cc63c79d9649440d85963869e76bbb6fc09de4eae662415b7ca894ca0e8522", "record 2 (pair 2): traceio: vertex 0: successor index 2 outside [0, 2)"},
-		{"int32 out of range", r0 + strings.Replace(l1, `"succ":[[1],[]]`, `"succ":[[4294967297],[]]`, 1) + r2,
-			"ebfbf40d50fffd4a3de26b180ee99896a4efecb0e492cc558daf99a1481ee302", "json: cannot unmarshal number 4294967297 into Go struct field SurveyRecord.succ of type int32"},
-		{"non-canonical floats", r0 + strings.Replace(strings.Replace(l1, `"ratio_meshed_hops":0.5`, `"ratio_meshed_hops":0.50`, 1), `[1e-7,`, `[1.0E-07,`, 1) + r2,
-			"f887d7fdc83b4814a93dc033d60ffb85a61ee3f55a205f596cd0dc1eff239a2a", ""},
-		{"float into uint64", r0 + strings.Replace(l1, `"probes":101`, `"probes":1.01e2`, 1) + r2,
-			"ebfbf40d50fffd4a3de26b180ee99896a4efecb0e492cc558daf99a1481ee302", "json: cannot unmarshal number 1.01e2 into Go struct field SurveyRecord.probes of type uint64"},
-		{"octet out of range", r0 + strings.Replace(l1, `"10.0.0.1"]`, `"10.0.0.300"]`, 1) + r2,
-			"ebfbf40d50fffd4a3de26b180ee99896a4efecb0e492cc558daf99a1481ee302", "packet: octet out of range in \"10.0.0.300\""},
+		{"pretty-printed", string(pretty) + "\n" + l1, 0, "",
+			"traceio: record 0: unexpected end of JSON input"},
+		{"two records on one line", strings.TrimSuffix(r0, "\n") + l1 + r2, 0, "",
+			"traceio: record 0: invalid character '{' after top-level value"},
+		{"CRLF", strings.ReplaceAll(r0+l1+r2, "\n", "\r\n"), 0, "",
+			fmt.Sprintf("traceio: record 0: not canonical at byte %d", len(r0)-1)},
+		{"blank line", r0 + "\n" + l1, 1, "",
+			"traceio: record 1: blank line"},
+		{"no final newline", r0 + strings.TrimSuffix(l1, "\n"), 1, "",
+			"traceio: record 1: no final newline"},
+		{"truncated last line", r0 + l1[:len(l1)/2], 1, "",
+			"traceio: record 1: unexpected end of JSON input"},
+		{"unknown field", r0 + strings.Replace(l1, `,"probes"`, `,"bogus":[1,{"x":null}],"probes"`, 1) + r2, 1, "",
+			fmt.Sprintf("traceio: record 1: not canonical at byte %d", strings.Index(l1, `,"probes"`))},
+		{"leading-zero address", r0 + strings.Replace(l1, `"10.0.0.1"]`, `"010.0.0.1"]`, 1) + r2, 1, "",
+			`traceio: record 1: packet: "010.0.0.1" is not a canonical dotted quad`},
+		{"zero address as a star", strings.Replace(r0, `"hops":[["10.0.0.1"],["*"]]`, `"hops":[["*","0.0.0.0"]]`, 1) + r2, 0, "",
+			`traceio: record 0: a star is written "*", not 0.0.0.0`},
+		{"non-canonical floats", r0 + strings.Replace(strings.Replace(l1, `"ratio_meshed_hops":0.5`, `"ratio_meshed_hops":0.50`, 1), `[1e-7,`, `[1.0E-07,`, 1) + r2, 1, "",
+			fmt.Sprintf("traceio: record 1: not canonical at byte %d", strings.Index(l1, `0.5,`))},
+		{"int32 out of range", r0 + strings.Replace(l1, `"succ":[[1],[]]`, `"succ":[[4294967297],[]]`, 1) + r2, 1, "",
+			"traceio: record 1: json: cannot unmarshal number 4294967297 into Go struct field SurveyRecord.succ of type int32"},
+		{"float into uint64", r0 + strings.Replace(l1, `"probes":101`, `"probes":1.01e2`, 1) + r2, 1, "",
+			"traceio: record 1: json: cannot unmarshal number 1.01e2 into Go struct field SurveyRecord.probes of type uint64"},
+		{"octet out of range", r0 + strings.Replace(l1, `"10.0.0.1"]`, `"10.0.0.300"]`, 1) + r2, 1, "",
+			`traceio: record 1: packet: octet out of range in "10.0.0.300"`},
+		{"succ null, two vertices", r0 + strings.Replace(l1, `"succ":[[1],[]]`, `"succ":null`, 1) + r2, 1, "",
+			"record 1 (pair 1): traceio: 0 successor lists for 2 vertices"},
+		{"successor out of range", r0 + l1 + strings.Replace(r2, `"succ":[[1],[]]`, `"succ":[[2],[]]`, 1), 2, "",
+			"record 2 (pair 2): traceio: vertex 0: successor index 2 outside [0, 2)"},
 	} {
 		var out bytes.Buffer
+		n := 0
 		err := DecodeSurveyRecords(strings.NewReader(c.in), func(sr *SurveyRecord) error {
+			n++
 			return sr.WriteJSONL(&out)
 		})
 		gotErr := ""
 		if err != nil {
 			gotErr = err.Error()
 		}
-		if sum := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); sum != c.sum || gotErr != c.err {
-			t.Errorf("%s: records %s, error %q; pinned %s, %q", c.name, sum, gotErr, c.sum, c.err)
+		if n != c.records || gotErr != c.err {
+			t.Errorf("%s: %d records, error %q; pinned %d, %q", c.name, n, gotErr, c.records, c.err)
+		}
+		if !strings.HasPrefix(c.in, out.String()) {
+			t.Errorf("%s: the records handed over re-encode to other bytes than they were read from", c.name)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); c.sum != "" && sum != c.sum {
+			t.Errorf("%s: records %s, pinned %s", c.name, sum, c.sum)
 		}
 	}
 }

@@ -231,22 +231,34 @@ func TestJSONTraceRecord(t *testing.T) {
 }
 
 // TestRecordRejectsMalformed: records arrive from outside the process
-// (shipped units, replayed logs), so a malformed address, more hops than
-// a TTL allows, a successor index naming no vertex, and a successor list
-// count that disagrees with the vertices are all errors — from
-// DecodeSurveyRecords and from Graph alike.
+// (shipped units, replayed logs), so an address out of range or not in
+// its canonical text, more hops than a TTL allows, a successor index
+// naming no vertex, and a successor list count that disagrees with the
+// vertices are all errors, each provoked by a line that is canonical in
+// every other respect — from DecodeSurveyRecords and, for the
+// structural ones, from Graph alike.
 func TestRecordRejectsMalformed(t *testing.T) {
-	hops := func(n int) string {
-		return `"hops":[` + strings.TrimSuffix(strings.Repeat(`[],`, n), ",") + `],"succ":[]`
+	good := string(recordLine(t, &SurveyRecord{
+		PairIndex: 1,
+		Hops:      addrLists{{ip("10.0.0.1")}, {topo.StarAddr}},
+		Succ:      [][]int32{{1}, {}},
+		Routers:   addrLists{{ip("10.0.0.1"), ip("10.0.0.2")}},
+	}))
+	deep := &SurveyRecord{Hops: make(addrLists, 256), Succ: [][]int32{}}
+	for h := range deep.Hops {
+		deep.Hops[h] = []packet.Addr{}
 	}
-	good := `{"pair_index":1,"hops":[["10.0.0.1"],["*"]],"succ":[[1],[]],"routers":[["10.0.0.1","10.0.0.2"]]}`
 	for _, c := range []struct{ name, line, want string }{
-		{"address", strings.Replace(good, `"10.0.0.1"]`, `"10.0.0.300"]`, 1), "octet out of range"},
-		{"hops", `{` + hops(256) + `}`, "at most 255"},
+		{"address", strings.Replace(good, `"10.0.0.1"]`, `"10.0.0.300"]`, 1), `packet: octet out of range in "10.0.0.300"`},
+		{"address text", strings.Replace(good, `"10.0.0.1"]`, `"10.0.0.01"]`, 1), `packet: "10.0.0.01" is not a canonical dotted quad`},
+		{"hops", string(recordLine(t, deep)), "at most 255"},
 		{"negative successor", strings.Replace(good, `[[1]`, `[[-1]`, 1), "outside [0, 2)"},
 		{"successor past the end", strings.Replace(good, `[[1]`, `[[2]`, 1), "outside [0, 2)"},
 		{"successor lists", strings.Replace(good, `[[1],[]]`, `[[1]]`, 1), "1 successor lists for 2 vertices"},
 	} {
+		if c.line == good {
+			t.Fatalf("%s: the line is unchanged", c.name)
+		}
 		err := DecodeSurveyRecords(strings.NewReader(c.line), func(*SurveyRecord) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: decode err = %v, want %q", c.name, err, c.want)
@@ -259,11 +271,8 @@ func TestRecordRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: Graph err = %v, want %q", c.name, err, c.want)
 		}
 	}
-	var sr SurveyRecord
-	if err := json.Unmarshal([]byte(`{`+hops(255)+`}`), &sr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sr.Graph(); err != nil {
+	deep.Hops = deep.Hops[:255]
+	if _, err := deep.Graph(); err != nil {
 		t.Fatalf("255 hops: %v", err)
 	}
 	if err := DecodeSurveyRecords(strings.NewReader(good), func(*SurveyRecord) error { return nil }); err != nil {
