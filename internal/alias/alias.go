@@ -11,6 +11,7 @@
 package alias
 
 import (
+	"slices"
 	"sort"
 
 	"mmlpt/internal/obs"
@@ -393,24 +394,39 @@ func (r *Resolver) ClassifySet(addrs []packet.Addr) Outcome {
 // during the trace; direct probing sends Echo probes. The direct
 // fingerprint probe of Round 1 is sent by FingerprintRound. Returns the
 // number of probes sent.
+//
+// An indirect round resolves each address's record once and grows its
+// series by one round's samples (DESIGN.md, "Alias resolution"). Only a
+// reply from the address aimed at is recorded, so an address with no
+// record or no flow at round start gains neither during the round.
 func (r *Resolver) ProbeRound(addrs []packet.Addr) uint64 {
 	if r.P == nil {
 		return 0
 	}
 	before := probe.TotalSent(r.P)
-	for i := 0; i < r.ProbesPerRound; i++ {
-		for _, a := range addrs {
-			if r.Direct {
+	if r.Direct {
+		for i := 0; i < r.ProbesPerRound; i++ {
+			for _, a := range addrs {
 				r.echo(a)
-				continue
 			}
-			ao := r.Obs.Get(a)
-			if ao == nil || len(ao.Flows) == 0 {
+		}
+		return probe.TotalSent(r.P) - before
+	}
+	aimed := make([]*obs.AddrObs, len(addrs))
+	for j, a := range addrs {
+		if ao := r.Obs.Get(a); ao != nil && len(ao.Flows) > 0 {
+			ao.Indirect = slices.Grow(ao.Indirect, r.ProbesPerRound)
+			aimed[j] = ao
+		}
+	}
+	for i := 0; i < r.ProbesPerRound; i++ {
+		for _, ao := range aimed {
+			if ao == nil {
 				continue // cannot aim an indirect probe without a flow
 			}
 			fr := ao.Flows[i%len(ao.Flows)]
-			if reply := r.P.Probe(fr.Flow, fr.TTL); reply != nil && reply.From == a {
-				r.Obs.RecordTrace(reply, fr.Flow, fr.TTL, probe.TotalSent(r.P))
+			if reply := r.P.Probe(fr.Flow, fr.TTL); reply != nil && reply.From == ao.Addr {
+				ao.RecordAimed(reply, probe.TotalSent(r.P))
 			}
 		}
 	}

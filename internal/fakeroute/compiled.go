@@ -11,7 +11,9 @@ import (
 // first probe that walks it, into dense per-vertex tables indexed by
 // topo.VertexID. The forwarding loop then runs without map lookups: LB
 // mode, dispatch weights (with their total presummed), the per-balancer
-// hash key and the replying interface are all direct slice loads.
+// hash state (its key already folded, nprand.KeyState) and the replying
+// interface are all direct slice loads, and so, from a vertex's first
+// reply on, is the IP ID counter view its Time Exceeded replies sample.
 // Compilation happens after construction is complete (the Network
 // contract: construction must finish before probing begins), so it
 // observes every LB/WeightedEdges assignment made on the Path after
@@ -19,7 +21,7 @@ import (
 // it, so a surveyed pair keeps nothing but its Path.
 
 // compiledPath is the dense forwarding view of one Path over one graph
-// generation. It is immutable once built.
+// generation. Only ctr changes once it is built.
 type compiledPath struct {
 	g      *topo.Graph
 	entry  topo.VertexID
@@ -30,9 +32,12 @@ type compiledPath struct {
 	mode    []LBMode
 	weights [][]float64 // successor dispatch weights; nil = uniform
 	wtotal  []float64   // presummed weights (same summation order as the old per-probe loop)
-	key     []uint64    // vertexKey, precomputed
+	key     []uint64    // nprand.KeyState(vertexKey)
 	addr    []packet.Addr
 	iface   []*Iface // replying interface; nil for stars and the destination
+	// ctr is the session's counter view a vertex's Time Exceeded replies
+	// sample, nil until its first reply (see Session.indirectIPID).
+	ctr []*ctrView
 }
 
 // compiledFor returns the compiled view of g, which must be p.Graph or
@@ -68,6 +73,7 @@ func (n *Network) compilePath(p *Path, g *topo.Graph) *compiledPath {
 		key:     make([]uint64, nv),
 		addr:    make([]packet.Addr, nv),
 		iface:   make([]*Iface, nv),
+		ctr:     make([]*ctrView, nv),
 	}
 	for i := 0; i < nv; i++ {
 		v := topo.VertexID(i)
@@ -77,7 +83,7 @@ func (n *Network) compilePath(p *Path, g *topo.Graph) *compiledPath {
 		}
 		cp.mode[v] = p.LB[v]
 		cp.addr[v] = g.V(v).Addr
-		cp.key[v] = vertexKey(p, g, v)
+		cp.key[v] = nprand.KeyState(vertexKey(p, g, v))
 		if w := p.WeightedEdges[v]; len(w) > 0 {
 			cp.weights[v] = w
 			var total float64
@@ -118,9 +124,9 @@ func (s *Session) nextVertex(cp *compiledPath, v topo.VertexID, pp *packet.Parse
 		case LBPerPacket:
 			x = s.rng.Float64()
 		case LBPerDestination:
-			x = float64(nprand.FlowHash(cp.key[v], uint64(pp.IP.Dst))>>11) / (1 << 53)
+			x = float64(nprand.FlowHashFrom(cp.key[v], uint64(pp.IP.Dst))>>11) / (1 << 53)
 		default:
-			x = float64(nprand.FlowHash(cp.key[v], flowKey)>>11) / (1 << 53)
+			x = float64(nprand.FlowHashFrom(cp.key[v], flowKey)>>11) / (1 << 53)
 		}
 		x *= cp.wtotal[v]
 		for i, wi := range w {
@@ -137,9 +143,9 @@ func (s *Session) nextVertex(cp *compiledPath, v topo.VertexID, pp *packet.Parse
 	case LBPerPacket:
 		idx = s.rng.Intn(len(succ))
 	case LBPerDestination:
-		idx = int(nprand.FlowHash(cp.key[v], uint64(pp.IP.Dst)) % uint64(len(succ)))
+		idx = int(nprand.FlowHashFrom(cp.key[v], uint64(pp.IP.Dst)) % uint64(len(succ)))
 	default:
-		idx = int(nprand.FlowHash(cp.key[v], flowKey) % uint64(len(succ)))
+		idx = int(nprand.FlowHashFrom(cp.key[v], flowKey) % uint64(len(succ)))
 	}
 	return succ[idx]
 }

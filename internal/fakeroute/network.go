@@ -376,12 +376,14 @@ func (s *Session) HandleProbe(raw []byte) []byte {
 	if ifc == nil || !s.allowReply(ifc.Router, now) {
 		return nil
 	}
-	return s.craftTimeExceeded(pp, ifc, hop, raw, now)
+	return s.craftTimeExceeded(pp, cp, cur, hop, raw, now)
 }
 
-// craftTimeExceeded builds the ICMP Time Exceeded reply from ifc at
-// forward distance hop (0-based), into the session's scratch buffers.
-func (s *Session) craftTimeExceeded(pp *packet.ParsedProbe, ifc *Iface, hop int, probeRaw []byte, now uint64) []byte {
+// craftTimeExceeded builds the ICMP Time Exceeded reply from vertex v of
+// cp at forward distance hop (0-based), into the session's scratch
+// buffers.
+func (s *Session) craftTimeExceeded(pp *packet.ParsedProbe, cp *compiledPath, v topo.VertexID, hop int, probeRaw []byte, now uint64) []byte {
+	ifc := cp.iface[v]
 	r := ifc.Router
 	// The router quotes the probe datagram as received: the full IP
 	// header plus payload (our probes are small, so the quote is whole).
@@ -403,7 +405,7 @@ func (s *Session) craftTimeExceeded(pp *packet.ParsedProbe, ifc *Iface, hop int,
 		replyTTL = 1
 	}
 	ip := packet.IPv4{
-		ID:       s.nextIPID(ifc, true, pp.IP.ID, now),
+		ID:       s.indirectIPID(cp, v, now),
 		TTL:      byte(replyTTL),
 		Protocol: packet.ProtoICMP,
 		Src:      ifc.Addr,
@@ -494,7 +496,7 @@ func (s *Session) handleEcho(raw []byte, now uint64) []byte {
 	}
 	reply := packet.ICMP{Type: packet.ICMPTypeEchoReply, ID: echo.ID, Seq: echo.Seq, Payload: echo.Payload}
 	ip := packet.IPv4{
-		ID:       s.nextIPID(ifc, false, outer.ID, now),
+		ID:       s.echoIPID(ifc, outer.ID, now),
 		TTL:      r.InitialTTLEcho - 4, // nominal return distance
 		Protocol: packet.ProtoICMP,
 		Src:      outer.Dst,

@@ -20,6 +20,7 @@ package fakeroute
 import (
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/topo"
 )
 
 // IPIDMode selects how a router generates the IP identification field of
@@ -101,57 +102,67 @@ type Iface struct {
 	ctr uint16
 }
 
-// nextIPID produces the IP ID for a reply from iface at tick now, over
-// this session's view of the router's counters. indirect distinguishes
-// Time Exceeded (true) from Echo (false) replies. probeID is the IP ID of
-// the probe being answered.
-func (s *Session) nextIPID(ifc *Iface, indirect bool, probeID uint16, now uint64) uint16 {
+// indirectIPID produces the IP ID of a Time Exceeded reply from vertex v
+// of cp at tick now. The counter view it samples
+// (the interface's for IPIDPerInterface, else the router's) is looked up
+// in the session's maps at the vertex's first reply and kept in cp.ctr.
+// The maps stay the one home of every view, so both graph generations
+// and the echo replies of a router share its counters.
+func (s *Session) indirectIPID(cp *compiledPath, v topo.VertexID, now uint64) uint16 {
+	ifc := cp.iface[v]
 	r := ifc.Router
 	switch r.IPID {
-	case IPIDShared:
-		return s.advanceRouterCtr(r, now)
-	case IPIDPerInterface:
-		if indirect {
-			return s.advanceIfaceCtr(ifc, now)
+	case IPIDConstantZero, IPIDIndirectZero:
+		return 0
+	case IPIDRandom:
+		return uint16(s.rng.Uint64())
+	}
+	cv := cp.ctr[v]
+	if cv == nil {
+		if r.IPID == IPIDPerInterface {
+			cv = s.ifaceView(ifc)
+		} else {
+			cv = s.routerView(r)
 		}
-		return s.advanceRouterCtr(r, now)
+		cp.ctr[v] = cv
+	}
+	return advanceCtr(cv, r.Velocity, now)
+}
+
+// echoIPID produces the IP ID of an Echo reply from ifc at tick now, over
+// this session's view of the router's counter. probeID is the IP ID of
+// the probe being answered.
+func (s *Session) echoIPID(ifc *Iface, probeID uint16, now uint64) uint16 {
+	r := ifc.Router
+	switch r.IPID {
 	case IPIDConstantZero:
 		return 0
 	case IPIDRandom:
 		return uint16(s.rng.Uint64())
 	case IPIDEchoCopy:
-		if indirect {
-			return s.advanceRouterCtr(r, now)
-		}
 		return probeID
-	case IPIDIndirectZero:
-		if indirect {
-			return 0
-		}
-		return s.advanceRouterCtr(r, now)
-	default:
-		return s.advanceRouterCtr(r, now)
 	}
+	return advanceCtr(s.routerView(r), r.Velocity, now)
 }
 
-// advanceRouterCtr samples the session's view of r's shared counter.
-func (s *Session) advanceRouterCtr(r *Router, now uint64) uint16 {
+// routerView returns the session's view of r's shared counter.
+func (s *Session) routerView(r *Router) *ctrView {
 	v := s.routers[r]
 	if v == nil {
 		v = &ctrView{ctr: r.sharedCtr}
 		s.routers[r] = v
 	}
-	return advanceCtr(v, r.Velocity, now)
+	return v
 }
 
-// advanceIfaceCtr samples the session's view of ifc's own counter.
-func (s *Session) advanceIfaceCtr(ifc *Iface, now uint64) uint16 {
+// ifaceView returns the session's view of ifc's own counter.
+func (s *Session) ifaceView(ifc *Iface) *ctrView {
 	v := s.ifaces[ifc]
 	if v == nil {
 		v = &ctrView{ctr: ifc.ctr}
 		s.ifaces[ifc] = v
 	}
-	return advanceCtr(v, ifc.Router.Velocity, now)
+	return v
 }
 
 // advanceCtr advances a counter view to tick now: one increment for the

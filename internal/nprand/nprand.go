@@ -176,22 +176,31 @@ func IndexedSeed(base uint64, idx int) uint64 {
 // The construction is a strengthened FNV-1a over the two 64-bit inputs with
 // an avalanche finalizer (the 64-bit variant of MurmurHash3's fmix); plain
 // FNV has weak low-bit diffusion for short inputs, which would bias small
-// modulo fanouts.
+// modulo fanouts. It equals FlowHashFrom(KeyState(key), flowID).
 func FlowHash(key, flowID uint64) uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset)
+	return FlowHashFrom(KeyState(key), flowID)
+}
+
+// KeyState is FlowHash's state after folding key: a balancer whose key is
+// fixed hashes it once and dispatches each flow with FlowHashFrom.
+func KeyState(key uint64) uint64 {
+	return fnvFold(0xcbf29ce484222325, key) // the FNV-1a offset basis
+}
+
+// FlowHashFrom finishes FlowHash from a KeyState: it folds flowID's eight
+// bytes and applies the finalizer.
+func FlowHashFrom(state, flowID uint64) uint64 {
+	return mix64(fnvFold(state, flowID))
+}
+
+// fnvFold folds v's eight bytes, least significant first, into FNV-1a
+// state h.
+func fnvFold(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		h ^= (key >> (8 * i)) & 0xff
-		h *= prime
+		h ^= (v >> (8 * i)) & 0xff
+		h *= 0x100000001b3 // the 64-bit FNV prime
 	}
-	for i := 0; i < 8; i++ {
-		h ^= (flowID >> (8 * i)) & 0xff
-		h *= prime
-	}
-	return mix64(h)
+	return h
 }
 
 // mix64 is the 64-bit finalizer from MurmurHash3 (fmix64): a bijective

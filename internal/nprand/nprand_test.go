@@ -1,6 +1,7 @@
 package nprand
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -223,4 +224,45 @@ func TestMul64MatchesBigMultiplication(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flowHashRef is FlowHash as specified: FNV-1a over the sixteen bytes of
+// key then flowID, each least significant byte first, finished with
+// MurmurHash3's fmix64.
+func flowHashRef(key, flowID uint64) uint64 {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], key)
+	binary.LittleEndian.PutUint64(b[8:], flowID)
+	h := uint64(0xcbf29ce484222325)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 0x100000001b3
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// FuzzFlowHashKeyed holds FlowHash and its split form, a balancer's
+// KeyState finished per flow by FlowHashFrom, to the 16-byte reference
+// loop. The seeds cover zero and all-ones inputs, a star vertex's key
+// and one byte set in each half.
+func FuzzFlowHashKeyed(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0))
+	f.Add(uint64(0x0a000001), uint64(33434))
+	f.Add(uint64(0xc0000201)<<32^0x0a000009^7<<8^0xdead, uint64(1))
+	f.Add(uint64(1)<<56, uint64(0x80))
+	f.Fuzz(func(t *testing.T, key, flowID uint64) {
+		want := flowHashRef(key, flowID)
+		if got := FlowHash(key, flowID); got != want {
+			t.Fatalf("FlowHash(%#x, %#x) = %#x, reference %#x", key, flowID, got, want)
+		}
+		if got := FlowHashFrom(KeyState(key), flowID); got != want {
+			t.Fatalf("FlowHashFrom(KeyState(%#x), %#x) = %#x, reference %#x", key, flowID, got, want)
+		}
+	})
 }

@@ -83,6 +83,15 @@ func (o *Observations) Ensure(addr packet.Addr) *AddrObs {
 // MPLS stack. seq is the global probe counter.
 func (o *Observations) RecordTrace(r *packet.Reply, flow uint16, ttl int, seq uint64) {
 	ao := o.Ensure(r.From)
+	ao.RecordAimed(r, seq)
+	ao.addFlow(FlowRef{Flow: flow, TTL: ttl})
+}
+
+// RecordAimed stores the by-products of ao's reply to a traceroute probe
+// aimed at it through one of its own Flows: RecordTrace, minus the flow
+// ao already holds. An alias round resolves ao once and records each of
+// its replies here.
+func (ao *AddrObs) RecordAimed(r *packet.Reply, seq uint64) {
 	ao.Indirect = appendInOrder(ao.Indirect, Sample{Seq: seq, IPID: r.IPID})
 	ao.addReplyTTL(&ao.ReplyTTLExceeded, r.ReplyTTL)
 	for _, e := range r.MPLS {
@@ -90,7 +99,6 @@ func (o *Observations) RecordTrace(r *packet.Reply, flow uint16, ttl int, seq ui
 			ao.MPLSLabels = append(ao.MPLSLabels, e.Label)
 		}
 	}
-	ao.addFlow(FlowRef{Flow: flow, TTL: ttl})
 }
 
 // RecordEcho stores the by-products of one direct probe reply. sentID is
@@ -127,9 +135,11 @@ func appendInOrder(series []Sample, s Sample) []Sample {
 	for i > 0 && series[i-1].Seq > s.Seq {
 		i--
 	}
-	series = append(series, Sample{})
-	copy(series[i+1:], series[i:])
-	series[i] = s
+	series = append(series, s)
+	if i < len(series)-1 {
+		copy(series[i+1:], series[i:])
+		series[i] = s
+	}
 	return series
 }
 

@@ -274,6 +274,9 @@ func decodeAtlasHeader(ls *lineScanner) (AtlasHeader, error) {
 	if h.Pairs < 0 || h.Nodes < 0 || h.Edges < 0 || h.Routers < 0 || h.Diamonds < 0 || h.Shards < 0 {
 		return h, fmt.Errorf("traceio: atlas header has negative section count")
 	}
+	if err := checkCanonical(hb, &h); err != nil {
+		return h, fmt.Errorf("traceio: bad atlas header: %v", err)
+	}
 	return h, nil
 }
 
@@ -334,17 +337,26 @@ func decodeDiamonds(ls *lineScanner, n int) ([]AtlasDiamond, error) {
 		if err := d.diamond(b, &dm); err != nil {
 			return nil, fmt.Errorf("traceio: atlas line %d: bad diamond: %v", ls.line, err)
 		}
-		if dm.Count < 0 {
-			return nil, fmt.Errorf("traceio: atlas line %d: negative diamond count", ls.line)
-		}
-		for _, p := range dm.Pairs {
-			if p < 0 {
-				return nil, fmt.Errorf("traceio: atlas line %d: negative diamond pair", ls.line)
-			}
+		if err := validateDiamond(&dm); err != nil {
+			return nil, fmt.Errorf("traceio: atlas line %d: %v", ls.line, err)
 		}
 		out = append(out, dm)
 	}
 	return out, nil
+}
+
+// validateDiamond is the diamond rule both the reader and the stream
+// encoder enforce: no negative count or pair index.
+func validateDiamond(dm *AtlasDiamond) error {
+	if dm.Count < 0 {
+		return errors.New("negative diamond count")
+	}
+	for _, p := range dm.Pairs {
+		if p < 0 {
+			return errors.New("negative diamond pair")
+		}
+	}
+	return nil
 }
 
 // decodeShardHeader parses and validates one shard-header line.
@@ -354,7 +366,7 @@ func decodeShardHeader(ls *lineScanner, want int) (AtlasShardHeader, error) {
 	if err != nil {
 		return sh, err
 	}
-	if err := json.Unmarshal([]byte(b), &sh); err != nil {
+	if err := parseShardHeader(b, &sh); err != nil {
 		return sh, fmt.Errorf("traceio: atlas line %d: bad shard header: %v", ls.line, err)
 	}
 	if sh.Shard != want {
@@ -395,7 +407,13 @@ func nodeLine[S string | []byte](d *lineDecoder, b S, n *AtlasNodeV2) error {
 	if err := parseNode(d, b, n); err != nil {
 		return fmt.Errorf("bad node: %v", err)
 	}
-	for _, o := range n.Seen {
+	return validateSeen(n.Seen)
+}
+
+// validateSeen is the provenance rule both the reader and the block
+// encoder enforce: no negative pair index or hop.
+func validateSeen(seen [][2]int) error {
+	for _, o := range seen {
 		if o[0] < 0 || o[1] < 0 {
 			return errors.New("negative provenance")
 		}

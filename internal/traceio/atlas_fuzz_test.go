@@ -73,9 +73,9 @@ func TestAtlasDecodeNeverPanicsOnBitFlips(t *testing.T) {
 // Nothing may panic, and whatever Verify accepts must re-stream through
 // the encoder into a file that verifies and re-streams to identical
 // bytes — accepted hostile inputs may not produce blocks the encoder
-// chokes on, and the encoder's output is a fixed point. Its pair, node,
-// router and diamond lines must be exactly the re-streamed file's:
-// those lines are accepted only in their one form. It is also the
+// chokes on, and the encoder's output is a fixed point. The accepted
+// file must be exactly the re-streamed one: every line, locator lines
+// included, is accepted only in its one form. It is also the
 // differential for point reads: indexing a shard fails exactly when
 // ReadShard fails, and when it succeeds every node's and router's point
 // read equals ReadShard's decode. Seeded with valid snapshots, a
@@ -83,10 +83,10 @@ func TestAtlasDecodeNeverPanicsOnBitFlips(t *testing.T) {
 // among them), a repeated pair index, an index whose shard counts
 // disagree with the header, and files that must be refused (checked
 // before fuzzing): the wide one with CRLF line ends, with blank lines
-// between node lines, and with a pretty-printed node, an unknown field
-// and a leading zero. So the mutator starts near the format's
-// structure. CI's fuzz-smoke job runs it for a short budget on every
-// PR; locally:
+// between node lines, with a pretty-printed node, an unknown field and
+// a leading zero, and with a space in a shard header and in the
+// trailer. So the mutator starts near the format's structure. CI's
+// fuzz-smoke job runs it for a short budget on every PR; locally:
 //
 //	go test -run='^$' -fuzz=FuzzAtlasReader -fuzztime=30s ./internal/traceio
 func FuzzAtlasReader(f *testing.F) {
@@ -110,6 +110,8 @@ func FuzzAtlasReader(f *testing.F) {
 		[]byte(corrupt(f, wide, `{"addr":"10.0.0.4","seen":[[0,3]],"succ":null}`, "{\n  \"addr\": \"10.0.0.4\",\n  \"seen\": [[0,3]],\n  \"succ\": null\n}")),
 		[]byte(corrupt(f, wide, `{"addr":"10.0.0.4","seen"`, `{"addr":"10.0.0.4","extra":1,"seen"`)),
 		[]byte(corrupt(f, wide, `"succ":["10.0.0.4"]`, `"succ":["010.0.0.4"]`)),
+		[]byte(corrupt(f, wide, `{"shard":0,"nodes"`, `{"shard":0, "nodes"`)),
+		[]byte(strings.Replace(string(wide), `{"kind":"atlas-trailer",`, `{"kind":"atlas-trailer", `, 1)),
 	}
 	for _, v := range lineEndVariants(f, wide) {
 		refuse = append(refuse, v)
@@ -157,23 +159,10 @@ func FuzzAtlasReader(f *testing.F) {
 		if !bytes.Equal(first, restream(t, r2)) {
 			t.Fatal("re-encoding is not a byte-stable fixed point")
 		}
-		if got, want := bodyLines(r, data), bodyLines(r2, first); got != want {
-			t.Fatalf("accepted body lines %q, which re-encode to %q", got, want)
+		if !bytes.Equal(data, first) {
+			t.Fatalf("accepted file %q, which re-encodes to %q", data, first)
 		}
 	})
-}
-
-// bodyLines returns the pair, node, router and diamond lines of data, the
-// file r reads: every section the index locates, less each shard
-// block's header line.
-func bodyLines(r *AtlasReader, data []byte) string {
-	span := func(off, n int64) string { return string(data[off : off+n]) }
-	lines := span(r.index.PairsOff, r.index.PairsLen)
-	for _, si := range r.index.Shards {
-		_, block, _ := strings.Cut(span(si.Off, si.Len), "\n")
-		lines += block
-	}
-	return lines + span(r.index.DiamondsOff, r.index.DiamondsLen)
 }
 
 // Hostile section counts must not translate into allocations before the

@@ -12,8 +12,9 @@ import (
 
 // Codecs for the snapshot's repeated line kinds: node lines
 // {"addr":…,"seen":[[p,h],…],"succ":[…],"router":…}, router lines
-// {"addrs":[…]}, pair lines {"pair":i,"src":…,"dst":…} and diamond
-// lines {"div":…,"conv":…,"count":c,"pairs":[…],"max_width":w,"max_length":l}.
+// {"addrs":[…]}, pair lines {"pair":i,"src":…,"dst":…}, diamond
+// lines {"div":…,"conv":…,"count":c,"pairs":[…],"max_width":w,"max_length":l}
+// and shard-header lines {"shard":i,"nodes":n,"routers":r,"min":…,"max":…}.
 // Each kind has one form, json.Marshal's bytes plus '\n', and one
 // grammar: a hand parser accepts a line exactly when the line's encoder
 // writes it back from the decoded value. Any other line (whitespace,
@@ -22,10 +23,12 @@ import (
 // The error says why: encoding/json's message where encoding/json
 // refuses the line too, else the byte where the line left the canonical
 // form; encoding/json only words a refusal, it accepts no line. Node
-// and router lines are written by hand, pair and diamond lines by
-// encoding/json after NewAtlasStreamEncoder has refused a string that
-// is not plain, the one value the parsers would refuse. FuzzAtlasLines
-// holds both halves to each other and to json.Marshal.
+// and router lines are written by hand, pair, diamond and shard-header
+// lines by encoding/json after NewAtlasStreamEncoder has refused a
+// string that is not plain, the one value the parsers would refuse.
+// FuzzAtlasLines holds both halves to each other and to json.Marshal.
+// The three locator lines read once per file (header, index, trailer)
+// are decoded by encoding/json and held to its bytes by checkCanonical.
 
 // plainJSON[c] reports whether json.Marshal writes byte c of a string
 // as itself: printable ASCII other than the quote, the backslash and
@@ -36,6 +39,24 @@ var plainJSON = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// checkCanonical refuses a line that encoding/json decoded into *v but
+// that json.Marshal of *v does not give back byte for byte: the one form
+// the stream encoder writes a header, index or trailer line in.
+func checkCanonical[S string | []byte](line S, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	i := 0
+	for i < len(b) && i < len(line) && line[i] == b[i] {
+		i++
+	}
+	if i < len(b) || i < len(line) {
+		return fmt.Errorf("not canonical at byte %d", i)
+	}
+	return nil
+}
 
 // checkPlain refuses any of ss that is not plain: a line holds a string
 // only as its bytes between quotes, with no escape to write or undo.
@@ -461,6 +482,32 @@ func parseNode[S string | []byte](d *lineDecoder, s S, n *AtlasNodeV2) error {
 	}
 	if !succNull {
 		n.Succ = d.addrs.copy(d.addrTmp)
+	}
+	return nil
+}
+
+// parseShardHeader parses a canonical shard-header line into *sh, which
+// must be zero; it refuses any other line, leaving *sh zero.
+func parseShardHeader(s string, sh *AtlasShardHeader) error {
+	p := lineParser[string]{s: s, ok: true}
+	p.lit(`{"shard":`)
+	sh.Shard = p.num()
+	p.lit(`,"nodes":`)
+	sh.Nodes = p.num()
+	p.lit(`,"routers":`)
+	sh.Routers = p.num()
+	if p.skip(`,"min":`) {
+		sh.Min = p.addr()
+		p.require(sh.Min != 0) // the encoder omits a zero fence
+	}
+	if p.skip(`,"max":`) {
+		sh.Max = p.addr()
+		p.require(sh.Max != 0)
+	}
+	p.char('}')
+	if ok, why := p.done(); !ok {
+		*sh = AtlasShardHeader{}
+		return refused[AtlasShardHeader](s, why)
 	}
 	return nil
 }

@@ -45,7 +45,7 @@ func marshalLine[T any](v *T) []byte {
 	return append(b, '\n')
 }
 
-// checkLineDecoders holds the hand parsers of all four line kinds to
+// checkLineDecoders holds the hand parsers of all five line kinds to
 // their encoders and to encoding/json on one line and reports whether
 // any of them took it.
 func checkLineDecoders(t *testing.T, line []byte) bool {
@@ -57,13 +57,14 @@ func checkLineDecoders(t *testing.T, line []byte) bool {
 	router := handDecoded(t, line, func(s string, rt *AtlasRouter) error { return parseRouter(d, s, rt) }, routerLine)
 	pair := handDecoded(t, line, d.pair, marshalLine[AtlasPair])
 	diamond := handDecoded(t, line, d.diamond, marshalLine[AtlasDiamond])
+	shard := handDecoded(t, line, parseShardHeader, marshalLine[AtlasShardHeader])
 	// The []byte instantiations, which parse a point read's buffer, take
 	// the same lines to the same values.
 	if handDecoded(t, line, func(s string, n *AtlasNodeV2) error { return parseNode(d, []byte(s), n) }, nodeLine) != node ||
 		handDecoded(t, line, func(s string, rt *AtlasRouter) error { return parseRouter(d, []byte(s), rt) }, routerLine) != router {
 		t.Fatalf("line %q: the string and []byte parsers disagree on taking it", line)
 	}
-	return node || router || pair || diamond
+	return node || router || pair || diamond || shard
 }
 
 // checkLineTaken runs json.Marshal's line for v through the decoder
@@ -193,6 +194,11 @@ func FuzzAtlasLines(f *testing.F) {
 		`{"div":"a","conv":"b","count":1,"pairs":[1,-2,03],"max_width":0,"max_length":0}`,
 		`{"div":"a","conv":"b","count":-1,"pairs":[9223372036854775808],"max_width":1,"max_length":2}`,
 		`{"div":"a","conv":"b","count":1,"pairs":[1],"max_width":2}`,
+		`{"shard":0, "nodes":1,"routers":0,"min":"10.0.0.1","max":"10.0.0.1"}`,
+		`{"shard":0,"nodes":0,"routers":0,"min":"0.0.0.0"}`,
+		`{"shard":0,"nodes":1,"routers":0,"max":"10.0.0.1","min":"10.0.0.1"}`,
+		`{"shard":1,"nodes":2,"routers":0,"max":"10.0.0.2"}`,
+		`{"shard":01,"nodes":2,"routers":0}`,
 	} {
 		f.Add([]byte(line), "a", uint32(0), uint32(math.MaxUint32), -1, math.MinInt)
 	}
@@ -231,6 +237,9 @@ func FuzzAtlasLines(f *testing.F) {
 			{},
 		} {
 			checkLineTaken(t, &dm)
+		}
+		for _, sh := range []AtlasShardHeader{{Shard: p, Nodes: h, Routers: p, Min: a, Max: b}, {Shard: h, Max: a}} {
+			checkLineTaken(t, &sh)
 		}
 		pr, dm := AtlasPair{Src: s, Dst: b.String()}, AtlasDiamond{Div: a.String(), Conv: s, Count: 1, Pairs: []int{0}}
 		for _, c := range []struct {

@@ -100,6 +100,9 @@ func (r *AtlasReader) open() error {
 	if t.Kind != atlasTrailerKind || t.Version != AtlasVersion {
 		return fmt.Errorf("traceio: bad atlas trailer (kind %q version %d)", t.Kind, t.Version)
 	}
+	if err := checkCanonical(line, t); err != nil {
+		return fmt.Errorf("traceio: bad atlas trailer: %v", err)
+	}
 	if t.IndexOff <= 0 || t.IndexLen <= 0 || t.IndexLen > maxAtlasLine || !r.inBounds(t.IndexOff, t.IndexLen) {
 		return fmt.Errorf("traceio: atlas trailer index span [%d,+%d) out of bounds", t.IndexOff, t.IndexLen)
 	}
@@ -107,7 +110,11 @@ func (r *AtlasReader) open() error {
 	if _, err := r.ra.ReadAt(ib, t.IndexOff); err != nil {
 		return fmt.Errorf("traceio: atlas index: %v", err)
 	}
-	if err := json.Unmarshal(bytes.TrimRight(ib, "\n"), &r.index); err != nil {
+	ib = bytes.TrimRight(ib, "\n")
+	if err := json.Unmarshal(ib, &r.index); err != nil {
+		return fmt.Errorf("traceio: bad atlas index: %v", err)
+	}
+	if err := checkCanonical(ib, &r.index); err != nil {
 		return fmt.Errorf("traceio: bad atlas index: %v", err)
 	}
 	if r.index.Kind != atlasIndexKind {

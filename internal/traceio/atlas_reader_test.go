@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -164,7 +165,7 @@ func TestAtlasDecodeRejectsNonCanonicalNodes(t *testing.T) {
 		{"index fence not canonical", string(raw[:lastMin]) + `"min":"1.00.0.5"` + string(raw[lastMin+len(`"min":"10.0.0.5"`):]), "bad atlas index: packet: \"1.00.0.5\" " + notCanonical},
 		// Line forms encoding/json reads but no encoder writes, each in
 		// a file whose offsets are rebuilt around it.
-		{"CRLF", string(lineEndVariants(t, raw)["crlf"]), "line 1: bad pair: not canonical at byte 48"},
+		{"CRLF", string(lineEndVariants(t, raw)["crlf"]), "bad atlas header: not canonical at byte 94"},
 		{"blank line", string(lineEndVariants(t, raw)["blank"]), "shard 0: traceio: atlas line 2: blank line"},
 		{"pretty-printed node", corrupt(t, raw, `{"addr":"10.0.0.4","seen":[[0,3]],"succ":null}`, "{\n  \"addr\": \"10.0.0.4\",\n  \"seen\": [[0,3]],\n  \"succ\": null\n}"),
 			"line 5: bad node: unexpected end of JSON input"},
@@ -180,6 +181,40 @@ func TestAtlasDecodeRejectsNonCanonicalNodes(t *testing.T) {
 			t.Errorf("%s: accepted non-canonical input", c.name)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestAtlasLocatorLinesCanonical refuses each locator line (header,
+// shard header, index, trailer) with one space added, offsets rebuilt
+// around it: encoding/json reads every such line to the value the
+// encoder wrote, but the encoder never writes that line, so a reader
+// that took it would accept a file the re-stream does not reproduce.
+func TestAtlasLocatorLinesCanonical(t *testing.T) {
+	t.Parallel()
+	raw := wideFixture().encode(t, 4)
+	// spaceIndex respaces the index line and rewrites the trailer for
+	// its new length; the index starts where it did.
+	spaceIndex := func() string {
+		body := bodyOf(raw)
+		tail := string(raw[len(body):])
+		index := strings.Replace(tail[:strings.Index(tail, `{"kind":"atlas-trailer"`)], `,"pairs_off"`, `, "pairs_off"`, 1)
+		return fmt.Sprintf("%s%s"+`{"kind":"atlas-trailer","version":2,"index_off":%d,"index_len":%d}`+"\n",
+			body, index, len(body), len(index))
+	}
+	for _, c := range []struct{ name, in, want string }{
+		{"header", reindex(t, strings.Replace(bodyOf(raw), `{"version":2,"kind"`, `{"version":2, "kind"`, 1), nil),
+			"bad atlas header: not canonical at byte 13"},
+		{"shard header", corrupt(t, raw, `{"shard":0,"nodes"`, `{"shard":0, "nodes"`),
+			"line 1: bad shard header: not canonical at byte 10"},
+		{"index", spaceIndex(), "bad atlas index: not canonical at byte 22"},
+		{"trailer", strings.Replace(string(raw), `{"kind":"atlas-trailer",`, `{"kind":"atlas-trailer", `, 1),
+			"bad atlas trailer: not canonical at byte 24"},
+	} {
+		if err := openAndVerify([]byte(c.in)); err == nil {
+			t.Errorf("%s with a space: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s with a space: error %q does not say %q", c.name, err, c.want)
 		}
 	}
 }

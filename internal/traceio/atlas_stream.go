@@ -55,10 +55,11 @@ type AtlasStreamEncoder struct {
 }
 
 // NewAtlasStreamEncoder starts a streaming encode: it validates the
-// spec (counts, pair order, and pair and diamond strings a line can
-// hold, see checkPlain), writes the header and the pair section, and
-// returns an encoder ready for the first shard block. Block boundaries
-// are the producer's (AtlasBlockOf for the canonical layout).
+// spec (counts, pair order, diamond counts and pairs, and pair and
+// diamond strings a line can hold, see checkPlain), writes the header
+// and the pair section, and returns an encoder ready for the first
+// shard block. Block boundaries are the producer's (AtlasBlockOf for
+// the canonical layout).
 func NewAtlasStreamEncoder(w io.Writer, spec AtlasStreamSpec) (*AtlasStreamEncoder, error) {
 	if spec.Nodes < 0 || spec.Edges < 0 || spec.Routers < 0 {
 		return nil, fmt.Errorf("traceio: atlas stream spec has negative section count")
@@ -82,9 +83,13 @@ func NewAtlasStreamEncoder(w io.Writer, spec AtlasStreamSpec) (*AtlasStreamEncod
 		}
 		prev = p.Pair
 	}
-	for _, d := range spec.Diamonds {
+	for i := range spec.Diamonds {
+		d := &spec.Diamonds[i]
 		if err := checkPlain(d.Div, d.Conv); err != nil {
 			return nil, fmt.Errorf("traceio: atlas stream spec: diamond: %v", err)
+		}
+		if err := validateDiamond(d); err != nil {
+			return nil, fmt.Errorf("traceio: atlas stream spec: diamond %s-%s: %v", d.Div, d.Conv, err)
 		}
 	}
 	e := &AtlasStreamEncoder{bw: bufio.NewWriter(w), spec: spec}
@@ -203,8 +208,9 @@ func (e *AtlasStreamEncoder) Finish() error {
 //
 // The block is validated as a unit: header counts must match the
 // slices, node addresses must ascend strictly from above 0.0.0.0,
-// fences must equal the first and last node address, and router lines
-// need two or more members and representatives ascending.
+// provenance must be non-negative, fences must equal the first and
+// last node address, and router lines need two or more members and
+// representatives ascending.
 func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 	h := sh.Header
 	if h.Nodes != len(sh.Nodes) || h.Routers != len(sh.Routers) {
@@ -231,6 +237,9 @@ func AppendAtlasShardBlock(buf []byte, sh *AtlasShard) ([]byte, int, error) {
 			return nil, 0, fmt.Errorf("traceio: atlas shard %d: node %s out of canonical order", h.Shard, n.Addr)
 		}
 		prev = n.Addr
+		if verr := validateSeen(n.Seen); verr != nil {
+			return nil, 0, fmt.Errorf("traceio: atlas shard %d: node %s: %v", h.Shard, n.Addr, verr)
+		}
 		edges += len(n.Succ)
 		buf = appendNodeLine(buf, n)
 	}

@@ -149,3 +149,37 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 		}
 	})
 }
+
+// TestEncodersRefuseWhatReadersRefuse holds the writers to the reader's
+// value rules: a node with negative provenance and a diamond with a
+// negative count or pair fail the encode, worded as the reader words
+// them, instead of writing a snapshot that Verify then refuses.
+func TestEncodersRefuseWhatReadersRefuse(t *testing.T) {
+	t.Parallel()
+	for _, seen := range [][2]int{{-1, 1}, {0, -3}} {
+		f := wideFixture()
+		f.Nodes[3].Seen = [][2]int{seen}
+		blocks := f.blocks(0)
+		if _, _, err := AppendAtlasShardBlock(nil, blocks[0]); err == nil || !strings.Contains(err.Error(), "node 10.0.0.4: negative provenance") {
+			t.Errorf("seen %v: AppendAtlasShardBlock err = %v, want node 10.0.0.4: negative provenance", seen, err)
+		}
+		if err := streamBlocks(&bytes.Buffer{}, f.spec(len(blocks)), blocks); err == nil {
+			t.Errorf("seen %v: the stream encoder wrote the block", seen)
+		}
+	}
+	for _, c := range []struct {
+		edit func(*AtlasDiamond)
+		want string
+	}{
+		{func(d *AtlasDiamond) { d.Count = -5 }, "negative diamond count"},
+		{func(d *AtlasDiamond) { d.Pairs = []int{0, -1} }, "negative diamond pair"},
+	} {
+		f := wideFixture()
+		c.edit(&f.Diamonds[0])
+		blocks := f.blocks(0)
+		err := streamBlocks(&bytes.Buffer{}, f.spec(len(blocks)), blocks)
+		if want := "diamond 10.0.0.1-10.0.0.4: " + c.want; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("stream encoder err = %v, want %q", err, want)
+		}
+	}
+}
