@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"net/http"
-	"strings"
 
 	"mmlpt/internal/atlas/serve"
 	"mmlpt/internal/httpx"
@@ -59,22 +58,22 @@ func queryErr(w http.ResponseWriter, err error) {
 	httpx.Errorf(w, http.StatusInternalServerError, "%v", err)
 }
 
-// newMux routes the v1 API over one serve.Service. Address-typed routes
-// parse the path suffix themselves, on subtree patterns:
-// /v1/router/{addr} and /v1/addr/{addr} answer 400 for a malformed
-// address and 404 for a well-formed one the atlas never saw.
+// newMux routes the v1 API over one serve.Service. The address-typed
+// routes, /v1/router/{addr} and /v1/addr/{addr}, answer 400 for an
+// {addr} that is not an address's canonical text and 404 for one the
+// atlas never saw; a path with an empty or extra segment names no route.
 func newMux(svc *serve.Service) http.Handler {
 	mux := httpx.NewMux()
 
-	mux.HandleFunc("/healthz", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodGet, "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if _, err := svc.Stats(); err != nil {
 			httpx.Errorf(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 		httpx.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	}))
+	})
 
-	mux.HandleFunc("/v1/stats", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodGet, "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		st, err := svc.Stats()
 		if err != nil {
 			queryErr(w, err)
@@ -84,9 +83,9 @@ func newMux(svc *serve.Service) http.Handler {
 			Pairs: st.Pairs, Nodes: st.Nodes, Edges: st.Edges,
 			Routers: st.Routers, Diamonds: st.Diamonds,
 		})
-	}))
+	})
 
-	mux.HandleFunc("/v1/census", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodGet, "/v1/census", func(w http.ResponseWriter, r *http.Request) {
 		ds, err := svc.DiamondCensus()
 		if err != nil {
 			queryErr(w, err)
@@ -100,29 +99,23 @@ func newMux(svc *serve.Service) http.Handler {
 			}
 		}
 		httpx.WriteJSON(w, http.StatusOK, resp)
-	}))
+	})
 
-	pathAddr := func(w http.ResponseWriter, r *http.Request, prefix string) (packet.Addr, bool) {
-		raw := strings.TrimPrefix(r.URL.Path, prefix)
-		if raw == "" || strings.Contains(raw, "/") {
-			httpx.Errorf(w, http.StatusBadRequest, "expected %s{addr}", prefix)
-			return 0, false
-		}
-		// Only an address's canonical text: the lenient ParseAddr would
-		// answer "010.0.0.1" as 10.0.0.1, where inet_aton reads 8.0.0.1.
-		addr, err := packet.ParseCanonicalAddr(raw)
-		if err != nil {
-			httpx.Errorf(w, http.StatusBadRequest, "%v", err)
-			return 0, false
-		}
-		return addr, true
+	// addrRoute registers a GET route whose {addr} must be an address's
+	// canonical text: the lenient ParseAddr would answer "010.0.0.1" as
+	// 10.0.0.1, where inet_aton reads 8.0.0.1.
+	addrRoute := func(path string, h func(http.ResponseWriter, packet.Addr)) {
+		httpx.Route(mux, http.MethodGet, path, func(w http.ResponseWriter, r *http.Request) {
+			addr, err := packet.ParseCanonicalAddr(r.PathValue("addr"))
+			if err != nil {
+				httpx.Errorf(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+			h(w, addr)
+		})
 	}
 
-	mux.HandleFunc("/v1/router/", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		addr, ok := pathAddr(w, r, "/v1/router/")
-		if !ok {
-			return
-		}
+	addrRoute("/v1/router/{addr}", func(w http.ResponseWriter, addr packet.Addr) {
 		members, err := svc.Router(addr)
 		if err != nil {
 			queryErr(w, err)
@@ -133,13 +126,9 @@ func newMux(svc *serve.Service) http.Handler {
 			resp.Router[i] = m.String()
 		}
 		httpx.WriteJSON(w, http.StatusOK, resp)
-	}))
+	})
 
-	mux.HandleFunc("/v1/addr/", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
-		addr, ok := pathAddr(w, r, "/v1/addr/")
-		if !ok {
-			return
-		}
+	addrRoute("/v1/addr/{addr}", func(w http.ResponseWriter, addr packet.Addr) {
 		obs, err := svc.Provenance(addr)
 		if err != nil {
 			queryErr(w, err)
@@ -150,7 +139,7 @@ func newMux(svc *serve.Service) http.Handler {
 			resp.Seen[i] = obsResponse{Pair: o.Pair, Hop: o.Hop}
 		}
 		httpx.WriteJSON(w, http.StatusOK, resp)
-	}))
+	})
 
 	return mux
 }

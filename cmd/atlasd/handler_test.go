@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -132,10 +133,12 @@ func TestHandlerErrorPaths(t *testing.T) {
 	t.Parallel()
 	h := newMux(testService(t))
 
-	// 404: well-formed but absent addresses, and unknown routes.
+	// 404: well-formed but absent addresses, unknown routes, and an
+	// address route with an empty or extra segment.
 	for _, path := range []string{
 		"/v1/router/10.9.9.9", "/v1/addr/10.9.9.9",
 		"/v1/nope", "/", "/v1/stats/extra",
+		"/v1/router/", "/v1/addr/", "/v1/addr/10.0.0.2/extra",
 	} {
 		code, body := get(t, h, path)
 		if code != http.StatusNotFound {
@@ -150,8 +153,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 	// 400: malformed addresses, and addresses not in their canonical
 	// text (inet_aton reads 010 as 8, so no answer for 10.0.0.2 is right).
 	for _, path := range []string{
-		"/v1/router/bogus", "/v1/addr/bogus", "/v1/router/", "/v1/addr/",
-		"/v1/addr/10.0.0.2/extra",
+		"/v1/router/bogus", "/v1/addr/bogus",
 		"/v1/addr/010.0.0.2", "/v1/addr/0000000010.0.0.2", "/v1/addr/10.0.0.02",
 		"/v1/router/010.0.0.2", "/v1/router/0000000010.0.0.2", "/v1/router/10.0.0.02",
 		"/v1/addr/010.0.0.1", "/v1/addr/0000000010.0.0.1", "/v1/addr/1.2.3.04",
@@ -162,13 +164,69 @@ func TestHandlerErrorPaths(t *testing.T) {
 		}
 	}
 
-	// 405: non-GET on every route.
-	for _, path := range []string{"/healthz", "/v1/stats", "/v1/census", "/v1/router/10.0.0.2", "/v1/addr/10.0.0.2"} {
+	// 405: non-GET on every route, the same body each time, and an
+	// Allow header naming what the route takes.
+	for _, path := range routes {
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader("{}"))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s: %d, want 405", path, rec.Code)
+		if rec.Code != http.StatusMethodNotAllowed || rec.Body.String() != `{"error":"method not allowed"}`+"\n" {
+			t.Errorf("POST %s: %d %q, want 405", path, rec.Code, rec.Body)
+		}
+		if allow := rec.Header().Get("Allow"); allow != "GET, HEAD" {
+			t.Errorf("POST %s: Allow %q, want \"GET, HEAD\"", path, allow)
+		}
+	}
+}
+
+// routes holds one path of every atlasd route, each answering 200 over
+// the test atlas.
+var routes = []string{"/healthz", "/v1/stats", "/v1/census", "/v1/router/10.0.0.2", "/v1/addr/10.0.0.2"}
+
+// TestHandlerHead: HEAD on every route answers as GET does, with no body.
+func TestHandlerHead(t *testing.T) {
+	t.Parallel()
+	srv := httptest.NewServer(newMux(testService(t)))
+	defer srv.Close()
+	for _, path := range routes {
+		resp, err := srv.Client().Head(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) != 0 || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("HEAD %s: %d %q, Content-Type %q; want 200, no body", path, resp.StatusCode, body, resp.Header.Get("Content-Type"))
+		}
+	}
+}
+
+// TestPointQueryAllocs pins the allocations of one query through the
+// handler, its httptest request and recorder included. The address
+// routes are method patterns with an {addr} wildcard: the subtree
+// patterns they replaced took 27 (/v1/router/) and 25 (/v1/addr/), and
+// {addr...} reads 29 and 27.
+func TestPointQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	h := newMux(testService(t))
+	for _, c := range []struct {
+		path string
+		max  float64
+	}{
+		{"/v1/router/10.0.0.2", 25},
+		{"/v1/addr/10.0.0.2", 23},
+		{"/v1/stats", 19},
+	} {
+		if code, body := get(t, h, c.path); code != http.StatusOK {
+			t.Fatalf("GET %s: %d %q", c.path, code, body)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, c.path, nil))
+		})
+		if got > c.max {
+			t.Errorf("GET %s: %.1f allocs, want <= %.0f", c.path, got, c.max)
 		}
 	}
 }

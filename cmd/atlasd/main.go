@@ -10,6 +10,9 @@
 //	GET /v1/router/{addr}   the router (alias component) owning addr
 //	GET /v1/addr/{addr}     provenance: which pairs saw addr, at which hops
 //
+// Each line is an httpx.Route pattern: HEAD answers as GET does, and
+// another method gets a JSON 405 with an Allow header.
+//
 // SIGHUP atomically swaps in the current contents of -snapshot (e.g.
 // after `atlas compact` merged newly published survey deltas); in-flight
 // queries finish on the old generation.

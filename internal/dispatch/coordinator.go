@@ -239,15 +239,15 @@ func (c *Coordinator) tick(runner string) time.Time {
 func (c *Coordinator) Handler() http.Handler {
 	mux := httpx.NewMux()
 
-	mux.HandleFunc("/healthz", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodGet, "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	}))
+	})
 
-	mux.HandleFunc("/v1/status", httpx.Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodGet, "/v1/status", func(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusOK, c.Status())
-	}))
+	})
 
-	mux.HandleFunc("/v1/claim", httpx.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodPost, "/v1/claim", func(w http.ResponseWriter, r *http.Request) {
 		var req claimRequest
 		if err := httpx.DecodeJSON(w, r, &req); err != nil || req.Runner == "" {
 			httpx.BadRequest(w, err, "claim needs a runner id")
@@ -282,9 +282,9 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		httpx.WriteJSON(w, http.StatusOK, claimResponse{Status: StatusWait})
-	}))
+	})
 
-	mux.HandleFunc("/v1/renew", httpx.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodPost, "/v1/renew", func(w http.ResponseWriter, r *http.Request) {
 		var req renewRequest
 		if err := httpx.DecodeJSON(w, r, &req); err != nil || req.Runner == "" {
 			httpx.BadRequest(w, err, "malformed renew request")
@@ -300,9 +300,9 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		u.expires = now.Add(c.ttl)
 		httpx.WriteJSON(w, http.StatusOK, renewResponse{TTLMillis: c.ttl.Milliseconds()})
-	}))
+	})
 
-	mux.HandleFunc("/v1/budget", httpx.Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+	httpx.Route(mux, http.MethodPost, "/v1/budget", func(w http.ResponseWriter, r *http.Request) {
 		var req budgetRequest
 		if err := httpx.DecodeJSON(w, r, &req); err != nil || req.Runner == "" || req.Want <= 0 {
 			httpx.BadRequest(w, err, "malformed budget request")
@@ -324,9 +324,9 @@ func (c *Coordinator) Handler() http.Handler {
 		c.lastSeen[req.Runner] = time.Now()
 		c.mu.Unlock()
 		httpx.WriteJSON(w, http.StatusOK, budgetResponse{Granted: granted, WaitMillis: wait.Milliseconds()})
-	}))
+	})
 
-	mux.HandleFunc("/v1/ship", httpx.Method(http.MethodPost, c.handleShip))
+	httpx.Route(mux, http.MethodPost, "/v1/ship", c.handleShip)
 
 	return mux
 }

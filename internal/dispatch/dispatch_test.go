@@ -487,6 +487,47 @@ func TestNamelessRequestRefused(t *testing.T) {
 	}
 }
 
+// TestCoordinatorMethods: a request in the wrong method gets the JSON
+// 405 with an Allow header naming the route's methods, and HEAD on a GET
+// route answers as GET does, with no body.
+func TestCoordinatorMethods(t *testing.T) {
+	t.Parallel()
+	_, srv := newTestCoordinator(t, t.TempDir(), testSpec(), nil)
+	for _, c := range []struct {
+		method, path, allow string
+		code                int
+	}{
+		{http.MethodPost, "/healthz", "GET, HEAD", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/status", "GET, HEAD", http.StatusMethodNotAllowed},
+		{http.MethodHead, "/healthz", "", http.StatusOK},
+		{http.MethodHead, "/v1/status", "", http.StatusOK},
+		{http.MethodGet, "/v1/claim", "POST", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/renew", "POST", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/budget", "POST", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/ship", "POST", http.StatusMethodNotAllowed},
+		{http.MethodHead, "/v1/ship", "POST", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := ""
+		if c.code == http.StatusMethodNotAllowed && c.method != http.MethodHead {
+			want = `{"error":"method not allowed"}` + "\n"
+		}
+		if resp.StatusCode != c.code || string(body) != want || resp.Header.Get("Allow") != c.allow {
+			t.Errorf("%s %s: %d %q, Allow %q; want %d %q, Allow %q",
+				c.method, c.path, resp.StatusCode, body, resp.Header.Get("Allow"), c.code, want, c.allow)
+		}
+	}
+}
+
 // TestBudgetRefusesNonCanonicalPrefix: the budget takes a prefix only
 // in its canonical text, as atlasd takes an address, so "010.0.0.0"
 // (8.0.0.0 to inet_aton) is a 400 charged to no prefix, while

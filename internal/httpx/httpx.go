@@ -1,7 +1,8 @@
 // Package httpx is the one JSON-over-HTTP convention that cmd/atlasd,
 // the dispatch coordinator and the dispatch runner share: response and
-// error body, method guard, 404, body limit, response reader, retry loop
-// and server. It imports only the standard library (rank 0).
+// error body, method routes and their 405, 404, body limit, response
+// reader, retry loop and server. It imports only the standard library
+// (rank 0).
 package httpx
 
 import (
@@ -56,25 +57,30 @@ func Errorf(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// Method guards h: any other method gets a JSON 405.
-func Method(method string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			Errorf(w, http.StatusMethodNotAllowed, "method not allowed")
-			return
-		}
-		h(w, r)
-	}
-}
-
 // NewMux returns a ServeMux that answers unmatched paths with a JSON
-// 404. A pattern without a trailing slash matches only its own path.
+// 404. Register routes on it with Route.
 func NewMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		Errorf(w, http.StatusNotFound, "no such route")
 	})
 	return mux
+}
+
+// Route registers h on mux as the pattern "method path"; a GET route
+// answers HEAD too, with no body. Path alone is registered as well, so
+// any other method on it gets a JSON 405 whose Allow header names the
+// route's methods.
+func Route(mux *http.ServeMux, method, path string, h http.HandlerFunc) {
+	mux.HandleFunc(method+" "+path, h)
+	allow := method
+	if method == http.MethodGet {
+		allow = "GET, HEAD"
+	}
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", allow)
+		Errorf(w, http.StatusMethodNotAllowed, "method not allowed")
+	})
 }
 
 // ReadBody reads r's body, at most limit bytes of it; a longer body is

@@ -32,17 +32,20 @@ func TestConvention(t *testing.T) {
 		N int `json:"n"`
 	}
 	mux := NewMux()
-	mux.HandleFunc("/get", Method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+	Route(mux, http.MethodGet, "/get", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, okBody{N: 7})
-	}))
-	mux.HandleFunc("/decode", Method(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+	})
+	Route(mux, http.MethodPost, "/decode", func(w http.ResponseWriter, r *http.Request) {
 		var v okBody
 		if err := DecodeJSON(w, r, &v); err != nil {
 			BadRequest(w, err, "malformed request")
 			return
 		}
 		WriteJSON(w, http.StatusOK, v)
-	}))
+	})
+	Route(mux, http.MethodGet, "/item/{id}", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, okBody{N: len(r.PathValue("id"))})
+	})
 	mux.HandleFunc("/gone", func(w http.ResponseWriter, r *http.Request) {
 		Errorf(w, http.StatusGone, "lease %d on unit %d is no longer held", 3, 4)
 	})
@@ -62,10 +65,17 @@ func TestConvention(t *testing.T) {
 		wire any
 		// msg is the client's StatusError message; "" means success.
 		msg string
+		// allow is the Allow header a 405 must carry.
+		allow string
 	}{
 		{name: "200", method: "GET", path: "/get", code: 200, wire: okBody{N: 7}},
+		{name: "wildcard", method: "GET", path: "/item/abc", code: 200, wire: okBody{N: 3}},
 		{name: "405", method: "POST", path: "/get", code: 405,
-			wire: ErrorBody{Error: "method not allowed"}, msg: "method not allowed"},
+			wire: ErrorBody{Error: "method not allowed"}, msg: "method not allowed", allow: "GET, HEAD"},
+		{name: "405 on a POST route", method: "GET", path: "/decode", code: 405,
+			wire: ErrorBody{Error: "method not allowed"}, msg: "method not allowed", allow: "POST"},
+		{name: "404 below a wildcard", method: "GET", path: "/item/1/extra", code: 404,
+			wire: ErrorBody{Error: "no such route"}, msg: "no such route"},
 		{name: "404", method: "GET", path: "/nope", code: 404,
 			wire: ErrorBody{Error: "no such route"}, msg: "no such route"},
 		{name: "404 below an exact route", method: "GET", path: "/get/extra", code: 404,
@@ -100,6 +110,9 @@ func TestConvention(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Errorf("%s: Allow %q, want %q", tc.name, got, tc.allow)
+		}
 		if tc.wire != nil {
 			if want := encoded(t, tc.wire); string(body) != want {
 				t.Errorf("%s: body %q, want %q", tc.name, body, want)
@@ -122,6 +135,39 @@ func TestConvention(t *testing.T) {
 			t.Errorf("%s: ReadResponse returned %v, want a *StatusError", tc.name, err)
 		case tc.msg != "" && (se.Code != tc.code || se.Msg != tc.msg):
 			t.Errorf("%s: StatusError %d %q, want %d %q", tc.name, se.Code, se.Msg, tc.code, tc.msg)
+		}
+	}
+}
+
+// TestRouteHead: a GET route answers HEAD as it answers GET, with no
+// body; a POST route refuses HEAD with its 405.
+func TestRouteHead(t *testing.T) {
+	t.Parallel()
+	mux := NewMux()
+	Route(mux, http.MethodGet, "/get", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, ErrorBody{})
+	})
+	Route(mux, http.MethodPost, "/post", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, ErrorBody{})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for _, tc := range []struct {
+		path, allow string
+		code        int
+	}{
+		{"/get", "", http.StatusOK},
+		{"/post", "POST", http.StatusMethodNotAllowed},
+	} {
+		resp, err := srv.Client().Head(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || len(body) != 0 || resp.Header.Get("Allow") != tc.allow {
+			t.Errorf("HEAD %s: %d %q, Allow %q; want %d, no body, Allow %q",
+				tc.path, resp.StatusCode, body, resp.Header.Get("Allow"), tc.code, tc.allow)
 		}
 	}
 }

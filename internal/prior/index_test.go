@@ -228,7 +228,9 @@ func TestFromServiceRefusesNonCanonicalPairAddress(t *testing.T) {
 // one-byte TTL reaches is refused, with the node and pair named, where
 // the index would otherwise size its tables by it (on amd64, hop 2^62
 // panicked in makeslice, and the map-based build appends to the hop
-// list until memory runs out). The last reachable hop is indexed.
+// list until memory runs out). The widest hop an atlas holds is
+// math.MaxInt32 on every GOARCH: its writer and reader refuse a wider
+// one. The last reachable hop is indexed.
 func TestFromServiceRefusesHopPastTTL(t *testing.T) {
 	pairs := []traceio.AtlasPair{{Pair: 3, Src: "192.0.2.1", Dst: "203.0.113.9"}}
 	for _, c := range []struct {
@@ -237,7 +239,7 @@ func TestFromServiceRefusesHopPastTTL(t *testing.T) {
 	}{
 		{254, ""},
 		{255, "node 10.0.0.1: hop 255 of pair 3 is past the last TTL"},
-		{math.MaxInt, fmt.Sprintf("node 10.0.0.1: hop %d of pair 3", math.MaxInt)},
+		{math.MaxInt32, fmt.Sprintf("node 10.0.0.1: hop %d of pair 3", math.MaxInt32)},
 	} {
 		path := writeAtlas(t, pairs, []traceio.AtlasNodeV2{{Addr: a4(0, 1), Seen: [][2]int{{3, c.hop}}}})
 		svc, err := serve.Open(path, serve.Options{})

@@ -274,6 +274,9 @@ func decodeAtlasHeader(ls *lineScanner) (AtlasHeader, error) {
 	if h.Pairs < 0 || h.Nodes < 0 || h.Edges < 0 || h.Routers < 0 || h.Diamonds < 0 || h.Shards < 0 {
 		return h, fmt.Errorf("traceio: atlas header has negative section count")
 	}
+	if !fitsInt32(h.Pairs, h.Nodes, h.Edges, h.Routers, h.Diamonds, h.Shards) {
+		return h, fmt.Errorf("traceio: atlas header has a section count past int32")
+	}
 	if err := checkCanonical(hb, &h); err != nil {
 		return h, fmt.Errorf("traceio: bad atlas header: %v", err)
 	}
@@ -321,6 +324,9 @@ func validatePair(pair, prev int) error {
 	if pair <= prev {
 		return fmt.Errorf("pair %d out of canonical order", pair)
 	}
+	if !fitsInt32(pair) {
+		return fmt.Errorf("pair %d past int32", pair)
+	}
 	return nil
 }
 
@@ -346,14 +352,21 @@ func decodeDiamonds(ls *lineScanner, n int) ([]AtlasDiamond, error) {
 }
 
 // validateDiamond is the diamond rule both the reader and the stream
-// encoder enforce: no negative count or pair index.
+// encoder enforce: no negative count or pair index, and no integer past
+// int32.
 func validateDiamond(dm *AtlasDiamond) error {
 	if dm.Count < 0 {
 		return errors.New("negative diamond count")
 	}
+	if !fitsInt32(dm.Count, dm.MaxWidth, dm.MaxLength) {
+		return errors.New("diamond size past int32")
+	}
 	for _, p := range dm.Pairs {
 		if p < 0 {
 			return errors.New("negative diamond pair")
+		}
+		if !fitsInt32(p) {
+			return errors.New("diamond pair past int32")
 		}
 	}
 	return nil
@@ -411,11 +424,14 @@ func nodeLine[S string | []byte](d *lineDecoder, b S, n *AtlasNodeV2) error {
 }
 
 // validateSeen is the provenance rule both the reader and the block
-// encoder enforce: no negative pair index or hop.
+// encoder enforce: no negative pair index or hop, and none past int32.
 func validateSeen(seen [][2]int) error {
 	for _, o := range seen {
 		if o[0] < 0 || o[1] < 0 {
 			return errors.New("negative provenance")
+		}
+		if !fitsInt32(o[0], o[1]) {
+			return errors.New("provenance past int32")
 		}
 	}
 	return nil

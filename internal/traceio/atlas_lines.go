@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -284,38 +285,45 @@ func (p *lineParser[S]) intToken(signed bool) (tok S, mag uint64) {
 	return tok, mag
 }
 
-// integer reads a canonical integer that fits in a signed integer of
-// the given bit size.
-func (p *lineParser[S]) integer(bits int) int64 {
+// integer reads a canonical integer in int32 range. Every integer a
+// durable line holds is read in that range, whatever the GOARCH, so the
+// same bytes decode on a 32-bit int as on a 64-bit one.
+func (p *lineParser[S]) integer() int32 {
 	tok, mag := p.intToken(true)
-	neg := len(tok) > 0 && tok[0] == '-'
-	if len(tok) > 18 { // may not fit an int64: let strconv judge
-		v, err := strconv.ParseInt(string(tok), 10, bits)
-		p.require(err == nil)
-		return v
-	}
-	v := int64(mag)
-	if neg {
+	v := int64(mag) // exact for the 11 bytes of "-2147483648", the longest taken
+	if len(tok) > 0 && tok[0] == '-' {
 		v = -v
 	}
-	p.require(bits == 64 || (v >= -1<<(bits-1) && v < 1<<(bits-1)))
-	return v
+	p.require(len(tok) <= 11 && v >= math.MinInt32 && v <= math.MaxInt32)
+	return int32(v)
 }
 
-// num reads a canonical int.
-func (p *lineParser[S]) num() int { return int(p.integer(strconv.IntSize)) }
+// fitsInt32 reports whether every v is in int32 range, the range
+// integer reads: a writer refuses a value past it, which no reader
+// would take back.
+func fitsInt32(vs ...int) bool {
+	for _, v := range vs {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return false
+		}
+	}
+	return true
+}
 
-// small reads a canonical int, taking the common case — a non-negative
-// run of at most 9 digits, which fits any int or int32 — in one loop,
-// and handing anything else (a sign, a leading zero, a longer run) to
-// integer, which decides it.
-func (p *lineParser[S]) small(bits int) int64 {
-	v, j := int64(0), p.i
+// num reads a canonical int, in int32 range (integer).
+func (p *lineParser[S]) num() int { return int(p.integer()) }
+
+// small reads a canonical int32, taking the common case — a
+// non-negative run of at most 9 digits — in one loop, and handing
+// anything else (a sign, a leading zero, a longer run) to integer,
+// which decides it.
+func (p *lineParser[S]) small() int32 {
+	v, j := int32(0), p.i
 	for ; p.ok && j < len(p.s) && j-p.i < 10 && p.s[j]-'0' <= 9; j++ {
-		v = v*10 + int64(p.s[j]-'0')
+		v = v*10 + int32(p.s[j]-'0')
 	}
 	if n := j - p.i; n == 0 || n == 10 || (n > 1 && p.s[p.i] == '0') {
-		return p.integer(bits)
+		return p.integer()
 	}
 	p.i = j
 	return v
@@ -394,9 +402,9 @@ func (p *lineParser[S]) next() bool {
 // obs reads one [p,h] provenance pair.
 func (p *lineParser[S]) obs() [2]int {
 	p.char('[')
-	a := p.small(strconv.IntSize)
+	a := p.small()
 	p.char(',')
-	b := p.small(strconv.IntSize)
+	b := p.small()
 	p.char(']')
 	return [2]int{int(a), int(b)}
 }

@@ -135,7 +135,8 @@ func mustRefuseLines(tb testing.TB) []string {
 // seeds are checked before fuzzing). For arbitrary addresses (as
 // uint32s) and integers, the node and router encoders write exactly
 // json.Marshal's bytes, and the hand parsers take json.Marshal's line
-// of every kind back. For an arbitrary string, NewAtlasStreamEncoder
+// of every kind back when its integers are in int32 range, and refuse
+// it otherwise. For an arbitrary string, NewAtlasStreamEncoder
 // refuses a pair or diamond holding it exactly when the parser refuses
 // json.Marshal's line for it. CI's fuzz-smoke job runs it for a short
 // budget; locally:
@@ -215,9 +216,28 @@ func FuzzAtlasLines(f *testing.F) {
 	}
 	f.Add([]byte(""), "a<b>&c\"\\\xff\u00e9", uint32(1), uint32(255), math.MaxInt, math.MinInt)
 
+	f.Add([]byte(`{"addr":"10.0.0.1","seen":[[2147483647,2147483648]],"succ":null}`), "a", uint32(1), uint32(2), math.MaxInt32, math.MinInt32)
+
 	f.Fuzz(func(t *testing.T, line []byte, s string, a32, b32 uint32, p, h int) {
 		checkLineDecoders(t, line)
 		a, b := packet.Addr(a32), packet.Addr(b32)
+		// Every integer of a line is read in int32 range on every
+		// GOARCH: a line holding a wider one is refused, and the lines
+		// checked below hold p and h wrapped into that range.
+		for _, v := range []int{p, h} {
+			if fitsInt32(v) {
+				continue
+			}
+			for _, w := range []any{
+				&AtlasNodeV2{Addr: a, Seen: [][2]int{{0, v}}}, &AtlasPair{Pair: v},
+				&AtlasDiamond{Pairs: []int{v}}, &AtlasDiamond{MaxWidth: v}, &AtlasShardHeader{Nodes: v},
+			} {
+				if line, _ := json.Marshal(w); checkLineDecoders(t, line) {
+					t.Fatalf("line %q, holding %d, past int32, was taken", line, v)
+				}
+			}
+		}
+		p, h = int(int32(p)), int(int32(h))
 		for _, n := range []AtlasNodeV2{
 			{Addr: a, Seen: [][2]int{{p, h}, {h, p}}, Succ: []packet.Addr{a, b}, Router: b},
 			{Addr: b, Seen: [][2]int{}, Succ: []packet.Addr{}},

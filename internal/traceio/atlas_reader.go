@@ -127,8 +127,8 @@ func (r *AtlasReader) open() error {
 	prevEnd := int64(0)
 	var prevMax packet.Addr // 0.0.0.0 is never a fence
 	for i, si := range r.index.Shards {
-		if si.Nodes < 0 || si.Routers < 0 {
-			return fmt.Errorf("traceio: atlas index shard %d: negative counts", i)
+		if si.Nodes < 0 || si.Routers < 0 || !fitsInt32(si.Nodes, si.Routers) {
+			return fmt.Errorf("traceio: atlas index shard %d: counts (%d,%d) outside [0, 2^31)", i, si.Nodes, si.Routers)
 		}
 		if si.Off < prevEnd || si.Len <= 0 || !r.inBounds(si.Off, si.Len) {
 			return fmt.Errorf("traceio: atlas index shard %d: span [%d,+%d) out of bounds", i, si.Off, si.Len)

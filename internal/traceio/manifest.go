@@ -3,6 +3,7 @@ package traceio
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -104,7 +105,8 @@ func (m *FleetManifest) Matches(optionsHash uint64, total, unitSize int) error {
 // ReadFleetManifest loads and validates a manifest file. A missing file
 // surfaces as an error satisfying os.IsNotExist. Validation checks what
 // a coordinator can have written and a resume depends on: a
-// non-negative Total and a positive UnitSize, units that partition
+// non-negative Total and a positive UnitSize, each at most
+// math.MaxInt32 as every integer of the file is, units that partition
 // [0, Total) contiguously in ID order, and a shipped or merged unit
 // naming a shard inside the manifest's directory (filepath.IsLocal)
 // that holds exactly its Count records.
@@ -126,10 +128,18 @@ func ReadFleetManifest(path string) (*FleetManifest, error) {
 	if m.Total < 0 || m.UnitSize <= 0 {
 		return nil, fmt.Errorf("traceio: fleet manifest %s: total %d, unit size %d", path, m.Total, m.UnitSize)
 	}
+	// Every integer in int32 range, so the file reads the same on every
+	// GOARCH; the partition check below bounds the units' spans by Total.
+	if !fitsInt32(m.Total, m.UnitSize) {
+		return nil, fmt.Errorf("traceio: fleet manifest %s: total %d or unit size %d past %d", path, m.Total, m.UnitSize, math.MaxInt32)
+	}
 	next := 0 // never above Total, so Total-next cannot overflow
 	for i, u := range m.Units {
 		if u.ID != i || u.Start != next || u.Count <= 0 || u.Count > m.Total-next {
 			return nil, fmt.Errorf("traceio: fleet manifest %s: unit %d does not partition the job list (start=%d count=%d, want start=%d)", path, u.ID, u.Start, u.Count, next)
+		}
+		if !fitsInt32(u.Records, u.Attempts) {
+			return nil, fmt.Errorf("traceio: fleet manifest %s: unit %d: records %d or attempts %d past %d", path, u.ID, u.Records, u.Attempts, math.MaxInt32)
 		}
 		switch u.State {
 		case UnitUnclaimed, UnitLeased:

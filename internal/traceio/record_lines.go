@@ -34,16 +34,22 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 }
 
 // checkLine refuses a record no line holds: a string that is not plain,
-// or a float that is not finite (encoding/json has no form for NaN or an
-// infinity).
+// an integer past int32 (no parser takes it back), or a float that is
+// not finite (encoding/json has no form for NaN or an infinity).
 func (sr *SurveyRecord) checkLine() error {
 	if err := checkPlain(sr.Src, sr.Dst, sr.Algorithm); err != nil {
 		return err
+	}
+	if !fitsInt32(sr.PairIndex, sr.PriorHops) {
+		return fmt.Errorf("traceio: pair %d: pair index or prior hops past int32", sr.PairIndex)
 	}
 	for i := range sr.Diamonds {
 		d := &sr.Diamonds[i]
 		if err := checkPlain(d.Div, d.Conv); err != nil {
 			return err
+		}
+		if !fitsInt32(d.MaxLength, d.MaxWidth, d.Asymmetry) {
+			return fmt.Errorf("traceio: pair %d: diamond %s-%s: size past int32", sr.PairIndex, d.Div, d.Conv)
 		}
 		if err := checkFinite(d.MeshedRatio, d.MaxProbDiff); err != nil {
 			return err
@@ -299,7 +305,7 @@ func (d *recordParser) parse(s string, sr *SurveyRecord) error {
 			continue
 		}
 		for more := p.open(); more; more = p.next() {
-			d.succ = append(d.succ, int32(p.small(32)))
+			d.succ = append(d.succ, p.small())
 		}
 		d.succEnds = append(d.succEnds, len(d.succ))
 	}

@@ -675,7 +675,10 @@ func TestEveryOptionIsSet(t *testing.T) {
 // TestOneHTTPConvention: the JSON-over-HTTP convention lives in
 // internal/httpx alone. No other non-test file outside bench/ calls
 // WriteHeader or declares a field tagged `json:"error"`, so no handler
-// can answer with a status or an error body of its own.
+// can answer with a status or an error body of its own; and none calls
+// Handle or HandleFunc or reads URL.Path, so every route is an
+// httpx.Route method pattern, whose 404 and 405 are JSON by
+// construction, and reads its path through r.PathValue.
 func TestOneHTTPConvention(t *testing.T) {
 	t.Parallel()
 	ix, err := indexSurface(".", "mmlpt")
@@ -691,8 +694,17 @@ func TestOneHTTPConvention(t *testing.T) {
 		ast.Inspect(sf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "WriteHeader" {
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				switch {
+				case !ok:
+				case sel.Sel.Name == "WriteHeader":
 					t.Errorf("%s calls WriteHeader: answer through httpx.WriteJSON or httpx.Errorf", ix.fset.Position(n.Pos()))
+				case sel.Sel.Name == "Handle" || sel.Sel.Name == "HandleFunc":
+					t.Errorf("%s calls %s: register the route with httpx.Route", ix.fset.Position(n.Pos()), sel.Sel.Name)
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.SelectorExpr); ok && x.Sel.Name == "URL" && n.Sel.Name == "Path" {
+					t.Errorf("%s reads URL.Path: match it with an httpx.Route pattern and read r.PathValue", ix.fset.Position(n.Pos()))
 				}
 			case *ast.Field:
 				if n.Tag == nil {
