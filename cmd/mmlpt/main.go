@@ -188,9 +188,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// record builds the trace record of one result.
+// record builds the trace record of one result. Its probes field counts
+// every packet the trace sent, alias probes included, as a survey's
+// records do.
 func record(src, dst mmlpt.Addr, algo string, r *mmlpt.Result) *traceio.SurveyRecord {
-	return survey.TraceRecord(src, dst, algo, r.IP.Graph, r.IP.Probes, r.IP.ReachedDst, r.IP.SwitchedToMDA, r.Multilevel)
+	return survey.TraceRecord(src, dst, algo, r.IP.Graph, r.Probes(), r.IP.ReachedDst, r.IP.SwitchedToMDA, r.Multilevel)
 }
 
 // writeRecords writes one trace record per run, indexed by run.

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,6 +13,7 @@ import (
 	"mmlpt"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/pin"
 	"mmlpt/internal/survey"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
@@ -89,19 +88,13 @@ func runsContent(t *testing.T, jsonl []byte) string {
 	return b.String()
 }
 
-// TestRunsJSONLDigests pins -out twice. The content digests were
-// recorded at commit b6ec1af by rendering that commit's nested record
-// layout; they vouch for the byte digests, re-recorded once when -out
-// moved to the flat survey record.
+// TestRunsJSONLDigests pins -out's bytes and its runsContent rendering.
 func TestRunsJSONLDigests(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		algo, shape, content, want string
-	}{
-		{"mda-lite", "symmetric", "9c74b512c9090470d5df61ba8213435639eb6f523a9f727d1da80ef1a6376b66", "6b4177bb86e125255e7cb813f88d5fc7ac059e70e4657d90a8044de7d977dfe6"},
-		{"multilevel", "fig1", "2196759d820c465eab4c1814853482f18e0157013692d5e686484a76cd0768fd", "5d3273d33b19eaf6fcaddc33b9538915e7e097fcfac39c8add757c3a8edff136"},
-	}
-	for _, c := range cases {
+	for _, c := range []struct{ algo, shape string }{
+		{"mda-lite", "symmetric"},
+		{"multilevel", "fig1"},
+	} {
 		out := filepath.Join(t.TempDir(), "runs.jsonl")
 		code, stdout, stderr := runCLI(t, "-runs", "12", "-workers", "3", "-out", out, "-algo", c.algo, "-shape", c.shape)
 		if code != 0 {
@@ -114,13 +107,9 @@ func TestRunsJSONLDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(runsContent(t, data)))); got != c.content {
-			t.Errorf("%s/%s: -out content digest %s, want %s", c.algo, c.shape, got, c.content)
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != c.want {
-			t.Errorf("%s/%s: -out sha256 %s, want %s", c.algo, c.shape, got, c.want)
-		}
+		name := "cmd/mmlpt/" + c.algo + "/" + c.shape
+		pin.Check(t, name+"/content", []byte(runsContent(t, data)))
+		pin.Check(t, name+"/out", data)
 	}
 }
 
@@ -180,7 +169,8 @@ func TestUsageErrors(t *testing.T) {
 
 // TestAlgoNamesAreRecordNames: -algo takes the names a survey record's
 // algorithm field carries, and the -json record of a -seed run is the
-// record of the library trace under that seed.
+// record of the library trace under that seed, whose probes field
+// counts every packet the prober sent, alias probes included.
 func TestAlgoNamesAreRecordNames(t *testing.T) {
 	t.Parallel()
 	src, dst := mmlpt.MustParseAddr("192.0.2.1"), mmlpt.MustParseAddr("198.51.100.77")
@@ -205,9 +195,13 @@ func TestAlgoNamesAreRecordNames(t *testing.T) {
 		}
 
 		net, _ := mmlpt.BuildScenario(7, src, dst, fakeroute.Shapes["fig1"])
+		p := mmlpt.NewSimProber(net, src, dst)
 		var want bytes.Buffer
-		if err := record(src, dst, name, mmlpt.Trace(mmlpt.NewSimProber(net, src, dst), mmlpt.Options{Algorithm: algo, Seed: 7})).WriteJSONL(&want); err != nil {
+		if err := record(src, dst, name, mmlpt.Trace(p, mmlpt.Options{Algorithm: algo, Seed: 7})).WriteJSONL(&want); err != nil {
 			t.Fatal(err)
+		}
+		if trace, echo := p.Sent(); got.Probes != trace+echo || (name == "multilevel") != (got.AliasProbes > 0) {
+			t.Errorf("-algo %s: probes %d with %d alias probes; the prober sent %d trace and %d echo probes", name, got.Probes, got.AliasProbes, trace, echo)
 		}
 		if stdout != want.String() {
 			t.Errorf("-algo %s -seed 7 -json:\n%s\nlibrary trace under seed 7:\n%s", name, stdout, want.String())

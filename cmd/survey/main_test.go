@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,6 +9,7 @@ import (
 	"testing"
 
 	"mmlpt/internal/dispatch"
+	"mmlpt/internal/pin"
 	"mmlpt/internal/traceio"
 )
 
@@ -137,10 +136,9 @@ func TestCheckpointMatchesPlainRun(t *testing.T) {
 
 // TestPriorResurveyPinned pins the bytes of an atlas-prior re-survey:
 // an IP-level survey writes an atlas, and a -prior re-survey seeded from
-// it writes a record log and an atlas whose SHA-256 digests were
-// recorded before the prior index was rebuilt over dense node ids. The
-// index feeds every prior_hops field and every confirmation probe, so
-// any change in what it holds moves these bytes.
+// it writes a record log and an atlas. The prior index feeds every
+// prior_hops field and every confirmation probe, so any change in what
+// it holds moves these bytes.
 func TestPriorResurveyPinned(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -156,14 +154,21 @@ func TestPriorResurveyPinned(t *testing.T) {
 	if !strings.Contains(stderr, "prior: 300 pairs indexed") {
 		t.Fatalf("re-survey stderr does not report the index: %s", stderr)
 	}
-	for _, c := range []struct{ path, want string }{
-		{out, "25a006c457061f2583362b84d05e2a68fc58d39202e2f96c19c62659541a9e88"},
-		{snap, "28647e1ecc8c6f9a356b38c1e967511f780e99e9d290b544f01bb2b17387727d"},
-	} {
-		if got := fmt.Sprintf("%x", sha256.Sum256(readFile(t, c.path))); got != c.want {
-			t.Errorf("%s: sha256 %s, pinned %s", filepath.Base(c.path), got, c.want)
-		}
+	pin.Check(t, "cmd/survey/prior-resurvey/out", readFile(t, out))
+	pin.Check(t, "cmd/survey/prior-resurvey/atlas", readFile(t, snap))
+}
+
+// TestStdoutPinned pins what a router-level survey prints (summary,
+// tables and every figure), the same bytes at every worker count.
+func TestStdoutPinned(t *testing.T) {
+	t.Parallel()
+	args := []string{"-level", "router", "-pairs", "20", "-seed", "3", "-figs", "-workers"}
+	code1, one, stderr1 := runCLI(t, append(args, "1")...)
+	code3, three, stderr3 := runCLI(t, append(args, "3")...)
+	if code1 != 0 || code3 != 0 || one != three {
+		t.Fatalf("exit %d at -workers 1, %d at -workers 3 (%s%s); stdout:\n%s\nand:\n%s", code1, code3, stderr1, stderr3, one, three)
 	}
+	pin.Check(t, "cmd/survey/router-figs/stdout", []byte(one))
 }
 
 // TestOldCheckpointRefused: -checkpoint naming a file, as an older

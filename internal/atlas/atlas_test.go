@@ -1,20 +1,7 @@
 package atlas
 
-// Snapshot byte pins. The SHA-256 digests in snapshotPins were recorded
-// on the parent commit 0d9bf5de4010e71f50c7e9c25b11031d0dcf8b2a from
-// the reference path this change deletes: the materialized encode of
-// the atlas's in-memory snapshot struct for the single-atlas fixtures,
-// and, for the compact cases, decoding every input whole, merging the
-// decoded structs into a fresh atlas and encoding that materialized.
-// They pass unmodified here. Every equivalence
-// test below holds the streaming writer to (a) its digest and (b) a
-// cross-check between the two production paths that remain: WriteTo of
-// an atlas that ingested directly, and Compact over saved files.
-
 import (
 	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,41 +9,10 @@ import (
 	"testing"
 
 	"mmlpt/internal/packet"
+	"mmlpt/internal/pin"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
-
-var snapshotPins = map[string]string{
-	"gen/seed=1/pairs=25":   "96d6a6429a623d0fc6a803774e7fb4f794975534cad226a03fd6b8f33cf4b36d",
-	"gen/seed=2/pairs=25":   "277c79a6cf70fdf7ee06582a0afa026c5df7476cad69db054189967e514da493",
-	"gen/seed=3/pairs=25":   "8fb3e8354deb725cec5392af103f78af500a992ff2cbcb94acc5584b47b572a9",
-	"gen/seed=5/pairs=30":   "fac4f597803660f0f05007edafabb7adcd029d1fdb57c3eec8b04e7fe24176ba",
-	"gen/seed=6/pairs=20":   "f2ae463c4d8feac123ddf7631a8e6581064b89e15f3c07728208d86dbf9e19c3",
-	"gen/seed=7/pairs=10":   "5202545344ed275e5b91c5c2f89a689669e7ac2e223aedc329810d9326ebc776",
-	"gen/seed=9/pairs=3":    "74b43d509cb1f20e49e1b8de9d9559df9acea69ce607e0d07276fb3752fdecef",
-	"gen/seed=11/pairs=40":  "0c30fa5e8b58b5a23d125e921b799554fe4a29c5567ba95984082a78c989478b",
-	"gen/seed=13/pairs=600": "dddb12aec0b6c9a9eb86150a2078965ed384706c659652148829009bf36d10f5", // 10 958 nodes, 3 shards
-	"gen/seed=14/pairs=400": "ad88fc70be3813d80ca386dd2051c6c813bb6ca25293b425c1af6526fb9b7f75", // 7 117 nodes, 2 shards
-	"empty":                 "19101404d2ab931754886eb4f0c9cfb53990a59e2a579b2eb90e70da22e76076",
-	"hand":                  "057d379a78f204fad52df00dc0fafe591869bdc6c6df334cfb13de202f0c15e4",
-	"compact/5+6+7":         "f616bd8496faa2a74ab97613b7afe258bbec82f1347d427b01444c79b68d098b",
-	"compact/13+14":         "6d884b898d23e4b3f3e39e0252c01c3ba0d4cffa52ee166fde110e1cb610edfd", // 3 shards
-	"canonical":             "2d8b1039b28b7a71d1a90d386534b6cef597af063fcc4d66dbf33e66087a5800",
-	"saveload":              "7e96b8a8d3794f5e7ef73443b281ac63c6ad2944ede46bb62545fe7c5bbae0af",
-	"concurrent":            "47cbbd0d7b6c6e357b269c02bff44f6a55e6c1608b0f73992b81c377ac71937d",
-}
-
-// pinned fails unless raw hashes to the digest recorded under name.
-func pinned(tb testing.TB, name string, raw []byte) {
-	tb.Helper()
-	want, ok := snapshotPins[name]
-	if !ok {
-		tb.Fatalf("no pinned digest named %q", name)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
-		tb.Errorf("%s: snapshot digest %s, pinned %s", name, got, want)
-	}
-}
 
 // chain builds a hop-aligned path graph from addresses (0 = star).
 func chain(addrs ...uint32) *topo.Graph {
@@ -171,7 +127,7 @@ func TestSnapshotCanonicalAcrossShardsAndOrder(t *testing.T) {
 		return a
 	}
 	ref := writeTo(t, build([]int{0, 1, 2}))
-	pinned(t, "canonical", ref)
+	pin.Check(t, "atlas/canonical", ref)
 	for _, order := range [][]int{{2, 0, 1}, {1, 2, 0}, {2, 1, 0}} {
 		if got := writeTo(t, build(order)); !bytes.Equal(got, ref) {
 			t.Fatalf("snapshot differs at order=%v", order)
@@ -206,7 +162,7 @@ func TestConcurrentIngestDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 	want := writeTo(t, serial)
-	pinned(t, "concurrent", want)
+	pin.Check(t, "atlas/concurrent", want)
 	if !bytes.Equal(want, writeTo(t, conc)) {
 		t.Fatal("concurrent ingestion changed the snapshot")
 	}
@@ -281,7 +237,7 @@ func TestSaveLoadByteStable(t *testing.T) {
 	dir := t.TempDir()
 	saved := saveDelta(t, dir, "a.atlas", a)
 	first := readFile(t, saved)
-	pinned(t, "saveload", first)
+	pin.Check(t, "atlas/saveload", first)
 	if !bytes.Equal(first, writeTo(t, a)) {
 		t.Fatal("Save and WriteTo disagree")
 	}

@@ -13,6 +13,7 @@ import (
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/pin"
 	"mmlpt/internal/topo"
 	"mmlpt/internal/traceio"
 )
@@ -70,25 +71,26 @@ func genAtlas(tb testing.TB, seed uint64, pairs int, opt Options) *Atlas {
 }
 
 func genPin(seed uint64, pairs int) string {
-	return fmt.Sprintf("gen/seed=%d/pairs=%d", seed, pairs)
+	return fmt.Sprintf("atlas/gen/seed=%d/pairs=%d", seed, pairs)
 }
 
 // The writer pin: WriteTo's bytes are the ones the materialized encode
-// produced at the parent commit — for the empty atlas, a handmade
-// atlas, single-shard generator atlases and two multi-shard ones.
+// produced — for the empty atlas, a handmade atlas, single-shard
+// generator atlases (among them the inputs of compact/5+6+7) and two
+// multi-shard ones.
 func TestWriteToMatchesMaterializedEncode(t *testing.T) {
 	t.Parallel()
-	pinned(t, "empty", writeTo(t, New(Options{})))
+	pin.Check(t, "atlas/empty", writeTo(t, New(Options{})))
 	hand := New(Options{})
 	hand.AddGraph(0, chain(0xa000001, 0, 0xa000003))
 	hand.AddGraph(1, chain(0xa000003, 0xa000001))
 	hand.AddAliasSet([]packet.Addr{0xa000001, 0xa000003})
-	pinned(t, "hand", writeTo(t, hand))
+	pin.Check(t, "atlas/hand", writeTo(t, hand))
 	for _, c := range []struct {
 		seed  uint64
 		pairs int
-	}{{9, 3}, {11, 40}, {13, 600}, {14, 400}} {
-		pinned(t, genPin(c.seed, c.pairs), writeTo(t, genAtlas(t, c.seed, c.pairs, Options{})))
+	}{{5, 30}, {6, 20}, {7, 10}, {9, 3}, {11, 40}, {13, 600}, {14, 400}} {
+		pin.Check(t, genPin(c.seed, c.pairs), writeTo(t, genAtlas(t, c.seed, c.pairs, Options{})))
 	}
 }
 
@@ -103,7 +105,7 @@ func TestWriteToDeterministicAcrossWorkersAndShards(t *testing.T) {
 			got := writeTo(t, genAtlas(t, seed, 25, Options{MergeWorkers: workers}))
 			if want == nil {
 				want = got
-				pinned(t, genPin(seed, 25), want)
+				pin.Check(t, genPin(seed, 25), want)
 				continue
 			}
 			if !bytes.Equal(got, want) {
@@ -171,8 +173,8 @@ func saveDelta(tb testing.TB, dir, name string, a *Atlas) string {
 
 // The compaction pin: the streaming k-way Compact over saved files is
 // byte-identical to WriteTo of one atlas that ingested the same
-// sequences directly, and both are the bytes the parent commit's
-// decode-everything merge produced. Inputs overlap addresses, routers,
+// sequences directly, and both are the bytes the decode-everything merge
+// they replaced produced. Inputs overlap addresses, routers,
 // census entries and pair indices; tested serial and parallel, with and
 // without a base, single- and multi-shard.
 func TestCompactMatchesDirectIngest(t *testing.T) {
@@ -181,7 +183,7 @@ func TestCompactMatchesDirectIngest(t *testing.T) {
 		seed  uint64
 		pairs int
 	}
-	for pin, seqs := range map[string][]seq{
+	for name, seqs := range map[string][]seq{
 		"compact/5+6+7": {{5, 30}, {6, 20}, {7, 10}},
 		"compact/13+14": {{13, 600}, {14, 400}},
 	} {
@@ -190,13 +192,11 @@ func TestCompactMatchesDirectIngest(t *testing.T) {
 		var inputs []string
 		for i, s := range seqs {
 			a := genAtlas(t, s.seed, s.pairs, Options{})
-			in := saveDelta(t, dir, fmt.Sprintf("in%d.atlas", i), a)
-			pinned(t, genPin(s.seed, s.pairs), readFile(t, in))
-			inputs = append(inputs, in)
+			inputs = append(inputs, saveDelta(t, dir, fmt.Sprintf("in%d.atlas", i), a))
 			genInto(t, direct, s.seed, s.pairs)
 		}
 		want := writeTo(t, direct)
-		pinned(t, pin, want)
+		pin.Check(t, "atlas/"+name, want)
 
 		for _, workers := range []int{1, 4} {
 			for _, withBase := range []bool{true, false} {
@@ -209,7 +209,7 @@ func TestCompactMatchesDirectIngest(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(readFile(t, out), want) {
-					t.Fatalf("%s workers=%d base=%v: compact bytes differ from direct ingest", pin, workers, withBase)
+					t.Fatalf("%s workers=%d base=%v: compact bytes differ from direct ingest", name, workers, withBase)
 				}
 			}
 		}
@@ -224,9 +224,7 @@ func TestCompactEmptyInput(t *testing.T) {
 	if err := Compact(out, "", []string{in}, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	got := readFile(t, out)
-	pinned(t, "empty", got)
-	if !bytes.Equal(got, writeTo(t, New(Options{}))) {
+	if !bytes.Equal(readFile(t, out), writeTo(t, New(Options{}))) {
 		t.Fatal("compacting an empty input differs from the empty encode")
 	}
 }

@@ -1,21 +1,19 @@
 package experiments
 
-// Alias-resolution pins, recorded on commit 4d89929 before the IP ID
-// samples were split into per-family series and the round schedule and
-// router representative moved into internal/alias. Each digest covers an
-// output a rewrite of that layer must reproduce bit for bit:
+// The experiments' pins. Each covers an output a rewrite of the alias
+// layer or of the survey renderers must reproduce bit for bit:
 //
 //   - every round's partition (addresses, outcome, cumulative probes) and
 //     the router graph of a multilevel trace over the load-balanced pairs
 //     of the router-survey bench universe;
 //   - the exact sequence of probes those traces send, traceroute probes as
 //     (flow, TTL) and echoes as (address, sequence number);
-//   - the Fig 5 rows and every Table2Result field at Pairs 10, Seed 1.
+//   - the Fig 5 rows and every Table2Result field at Pairs 10, Seed 1;
+//   - every Sec 5 renderer's output over cmd/paperfig's scale-1 surveys.
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"fmt"
-	"hash"
 	"io"
 	"testing"
 
@@ -24,11 +22,12 @@ import (
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/obs"
 	"mmlpt/internal/packet"
+	"mmlpt/internal/pin"
 	"mmlpt/internal/probe"
 )
 
-// probeLog hashes every probe a tracer sends, in order; a batch adds a
-// length marker ahead of its specs.
+// probeLog writes down every probe a tracer sends, in order; a batch
+// adds a length marker ahead of its specs.
 type probeLog struct {
 	probe.Prober
 	w io.Writer
@@ -60,8 +59,6 @@ func (l probeLog) EchoBatch(specs []probe.EchoSpec) []*packet.Reply {
 	return l.Prober.EchoBatch(specs)
 }
 
-func sum(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)) }
-
 // TestAliasRoundsPinned traces the load-balanced pairs of the
 // router-survey bench universe (world seed 3, 14 pairs, trace seed 1 as
 // the bench's default -seed) exactly as survey.Run would, and pins every
@@ -76,7 +73,7 @@ func TestAliasRoundsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.Trace.Seed = 1
-	parts, probes := sha256.New(), sha256.New()
+	var parts, probes bytes.Buffer
 	traced := 0
 	for idx, pair := range u.Pairs {
 		if !pair.HasLB {
@@ -85,34 +82,26 @@ func TestAliasRoundsPinned(t *testing.T) {
 		traced++
 		sim := probe.NewSimProber(u.Net, pair.Src, pair.Dst)
 		sim.Retries = rc.Retries
-		fmt.Fprintf(probes, "pair %d\n", idx)
+		fmt.Fprintf(&probes, "pair %d\n", idx)
 		tc := rc.Trace
 		tc.Seed = nprand.IndexedSeed(rc.Trace.Seed, idx)
-		res := core.Trace(probeLog{sim, probes}, core.Options{
+		res := core.Trace(probeLog{sim, &probes}, core.Options{
 			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds,
 		})
-		fmt.Fprintf(parts, "pair %d trace %d alias %d\n", idx, res.TraceProbes, res.AliasProbes)
+		fmt.Fprintf(&parts, "pair %d trace %d alias %d\n", idx, res.TraceProbes, res.AliasProbes)
 		for _, snap := range res.Rounds {
-			fmt.Fprintf(parts, "round %d probes %d\n", snap.Round, snap.Probes)
+			fmt.Fprintf(&parts, "round %d probes %d\n", snap.Round, snap.Probes)
 			for _, s := range snap.Sets {
-				fmt.Fprintf(parts, "%v %v\n", s.Outcome, s.Addrs)
+				fmt.Fprintf(&parts, "%v %v\n", s.Outcome, s.Addrs)
 			}
 		}
-		fmt.Fprintf(parts, "router graph\n%s", res.RouterGraph)
+		fmt.Fprintf(&parts, "router graph\n%s", res.RouterGraph)
 	}
 	if traced != 6 {
 		t.Fatalf("traced %d load-balanced pairs, want 6", traced)
 	}
-	const (
-		wantParts  = "f1f058fd0de0aa88f5b3c2bf8079ce4cff28957786710f9e9c68eb228cd05575"
-		wantProbes = "13b44499a389b7b4a130a6b52f8d1d9ed7ba6575ec2be7d262e94fd5d977a632"
-	)
-	if got := sum(parts); got != wantParts {
-		t.Errorf("round partitions digest %s, pinned %s", got, wantParts)
-	}
-	if got := sum(probes); got != wantProbes {
-		t.Errorf("probe sequence digest %s, pinned %s", got, wantProbes)
-	}
+	pin.Check(t, "experiments/alias-rounds/partitions", parts.Bytes())
+	pin.Check(t, "experiments/alias-rounds/probes", probes.Bytes())
 }
 
 // TestObservationSeqsUnique checks the invariant alias.MBTVerdict's merge
@@ -208,12 +197,7 @@ func TestFig5Pinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten alias rounds over 10 pairs are slow")
 	}
-	const want = "60fc405ede64ebdbd35c1ee4b9e45dcea257edac7fb479ee91cf8f73b818d166"
-	h := sha256.New()
-	fmt.Fprintf(h, "%+v", Fig5(Fig5Config{Pairs: 10, Seed: 1}))
-	if got := sum(h); got != want {
-		t.Errorf("Fig 5 digest %s, pinned %s", got, want)
-	}
+	pin.Check(t, "experiments/fig5", fmt.Appendf(nil, "%+v", Fig5(Fig5Config{Pairs: 10, Seed: 1})))
 }
 
 // TestTable2Pinned pins every Table2Result field: the cells, the
@@ -223,10 +207,37 @@ func TestTable2Pinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten alias rounds over 10 pairs, both families, are slow")
 	}
-	const want = "49c0a0241e36a000e3aa190f99e672cd1c26e766c88c84c7dbbe942b83d42b30"
-	h := sha256.New()
-	fmt.Fprintf(h, "%+v", *Table2(Table2Config{Pairs: 10, Seed: 1}))
-	if got := sum(h); got != want {
-		t.Errorf("Table 2 digest %s, pinned %s", got, want)
+	pin.Check(t, "experiments/table2", fmt.Appendf(nil, "%+v", *Table2(Table2Config{Pairs: 10, Seed: 1})))
+}
+
+// TestSurveyArtifactsPinned pins every Sec 5 renderer's output over
+// cmd/paperfig's scale-1 surveys (IP: 400 pairs, seed 1; router: 120
+// pairs, seed 1, 10 alias rounds).
+func TestSurveyArtifactsPinned(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("paperfig's scale-1 surveys are slow")
+	}
+	ip, err := IPSurvey(SurveyConfig{Pairs: 400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := RouterSurvey(SurveyConfig{Pairs: 120, Seed: 1, Rounds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]string{
+		"fig2":   FormatFig2(ip),
+		"fig7":   FormatFig7(ip),
+		"fig8":   FormatFig8(ip),
+		"fig9":   FormatFig9(ip),
+		"fig10":  FormatFig10(ip),
+		"fig11":  FormatFig11(ip),
+		"fig12":  FormatFig12(router),
+		"table3": FormatTable3(router),
+		"fig13":  FormatFig13(router),
+		"fig14":  FormatFig14(router),
+	} {
+		pin.Check(t, "experiments/artifacts/"+name, []byte(out))
 	}
 }

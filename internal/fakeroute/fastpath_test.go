@@ -1,45 +1,14 @@
 package fakeroute
 
-// Reply-stream pins. The SHA-256 digests in replyStreamPins were recorded
-// on commit b6e11d7e3b34d6b333ea52389d17dba5fde1d1c4, where per-flow and
-// per-destination probes were answered from a per-session memo of flow
-// walks and every other configuration from the fresh TTL-bounded walk.
-// The memo has since been deleted, so every probe now takes that one
-// walk; the digests pass unmodified, which pins the RNG draw order and
-// every emitted byte across the change.
-
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"testing"
 
 	"mmlpt/internal/packet"
+	"mmlpt/internal/pin"
 	"mmlpt/internal/topo"
 )
-
-var replyStreamPins = map[string]string{
-	"simplest/perflow":       "01fb05cdc39a5a964c68c15cda61e4c64be04e4bcb38b12ba5f865bfef8b276d",
-	"simplest/perdest":       "ee5a691b4acfe68dd5100518e7a0810e0c259a7d446f00e8b480ae8f8b342495",
-	"simplest/weighted":      "76ba873b1cc93bf54f14269ea2162acbde75b49b8faf16c2443689ff51e22da3",
-	"simplest/perpacket":     "bc4bdb4e36e2e01842376b347b28c4383b3ea1e3f5fbd0351c99697931110e10",
-	"simplest/lossy":         "0ce34d34e8ad7289a4f99f48b5690a8f2c99bc4fcbb10998fc7d152a2b1cf726",
-	"simplest/ratelimited":   "06a15acb7bdd9c1cb63759771199eba152e681d5d0e976e4cce1cbe492662ca4",
-	"meshed48/perflow":       "cddf764c1002956f777bc4e62af9bfae846cd4d5be46834be07ac18d8c4b9e27",
-	"meshed48/perdest":       "d7da9700defd52774dfc6a6011c00e3ae471793cf980dcddd4f27cf8fa20d4d1",
-	"meshed48/weighted":      "302a47282146734468b5e0fd8e92ee875c686e9e08d086e35501fc2fe3f85755",
-	"meshed48/perpacket":     "a6e37fae461d0f0cda0cf1e08ef9015fbd2674e702f9c74a67f1b1834469fc5b",
-	"meshed48/lossy":         "cb526d9be7e47d6fa7ca45463bd17ea80323d61b876acb7d4ae1798c0d5bf1a1",
-	"meshed48/ratelimited":   "dc3f16b8f159636d1f212cf0d94a1c0d560644d072968fefd276acd26d0ea146",
-	"asymmetric/perflow":     "ff2953aef10c78efa79a32452c51032d919411746667252624ebaf2bcb0acdd1",
-	"asymmetric/perdest":     "fe048991ec5a4b8c49a9e7894bb26f2a60e9640aa39c224a6755a7a1f404b66f",
-	"asymmetric/weighted":    "aca5417905ed68511a9ced0dfe5c27630e6749680b2eae2fdac15680571c52c5",
-	"asymmetric/perpacket":   "b06e4b03e703815da3d0f2e3ec8fd620b8167ee2cececa2176c1d214c8ed2517",
-	"asymmetric/lossy":       "cb42cfb47ec48d1ecaac3608527747a648e2872f708f901bbe437d3a94d93a85",
-	"asymmetric/ratelimited": "e2a10c0bb42ef069926364df65065ecf2b81ae1e168fb3dd2ba00ff4be9a9b21",
-	"routechange":            "a01078163bda513cdb6d1cee62c20be183628b640fc5bba125d9de28496a8eb6",
-	"deadend/scrambled":      "6ba27cbdf47f25c662efff2fe3dcb9a3a7c9938ee3916bbf2a23f780de318af3",
-}
 
 // replyLog collects a probe schedule's replies and counts what it saw:
 // a nil reply is a drop, and every other one was emitted.
@@ -60,14 +29,6 @@ func (l *replyLog) record(raw []byte, marked bool) {
 	}
 	l.replies++
 	l.Write(raw)
-}
-
-// digest hashes the replies and the reply and drop counts.
-func (l *replyLog) digest() string {
-	h := sha256.New()
-	h.Write(l.Bytes())
-	fmt.Fprintf(h, "|replies=%d|dropped=%d", l.replies, l.dropped)
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // replyStream runs a fixed probe schedule (many flows × many TTLs, echo
@@ -129,14 +90,14 @@ func deadEndPath(alloc *AddrAllocator, dst packet.Addr) *topo.Graph {
 }
 
 // TestWalkMemoByteIdentical: the forwarding loop answers byte for byte
-// what it answered while the flow-walk memo existed (see the pins
-// above). Every reply byte, every silent drop and the stream's
-// reply/drop counts are pinned across per-flow, per-destination,
-// weighted, per-packet, lossy and rate-limited balancing on three
-// shapes, across a mid-trace route change (Path.Alt), and over a
-// scrambled (flow, TTL) order on a path with a dead end. Per-packet
-// balancing and loss draw from the session stream, so these digests
-// also pin the RNG draw order.
+// what it answered while a per-session memo of flow walks served
+// per-flow and per-destination probes. Every reply byte, every silent
+// drop and the stream's reply/drop counts are pinned across per-flow,
+// per-destination, weighted, per-packet, lossy and rate-limited
+// balancing on three shapes, across a mid-trace route change
+// (Path.Alt), and over a scrambled (flow, TTL) order on a path with a
+// dead end. Per-packet balancing and loss draw from the session stream,
+// so these pins also pin the RNG draw order.
 func TestWalkMemoByteIdentical(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -207,9 +168,8 @@ func TestWalkMemoByteIdentical(t *testing.T) {
 	)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got, want := c.run().digest(), replyStreamPins[c.name]; got != want {
-				t.Errorf("reply stream digest %s, pinned %s", got, want)
-			}
+			l := c.run()
+			pin.Check(t, "fakeroute/"+c.name, fmt.Appendf(l.Bytes(), "|replies=%d|dropped=%d", l.replies, l.dropped))
 		})
 	}
 }

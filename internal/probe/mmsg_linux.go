@@ -19,9 +19,10 @@ import (
 //
 // The same type serves two wirings: the raw-socket pair of the live
 // prober (IPPROTO_RAW + IP_HDRINCL for sends, IPPROTO_ICMP for
-// receives, per-packet destination addresses) and a connected AF_UNIX
-// datagram socketpair (newSocketpairTransport) that lets tests and the
-// loopback benchmark drive the identical machinery without CAP_NET_RAW.
+// receives, per-packet destination addresses) and a connected socket
+// that takes no destination address, which the package's tests wire
+// over an AF_UNIX datagram socketpair to drive the identical machinery
+// without CAP_NET_RAW.
 //
 // On architectures without pinned mmsg syscall numbers (sysSENDMMSG ==
 // 0) every batch degrades to per-packet sendto/recvfrom — functionally
@@ -252,20 +253,6 @@ func newRawTransport(maxBatch int) (*mmsgTransport, error) {
 		return nil, &transportError{"raw recv socket", err}
 	}
 	return newMMsgTransport(send, recv, false, maxBatch), nil
-}
-
-// newSocketpairTransport wires the transport over a connected AF_UNIX
-// datagram socketpair and returns the peer descriptor, which a test or
-// benchmark responder (see fakerouteResponder) owns and must close.
-// Datagram boundaries are preserved, so packets cross the pair exactly
-// as they would a raw socket — same codecs, same demux, same syscalls —
-// without any capability requirement.
-func newSocketpairTransport(maxBatch int) (t *mmsgTransport, peer int, err error) {
-	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_DGRAM, 0)
-	if err != nil {
-		return nil, 0, &transportError{"socketpair", err}
-	}
-	return newMMsgTransport(fds[0], fds[0], true, maxBatch), fds[1], nil
 }
 
 // transportError attaches the failing operation to a socket error.

@@ -3,6 +3,7 @@ package probe
 import (
 	"slices"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -90,6 +91,20 @@ func socketpairProber(t testing.TB, seed uint64, maxBatch int, cfg liveConfig) (
 		resp.close()
 		p.Close()
 	}
+}
+
+// newSocketpairTransport wires the transport over a connected AF_UNIX
+// datagram socketpair and returns the peer descriptor, which a test or
+// benchmark responder (see fakerouteResponder) owns and must close.
+// Datagram boundaries are preserved, so packets cross the pair exactly
+// as they would a raw socket — same codecs, same demux, same syscalls —
+// without any capability requirement.
+func newSocketpairTransport(maxBatch int) (t *mmsgTransport, peer int, err error) {
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_DGRAM, 0)
+	if err != nil {
+		return nil, 0, &transportError{"socketpair", err}
+	}
+	return newMMsgTransport(fds[0], fds[0], true, maxBatch), fds[1], nil
 }
 
 // socketpairRig opens a socketpair transport and starts a responder for

@@ -2,14 +2,13 @@ package survey
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/mda"
+	"mmlpt/internal/pin"
 )
 
 // Determinism guard: a survey's streamed JSONL record log AND its atlas
@@ -55,26 +54,9 @@ func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 			if len(refJSONL) == 0 {
 				t.Fatal("reference run produced no records; the guard would be vacuous")
 			}
-			// Recorded on the parent commit 0d9bf5de4010e71f50c7e9c25b11031d0dcf8b2a
-			// from the materialized encode of the atlas's in-memory
-			// snapshot struct, the reference path since deleted.
-			const pinned = "de6e95777abd9cf3d1608a2934dc913d4e02db4d78e63d257d6e427c3156653e"
-			if got := fmt.Sprintf("%x", sha256.Sum256(refSnapshot)); got != pinned {
-				t.Errorf("atlas snapshot digest %s, pinned %s", got, pinned)
-			}
-			// The content pin (record_test.go's rendering) was recorded at
-			// commit b6ec1af from the nested record layout of that commit.
-			const pinnedContent = "6df7e6162692c91f779c62bbacea23afaff3902900550af08fc7e325381cb722"
-			if got := contentDigest(t, refJSONL); got != pinnedContent {
-				t.Errorf("router-level record content digest %s, pinned %s", got, pinnedContent)
-			}
-			// Re-recorded once for the flat record layout (hop address
-			// lists, successor indices); pinnedContent vouches that these
-			// bytes mean what the layout before them meant.
-			const pinnedJSONL = "4c87e7fdc2a4d38b8cde19f66f951e9467f992e08e01cd5b11e67f531f47bf31"
-			if got := fmt.Sprintf("%x", sha256.Sum256(refJSONL)); got != pinnedJSONL {
-				t.Errorf("router-level JSONL digest %s, pinned %s", got, pinnedJSONL)
-			}
+			pin.Check(t, "survey/multilevel/atlas", refSnapshot)
+			pin.Check(t, "survey/multilevel/content", []byte(recordContent(t, refJSONL)))
+			pin.Check(t, "survey/multilevel/jsonl", refJSONL)
 			continue
 		}
 		if !bytes.Equal(gotJSONL, refJSONL) {

@@ -1,13 +1,13 @@
 package survey
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
 	"mmlpt/internal/core"
 	"mmlpt/internal/mda"
+	"mmlpt/internal/pin"
 )
 
 // aggregate runs a survey with an aggregate sink after cfg's sinks and
@@ -150,15 +150,9 @@ func TestRouterSurveyEndToEnd(t *testing.T) {
 			t.Fatalf("joint cell has after >= before: %v", c)
 		}
 	}
-	// Table 3, Fig 13 and Fig 14 over this universe, recorded on commit
-	// 4d89929 while they still looked each record's diamonds up in the
-	// survey result (fmt prints maps in key order).
-	const pinned = "fd6c31a5729b3ecd184bea5de13f9d10016e0d31083b64220d81e541d86cb684"
-	h := sha256.New()
-	fmt.Fprintf(h, "%v|%v|%v|%v", t3, *before, *after, *j)
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != pinned {
-		t.Errorf("router view digest %s, pinned %s", got, pinned)
-	}
+	// Table 3, Fig 13 and Fig 14 over this universe (fmt prints maps in
+	// key order).
+	pin.Check(t, "survey/router-views", fmt.Appendf(nil, "%v|%v|%v|%v", t3, *before, *after, *j))
 }
 
 func TestEffectClassificationConsistency(t *testing.T) {

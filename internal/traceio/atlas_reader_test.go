@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mmlpt/internal/packet"
+	"mmlpt/internal/pin"
 )
 
 // Block boundaries are the producer's: any cut of the node order is a
@@ -24,6 +25,7 @@ func TestAtlasV2SmallShardsRoundTrip(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("per=%d: encode not deterministic", per)
 		}
+		pin.Check(t, fmt.Sprintf("traceio/wide/per=%d", per), a)
 		r := openBytes(t, a)
 		if err := r.Verify(); err != nil {
 			t.Fatalf("per=%d: %v", per, err)

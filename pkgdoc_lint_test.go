@@ -6,11 +6,14 @@
 // must point down DESIGN.md's rank table; every command-line flag must
 // be set by a test of its command; every option field must be set by
 // some non-test code; only internal/httpx writes HTTP responses' status
-// and error body; and no product float fuses into an FMA on arm64. Run
-// via `go test .` — CI's lint job includes it.
+// and error body; no product float fuses into an FMA on arm64; and every
+// byte-identity digest lives in testdata/pins.json. Run via `go test .`
+// — CI's lint job includes it.
 package mmlpt
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -98,6 +101,7 @@ func firstLine(s string) string {
 var deadSurfaceAllowlist = map[string]string{
 	"fakeroute.Network.RouterOf": "ground-truth interface-to-router oracle that the tests of alias and fakeroute read and configure routers through",
 	"fakeroute.LBPerFlow":        "the zero value of LBMode: every path defaults to it, so no code has to name it, but the other modes are defined against it",
+	"pin.Check":                  "the one comparison of bytes against a byte-identity pin; only tests pin outputs",
 	"prior.FromGraph":            "test fixture shared by the flow-order pins and the MDA-Lite's prior-seed tests; it must call the unexported normalize",
 	"topo.Equal":                 "graph-equality oracle shared by the tests of traceio, fakeroute and groundtruth",
 }
@@ -796,5 +800,91 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		if !used[i] {
 			t.Errorf("fusionAllowlist names %s: %q, which no longer fuses: drop it", a.file, a.line)
 		}
+	}
+}
+
+// hex64 matches a SHA-256 digest written out in hex.
+var hex64 = regexp.MustCompile(`\b[0-9a-f]{64}\b`)
+
+// TestPinsLiveInTheRegistry: a byte-identity digest is written in
+// testdata/pins.json alone, where tests read it through pin.Check and
+// CI through jq. No Go file and no workflow holds a 64-hex literal, and
+// every registry entry names a test that exists: a function its package
+// directory's _test.go files declare, or, for a pin a workflow reads, a
+// job of that workflow which names the pin.
+func TestPinsLiveInTheRegistry(t *testing.T) {
+	t.Parallel()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && path != ".github" && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") && filepath.Dir(filepath.ToSlash(path)) != ".github/workflows" {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range hex64.FindAllIndex(raw, -1) {
+			t.Errorf("%s:%d holds a 64-hex literal: pin the bytes in testdata/pins.json and check them with pin.Check",
+				path, 1+bytes.Count(raw[:m[0]], []byte("\n")))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile("testdata/pins.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]struct{ Test string }
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+	parsed, tests := map[string]bool{}, map[string]bool{} // tests: "dir TestName"
+	fset := token.NewFileSet()
+	for name, e := range pins {
+		dir, test, _ := strings.Cut(e.Test, " ")
+		if filepath.Ext(dir) == ".yml" {
+			wf, err := os.ReadFile(dir)
+			if err != nil {
+				t.Errorf("pin %q: %v", name, err)
+			} else if !strings.Contains(string(wf), "\n  "+test+":\n") || !strings.Contains(string(wf), `"`+name+`"`) {
+				t.Errorf("pin %q: %s has no job %s that names it", name, dir, test)
+			}
+			continue
+		}
+		if !parsed[dir] {
+			parsed[dir] = true
+			pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+				return strings.HasSuffix(fi.Name(), "_test.go")
+			}, parser.SkipObjectResolution)
+			if err != nil {
+				t.Errorf("pin %q: %v", name, err)
+			}
+			for _, pkg := range pkgs {
+				for _, f := range pkg.Files {
+					for _, decl := range f.Decls {
+						if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+							tests[dir+" "+fn.Name.Name] = true
+						}
+					}
+				}
+			}
+		}
+		if !tests[e.Test] || !strings.HasPrefix(test, "Test") {
+			t.Errorf("pin %q names %q, but no _test.go file in %s declares %s", name, e.Test, dir, test)
+		}
+	}
+	if len(pins) == 0 {
+		t.Fatal("the registry holds no pin; the lint would be vacuous")
 	}
 }
