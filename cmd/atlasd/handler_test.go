@@ -234,12 +234,13 @@ func TestPointQueryAllocs(t *testing.T) {
 // The service keeps answering after a mid-flight generation swap.
 func TestHandlerAfterSwap(t *testing.T) {
 	t.Parallel()
-	svc := testService(t)
-	h := newMux(svc)
-	path, err := svc.Path()
+	path := testSnapshot(t)
+	svc, err := serve.Open(path, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { svc.Close() })
+	h := newMux(svc)
 	if err := svc.Swap(path); err != nil {
 		t.Fatal(err)
 	}

@@ -168,10 +168,11 @@ func TestFleetOverAnyPort(t *testing.T) {
 	if _, err := survey.Run(u, rc); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range rc.Sinks {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := asink.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := asink.Atlas.Save(wantSnap); err != nil {
 		t.Fatal(err)

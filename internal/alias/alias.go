@@ -456,9 +456,9 @@ func (r *Resolver) echo(a packet.Addr) {
 	}
 }
 
-// RoundResult snapshots the refinement after a round.
+// RoundResult snapshots the refinement after a round; Resolve returns
+// round i's at index i.
 type RoundResult struct {
-	Round int
 	// Sets concatenates the partitions of the candidate groups, in group
 	// order.
 	Sets   []Set
@@ -480,7 +480,7 @@ func (r *Resolver) Resolve(groups [][]packet.Addr) []RoundResult {
 		}
 		return sets
 	}
-	out := []RoundResult{{Round: 0, Sets: partition()}}
+	out := []RoundResult{{Sets: partition()}}
 	var sent uint64
 	for round := 1; round <= r.Rounds; round++ {
 		for _, g := range groups {
@@ -489,7 +489,7 @@ func (r *Resolver) Resolve(groups [][]packet.Addr) []RoundResult {
 			}
 			sent += r.ProbeRound(g)
 		}
-		out = append(out, RoundResult{Round: round, Sets: partition(), Probes: sent})
+		out = append(out, RoundResult{Sets: partition(), Probes: sent})
 	}
 	return out
 }

@@ -45,7 +45,6 @@ type Metrics struct {
 	// CacheEvictions is always 0: nothing is evicted. It is kept only
 	// because the repository benchmark still reads it (ROADMAP 17f).
 	CacheEvictions uint64
-	Swaps          uint64 // generations published after the first
 }
 
 // Service answers atlas queries from the current snapshot generation.
@@ -57,7 +56,6 @@ type Service struct {
 
 	shardDecodes atomic.Uint64
 	cacheHits    atomic.Uint64
-	swaps        atomic.Uint64
 }
 
 // Open starts a service over the snapshot at path.
@@ -85,9 +83,7 @@ func (s *Service) Swap(path string) error {
 	if err != nil {
 		return err
 	}
-	old := s.gen.Swap(g)
-	s.swaps.Add(1)
-	old.retire()
+	s.gen.Swap(g).retire()
 	return nil
 }
 
@@ -108,7 +104,6 @@ func (s *Service) Metrics() Metrics {
 	return Metrics{
 		ShardDecodes: s.shardDecodes.Load(),
 		CacheHits:    s.cacheHits.Load(),
-		Swaps:        s.swaps.Load(),
 	}
 }
 
@@ -121,16 +116,6 @@ func (s *Service) Stats() (atlas.Stats, error) {
 	}
 	defer g.release()
 	return atlas.HeaderStats(g.r.Header()), nil
-}
-
-// Path returns the snapshot path backing the current generation.
-func (s *Service) Path() (string, error) {
-	g, err := s.acquire()
-	if err != nil {
-		return "", err
-	}
-	defer g.release()
-	return g.path, nil
 }
 
 // Pairs returns the surveyed (src, dst) pairs, loaded once at open.
@@ -322,9 +307,8 @@ func (s *Service) acquire() (*generation, error) {
 // refcount that defers the reader close until the last in-flight query
 // releases it after retirement. The line indexes die with it.
 type generation struct {
-	svc  *Service
-	r    *traceio.AtlasReader
-	path string
+	svc *Service
+	r   *traceio.AtlasReader
 
 	refs    atomic.Int64
 	retired atomic.Bool
@@ -352,7 +336,7 @@ func (s *Service) newGeneration(path string) (*generation, error) {
 		return nil, err
 	}
 	return &generation{
-		svc: s, r: r, path: path,
+		svc: s, r: r,
 		shards: make([]atomic.Pointer[indexSlot], r.NumShards()),
 	}, nil
 }

@@ -509,8 +509,8 @@ func TestServeSwapConcurrent(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if m := svc.Metrics(); m.Swaps != 40 {
-		t.Fatalf("Swaps = %d, want 40", m.Swaps)
+	if st, err := svc.Stats(); err != nil || st.Nodes != 9 {
+		t.Fatalf("after 40 swaps Stats = %+v, %v; want snapshot A's 9 nodes", st, err)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)

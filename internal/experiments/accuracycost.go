@@ -22,8 +22,6 @@ type AccuracyCostRow struct {
 	MDAEdgeRecall, LiteEdgeRecall float64
 	// RelEdgeRecall is mean(lite edge recall / mda edge recall).
 	RelEdgeRecall float64
-	// Mean diamond recall vs ground truth.
-	MDADiamondRecall, LiteDiamondRecall float64
 	// Switched counts MDA-Lite traces that switched to the full MDA,
 	// summed over the sweep.
 	Switched int
@@ -54,8 +52,6 @@ func AccuracyCostTable(recs []*traceio.EvalRecord) []AccuracyCostRow {
 		row.MDAEdgeRecall += r.MDA.EdgeRecall
 		row.LiteEdgeRecall += r.MDALite.EdgeRecall
 		row.RelEdgeRecall += r.RelativeEdgeRecall
-		row.MDADiamondRecall += r.MDA.DiamondRecall
-		row.LiteDiamondRecall += r.MDALite.DiamondRecall
 		row.Switched += r.MDALite.Switched
 		t := sums[r.Scenario]
 		t.mdaProbes += r.MDA.Probes
@@ -69,8 +65,6 @@ func AccuracyCostTable(recs []*traceio.EvalRecord) []AccuracyCostRow {
 		row.MDAEdgeRecall /= n
 		row.LiteEdgeRecall /= n
 		row.RelEdgeRecall /= n
-		row.MDADiamondRecall /= n
-		row.LiteDiamondRecall /= n
 		if t := sums[row.Scenario]; t.mdaProbes > 0 {
 			row.Savings = 1 - float64(t.liteProbes)/float64(t.mdaProbes)
 		}

@@ -43,19 +43,14 @@ type Fig3Curve struct {
 }
 
 // fig3Topologies are the four Sec 2.4.1 simulation topologies.
-func fig3Topologies() []struct {
-	Name  string
-	Build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph
-} {
-	return []struct {
-		Name  string
-		Build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph
-	}{
-		{"max-length-2", fakeroute.MaxLength2Diamond},
-		{"symmetric", fakeroute.SymmetricDiamond},
-		{"asymmetric", fakeroute.AsymmetricDiamond},
-		{"meshed", fakeroute.MeshedDiamond48},
-	}
+var fig3Topologies = []struct {
+	name  string
+	build func(*fakeroute.AddrAllocator, packet.Addr) *topo.Graph
+}{
+	{"max-length-2", fakeroute.MaxLength2Diamond},
+	{"symmetric", fakeroute.SymmetricDiamond},
+	{"asymmetric", fakeroute.AsymmetricDiamond},
+	{"meshed", fakeroute.MeshedDiamond48},
 }
 
 // traceProgress runs one algorithm once, recording (packets, vFrac,
@@ -97,7 +92,7 @@ func Fig3(cfg Fig3Config) []Fig3Curve {
 		grid = append(grid, x)
 	}
 	var out []Fig3Curve
-	for _, topoSpec := range fig3Topologies() {
+	for _, topoSpec := range fig3Topologies {
 		type run struct {
 			curve    [][3]float64
 			total    uint64
@@ -108,8 +103,8 @@ func Fig3(cfg Fig3Config) []Fig3Curve {
 		runsLite := make([]run, cfg.Runs)
 		for i := 0; i < cfg.Runs; i++ {
 			seed := cfg.Seed + uint64(i)*104729
-			cM, tM, _ := traceProgress(seed, topoSpec.Build, false, mda.DefaultPhi)
-			cL, tL, sw := traceProgress(seed+1, topoSpec.Build, true, mda.DefaultPhi)
+			cM, tM, _ := traceProgress(seed, topoSpec.build, false, mda.DefaultPhi)
+			cL, tL, sw := traceProgress(seed+1, topoSpec.build, true, mda.DefaultPhi)
 			runsMDA[i] = run{curve: cM, total: tM, mdaTotal: tM}
 			runsLite[i] = run{curve: cL, total: tL, mdaTotal: tM, switched: sw}
 		}
@@ -118,7 +113,7 @@ func Fig3(cfg Fig3Config) []Fig3Curve {
 			if algo == "mda-lite" {
 				runs = runsLite
 			}
-			curve := Fig3Curve{Topology: topoSpec.Name, Algorithm: algo}
+			curve := Fig3Curve{Topology: topoSpec.name, Algorithm: algo}
 			var totals, fracs []float64
 			switches := 0
 			for _, r := range runs {

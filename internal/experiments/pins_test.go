@@ -89,8 +89,8 @@ func TestAliasRoundsPinned(t *testing.T) {
 			Trace: tc, Phi: rc.Phi, Rounds: rc.Rounds,
 		})
 		fmt.Fprintf(&parts, "pair %d trace %d alias %d\n", idx, res.TraceProbes, res.AliasProbes)
-		for _, snap := range res.Rounds {
-			fmt.Fprintf(&parts, "round %d probes %d\n", snap.Round, snap.Probes)
+		for round, snap := range res.Rounds {
+			fmt.Fprintf(&parts, "round %d probes %d\n", round, snap.Probes)
 			for _, s := range snap.Sets {
 				fmt.Fprintf(&parts, "%v %v\n", s.Outcome, s.Addrs)
 			}

@@ -41,14 +41,9 @@ type compiledPath struct {
 }
 
 // compiledFor returns the compiled view of g, which must be p.Graph or
-// p.Alt. The session's own path keeps its views until the session ends;
-// a probe of another pair (a raw packet whose addresses are not the
-// session's key, which no product caller sends) compiles its view
-// without caching. The caller holds s.mu.
+// p.Alt of the session's own path p; it keeps its views until the
+// session ends. The caller holds s.mu.
 func (s *Session) compiledFor(p *Path, g *topo.Graph) *compiledPath {
-	if p != s.path {
-		return s.net.compilePath(p, g)
-	}
 	slot := &s.compiledMain
 	if g != p.Graph {
 		slot = &s.compiledAlt

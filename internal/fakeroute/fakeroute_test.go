@@ -22,7 +22,7 @@ func parseReply(raw []byte) (*packet.Reply, error) {
 
 func sendProbe(n *Network, flow uint16, ttl byte) *packet.Reply {
 	pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: flow, TTL: ttl, Checksum: 7}
-	raw := n.HandleProbe(pr.AppendTo(nil))
+	raw := n.SessionFor(tSrc, tDst).HandleProbe(pr.AppendTo(nil))
 	if raw == nil {
 		return nil
 	}
@@ -192,7 +192,8 @@ func TestEchoHandling(t *testing.T) {
 	net, path := BuildScenario(9, tSrc, tDst, SimplestDiamond)
 	addr := path.Graph.V(path.Graph.Hop(0)[0]).Addr
 	e := packet.EchoProbe{Src: tSrc, Dst: addr, ID: 1, Seq: 2, IPID: 42}
-	raw := net.HandleProbe(e.AppendTo(nil))
+	s := net.SessionFor(tSrc, tDst)
+	raw := s.HandleProbe(e.AppendTo(nil))
 	if raw == nil {
 		t.Fatal("no echo reply")
 	}
@@ -201,7 +202,7 @@ func TestEchoHandling(t *testing.T) {
 		t.Fatalf("echo reply %+v err %v", r, err)
 	}
 	net.RouterOf(addr).RespondsToEcho = false
-	if net.HandleProbe(e.AppendTo(nil)) != nil {
+	if s.HandleProbe(e.AppendTo(nil)) != nil {
 		t.Fatal("unresponsive router replied to echo")
 	}
 }
@@ -211,7 +212,7 @@ func TestEchoCopyMode(t *testing.T) {
 	addr := path.Graph.V(path.Graph.Hop(0)[0]).Addr
 	net.RouterOf(addr).IPID = IPIDEchoCopy
 	e := packet.EchoProbe{Src: tSrc, Dst: addr, ID: 1, Seq: 2, IPID: 4242}
-	r, _ := parseReply(net.HandleProbe(e.AppendTo(nil)))
+	r, _ := parseReply(net.SessionFor(tSrc, tDst).HandleProbe(e.AppendTo(nil)))
 	if r.IPID != 4242 {
 		t.Fatalf("echo-copy returned %d, want the probe's 4242", r.IPID)
 	}
@@ -273,7 +274,7 @@ func TestReplyTTLFingerprint(t *testing.T) {
 func TestQuotedProbeSurvives(t *testing.T) {
 	net, _ := BuildScenario(15, tSrc, tDst, SimplestDiamond)
 	pr := packet.Probe{Src: tSrc, Dst: tDst, FlowID: 31, TTL: 1, Checksum: 999}
-	r, err := parseReply(net.HandleProbe(pr.AppendTo(nil)))
+	r, err := parseReply(net.SessionFor(tSrc, tDst).HandleProbe(pr.AppendTo(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,18 +415,27 @@ func TestMeshedDiamond48MatchesPaper(t *testing.T) {
 	}
 }
 
+// TestHandleProbeGarbage: a session answers only its own pair. A runt or
+// garbage packet, a probe of a pair with no path and a probe of another
+// pair that has one all get no reply.
 func TestHandleProbeGarbage(t *testing.T) {
 	net, _ := BuildScenario(16, tSrc, tDst, SimplestDiamond)
-	if net.HandleProbe([]byte{1, 2, 3}) != nil {
-		t.Fatal("garbage produced a reply")
-	}
-	if net.HandleProbe(nil) != nil {
-		t.Fatal("nil produced a reply")
-	}
-	// A probe to an unknown destination is dropped.
-	pr := packet.Probe{Src: tSrc, Dst: packet.MustParseAddr("203.0.113.99"), FlowID: 0, TTL: 3, Checksum: 1}
-	if net.HandleProbe(pr.AppendTo(nil)) != nil {
+	other := packet.MustParseAddr("198.51.100.78")
+	g := SimplestDiamond(NewAddrAllocator(packet.AddrFrom4(10, 1, 0, 1)), other)
+	net.EnsureIfaces(g, other)
+	net.AddPath(tSrc, other, g)
+	s := net.SessionFor(tSrc, tDst)
+	unknown := packet.MustParseAddr("203.0.113.99")
+	pr := packet.Probe{Src: tSrc, Dst: unknown, FlowID: 0, TTL: 3, Checksum: 1}
+	if net.SessionFor(tSrc, unknown).HandleProbe(pr.AppendTo(nil)) != nil {
 		t.Fatal("unknown destination produced a reply")
+	}
+	pr.Dst = other
+	if net.SessionFor(tSrc, other).HandleProbe(pr.AppendTo(nil)) == nil {
+		t.Fatal("the other pair's own session does not answer its probe")
+	}
+	if s.HandleProbe(pr.AppendTo(nil)) != nil {
+		t.Fatal("a session answered another pair's probe")
 	}
 }
 

@@ -224,20 +224,29 @@ func TestLabelledRepliesAllocateNothing(t *testing.T) {
 }
 
 // TestGarbageProbeCreatesNoSession: a packet too short to carry an IPv4
-// header must be dropped before the session lookup — previously it fell
-// through with src=dst=0 and materialized a spurious (0,0) session.
+// header, or a probe for another configured pair, gets no reply from a
+// session and materializes no session for any other pair.
 func TestGarbageProbeCreatesNoSession(t *testing.T) {
 	net, _ := BuildScenario(16, tSrc, tDst, SimplestDiamond)
+	other := packet.MustParseAddr("198.51.100.78")
+	g := SimplestDiamond(NewAddrAllocator(packet.AddrFrom4(10, 1, 0, 1)), other)
+	net.EnsureIfaces(g, other)
+	net.AddPath(tSrc, other, g)
+	s := net.SessionFor(tSrc, tDst)
 	for _, raw := range [][]byte{nil, {}, {1, 2, 3}, make([]byte, packet.IPv4HeaderLen-1)} {
-		if net.HandleProbe(raw) != nil {
+		if s.HandleProbe(raw) != nil {
 			t.Fatalf("runt packet (%d bytes) produced a reply", len(raw))
 		}
+	}
+	pr := packet.Probe{Src: tSrc, Dst: other, FlowID: 0, TTL: 3, Checksum: 1}
+	if s.HandleProbe(pr.AppendTo(nil)) != nil {
+		t.Fatal("a session answered another pair's probe")
 	}
 	net.sessMu.RLock()
 	ns := len(net.sessions)
 	net.sessMu.RUnlock()
-	if ns != 0 {
-		t.Fatalf("runt packets materialized %d session(s), want 0", ns)
+	if ns != 1 {
+		t.Fatalf("garbage and foreign probes left %d session(s), want only the prober's 1", ns)
 	}
 }
 

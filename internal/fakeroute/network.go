@@ -65,8 +65,8 @@ func (p *Path) activeGraph(now uint64) *topo.Graph {
 //
 // Construction (NewRouter, AddIface, AddPath, EnsureIfaces and the
 // topology builders) is not synchronized and must complete before probing
-// begins. Probing itself — HandleProbe, or Session.HandleProbe obtained
-// from SessionFor — is safe for concurrent use: all per-probe mutable
+// begins. Probing itself — Session.HandleProbe, on the Session that
+// SessionFor returns for the probe's pair — is safe for concurrent use: all per-probe mutable
 // state (randomness, clocks, IP ID counters, token buckets) lives in
 // per-trace Sessions, so concurrent traces of distinct pairs neither race
 // nor perturb each other's deterministic streams.
@@ -212,7 +212,7 @@ type Session struct {
 	ifaces  map[*Iface]*ctrView
 	buckets map[*Router]*bucket
 	// path is the session's own ground-truth path, resolved on its first
-	// probe; probes of any other pair look theirs up in the network.
+	// probe; a trace probe of any other pair gets no reply.
 	path *Path
 	// compiledMain and compiledAlt are path's dense forwarding views
 	// over Graph and Alt, compiled on first use (see compiled.go).
@@ -281,29 +281,6 @@ func (n *Network) EndSession(src, dst packet.Addr) {
 	n.sessMu.Unlock()
 }
 
-// HandleProbe accepts one serialized probe packet and dispatches it to
-// the session of the packet's (source, destination) pair. Probers that
-// interleave traceroute and direct echo probes of one trace should hold a
-// Session from SessionFor and call its HandleProbe instead, so that both
-// probe families sample the same counter views (the Monotonic Bounds Test
-// depends on that).
-//
-// The returned reply slice is owned by that session and valid only until
-// the session's next HandleProbe call; callers that retain reply bytes
-// must copy them.
-//
-// A packet too short to carry an IPv4 header is dropped here, before the
-// session lookup: it has no addresses, so routing it to the zero-pair
-// session would materialize a spurious (0.0.0.0, 0.0.0.0) session.
-func (n *Network) HandleProbe(raw []byte) []byte {
-	if len(raw) < packet.IPv4HeaderLen {
-		return nil
-	}
-	src := packet.Addr(uint32(raw[12])<<24 | uint32(raw[13])<<16 | uint32(raw[14])<<8 | uint32(raw[15]))
-	dst := packet.Addr(uint32(raw[16])<<24 | uint32(raw[17])<<16 | uint32(raw[18])<<8 | uint32(raw[19]))
-	return n.SessionFor(src, dst).HandleProbe(raw)
-}
-
 // vertexKey is the stable per-load-balancer hash key. Star vertices have
 // no address, so their hop and path key disambiguate them.
 func vertexKey(p *Path, g *topo.Graph, v topo.VertexID) uint64 {
@@ -316,7 +293,11 @@ func vertexKey(p *Path, g *topo.Graph, v topo.VertexID) uint64 {
 
 // HandleProbe accepts one serialized probe packet and returns the
 // serialized reply, or nil if the probe is dropped (loss, rate limiting,
-// star hop, or no reply per the topology).
+// star hop, or no reply per the topology). A trace probe answers only
+// when its addresses are the session's pair; a direct echo probe answers
+// from whichever interface it targets, on this session's counters, so
+// both probe families of one trace sample the same views (the Monotonic
+// Bounds Test depends on that). A runt or unparseable packet gets nil.
 //
 // The returned slice is owned by the session and valid only until the
 // session's next HandleProbe call: the reply is crafted into a reusable
@@ -459,11 +440,12 @@ func (s *Session) emitReply(ip *packet.IPv4, icmp *packet.ICMP) []byte {
 	return out
 }
 
-// pathFor returns the ground-truth path for key, resolving the session's
-// own pair once instead of on every probe.
+// pathFor returns the session's ground-truth path, resolved once instead
+// of on every probe, when key is the session's own pair, and nil for any
+// other pair.
 func (s *Session) pathFor(key PathKey) *Path {
 	if key != s.key {
-		return s.net.paths[key]
+		return nil
 	}
 	if s.path == nil {
 		s.path = s.net.paths[key]

@@ -42,9 +42,6 @@ const maxConsecutiveStars = 3
 // from a cross-trace atlas. Implementations must be read-only during the
 // trace: the session consults the prior but never mutates it.
 type TracePrior interface {
-	// NumHops returns the number of hops the prior covers (the expected
-	// hop count of the destination, exclusive).
-	NumHops() int
 	// HopAddrs returns the expected interface addresses at hop h in a
 	// deterministic (sorted) order, or ok=false when the prior does not
 	// cover hop h (e.g. the earlier trace saw only stars there).
@@ -92,8 +89,6 @@ type Result struct {
 	// PriorAbandoned is set when a prior-seeded trace hit a mismatch
 	// (new vertex, missing vertex) and fell back to full discovery.
 	PriorAbandoned bool
-	// Obs carries the alias-resolution observations if requested.
-	Obs *obs.Observations
 }
 
 // source is the sentinel vertex ID standing for the trace source: every
@@ -691,7 +686,6 @@ func (s *Session) finish(switched bool) *Result {
 		EdgeCompletionTruncated: s.edgeCompletionTruncs,
 		PriorHopsConfirmed:      s.priorConfirmedHops,
 		PriorAbandoned:          s.priorAbandoned,
-		Obs:                     s.cfg.Obs,
 	}
 }
 

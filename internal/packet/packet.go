@@ -267,7 +267,6 @@ type IPv4 struct {
 	FragOff  uint16
 	TTL      byte
 	Protocol byte
-	Checksum uint16 // filled by SerializeTo
 	Src, Dst Addr
 }
 
@@ -291,9 +290,7 @@ func (h *IPv4) SerializeTo(b []byte, payloadLen int) []byte {
 		byte(h.Src>>24), byte(h.Src>>16), byte(h.Src>>8), byte(h.Src),
 		byte(h.Dst>>24), byte(h.Dst>>16), byte(h.Dst>>8), byte(h.Dst),
 	)
-	ck := Checksum(b[start : start+IPv4HeaderLen])
-	binary.BigEndian.PutUint16(b[start+10:], ck)
-	h.Checksum = ck
+	binary.BigEndian.PutUint16(b[start+10:], Checksum(b[start:start+IPv4HeaderLen]))
 	return b
 }
 
@@ -318,7 +315,6 @@ func (h *IPv4) DecodeFromBytes(data []byte) ([]byte, error) {
 	h.FragOff = frag & 0x1fff
 	h.TTL = data[8]
 	h.Protocol = data[9]
-	h.Checksum = binary.BigEndian.Uint16(data[10:])
 	h.Src = Addr(binary.BigEndian.Uint32(data[12:]))
 	h.Dst = Addr(binary.BigEndian.Uint32(data[16:]))
 	end := int(h.TotalLen)
@@ -390,7 +386,6 @@ func (h *UDP) DecodeFromBytes(data []byte) ([]byte, error) {
 // holds the quoted datagram and Extensions any RFC 4884 extension block.
 type ICMP struct {
 	Type, Code byte
-	Checksum   uint16 // filled by SerializeTo
 	ID, Seq    uint16 // echo only
 	// Payload is the quoted original datagram for error messages, or the
 	// echo payload for echo messages.
@@ -439,9 +434,7 @@ func (m *ICMP) SerializeTo(b []byte) []byte {
 		b = append(b, zeros[:padded-len(m.Payload)]...)
 		b = append(b, m.Extensions...)
 	}
-	ck := Checksum(b[start:])
-	binary.BigEndian.PutUint16(b[start+2:], ck)
-	m.Checksum = ck
+	binary.BigEndian.PutUint16(b[start+2:], Checksum(b[start:]))
 	return b
 }
 
@@ -453,7 +446,6 @@ func (m *ICMP) DecodeFromBytes(data []byte) error {
 	}
 	m.Type = data[0]
 	m.Code = data[1]
-	m.Checksum = binary.BigEndian.Uint16(data[2:])
 	body := data[ICMPHeaderLen:]
 	switch m.Type {
 	case ICMPTypeEcho, ICMPTypeEchoReply:

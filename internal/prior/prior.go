@@ -121,9 +121,6 @@ func (pp *PairPrior) normalize() {
 	}
 }
 
-// NumHops returns the number of hops the prior extends over.
-func (pp *PairPrior) NumHops() int { return len(pp.hops) }
-
 // HopAddrs returns the expected addresses at hop h in sorted order, or
 // ok=false when the prior does not cover hop h.
 func (pp *PairPrior) HopAddrs(h int) ([]packet.Addr, bool) {
@@ -143,14 +140,6 @@ func (pp *PairPrior) HasEdge(u, w packet.Addr) bool {
 // h, ascending, or nil when none were captured.
 func (pp *PairPrior) FlowHints(h int, addr packet.Addr) []uint16 {
 	return pp.hints[hintKey{hop: h, addr: addr}]
-}
-
-// Width returns the expected width of hop h (0 when uncovered).
-func (pp *PairPrior) Width(h int) int {
-	if h < 0 || h >= len(pp.hops) {
-		return 0
-	}
-	return len(pp.hops[h])
 }
 
 // CaptureLandings copies the responsive flow→address observations of a

@@ -12,6 +12,18 @@ import (
 	"mmlpt/internal/traceio"
 )
 
+// NumHops returns the number of hops the prior extends over; the tests
+// of this package and of prior_test read a prior's shape through it.
+func (pp *PairPrior) NumHops() int { return len(pp.hops) }
+
+// Width returns the expected width of hop h (0 when uncovered).
+func (pp *PairPrior) Width(h int) int {
+	if h < 0 || h >= len(pp.hops) {
+		return 0
+	}
+	return len(pp.hops[h])
+}
+
 // twoPairAtlas builds a snapshot with two address-disjoint pairs: pair 0
 // a 1-2-1 diamond, pair 1 a three-hop chain.
 func twoPairAtlas(t *testing.T) (string, [2][2]packet.Addr, *topo.Graph) {

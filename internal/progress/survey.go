@@ -19,10 +19,9 @@ import (
 // derived and never feed back into tracing decisions, so determinism is
 // untouched.
 type Survey struct {
-	total   atomic.Int64
-	done    atomic.Int64
-	probes  atomic.Uint64
-	records atomic.Int64
+	total  atomic.Int64
+	done   atomic.Int64
+	probes atomic.Uint64
 	// startNanos anchors the rate computation at Begin time.
 	startNanos atomic.Int64
 }
@@ -40,7 +39,6 @@ func (p *Survey) Begin(total int) {
 	p.total.Store(int64(total))
 	p.done.Store(0)
 	p.probes.Store(0)
-	p.records.Store(0)
 	p.startNanos.Store(time.Now().UnixNano())
 }
 
@@ -50,14 +48,10 @@ func (p *Survey) PairDone(probes uint64) {
 	p.probes.Add(probes)
 }
 
-// RecordEmitted counts one record handed to the sinks.
-func (p *Survey) RecordEmitted() { p.records.Add(1) }
-
 // SurveySnapshot is a consistent-enough point-in-time view for reporting.
 type SurveySnapshot struct {
 	Done, Total int
 	Probes      uint64
-	Records     int
 	Elapsed     time.Duration
 	// PairsPerSec and ProbesPerSec are rates over the pairs this process
 	// traced.
@@ -70,7 +64,6 @@ func (p *Survey) Snapshot() SurveySnapshot {
 		Done:    int(p.done.Load()),
 		Total:   int(p.total.Load()),
 		Probes:  p.probes.Load(),
-		Records: int(p.records.Load()),
 		Elapsed: time.Duration(time.Now().UnixNano() - p.startNanos.Load()),
 	}
 	if secs := s.Elapsed.Seconds(); secs > 0 {

@@ -67,12 +67,9 @@ type Pair struct {
 
 // Template is one distinct diamond structure, shared across paths.
 type Template struct {
-	ID int
 	// Frag is the fragment graph: hop 0 the divergence vertex, last hop
 	// the convergence vertex, both single.
 	Frag *topo.Graph
-	// Class labels the generator category for reporting.
-	Class string
 	// Weight is the reuse popularity.
 	Weight float64
 }
@@ -129,11 +126,11 @@ func (u *Universe) buildTemplates(rng *nprand.Source, alloc *fakeroute.AddrAlloc
 	// (they are encountered from many ingress points, producing the
 	// measured-width peaks at 48 and 56, but remain a few percent of
 	// encounters as in Fig 10).
-	u.addTemplate(u.giant48(alloc), "giant48", 4)
-	u.addTemplate(u.giant56(alloc), "giant56", 3)
-	u.addTemplate(u.giant96(alloc), "giant96", 2)
+	u.addTemplate(u.giant48(alloc), 4)
+	u.addTemplate(u.giant56(alloc), 3)
+	u.addTemplate(u.giant96(alloc), 2)
 	for len(u.Templates) < n {
-		t, class := u.sampleTemplate(rng, alloc)
+		t, meshed := u.sampleTemplate(rng, alloc)
 		// Zipf-flavoured popularity: early templates are hot cores seen
 		// from many ingress points, the tail is seen once or twice.
 		rank := float64(len(u.Templates))
@@ -141,20 +138,20 @@ func (u *Universe) buildTemplates(rng *nprand.Source, alloc *fakeroute.AddrAlloc
 		// Meshed diamonds are ~31% of the paper's distinct diamonds but
 		// only ~15% of measured encounters: structurally common, rarely
 		// on popular paths. Down-weight their popularity accordingly.
-		if class == "meshed" {
+		if meshed {
 			w *= 0.55
 		}
-		u.addTemplate(t, class, w)
+		u.addTemplate(t, w)
 	}
 }
 
-func (u *Universe) addTemplate(frag *topo.Graph, class string, weight float64) {
-	t := &Template{ID: len(u.Templates), Frag: frag, Class: class, Weight: weight}
-	u.Templates = append(u.Templates, t)
+func (u *Universe) addTemplate(frag *topo.Graph, weight float64) {
+	u.Templates = append(u.Templates, &Template{Frag: frag, Weight: weight})
 }
 
-// sampleTemplate draws one diamond shape from the calibrated mix.
-func (u *Universe) sampleTemplate(rng *nprand.Source, alloc *fakeroute.AddrAllocator) (*topo.Graph, string) {
+// sampleTemplate draws one diamond shape from the calibrated mix and
+// reports whether it is meshed (the whole fragment is one diamond).
+func (u *Universe) sampleTemplate(rng *nprand.Source, alloc *fakeroute.AddrAllocator) (*topo.Graph, bool) {
 	b := fakeroute.NewPathBuilder(alloc)
 	switch rng.Categorical([]float64{
 		0.20, // simplest 2×2
@@ -232,35 +229,8 @@ func (u *Universe) sampleTemplate(rng *nprand.Source, alloc *fakeroute.AddrAlloc
 	}
 	g := b.Converge(1).Graph()
 	u.registerFragment(g)
-	return g, classOf(g)
-}
-
-func classOf(g *topo.Graph) string {
-	d := fragmentDiamond(g)
-	if d == nil {
-		return "chain"
-	}
-	m := d.ComputeMetrics()
-	switch {
-	case m.Meshed:
-		return "meshed"
-	case m.MaxWidthAsymmetry > 0:
-		return "asymmetric"
-	case m.MaxLength == 2:
-		return "len2"
-	default:
-		return "uniform"
-	}
-}
-
-// fragmentDiamond views the whole fragment as one diamond (hop 0 div,
-// last hop conv).
-func fragmentDiamond(g *topo.Graph) *topo.Diamond {
 	ds := g.Diamonds()
-	if len(ds) == 0 {
-		return nil
-	}
-	return ds[0]
+	return g, len(ds) > 0 && ds[0].Meshed()
 }
 
 func smallestDivisor(w int) int {

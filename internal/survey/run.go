@@ -237,9 +237,6 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 					return err
 				}
 			}
-			if cfg.Progress != nil {
-				cfg.Progress.RecordEmitted()
-			}
 		}
 		return nil
 	})

@@ -13,10 +13,10 @@ import (
 // Sink consumes survey records as pairs finish tracing. Run delivers
 // records in pair order on a single goroutine (the collector), so sinks
 // need no internal locking; an Emit error aborts the run and is returned
-// from Run. Run never closes sinks — the caller that built them does.
+// from Run. Run never closes sinks: the caller that built one flushes
+// it, if it has anything to flush.
 type Sink interface {
 	Emit(*traceio.SurveyRecord) error
-	Close() error
 }
 
 // NewRecord converts one trace outcome into its streamed record. The
@@ -101,9 +101,6 @@ func (s *MemorySink) Emit(rec *traceio.SurveyRecord) error {
 	return nil
 }
 
-// Close is a no-op.
-func (s *MemorySink) Close() error { return nil }
-
 // AggregateSink folds records into a RecordAggregate as they stream by.
 type AggregateSink struct {
 	Agg *RecordAggregate
@@ -118,9 +115,6 @@ func NewAggregateSink() *AggregateSink {
 func (s *AggregateSink) Emit(rec *traceio.SurveyRecord) error {
 	return s.Agg.Add(rec)
 }
-
-// Close is a no-op.
-func (s *AggregateSink) Close() error { return nil }
 
 // ReplayJSONL feeds every record of a JSONL file to the sinks in order,
 // returning how many records were replayed: a record log rebuilds

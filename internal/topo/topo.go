@@ -279,11 +279,12 @@ func (g *Graph) String() string {
 // Diamond is a subgraph delimited by a divergence point followed, two or
 // more hops later, by a convergence point, with all flows passing through
 // both (Augustin et al.). DivHop and ConvHop are hop indices into the
-// parent graph; Div and Conv the single vertices at those hops.
+// parent graph; Div the single vertex at DivHop, DivAddr and ConvAddr
+// the addresses of the single vertices at both.
 type Diamond struct {
 	g                 *Graph
 	DivHop, ConvHop   int
-	Div, Conv         VertexID
+	Div               VertexID
 	DivAddr, ConvAddr packet.Addr
 }
 
@@ -322,8 +323,7 @@ func (g *Graph) Diamonds() []*Diamond {
 		if j < len(g.hops) && j > h+1 && g.Width(j) == 1 {
 			div, conv := g.Hop(h)[0], g.Hop(j)[0]
 			out = append(out, &Diamond{
-				g: g, DivHop: h, ConvHop: j,
-				Div: div, Conv: conv,
+				g: g, DivHop: h, ConvHop: j, Div: div,
 				DivAddr: g.Vertices[div].Addr, ConvAddr: g.Vertices[conv].Addr,
 			})
 		}

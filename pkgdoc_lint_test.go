@@ -2,21 +2,25 @@
 // under internal/ (and cmd/) must carry a substantive package-level doc
 // comment, because the layering of this codebase is documented in godoc,
 // not in a separate architecture file that would drift; every exported
-// name under internal/ must have a non-test user; every internal import
-// must point down DESIGN.md's rank table; every command-line flag must
-// be set by a test of its command; every option field must be set by
-// some non-test code; only internal/httpx writes HTTP responses' status
-// and error body; no product float fuses into an FMA on arm64; and every
-// byte-identity digest lives in testdata/pins.json. Run via `go test .`
-// — CI's lint job includes it.
+// declaration under internal/ must have a non-test user, and every field
+// a non-test reader; every internal import must point down DESIGN.md's
+// rank table; every command-line flag must be set by a test of its
+// command; every option field must be set by some non-test code; only
+// internal/httpx writes HTTP responses' status and error body; no
+// product float fuses into an FMA on arm64; and every byte-identity
+// digest lives in testdata/pins.json. The surface lints read one
+// type-check of the module. Run via `go test .` — CI's lint job runs it.
 package mmlpt
 
 import (
 	"bytes"
 	"encoding/json"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -26,6 +30,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -36,54 +41,35 @@ const minDocLen = 120
 
 func TestEveryInternalPackageHasDoc(t *testing.T) {
 	t.Parallel()
-	checkTree(t, "internal")
-	checkTree(t, "cmd")
-}
-
-func checkTree(t *testing.T, root string) {
-	t.Helper()
-	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.PackageClauseOnly|parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		for name, pkg := range pkgs {
-			var doc string
-			var files []string
-			for path, f := range pkg.Files {
-				files = append(files, path)
-				if f.Doc != nil && len(f.Doc.Text()) > len(doc) {
-					doc = f.Doc.Text()
-				}
-			}
-			if len(files) == 0 {
-				continue
-			}
-			if doc == "" {
-				t.Errorf("package %s (%s) has no package-level doc comment; state what it does and where it sits in the layering", name, dir)
-				continue
-			}
-			wantPrefix := "Package " + name + " "
-			if name == "main" {
-				wantPrefix = "Command "
-			}
-			if !strings.HasPrefix(doc, wantPrefix) {
-				t.Errorf("package %s (%s): doc comment must start with %q, got %q", name, dir, wantPrefix, firstLine(doc))
-			}
-			if len(doc) < minDocLen {
-				t.Errorf("package %s (%s): doc comment is %d chars, want at least %d — say what the package does AND its layering role", name, dir, len(doc), minDocLen)
-			}
-		}
-		return nil
-	})
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
+	}
+	names, docs := map[string]string{}, map[string]string{} // by directory; a package's longest file doc
+	for _, mf := range m.files {
+		if dir := strings.TrimPrefix(mf.pkg, "mmlpt/"); strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") {
+			names[dir] = mf.f.Name.Name
+			if doc := mf.f.Doc.Text(); len(doc) > len(docs[dir]) {
+				docs[dir] = doc
+			}
+		}
+	}
+	for dir, name := range names {
+		doc := docs[dir]
+		if doc == "" {
+			t.Errorf("package %s (%s) has no package-level doc comment; state what it does and where it sits in the layering", name, dir)
+			continue
+		}
+		wantPrefix := "Package " + name + " "
+		if name == "main" {
+			wantPrefix = "Command "
+		}
+		if !strings.HasPrefix(doc, wantPrefix) {
+			t.Errorf("package %s (%s): doc comment must start with %q, got %q", name, dir, wantPrefix, firstLine(doc))
+		}
+		if len(doc) < minDocLen {
+			t.Errorf("package %s (%s): doc comment is %d chars, want at least %d — say what the package does AND its layering role", name, dir, len(doc), minDocLen)
+		}
 	}
 }
 
@@ -94,278 +80,260 @@ func firstLine(s string) string {
 	return s
 }
 
-// deadSurfaceAllowlist names the exported identifiers under internal/
-// that no non-test file references and that stay anyway, each with the
-// reason. Keep it short: the default for an unreferenced name is to delete
-// it, or to move it into its package's _test.go when only tests use it.
+// deadSurfaceAllowlist names the exported declarations under internal/
+// that no non-test file uses and that stay anyway, each with the reason.
+// Keep it short: the default for an unused declaration is to delete it,
+// or to move it into its package's _test.go when only tests use it.
 var deadSurfaceAllowlist = map[string]string{
-	"fakeroute.Network.RouterOf": "ground-truth interface-to-router oracle that the tests of alias and fakeroute read and configure routers through",
-	"fakeroute.LBPerFlow":        "the zero value of LBMode: every path defaults to it, so no code has to name it, but the other modes are defined against it",
-	"pin.Check":                  "the one comparison of bytes against a byte-identity pin; only tests pin outputs",
-	"prior.FromGraph":            "test fixture shared by the flow-order pins and the MDA-Lite's prior-seed tests; it must call the unexported normalize",
-	"topo.Equal":                 "graph-equality oracle shared by the tests of traceio, fakeroute and groundtruth",
+	"fakeroute.Network.RouterOf":  "ground-truth interface-to-router oracle that the tests of alias and fakeroute read and configure routers through",
+	"fakeroute.LBPerFlow":         "the zero value of LBMode: every path defaults to it, so no code has to name it, but the other modes are defined against it",
+	"pin.Check":                   "the one comparison of bytes against a byte-identity pin; only tests pin outputs",
+	"prior.FromGraph":             "test fixture shared by the flow-order pins and the MDA-Lite's prior-seed tests; it must call the unexported normalize",
+	"probe.transportError.Unwrap": "errors.Is and errors.As call it through an interface the errors package declares inline",
+	"stats.CDF.Min":               "the lower extreme beside Max, which the tests of stats and survey check a CDF's range by",
+	"topo.Equal":                  "graph-equality oracle shared by the tests of traceio, fakeroute and groundtruth",
+	"topo.Graph.Lookup":           "the address scan FuzzParseTopology holds the topology reader's own index to",
 }
 
-// stdInterfaceMethods are method names that satisfy a standard-library
-// interface, so the call that reaches them is made by the library (fmt,
-// errors, encoding/json, sort, io, net/http), not by a selector in the
-// module.
-var stdInterfaceMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true,
-	"MarshalJSON": true, "UnmarshalJSON": true,
-	"MarshalText": true, "UnmarshalText": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
+// libraryInterfaces are the standard interfaces whose methods fmt,
+// errors and encoding/json call, not a selector in the module.
+var libraryInterfaces = [][2]string{{"", "error"}, {"fmt", "Stringer"}, {"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"}, {"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"}}
+
+// module is the module's non-test code, parsed and type-checked for the
+// GOOS and GOARCH under test: every package under the root, bench/,
+// cmd/, examples/ and the root package included.
+type module struct {
+	fset  *token.FileSet
+	files []moduleFile
+	pkgs  map[string]*types.Package // by import path
+	info  *types.Info
+	std   types.Importer // the standard library; not safe for concurrent use
 }
 
-// TestNoDeadExportedSurface: every exported top-level func, type, var and
-// const and every exported method declared in a non-test file under
-// internal/ must be referenced by a non-test file of the module (internal/,
-// cmd/, examples/, the root package or bench/) outside its own
-// declaration, or be named in deadSurfaceAllowlist. Top-level names match
-// as pkg.Name through the referring file's imports, or bare inside their
-// own package; methods match by selector name — only by call selector
-// (x.M(…)) when a struct field in the module shares the name, since
-// reading the field would otherwise count — and a method whose name
-// belongs to a module interface or a standard one is exempt.
-func TestNoDeadExportedSurface(t *testing.T) {
-	t.Parallel()
-	ix, err := indexSurface(".", "mmlpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	declared := map[string]bool{}
-	for _, d := range ix.decls {
-		declared[d.display] = true
-		if d.key.pkg == "" && (stdInterfaceMethods[d.key.name] || ix.ifaceMethods[d.key.name]) {
-			continue
-		}
-		_, allowed := deadSurfaceAllowlist[d.display]
-		switch live := ix.referenced(d); {
-		case live && allowed:
-			t.Errorf("%s is referenced now; drop it from deadSurfaceAllowlist", d.display)
-		case !live && !allowed:
-			t.Errorf("%s (%s) is exported but no non-test file uses it: delete it, move it into a _test.go file, or allowlist it with a reason",
-				d.display, ix.fset.Position(d.pos))
-		}
-	}
-	for name := range deadSurfaceAllowlist {
-		if !declared[name] {
-			t.Errorf("deadSurfaceAllowlist names %s, which is not declared under internal/", name)
-		}
-	}
+// moduleFile is one non-test file and its package's import path.
+type moduleFile struct {
+	pkg string
+	f   *ast.File
 }
 
-// surfaceKey names what a reference can reach: a top-level identifier by
-// its package's import path, or a method (pkg "") by its name alone.
-type surfaceKey struct{ pkg, name string }
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
 
-// surfaceDecl is one exported declaration under internal/; references
-// inside [pos, end) are the declaration's own and do not count.
-type surfaceDecl struct {
-	key      surfaceKey
-	display  string
-	pos, end token.Pos
-}
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-type surfaceIndex struct {
-	fset         *token.FileSet
-	files        []surfaceFile
-	decls        []surfaceDecl
-	refs         map[surfaceKey][]token.Pos
-	ifaceMethods map[string]bool
-	fields       map[string]bool // struct field names
-}
-
-// surfaceFile is one parsed non-test file: its package's import path and
-// the import paths of the module packages it imports, by local name.
-type surfaceFile struct {
-	pkg     string
-	f       *ast.File
-	imports map[string]string
-}
-
-// callPkg keys the method references that are call selectors.
-const callPkg = "()"
-
-// indexSurface parses every non-test Go file under root (skipping
-// testdata and hidden directories) and records the exported declarations
-// under internal/ and every reference the files make.
-func indexSurface(root, module string) (*surfaceIndex, error) {
-	ix := &surfaceIndex{
-		fset:         token.NewFileSet(),
-		refs:         map[surfaceKey][]token.Pos{},
-		ifaceMethods: map[string]bool{},
-		fields:       map[string]bool{},
-	}
-	pkgName := map[string]string{} // import path -> package name
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// loadModule type-checks the module once per test binary. The standard
+// library comes from the compiler's export data, which cmd/go builds and
+// caches: checking it from source too would cost seconds, and several
+// times that under -race.
+var loadModule = sync.OnceValues(func() (*module, error) {
+	m := &module{fset: token.NewFileSet(), pkgs: map[string]*types.Package{}, info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	m.std = importer.ForCompiler(m.fset, "gc", nil)
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(ix.fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
+		pkg := strings.TrimSuffix("mmlpt/"+filepath.ToSlash(dir), "/")
+		m.files = append(m.files, moduleFile{pkg, f})
+		ok, err := build.Default.MatchFile(dir, name)
+		if ok {
+			files[pkg] = append(files[pkg], f)
 		}
-		pkg := module
-		if rel != "." {
-			pkg += "/" + filepath.ToSlash(rel)
-		}
-		pkgName[pkg] = f.Name.Name
-		ix.files = append(ix.files, surfaceFile{pkg: pkg, f: f})
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range ix.files {
-		sf := &ix.files[i]
-		if strings.HasPrefix(sf.pkg, module+"/internal/") {
-			ix.addDecls(sf.f, sf.pkg)
+	conf := types.Config{Sizes: types.SizesFor("gc", build.Default.GOARCH)}
+	conf.Importer = importerFunc(func(path string) (*types.Package, error) {
+		if files[path] == nil {
+			return m.std.Import(path)
 		}
-		sf.imports = map[string]string{}
-		for _, imp := range sf.f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if name, ok := pkgName[p]; ok {
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				sf.imports[name] = p
-			}
+		if p := m.pkgs[path]; p != nil {
+			return p, nil
 		}
-		ix.addRefs(sf.f, sf.pkg, sf.imports)
+		p, err := conf.Check(path, m.fset, files[path], m.info)
+		m.pkgs[path] = p
+		return p, err
+	})
+	for path := range files {
+		if _, err := conf.Importer.Import(path); err != nil {
+			return nil, err
+		}
 	}
-	return ix, nil
-}
+	return m, nil
+})
 
-func (ix *surfaceIndex) addDecls(f *ast.File, pkg string) {
-	short := pkg[strings.LastIndexByte(pkg, '/')+1:]
-	add := func(k surfaceKey, display string, n ast.Node) {
-		ix.decls = append(ix.decls, surfaceDecl{k, short + "." + display, n.Pos(), n.End()})
+// TestNoDeadExportedSurface: every exported top-level func, type, var and
+// const and every exported method of a type or an interface, declared in
+// a non-test file under internal/, is used by a non-test file of the
+// module (internal/, cmd/, examples/, the root package or bench/) outside
+// its own declaration and its methods' receivers, or is named in
+// deadSurfaceAllowlist. A use is the object the type checker resolves an
+// identifier to, so no field and no other type's method of the same name
+// keeps a method alive. A method is also live when it implements an
+// interface method that the module calls, or one of libraryInterfaces.
+func TestNoDeadExportedSurface(t *testing.T) {
+	t.Parallel()
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			switch {
-			case !d.Name.IsExported():
-			case d.Recv == nil:
-				add(surfaceKey{pkg, d.Name.Name}, d.Name.Name, d)
-			default:
-				add(surfaceKey{"", d.Name.Name}, recvTypeName(d.Recv.List[0].Type)+"."+d.Name.Name, d)
-			}
-		case *ast.GenDecl:
-			for _, s := range d.Specs {
-				switch s := s.(type) {
-				case *ast.TypeSpec:
-					if s.Name.IsExported() {
-						add(surfaceKey{pkg, s.Name.Name}, s.Name.Name, s)
-					}
-				case *ast.ValueSpec:
-					for _, name := range s.Names {
-						if name.IsExported() {
-							add(surfaceKey{pkg, name.Name}, name.Name, s)
+	spans := map[types.Object]ast.Node{} // each declaration's own span
+	receivers := map[*ast.Ident]bool{}
+	for _, mf := range m.files {
+		if !strings.HasPrefix(mf.pkg, "mmlpt/internal/") {
+			continue
+		}
+		ast.Inspect(mf.f, func(n ast.Node) bool {
+			var ids []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				ids = []*ast.Ident{n.Name}
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, func(r ast.Node) bool {
+						if id, ok := r.(*ast.Ident); ok {
+							receivers[id] = true
 						}
-					}
+						return true
+					})
+				}
+			case *ast.TypeSpec:
+				ids = []*ast.Ident{n.Name}
+			case *ast.ValueSpec:
+				ids = n.Names
+			case *ast.Field: // only an interface method's is a *types.Func
+				ids = n.Names
+			}
+			for _, id := range ids {
+				obj := m.info.Defs[id] // nil in a file built only elsewhere
+				if obj == nil || !id.IsExported() {
+					continue
+				}
+				if recv := recvOf(obj); recv != nil && namedOf(recv.Type()) == nil {
+					continue // a method of an interface literal
+				}
+				if _, fn := obj.(*types.Func); fn || obj.Parent() == obj.Pkg().Scope() {
+					spans[obj] = n
 				}
 			}
-		}
-	}
-}
-
-func recvTypeName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
-		}
-	}
-}
-
-// addRefs records every identifier f uses. pkg is f's import path and
-// imports maps f's local names for module packages to their import paths.
-func (ix *surfaceIndex) addRefs(f *ast.File, pkg string, imports map[string]string) {
-	ref := func(k surfaceKey, p token.Pos) { ix.refs[k] = append(ix.refs[k], p) }
-	called := map[*ast.SelectorExpr]bool{}
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			// A method's receiver names its own type; that is not a use.
-			ast.Inspect(n.Type, visit)
-			if n.Body != nil {
-				ast.Inspect(n.Body, visit)
-			}
-			return false
-		case *ast.InterfaceType:
-			for _, m := range n.Methods.List {
-				for _, name := range m.Names {
-					ix.ifaceMethods[name.Name] = true
-				}
-			}
-		case *ast.StructType:
-			for _, f := range n.Fields.List {
-				for _, name := range f.Names {
-					ix.fields[name.Name] = true
-				}
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				called[sel] = true
-			}
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if p, ok := imports[x.Name]; ok {
-					ref(surfaceKey{p, n.Sel.Name}, n.Sel.Pos())
-					return false
-				}
-			}
-			ref(surfaceKey{"", n.Sel.Name}, n.Sel.Pos())
-			if called[n] {
-				ref(surfaceKey{callPkg, n.Sel.Name}, n.Sel.Pos())
-			}
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.Ident:
-			ref(surfaceKey{pkg, n.Name}, n.Pos())
-		}
-		return true
-	}
-	ast.Inspect(f, visit)
-}
-
-// referenced reports whether some reference to d lies outside d itself.
-func (ix *surfaceIndex) referenced(d surfaceDecl) bool {
-	k := d.key
-	if k.pkg == "" && ix.fields[k.name] {
-		k.pkg = callPkg
-	}
-	for _, p := range ix.refs[k] {
-		if p < d.pos || p >= d.end {
 			return true
+		})
+	}
+	used := map[types.Object]bool{}
+	var called []*types.Func // interface methods something calls
+	for id, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin() // the declaration of a generic type's method
+		}
+		if d, ok := spans[obj]; receivers[id] || ok && id.Pos() >= d.Pos() && id.Pos() < d.End() {
+			continue
+		}
+		if recv := recvOf(obj); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
+			called = append(called, obj.(*types.Func))
+		}
+		used[obj] = true
+	}
+	for _, li := range libraryInterfaces {
+		scope := types.Universe
+		if li[0] != "" {
+			p, err := m.std.Import(li[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = p.Scope()
+		}
+		iface := scope.Lookup(li[1]).Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			called = append(called, iface.Method(i))
 		}
 	}
-	return false
+	live := func(obj types.Object) bool {
+		recv := recvOf(obj)
+		if used[obj] || recv == nil || types.IsInterface(recv.Type()) {
+			return used[obj]
+		}
+		ptr := types.NewPointer(namedOf(recv.Type()))
+		return slices.ContainsFunc(called, func(c *types.Func) bool {
+			return c.Name() == obj.Name() && types.Implements(ptr, recvOf(c).Type().Underlying().(*types.Interface))
+		})
+	}
+	decls, dead := map[string]token.Position{}, map[string]bool{}
+	for obj := range spans {
+		name := obj.Pkg().Name() + "." + obj.Name()
+		if recv := recvOf(obj); recv != nil {
+			name = obj.Pkg().Name() + "." + namedOf(recv.Type()).Obj().Name() + "." + obj.Name()
+		}
+		decls[name], dead[name] = m.fset.Position(obj.Pos()), !live(obj)
+	}
+	reconcile(t, "deadSurfaceAllowlist", deadSurfaceAllowlist, decls, dead,
+		"is exported but no non-test file uses it: delete it, move it into a _test.go file")
+}
+
+// reconcile holds a lint's findings to its allowlist. decls gives the
+// position of every declaration the lint checked, by name, and failed
+// the names it finds; fix says what to do about one. A finding the list
+// does not name fails, and so does a listed name that is no finding or
+// no declaration.
+func reconcile(t *testing.T, listName string, list map[string]string, decls map[string]token.Position, failed map[string]bool, fix string) {
+	t.Helper()
+	if len(decls) == 0 {
+		t.Fatal("the lint checked nothing; it would be vacuous")
+	}
+	names := make([]string, 0, len(decls))
+	for name := range decls {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		switch _, listed := list[name]; {
+		case failed[name] && !listed:
+			t.Errorf("%s (%s) %s, or add it to %s with a reason", name, decls[name], fix, listName)
+		case !failed[name] && listed:
+			t.Errorf("%s passes now; drop it from %s", name, listName)
+		}
+	}
+	for name := range list {
+		if _, ok := decls[name]; !ok {
+			t.Errorf("%s names %s, which this lint does not check", listName, name)
+		}
+	}
+}
+
+// recvOf returns obj's receiver when obj is a method, else nil.
+func recvOf(obj types.Object) *types.Var {
+	if sig, ok := obj.Type().(*types.Signature); ok {
+		return sig.Recv()
+	}
+	return nil
+}
+
+// namedOf returns the named type t is or points to, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
 }
 
 // onlyImports narrows a package's internal imports below what its rank
@@ -390,46 +358,37 @@ func TestImportLayering(t *testing.T) {
 	}
 	rank := map[string]int{}
 	for _, line := range strings.Split(string(design), "\n") {
-		m := rankRow.FindStringSubmatch(line)
-		if m == nil {
+		row := rankRow.FindStringSubmatch(line)
+		if row == nil {
 			continue
 		}
-		r, _ := strconv.Atoi(m[1])
-		for _, name := range strings.Split(m[2], ", ") {
+		r, _ := strconv.Atoi(row[1])
+		for _, name := range strings.Split(row[2], ", ") {
 			rank[strings.Trim(name, "`")] = r
 		}
 	}
 	if len(rank) == 0 {
 		t.Fatal("DESIGN.md has no import-rank table")
 	}
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	const prefix = "mmlpt/internal/"
 	seen := map[string]bool{}
-	fset := token.NewFileSet()
-	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, mf := range m.files {
+		pkg, ok := strings.CutPrefix(mf.pkg, prefix)
+		if !ok {
+			continue
 		}
-		if d.IsDir() {
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(strings.TrimPrefix(filepath.Dir(path), "internal"+string(filepath.Separator)))
 		seen[pkg] = true
 		r, ok := rank[pkg]
 		if !ok {
 			t.Errorf("internal/%s has no rank in DESIGN.md's Layering table; place it above everything it imports", pkg)
-			return nil
+			continue
 		}
-		for _, imp := range f.Imports {
+		path := m.fset.Position(mf.f.Package).Filename
+		for _, imp := range mf.f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			dep, internal := strings.CutPrefix(p, prefix)
 			if !internal {
@@ -442,10 +401,6 @@ func TestImportLayering(t *testing.T) {
 				t.Errorf("%s (rank %d) imports %s (rank %d): imports must go to a strictly lower rank", path, r, p, dr)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for pkg := range rank {
 		if !seen[pkg] {
@@ -556,6 +511,82 @@ func TestEveryFlagIsTested(t *testing.T) {
 	}
 }
 
+// fieldWrite is one write of a struct field: the writing package's import
+// path, and whether the write is a key in a composite literal.
+type fieldWrite struct {
+	pkg     string
+	literal bool
+}
+
+// fieldUses classifies every use a non-test file makes of a struct field:
+// a key F: in a composite literal, the left side of an assignment (+=
+// included) and x.F++ write F; taking &x.F writes and reads it; any other
+// use reads it. writers lists each field's writes, read holds the fields
+// some use reads.
+func (m *module) fieldUses() (writers map[*types.Var][]fieldWrite, read map[*types.Var]bool) {
+	writers, read = map[*types.Var][]fieldWrite{}, map[*types.Var]bool{}
+	for _, mf := range m.files {
+		written := map[ast.Node]bool{} // value: the write also reads
+		ast.Inspect(mf.f, func(n ast.Node) bool {
+			var id *ast.Ident
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					written[ast.Unparen(l)] = false
+				}
+			case *ast.IncDecStmt:
+				written[ast.Unparen(n.X)] = false
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					written[ast.Unparen(n.X)] = true
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok {
+					written[key] = false
+				}
+			case *ast.SelectorExpr:
+				id = n.Sel
+			case *ast.Ident:
+				if _, ok := written[n]; ok {
+					id = n
+				}
+			}
+			f, ok := m.info.Uses[id].(*types.Var)
+			if id == nil || !ok || !f.IsField() {
+				return true
+			}
+			f = f.Origin()
+			alsoRead, isWrite := written[n]
+			if isWrite {
+				writers[f] = append(writers[f], fieldWrite{mf.pkg, n == id})
+			}
+			read[f] = read[f] || !isWrite || alsoRead
+			return true
+		})
+	}
+	return writers, read
+}
+
+// structFields calls fn with every exported field of every exported
+// struct type that a non-test file of package path declares, and the
+// type's name.
+func (m *module) structFields(path string, fn func(typ string, f *types.Var, tag string)) {
+	scope := m.pkgs[path].Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || tn.IsAlias() {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					fn(name, f, st.Tag(i))
+				}
+			}
+		}
+	}
+}
+
 // optionAllowlist names the option fields TestEveryOptionIsSet finds no
 // writer for that stay anyway, each with the reason.
 var optionAllowlist = map[string]string{
@@ -564,116 +595,82 @@ var optionAllowlist = map[string]string{
 	"mmlpt.Options.ProbesPerRound": "public library API",
 }
 
-// optionField names one field of an option struct by its package's
-// import path, its type and its own name.
-type optionField struct{ pkg, typ, name string }
-
 // TestEveryOptionIsSet: every exported field of an exported struct type
 // named *Config or *Options, declared in a non-test file outside bench/,
-// has a writer in a non-test file of the module, bench/ included: a key
-// F: in a composite literal of that type, or a selector write x.F = …,
-// &x.F or x.F++ in a file that imports the declaring package. Writes
-// inside the declaring package do not count, since that is where
-// defaults are filled. A field nobody sets becomes a constant or an
-// unexported test seam, or sits in optionAllowlist with its reason.
-// Without types, a selector write matches by field name: it counts for
-// every field of that name in every package its file imports. So a dead
-// field escapes when it shares its name with a live field written by an
-// importer of its package: an experiments.SurveyConfig.Workers would,
-// behind cmd/survey's writes of survey.RunConfig.Workers. *Spec types
-// are data and wire types, out of scope.
+// is set by a non-test file of the module, bench/ included: a key F: in
+// a composite literal, or a write (see fieldUses) from another package.
+// Selector writes inside the declaring package do not count, since that
+// is where defaults are filled. A field nobody sets becomes a
+// constant or an unexported test seam, or sits in optionAllowlist with
+// its reason. *Spec types are data and wire types, out of scope.
 func TestEveryOptionIsSet(t *testing.T) {
 	t.Parallel()
-	ix, err := indexSurface(".", "mmlpt")
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fields []optionField
-	where := map[optionField]token.Pos{}
-	literal := map[optionField]bool{}
-	writerImports := map[string]map[string]bool{} // field name -> packages its writers import
-	selectorWrite := func(x ast.Expr, sf surfaceFile) {
-		if sel, ok := x.(*ast.SelectorExpr); ok {
-			if writerImports[sel.Sel.Name] == nil {
-				writerImports[sel.Sel.Name] = map[string]bool{}
-			}
-			for _, p := range sf.imports {
-				writerImports[sel.Sel.Name][p] = true
-			}
+	writers, _ := m.fieldUses()
+	decls, unset := map[string]token.Position{}, map[string]bool{}
+	for path := range m.pkgs {
+		if path == "mmlpt/bench" {
+			continue
 		}
-	}
-	for _, sf := range ix.files {
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				st, ok := n.Type.(*ast.StructType)
-				name := n.Name.Name
-				if !ok || !n.Name.IsExported() || sf.pkg == "mmlpt/bench" ||
-					!strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
-					return true
-				}
-				for _, fl := range st.Fields.List {
-					for _, id := range fl.Names {
-						if id.IsExported() {
-							f := optionField{sf.pkg, name, id.Name}
-							fields = append(fields, f)
-							where[f] = id.Pos()
-						}
-					}
-				}
-			case *ast.CompositeLit:
-				var pkg, typ string
-				switch lt := n.Type.(type) {
-				case *ast.Ident:
-					pkg, typ = sf.pkg, lt.Name
-				case *ast.SelectorExpr:
-					if x, ok := lt.X.(*ast.Ident); ok {
-						pkg, typ = sf.imports[x.Name], lt.Sel.Name
-					}
-				}
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok && typ != "" {
-							literal[optionField{pkg, typ, key.Name}] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, l := range n.Lhs {
-					selectorWrite(l, sf)
-				}
-			case *ast.IncDecStmt:
-				selectorWrite(n.X, sf)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					selectorWrite(n.X, sf)
-				}
+		m.structFields(path, func(typ string, f *types.Var, _ string) {
+			if strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Options") {
+				name := f.Pkg().Name() + "." + typ + "." + f.Name()
+				decls[name] = m.fset.Position(f.Pos())
+				unset[name] = !slices.ContainsFunc(writers[f], func(w fieldWrite) bool { return w.literal || w.pkg != path })
 			}
-			return true
 		})
 	}
-	if len(fields) == 0 {
-		t.Fatal("no option struct found; the guard would be vacuous")
+	reconcile(t, "optionAllowlist", optionAllowlist, decls, unset,
+		"is an option no non-test code sets: make it a constant or an unexported test seam")
+}
+
+// writeOnlyAllowlist names the fields TestNoWriteOnlyFields finds written
+// and never read that stay anyway, each with the reason.
+var writeOnlyAllowlist = map[string]string{
+	"mda.Result.EdgeCompletionTruncated": "the MDA-Lite's edge-completion cap, which lite_prior_test holds to 0 on a stable topology",
+	"packet.Reply.HasQuotedFlow":         "with ProbeFlowID, what the probe and fakeroute tests check a batch's replies against its specs by",
+	"packet.Reply.ProbeFlowID":           "the quoted probe's flow, which the probe and fakeroute tests check a batch's replies against its specs by",
+	"serve.Options.CacheShards":          "ignored since the line index; the repository benchmark still sets it, and ROADMAP 24a removes it",
+}
+
+// TestNoWriteOnlyFields: no exported field of an exported struct type
+// declared under internal/ is written by non-test code and never read by
+// it (see fieldUses: a compound assignment or an increment is a write
+// only). A value computed for every trace and never looked at is work
+// and surface for nothing: the field goes, or a test that wants it
+// computes it itself. A field with a json tag is read by encoding/json,
+// and a field of a type used as a map key by the key's comparison, so
+// both are exempt.
+func TestNoWriteOnlyFields(t *testing.T) {
+	t.Parallel()
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
 	}
-	declared := map[string]bool{}
-	for _, f := range fields {
-		display := f.pkg[strings.LastIndexByte(f.pkg, '/')+1:] + "." + f.typ + "." + f.name
-		declared[display] = true
-		set := literal[f] || writerImports[f.name][f.pkg]
-		_, allowed := optionAllowlist[display]
-		switch {
-		case set && allowed:
-			t.Errorf("%s has a writer now; drop it from optionAllowlist", display)
-		case !set && !allowed:
-			t.Errorf("%s (%s) is an option no non-test code sets: make it a constant or an unexported test seam, or allowlist it with a reason",
-				display, ix.fset.Position(where[f]))
+	writers, read := m.fieldUses()
+	keys := map[types.Type]bool{}
+	for _, tv := range m.info.Types {
+		if mt, ok := tv.Type.(*types.Map); ok {
+			keys[mt.Key()] = true
 		}
 	}
-	for name := range optionAllowlist {
-		if !declared[name] {
-			t.Errorf("optionAllowlist names %s, which is not an option field", name)
+	decls, writeOnly := map[string]token.Position{}, map[string]bool{}
+	for path, p := range m.pkgs {
+		if !strings.HasPrefix(path, "mmlpt/internal/") {
+			continue
 		}
+		m.structFields(path, func(typ string, f *types.Var, tag string) {
+			if !keys[p.Scope().Lookup(typ).Type()] && !strings.Contains(tag, `json:"`) {
+				name := p.Name() + "." + typ + "." + f.Name()
+				decls[name], writeOnly[name] = m.fset.Position(f.Pos()), len(writers[f]) > 0 && !read[f]
+			}
+		})
 	}
+	reconcile(t, "writeOnlyAllowlist", writeOnlyAllowlist, decls, writeOnly,
+		"is written by non-test code and never read by it: delete it or compute it in the test that wants it")
 }
 
 // TestOneHTTPConvention: the JSON-over-HTTP convention lives in
@@ -685,12 +682,12 @@ func TestEveryOptionIsSet(t *testing.T) {
 // construction, and reads its path through r.PathValue.
 func TestOneHTTPConvention(t *testing.T) {
 	t.Parallel()
-	ix, err := indexSurface(".", "mmlpt")
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, sf := range ix.files {
+	for _, sf := range m.files {
 		if sf.pkg == "mmlpt/internal/httpx" || sf.pkg == "mmlpt/bench" {
 			continue
 		}
@@ -702,13 +699,13 @@ func TestOneHTTPConvention(t *testing.T) {
 				switch {
 				case !ok:
 				case sel.Sel.Name == "WriteHeader":
-					t.Errorf("%s calls WriteHeader: answer through httpx.WriteJSON or httpx.Errorf", ix.fset.Position(n.Pos()))
+					t.Errorf("%s calls WriteHeader: answer through httpx.WriteJSON or httpx.Errorf", m.fset.Position(n.Pos()))
 				case sel.Sel.Name == "Handle" || sel.Sel.Name == "HandleFunc":
-					t.Errorf("%s calls %s: register the route with httpx.Route", ix.fset.Position(n.Pos()), sel.Sel.Name)
+					t.Errorf("%s calls %s: register the route with httpx.Route", m.fset.Position(n.Pos()), sel.Sel.Name)
 				}
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.SelectorExpr); ok && x.Sel.Name == "URL" && n.Sel.Name == "Path" {
-					t.Errorf("%s reads URL.Path: match it with an httpx.Route pattern and read r.PathValue", ix.fset.Position(n.Pos()))
+					t.Errorf("%s reads URL.Path: match it with an httpx.Route pattern and read r.PathValue", m.fset.Position(n.Pos()))
 				}
 			case *ast.Field:
 				if n.Tag == nil {
@@ -716,7 +713,7 @@ func TestOneHTTPConvention(t *testing.T) {
 				}
 				tag, _ := strconv.Unquote(n.Tag.Value)
 				if name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ","); name == "error" {
-					t.Errorf("%s declares a json \"error\" field: use httpx.ErrorBody", ix.fset.Position(n.Pos()))
+					t.Errorf("%s declares a json \"error\" field: use httpx.ErrorBody", m.fset.Position(n.Pos()))
 				}
 			}
 			return true
