@@ -1,28 +1,26 @@
 // Command eval runs the ground-truth evaluation suite: each scenario
 // generates topologies with known ground truth, traces them with the
 // full MDA and the MDA-Lite, and scores accuracy (vertex/edge/diamond
-// recall and precision) against cost (probes sent). The run is fully
-// deterministic — same seeds, same records, for every worker count.
+// recall and precision) against cost (probes sent). Each instance also
+// runs the prior-seeded re-trace pipeline: the MDA-Lite's traces build an
+// atlas snapshot, priors are extracted through the serving layer, and a
+// prior-seeded re-trace is scored against an unseeded re-trace baseline
+// (probe savings, relative edge recall, stale-prior fallbacks). The run
+// is fully deterministic — same seeds, same records, for every worker
+// count.
 //
 // Usage:
 //
-//	eval                                   # run the suite, print the accuracy/cost table
+//	eval                                   # run the suite, print the accuracy/cost and prior re-trace tables
 //	eval -list                             # list scenarios with descriptions and LB mixes
 //	eval -scenarios 'flow-*' -seeds 5      # scenario selection and seed sweep
-//	eval -tracer mdalite-prior             # add the atlas-prior re-trace columns
 //	eval -out eval.jsonl                   # stream byte-stable records to JSONL
 //	eval -golden testdata/eval_golden.jsonl  # compare against the committed golden,
 //	                                         # exit 1 on drift beyond tolerance
 //
-// With -tracer mdalite-prior each instance additionally runs the
-// prior-seeded re-trace pipeline: an unseeded pass builds an atlas
-// snapshot, priors are extracted through the serving layer, and a
-// prior-seeded re-trace is scored against an unseeded re-trace baseline
-// (probe savings, relative edge recall, stale-prior fallbacks).
-//
 // Regenerate the golden after a deliberate algorithm change with:
 //
-//	go run ./cmd/eval -tracer mdalite-prior -out testdata/eval_golden.jsonl
+//	go run ./cmd/eval -out testdata/eval_golden.jsonl
 package main
 
 import (
@@ -56,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		phi       = fs.Int("phi", 0, fmt.Sprintf("MDA-Lite meshing budget, at least %d (0 = default)", mda.DefaultPhi))
 		out       = fs.String("out", "", "stream eval records to this JSONL file")
 		golden    = fs.String("golden", "", "compare the run against this golden JSONL, exit 1 on drift")
-		tracer    = fs.String("tracer", "", "additional tracer column: 'mdalite-prior' scores the atlas-prior-seeded re-trace against an unseeded re-trace baseline")
 		list      = fs.Bool("list", false, "list scenarios with descriptions and LB mixes, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,8 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case fs.NArg() > 0:
 		usage = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
-	case *tracer != "" && *tracer != "mdalite-prior":
-		usage = fmt.Sprintf("unknown tracer %q (supported: mdalite-prior)", *tracer)
 	case *seeds < 1:
 		usage = fmt.Sprintf("-seeds %d: want at least 1", *seeds)
 	case *phi != 0 && *phi < mda.DefaultPhi:
@@ -77,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, usage)
 		return 2
 	}
-	withPrior := *tracer == "mdalite-prior"
 
 	suite := groundtruth.Suite()
 	if *list {
@@ -101,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seeds:     *seeds,
 		BaseSeed:  *seed,
 		Phi:       *phi,
-		WithPrior: withPrior,
 	}
 	var jw *traceio.JSONLWriter
 	if *out != "" {
@@ -127,9 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprint(stdout, experiments.FormatAccuracyCostTable(experiments.AccuracyCostTable(records)))
-	if withPrior {
-		fmt.Fprint(stdout, experiments.FormatPriorRetraceTable(experiments.PriorRetraceTable(records)))
-	}
+	fmt.Fprint(stdout, experiments.FormatPriorRetraceTable(experiments.PriorRetraceTable(records)))
 
 	if *golden != "" {
 		goldenRecs, err := groundtruth.LoadGolden(*golden, selected)

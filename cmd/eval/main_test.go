@@ -29,7 +29,6 @@ func TestUsageErrors(t *testing.T) {
 		{"non-positive seeds", []string{"-seeds", "0"}},
 		{"negative seeds", []string{"-seeds", "-2"}},
 		{"phi below the minimum", []string{"-phi", "1"}},
-		{"unknown tracer", []string{"-tracer", "nosuch"}},
 		{"unknown scenario", []string{"-scenarios", "nosuch"}},
 		{"positional argument", []string{"extra"}},
 		{"positional argument after list", []string{"-list", "extra"}},

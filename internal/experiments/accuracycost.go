@@ -122,7 +122,7 @@ type PriorRetraceRow struct {
 }
 
 // PriorRetraceTable folds the prior columns of eval records into one row
-// per scenario, skipping records from unseeded runs.
+// per scenario.
 func PriorRetraceTable(recs []*traceio.EvalRecord) []PriorRetraceRow {
 	idx := make(map[string]int)
 	var rows []PriorRetraceRow
@@ -131,9 +131,6 @@ func PriorRetraceTable(recs []*traceio.EvalRecord) []PriorRetraceRow {
 	}
 	sums := make(map[string]*totals)
 	for _, r := range recs {
-		if r.MDALitePrior == nil || r.MDALiteRetrace == nil {
-			continue
-		}
 		i, ok := idx[r.Scenario]
 		if !ok {
 			i = len(rows)
@@ -169,9 +166,6 @@ func PriorRetraceTable(recs []*traceio.EvalRecord) []PriorRetraceRow {
 // plus its headline: aggregate probe savings and mean relative edge
 // recall across the scenarios.
 func FormatPriorRetraceTable(rows []PriorRetraceRow) string {
-	if len(rows) == 0 {
-		return ""
-	}
 	var b strings.Builder
 	b.WriteString("# Atlas-prior re-trace: prior-seeded MDA-Lite vs unseeded re-survey\n")
 	fmt.Fprintf(&b, "%-16s %6s  %12s %11s %8s  %8s %10s %6s\n",

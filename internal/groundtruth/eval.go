@@ -24,12 +24,6 @@ type Config struct {
 	BaseSeed uint64
 	// Phi is the MDA-Lite meshing budget (0 selects the default).
 	Phi int
-	// WithPrior adds the atlas-prior re-trace columns to every record: an
-	// unseeded MDA-Lite pass builds an atlas snapshot, priors are
-	// extracted from it through the serving layer, and a prior-seeded
-	// re-trace is scored against an unseeded re-trace baseline over the
-	// same (possibly churned) network.
-	WithPrior bool
 	// OnRecord, when non-nil, receives each record in deterministic
 	// (scenario-major, then seed) order the moment its prefix of the
 	// sweep has completed, the streaming hook cmd/eval writes JSONL
@@ -66,11 +60,7 @@ func Run(cfg Config) ([]*traceio.EvalRecord, error) {
 	}
 	records := make([]*traceio.EvalRecord, 0, len(jobs))
 	err := par.OrderedErr(len(jobs), cfg.workers, func(i int) (*traceio.EvalRecord, error) {
-		j := jobs[i]
-		if cfg.WithPrior {
-			return EvaluateWithPrior(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.stop)
-		}
-		return Evaluate(j.sc, cfg.BaseSeed, j.seedIdx, cfg.Phi, cfg.stop), nil
+		return evaluate(jobs[i].sc, cfg.BaseSeed, jobs[i].seedIdx, cfg.Phi, cfg.stop)
 	}, func(i int, rec *traceio.EvalRecord) error {
 		records = append(records, rec)
 		if cfg.OnRecord != nil {
@@ -81,11 +71,20 @@ func Run(cfg Config) ([]*traceio.EvalRecord, error) {
 	return records, err
 }
 
-// Evaluate scores one (scenario, seed index) instance: the full MDA and
+// retraceSeedSalt separates the re-trace passes' flow-seed stream from
+// the first pass's: a re-survey is a second, independent measurement.
+const retraceSeedSalt = 0x72657472 // "retr"
+
+// evaluate scores one (scenario, seed index) instance. The full MDA and
 // the MDA-Lite each run over a freshly built network with identical
-// ground truth and identical reply behavior, and each discovered graph
-// is diffed against the generator's.
-func Evaluate(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []int) *traceio.EvalRecord {
+// ground truth and identical reply behavior. The MDA-Lite's traces then
+// populate an atlas whose snapshot round-trips through the serving layer
+// (the same indexed v2 format atlasd serves) into a prior index, and its
+// completed sessions donate their flow landings as hints. Two passes
+// over the re-trace network — prior-seeded and unseeded, same flow
+// seeds — measure probe savings against edge recall and staleness. Every
+// discovered graph is diffed against the generator's.
+func evaluate(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []int) (*traceio.EvalRecord, error) {
 	sc.fill()
 	seed := scenarioSeed(baseSeed, sc.Name, seedIdx)
 	rec := &traceio.EvalRecord{
@@ -95,49 +94,29 @@ func Evaluate(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []int) *trace
 		Pairs:     sc.Pairs,
 		FlowBased: sc.FlowBased,
 	}
-	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mda.TraceLite(p, cfg, phi) }
 	rec.MDA = tracePairs(sc.Build(seed), sc.Retries, "mda", seed, stop, nil, mda.Trace)
-	rec.MDALite = tracePairs(sc.Build(seed), sc.Retries, "mda-lite", seed, stop, nil, lite)
-	if rec.MDA.Probes > 0 {
-		rec.ProbeSavings = 1 - float64(rec.MDALite.Probes)/float64(rec.MDA.Probes)
-	}
-	rec.RelativeEdgeRecall = 1
-	if rec.MDA.EdgeRecall > 0 {
-		rec.RelativeEdgeRecall = rec.MDALite.EdgeRecall / rec.MDA.EdgeRecall
-	}
-	return rec
-}
-
-// retraceSeedSalt separates the re-trace passes' flow-seed stream from
-// the first pass's: a re-survey is a second, independent measurement.
-const retraceSeedSalt = 0x72657472 // "retr"
-
-// EvaluateWithPrior scores one instance like Evaluate, then adds the
-// atlas-prior re-trace columns. An unseeded MDA-Lite pass over the
-// pre-churn network populates an atlas whose snapshot round-trips
-// through the serving layer (the same indexed v2 format atlasd serves)
-// into a prior index; the completed sessions donate their flow landings
-// as hints. Two passes over the re-trace network — prior-seeded and
-// unseeded, same flow seeds — then measure probe savings against edge
-// recall and staleness.
-func EvaluateWithPrior(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []int) (*traceio.EvalRecord, error) {
-	rec := Evaluate(sc, baseSeed, seedIdx, phi, stop)
-	sc.fill()
-	seed := scenarioSeed(baseSeed, sc.Name, seedIdx)
-
-	// Pass 1: unseeded MDA-Lite over the pre-churn network, feeding the
-	// atlas. Sessions are kept so their flow landings become hints.
+	// The MDA-Lite column keeps its sessions, in pair order: their graphs
+	// feed the atlas and their flow landings the priors' hints.
 	inst := sc.Build(seed)
+	var sessions []*mda.Session
+	var graphs []*topo.Graph
+	rec.MDALite = tracePairs(inst, sc.Retries, "mda-lite", seed, stop, nil,
+		func(p probe.Prober, cfg mda.Config) *mda.Result {
+			s := mda.NewSession(p, cfg)
+			res := s.RunLite(phi)
+			sessions, graphs = append(sessions, s), append(graphs, res.Graph)
+			return res
+		})
+	rec.ProbeSavings = savings(rec.MDALite, rec.MDA)
+	rec.RelativeEdgeRecall = relativeEdgeRecall(rec.MDALite, rec.MDA)
+
 	al := atlas.New(atlas.Options{})
-	sessions := make([]*mda.Session, len(inst.Pairs))
 	for i, pair := range inst.Pairs {
-		p := probe.NewSimProber(inst.Net, pair.Src, pair.Dst)
-		p.Retries = sc.Retries
-		s := mda.NewSession(p, mda.Config{Seed: nprand.IndexedSeed(seed, i), Stop: stop})
-		res := s.RunLite(phi)
-		sessions[i] = s
-		al.AddGraph(i, res.Graph)
-		al.AddPair(i, pair.Src.String(), pair.Dst.String())
+		sr := traceio.NewSurveyRecord(pair.Src, pair.Dst, "mda-lite", graphs[i])
+		sr.PairIndex = i
+		if err := al.AddRecord(sr); err != nil {
+			return nil, err
+		}
 	}
 	ix, err := indexSnapshot(al)
 	if err != nil {
@@ -151,18 +130,30 @@ func EvaluateWithPrior(sc Scenario, baseSeed uint64, seedIdx, phi int, stop []in
 
 	retraceSeed := seed ^ retraceSeedSalt
 	lite := func(p probe.Prober, cfg mda.Config) *mda.Result { return mda.TraceLite(p, cfg, phi) }
-	seeded := tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-prior", retraceSeed, stop, ix, lite)
-	baseline := tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-retrace", retraceSeed, stop, nil, lite)
-	rec.MDALitePrior, rec.MDALiteRetrace = &seeded, &baseline
-	if baseline.Probes > 0 {
-		rec.PriorProbeSavings = 1 - float64(seeded.Probes)/float64(baseline.Probes)
-	}
-	rec.PriorRelativeEdgeRecall = 1
-	if baseline.EdgeRecall > 0 {
-		rec.PriorRelativeEdgeRecall = seeded.EdgeRecall / baseline.EdgeRecall
-	}
-	rec.PriorStalePairs = seeded.PriorStale
+	rec.MDALitePrior = tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-prior", retraceSeed, stop, ix, lite)
+	rec.MDALiteRetrace = tracePairs(sc.BuildRetrace(seed), sc.Retries, "mda-lite-retrace", retraceSeed, stop, nil, lite)
+	rec.PriorProbeSavings = savings(rec.MDALitePrior, rec.MDALiteRetrace)
+	rec.PriorRelativeEdgeRecall = relativeEdgeRecall(rec.MDALitePrior, rec.MDALiteRetrace)
+	rec.PriorStalePairs = rec.MDALitePrior.PriorStale
 	return rec, nil
+}
+
+// savings is the fraction of base's probe cost ev avoided (0 when base
+// sent none).
+func savings(ev, base traceio.AlgoEval) float64 {
+	if base.Probes == 0 {
+		return 0
+	}
+	return 1 - float64(ev.Probes)/float64(base.Probes)
+}
+
+// relativeEdgeRecall is ev's edge recall relative to base's (1 when
+// base found nothing).
+func relativeEdgeRecall(ev, base traceio.AlgoEval) float64 {
+	if base.EdgeRecall == 0 {
+		return 1
+	}
+	return ev.EdgeRecall / base.EdgeRecall
 }
 
 // indexSnapshot round-trips an in-memory atlas through the on-disk
@@ -187,9 +178,10 @@ func indexSnapshot(al *atlas.Atlas) (*prior.Index, error) {
 	return prior.FromService(svc)
 }
 
-// tracePairs traces every pair of inst with trace — pair i under flow
-// seed nprand.IndexedSeed(seed, i), seeded from its prior in ix if any —
-// and aggregates the diffs against the instance's ground truth.
+// tracePairs traces every pair of inst in order with trace — pair i
+// under flow seed nprand.IndexedSeed(seed, i), seeded from its prior in
+// ix if any — and aggregates the diffs against the instance's ground
+// truth.
 func tracePairs(inst *Instance, retries int, algo string, seed uint64, stop []int, ix *prior.Index,
 	trace func(probe.Prober, mda.Config) *mda.Result) traceio.AlgoEval {
 	var agg topo.DiffStats

@@ -2,6 +2,8 @@ package groundtruth
 
 import (
 	"bytes"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"mmlpt/internal/fakeroute"
@@ -12,8 +14,8 @@ import (
 
 // testScenarios is a fast three-scenario subset exercising the uniform
 // (no-switch) and switching regimes, plus mid-trace route churn for the
-// prior-seeded passes (Build ignores churn, so unseeded runs see a
-// plain third scenario).
+// re-trace passes (Build ignores churn, so the MDA and MDA-Lite columns
+// see a plain third scenario).
 func testScenarios() []Scenario {
 	return []Scenario{
 		{
@@ -47,47 +49,67 @@ func testGen(wmin, wmax, lmin, lmax int, uniform bool) (g fakeroute.GenSpec) {
 }
 
 // Determinism guard: the eval JSONL must be byte-identical for every
-// worker count, mirroring the survey/atlas guards — in unseeded mode and
-// in prior mode, where each instance additionally builds an atlas
-// snapshot, extracts priors through the serving layer, and re-traces a
-// churned network (t-churn flips routes mid-trace). Any nondeterminism
-// in generation, tracing, prior extraction, diffing or record encoding
-// shows up here as a byte diff.
+// worker count, mirroring the survey/atlas guards. Each instance builds
+// an atlas snapshot, extracts priors through the serving layer, and
+// re-traces a churned network (t-churn flips routes mid-trace), so any
+// nondeterminism in generation, tracing, prior extraction, diffing or
+// record encoding shows up here as a byte diff.
 func TestEvalByteIdenticalAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	for _, withPrior := range []bool{false, true} {
-		var ref []byte
-		for _, workers := range []int{1, 4, 8} {
-			var buf bytes.Buffer
-			recs, err := Run(Config{
-				Scenarios: testScenarios(), Seeds: 3, BaseSeed: 11, workers: workers,
-				WithPrior: withPrior,
-				OnRecord:  func(r *traceio.EvalRecord) error { return r.WriteJSONL(&buf) },
-			})
-			if err != nil {
-				t.Fatalf("prior=%t workers=%d: %v", withPrior, workers, err)
-			}
-			if len(recs) != 9 {
-				t.Fatalf("prior=%t workers=%d: got %d records, want 9", withPrior, workers, len(recs))
-			}
-			if ref == nil {
-				ref = append([]byte(nil), buf.Bytes()...)
-				if len(ref) == 0 {
-					t.Fatal("reference run produced no bytes; the guard would be vacuous")
-				}
-				continue
-			}
-			if !bytes.Equal(buf.Bytes(), ref) {
-				t.Errorf("prior=%t workers=%d: eval JSONL differs from workers=1 reference", withPrior, workers)
-			}
+	var ref []byte
+	for _, workers := range []int{1, 4, 8} {
+		var buf bytes.Buffer
+		recs, err := Run(Config{
+			Scenarios: testScenarios(), Seeds: 3, BaseSeed: 11, workers: workers,
+			OnRecord: func(r *traceio.EvalRecord) error { return r.WriteJSONL(&buf) },
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		if len(recs) != 9 {
+			t.Fatalf("workers=%d: got %d records, want 9", workers, len(recs))
+		}
+		if ref == nil {
+			ref = append([]byte(nil), buf.Bytes()...)
+			if len(ref) == 0 {
+				t.Fatal("reference run produced no bytes; the guard would be vacuous")
+			}
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), ref) {
+			t.Errorf("workers=%d: eval JSONL differs from workers=1 reference", workers)
+		}
+	}
+}
+
+// defaultRun is cmd/eval's default run, Run(Config{Seeds: 3, BaseSeed:
+// 1}), made once and shared by the tests that read the committed suite.
+var defaultRun = sync.OnceValues(func() ([]*traceio.EvalRecord, error) {
+	return Run(Config{Seeds: 3, BaseSeed: 1})
+})
+
+// The golden gate: cmd/eval's default run matches the committed golden
+// within the default tolerances, every column of every scenario.
+func TestDefaultRunMatchesGolden(t *testing.T) {
+	t.Parallel()
+	recs, err := defaultRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := LoadGolden(filepath.Join("..", "..", "testdata", "eval_golden.jsonl"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tol := Tolerances{Recall: DefaultRecallTolerance, Probes: DefaultProbesTolerance}
+	for _, d := range CompareGolden(recs, golden, tol) {
+		t.Error(d)
 	}
 }
 
 // The golden compare must catch a deliberately weakened stopping rule:
 // halving the MDA's stopping confidence slashes probe counts (and can
 // cost recall), which is exactly the class of regression the CI
-// scenario-matrix job exists to stop.
+// eval-golden job exists to stop.
 func TestGoldenCompareCatchesNerf(t *testing.T) {
 	t.Parallel()
 	scs := testScenarios()
@@ -143,7 +165,7 @@ func TestMDALiteAccuracyCostOnFlowScenarios(t *testing.T) {
 		t.Skip("full-suite evaluation sweep; skipped with -short")
 	}
 	t.Parallel()
-	recs, err := Run(Config{Seeds: 3, BaseSeed: 1})
+	recs, err := defaultRun()
 	if err != nil {
 		t.Fatal(err)
 	}

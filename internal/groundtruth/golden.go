@@ -15,7 +15,7 @@ import (
 // algorithm change with marginal metric drift can land by regenerating
 // the golden, while an accidental accuracy or cost regression — lower
 // recall, ballooning (or suspiciously collapsing) probe counts — fails
-// CI's scenario-matrix job.
+// TestDefaultRunMatchesGolden and CI's eval-golden job.
 
 // Default tolerances, used by cmd/eval's flag defaults and CI.
 const (
@@ -129,22 +129,11 @@ func compareRecord(got, golden *traceio.EvalRecord, tol Tolerances) []Drift {
 	absDrift("probe_savings", golden.ProbeSavings, got.ProbeSavings)
 	absDrift("relative_edge_recall", golden.RelativeEdgeRecall, got.RelativeEdgeRecall)
 
-	// Prior columns are compared only when the run produced them: a
-	// non-prior CI group legitimately runs unseeded against a golden that
-	// carries prior columns. The reverse — a prior run whose golden has no
-	// prior columns — is a drift, so the prior gate cannot silently turn
-	// into a no-op.
-	if got.MDALitePrior != nil {
-		if golden.MDALitePrior == nil || golden.MDALiteRetrace == nil {
-			note("prior columns missing from golden", 0, 1)
-			return drifts
-		}
-		compareAlgo("mdalite_prior", *golden.MDALitePrior, *got.MDALitePrior)
-		compareAlgo("mdalite_retrace", *golden.MDALiteRetrace, *got.MDALiteRetrace)
-		absDrift("prior_probe_savings", golden.PriorProbeSavings, got.PriorProbeSavings)
-		absDrift("prior_relative_edge_recall", golden.PriorRelativeEdgeRecall, got.PriorRelativeEdgeRecall)
-		exact("prior_stale_pairs", float64(golden.PriorStalePairs), float64(got.PriorStalePairs))
-	}
+	compareAlgo("mdalite_prior", golden.MDALitePrior, got.MDALitePrior)
+	compareAlgo("mdalite_retrace", golden.MDALiteRetrace, got.MDALiteRetrace)
+	absDrift("prior_probe_savings", golden.PriorProbeSavings, got.PriorProbeSavings)
+	absDrift("prior_relative_edge_recall", golden.PriorRelativeEdgeRecall, got.PriorRelativeEdgeRecall)
+	exact("prior_stale_pairs", float64(golden.PriorStalePairs), float64(got.PriorStalePairs))
 	return drifts
 }
 

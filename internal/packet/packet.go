@@ -261,7 +261,7 @@ func foldChecksum(partial uint32, data []byte) uint16 {
 // is what every traceroute implementation emits).
 type IPv4 struct {
 	TOS      byte
-	TotalLen uint16 // filled by SerializeTo when zero
+	TotalLen uint16 // as DecodeFromBytes read it; SerializeTo writes header plus payload
 	ID       uint16
 	Flags    byte // upper 3 bits of the fragment word
 	FragOff  uint16
@@ -276,9 +276,6 @@ const IPv4HeaderLen = 20
 // SerializeTo appends the header bytes for a payload of length payloadLen.
 func (h *IPv4) SerializeTo(b []byte, payloadLen int) []byte {
 	total := IPv4HeaderLen + payloadLen
-	if h.TotalLen != 0 {
-		total = int(h.TotalLen)
-	}
 	start := len(b)
 	b = append(b,
 		0x45, h.TOS,
@@ -329,8 +326,8 @@ func (h *IPv4) DecodeFromBytes(data []byte) ([]byte, error) {
 // UDP is a UDP header.
 type UDP struct {
 	SrcPort, DstPort uint16
-	Length           uint16 // filled by SerializeTo when zero
-	Checksum         uint16 // filled by SerializeTo when zero
+	Length           uint16 // as DecodeFromBytes read it; SerializeTo writes header plus payload
+	Checksum         uint16 // computed by SerializeTo when zero
 }
 
 // UDPHeaderLen is the length of a UDP header.
@@ -342,9 +339,6 @@ const UDPHeaderLen = 8
 // identifier (see FlowID).
 func (h *UDP) SerializeTo(b []byte, src, dst Addr, payload []byte) []byte {
 	length := UDPHeaderLen + len(payload)
-	if h.Length != 0 {
-		length = int(h.Length)
-	}
 	start := len(b)
 	b = append(b,
 		byte(h.SrcPort>>8), byte(h.SrcPort),
@@ -360,7 +354,6 @@ func (h *UDP) SerializeTo(b []byte, src, dst Addr, payload []byte) []byte {
 			ck = 0xffff
 		}
 		binary.BigEndian.PutUint16(b[start+6:], ck)
-		h.Checksum = ck
 	}
 	return b
 }

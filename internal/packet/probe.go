@@ -61,7 +61,6 @@ func (p *Probe) AppendTo(buf []byte) []byte {
 	udp := UDP{
 		SrcPort:  DefaultSrcPortBase + p.FlowID,
 		DstPort:  DefaultDstPort,
-		Length:   UDPHeaderLen + probePayloadLen,
 		Checksum: p.Checksum,
 	}
 	var payload [probePayloadLen]byte

@@ -207,14 +207,15 @@ func Run(u *Universe, cfg RunConfig) (*Result, error) {
 	}
 	jobs := selectJobs(u, cfg)
 	if cfg.SpanStart != 0 || cfg.SpanCount != 0 {
-		end := cfg.SpanStart + cfg.SpanCount
-		if cfg.SpanCount == 0 {
-			end = len(jobs)
+		n := cfg.SpanCount
+		if n == 0 {
+			n = len(jobs) - cfg.SpanStart
 		}
-		if cfg.SpanStart < 0 || cfg.SpanCount < 0 || end > len(jobs) {
-			return nil, fmt.Errorf("survey: span [%d,%d) out of range (0..%d jobs)", cfg.SpanStart, end, len(jobs))
+		// n > len-start, not start+n > len: the sum can overflow.
+		if cfg.SpanStart < 0 || n < 0 || n > len(jobs)-cfg.SpanStart {
+			return nil, fmt.Errorf("survey: span start %d count %d out of range (0..%d jobs)", cfg.SpanStart, cfg.SpanCount, len(jobs))
 		}
-		jobs = jobs[cfg.SpanStart:end]
+		jobs = jobs[cfg.SpanStart : cfg.SpanStart+n]
 	}
 	if cfg.Progress != nil {
 		cfg.Progress.Begin(len(jobs))

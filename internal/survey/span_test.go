@@ -2,6 +2,7 @@ package survey
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"mmlpt/internal/mda"
@@ -70,21 +71,25 @@ func TestSpanConcatenationByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSpanRejectsBadBounds: out-of-range spans fail fast.
+// TestSpanRejectsBadBounds: out-of-range spans fail fast with an error,
+// a start past the job list and an end past the largest int included:
+// a fleet runner passes its claimed unit's bounds straight through.
 func TestSpanRejectsBadBounds(t *testing.T) {
 	t.Parallel()
 	u := Generate(GenConfig{Seed: 33, Pairs: 10})
-	base := RunConfig{Algo: AlgoMDALite, Trace: mda.Config{Seed: 33}}
-
-	rc := base
-	rc.SpanStart, rc.SpanCount = 8, 5
-	if _, err := Run(u, rc); err == nil {
-		t.Fatal("out-of-range span was accepted")
-	}
-
-	rc = base
-	rc.SpanStart, rc.SpanCount = -1, 2
-	if _, err := Run(u, rc); err == nil {
-		t.Fatal("negative span start was accepted")
+	for _, c := range []struct {
+		name         string
+		start, count int
+	}{
+		{"end past the job list", 8, 5},
+		{"negative start", -1, 2},
+		{"negative count", 2, -1},
+		{"start past the job list, to its end", 11, 0},
+		{"end overflows int", 1, math.MaxInt},
+	} {
+		rc := RunConfig{Algo: AlgoMDALite, Trace: mda.Config{Seed: 33}, SpanStart: c.start, SpanCount: c.count}
+		if _, err := Run(u, rc); err == nil {
+			t.Errorf("%s: span (%d, %d) was accepted", c.name, c.start, c.count)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package traceio
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 )
 
@@ -9,7 +11,8 @@ import (
 //
 // An EvalRecord scores one (scenario, seed) instance of the evaluation
 // harness (internal/groundtruth): the MDA and the MDA-Lite are run over
-// the same generated network and each discovered topology is diffed
+// the same generated network, an atlas-prior-seeded MDA-Lite and an
+// unseeded one re-trace it, and each discovered topology is diffed
 // against the generator's known ground truth. Records are byte-stable
 // JSONL — encoding, decoding and re-encoding yields identical bytes, and
 // a run's record stream is identical for every worker count — so a
@@ -74,15 +77,12 @@ type EvalRecord struct {
 	// same topology" metric.
 	RelativeEdgeRecall float64 `json:"relative_edge_recall"`
 
-	// Prior-seeded re-trace columns, present only when the harness ran
-	// with the atlas-prior tracer (cmd/eval -tracer mdalite-prior). A
-	// first unseeded pass builds an atlas snapshot; MDALitePrior re-traces
-	// the (possibly churned) network seeded from it, and MDALiteRetrace is
-	// the unseeded re-trace baseline over the same network. All fields are
-	// omitted on unseeded runs, so pre-prior records re-encode
-	// byte-identically.
-	MDALitePrior   *AlgoEval `json:"mdalite_prior,omitempty"`
-	MDALiteRetrace *AlgoEval `json:"mdalite_retrace,omitempty"`
+	// Prior-seeded re-trace columns. The MDA-Lite column's traces build
+	// an atlas snapshot; MDALitePrior re-traces the (possibly churned)
+	// network seeded from it, and MDALiteRetrace is the unseeded re-trace
+	// baseline over the same network.
+	MDALitePrior   AlgoEval `json:"mdalite_prior"`
+	MDALiteRetrace AlgoEval `json:"mdalite_retrace"`
 	// PriorProbeSavings is 1 - mdalite_prior.Probes/mdalite_retrace.Probes:
 	// the re-survey cost the prior avoided.
 	PriorProbeSavings float64 `json:"prior_probe_savings,omitempty"`
@@ -101,28 +101,33 @@ func (r *EvalRecord) WriteJSONL(w io.Writer) error {
 	return json.NewEncoder(w).Encode(r)
 }
 
-// ReadEvalRecords decodes one EvalRecord per line until EOF.
+// ReadEvalRecords decodes one record per line until EOF. A record is
+// one '\n'-terminated line in the form WriteJSONL writes, so every
+// record read re-encodes to the bytes it was read from. Any other line
+// (blank, CRLF, split over lines, two records on one, an unknown or a
+// missing field, no final '\n') is an error naming the record and why
+// it was refused.
 func ReadEvalRecords(r io.Reader) ([]*EvalRecord, error) {
+	br := bufio.NewReader(r)
 	var out []*EvalRecord
-	err := DecodeEvalRecords(r, func(er *EvalRecord) error {
-		out = append(out, er)
-		return nil
-	})
-	return out, err
-}
-
-// DecodeEvalRecords streams records to fn until EOF or the first error.
-func DecodeEvalRecords(r io.Reader, fn func(*EvalRecord) error) error {
-	dec := json.NewDecoder(r)
-	for {
+	for n := 0; ; n++ {
+		line, err := br.ReadBytes('\n')
+		switch {
+		case err == io.EOF && len(line) == 0:
+			return out, nil
+		case err == io.EOF:
+			return nil, fmt.Errorf("traceio: eval record %d: no final newline", n)
+		case err != nil:
+			return nil, err
+		}
 		er := new(EvalRecord)
-		if err := dec.Decode(er); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
+		line = line[:len(line)-1]
+		if err := json.Unmarshal(line, er); err != nil {
+			return nil, fmt.Errorf("traceio: eval record %d: %v", n, err)
 		}
-		if err := fn(er); err != nil {
-			return err
+		if err := checkCanonical(line, er); err != nil {
+			return nil, fmt.Errorf("traceio: eval record %d: %v", n, err)
 		}
+		out = append(out, er)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,13 @@ func sampleEvalRecord() *EvalRecord {
 			VertexRecall: 1, EdgeRecall: 0.987, DiamondRecall: 1,
 			VertexPrecision: 1, EdgePrecision: 1},
 		ProbeSavings: 0.6153846153846154, RelativeEdgeRecall: 0.9939577039274925,
+		MDALitePrior: AlgoEval{Algo: "mda-lite-prior", Probes: 90, Reached: 3,
+			VertexRecall: 1, EdgeRecall: 0.987, DiamondRecall: 1,
+			VertexPrecision: 1, EdgePrecision: 1, PriorHops: 7},
+		MDALiteRetrace: AlgoEval{Algo: "mda-lite-retrace", Probes: 200, Reached: 3,
+			VertexRecall: 1, EdgeRecall: 0.987, DiamondRecall: 1,
+			VertexPrecision: 1, EdgePrecision: 1},
+		PriorProbeSavings: 0.55, PriorRelativeEdgeRecall: 1,
 	}
 }
 
@@ -49,10 +57,29 @@ func TestEvalRecordByteStable(t *testing.T) {
 	}
 }
 
-func TestDecodeEvalRecordsRejectsGarbage(t *testing.T) {
+// An eval record is read only in the form WriteJSONL writes: one line,
+// its own encoding, every column present.
+func TestReadEvalRecordsRefusesOtherForms(t *testing.T) {
 	t.Parallel()
-	if _, err := ReadEvalRecords(strings.NewReader("{\"scenario\":\"x\"}\nnot json\n")); err == nil {
-		t.Fatal("garbage line decoded without error")
+	var b bytes.Buffer
+	if err := sampleEvalRecord().WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	line := b.String()
+	body := strings.TrimSuffix(line, "\n")
+	for _, c := range []struct{ name, data string }{
+		{"garbage", line + "not json\n"},
+		{"unknown field", strings.Replace(line, `{"scenario"`, `{"extra":1,"scenario"`, 1)},
+		{"two records on one line", body + body + "\n"},
+		{"record split over lines", strings.Replace(line, `,"mdalite":`, ",\n\"mdalite\":", 1)},
+		{"CRLF", body + "\r\n"},
+		{"blank line", line + "\n"},
+		{"no final newline", body},
+		{"no mdalite_prior", regexp.MustCompile(`"mdalite_prior":\{[^}]*\},`).ReplaceAllString(line, "")},
+	} {
+		if _, err := ReadEvalRecords(strings.NewReader(c.data)); err == nil {
+			t.Errorf("%s: %q read without error", c.name, c.data)
+		}
 	}
 }
 
@@ -68,7 +95,7 @@ func encodeEvalRecords(t *testing.T, recs []*EvalRecord) []byte {
 }
 
 // FuzzEvalRecords holds the eval record decoder, which cmd/eval -golden
-// runs over a file, to its failure behaviour: DecodeEvalRecords never
+// runs over a file, to its failure behaviour: ReadEvalRecords never
 // panics, and any stream it accepts re-encodes to a byte fixed point
 // (encode ∘ decode ∘ encode = encode). Seeded with the first two lines
 // of the committed golden. CI's fuzz-smoke job runs it for a short
